@@ -10,7 +10,6 @@ import (
 	binenc "encoding/binary"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"testing"
 
@@ -51,10 +50,7 @@ func benchGraph(b *testing.B, m, n, d, g int) *clustergraph.Graph {
 	return cg
 }
 
-// benchSolve runs one unified-dispatch solve; the paper-figure benches
-// pin Parallelism to 1 so their numbers stay comparable with the
-// sequential history, and BenchmarkAblationParallelSolvers measures the
-// worker fan-out explicitly.
+// benchSolve runs one unified-dispatch solve.
 func benchSolve(b *testing.B, g *clustergraph.Graph, req core.Request) {
 	b.Helper()
 	if _, err := core.Solve(context.Background(), g, req); err != nil {
@@ -112,7 +108,7 @@ func BenchmarkTable3BFSvsDFSvsTA(b *testing.B) {
 		b.Run(algo, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSolve(b, g, core.Request{Algorithm: algo, K: 5, L: core.FullPaths, Parallelism: 1})
+				benchSolve(b, g, core.Request{Algorithm: algo, K: 5, L: core.FullPaths})
 			}
 		})
 	}
@@ -125,7 +121,7 @@ func BenchmarkFig7BFSGap(b *testing.B) {
 		b.Run(fmt.Sprintf("g%d", gap), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSolve(b, g, core.Request{K: 5, L: core.FullPaths, Parallelism: 1})
+				benchSolve(b, g, core.Request{K: 5, L: core.FullPaths})
 			}
 		})
 	}
@@ -138,7 +134,7 @@ func BenchmarkFig8BFSDegree(b *testing.B) {
 		b.Run(fmt.Sprintf("d%d", d), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSolve(b, g, core.Request{K: 5, L: core.FullPaths, Parallelism: 1})
+				benchSolve(b, g, core.Request{K: 5, L: core.FullPaths})
 			}
 		})
 	}
@@ -151,7 +147,7 @@ func BenchmarkFig9BFSScale(b *testing.B) {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSolve(b, g, core.Request{K: 5, L: core.FullPaths, Parallelism: 1})
+				benchSolve(b, g, core.Request{K: 5, L: core.FullPaths})
 			}
 		})
 	}
@@ -164,7 +160,7 @@ func BenchmarkFig10BFSSubpaths(b *testing.B) {
 		b.Run(fmt.Sprintf("l%d", l), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSolve(b, g, core.Request{K: 5, L: l, Parallelism: 1})
+				benchSolve(b, g, core.Request{K: 5, L: l})
 			}
 		})
 	}
@@ -177,7 +173,7 @@ func BenchmarkFig11DFS(b *testing.B) {
 		b.Run(fmt.Sprintf("m%d", m), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSolve(b, g, core.Request{Algorithm: "dfs", K: 5, L: core.FullPaths, Parallelism: 1})
+				benchSolve(b, g, core.Request{Algorithm: "dfs", K: 5, L: core.FullPaths})
 			}
 		})
 	}
@@ -191,7 +187,7 @@ func BenchmarkFig12DFSGapDegree(b *testing.B) {
 		b.Run(fmt.Sprintf("g%d", gap), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSolve(b, g, core.Request{Algorithm: "dfs", K: 5, L: core.FullPaths, Parallelism: 1})
+				benchSolve(b, g, core.Request{Algorithm: "dfs", K: 5, L: core.FullPaths})
 			}
 		})
 	}
@@ -205,7 +201,7 @@ func BenchmarkFig13DFSSubpaths(b *testing.B) {
 		b.Run(fmt.Sprintf("l%d", l), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSolve(b, g, core.Request{Algorithm: "dfs", K: 5, L: l, Parallelism: 1})
+				benchSolve(b, g, core.Request{Algorithm: "dfs", K: 5, L: l})
 			}
 		})
 	}
@@ -219,7 +215,7 @@ func BenchmarkFig14Normalized(b *testing.B) {
 		b.Run(fmt.Sprintf("lmin%d", lmin), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSolve(b, g, core.Request{Algorithm: "normalized", K: 5, LMin: lmin, Parallelism: 1})
+				benchSolve(b, g, core.Request{Algorithm: "normalized", K: 5, LMin: lmin})
 			}
 		})
 	}
@@ -232,7 +228,7 @@ func BenchmarkKSensitivity(b *testing.B) {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSolve(b, g, core.Request{K: k, L: core.FullPaths, Parallelism: 1})
+				benchSolve(b, g, core.Request{K: k, L: core.FullPaths})
 			}
 		})
 	}
@@ -252,7 +248,7 @@ func BenchmarkAblationDFSChildOrder(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSolve(b, g, core.Request{Algorithm: "dfs", K: 5, L: core.FullPaths, WorstFirstChildren: worst, Parallelism: 1})
+				benchSolve(b, g, core.Request{Algorithm: "dfs", K: 5, L: core.FullPaths, WorstFirstChildren: worst})
 			}
 		})
 	}
@@ -269,7 +265,7 @@ func BenchmarkAblationDFSPruning(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSolve(b, g, core.Request{Algorithm: "dfs", K: 5, L: core.FullPaths, DisablePruning: disabled, Parallelism: 1})
+				benchSolve(b, g, core.Request{Algorithm: "dfs", K: 5, L: core.FullPaths, DisablePruning: disabled})
 			}
 		})
 	}
@@ -287,7 +283,7 @@ func BenchmarkAblationTAHashTables(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSolve(b, g, core.Request{Algorithm: "ta", K: 5, L: core.FullPaths, DisableBoundHashTables: disabled, Parallelism: 1})
+				benchSolve(b, g, core.Request{Algorithm: "ta", K: 5, L: core.FullPaths, DisableBoundHashTables: disabled})
 			}
 		})
 	}
@@ -305,95 +301,7 @@ func BenchmarkAblationBFSFullPathFastPath(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSolve(b, g, core.Request{K: 5, L: core.FullPaths, DisableFullPathFastPath: disabled, Parallelism: 1})
-			}
-		})
-	}
-}
-
-// BenchmarkAblationParallelSolvers: the interval-level worker fan-out
-// of each solver (Parallelism 0 = GOMAXPROCS) vs the sequential
-// reference path (Parallelism 1). All variants return byte-identical
-// paths (see internal/core parallel equivalence tests); this measures
-// what that interchangeability buys. The graph is the ablation shape
-// scaled up so per-interval node counts dominate coordination costs.
-func BenchmarkAblationParallelSolvers(b *testing.B) {
-	graphs := map[string]*clustergraph.Graph{
-		"bfs":        benchGraph(b, 10, 2000, 5, 1),
-		"dfs":        benchGraph(b, 6, 400, 5, 1),
-		"ta":         benchGraph(b, 6, 300, 5, 0),
-		"normalized": benchGraph(b, 8, 300, 3, 0),
-	}
-	// The parallel arm pins an explicit worker count > 1 so the fan-out
-	// machinery is always on the measured path (core treats 0 and 1 as
-	// the sequential loop); on a single-core box this records the
-	// coordination overhead rather than a speedup.
-	parWorkers := runtime.GOMAXPROCS(0)
-	if parWorkers < 2 {
-		parWorkers = 2
-	}
-	for _, algo := range []string{"bfs", "dfs", "ta", "normalized"} {
-		g := graphs[algo]
-		for _, workers := range []int{1, parWorkers} {
-			name := fmt.Sprintf("%s/seq", algo)
-			if workers > 1 {
-				name = fmt.Sprintf("%s/par", algo)
-			}
-			b.Run(name, func(b *testing.B) {
-				req := core.Request{Algorithm: algo, K: 5, Parallelism: workers}
-				if algo == "normalized" {
-					req.LMin = 3
-				} else {
-					req.L = core.FullPaths
-				}
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					benchSolve(b, g, req)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAblationPlannerOverhead: the steady-state cost of routing a
-// query through the planner (warm plan cache) vs forcing the algorithm,
-// measured over Engine.Solve on a memoized graph — the per-query planner
-// tax the serving layer pays for auto queries.
-func BenchmarkAblationPlannerOverhead(b *testing.B) {
-	col, err := GenerateCorpus(NewsWeekCorpus(2007, 120))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	eng, err := Open(ctx, FromCollection(col), WithGraphOptions(GraphOptions{Gap: 1, Theta: 0.1}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	// Warm until the plan cache serves hits, so the timed loop measures
-	// the steady state and never the exploration solves (the planner
-	// tries each candidate algorithm once before caching the cheapest).
-	for i := 0; i < 10 && eng.Stats().Planner.CacheHits == 0; i++ {
-		if _, err := eng.Solve(ctx, QuerySpec{K: 5, L: 3}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if eng.Stats().Planner.CacheHits == 0 {
-		b.Fatal("plan cache never warmed")
-	}
-	for _, v := range []struct {
-		name string
-		spec QuerySpec
-	}{
-		{"forced", QuerySpec{Algorithm: "bfs", K: 5, L: 3}},
-		{"planned", QuerySpec{K: 5, L: 3}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Solve(ctx, v.spec); err != nil {
-					b.Fatal(err)
-				}
+				benchSolve(b, g, core.Request{K: 5, L: core.FullPaths, DisableFullPathFastPath: disabled})
 			}
 		})
 	}

@@ -23,9 +23,9 @@
 // loads the corpus once and memoizes every stage artifact across
 // queries, with context cancellation end to end. Stable-cluster
 // queries go through Engine.Solve (or the StableClusters wrappers),
-// which validates a QuerySpec once, lets the cost-based planner pick
-// the solver for "auto" queries, and runs the solvers with the
-// session's parallelism. A handful of stateless helpers (per-interval
+// which normalizes and validates a QuerySpec once ("auto" resolves to
+// the variant's default solver there) and runs the solver it names. A
+// handful of stateless helpers (per-interval
 // clustering, cluster-set serialization, corpus generation) remain as
 // free functions.
 package blogclusters
@@ -78,9 +78,9 @@ type (
 	StreamOptions = core.StreamOptions
 	// QuerySpec is the normalized description of a stable-cluster query
 	// (variant, algorithm, k, lengths, diversity mode) shared by
-	// Engine.Solve, the HTTP layer's parameter parsing and the query
-	// planner's cache keys. The zero value plus K is a valid top-k
-	// query; Algorithm "" or "auto" lets the planner choose.
+	// Engine.Solve and the HTTP layer's parameter parsing and cache
+	// keys. The zero value plus K is a valid top-k query; Algorithm ""
+	// or "auto" means the variant's default solver.
 	QuerySpec = plan.QuerySpec
 )
 

@@ -135,11 +135,7 @@ func main() {
 	go func() {
 		defer close(loadDone)
 		graph := blogclusters.GraphOptions{Gap: *gap, Theta: *theta, UseSimJoin: *simjoin}
-		copts := shard.Options{
-			Graph:             graph,
-			PlanMode:          shared.PlanMode,
-			SolverParallelism: shared.SolverParallelism,
-		}
+		copts := shard.Options{Graph: graph}
 		var sess server.Session
 		var err error
 		switch {

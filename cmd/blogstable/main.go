@@ -15,12 +15,10 @@
 // With -raw, each JSONL document's keywords are treated as raw text
 // fragments and run through the tokenizer/stemmer/stop-word filter.
 //
-// The solver defaults to -algorithm=auto: the Engine's cost-based
-// planner picks among the eligible solvers for the graph at hand;
-// name one (bfs, dfs, ta, brute) to force it, or pass -plan=off to
-// disable planning entirely. -solver-parallelism sets the solvers'
-// worker count (0 = GOMAXPROCS, 1 = the sequential ablation path),
-// separate from -parallelism, which governs cluster/edge generation.
+// The solver defaults to -algorithm=auto, a spelling of the default
+// solver (bfs; normalized under -normalized); name one (bfs, dfs, ta,
+// brute) to run it instead. The solvers are the paper's sequential
+// algorithms; -parallelism governs cluster/edge generation only.
 //
 // The run is one Engine session: cluster sets, cluster graph and (for
 // -bursts) the keyword index are built once and shared; -clusters
@@ -48,7 +46,7 @@ func main() {
 	shared.Register(flag.CommandLine)
 	var (
 		raw        = flag.Bool("raw", false, "analyze document keywords as raw text (tokenize/stem/stop words)")
-		algorithm  = flag.String("algorithm", "auto", "stable-cluster algorithm: auto (cost-based planner), bfs, dfs, ta, brute")
+		algorithm  = flag.String("algorithm", "auto", "stable-cluster algorithm: auto = bfs/normalized, bfs, dfs, ta, brute")
 		k          = flag.Int("k", 5, "number of top stable clusters")
 		l          = flag.Int("l", -1, "temporal path length (-1 = full paths)")
 		gap        = flag.Int("gap", 1, "gap g: intervals a story may skip")

@@ -11,6 +11,10 @@
 //	experiments -exp table1 -parallelism 1   # sequential ablation
 //	experiments -exp clustergraph      # Section 4.1 quadratic vs simjoin
 //	experiments -list                  # list experiment ids
+//
+// -parallelism and -membudget govern the keyword-graph build only; the
+// stable-cluster solver experiments (table3, fig7–14) always run the
+// paper's sequential algorithms — there is no solver worker count.
 package main
 
 import (

@@ -82,9 +82,10 @@ type Engine struct {
 	kwMu     sync.Mutex
 	kwGraphs map[int]*memo[*KeywordGraph]
 
-	// planner learns per-shape solver costs and picks the algorithm for
-	// auto queries (see internal/plan); nil never — Open always sets it.
-	planner *plan.Planner
+	// solveMu guards solves, the per-algorithm accounting of completed
+	// solves.
+	solveMu sync.Mutex
+	solves  plan.Stats
 
 	queries     atomic.Int64
 	pushes      atomic.Int64
@@ -128,12 +129,6 @@ type engineConfig struct {
 	graph    GraphOptions
 	index    IndexOptions
 	progress func(StageEvent)
-	// planOff disables the cost-based planner: auto queries fall back
-	// to the registry default instead of a learned choice.
-	planOff bool
-	// parallelism is the solver worker count for stable-cluster
-	// queries; 0 means GOMAXPROCS, 1 forces the sequential path.
-	parallelism int
 }
 
 // Option configures an Engine at Open time.
@@ -157,24 +152,6 @@ func WithGraphOptions(o GraphOptions) Option {
 // and grown by Push.
 func WithIndexOptions(o IndexOptions) Option {
 	return func(c *engineConfig) { c.index = o }
-}
-
-// WithPlanMode selects how auto-algorithm stable-cluster queries pick
-// their solver: "auto" (the default) uses the session's cost-based
-// planner, which explores the candidate algorithms once per graph
-// shape and then exploits the cheapest observed one; "off" disables
-// planning and always runs the registry default. Unrecognized values
-// behave like "auto".
-func WithPlanMode(mode string) Option {
-	return func(c *engineConfig) { c.planOff = mode == "off" }
-}
-
-// WithSolverParallelism sets the worker count the stable-cluster
-// solvers fan out to. 0 (the default) uses GOMAXPROCS; 1 forces the
-// sequential reference path; values beyond GOMAXPROCS are clamped by
-// the solver.
-func WithSolverParallelism(n int) Option {
-	return func(c *engineConfig) { c.parallelism = n }
 }
 
 // WithProgress registers a hook invoked at the start and end of every
@@ -279,7 +256,6 @@ func Open(ctx context.Context, src Source, opts ...Option) (*Engine, error) {
 		cfg:          cfg,
 		intervalSets: map[int]*memo[[]Cluster]{},
 		kwGraphs:     map[int]*memo[*KeywordGraph]{},
-		planner:      plan.New(),
 	}
 	e.root, e.stop = context.WithCancel(context.Background())
 
@@ -527,9 +503,6 @@ func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64
 	}
 
 	e.state.Store(st)
-	// A new interval changes every graph's shape: cached plan decisions
-	// describe graphs that no longer exist. Cost models survive.
-	e.planner.InvalidateAll()
 
 	// The new interval's single-interval cluster set is now immutable;
 	// seed the shared cache so ClustersAt(next) is free. (Only after
@@ -857,11 +830,9 @@ func analyzed(raw string) (string, error) {
 // Solve answers a stable-cluster query described by a QuerySpec over
 // the session's default cluster graph. It is the one dispatch path for
 // all three query variants (topk, normalized, diverse): the spec is
-// validated once, the algorithm is either the spec's own or — when the
-// spec leaves it to "auto" — the session planner's cost-based pick for
-// this graph shape, and completed planned solves feed their wall-clock
-// back into the planner. The StableClusters wrappers and the HTTP
-// layer both route here.
+// normalized and validated once — which also resolves "auto" to the
+// variant's default solver — and handed to the solver it names. The
+// StableClusters wrappers and the HTTP layer both route here.
 func (e *Engine) Solve(ctx context.Context, spec QuerySpec) (*Result, error) {
 	return e.SolveOn(ctx, e.cfg.graph, spec)
 }
@@ -883,65 +854,33 @@ func (e *Engine) SolveOn(ctx context.Context, gopts GraphOptions, spec QuerySpec
 	}
 	defer cancel()
 
-	meta := plan.GraphMeta{
-		Nodes:     g.NumNodes(),
-		Edges:     g.NumEdges(),
-		Intervals: g.NumIntervals(),
-		Gap:       g.Gap(),
-		MaxWeight: g.MaxWeight(),
-	}
-	algorithm := spec.Algorithm
-	planned := false
-	if algorithm == "" {
-		if e.cfg.planOff {
-			if spec.Variant == plan.VariantNormalized {
-				algorithm = "normalized"
-			} else {
-				algorithm = core.DefaultAlgorithm
-			}
-		} else {
-			algorithm = e.planner.Decide(spec, meta).Algorithm
-			planned = true
-		}
-	}
-	req := spec.Request(algorithm)
-	// core treats 0 as the sequential path, so the "0 = GOMAXPROCS"
-	// contract of WithSolverParallelism resolves here.
-	req.Parallelism = e.cfg.parallelism
-	if req.Parallelism == 0 {
-		req.Parallelism = runtime.GOMAXPROCS(0)
-	}
-
+	req := spec.Request()
 	start := time.Now()
 	var res *Result
 	if spec.Variant == plan.VariantDiverse {
-		mode, merr := core.ParseDiversityMode(spec.Mode)
-		if merr != nil {
-			return nil, merr
+		var mode DiversityMode
+		if mode, err = core.ParseDiversityMode(spec.Mode); err == nil {
+			res, err = core.DiverseKL(ctx, g, req, mode, 0)
 		}
-		res, err = core.DiverseKL(ctx, g, req, mode, 0)
 	} else {
 		res, err = core.Solve(ctx, g, req)
 	}
+	// Failed and cancelled solves get their span too: the solve that hit
+	// its deadline is the one an operator traces.
+	obs.RecorderFrom(ctx).Record("solve:"+req.Algorithm, start, err)
 	if err != nil {
 		return nil, err
 	}
-	obs.RecorderFrom(ctx).Record("solve:"+algorithm, start, nil)
-	if planned {
-		e.planner.Observe(algorithm, meta, time.Since(start).Nanoseconds())
-	} else {
-		// Forced-algorithm solves still count toward the per-algorithm
-		// work histograms (the /metrics solve-duration series), they just
-		// don't teach the cost model.
-		e.planner.RecordSolve(algorithm, time.Since(start).Nanoseconds())
-	}
+	e.solveMu.Lock()
+	e.solves.RecordSolve(req.Algorithm, time.Since(start).Nanoseconds())
+	e.solveMu.Unlock()
 	return res, nil
 }
 
 // StableClusters answers Problem 1 (top-k highest-weight paths of
 // temporal length l) over the session's default cluster graph.
-// Algorithm is "auto" (or "") to let the planner choose, or one of
-// "bfs", "dfs", "ta", "brute" to force a solver.
+// Algorithm is "auto" (or "") for the default solver, or one of
+// "bfs", "dfs", "ta", "brute" to name one.
 func (e *Engine) StableClusters(ctx context.Context, algorithm string, k, l int) (*Result, error) {
 	return e.StableClustersOn(ctx, e.cfg.graph, algorithm, k, l)
 }
@@ -1141,9 +1080,11 @@ type EngineStats struct {
 	IndexSegments int `json:"index_segments"`
 	// IndexCompactions counts completed background folds.
 	IndexCompactions int64 `json:"index_compactions"`
-	// Planner is the query planner's activity: decisions made,
-	// plan-cache hits/misses/invalidations, observations absorbed and
-	// picks per algorithm.
+	// Planner is the per-algorithm accounting of completed solves
+	// (counts and wall-clock histograms). There is no planner: the
+	// field and JSON key keep the name only because bench/ reads
+	// Stats().Planner.ByAlgorithm and may not be edited; the next
+	// benchmark issue renames it.
 	Planner plan.Stats `json:"planner"`
 }
 
@@ -1155,9 +1096,11 @@ func (e *Engine) Stats() EngineStats {
 		Queries:          e.queries.Load(),
 		Pushes:           e.pushes.Load(),
 		Stages:           e.timings.snapshot(),
-		Planner:          e.planner.Stats(),
 		IndexCompactions: e.compactions.Load(),
 	}
+	e.solveMu.Lock()
+	out.Planner.Merge(e.solves)
+	e.solveMu.Unlock()
 	if st.col != nil {
 		out.Intervals = len(st.col.Intervals)
 	}

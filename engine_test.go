@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // testCorpus returns a small seeded news week shared by the Engine
@@ -527,10 +528,11 @@ func TestEngineStatsJSON(t *testing.T) {
 	}
 }
 
-// TestEnginePlanner checks the planner's Engine integration: auto
-// queries are planned (decisions and cache activity show up in Stats),
-// forced-algorithm queries bypass the planner, and WithPlanMode("off")
-// disables it entirely while auto queries still answer.
+// TestEnginePlanner pins what replaced the planner: "auto" and "" are
+// spellings of the variant's default solver, so they return that
+// solver's exact Result (paths and work counters) whatever ran before,
+// and Stats().Planner — the name survives only for bench/ — counts
+// completed solves per algorithm.
 func TestEnginePlanner(t *testing.T) {
 	col := testCorpus(t, 150)
 	ctx := context.Background()
@@ -542,65 +544,73 @@ func TestEnginePlanner(t *testing.T) {
 	}
 	defer eng.Close()
 
-	// Forced algorithm: no planner involvement.
-	if _, err := eng.StableClusters(ctx, "bfs", 4, 2); err != nil {
-		t.Fatalf("forced solve: %v", err)
-	}
-	if st := eng.Stats().Planner; st.Decisions != 0 {
-		t.Fatalf("forced solve planned: %+v", st)
-	}
-
-	// Auto queries: every solve is one planner decision, and repeating
-	// the same query eventually hits the plan cache (once each
-	// candidate has been explored and the exploit decision is cached).
-	want, err := eng.StableClusters(ctx, "auto", 4, 2)
+	want, err := eng.StableClusters(ctx, "bfs", 4, 2)
 	if err != nil {
-		t.Fatalf("auto solve: %v", err)
+		t.Fatalf("bfs solve: %v", err)
 	}
-	const rounds = 6
-	for i := 1; i < rounds; i++ {
-		got, err := eng.StableClusters(ctx, "auto", 4, 2)
+	// Another solver's run in between must not change what auto answers.
+	if _, err := eng.StableClusters(ctx, "dfs", 4, 2); err != nil {
+		t.Fatalf("dfs solve: %v", err)
+	}
+	for _, spelling := range []string{"auto", ""} {
+		got, err := eng.StableClusters(ctx, spelling, 4, 2)
 		if err != nil {
-			t.Fatalf("auto solve %d: %v", i, err)
+			t.Fatalf("%q solve: %v", spelling, err)
 		}
-		if !reflect.DeepEqual(want.Paths, got.Paths) {
-			t.Fatalf("auto solve %d returned different paths", i)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%q solve = %+v, want the bfs result %+v", spelling, got, want)
 		}
 	}
-	st := eng.Stats().Planner
-	if st.Decisions != rounds {
-		t.Fatalf("Decisions = %d, want %d", st.Decisions, rounds)
+	wantNorm, err := eng.Solve(ctx, QuerySpec{Variant: "normalized", Algorithm: "normalized", K: 3})
+	if err != nil {
+		t.Fatalf("normalized solve: %v", err)
 	}
-	if st.Observations != rounds {
-		t.Fatalf("Observations = %d, want %d", st.Observations, rounds)
+	gotNorm, err := eng.NormalizedStableClusters(ctx, 3, 2)
+	if err != nil {
+		t.Fatalf("normalized auto solve: %v", err)
 	}
-	if st.CacheHits == 0 {
-		t.Fatalf("no plan-cache hits after %d identical auto queries: %+v", rounds, st)
-	}
-	var picks int64
-	for _, n := range st.ByAlgorithm {
-		picks += n
-	}
-	if picks != st.Decisions {
-		t.Fatalf("ByAlgorithm totals %d, want %d", picks, st.Decisions)
+	if !reflect.DeepEqual(wantNorm, gotNorm) {
+		t.Fatalf("normalized auto solve = %+v, want %+v", gotNorm, wantNorm)
 	}
 
-	// Plan mode off: auto still answers (registry default), planner
-	// stays idle, and the result matches the planned engine's.
-	off, err := Open(ctx, FromCollection(col),
-		WithGraphOptions(GraphOptions{Gap: 1, Theta: 0.1}), WithPlanMode("off"))
+	st := eng.Stats().Planner
+	wantBy := map[string]int64{"bfs": 3, "dfs": 1, "normalized": 2}
+	if !reflect.DeepEqual(st.ByAlgorithm, wantBy) {
+		t.Fatalf("ByAlgorithm = %v, want %v", st.ByAlgorithm, wantBy)
+	}
+	for algo, n := range wantBy {
+		if got := st.SolveNs[algo].Count; got != n {
+			t.Fatalf("SolveNs[%s].Count = %d, want %d", algo, got, n)
+		}
+	}
+}
+
+// TestEngineSolveSpanOnError: a traced solve that fails or is cancelled
+// still leaves its solve:<algorithm> span, carrying the error — the
+// request that hit its deadline is the one an operator traces.
+func TestEngineSolveSpanOnError(t *testing.T) {
+	ctx := context.Background()
+	eng, err := Open(ctx, FromCollection(testCorpus(t, 150)))
 	if err != nil {
-		t.Fatalf("open planless: %v", err)
+		t.Fatalf("open: %v", err)
 	}
-	defer off.Close()
-	got, err := off.StableClusters(ctx, "auto", 4, 2)
-	if err != nil {
-		t.Fatalf("planless auto solve: %v", err)
+	defer eng.Close()
+	// Build the graph first so the cancelled query reaches the solver.
+	if _, err := eng.Graph(ctx); err != nil {
+		t.Fatalf("graph: %v", err)
 	}
-	if !reflect.DeepEqual(want.Paths, got.Paths) {
-		t.Fatalf("planless auto solve returned different paths")
+
+	cctx, cancel := context.WithCancel(ctx)
+	cctx, rec := obs.WithRecorder(cctx)
+	cancel()
+	if _, err := eng.Solve(cctx, QuerySpec{K: 3, L: 2}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled solve returned %v, want context.Canceled", err)
 	}
-	if st := off.Stats().Planner; st.Decisions != 0 || st.Observations != 0 {
-		t.Fatalf("planless engine used planner: %+v", st)
+	spans := rec.Spans()
+	if len(spans) != 1 || spans[0].Name != "solve:bfs" || spans[0].Err != context.Canceled.Error() {
+		t.Fatalf("spans after a cancelled solve = %+v, want one solve:bfs span carrying %q", spans, context.Canceled)
+	}
+	if n := eng.Stats().Planner.ByAlgorithm["bfs"]; n != 0 {
+		t.Fatalf("failed solve counted as completed: ByAlgorithm[bfs] = %d", n)
 	}
 }

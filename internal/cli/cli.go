@@ -40,10 +40,6 @@ type EngineFlags struct {
 	IndexCache        int
 	IndexFile         string
 	IndexCompactAfter int
-
-	// Stable-cluster query execution.
-	PlanMode          string
-	SolverParallelism int
 }
 
 // Register installs the shared flags on fs (use flag.CommandLine in
@@ -58,8 +54,6 @@ func (f *EngineFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.IndexCache, "indexcache", 0, "disk backend: block-cache budget in bytes; 0 = default (8 MiB)")
 	fs.StringVar(&f.IndexFile, "indexfile", "", "disk backend: segment file path; empty = private temp file")
 	fs.IntVar(&f.IndexCompactAfter, "index-compact-after", 0, "fold pushed delta segments into the base once more than this many accumulate; 0 = default, negative = never compact")
-	fs.StringVar(&f.PlanMode, "plan", "auto", "solver planning for auto-algorithm queries: auto (cost-based planner) or off (registry default)")
-	fs.IntVar(&f.SolverParallelism, "solver-parallelism", 0, "worker count for the stable-cluster solvers; 0 = GOMAXPROCS, 1 = sequential")
 }
 
 // Source maps -input/-demo (and -intervals, when set) onto an Engine
@@ -135,6 +129,13 @@ func (f *EngineFlags) ClusterOptions(base blogclusters.ClusterOptions) blogclust
 	return base
 }
 
+// graphOptions maps the pipeline knobs onto GraphOptions, starting from
+// base (a command's own graph settings).
+func (f *EngineFlags) graphOptions(base blogclusters.GraphOptions) blogclusters.GraphOptions {
+	base.Parallelism = f.Parallelism
+	return base
+}
+
 // IndexOptions maps the index flags onto IndexOptions.
 func (f *EngineFlags) IndexOptions() blogclusters.IndexOptions {
 	return blogclusters.IndexOptions{
@@ -148,12 +149,9 @@ func (f *EngineFlags) IndexOptions() blogclusters.IndexOptions {
 // Options assembles the Engine option list from the shared flags plus
 // a command's own cluster/graph settings.
 func (f *EngineFlags) Options(clusterBase blogclusters.ClusterOptions, graph blogclusters.GraphOptions) []blogclusters.Option {
-	graph.Parallelism = f.Parallelism
 	return []blogclusters.Option{
 		blogclusters.WithClusterOptions(f.ClusterOptions(clusterBase)),
-		blogclusters.WithGraphOptions(graph),
+		blogclusters.WithGraphOptions(f.graphOptions(graph)),
 		blogclusters.WithIndexOptions(f.IndexOptions()),
-		blogclusters.WithPlanMode(f.PlanMode),
-		blogclusters.WithSolverParallelism(f.SolverParallelism),
 	}
 }

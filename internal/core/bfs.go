@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/clustergraph"
-	"repro/internal/par"
 	"repro/internal/topk"
 )
 
@@ -15,15 +14,6 @@ import (
 // cij with heaps h^x_ij of the top-k subpaths of each length x ≤ l
 // ending there. The global heap H accumulates the top-k paths of length
 // exactly l.
-//
-// With Parallelism > 1 the nodes of each interval are expanded on a
-// bounded pool: intra-interval nodes are independent (edges only span
-// distinct intervals, so interval i's nodes read only frozen window
-// state and write only their own heaps), each worker collects its
-// global-heap candidates and counters in a private sink, and the sinks
-// are merged after the join. The merge order does not matter — the
-// top-k order is a strict total order — so results and Stats are
-// byte-identical to the sequential pass.
 func solveBFS(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, error) {
 	l, err := req.resolveL(g)
 	if err != nil {
@@ -38,7 +28,6 @@ func solveBFS(ctx context.Context, g *clustergraph.Graph, req Request) (*Result,
 		l:        l,
 		fullPath: l == g.NumIntervals()-1 && !req.DisableFullPathFastPath,
 		window:   req.MaxWindowNodes,
-		workers:  req.workers(),
 		store:    newStoreBackend(req.Store),
 		heaps:    make(map[int64]map[int]*topk.K),
 		global:   topk.NewK(req.K),
@@ -61,7 +50,6 @@ type bfsRun struct {
 	k, l     int
 	fullPath bool
 	window   int // MaxWindowNodes; 0 = unlimited
-	workers  int // 1 = sequential
 	store    *storeBackend
 
 	// heaps maps node id → (path length → heap). In full-path mode each
@@ -69,14 +57,6 @@ type bfsRun struct {
 	heaps  map[int64]map[int]*topk.K
 	global *topk.K
 	stats  Stats
-}
-
-// bfsSink receives one worker's global-heap offers and counters. The
-// sequential path uses a sink aliasing the run's own heap and stats, so
-// both paths run the same code.
-type bfsSink struct {
-	stats  *Stats
-	global *topk.K
 }
 
 // processInterval computes heaps for every node of interval i, using
@@ -106,24 +86,13 @@ func (r *bfsRun) processInterval(i int) error {
 		for _, id := range block {
 			inBlock[id] = true
 		}
-		if r.workers > 1 && len(nodes) > 1 {
-			stats := make([]Stats, len(nodes))
-			locals := make([]*topk.K, len(nodes))
-			par.ForEach(len(nodes), r.workers, func(n int) error {
-				locals[n] = topk.NewK(r.k)
-				r.extendNode(nodes[n], inBlock, bfsSink{stats: &stats[n], global: locals[n]})
-				return nil
-			})
-			for n := range nodes {
-				r.stats.add(stats[n])
-				for _, p := range locals[n].Items() {
-					r.global.Consider(p)
+		for _, id := range nodes {
+			for _, ph := range r.g.Parents(id) {
+				if !inBlock[ph.Peer] {
+					continue
 				}
-			}
-		} else {
-			sk := bfsSink{stats: &r.stats, global: r.global}
-			for _, id := range nodes {
-				r.extendNode(id, inBlock, sk)
+				r.stats.EdgeReads++
+				r.extend(id, ph)
 			}
 		}
 	}
@@ -141,38 +110,27 @@ func (r *bfsRun) processInterval(i int) error {
 	return nil
 }
 
-// extendNode folds every in-block parent of node id across its edge.
-func (r *bfsRun) extendNode(id int64, inBlock map[int64]bool, sk bfsSink) {
-	for _, ph := range r.g.Parents(id) {
-		if !inBlock[ph.Peer] {
-			continue
-		}
-		sk.stats.EdgeReads++
-		r.extend(id, ph, sk)
-	}
-}
-
 // extend merges parent ph's heaps into node id's heaps across the edge
 // (Algorithm 2 lines 7–14).
-func (r *bfsRun) extend(id int64, ph clustergraph.Half, sk bfsSink) {
+func (r *bfsRun) extend(id int64, ph clustergraph.Half) {
 	edgeLen := ph.Length
 	parentHeaps := r.heaps[ph.Peer]
 	// The edge alone is a path of length edgeLen (the implicit h^0 =
 	// {empty path} case).
-	r.offer(id, topk.Path{Nodes: []int64{ph.Peer}}.Append(id, edgeLen, ph.Weight), sk)
+	r.offer(id, topk.Path{Nodes: []int64{ph.Peer}}.Append(id, edgeLen, ph.Weight))
 	for x, h := range parentHeaps {
 		if x+edgeLen > r.l {
 			continue
 		}
 		for _, pi := range h.Items() {
-			r.offer(id, pi.Append(id, edgeLen, ph.Weight), sk)
+			r.offer(id, pi.Append(id, edgeLen, ph.Weight))
 		}
 	}
 }
 
 // offer places path p (ending at node id) into the appropriate h^x heap
-// and, when it has length exactly l, into the sink's global heap.
-func (r *bfsRun) offer(id int64, p topk.Path, sk bfsSink) {
+// and, when it has length exactly l, into the global heap.
+func (r *bfsRun) offer(id int64, p topk.Path) {
 	if p.Length > r.l {
 		return
 	}
@@ -189,11 +147,11 @@ func (r *bfsRun) offer(id int64, p topk.Path, sk bfsSink) {
 		h = topk.NewK(r.k)
 		hs[p.Length] = h
 	}
-	sk.stats.HeapConsiders++
+	r.stats.HeapConsiders++
 	h.Consider(p)
 	if p.Length == r.l {
-		sk.stats.HeapConsiders++
-		sk.global.Consider(p)
+		r.stats.HeapConsiders++
+		r.global.Consider(p)
 	}
 }
 

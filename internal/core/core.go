@@ -19,11 +19,10 @@
 //     the Theorem 1 prefix pruning (normalized.go).
 //   - "brute", "brute-normalized": exhaustive oracles (brute.go).
 //
-// Request.Parallelism > 1 fans each solver out on a bounded worker
-// pool; results are byte-identical at any worker count because the
-// top-k order (topk.Better) is a strict total order and heap contents
-// are offer-order independent. Streaming versions (Section 4.6) are in
-// online.go.
+// Every solver is the paper's sequential algorithm; results are
+// deterministic because the top-k order (topk.Better) is a strict total
+// order and heap contents are offer-order independent. Streaming
+// versions (Section 4.6) are in online.go.
 package core
 
 import (
@@ -58,21 +57,6 @@ type Stats struct {
 	// in per-node state — the memory-footprint proxy behind the paper's
 	// "DFS needed 2MB vs BFS 35MB" claim.
 	PeakStatePaths int64
-}
-
-// add folds a worker's counters into the aggregate. Flow counters sum;
-// PeakStatePaths sums too — concurrent workers hold their state
-// simultaneously, so the sum of their peaks is the honest footprint
-// bound.
-func (s *Stats) add(o Stats) {
-	s.NodeReads += o.NodeReads
-	s.NodeWrites += o.NodeWrites
-	s.EdgeReads += o.EdgeReads
-	s.HeapConsiders += o.HeapConsiders
-	s.Pruned += o.Pruned
-	s.Repushes += o.Repushes
-	s.RandomSeeks += o.RandomSeeks
-	s.PeakStatePaths += o.PeakStatePaths
 }
 
 // Result is the answer to a stable-clusters query.

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/clustergraph"
-	"repro/internal/par"
 	"repro/internal/topk"
 )
 
@@ -32,16 +31,6 @@ const sourceID int64 = -1
 // prefix yet still host high-weight paths starting inside them; the
 // extra case keeps the algorithm exact for subpath queries (verified
 // against brute force in the tests).
-//
-// With Parallelism > 1 the virtual source's children are split into
-// contiguous chunks dispatched to a bounded pool (more chunks than
-// workers, so finished workers steal remaining chunks). Each chunk is
-// an independent sequential traversal with its own state map, local
-// top-k and — when store-backed — its own key namespace; chunk-local
-// pruning thresholds are at most the final global threshold, so the
-// pruning stays admissible and the merged top-k is byte-identical to
-// the sequential answer. Stats (Pruned, Repushes, reads/writes) differ
-// in parallel runs: chunks prune against weaker local thresholds.
 func solveDFS(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, error) {
 	l, err := req.resolveL(g)
 	if err != nil {
@@ -50,57 +39,22 @@ func solveDFS(ctx context.Context, g *clustergraph.Graph, req Request) (*Result,
 	if !req.DisablePruning && g.MaxWeight() > 1 {
 		return nil, fmt.Errorf("core: DFS pruning requires edge weights in (0,1]; graph max weight is %g (normalize the graph or disable pruning)", g.MaxWeight())
 	}
-	newRun := func(keyBase int64) *dfsRun {
-		return &dfsRun{
-			g:        g,
-			k:        req.K,
-			l:        l,
-			fullPath: l == g.NumIntervals()-1,
-			prune:    !req.DisablePruning,
-			worst:    req.WorstFirstChildren,
-			store:    newStoreBackend(req.Store),
-			keyBase:  keyBase,
-			ctx:      ctx,
-			states:   make(map[int64]*dfsState),
-			global:   topk.NewK(req.K),
-		}
+	r := &dfsRun{
+		g:        g,
+		k:        req.K,
+		l:        l,
+		fullPath: l == g.NumIntervals()-1,
+		prune:    !req.DisablePruning,
+		worst:    req.WorstFirstChildren,
+		store:    newStoreBackend(req.Store),
+		ctx:      ctx,
+		states:   make(map[int64]*dfsState),
+		global:   topk.NewK(req.K),
 	}
-	root := newRun(0)
-	children := root.sourceChildren()
-	workers := req.workers()
-	if workers <= 1 || len(children) < 2 {
-		if err := root.run(children); err != nil {
-			return nil, err
-		}
-		return &Result{Paths: root.global.Items(), Stats: root.stats}, nil
-	}
-	// Over-partition so the pool load-balances uneven subtrees.
-	chunks := workers * 4
-	if chunks > len(children) {
-		chunks = len(children)
-	}
-	runs := make([]*dfsRun, chunks)
-	err = par.ForEachCtx(ctx, chunks, workers, func(ci int) error {
-		lo := ci * len(children) / chunks
-		hi := (ci + 1) * len(children) / chunks
-		// Disjoint per-chunk key namespaces keep store-backed chunks from
-		// reading each other's threshold-dependent partial state.
-		sub := newRun(int64(ci) * int64(g.NumNodes()))
-		runs[ci] = sub
-		return sub.run(children[lo:hi])
-	})
-	if err != nil {
+	if err := r.run(); err != nil {
 		return nil, err
 	}
-	merged := topk.NewK(req.K)
-	var stats Stats
-	for _, sub := range runs {
-		stats.add(sub.stats)
-		for _, p := range sub.global.Items() {
-			merged.Consider(p)
-		}
-	}
-	return &Result{Paths: merged.Items(), Stats: stats}, nil
+	return &Result{Paths: r.global.Items(), Stats: r.stats}, nil
 }
 
 type dfsRun struct {
@@ -110,7 +64,6 @@ type dfsRun struct {
 	prune    bool
 	worst    bool
 	store    *storeBackend
-	keyBase  int64 // store-key namespace offset (parallel chunks)
 	ctx      context.Context
 
 	// states holds node state: all nodes when running purely in memory,
@@ -155,8 +108,8 @@ func (r *dfsRun) maxSteps() int64 {
 	return 1000 * v * e
 }
 
-func (r *dfsRun) run(sourceChildren []clustergraph.Half) error {
-	stack := []dfsFrame{{node: sourceID, children: sourceChildren}}
+func (r *dfsRun) run() error {
+	stack := []dfsFrame{{node: sourceID, children: r.sourceChildren()}}
 	var steps int64
 	limit := r.maxSteps()
 	const pollEvery = 4096
@@ -255,7 +208,7 @@ func (r *dfsRun) loadState(id int64) (*dfsState, error) {
 		return s, nil
 	}
 	if r.store != nil {
-		b, ok, err := r.store.load(r.keyBase + id)
+		b, ok, err := r.store.load(id)
 		if err != nil {
 			return nil, err
 		}
@@ -281,7 +234,7 @@ func (r *dfsRun) saveState(id int64) error {
 		return nil
 	}
 	s := r.states[id]
-	if err := r.store.save(r.keyBase+id, encodeDFSState(s)); err != nil {
+	if err := r.store.save(id, encodeDFSState(s)); err != nil {
 		return err
 	}
 	delete(r.states, id)

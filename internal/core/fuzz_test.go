@@ -7,17 +7,44 @@ import (
 	"repro/internal/synth"
 )
 
+// checkAgainstBrute generates the graph for cfg and requires DFS (with
+// pruning) and BFS to return the exhaustive oracle's top-k weights.
+func checkAgainstBrute(t *testing.T, cfg synth.Config, l, k int) {
+	t.Helper()
+	g, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatalf("cfg %+v: %v", cfg, err)
+	}
+	want, err := solve(g, Request{Algorithm: "brute", K: k, L: l})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dfs, err := solve(g, Request{Algorithm: "dfs", K: k, L: l})
+	if err != nil {
+		t.Fatalf("cfg %+v l %d k %d: %v", cfg, l, k, err)
+	}
+	if !weightsAlmostEqual(dfs.Weights(), want.Weights()) {
+		t.Fatalf("cfg %+v l %d k %d: DFS %v != brute %v", cfg, l, k, dfs.Weights(), want.Weights())
+	}
+	bfs, err := solve(g, Request{K: k, L: l})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !weightsAlmostEqual(bfs.Weights(), want.Weights()) {
+		t.Fatalf("cfg %+v l %d k %d: BFS %v != brute %v", cfg, l, k, bfs.Weights(), want.Weights())
+	}
+}
+
 // FuzzSolverEquivalence is the native-fuzzing form of
 // TestFuzzEquivalence, driven through the unified Solve dispatch: the
-// engine mutates the generator parameters plus a worker count, and the
-// solvers must keep agreeing with the exhaustive oracle at any
-// Parallelism. The nightly fuzz-smoke CI job runs it for ~60s;
-// `go test` runs the seed corpus as a regression test.
+// engine mutates the generator parameters, and the solvers must keep
+// agreeing with the exhaustive oracle. The nightly fuzz-smoke CI job
+// runs it for ~60s; `go test` runs the seed corpus as a regression test.
 func FuzzSolverEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(5), uint8(2), uint8(1), uint8(2), uint8(3), uint8(1))
-	f.Add(int64(7), uint8(2), uint8(2), uint8(1), uint8(0), uint8(1), uint8(1), uint8(4))
-	f.Add(int64(42), uint8(7), uint8(8), uint8(3), uint8(2), uint8(6), uint8(5), uint8(8))
-	f.Fuzz(func(t *testing.T, seed int64, m8, n8, d8, g8, l8, k8, w8 uint8) {
+	f.Add(int64(1), uint8(4), uint8(5), uint8(2), uint8(1), uint8(2), uint8(3))
+	f.Add(int64(7), uint8(2), uint8(2), uint8(1), uint8(0), uint8(1), uint8(1))
+	f.Add(int64(42), uint8(7), uint8(8), uint8(3), uint8(2), uint8(6), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, m8, n8, d8, g8, l8, k8 uint8) {
 		m := 2 + int(m8)%6
 		cfg := synth.Config{
 			Seed: seed,
@@ -26,31 +53,7 @@ func FuzzSolverEquivalence(f *testing.F) {
 			D:    1 + int(d8)%3,
 			G:    int(g8) % 3,
 		}
-		l := 1 + int(l8)%(m-1)
-		k := 1 + int(k8)%5
-		workers := 1 + int(w8)%8
-		g, err := synth.Generate(cfg)
-		if err != nil {
-			t.Fatalf("cfg %+v: %v", cfg, err)
-		}
-		want, err := solve(g, Request{Algorithm: "brute", K: k, L: l})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dfs, err := solve(g, Request{Algorithm: "dfs", K: k, L: l, Parallelism: workers})
-		if err != nil {
-			t.Fatalf("cfg %+v l %d k %d: %v", cfg, l, k, err)
-		}
-		if !weightsAlmostEqual(dfs.Weights(), want.Weights()) {
-			t.Fatalf("cfg %+v l %d k %d w %d: DFS %v != brute %v", cfg, l, k, workers, dfs.Weights(), want.Weights())
-		}
-		bfs, err := solve(g, Request{K: k, L: l, Parallelism: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !weightsAlmostEqual(bfs.Weights(), want.Weights()) {
-			t.Fatalf("cfg %+v l %d k %d w %d: BFS %v != brute %v", cfg, l, k, workers, bfs.Weights(), want.Weights())
-		}
+		checkAgainstBrute(t, cfg, 1+int(l8)%(m-1), 1+int(k8)%5)
 	})
 }
 
@@ -66,28 +69,6 @@ func TestFuzzEquivalence(t *testing.T) {
 		cfg := synth.Config{Seed: rng.Int63(), M: m, N: 2 + rng.Intn(7), D: 1 + rng.Intn(3), G: rng.Intn(3)}
 		l := 1 + rng.Intn(m-1)
 		k := 1 + rng.Intn(5)
-		g, err := synth.Generate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := solve(g, Request{Algorithm: "brute", K: k, L: l})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dfs, err := solve(g, Request{Algorithm: "dfs", K: k, L: l})
-		if err != nil {
-			t.Fatalf("trial %d cfg %+v l %d k %d: %v", trial, cfg, l, k, err)
-		}
-		if !weightsAlmostEqual(dfs.Weights(), want.Weights()) {
-			t.Fatalf("trial %d cfg %+v l %d k %d: DFS %v != brute %v",
-				trial, cfg, l, k, dfs.Weights(), want.Weights())
-		}
-		bfs, err := solve(g, Request{K: k, L: l})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !weightsAlmostEqual(bfs.Weights(), want.Weights()) {
-			t.Fatalf("trial %d: BFS %v != brute %v", trial, bfs.Weights(), want.Weights())
-		}
+		checkAgainstBrute(t, cfg, l, k)
 	}
 }

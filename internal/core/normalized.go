@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/clustergraph"
-	"repro/internal/par"
 	"repro/internal/topk"
 )
 
@@ -21,12 +20,6 @@ import (
 // stability.
 //
 // The Weight field of returned paths holds the stability score.
-//
-// Parallelism follows the BFS pattern: each interval's nodes are
-// expanded concurrently (they read only frozen window state and write
-// only their own smallpaths/bestpaths), with per-worker sinks for the
-// global heap and counters merged after the join — results and Stats
-// are byte-identical to the sequential pass.
 func solveNormalized(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, error) {
 	lmin, err := req.resolveLMin(g)
 	if err != nil {
@@ -39,7 +32,6 @@ func solveNormalized(ctx context.Context, g *clustergraph.Graph, req Request) (*
 		suffix:  req.SuffixDominance,
 		noPrune: req.DisableTheorem1Pruning,
 		beam:    req.BeamWidth,
-		workers: req.workers(),
 		small:   make(map[int64]map[int][]topk.Path),
 		best:    make(map[int64]map[string]topk.Path),
 		global:  topk.NewK(req.K),
@@ -60,7 +52,6 @@ type normRun struct {
 	suffix  bool
 	noPrune bool
 	beam    int
-	workers int
 
 	// small[c][x] holds all paths of length x < lmin ending at c.
 	small map[int64]map[int][]topk.Path
@@ -69,14 +60,6 @@ type normRun struct {
 	best   map[int64]map[string]topk.Path
 	global *topk.K
 	stats  Stats
-}
-
-// normSink receives one worker's global-heap offers and counters (the
-// same split as bfsSink). Offered paths already carry their stability
-// in Weight, so merged items go straight into the run's global heap.
-type normSink struct {
-	stats  *Stats
-	global *topk.K
 }
 
 func (r *normRun) processInterval(i int) {
@@ -90,57 +73,31 @@ func (r *normRun) processInterval(i int) {
 	}
 	r.stats.NodeReads += int64(window)
 
-	nodes := r.g.NodesAt(i)
-	for _, id := range nodes {
+	for _, id := range r.g.NodesAt(i) {
 		r.small[id] = make(map[int][]topk.Path)
 		r.best[id] = make(map[string]topk.Path)
-	}
-	if r.workers > 1 && len(nodes) > 1 {
-		stats := make([]Stats, len(nodes))
-		locals := make([]*topk.K, len(nodes))
-		par.ForEach(len(nodes), r.workers, func(n int) error {
-			locals[n] = topk.NewK(r.k)
-			r.processNode(nodes[n], normSink{stats: &stats[n], global: locals[n]})
-			return nil
-		})
-		for n := range nodes {
-			r.stats.add(stats[n])
-			for _, p := range locals[n].Items() {
-				r.global.Consider(p)
-			}
+		for _, ph := range r.g.Parents(id) {
+			r.stats.EdgeReads++
+			r.extend(id, ph)
 		}
-	} else {
-		sk := normSink{stats: &r.stats, global: r.global}
-		for _, id := range nodes {
-			r.processNode(id, sk)
+		if r.suffix {
+			r.dropDominatedSuffixes(id)
 		}
+		if r.beam > 0 {
+			r.capBeam(id)
+		}
+		r.stats.NodeWrites++
 	}
 	r.evict(i)
 	r.trackPeak()
 }
 
-// processNode runs one node's full interval step: extend across every
-// parent edge, then the optional suffix-dominance and beam filters.
-func (r *normRun) processNode(id int64, sk normSink) {
-	for _, ph := range r.g.Parents(id) {
-		sk.stats.EdgeReads++
-		r.extend(id, ph, sk)
-	}
-	if r.suffix {
-		r.dropDominatedSuffixes(id)
-	}
-	if r.beam > 0 {
-		r.capBeam(id)
-	}
-	sk.stats.NodeWrites++
-}
-
 // extend folds the parent's paths across the edge into the node's
 // smallpaths/bestpaths, per the update rules of Section 4.5.
-func (r *normRun) extend(id int64, ph clustergraph.Half, sk normSink) {
+func (r *normRun) extend(id int64, ph clustergraph.Half) {
 	el := ph.Length
 	// The edge alone.
-	r.place(id, topk.Path{Nodes: []int64{ph.Peer}}.Append(id, el, ph.Weight), sk)
+	r.place(id, topk.Path{Nodes: []int64{ph.Peer}}.Append(id, el, ph.Weight))
 	// Extensions of the parent's smallpaths (all lengths; gap edges can
 	// jump from below lmin to above it, so unlike the paper's formula —
 	// written for the exact x = lmin − length(c'c) — every extension is
@@ -158,7 +115,7 @@ func (r *normRun) extend(id int64, ph clustergraph.Half, sk normSink) {
 	sort.Ints(lens)
 	for _, x := range lens {
 		for _, p := range small[x] {
-			r.place(id, p.Append(id, el, ph.Weight), sk)
+			r.place(id, p.Append(id, el, ph.Weight))
 		}
 	}
 	// Extensions of the parent's bestpaths.
@@ -169,19 +126,19 @@ func (r *normRun) extend(id int64, ph clustergraph.Half, sk normSink) {
 	}
 	sort.Strings(sigs)
 	for _, s := range sigs {
-		r.place(id, best[s].Append(id, el, ph.Weight), sk)
+		r.place(id, best[s].Append(id, el, ph.Weight))
 	}
 }
 
 // place routes a newly generated path ending at id: short paths go to
 // smallpaths; qualifying paths are checked against the global heap,
 // pruned with Theorem 1, and retained as candidates.
-func (r *normRun) place(id int64, p topk.Path, sk normSink) {
+func (r *normRun) place(id int64, p topk.Path) {
 	if p.Length < r.lmin {
 		r.small[id][p.Length] = append(r.small[id][p.Length], p)
 		return
 	}
-	r.considerGlobal(p, sk)
+	r.considerGlobal(p)
 	if r.noPrune {
 		r.best[id][signature(p.Nodes)] = p
 		return
@@ -191,16 +148,16 @@ func (r *normRun) place(id int64, p topk.Path, sk normSink) {
 		// The pruned remainder is itself a qualifying path that future
 		// edges will extend; it was generated independently too, but
 		// checking here is cheap and keeps the invariant local.
-		r.considerGlobal(pruned, sk)
+		r.considerGlobal(pruned)
 	}
 	r.best[id][signature(pruned.Nodes)] = pruned
 }
 
-// considerGlobal offers a qualifying path to the sink's top-k, ranked
+// considerGlobal offers a qualifying path to the global top-k, ranked
 // by stability.
-func (r *normRun) considerGlobal(p topk.Path, sk normSink) {
-	sk.stats.HeapConsiders++
-	sk.global.Consider(topk.Path{Nodes: p.Nodes, Length: p.Length, Weight: p.Stability()})
+func (r *normRun) considerGlobal(p topk.Path) {
+	r.stats.HeapConsiders++
+	r.global.Consider(topk.Path{Nodes: p.Nodes, Length: p.Length, Weight: p.Stability()})
 }
 
 // pruneTheorem1 repeatedly drops prefixes justified by Theorem 1: if

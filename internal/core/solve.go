@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -22,8 +21,8 @@ var ErrInvalidRequest = errors.New("core: invalid request")
 // DefaultAlgorithm is what an empty Request.Algorithm means.
 const DefaultAlgorithm = "bfs"
 
-// Request is the one query shape every solver accepts. Planner, Engine,
-// server and cmds all build a Request and hand it to Solve; the
+// Request is the one query shape every solver accepts. Engine, server
+// and cmds all build a Request and hand it to Solve; the
 // algorithm registry dispatches on Request.Algorithm. Knobs that a
 // given algorithm does not use are ignored by it (they exist so the
 // ablation experiments can sweep every solver through one surface).
@@ -43,12 +42,6 @@ type Request struct {
 	// LMin is the minimum temporal path length (normalized solvers,
 	// Problem 2).
 	LMin int
-	// Parallelism is the solver worker count. 0 or 1 runs the exact
-	// sequential code path (the ablation baseline); higher values fan
-	// the solver out on a bounded pool. Results are byte-identical at
-	// any worker count; Stats counters for DFS and TA may differ in
-	// parallel runs (pruning thresholds are shared less eagerly).
-	Parallelism int
 	// Store, when non-nil, persists per-node algorithm state (heaps,
 	// maxweight annotations) to secondary storage so that the I/O
 	// behaviour of the algorithms is real and measurable. Nil keeps all
@@ -92,28 +85,10 @@ type Request struct {
 	BeamWidth int
 }
 
-// workers resolves Request.Parallelism: 0 and 1 are the sequential
-// path, negative is rejected at validation, and anything above the
-// CPU count is clamped (more workers than cores only adds scheduling
-// noise for these CPU-bound solvers).
-func (r Request) workers() int {
-	w := r.Parallelism
-	if w <= 1 {
-		return 1
-	}
-	if max := runtime.GOMAXPROCS(0); w > max && max > 1 {
-		w = max
-	}
-	return w
-}
-
 // validate checks the algorithm-independent fields.
 func (r Request) validate() error {
 	if r.K <= 0 {
 		return fmt.Errorf("%w: K must be positive, got %d", ErrInvalidRequest, r.K)
-	}
-	if r.Parallelism < 0 {
-		return fmt.Errorf("%w: Parallelism must be >= 0, got %d", ErrInvalidRequest, r.Parallelism)
 	}
 	return nil
 }
@@ -166,7 +141,7 @@ func ctxErr(ctx context.Context) error {
 	}
 }
 
-// Info describes one registered solver, for planners and CLIs.
+// Info describes one registered solver.
 type Info struct {
 	// Name is the Request.Algorithm value.
 	Name string
@@ -175,9 +150,6 @@ type Info struct {
 	Normalized bool
 	// FullPathsOnly solvers require l = m−1 (TA).
 	FullPathsOnly bool
-	// Exhaustive marks the brute-force oracles — exact but exponential,
-	// never chosen by a planner.
-	Exhaustive bool
 }
 
 type solverFunc func(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, error)
@@ -195,10 +167,9 @@ var registry = map[string]solverEntry{
 	"ta":  {Info{Name: "ta", FullPathsOnly: true}, solveTA},
 	"normalized": {
 		Info{Name: "normalized", Normalized: true}, solveNormalized},
-	"brute": {Info{Name: "brute", Exhaustive: true}, solveBrute},
+	"brute": {Info{Name: "brute"}, solveBrute},
 	"brute-normalized": {
-		Info{Name: "brute-normalized", Normalized: true, Exhaustive: true},
-		solveBruteNormalized},
+		Info{Name: "brute-normalized", Normalized: true}, solveBruteNormalized},
 }
 
 // Algorithms lists the registered solvers, sorted by name.

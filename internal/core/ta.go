@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/clustergraph"
-	"repro/internal/par"
 	"repro/internal/topk"
 )
 
@@ -21,16 +19,6 @@ var ErrSeekBudget = fmt.Errorf("core: TA random-seek budget exhausted")
 // containing it; the run stops when the current k-th best weight
 // reaches the virtual-tuple bound (the sum of the top unseen weights of
 // all lists).
-//
-// With Parallelism > 1 each round's head edges (one per non-exhausted
-// list) are expanded concurrently: workers read the round-start
-// startwts/endwts bounds and top-k threshold (frozen during the round,
-// so the skip test stays admissible — it can only prune less than the
-// sequential pass) and collect candidate paths and bound updates in
-// private sinks, merged in list order after the join. Candidate sets
-// at each round boundary are supersets of the sequential pass's
-// survivors with identical exact bound values, so the final top-k is
-// byte-identical; Pruned/HeapConsiders counters can differ.
 func solveTA(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, error) {
 	l, err := req.resolveL(g)
 	if err != nil {
@@ -44,7 +32,6 @@ func solveTA(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, 
 		k:        req.K,
 		useBound: !req.DisableBoundHashTables,
 		maxSeeks: req.MaxSeeks,
-		workers:  req.workers(),
 		ctx:      ctx,
 		global:   topk.NewK(req.K),
 		startwts: make(map[int64]float64),
@@ -53,7 +40,6 @@ func solveTA(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, 
 	if err := r.run(); err != nil {
 		return nil, err
 	}
-	r.stats.RandomSeeks = r.seeks.Load()
 	return &Result{Paths: r.global.Items(), Stats: r.stats}, nil
 }
 
@@ -68,13 +54,9 @@ type taRun struct {
 	k        int
 	useBound bool
 	maxSeeks int64
-	workers  int
 	ctx      context.Context
 	global   *topk.K
 	stats    Stats
-	// seeks is shared by all workers of a round so MaxSeeks bounds the
-	// whole run, not each worker.
-	seeks atomic.Int64
 
 	// startwts[c] is the weight of the best full-suffix starting at c
 	// (reaching the last interval); endwts[c] the best full-prefix
@@ -82,17 +64,6 @@ type taRun struct {
 	// expanded, exactly as Section 4.4 describes.
 	startwts map[int64]float64
 	endwts   map[int64]float64
-}
-
-// taSink collects one expansion's output: candidate full paths, bound
-// updates and counters. The sequential path merges each sink
-// immediately (matching the original in-place algorithm); the parallel
-// path merges all of a round's sinks after the join.
-type taSink struct {
-	cands    []topk.Path
-	startwts map[int64]float64
-	endwts   map[int64]float64
-	pruned   int64
 }
 
 // buildLists materializes one weight-descending edge list per interval
@@ -158,59 +129,22 @@ func (r *taRun) run() error {
 			return nil // the stopping rule
 		}
 		// Round-robin: consume the head of each non-empty list.
-		heads := make([]taEdge, 0, len(lists))
 		for li := range lists {
 			if pos[li] >= len(lists[li]) {
 				continue
 			}
-			heads = append(heads, lists[li][pos[li]])
+			e := lists[li][pos[li]]
 			pos[li]++
-		}
-		if r.workers > 1 && len(heads) > 1 {
-			sinks := make([]taSink, len(heads))
-			err := par.ForEachCtx(r.ctx, len(heads), r.workers, func(i int) error {
-				return r.expand(heads[i], m, &sinks[i])
-			})
-			if err != nil {
+			if err := r.expand(e, m); err != nil {
 				return err
 			}
-			for i := range sinks {
-				r.merge(&sinks[i])
-			}
-		} else {
-			for _, e := range heads {
-				var sk taSink
-				if err := r.expand(e, m, &sk); err != nil {
-					return err
-				}
-				r.merge(&sk)
-			}
 		}
-	}
-}
-
-// merge folds one expansion sink into the run: bound values are exact
-// per node (identical whichever worker computed them), and the top-k
-// heap is offer-order independent, so merge order does not matter.
-func (r *taRun) merge(sk *taSink) {
-	for c, w := range sk.endwts {
-		r.endwts[c] = w
-	}
-	for c, w := range sk.startwts {
-		r.startwts[c] = w
-	}
-	r.stats.Pruned += sk.pruned
-	for _, p := range sk.cands {
-		r.stats.HeapConsiders++
-		r.global.Consider(p)
 	}
 }
 
 // expand performs the random seeks that materialize every full path
-// containing edge e and records each candidate in the sink. It only
-// reads the run's shared bounds and heap (frozen during a parallel
-// round); all writes go to the sink.
-func (r *taRun) expand(e taEdge, m int, sk *taSink) error {
+// containing edge e and checks each against the top-k heap.
+func (r *taRun) expand(e taEdge, m int) error {
 	if r.useBound {
 		sw, swOK := r.startwts[e.to]
 		ew, ewOK := r.endwts[e.from]
@@ -218,16 +152,16 @@ func (r *taRun) expand(e taEdge, m int, sk *taSink) error {
 			// Both bounds known: skip the expansion when even the best
 			// combination cannot qualify.
 			if r.global.Len() == r.k && ew+e.weight+sw < r.global.Threshold() {
-				sk.pruned++
+				r.stats.Pruned++
 				return nil
 			}
 		}
 	}
-	prefixes, err := r.pathsEnding(e.from, sk)
+	prefixes, err := r.pathsEnding(e.from)
 	if err != nil {
 		return err
 	}
-	suffixes, err := r.pathsStarting(e.to, sk)
+	suffixes, err := r.pathsStarting(e.to)
 	if err != nil {
 		return err
 	}
@@ -236,7 +170,8 @@ func (r *taRun) expand(e taEdge, m int, sk *taSink) error {
 			nodes := make([]int64, 0, len(p.Nodes)+len(s.Nodes))
 			nodes = append(nodes, p.Nodes...)
 			nodes = append(nodes, s.Nodes...)
-			sk.cands = append(sk.cands, topk.Path{
+			r.stats.HeapConsiders++
+			r.global.Consider(topk.Path{
 				Nodes:  nodes,
 				Length: m - 1,
 				Weight: p.Weight + e.weight + s.Weight,
@@ -248,7 +183,7 @@ func (r *taRun) expand(e taEdge, m int, sk *taSink) error {
 
 // pathsEnding enumerates all full prefixes: paths from interval 0
 // ending at node c. Each adjacency examination is a random seek.
-func (r *taRun) pathsEnding(c int64, sk *taSink) ([]topk.Path, error) {
+func (r *taRun) pathsEnding(c int64) ([]topk.Path, error) {
 	if r.g.Interval(c) == 0 {
 		return []topk.Path{{Nodes: []int64{c}}}, nil
 	}
@@ -280,17 +215,14 @@ func (r *taRun) pathsEnding(c int64, sk *taSink) ([]topk.Path, error) {
 				best = p.Weight
 			}
 		}
-		if sk.endwts == nil {
-			sk.endwts = make(map[int64]float64)
-		}
-		sk.endwts[c] = best
+		r.endwts[c] = best
 	}
 	return out, nil
 }
 
 // pathsStarting enumerates all full suffixes: paths from node c to the
 // last interval.
-func (r *taRun) pathsStarting(c int64, sk *taSink) ([]topk.Path, error) {
+func (r *taRun) pathsStarting(c int64) ([]topk.Path, error) {
 	last := r.g.NumIntervals() - 1
 	if r.g.Interval(c) == last {
 		return []topk.Path{{Nodes: []int64{c}}}, nil
@@ -323,10 +255,7 @@ func (r *taRun) pathsStarting(c int64, sk *taSink) ([]topk.Path, error) {
 				best = p.Weight
 			}
 		}
-		if sk.startwts == nil {
-			sk.startwts = make(map[int64]float64)
-		}
-		sk.startwts[c] = best
+		r.startwts[c] = best
 	}
 	return out, nil
 }
@@ -334,14 +263,12 @@ func (r *taRun) pathsStarting(c int64, sk *taSink) ([]topk.Path, error) {
 // seek accounts one random seek and enforces the budget. Seeks also
 // carry the cancellation poll: a single round can expand into
 // exponentially many seeks, so the per-round check alone is not prompt.
-// The counter is shared across a round's workers, so MaxSeeks bounds
-// the run at any Parallelism.
 func (r *taRun) seek() error {
-	n := r.seeks.Add(1)
-	if r.maxSeeks > 0 && n > r.maxSeeks {
+	r.stats.RandomSeeks++
+	if r.maxSeeks > 0 && r.stats.RandomSeeks > r.maxSeeks {
 		return fmt.Errorf("%w (limit %d)", ErrSeekBudget, r.maxSeeks)
 	}
-	if n%4096 == 0 {
+	if r.stats.RandomSeeks%4096 == 0 {
 		if err := ctxErr(r.ctx); err != nil {
 			return err
 		}

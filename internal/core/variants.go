@@ -135,7 +135,7 @@ func Diversify(paths []topk.Path, k int, mode DiversityMode) ([]topk.Path, error
 
 // DiverseKL answers the constrained variant end to end: it widens the
 // underlying query (fetching overshoot·k candidates through Solve, so
-// req.Algorithm and req.Parallelism are honored) and then filters. A
+// req.Algorithm is honored) and then filters. A
 // larger overshoot trades work for a better chance of filling all k
 // diverse slots.
 func DiverseKL(ctx context.Context, g *clustergraph.Graph, req Request, mode DiversityMode, overshoot int) (*Result, error) {

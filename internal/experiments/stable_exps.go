@@ -13,19 +13,19 @@ import (
 // timeBFS runs BFS and reports the duration.
 func timeBFS(g *clustergraph.Graph, k, l int) (time.Duration, *core.Result, error) {
 	start := time.Now()
-	res, err := core.Solve(context.Background(), g, core.Request{Algorithm: "bfs", K: k, L: l, Parallelism: 1})
+	res, err := core.Solve(context.Background(), g, core.Request{Algorithm: "bfs", K: k, L: l})
 	return time.Since(start), res, err
 }
 
 func timeDFS(g *clustergraph.Graph, k, l int) (time.Duration, *core.Result, error) {
 	start := time.Now()
-	res, err := core.Solve(context.Background(), g, core.Request{Algorithm: "dfs", K: k, L: l, Parallelism: 1})
+	res, err := core.Solve(context.Background(), g, core.Request{Algorithm: "dfs", K: k, L: l})
 	return time.Since(start), res, err
 }
 
 func timeTA(g *clustergraph.Graph, k int, maxSeeks int64) (time.Duration, *core.Result, error) {
 	start := time.Now()
-	res, err := core.Solve(context.Background(), g, core.Request{Algorithm: "ta", K: k, L: core.FullPaths, MaxSeeks: maxSeeks, Parallelism: 1})
+	res, err := core.Solve(context.Background(), g, core.Request{Algorithm: "ta", K: k, L: core.FullPaths, MaxSeeks: maxSeeks})
 	return time.Since(start), res, err
 }
 
@@ -282,7 +282,7 @@ func Fig14(scale Scale) (*Table, error) {
 				return nil, err
 			}
 			start := time.Now()
-			if _, err := core.Solve(context.Background(), cg, core.Request{Algorithm: "normalized", K: 5, LMin: lmin, BeamWidth: 5, Parallelism: 1}); err != nil {
+			if _, err := core.Solve(context.Background(), cg, core.Request{Algorithm: "normalized", K: 5, LMin: lmin, BeamWidth: 5}); err != nil {
 				return nil, err
 			}
 			row = append(row, fmtDur(time.Since(start)))

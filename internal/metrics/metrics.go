@@ -11,7 +11,7 @@
 //   - live instruments: middleware calls Inc/Observe on the hot path
 //     (lock-free atomics; safe under -race).
 //   - scrape-time mirrors: values that already exist as monotone
-//     counters elsewhere (cache stats, EngineStats, planner solve
+//     counters elsewhere (cache stats, EngineStats, per-algorithm solve
 //     histograms) are copied in with Set/SetHistogram just before
 //     WriteTo, so one exposition path serves both without double
 //     counting.

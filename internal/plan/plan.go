@@ -1,25 +1,14 @@
-// Package plan is the cost-based query planner for stable-cluster
-// queries: given a normalized query spec and the shape of the cluster
-// graph it will run on, it picks the solver algorithm expected to be
-// cheapest, learns from observed solve times, and caches decisions so
-// the steady state is a map lookup.
-//
-// The planner is deliberately small: costs are EWMAs of observed
-// wall-clock per (algorithm, graph-shape bucket), graph shapes are
-// log2-bucketed so one corpus's graphs collapse into a handful of
-// buckets, and unobserved candidates are explored before observed ones
-// are exploited. Decisions are cached per (spec, bucket) and
-// invalidated by generation when new observations change a bucket's
-// cheapest algorithm.
+// Package plan holds the one normalized description of a stable-cluster
+// query (QuerySpec) and the per-algorithm accounting of completed
+// solves (Stats). It is also the one place that knows which solver
+// answers an "auto" query: QuerySpec.Normalize resolves it, so nothing
+// downstream of a normalized spec ever chooses an algorithm.
 package plan
 
 import (
 	"fmt"
-	"math/bits"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 )
@@ -31,22 +20,21 @@ const (
 	VariantDiverse    = "diverse"
 )
 
-// AlgorithmAuto asks the planner to choose; it is also the wire value
-// the HTTP API and CLIs accept.
+// AlgorithmAuto is a spelling of the variant's default solver (see
+// Normalize); it is also the wire value the HTTP API and CLIs accept.
 const AlgorithmAuto = "auto"
 
 // QuerySpec is the one normalized description of a stable-cluster
 // query, shared by the HTTP layer (parameter parsing and response-cache
-// keys), the Engine (validation and dispatch) and the planner (plan-
-// cache keys). Normalizing once means ?variant=topk&k=05 and the
-// equivalent Engine call key the same cache entries and fail with the
-// same errors.
+// keys) and the Engine (validation and dispatch). Normalizing once
+// means ?variant=topk&k=05 and the equivalent Engine call key the same
+// cache entries and fail with the same errors.
 type QuerySpec struct {
 	// Variant is "topk" (Problem 1, default), "normalized" (Problem 2)
 	// or "diverse" (the constrained variant).
 	Variant string
-	// Algorithm is a core registry name, or ""/"auto" to let the
-	// planner choose. Normalized queries accept only
+	// Algorithm is a core registry name, or ""/"auto" for the
+	// variant's default. Normalized queries accept only
 	// "normalized"/"brute-normalized"; topk/diverse accept
 	// "bfs"/"dfs"/"ta"/"brute".
 	Algorithm string
@@ -64,13 +52,20 @@ type QuerySpec struct {
 
 // Normalize returns the canonical form of the spec: defaults filled in,
 // full-path lengths collapsed to -1, and fields foreign to the variant
-// zeroed, so equal queries compare (and cache-key) equal.
+// zeroed, so equal queries compare (and cache-key) equal. An empty or
+// "auto" Algorithm resolves here, once, to the solver that answers it:
+// "normalized" for the normalized variant, core.DefaultAlgorithm
+// otherwise — a fixed rule, not a learned one (DESIGN.md "Solve path").
 func (s QuerySpec) Normalize() QuerySpec {
 	if s.Variant == "" {
 		s.Variant = VariantTopK
 	}
-	if s.Algorithm == AlgorithmAuto {
-		s.Algorithm = ""
+	if s.Algorithm == "" || s.Algorithm == AlgorithmAuto {
+		if s.Variant == VariantNormalized {
+			s.Algorithm = "normalized"
+		} else {
+			s.Algorithm = core.DefaultAlgorithm
+		}
 	}
 	switch s.Variant {
 	case VariantNormalized:
@@ -128,14 +123,12 @@ func (s QuerySpec) Validate() error {
 	if s.K <= 0 {
 		return fmt.Errorf("%w: k must be positive, got %d", core.ErrInvalidRequest, s.K)
 	}
-	if s.Algorithm != "" {
-		info, ok := core.Lookup(s.Algorithm)
-		if !ok {
-			return fmt.Errorf("%w: unknown algorithm %q", core.ErrInvalidRequest, s.Algorithm)
-		}
-		if info.Normalized != (s.Variant == VariantNormalized) {
-			return fmt.Errorf("%w: algorithm %q does not answer %s queries", core.ErrInvalidRequest, s.Algorithm, s.Variant)
-		}
+	info, ok := core.Lookup(s.Algorithm)
+	if !ok {
+		return fmt.Errorf("%w: unknown algorithm %q", core.ErrInvalidRequest, s.Algorithm)
+	}
+	if info.Normalized != (s.Variant == VariantNormalized) {
+		return fmt.Errorf("%w: algorithm %q does not answer %s queries", core.ErrInvalidRequest, s.Algorithm, s.Variant)
 	}
 	if s.Variant == VariantNormalized && s.LMin <= 0 {
 		return fmt.Errorf("%w: lmin must be positive, got %d", core.ErrInvalidRequest, s.LMin)
@@ -149,19 +142,14 @@ func (s QuerySpec) Validate() error {
 }
 
 // CacheKey renders the normalized spec as a canonical string — the
-// response-cache key of the HTTP layer and half of the planner's
-// plan-cache key.
+// response-cache key of the HTTP layer.
 func (s QuerySpec) CacheKey() string {
 	s = s.Normalize()
-	algo := s.Algorithm
-	if algo == "" {
-		algo = AlgorithmAuto
-	}
 	var b strings.Builder
 	b.WriteString("variant=")
 	b.WriteString(s.Variant)
 	b.WriteString("&algorithm=")
-	b.WriteString(algo)
+	b.WriteString(s.Algorithm)
 	b.WriteString("&k=")
 	b.WriteString(strconv.Itoa(s.K))
 	switch s.Variant {
@@ -180,11 +168,10 @@ func (s QuerySpec) CacheKey() string {
 	return b.String()
 }
 
-// Request maps the spec onto a core.Request with the given resolved
-// algorithm (the planner's pick, or the spec's own when forced).
-func (s QuerySpec) Request(algorithm string) core.Request {
+// Request maps the spec onto a core.Request.
+func (s QuerySpec) Request() core.Request {
 	s = s.Normalize()
-	req := core.Request{Algorithm: algorithm, K: s.K}
+	req := core.Request{Algorithm: s.Algorithm, K: s.K}
 	if s.Variant == VariantNormalized {
 		req.LMin = s.LMin
 	} else {
@@ -196,53 +183,44 @@ func (s QuerySpec) Request(algorithm string) core.Request {
 	return req
 }
 
-// GraphMeta is the planner's view of a cluster graph's shape — enough
-// to bucket costs without holding the graph.
-type GraphMeta struct {
-	Nodes     int
-	Edges     int
-	Intervals int
-	Gap       int
-	MaxWeight float64
-}
-
-// bucketKey collapses the shape into a log2 bucket so observations
-// generalize across graphs of similar size.
-func (m GraphMeta) bucketKey() string {
-	return fmt.Sprintf("n%d_e%d_m%d_g%d", log2Bucket(m.Nodes), log2Bucket(m.Edges), m.Intervals, m.Gap)
-}
-
-func log2Bucket(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return bits.Len(uint(n))
-}
-
-// Stats is a point-in-time snapshot of planner activity, served on
-// /debug/stats inside EngineStats.
+// Stats is the per-algorithm accounting of completed solves, served on
+// /debug/stats inside EngineStats and mirrored to /metrics as the
+// solve-duration series. The zero value is ready to use; it is not safe
+// for concurrent use (the Engine guards its own).
 type Stats struct {
-	// Decisions counts Decide calls (auto-algorithm queries planned).
-	Decisions int64 `json:"decisions"`
-	// CacheHits / CacheMisses split Decisions by plan-cache outcome.
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-	// Invalidations counts generation bumps: observation batches that
-	// changed some bucket's cheapest algorithm and voided its plans.
-	Invalidations int64 `json:"invalidations"`
-	// Observations counts Observe calls (completed solves fed back).
-	Observations int64 `json:"observations"`
-	// Explored / Exploited split Decisions by strategy: picks of an
-	// unobserved candidate to gather cost data vs picks of the cheapest
-	// observed one (plan-cache hits count as exploited).
-	Explored  int64 `json:"explored"`
-	Exploited int64 `json:"exploited"`
-	// ByAlgorithm counts decisions per chosen algorithm.
+	// ByAlgorithm counts completed solves per algorithm; it is always
+	// SolveNs[algorithm].Count.
 	ByAlgorithm map[string]int64 `json:"by_algorithm"`
 	// SolveNs holds per-algorithm wall-clock histograms of completed
-	// solves (planned and forced), bucketed by SolveNsBuckets — the
-	// solver work accounting behind /metrics' solve-duration series.
+	// solves, bucketed by SolveNsBuckets.
 	SolveNs map[string]SolveHist `json:"solve_ns"`
+}
+
+// RecordSolve adds one completed solve's wall-clock to its algorithm's
+// histogram.
+func (s *Stats) RecordSolve(algorithm string, costNs int64) {
+	h := s.SolveNs[algorithm]
+	h.observe(costNs)
+	s.set(algorithm, h)
+}
+
+// Merge accumulates other into s. Merging into a zero Stats is a deep
+// copy.
+func (s *Stats) Merge(other Stats) {
+	for algorithm, h := range other.SolveNs {
+		cur := s.SolveNs[algorithm]
+		cur.Merge(h)
+		s.set(algorithm, cur)
+	}
+}
+
+func (s *Stats) set(algorithm string, h SolveHist) {
+	if s.SolveNs == nil {
+		s.SolveNs = map[string]SolveHist{}
+		s.ByAlgorithm = map[string]int64{}
+	}
+	s.SolveNs[algorithm] = h
+	s.ByAlgorithm[algorithm] = h.Count
 }
 
 // SolveNsBuckets are the solve-duration histogram upper bounds in
@@ -288,256 +266,4 @@ func (h *SolveHist) observe(ns int64) {
 	h.Counts[slot]++
 	h.SumNs += ns
 	h.Count++
-}
-
-// Decision is one planner pick.
-type Decision struct {
-	// Algorithm is the core registry name to run.
-	Algorithm string
-	// Cached reports whether the pick came from the plan cache.
-	Cached bool
-	// Explore reports whether the pick was an unobserved candidate
-	// chosen to gather cost data (exploration), rather than the
-	// cheapest observed one.
-	Explore bool
-}
-
-// Planner learns per-shape solver costs and answers Decide in O(1) on
-// the cached path. Safe for concurrent use.
-type Planner struct {
-	mu sync.Mutex
-	// costs[bucket][algorithm] = EWMA of observed ns.
-	costs map[string]map[string]*ewma
-	// cache[spec+bucket] = decision made at some generation.
-	cache map[string]cachedDecision
-	// gen[bucket] advances whenever the bucket's cheapest observed
-	// algorithm changes; cached decisions from older generations are
-	// stale.
-	gen   map[string]int64
-	stats Stats
-}
-
-type cachedDecision struct {
-	dec Decision
-	gen int64
-}
-
-// ewma is an exponentially weighted moving average of solve cost.
-type ewma struct {
-	value float64
-	n     int64
-}
-
-// ewmaAlpha weights new observations; 0.3 adapts within a few solves
-// without thrashing on one outlier.
-const ewmaAlpha = 0.3
-
-func (e *ewma) observe(v float64) {
-	if e.n == 0 {
-		e.value = v
-	} else {
-		e.value = ewmaAlpha*v + (1-ewmaAlpha)*e.value
-	}
-	e.n++
-}
-
-// New returns an empty planner.
-func New() *Planner {
-	return &Planner{
-		costs: map[string]map[string]*ewma{},
-		cache: map[string]cachedDecision{},
-		gen:   map[string]int64{},
-	}
-}
-
-// Candidates lists the algorithms eligible for a spec on a graph of
-// the given shape, cheapest-first by static heuristic. The exhaustive
-// oracles are never candidates. DFS requires normalized weights (its
-// maxweight pruning assumes edge weights <= 1); TA answers full-path
-// queries only and materializes per-interval-pair edge lists, so it is
-// gated to modest graphs.
-func Candidates(spec QuerySpec, meta GraphMeta) []string {
-	spec = spec.Normalize()
-	if spec.Variant == VariantNormalized {
-		return []string{"normalized"}
-	}
-	cands := []string{"bfs"}
-	if meta.MaxWeight <= 1 {
-		cands = append(cands, "dfs")
-	}
-	fullPath := spec.L < 0 || spec.L == meta.Intervals-1
-	if fullPath && meta.Intervals <= 9 && meta.Edges <= 1<<15 {
-		cands = append(cands, "ta")
-	}
-	return cands
-}
-
-// Decide picks the algorithm for an auto query. The first calls for a
-// shape explore each candidate once (in candidate order); once every
-// candidate has cost data the cheapest EWMA wins and the decision is
-// cached until observations reorder the bucket.
-func (p *Planner) Decide(spec QuerySpec, meta GraphMeta) Decision {
-	spec = spec.Normalize()
-	bucket := meta.bucketKey()
-	key := spec.CacheKey() + "|" + bucket
-
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats.Decisions++
-	if cd, ok := p.cache[key]; ok && cd.gen == p.gen[bucket] {
-		p.stats.CacheHits++
-		p.stats.Exploited++
-		p.countPick(cd.dec.Algorithm)
-		return cd.dec
-	}
-	p.stats.CacheMisses++
-
-	cands := Candidates(spec, meta)
-	dec := Decision{Algorithm: cands[0]}
-	byAlgo := p.costs[bucket]
-	for _, c := range cands {
-		if byAlgo == nil || byAlgo[c] == nil || byAlgo[c].n == 0 {
-			dec = Decision{Algorithm: c, Explore: true}
-			break
-		}
-	}
-	if !dec.Explore {
-		best := cands[0]
-		for _, c := range cands[1:] {
-			if byAlgo[c].value < byAlgo[best].value {
-				best = c
-			}
-		}
-		dec = Decision{Algorithm: best}
-	}
-	// Exploit decisions are cached (with Cached set so later hits report
-	// their provenance); explore decisions are not, so each Decide keeps
-	// moving through the unobserved candidates until cost data covers
-	// them all.
-	if !dec.Explore {
-		cached := dec
-		cached.Cached = true
-		p.cache[key] = cachedDecision{dec: cached, gen: p.gen[bucket]}
-	}
-	if dec.Explore {
-		p.stats.Explored++
-	} else {
-		p.stats.Exploited++
-	}
-	p.countPick(dec.Algorithm)
-	return dec
-}
-
-func (p *Planner) countPick(algorithm string) {
-	if p.stats.ByAlgorithm == nil {
-		p.stats.ByAlgorithm = map[string]int64{}
-	}
-	p.stats.ByAlgorithm[algorithm]++
-}
-
-// Observe feeds one completed solve back: the algorithm's EWMA for the
-// shape bucket absorbs the cost, and if that changes which algorithm is
-// cheapest in the bucket, the bucket's cached plans are invalidated by
-// bumping its generation.
-func (p *Planner) Observe(algorithm string, meta GraphMeta, costNs int64) {
-	bucket := meta.bucketKey()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats.Observations++
-	p.recordSolveLocked(algorithm, costNs)
-	byAlgo := p.costs[bucket]
-	if byAlgo == nil {
-		byAlgo = map[string]*ewma{}
-		p.costs[bucket] = byAlgo
-	}
-	prev := cheapest(byAlgo)
-	e := byAlgo[algorithm]
-	if e == nil {
-		e = &ewma{}
-		byAlgo[algorithm] = e
-	}
-	e.observe(float64(costNs))
-	if next := cheapest(byAlgo); prev != "" && next != prev {
-		p.gen[bucket]++
-		p.stats.Invalidations++
-	}
-}
-
-// RecordSolve feeds one completed solve's wall-clock into the
-// per-algorithm histogram without touching the cost model — the path
-// for forced-algorithm solves, whose timings must show up in the
-// work-accounting metrics but must not teach the planner (the caller
-// chose the algorithm, so the sample is not an exploration signal; the
-// Observations counter likewise stays planned-only).
-func (p *Planner) RecordSolve(algorithm string, costNs int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.recordSolveLocked(algorithm, costNs)
-}
-
-func (p *Planner) recordSolveLocked(algorithm string, costNs int64) {
-	if p.stats.SolveNs == nil {
-		p.stats.SolveNs = map[string]SolveHist{}
-	}
-	h := p.stats.SolveNs[algorithm]
-	h.observe(costNs)
-	p.stats.SolveNs[algorithm] = h
-}
-
-// InvalidateAll drops every cached decision — called when the corpus
-// itself changes (an Engine push), since a cached pick's GraphMeta no
-// longer describes the graph it will run against. The EWMA cost models
-// survive: algorithm speed is a property of the machine, not of one
-// corpus snapshot, so learning carries across generations.
-func (p *Planner) InvalidateAll() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.cache) == 0 {
-		return
-	}
-	clear(p.cache)
-	p.stats.Invalidations++
-}
-
-// cheapest returns the lowest-EWMA algorithm of a bucket ("" when
-// empty). Ties break lexicographically so the outcome is deterministic.
-func cheapest(byAlgo map[string]*ewma) string {
-	names := make([]string, 0, len(byAlgo))
-	for name, e := range byAlgo {
-		if e.n > 0 {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
-		return ""
-	}
-	sort.Strings(names)
-	best := names[0]
-	for _, name := range names[1:] {
-		if byAlgo[name].value < byAlgo[best].value {
-			best = name
-		}
-	}
-	return best
-}
-
-// Stats snapshots the counters.
-func (p *Planner) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st := p.stats
-	if p.stats.ByAlgorithm != nil {
-		st.ByAlgorithm = make(map[string]int64, len(p.stats.ByAlgorithm))
-		for k, v := range p.stats.ByAlgorithm {
-			st.ByAlgorithm[k] = v
-		}
-	}
-	if p.stats.SolveNs != nil {
-		st.SolveNs = make(map[string]SolveHist, len(p.stats.SolveNs))
-		for k, h := range p.stats.SolveNs {
-			h.Counts = append([]int64(nil), h.Counts...)
-			st.SolveNs[k] = h
-		}
-	}
-	return st
 }

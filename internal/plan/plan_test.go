@@ -2,8 +2,7 @@ package plan
 
 import (
 	"errors"
-	"fmt"
-	"sync"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -18,42 +17,57 @@ func TestNormalizeCanonicalizes(t *testing.T) {
 		{
 			name: "defaults",
 			in:   QuerySpec{K: 5},
-			want: QuerySpec{Variant: VariantTopK, K: 5},
+			want: QuerySpec{Variant: VariantTopK, Algorithm: "bfs", K: 5},
 		},
 		{
-			name: "auto collapses to empty",
+			name: "auto resolves to the default solver",
 			in:   QuerySpec{Variant: VariantTopK, Algorithm: AlgorithmAuto, K: 5},
-			want: QuerySpec{Variant: VariantTopK, K: 5},
+			want: QuerySpec{Variant: VariantTopK, Algorithm: "bfs", K: 5},
+		},
+		{
+			name: "normalized auto resolves to normalized",
+			in:   QuerySpec{Variant: VariantNormalized, Algorithm: AlgorithmAuto, K: 5, LMin: 3},
+			want: QuerySpec{Variant: VariantNormalized, Algorithm: "normalized", K: 5, LMin: 3},
+		},
+		{
+			name: "diverse auto resolves to the default solver",
+			in:   QuerySpec{Variant: VariantDiverse, Algorithm: AlgorithmAuto, K: 5, L: 2, Mode: "prefix"},
+			want: QuerySpec{Variant: VariantDiverse, Algorithm: "bfs", K: 5, L: 2, Mode: "prefix"},
+		},
+		{
+			name: "explicit algorithm is kept",
+			in:   QuerySpec{Algorithm: "dfs", K: 5, L: 2},
+			want: QuerySpec{Variant: VariantTopK, Algorithm: "dfs", K: 5, L: 2},
 		},
 		{
 			name: "negative lengths collapse to -1",
 			in:   QuerySpec{Variant: VariantTopK, K: 3, L: -7},
-			want: QuerySpec{Variant: VariantTopK, K: 3, L: -1},
+			want: QuerySpec{Variant: VariantTopK, Algorithm: "bfs", K: 3, L: -1},
 		},
 		{
 			name: "topk zeroes foreign fields",
 			in:   QuerySpec{Variant: VariantTopK, K: 3, L: 2, LMin: 4, Mode: "prefix"},
-			want: QuerySpec{Variant: VariantTopK, K: 3, L: 2},
+			want: QuerySpec{Variant: VariantTopK, Algorithm: "bfs", K: 3, L: 2},
 		},
 		{
 			name: "normalized fills lmin and drops l/mode",
 			in:   QuerySpec{Variant: VariantNormalized, K: 3, L: 5, Mode: "suffix"},
-			want: QuerySpec{Variant: VariantNormalized, K: 3, LMin: 2},
+			want: QuerySpec{Variant: VariantNormalized, Algorithm: "normalized", K: 3, LMin: 2},
 		},
 		{
 			name: "diverse long mode spelling collapses",
 			in:   QuerySpec{Variant: VariantDiverse, K: 3, L: 2, LMin: 9, Mode: "distinct-endpoints"},
-			want: QuerySpec{Variant: VariantDiverse, K: 3, L: 2, Mode: "endpoints"},
+			want: QuerySpec{Variant: VariantDiverse, Algorithm: "bfs", K: 3, L: 2, Mode: "endpoints"},
 		},
 		{
 			name: "diverse empty mode defaults to endpoints",
 			in:   QuerySpec{Variant: VariantDiverse, K: 3, L: 2},
-			want: QuerySpec{Variant: VariantDiverse, K: 3, L: 2, Mode: "endpoints"},
+			want: QuerySpec{Variant: VariantDiverse, Algorithm: "bfs", K: 3, L: 2, Mode: "endpoints"},
 		},
 		{
 			name: "diverse disjoint-nodes collapses",
 			in:   QuerySpec{Variant: VariantDiverse, K: 1, L: -2, Mode: "disjoint-nodes"},
-			want: QuerySpec{Variant: VariantDiverse, K: 1, L: -1, Mode: "disjoint"},
+			want: QuerySpec{Variant: VariantDiverse, Algorithm: "bfs", K: 1, L: -1, Mode: "disjoint"},
 		},
 	}
 	for _, tc := range cases {
@@ -80,6 +94,19 @@ func TestCacheKeyUnifiesSpellings(t *testing.T) {
 			{Variant: VariantNormalized, K: 2},
 			{Variant: VariantNormalized, K: 2, LMin: 2, L: 9, Mode: "suffix"},
 		},
+		// auto, empty and the resolved name are one query.
+		{
+			{K: 5, L: 3},
+			{Algorithm: "bfs", K: 5, L: 3},
+		},
+		{
+			{Variant: VariantNormalized, Algorithm: "auto", K: 2},
+			{Variant: VariantNormalized, Algorithm: "normalized", K: 2},
+		},
+		{
+			{Variant: VariantDiverse, K: 3, L: 2},
+			{Variant: VariantDiverse, Algorithm: "bfs", K: 3, L: 2},
+		},
 	}
 	for i, pair := range same {
 		if a, b := pair[0].CacheKey(), pair[1].CacheKey(); a != b {
@@ -90,7 +117,7 @@ func TestCacheKeyUnifiesSpellings(t *testing.T) {
 	distinct := []QuerySpec{
 		{K: 5, L: 3},
 		{K: 5, L: -1},
-		{Algorithm: "bfs", K: 5, L: 3},
+		{Algorithm: "dfs", K: 5, L: 3},
 		{K: 6, L: 3},
 		{Variant: VariantNormalized, K: 5},
 		{Variant: VariantDiverse, K: 5, L: 3},
@@ -143,211 +170,60 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestCandidatesGating(t *testing.T) {
-	small := GraphMeta{Nodes: 40, Edges: 100, Intervals: 6, Gap: 1, MaxWeight: 1}
+// TestDecisionTable pins which solver each (variant, algorithm
+// spelling) hands to core.Solve: "auto" and "" reach the core.Request as
+// the variant's default, a named solver as itself — there is no decision
+// left to make after Normalize.
+func TestDecisionTable(t *testing.T) {
 	cases := []struct {
-		name string
-		spec QuerySpec
-		meta GraphMeta
-		want []string
+		variant, algorithm, want string
 	}{
-		{
-			name: "normalized has one solver",
-			spec: QuerySpec{Variant: VariantNormalized, K: 5},
-			meta: small,
-			want: []string{"normalized"},
-		},
-		{
-			name: "full-path small graph gets all three",
-			spec: QuerySpec{K: 5, L: -1},
-			meta: small,
-			want: []string{"bfs", "dfs", "ta"},
-		},
-		{
-			name: "explicit full length counts as full-path",
-			spec: QuerySpec{K: 5, L: 5},
-			meta: small,
-			want: []string{"bfs", "dfs", "ta"},
-		},
-		{
-			name: "short path excludes ta",
-			spec: QuerySpec{K: 5, L: 3},
-			meta: small,
-			want: []string{"bfs", "dfs"},
-		},
-		{
-			name: "unnormalized weights exclude dfs",
-			spec: QuerySpec{K: 5, L: -1},
-			meta: GraphMeta{Nodes: 40, Edges: 100, Intervals: 6, Gap: 1, MaxWeight: 3.5},
-			want: []string{"bfs", "ta"},
-		},
-		{
-			name: "many intervals exclude ta",
-			spec: QuerySpec{K: 5, L: -1},
-			meta: GraphMeta{Nodes: 500, Edges: 2000, Intervals: 30, Gap: 1, MaxWeight: 1},
-			want: []string{"bfs", "dfs"},
-		},
-		{
-			name: "huge edge count excludes ta",
-			spec: QuerySpec{K: 5, L: -1},
-			meta: GraphMeta{Nodes: 1 << 16, Edges: 1 << 20, Intervals: 6, Gap: 1, MaxWeight: 1},
-			want: []string{"bfs", "dfs"},
-		},
+		{VariantTopK, "", core.DefaultAlgorithm},
+		{VariantTopK, AlgorithmAuto, core.DefaultAlgorithm},
+		{VariantTopK, "ta", "ta"},
+		{VariantDiverse, "", core.DefaultAlgorithm},
+		{VariantDiverse, AlgorithmAuto, core.DefaultAlgorithm},
+		{VariantDiverse, "dfs", "dfs"},
+		{VariantNormalized, "", "normalized"},
+		{VariantNormalized, AlgorithmAuto, "normalized"},
+		{VariantNormalized, "brute-normalized", "brute-normalized"},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := Candidates(tc.spec, tc.meta)
-			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-				t.Errorf("Candidates = %v, want %v", got, tc.want)
-			}
-		})
-	}
-}
-
-// TestDecisionTable scripts a full planner lifetime against one graph
-// shape: explore each candidate once in order, exploit (and cache) the
-// cheapest observed algorithm, then flip the bucket's cheapest via new
-// observations and check the cached plan is invalidated.
-func TestDecisionTable(t *testing.T) {
-	p := New()
-	spec := QuerySpec{K: 5, L: -1}
-	meta := GraphMeta{Nodes: 40, Edges: 100, Intervals: 6, Gap: 1, MaxWeight: 1}
-	// Candidates for this shape: bfs, dfs, ta.
-
-	type step struct {
-		observe   string // if set, Observe(observe, meta, observeNs)
-		observeNs int64
-		want      Decision // else Decide and compare
-	}
-	steps := []step{
-		// Exploration pass: unobserved candidates in candidate order,
-		// never cached.
-		{want: Decision{Algorithm: "bfs", Explore: true}},
-		{want: Decision{Algorithm: "bfs", Explore: true}}, // still unobserved
-		{observe: "bfs", observeNs: 3000},
-		{want: Decision{Algorithm: "dfs", Explore: true}},
-		{observe: "dfs", observeNs: 1000},
-		{want: Decision{Algorithm: "ta", Explore: true}},
-		{observe: "ta", observeNs: 2000},
-		// All observed: exploit cheapest (dfs), first as a miss that
-		// fills the cache, then as hits.
-		{want: Decision{Algorithm: "dfs"}},
-		{want: Decision{Algorithm: "dfs", Cached: true}},
-		{want: Decision{Algorithm: "dfs", Cached: true}},
-		// dfs got slow (EWMA jumps past both others): ta is now
-		// cheapest, generation bumps, the cached dfs plan is stale, and
-		// the fresh decision re-caches.
-		{observe: "dfs", observeNs: 100000},
-		{want: Decision{Algorithm: "ta"}},
-		{want: Decision{Algorithm: "ta", Cached: true}},
-		// An observation that does not reorder the bucket keeps plans.
-		{observe: "ta", observeNs: 2100},
-		{want: Decision{Algorithm: "ta", Cached: true}},
-	}
-	for i, st := range steps {
-		if st.observe != "" {
-			p.Observe(st.observe, meta, st.observeNs)
-			continue
+		spec := QuerySpec{Variant: tc.variant, Algorithm: tc.algorithm, K: 4, L: 2, LMin: 2}
+		if err := spec.Validate(); err != nil {
+			t.Errorf("%s %q: Validate = %v", tc.variant, tc.algorithm, err)
 		}
-		if got := p.Decide(spec, meta); got != st.want {
-			t.Fatalf("step %d: Decide = %+v, want %+v", i, got, st.want)
+		if got := spec.Request().Algorithm; got != tc.want {
+			t.Errorf("%s %q: Request().Algorithm = %q, want %q", tc.variant, tc.algorithm, got, tc.want)
 		}
 	}
-
-	stats := p.Stats()
-	if stats.Decisions != 10 {
-		t.Errorf("Decisions = %d, want 10", stats.Decisions)
-	}
-	if stats.CacheHits != 4 {
-		t.Errorf("CacheHits = %d, want 4", stats.CacheHits)
-	}
-	if stats.CacheMisses != 6 {
-		t.Errorf("CacheMisses = %d, want 6", stats.CacheMisses)
-	}
-	// Two cheapest-changes: dfs@1000 dethroning bfs during exploration,
-	// and ta taking over when dfs slows down.
-	if stats.Invalidations != 2 {
-		t.Errorf("Invalidations = %d, want 2", stats.Invalidations)
-	}
-	if stats.Observations != 5 {
-		t.Errorf("Observations = %d, want 5", stats.Observations)
-	}
-	if got := stats.ByAlgorithm["dfs"]; got != 4 {
-		t.Errorf("ByAlgorithm[dfs] = %d, want 4", got)
-	}
-	if got := stats.ByAlgorithm["ta"]; got != 4 {
-		t.Errorf("ByAlgorithm[ta] = %d, want 4", got)
-	}
 }
 
-// TestDecideBucketsIsolated checks that observations for one graph
-// shape do not leak into another bucket's decisions.
-func TestDecideBucketsIsolated(t *testing.T) {
-	p := New()
-	spec := QuerySpec{K: 5, L: -1}
-	small := GraphMeta{Nodes: 40, Edges: 100, Intervals: 6, Gap: 1, MaxWeight: 1}
-	big := GraphMeta{Nodes: 4000, Edges: 100000, Intervals: 6, Gap: 1, MaxWeight: 1}
+// TestStatsRecordAndMerge checks the solve accounting: ByAlgorithm
+// tracks the histogram counts, Merge sums, and merging into a zero
+// Stats copies deeply (the Engine snapshots that way).
+func TestStatsRecordAndMerge(t *testing.T) {
+	var a, b Stats
+	a.RecordSolve("bfs", 5e3)
+	a.RecordSolve("bfs", 5e6)
+	a.RecordSolve("dfs", 2e10)
+	b.RecordSolve("bfs", 5e3)
 
-	for _, algo := range Candidates(spec, small) {
-		p.Observe(algo, small, 1000)
+	var sum Stats
+	sum.Merge(a)
+	sum.Merge(b)
+	if want := map[string]int64{"bfs": 3, "dfs": 1}; !reflect.DeepEqual(sum.ByAlgorithm, want) {
+		t.Errorf("ByAlgorithm = %v, want %v", sum.ByAlgorithm, want)
 	}
-	// The big bucket has no observations, so its first decision must
-	// still be an exploration.
-	if got := p.Decide(spec, big); !got.Explore {
-		t.Errorf("Decide(big) = %+v, want exploration", got)
+	bfs := sum.SolveNs["bfs"]
+	if bfs.Count != 3 || bfs.SumNs != 5e3+5e6+5e3 || bfs.Counts[0] != 2 || bfs.Counts[3] != 1 {
+		t.Errorf("merged bfs histogram = %+v", bfs)
 	}
-}
-
-// TestPlannerConcurrency hammers Decide/Observe from many goroutines
-// (run with -race) and checks the counters stay consistent.
-func TestPlannerConcurrency(t *testing.T) {
-	p := New()
-	specs := []QuerySpec{
-		{K: 5, L: -1},
-		{K: 3, L: 2},
-		{Variant: VariantNormalized, K: 5},
+	if over := sum.SolveNs["dfs"].Counts[len(SolveNsBuckets)]; over != 1 {
+		t.Errorf("overflow slot = %d, want 1", over)
 	}
-	metas := []GraphMeta{
-		{Nodes: 40, Edges: 100, Intervals: 6, Gap: 1, MaxWeight: 1},
-		{Nodes: 4000, Edges: 100000, Intervals: 12, Gap: 2, MaxWeight: 1},
-	}
-	const goroutines = 8
-	const iters = 200
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				spec := specs[(g+i)%len(specs)]
-				meta := metas[i%len(metas)]
-				dec := p.Decide(spec, meta)
-				if dec.Algorithm == "" {
-					t.Error("Decide returned empty algorithm")
-					return
-				}
-				p.Observe(dec.Algorithm, meta, int64(1000+(g*iters+i)%5000))
-				_ = p.Stats()
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	stats := p.Stats()
-	if want := int64(goroutines * iters); stats.Decisions != want {
-		t.Errorf("Decisions = %d, want %d", stats.Decisions, want)
-	}
-	if stats.Observations != stats.Decisions {
-		t.Errorf("Observations = %d, want %d", stats.Observations, stats.Decisions)
-	}
-	if stats.CacheHits+stats.CacheMisses != stats.Decisions {
-		t.Errorf("hits %d + misses %d != decisions %d", stats.CacheHits, stats.CacheMisses, stats.Decisions)
-	}
-	var picks int64
-	for _, n := range stats.ByAlgorithm {
-		picks += n
-	}
-	if picks != stats.Decisions {
-		t.Errorf("ByAlgorithm totals %d, want %d", picks, stats.Decisions)
+	a.RecordSolve("bfs", 1)
+	if sum.SolveNs["bfs"].Count != 3 || sum.SolveNs["bfs"].Counts[0] != 2 {
+		t.Error("Merge aliased its source's counts")
 	}
 }

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func fillWith(status int, body string) func(context.Context) (*cacheEntry, error) {
@@ -122,11 +125,13 @@ func TestCacheSingleFlightUncacheable(t *testing.T) {
 
 	const n = 8
 	var wg sync.WaitGroup
+	var arrived atomic.Int32
 	results := make([]*cacheEntry, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			arrived.Add(1)
 			e, _, err := c.Do(ctx, "big", func(context.Context) (*cacheEntry, error) {
 				mu.Lock()
 				fills++
@@ -141,14 +146,13 @@ func TestCacheSingleFlightUncacheable(t *testing.T) {
 			results[i] = e
 		}(i)
 	}
-	for {
-		mu.Lock()
-		started := fills > 0
-		mu.Unlock()
-		if started {
-			break
-		}
+	// Hold the fill until every caller is inside Do: one that arrives
+	// after the fill has finished starts a burst of its own (nothing is
+	// resident), which is correct and not what this test is about.
+	for arrived.Load() < n {
+		runtime.Gosched()
 	}
+	time.Sleep(50 * time.Millisecond)
 	close(gate)
 	wg.Wait()
 

@@ -384,7 +384,7 @@ func toPathsJSON(res *blogclusters.Result) ([]pathJSON, solverStatsJSON) {
 // variant over the session's default graph: ?variant=topk (default,
 // with ?algorithm=auto|bfs|dfs|ta|brute, ?k, ?l), ?variant=normalized
 // (?k, ?lmin) or ?variant=diverse (?k, ?l, ?mode). Algorithm "auto"
-// (the default) lets the Engine's cost-based planner pick the solver.
+// (the default) is a spelling of the variant's default solver.
 //
 // The parameters fold into one blogclusters.QuerySpec: its
 // normalization provides the response-cache key — equivalent requests

@@ -15,7 +15,7 @@ import (
 // internal/metrics package comment): live instruments the middleware
 // drives per request (route counters, latency histograms, shed
 // counters), and scrape-time mirrors of counters that already exist
-// elsewhere — the response cache, EngineStats, the planner's solve
+// elsewhere — the response cache, EngineStats, its per-algorithm solve
 // histograms — copied in by syncMetrics just before every exposition
 // so one registry serves both without double counting.
 type serverMetrics struct {
@@ -60,21 +60,13 @@ type serverMetrics struct {
 	idxCacheMisses *metrics.Series
 	idxCacheBytes  *metrics.Series
 
-	// Planner mirrors.
-	planDecisions     *metrics.Series
-	planCacheHits     *metrics.Series
-	planCacheMisses   *metrics.Series
-	planInvalidations *metrics.Series
-	planObservations  *metrics.Series
-	planExplored      *metrics.Series
-	planExploited     *metrics.Series
-	planByAlgo        *metrics.Vec // planner_decisions_by_algorithm_total{algorithm}
-	solveDur          *metrics.Vec // engine_solve_duration_seconds{algorithm}
+	// Per-algorithm solve accounting mirror.
+	solveDur *metrics.Vec // engine_solve_duration_seconds{algorithm}
 }
 
 // solveDurBuckets converts plan.SolveNsBuckets (nanoseconds) into the
 // histogram's second-valued upper bounds, so the exposition layout
-// matches the planner's internal accounting one-for-one and
+// matches the Engine's internal accounting one-for-one and
 // SetHistogram can mirror SolveHist.Counts without resampling.
 func solveDurBuckets() []float64 {
 	out := make([]float64, len(plan.SolveNsBuckets))
@@ -150,24 +142,8 @@ func newServerMetrics() *serverMetrics {
 	m.idxCacheBytes = reg.Gauge("index_cache_bytes",
 		"Disk index block-cache resident bytes.").With()
 
-	m.planDecisions = reg.Counter("planner_decisions_total",
-		"Planner Decide calls (auto-algorithm queries planned).").With()
-	m.planCacheHits = reg.Counter("planner_plan_cache_hits_total",
-		"Planner decisions answered from the plan cache.").With()
-	m.planCacheMisses = reg.Counter("planner_plan_cache_misses_total",
-		"Planner decisions computed fresh.").With()
-	m.planInvalidations = reg.Counter("planner_invalidations_total",
-		"Plan-cache invalidations from cost-model generation bumps.").With()
-	m.planObservations = reg.Counter("planner_observations_total",
-		"Completed solves fed back into the cost model.").With()
-	m.planExplored = reg.Counter("planner_explored_total",
-		"Decisions that picked an unobserved candidate to gather cost data.").With()
-	m.planExploited = reg.Counter("planner_exploited_total",
-		"Decisions that picked the cheapest observed algorithm (plan-cache hits included).").With()
-	m.planByAlgo = reg.Counter("planner_decisions_by_algorithm_total",
-		"Planner decisions, by chosen algorithm.", "algorithm")
 	m.solveDur = reg.Histogram("engine_solve_duration_seconds",
-		"Completed stable-cluster solve wall-clock, by algorithm (planned and forced solves).",
+		"Completed stable-cluster solve wall-clock, by algorithm.",
 		solveDurBuckets(), "algorithm")
 
 	return m
@@ -246,18 +222,7 @@ func (s *Server) syncMetrics() {
 	m.idxCacheMisses.Set(float64(st.IndexCache.Misses))
 	m.idxCacheBytes.Set(float64(st.IndexCache.Bytes))
 
-	p := st.Planner
-	m.planDecisions.Set(float64(p.Decisions))
-	m.planCacheHits.Set(float64(p.CacheHits))
-	m.planCacheMisses.Set(float64(p.CacheMisses))
-	m.planInvalidations.Set(float64(p.Invalidations))
-	m.planObservations.Set(float64(p.Observations))
-	m.planExplored.Set(float64(p.Explored))
-	m.planExploited.Set(float64(p.Exploited))
-	for algo, n := range p.ByAlgorithm {
-		m.planByAlgo.With(algo).Set(float64(n))
-	}
-	for algo, h := range p.SolveNs {
+	for algo, h := range st.Planner.SolveNs {
 		if len(h.Counts) != len(plan.SolveNsBuckets)+1 {
 			continue
 		}

@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -140,36 +142,27 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestMetricsSolveHistogram checks the per-algorithm solver work
-// accounting reaches the exposition for both planned and forced
-// solves.
+// accounting reaches the exposition, with an auto solve counted under
+// the solver it resolves to.
 func TestMetricsSolveHistogram(t *testing.T) {
 	_, _, ts := newTestServer(t, quietConfig(nil))
 
-	resp, m := get(t, ts, "/v1/stable-clusters?k=3&algorithm=bfs")
+	resp, m := get(t, ts, "/v1/stable-clusters?k=3&algorithm=dfs")
 	wantStatus(t, resp, m, 200)
 	text := scrapeMetrics(t, ts)
-	if got := metricValue(t, text, "engine_solve_duration_seconds_count", map[string]string{"algorithm": "bfs"}); got != 1 {
-		t.Errorf("solve histogram count for forced bfs = %v, want 1", got)
-	}
-	// Forced solves must not teach the planner.
-	if got := metricValue(t, text, "planner_decisions_total", nil); got != 0 {
-		t.Errorf("planner_decisions_total after forced solve = %v, want 0", got)
+	if got := metricValue(t, text, "engine_solve_duration_seconds_count", map[string]string{"algorithm": "dfs"}); got != 1 {
+		t.Errorf("solve histogram count for dfs = %v, want 1", got)
 	}
 
 	resp, m = get(t, ts, "/v1/stable-clusters?k=3&algorithm=auto")
 	wantStatus(t, resp, m, 200)
+	resp, m = get(t, ts, "/v1/stable-clusters?k=3&variant=normalized")
+	wantStatus(t, resp, m, 200)
 	text = scrapeMetrics(t, ts)
-	if got := metricValue(t, text, "planner_decisions_total", nil); got != 1 {
-		t.Errorf("planner_decisions_total after auto solve = %v, want 1", got)
-	}
-	var total float64
-	for _, algo := range []string{"bfs", "dfs", "ta", "brute"} {
-		if v, ok := lookupMetric(text, "engine_solve_duration_seconds_count", map[string]string{"algorithm": algo}); ok {
-			total += v
+	for _, algo := range []string{"bfs", "dfs", "normalized"} {
+		if got := metricValue(t, text, "engine_solve_duration_seconds_count", map[string]string{"algorithm": algo}); got != 1 {
+			t.Errorf("solve histogram count for %s = %v, want 1", algo, got)
 		}
-	}
-	if total != 2 {
-		t.Errorf("solve histogram total count = %v, want 2 (one forced + one planned)", total)
 	}
 }
 
@@ -465,5 +458,61 @@ func TestShardedTrace(t *testing.T) {
 			names = append(names, fmt.Sprint(sp.(map[string]any)["name"]))
 		}
 		t.Fatalf("traced sharded query has no shard hop spans: %v", names)
+	}
+}
+
+// TestMetricInventoryMatchesDesign is the doc-drift gate for the metric
+// inventory: DESIGN.md "Observability → Naming" lists the families by
+// subsystem prefix (`http_*`, `engine_*`, …). Every family a server or
+// a coordinator exposes must fall under a prefix that paragraph names,
+// and every prefix it names must still have a family — so a metric
+// added without a doc line fails here, and so does a doc line that
+// outlives its metrics.
+func TestMetricInventoryMatchesDesign(t *testing.T) {
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, naming, ok := strings.Cut(string(design), "**Naming.**")
+	if !ok {
+		t.Fatal(`DESIGN.md has no "**Naming.**" paragraph under Observability`)
+	}
+	naming, _, _ = strings.Cut(naming, "\n\n")
+	var prefixes []string
+	for _, m := range regexp.MustCompile("`([a-z_]+_)\\*`").FindAllStringSubmatch(naming, -1) {
+		prefixes = append(prefixes, m[1])
+	}
+	if len(prefixes) == 0 {
+		t.Fatalf("no `prefix_*` entries found in the Naming paragraph:\n%s", naming)
+	}
+
+	// One solve on each so the labelled solve/routing families have a
+	// series to expose.
+	_, _, single := newTestServer(t, quietConfig(nil))
+	_, _, sharded := newShardedServer(t, quietConfig(nil))
+	used := map[string]bool{}
+	for _, ts := range []*httptest.Server{single, sharded} {
+		resp, m := get(t, ts, "/v1/stable-clusters?k=3&l=2")
+		wantStatus(t, resp, m, 200)
+		for _, line := range strings.Split(scrapeMetrics(t, ts), "\n") {
+			fields := strings.Fields(line)
+			if len(fields) != 4 || fields[0] != "#" || fields[1] != "TYPE" {
+				continue
+			}
+			family, documented := fields[2], false
+			for _, p := range prefixes {
+				if strings.HasPrefix(family, p) {
+					used[p], documented = true, true
+				}
+			}
+			if !documented {
+				t.Errorf("metric family %s is under no prefix DESIGN.md's Naming paragraph lists (%v)", family, prefixes)
+			}
+		}
+	}
+	for _, p := range prefixes {
+		if !used[p] {
+			t.Errorf("DESIGN.md's Naming paragraph lists `%s*` but no such family is exposed", p)
+		}
 	}
 }

@@ -272,13 +272,16 @@ func TestCacheHitMissNormalization(t *testing.T) {
 			t.Fatalf("%s: X-Cache %q, want hit", path, got)
 		}
 	}
-	// A different k is a different entry, and so is forcing a solver
-	// instead of the planner's auto pick.
+	// A different k is a different entry, and so is a different solver;
+	// naming the default solver is the same query as auto.
 	if got := xcache("/v1/stable-clusters?k=4"); got != "miss" {
 		t.Fatalf("distinct k X-Cache %q, want miss", got)
 	}
-	if got := xcache("/v1/stable-clusters?algorithm=bfs"); got != "miss" {
-		t.Fatalf("forced algorithm X-Cache %q, want miss", got)
+	if got := xcache("/v1/stable-clusters?algorithm=dfs"); got != "miss" {
+		t.Fatalf("non-default algorithm X-Cache %q, want miss", got)
+	}
+	if got := xcache("/v1/stable-clusters?algorithm=bfs"); got != "hit" {
+		t.Fatalf("explicit default algorithm X-Cache %q, want hit (auto resolves to it)", got)
 	}
 	// Any negative l means full paths; it must not fragment the cache.
 	if got := xcache("/v1/stable-clusters?l=-7"); got != "hit" {

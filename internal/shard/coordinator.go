@@ -9,7 +9,6 @@ import (
 
 	blogclusters "repro"
 	"repro/internal/par"
-	"repro/internal/plan"
 )
 
 // Options tunes a Coordinator.
@@ -19,12 +18,6 @@ type Options struct {
 	// -simjoin on every shard server) or merged answers would be built
 	// on a different graph than scattered ones.
 	Graph blogclusters.GraphOptions
-	// PlanMode is passed to the coordinator's merged engine ("auto" or
-	// "off"), mirroring WithPlanMode.
-	PlanMode string
-	// SolverParallelism is the merged engine's and the boundary-window
-	// solves' worker count (0 = GOMAXPROCS).
-	SolverParallelism int
 	// Workers caps concurrent fan-out to shards; 0 means one worker per
 	// shard (fan-out is I/O bound, not CPU bound).
 	Workers int
@@ -344,25 +337,5 @@ func mergeEngineStats(dst *blogclusters.EngineStats, src blogclusters.EngineStat
 		cur.Total += t.Total
 		dst.Stages[name] = cur
 	}
-	dst.Planner.Decisions += src.Planner.Decisions
-	dst.Planner.CacheHits += src.Planner.CacheHits
-	dst.Planner.CacheMisses += src.Planner.CacheMisses
-	dst.Planner.Invalidations += src.Planner.Invalidations
-	dst.Planner.Observations += src.Planner.Observations
-	dst.Planner.Explored += src.Planner.Explored
-	dst.Planner.Exploited += src.Planner.Exploited
-	for algo, n := range src.Planner.ByAlgorithm {
-		if dst.Planner.ByAlgorithm == nil {
-			dst.Planner.ByAlgorithm = map[string]int64{}
-		}
-		dst.Planner.ByAlgorithm[algo] += n
-	}
-	for algo, h := range src.Planner.SolveNs {
-		if dst.Planner.SolveNs == nil {
-			dst.Planner.SolveNs = map[string]plan.SolveHist{}
-		}
-		cur := dst.Planner.SolveNs[algo]
-		cur.Merge(h)
-		dst.Planner.SolveNs[algo] = cur
-	}
+	dst.Planner.Merge(src.Planner)
 }

@@ -129,7 +129,7 @@ func assertSame(t *testing.T, what string, got, want any) {
 }
 
 // equivSpecs covers every solve route: scatterable bounded top-k
-// (pinned and planner-chosen algorithms), full paths and brute force
+// (named and default algorithms), full paths and brute force
 // (merged route), and the normalized and diverse variants.
 func equivSpecs() []blogclusters.QuerySpec {
 	return []blogclusters.QuerySpec{

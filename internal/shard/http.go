@@ -174,13 +174,9 @@ func (b *HTTPBackend) ClusterCounts(ctx context.Context, from, to int) ([]int, e
 
 func (b *HTTPBackend) Solve(ctx context.Context, spec blogclusters.QuerySpec) (*blogclusters.Result, error) {
 	spec = spec.Normalize()
-	algo := spec.Algorithm
-	if algo == "" {
-		algo = "auto"
-	}
 	q := url.Values{
 		"variant":   {spec.Variant},
-		"algorithm": {algo},
+		"algorithm": {spec.Algorithm},
 		"k":         {strconv.Itoa(spec.K)},
 	}
 	switch spec.Variant {

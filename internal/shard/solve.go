@@ -144,14 +144,8 @@ func (c *Coordinator) gatherSets(ctx context.Context, st *coordState, lo, hi, st
 // session options — the same graph the shards (and the unsharded
 // reference engine) build, so node ids and weights line up exactly.
 func (c *Coordinator) openSetsEngine(sets [][]blogclusters.Cluster) (*blogclusters.Engine, error) {
-	opts := []blogclusters.Option{
-		blogclusters.WithGraphOptions(c.opts.Graph),
-		blogclusters.WithSolverParallelism(c.opts.SolverParallelism),
-	}
-	if c.opts.PlanMode != "" {
-		opts = append(opts, blogclusters.WithPlanMode(c.opts.PlanMode))
-	}
-	return blogclusters.Open(context.Background(), blogclusters.FromClusterSets(sets), opts...)
+	return blogclusters.Open(context.Background(), blogclusters.FromClusterSets(sets),
+		blogclusters.WithGraphOptions(c.opts.Graph))
 }
 
 // mergedEngine fills (once per generation) the whole-corpus engine.
@@ -196,13 +190,8 @@ func scatterable(spec blogclusters.QuerySpec, m int) bool {
 	if spec.L <= 0 || spec.L >= m-1 {
 		return false
 	}
-	if spec.Algorithm != "" {
-		info, ok := core.Lookup(spec.Algorithm)
-		if !ok || info.FullPathsOnly {
-			return false
-		}
-	}
-	return true
+	info, ok := core.Lookup(spec.Algorithm)
+	return ok && !info.FullPathsOnly
 }
 
 // boundaryWindows returns the coalesced scatter windows for temporal

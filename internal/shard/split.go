@@ -57,8 +57,8 @@ func SliceCollection(col *blogclusters.Collection, from, to int) (*blogclusters.
 // OpenInProcess splits col into shards in-process Engines and fronts
 // them with a Coordinator — the single-binary deployment
 // (blogserved -shard-count=N). engOpts apply to every shard engine;
-// copts.Graph and copts.SolverParallelism should mirror them so merged
-// answers are built on the same graph.
+// copts.Graph should mirror them so merged answers are built on the
+// same graph.
 func OpenInProcess(ctx context.Context, col *blogclusters.Collection, shards int, copts Options, engOpts ...blogclusters.Option) (*Coordinator, error) {
 	subs, err := SplitCollection(col, shards)
 	if err != nil {

@@ -1,0 +1,68 @@
+package core
+
+import (
+	"fmt"
+	"hash/fnv"
+	"testing"
+
+	"repro/internal/synth"
+	"repro/internal/topk"
+)
+
+// The golden table's graphs have at most 6 nodes per interval at k = 3,
+// so their heaps rarely overflow. This table pins the five solve_paper
+// class shapes (bench/solve.go) at the benchmark's -quick scale — N/10,
+// generator seed 2007, k = 5 — where heaps are full most of the time:
+// the digest covers Paths to the last bit (%.17g round-trips a float64)
+// and the Stats literal covers all eight counters. A refactor of the
+// solvers' internals must leave every row untouched.
+
+func pathsDigest(paths []topk.Path) string {
+	h := fnv.New64a()
+	for _, p := range paths {
+		fmt.Fprintf(h, "%.17g:%d:%v;", p.Weight, p.Length, p.Nodes)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+var pinnedShapes = []struct {
+	name   string
+	cfg    synth.Config
+	req    Request
+	digest string
+	stats  string
+}{
+	{"dfs", synth.Config{M: 6, N: 40, D: 5, G: 1}, Request{Algorithm: "dfs", K: 5, L: FullPaths},
+		"64b24b96718c3ecd", "{4492 1352 4492 16253 863 1113 0 15}"},
+	{"ta", synth.Config{M: 6, N: 30, D: 5, G: 0}, Request{Algorithm: "ta", K: 5, L: FullPaths},
+		"055b1b54ccfa3ca3", "{0 0 0 66264 1 0 5913 0}"},
+	{"bfs_full", synth.Config{M: 10, N: 100, D: 5, G: 1}, Request{Algorithm: "bfs", K: 5, L: FullPaths},
+		"2d5d240235a9794c", "{1700 1000 9576 48703 0 0 0 1000}"},
+	{"bfs_sub", synth.Config{M: 10, N: 100, D: 5, G: 1}, Request{Algorithm: "bfs", K: 5, L: 3},
+		"b324484c0591585c", "{1700 1000 9576 104517 0 0 0 2903}"},
+	{"normalized", synth.Config{M: 8, N: 8, D: 3, G: 0}, Request{Algorithm: "normalized", K: 5, LMin: 3},
+		"948e4a91675ab8ce", "{56 64 230 109664 0 0 0 45308}"},
+}
+
+func TestSolvePaperShapesPinned(t *testing.T) {
+	for _, tc := range pinnedShapes {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Seed = 2007
+			g, err := synth.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := solve(g, tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Paths) != tc.req.K {
+				t.Fatalf("%d paths, want %d", len(res.Paths), tc.req.K)
+			}
+			if d, s := pathsDigest(res.Paths), fmt.Sprint(res.Stats); d != tc.digest || s != tc.stats {
+				t.Errorf("pinned row drifted; solver now produces:\n\t\t%q, %q},", d, s)
+			}
+		})
+	}
+}

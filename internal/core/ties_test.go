@@ -1,0 +1,129 @@
+package core
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/clustergraph"
+)
+
+// Corpus graphs carry Jaccard weights, so exact weight ties are the
+// production norm, while the fuzz and equivalence suites draw random
+// floats (no ties) and compare weights only. These graphs draw every
+// edge weight from {0.25, 0.5, 0.75, 1}: sums are exact in binary, so
+// many paths tie to the bit and the answer is decided by the
+// lexicographic half of topk.Better. The Problem 1 solvers must return
+// the oracle's Paths exactly — node sequences and order, not just
+// weights.
+
+var tieWeights = []float64{0.25, 0.5, 0.75, 1}
+
+// tieGraph builds an m-interval graph with n nodes per interval; every
+// node gets 1–3 distinct targets in each interval within gap+1.
+func tieGraph(t *testing.T, seed int64, m, n, gap int) *clustergraph.Graph {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	b, err := clustergraph.NewBuilder(m, gap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([][]int64, m)
+	for i := range ids {
+		for j := 0; j < n; j++ {
+			id, err := b.AddNode(i, cluster.Cluster{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[i] = append(ids[i], id)
+		}
+	}
+	for i := 0; i < m; i++ {
+		for dist := 1; dist <= gap+1 && i+dist < m; dist++ {
+			for _, u := range ids[i] {
+				for _, j := range rng.Perm(n)[:1+rng.Intn(3)] {
+					if err := b.AddEdge(u, ids[i+dist][j], tieWeights[rng.Intn(len(tieWeights))]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	return b.Build(false)
+}
+
+func TestTieHeavyMatchesBruteExactly(t *testing.T) {
+	const m, n = 5, 5
+	for gap := 0; gap <= 2; gap++ {
+		g := tieGraph(t, int64(500+gap), m, n, gap)
+		for _, l := range []int{2, m - 1} {
+			all, err := solve(g, Request{Algorithm: "brute", K: 1 << 14, L: l})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The first group of bit-equal weights ends at index end; k
+			// runs from 1 to one past it, and past every path.
+			end := 0
+			for i := 1; i < len(all.Paths); i++ {
+				if all.Paths[i].Weight == all.Paths[i-1].Weight {
+					end = i
+				} else if end > 0 {
+					break
+				}
+			}
+			if end == 0 {
+				t.Fatalf("gap %d l %d: no tied weights; the graph does not exercise tie-breaking", gap, l)
+			}
+			t.Logf("gap %d l %d: %d paths, first tied group ends at rank %d", gap, l, len(all.Paths), end+1)
+			ks := []int{len(all.Paths) + 1}
+			for k := 1; k <= end+2; k++ {
+				ks = append(ks, k)
+			}
+			for _, k := range ks {
+				want := all.Paths[:min(k, len(all.Paths))]
+				algos := []string{"bfs", "dfs"}
+				if l == m-1 {
+					algos = append(algos, "ta")
+				}
+				for _, algo := range algos {
+					got, err := solve(g, Request{Algorithm: algo, K: k, L: l})
+					if err != nil {
+						t.Fatalf("gap %d l %d k %d %s: %v", gap, l, k, algo, err)
+					}
+					if !reflect.DeepEqual(got.Paths, want) {
+						t.Errorf("gap %d l %d k %d: %s returns\n%v\nbrute returns\n%v", gap, l, k, algo, got.Paths, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Normalized has no exact oracle below rank 1 (Theorem 1 pruning, see
+// Request.DisableTheorem1Pruning), so its answers on the tie graphs are
+// pinned as recorded before the solvers' path representation changed:
+// one digest per gap over k ∈ {1, 3, 8} × lmin ∈ {2, m−1}, covering
+// Paths to the bit and all counters.
+func TestTieHeavyNormalizedPinned(t *testing.T) {
+	const m, n = 5, 5
+	want := []string{"c97a9690914fecbf", "4ac2b74038a96b02", "aebfb94c8169a6f3"}
+	for gap := 0; gap <= 2; gap++ {
+		g := tieGraph(t, int64(500+gap), m, n, gap)
+		h := fnv.New64a()
+		for _, k := range []int{1, 3, 8} {
+			for _, lmin := range []int{2, m - 1} {
+				res, err := solve(g, Request{Algorithm: "normalized", K: k, LMin: lmin})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(h, "%s %v|", pathsDigest(res.Paths), res.Stats)
+			}
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != want[gap] {
+			t.Errorf("gap %d: normalized digest %q, pinned %q", gap, got, want[gap])
+		}
+	}
+}

@@ -22,16 +22,7 @@ func solveBFS(ctx context.Context, g *clustergraph.Graph, req Request) (*Result,
 	if req.MaxWindowNodes < 0 {
 		return nil, fmt.Errorf("%w: MaxWindowNodes must be >= 0, got %d", ErrInvalidRequest, req.MaxWindowNodes)
 	}
-	r := &bfsRun{
-		g:        g,
-		k:        req.K,
-		l:        l,
-		fullPath: l == g.NumIntervals()-1 && !req.DisableFullPathFastPath,
-		window:   req.MaxWindowNodes,
-		store:    newStoreBackend(req.Store),
-		heaps:    make(map[int64]map[int]*topk.K),
-		global:   topk.NewK(req.K),
-	}
+	r := newBFSRun(g, req, l)
 	for i := 0; i < g.NumIntervals(); i++ {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
@@ -43,8 +34,7 @@ func solveBFS(ctx context.Context, g *clustergraph.Graph, req Request) (*Result,
 	return &Result{Paths: r.global.Items(), Stats: r.stats}, nil
 }
 
-// bfsRun carries the state of one BFS execution. It is shared with the
-// online (streaming) version, which feeds intervals as they arrive.
+// bfsRun carries the state of one BFS execution.
 type bfsRun struct {
 	g        *clustergraph.Graph
 	k, l     int
@@ -52,11 +42,38 @@ type bfsRun struct {
 	window   int // MaxWindowNodes; 0 = unlimited
 	store    *storeBackend
 
-	// heaps maps node id → (path length → heap). In full-path mode each
-	// node has exactly one entry, at x = interval(node).
-	heaps  map[int64]map[int]*topk.K
-	global *topk.K
-	stats  Stats
+	// Paths live in slab; heaps indexes the h^x of node id at
+	// id*perNode + x−1. In full-path mode perNode is 1: a node's one
+	// heap holds x = interval(node).
+	slab    slab
+	heaps   *pathHeaps
+	perNode int
+	global  *topk.K
+	stats   Stats
+
+	windowIDs []int64 // the window's node ids, rebuilt per interval
+	inBlock   []bool  // by node id: in the window block being joined
+	nodes     []int64 // scratch for global offers
+}
+
+func newBFSRun(g *clustergraph.Graph, req Request, l int) *bfsRun {
+	r := &bfsRun{
+		g:        g,
+		k:        req.K,
+		l:        l,
+		fullPath: l == g.NumIntervals()-1 && !req.DisableFullPathFastPath,
+		window:   req.MaxWindowNodes,
+		store:    newStoreBackend(req.Store),
+		perNode:  l,
+		global:   topk.NewK(req.K),
+		inBlock:  make([]bool, g.NumNodes()),
+	}
+	if r.fullPath {
+		r.perNode = 1
+	}
+	r.heaps = newPathHeaps(&r.slab, req.K, g.NumNodes()*r.perNode)
+	r.heaps.reuse = true
+	return r
 }
 
 // processInterval computes heaps for every node of interval i, using
@@ -70,123 +87,116 @@ func (r *bfsRun) processInterval(i int) error {
 	// sequential pass when memory suffices). With a window cap, the
 	// current interval's nodes are re-scanned once per block
 	// (block-nested loops), multiplying reads of Gi.
-	windowNodes := r.windowNodeIDs(i)
-	blocks := r.splitBlocks(windowNodes)
-	r.stats.NodeReads += int64(len(windowNodes)) // window scan
-	if len(blocks) > 1 {
-		// Each extra block re-reads interval i's nodes.
-		r.stats.NodeReads += int64((len(blocks) - 1) * len(nodes))
+	window := r.windowNodeIDs(i)
+	block := len(window)
+	if r.window > 0 {
+		block = min(block, r.window)
 	}
-
-	for _, id := range nodes {
-		r.heaps[id] = make(map[int]*topk.K)
-	}
-	for _, block := range blocks {
-		inBlock := make(map[int64]bool, len(block))
-		for _, id := range block {
-			inBlock[id] = true
+	r.stats.NodeReads += int64(len(window)) // window scan
+	for lo := 0; lo < len(window); lo += block {
+		if lo > 0 {
+			// Each extra block re-reads interval i's nodes.
+			r.stats.NodeReads += int64(len(nodes))
+		}
+		in := window[lo:min(lo+block, len(window))]
+		for _, id := range in {
+			r.inBlock[id] = true
 		}
 		for _, id := range nodes {
 			for _, ph := range r.g.Parents(id) {
-				if !inBlock[ph.Peer] {
+				if !r.inBlock[ph.Peer] {
 					continue
 				}
 				r.stats.EdgeReads++
 				r.extend(id, ph)
 			}
 		}
+		for _, id := range in {
+			r.inBlock[id] = false
+		}
 	}
 	// "save cij along with h^x_ij to disk" (line 17).
 	for _, id := range nodes {
 		r.stats.NodeWrites++
 		if r.store != nil {
-			if err := r.store.save(id, encodePaths(heapsToPaths(r.heaps[id]))); err != nil {
+			if err := r.store.save(id, encodePaths(r.nodePaths(id))); err != nil {
 				return err
 			}
 		}
 	}
 	r.evict(i)
-	r.trackPeak()
+	r.stats.PeakStatePaths = max(r.stats.PeakStatePaths, int64(r.heaps.held))
 	return nil
 }
 
 // extend merges parent ph's heaps into node id's heaps across the edge
-// (Algorithm 2 lines 7–14).
+// (Algorithm 2 lines 7–14). The parent's heaps are read in place; a
+// candidate is a weight, a length and a link until a heap admits it.
 func (r *bfsRun) extend(id int64, ph clustergraph.Half) {
-	edgeLen := ph.Length
-	parentHeaps := r.heaps[ph.Peer]
-	// The edge alone is a path of length edgeLen (the implicit h^0 =
-	// {empty path} case).
-	r.offer(id, topk.Path{Nodes: []int64{ph.Peer}}.Append(id, edgeLen, ph.Weight))
-	for x, h := range parentHeaps {
-		if x+edgeLen > r.l {
-			continue
+	peer := int(ph.Peer)
+	// The edge alone is a path of length ph.Length (the implicit h^0 =
+	// {empty path} case). In full-path mode only prefixes that started
+	// at interval 0 can grow into full paths, so the edge counts only
+	// from there; everything a heap then holds started there too. This
+	// is the paper's "one heap per node suffices" optimization —
+	// temporal lengths make length(p) == interval(id) automatic.
+	if !r.fullPath || r.g.Interval(ph.Peer) == 0 {
+		r.offer(id, bare(ph.Peer), ph.Weight, ph.Length)
+	}
+	for x := 1; x <= r.perNode; x++ {
+		length := x + ph.Length
+		if r.fullPath {
+			length = r.g.Interval(id)
 		}
-		for _, pi := range h.Items() {
-			r.offer(id, pi.Append(id, edgeLen, ph.Weight))
+		hi := peer*r.perNode + x - 1
+		for j := 0; j < r.heaps.size(hi); j++ {
+			e := r.heaps.at(hi, j)
+			r.offer(id, e.ref, e.weight+ph.Weight, length)
 		}
 	}
 }
 
-// offer places path p (ending at node id) into the appropriate h^x heap
-// and, when it has length exactly l, into the global heap.
-func (r *bfsRun) offer(id int64, p topk.Path) {
-	if p.Length > r.l {
+// offer places the path growing link by node id into the appropriate
+// h^x heap and, when it has length exactly l, into the global heap.
+func (r *bfsRun) offer(id int64, link ref, weight float64, length int) {
+	if length > r.l {
 		return
 	}
-	if r.fullPath && r.g.Interval(p.Nodes[0]) != 0 {
-		// Full-path mode: only prefixes that started at interval 0 can
-		// grow into full paths; everything else is dead weight. This is
-		// the paper's "one heap per node suffices" optimization —
-		// temporal lengths make length(p) == interval(id) automatic.
-		return
-	}
-	hs := r.heaps[id]
-	h, ok := hs[p.Length]
-	if !ok {
-		h = topk.NewK(r.k)
-		hs[p.Length] = h
+	hi := int(id) * r.perNode
+	if !r.fullPath {
+		hi += length - 1
 	}
 	r.stats.HeapConsiders++
-	h.Consider(p)
-	if p.Length == r.l {
+	r.heaps.consider(hi, id, link, weight, length)
+	if length == r.l {
 		r.stats.HeapConsiders++
-		r.global.Consider(p)
+		if weight >= r.global.Threshold() {
+			r.nodes = r.heaps.nodes(r.nodes[:0], id, link)
+			offerGlobal(r.global, r.nodes, weight, length)
+		}
 	}
+}
+
+// nodePaths materialises every path in node id's heaps for
+// persistence.
+func (r *bfsRun) nodePaths(id int64) []topk.Path {
+	var out []topk.Path
+	for hi := int(id) * r.perNode; hi < (int(id)+1)*r.perNode; hi++ {
+		for j := 0; j < r.heaps.size(hi); j++ {
+			out = append(out, r.heaps.path(r.heaps.at(hi, j).ref))
+		}
+	}
+	return out
 }
 
 // windowNodeIDs lists the node ids of intervals [i-g-1, i-1] — the
 // parents reachable from interval i.
 func (r *bfsRun) windowNodeIDs(i int) []int64 {
-	var ids []int64
-	lo := i - r.g.Gap() - 1
-	if lo < 0 {
-		lo = 0
+	r.windowIDs = r.windowIDs[:0]
+	for j := max(i-r.g.Gap()-1, 0); j < i; j++ {
+		r.windowIDs = append(r.windowIDs, r.g.NodesAt(j)...)
 	}
-	for j := lo; j < i; j++ {
-		ids = append(ids, r.g.NodesAt(j)...)
-	}
-	return ids
-}
-
-// splitBlocks partitions the window per MaxWindowNodes.
-func (r *bfsRun) splitBlocks(window []int64) [][]int64 {
-	if r.window == 0 || len(window) <= r.window {
-		if len(window) == 0 {
-			return [][]int64{nil}
-		}
-		return [][]int64{window}
-	}
-	var blocks [][]int64
-	for len(window) > 0 {
-		n := r.window
-		if n > len(window) {
-			n = len(window)
-		}
-		blocks = append(blocks, window[:n])
-		window = window[n:]
-	}
-	return blocks
+	return r.windowIDs
 }
 
 // evict drops heaps of nodes that can no longer be parents ("Gi−g−1 is
@@ -197,20 +207,8 @@ func (r *bfsRun) evict(i int) {
 		return
 	}
 	for _, id := range r.g.NodesAt(old) {
-		delete(r.heaps, id)
-	}
-}
-
-// trackPeak records the number of paths currently held across window
-// heaps (the memory-footprint proxy reported in Stats).
-func (r *bfsRun) trackPeak() {
-	var n int64
-	for _, hs := range r.heaps {
-		for _, h := range hs {
-			n += int64(h.Len())
+		for hi := int(id) * r.perNode; hi < (int(id)+1)*r.perNode; hi++ {
+			r.heaps.release(hi)
 		}
-	}
-	if n > r.stats.PeakStatePaths {
-		r.stats.PeakStatePaths = n
 	}
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -280,32 +283,53 @@ func TestPathStateRoundTrip(t *testing.T) {
 }
 
 func TestDFSStateRoundTrip(t *testing.T) {
-	s := newDFSState()
-	s.visited = true
-	s.maxweight[2] = 1.5
-	s.maxweight[1] = 0.25
-	h := topk.NewK(3)
-	h.Consider(topk.Path{Nodes: []int64{1, 2}, Length: 1, Weight: 0.5})
-	h.Consider(topk.Path{Nodes: []int64{1, 3}, Length: 1, Weight: 0.75})
-	s.best[1] = h
-	got, err := decodeDFSState(encodeDFSState(s), 3)
-	if err != nil {
+	g, _ := synth.Figure5()
+	newRun := func() *dfsRun {
+		r := newDFSRun(context.Background(), g, Request{K: 3}, 2)
+		r.resetState(1)
+		return r
+	}
+	r := newRun()
+	r.visited[1] = true
+	r.maxweights(1)[2] = 1.5
+	r.maxweights(1)[1] = 0.25
+	r.best.consider(r.bestHeap(1, 1), 1, bare(2), 0.5, 1)
+	r.best.consider(r.bestHeap(1, 1), 1, bare(3), 0.75, 1)
+	r.best.consider(r.bestHeap(1, 2), 1, r.slab.add(r.slab.grow(4, bare(7), 0.5, 1)), 1.25, 2)
+	enc := r.encodeState(1)
+
+	got := newRun()
+	if err := got.decodeState(1, enc); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if !got.visited {
+	if !got.visited[1] {
 		t.Error("visited flag lost")
 	}
-	if !reflect.DeepEqual(got.maxweight, s.maxweight) {
-		t.Errorf("maxweight = %v, want %v", got.maxweight, s.maxweight)
+	if !reflect.DeepEqual(got.maxweights(1), r.maxweights(1)) {
+		t.Errorf("maxweight = %v, want %v", got.maxweights(1), r.maxweights(1))
 	}
-	if got.best[1] == nil || got.best[1].Len() != 2 {
-		t.Errorf("bestpaths lost: %+v", got.best)
+	paths := func(r *dfsRun, y int) []topk.Path {
+		var out []topk.Path
+		for j := 0; j < r.best.size(r.bestHeap(1, y)); j++ {
+			out = append(out, r.best.path(r.best.at(r.bestHeap(1, y), j).ref))
+		}
+		slices.SortFunc(out, func(a, b topk.Path) int { return cmp.Compare(b.Weight, a.Weight) })
+		return out
 	}
-	if !weightsAlmostEqual(got.best[1].Weights(), s.best[1].Weights()) {
-		t.Error("bestpaths weights differ after round trip")
+	if want := []topk.Path{
+		{Nodes: []int64{1, 3}, Length: 1, Weight: 0.75},
+		{Nodes: []int64{1, 2}, Length: 1, Weight: 0.5},
+	}; !reflect.DeepEqual(paths(got, 1), want) {
+		t.Errorf("bestpaths of length 1 = %v, want %v", paths(got, 1), want)
 	}
-	if _, err := decodeDFSState([]byte{0}, 3); err == nil {
-		t.Error("decodeDFSState accepted short record")
+	if want := []topk.Path{{Nodes: []int64{1, 4, 7}, Length: 2, Weight: 1.25}}; !reflect.DeepEqual(paths(got, 2), want) {
+		t.Errorf("bestpaths of length 2 = %v, want %v", paths(got, 2), want)
+	}
+	if !bytes.Equal(got.encodeState(1), enc) {
+		t.Error("re-encoding the decoded state gives different bytes")
+	}
+	if err := newRun().decodeState(1, []byte{0}); err == nil {
+		t.Error("decodeState accepted short record")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/clustergraph"
 	"repro/internal/topk"
@@ -39,24 +40,18 @@ func solveDFS(ctx context.Context, g *clustergraph.Graph, req Request) (*Result,
 	if !req.DisablePruning && g.MaxWeight() > 1 {
 		return nil, fmt.Errorf("core: DFS pruning requires edge weights in (0,1]; graph max weight is %g (normalize the graph or disable pruning)", g.MaxWeight())
 	}
-	r := &dfsRun{
-		g:        g,
-		k:        req.K,
-		l:        l,
-		fullPath: l == g.NumIntervals()-1,
-		prune:    !req.DisablePruning,
-		worst:    req.WorstFirstChildren,
-		store:    newStoreBackend(req.Store),
-		ctx:      ctx,
-		states:   make(map[int64]*dfsState),
-		global:   topk.NewK(req.K),
-	}
+	r := newDFSRun(ctx, g, req, l)
 	if err := r.run(); err != nil {
 		return nil, err
 	}
 	return &Result{Paths: r.global.Items(), Stats: r.stats}, nil
 }
 
+// dfsRun carries the state of one DFS execution. Per-node state — what
+// Algorithm 3 keeps on disk — lives in slices indexed by node id: the
+// visited flag, the maxweight annotations (best known prefix weight per
+// prefix length) and the bestpaths heaps (top-k paths of each length
+// *starting* at the node, as slab chains that run first node → last).
 type dfsRun struct {
 	g        *clustergraph.Graph
 	k, l     int
@@ -66,11 +61,48 @@ type dfsRun struct {
 	store    *storeBackend
 	ctx      context.Context
 
-	// states holds node state: all nodes when running purely in memory,
-	// or only stack-resident nodes when a store is attached.
-	states map[int64]*dfsState
+	// resident marks the nodes whose state is in memory: every node
+	// touched so far when running purely in memory, only stack-resident
+	// ones when a store is attached.
+	resident []bool
+	visited  []bool
+	// everPushed distinguishes first explorations from re-explorations
+	// after visited-flag unmarking (Stats.Repushes). Not persisted.
+	everPushed []bool
+	// maxweight of (id, x) is at id*(l+1)+x; -Inf while no prefix of
+	// length x is known. x = 0 is always 0: the empty prefix exists,
+	// i.e. a path may start at the node, which seeds the conservative
+	// x=0 case of CanPrune.
+	maxweight []float64
+	// bestpaths of (id, y) is heap id*l+y−1.
+	slab slab
+	best *pathHeaps
+
 	global *topk.K
 	stats  Stats
+	nodes  []int64 // scratch for global offers
+}
+
+func newDFSRun(ctx context.Context, g *clustergraph.Graph, req Request, l int) *dfsRun {
+	n := g.NumNodes()
+	r := &dfsRun{
+		g:          g,
+		k:          req.K,
+		l:          l,
+		fullPath:   l == g.NumIntervals()-1,
+		prune:      !req.DisablePruning,
+		worst:      req.WorstFirstChildren,
+		store:      newStoreBackend(req.Store),
+		ctx:        ctx,
+		resident:   make([]bool, n),
+		visited:    make([]bool, n),
+		everPushed: make([]bool, n),
+		maxweight:  make([]float64, n*(l+1)),
+		global:     topk.NewK(req.K),
+	}
+	r.best = newPathHeaps(&r.slab, req.K, n*l)
+	r.best.prepended = true
+	return r
 }
 
 // dfsFrame is one stack entry: a node plus its remaining children list.
@@ -84,17 +116,18 @@ type dfsFrame struct {
 // nodes for full-path queries, every node otherwise (a subpath may
 // start anywhere).
 func (r *dfsRun) sourceChildren() []clustergraph.Half {
-	var hs []clustergraph.Half
-	add := func(id int64) { hs = append(hs, clustergraph.Half{Peer: id, Weight: 0, Length: 0}) }
+	last := r.g.NumIntervals() - 1
 	if r.fullPath {
-		for _, id := range r.g.NodesAt(0) {
-			add(id)
-		}
-		return hs
+		last = 0
 	}
-	for i := 0; i < r.g.NumIntervals(); i++ {
+	n := 0
+	for i := 0; i <= last; i++ {
+		n += len(r.g.NodesAt(i))
+	}
+	hs := make([]clustergraph.Half, 0, n)
+	for i := 0; i <= last; i++ {
 		for _, id := range r.g.NodesAt(i) {
-			add(id)
+			hs = append(hs, clustergraph.Half{Peer: id})
 		}
 	}
 	return hs
@@ -127,41 +160,41 @@ func (r *dfsRun) run() error {
 			edge := f.children[f.next]
 			f.next++
 			r.stats.EdgeReads++
-			child, err := r.loadState(edge.Peer)
-			if err != nil {
+			child := edge.Peer
+			if err := r.loadState(child); err != nil {
 				return err
 			}
-			if child.visited {
+			if r.visited[child] {
 				// Line 10: update bestpaths(c) using the child's info.
 				if f.node != sourceID {
-					r.combine(f.node, edge, child)
+					r.combine(f.node, edge)
 				}
-				r.releaseIfUnstacked(edge.Peer, stack)
+				r.releaseIfUnstacked(child, stack)
 				continue
 			}
-			child.visited = true
-			if child.everPushed {
+			r.visited[child] = true
+			if r.everPushed[child] {
 				r.stats.Repushes++
 			}
-			child.everPushed = true
-			r.updateMaxweight(f.node, edge, child)
-			if r.prune && r.canPrune(edge.Peer, child) {
+			r.everPushed[child] = true
+			r.updateMaxweight(f.node, edge)
+			if r.prune && r.canPrune(child) {
 				r.stats.Pruned++
 				// Postpone the subtree: unmark every stacked node (the
 				// all-descendants-considered guarantee is broken for
 				// them) and shelve the child.
-				child.visited = false
+				r.visited[child] = false
 				for _, fr := range stack {
 					if fr.node != sourceID {
-						r.states[fr.node].visited = false
+						r.visited[fr.node] = false
 					}
 				}
-				if err := r.saveState(edge.Peer); err != nil {
+				if err := r.saveState(child); err != nil {
 					return err
 				}
 				continue
 			}
-			stack = append(stack, dfsFrame{node: edge.Peer, children: r.childList(edge.Peer)})
+			stack = append(stack, dfsFrame{node: child, children: r.childList(child)})
 			r.trackPeak(stack)
 		} else {
 			// All children considered: pop, save, propagate to parent.
@@ -169,12 +202,10 @@ func (r *dfsRun) run() error {
 			if f.node == sourceID {
 				continue
 			}
-			state := r.states[f.node]
 			if len(stack) > 0 {
 				if p := &stack[len(stack)-1]; p.node != sourceID {
-					// Find the edge parent→f.node (the one just consumed).
-					edge := p.children[p.next-1]
-					r.combine(p.node, edge, state)
+					// The edge parent→f.node is the one just consumed.
+					r.combine(p.node, p.children[p.next-1])
 				}
 			}
 			if err := r.saveState(f.node); err != nil {
@@ -193,38 +224,58 @@ func (r *dfsRun) childList(id int64) []clustergraph.Half {
 	if !r.worst {
 		return hs
 	}
-	rev := make([]clustergraph.Half, len(hs))
-	for i, h := range hs {
-		rev[len(hs)-1-i] = h
-	}
+	rev := slices.Clone(hs)
+	slices.Reverse(rev)
 	return rev
 }
 
-// loadState fetches (or creates) node state, reading from the store
-// when one is attached (Algorithm 3 line 8).
-func (r *dfsRun) loadState(id int64) (*dfsState, error) {
+// loadState makes node id's state resident, reading it from the store
+// when one is attached (Algorithm 3 line 8) and starting it fresh
+// otherwise.
+func (r *dfsRun) loadState(id int64) error {
 	r.stats.NodeReads++
-	if s, ok := r.states[id]; ok {
-		return s, nil
+	if r.resident[id] {
+		return nil
 	}
+	r.resident[id] = true
 	if r.store != nil {
 		b, ok, err := r.store.load(id)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ok {
-			s, err := decodeDFSState(b, r.k)
-			if err != nil {
-				return nil, err
-			}
-			r.states[id] = s
-			return s, nil
+			return r.decodeState(id, b)
 		}
 	}
-	s := newDFSState()
-	r.states[id] = s
-	return s, nil
+	r.resetState(id)
+	return nil
 }
+
+// resetState gives node id, whose state is not resident, the state of a
+// node never seen before.
+func (r *dfsRun) resetState(id int64) {
+	r.visited[id] = false
+	r.everPushed[id] = false
+	mw := r.maxweights(id)
+	mw[0] = 0
+	for x := 1; x < len(mw); x++ {
+		mw[x] = math.Inf(-1)
+	}
+}
+
+// evict drops node id's state from memory.
+func (r *dfsRun) evict(id int64) {
+	r.resident[id] = false
+	for y := 1; y <= r.l; y++ {
+		r.best.release(r.bestHeap(id, y))
+	}
+}
+
+func (r *dfsRun) maxweights(id int64) []float64 {
+	return r.maxweight[int(id)*(r.l+1) : (int(id)+1)*(r.l+1)]
+}
+
+func (r *dfsRun) bestHeap(id int64, y int) int { return int(id)*r.l + y - 1 }
 
 // saveState persists node state (lines 20, 24) and, when a store is
 // attached, evicts it from memory so RAM holds only the stack.
@@ -233,11 +284,10 @@ func (r *dfsRun) saveState(id int64) error {
 	if r.store == nil {
 		return nil
 	}
-	s := r.states[id]
-	if err := r.store.save(id, encodeDFSState(s)); err != nil {
+	if err := r.store.save(id, r.encodeState(id)); err != nil {
 		return err
 	}
-	delete(r.states, id)
+	r.evict(id)
 	return nil
 }
 
@@ -254,26 +304,20 @@ func (r *dfsRun) releaseIfUnstacked(id int64, stack []dfsFrame) {
 	}
 	// The state was only needed for the combine; it is already on disk
 	// (it was saved when the node was popped).
-	delete(r.states, id)
+	r.evict(id)
 }
 
 // updateMaxweight propagates the parent's prefix weights across the
 // edge (Algorithm 3 line 16): maxweight(c',x) =
 // max(maxweight(c',x), maxweight(c, x−len) + w).
-func (r *dfsRun) updateMaxweight(parent int64, edge clustergraph.Half, child *dfsState) {
+func (r *dfsRun) updateMaxweight(parent int64, edge clustergraph.Half) {
 	if parent == sourceID {
 		return // the empty prefix is already seeded at x = 0
 	}
-	ps := r.states[parent]
-	for x, w := range ps.maxweight {
-		nx := x + edge.Length
-		if nx > r.l {
-			continue
-		}
-		nw := w + edge.Weight
-		if cur, ok := child.maxweight[nx]; !ok || nw > cur {
-			child.maxweight[nx] = nw
-		}
+	from, to := r.maxweights(parent), r.maxweights(edge.Peer)
+	for x := 0; x+edge.Length <= r.l; x++ {
+		// An unknown prefix (-Inf) stays unknown across the edge.
+		to[x+edge.Length] = max(to[x+edge.Length], from[x]+edge.Weight)
 	}
 }
 
@@ -282,7 +326,7 @@ func (r *dfsRun) updateMaxweight(parent int64, edge clustergraph.Half, child *df
 // extended by a maximum-weight suffix cannot beat the current top-k
 // threshold. Feasible x additionally includes 0 when a sought path can
 // start at the node (see the deviation note on solveDFS).
-func (r *dfsRun) canPrune(id int64, s *dfsState) bool {
+func (r *dfsRun) canPrune(id int64) bool {
 	minK := r.global.Threshold()
 	i := r.g.Interval(id)
 	m := r.g.NumIntervals()
@@ -293,14 +337,8 @@ func (r *dfsRun) canPrune(id int64, s *dfsState) bool {
 	// whole path is the prefix and the bound degenerates to
 	// maxweight(c', l) — exactly how the paper's own Table 2 trace
 	// treats the interval-3 nodes.
-	xmin := r.l - (m - 1 - i)
-	if xmin < 0 {
-		xmin = 0
-	}
-	xmax := r.l
-	if i < xmax {
-		xmax = i
-	}
+	xmin := max(r.l-(m-1-i), 0)
+	xmax := min(r.l, i)
 	if xmin > xmax {
 		// No length-l path can touch this node in any position.
 		return true
@@ -308,12 +346,10 @@ func (r *dfsRun) canPrune(id int64, s *dfsState) bool {
 	if math.IsInf(minK, -1) {
 		return false
 	}
+	mw := r.maxweights(id)
 	for x := xmin; x <= xmax; x++ {
-		mw, ok := s.maxweight[x]
-		if !ok {
-			continue // no prefix of this length known yet
-		}
-		if mw+float64(r.l-x) >= minK {
+		// No prefix of this length known yet: -Inf, never >= minK.
+		if mw[x]+float64(r.l-x) >= minK {
 			return false
 		}
 	}
@@ -323,61 +359,39 @@ func (r *dfsRun) canPrune(id int64, s *dfsState) bool {
 // combine folds a finished child's bestpaths into the parent's
 // (Algorithm 3 lines 10 and 26): every path starting at the child
 // extends, via the edge, to a path starting at the parent; the edge by
-// itself is also such a path.
-func (r *dfsRun) combine(parent int64, edge clustergraph.Half, child *dfsState) {
-	ps := r.states[parent]
-	r.addBest(ps, topk.Path{
-		Nodes:  []int64{parent, edge.Peer},
-		Length: edge.Length,
-		Weight: edge.Weight,
-	})
-	for y, h := range child.best {
-		ny := y + edge.Length
-		if ny > r.l {
-			continue
-		}
-		for _, p := range h.Items() {
-			r.addBest(ps, prepend(parent, edge.Length, edge.Weight, p))
+// itself is also such a path. The child's heaps are read in place.
+func (r *dfsRun) combine(parent int64, edge clustergraph.Half) {
+	// For full paths only suffixes that end at the last interval
+	// matter; the child's heaps hold nothing else, so the bare edge is
+	// the one candidate to check.
+	if !r.fullPath || r.g.Interval(edge.Peer) == r.g.NumIntervals()-1 {
+		r.addBest(parent, bare(edge.Peer), edge.Weight, edge.Length)
+	}
+	for y := 1; y+edge.Length <= r.l; y++ {
+		hi := r.bestHeap(edge.Peer, y)
+		for j := 0; j < r.best.size(hi); j++ {
+			e := r.best.at(hi, j)
+			r.addBest(parent, e.ref, e.weight+edge.Weight, y+edge.Length)
 		}
 	}
 }
 
-// addBest inserts a path into the owner's bestpaths heap for its length
-// and, when the length is exactly l, offers it to the global heap.
-func (r *dfsRun) addBest(s *dfsState, p topk.Path) {
-	if p.Length > r.l {
+// addBest offers the path that starts at node and continues along link
+// to the node's bestpaths heap for its length and, when the length is
+// exactly l, to the global heap.
+func (r *dfsRun) addBest(node int64, link ref, weight float64, length int) {
+	if length > r.l {
 		return
 	}
-	if r.fullPath {
-		// Only suffixes that can complete a full path matter: the path
-		// must end at the last interval.
-		last := p.Nodes[len(p.Nodes)-1]
-		if r.g.Interval(last) != r.g.NumIntervals()-1 {
-			return
-		}
-	}
-	h, ok := s.best[p.Length]
-	if !ok {
-		h = topk.NewK(r.k)
-		s.best[p.Length] = h
-	}
 	r.stats.HeapConsiders++
-	h.Consider(p)
-	if p.Length == r.l {
-		first := p.Nodes[0]
-		if !r.fullPath || r.g.Interval(first) == 0 {
-			r.stats.HeapConsiders++
-			r.global.Consider(p)
+	r.best.consider(r.bestHeap(node, length), node, link, weight, length)
+	if length == r.l && (!r.fullPath || r.g.Interval(node) == 0) {
+		r.stats.HeapConsiders++
+		if weight >= r.global.Threshold() {
+			r.nodes = r.best.nodes(r.nodes[:0], node, link)
+			offerGlobal(r.global, r.nodes, weight, length)
 		}
 	}
-}
-
-// prepend extends p backwards by one edge from node.
-func prepend(node int64, edgeLen int, w float64, p topk.Path) topk.Path {
-	nodes := make([]int64, 0, len(p.Nodes)+1)
-	nodes = append(nodes, node)
-	nodes = append(nodes, p.Nodes...)
-	return topk.Path{Nodes: nodes, Length: p.Length + edgeLen, Weight: p.Weight + w}
 }
 
 // trackPeak records the paths held by stack-resident states (the DFS
@@ -388,11 +402,9 @@ func (r *dfsRun) trackPeak(stack []dfsFrame) {
 		if fr.node == sourceID {
 			continue
 		}
-		if s, ok := r.states[fr.node]; ok {
-			n += s.pathCount()
+		for y := 1; y <= r.l; y++ {
+			n += int64(r.best.size(r.bestHeap(fr.node, y)))
 		}
 	}
-	if n > r.stats.PeakStatePaths {
-		r.stats.PeakStatePaths = n
-	}
+	r.stats.PeakStatePaths = max(r.stats.PeakStatePaths, n)
 }

@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/synth"
-	"repro/internal/topk"
 )
 
 // TestTheorem1 verifies the theorem exactly as the paper states it — a
@@ -231,22 +233,50 @@ func TestPruneTheorem1DropsWeakPrefix(t *testing.T) {
 	// suffix alone satisfies lmin.
 	g, ids := synth.Figure5()
 	r := &normRun{g: g, lmin: 1}
-	p := topk.Path{
-		Nodes:  []int64{ids[0][1], ids[1][1], ids[2][2]},
-		Length: 2,
-		Weight: 1.0,
+	r.nodes = []int64{ids[0][1], ids[1][1], ids[2][2]}
+	r.hop = []float64{0, 0.1, 0.9}
+	from, weight, length := r.pruneTheorem1(1.0, 2)
+	if from != 1 {
+		t.Errorf("pruned = %v, want suffix c22c33", r.nodes[from:])
 	}
-	pruned := r.pruneTheorem1(p)
-	want := []int64{ids[1][1], ids[2][2]}
-	if fmt.Sprint(pruned.Nodes) != fmt.Sprint(want) {
-		t.Errorf("pruned = %v, want suffix c22c33", pruned.Nodes)
-	}
-	if !almostEqual(pruned.Weight, 0.9) || pruned.Length != 1 {
-		t.Errorf("pruned weight/length = %g/%d, want 0.9/1", pruned.Weight, pruned.Length)
+	if !almostEqual(weight, 0.9) || length != 1 {
+		t.Errorf("pruned weight/length = %g/%d, want 0.9/1", weight, length)
 	}
 	// With lmin=2 the suffix is too short to stand alone: no pruning.
 	r.lmin = 2
-	if got := r.pruneTheorem1(p); len(got.Nodes) != 3 {
-		t.Errorf("lmin=2 pruned to %v, want untouched", got.Nodes)
+	if from, _, _ := r.pruneTheorem1(1.0, 2); from != 0 {
+		t.Errorf("lmin=2 pruned to %v, want untouched", r.nodes[from:])
+	}
+}
+
+// signature is the comma-joined decimal rendering bestpaths used to be
+// keyed and ordered by; compareSignature must order sequences the same
+// way without building it.
+func signature(nodes []int64) string {
+	var b strings.Builder
+	for i, n := range nodes {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.FormatInt(n, 10))
+	}
+	return b.String()
+}
+
+func TestCompareSignatureIsStringOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	draw := func() []int64 {
+		nodes := make([]int64, 1+rng.Intn(4))
+		for i := range nodes {
+			// Mixed digit counts, with repeats across draws.
+			nodes[i] = rng.Int63n([]int64{3, 30, 1200, 1 << 40}[rng.Intn(4)])
+		}
+		return nodes
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := draw(), draw()
+		if got, want := compareSignature(a, b), strings.Compare(signature(a), signature(b)); got != want {
+			t.Fatalf("compareSignature(%v, %v) = %d, string order says %d", a, b, got, want)
+		}
 	}
 }

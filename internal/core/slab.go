@@ -1,0 +1,345 @@
+package core
+
+import (
+	"slices"
+
+	"repro/internal/topk"
+)
+
+// The solvers do not carry paths as node slices. A path is a chain of
+// parent pointers through a slab that lives and dies with one solve, so
+// extending a path costs one slot — written only once the target heap
+// has admitted the extension — and a candidate that loses on weight
+// costs nothing at all. topk.Path values are materialised for the final
+// top-k, for Request.Store encoding and where a tie has to be broken on
+// node order.
+
+// ref names a path in a slab: a slot index when >= 0, otherwise the
+// single-node path {^ref}, which needs no slot.
+type ref int
+
+// bare is the ref of the single-node path {node}.
+func bare(node int64) ref { return ^ref(node) }
+
+// pathRec is one slab slot: the path that adds node to the path link.
+// BFS, normalized and TA suffixes grow paths at the end, so their
+// chains run last node → first; DFS and TA prefixes grow at the front
+// and their chains run first → last. hops counts the path's nodes and
+// may be smaller than the chain behind link is long: a Theorem 1 prefix
+// drop is the same chain walked fewer hops.
+type pathRec struct {
+	node   int64
+	link   ref
+	weight float64
+	// edge is the weight of the hop from link's head to node, for the
+	// solver that has to re-derive prefix weights (normalized).
+	edge   float64
+	length int32 // temporal length
+	hops   int32
+}
+
+// slab stores pathRecs in pages so that growing never copies a record:
+// the first page grows like any slice (small solves stay small), later
+// ones are allocated whole.
+type slab struct {
+	pages [][]pathRec
+	n     int
+}
+
+const (
+	slabPageBits = 12
+	slabPageSize = 1 << slabPageBits
+)
+
+// at returns slot r.
+func (s *slab) at(r ref) *pathRec { return &s.pages[r>>slabPageBits][r&(slabPageSize-1)] }
+
+// hops returns the number of nodes on path r.
+func (s *slab) hops(r ref) int {
+	if r < 0 {
+		return 1
+	}
+	return int(s.at(r).hops)
+}
+
+// head returns the node path r was last grown by.
+func (s *slab) head(r ref) int64 {
+	if r < 0 {
+		return int64(^r)
+	}
+	return s.at(r).node
+}
+
+// add stores rec and returns its ref.
+func (s *slab) add(rec pathRec) ref {
+	p := s.n >> slabPageBits
+	if p == len(s.pages) {
+		var page []pathRec
+		if p > 0 {
+			page = make([]pathRec, 0, slabPageSize)
+		}
+		s.pages = append(s.pages, page)
+	}
+	s.pages[p] = append(s.pages[p], rec)
+	s.n++
+	return ref(s.n - 1)
+}
+
+// grow returns the record of the path that grows link by node.
+func (s *slab) grow(node int64, link ref, weight float64, length int) pathRec {
+	return pathRec{node: node, link: link, weight: weight, length: int32(length), hops: int32(s.hops(link) + 1)}
+}
+
+// reset forgets every path but keeps the pages.
+func (s *slab) reset() {
+	for i := range s.pages {
+		s.pages[i] = s.pages[i][:0]
+	}
+	s.n = 0
+}
+
+// appendChain appends the nodes of path r to dst in chain order.
+func (s *slab) appendChain(dst []int64, r ref) []int64 {
+	for n := s.hops(r); n > 0; n-- {
+		dst = append(dst, s.head(r))
+		if r >= 0 {
+			r = s.at(r).link
+		}
+	}
+	return dst
+}
+
+// appendReversed appends the nodes of path r to dst against chain
+// order.
+func (s *slab) appendReversed(dst []int64, r ref) []int64 {
+	at := len(dst)
+	dst = s.appendChain(dst, r)
+	slices.Reverse(dst[at:])
+	return dst
+}
+
+// sameChain reports whether paths a and b, both hops nodes long, visit
+// the same nodes. Chains that share a tail are equal from there on.
+func (s *slab) sameChain(a, b ref, hops int) bool {
+	for ; a != b; hops-- {
+		if s.head(a) != s.head(b) {
+			return false
+		}
+		if hops == 1 {
+			break
+		}
+		a, b = s.at(a).link, s.at(b).link
+	}
+	return true
+}
+
+// pathHeaps holds every per-node top-k heap of one solve — the h^x_ij
+// of Algorithm 2, the bestpaths of Algorithm 3 — in flat slices: heap i
+// is a block of k entries handed out on its first offer and recycled on
+// release. Heaps are min-heaps under topk.Better (the root is the worst
+// retained path) and behave as topk.K does, duplicates included.
+type pathHeaps struct {
+	s *slab
+	k int
+	// prepended says which way the slab's chains run: first → last
+	// (DFS) or last → first (BFS).
+	prepended bool
+	// reuse lets an admitted path overwrite the slot of the one it
+	// evicts. Sound when a heap takes all its offers before any path
+	// links to one of its own (BFS: a node's heaps fill during its
+	// interval and are extended only by later ones), not when heaps
+	// keep improving after they were read (DFS).
+	reuse bool
+	heaps []heapSpan
+	ents  []heapEnt
+	free  []int   // offsets of released blocks
+	held  int     // paths retained across all heaps
+	a, b  []int64 // scratch for breaking weight ties on node order
+}
+
+type heapSpan struct {
+	off int // block offset in ents; meaningful once n > 0
+	n   int
+}
+
+type heapEnt struct {
+	weight float64
+	ref    ref
+}
+
+func newPathHeaps(s *slab, k, count int) *pathHeaps {
+	return &pathHeaps{s: s, k: k, heaps: make([]heapSpan, count)}
+}
+
+// size returns the number of paths heap i retains.
+func (hs *pathHeaps) size(i int) int { return hs.heaps[i].n }
+
+// at returns the j-th retained path of heap i, in no particular order.
+func (hs *pathHeaps) at(i, j int) heapEnt { return hs.ents[hs.heaps[i].off+j] }
+
+// release empties heap i and recycles its block.
+func (hs *pathHeaps) release(i int) {
+	if h := &hs.heaps[i]; h.n > 0 {
+		hs.free = append(hs.free, h.off)
+		hs.held -= h.n
+		h.n = 0
+	}
+}
+
+// consider offers heap i the path growing link by node, exactly as
+// topk.K.Consider would, but decides on weight before anything is
+// written: a full heap turns a path strictly below its floor away
+// untouched, and only an admitted path gets a slab slot. Equal weights
+// fall through to the lexicographic comparison.
+func (hs *pathHeaps) consider(i int, node int64, link ref, weight float64, length int) {
+	h := &hs.heaps[i]
+	if h.n == hs.k && weight < hs.ents[h.off].weight {
+		return
+	}
+	s := hs.s
+	rec := s.grow(node, link, weight, length)
+	for j := h.off; j < h.off+h.n; j++ {
+		old := s.at(hs.ents[j].ref)
+		if old.node != node || old.hops != rec.hops || !s.sameChain(old.link, link, int(rec.hops)-1) {
+			continue
+		}
+		// A rediscovery (DFS after visited flags are unmarked, or a
+		// parallel edge): the better-ranked copy survives. Same nodes,
+		// so only the weight can rank them.
+		if weight > old.weight {
+			hs.ents[j] = heapEnt{weight, hs.store(rec, hs.ents[j].ref)}
+			hs.fix(h, j-h.off)
+		}
+		return
+	}
+	if h.n < hs.k {
+		if h.n == 0 {
+			h.off = hs.block()
+		}
+		hs.ents[h.off+h.n] = heapEnt{weight, s.add(rec)}
+		h.n++
+		hs.held++
+		hs.up(h, h.n-1)
+		return
+	}
+	root := hs.ents[h.off]
+	if weight == root.weight {
+		hs.a = hs.nodes(hs.a[:0], node, link)
+		hs.b = hs.refNodes(hs.b[:0], root.ref)
+		if slices.Compare(hs.a, hs.b) >= 0 {
+			return
+		}
+	}
+	hs.ents[h.off] = heapEnt{weight, hs.store(rec, root.ref)}
+	hs.down(h, 0)
+}
+
+// store puts rec in the slab in place of the path evicted, whose slot
+// it takes over when the solver said nothing can link to it yet.
+func (hs *pathHeaps) store(rec pathRec, evicted ref) ref {
+	if hs.reuse {
+		*hs.s.at(evicted) = rec
+		return evicted
+	}
+	return hs.s.add(rec)
+}
+
+// block returns the offset of an unused block of k entries.
+func (hs *pathHeaps) block() int {
+	if n := len(hs.free); n > 0 {
+		off := hs.free[n-1]
+		hs.free = hs.free[:n-1]
+		return off
+	}
+	off := len(hs.ents)
+	hs.ents = append(hs.ents, make([]heapEnt, hs.k)...)
+	return off
+}
+
+// nodes appends, in path order, the nodes of the path growing link by
+// node.
+func (hs *pathHeaps) nodes(dst []int64, node int64, link ref) []int64 {
+	if hs.prepended {
+		return hs.s.appendChain(append(dst, node), link)
+	}
+	return append(hs.s.appendReversed(dst, link), node)
+}
+
+// refNodes appends the nodes of slab path r in path order.
+func (hs *pathHeaps) refNodes(dst []int64, r ref) []int64 {
+	rec := hs.s.at(r)
+	return hs.nodes(dst, rec.node, rec.link)
+}
+
+// path materialises slab path r.
+func (hs *pathHeaps) path(r ref) topk.Path {
+	rec := hs.s.at(r)
+	return topk.Path{
+		Nodes:  hs.refNodes(make([]int64, 0, rec.hops), r),
+		Length: int(rec.length),
+		Weight: rec.weight,
+	}
+}
+
+// worse reports whether entry x ranks below entry y under topk.Better.
+func (hs *pathHeaps) worse(x, y heapEnt) bool {
+	if x.weight != y.weight {
+		return x.weight < y.weight
+	}
+	hs.a = hs.refNodes(hs.a[:0], x.ref)
+	hs.b = hs.refNodes(hs.b[:0], y.ref)
+	return slices.Compare(hs.a, hs.b) > 0
+}
+
+func (hs *pathHeaps) fix(h *heapSpan, j int) {
+	if !hs.down(h, j) {
+		hs.up(h, j)
+	}
+}
+
+func (hs *pathHeaps) up(h *heapSpan, j int) {
+	e := hs.ents[h.off : h.off+h.n]
+	for j > 0 {
+		p := (j - 1) / 2
+		if !hs.worse(e[j], e[p]) {
+			break
+		}
+		e[j], e[p] = e[p], e[j]
+		j = p
+	}
+}
+
+func (hs *pathHeaps) down(h *heapSpan, j int) bool {
+	e := hs.ents[h.off : h.off+h.n]
+	start := j
+	for {
+		c := 2*j + 1
+		if c >= len(e) {
+			break
+		}
+		if c+1 < len(e) && hs.worse(e[c+1], e[c]) {
+			c++
+		}
+		if !hs.worse(e[c], e[j]) {
+			break
+		}
+		e[j], e[c] = e[c], e[j]
+		j = c
+	}
+	return j > start
+}
+
+// offerGlobal offers the global top-k the path held in the scratch
+// slice nodes. Callers count the offer, turn away weights strictly below
+// global.Threshold() without building the nodes, and come here with the
+// rest; the nodes are copied out of the scratch slice only once the
+// path is known to outrank the floor of a full heap — one that does not
+// cannot enter, whether or not it duplicates a retained path.
+func offerGlobal(global *topk.K, nodes []int64, weight float64, length int) {
+	p := topk.Path{Nodes: nodes, Length: length, Weight: weight}
+	if floor, full := global.Floor(); full && !topk.Better(p, floor) {
+		return
+	}
+	p.Nodes = slices.Clone(nodes)
+	global.Consider(p)
+}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/diskstore"
 	"repro/internal/topk"
@@ -134,111 +133,82 @@ func (s *storeBackend) load(id int64) ([]byte, bool, error) {
 	return b, true, nil
 }
 
-// heapsToPaths flattens per-length heaps into one path list for
-// persistence.
-func heapsToPaths(heaps map[int]*topk.K) []topk.Path {
-	var out []topk.Path
-	for _, h := range heaps {
-		if h != nil {
-			out = append(out, h.Items()...)
-		}
-	}
-	return out
-}
-
-// dfsState is the per-node information Algorithm 3 keeps on disk: the
-// visited flag, the maxweight annotations (best known prefix weight per
-// prefix length), and the bestpaths heaps (top-k paths of each length
-// *starting* at the node).
-type dfsState struct {
-	visited bool
-	// everPushed distinguishes first explorations from re-explorations
-	// after visited-flag unmarking (Stats.Repushes). Not persisted.
-	everPushed bool
-	maxweight  map[int]float64
-	best       map[int]*topk.K
-}
-
-func newDFSState() *dfsState {
-	return &dfsState{
-		// maxweight[0] = 0: the empty prefix always exists, i.e. a path
-		// may start at this node. This seeds the conservative x=0 case
-		// of CanPrune (see dfs.go).
-		maxweight: map[int]float64{0: 0},
-		best:      make(map[int]*topk.K),
-	}
-}
-
-// pathCount returns the number of paths held in the node's heaps (the
-// memory-footprint proxy).
-func (s *dfsState) pathCount() int64 {
-	var n int64
-	for _, h := range s.best {
-		n += int64(h.Len())
-	}
-	return n
-}
-
-// encodeDFSState serializes s:
+// encodeState serializes the state Algorithm 3 keeps per node:
 //
 //	u8 flags (bit0 visited) | u32 mwCount | (u32 x, f64 w)* | paths
-func encodeDFSState(s *dfsState) []byte {
+//
+// with the known maxweight entries in ascending x and the bestpaths
+// heaps as paths.
+func (r *dfsRun) encodeState(id int64) []byte {
 	var buf []byte
 	var flags byte
-	if s.visited {
+	if r.visited[id] {
 		flags |= 1
 	}
 	buf = append(buf, flags)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(s.maxweight)))
-	buf = append(buf, tmp[:4]...)
-	// Deterministic order is unnecessary for correctness but keeps
-	// byte-level round-trip tests simple.
-	xs := make([]int, 0, len(s.maxweight))
-	for x := range s.maxweight {
-		xs = append(xs, x)
+	mw := r.maxweights(id)
+	known := 0
+	for _, w := range mw {
+		if !math.IsInf(w, -1) {
+			known++
+		}
 	}
-	sort.Ints(xs)
-	for _, x := range xs {
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(x))
-		buf = append(buf, tmp[:4]...)
-		binary.LittleEndian.PutUint64(tmp[:8], math.Float64bits(s.maxweight[x]))
-		buf = append(buf, tmp[:8]...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(known))
+	for x, w := range mw {
+		if !math.IsInf(w, -1) {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w))
+		}
 	}
-	return append(buf, encodePaths(heapsToPaths(s.best))...)
+	var paths []topk.Path
+	for y := 1; y <= r.l; y++ {
+		hi := r.bestHeap(id, y)
+		for j := 0; j < r.best.size(hi); j++ {
+			paths = append(paths, r.best.path(r.best.at(hi, j).ref))
+		}
+	}
+	return append(buf, encodePaths(paths)...)
 }
 
-// decodeDFSState reverses encodeDFSState; k is the heap capacity to
-// rebuild bestpaths with.
-func decodeDFSState(b []byte, k int) (*dfsState, error) {
+// decodeState reverses encodeState into node id's (non-resident)
+// state. Decoded paths are interned back into the slab, so a reloaded
+// node is indistinguishable from one that never left memory; only the
+// head record of an interned chain carries a weight and a length, which
+// is all a heap entry is ever asked for.
+func (r *dfsRun) decodeState(id int64, b []byte) error {
 	if len(b) < 5 {
-		return nil, fmt.Errorf("core: dfs state record too short (%d bytes)", len(b))
+		return fmt.Errorf("core: dfs state record too short (%d bytes)", len(b))
 	}
-	s := newDFSState()
-	s.visited = b[0]&1 != 0
+	r.resetState(id)
+	r.visited[id] = b[0]&1 != 0
+	mw := r.maxweights(id)
 	off := 1
 	mwCount := binary.LittleEndian.Uint32(b[off:])
 	off += 4
 	for i := uint32(0); i < mwCount; i++ {
 		if off+12 > len(b) {
-			return nil, fmt.Errorf("core: truncated dfs state at offset %d", off)
+			return fmt.Errorf("core: truncated dfs state at offset %d", off)
 		}
 		x := int(binary.LittleEndian.Uint32(b[off:]))
-		w := math.Float64frombits(binary.LittleEndian.Uint64(b[off+4:]))
-		s.maxweight[x] = w
+		if x >= len(mw) {
+			return fmt.Errorf("core: dfs state has maxweight for prefix length %d, query length is %d", x, r.l)
+		}
+		mw[x] = math.Float64frombits(binary.LittleEndian.Uint64(b[off+4:]))
 		off += 12
 	}
 	paths, err := decodePaths(b[off:])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, p := range paths {
-		h, ok := s.best[p.Length]
-		if !ok {
-			h = topk.NewK(k)
-			s.best[p.Length] = h
+		if len(p.Nodes) < 2 || p.Nodes[0] != id || p.Length < 1 || p.Length > r.l {
+			return fmt.Errorf("core: dfs state of node %d holds foreign path %v", id, p)
 		}
-		h.Consider(p)
+		link := bare(p.Nodes[len(p.Nodes)-1])
+		for j := len(p.Nodes) - 2; j > 0; j-- {
+			link = r.slab.add(r.slab.grow(p.Nodes[j], link, 0, 0))
+		}
+		r.best.consider(r.bestHeap(id, p.Length), id, link, p.Weight, p.Length)
 	}
-	return s, nil
+	return nil
 }

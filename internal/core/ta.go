@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/clustergraph"
 	"repro/internal/topk"
@@ -27,6 +29,7 @@ func solveTA(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, 
 	if l != g.NumIntervals()-1 {
 		return nil, fmt.Errorf("%w: TA finds full paths only (l = m-1 = %d), got l = %d", ErrInvalidRequest, g.NumIntervals()-1, l)
 	}
+	n := g.NumNodes()
 	r := &taRun{
 		g:        g,
 		k:        req.K,
@@ -34,8 +37,11 @@ func solveTA(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, 
 		maxSeeks: req.MaxSeeks,
 		ctx:      ctx,
 		global:   topk.NewK(req.K),
-		startwts: make(map[int64]float64),
-		endwts:   make(map[int64]float64),
+		startwts: make([]float64, n),
+		endwts:   make([]float64, n),
+	}
+	for id := range r.startwts {
+		r.startwts[id], r.endwts[id] = math.NaN(), math.NaN()
 	}
 	if err := r.run(); err != nil {
 		return nil, err
@@ -60,42 +66,39 @@ type taRun struct {
 
 	// startwts[c] is the weight of the best full-suffix starting at c
 	// (reaching the last interval); endwts[c] the best full-prefix
-	// ending at c (from interval 0). Populated lazily as nodes are
-	// expanded, exactly as Section 4.4 describes.
-	startwts map[int64]float64
-	endwts   map[int64]float64
+	// ending at c (from interval 0). NaN until node c has been
+	// expanded: the tables fill lazily, exactly as Section 4.4
+	// describes.
+	startwts []float64
+	endwts   []float64
+
+	// The full prefixes and suffixes of the edge being expanded, as
+	// chains in a slab that is emptied for the next edge: prefixes grow
+	// at the front (chains run first node → last), suffixes at the end.
+	slab     slab
+	prefixes []ref
+	suffixes []ref
+	nodes    []int64 // scratch for global offers
 }
 
 // buildLists materializes one weight-descending edge list per interval
 // pair (i, j), j−i ≤ g+1.
 func (r *taRun) buildLists() [][]taEdge {
 	g := r.g
-	listIndex := map[[2]int]int{}
-	var lists [][]taEdge
-	for i := 0; i < g.NumIntervals(); i++ {
-		for j := i + 1; j <= i+g.Gap()+1 && j < g.NumIntervals(); j++ {
-			listIndex[[2]int{i, j}] = len(lists)
-			lists = append(lists, nil)
-		}
-	}
+	// The list of pair (i, i+d) is lists[i*(gap+1)+d−1]; pairs that run
+	// past the last interval stay empty.
+	lists := make([][]taEdge, g.NumIntervals()*(g.Gap()+1))
 	for i := 0; i < g.NumIntervals(); i++ {
 		for _, u := range g.NodesAt(i) {
 			for _, h := range g.Children(u) {
-				key := [2]int{i, i + h.Length}
-				li := listIndex[key]
+				li := i*(g.Gap()+1) + h.Length - 1
 				lists[li] = append(lists[li], taEdge{from: u, to: h.Peer, weight: h.Weight, length: h.Length})
 			}
 		}
 	}
 	for _, list := range lists {
-		sort.Slice(list, func(a, b int) bool {
-			if list[a].weight != list[b].weight {
-				return list[a].weight > list[b].weight
-			}
-			if list[a].from != list[b].from {
-				return list[a].from < list[b].from
-			}
-			return list[a].to < list[b].to
+		slices.SortFunc(list, func(a, b taEdge) int {
+			return cmp.Or(cmp.Compare(b.weight, a.weight), cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to))
 		})
 	}
 	return lists
@@ -142,13 +145,14 @@ func (r *taRun) run() error {
 	}
 }
 
-// expand performs the random seeks that materialize every full path
-// containing edge e and checks each against the top-k heap.
+// expand performs the random seeks that enumerate every full path
+// containing edge e and checks each against the top-k heap. A path is a
+// prefix ref, the edge and a suffix ref until the heap's floor lets it
+// in.
 func (r *taRun) expand(e taEdge, m int) error {
 	if r.useBound {
-		sw, swOK := r.startwts[e.to]
-		ew, ewOK := r.endwts[e.from]
-		if swOK && ewOK {
+		sw, ew := r.startwts[e.to], r.endwts[e.from]
+		if !math.IsNaN(sw) && !math.IsNaN(ew) {
 			// Both bounds known: skip the expansion when even the best
 			// combination cannot qualify.
 			if r.global.Len() == r.k && ew+e.weight+sw < r.global.Threshold() {
@@ -157,107 +161,113 @@ func (r *taRun) expand(e taEdge, m int) error {
 			}
 		}
 	}
-	prefixes, err := r.pathsEnding(e.from)
-	if err != nil {
+	r.slab.reset()
+	if err := r.pathsEnding(e.from); err != nil {
 		return err
 	}
-	suffixes, err := r.pathsStarting(e.to)
-	if err != nil {
+	if err := r.pathsStarting(e.to); err != nil {
 		return err
 	}
-	for _, p := range prefixes {
-		for _, s := range suffixes {
-			nodes := make([]int64, 0, len(p.Nodes)+len(s.Nodes))
-			nodes = append(nodes, p.Nodes...)
-			nodes = append(nodes, s.Nodes...)
+	for _, p := range r.prefixes {
+		upToEdge := r.weight(p) + e.weight
+		for _, s := range r.suffixes {
+			weight := upToEdge + r.weight(s)
 			r.stats.HeapConsiders++
-			r.global.Consider(topk.Path{
-				Nodes:  nodes,
-				Length: m - 1,
-				Weight: p.Weight + e.weight + s.Weight,
-			})
+			if weight >= r.global.Threshold() {
+				r.nodes = r.slab.appendReversed(r.slab.appendChain(r.nodes[:0], p), s)
+				offerGlobal(r.global, r.nodes, weight, m-1)
+			}
 		}
 	}
 	return nil
 }
 
-// pathsEnding enumerates all full prefixes: paths from interval 0
-// ending at node c. Each adjacency examination is a random seek.
-func (r *taRun) pathsEnding(c int64) ([]topk.Path, error) {
-	if r.g.Interval(c) == 0 {
-		return []topk.Path{{Nodes: []int64{c}}}, nil
+// weight returns the weight of prefix or suffix p; the bare end point
+// of the expanded edge weighs nothing.
+func (r *taRun) weight(p ref) float64 {
+	if p < 0 {
+		return 0
 	}
-	var out []topk.Path
-	var rec func(c int64, suffix topk.Path) error
-	rec = func(c int64, suffix topk.Path) error {
-		if err := r.seek(); err != nil {
-			return err
-		}
-		for _, h := range r.g.Parents(c) {
-			p := prepend(h.Peer, h.Length, h.Weight, suffix)
-			if r.g.Interval(h.Peer) == 0 {
-				out = append(out, p)
-				continue
-			}
-			if err := rec(h.Peer, p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(c, topk.Path{Nodes: []int64{c}}); err != nil {
-		return nil, err
-	}
-	if r.useBound && len(out) > 0 {
-		best := 0.0
-		for i, p := range out {
-			if i == 0 || p.Weight > best {
-				best = p.Weight
-			}
-		}
-		r.endwts[c] = best
-	}
-	return out, nil
+	return r.slab.at(p).weight
 }
 
-// pathsStarting enumerates all full suffixes: paths from node c to the
-// last interval.
-func (r *taRun) pathsStarting(c int64) ([]topk.Path, error) {
-	last := r.g.NumIntervals() - 1
-	if r.g.Interval(c) == last {
-		return []topk.Path{{Nodes: []int64{c}}}, nil
-	}
-	var out []topk.Path
-	var rec func(c int64, prefix topk.Path) error
-	rec = func(c int64, prefix topk.Path) error {
-		if err := r.seek(); err != nil {
-			return err
-		}
-		for _, h := range r.g.Children(c) {
-			p := prefix.Append(h.Peer, h.Length, h.Weight)
-			if r.g.Interval(h.Peer) == last {
-				out = append(out, p)
-				continue
-			}
-			if err := rec(h.Peer, p); err != nil {
-				return err
-			}
-		}
+// pathsEnding enumerates into r.prefixes all full prefixes: paths from
+// interval 0 ending at node c. Each adjacency examination is a random
+// seek.
+func (r *taRun) pathsEnding(c int64) error {
+	r.prefixes = r.prefixes[:0]
+	if r.g.Interval(c) == 0 {
+		r.prefixes = append(r.prefixes, bare(c))
 		return nil
 	}
-	if err := rec(c, topk.Path{Nodes: []int64{c}}); err != nil {
-		return nil, err
+	if err := r.growPrefixes(bare(c)); err != nil {
+		return err
 	}
-	if r.useBound && len(out) > 0 {
-		best := 0.0
-		for i, p := range out {
-			if i == 0 || p.Weight > best {
-				best = p.Weight
-			}
+	if r.useBound && len(r.prefixes) > 0 {
+		r.endwts[c] = r.bestWeight(r.prefixes)
+	}
+	return nil
+}
+
+// growPrefixes extends path p backwards along every parent edge of its
+// first node until interval 0 is reached. TA chains carry no lengths:
+// every path assembled from them is a full one.
+func (r *taRun) growPrefixes(p ref) error {
+	if err := r.seek(); err != nil {
+		return err
+	}
+	for _, h := range r.g.Parents(r.slab.head(p)) {
+		q := r.slab.add(r.slab.grow(h.Peer, p, r.weight(p)+h.Weight, 0))
+		if r.g.Interval(h.Peer) == 0 {
+			r.prefixes = append(r.prefixes, q)
+		} else if err := r.growPrefixes(q); err != nil {
+			return err
 		}
-		r.startwts[c] = best
 	}
-	return out, nil
+	return nil
+}
+
+// pathsStarting enumerates into r.suffixes all full suffixes: paths
+// from node c to the last interval.
+func (r *taRun) pathsStarting(c int64) error {
+	r.suffixes = r.suffixes[:0]
+	if r.g.Interval(c) == r.g.NumIntervals()-1 {
+		r.suffixes = append(r.suffixes, bare(c))
+		return nil
+	}
+	if err := r.growSuffixes(bare(c)); err != nil {
+		return err
+	}
+	if r.useBound && len(r.suffixes) > 0 {
+		r.startwts[c] = r.bestWeight(r.suffixes)
+	}
+	return nil
+}
+
+// growSuffixes extends path p forwards along every child edge of its
+// last node until the last interval is reached.
+func (r *taRun) growSuffixes(p ref) error {
+	if err := r.seek(); err != nil {
+		return err
+	}
+	for _, h := range r.g.Children(r.slab.head(p)) {
+		q := r.slab.add(r.slab.grow(h.Peer, p, r.weight(p)+h.Weight, 0))
+		if r.g.Interval(h.Peer) == r.g.NumIntervals()-1 {
+			r.suffixes = append(r.suffixes, q)
+		} else if err := r.growSuffixes(q); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// bestWeight returns the largest weight among paths.
+func (r *taRun) bestWeight(paths []ref) float64 {
+	best := r.weight(paths[0])
+	for _, p := range paths[1:] {
+		best = max(best, r.weight(p))
+	}
+	return best
 }
 
 // seek accounts one random seek and enforces the budget. Seeks also

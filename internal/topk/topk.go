@@ -169,6 +169,16 @@ func (t *K) Threshold() float64 {
 	return t.items[0].Weight
 }
 
+// Floor returns the worst retained path and true when the collector is
+// full: a path that is not Better than it cannot be retained. Callers
+// that build paths lazily probe the floor before materializing one.
+func (t *K) Floor() (Path, bool) {
+	if t.items.Len() < t.k {
+		return Path{}, false
+	}
+	return t.items[0], true
+}
+
 // Items returns the retained paths, best first. The collector is not
 // modified.
 func (t *K) Items() []Path {

@@ -18,7 +18,7 @@ BENCH_COUNT ?= 3
 # fetched through the module cache, never added to go.mod.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build check vet test race bench-check fmt-check staticcheck bench bench-gate fuzz-smoke chaos examples-smoke serve-smoke shard-smoke clean
+.PHONY: all build check vet test race bench-check fmt-check staticcheck bench bench-gate bench-pair fuzz-smoke chaos examples-smoke serve-smoke shard-smoke clean
 
 all: check
 
@@ -83,6 +83,17 @@ BENCH_THRESHOLD ?= 2.0
 bench-gate:
 	$(MAKE) bench BENCH_COUNT=1 BENCH_OUT=BENCH_fresh.json
 	$(GO) run ./cmd/benchdiff -old BENCH_table1.json -new BENCH_fresh.json -threshold $(BENCH_THRESHOLD)
+
+# A performance claim's evidence: PAIRS paired runs of one BENCHMARK.json
+# workload at PARENT and at the working tree, alternating which side
+# runs first, with each end-to-end metric's medians, quartiles, pairs
+# won and verdict beside its bound (scripts/bench-pair.sh; a pair takes
+# about a minute).
+PARENT ?= HEAD~1
+WORKLOAD ?= solve_paper
+PAIRS ?= 10
+bench-pair:
+	bash scripts/bench-pair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # Native fuzz targets, ~60s each — the nightly fuzz job's entry point.
 FUZZTIME ?= 60s

@@ -1,0 +1,56 @@
+package core
+
+import (
+	"runtime/debug"
+	"testing"
+
+	"repro/internal/raceflag"
+	"repro/internal/synth"
+)
+
+// Allocation ceilings, in tier-1: the solvers keep their paths in a
+// per-solve slab, so a solve allocates a few hundred objects however
+// many candidates it weighs. A ceiling of about twice the count
+// recorded with this test fails `go test` on a regression that the
+// benchmark would take 25 s to show, and the repeat check fails on an
+// allocator whose count is not a pure function of (graph, request) — a
+// pool, a cache, a map with a random seed.
+func TestSolverAllocationCeilings(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	g, err := synth.Generate(synth.Config{Seed: 2007, M: 6, N: 60, D: 3, G: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun reads the process-wide malloc count; with the
+	// collector off, the runtime's own bookkeeping for a GC cycle that
+	// happens to start mid-solve cannot leak into it.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		name    string
+		req     Request
+		ceiling float64
+	}{
+		{"bfs-sub", Request{Algorithm: "bfs", K: 5, L: 3}, 240},
+		{"bfs-full", Request{Algorithm: "bfs", K: 5, L: FullPaths}, 190},
+		{"dfs", Request{Algorithm: "dfs", K: 5, L: FullPaths}, 140},
+		{"ta", Request{Algorithm: "ta", K: 5, L: FullPaths}, 370},
+		{"normalized", Request{Algorithm: "normalized", K: 5, LMin: 3}, 580},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() {
+				if _, err := solve(g, tc.req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			first, second := testing.AllocsPerRun(1, run), testing.AllocsPerRun(1, run)
+			if first != second {
+				t.Errorf("allocations differ between two solves of one request: %v then %v", first, second)
+			}
+			if first > tc.ceiling {
+				t.Errorf("%v allocations per solve, ceiling %v", first, tc.ceiling)
+			}
+		})
+	}
+}

@@ -37,7 +37,7 @@ func solveBFS(ctx context.Context, g *clustergraph.Graph, req Request) (*Result,
 // bfsRun carries the state of one BFS execution.
 type bfsRun struct {
 	g        *clustergraph.Graph
-	k, l     int
+	l        int
 	fullPath bool
 	window   int // MaxWindowNodes; 0 = unlimited
 	store    *storeBackend
@@ -59,7 +59,6 @@ type bfsRun struct {
 func newBFSRun(g *clustergraph.Graph, req Request, l int) *bfsRun {
 	r := &bfsRun{
 		g:        g,
-		k:        req.K,
 		l:        l,
 		fullPath: l == g.NumIntervals()-1 && !req.DisableFullPathFastPath,
 		window:   req.MaxWindowNodes,
@@ -119,7 +118,7 @@ func (r *bfsRun) processInterval(i int) error {
 	for _, id := range nodes {
 		r.stats.NodeWrites++
 		if r.store != nil {
-			if err := r.store.save(id, encodePaths(r.nodePaths(id))); err != nil {
+			if err := r.store.save(id, encodePaths(r.heaps.paths(int(id)*r.perNode, (int(id)+1)*r.perNode))); err != nil {
 				return err
 			}
 		}
@@ -177,18 +176,6 @@ func (r *bfsRun) offer(id int64, link ref, weight float64, length int) {
 	}
 }
 
-// nodePaths materialises every path in node id's heaps for
-// persistence.
-func (r *bfsRun) nodePaths(id int64) []topk.Path {
-	var out []topk.Path
-	for hi := int(id) * r.perNode; hi < (int(id)+1)*r.perNode; hi++ {
-		for j := 0; j < r.heaps.size(hi); j++ {
-			out = append(out, r.heaps.path(r.heaps.at(hi, j).ref))
-		}
-	}
-	return out
-}
-
 // windowNodeIDs lists the node ids of intervals [i-g-1, i-1] — the
 // parents reachable from interval i.
 func (r *bfsRun) windowNodeIDs(i int) []int64 {
@@ -207,8 +194,6 @@ func (r *bfsRun) evict(i int) {
 		return
 	}
 	for _, id := range r.g.NodesAt(old) {
-		for hi := int(id) * r.perNode; hi < (int(id)+1)*r.perNode; hi++ {
-			r.heaps.release(hi)
-		}
+		r.heaps.release(int(id)*r.perNode, (int(id)+1)*r.perNode)
 	}
 }

@@ -21,8 +21,11 @@
 //
 // Every solver is the paper's sequential algorithm; results are
 // deterministic because the top-k order (topk.Better) is a strict total
-// order and heap contents are offer-order independent. Streaming
-// versions (Section 4.6) are in online.go.
+// order and heap contents are offer-order independent. Inside a solve a
+// path is a parent-pointer chain in a per-solve slab and per-node state
+// is a slice indexed by node id (slab.go); topk.Path values are built
+// for the answer. The streaming version (Section 4.6) is in online.go
+// and has its own loop.
 package core
 
 import (

@@ -309,10 +309,7 @@ func TestDFSStateRoundTrip(t *testing.T) {
 		t.Errorf("maxweight = %v, want %v", got.maxweights(1), r.maxweights(1))
 	}
 	paths := func(r *dfsRun, y int) []topk.Path {
-		var out []topk.Path
-		for j := 0; j < r.best.size(r.bestHeap(1, y)); j++ {
-			out = append(out, r.best.path(r.best.at(r.bestHeap(1, y), j).ref))
-		}
+		out := r.best.paths(r.bestHeap(1, y), r.bestHeap(1, y)+1)
 		slices.SortFunc(out, func(a, b topk.Path) int { return cmp.Compare(b.Weight, a.Weight) })
 		return out
 	}

@@ -54,7 +54,7 @@ func solveDFS(ctx context.Context, g *clustergraph.Graph, req Request) (*Result,
 // *starting* at the node, as slab chains that run first node → last).
 type dfsRun struct {
 	g        *clustergraph.Graph
-	k, l     int
+	l        int
 	fullPath bool
 	prune    bool
 	worst    bool
@@ -87,7 +87,6 @@ func newDFSRun(ctx context.Context, g *clustergraph.Graph, req Request, l int) *
 	n := g.NumNodes()
 	r := &dfsRun{
 		g:          g,
-		k:          req.K,
 		l:          l,
 		fullPath:   l == g.NumIntervals()-1,
 		prune:      !req.DisablePruning,
@@ -266,9 +265,7 @@ func (r *dfsRun) resetState(id int64) {
 // evict drops node id's state from memory.
 func (r *dfsRun) evict(id int64) {
 	r.resident[id] = false
-	for y := 1; y <= r.l; y++ {
-		r.best.release(r.bestHeap(id, y))
-	}
+	r.best.release(r.bestHeap(id, 1), r.bestHeap(id, r.l)+1)
 }
 
 func (r *dfsRun) maxweights(id int64) []float64 {

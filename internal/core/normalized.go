@@ -43,7 +43,6 @@ func solveNormalized(ctx context.Context, g *clustergraph.Graph, req Request) (*
 // survives.
 type normRun struct {
 	g       *clustergraph.Graph
-	k       int
 	lmin    int
 	suffix  bool
 	noPrune bool
@@ -97,7 +96,6 @@ type seenSlot struct {
 func newNormRun(g *clustergraph.Graph, req Request, lmin int) *normRun {
 	return &normRun{
 		g:       g,
-		k:       req.K,
 		lmin:    lmin,
 		suffix:  req.SuffixDominance,
 		noPrune: req.DisableTheorem1Pruning,
@@ -310,9 +308,9 @@ func (r *normRun) pruneTheorem1(weight float64, length int) (int, float64, int) 
 }
 
 // compareSignature orders node sequences as their decimal renderings
-// joined by commas would sort as strings — the order bestpaths have
-// always been extended in — without building the strings: element-wise
-// by decimal text, a sequence before its extensions.
+// joined by commas sort as strings — the bestpaths order the pinned
+// results were recorded under — without building the strings:
+// element-wise by decimal text, a sequence before its extensions.
 func compareSignature(a, b []int64) int {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		if a[i] != b[i] {

@@ -177,13 +177,32 @@ func (hs *pathHeaps) size(i int) int { return hs.heaps[i].n }
 // at returns the j-th retained path of heap i, in no particular order.
 func (hs *pathHeaps) at(i, j int) heapEnt { return hs.ents[hs.heaps[i].off+j] }
 
-// release empties heap i and recycles its block.
-func (hs *pathHeaps) release(i int) {
-	if h := &hs.heaps[i]; h.n > 0 {
-		hs.free = append(hs.free, h.off)
-		hs.held -= h.n
-		h.n = 0
+// release empties heaps lo..hi−1 and recycles their blocks.
+func (hs *pathHeaps) release(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if h := &hs.heaps[i]; h.n > 0 {
+			hs.free = append(hs.free, h.off)
+			hs.held -= h.n
+			h.n = 0
+		}
 	}
+}
+
+// paths materialises every path heaps lo..hi−1 retain, for
+// persistence.
+func (hs *pathHeaps) paths(lo, hi int) []topk.Path {
+	var out []topk.Path
+	for i := lo; i < hi; i++ {
+		for j := 0; j < hs.size(i); j++ {
+			rec := hs.s.at(hs.at(i, j).ref)
+			out = append(out, topk.Path{
+				Nodes:  hs.nodes(make([]int64, 0, rec.hops), rec.node, rec.link),
+				Length: int(rec.length),
+				Weight: rec.weight,
+			})
+		}
+	}
+	return out
 }
 
 // consider offers heap i the path growing link by node, exactly as
@@ -269,16 +288,6 @@ func (hs *pathHeaps) nodes(dst []int64, node int64, link ref) []int64 {
 func (hs *pathHeaps) refNodes(dst []int64, r ref) []int64 {
 	rec := hs.s.at(r)
 	return hs.nodes(dst, rec.node, rec.link)
-}
-
-// path materialises slab path r.
-func (hs *pathHeaps) path(r ref) topk.Path {
-	rec := hs.s.at(r)
-	return topk.Path{
-		Nodes:  hs.refNodes(make([]int64, 0, rec.hops), r),
-		Length: int(rec.length),
-		Weight: rec.weight,
-	}
 }
 
 // worse reports whether entry x ranks below entry y under topk.Better.

@@ -160,14 +160,7 @@ func (r *dfsRun) encodeState(id int64) []byte {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w))
 		}
 	}
-	var paths []topk.Path
-	for y := 1; y <= r.l; y++ {
-		hi := r.bestHeap(id, y)
-		for j := 0; j < r.best.size(hi); j++ {
-			paths = append(paths, r.best.path(r.best.at(hi, j).ref))
-		}
-	}
-	return append(buf, encodePaths(paths)...)
+	return append(buf, encodePaths(r.best.paths(r.bestHeap(id, 1), r.bestHeap(id, r.l)+1))...)
 }
 
 // decodeState reverses encodeState into node id's (non-resident)

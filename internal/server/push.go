@@ -2,6 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 
 	blogclusters "repro"
@@ -27,14 +29,19 @@ type pushRequest struct {
 	Docs []pushDoc `json:"docs"`
 }
 
+// maxPushBody caps a push body: one interval of pre-analyzed posts. It
+// is the cap internal/shard applies to shard replies, so anything a
+// coordinator can relay a shard server accepts.
+const maxPushBody = 64 << 20
+
 // handlePush ingests one interval via Engine.Push. Unlike the /v1
 // queries it mutates the session, so it sits outside the circuit
 // breaker and the admission semaphore (only the request deadline
 // applies): a query surface shedding load must not also block ingest,
 // and one push per interval is too rare to need admission control.
 //
-// Status mapping: 422 for bodies that do not decode or fail interval
-// validation (ErrMalformedInterval), 409 when the interval is not the
+// Status mapping: 413 for a body over maxPushBody, 422 for bodies that
+// do not decode or fail interval validation (ErrMalformedInterval), 409 when the interval is not the
 // next one (ErrOutOfOrderInterval) — the client should refetch
 // /debug/stats and resequence. Success returns the new generation, the
 // same value subsequent query envelopes carry.
@@ -46,9 +53,14 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req pushRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPushBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("push body exceeds the %d MiB limit", maxPushBody>>20))
+			return
+		}
 		writeError(w, http.StatusUnprocessableEntity, "malformed push body: "+err.Error())
 		return
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	blogclusters "repro"
+	"repro/internal/raceflag"
 )
 
 // pushBody renders a /v1/push request for one synthetic interval whose
@@ -186,6 +187,54 @@ func TestPushEndpoint(t *testing.T) {
 	// None of the failures moved the session.
 	if got := eng.Generation(); got != 2 {
 		t.Fatalf("Engine generation %d after failed pushes, want 2", got)
+	}
+}
+
+// spaces is an endless stream of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestPushBodyLimit pins the ceiling on push bodies at both sides of
+// the boundary: a body of exactly maxPushBody bytes is ingested, one
+// byte more is 413 and leaves the session alone. The padding is JSON
+// whitespace streamed ahead of a small valid body, and the handler is
+// driven without a socket, so the only large buffer is the decoder's.
+func TestPushBodyLimit(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("buffers two 64 MiB bodies, which the race detector's shadow memory multiplies")
+	}
+	srv, eng, _ := newTestServer(t, quietConfig(nil))
+	body, err := io.ReadAll(pushBody(t, len(eng.Collection().Intervals), "somalia", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	push := func(total int64) *httptest.ResponseRecorder {
+		pad := io.LimitReader(spaces{}, total-int64(len(body)))
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/push", io.MultiReader(pad, bytes.NewReader(body))))
+		return rec
+	}
+
+	rec := push(maxPushBody + 1)
+	var m map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil || rec.Code != http.StatusRequestEntityTooLarge || m["error"] == nil {
+		t.Fatalf("over the limit: status %d body %s, want 413 with a JSON error", rec.Code, rec.Body)
+	}
+	if got := eng.Generation(); got != 1 {
+		t.Fatalf("Engine generation %d after the refused push, want 1", got)
+	}
+
+	if rec := push(maxPushBody); rec.Code != http.StatusOK {
+		t.Fatalf("at the limit: status %d body %s, want 200", rec.Code, rec.Body)
+	}
+	if got := eng.Generation(); got != 2 {
+		t.Fatalf("Engine generation %d after the accepted push, want 2", got)
 	}
 }
 

@@ -1,24 +1,21 @@
 # Build, verification and benchmark entry points. `make check` is the
-# tier-1 gate; `make bench` overwrites BENCH_table1.json with a fresh
-# perf sample (the committed copy is the baseline bench-gate compares
-# against).
+# tier-1 gate. Performance is measured by one system, bench/ +
+# BENCHMARK.json (`bash bench/run.sh`, `make bench-pair`); `make bench`
+# only prints the seven go-test benchmarks that open ROADMAP decisions
+# still need (DESIGN.md "Benchmarks").
 #
 # CI (.github/workflows/ci.yml) runs these same targets — build/vet/test
-# on a Go version matrix, `race` and `fmt-check` as separate jobs, and a
-# bench smoke run (`make bench BENCH_COUNT=1`) whose BENCH_table1.json
-# is uploaded as a workflow artifact. Keep local and CI invocations
-# identical by changing the targets here, not the workflow.
+# and bench-check on a Go version matrix, `race` and `fmt-check` as
+# separate jobs. Keep local and CI invocations identical by changing
+# the targets here, not the workflow.
 
 GO ?= go
-
-# Benchmark sample count; CI's bench-smoke job overrides this to 1.
-BENCH_COUNT ?= 3
 
 # Pinned staticcheck build for `make staticcheck` (and CI's lint job);
 # fetched through the module cache, never added to go.mod.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build check vet test race bench-check fmt-check staticcheck bench bench-gate bench-pair fuzz-smoke chaos examples-smoke serve-smoke shard-smoke clean
+.PHONY: all build check vet test race bench-check fmt-check staticcheck bench bench-pair fuzz-smoke chaos examples-smoke serve-smoke shard-smoke clean
 
 all: check
 
@@ -54,41 +51,17 @@ bench-check:
 
 check: build vet test race bench-check
 
-# Perf trajectory: Table 1 keyword-graph construction, the ablation
-# benches, the Section 4 cluster-graph/simjoin benches, the index
-# backend benches, the extsort record-format/pre-merge-combine
-# before/afters, the HTTP serving-layer load benches and the live
-# ingest benches (Push, multi-segment search) and the scatter-gather
-# coordinator benches (1/2/4 shards, hot and cold), in test2json
-# format (one JSON object per line). BENCH_OUT redirects the dump
-# (bench-gate writes an untracked file so the committed trajectory is
-# never clobbered).
-BENCH_OUT ?= BENCH_table1.json
+# The seven go-test benchmarks left in the root package, on standard
+# output; nothing is written or tracked.
 bench:
-	$(GO) test -run '^$$' -bench 'Table1|Ablation|ClusterGraph|SimJoin|DiskIndex|Extsort|Serve|Push|MultiSegment|Shard' -benchmem -count $(BENCH_COUNT) -json . > $(BENCH_OUT)
-	@echo "wrote $(BENCH_OUT) ($$(grep -c '"Action":"output"' $(BENCH_OUT)) output events)"
-
-# Regression gate: rerun the bench set once into the untracked
-# BENCH_fresh.json and compare against the committed BENCH_table1.json
-# baseline, failing on a >BENCH_THRESHOLDx slowdown of any benchmark
-# present in both dumps (cmd/benchdiff). Idempotent: the tracked
-# baseline is never overwritten, so repeated local runs keep comparing
-# against the same reference. CI's bench-smoke job runs this and
-# uploads both files. The baseline was recorded on a different machine
-# than the CI runner, so the threshold is deliberately loose (it
-# catches order-of-magnitude regressions, not percent drift); if
-# runner hardware ever wedges the gate, bump BENCH_THRESHOLD or
-# re-record the baseline with `make bench`.
-BENCH_THRESHOLD ?= 2.0
-bench-gate:
-	$(MAKE) bench BENCH_COUNT=1 BENCH_OUT=BENCH_fresh.json
-	$(GO) run ./cmd/benchdiff -old BENCH_table1.json -new BENCH_fresh.json -threshold $(BENCH_THRESHOLD)
+	$(GO) test -run '^$$' -bench . -benchmem .
 
 # A performance claim's evidence: PAIRS paired runs of one BENCHMARK.json
 # workload at PARENT and at the working tree, alternating which side
 # runs first, with each end-to-end metric's medians, quartiles, pairs
 # won and verdict beside its bound (scripts/bench-pair.sh; a pair takes
-# about a minute).
+# about a minute). WORKLOAD=all runs every workload BENCHMARK.json
+# names, one table each: what a change that claims no gain reports.
 PARENT ?= HEAD~1
 WORKLOAD ?= solve_paper
 PAIRS ?= 10
@@ -137,8 +110,6 @@ serve-smoke:
 shard-smoke:
 	sh scripts/shard-smoke.sh
 
-# Removes only what builds and runs leave behind; BENCH_table1.json is
-# the committed baseline and stays.
+# Removes what builds and runs leave behind.
 clean:
-	rm -f BENCH_fresh.json
 	rm -rf .bench_build

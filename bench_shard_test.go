@@ -1,8 +1,8 @@
 package blogclusters_test
 
-// Benchmarks for the shard-by-interval scatter-gather coordinator
-// (internal/shard). External test package for the same reason as the
-// serving benches: internal/shard imports the root package.
+// The one go-test benchmark of the shard-by-interval scatter-gather
+// coordinator (internal/shard). External test package because
+// internal/shard imports the root package.
 
 import (
 	"context"
@@ -31,7 +31,8 @@ func benchShardCollection(b *testing.B) *blogclusters.Collection {
 // each iteration pays gather + solve + merge. cold is first-query-
 // after-open: shard engines, partition map and scatter caches all
 // build inside the iteration — the price of a fresh deployment or a
-// post-push generation.
+// post-push generation. Kept for ROADMAP item 3a: bench/ has no sharded
+// workload yet; goes when `serve_sharded` lands there.
 func BenchmarkShardScatterGather(b *testing.B) {
 	ctx := context.Background()
 	col := benchShardCollection(b)

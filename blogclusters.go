@@ -138,17 +138,10 @@ func (o ClusterOptions) withDefaults() ClusterOptions {
 	return o
 }
 
-// IntervalClusters runs the Section 3 pipeline for one interval of the
-// collection: keyword graph → χ²/ρ pruning → biconnected components →
-// keyword clusters. Cluster IDs are local to the call (0,1,2…);
-// BuildClusterGraph assigns graph-wide ids.
-//
-// For repeated queries over one corpus prefer an Engine, which
-// memoizes the per-interval cluster sets (Engine.ClustersAt).
-func IntervalClusters(c *Collection, interval int, opts ClusterOptions) ([]Cluster, error) {
-	return intervalClustersCtx(context.Background(), c, interval, opts)
-}
-
+// intervalClustersCtx runs the Section 3 pipeline for one interval of
+// the collection: keyword graph → χ²/ρ pruning → biconnected components
+// → keyword clusters. Cluster IDs are local to the call (0,1,2…); the
+// cluster graph assigns graph-wide ids.
 func intervalClustersCtx(ctx context.Context, c *Collection, interval int, opts ClusterOptions) ([]Cluster, error) {
 	opts = opts.withDefaults()
 	kg, err := cooccur.BuildCtx(ctx, c, interval, interval, cooccur.BuildOptions{

@@ -1247,11 +1247,11 @@ func (m *memo[T]) get(ctx context.Context, build func() (T, error)) (T, error) {
 	}
 }
 
-// --- ctx-aware internals shared with the legacy free functions ---
+// --- ctx-aware stage internals ---
 
-// allIntervalClustersCtx is AllIntervalClusters with cancellation
-// (the Engine's build path; the free function wraps it with a
-// background context).
+// allIntervalClustersCtx builds every interval's cluster set — the
+// Engine's cluster stage: whole interval builds fan out over a worker
+// pool, each with its share of the parallelism and memory budget.
 func allIntervalClustersCtx(ctx context.Context, c *Collection, opts ClusterOptions) ([][]Cluster, error) {
 	m := len(c.Intervals)
 	width := opts.Parallelism
@@ -1297,7 +1297,7 @@ func allIntervalClustersCtx(ctx context.Context, c *Collection, opts ClusterOpti
 	return sets, nil
 }
 
-// buildClusterGraphCtx is BuildClusterGraph with cancellation.
+// buildClusterGraphCtx is the Engine's graph stage.
 func buildClusterGraphCtx(ctx context.Context, sets [][]Cluster, opts GraphOptions) (*ClusterGraph, error) {
 	aff, normalize, err := resolveAffinity(opts)
 	if err != nil {

@@ -236,15 +236,15 @@ func FromClustersCtx(ctx context.Context, sets [][]cluster.Cluster, opts FromClu
 	if err != nil {
 		return nil, err
 	}
-	theta := opts.Theta
-	if theta == 0 {
-		theta = cluster.DefaultAffinityThreshold
+	var tasks []intervalPair
+	for i := 0; i < m; i++ {
+		for j := i + 1; j <= i+opts.Gap+1 && j < m; j++ {
+			tasks = append(tasks, intervalPair{i, j})
+		}
 	}
-	aff := opts.Affinity
-	if aff == nil {
-		aff = cluster.Jaccard
-	} else if opts.UseSimJoin {
-		return nil, fmt.Errorf("clustergraph: UseSimJoin requires the default Jaccard affinity")
+	results, err := edgePairs(ctx, sets, tasks, opts)
+	if err != nil {
+		return nil, err
 	}
 
 	ids := make([][]int64, m)
@@ -258,19 +258,39 @@ func FromClustersCtx(ctx context.Context, sets [][]cluster.Cluster, opts FromClu
 			ids[i][j] = id
 		}
 	}
-
-	// Edge generation is sharded by (interval, gap-offset): each pair
-	// of linked intervals is one independent task producing a private
-	// (Left, Right)-sorted edge buffer. Buffers are merged into the
-	// builder in task order, so the AddEdge sequence — and therefore
-	// the graph — is identical to the sequential loop's at any worker
-	// count.
-	type task struct{ i, j int }
-	var tasks []task
-	for i := 0; i < m; i++ {
-		for j := i + 1; j <= i+opts.Gap+1 && j < m; j++ {
-			tasks = append(tasks, task{i, j})
+	for ti, t := range tasks {
+		for _, p := range results[ti] {
+			if err := b.AddEdge(ids[t.i][p.Left], ids[t.j][p.Right], p.Sim); err != nil {
+				return nil, err
+			}
 		}
+	}
+	return b.Build(opts.Normalize), nil
+}
+
+// intervalPair names two linked intervals, i before j.
+type intervalPair struct{ i, j int }
+
+// edgePairs is the one edge generator behind FromClustersCtx and
+// ExtendCtx: for each listed pair of intervals it evaluates the
+// affinity between their cluster sets and keeps the (Left, Right)
+// index pairs with affinity >= Theta, quadratic loop or prefix-filter
+// join per opts.UseSimJoin.
+//
+// The work is sharded by interval pair: each task is independent and
+// fills its own slot of the result, so the buffers come back in task
+// order and a caller that splices them in that order produces the same
+// edge sequence — and therefore the same graph — at any worker count.
+func edgePairs(ctx context.Context, sets [][]cluster.Cluster, tasks []intervalPair, opts FromClustersOptions) ([][]simjoin.Pair, error) {
+	theta := opts.Theta
+	if theta == 0 {
+		theta = cluster.DefaultAffinityThreshold
+	}
+	aff := opts.Affinity
+	if aff == nil {
+		aff = cluster.Jaccard
+	} else if opts.UseSimJoin {
+		return nil, fmt.Errorf("clustergraph: UseSimJoin requires the default Jaccard affinity")
 	}
 	width := opts.Parallelism
 	if width <= 0 {
@@ -281,27 +301,40 @@ func FromClustersCtx(ctx context.Context, sets [][]cluster.Cluster, opts FromClu
 		workers = 1
 	}
 
-	// On the simjoin path the vocabulary is interned once for the whole
-	// run (every interval joins against up to gap+1 partners; the
-	// per-call frequency pass used to dominate) and leftover
-	// parallelism partitions the probes inside each join.
+	// On the simjoin path the vocabulary is interned once per call over
+	// the intervals the tasks name (every interval joins against up to
+	// gap+1 partners; a per-join frequency pass used to dominate) and
+	// leftover parallelism partitions the probes inside each join.
 	var (
 		vocab    *simjoin.Vocab
 		recs     [][]simjoin.Record
 		innerPar = 1
 	)
 	if opts.UseSimJoin {
-		vocab = simjoin.NewVocab(sets...)
-		recs = make([][]simjoin.Record, m)
-		for i, cs := range sets {
-			if recs[i], err = vocab.Records(cs); err != nil {
-				return nil, err
+		named := make([]bool, len(sets))
+		for _, t := range tasks {
+			named[t.i], named[t.j] = true, true
+		}
+		involved := make([][]cluster.Cluster, 0, len(sets))
+		for i, ok := range named {
+			if ok {
+				involved = append(involved, sets[i])
+			}
+		}
+		vocab = simjoin.NewVocab(involved...)
+		recs = make([][]simjoin.Record, len(sets))
+		for i, ok := range named {
+			if ok {
+				var err error
+				if recs[i], err = vocab.Records(sets[i]); err != nil {
+					return nil, err
+				}
 			}
 		}
 		innerPar = max(1, width/workers)
 	}
 
-	run := func(t task) ([]simjoin.Pair, error) {
+	run := func(t intervalPair) ([]simjoin.Pair, error) {
 		if opts.UseSimJoin {
 			return vocab.JoinRecords(recs[t.i], recs[t.j], theta, innerPar)
 		}
@@ -315,7 +348,6 @@ func FromClustersCtx(ctx context.Context, sets [][]cluster.Cluster, opts FromClu
 		}
 		return out, nil
 	}
-
 	results := make([][]simjoin.Pair, len(tasks))
 	if err := par.ForEachCtx(ctx, len(tasks), workers, func(ti int) error {
 		var err error
@@ -324,14 +356,7 @@ func FromClustersCtx(ctx context.Context, sets [][]cluster.Cluster, opts FromClu
 	}); err != nil {
 		return nil, err
 	}
-	for ti, t := range tasks {
-		for _, p := range results[ti] {
-			if err := b.AddEdge(ids[t.i][p.Left], ids[t.j][p.Right], p.Sim); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return b.Build(opts.Normalize), nil
+	return results, nil
 }
 
 // ExtendCtx grows an already-built graph by one interval and returns
@@ -364,15 +389,14 @@ func ExtendCtx(ctx context.Context, g *Graph, sets [][]cluster.Cluster, opts Fro
 			return nil, fmt.Errorf("clustergraph: interval %d has %d clusters, graph has %d nodes there", i, len(sets[i]), len(g.intervals[i]))
 		}
 	}
-	theta := opts.Theta
-	if theta == 0 {
-		theta = cluster.DefaultAffinityThreshold
+	// Only intervals within gap+1 of the new one can gain edges.
+	tasks := make([]intervalPair, 0, g.gap+1)
+	for i := max(0, m-g.gap-1); i < m; i++ {
+		tasks = append(tasks, intervalPair{i, m})
 	}
-	aff := opts.Affinity
-	if aff == nil {
-		aff = cluster.Jaccard
-	} else if opts.UseSimJoin {
-		return nil, fmt.Errorf("clustergraph: UseSimJoin requires the default Jaccard affinity")
+	results, err := edgePairs(ctx, sets, tasks, opts)
+	if err != nil {
+		return nil, err
 	}
 
 	// Copy-on-write: fresh outer slices, shared inner lists except where
@@ -408,79 +432,20 @@ func ExtendCtx(ctx context.Context, g *Graph, sets [][]cluster.Cluster, opts Fro
 		newIDs[j] = id
 	}
 
-	// Only intervals within gap+1 of the new one can gain edges.
-	lo := max(0, m-g.gap-1)
-	tasks := make([]int, 0, m-lo)
-	for i := lo; i < m; i++ {
-		tasks = append(tasks, i)
-	}
-	width := opts.Parallelism
-	if width <= 0 {
-		width = runtime.GOMAXPROCS(0)
-	}
-	workers := min(width, len(tasks))
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		vocab    *simjoin.Vocab
-		recs     map[int][]simjoin.Record
-		innerPar = 1
-	)
-	if opts.UseSimJoin {
-		involved := make([][]cluster.Cluster, 0, len(tasks)+1)
-		for _, i := range tasks {
-			involved = append(involved, sets[i])
-		}
-		involved = append(involved, sets[m])
-		vocab = simjoin.NewVocab(involved...)
-		recs = make(map[int][]simjoin.Record, len(tasks)+1)
-		for _, i := range append(tasks, m) {
-			r, err := vocab.Records(sets[i])
-			if err != nil {
-				return nil, err
-			}
-			recs[i] = r
-		}
-		innerPar = max(1, width/workers)
-	}
-	run := func(i int) ([]simjoin.Pair, error) {
-		if opts.UseSimJoin {
-			return vocab.JoinRecords(recs[i], recs[m], theta, innerPar)
-		}
-		var out []simjoin.Pair
-		for a, ca := range sets[i] {
-			for bj, cb := range sets[m] {
-				if w := aff(ca, cb); w >= theta && w > 0 {
-					out = append(out, simjoin.Pair{Left: a, Right: bj, Sim: w})
-				}
-			}
-		}
-		return out, nil
-	}
-	results := make([][]simjoin.Pair, len(tasks))
-	if err := par.ForEachCtx(ctx, len(tasks), workers, func(ti int) error {
-		var err error
-		results[ti], err = run(tasks[ti])
-		return err
-	}); err != nil {
-		return nil, err
-	}
-
 	// Splice the new edges in. An old node's children list is shared
 	// with g, so it is deep-copied before the first append — mutating it
 	// in place (or re-sorting it) would corrupt the graph a previous
 	// generation is still serving.
 	touched := make(map[int64]bool)
-	for ti, i := range tasks {
+	for ti, t := range tasks {
 		for _, p := range results[ti] {
-			u, v := g.intervals[i][p.Left], newIDs[p.Right]
+			u, v := g.intervals[t.i][p.Left], newIDs[p.Right]
 			if !touched[u] {
 				ng.children[u] = append([]Half(nil), ng.children[u]...)
 				touched[u] = true
 			}
-			ng.children[u] = append(ng.children[u], Half{Peer: v, Weight: p.Sim, Length: m - i})
-			ng.parents[v] = append(ng.parents[v], Half{Peer: u, Weight: p.Sim, Length: m - i})
+			ng.children[u] = append(ng.children[u], Half{Peer: v, Weight: p.Sim, Length: m - t.i})
+			ng.parents[v] = append(ng.parents[v], Half{Peer: u, Weight: p.Sim, Length: m - t.i})
 			ng.edges++
 			if p.Sim > ng.maxWeight {
 				ng.maxWeight = p.Sim

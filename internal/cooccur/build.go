@@ -104,11 +104,6 @@ func BuildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts Buil
 		MemoryBudget: opts.SortMemoryBudget,
 		Parallelism:  par,
 		Ctx:          ctx,
-		// Every shard re-spills the interval's hot pairs on every spill;
-		// folding equal keys during the sorter's grouped pre-merge keeps
-		// the final merge (and aggregateSpilled's stream) proportional to
-		// the number of distinct pairs, not the number of spills.
-		Combine: combineSpillRecords,
 	})
 	// Error paths below may abandon the sorter after shards have
 	// spilled; Discard removes its temp files then (and is a no-op

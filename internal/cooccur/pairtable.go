@@ -168,27 +168,6 @@ func appendSpillRecord(b []byte, key uint64, count int64) []byte {
 	return strconv.AppendInt(b, count, 10)
 }
 
-// combineSpillRecords is the extsort pre-merge aggregation hook: two
-// adjacent records with the same 16-hex-digit key fold into one record
-// carrying the summed count. The combined record keeps the key prefix,
-// so it sorts identically to its inputs relative to every other key.
-// Malformed records are left alone (false) so the aggregation pass
-// downstream surfaces the error instead of it vanishing mid-merge.
-func combineSpillRecords(acc, next string) (string, bool) {
-	if len(acc) < 18 || len(next) < 18 || acc[:17] != next[:17] {
-		return "", false
-	}
-	key, ca, err := parseSpillRecord(acc)
-	if err != nil {
-		return "", false
-	}
-	_, cb, err := parseSpillRecord(next)
-	if err != nil {
-		return "", false
-	}
-	return string(appendSpillRecord(nil, key, ca+cb)), true
-}
-
 func parseSpillRecord(rec string) (key uint64, count int64, err error) {
 	if len(rec) < 18 || rec[16] != ' ' {
 		return 0, 0, fmt.Errorf("cooccur: malformed spill record %q", rec)

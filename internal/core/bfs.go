@@ -60,7 +60,7 @@ func newBFSRun(g *clustergraph.Graph, req Request, l int) *bfsRun {
 	r := &bfsRun{
 		g:        g,
 		l:        l,
-		fullPath: l == g.NumIntervals()-1 && !req.DisableFullPathFastPath,
+		fullPath: l == g.NumIntervals()-1 && !req.disableFullPathFastPath,
 		window:   req.MaxWindowNodes,
 		store:    newStoreBackend(req.Store),
 		perNode:  l,

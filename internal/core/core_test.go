@@ -72,7 +72,7 @@ func TestPaperSection42HeapContents(t *testing.T) {
 	defer st.Close()
 	// Use the generic (non-full-path) machinery so every h^x is
 	// maintained, as in the paper's walk-through.
-	if _, err := solve(g, Request{K: 2, L: 2, Store: st, DisableFullPathFastPath: true}); err != nil {
+	if _, err := solve(g, Request{K: 2, L: 2, Store: st, disableFullPathFastPath: true}); err != nil {
 		t.Fatalf("BFS: %v", err)
 	}
 	heaps := func(id int64) map[int][][]int64 {

@@ -84,7 +84,7 @@ func TestBFSDFSBruteEquivalence(t *testing.T) {
 				if !weightsAlmostEqual(ta.Weights(), want.Weights()) {
 					t.Errorf("TA weights %v != brute %v", ta.Weights(), want.Weights())
 				}
-				taNoBound, err := solve(g, Request{Algorithm: "ta", K: c.k, L: c.l, DisableBoundHashTables: true})
+				taNoBound, err := solve(g, Request{Algorithm: "ta", K: c.k, L: c.l, disableBoundHashTables: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -106,7 +106,7 @@ func TestBFSFastPathMatchesGeneric(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := solve(g, Request{K: 4, L: FullPaths, DisableFullPathFastPath: true})
+		slow, err := solve(g, Request{K: 4, L: FullPaths, disableFullPathFastPath: true})
 		if err != nil {
 			t.Fatal(err)
 		}

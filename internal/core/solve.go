@@ -55,9 +55,6 @@ type Request struct {
 	// passes — the Mreq/M-passes behaviour at the end of Section 4.2.
 	// Zero means unlimited.
 	MaxWindowNodes int
-	// DisableFullPathFastPath turns off BFS's single-heap optimization
-	// for l = m−1 (ablation).
-	DisableFullPathFastPath bool
 
 	// DisablePruning turns off DFS's maxweight/CanPrune machinery
 	// (ablation).
@@ -66,9 +63,6 @@ type Request struct {
 	// (ablation).
 	WorstFirstChildren bool
 
-	// DisableBoundHashTables turns off TA's startwts/endwts upper-bound
-	// optimization (ablation).
-	DisableBoundHashTables bool
 	// MaxSeeks aborts a TA run after this many random seeks (the paper
 	// reports TA needing up to m^(d−1) seeks). Zero means unlimited.
 	MaxSeeks int64
@@ -83,6 +77,18 @@ type Request struct {
 	// BeamWidth, when positive, caps each node's normalized candidate
 	// set to the BeamWidth highest-stability paths.
 	BeamWidth int
+
+	// Test seams, settable only inside this package: both optimizations
+	// pay (or cost nothing) on every measurement, so callers always get
+	// them; the generic paths stay as the reference the equivalence
+	// tests compare against.
+	//
+	// disableFullPathFastPath turns off BFS's single-heap optimization
+	// for l = m−1.
+	disableFullPathFastPath bool
+	// disableBoundHashTables turns off TA's startwts/endwts upper-bound
+	// optimization.
+	disableBoundHashTables bool
 }
 
 // validate checks the algorithm-independent fields.

@@ -33,7 +33,7 @@ func solveTA(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, 
 	r := &taRun{
 		g:        g,
 		k:        req.K,
-		useBound: !req.DisableBoundHashTables,
+		useBound: !req.disableBoundHashTables,
 		maxSeeks: req.MaxSeeks,
 		ctx:      ctx,
 		global:   topk.NewK(req.K),

@@ -9,7 +9,7 @@
 // The same code path is exercised whether or not a spill happens, so
 // tests can force tiny budgets while production callers use large ones.
 //
-// Two extensions serve the sharded keyword-graph pipeline
+// Three extensions serve the sharded keyword-graph pipeline
 // (internal/cooccur, see DESIGN.md):
 //
 //   - AddSortedRun accepts an already-sorted batch of records and spills
@@ -20,10 +20,6 @@
 //     Options.Parallelism) into longer runs before the final streaming
 //     heap merge, keeping the final merge cheap even after thousands of
 //     tiny spills.
-//   - Options.Combine lets those pre-merges fold aggregatable records
-//     (same key, combinable payloads) into one as they stream by, so
-//     hot keys that every producer re-spills collapse before the final
-//     merge instead of being carried to the consumer once per spill.
 //   - Options.Binary switches run files from newline-terminated text
 //     records to length-prefixed binary records (uvarint length +
 //     payload). Binary records may contain any byte, including '\n',
@@ -65,10 +61,6 @@ type Stats struct {
 	// SpilledBytes counts bytes written to run files (pre-merge passes
 	// excluded; this measures what the producers spilled).
 	SpilledBytes int64
-	// Combined counts records collapsed into their predecessor by
-	// Options.Combine during pre-merge passes. Zero when no Combine is
-	// set or no pre-merge ran.
-	Combined int64
 }
 
 // Options configures a Sorter.
@@ -91,24 +83,6 @@ type Options struct {
 	// the streaming merge poll it periodically and abort with its
 	// error. Nil means no cancellation.
 	Ctx context.Context
-	// Combine, when non-nil, folds aggregatable records together during
-	// the grouped pre-merge of spilled runs: when record next follows
-	// record acc in merge order, Combine(acc, next) may return a
-	// replacement for both and true, or ("", false) to keep them
-	// separate. Sorts whose producers spill many runs of repeated keys
-	// (e.g. pair-count spills, where each shard re-emits the same hot
-	// keys every spill) collapse duplicates early, shrinking every
-	// subsequent merge pass instead of carrying the repeats to the
-	// consumer.
-	//
-	// The combined record must sort exactly like the records it
-	// replaces relative to every other key (same key prefix, only the
-	// aggregated payload may differ), or the merge order breaks.
-	// Combine must be safe for concurrent use: pre-merge groups run in
-	// parallel. The final streaming merge does not apply Combine, so
-	// consumers must still aggregate adjacent equal-key records — with
-	// Combine the stream just contains far fewer of them.
-	Combine func(acc, next string) (string, bool)
 	// FS is the filesystem beneath run files. Nil means the OS
 	// passthrough; tests substitute a faultfs.Injector to prove the
 	// sorter cleans up its spills under injected ENOSPC/EIO faults.
@@ -419,13 +393,7 @@ func (s *Sorter) preMerge(runs []string) ([]string, error) {
 		go func(g int, group []string) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			var combined int64
-			out[g], combined, errs[g] = mergeRuns(s.dir, fmt.Sprintf("merge-%06d-%06d", len(runs), g), group, s.opts)
-			if combined > 0 {
-				s.mu.Lock()
-				s.stats.Combined += combined
-				s.mu.Unlock()
-			}
+			out[g], errs[g] = mergeRuns(s.dir, fmt.Sprintf("merge-%06d-%06d", len(runs), g), group, s.opts)
 		}(g, runs[lo:hi])
 	}
 	wg.Wait()
@@ -438,13 +406,12 @@ func (s *Sorter) preMerge(runs []string) ([]string, error) {
 }
 
 // mergeRuns streams the heap merge of the given run files into a single
-// new run file and deletes the inputs, folding aggregatable duplicates
-// with opts.Combine along the way (combined reports how many records
-// were collapsed). The merge loop polls opts.Ctx every ctxPollEvery
-// records so a canceled build stops burning I/O mid-merge.
-func mergeRuns(dir, name string, runs []string, opts Options) (path string, combined int64, err error) {
+// new run file and deletes the inputs. The merge loop polls opts.Ctx
+// every ctxPollEvery records so a canceled build stops burning I/O
+// mid-merge.
+func mergeRuns(dir, name string, runs []string, opts Options) (path string, err error) {
 	if len(runs) == 1 {
-		return runs[0], 0, nil
+		return runs[0], nil
 	}
 	var h mergeHeap
 	closeAll := func() {
@@ -456,7 +423,7 @@ func mergeRuns(dir, name string, runs []string, opts Options) (path string, comb
 		src, err := openRunSource(rn, opts.Binary, opts.FS)
 		if err != nil {
 			closeAll()
-			return "", 0, err
+			return "", err
 		}
 		if src.advance() {
 			h = append(h, src)
@@ -464,7 +431,7 @@ func mergeRuns(dir, name string, runs []string, opts Options) (path string, comb
 			src.close()
 			if src.err != nil {
 				closeAll()
-				return "", 0, src.err
+				return "", src.err
 			}
 		}
 	}
@@ -473,41 +440,17 @@ func mergeRuns(dir, name string, runs []string, opts Options) (path string, comb
 	f, err := opts.FS.Create(path)
 	if err != nil {
 		closeAll()
-		return "", 0, fmt.Errorf("extsort: create merged run: %w", err)
+		return "", fmt.Errorf("extsort: create merged run: %w", err)
 	}
 	w := getWriter(f)
-	fail := func(err error) (string, int64, error) {
+	fail := func(err error) (string, error) {
 		putWriter(w)
 		f.Close()
 		closeAll()
-		return "", 0, err
+		return "", err
 	}
 	var lenBuf []byte
 	var sinceCheck int
-	// With Combine, one record is held back (pending) instead of being
-	// written immediately: the next record in merge order either folds
-	// into it or flushes it. Without Combine every record is written as
-	// it is popped, exactly as before.
-	var pending string
-	var havePending bool
-	emit := func(rec string) error {
-		if opts.Combine == nil {
-			_, err := writeRecord(w, rec, opts.Binary, &lenBuf)
-			return err
-		}
-		if havePending {
-			if merged, ok := opts.Combine(pending, rec); ok {
-				pending = merged
-				combined++
-				return nil
-			}
-			if _, err := writeRecord(w, pending, opts.Binary, &lenBuf); err != nil {
-				return err
-			}
-		}
-		pending, havePending = rec, true
-		return nil
-	}
 	for len(h) > 0 {
 		if sinceCheck++; sinceCheck >= ctxPollEvery {
 			sinceCheck = 0
@@ -516,7 +459,7 @@ func mergeRuns(dir, name string, runs []string, opts Options) (path string, comb
 			}
 		}
 		src := h[0]
-		if err := emit(src.cur); err != nil {
+		if _, err := writeRecord(w, src.cur, opts.Binary, &lenBuf); err != nil {
 			return fail(fmt.Errorf("extsort: write merged run: %w", err))
 		}
 		if src.advance() {
@@ -529,24 +472,19 @@ func mergeRuns(dir, name string, runs []string, opts Options) (path string, comb
 			heap.Pop(&h)
 		}
 	}
-	if havePending {
-		if _, err := writeRecord(w, pending, opts.Binary, &lenBuf); err != nil {
-			return fail(fmt.Errorf("extsort: write merged run: %w", err))
-		}
-	}
 	err = w.Flush()
 	putWriter(w)
 	if err != nil {
 		f.Close()
-		return "", 0, fmt.Errorf("extsort: flush merged run: %w", err)
+		return "", fmt.Errorf("extsort: flush merged run: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return "", 0, fmt.Errorf("extsort: close merged run: %w", err)
+		return "", fmt.Errorf("extsort: close merged run: %w", err)
 	}
 	for _, rn := range runs {
 		opts.FS.Remove(rn)
 	}
-	return path, combined, nil
+	return path, nil
 }
 
 // Stats returns I/O statistics for the sort so far. Like Sort, it must

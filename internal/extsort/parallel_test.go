@@ -102,6 +102,9 @@ func TestParallelPreMerge(t *testing.T) {
 // abandoned after spills must not leave run files behind, while a
 // sorter whose iterator was taken leaves ownership with the iterator.
 func TestDiscardRemovesSpills(t *testing.T) {
+	// A private temp root: other packages' tests spill extsort-* dirs
+	// into the shared one while this test counts them.
+	t.Setenv("TMPDIR", t.TempDir())
 	countDirs := func() int {
 		m, err := filepath.Glob(filepath.Join(os.TempDir(), "extsort-*"))
 		if err != nil {

@@ -24,6 +24,12 @@ const (
 // Normalize); it is also the wire value the HTTP API and CLIs accept.
 const AlgorithmAuto = "auto"
 
+// MaxK is the largest result count a query may ask for. Solvers size
+// the global heap and every non-empty per-node heap by k, so an
+// unbounded k lets one request allocate without limit; the paper, the
+// experiments and the CLIs' defaults all use k ≤ 40.
+const MaxK = 1000
+
 // QuerySpec is the one normalized description of a stable-cluster
 // query, shared by the HTTP layer (parameter parsing and response-cache
 // keys) and the Engine (validation and dispatch). Normalizing once
@@ -38,7 +44,7 @@ type QuerySpec struct {
 	// "normalized"/"brute-normalized"; topk/diverse accept
 	// "bfs"/"dfs"/"ta"/"brute".
 	Algorithm string
-	// K is the result count; must be positive.
+	// K is the result count; must be in [1, MaxK].
 	K int
 	// L is the temporal length for topk/diverse; negative means full
 	// paths (normalized to -1).
@@ -122,6 +128,9 @@ func (s QuerySpec) Validate() error {
 	}
 	if s.K <= 0 {
 		return fmt.Errorf("%w: k must be positive, got %d", core.ErrInvalidRequest, s.K)
+	}
+	if s.K > MaxK {
+		return fmt.Errorf("%w: k must be at most %d, got %d", core.ErrInvalidRequest, MaxK, s.K)
 	}
 	info, ok := core.Lookup(s.Algorithm)
 	if !ok {

@@ -3,6 +3,8 @@ package plan
 import (
 	"errors"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -142,6 +144,7 @@ func TestValidate(t *testing.T) {
 		{Variant: VariantNormalized, Algorithm: "normalized", K: 2, LMin: 3},
 		{Variant: VariantDiverse, K: 3, L: 2, Mode: "disjoint"},
 		{Variant: VariantDiverse, K: 3, L: 2, Mode: "distinct-suffix"},
+		{K: MaxK},
 	}
 	for _, s := range valid {
 		if err := s.Validate(); err != nil {
@@ -152,6 +155,7 @@ func TestValidate(t *testing.T) {
 		{Variant: "quantum", K: 5},
 		{K: 0},
 		{K: -1},
+		{K: MaxK + 1},
 		{Algorithm: "astar", K: 5},
 		{Algorithm: "normalized", K: 5}, // normalized solver on a topk query
 		{Variant: VariantNormalized, Algorithm: "bfs", K: 5}, // topk solver on a normalized query
@@ -167,6 +171,11 @@ func TestValidate(t *testing.T) {
 		if !errors.Is(err, core.ErrInvalidRequest) {
 			t.Errorf("Validate(%+v) = %v, does not wrap ErrInvalidRequest", s, err)
 		}
+	}
+	// The ceiling's message names the bound, so a 400 tells the client
+	// what would have been accepted.
+	if err := (QuerySpec{K: MaxK + 1}).Validate(); err == nil || !strings.Contains(err.Error(), strconv.Itoa(MaxK)) {
+		t.Errorf("Validate(k=%d) = %v, want an error naming %d", MaxK+1, err, MaxK)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,10 +10,12 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	blogclusters "repro"
+	"repro/internal/plan"
 )
 
 // quietConfig returns a Config that logs nowhere, with the given
@@ -197,6 +200,45 @@ func TestBadParams(t *testing.T) {
 		if _, ok := m["error"].(string); !ok {
 			t.Errorf("%s: no error field in %v", path, m)
 		}
+	}
+}
+
+// countingSession counts the solves that reach the session.
+type countingSession struct {
+	Session
+	solves atomic.Int64
+}
+
+func (c *countingSession) Solve(ctx context.Context, spec blogclusters.QuerySpec) (*blogclusters.Result, error) {
+	c.solves.Add(1)
+	return c.Session.Solve(ctx, spec)
+}
+
+// TestStableClustersKCeiling pins the k ceiling end to end: one past
+// plan.MaxK is a 400 that names the bound and never reaches the
+// session (solvers size their heaps by k, so an unbounded k is an
+// allocation the client chooses); the bound itself is served.
+func TestStableClustersKCeiling(t *testing.T) {
+	srv, eng, ts := newTestServer(t, quietConfig(nil))
+	sess := &countingSession{Session: eng}
+	srv.SetEngine(sess)
+
+	resp, m := get(t, ts, fmt.Sprintf("/v1/stable-clusters?k=%d", plan.MaxK+1))
+	wantStatus(t, resp, m, http.StatusBadRequest)
+	if msg, _ := m["error"].(string); !strings.Contains(msg, fmt.Sprint(plan.MaxK)) {
+		t.Errorf("400 body does not name the bound %d: %v", plan.MaxK, m)
+	}
+	if n := sess.solves.Load(); n != 0 {
+		t.Fatalf("k over the ceiling reached the session: %d solves", n)
+	}
+	if text := scrapeMetrics(t, ts); strings.Contains(text, "engine_solve_duration_seconds_count") {
+		t.Error("rejected request left an engine_solve_duration_seconds sample")
+	}
+
+	resp, m = get(t, ts, fmt.Sprintf("/v1/stable-clusters?k=%d", plan.MaxK))
+	wantStatus(t, resp, m, 200)
+	if n := sess.solves.Load(); n != 1 {
+		t.Fatalf("k at the ceiling: %d solves, want 1", n)
 	}
 }
 

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# bench-pair: paired runs of one benchmark workload at a parent commit
-# and at the working tree, judged by the rule a performance claim has to
-# meet (choosing-metrics §8): at least ten pairs, alternating which side
-# runs first, a fresh seed per pair; a gain needs the change to win nine
+# bench-pair: paired runs of one benchmark workload (or, with `all`, of
+# each workload BENCHMARK.json names, one table each — what a change
+# that claims no gain has to show) at a parent commit and at the working
+# tree, judged by the rule a performance claim has to meet
+# (choosing-metrics §8): at least ten pairs, alternating which side runs
+# first, a fresh seed per pair; a gain needs the change to win nine
 # tenths of the pairs and the medians to lie further apart than the
 # parent's own interquartile range.
 #
-#   scripts/bench-pair.sh <parent-ref> <workload> [pairs=10]
+#   scripts/bench-pair.sh <parent-ref> <workload>|all [pairs=10]
 #   make bench-pair PARENT=HEAD~1 WORKLOAD=solve_paper
 #
 # The parent is exported (git archive, so .git is not touched and a
@@ -18,17 +20,20 @@
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
-	echo "usage: $0 <parent-ref> <workload> [pairs=10]" >&2
+	echo "usage: $0 <parent-ref> <workload>|all [pairs=10]" >&2
 	exit 2
 fi
 ref="$1"
-workload="$2"
+workloads="$2"
 pairs="${3:-10}"
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 work="$root/.bench_build/pair"
 parent="$work/parent"
 commit="$(git -C "$root" rev-parse --verify "$ref^{commit}")"
+if [ "$workloads" = all ]; then
+	workloads="$(python3 -c 'import json, sys; print(*[w["name"] for w in json.load(open(sys.argv[1]))["workloads"]])' "$root/BENCHMARK.json")"
+fi
 
 rm -rf "$parent"
 mkdir -p "$parent"
@@ -45,32 +50,33 @@ echo "bench-pair: building parent ${commit:0:12} and the working tree" >&2
 build "$parent"
 build "$root"
 
-# run <checkout> <seed>: one untraced run; the result is the last line
-# of standard output.
+# run <checkout> <seed>: one untraced run of $workload; the result is
+# the last line of standard output.
 run() {
 	(cd "$1/bench" && "$1/.bench_build/bin/bench" --workload "$workload" --seed "$2" --trace 0) | tail -n 1
 }
 
-: >"$work/parent.jsonl"
-: >"$work/change.jsonl"
-for i in $(seq 1 "$pairs"); do
-	seed=$((100 + i))
-	if [ $((i % 2)) -eq 1 ]; then
-		order="parent change"
-	else
-		order="change parent"
-	fi
-	for side in $order; do
-		echo "bench-pair: pair $i/$pairs seed $seed: $side" >&2
-		if [ "$side" = parent ]; then
-			run "$parent" "$seed" >>"$work/parent.jsonl"
+for workload in $workloads; do
+	: >"$work/parent.$workload.jsonl"
+	: >"$work/change.$workload.jsonl"
+	for i in $(seq 1 "$pairs"); do
+		seed=$((100 + i))
+		if [ $((i % 2)) -eq 1 ]; then
+			order="parent change"
 		else
-			run "$root" "$seed" >>"$work/change.jsonl"
+			order="change parent"
 		fi
+		for side in $order; do
+			echo "bench-pair: $workload pair $i/$pairs seed $seed: $side" >&2
+			if [ "$side" = parent ]; then
+				run "$parent" "$seed" >>"$work/parent.$workload.jsonl"
+			else
+				run "$root" "$seed" >>"$work/change.$workload.jsonl"
+			fi
+		done
 	done
-done
 
-python3 - "$root/BENCHMARK.json" "$work/parent.jsonl" "$work/change.jsonl" "$workload" "${commit:0:12}" <<'EOF'
+	python3 - "$root/BENCHMARK.json" "$work/parent.$workload.jsonl" "$work/change.$workload.jsonl" "$workload" "${commit:0:12}" <<'EOF'
 import json, statistics, sys
 
 bench, parent_file, change_file, workload, commit = sys.argv[1:]
@@ -109,3 +115,4 @@ for m in json.load(open(bench))["end_to_end"]:
     fmt = lambda a, b, c: f"{a:.5g} / {b:.5g} / {c:.5g}"
     print(f"{name:<20}{fmt(pq1, pmed, pq3):>40}{fmt(cq1, cmed, cq3):>40}  {won:>2}-{lost:<2}  {m['bound']:>5.0%}  {verdict}")
 EOF
+done

@@ -1,6 +1,6 @@
 package blogclusters
 
-// The six go-test benchmarks here (and BenchmarkShardScatterGather in
+// The five go-test benchmarks here (and BenchmarkShardScatterGather in
 // bench_shard_test.go) are NOT the repo's benchmark: bench/ +
 // BENCHMARK.json is, and it times every layer (DESIGN.md "Benchmarks").
 // Each function below stays only because an open ROADMAP decision still
@@ -10,7 +10,6 @@ package blogclusters
 
 import (
 	"context"
-	binenc "encoding/binary"
 	"fmt"
 	"testing"
 
@@ -19,7 +18,6 @@ import (
 	"repro/internal/cooccur"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/extsort"
 	"repro/internal/synth"
 )
 
@@ -216,67 +214,4 @@ func BenchmarkAblationParallelClusters(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkExtsortPostingRecords is the before/after line for the
-// external sorter's record formats on index-shaped data: "text" is the
-// original newline-terminated framing with the order-preserving hex
-// tuple encoding BuildDisk used through PR 3; "binary" is the
-// length-prefixed framing with big-endian fixed-width integers that
-// BuildDisk uses now. Both force spills and a multi-run merge, so the
-// measured delta is the full encode → spill → merge → decode path.
-// Kept for ROADMAP item 5b's remainder: the text mode still has one
-// production caller (cooccur's spill records) and bench/ passes
-// `Binary: true`; goes with the text mode.
-func BenchmarkExtsortPostingRecords(b *testing.B) {
-	const nRecords = 20000
-	terms := make([]string, 64)
-	for i := range terms {
-		terms[i] = fmt.Sprintf("keyword%02d", i)
-	}
-	run := func(b *testing.B, binary bool, encode func(interval int, term string, doc int64) string) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := extsort.NewWithOptions(extsort.Options{MemoryBudget: 64 << 10, Binary: binary})
-			for r := 0; r < nRecords; r++ {
-				rec := encode(r%7, terms[r%len(terms)], int64(r))
-				if err := s.Add(rec); err != nil {
-					b.Fatal(err)
-				}
-			}
-			it, err := s.Sort()
-			if err != nil {
-				b.Fatal(err)
-			}
-			n := 0
-			for {
-				if _, ok := it.Next(); !ok {
-					break
-				}
-				n++
-			}
-			if err := it.Err(); err != nil {
-				b.Fatal(err)
-			}
-			it.Close()
-			if n != nRecords {
-				b.Fatalf("lost records: %d of %d", n, nRecords)
-			}
-		}
-	}
-	b.Run("text", func(b *testing.B) {
-		run(b, false, func(interval int, term string, doc int64) string {
-			return fmt.Sprintf("%08x\x00%s\x00%016x", uint32(interval), term, uint64(doc))
-		})
-	})
-	b.Run("binary", func(b *testing.B) {
-		var buf []byte
-		run(b, true, func(interval int, term string, doc int64) string {
-			buf = binenc.BigEndian.AppendUint32(buf[:0], uint32(interval))
-			buf = append(buf, term...)
-			buf = append(buf, 0)
-			buf = binenc.BigEndian.AppendUint64(buf, uint64(doc))
-			return string(buf)
-		})
-	})
 }

@@ -15,6 +15,7 @@ package bicc
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/diskstore"
@@ -67,7 +68,7 @@ func (c Component) Vertices() []int32 {
 	for v := range set {
 		vs = append(vs, v)
 	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	slices.Sort(vs)
 	return vs
 }
 

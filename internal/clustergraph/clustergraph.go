@@ -11,10 +11,11 @@
 package clustergraph
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/par"
@@ -181,18 +182,28 @@ func (b *Builder) Build(normalize bool) *Graph {
 		g.maxWeight = 1
 	}
 	for _, hs := range g.children {
-		sort.SliceStable(hs, func(i, j int) bool {
-			if hs[i].Weight != hs[j].Weight {
-				return hs[i].Weight > hs[j].Weight
-			}
-			return hs[i].Peer < hs[j].Peer
-		})
+		slices.SortStableFunc(hs, byWeightDescThenPeer)
 	}
 	for _, hs := range g.parents {
-		sort.SliceStable(hs, func(i, j int) bool { return hs[i].Peer < hs[j].Peer })
+		slices.SortStableFunc(hs, byPeer)
 	}
 	return g
 }
+
+// byWeightDescThenPeer is the children order: heaviest edge first, ties
+// by ascending peer id.
+func byWeightDescThenPeer(a, b Half) int {
+	switch {
+	case a.Weight > b.Weight:
+		return -1
+	case a.Weight < b.Weight:
+		return 1
+	}
+	return cmp.Compare(a.Peer, b.Peer)
+}
+
+// byPeer is the parents order.
+func byPeer(a, b Half) int { return cmp.Compare(a.Peer, b.Peer) }
 
 // FromClustersOptions configures FromClusters.
 type FromClustersOptions struct {
@@ -454,16 +465,11 @@ func ExtendCtx(ctx context.Context, g *Graph, sets [][]cluster.Cluster, opts Fro
 	}
 	for u := range touched {
 		hs := ng.children[u]
-		sort.SliceStable(hs, func(i, j int) bool {
-			if hs[i].Weight != hs[j].Weight {
-				return hs[i].Weight > hs[j].Weight
-			}
-			return hs[i].Peer < hs[j].Peer
-		})
+		slices.SortStableFunc(hs, byWeightDescThenPeer)
 	}
 	for _, v := range newIDs {
 		hs := ng.parents[v]
-		sort.SliceStable(hs, func(i, j int) bool { return hs[i].Peer < hs[j].Peer })
+		slices.SortStableFunc(hs, byPeer)
 	}
 	return ng, nil
 }

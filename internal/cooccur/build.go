@@ -250,8 +250,7 @@ type buildShard struct {
 
 	ids     []int32     // per-document keyword-id scratch
 	scratch []pairEntry // spill extraction scratch
-	recs    []string    // spill record scratch
-	recBuf  []byte
+	recBuf  [spillRecordLen]byte
 }
 
 // processDocs counts every pair (including the diagonal (u,u) entries
@@ -285,7 +284,7 @@ func (sh *buildShard) processDocs(docs []*corpus.Document) error {
 	return nil
 }
 
-// spill writes the table's entries as one sorted run and resets it.
+// spill writes the table's entries as sorted runs and resets it.
 func (sh *buildShard) spill() error {
 	if sh.table.n == 0 {
 		return nil
@@ -293,31 +292,39 @@ func (sh *buildShard) spill() error {
 	entries := sh.table.appendEntries(sh.scratch[:0])
 	sh.scratch = entries[:0]
 	sortEntries(entries)
-	recs := sh.recs[:0]
-	for _, e := range entries {
-		sh.recBuf = appendSpillRecord(sh.recBuf[:0], e.key, e.count)
-		recs = append(recs, string(sh.recBuf))
-	}
-	sh.recs = recs[:0]
 	// Honor the sort-layer budget by splitting the sorted batch into
 	// runs of bounded byte size; each slice is itself sorted, so every
 	// piece is a valid run.
-	start, runBytes := 0, 0
-	for i, rec := range recs {
-		if sh.sortBudget > 0 && runBytes > 0 && runBytes+len(rec)+1 > sh.sortBudget {
-			if err := sh.sorter.AddSortedRun(recs[start:i]); err != nil {
-				return err
-			}
-			start, runBytes = i, 0
-		}
-		runBytes += len(rec) + 1
+	perRun := len(entries)
+	if sh.sortBudget > 0 {
+		perRun = max(1, sh.sortBudget/spillRecordLen)
 	}
-	if err := sh.sorter.AddSortedRun(recs[start:]); err != nil {
-		return err
+	for len(entries) > 0 {
+		n := min(perRun, len(entries))
+		if err := sh.writeRun(entries[:n]); err != nil {
+			return err
+		}
+		entries = entries[n:]
 	}
 	sh.table.reset()
 	sh.spilled = true
 	return nil
+}
+
+// writeRun streams sorted entries into the shared sorter as one run.
+func (sh *buildShard) writeRun(entries []pairEntry) error {
+	run, err := sh.sorter.NewRun()
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		putSpillRecord(&sh.recBuf, e.key, e.count)
+		if err := run.Append(sh.recBuf[:]); err != nil {
+			run.Close()
+			return err
+		}
+	}
+	return run.Close()
 }
 
 // aggregateSpilled drains every shard through the external sorter and

@@ -1,9 +1,9 @@
 package cooccur
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
-	"strconv"
 )
 
 // pairKey packs an ordered keyword-id pair (u ≤ v) into one uint64 so
@@ -121,16 +121,12 @@ func (t *pairTable) appendEntries(dst []pairEntry) []pairEntry {
 	return dst
 }
 
-// reset empties the table, shrinking it back to the minimum size so a
-// shard that just spilled returns to its small-footprint state.
+// reset empties the table in place. Capacity is kept: it is bounded by
+// the budget share whose overrun triggered the spill, and a shard that
+// spilled once will fill the table to that size again.
 func (t *pairTable) reset() {
-	if len(t.slots) > minTableSlots {
-		t.slots = make([]uint64, minTableSlots)
-		t.counts = make([]int64, minTableSlots)
-	} else {
-		clear(t.slots)
-		clear(t.counts)
-	}
+	clear(t.slots)
+	clear(t.counts)
 	t.n = 0
 }
 
@@ -149,45 +145,22 @@ func sortEntries(entries []pairEntry) {
 
 // --- spill record codec ---
 //
-// Spilled entries travel through internal/extsort as text records of
-// the form "<16 lowercase hex digits of key> <decimal count>". The
-// fixed-width key prefix makes lexicographic record order equal to
-// numeric key order, so identical keys from different shards are
-// adjacent in the merged stream and can be aggregated in one pass.
+// Spilled entries travel through internal/extsort as fixed 16-byte
+// records: the key then the count, both big-endian. Bytewise record
+// order is therefore numeric key order, so identical keys from
+// different shards are adjacent in the merged stream and can be
+// aggregated in one pass.
 
-const hexDigits = "0123456789abcdef"
+const spillRecordLen = 16
 
-func appendSpillRecord(b []byte, key uint64, count int64) []byte {
-	var kb [16]byte
-	for i := 15; i >= 0; i-- {
-		kb[i] = hexDigits[key&0xf]
-		key >>= 4
-	}
-	b = append(b, kb[:]...)
-	b = append(b, ' ')
-	return strconv.AppendInt(b, count, 10)
+func putSpillRecord(b *[spillRecordLen]byte, key uint64, count int64) {
+	binary.BigEndian.PutUint64(b[:8], key)
+	binary.BigEndian.PutUint64(b[8:], uint64(count))
 }
 
-func parseSpillRecord(rec string) (key uint64, count int64, err error) {
-	if len(rec) < 18 || rec[16] != ' ' {
+func parseSpillRecord(rec []byte) (key uint64, count int64, err error) {
+	if len(rec) != spillRecordLen {
 		return 0, 0, fmt.Errorf("cooccur: malformed spill record %q", rec)
 	}
-	for i := 0; i < 16; i++ {
-		c := rec[i]
-		var d uint64
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint64(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint64(c-'a') + 10
-		default:
-			return 0, 0, fmt.Errorf("cooccur: malformed spill key in %q", rec)
-		}
-		key = key<<4 | d
-	}
-	count, perr := strconv.ParseInt(rec[17:], 10, 64)
-	if perr != nil {
-		return 0, 0, fmt.Errorf("cooccur: malformed spill count in %q: %w", rec, perr)
-	}
-	return key, count, nil
+	return binary.BigEndian.Uint64(rec[:8]), int64(binary.BigEndian.Uint64(rec[8:])), nil
 }

@@ -1,6 +1,7 @@
 package cooccur
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
@@ -170,25 +171,32 @@ func TestMinPairCountParallel(t *testing.T) {
 	}
 }
 
+// TestSpillRecordRoundTrip pins the 16-byte spill codec: every
+// (key, count) survives, bytewise record order is key order, and a
+// record of any other length is rejected.
 func TestSpillRecordRoundTrip(t *testing.T) {
-	keys := []uint64{0, 1, pairKey(0, 1), pairKey(123456, 654321), pairKey(1<<31-1, 1<<31-1)}
+	keys := []uint64{0, 1, pairKey(0, 2), pairKey(123456, 654321), pairKey(1<<31-1, 1<<31-1)}
 	counts := []int64{1, 7, 1 << 40}
-	var buf []byte
-	for _, k := range keys {
+	var buf, prev [spillRecordLen]byte
+	for i, k := range keys {
 		for _, c := range counts {
-			buf = appendSpillRecord(buf[:0], k, c)
-			gk, gc, err := parseSpillRecord(string(buf))
+			putSpillRecord(&buf, k, c)
+			gk, gc, err := parseSpillRecord(buf[:])
 			if err != nil {
-				t.Fatalf("parse(%q): %v", buf, err)
+				t.Fatalf("parse(%x): %v", buf, err)
 			}
 			if gk != k || gc != c {
 				t.Fatalf("round trip (%d,%d) → (%d,%d)", k, c, gk, gc)
 			}
 		}
+		if i > 0 && bytes.Compare(prev[:], buf[:]) >= 0 {
+			t.Fatalf("record of key %d does not sort after key %d", k, keys[i-1])
+		}
+		prev = buf
 	}
-	for _, bad := range []string{"", "short", "zzzzzzzzzzzzzzzz 3", "0123456789abcdef x", "0123456789abcdef"} {
-		if _, _, err := parseSpillRecord(bad); err == nil {
-			t.Errorf("parseSpillRecord(%q) accepted", bad)
+	for _, n := range []int{0, 8, spillRecordLen - 1, spillRecordLen + 1} {
+		if _, _, err := parseSpillRecord(make([]byte, n)); err == nil {
+			t.Errorf("parseSpillRecord accepted a %d-byte record", n)
 		}
 	}
 }
@@ -220,8 +228,13 @@ func TestPairTable(t *testing.T) {
 			t.Fatalf("entries not strictly ascending at %d", i)
 		}
 	}
+	grown := len(pt.slots)
 	pt.reset()
-	if pt.n != 0 || len(pt.slots) != minTableSlots {
-		t.Fatalf("reset left n=%d cap=%d", pt.n, len(pt.slots))
+	if pt.n != 0 || len(pt.slots) != grown || len(pt.appendEntries(nil)) != 0 {
+		t.Fatalf("reset left n=%d cap=%d (was %d)", pt.n, len(pt.slots), grown)
+	}
+	pt.add(pairKey(1, 2), 5)
+	if got := pt.appendEntries(nil); len(got) != 1 || got[0] != (pairEntry{key: pairKey(1, 2), count: 5}) {
+		t.Fatalf("table after reset holds %v", got)
 	}
 }

@@ -1,4 +1,4 @@
-// Package extsort implements external-memory merge sort over string
+// Package extsort implements external-memory merge sort over byte
 // records.
 //
 // Section 3 of the paper sorts the file of emitted keyword pairs
@@ -9,23 +9,26 @@
 // The same code path is exercised whether or not a spill happens, so
 // tests can force tiny budgets while production callers use large ones.
 //
-// Three extensions serve the sharded keyword-graph pipeline
+// No record is ever a heap object of its own. Add copies a record into
+// one byte arena and describes it by a span {prefix, off, n}; sorting
+// moves spans, comparing the 8-byte big-endian prefix first and the
+// arena bytes only on a tie. Run files hold length-prefixed records
+// (uvarint length + payload, any byte allowed), each run source reads
+// into one reused buffer, and Iterator.Next hands out a view that is
+// valid until the following Next. Record order is plain bytewise
+// comparison.
+//
+// Two extensions serve the sharded keyword-graph pipeline
 // (internal/cooccur, see DESIGN.md):
 //
-//   - AddSortedRun accepts an already-sorted batch of records and spills
-//     it directly as a run, bypassing the Add buffer. It is safe for
+//   - NewRun streams an already-sorted sequence of records straight
+//     into a run file, bypassing the Add arena. It is safe for
 //     concurrent use, so parallel shards can spill into one Sorter.
 //   - When the number of runs exceeds the merge fan-in, groups of runs
 //     are pre-merged concurrently (one goroutine per group, capped by
 //     Options.Parallelism) into longer runs before the final streaming
 //     heap merge, keeping the final merge cheap even after thousands of
 //     tiny spills.
-//   - Options.Binary switches run files from newline-terminated text
-//     records to length-prefixed binary records (uvarint length +
-//     payload). Binary records may contain any byte, including '\n',
-//     and skip the per-record newline scan and the ParseX/FormatX
-//     round-trips text encodings force on callers; the record order is
-//     plain bytewise comparison either way.
 //
 // Long-running merges honor Options.Ctx: the pre-merge and streaming
 // merge loops poll for cancellation every few thousand records, so an
@@ -37,7 +40,7 @@ package extsort
 
 import (
 	"bufio"
-	"container/heap"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -45,7 +48,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/faultfs"
@@ -65,8 +67,8 @@ type Stats struct {
 
 // Options configures a Sorter.
 type Options struct {
-	// MemoryBudget is the in-memory buffer budget before Add spills a
-	// sorted run. Non-positive means DefaultMemoryBudget.
+	// MemoryBudget is the in-memory record-payload budget before Add
+	// spills a sorted run. Non-positive means DefaultMemoryBudget.
 	MemoryBudget int
 	// Parallelism caps the goroutines used to pre-merge runs when their
 	// count exceeds FanIn. Non-positive means GOMAXPROCS.
@@ -75,9 +77,9 @@ type Options struct {
 	// reads at once; more runs than this are first pre-merged in
 	// parallel groups of FanIn. Non-positive means DefaultFanIn.
 	FanIn int
-	// Binary stores run records length-prefixed (uvarint + payload)
-	// instead of newline-terminated, allowing arbitrary record bytes
-	// and skipping the newline validation scan.
+	// Binary is accepted and ignored: run files are always
+	// length-prefixed. The field stays only because bench/build.go
+	// names it and bench/ is frozen against performance PRs.
 	Binary bool
 	// Ctx, when non-nil, cancels long merge loops: pre-merge passes and
 	// the streaming merge poll it periodically and abort with its
@@ -94,24 +96,37 @@ func (o Options) ctxErr() error {
 	if o.Ctx == nil {
 		return nil
 	}
-	select {
-	case <-o.Ctx.Done():
-		return o.Ctx.Err()
-	default:
-		return nil
+	return o.Ctx.Err()
+}
+
+// span locates one buffered record in the arena. prefix is the
+// record's first 8 bytes, big-endian and zero-padded, so most
+// comparisons never touch the arena.
+type span struct {
+	prefix uint64
+	off, n uint32
+}
+
+func prefixOf(rec []byte) uint64 {
+	if len(rec) >= 8 {
+		return binary.BigEndian.Uint64(rec)
 	}
+	var p [8]byte
+	copy(p[:], rec)
+	return binary.BigEndian.Uint64(p[:])
 }
 
 // Sorter accumulates records and then streams them back in sorted order.
 // The zero value is not usable; call New or NewWithOptions.
 //
-// Add is intended for a single producing goroutine; AddSortedRun may be
-// called from many goroutines concurrently (also concurrently with one
-// Add producer).
+// Add and AddBytes are intended for a single producing goroutine;
+// NewRun and the Runs it returns may be used from many goroutines
+// concurrently (also concurrently with one Add producer), one goroutine
+// per Run.
 type Sorter struct {
 	opts       Options
-	buf        []string
-	bufBytes   int
+	arena      []byte // payload of every buffered record, back to back
+	spans      []span
 	addRecords int // Add-path record count; owned by the producer
 
 	mu            sync.Mutex // guards dir, runFiles, stats, finalized
@@ -129,6 +144,10 @@ const DefaultMemoryBudget = 64 << 20
 // DefaultFanIn is the maximum fan-in of the final streaming merge.
 const DefaultFanIn = 16
 
+// maxArena keeps span offsets inside uint32: the budget is clamped to
+// it and no single record may reach it, so the arena stays below 4 GiB.
+const maxArena = 1 << 31
+
 // New returns a Sorter that buffers up to maxBytes of record data in
 // memory before spilling a sorted run to a temporary file.
 func New(maxBytes int) *Sorter {
@@ -140,6 +159,7 @@ func NewWithOptions(opts Options) *Sorter {
 	if opts.MemoryBudget <= 0 {
 		opts.MemoryBudget = DefaultMemoryBudget
 	}
+	opts.MemoryBudget = min(opts.MemoryBudget, maxArena)
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -152,201 +172,179 @@ func NewWithOptions(opts Options) *Sorter {
 	return &Sorter{opts: opts}
 }
 
-// Add appends one record. Records must not contain '\n' unless the
-// sorter uses Options.Binary.
+// Add appends one record, copying it into the arena.
 //
 // Add is single-producer and never concurrent with Sort, so the hot
 // path reads finalized and counts records without taking the mutex;
 // only spills synchronize.
-func (s *Sorter) Add(rec string) error {
+func (s *Sorter) Add(rec string) error { return add(s, rec) }
+
+// AddBytes is Add for a byte record; rec may be reused by the caller
+// as soon as it returns.
+func (s *Sorter) AddBytes(rec []byte) error { return add(s, rec) }
+
+func add[T string | []byte](s *Sorter, rec T) error {
 	if s.finalized {
 		return fmt.Errorf("extsort: Add after Sort")
 	}
-	if !s.opts.Binary && strings.ContainsRune(rec, '\n') {
-		return fmt.Errorf("extsort: record contains newline: %q", rec)
+	if len(rec) >= maxArena {
+		return fmt.Errorf("extsort: record of %d bytes is too large", len(rec))
 	}
-	s.buf = append(s.buf, rec)
-	s.bufBytes += len(rec)
+	off := len(s.arena)
+	s.arena = append(s.arena, rec...)
+	s.spans = append(s.spans, span{prefix: prefixOf(s.arena[off:]), off: uint32(off), n: uint32(len(rec))})
 	s.addRecords++
-	if s.bufBytes >= s.opts.MemoryBudget {
+	if len(s.arena) >= s.opts.MemoryBudget {
 		return s.spill()
 	}
 	return nil
 }
 
-// AddSortedRun spills recs, which must already be in ascending order, as
-// one run. The records are written out immediately; recs may be reused
-// by the caller afterwards. Safe for concurrent use. Records must not
-// contain '\n' unless the sorter uses Options.Binary.
-func (s *Sorter) AddSortedRun(recs []string) error {
-	if s.isFinalized() {
-		return fmt.Errorf("extsort: AddSortedRun after Sort")
-	}
-	if len(recs) == 0 {
-		return nil
-	}
-	for i, rec := range recs {
-		if !s.opts.Binary && strings.ContainsRune(rec, '\n') {
-			return fmt.Errorf("extsort: record contains newline: %q", rec)
+// sortSpans orders the buffered records bytewise.
+func (s *Sorter) sortSpans() {
+	arena := s.arena
+	slices.SortFunc(s.spans, func(a, b span) int {
+		if a.prefix != b.prefix {
+			if a.prefix < b.prefix {
+				return -1
+			}
+			return 1
 		}
-		if i > 0 && recs[i-1] > rec {
-			return fmt.Errorf("extsort: AddSortedRun records out of order at %d (%q > %q)", i, recs[i-1], rec)
-		}
-	}
-	if err := s.writeRun(recs); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.stats.Records += len(recs)
-	s.mu.Unlock()
-	return nil
+		return bytes.Compare(arena[a.off:a.off+a.n], arena[b.off:b.off+b.n])
+	})
 }
 
-func (s *Sorter) isFinalized() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.finalized
-}
-
+// spill writes the buffered records as one sorted run and empties the
+// arena.
 func (s *Sorter) spill() error {
-	if len(s.buf) == 0 {
+	if len(s.spans) == 0 {
 		return nil
 	}
-	slices.Sort(s.buf)
-	if err := s.writeRun(s.buf); err != nil {
+	s.sortSpans()
+	run, err := s.NewRun()
+	if err != nil {
 		return err
 	}
-	s.buf = s.buf[:0]
-	s.bufBytes = 0
-	return nil
+	for _, sp := range s.spans {
+		if err = run.rf.append(s.arena[sp.off : sp.off+sp.n]); err != nil {
+			break
+		}
+	}
+	if cerr := run.Close(); err == nil {
+		err = cerr
+	}
+	s.arena = s.arena[:0]
+	s.spans = s.spans[:0]
+	return err
 }
 
-// tempDir lazily creates the run directory. Callers must not hold mu.
-func (s *Sorter) tempDir() (string, error) {
+// Run streams one caller-sorted run into the sorter. Obtain it from
+// NewRun, Append records in ascending order, then Close. A Run is used
+// by one goroutine; different Runs of one Sorter may be written
+// concurrently.
+type Run struct {
+	s    *Sorter
+	rf   *runFile
+	prev []byte // last appended record, for the order check
+	n    int
+}
+
+// NewRun starts a run file that bypasses the Add arena. The caller must
+// Close the Run, also after a failed Append. Safe for concurrent use.
+func (s *Sorter) NewRun() (*Run, error) {
+	if err := s.opts.ctxErr(); err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	if s.finalized {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("extsort: NewRun after Sort")
+	}
 	if s.dir == "" {
 		dir, err := s.opts.FS.MkdirTemp("", "extsort-")
 		if err != nil {
-			return "", fmt.Errorf("extsort: create temp dir: %w", err)
+			s.mu.Unlock()
+			return nil, fmt.Errorf("extsort: create temp dir: %w", err)
 		}
 		s.dir = dir
 	}
-	return s.dir, nil
-}
-
-// registerRun reserves the next run filename.
-func (s *Sorter) registerRun(dir string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	name := filepath.Join(dir, fmt.Sprintf("run-%06d", len(s.runFiles)))
+	name := filepath.Join(s.dir, fmt.Sprintf("run-%06d", len(s.runFiles)))
 	s.runFiles = append(s.runFiles, name)
 	s.stats.Runs++
-	return name
+	s.mu.Unlock()
+	rf, err := createRunFile(s.opts.FS, name)
+	if err != nil {
+		return nil, err
+	}
+	return &Run{s: s, rf: rf}, nil
 }
 
-// writeRun streams one sorted batch to a fresh run file, framed per
-// the sorter's record format (newline-terminated text or
-// length-prefixed binary).
-func (s *Sorter) writeRun(recs []string) error {
-	if err := s.opts.ctxErr(); err != nil {
-		return err
+// Append writes rec, which must not sort below the previous record of
+// this Run. rec may be reused by the caller as soon as Append returns.
+func (r *Run) Append(rec []byte) error {
+	if r.n > 0 && bytes.Compare(r.prev, rec) > 0 {
+		return fmt.Errorf("extsort: run records out of order at %d (%q > %q)", r.n, r.prev, rec)
 	}
-	dir, err := s.tempDir()
-	if err != nil {
-		return err
-	}
-	name := s.registerRun(dir)
-	f, err := s.opts.FS.Create(name)
-	if err != nil {
-		return fmt.Errorf("extsort: create run file: %w", err)
-	}
-	w := getWriter(f)
-	var written int64
-	var lenBuf []byte
-	for _, rec := range recs {
-		n, err := writeRecord(w, rec, s.opts.Binary, &lenBuf)
-		if err != nil {
-			putWriter(w)
-			f.Close()
-			return fmt.Errorf("extsort: write run: %w", err)
-		}
-		written += int64(n)
-	}
-	err = w.Flush()
-	putWriter(w)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("extsort: flush run: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("extsort: close run: %w", err)
-	}
-	s.mu.Lock()
-	s.stats.SpilledBytes += written
-	s.mu.Unlock()
-	return nil
+	r.prev = append(r.prev[:0], rec...)
+	r.n++
+	return r.rf.append(rec)
+}
+
+// Close completes the run and counts its records and bytes.
+func (r *Run) Close() error {
+	err := r.rf.close()
+	r.s.mu.Lock()
+	r.s.stats.Records += r.n
+	r.s.stats.SpilledBytes += r.rf.written
+	r.s.mu.Unlock()
+	return err
 }
 
 // Sort finalizes the sorter and returns an iterator over all records in
 // ascending order. The caller must Close the iterator, which also
 // removes any temporary files. Sort must not be called concurrently
-// with Add or AddSortedRun.
+// with Add or while a Run is open.
 func (s *Sorter) Sort() (*Iterator, error) {
 	s.mu.Lock()
 	if s.finalized {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("extsort: Sort called twice")
 	}
-	s.finalized = true
 	spilled := len(s.runFiles) > 0
 	s.mu.Unlock()
-
+	var err error
+	if spilled {
+		// Spill the tail so the merge only deals with files; NewRun
+		// refuses once the sorter is finalized, so this comes first.
+		err = s.spill()
+	}
+	s.mu.Lock()
+	s.finalized = true
+	runs := s.runFiles
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	if !spilled {
 		// Pure in-memory path.
-		slices.Sort(s.buf)
-		return &Iterator{mem: s.buf}, nil
+		s.sortSpans()
+		return &Iterator{arena: s.arena, spans: s.spans}, nil
 	}
-	// Spill the tail so the merge only deals with files.
-	if len(s.buf) > 0 {
-		slices.Sort(s.buf)
-		if err := s.writeRun(s.buf); err != nil {
-			return nil, err
-		}
-		s.buf = nil
-	}
-	runs := s.runFiles
+	s.arena, s.spans = nil, nil
 	// Pre-merge in parallel until the final merge's fan-in is modest.
-	for len(runs) > s.opts.FanIn {
-		if err := s.opts.ctxErr(); err != nil {
-			s.opts.FS.RemoveAll(s.dir)
-			return nil, err
+	for len(runs) > s.opts.FanIn && err == nil {
+		if err = s.opts.ctxErr(); err == nil {
+			runs, err = s.preMerge(runs)
 		}
-		merged, err := s.preMerge(runs)
-		if err != nil {
-			s.opts.FS.RemoveAll(s.dir)
-			return nil, err
-		}
-		runs = merged
 	}
 	it := &Iterator{dir: s.dir, fs: s.opts.FS}
-	for _, name := range runs {
-		src, err := openRunSource(name, s.opts.Binary, s.opts.FS)
-		if err != nil {
-			it.Close()
-			return nil, err
-		}
-		if src.advance() {
-			it.h = append(it.h, src)
-		} else {
-			src.close()
-			if src.err != nil {
-				it.Close()
-				return nil, src.err
-			}
-		}
+	if err == nil {
+		it.m, err = openMerger(runs, s.opts.FS)
 	}
-	heap.Init(&it.h)
+	if err != nil {
+		it.Close() // removes the run files
+		return nil, err
+	}
 	s.mu.Lock()
 	s.iteratorTaken = true
 	s.mu.Unlock()
@@ -384,10 +382,7 @@ func (s *Sorter) preMerge(runs []string) ([]string, error) {
 	sem := make(chan struct{}, s.opts.Parallelism)
 	var wg sync.WaitGroup
 	for g := 0; g < groups; g++ {
-		lo, hi := g*fanIn, (g+1)*fanIn
-		if hi > len(runs) {
-			hi = len(runs)
-		}
+		lo, hi := g*fanIn, min((g+1)*fanIn, len(runs))
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(g int, group []string) {
@@ -409,77 +404,38 @@ func (s *Sorter) preMerge(runs []string) ([]string, error) {
 // new run file and deletes the inputs. The merge loop polls opts.Ctx
 // every ctxPollEvery records so a canceled build stops burning I/O
 // mid-merge.
-func mergeRuns(dir, name string, runs []string, opts Options) (path string, err error) {
+func mergeRuns(dir, name string, runs []string, opts Options) (string, error) {
 	if len(runs) == 1 {
 		return runs[0], nil
 	}
-	var h mergeHeap
-	closeAll := func() {
-		for _, src := range h {
-			src.close()
-		}
-	}
-	for _, rn := range runs {
-		src, err := openRunSource(rn, opts.Binary, opts.FS)
-		if err != nil {
-			closeAll()
-			return "", err
-		}
-		if src.advance() {
-			h = append(h, src)
-		} else {
-			src.close()
-			if src.err != nil {
-				closeAll()
-				return "", src.err
-			}
-		}
-	}
-	heap.Init(&h)
-	path = filepath.Join(dir, name)
-	f, err := opts.FS.Create(path)
+	m, err := openMerger(runs, opts.FS)
 	if err != nil {
-		closeAll()
-		return "", fmt.Errorf("extsort: create merged run: %w", err)
-	}
-	w := getWriter(f)
-	fail := func(err error) (string, error) {
-		putWriter(w)
-		f.Close()
-		closeAll()
 		return "", err
 	}
-	var lenBuf []byte
-	var sinceCheck int
-	for len(h) > 0 {
-		if sinceCheck++; sinceCheck >= ctxPollEvery {
-			sinceCheck = 0
-			if err := opts.ctxErr(); err != nil {
-				return fail(err)
-			}
-		}
-		src := h[0]
-		if _, err := writeRecord(w, src.cur, opts.Binary, &lenBuf); err != nil {
-			return fail(fmt.Errorf("extsort: write merged run: %w", err))
-		}
-		if src.advance() {
-			heap.Fix(&h, 0)
-		} else {
-			if src.err != nil {
-				return fail(src.err)
-			}
-			src.close()
-			heap.Pop(&h)
-		}
-	}
-	err = w.Flush()
-	putWriter(w)
+	defer m.close()
+	path := filepath.Join(dir, name)
+	rf, err := createRunFile(opts.FS, path)
 	if err != nil {
-		f.Close()
-		return "", fmt.Errorf("extsort: flush merged run: %w", err)
+		return "", err
 	}
-	if err := f.Close(); err != nil {
-		return "", fmt.Errorf("extsort: close merged run: %w", err)
+	for n := 1; err == nil; n++ {
+		if n%ctxPollEvery == 0 {
+			if err = opts.ctxErr(); err != nil {
+				break
+			}
+		}
+		rec, ok := m.next()
+		if !ok {
+			err = m.err
+			break
+		}
+		err = rf.append(rec)
+	}
+	if cerr := rf.close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return "", err
 	}
 	for _, rn := range runs {
 		opts.FS.Remove(rn)
@@ -506,192 +462,230 @@ const ioBufSize = 256 << 10
 // that cancellation lands within microseconds of work.
 const ctxPollEvery = 4096
 
-// writeRecord frames one record: uvarint length + payload in binary
-// mode, the record + '\n' in text mode. Returns the bytes written.
-// *lenBuf is reused across calls for the uvarint scratch.
-func writeRecord(w *bufio.Writer, rec string, bin bool, lenBuf *[]byte) (int, error) {
-	if !bin {
-		n, err := w.WriteString(rec)
-		if err == nil {
-			err = w.WriteByte('\n')
-		}
-		return n + 1, err
-	}
-	b := binary.AppendUvarint((*lenBuf)[:0], uint64(len(rec)))
-	*lenBuf = b
-	if _, err := w.Write(b); err != nil {
-		return 0, err
-	}
-	n, err := w.WriteString(rec)
-	return len(b) + n, err
-}
-
 var writerPool = sync.Pool{
 	New: func() any { return bufio.NewWriterSize(io.Discard, ioBufSize) },
-}
-
-func getWriter(w io.Writer) *bufio.Writer {
-	bw := writerPool.Get().(*bufio.Writer)
-	bw.Reset(w)
-	return bw
-}
-
-func putWriter(bw *bufio.Writer) {
-	bw.Reset(io.Discard)
-	writerPool.Put(bw)
 }
 
 var readerPool = sync.Pool{
 	New: func() any { return bufio.NewReaderSize(nil, ioBufSize) },
 }
 
-// runSource reads one sorted run file (text or binary framing).
-type runSource struct {
-	f    faultfs.File
-	br   *bufio.Reader
-	bin  bool
-	buf  []byte // binary-mode payload scratch
-	cur  string
-	err  error
-	done bool
+// runFile writes one run: records framed as uvarint length + payload.
+type runFile struct {
+	f       faultfs.File
+	w       *bufio.Writer
+	written int64
+	lenBuf  [binary.MaxVarintLen64]byte
 }
 
-func openRunSource(name string, bin bool, fs faultfs.FS) (*runSource, error) {
+func createRunFile(fs faultfs.FS, name string) (*runFile, error) {
+	f, err := fs.Create(name)
+	if err != nil {
+		return nil, fmt.Errorf("extsort: create run file: %w", err)
+	}
+	w := writerPool.Get().(*bufio.Writer)
+	w.Reset(f)
+	return &runFile{f: f, w: w}, nil
+}
+
+func (rf *runFile) append(rec []byte) error {
+	n := binary.PutUvarint(rf.lenBuf[:], uint64(len(rec)))
+	if _, err := rf.w.Write(rf.lenBuf[:n]); err != nil {
+		return fmt.Errorf("extsort: write run: %w", err)
+	}
+	if _, err := rf.w.Write(rec); err != nil {
+		return fmt.Errorf("extsort: write run: %w", err)
+	}
+	rf.written += int64(n + len(rec))
+	return nil
+}
+
+// close flushes and closes the file, also on error paths, where the
+// caller drops its result. A write error is sticky in the bufio.Writer,
+// so a run whose append failed fails here too.
+func (rf *runFile) close() error {
+	err := rf.w.Flush()
+	rf.w.Reset(io.Discard)
+	writerPool.Put(rf.w)
+	if err != nil {
+		rf.f.Close()
+		return fmt.Errorf("extsort: flush run: %w", err)
+	}
+	if err := rf.f.Close(); err != nil {
+		return fmt.Errorf("extsort: close run: %w", err)
+	}
+	return nil
+}
+
+// runSource reads one sorted run file. cur is the current record, held
+// in a buffer the next advance overwrites.
+type runSource struct {
+	f   faultfs.File
+	br  *bufio.Reader
+	cur []byte
+	err error
+}
+
+func openRunSource(name string, fs faultfs.FS) (*runSource, error) {
 	f, err := fs.Open(name)
 	if err != nil {
 		return nil, fmt.Errorf("extsort: open run: %w", err)
 	}
 	br := readerPool.Get().(*bufio.Reader)
 	br.Reset(f)
-	return &runSource{f: f, br: br, bin: bin}, nil
+	return &runSource{f: f, br: br}, nil
 }
 
+// advance reads the next length-prefixed record into cur.
 func (r *runSource) advance() bool {
-	if r.bin {
-		return r.advanceBinary()
-	}
-	line, err := r.br.ReadString('\n')
-	if err == nil {
-		r.cur = line[:len(line)-1]
-		return true
-	}
-	if err == io.EOF {
-		if len(line) > 0 {
-			// Final record without trailing newline (not produced by our
-			// writers, but tolerated).
-			r.cur = line
-			return true
-		}
-	} else {
-		r.err = err
-	}
-	r.done = true
-	return false
-}
-
-// advanceBinary reads one length-prefixed record.
-func (r *runSource) advanceBinary() bool {
 	n, err := binary.ReadUvarint(r.br)
 	if err != nil {
 		if err != io.EOF {
 			r.err = fmt.Errorf("extsort: read run record length: %w", err)
 		}
-		r.done = true
 		return false
 	}
-	if cap(r.buf) < int(n) {
-		r.buf = make([]byte, n)
+	if n >= maxArena {
+		r.err = fmt.Errorf("extsort: run record length %d is corrupt", n)
+		return false
 	}
-	buf := r.buf[:n]
-	if _, err := io.ReadFull(r.br, buf); err != nil {
+	r.cur = slices.Grow(r.cur[:0], int(n))[:n]
+	if _, err := io.ReadFull(r.br, r.cur); err != nil {
 		r.err = fmt.Errorf("extsort: read run record: %w", err)
-		r.done = true
 		return false
 	}
-	r.cur = string(buf)
 	return true
 }
 
 func (r *runSource) close() {
-	if r.br != nil {
-		r.br.Reset(nil)
-		readerPool.Put(r.br)
-		r.br = nil
+	r.br.Reset(nil)
+	readerPool.Put(r.br)
+	r.f.Close()
+}
+
+// merger is the k-way merge of open run sources: a min-heap ordered by
+// current record. The record next returns is a view of its source's
+// buffer, so the source is advanced lazily, on the following next.
+type merger struct {
+	h       []*runSource
+	pending bool // h[0]'s record is handed out and not yet consumed
+	err     error
+}
+
+// openMerger opens every run and primes the heap. On error everything
+// it opened is closed again.
+func openMerger(runs []string, fs faultfs.FS) (merger, error) {
+	var m merger
+	for _, name := range runs {
+		src, err := openRunSource(name, fs)
+		if err != nil {
+			m.close()
+			return merger{}, err
+		}
+		if src.advance() {
+			m.h = append(m.h, src)
+			continue
+		}
+		src.close()
+		if src.err != nil {
+			m.close()
+			return merger{}, src.err
+		}
 	}
-	if r.f != nil {
-		r.f.Close()
-		r.f = nil
+	for i := len(m.h)/2 - 1; i >= 0; i-- {
+		m.down(i)
+	}
+	return m, nil
+}
+
+// down restores the heap below slot i.
+func (m *merger) down(i int) {
+	h := m.h
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && bytes.Compare(h[c+1].cur, h[c].cur) < 0 {
+			c++
+		}
+		if bytes.Compare(h[c].cur, h[i].cur) >= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 
-// mergeHeap is a min-heap of run sources ordered by current record.
-type mergeHeap []*runSource
+// next returns the smallest unread record, valid until the following
+// call. ok is false at the end of the stream or on a read error, which
+// is then in m.err.
+func (m *merger) next() (rec []byte, ok bool) {
+	if m.err != nil {
+		return nil, false
+	}
+	if m.pending {
+		m.pending = false
+		src := m.h[0]
+		if !src.advance() {
+			if src.err != nil {
+				m.err = src.err
+				return nil, false
+			}
+			src.close()
+			last := len(m.h) - 1
+			m.h[0] = m.h[last]
+			m.h = m.h[:last]
+		}
+		m.down(0)
+	}
+	if len(m.h) == 0 {
+		return nil, false
+	}
+	m.pending = true
+	return m.h[0].cur, true
+}
 
-func (h mergeHeap) Len() int            { return len(h) }
-func (h mergeHeap) Less(i, j int) bool  { return h[i].cur < h[j].cur }
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(*runSource)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (m *merger) close() {
+	for _, src := range m.h {
+		src.close()
+	}
+	m.h = nil
 }
 
 // Iterator yields records in sorted order.
 type Iterator struct {
 	// In-memory path.
-	mem []string
-	pos int
+	arena []byte
+	spans []span
+	pos   int
 	// Merge path.
 	dir string
 	fs  faultfs.FS
-	h   mergeHeap
-	err error
+	m   merger
 }
 
-// Next returns the next record. ok is false when the stream is
-// exhausted or an error occurred; check Err afterwards.
-func (it *Iterator) Next() (rec string, ok bool) {
-	if it.err != nil {
-		return "", false
+// Next returns the next record. The slice is only valid until the
+// following call to Next; copy it to keep it. ok is false when the
+// stream is exhausted or an error occurred; check Err afterwards.
+func (it *Iterator) Next() (rec []byte, ok bool) {
+	if it.dir != "" {
+		return it.m.next()
 	}
-	if it.dir == "" {
-		if it.pos >= len(it.mem) {
-			return "", false
-		}
-		rec = it.mem[it.pos]
-		it.pos++
-		return rec, true
+	if it.pos >= len(it.spans) {
+		return nil, false
 	}
-	if len(it.h) == 0 {
-		return "", false
-	}
-	src := it.h[0]
-	rec = src.cur
-	if src.advance() {
-		heap.Fix(&it.h, 0)
-	} else {
-		if src.err != nil {
-			it.err = src.err
-			return "", false
-		}
-		src.close()
-		heap.Pop(&it.h)
-	}
-	return rec, true
+	sp := it.spans[it.pos]
+	it.pos++
+	return it.arena[sp.off : sp.off+sp.n], true
 }
 
 // Err returns the first error encountered while iterating.
-func (it *Iterator) Err() error { return it.err }
+func (it *Iterator) Err() error { return it.m.err }
 
 // Close releases run files and the temporary directory.
 func (it *Iterator) Close() error {
-	for _, src := range it.h {
-		src.close()
-	}
-	it.h = nil
+	it.m.close()
 	if it.dir != "" {
 		if err := it.fs.RemoveAll(it.dir); err != nil {
 			return fmt.Errorf("extsort: remove temp dir: %w", err)

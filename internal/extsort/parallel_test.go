@@ -10,27 +10,40 @@ import (
 	"testing"
 )
 
-// TestAddSortedRun spills pre-sorted batches from several goroutines
-// concurrently with a regular Add producer and checks the merged stream.
+// addRun streams recs, which must be ascending, into s as one run.
+func addRun(s *Sorter, recs []string) error {
+	run, err := s.NewRun()
+	if err != nil {
+		return err
+	}
+	for _, r := range recs {
+		if err := run.Append([]byte(r)); err != nil {
+			run.Close()
+			return err
+		}
+	}
+	return run.Close()
+}
+
+// TestAddSortedRun streams pre-sorted runs from several goroutines
+// concurrently with a regular Add producer and checks the merged
+// stream; under -race it is the concurrency check for NewRun.
 func TestAddSortedRun(t *testing.T) {
 	s := NewWithOptions(Options{MemoryBudget: 64, FanIn: 4})
 	var want []string
 
 	var wg sync.WaitGroup
-	var mu sync.Mutex
 	for w := 0; w < 4; w++ {
 		batch := make([]string, 0, 50)
 		for i := 0; i < 50; i++ {
 			batch = append(batch, fmt.Sprintf("run%d-%04d", w, i))
 		}
-		mu.Lock()
 		want = append(want, batch...)
-		mu.Unlock()
 		wg.Add(1)
 		go func(batch []string) {
 			defer wg.Done()
-			if err := s.AddSortedRun(batch); err != nil {
-				t.Errorf("AddSortedRun: %v", err)
+			if err := addRun(s, batch); err != nil {
+				t.Errorf("run: %v", err)
 			}
 		}(batch)
 	}
@@ -57,15 +70,37 @@ func TestAddSortedRun(t *testing.T) {
 	}
 }
 
+// TestBinaryAddSortedRun sends records with newline and NUL bytes
+// through the run writer, equal neighbours included.
+func TestBinaryAddSortedRun(t *testing.T) {
+	s := New(0)
+	if err := addRun(s, []string{"a\n1", "a\n2", "a\n2", "b\x00"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := addRun(s, []string{"a\n0", "c"}); err != nil {
+		t.Fatal(err)
+	}
+	it, err := s.Sort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := drain(t, it)
+	want := []string{"a\n0", "a\n1", "a\n2", "a\n2", "b\x00", "c"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("got %q, want %q", got, want)
+	}
+}
+
 func TestAddSortedRunRejectsUnsorted(t *testing.T) {
 	s := New(1024)
-	if err := s.AddSortedRun([]string{"b", "a"}); err == nil {
-		t.Fatal("unsorted run accepted")
+	defer s.Discard()
+	if err := addRun(s, []string{"b", "a"}); err == nil {
+		t.Fatal("out-of-order Append accepted")
 	}
-	if err := s.AddSortedRun([]string{"a", "bad\nrec"}); err == nil {
-		t.Fatal("run with newline accepted")
+	if err := addRun(s, []string{"12345678b", "12345678a"}); err == nil {
+		t.Fatal("Append out of order past the prefix accepted")
 	}
-	if err := s.AddSortedRun(nil); err != nil {
+	if err := addRun(s, nil); err != nil {
 		t.Fatalf("empty run rejected: %v", err)
 	}
 }
@@ -160,7 +195,7 @@ func TestAddSortedRunAfterSortFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	it.Close()
-	if err := s.AddSortedRun([]string{"x"}); err == nil {
-		t.Fatal("AddSortedRun after Sort succeeded")
+	if _, err := s.NewRun(); err == nil {
+		t.Fatal("NewRun after Sort succeeded")
 	}
 }

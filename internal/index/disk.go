@@ -54,10 +54,8 @@ const (
 // record whose bytewise order equals the tuple order: big-endian
 // fixed-width integers (byte order is monotonic in the value) and a
 // NUL terminator after the term (NUL sorts before every valid term
-// byte, so "ab" precedes "abc"). The records ride extsort's
-// length-prefixed binary run format — 13 bytes of framing per posting
-// instead of the 26 hex digits the original newline-terminated text
-// encoding spent, and no ParseUint on the way back out.
+// byte, so "ab" precedes "abc"): 13 bytes of framing per posting and
+// two fixed-width reads on the way back out.
 func encodePosting(buf []byte, interval int, term string, doc int64) []byte {
 	buf = binary.BigEndian.AppendUint32(buf[:0], uint32(interval))
 	buf = append(buf, term...)
@@ -67,15 +65,13 @@ func encodePosting(buf []byte, interval int, term string, doc int64) []byte {
 
 const postingFixedLen = 4 + 1 + 8 // interval + NUL + doc id
 
-func decodePosting(rec string) (interval int, term string, doc int64, err error) {
+// decodePosting splits a record; term is a view of rec.
+func decodePosting(rec []byte) (interval int, term []byte, doc int64, err error) {
 	if len(rec) < postingFixedLen || rec[len(rec)-9] != 0 {
-		return 0, "", 0, corruptf("index: malformed posting record %q", rec)
+		return 0, nil, 0, corruptf("index: malformed posting record %q", rec)
 	}
-	iv := uint32(rec[0])<<24 | uint32(rec[1])<<16 | uint32(rec[2])<<8 | uint32(rec[3])
-	var id uint64
-	for _, b := range []byte(rec[len(rec)-8:]) {
-		id = id<<8 | uint64(b)
-	}
+	iv := binary.BigEndian.Uint32(rec)
+	id := binary.BigEndian.Uint64(rec[len(rec)-8:])
 	return int(iv), rec[4 : len(rec)-9], int64(id), nil
 }
 
@@ -118,7 +114,6 @@ func BuildDiskCtx(ctx context.Context, c *corpus.Collection, path string, cfg Co
 	const pollEvery = 4096
 	sorter := extsort.NewWithOptions(extsort.Options{
 		MemoryBudget: cfg.SortMemoryBudget,
-		Binary:       true,
 		Ctx:          ctx,
 		FS:           fs,
 	})
@@ -140,7 +135,7 @@ func BuildDiskCtx(ctx context.Context, c *corpus.Collection, path string, cfg Co
 					return fmt.Errorf("index: interval %d: keyword %q contains NUL or newline", i, w)
 				}
 				recBuf = encodePosting(recBuf, i, w, d.ID)
-				if err := sorter.Add(string(recBuf)); err != nil {
+				if err := sorter.AddBytes(recBuf); err != nil {
 					return err
 				}
 				if emitted++; emitted%pollEvery == 0 {
@@ -182,7 +177,7 @@ func BuildDiskCtx(ctx context.Context, c *corpus.Collection, path string, cfg Co
 		blocks   []blockRef
 		df       int64
 		blockBuf []byte
-		prevRec  string
+		lastDoc  int64
 	)
 	flushBlock := func() error {
 		if len(ids) == 0 {
@@ -224,27 +219,28 @@ func BuildDiskCtx(ctx context.Context, c *corpus.Collection, path string, cfg Co
 		if !ok {
 			break
 		}
-		if open && rec == prevRec {
-			iv, _, doc, _ := decodePosting(rec)
-			return fmt.Errorf("index: interval %d: duplicate document id %d", iv, doc)
-		}
 		iv, term, doc, derr := decodePosting(rec)
 		if derr != nil {
 			return derr
 		}
-		if !open || iv != curIV || term != curTerm {
+		// term views the iterator's buffer; curTerm is materialised
+		// once per (interval, term).
+		if !open || iv != curIV || string(term) != curTerm {
 			if err = finishTerm(); err != nil {
 				return err
 			}
-			curIV, curTerm, open = iv, term, true
+			curIV, curTerm, open = iv, string(term), true
+		} else if doc == lastDoc {
+			// Equal records are adjacent in the sorted stream.
+			return fmt.Errorf("index: interval %d: duplicate document id %d", iv, doc)
 		}
 		ids = append(ids, doc)
+		lastDoc = doc
 		if len(ids) >= blockSize {
 			if err = flushBlock(); err != nil {
 				return err
 			}
 		}
-		prevRec = rec
 	}
 	if err = it.Err(); err != nil {
 		return err
@@ -253,34 +249,7 @@ func BuildDiskCtx(ctx context.Context, c *corpus.Collection, path string, cfg Co
 		return err
 	}
 
-	// Dictionaries, then footer, then the fixed tail.
-	dictOff := make([]int64, m)
-	dictLen := make([]int64, m)
-	for i := 0; i < m; i++ {
-		dictOff[i] = sw.off
-		if err = sw.writeDict(dicts[i]); err != nil {
-			return err
-		}
-		dictLen[i] = sw.off - dictOff[i]
-	}
-	footOff := sw.off
-	foot := binary.AppendUvarint(nil, uint64(m))
-	for i := 0; i < m; i++ {
-		foot = binary.AppendUvarint(foot, uint64(len(c.Intervals[i].Docs)))
-		foot = binary.AppendUvarint(foot, uint64(dictOff[i]))
-		foot = binary.AppendUvarint(foot, uint64(dictLen[i]))
-	}
-	foot = binary.LittleEndian.AppendUint32(foot, crc32.ChecksumIEEE(foot))
-	if err = sw.write(foot); err != nil {
-		return err
-	}
-	tail := binary.LittleEndian.AppendUint64(nil, uint64(footOff))
-	tail = binary.LittleEndian.AppendUint64(tail, uint64(len(foot)))
-	tail = append(tail, footMagic...)
-	if err = sw.write(tail); err != nil {
-		return err
-	}
-	if err = sw.finish(); err != nil {
+	if err = sw.finish(dicts, func(i int) int { return len(c.Intervals[i].Docs) }); err != nil {
 		return err
 	}
 	return fs.Rename(tmp, path)
@@ -349,7 +318,31 @@ func (s *segmentWriter) writeDict(entries []dictEntry) error {
 	return s.write(b)
 }
 
-func (s *segmentWriter) finish() error {
+// finish writes everything that follows the posting blocks — one
+// dictionary per interval, the footer (numDocs reports each interval's
+// document count), the fixed tail — then flushes, syncs and closes.
+func (s *segmentWriter) finish(dicts [][]dictEntry, numDocs func(i int) int) error {
+	foot := binary.AppendUvarint(nil, uint64(len(dicts)))
+	for i, entries := range dicts {
+		dictOff := s.off
+		if err := s.writeDict(entries); err != nil {
+			return err
+		}
+		foot = binary.AppendUvarint(foot, uint64(numDocs(i)))
+		foot = binary.AppendUvarint(foot, uint64(dictOff))
+		foot = binary.AppendUvarint(foot, uint64(s.off-dictOff))
+	}
+	footOff := s.off
+	foot = binary.LittleEndian.AppendUint32(foot, crc32.ChecksumIEEE(foot))
+	if err := s.write(foot); err != nil {
+		return err
+	}
+	tail := binary.LittleEndian.AppendUint64(nil, uint64(footOff))
+	tail = binary.LittleEndian.AppendUint64(tail, uint64(len(foot)))
+	tail = append(tail, footMagic...)
+	if err := s.write(tail); err != nil {
+		return err
+	}
 	if err := s.w.Flush(); err != nil {
 		s.f.Close()
 		return fmt.Errorf("index: flush segment: %w", err)

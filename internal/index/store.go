@@ -13,9 +13,7 @@ package index
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -434,33 +432,7 @@ func writeSegmentFromReader(ctx context.Context, fs faultfs.FS, path string, r R
 			dicts[i] = append(dicts[i], dictEntry{term: term, docFreq: int64(len(ids)), blocks: blocks})
 		}
 	}
-	dictOff := make([]int64, m)
-	dictLen := make([]int64, m)
-	for i := 0; i < m; i++ {
-		dictOff[i] = sw.off
-		if err = sw.writeDict(dicts[i]); err != nil {
-			return err
-		}
-		dictLen[i] = sw.off - dictOff[i]
-	}
-	footOff := sw.off
-	foot := binary.AppendUvarint(nil, uint64(m))
-	for i := 0; i < m; i++ {
-		foot = binary.AppendUvarint(foot, uint64(r.NumDocs(i)))
-		foot = binary.AppendUvarint(foot, uint64(dictOff[i]))
-		foot = binary.AppendUvarint(foot, uint64(dictLen[i]))
-	}
-	foot = binary.LittleEndian.AppendUint32(foot, crc32.ChecksumIEEE(foot))
-	if err = sw.write(foot); err != nil {
-		return err
-	}
-	tail := binary.LittleEndian.AppendUint64(nil, uint64(footOff))
-	tail = binary.LittleEndian.AppendUint64(tail, uint64(len(foot)))
-	tail = append(tail, footMagic...)
-	if err = sw.write(tail); err != nil {
-		return err
-	}
-	return sw.finish()
+	return sw.finish(dicts, r.NumDocs)
 }
 
 // --- the merged Reader ---

@@ -62,6 +62,8 @@ bench:
 # won and verdict beside its bound (scripts/bench-pair.sh; a pair takes
 # about a minute). WORKLOAD=all runs every workload BENCHMARK.json
 # names, one table each: what a change that claims no gain reports.
+# LAYERS=1 in the environment adds one traced run a side and prints the
+# per-layer metrics that differ by more than 5 %.
 PARENT ?= HEAD~1
 WORKLOAD ?= solve_paper
 PAIRS ?= 10

@@ -872,7 +872,7 @@ func (e *Engine) SolveOn(ctx context.Context, gopts GraphOptions, spec QuerySpec
 		return nil, err
 	}
 	e.solveMu.Lock()
-	e.solves.RecordSolve(req.Algorithm, time.Since(start).Nanoseconds())
+	e.solves.RecordSolve(req.Algorithm, time.Since(start).Nanoseconds(), res.Stats)
 	e.solveMu.Unlock()
 	return res, nil
 }
@@ -1081,10 +1081,10 @@ type EngineStats struct {
 	// IndexCompactions counts completed background folds.
 	IndexCompactions int64 `json:"index_compactions"`
 	// Planner is the per-algorithm accounting of completed solves
-	// (counts and wall-clock histograms). There is no planner: the
-	// field and JSON key keep the name only because bench/ reads
-	// Stats().Planner.ByAlgorithm and may not be edited; the next
-	// benchmark issue renames it.
+	// (counts, wall-clock histograms and summed work counters). There is
+	// no planner: the field and JSON key keep the name only because
+	// bench/ reads Stats().Planner.ByAlgorithm and may not be edited;
+	// the next benchmark issue renames it.
 	Planner plan.Stats `json:"planner"`
 }
 

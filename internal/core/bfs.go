@@ -140,7 +140,7 @@ func (r *bfsRun) extend(id int64, ph clustergraph.Half) {
 	// is the paper's "one heap per node suffices" optimization —
 	// temporal lengths make length(p) == interval(id) automatic.
 	if !r.fullPath || r.g.Interval(ph.Peer) == 0 {
-		r.offer(id, bare(ph.Peer), ph.Weight, ph.Length)
+		r.offer(id, bare(ph.Peer), bareFP(ph.Peer), ph.Weight, ph.Length)
 	}
 	for x := 1; x <= r.perNode; x++ {
 		length := x + ph.Length
@@ -150,14 +150,15 @@ func (r *bfsRun) extend(id int64, ph clustergraph.Half) {
 		hi := peer*r.perNode + x - 1
 		for j := 0; j < r.heaps.size(hi); j++ {
 			e := r.heaps.at(hi, j)
-			r.offer(id, e.ref, e.weight+ph.Weight, length)
+			r.offer(id, e.ref, e.fp, e.weight+ph.Weight, length)
 		}
 	}
 }
 
-// offer places the path growing link by node id into the appropriate
-// h^x heap and, when it has length exactly l, into the global heap.
-func (r *bfsRun) offer(id int64, link ref, weight float64, length int) {
+// offer places the path growing link (fingerprint linkFP) by node id
+// into the appropriate h^x heap and, when it has length exactly l, into
+// the global heap.
+func (r *bfsRun) offer(id int64, link ref, linkFP uint64, weight float64, length int) {
 	if length > r.l {
 		return
 	}
@@ -166,7 +167,7 @@ func (r *bfsRun) offer(id int64, link ref, weight float64, length int) {
 		hi += length - 1
 	}
 	r.stats.HeapConsiders++
-	r.heaps.consider(hi, id, link, weight, length)
+	r.heaps.consider(hi, id, link, linkFP, weight, length)
 	if length == r.l {
 		r.stats.HeapConsiders++
 		if weight >= r.global.Threshold() {

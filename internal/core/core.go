@@ -41,25 +41,25 @@ const FullPaths = -1
 // NodeReads/NodeWrites correspond to real store operations.
 type Stats struct {
 	// NodeReads counts node-state loads.
-	NodeReads int64
+	NodeReads int64 `json:"node_reads"`
 	// NodeWrites counts node-state saves.
-	NodeWrites int64
+	NodeWrites int64 `json:"node_writes"`
 	// EdgeReads counts edge/adjacency examinations.
-	EdgeReads int64
+	EdgeReads int64 `json:"edge_reads"`
 	// HeapConsiders counts offers to any top-k heap.
-	HeapConsiders int64
+	HeapConsiders int64 `json:"heap_considers"`
 	// Pruned counts pruning events (DFS CanPrune firings, TA upper-bound
 	// skips).
-	Pruned int64
+	Pruned int64 `json:"pruned"`
 	// Repushes counts re-explorations of nodes whose visited flag was
 	// unmarked (DFS only).
-	Repushes int64
+	Repushes int64 `json:"repushes"`
 	// RandomSeeks counts TA random lookups.
-	RandomSeeks int64
+	RandomSeeks int64 `json:"random_seeks"`
 	// PeakStatePaths is the maximum number of paths simultaneously held
 	// in per-node state — the memory-footprint proxy behind the paper's
 	// "DFS needed 2MB vs BFS 35MB" claim.
-	PeakStatePaths int64
+	PeakStatePaths int64 `json:"peak_state_paths"`
 }
 
 // Result is the answer to a stable-clusters query.

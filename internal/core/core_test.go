@@ -293,9 +293,9 @@ func TestDFSStateRoundTrip(t *testing.T) {
 	r.visited[1] = true
 	r.maxweights(1)[2] = 1.5
 	r.maxweights(1)[1] = 0.25
-	r.best.consider(r.bestHeap(1, 1), 1, bare(2), 0.5, 1)
-	r.best.consider(r.bestHeap(1, 1), 1, bare(3), 0.75, 1)
-	r.best.consider(r.bestHeap(1, 2), 1, r.slab.add(r.slab.grow(4, bare(7), 0.5, 1)), 1.25, 2)
+	r.best.consider(r.bestHeap(1, 1), 1, bare(2), bareFP(2), 0.5, 1)
+	r.best.consider(r.bestHeap(1, 1), 1, bare(3), bareFP(3), 0.75, 1)
+	r.best.consider(r.bestHeap(1, 2), 1, r.slab.add(r.slab.grow(4, bare(7), 0.5, 1)), mix(bareFP(7), 4), 1.25, 2)
 	enc := r.encodeState(1)
 
 	got := newRun()

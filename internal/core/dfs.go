@@ -362,26 +362,26 @@ func (r *dfsRun) combine(parent int64, edge clustergraph.Half) {
 	// matter; the child's heaps hold nothing else, so the bare edge is
 	// the one candidate to check.
 	if !r.fullPath || r.g.Interval(edge.Peer) == r.g.NumIntervals()-1 {
-		r.addBest(parent, bare(edge.Peer), edge.Weight, edge.Length)
+		r.addBest(parent, bare(edge.Peer), bareFP(edge.Peer), edge.Weight, edge.Length)
 	}
 	for y := 1; y+edge.Length <= r.l; y++ {
 		hi := r.bestHeap(edge.Peer, y)
 		for j := 0; j < r.best.size(hi); j++ {
 			e := r.best.at(hi, j)
-			r.addBest(parent, e.ref, e.weight+edge.Weight, y+edge.Length)
+			r.addBest(parent, e.ref, e.fp, e.weight+edge.Weight, y+edge.Length)
 		}
 	}
 }
 
 // addBest offers the path that starts at node and continues along link
-// to the node's bestpaths heap for its length and, when the length is
-// exactly l, to the global heap.
-func (r *dfsRun) addBest(node int64, link ref, weight float64, length int) {
+// (fingerprint linkFP) to the node's bestpaths heap for its length and,
+// when the length is exactly l, to the global heap.
+func (r *dfsRun) addBest(node int64, link ref, linkFP uint64, weight float64, length int) {
 	if length > r.l {
 		return
 	}
 	r.stats.HeapConsiders++
-	r.best.consider(r.bestHeap(node, length), node, link, weight, length)
+	r.best.consider(r.bestHeap(node, length), node, link, linkFP, weight, length)
 	if length == r.l && (!r.fullPath || r.g.Interval(node) == 0) {
 		r.stats.HeapConsiders++
 		if weight >= r.global.Threshold() {

@@ -44,6 +44,7 @@ func FuzzSolverEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(5), uint8(2), uint8(1), uint8(2), uint8(3))
 	f.Add(int64(7), uint8(2), uint8(2), uint8(1), uint8(0), uint8(1), uint8(1))
 	f.Add(int64(42), uint8(7), uint8(8), uint8(3), uint8(2), uint8(6), uint8(5))
+	f.Add(int64(11), uint8(5), uint8(6), uint8(2), uint8(1), uint8(3), uint8(29)) // k = 30
 	f.Fuzz(func(t *testing.T, seed int64, m8, n8, d8, g8, l8, k8 uint8) {
 		m := 2 + int(m8)%6
 		cfg := synth.Config{
@@ -53,7 +54,9 @@ func FuzzSolverEquivalence(f *testing.F) {
 			D:    1 + int(d8)%3,
 			G:    int(g8) % 3,
 		}
-		checkAgainstBrute(t, cfg, 1+int(l8)%(m-1), 1+int(k8)%5)
+		// k ranges over what the server is asked for, so that a solve's
+		// heaps span several blocks and pages.
+		checkAgainstBrute(t, cfg, 1+int(l8)%(m-1), 1+int(k8)%40)
 	})
 }
 
@@ -68,7 +71,7 @@ func TestFuzzEquivalence(t *testing.T) {
 		m := 2 + rng.Intn(6)
 		cfg := synth.Config{Seed: rng.Int63(), M: m, N: 2 + rng.Intn(7), D: 1 + rng.Intn(3), G: rng.Intn(3)}
 		l := 1 + rng.Intn(m-1)
-		k := 1 + rng.Intn(5)
+		k := 1 + rng.Intn(40)
 		checkAgainstBrute(t, cfg, l, k)
 	}
 }

@@ -220,8 +220,7 @@ func (r *normRun) place(id int64, link ref, hop, weight float64, length int) {
 func (r *normRun) retain(rec pathRec, nodes []int64) {
 	hash := uint64(len(nodes))
 	for _, v := range nodes {
-		hash = (hash ^ uint64(v)) * 0x9e3779b97f4a7c15
-		hash ^= hash >> 29
+		hash = mix(hash, v)
 	}
 	mask := uint64(len(r.seen) - 1)
 	at := hash & mask

@@ -133,11 +133,24 @@ func (s *slab) sameChain(a, b ref, hops int) bool {
 	return true
 }
 
+// mix folds node into the fingerprint h of a node sequence.
+func mix(h uint64, node int64) uint64 {
+	h = (h ^ uint64(node)) * 0x9e3779b97f4a7c15
+	return h ^ h>>29
+}
+
+// bareFP is the fingerprint of the single-node path {node}.
+func bareFP(node int64) uint64 { return mix(0, node) }
+
 // pathHeaps holds every per-node top-k heap of one solve — the h^x_ij
-// of Algorithm 2, the bestpaths of Algorithm 3 — in flat slices: heap i
-// is a block of k entries handed out on its first offer and recycled on
-// release. Heaps are min-heaps under topk.Better (the root is the worst
-// retained path) and behave as topk.K does, duplicates included.
+// of Algorithm 2, the bestpaths of Algorithm 3. Heap i is a block of k
+// contiguous entries inside a page, handed out on its first offer and
+// recycled on release. Pages follow the slab's policy: the first grows
+// (by doubling, up to pageLen entries) so that a small solve stays
+// small, every later one is allocated whole, and a full page never
+// moves — a solve that needs more heaps copies none of the ones it has.
+// Heaps are min-heaps under topk.Better (the root is the worst retained
+// path) and behave as topk.K does, duplicates included.
 type pathHeaps struct {
 	s *slab
 	k int
@@ -151,39 +164,67 @@ type pathHeaps struct {
 	// keep improving after they were read (DFS).
 	reuse bool
 	heaps []heapSpan
-	ents  []heapEnt
-	free  []int   // offsets of released blocks
-	held  int     // paths retained across all heaps
-	a, b  []int64 // scratch for breaking weight ties on node order
+	pages [][]heapEnt
+	free  []heapSpan // released blocks, n == 0
+	held  int        // paths retained across all heaps
+	a, b  []int64    // scratch for breaking weight ties on node order
 }
 
+// heapPageEnts is the size a page of heap entries aims for (96 KiB).
+const heapPageEnts = 4096
+
+// pageLen is the entries in a page: the whole blocks that fit in
+// heapPageEnts, and one block when k is larger than that.
+func (hs *pathHeaps) pageLen() int { return hs.k * max(heapPageEnts/hs.k, 1) }
+
+// heapSpan locates a heap: its block starts at offset off of page page
+// and its first n entries are in use. page and off mean nothing while
+// n == 0 — the heap has no block yet, or gave it back.
 type heapSpan struct {
-	off int // block offset in ents; meaningful once n > 0
-	n   int
+	page, off, n int32
 }
 
+// heapEnt is one retained path. fp fingerprints its node sequence in
+// chain order — mix(fingerprint of the link, node) — so that looking
+// for a duplicate reads the block and nothing else. It lives here and
+// not in pathRec because only a path some heap retains is ever compared
+// for identity: the solvers that keep no pathHeaps (TA, normalized)
+// would carry eight dead bytes per slab slot.
 type heapEnt struct {
 	weight float64
 	ref    ref
+	fp     uint64
 }
 
 func newPathHeaps(s *slab, k, count int) *pathHeaps {
 	return &pathHeaps{s: s, k: k, heaps: make([]heapSpan, count)}
 }
 
+// entries returns the retained paths of heap h, in heap order. The
+// slice is good until the next offer to any heap.
+func (hs *pathHeaps) entries(h heapSpan) []heapEnt {
+	if h.n == 0 {
+		return nil
+	}
+	return hs.pages[h.page][h.off : h.off+h.n]
+}
+
 // size returns the number of paths heap i retains.
-func (hs *pathHeaps) size(i int) int { return hs.heaps[i].n }
+func (hs *pathHeaps) size(i int) int { return int(hs.heaps[i].n) }
 
 // at returns the j-th retained path of heap i, in no particular order.
-func (hs *pathHeaps) at(i, j int) heapEnt { return hs.ents[hs.heaps[i].off+j] }
+func (hs *pathHeaps) at(i, j int) heapEnt {
+	h := hs.heaps[i]
+	return hs.pages[h.page][int(h.off)+j]
+}
 
 // release empties heaps lo..hi−1 and recycles their blocks.
 func (hs *pathHeaps) release(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		if h := &hs.heaps[i]; h.n > 0 {
-			hs.free = append(hs.free, h.off)
-			hs.held -= h.n
+			hs.held -= int(h.n)
 			h.n = 0
+			hs.free = append(hs.free, *h)
 		}
 	}
 }
@@ -193,8 +234,8 @@ func (hs *pathHeaps) release(lo, hi int) {
 func (hs *pathHeaps) paths(lo, hi int) []topk.Path {
 	var out []topk.Path
 	for i := lo; i < hi; i++ {
-		for j := 0; j < hs.size(i); j++ {
-			rec := hs.s.at(hs.at(i, j).ref)
+		for _, e := range hs.entries(hs.heaps[i]) {
+			rec := hs.s.at(e.ref)
 			out = append(out, topk.Path{
 				Nodes:  hs.nodes(make([]int64, 0, rec.hops), rec.node, rec.link),
 				Length: int(rec.length),
@@ -205,52 +246,60 @@ func (hs *pathHeaps) paths(lo, hi int) []topk.Path {
 	return out
 }
 
-// consider offers heap i the path growing link by node, exactly as
-// topk.K.Consider would, but decides on weight before anything is
-// written: a full heap turns a path strictly below its floor away
-// untouched, and only an admitted path gets a slab slot. Equal weights
-// fall through to the lexicographic comparison.
-func (hs *pathHeaps) consider(i int, node int64, link ref, weight float64, length int) {
+// consider offers heap i the path growing link — whose nodes have the
+// fingerprint linkFP — by node, exactly as topk.K.Consider would, but
+// decides on weight before anything is written: a full heap turns a
+// path strictly below its floor away untouched, and only an admitted
+// path gets a slab slot. Equal weights fall through to the
+// lexicographic comparison. A retained path is the candidate's
+// duplicate only if the fingerprints agree and then the chains do, so
+// two paths whose fingerprints collide cost one walk and are both kept.
+func (hs *pathHeaps) consider(i int, node int64, link ref, linkFP uint64, weight float64, length int) {
 	h := &hs.heaps[i]
-	if h.n == hs.k && weight < hs.ents[h.off].weight {
+	e := hs.entries(*h)
+	if len(e) == hs.k && weight < e[0].weight {
 		return
 	}
 	s := hs.s
-	rec := s.grow(node, link, weight, length)
-	for j := h.off; j < h.off+h.n; j++ {
-		old := s.at(hs.ents[j].ref)
-		if old.node != node || old.hops != rec.hops || !s.sameChain(old.link, link, int(rec.hops)-1) {
+	fp := mix(linkFP, node)
+	for j := range e {
+		if e[j].fp != fp {
+			continue
+		}
+		old := s.at(e[j].ref)
+		if hops := s.hops(link); old.node != node || int(old.hops) != hops+1 || !s.sameChain(old.link, link, hops) {
 			continue
 		}
 		// A rediscovery (DFS after visited flags are unmarked, or a
 		// parallel edge): the better-ranked copy survives. Same nodes,
 		// so only the weight can rank them.
-		if weight > old.weight {
-			hs.ents[j] = heapEnt{weight, hs.store(rec, hs.ents[j].ref)}
-			hs.fix(h, j-h.off)
+		if weight > e[j].weight {
+			e[j] = heapEnt{weight, hs.store(s.grow(node, link, weight, length), e[j].ref), fp}
+			hs.fix(e, j)
 		}
 		return
 	}
-	if h.n < hs.k {
-		if h.n == 0 {
-			h.off = hs.block()
+	rec := s.grow(node, link, weight, length)
+	if len(e) < hs.k {
+		if len(e) == 0 {
+			*h = hs.block()
 		}
-		hs.ents[h.off+h.n] = heapEnt{weight, s.add(rec)}
 		h.n++
 		hs.held++
-		hs.up(h, h.n-1)
+		e = hs.entries(*h)
+		e[len(e)-1] = heapEnt{weight, s.add(rec), fp}
+		hs.up(e, len(e)-1)
 		return
 	}
-	root := hs.ents[h.off]
-	if weight == root.weight {
+	if weight == e[0].weight {
 		hs.a = hs.nodes(hs.a[:0], node, link)
-		hs.b = hs.refNodes(hs.b[:0], root.ref)
+		hs.b = hs.refNodes(hs.b[:0], e[0].ref)
 		if slices.Compare(hs.a, hs.b) >= 0 {
 			return
 		}
 	}
-	hs.ents[h.off] = heapEnt{weight, hs.store(rec, root.ref)}
-	hs.down(h, 0)
+	e[0] = heapEnt{weight, hs.store(rec, e[0].ref), fp}
+	hs.down(e, 0)
 }
 
 // store puts rec in the slab in place of the path evicted, whose slot
@@ -263,16 +312,31 @@ func (hs *pathHeaps) store(rec pathRec, evicted ref) ref {
 	return hs.s.add(rec)
 }
 
-// block returns the offset of an unused block of k entries.
-func (hs *pathHeaps) block() int {
+// block returns an unused block of k entries: a released one while
+// there is any, else the next k entries of the last page.
+func (hs *pathHeaps) block() heapSpan {
 	if n := len(hs.free); n > 0 {
-		off := hs.free[n-1]
+		h := hs.free[n-1]
 		hs.free = hs.free[:n-1]
-		return off
+		return h
 	}
-	off := len(hs.ents)
-	hs.ents = append(hs.ents, make([]heapEnt, hs.k)...)
-	return off
+	last, pageLen := len(hs.pages)-1, hs.pageLen()
+	if last < 0 || len(hs.pages[last]) == pageLen {
+		var page []heapEnt
+		if last >= 0 {
+			page = make([]heapEnt, 0, pageLen)
+		}
+		hs.pages = append(hs.pages, page)
+		last++
+	}
+	page := hs.pages[last]
+	off := len(page)
+	if off+hs.k > cap(page) {
+		// Only the first page gets here.
+		page = append(make([]heapEnt, 0, min(max(2*cap(page), hs.k), pageLen)), page...)
+	}
+	hs.pages[last] = page[:off+hs.k]
+	return heapSpan{page: int32(last), off: int32(off)}
 }
 
 // nodes appends, in path order, the nodes of the path growing link by
@@ -300,14 +364,15 @@ func (hs *pathHeaps) worse(x, y heapEnt) bool {
 	return slices.Compare(hs.a, hs.b) > 0
 }
 
-func (hs *pathHeaps) fix(h *heapSpan, j int) {
-	if !hs.down(h, j) {
-		hs.up(h, j)
+// fix, up and down restore heap order in the entries e of one heap
+// after e[j] changed.
+func (hs *pathHeaps) fix(e []heapEnt, j int) {
+	if !hs.down(e, j) {
+		hs.up(e, j)
 	}
 }
 
-func (hs *pathHeaps) up(h *heapSpan, j int) {
-	e := hs.ents[h.off : h.off+h.n]
+func (hs *pathHeaps) up(e []heapEnt, j int) {
 	for j > 0 {
 		p := (j - 1) / 2
 		if !hs.worse(e[j], e[p]) {
@@ -318,8 +383,7 @@ func (hs *pathHeaps) up(h *heapSpan, j int) {
 	}
 }
 
-func (hs *pathHeaps) down(h *heapSpan, j int) bool {
-	e := hs.ents[h.off : h.off+h.n]
+func (hs *pathHeaps) down(e []heapEnt, j int) bool {
 	start := j
 	for {
 		c := 2*j + 1

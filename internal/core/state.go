@@ -197,11 +197,12 @@ func (r *dfsRun) decodeState(id int64, b []byte) error {
 		if len(p.Nodes) < 2 || p.Nodes[0] != id || p.Length < 1 || p.Length > r.l {
 			return fmt.Errorf("core: dfs state of node %d holds foreign path %v", id, p)
 		}
-		link := bare(p.Nodes[len(p.Nodes)-1])
+		last := p.Nodes[len(p.Nodes)-1]
+		link, fp := bare(last), bareFP(last)
 		for j := len(p.Nodes) - 2; j > 0; j-- {
-			link = r.slab.add(r.slab.grow(p.Nodes[j], link, 0, 0))
+			link, fp = r.slab.add(r.slab.grow(p.Nodes[j], link, 0, 0)), mix(fp, p.Nodes[j])
 		}
-		r.best.consider(r.bestHeap(id, p.Length), id, link, p.Weight, p.Length)
+		r.best.consider(r.bestHeap(id, p.Length), id, link, fp, p.Weight, p.Length)
 	}
 	return nil
 }

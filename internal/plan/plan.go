@@ -194,7 +194,7 @@ func (s QuerySpec) Request() core.Request {
 
 // Stats is the per-algorithm accounting of completed solves, served on
 // /debug/stats inside EngineStats and mirrored to /metrics as the
-// solve-duration series. The zero value is ready to use; it is not safe
+// solve-duration and solve-work series. The zero value is ready to use; it is not safe
 // for concurrent use (the Engine guards its own).
 type Stats struct {
 	// ByAlgorithm counts completed solves per algorithm; it is always
@@ -203,14 +203,17 @@ type Stats struct {
 	// SolveNs holds per-algorithm wall-clock histograms of completed
 	// solves, bucketed by SolveNsBuckets.
 	SolveNs map[string]SolveHist `json:"solve_ns"`
+	// Work sums the work counters of each algorithm's completed solves;
+	// PeakStatePaths is the largest any one of them reached.
+	Work map[string]core.Stats `json:"work"`
 }
 
 // RecordSolve adds one completed solve's wall-clock to its algorithm's
-// histogram.
-func (s *Stats) RecordSolve(algorithm string, costNs int64) {
+// histogram and its work counters to the algorithm's totals.
+func (s *Stats) RecordSolve(algorithm string, costNs int64, work core.Stats) {
 	h := s.SolveNs[algorithm]
 	h.observe(costNs)
-	s.set(algorithm, h)
+	s.set(algorithm, h, work)
 }
 
 // Merge accumulates other into s. Merging into a zero Stats is a deep
@@ -219,17 +222,29 @@ func (s *Stats) Merge(other Stats) {
 	for algorithm, h := range other.SolveNs {
 		cur := s.SolveNs[algorithm]
 		cur.Merge(h)
-		s.set(algorithm, cur)
+		s.set(algorithm, cur, other.Work[algorithm])
 	}
 }
 
-func (s *Stats) set(algorithm string, h SolveHist) {
+// set stores algorithm's histogram and folds work into its totals.
+func (s *Stats) set(algorithm string, h SolveHist, work core.Stats) {
 	if s.SolveNs == nil {
 		s.SolveNs = map[string]SolveHist{}
 		s.ByAlgorithm = map[string]int64{}
+		s.Work = map[string]core.Stats{}
 	}
 	s.SolveNs[algorithm] = h
 	s.ByAlgorithm[algorithm] = h.Count
+	w := s.Work[algorithm]
+	w.NodeReads += work.NodeReads
+	w.NodeWrites += work.NodeWrites
+	w.EdgeReads += work.EdgeReads
+	w.HeapConsiders += work.HeapConsiders
+	w.Pruned += work.Pruned
+	w.Repushes += work.Repushes
+	w.RandomSeeks += work.RandomSeeks
+	w.PeakStatePaths = max(w.PeakStatePaths, work.PeakStatePaths)
+	s.Work[algorithm] = w
 }
 
 // SolveNsBuckets are the solve-duration histogram upper bounds in

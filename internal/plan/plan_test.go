@@ -209,14 +209,15 @@ func TestDecisionTable(t *testing.T) {
 }
 
 // TestStatsRecordAndMerge checks the solve accounting: ByAlgorithm
-// tracks the histogram counts, Merge sums, and merging into a zero
-// Stats copies deeply (the Engine snapshots that way).
+// tracks the histogram counts, Work sums the counters and keeps the
+// largest peak, Merge sums, and merging into a zero Stats copies deeply
+// (the Engine snapshots that way).
 func TestStatsRecordAndMerge(t *testing.T) {
 	var a, b Stats
-	a.RecordSolve("bfs", 5e3)
-	a.RecordSolve("bfs", 5e6)
-	a.RecordSolve("dfs", 2e10)
-	b.RecordSolve("bfs", 5e3)
+	a.RecordSolve("bfs", 5e3, core.Stats{NodeReads: 10, EdgeReads: 20, HeapConsiders: 30, PeakStatePaths: 7})
+	a.RecordSolve("bfs", 5e6, core.Stats{NodeReads: 1, EdgeReads: 2, HeapConsiders: 3, PeakStatePaths: 9})
+	a.RecordSolve("dfs", 2e10, core.Stats{Pruned: 4, Repushes: 5})
+	b.RecordSolve("bfs", 5e3, core.Stats{NodeReads: 100, RandomSeeks: 6, PeakStatePaths: 8})
 
 	var sum Stats
 	sum.Merge(a)
@@ -231,8 +232,14 @@ func TestStatsRecordAndMerge(t *testing.T) {
 	if over := sum.SolveNs["dfs"].Counts[len(SolveNsBuckets)]; over != 1 {
 		t.Errorf("overflow slot = %d, want 1", over)
 	}
-	a.RecordSolve("bfs", 1)
-	if sum.SolveNs["bfs"].Count != 3 || sum.SolveNs["bfs"].Counts[0] != 2 {
+	if want := map[string]core.Stats{
+		"bfs": {NodeReads: 111, EdgeReads: 22, HeapConsiders: 33, RandomSeeks: 6, PeakStatePaths: 9},
+		"dfs": {Pruned: 4, Repushes: 5},
+	}; !reflect.DeepEqual(sum.Work, want) {
+		t.Errorf("Work = %+v, want %+v", sum.Work, want)
+	}
+	a.RecordSolve("bfs", 1, core.Stats{NodeReads: 1})
+	if sum.SolveNs["bfs"].Count != 3 || sum.SolveNs["bfs"].Counts[0] != 2 || sum.Work["bfs"].NodeReads != 111 {
 		t.Error("Merge aliased its source's counts")
 	}
 }

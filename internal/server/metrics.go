@@ -16,8 +16,8 @@ import (
 // drives per request (route counters, latency histograms, shed
 // counters), and scrape-time mirrors of counters that already exist
 // elsewhere — the response cache, EngineStats, its per-algorithm solve
-// histograms — copied in by syncMetrics just before every exposition
-// so one registry serves both without double counting.
+// histograms and work counters — copied in by syncMetrics just before
+// every exposition so one registry serves both without double counting.
 type serverMetrics struct {
 	reg *metrics.Registry
 
@@ -61,7 +61,9 @@ type serverMetrics struct {
 	idxCacheBytes  *metrics.Series
 
 	// Per-algorithm solve accounting mirror.
-	solveDur *metrics.Vec // engine_solve_duration_seconds{algorithm}
+	solveDur  *metrics.Vec // engine_solve_duration_seconds{algorithm}
+	solveWork *metrics.Vec // engine_solve_work_total{algorithm,counter}
+	solvePeak *metrics.Vec // engine_solve_peak_state_paths{algorithm}
 }
 
 // solveDurBuckets converts plan.SolveNsBuckets (nanoseconds) into the
@@ -145,6 +147,10 @@ func newServerMetrics() *serverMetrics {
 	m.solveDur = reg.Histogram("engine_solve_duration_seconds",
 		"Completed stable-cluster solve wall-clock, by algorithm.",
 		solveDurBuckets(), "algorithm")
+	m.solveWork = reg.Counter("engine_solve_work_total",
+		"Work counters summed over completed solves, by algorithm and counter (node_reads, edge_reads, heap_considers, repushes, pruned, random_seeks).", "algorithm", "counter")
+	m.solvePeak = reg.Gauge("engine_solve_peak_state_paths",
+		"Most paths any one completed solve held in per-node state at a time, by algorithm.", "algorithm")
 
 	return m
 }
@@ -227,6 +233,15 @@ func (s *Server) syncMetrics() {
 			continue
 		}
 		m.solveDur.With(algo).SetHistogram(h.Counts, float64(h.SumNs)/1e9)
+	}
+	for algo, w := range st.Planner.Work {
+		m.solveWork.With(algo, "node_reads").Set(float64(w.NodeReads))
+		m.solveWork.With(algo, "edge_reads").Set(float64(w.EdgeReads))
+		m.solveWork.With(algo, "heap_considers").Set(float64(w.HeapConsiders))
+		m.solveWork.With(algo, "repushes").Set(float64(w.Repushes))
+		m.solveWork.With(algo, "pruned").Set(float64(w.Pruned))
+		m.solveWork.With(algo, "random_seeks").Set(float64(w.RandomSeeks))
+		m.solvePeak.With(algo).Set(float64(w.PeakStatePaths))
 	}
 }
 

@@ -153,6 +153,20 @@ func TestMetricsSolveHistogram(t *testing.T) {
 	if got := metricValue(t, text, "engine_solve_duration_seconds_count", map[string]string{"algorithm": "dfs"}); got != 1 {
 		t.Errorf("solve histogram count for dfs = %v, want 1", got)
 	}
+	// One solve so far: the summed work is that solve's own counters,
+	// on /debug/stats and on /metrics.
+	stats := m["stats"].(map[string]any)
+	_, dbg := get(t, ts, "/debug/stats")
+	work, _ := dbg["engine"].(map[string]any)["planner"].(map[string]any)["work"].(map[string]any)["dfs"].(map[string]any)
+	for _, counter := range []string{"node_reads", "edge_reads", "heap_considers"} {
+		want := stats[counter].(float64)
+		if work[counter] != want {
+			t.Errorf("/debug/stats engine.planner.work.dfs.%s = %v, the solve reported %v", counter, work[counter], want)
+		}
+		if got := metricValue(t, text, "engine_solve_work_total", map[string]string{"algorithm": "dfs", "counter": counter}); got != want || want == 0 {
+			t.Errorf("engine_solve_work_total{dfs,%s} = %v, the solve reported %v (want equal and non-zero)", counter, got, want)
+		}
+	}
 
 	resp, m = get(t, ts, "/v1/stable-clusters?k=3&algorithm=auto")
 	wantStatus(t, resp, m, 200)
@@ -163,6 +177,9 @@ func TestMetricsSolveHistogram(t *testing.T) {
 		if got := metricValue(t, text, "engine_solve_duration_seconds_count", map[string]string{"algorithm": algo}); got != 1 {
 			t.Errorf("solve histogram count for %s = %v, want 1", algo, got)
 		}
+	}
+	if got := metricValue(t, text, "engine_solve_peak_state_paths", map[string]string{"algorithm": "bfs"}); got <= 0 {
+		t.Errorf("engine_solve_peak_state_paths{bfs} = %v, want > 0", got)
 	}
 }
 
@@ -490,7 +507,7 @@ func TestMetricInventoryMatchesDesign(t *testing.T) {
 	// series to expose.
 	_, _, single := newTestServer(t, quietConfig(nil))
 	_, _, sharded := newShardedServer(t, quietConfig(nil))
-	used := map[string]bool{}
+	used, exposed := map[string]bool{}, map[string]bool{}
 	for _, ts := range []*httptest.Server{single, sharded} {
 		resp, m := get(t, ts, "/v1/stable-clusters?k=3&l=2")
 		wantStatus(t, resp, m, 200)
@@ -500,6 +517,7 @@ func TestMetricInventoryMatchesDesign(t *testing.T) {
 				continue
 			}
 			family, documented := fields[2], false
+			exposed[family] = true
 			for _, p := range prefixes {
 				if strings.HasPrefix(family, p) {
 					used[p], documented = true, true
@@ -513,6 +531,20 @@ func TestMetricInventoryMatchesDesign(t *testing.T) {
 	for _, p := range prefixes {
 		if !used[p] {
 			t.Errorf("DESIGN.md's Naming paragraph lists `%s*` but no such family is exposed", p)
+		}
+	}
+	// The solve families are held to the stricter rule the rest of the
+	// inventory is due (ROADMAP item 7): named in full, both ways.
+	named := map[string]bool{}
+	for _, m := range regexp.MustCompile("`(engine_solve_[a-z_]+)").FindAllStringSubmatch(naming, -1) {
+		named[m[1]] = true
+		if !exposed[m[1]] {
+			t.Errorf("DESIGN.md's Naming paragraph names %s but no such family is exposed", m[1])
+		}
+	}
+	for family := range exposed {
+		if strings.HasPrefix(family, "engine_solve_") && !named[family] {
+			t.Errorf("metric family %s is not named in DESIGN.md's Naming paragraph", family)
 		}
 	}
 }

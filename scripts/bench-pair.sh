@@ -11,6 +11,12 @@
 #   scripts/bench-pair.sh <parent-ref> <workload>|all [pairs=10]
 #   make bench-pair PARENT=HEAD~1 WORKLOAD=solve_paper
 #
+# With LAYERS=1 in the environment each side also gets one traced run
+# (--trace 1) after the pairs, and the per-layer metrics BENCHMARK.json
+# names that differ by more than 5 % between the two are printed side by
+# side: where the end-to-end difference sits (choosing-metrics §6.6). One
+# run a side says where to look; it is not a measurement.
+#
 # The parent is exported (git archive, so .git is not touched and a
 # killed run leaves nothing to prune) under .bench_build/pair/, each
 # side's harness is built once from its own bench/ against its own
@@ -50,10 +56,10 @@ echo "bench-pair: building parent ${commit:0:12} and the working tree" >&2
 build "$parent"
 build "$root"
 
-# run <checkout> <seed>: one untraced run of $workload; the result is
-# the last line of standard output.
+# run <checkout> <seed> <trace>: one run of $workload; the result is the
+# last line of standard output.
 run() {
-	(cd "$1/bench" && "$1/.bench_build/bin/bench" --workload "$workload" --seed "$2" --trace 0) | tail -n 1
+	(cd "$1/bench" && "$1/.bench_build/bin/bench" --workload "$workload" --seed "$2" --trace "$3") | tail -n 1
 }
 
 for workload in $workloads; do
@@ -69,9 +75,9 @@ for workload in $workloads; do
 		for side in $order; do
 			echo "bench-pair: $workload pair $i/$pairs seed $seed: $side" >&2
 			if [ "$side" = parent ]; then
-				run "$parent" "$seed" >>"$work/parent.$workload.jsonl"
+				run "$parent" "$seed" 0 >>"$work/parent.$workload.jsonl"
 			else
-				run "$root" "$seed" >>"$work/change.$workload.jsonl"
+				run "$root" "$seed" 0 >>"$work/change.$workload.jsonl"
 			fi
 		done
 	done
@@ -115,4 +121,28 @@ for m in json.load(open(bench))["end_to_end"]:
     fmt = lambda a, b, c: f"{a:.5g} / {b:.5g} / {c:.5g}"
     print(f"{name:<20}{fmt(pq1, pmed, pq3):>40}{fmt(cq1, cmed, cq3):>40}  {won:>2}-{lost:<2}  {m['bound']:>5.0%}  {verdict}")
 EOF
+
+	if [ "${LAYERS:-0}" = 1 ]; then
+		echo "bench-pair: $workload traced run, seed 100: parent, then change" >&2
+		run "$parent" 100 1 >"$work/parent.$workload.trace.json"
+		run "$root" 100 1 >"$work/change.$workload.trace.json"
+		python3 - "$root/BENCHMARK.json" "$work/parent.$workload.trace.json" "$work/change.$workload.trace.json" "$workload" <<'EOF'
+import json, sys
+
+bench, parent_file, change_file, workload = sys.argv[1:]
+parent, change = json.load(open(parent_file)), json.load(open(change_file))
+value = lambda run, name: run["metrics"].get(name, {}).get("value", 0.0)
+print(f"{workload}: per-layer metrics of one traced run a side that differ by more than 5 %")
+print(f"{'metric':<36}{'parent':>14}{'change':>14}  {'change/parent':>13}  better")
+close = 0
+for m in json.load(open(bench))["per_layer"]:
+    p, c = value(parent, m["name"]), value(change, m["name"])
+    if abs(c - p) <= 0.05 * abs(p):
+        close += p != 0
+        continue
+    ratio = f"{c / p:.2f}x" if p else "-"
+    print(f"{m['name']:<36}{p:>14.6g}{c:>14.6g}  {ratio:>13}  {m['better']}")
+print(f"the other {close} per-layer metrics this workload reports are within 5 %")
+EOF
+	fi
 done

@@ -137,6 +137,9 @@ hcount="$(printf '%s\n' "$metrics" | sed -n 's/^http_request_duration_seconds_co
 [ "$hcount" = 1 ] || fail "duration histogram count for timeseries = '$hcount', want 1"
 hits="$(printf '%s\n' "$metrics" | sed -n 's/^cache_requests_total{state="hit"} //p')"
 [ -n "$hits" ] && [ "$hits" -ge 3 ] || fail "cache hit counter '$hits', want >= 3"
+# The bfs solves above left their work counters behind.
+offers="$(printf '%s\n' "$metrics" | sed -n 's/^engine_solve_work_total{algorithm="bfs",counter="heap_considers"} //p')"
+[ -n "$offers" ] && [ "$offers" != 0 ] || fail "engine_solve_work_total{bfs,heap_considers} = '$offers', want > 0"
 echo "serve-smoke: OK /metrics (route counters match traffic)"
 
 # Counters are monotone: another query, then the counter must have advanced.

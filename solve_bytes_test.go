@@ -1,0 +1,92 @@
+package blogclusters
+
+import (
+	"context"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/raceflag"
+)
+
+// recurringCorpus is the NewsWeek corpus stretched to any number of
+// days: the week's events recur every seven, so stories persist, drift
+// and return across the whole span — the shape of the corpus the
+// serve_churn benchmark workload serves.
+func recurringCorpus(t *testing.T, intervals, posts int) *Collection {
+	t.Helper()
+	cfg := NewsWeekCorpus(2007, posts)
+	cfg.NumIntervals = intervals
+	events := cfg.Events
+	cfg.Events = nil
+	for _, ev := range events {
+		out := CorpusEvent{Name: ev.Name}
+		for _, ph := range ev.Phases {
+			week := ph.Intervals
+			ph.Intervals = nil
+			for shift := 0; shift < intervals; shift += 7 {
+				for _, iv := range week {
+					if iv+shift < intervals {
+						ph.Intervals = append(ph.Intervals, iv+shift)
+					}
+				}
+			}
+			out.Phases = append(out.Phases, ph)
+		}
+		cfg.Events = append(cfg.Events, out)
+	}
+	col, err := GenerateCorpus(cfg)
+	if err != nil {
+		t.Fatalf("generate corpus: %v", err)
+	}
+	return col
+}
+
+// TestSolveBytesOnCorpusGraph is the bytes ceiling beside
+// core.TestSolverAllocationCeilings' object ceiling, on the input where
+// bytes went wrong: k = 40 on a corpus-derived graph, what a server
+// miss solves. An object count cannot see a slice being re-copied as it
+// grows — one object each time, ever larger — and k = 5 on a synthetic
+// graph hardly grows one. Ceilings are about twice the bytes recorded
+// with this test, and two solves of one request must allocate the same.
+func TestSolveBytesOnCorpusGraph(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector changes allocation sizes")
+	}
+	ctx := context.Background()
+	eng := openTestEngine(t, recurringCorpus(t, 8, 800), WithGraphOptions(GraphOptions{Gap: 1, Theta: 0.1}))
+	g, err := eng.Graph(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// TotalAlloc is process-wide; with the collector off, no cycle's
+	// bookkeeping lands between the two readings.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		algorithm string
+		ceiling   uint64
+	}{
+		{"bfs", 5_400_000},
+		{"dfs", 6_800_000},
+	} {
+		t.Run(tc.algorithm, func(t *testing.T) {
+			solve := func() uint64 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if _, err := core.Solve(ctx, g, core.Request{Algorithm: tc.algorithm, K: 40, L: 3}); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				return after.TotalAlloc - before.TotalAlloc
+			}
+			first, second := solve(), solve()
+			if first != second {
+				t.Errorf("bytes differ between two solves of one request: %d then %d", first, second)
+			}
+			if first > tc.ceiling {
+				t.Errorf("%d bytes per solve, ceiling %d", first, tc.ceiling)
+			}
+		})
+	}
+}

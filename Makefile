@@ -75,6 +75,7 @@ FUZZTIME ?= 60s
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSolverEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzDiskIndexRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cooccur -run '^$$' -fuzz FuzzSortEntries -fuzztime $(FUZZTIME)
 
 # Chaos gate: the whole fault-injection suite under the race detector.
 # Everything prefixed TestFault* runs against internal/faultfs-injected

@@ -260,8 +260,9 @@ type IndexOptions struct {
 	// MemBudget bounds the disk backend's block-cache bytes (same
 	// convention as ClusterOptions.MemBudget); 0 means the default.
 	MemBudget int
-	// SortMemoryBudget bounds the external sorter used while building
-	// the disk segment; 0 means the extsort default.
+	// SortMemoryBudget is accepted and ignored: the disk segment is
+	// built one interval at a time in memory, with no external sorter.
+	// The field stays only because bench/build.go names it.
 	SortMemoryBudget int
 	// FS is the filesystem beneath the disk backend's segment build and
 	// reads. Nil means the real OS; tests substitute a faultfs.Injector
@@ -283,12 +284,11 @@ type IndexOptions struct {
 // context).
 func (o IndexOptions) config(lifetime context.Context) index.Config {
 	return index.Config{
-		SortMemoryBudget: o.SortMemoryBudget,
-		MemBudget:        o.MemBudget,
-		FS:               o.FS,
-		Retry:            o.Retry,
-		Ctx:              lifetime,
-		CompactAfter:     o.CompactAfter,
+		MemBudget:    o.MemBudget,
+		FS:           o.FS,
+		Retry:        o.Retry,
+		Ctx:          lifetime,
+		CompactAfter: o.CompactAfter,
 	}
 }
 

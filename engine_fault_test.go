@@ -20,8 +20,8 @@ import (
 func TestFaultEngineDiskBackendRetriesTransientReads(t *testing.T) {
 	col := testCorpus(t, 120)
 	in := faultfs.NewInjector(nil, 1)
-	// Only the opened segment reads fault (extsort's spill reads during
-	// the build share this FS but have no retry layer of their own).
+	// Only reads of the opened segment fault (the build reads no file;
+	// the rule is scoped to the segment all the same).
 	in.AddRule(faultfs.Rule{Op: faultfs.OpRead, Path: ".seg", Prob: 0.10})
 	eng, err := Open(context.Background(), FromCollection(col), WithIndexOptions(IndexOptions{
 		Backend: "disk",

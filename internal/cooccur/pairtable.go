@@ -3,7 +3,7 @@ package cooccur
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
+	"math/bits"
 )
 
 // pairKey packs an ordered keyword-id pair (u ≤ v) into one uint64 so
@@ -130,17 +130,95 @@ func (t *pairTable) reset() {
 	t.n = 0
 }
 
-// sortEntries orders entries by ascending key, i.e. by (u, v).
+// radixCutoff is the slice length below which sortEntries hands a
+// bucket to insertion sort instead of another radix pass.
+const radixCutoff = 48
+
+// sortEntries orders entries by ascending key, i.e. by (u, v), with an
+// in-place MSD radix sort (American flag sort) and no second buffer.
+// It visits only the key bytes that vary across entries — found from
+// the OR and AND of all keys — so with vocabulary ids of about two
+// bytes per 32-bit half it makes at most four passes, and most buckets
+// are below radixCutoff after the first two. Entries with equal keys
+// may come out in any order; every caller sums their counts.
 func sortEntries(entries []pairEntry) {
-	slices.SortFunc(entries, func(a, b pairEntry) int {
-		switch {
-		case a.key < b.key:
-			return -1
-		case a.key > b.key:
-			return 1
+	if len(entries) < radixCutoff {
+		insertionSortEntries(entries)
+		return
+	}
+	or, and := uint64(0), ^uint64(0)
+	for _, e := range entries {
+		or |= e.key
+		and &= e.key
+	}
+	if varying := or ^ and; varying != 0 {
+		radixSortEntries(entries, varying, topByteShift(varying))
+	}
+}
+
+// topByteShift returns the shift of the highest nonzero byte of x,
+// which must be nonzero.
+func topByteShift(x uint64) uint {
+	return uint(63-bits.LeadingZeros64(x)) &^ 7
+}
+
+// radixSortEntries sorts a, whose keys agree on every byte above shift,
+// by the byte at shift and then recursively by the lower bytes that
+// vary.
+func radixSortEntries(a []pairEntry, varying uint64, shift uint) {
+	var count [256]int
+	for _, e := range a {
+		count[byte(e.key>>shift)]++
+	}
+	if count[byte(a[0].key>>shift)] < len(a) {
+		// Permute in place: next[b] is the first slot of bucket b not
+		// yet holding one of its own entries. Each displaced entry is
+		// carried to its bucket, picking up that slot's occupant.
+		var next, end [256]int
+		off := 0
+		for b, c := range count {
+			next[b] = off
+			off += c
+			end[b] = off
 		}
-		return 0
-	})
+		for b := range count {
+			for next[b] < end[b] {
+				e := a[next[b]]
+				for d := byte(e.key >> shift); d != byte(b); d = byte(e.key >> shift) {
+					e, a[next[d]] = a[next[d]], e
+					next[d]++
+				}
+				a[next[b]] = e
+				next[b]++
+			}
+		}
+	}
+	lower := varying & (1<<shift - 1)
+	if lower == 0 {
+		return
+	}
+	shift = topByteShift(lower)
+	lo := 0
+	for _, c := range count {
+		switch {
+		case c >= radixCutoff:
+			radixSortEntries(a[lo:lo+c], varying, shift)
+		case c > 1:
+			insertionSortEntries(a[lo : lo+c])
+		}
+		lo += c
+	}
+}
+
+func insertionSortEntries(a []pairEntry) {
+	for i := 1; i < len(a); i++ {
+		e := a[i]
+		j := i
+		for ; j > 0 && a[j-1].key > e.key; j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = e
+	}
 }
 
 // --- spill record codec ---

@@ -17,9 +17,9 @@ type Config struct {
 	// blocks mean finer-grained skips at the cost of more per-block
 	// overhead. Non-positive means DefaultBlockSize.
 	BlockSize int
-	// SortMemoryBudget bounds the external sorter's in-memory buffer
-	// while a segment is built; 0 uses the extsort default. Tiny budgets
-	// force spilled runs, exercising the larger-than-RAM route.
+	// SortMemoryBudget is accepted and ignored: a segment build groups
+	// one interval's postings in memory and uses no external sorter.
+	// The field stays only because bench/build.go names it.
 	SortMemoryBudget int
 	// MemBudget bounds the resident bytes of each opened segment's
 	// decoded-block LRU cache. Non-positive means DefaultDiskMemBudget.

@@ -1,7 +1,9 @@
 // Disk-backed posting layout (EMBANKS-style): an immutable segment
-// file holding every interval's posting lists, built by streaming
-// (interval, keyword, docID) tuples through the external sorter so
-// corpora larger than RAM index in bounded memory.
+// file holding every interval's posting lists. The build's input is a
+// resident collection, so it groups one interval's postings at a time
+// in memory (a counting sort by term, see postingGroups) and writes
+// them straight out; queries then keep only the dictionaries resident,
+// so a served index's posting data may be larger than RAM.
 //
 // Segment file layout (integers are uvarint unless noted):
 //
@@ -32,10 +34,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"strings"
 
 	"repro/internal/corpus"
-	"repro/internal/extsort"
 	"repro/internal/faultfs"
 )
 
@@ -49,31 +49,6 @@ const (
 	// DefaultDiskMemBudget bounds the decoded-block LRU cache (8 MiB).
 	DefaultDiskMemBudget = 8 << 20
 )
-
-// encodePosting renders one (interval, term, doc) tuple as a binary
-// record whose bytewise order equals the tuple order: big-endian
-// fixed-width integers (byte order is monotonic in the value) and a
-// NUL terminator after the term (NUL sorts before every valid term
-// byte, so "ab" precedes "abc"): 13 bytes of framing per posting and
-// two fixed-width reads on the way back out.
-func encodePosting(buf []byte, interval int, term string, doc int64) []byte {
-	buf = binary.BigEndian.AppendUint32(buf[:0], uint32(interval))
-	buf = append(buf, term...)
-	buf = append(buf, 0)
-	return binary.BigEndian.AppendUint64(buf, uint64(doc))
-}
-
-const postingFixedLen = 4 + 1 + 8 // interval + NUL + doc id
-
-// decodePosting splits a record; term is a view of rec.
-func decodePosting(rec []byte) (interval int, term []byte, doc int64, err error) {
-	if len(rec) < postingFixedLen || rec[len(rec)-9] != 0 {
-		return 0, nil, 0, corruptf("index: malformed posting record %q", rec)
-	}
-	iv := binary.BigEndian.Uint32(rec)
-	id := binary.BigEndian.Uint64(rec[len(rec)-8:])
-	return int(iv), rec[4 : len(rec)-9], int64(id), nil
-}
 
 // blockRef is one skip-index entry: where a posting block lives and
 // the doc-id range it covers, so lookups fetch only blocks that can
@@ -91,67 +66,32 @@ type dictEntry struct {
 	blocks  []blockRef
 }
 
-// BuildDisk streams the collection's (interval, keyword, docID)
-// tuples through internal/extsort and writes the immutable segment
-// file at path (atomically, via rename). Document keywords are
-// deduplicated per document, matching New; doc ids must be
-// non-negative and keywords must not contain NUL or newline bytes.
+// BuildDisk writes the collection's immutable segment file at path
+// (atomically, via a .partial file and a rename). Each interval's
+// postings are grouped by term in memory (postingGroups: a counting
+// sort by interval-local term id, then the interval's distinct terms
+// in bytewise order) and written straight out, so the build's extra
+// memory is one interval's postings — about 20 bytes each — plus the
+// dictionaries it writes last, on top of the resident collection; no
+// budget bounds it, and it creates no file but the .partial segment.
+// Document keywords are deduplicated per document, matching New; doc
+// ids must be non-negative and keywords must not contain NUL or
+// newline bytes.
 func BuildDisk(c *corpus.Collection, path string, cfg Config) error {
 	return BuildDiskCtx(context.Background(), c, path, cfg)
 }
 
-// BuildDiskCtx is BuildDisk with cancellation: the tuple-emission and
-// segment-write loops poll ctx every few thousand records, and the
-// external sorter's merge passes poll it too, so an abandoned build
-// stops promptly and leaves no partial segment behind (the .partial
-// temp file is removed on every error path, cancellation included).
+// BuildDiskCtx is BuildDisk with cancellation: the grouping pass polls
+// ctx once per interval and every few thousand postings, so an
+// abandoned build stops promptly and leaves no partial segment behind
+// (the .partial file is removed on every error path, cancellation and
+// rejected input included).
 func BuildDiskCtx(ctx context.Context, c *corpus.Collection, path string, cfg Config) (err error) {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	blockSize := cfg.blockSize()
 	fs := cfg.fs()
-	const pollEvery = 4096
-	sorter := extsort.NewWithOptions(extsort.Options{
-		MemoryBudget: cfg.SortMemoryBudget,
-		Ctx:          ctx,
-		FS:           fs,
-	})
-	defer sorter.Discard()
-	var scratch []string
-	var recBuf []byte
-	emitted := 0
-	for i := range c.Intervals {
-		for _, d := range c.Intervals[i].Docs {
-			if d.Interval != i {
-				return fmt.Errorf("index: document %d claims interval %d but lives in %d", d.ID, d.Interval, i)
-			}
-			if d.ID < 0 {
-				return fmt.Errorf("index: document id %d is negative; the disk layout requires non-negative ids", d.ID)
-			}
-			scratch = dedupKeywords(scratch, d.Keywords)
-			for _, w := range scratch {
-				if strings.ContainsAny(w, "\x00\n") {
-					return fmt.Errorf("index: interval %d: keyword %q contains NUL or newline", i, w)
-				}
-				recBuf = encodePosting(recBuf, i, w, d.ID)
-				if err := sorter.AddBytes(recBuf); err != nil {
-					return err
-				}
-				if emitted++; emitted%pollEvery == 0 {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	it, err := sorter.Sort()
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-
 	tmp := path + ".partial"
 	sw, err := newSegmentWriter(fs, tmp)
 	if err != nil {
@@ -167,88 +107,31 @@ func BuildDiskCtx(ctx context.Context, c *corpus.Collection, path string, cfg Co
 		return err
 	}
 
-	m := len(c.Intervals)
-	dicts := make([][]dictEntry, m)
-	var (
-		open     bool
-		curIV    int
-		curTerm  string
-		ids      []int64
-		blocks   []blockRef
-		df       int64
-		blockBuf []byte
-		lastDoc  int64
-	)
-	flushBlock := func() error {
-		if len(ids) == 0 {
-			return nil
+	g := newPostingGroups()
+	dicts := make([][]dictEntry, len(c.Intervals))
+	var blockBuf []byte
+	for i := range c.Intervals {
+		if err = g.group(ctx, i, c.Intervals[i].Docs, true); err != nil {
+			return err
 		}
-		ref, werr := sw.writeBlock(ids, &blockBuf)
-		if werr != nil {
-			return werr
+		order := g.termOrder()
+		// Every term's skip entries are a subslice of one array per
+		// interval, sized exactly.
+		nBlocks := 0
+		for _, t := range order {
+			nBlocks += (len(g.list(t)) + blockSize - 1) / blockSize
 		}
-		blocks = append(blocks, ref)
-		df += int64(len(ids))
-		ids = ids[:0]
-		return nil
-	}
-	finishTerm := func() error {
-		if !open {
-			return nil
-		}
-		if ferr := flushBlock(); ferr != nil {
-			return ferr
-		}
-		dicts[curIV] = append(dicts[curIV], dictEntry{
-			term:    curTerm,
-			docFreq: df,
-			blocks:  blocks,
-		})
-		blocks = nil
-		df = 0
-		return nil
-	}
-	written := 0
-	for {
-		if written++; written%pollEvery == 0 {
-			if err = ctx.Err(); err != nil {
+		refs := make([]blockRef, 0, nBlocks)
+		entries := make([]dictEntry, 0, len(order))
+		for _, t := range order {
+			var e dictEntry
+			if e, refs, err = sw.writeTerm(g.terms[t], g.list(t), blockSize, refs, &blockBuf); err != nil {
 				return err
 			}
+			entries = append(entries, e)
 		}
-		rec, ok := it.Next()
-		if !ok {
-			break
-		}
-		iv, term, doc, derr := decodePosting(rec)
-		if derr != nil {
-			return derr
-		}
-		// term views the iterator's buffer; curTerm is materialised
-		// once per (interval, term).
-		if !open || iv != curIV || string(term) != curTerm {
-			if err = finishTerm(); err != nil {
-				return err
-			}
-			curIV, curTerm, open = iv, string(term), true
-		} else if doc == lastDoc {
-			// Equal records are adjacent in the sorted stream.
-			return fmt.Errorf("index: interval %d: duplicate document id %d", iv, doc)
-		}
-		ids = append(ids, doc)
-		lastDoc = doc
-		if len(ids) >= blockSize {
-			if err = flushBlock(); err != nil {
-				return err
-			}
-		}
+		dicts[i] = entries
 	}
-	if err = it.Err(); err != nil {
-		return err
-	}
-	if err = finishTerm(); err != nil {
-		return err
-	}
-
 	if err = sw.finish(dicts, func(i int) int { return len(c.Intervals[i].Docs) }); err != nil {
 		return err
 	}
@@ -297,6 +180,21 @@ func (s *segmentWriter) writeBlock(ids []int64, buf *[]byte) (blockRef, error) {
 		last:   ids[len(ids)-1],
 	}
 	return ref, s.write(b)
+}
+
+// writeTerm writes one term's ascending doc ids as blocks of up to
+// blockSize, appending their skip entries to refs; the returned entry's
+// blocks are the appended tail of refs, capped.
+func (s *segmentWriter) writeTerm(term string, ids []int64, blockSize int, refs []blockRef, buf *[]byte) (dictEntry, []blockRef, error) {
+	lo := len(refs)
+	for k := 0; k < len(ids); k += blockSize {
+		ref, err := s.writeBlock(ids[k:min(k+blockSize, len(ids))], buf)
+		if err != nil {
+			return dictEntry{}, refs, err
+		}
+		refs = append(refs, ref)
+	}
+	return dictEntry{term: term, docFreq: int64(len(ids)), blocks: refs[lo:len(refs):len(refs)]}, refs, nil
 }
 
 func (s *segmentWriter) writeDict(entries []dictEntry) error {

@@ -1,8 +1,10 @@
 package index
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/corpus"
@@ -11,8 +13,11 @@ import (
 // fuzzCorpus derives a deterministic small collection from raw fuzz
 // bytes: byte 0 picks the interval count and block size, and the rest
 // stream out as (interval, keyword...) document descriptors over a
-// 16-word vocabulary. Doc ids are sequential, so the collection is
-// always valid for both backends.
+// 16-word vocabulary. Bits 2-3 of byte 0 pick how doc ids are drawn:
+// 0 numbers documents in arrival order, 1 in reverse, and 2 or 3 by a
+// permutation seeded from all of data, so a term's ids need not arrive
+// ascending. Ids are always a permutation of 0..n-1, so the collection
+// is valid for both backends.
 func fuzzCorpus(data []byte) (*corpus.Collection, int) {
 	if len(data) == 0 {
 		data = []byte{0}
@@ -42,8 +47,26 @@ func fuzzCorpus(data []byte) (*corpus.Collection, int) {
 		byInterval[iv] = append(byInterval[iv], corpus.Document{ID: id, Interval: iv, Keywords: kws})
 		id++
 	}
+	perm := make([]int64, id)
+	for j := range perm {
+		perm[j] = int64(j)
+	}
+	switch (data[0] >> 2) & 3 {
+	case 0:
+	case 1:
+		slices.Reverse(perm)
+	default:
+		h := fnv.New64a()
+		h.Write(data)
+		rand.New(rand.NewSource(int64(h.Sum64()))).Shuffle(len(perm), func(a, b int) {
+			perm[a], perm[b] = perm[b], perm[a]
+		})
+	}
 	col := &corpus.Collection{Intervals: make([]corpus.Interval, m)}
 	for i := 0; i < m; i++ {
+		for j := range byInterval[i] {
+			byInterval[i][j].ID = perm[byInterval[i][j].ID]
+		}
 		col.Intervals[i] = corpus.Interval{Index: i, Docs: byInterval[i]}
 	}
 	return col, blockSize
@@ -57,6 +80,9 @@ func FuzzDiskIndexRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x13, 0x21, 0x05, 0x30, 0x07, 0x09, 0xff, 0x00, 0x41})
 	f.Add([]byte{0x72, 0x11, 0x11, 0x11, 0x12, 0x13, 0x24, 0x35, 0x46, 0x57, 0x68})
+	// One interval, block size 2, shuffled ids: each term's ids arrive
+	// out of order.
+	f.Add([]byte{0x1c, 0x10, 0x00, 0x01, 0x10, 0x00, 0x02, 0x10, 0x00, 0x01, 0x10, 0x01, 0x02, 0x10, 0x00, 0x02, 0x20, 0x00, 0x01, 0x02})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		col, blockSize := fuzzCorpus(data)
 		x, err := New(col)
@@ -64,7 +90,7 @@ func FuzzDiskIndexRoundTrip(f *testing.F) {
 			t.Fatalf("New rejected a fuzz corpus: %v", err)
 		}
 		path := filepath.Join(t.TempDir(), "seg")
-		if err := BuildDisk(col, path, Config{BlockSize: blockSize, SortMemoryBudget: 512}); err != nil {
+		if err := BuildDisk(col, path, Config{BlockSize: blockSize}); err != nil {
 			t.Fatalf("BuildDisk: %v", err)
 		}
 		d, err := OpenDisk(path, Config{MemBudget: 4 << 10})

@@ -17,8 +17,7 @@
 package index
 
 import (
-	"fmt"
-	"slices"
+	"context"
 	"sort"
 
 	"repro/internal/corpus"
@@ -39,60 +38,28 @@ type intervalIndex struct {
 
 // New indexes every interval of the collection. Document keywords are
 // treated as sets (duplicates within a document are counted once),
-// matching the binary per-document semantics of Section 3.
+// matching the binary per-document semantics of Section 3. Each
+// interval's posting lists are exact-size subslices of one array,
+// grouped by postingGroups.
 func New(c *corpus.Collection) (*Index, error) {
 	idx := &Index{
 		intervals: make([]intervalIndex, len(c.Intervals)),
 		docs:      make([]int, len(c.Intervals)),
 	}
-	var scratch []string
+	g := newPostingGroups()
 	for i, iv := range c.Intervals {
-		postings := make(map[string][]int64)
 		idx.docs[i] = len(iv.Docs)
-		for _, d := range iv.Docs {
-			if d.Interval != i {
-				return nil, fmt.Errorf("index: document %d claims interval %d but lives in %d", d.ID, d.Interval, i)
-			}
-			scratch = dedupKeywords(scratch, d.Keywords)
-			for _, w := range scratch {
-				postings[w] = append(postings[w], d.ID)
-			}
+		g.ids = nil // the map below keeps this interval's array
+		if err := g.group(context.Background(), i, iv.Docs, false); err != nil {
+			return nil, err
 		}
-		for w := range postings {
-			p := postings[w]
-			slices.Sort(p)
-			// Document ids must be unique within an interval, or A(u)
-			// counts would double-count.
-			for j := 1; j < len(p); j++ {
-				if p[j] == p[j-1] {
-					return nil, fmt.Errorf("index: interval %d: duplicate document id %d", i, p[j])
-				}
-			}
+		postings := make(map[string][]int64, len(g.terms))
+		for t, w := range g.terms {
+			postings[w] = g.list(int32(t))
 		}
 		idx.intervals[i].postings = postings
 	}
 	return idx, nil
-}
-
-// dedupKeywords overwrites dst with the distinct keywords of kws and
-// returns it. A document's keywords are a set (the per-document
-// indicator AD(u,v) of Section 3 is binary); deduping through a
-// reusable slice instead of a per-document map keeps the build hot
-// path allocation-free. Typical documents are short, so a linear scan
-// wins; long documents fall back to sort + compact.
-func dedupKeywords(dst, kws []string) []string {
-	dst = dst[:0]
-	if len(kws) <= 16 {
-		for _, w := range kws {
-			if !slices.Contains(dst, w) {
-				dst = append(dst, w)
-			}
-		}
-		return dst
-	}
-	dst = append(dst, kws...)
-	slices.Sort(dst)
-	return slices.Compact(dst)
 }
 
 // NumIntervals returns the number of indexed intervals.

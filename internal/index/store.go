@@ -403,7 +403,10 @@ func writeSegmentFromReader(ctx context.Context, fs faultfs.FS, path string, r R
 	}
 	m := r.NumIntervals()
 	dicts := make([][]dictEntry, m)
-	var blockBuf []byte
+	var (
+		blockBuf []byte
+		refs     []blockRef
+	)
 	for i := 0; i < m; i++ {
 		vocab, verr := r.Vocabulary(i)
 		if verr != nil {
@@ -420,16 +423,11 @@ func writeSegmentFromReader(ctx context.Context, fs faultfs.FS, path string, r R
 			if len(ids) == 0 {
 				continue
 			}
-			var blocks []blockRef
-			for lo := 0; lo < len(ids); lo += blockSize {
-				hi := min(lo+blockSize, len(ids))
-				ref, werr := sw.writeBlock(ids[lo:hi], &blockBuf)
-				if werr != nil {
-					return werr
-				}
-				blocks = append(blocks, ref)
+			var e dictEntry
+			if e, refs, err = sw.writeTerm(term, ids, blockSize, refs, &blockBuf); err != nil {
+				return err
 			}
-			dicts[i] = append(dicts[i], dictEntry{term: term, docFreq: int64(len(ids)), blocks: blocks})
+			dicts[i] = append(dicts[i], e)
 		}
 	}
 	return sw.finish(dicts, r.NumDocs)

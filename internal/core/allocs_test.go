@@ -36,7 +36,7 @@ func TestSolverAllocationCeilings(t *testing.T) {
 		{"bfs-full", Request{Algorithm: "bfs", K: 5, L: FullPaths}, 190},
 		{"dfs", Request{Algorithm: "dfs", K: 5, L: FullPaths}, 140},
 		{"ta", Request{Algorithm: "ta", K: 5, L: FullPaths}, 370},
-		{"normalized", Request{Algorithm: "normalized", K: 5, LMin: 3}, 580},
+		{"normalized", Request{Algorithm: "normalized", K: 5, LMin: 3}, 120},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() {

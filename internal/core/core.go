@@ -15,17 +15,17 @@
 //   - "ta" (Section 4.4): an adaptation of the threshold algorithm over
 //     per-interval-pair edge lists sorted by weight; full paths only
 //     (ta.go).
-//   - "normalized" (Section 4.5): Problem 2 via the BFS framework plus
-//     the Theorem 1 prefix pruning (normalized.go).
+//   - "normalized" (Problem 2, Section 4.5): Dinkelbach's parametric
+//     reduction to BFS's k-best DP, one pass per ratio tried, over the
+//     state (node, min(length, lmin)) (normalized.go).
 //   - "brute", "brute-normalized": exhaustive oracles (brute.go).
 //
-// Every solver is the paper's sequential algorithm; results are
-// deterministic because the top-k order (topk.Better) is a strict total
-// order and heap contents are offer-order independent. Inside a solve a
-// path is a parent-pointer chain in a per-solve slab and per-node state
-// is a slice indexed by node id (slab.go); topk.Path values are built
-// for the answer. The streaming version (Section 4.6) is in online.go
-// and has its own loop.
+// Every solver is sequential; results are deterministic because the
+// top-k order (topk.Better) is a strict total order and heap contents
+// are offer-order independent. Inside a solve a path is a parent-pointer
+// chain in a per-solve slab and per-node state is a slice indexed by
+// node id (slab.go); topk.Path values are built for the answer. The
+// streaming version (Section 4.6) is in online.go and has its own loop.
 package core
 
 import (
@@ -49,7 +49,7 @@ type Stats struct {
 	// HeapConsiders counts offers to any top-k heap.
 	HeapConsiders int64 `json:"heap_considers"`
 	// Pruned counts pruning events (DFS CanPrune firings, TA upper-bound
-	// skips).
+	// skips, normalized offers dropped on their suffix bound).
 	Pruned int64 `json:"pruned"`
 	// Repushes counts re-explorations of nodes whose visited flag was
 	// unmarked (DFS only).
@@ -60,6 +60,9 @@ type Stats struct {
 	// in per-node state — the memory-footprint proxy behind the paper's
 	// "DFS needed 2MB vs BFS 35MB" claim.
 	PeakStatePaths int64 `json:"peak_state_paths"`
+	// Passes counts the parametric passes over the graph (normalized
+	// only).
+	Passes int64 `json:"passes"`
 }
 
 // Result is the answer to a stable-clusters query.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -109,13 +110,13 @@ func TestPaperSection42HeapContents(t *testing.T) {
 	}
 	got := map[string]bool{}
 	for _, nodes := range h31[2] {
-		got[signature(nodes)] = true
+		got[fmt.Sprint(nodes)] = true
 	}
 	for _, want := range [][]int64{
 		{c(1, 1), c(2, 1), c(3, 1)},
 		{c(1, 3), c(2, 2), c(3, 1)},
 	} {
-		if !got[signature(want)] {
+		if !got[fmt.Sprint(want)] {
 			t.Errorf("h2_31 missing %v; got %v", want, h31[2])
 		}
 	}
@@ -126,9 +127,9 @@ func TestPaperSection42HeapContents(t *testing.T) {
 	}
 	got = map[string]bool{}
 	for _, nodes := range h32[2] {
-		got[signature(nodes)] = true
+		got[fmt.Sprint(nodes)] = true
 	}
-	if !got[signature([]int64{c(1, 1), c(3, 2)})] {
+	if !got[fmt.Sprint([]int64{c(1, 1), c(3, 2)})] {
 		t.Errorf("h2_32 missing the direct gap path c11c32: %v", h32[2])
 	}
 	// h^2_33 = {c13c22c33, c12c22c33}.

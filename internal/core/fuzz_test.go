@@ -38,7 +38,9 @@ func checkAgainstBrute(t *testing.T, cfg synth.Config, l, k int) {
 // FuzzSolverEquivalence is the native-fuzzing form of
 // TestFuzzEquivalence, driven through the unified Solve dispatch: the
 // engine mutates the generator parameters, and the solvers must keep
-// agreeing with the exhaustive oracle. The nightly fuzz-smoke CI job
+// agreeing with the exhaustive oracles — BFS and DFS with brute on
+// weights, normalized with brute-normalized on Paths, at the same k and
+// with the length as lmin. The nightly fuzz-smoke CI job
 // runs it for ~60s; `go test` runs the seed corpus as a regression test.
 func FuzzSolverEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(5), uint8(2), uint8(1), uint8(2), uint8(3))
@@ -56,7 +58,13 @@ func FuzzSolverEquivalence(f *testing.F) {
 		}
 		// k ranges over what the server is asked for, so that a solve's
 		// heaps span several blocks and pages.
-		checkAgainstBrute(t, cfg, 1+int(l8)%(m-1), 1+int(k8)%40)
+		l, k := 1+int(l8)%(m-1), 1+int(k8)%40
+		checkAgainstBrute(t, cfg, l, k)
+		g, err := synth.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkNormalizedAgainstBrute(t, g, k, l)
 	})
 }
 

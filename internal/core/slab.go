@@ -24,16 +24,11 @@ func bare(node int64) ref { return ^ref(node) }
 // pathRec is one slab slot: the path that adds node to the path link.
 // BFS, normalized and TA suffixes grow paths at the end, so their
 // chains run last node → first; DFS and TA prefixes grow at the front
-// and their chains run first → last. hops counts the path's nodes and
-// may be smaller than the chain behind link is long: a Theorem 1 prefix
-// drop is the same chain walked fewer hops.
+// and their chains run first → last. hops counts the path's nodes.
 type pathRec struct {
 	node   int64
 	link   ref
 	weight float64
-	// edge is the weight of the hop from link's head to node, for the
-	// solver that has to re-derive prefix weights (normalized).
-	edge   float64
 	length int32 // temporal length
 	hops   int32
 }
@@ -150,7 +145,8 @@ func bareFP(node int64) uint64 { return mix(0, node) }
 // small, every later one is allocated whole, and a full page never
 // moves — a solve that needs more heaps copies none of the ones it has.
 // Heaps are min-heaps under topk.Better (the root is the worst retained
-// path) and behave as topk.K does, duplicates included.
+// path) and behave as topk.K does, duplicates included, with each
+// path's rank key in place of its weight.
 type pathHeaps struct {
 	s *slab
 	k int
@@ -184,12 +180,14 @@ type heapSpan struct {
 	page, off, n int32
 }
 
-// heapEnt is one retained path. fp fingerprints its node sequence in
+// heapEnt is one retained path. weight is the key it is ranked by: the
+// path's weight for BFS and DFS, its rounded score for normalized, whose
+// slab record keeps the weight. fp fingerprints its node sequence in
 // chain order — mix(fingerprint of the link, node) — so that looking
 // for a duplicate reads the block and nothing else. It lives here and
 // not in pathRec because only a path some heap retains is ever compared
-// for identity: the solvers that keep no pathHeaps (TA, normalized)
-// would carry eight dead bytes per slab slot.
+// for identity: TA, which keeps no pathHeaps, would carry eight dead
+// bytes per slab slot.
 type heapEnt struct {
 	weight float64
 	ref    ref
@@ -255,9 +253,15 @@ func (hs *pathHeaps) paths(lo, hi int) []topk.Path {
 // duplicate only if the fingerprints agree and then the chains do, so
 // two paths whose fingerprints collide cost one walk and are both kept.
 func (hs *pathHeaps) consider(i int, node int64, link ref, linkFP uint64, weight float64, length int) {
+	hs.rank(i, node, link, linkFP, weight, weight, length)
+}
+
+// rank is consider with the path ranked by key rather than by its
+// weight.
+func (hs *pathHeaps) rank(i int, node int64, link ref, linkFP uint64, key, weight float64, length int) {
 	h := &hs.heaps[i]
 	e := hs.entries(*h)
-	if len(e) == hs.k && weight < e[0].weight {
+	if len(e) == hs.k && key < e[0].weight {
 		return
 	}
 	s := hs.s
@@ -272,9 +276,9 @@ func (hs *pathHeaps) consider(i int, node int64, link ref, linkFP uint64, weight
 		}
 		// A rediscovery (DFS after visited flags are unmarked, or a
 		// parallel edge): the better-ranked copy survives. Same nodes,
-		// so only the weight can rank them.
-		if weight > e[j].weight {
-			e[j] = heapEnt{weight, hs.store(s.grow(node, link, weight, length), e[j].ref), fp}
+		// so only the key, then the weight, can rank them.
+		if key > e[j].weight || key == e[j].weight && weight > old.weight {
+			e[j] = heapEnt{key, hs.store(s.grow(node, link, weight, length), e[j].ref), fp}
 			hs.fix(e, j)
 		}
 		return
@@ -287,18 +291,18 @@ func (hs *pathHeaps) consider(i int, node int64, link ref, linkFP uint64, weight
 		h.n++
 		hs.held++
 		e = hs.entries(*h)
-		e[len(e)-1] = heapEnt{weight, s.add(rec), fp}
+		e[len(e)-1] = heapEnt{key, s.add(rec), fp}
 		hs.up(e, len(e)-1)
 		return
 	}
-	if weight == e[0].weight {
+	if key == e[0].weight {
 		hs.a = hs.nodes(hs.a[:0], node, link)
 		hs.b = hs.refNodes(hs.b[:0], e[0].ref)
 		if slices.Compare(hs.a, hs.b) >= 0 {
 			return
 		}
 	}
-	e[0] = heapEnt{weight, hs.store(rec, e[0].ref), fp}
+	e[0] = heapEnt{key, hs.store(rec, e[0].ref), fp}
 	hs.down(e, 0)
 }
 

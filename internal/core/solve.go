@@ -67,17 +67,6 @@ type Request struct {
 	// reports TA needing up to m^(d−1) seeks). Zero means unlimited.
 	MaxSeeks int64
 
-	// SuffixDominance enables the aggressive Section 4.5 suffix rule
-	// (normalized).
-	SuffixDominance bool
-	// DisableTheorem1Pruning keeps every normalized candidate instead
-	// of dropping prefixes per Theorem 1, making the algorithm exact
-	// for every k at the cost of larger state.
-	DisableTheorem1Pruning bool
-	// BeamWidth, when positive, caps each node's normalized candidate
-	// set to the BeamWidth highest-stability paths.
-	BeamWidth int
-
 	// Test seams, settable only inside this package: both optimizations
 	// pay (or cost nothing) on every measurement, so callers always get
 	// them; the generic paths stay as the reference the equivalence
@@ -124,9 +113,6 @@ func (r Request) resolveLMin(g *clustergraph.Graph) (int, error) {
 	}
 	if r.LMin <= 0 {
 		return 0, fmt.Errorf("%w: LMin must be positive, got %d", ErrInvalidRequest, r.LMin)
-	}
-	if r.BeamWidth < 0 {
-		return 0, fmt.Errorf("%w: BeamWidth must be >= 0, got %d", ErrInvalidRequest, r.BeamWidth)
 	}
 	if r.LMin > g.NumIntervals()-1 {
 		return 0, fmt.Errorf("%w: LMin %d exceeds m-1 = %d", ErrInvalidRequest, r.LMin, g.NumIntervals()-1)

@@ -1,14 +1,13 @@
 package core
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/clustergraph"
+	"repro/internal/topk"
 )
 
 // Corpus graphs carry Jaccard weights, so exact weight ties are the
@@ -16,9 +15,8 @@ import (
 // floats (no ties) and compare weights only. These graphs draw every
 // edge weight from {0.25, 0.5, 0.75, 1}: sums are exact in binary, so
 // many paths tie to the bit and the answer is decided by the
-// lexicographic half of topk.Better. The Problem 1 solvers must return
-// the oracle's Paths exactly — node sequences and order, not just
-// weights.
+// lexicographic half of topk.Better. Every solver must return its
+// oracle's Paths exactly — node sequences and order, not just weights.
 
 var tieWeights = []float64{0.25, 0.5, 0.75, 1}
 
@@ -64,16 +62,9 @@ func TestTieHeavyMatchesBruteExactly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The first group of bit-equal weights ends at index end; k
-			// runs from 1 to one past it, and past every path.
-			end := 0
-			for i := 1; i < len(all.Paths); i++ {
-				if all.Paths[i].Weight == all.Paths[i-1].Weight {
-					end = i
-				} else if end > 0 {
-					break
-				}
-			}
+			// k runs from 1 to one past the first group of bit-equal
+			// weights, and past every path.
+			end := firstTieGroupEnd(all.Paths)
 			if end == 0 {
 				t.Fatalf("gap %d l %d: no tied weights; the graph does not exercise tie-breaking", gap, l)
 			}
@@ -102,28 +93,50 @@ func TestTieHeavyMatchesBruteExactly(t *testing.T) {
 	}
 }
 
-// Normalized has no exact oracle below rank 1 (Theorem 1 pruning, see
-// Request.DisableTheorem1Pruning), so its answers on the tie graphs are
-// pinned as recorded before the solvers' path representation changed:
-// one digest per gap over k ∈ {1, 3, 8} × lmin ∈ {2, m−1}, covering
-// Paths to the bit and all counters.
+// Normalized ranks by stability, weight/length, which ties across
+// lengths as well (1.5/2 = 0.75/1): on the tie graphs it must return
+// brute-normalized's Paths exactly at every k up to one past the first
+// group of equal stabilities, and past every path.
 func TestTieHeavyNormalizedPinned(t *testing.T) {
 	const m, n = 5, 5
-	want := []string{"c97a9690914fecbf", "4ac2b74038a96b02", "aebfb94c8169a6f3"}
 	for gap := 0; gap <= 2; gap++ {
 		g := tieGraph(t, int64(500+gap), m, n, gap)
-		h := fnv.New64a()
-		for _, k := range []int{1, 3, 8} {
-			for _, lmin := range []int{2, m - 1} {
-				res, err := solve(g, Request{Algorithm: "normalized", K: k, LMin: lmin})
+		for _, lmin := range []int{1, 2, m - 1} {
+			all, err := solve(g, Request{Algorithm: "brute-normalized", K: 1 << 14, LMin: lmin})
+			if err != nil {
+				t.Fatal(err)
+			}
+			end := firstTieGroupEnd(all.Paths)
+			if end == 0 {
+				t.Fatalf("gap %d lmin %d: no tied stabilities; the graph does not exercise tie-breaking", gap, lmin)
+			}
+			ks := []int{len(all.Paths) + 1}
+			for k := 1; k <= end+2; k++ {
+				ks = append(ks, k)
+			}
+			for _, k := range ks {
+				got, err := solve(g, Request{Algorithm: "normalized", K: k, LMin: lmin})
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("gap %d lmin %d k %d: %v", gap, lmin, k, err)
 				}
-				fmt.Fprintf(h, "%s %v|", pathsDigest(res.Paths), res.Stats)
+				if want := all.Paths[:min(k, len(all.Paths))]; !reflect.DeepEqual(got.Paths, want) {
+					t.Errorf("gap %d lmin %d k %d: normalized returns\n%v\nbrute returns\n%v", gap, lmin, k, got.Paths, want)
+				}
 			}
 		}
-		if got := fmt.Sprintf("%016x", h.Sum64()); got != want[gap] {
-			t.Errorf("gap %d: normalized digest %q, pinned %q", gap, got, want[gap])
+	}
+}
+
+// firstTieGroupEnd returns the index of the last path in the first group
+// of bit-equal weights, or 0 when no two adjacent weights are equal.
+func firstTieGroupEnd(paths []topk.Path) int {
+	end := 0
+	for i := 1; i < len(paths); i++ {
+		if paths[i].Weight == paths[i-1].Weight {
+			end = i
+		} else if end > 0 {
+			break
 		}
 	}
+	return end
 }

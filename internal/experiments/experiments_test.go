@@ -98,10 +98,6 @@ func TestFig12Runs(t *testing.T) {
 	}
 }
 
-// TestTimingSweepsTinyScale exercises the timing sweeps at the floor
-// scale so the table plumbing is covered; the real measurements run via
-// cmd/experiments. Table 3 and Figure 14 are excluded: the TA column
-// and the normalized smallpaths are exponential in m regardless of n.
 func TestClusterGraphShape(t *testing.T) {
 	tbl := runExp(t, "clustergraph", 0.05)
 	if len(tbl.Rows) != 4 {
@@ -117,11 +113,15 @@ func TestClusterGraphShape(t *testing.T) {
 	}
 }
 
+// TestTimingSweepsTinyScale exercises the timing sweeps at the floor
+// scale so the table plumbing is covered; the real measurements run via
+// cmd/experiments. Table 3 is excluded: its TA column is exponential in
+// m regardless of n.
 func TestTimingSweepsTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing sweeps skipped in short mode")
 	}
-	for _, id := range []string{"fig7", "fig8", "fig9", "fig10", "fig11", "fig13"} {
+	for _, id := range []string{"fig7", "fig8", "fig9", "fig10", "fig11", "fig13", "fig14"} {
 		runExp(t, id, 0.01)
 	}
 }

@@ -217,12 +217,14 @@ func TestStatsRecordAndMerge(t *testing.T) {
 	a.RecordSolve("bfs", 5e3, core.Stats{NodeReads: 10, EdgeReads: 20, HeapConsiders: 30, PeakStatePaths: 7})
 	a.RecordSolve("bfs", 5e6, core.Stats{NodeReads: 1, EdgeReads: 2, HeapConsiders: 3, PeakStatePaths: 9})
 	a.RecordSolve("dfs", 2e10, core.Stats{Pruned: 4, Repushes: 5})
+	a.RecordSolve("normalized", 5e5, core.Stats{Passes: 2})
 	b.RecordSolve("bfs", 5e3, core.Stats{NodeReads: 100, RandomSeeks: 6, PeakStatePaths: 8})
+	b.RecordSolve("normalized", 5e5, core.Stats{Passes: 3})
 
 	var sum Stats
 	sum.Merge(a)
 	sum.Merge(b)
-	if want := map[string]int64{"bfs": 3, "dfs": 1}; !reflect.DeepEqual(sum.ByAlgorithm, want) {
+	if want := map[string]int64{"bfs": 3, "dfs": 1, "normalized": 2}; !reflect.DeepEqual(sum.ByAlgorithm, want) {
 		t.Errorf("ByAlgorithm = %v, want %v", sum.ByAlgorithm, want)
 	}
 	bfs := sum.SolveNs["bfs"]
@@ -233,8 +235,9 @@ func TestStatsRecordAndMerge(t *testing.T) {
 		t.Errorf("overflow slot = %d, want 1", over)
 	}
 	if want := map[string]core.Stats{
-		"bfs": {NodeReads: 111, EdgeReads: 22, HeapConsiders: 33, RandomSeeks: 6, PeakStatePaths: 9},
-		"dfs": {Pruned: 4, Repushes: 5},
+		"bfs":        {NodeReads: 111, EdgeReads: 22, HeapConsiders: 33, RandomSeeks: 6, PeakStatePaths: 9},
+		"dfs":        {Pruned: 4, Repushes: 5},
+		"normalized": {Passes: 5},
 	}; !reflect.DeepEqual(sum.Work, want) {
 		t.Errorf("Work = %+v, want %+v", sum.Work, want)
 	}

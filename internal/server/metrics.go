@@ -241,6 +241,7 @@ func (s *Server) syncMetrics() {
 		m.solveWork.With(algo, "repushes").Set(float64(w.Repushes))
 		m.solveWork.With(algo, "pruned").Set(float64(w.Pruned))
 		m.solveWork.With(algo, "random_seeks").Set(float64(w.RandomSeeks))
+		m.solveWork.With(algo, "passes").Set(float64(w.Passes))
 		m.solvePeak.With(algo).Set(float64(w.PeakStatePaths))
 	}
 }

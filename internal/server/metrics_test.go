@@ -181,6 +181,13 @@ func TestMetricsSolveHistogram(t *testing.T) {
 	if got := metricValue(t, text, "engine_solve_peak_state_paths", map[string]string{"algorithm": "bfs"}); got <= 0 {
 		t.Errorf("engine_solve_peak_state_paths{bfs} = %v, want > 0", got)
 	}
+	// The normalized solve's parametric passes, which the response's
+	// stats block does not carry.
+	_, dbg = get(t, ts, "/debug/stats")
+	passes := dbg["engine"].(map[string]any)["planner"].(map[string]any)["work"].(map[string]any)["normalized"].(map[string]any)["passes"]
+	if got := metricValue(t, text, "engine_solve_work_total", map[string]string{"algorithm": "normalized", "counter": "passes"}); got != passes || got < 1 {
+		t.Errorf("engine_solve_work_total{normalized,passes} = %v, /debug/stats says %v (want equal and >= 1)", got, passes)
+	}
 }
 
 // TestRequestID checks the id lifecycle: minted when absent, echoed
@@ -508,10 +515,14 @@ func TestMetricInventoryMatchesDesign(t *testing.T) {
 	_, _, single := newTestServer(t, quietConfig(nil))
 	_, _, sharded := newShardedServer(t, quietConfig(nil))
 	used, exposed := map[string]bool{}, map[string]bool{}
+	counters := map[string]bool{} // engine_solve_work_total's counter labels
 	for _, ts := range []*httptest.Server{single, sharded} {
 		resp, m := get(t, ts, "/v1/stable-clusters?k=3&l=2")
 		wantStatus(t, resp, m, 200)
 		for _, line := range strings.Split(scrapeMetrics(t, ts), "\n") {
+			if c := workCounter.FindStringSubmatch(line); c != nil {
+				counters[c[1]] = true
+			}
 			fields := strings.Fields(line)
 			if len(fields) != 4 || fields[0] != "#" || fields[1] != "TYPE" {
 				continue
@@ -547,4 +558,14 @@ func TestMetricInventoryMatchesDesign(t *testing.T) {
 			t.Errorf("metric family %s is not named in DESIGN.md's Naming paragraph", family)
 		}
 	}
+	if len(counters) == 0 {
+		t.Error("no engine_solve_work_total series exposed")
+	}
+	for c := range counters {
+		if !strings.Contains(naming, "`"+c+"`") {
+			t.Errorf("engine_solve_work_total counter %q is not named in DESIGN.md's Naming paragraph", c)
+		}
+	}
 }
+
+var workCounter = regexp.MustCompile(`^engine_solve_work_total\{.*counter="([a-z_]+)"`)

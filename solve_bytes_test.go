@@ -2,6 +2,7 @@ package blogclusters
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -50,6 +51,7 @@ func recurringCorpus(t *testing.T, intervals, posts int) *Collection {
 // grows — one object each time, ever larger — and k = 5 on a synthetic
 // graph hardly grows one. Ceilings are about twice the bytes recorded
 // with this test, and two solves of one request must allocate the same.
+// L is the length bfs and dfs solve for, LMin normalized's minimum.
 func TestSolveBytesOnCorpusGraph(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation sizes")
@@ -69,12 +71,13 @@ func TestSolveBytesOnCorpusGraph(t *testing.T) {
 	}{
 		{"bfs", 5_400_000},
 		{"dfs", 6_800_000},
+		{"normalized", 3_600_000},
 	} {
 		t.Run(tc.algorithm, func(t *testing.T) {
 			solve := func() uint64 {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				if _, err := core.Solve(ctx, g, core.Request{Algorithm: tc.algorithm, K: 40, L: 3}); err != nil {
+				if _, err := core.Solve(ctx, g, core.Request{Algorithm: tc.algorithm, K: 40, L: 3, LMin: 3}); err != nil {
 					t.Fatal(err)
 				}
 				runtime.ReadMemStats(&after)
@@ -86,6 +89,54 @@ func TestSolveBytesOnCorpusGraph(t *testing.T) {
 			}
 			if first > tc.ceiling {
 				t.Errorf("%d bytes per solve, ceiling %d", first, tc.ceiling)
+			}
+		})
+	}
+}
+
+// TestNormalizedStateBoundedOnWideCorpus solves normalized at k = 40,
+// lmin = 3 on two wide recurring corpora, where Section 4.5's per-node
+// candidate lists grow without bound (1.3 M paths and 167 MB at
+// 10 × 1 500). Per-node state must stay within the k-best DP's bound —
+// k paths per (node, capped length) — and bytes under a ceiling about
+// twice those recorded with this test.
+func TestNormalizedStateBoundedOnWideCorpus(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		intervals int
+		ceiling   uint64
+	}{
+		{10, 9_200_000},
+		{12, 10_400_000},
+	} {
+		t.Run(fmt.Sprintf("%dx1500", tc.intervals), func(t *testing.T) {
+			eng := openTestEngine(t, recurringCorpus(t, tc.intervals, 1500), WithGraphOptions(GraphOptions{Gap: 1, Theta: 0.1}))
+			g, err := eng.Graph(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const k, lmin = 40, 3
+			var before, after runtime.MemStats
+			gc := debug.SetGCPercent(-1)
+			runtime.ReadMemStats(&before)
+			res, err := core.Solve(ctx, g, core.Request{Algorithm: "normalized", K: k, LMin: lmin})
+			runtime.ReadMemStats(&after)
+			debug.SetGCPercent(gc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Paths) != k {
+				t.Fatalf("%d paths, want %d", len(res.Paths), k)
+			}
+			if bound := int64(g.NumNodes() * lmin * k); res.Stats.PeakStatePaths > bound {
+				t.Errorf("peak state %d paths, above NumNodes·lmin·k = %d", res.Stats.PeakStatePaths, bound)
+			}
+			t.Logf("%d nodes: %+v, %d bytes", g.NumNodes(), res.Stats, after.TotalAlloc-before.TotalAlloc)
+			if raceflag.Enabled {
+				return // the race detector changes allocation sizes
+			}
+			if b := after.TotalAlloc - before.TotalAlloc; b > tc.ceiling {
+				t.Errorf("%d bytes per solve, ceiling %d", b, tc.ceiling)
 			}
 		})
 	}

@@ -88,12 +88,13 @@ chaos:
 	$(GO) test -race -run 'Fault|Panic|Breaker|Stale|Retry|Corrupt|ReadyzOpenFailure' ./internal/diskstore ./internal/extsort ./internal/index ./internal/server .
 
 # Example drift gate: the examples are the Engine API's showcase, so
-# they build, vet, and quickstart runs end to end against the demo
-# corpus. CI's examples job runs this target.
+# they build, vet, and quickstart and streaming (the Engine.Push
+# showcase) run end to end. CI's examples job runs this target.
 examples-smoke:
 	$(GO) build ./examples/...
 	$(GO) vet ./examples/...
 	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/streaming
 
 # Serving-layer smoke: boot blogserved on the demo corpus, curl every
 # endpoint, assert a cache hit, the 400 mapping and a clean SIGTERM

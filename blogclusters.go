@@ -11,8 +11,9 @@
 //     decomposed into biconnected components (Section 3 of the paper);
 //  2. stable clusters — top-k highest-weight paths of a chosen temporal
 //     length through the cluster graph, via BFS, DFS or threshold-
-//     algorithm solvers, plus normalized (stability-ranked) and
-//     streaming variants (Section 4).
+//     algorithm solvers, plus the normalized (stability-ranked) variant
+//     (Section 4); Engine.Push grows every artifact by one interval for
+//     live ingest.
 //
 // The package is a facade over the internal packages; everything needed
 // for end-to-end use is re-exported here. See DESIGN.md for the paper →
@@ -72,10 +73,6 @@ type (
 	Analyzer = text.Analyzer
 	// KeywordGraph is the per-interval keyword co-occurrence graph.
 	KeywordGraph = cooccur.Graph
-	// Stream is the online stable-cluster maintainer.
-	Stream = core.Stream
-	// StreamOptions configures a Stream.
-	StreamOptions = core.StreamOptions
 	// QuerySpec is the normalized description of a stable-cluster query
 	// (variant, algorithm, k, lengths, diversity mode) shared by
 	// Engine.Solve and the HTTP layer's parameter parsing and cache
@@ -217,11 +214,6 @@ func resolveAffinity(opts GraphOptions) (cluster.AffinityFunc, bool, error) {
 	}
 	return f, true, nil
 }
-
-// NewStream starts an online stable-cluster maintainer (Section 4.6):
-// push each interval's clusters as they arrive and read the running
-// top-k.
-func NewStream(opts StreamOptions) (*Stream, error) { return core.NewStream(opts) }
 
 // DescribePath renders a stable-cluster path with its keyword clusters,
 // for reports and examples.

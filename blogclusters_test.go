@@ -148,27 +148,6 @@ func TestNormalizedFacade(t *testing.T) {
 	}
 }
 
-func TestStreamFacade(t *testing.T) {
-	c := endToEndCorpus(t)
-	eng := openTestEngine(t, c)
-	sets, err := eng.Clusters(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewStream(StreamOptions{K: 2, L: 1, Gap: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cs := range sets {
-		if err := s.Push(cs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(s.TopK()) == 0 {
-		t.Error("stream found no stable pairs")
-	}
-}
-
 func TestRefineQuery(t *testing.T) {
 	clusters := []Cluster{
 		{ID: 0, Interval: 0, Keywords: []string{"cell", "fluid", "stem"}},

@@ -2,9 +2,9 @@
 // over day 0 only, and every later blog day arrives through
 // Engine.Push — the keyword index gains a delta segment, the memoized
 // cluster sets and graph grow by exactly one interval (Section 4.6's
-// incremental regime), and the generation counter ticks. A Stream
-// rides along, maintaining the top-k stable clusters from the same
-// per-day cluster sets, so nothing is ever recomputed for past days.
+// incremental regime), and the generation counter ticks. After each
+// push a BFS solve over the grown graph reports the best length-3
+// stable cluster so far; nothing is rebuilt for past days.
 //
 // Run with: go run ./examples/streaming
 package main
@@ -47,19 +47,21 @@ func main() {
 	// the corpus plays the role of the live crawl.
 	day0 := &blogclusters.Collection{Intervals: full.Intervals[:1:1]}
 	ctx := context.Background()
-	eng, err := blogclusters.Open(ctx, blogclusters.FromCollection(day0))
+	eng, err := blogclusters.Open(ctx, blogclusters.FromCollection(day0),
+		blogclusters.WithGraphOptions(blogclusters.GraphOptions{Gap: 1, Theta: 0.1}))
 	if err != nil {
 		log.Fatalf("open engine: %v", err)
 	}
 	defer eng.Close()
 
-	stream, err := blogclusters.NewStream(blogclusters.StreamOptions{
-		K: 3, L: 3, Gap: 1, Theta: 0.1,
-	})
-	if err != nil {
-		log.Fatalf("new stream: %v", err)
+	// The index is built on first use; open it now so that every push
+	// below adds a delta segment to it.
+	if _, err := eng.TimeSeries(ctx, "election"); err != nil {
+		log.Fatalf("index: %v", err)
 	}
 
+	const k, l = 3, 3
+	var res *blogclusters.Result
 	for day := 0; day < len(full.Intervals); day++ {
 		if day > 0 {
 			// The day's posts arrive: one Push appends a delta segment
@@ -76,24 +78,30 @@ func main() {
 		if err != nil {
 			log.Fatalf("day %d clusters: %v", day, err)
 		}
-		if err := stream.Push(clusters); err != nil {
-			log.Fatalf("day %d stream push: %v", day, err)
-		}
-		top := stream.TopK()
 		fmt.Printf("%d clusters, ", len(clusters))
-		if len(top) == 0 {
-			fmt.Println("no length-3 stable clusters yet")
+		// A length-l path spans l+1 days.
+		if day >= l {
+			if res, err = eng.StableClusters(ctx, "bfs", k, l); err != nil {
+				log.Fatalf("day %d solve: %v", day, err)
+			}
+		}
+		if res == nil || len(res.Paths) == 0 {
+			fmt.Printf("no length-%d stable clusters yet\n", l)
 			continue
 		}
-		fmt.Printf("best length-3 path weight %.3f (of %d tracked)\n", top[0].Weight, len(top))
+		fmt.Printf("best length-%d path weight %.3f\n", l, res.Paths[0].Weight)
 	}
 
 	fmt.Println("\nfinal top stable clusters:")
-	for i, p := range stream.TopK() {
-		fmt.Printf("#%d %s\n", i+1, p)
+	for i, p := range res.Paths {
+		desc, err := eng.Describe(ctx, p)
+		if err != nil {
+			log.Fatalf("describe: %v", err)
+		}
+		fmt.Printf("#%d %s\n", i+1, desc)
 	}
-	st := stream.Stats()
-	fmt.Printf("\nwork: %d node reads, %d node writes, %d heap offers, peak %d paths in window\n",
+	st := res.Stats
+	fmt.Printf("\nlast solve: %d node reads, %d node writes, %d heap offers, peak %d paths in window\n",
 		st.NodeReads, st.NodeWrites, st.HeapConsiders, st.PeakStatePaths)
 	es := eng.Stats()
 	fmt.Printf("session: generation %d, %d pushes, %d index segments\n",

@@ -7,18 +7,14 @@
 // which each biconnected component is popped when a child w of u
 // satisfies low[w] >= un[u]. Graphs at blogosphere scale have millions
 // of edges, so the implementation here is iterative (explicit frame
-// stack, no recursion) and also comes in a secondary-storage flavour
-// where adjacency lists are fetched from a diskstore.Store with counted
-// I/Os — the realization sketched in the paper via refs [4, 5].
+// stack, no recursion). The paper sketches a secondary-storage
+// realization via refs [4, 5]; here the pruned graph is in memory, and
+// the traversal reads each vertex's adjacency list once.
 package bicc
 
 import (
-	"encoding/binary"
-	"fmt"
 	"slices"
 	"sort"
-
-	"repro/internal/diskstore"
 )
 
 // Graph is a simple undirected graph over vertices 0..n-1. Parallel
@@ -87,80 +83,6 @@ func (r *Result) IsArticulation(v int32) bool {
 	return i < len(r.Articulation) && r.Articulation[i] == v
 }
 
-// adjSource abstracts where adjacency lists come from: memory or a
-// disk store.
-type adjSource interface {
-	neighbors(u int32) ([]int32, error)
-	numVertices() int
-}
-
-type memSource struct{ g *Graph }
-
-func (m memSource) neighbors(u int32) ([]int32, error) { return m.g.adj[u], nil }
-func (m memSource) numVertices() int                   { return len(m.g.adj) }
-
-// Decompose runs the biconnected-components algorithm over an in-memory
-// graph.
-func Decompose(g *Graph) *Result {
-	r, err := decompose(memSource{g})
-	if err != nil {
-		// memSource never fails.
-		panic(fmt.Sprintf("bicc: in-memory decompose failed: %v", err))
-	}
-	return r
-}
-
-// storeSource reads adjacency lists from a diskstore, one random read
-// per first visit of a vertex.
-type storeSource struct {
-	st *diskstore.Store
-	n  int
-}
-
-func (s storeSource) neighbors(u int32) ([]int32, error) {
-	val, err := s.st.Get(int64(u))
-	if err != nil {
-		return nil, fmt.Errorf("bicc: adjacency of %d: %w", u, err)
-	}
-	return DecodeAdjacency(val)
-}
-
-func (s storeSource) numVertices() int { return s.n }
-
-// DecomposeStore runs the algorithm with adjacency lists fetched from
-// st (vertex id → EncodeAdjacency payload). Every vertex in 0..n-1 must
-// have a record, even if empty. The caller can read st.Stats() to
-// observe the I/O the traversal performed.
-func DecomposeStore(st *diskstore.Store, n int) (*Result, error) {
-	return decompose(storeSource{st: st, n: n})
-}
-
-// EncodeAdjacency serializes a neighbor list for DecomposeStore.
-func EncodeAdjacency(neighbors []int32) []byte {
-	buf := make([]byte, 4+4*len(neighbors))
-	binary.LittleEndian.PutUint32(buf, uint32(len(neighbors)))
-	for i, v := range neighbors {
-		binary.LittleEndian.PutUint32(buf[4+4*i:], uint32(v))
-	}
-	return buf
-}
-
-// DecodeAdjacency reverses EncodeAdjacency.
-func DecodeAdjacency(b []byte) ([]int32, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("bicc: adjacency record too short (%d bytes)", len(b))
-	}
-	n := binary.LittleEndian.Uint32(b)
-	if len(b) != int(4+4*n) {
-		return nil, fmt.Errorf("bicc: adjacency record length %d does not match count %d", len(b), n)
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4+4*i:]))
-	}
-	return out, nil
-}
-
 // frame is one suspended DFS call in the iterative traversal.
 type frame struct {
 	u         int32
@@ -170,8 +92,9 @@ type frame struct {
 	children  int // DFS-tree children discovered so far (root rule)
 }
 
-func decompose(src adjSource) (*Result, error) {
-	n := src.numVertices()
+// Decompose runs the biconnected-components algorithm over g.
+func Decompose(g *Graph) *Result {
+	n := g.NumVertices()
 	un := make([]int32, n)  // discovery order, 0 = unvisited (time starts at 1)
 	low := make([]int32, n) // low-link
 	isArt := make([]bool, n)
@@ -202,11 +125,7 @@ func decompose(src adjSource) (*Result, error) {
 		}
 		time++
 		un[root], low[root] = time, time
-		rootNs, err := src.neighbors(root)
-		if err != nil {
-			return nil, err
-		}
-		stack = append(stack[:0], frame{u: root, parent: -1, neighbors: rootNs})
+		stack = append(stack[:0], frame{u: root, parent: -1, neighbors: g.adj[root]})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			if f.next < len(f.neighbors) {
@@ -219,11 +138,7 @@ func decompose(src adjSource) (*Result, error) {
 					f.children++
 					time++
 					un[w], low[w] = time, time
-					ns, err := src.neighbors(w)
-					if err != nil {
-						return nil, err
-					}
-					stack = append(stack, frame{u: w, parent: f.u, neighbors: ns})
+					stack = append(stack, frame{u: w, parent: f.u, neighbors: g.adj[w]})
 				case w != f.parent && un[w] < un[f.u]:
 					// Back edge to a proper ancestor.
 					edgeStack = append(edgeStack, [2]int32{f.u, w})
@@ -257,7 +172,7 @@ func decompose(src adjSource) (*Result, error) {
 			res.Articulation = append(res.Articulation, v)
 		}
 	}
-	return res, nil
+	return res
 }
 
 // Clusters converts the decomposition into keyword clusters per the

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/diskstore"
 )
 
 func sortedClusters(r *Result) [][]int32 {
@@ -301,79 +299,6 @@ func TestDecomposeProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDecomposeStoreMatchesMemory(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 10; trial++ {
-		g := randomGraph(rng, 20, 0.12)
-		want := Decompose(g)
-
-		st, err := diskstore.Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for u := 0; u < g.NumVertices(); u++ {
-			if err := st.Put(int64(u), EncodeAdjacency(g.adj[u])); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st.ResetStats()
-		got, err := DecomposeStore(st, g.NumVertices())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(sortedClusters(got), sortedClusters(want)) {
-			t.Errorf("trial %d: store-backed components differ", trial)
-		}
-		if !reflect.DeepEqual(got.Articulation, want.Articulation) {
-			t.Errorf("trial %d: store-backed articulation differs", trial)
-		}
-		// Every vertex's adjacency is fetched exactly once.
-		if reads := st.Stats().RandomReads; reads != int64(g.NumVertices()) {
-			t.Errorf("trial %d: %d random reads, want %d", trial, reads, g.NumVertices())
-		}
-		st.Close()
-	}
-}
-
-func TestDecomposeStoreMissingVertex(t *testing.T) {
-	st, err := diskstore.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	// Vertex 0 present with neighbor 1, but vertex 1 has no record.
-	if err := st.Put(0, EncodeAdjacency([]int32{1})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecomposeStore(st, 2); err == nil {
-		t.Fatal("DecomposeStore succeeded with missing adjacency record")
-	}
-}
-
-func TestAdjacencyCodecRoundTrip(t *testing.T) {
-	cases := [][]int32{nil, {}, {1}, {5, 2, 9, 2_000_000_000}}
-	for _, c := range cases {
-		got, err := DecodeAdjacency(EncodeAdjacency(c))
-		if err != nil {
-			t.Fatalf("decode(%v): %v", c, err)
-		}
-		if len(got) != len(c) {
-			t.Fatalf("round trip %v = %v", c, got)
-		}
-		for i := range c {
-			if got[i] != c[i] {
-				t.Fatalf("round trip %v = %v", c, got)
-			}
-		}
-	}
-	if _, err := DecodeAdjacency([]byte{1, 2}); err == nil {
-		t.Error("DecodeAdjacency accepted short record")
-	}
-	if _, err := DecodeAdjacency(EncodeAdjacency([]int32{1})[:6]); err == nil {
-		t.Error("DecodeAdjacency accepted truncated record")
 	}
 }
 

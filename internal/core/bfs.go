@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/clustergraph"
 	"repro/internal/topk"
@@ -19,17 +18,12 @@ func solveBFS(ctx context.Context, g *clustergraph.Graph, req Request) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	if req.MaxWindowNodes < 0 {
-		return nil, fmt.Errorf("%w: MaxWindowNodes must be >= 0, got %d", ErrInvalidRequest, req.MaxWindowNodes)
-	}
 	r := newBFSRun(g, req, l)
 	for i := 0; i < g.NumIntervals(); i++ {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		if err := r.processInterval(i); err != nil {
-			return nil, err
-		}
+		r.processInterval(i)
 	}
 	return &Result{Paths: r.global.Items(), Stats: r.stats}, nil
 }
@@ -39,8 +33,6 @@ type bfsRun struct {
 	g        *clustergraph.Graph
 	l        int
 	fullPath bool
-	window   int // MaxWindowNodes; 0 = unlimited
-	store    *storeBackend
 
 	// Paths live in slab; heaps indexes the h^x of node id at
 	// id*perNode + x−1. In full-path mode perNode is 1: a node's one
@@ -51,9 +43,7 @@ type bfsRun struct {
 	global  *topk.K
 	stats   Stats
 
-	windowIDs []int64 // the window's node ids, rebuilt per interval
-	inBlock   []bool  // by node id: in the window block being joined
-	nodes     []int64 // scratch for global offers
+	nodes []int64 // scratch for global offers
 }
 
 func newBFSRun(g *clustergraph.Graph, req Request, l int) *bfsRun {
@@ -61,11 +51,8 @@ func newBFSRun(g *clustergraph.Graph, req Request, l int) *bfsRun {
 		g:        g,
 		l:        l,
 		fullPath: l == g.NumIntervals()-1 && !req.disableFullPathFastPath,
-		window:   req.MaxWindowNodes,
-		store:    newStoreBackend(req.Store),
 		perNode:  l,
 		global:   topk.NewK(req.K),
-		inBlock:  make([]bool, g.NumNodes()),
 	}
 	if r.fullPath {
 		r.perNode = 1
@@ -77,55 +64,26 @@ func newBFSRun(g *clustergraph.Graph, req Request, l int) *bfsRun {
 
 // processInterval computes heaps for every node of interval i, using
 // the heaps of the previous g+1 intervals, then evicts intervals that
-// fall out of the window (Algorithm 2 lines 2–18).
-func (r *bfsRun) processInterval(i int) error {
-	nodes := r.g.NodesAt(i)
+// fall out of the window (Algorithm 2 lines 2–18). The cluster graph
+// links a node only to nodes at most g+1 intervals before it, so every
+// parent is in the window.
+func (r *bfsRun) processInterval(i int) {
 	// "Read Gi' in memory": the window nodes were computed in earlier
 	// iterations and retained; the read cost the paper accounts is one
-	// node-state read per window node per interval processed (a single
-	// sequential pass when memory suffices). With a window cap, the
-	// current interval's nodes are re-scanned once per block
-	// (block-nested loops), multiplying reads of Gi.
-	window := r.windowNodeIDs(i)
-	block := len(window)
-	if r.window > 0 {
-		block = min(block, r.window)
+	// node-state read per window node per interval processed.
+	for j := max(i-r.g.Gap()-1, 0); j < i; j++ {
+		r.stats.NodeReads += int64(len(r.g.NodesAt(j)))
 	}
-	r.stats.NodeReads += int64(len(window)) // window scan
-	for lo := 0; lo < len(window); lo += block {
-		if lo > 0 {
-			// Each extra block re-reads interval i's nodes.
-			r.stats.NodeReads += int64(len(nodes))
+	for _, id := range r.g.NodesAt(i) {
+		for _, ph := range r.g.Parents(id) {
+			r.stats.EdgeReads++
+			r.extend(id, ph)
 		}
-		in := window[lo:min(lo+block, len(window))]
-		for _, id := range in {
-			r.inBlock[id] = true
-		}
-		for _, id := range nodes {
-			for _, ph := range r.g.Parents(id) {
-				if !r.inBlock[ph.Peer] {
-					continue
-				}
-				r.stats.EdgeReads++
-				r.extend(id, ph)
-			}
-		}
-		for _, id := range in {
-			r.inBlock[id] = false
-		}
-	}
-	// "save cij along with h^x_ij to disk" (line 17).
-	for _, id := range nodes {
+		// "save cij along with h^x_ij to disk" (line 17).
 		r.stats.NodeWrites++
-		if r.store != nil {
-			if err := r.store.save(id, encodePaths(r.heaps.paths(int(id)*r.perNode, (int(id)+1)*r.perNode))); err != nil {
-				return err
-			}
-		}
 	}
 	r.evict(i)
 	r.stats.PeakStatePaths = max(r.stats.PeakStatePaths, int64(r.heaps.held))
-	return nil
 }
 
 // extend merges parent ph's heaps into node id's heaps across the edge
@@ -175,16 +133,6 @@ func (r *bfsRun) offer(id int64, link ref, linkFP uint64, weight float64, length
 			offerGlobal(r.global, r.nodes, weight, length)
 		}
 	}
-}
-
-// windowNodeIDs lists the node ids of intervals [i-g-1, i-1] — the
-// parents reachable from interval i.
-func (r *bfsRun) windowNodeIDs(i int) []int64 {
-	r.windowIDs = r.windowIDs[:0]
-	for j := max(i-r.g.Gap()-1, 0); j < i; j++ {
-		r.windowIDs = append(r.windowIDs, r.g.NodesAt(j)...)
-	}
-	return r.windowIDs
 }
 
 // evict drops heaps of nodes that can no longer be parents ("Gi−g−1 is

@@ -24,8 +24,10 @@
 // top-k order (topk.Better) is a strict total order and heap contents
 // are offer-order independent. Inside a solve a path is a parent-pointer
 // chain in a per-solve slab and per-node state is a slice indexed by
-// node id (slab.go); topk.Path values are built for the answer. The
-// streaming version (Section 4.6) is in online.go and has its own loop.
+// node id (slab.go); topk.Path values are built for the answer. All
+// solver state lives in memory. The online regime of Section 4.6 is the
+// root package's Engine.Push, which grows the cluster graph that these
+// solvers then run on.
 package core
 
 import (
@@ -37,8 +39,9 @@ const FullPaths = -1
 
 // Stats describes the work an algorithm performed, in the cost model
 // the paper uses: node-state reads and writes against secondary
-// storage, plus algorithm-specific counters. When Request.Store is set,
-// NodeReads/NodeWrites correspond to real store operations.
+// storage, plus algorithm-specific counters. Solver state stays in
+// memory, so NodeReads and NodeWrites are logical: they count the I/Os
+// the paper's disk-resident algorithm would issue.
 type Stats struct {
 	// NodeReads counts node-state loads.
 	NodeReads int64 `json:"node_reads"`

@@ -1,20 +1,15 @@
 package core
 
 import (
-	"bytes"
-	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/clustergraph"
-	"repro/internal/diskstore"
 	"repro/internal/synth"
-	"repro/internal/topk"
 )
 
 const eps = 1e-9
@@ -63,30 +58,19 @@ func TestPaperSection42BFSExample(t *testing.T) {
 
 // TestPaperSection42HeapContents verifies the per-node heaps the paper
 // lists for the Figure 5 graph (h^1 and h^2 of the interval-3 nodes) by
-// reading them back from the store BFS saves node state to.
+// reading them off the BFS run once every interval is processed; the
+// window of g+1 = 2 intervals still holds intervals 2 and 3.
 func TestPaperSection42HeapContents(t *testing.T) {
 	g, ids := synth.Figure5()
-	st, err := diskstore.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
 	// Use the generic (non-full-path) machinery so every h^x is
 	// maintained, as in the paper's walk-through.
-	if _, err := solve(g, Request{K: 2, L: 2, Store: st, disableFullPathFastPath: true}); err != nil {
-		t.Fatalf("BFS: %v", err)
+	r := newBFSRun(g, Request{K: 2, disableFullPathFastPath: true}, 2)
+	for i := 0; i < g.NumIntervals(); i++ {
+		r.processInterval(i)
 	}
 	heaps := func(id int64) map[int][][]int64 {
-		b, err := st.Get(id)
-		if err != nil {
-			t.Fatalf("load node %d: %v", id, err)
-		}
-		paths, err := decodePaths(b)
-		if err != nil {
-			t.Fatalf("decode node %d: %v", id, err)
-		}
 		out := map[int][][]int64{}
-		for _, p := range paths {
+		for _, p := range r.heaps.paths(int(id)*r.perNode, (int(id)+1)*r.perNode) {
 			out[p.Length] = append(out[p.Length], p.Nodes)
 		}
 		return out
@@ -213,9 +197,6 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := solve(g, Request{K: 1, L: 7}); err == nil {
 		t.Error("BFS accepted L > m-1")
 	}
-	if _, err := solve(g, Request{K: 1, L: 1, MaxWindowNodes: -1}); err == nil {
-		t.Error("BFS accepted negative window")
-	}
 	if _, err := solve(g, Request{Algorithm: "dfs", K: 0, L: 1}); err == nil {
 		t.Error("DFS accepted K=0")
 	}
@@ -259,75 +240,6 @@ func TestDFSRejectsUnnormalizedWeights(t *testing.T) {
 	}
 	if _, err := solve(g, Request{Algorithm: "dfs", K: 1, L: 1, DisablePruning: true}); err != nil {
 		t.Errorf("DFS without pruning rejected weights > 1: %v", err)
-	}
-}
-
-func TestPathStateRoundTrip(t *testing.T) {
-	paths := []topk.Path{
-		{Nodes: []int64{1, 2, 3}, Length: 2, Weight: 1.25},
-		{Nodes: []int64{9}, Length: 0, Weight: 0},
-		{Nodes: []int64{5, 7}, Length: 3, Weight: 0.125},
-	}
-	got, err := decodePaths(encodePaths(paths))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, paths) {
-		t.Errorf("round trip = %v, want %v", got, paths)
-	}
-	if _, err := decodePaths([]byte{1, 2}); err == nil {
-		t.Error("decodePaths accepted short record")
-	}
-	if _, err := decodePaths(append(encodePaths(paths), 0)); err == nil {
-		t.Error("decodePaths accepted trailing bytes")
-	}
-}
-
-func TestDFSStateRoundTrip(t *testing.T) {
-	g, _ := synth.Figure5()
-	newRun := func() *dfsRun {
-		r := newDFSRun(context.Background(), g, Request{K: 3}, 2)
-		r.resetState(1)
-		return r
-	}
-	r := newRun()
-	r.visited[1] = true
-	r.maxweights(1)[2] = 1.5
-	r.maxweights(1)[1] = 0.25
-	r.best.consider(r.bestHeap(1, 1), 1, bare(2), bareFP(2), 0.5, 1)
-	r.best.consider(r.bestHeap(1, 1), 1, bare(3), bareFP(3), 0.75, 1)
-	r.best.consider(r.bestHeap(1, 2), 1, r.slab.add(r.slab.grow(4, bare(7), 0.5, 1)), mix(bareFP(7), 4), 1.25, 2)
-	enc := r.encodeState(1)
-
-	got := newRun()
-	if err := got.decodeState(1, enc); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !got.visited[1] {
-		t.Error("visited flag lost")
-	}
-	if !reflect.DeepEqual(got.maxweights(1), r.maxweights(1)) {
-		t.Errorf("maxweight = %v, want %v", got.maxweights(1), r.maxweights(1))
-	}
-	paths := func(r *dfsRun, y int) []topk.Path {
-		out := r.best.paths(r.bestHeap(1, y), r.bestHeap(1, y)+1)
-		slices.SortFunc(out, func(a, b topk.Path) int { return cmp.Compare(b.Weight, a.Weight) })
-		return out
-	}
-	if want := []topk.Path{
-		{Nodes: []int64{1, 3}, Length: 1, Weight: 0.75},
-		{Nodes: []int64{1, 2}, Length: 1, Weight: 0.5},
-	}; !reflect.DeepEqual(paths(got, 1), want) {
-		t.Errorf("bestpaths of length 1 = %v, want %v", paths(got, 1), want)
-	}
-	if want := []topk.Path{{Nodes: []int64{1, 4, 7}, Length: 2, Weight: 1.25}}; !reflect.DeepEqual(paths(got, 2), want) {
-		t.Errorf("bestpaths of length 2 = %v, want %v", paths(got, 2), want)
-	}
-	if !bytes.Equal(got.encodeState(1), enc) {
-		t.Error("re-encoding the decoded state gives different bytes")
-	}
-	if err := newRun().decodeState(1, []byte{0}); err == nil {
-		t.Error("decodeState accepted short record")
 	}
 }
 

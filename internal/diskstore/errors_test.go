@@ -104,31 +104,3 @@ func TestRetryPolicyHonorsContext(t *testing.T) {
 		t.Fatal("cancellation did not interrupt the backoff sleep")
 	}
 }
-
-func TestStoreCorruptionMatchesSentinel(t *testing.T) {
-	s, err := Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Put(7, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	// Flip a payload byte behind the store's back.
-	f, ok := s.f.(interface {
-		WriteAt([]byte, int64) (int, error)
-	})
-	if !ok {
-		t.Skip("backing does not support WriteAt")
-	}
-	if _, err := f.WriteAt([]byte{0xFF}, int64(recordHeaderLen)); err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.Get(7)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Get over flipped byte = %v, want ErrCorrupt", err)
-	}
-	if st := s.Stats(); st.CorruptReads != 1 {
-		t.Fatalf("CorruptReads = %d, want 1", st.CorruptReads)
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/bicc"
 	"repro/internal/cooccur"
 	"repro/internal/corpus"
-	"repro/internal/diskstore"
 	"repro/internal/stats"
 )
 
@@ -85,13 +84,13 @@ func Fig6(cfg Config) (*Table, error) {
 	}
 	t := &Table{
 		ID:     "fig6",
-		Title:  "cluster generation time vs ρ threshold (secondary-storage Art algorithm, Section 3)",
-		Header: []string{"rho", "edges after prune", "clusters", "store reads", "seconds"},
+		Title:  "cluster generation time vs ρ threshold (Art algorithm, Section 3)",
+		Header: []string{"rho", "edges after prune", "clusters", "vertices after prune", "seconds"},
 		Notes:  "paper shape: time decreases drastically as ρ increases (fewer edges/vertices survive pruning)",
 	}
 	// The raw keyword graph is built and annotated once; the paper's
-	// ρ-dependent cost is the pruning plus the secondary-storage Art
-	// run over what survives.
+	// ρ-dependent cost is the pruning plus the Art run over what
+	// survives.
 	g, err := cooccur.BuildCtx(cfg.Context(), col, 0, 0, buildOptions(cfg))
 	if err != nil {
 		return nil, err
@@ -100,30 +99,16 @@ func Fig6(cfg Config) (*Table, error) {
 	for _, rho := range []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
 		start := time.Now()
 		pruned := g.Prune(stats.ChiSquared95, rho)
-		st, err := diskstore.Open()
-		if err != nil {
-			return nil, err
+		bg := bicc.NewGraph(pruned.NumVertices())
+		for _, e := range pruned.Edges {
+			bg.AddEdge(e.U, e.V)
 		}
-		adj := pruned.Adjacency()
-		for u := range adj {
-			if err := st.Put(int64(u), bicc.EncodeAdjacency(adj[u])); err != nil {
-				st.Close()
-				return nil, err
-			}
-		}
-		dec, err := bicc.DecomposeStore(st, pruned.NumVertices())
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		clusters := dec.Clusters(2)
-		reads := st.Stats().RandomReads
-		st.Close()
+		clusters := bicc.Decompose(bg).Clusters(2)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.1f", rho),
 			itoa(pruned.NumEdges()),
 			itoa(len(clusters)),
-			i64toa(reads),
+			itoa(pruned.NumVertices()),
 			fmtDur(time.Since(start)),
 		})
 	}

@@ -55,13 +55,13 @@ func TestTable1Shape(t *testing.T) {
 func TestFig6Shape(t *testing.T) {
 	tbl := runExp(t, "fig6", 0.05)
 	// Edges after pruning must be non-increasing in rho, and the
-	// secondary-storage reads must fall accordingly.
+	// vertices they touch must fall accordingly.
 	for i := 1; i < len(tbl.Rows); i++ {
 		if cellInt(t, tbl, i, 1) > cellInt(t, tbl, i-1, 1) {
 			t.Errorf("fig6: edges increased from rho %s to %s", tbl.Rows[i-1][0], tbl.Rows[i][0])
 		}
 		if cellInt(t, tbl, i, 3) > cellInt(t, tbl, i-1, 3) {
-			t.Errorf("fig6: store reads increased from rho %s to %s", tbl.Rows[i-1][0], tbl.Rows[i][0])
+			t.Errorf("fig6: vertices increased from rho %s to %s", tbl.Rows[i-1][0], tbl.Rows[i][0])
 		}
 	}
 }

@@ -1,7 +1,7 @@
 # Build, verification and benchmark entry points. `make check` is the
 # tier-1 gate. Performance is measured by one system, bench/ +
 # BENCHMARK.json (`bash bench/run.sh`, `make bench-pair`); `make bench`
-# only prints the six go-test benchmarks that open ROADMAP decisions
+# only prints the four go-test benchmarks that open ROADMAP decisions
 # still need (DESIGN.md "Benchmarks").
 #
 # CI (.github/workflows/ci.yml) runs these same targets — build/vet/test
@@ -51,7 +51,7 @@ bench-check:
 
 check: build vet test race bench-check
 
-# The six go-test benchmarks left in the root package, on standard
+# The four go-test benchmarks left in the root package, on standard
 # output; nothing is written or tracked.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .

@@ -1,6 +1,6 @@
 package blogclusters
 
-// The five go-test benchmarks here (and BenchmarkShardScatterGather in
+// The three go-test benchmarks here (and BenchmarkShardScatterGather in
 // bench_shard_test.go) are NOT the repo's benchmark: bench/ +
 // BENCHMARK.json is, and it times every layer (DESIGN.md "Benchmarks").
 // Each function below stays only because an open ROADMAP decision still
@@ -16,9 +16,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/clustergraph"
 	"repro/internal/cooccur"
-	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/synth"
 )
 
 func benchCorpus(b *testing.B, posts int) *corpus.Collection {
@@ -34,63 +32,6 @@ func benchCorpus(b *testing.B, posts int) *corpus.Collection {
 		b.Fatal(err)
 	}
 	return col
-}
-
-func benchGraph(b *testing.B, m, n, d, g int) *clustergraph.Graph {
-	b.Helper()
-	cg, err := synth.Generate(synth.Config{Seed: 1, M: m, N: n, D: d, G: g})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return cg
-}
-
-// benchSolve runs one unified-dispatch solve.
-func benchSolve(b *testing.B, g *clustergraph.Graph, req core.Request) {
-	b.Helper()
-	if _, err := core.Solve(context.Background(), g, req); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkAblationDFSChildOrder: children sorted by descending weight
-// (the paper's heuristic) vs worst-first. Kept for ROADMAP item 1b: the
-// paper's order does not beat worst-first here, and bench/ times DFS
-// only with the default order. Goes when 1b fixes or fences the solver.
-func BenchmarkAblationDFSChildOrder(b *testing.B) {
-	g := benchGraph(b, 6, 100, 5, 0)
-	for _, worst := range []bool{false, true} {
-		name := "sorted"
-		if worst {
-			name = "worstFirst"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchSolve(b, g, core.Request{Algorithm: "dfs", K: 5, L: core.FullPaths, WorstFirstChildren: worst})
-			}
-		})
-	}
-}
-
-// BenchmarkAblationDFSPruning: CanPrune on vs off. Kept for ROADMAP
-// item 1b: pruning is slower than no pruning on this graph, the
-// opposite of Section 4.3, and bench/ cannot switch it off. Goes when
-// 1b settles whether DisablePruning becomes the only path.
-func BenchmarkAblationDFSPruning(b *testing.B) {
-	g := benchGraph(b, 6, 100, 5, 0)
-	for _, disabled := range []bool{false, true} {
-		name := "pruning"
-		if disabled {
-			name = "noPruning"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchSolve(b, g, core.Request{Algorithm: "dfs", K: 5, L: core.FullPaths, DisablePruning: disabled})
-			}
-		})
-	}
 }
 
 // BenchmarkAblationParallelBuild: the sharded parallel keyword-graph

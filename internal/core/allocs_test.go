@@ -32,9 +32,9 @@ func TestSolverAllocationCeilings(t *testing.T) {
 		req     Request
 		ceiling float64
 	}{
-		{"bfs-sub", Request{Algorithm: "bfs", K: 5, L: 3}, 240},
-		{"bfs-full", Request{Algorithm: "bfs", K: 5, L: FullPaths}, 190},
-		{"dfs", Request{Algorithm: "dfs", K: 5, L: FullPaths}, 140},
+		{"bfs-sub", Request{Algorithm: "bfs", K: 5, L: 3}, 80},
+		{"bfs-full", Request{Algorithm: "bfs", K: 5, L: FullPaths}, 80},
+		{"dfs", Request{Algorithm: "dfs", K: 5, L: FullPaths}, 100},
 		{"ta", Request{Algorithm: "ta", K: 5, L: FullPaths}, 370},
 		{"normalized", Request{Algorithm: "normalized", K: 5, LMin: 3}, 120},
 	} {

@@ -12,7 +12,10 @@ import (
 // g+1 intervals (with their heaps) in memory, and annotate every node
 // cij with heaps h^x_ij of the top-k subpaths of each length x ≤ l
 // ending there. The global heap H accumulates the top-k paths of length
-// exactly l.
+// exactly l. An offer that the suffix bound (bound.go) shows cannot
+// reach the top k is dropped before any heap sees it: every prefix of a
+// final top-k path survives, and a heap offered a subset of its offers
+// still keeps each one it would have ranked in its top k.
 func solveBFS(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, error) {
 	l, err := req.resolveL(g)
 	if err != nil {
@@ -41,6 +44,8 @@ type bfsRun struct {
 	heaps   *pathHeaps
 	perNode int
 	global  *topk.K
+	bound   suffixBound
+	floor   float64 // bound.floor of the global threshold
 	stats   Stats
 
 	nodes []int64 // scratch for global offers
@@ -57,6 +62,8 @@ func newBFSRun(g *clustergraph.Graph, req Request, l int) *bfsRun {
 	if r.fullPath {
 		r.perNode = 1
 	}
+	r.bound = newSuffixBound(g, req, l, &r.stats)
+	r.floor = r.bound.floor(r.global.Threshold())
 	r.heaps = newPathHeaps(&r.slab, req.K, g.NumNodes()*r.perNode)
 	r.heaps.reuse = true
 	return r
@@ -89,6 +96,8 @@ func (r *bfsRun) processInterval(i int) {
 // extend merges parent ph's heaps into node id's heaps across the edge
 // (Algorithm 2 lines 7–14). The parent's heaps are read in place; a
 // candidate is a weight, a length and a link until a heap admits it.
+// Each parent entry is held to the suffix bound's cut before anything
+// else is read; one that misses it counts as Pruned.
 func (r *bfsRun) extend(id int64, ph clustergraph.Half) {
 	peer := int(ph.Peer)
 	// The edge alone is a path of length ph.Length (the implicit h^0 =
@@ -97,17 +106,32 @@ func (r *bfsRun) extend(id int64, ph clustergraph.Half) {
 	// from there; everything a heap then holds started there too. This
 	// is the paper's "one heap per node suffices" optimization —
 	// temporal lengths make length(p) == interval(id) automatic.
-	if !r.fullPath || r.g.Interval(ph.Peer) == 0 {
-		r.offer(id, bare(ph.Peer), bareFP(ph.Peer), ph.Weight, ph.Length)
+	if (!r.fullPath || r.g.Interval(ph.Peer) == 0) && ph.Length <= r.l {
+		if ph.Weight < r.bound.need(id, r.l-ph.Length, r.floor) {
+			r.stats.Pruned++
+		} else {
+			r.offer(id, bare(ph.Peer), bareFP(ph.Peer), ph.Weight, ph.Length)
+		}
 	}
 	for x := 1; x <= r.perNode; x++ {
 		length := x + ph.Length
 		if r.fullPath {
 			length = r.g.Interval(id)
 		}
+		if length > r.l {
+			break
+		}
 		hi := peer*r.perNode + x - 1
+		if r.heaps.size(hi) == 0 {
+			continue
+		}
+		cut := r.bound.need(id, r.l-length, r.floor) - ph.Weight
 		for j := 0; j < r.heaps.size(hi); j++ {
 			e := r.heaps.at(hi, j)
+			if e.weight < cut {
+				r.stats.Pruned++
+				continue
+			}
 			r.offer(id, e.ref, e.fp, e.weight+ph.Weight, length)
 		}
 	}
@@ -117,9 +141,6 @@ func (r *bfsRun) extend(id int64, ph clustergraph.Half) {
 // into the appropriate h^x heap and, when it has length exactly l, into
 // the global heap.
 func (r *bfsRun) offer(id int64, link ref, linkFP uint64, weight float64, length int) {
-	if length > r.l {
-		return
-	}
 	hi := int(id) * r.perNode
 	if !r.fullPath {
 		hi += length - 1
@@ -131,6 +152,7 @@ func (r *bfsRun) offer(id int64, link ref, linkFP uint64, weight float64, length
 		if weight >= r.global.Threshold() {
 			r.nodes = r.heaps.nodes(r.nodes[:0], id, link)
 			offerGlobal(r.global, r.nodes, weight, length)
+			r.floor = r.bound.floor(r.global.Threshold())
 		}
 	}
 }

@@ -1,0 +1,159 @@
+package core
+
+import (
+	"math"
+
+	"repro/internal/clustergraph"
+)
+
+// suffixBound is the exact suffix bound BFS and DFS prune with. A
+// backward sweep, last interval first, sets U_r(v), the weight of the
+// heaviest path of temporal length exactly r that starts at v (−Inf when
+// there is none, U_0 = 0), for every r ≤ l: O(E·l) work and N·(l+1)
+// float64s. For full paths (l = m−1) a prefix ending at v can only go on
+// to the last interval, so one value per node is kept: U_{m−1−i}(v), the
+// heaviest path from v to the last interval.
+//
+// From the sweep it seeds a floor F, the k-th largest U_l(s) over the
+// nodes s a sought path can start at. Those are the weights of k real
+// paths with distinct first nodes, so the k-th answer weighs at least F,
+// as it weighs at least the k-th weight any solver has seen so far. A
+// path through a prefix of weight w ending at v, of length x, weighs at
+// most w + U_{l−x}(v); when that is below both lower bounds, no final
+// top-k path has the prefix. The test allows a relative slack of 1e-9:
+// U sums a path last hop first, the solvers first hop first, and the two
+// may differ in the last bits.
+type suffixBound struct {
+	g    *clustergraph.Graph
+	l    int
+	full bool
+	u    []float64 // U_r(v) at v*(l+1)+r; for full paths U(v) at v
+	f    float64   // the seeded floor F
+	on   bool      // false: the unbounded reference (disableSuffixBound)
+}
+
+// newSuffixBound sweeps g for paths of length l and seeds the floor for
+// a top-k of size k, counting the edges it reads in st.
+func newSuffixBound(g *clustergraph.Graph, req Request, l int, st *Stats) suffixBound {
+	m := g.NumIntervals()
+	b := suffixBound{g: g, l: l, full: l == m-1, f: math.Inf(-1), on: !req.disableSuffixBound}
+	if !b.on {
+		return b
+	}
+	span := l + 1
+	if b.full {
+		span = 1
+	}
+	b.u = make([]float64, g.NumNodes()*span)
+	for i := m - 1; i >= 0; i-- {
+		for _, v := range g.NodesAt(i) {
+			children := g.Children(v)
+			st.EdgeReads += int64(len(children))
+			if b.full {
+				u := math.Inf(-1)
+				if i == m-1 {
+					u = 0
+				}
+				for _, h := range children {
+					if w := h.Weight + b.u[h.Peer]; w > u {
+						u = w
+					}
+				}
+				b.u[v] = u
+				continue
+			}
+			uv := b.u[int(v)*span : (int(v)+1)*span]
+			for r := 1; r <= l; r++ {
+				uv[r] = math.Inf(-1)
+			}
+			room := min(l, m-1-i)
+			for _, h := range children {
+				uc := b.u[int(h.Peer)*span:]
+				for r := h.Length; r <= room; r++ {
+					if w := h.Weight + uc[r-h.Length]; w > uv[r] {
+						uv[r] = w
+					}
+				}
+			}
+		}
+	}
+	top := make([]float64, 0, min(req.K, g.NumNodes()))
+	for i := 0; i <= m-1-l; i++ {
+		for _, s := range g.NodesAt(i) {
+			if u := b.rest(s, l); !math.IsInf(u, -1) {
+				top = keepLargest(top, req.K, u)
+			}
+		}
+	}
+	if len(top) == req.K {
+		b.f = top[0]
+	}
+	return b
+}
+
+// rest returns U_r(v).
+func (b *suffixBound) rest(v int64, r int) float64 {
+	if b.full {
+		if r != b.g.NumIntervals()-1-b.g.Interval(v) {
+			return math.Inf(-1)
+		}
+		return b.u[v]
+	}
+	return b.u[int(v)*(b.l+1)+r]
+}
+
+// floor returns what a path's bound must reach, given the k-th weight
+// seen so far (−Inf while fewer than k are known): the larger of that
+// and F, less the slack. The reference uses the threshold as it is.
+func (b *suffixBound) floor(threshold float64) float64 {
+	if !b.on {
+		return threshold
+	}
+	t := max(b.f, threshold)
+	return t - 1e-9*max(1, math.Abs(t))
+}
+
+// need returns the least weight a path ending at v must have for some
+// continuation of temporal length r to reach floor: +Inf when v starts
+// no such continuation, −Inf for the reference, which drops nothing.
+func (b *suffixBound) need(v int64, r int, floor float64) float64 {
+	if !b.on {
+		return math.Inf(-1)
+	}
+	u := b.rest(v, r)
+	if math.IsInf(u, -1) {
+		return math.Inf(1)
+	}
+	return floor - u
+}
+
+// keepLargest offers v to h, a min-heap holding the (up to) k largest
+// values offered so far, and returns it.
+func keepLargest(h []float64, k int, v float64) []float64 {
+	if len(h) < k {
+		h = append(h, v)
+		for j := len(h) - 1; j > 0 && h[(j-1)/2] > h[j]; j = (j - 1) / 2 {
+			h[j], h[(j-1)/2] = h[(j-1)/2], h[j]
+		}
+		return h
+	}
+	if v <= h[0] {
+		return h
+	}
+	h[0] = v
+	for j := 0; ; {
+		c := 2*j + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[j] <= h[c] {
+			break
+		}
+		h[j], h[c] = h[c], h[j]
+		j = c
+	}
+	return h
+}

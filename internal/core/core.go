@@ -11,7 +11,7 @@
 //     subpaths of each length (bfs.go).
 //   - "dfs" (Algorithm 3): a stack-based depth-first traversal with
 //     maxweight-based pruning, visited-flag unmarking and bestpaths
-//     back-propagation; low memory, more I/O (dfs.go).
+//     back-propagation (dfs.go).
 //   - "ta" (Section 4.4): an adaptation of the threshold algorithm over
 //     per-interval-pair edge lists sorted by weight; full paths only
 //     (ta.go).
@@ -19,6 +19,9 @@
 //     reduction to BFS's k-best DP, one pass per ratio tried, over the
 //     state (node, min(length, lmin)) (normalized.go).
 //   - "brute", "brute-normalized": exhaustive oracles (brute.go).
+//
+// BFS and DFS both prune on one exact suffix bound, the heaviest path
+// of each length from each node, swept last interval first (bound.go).
 //
 // Every solver is sequential; results are deterministic because the
 // top-k order (topk.Better) is a strict total order and heap contents
@@ -52,7 +55,7 @@ type Stats struct {
 	// HeapConsiders counts offers to any top-k heap.
 	HeapConsiders int64 `json:"heap_considers"`
 	// Pruned counts pruning events (DFS CanPrune firings, TA upper-bound
-	// skips, normalized offers dropped on their suffix bound).
+	// skips, BFS and normalized offers dropped on their suffix bound).
 	Pruned int64 `json:"pruned"`
 	// Repushes counts re-explorations of nodes whose visited flag was
 	// unmarked (DFS only).

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/clustergraph"
 	"repro/internal/synth"
 )
@@ -64,7 +63,8 @@ func TestPaperSection42HeapContents(t *testing.T) {
 	g, ids := synth.Figure5()
 	// Use the generic (non-full-path) machinery so every h^x is
 	// maintained, as in the paper's walk-through.
-	r := newBFSRun(g, Request{K: 2, disableFullPathFastPath: true}, 2)
+	// Without the suffix bound, which would leave most of them empty.
+	r := newBFSRun(g, Request{K: 2, disableFullPathFastPath: true, disableSuffixBound: true}, 2)
 	for i := 0; i < g.NumIntervals(); i++ {
 		r.processInterval(i)
 	}
@@ -229,38 +229,4 @@ func TestTASeekBudget(t *testing.T) {
 	if err == nil {
 		t.Fatal("TA ignored the seek budget")
 	}
-}
-
-func TestDFSRejectsUnnormalizedWeights(t *testing.T) {
-	// Build a graph with weight > 1 via the synth path is impossible;
-	// construct directly.
-	g := mustWeightedGraph(t, 2.5)
-	if _, err := solve(g, Request{Algorithm: "dfs", K: 1, L: 1}); err == nil {
-		t.Error("DFS with pruning accepted weights > 1")
-	}
-	if _, err := solve(g, Request{Algorithm: "dfs", K: 1, L: 1, DisablePruning: true}); err != nil {
-		t.Errorf("DFS without pruning rejected weights > 1: %v", err)
-	}
-}
-
-// mustWeightedGraph builds a 2-interval, 2-node graph with one edge of
-// the given weight.
-func mustWeightedGraph(t *testing.T, w float64) *clustergraph.Graph {
-	t.Helper()
-	b, err := clustergraph.NewBuilder(2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := b.AddNode(0, cluster.Cluster{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := b.AddNode(1, cluster.Cluster{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddEdge(u, v, w); err != nil {
-		t.Fatal(err)
-	}
-	return b.Build(false)
 }

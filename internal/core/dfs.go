@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/clustergraph"
 	"repro/internal/topk"
@@ -23,23 +22,21 @@ const sourceID int64 = -1
 // the stack; here every node's state stays in memory and Stats counts
 // those reads and writes.
 //
-// Pruning assumes edge weights lie in (0,1] (Section 4.3); DFS returns
-// an error for graphs with larger weights unless pruning is disabled.
-//
-// One deliberate deviation from the pseudocode: CanPrune also considers
-// prefix length x = 0 (with maxweight 0) whenever a sought path could
-// *start* at the candidate node. The paper's x-range starts at 1, which
-// can discard subtrees that are unreachable through any worthwhile
-// prefix yet still host high-weight paths starting inside them; the
-// extra case keeps the algorithm exact for subpath queries (verified
-// against brute force in the tests).
+// Two deliberate deviations from the pseudocode. CanPrune bounds the
+// rest of a path by the exact suffix bound (bound.go) instead of the
+// paper's one unit of weight per remaining interval, and holds it to the
+// bound's seeded floor as well as the current top-k threshold; the bound
+// holds for any weights, so the paper's (0,1] precondition is gone. And
+// CanPrune also considers prefix length x = 0 (with maxweight 0) whenever
+// a sought path could *start* at the candidate node. The paper's x-range
+// starts at 1, which can discard subtrees that are unreachable through
+// any worthwhile prefix yet still host high-weight paths starting inside
+// them; the extra case keeps the algorithm exact for subpath queries
+// (verified against brute force in the tests).
 func solveDFS(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, error) {
 	l, err := req.resolveL(g)
 	if err != nil {
 		return nil, err
-	}
-	if !req.DisablePruning && g.MaxWeight() > 1 {
-		return nil, fmt.Errorf("core: DFS pruning requires edge weights in (0,1]; graph max weight is %g (normalize the graph or disable pruning)", g.MaxWeight())
 	}
 	r := newDFSRun(ctx, g, req, l)
 	if err := r.run(); err != nil {
@@ -58,7 +55,6 @@ type dfsRun struct {
 	l        int
 	fullPath bool
 	prune    bool
-	worst    bool
 	ctx      context.Context
 
 	visited []bool
@@ -75,6 +71,7 @@ type dfsRun struct {
 	best *pathHeaps
 
 	global *topk.K
+	bound  suffixBound
 	stats  Stats
 	nodes  []int64 // scratch for global offers
 }
@@ -86,16 +83,18 @@ func newDFSRun(ctx context.Context, g *clustergraph.Graph, req Request, l int) *
 		l:          l,
 		fullPath:   l == g.NumIntervals()-1,
 		prune:      !req.DisablePruning,
-		worst:      req.WorstFirstChildren,
 		ctx:        ctx,
 		visited:    make([]bool, n),
 		everPushed: make([]bool, n),
 		maxweight:  make([]float64, n*(l+1)),
 		global:     topk.NewK(req.K),
 	}
-	for i := range r.maxweight {
-		if i%(l+1) != 0 {
-			r.maxweight[i] = math.Inf(-1)
+	if r.prune {
+		r.bound = newSuffixBound(g, req, l, &r.stats)
+	}
+	for i := 0; i < len(r.maxweight); i += l + 1 {
+		for x := 1; x <= l; x++ {
+			r.maxweight[i+x] = math.Inf(-1)
 		}
 	}
 	r.best = newPathHeaps(&r.slab, req.K, n*l)
@@ -148,7 +147,8 @@ func (r *dfsRun) run() error {
 		if steps++; steps > limit {
 			return fmt.Errorf("core: DFS exceeded %d steps; suspected re-exploration loop", limit)
 		}
-		if steps%pollEvery == 0 {
+		// Poll on the first step too: a small solve may take no more.
+		if steps%pollEvery == 1 {
 			if err := ctxErr(r.ctx); err != nil {
 				return err
 			}
@@ -189,7 +189,9 @@ func (r *dfsRun) run() error {
 				r.stats.NodeWrites++
 				continue
 			}
-			stack = append(stack, dfsFrame{node: child, children: r.childList(child)})
+			// The graph keeps children weight-descending: the paper's
+			// best-first order.
+			stack = append(stack, dfsFrame{node: child, children: r.g.Children(child)})
 			r.trackPeak(stack)
 		} else {
 			// All children considered: pop, write back (line 24),
@@ -208,19 +210,6 @@ func (r *dfsRun) run() error {
 		}
 	}
 	return nil
-}
-
-// childList returns the node's children in the configured order. The
-// graph stores them weight-descending (the paper's heuristic);
-// WorstFirstChildren reverses for the ablation study.
-func (r *dfsRun) childList(id int64) []clustergraph.Half {
-	hs := r.g.Children(id)
-	if !r.worst {
-		return hs
-	}
-	rev := slices.Clone(hs)
-	slices.Reverse(rev)
-	return rev
 }
 
 func (r *dfsRun) maxweights(id int64) []float64 {
@@ -245,11 +234,10 @@ func (r *dfsRun) updateMaxweight(parent int64, edge clustergraph.Half) {
 
 // canPrune implements CanPrune (Algorithm 3): the node may be shelved
 // when, for every feasible prefix length x, even the best known prefix
-// extended by a maximum-weight suffix cannot beat the current top-k
-// threshold. Feasible x additionally includes 0 when a sought path can
-// start at the node (see the deviation note on solveDFS).
+// extended by the heaviest suffix of length l−x cannot reach the floor.
+// Feasible x additionally includes 0 when a sought path can start at the
+// node (see the deviation note on solveDFS).
 func (r *dfsRun) canPrune(id int64) bool {
-	minK := r.global.Threshold()
 	i := r.g.Interval(id)
 	m := r.g.NumIntervals()
 	// Feasible prefix lengths x of a length-l path meeting this node:
@@ -265,17 +253,28 @@ func (r *dfsRun) canPrune(id int64) bool {
 		// No length-l path can touch this node in any position.
 		return true
 	}
-	if math.IsInf(minK, -1) {
+	floor := r.bound.floor(r.global.Threshold())
+	if math.IsInf(floor, -1) {
 		return false
 	}
 	mw := r.maxweights(id)
 	for x := xmin; x <= xmax; x++ {
-		// No prefix of this length known yet: -Inf, never >= minK.
-		if mw[x]+float64(r.l-x) >= minK {
+		// No prefix of this length known yet: -Inf, never >= floor.
+		if mw[x]+r.suffix(id, r.l-x) >= floor {
 			return false
 		}
 	}
 	return true
+}
+
+// suffix bounds the weight of a path of temporal length rem starting at
+// id: U_rem(id), or, in the reference Algorithm 3, rem — one unit per
+// interval, which bounds it only for weights in (0,1].
+func (r *dfsRun) suffix(id int64, rem int) float64 {
+	if r.bound.on {
+		return r.bound.rest(id, rem)
+	}
+	return float64(rem)
 }
 
 // combine folds a finished child's bestpaths into the parent's

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/clustergraph"
 	"repro/internal/synth"
 )
 
@@ -133,9 +135,63 @@ func TestStatsPopulated(t *testing.T) {
 	if dfs.Stats.NodeReads == 0 || dfs.Stats.NodeWrites == 0 || dfs.Stats.EdgeReads == 0 {
 		t.Errorf("DFS stats unpopulated: %+v", dfs.Stats)
 	}
-	// The paper's memory claim: DFS holds far fewer paths in memory
-	// than BFS holds in its window.
+	// The paper's memory claim, which holds for its Algorithms 2 and 3:
+	// DFS holds far fewer paths in memory than BFS holds in its window.
+	// The suffix bound empties BFS's heaps more than DFS's, so the
+	// bounded solvers are compared through the seam.
+	bfs, err = solve(g, Request{K: 5, L: 3, disableSuffixBound: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dfs, err = solve(g, Request{Algorithm: "dfs", K: 5, L: 3, disableSuffixBound: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if dfs.Stats.PeakStatePaths >= bfs.Stats.PeakStatePaths {
 		t.Errorf("DFS peak paths %d not below BFS %d", dfs.Stats.PeakStatePaths, bfs.Stats.PeakStatePaths)
+	}
+}
+
+// TestSuffixBoundMatchesReference holds BFS and DFS with the suffix
+// bound to the paper's unbounded Algorithms 2 and 3: the same Paths, bit
+// for bit and ties included, over synthetic and tie graphs, k 1–40,
+// subpaths and full paths.
+func TestSuffixBoundMatchesReference(t *testing.T) {
+	type graph struct {
+		name string
+		g    *clustergraph.Graph
+	}
+	var graphs []graph
+	for seed := int64(0); seed < 6; seed++ {
+		g, err := synth.Generate(synth.Config{Seed: 900 + seed, M: 6, N: 8, D: 3, G: int(seed % 3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, graph{fmt.Sprintf("synth%d", seed), g})
+	}
+	for gap := 0; gap <= 2; gap++ {
+		graphs = append(graphs, graph{fmt.Sprintf("tie%d", gap), tieGraph(t, int64(500+gap), 5, 5, gap)})
+	}
+	for _, gg := range graphs {
+		m := gg.g.NumIntervals()
+		for _, l := range []int{1, 2, m - 1} {
+			for _, k := range []int{1, 2, 3, 5, 8, 13, 40} {
+				for _, algo := range []string{"bfs", "dfs"} {
+					req := Request{Algorithm: algo, K: k, L: l}
+					got, err := solve(gg.g, req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					req.disableSuffixBound = true
+					want, err := solve(gg.g, req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got.Paths, want.Paths) {
+						t.Errorf("%s l %d k %d %s: bounded\n%v\nreference\n%v", gg.name, l, k, algo, got.Paths, want.Paths)
+					}
+				}
+			}
+		}
 	}
 }

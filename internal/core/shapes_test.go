@@ -34,13 +34,13 @@ var pinnedShapes = []struct {
 	stats  string
 }{
 	{"dfs", synth.Config{M: 6, N: 40, D: 5, G: 1}, Request{Algorithm: "dfs", K: 5, L: FullPaths},
-		"64b24b96718c3ecd", "{4492 1352 4492 16253 863 1113 0 15 0}"},
+		"64b24b96718c3ecd", "{588 547 2496 200 494 369 0 20 0}"},
 	{"ta", synth.Config{M: 6, N: 30, D: 5, G: 0}, Request{Algorithm: "ta", K: 5, L: FullPaths},
 		"055b1b54ccfa3ca3", "{0 0 0 66264 1 0 5913 0 0}"},
 	{"bfs_full", synth.Config{M: 10, N: 100, D: 5, G: 1}, Request{Algorithm: "bfs", K: 5, L: FullPaths},
-		"2d5d240235a9794c", "{1700 1000 9576 48703 0 0 0 1000 0}"},
+		"2d5d240235a9794c", "{1700 1000 19152 67 1599 0 0 16 0}"},
 	{"bfs_sub", synth.Config{M: 10, N: 100, D: 5, G: 1}, Request{Algorithm: "bfs", K: 5, L: 3},
-		"b324484c0591585c", "{1700 1000 9576 104517 0 0 0 2903 0}"},
+		"b324484c0591585c", "{1700 1000 19152 20 9659 0 0 7 0}"},
 	{"normalized", synth.Config{M: 8, N: 8, D: 3, G: 0}, Request{Algorithm: "normalized", K: 5, LMin: 3},
 		"ca74e015954916c9", "{224 256 1840 2199 1614 0 0 114 4}"},
 }

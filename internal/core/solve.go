@@ -42,18 +42,15 @@ type Request struct {
 	// Problem 2).
 	LMin int
 
-	// DisablePruning turns off DFS's maxweight/CanPrune machinery
-	// (ablation).
+	// DisablePruning turns off DFS's maxweight/CanPrune machinery, and
+	// with it DFS's suffix bound (ablation).
 	DisablePruning bool
-	// WorstFirstChildren reverses DFS's best-first child order
-	// (ablation).
-	WorstFirstChildren bool
 
 	// MaxSeeks aborts a TA run after this many random seeks (the paper
 	// reports TA needing up to m^(d−1) seeks). Zero means unlimited.
 	MaxSeeks int64
 
-	// Test seams, settable only inside this package: both optimizations
+	// Test seams, settable only inside this package: these optimizations
 	// pay (or cost nothing) on every measurement, so callers always get
 	// them; the generic paths stay as the reference the equivalence
 	// tests compare against.
@@ -64,6 +61,10 @@ type Request struct {
 	// disableBoundHashTables turns off TA's startwts/endwts upper-bound
 	// optimization.
 	disableBoundHashTables bool
+	// disableSuffixBound runs BFS and DFS as the paper's Algorithms 2
+	// and 3, without the exact suffix bound (bound.go). DFS then prunes
+	// as the paper does, exact only for weights in (0,1].
+	disableSuffixBound bool
 }
 
 // validate checks the algorithm-independent fields.
@@ -172,8 +173,8 @@ func Lookup(name string) (Info, bool) {
 // Solve answers one stable-clusters request by dispatching to the
 // registered solver. It is the single entry point for every algorithm;
 // ctx cancels the solve at each algorithm's natural loop boundary
-// (BFS per interval and per seek batch, DFS every few thousand stack
-// steps, TA per round and per seek batch).
+// (BFS per interval and per seek batch, DFS on its first stack step and
+// every few thousand after, TA per round and per seek batch).
 func Solve(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, error) {
 	name := req.Algorithm
 	if name == "" {

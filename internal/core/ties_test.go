@@ -24,6 +24,13 @@ var tieWeights = []float64{0.25, 0.5, 0.75, 1}
 // node gets 1–3 distinct targets in each interval within gap+1.
 func tieGraph(t *testing.T, seed int64, m, n, gap int) *clustergraph.Graph {
 	t.Helper()
+	return scaledTieGraph(t, seed, m, n, gap, 1)
+}
+
+// scaledTieGraph is tieGraph with every weight multiplied by scale and
+// left unnormalized.
+func scaledTieGraph(t *testing.T, seed int64, m, n, gap int, scale float64) *clustergraph.Graph {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	b, err := clustergraph.NewBuilder(m, gap)
 	if err != nil {
@@ -43,7 +50,7 @@ func tieGraph(t *testing.T, seed int64, m, n, gap int) *clustergraph.Graph {
 		for dist := 1; dist <= gap+1 && i+dist < m; dist++ {
 			for _, u := range ids[i] {
 				for _, j := range rng.Perm(n)[:1+rng.Intn(3)] {
-					if err := b.AddEdge(u, ids[i+dist][j], tieWeights[rng.Intn(len(tieWeights))]); err != nil {
+					if err := b.AddEdge(u, ids[i+dist][j], scale*tieWeights[rng.Intn(len(tieWeights))]); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -87,6 +94,39 @@ func TestTieHeavyMatchesBruteExactly(t *testing.T) {
 					if !reflect.DeepEqual(got.Paths, want) {
 						t.Errorf("gap %d l %d k %d: %s returns\n%v\nbrute returns\n%v", gap, l, k, algo, got.Paths, want)
 					}
+				}
+			}
+		}
+	}
+}
+
+// DFS prunes on the exact suffix bound, which holds for any weights, so
+// it needs no (0,1] range: with the tie graphs' weights tripled
+// ({0.75, 1.5, 2.25, 3}, still exact in binary) and left unnormalized,
+// it must return brute's Paths exactly at every k the table above tries.
+func TestDFSAcceptsUnnormalizedWeights(t *testing.T) {
+	const m, n = 5, 5
+	for gap := 0; gap <= 2; gap++ {
+		g := scaledTieGraph(t, int64(500+gap), m, n, gap, 3)
+		if g.MaxWeight() <= 1 {
+			t.Fatalf("gap %d: max weight %g; the graph does not leave (0,1]", gap, g.MaxWeight())
+		}
+		for _, l := range []int{2, m - 1} {
+			all, err := solve(g, Request{Algorithm: "brute", K: 1 << 14, L: l})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ks := []int{len(all.Paths) + 1}
+			for k := 1; k <= firstTieGroupEnd(all.Paths)+2; k++ {
+				ks = append(ks, k)
+			}
+			for _, k := range ks {
+				got, err := solve(g, Request{Algorithm: "dfs", K: k, L: l})
+				if err != nil {
+					t.Fatalf("gap %d l %d k %d: %v", gap, l, k, err)
+				}
+				if want := all.Paths[:min(k, len(all.Paths))]; !reflect.DeepEqual(got.Paths, want) {
+					t.Errorf("gap %d l %d k %d: dfs returns\n%v\nbrute returns\n%v", gap, l, k, got.Paths, want)
 				}
 			}
 		}

@@ -2,24 +2,48 @@ package blogclusters
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/topk"
 )
+
+// checkUpToTies holds got, a top-k answer on a corpus graph, to ref, a
+// reference ranking at least k+1 long where the graph has that many
+// paths. Jaccard weights make rational ties whose doubles can differ in
+// the last ulp depending on summation order, so the rule is: the same
+// number of paths; at every rank a weight within 1e-12 of ref's; and a
+// path other than ref's only where ref's sits in a group of weights
+// within 1e-12 of each other.
+func checkUpToTies(t *testing.T, name string, got, ref []topk.Path, k int) {
+	t.Helper()
+	const tie = 1e-12
+	tied := func(i int) bool {
+		near := func(j int) bool {
+			return j >= 0 && j < len(ref) && math.Abs(ref[j].Weight-ref[i].Weight) <= tie
+		}
+		return near(i-1) || near(i+1)
+	}
+	want := ref[:min(k, len(ref))]
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d paths, reference %d", name, len(got), len(want))
+	}
+	for i, p := range got {
+		w := want[i]
+		if math.Abs(p.Weight-w.Weight) > tie || !slices.Equal(p.Nodes, w.Nodes) && !tied(i) {
+			t.Errorf("%s rank %d: %v, reference %v", name, i, p, w)
+		}
+	}
+}
 
 // TestNormalizedMatchesBruteOnCorpusGraphs holds the normalized solver
 // to the exhaustive oracle on the graphs the server solves: recurring
 // corpora 4–6 intervals wide at 800 posts (gap 1, θ 0.1, the
-// serve_churn shape), k 1–40, lmin 2 and 3. Jaccard weights make
-// rational ties whose doubles can differ in the last ulp depending on
-// summation order, so the rule is: the same number of paths; at every
-// rank a stability within 1e-12 of the oracle's; and a path other than
-// the oracle's only where the oracle's sits in a group of stabilities
-// within 1e-12 of each other.
+// serve_churn shape), k 1–40, lmin 2 and 3, under checkUpToTies' rule.
 func TestNormalizedMatchesBruteOnCorpusGraphs(t *testing.T) {
-	const tie = 1e-12
 	ctx := context.Background()
 	for _, width := range []int{4, 5, 6} {
 		eng := openTestEngine(t, recurringCorpus(t, width, 800), WithGraphOptions(GraphOptions{Gap: 1, Theta: 0.1}))
@@ -34,27 +58,12 @@ func TestNormalizedMatchesBruteOnCorpusGraphs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tied := func(i int) bool {
-				near := func(j int) bool {
-					return j >= 0 && j < len(all.Paths) && math.Abs(all.Paths[j].Weight-all.Paths[i].Weight) <= tie
-				}
-				return near(i-1) || near(i+1)
-			}
 			for k := 1; k <= 40; k++ {
 				got, err := core.Solve(ctx, g, core.Request{Algorithm: "normalized", K: k, LMin: lmin})
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := all.Paths[:min(k, len(all.Paths))]
-				if len(got.Paths) != len(want) {
-					t.Fatalf("width %d lmin %d k %d: %d paths, brute %d", width, lmin, k, len(got.Paths), len(want))
-				}
-				for i, p := range got.Paths {
-					w := want[i]
-					if math.Abs(p.Weight-w.Weight) > tie || !slices.Equal(p.Nodes, w.Nodes) && !tied(i) {
-						t.Errorf("width %d lmin %d k %d rank %d: %v, brute %v", width, lmin, k, i, p, w)
-					}
-				}
+				checkUpToTies(t, fmt.Sprintf("width %d lmin %d k %d", width, lmin, k), got.Paths, all.Paths, k)
 			}
 		}
 	}

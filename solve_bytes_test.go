@@ -69,8 +69,8 @@ func TestSolveBytesOnCorpusGraph(t *testing.T) {
 		algorithm string
 		ceiling   uint64
 	}{
-		{"bfs", 5_400_000},
-		{"dfs", 6_800_000},
+		{"bfs", 1_700_000},
+		{"dfs", 850_000},
 		{"normalized", 3_600_000},
 	} {
 		t.Run(tc.algorithm, func(t *testing.T) {
@@ -89,6 +89,60 @@ func TestSolveBytesOnCorpusGraph(t *testing.T) {
 			}
 			if first > tc.ceiling {
 				t.Errorf("%d bytes per solve, ceiling %d", first, tc.ceiling)
+			}
+		})
+	}
+}
+
+// TestDFSWorkOnRecurringCorpus pins DFS's counted work on the corpus
+// graphs where it once ran away — at k 5, l 3 the paper's Algorithm 3
+// made 4.0 M repushes at 10 × 1 500 and did not finish in 20 s at
+// 12 × 1 500 — in counters, not wall clock: DFS must return BFS's
+// Paths, two solves must count exactly the same work, and repushes and
+// edge reads stay under ceilings about twice those recorded with this
+// test. DFS sums a path last hop first and BFS first hop first, so on
+// Jaccard weights the two may order a tie group differently; the
+// comparison is checkUpToTies', against BFS's top k+1.
+func TestDFSWorkOnRecurringCorpus(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		intervals, posts int
+		k                int
+		repushes, edges  int64
+	}{
+		// Recorded: 177 repushes and 6 009 edge reads; 0 and 5 869.
+		{8, 800, 5, 360, 12_000},
+		{8, 800, 40, 100, 12_000},
+		// 0 and 14 894; 311 040 and 421 707.
+		{10, 1500, 5, 100, 30_000},
+		{10, 1500, 40, 620_000, 850_000},
+		// 0 and 18 240; 1 916 246 and 3 008 391. At k 40 prunes still
+		// cascade into re-explorations through the unmarking of every
+		// stacked node: 8.4 M heap offers where BFS makes 15 k.
+		{12, 1500, 5, 100, 37_000},
+		{12, 1500, 40, 3_800_000, 6_000_000},
+	} {
+		t.Run(fmt.Sprintf("%dx%d/k%d", tc.intervals, tc.posts, tc.k), func(t *testing.T) {
+			eng := openTestEngine(t, recurringCorpus(t, tc.intervals, tc.posts), WithGraphOptions(GraphOptions{Gap: 1, Theta: 0.1}))
+			g, err := eng.Graph(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			solve := func(algorithm string, k int) *core.Result {
+				res, err := core.Solve(ctx, g, core.Request{Algorithm: algorithm, K: k, L: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			bfs, dfs, again := solve("bfs", tc.k+1), solve("dfs", tc.k), solve("dfs", tc.k)
+			t.Logf("%d nodes; dfs %+v", g.NumNodes(), dfs.Stats)
+			checkUpToTies(t, "dfs against bfs", dfs.Paths, bfs.Paths, tc.k)
+			if again.Stats != dfs.Stats {
+				t.Errorf("two solves of one request count %+v then %+v", dfs.Stats, again.Stats)
+			}
+			if dfs.Stats.Repushes > tc.repushes || dfs.Stats.EdgeReads > tc.edges {
+				t.Errorf("%d repushes, %d edge reads; ceilings %d, %d", dfs.Stats.Repushes, dfs.Stats.EdgeReads, tc.repushes, tc.edges)
 			}
 		})
 	}

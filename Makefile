@@ -1,11 +1,11 @@
 # Build, verification and benchmark entry points. `make check` is the
 # tier-1 gate. Performance is measured by one system, bench/ +
 # BENCHMARK.json (`bash bench/run.sh`, `make bench-pair`); `make bench`
-# only prints the four go-test benchmarks that open ROADMAP decisions
+# only prints the two go-test benchmarks that open ROADMAP decisions
 # still need (DESIGN.md "Benchmarks").
 #
-# CI (.github/workflows/ci.yml) runs these same targets — build/vet/test
-# and bench-check on a Go version matrix, `race` and `fmt-check` as
+# CI (.github/workflows/ci.yml) runs these same targets — build/vet/test,
+# cpu-matrix and bench-check on a Go version matrix, `race` and `fmt-check` as
 # separate jobs. Keep local and CI invocations identical by changing
 # the targets here, not the workflow.
 
@@ -15,7 +15,7 @@ GO ?= go
 # fetched through the module cache, never added to go.mod.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build check vet test race bench-check fmt-check staticcheck bench bench-pair fuzz-smoke chaos examples-smoke serve-smoke shard-smoke clean
+.PHONY: all build check vet test race cpu-matrix bench-check fmt-check staticcheck bench bench-pair fuzz-smoke chaos examples-smoke serve-smoke shard-smoke clean
 
 all: check
 
@@ -30,6 +30,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Worker-count coverage without a knob: the interval pool and the
+# cluster-graph edge tasks size themselves from GOMAXPROCS, so the tests
+# that hold them to sequential references run at 1, 2 and 8 workers.
+cpu-matrix:
+	$(GO) test -cpu 1,2,8 -run '^(TestSection4ParallelEquivalence|TestAllIntervalClustersBudgetSplit|TestEnginePushIncremental)$$' .
+	$(GO) test -cpu 1,2,8 ./internal/clustergraph ./internal/par
 
 # Fails when any file is not gofmt-formatted (prints the offenders).
 fmt-check:
@@ -49,9 +56,9 @@ staticcheck:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-check: build vet test race bench-check
+check: build vet test race cpu-matrix bench-check
 
-# The four go-test benchmarks left in the root package, on standard
+# The two go-test benchmarks left in the root package, on standard
 # output; nothing is written or tracked.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .

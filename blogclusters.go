@@ -108,17 +108,11 @@ type ClusterOptions struct {
 	// MinPairCount drops keyword pairs seen in fewer documents before
 	// statistics run; 0 keeps everything.
 	MinPairCount int64
-	// Parallelism is the worker count for the sharded keyword-graph
-	// pipeline (counting, merge, statistics, pruning) and, in
-	// AllIntervalClusters, for the interval-level worker pool that runs
-	// whole interval builds concurrently. 0 means GOMAXPROCS; 1 selects
-	// the fully sequential path.
-	Parallelism int
 	// MemBudget bounds the resident bytes of the pair-counting hash
-	// tables across shards; shards over their share spill sorted runs
-	// to disk. AllIntervalClusters splits the budget across concurrent
-	// interval builds so total residency stays bounded regardless of
-	// how many intervals are in flight. 0 means the 256 MiB default.
+	// tables; a table over its share spills sorted runs to disk. The
+	// cluster stage splits the budget across its concurrent interval
+	// builds so total residency stays bounded regardless of how many
+	// intervals are in flight. 0 means the 256 MiB default.
 	MemBudget int
 }
 
@@ -144,7 +138,6 @@ func intervalClustersCtx(ctx context.Context, c *Collection, interval int, opts 
 	kg, err := cooccur.BuildCtx(ctx, c, interval, interval, cooccur.BuildOptions{
 		SortMemoryBudget: opts.SortMemoryBudget,
 		MinPairCount:     opts.MinPairCount,
-		Parallelism:      opts.Parallelism,
 		MemBudget:        opts.MemBudget,
 	})
 	if err != nil {
@@ -194,12 +187,6 @@ type GraphOptions struct {
 	// similarity join instead of the quadratic pair loop. The join's
 	// token vocabulary is interned once for the whole run.
 	UseSimJoin bool
-	// Parallelism is the edge-generation worker count: work is sharded
-	// by (interval, gap-offset) pair, with leftover workers
-	// partitioning probes inside each similarity join. 0 means
-	// GOMAXPROCS; 1 selects the sequential path. The graph is identical
-	// at any worker count.
-	Parallelism int
 }
 
 // resolveAffinity maps GraphOptions.Affinity to the affinity function

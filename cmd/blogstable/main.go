@@ -10,7 +10,7 @@
 //	blogstable -input posts.jsonl -k 5 -l 3   # your own corpus
 //	blogstable -input posts.jsonl -normalized -lmin 2
 //	blogstable -input posts.jsonl -raw        # analyze raw text first
-//	blogstable -demo -simjoin -parallelism 8  # sharded Section 4 pipeline
+//	blogstable -demo -simjoin                 # prefix-filter edge join
 //
 // With -raw, each JSONL document's keywords are treated as raw text
 // fragments and run through the tokenizer/stemmer/stop-word filter.
@@ -18,7 +18,8 @@
 // The solver defaults to -algorithm=auto, a spelling of the default
 // solver (bfs; normalized under -normalized); name one (bfs, dfs, ta,
 // brute) to run it instead. The solvers are the paper's sequential
-// algorithms; -parallelism governs cluster/edge generation only.
+// algorithms; cluster and edge generation run one task per interval
+// (pair) on a GOMAXPROCS-sized pool.
 //
 // The run is one Engine session: cluster sets, cluster graph and (for
 // -bursts) the keyword index are built once and shared; -clusters

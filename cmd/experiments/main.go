@@ -8,13 +8,13 @@
 //
 //	experiments -exp table3            # one experiment at default scale
 //	experiments -exp all -scale 1.0    # the full suite at paper scale
-//	experiments -exp table1 -parallelism 1   # sequential ablation
+//	experiments -exp table1 -membudget 4096  # force the spill path
 //	experiments -exp clustergraph      # Section 4.1 quadratic vs simjoin
 //	experiments -list                  # list experiment ids
 //
-// -parallelism and -membudget govern the keyword-graph build only; the
-// stable-cluster solver experiments (table3, fig7–14) always run the
-// paper's sequential algorithms — there is no solver worker count.
+// -membudget governs the keyword-graph build only; the stable-cluster
+// solver experiments (table3, fig7–14) run the paper's sequential
+// algorithms.
 package main
 
 import (
@@ -32,8 +32,7 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment id, or 'all'")
 	scale := flag.Float64("scale", 0.25, "workload scale in (0,1]; 1.0 = the paper's parameters")
-	parallelism := flag.Int("parallelism", 0, "keyword-graph worker count; 0 = GOMAXPROCS, 1 = sequential ablation path")
-	memBudget := flag.Int("membudget", 0, "pair-table memory budget in bytes before shards spill; 0 = default (256 MiB)")
+	memBudget := flag.Int("membudget", 0, "pair-table memory budget in bytes before the table spills; 0 = default (256 MiB)")
 	indexBackend := flag.String("index", "", "diskindex experiment: restrict to one backend (mem or disk); empty runs both")
 	indexCache := flag.Int("indexcache", 0, "diskindex experiment: disk block-cache budget in bytes; 0 = default")
 	list := flag.Bool("list", false, "list experiment ids and exit")
@@ -45,12 +44,10 @@ func main() {
 	}
 	cfg := experiments.Config{
 		Scale:          experiments.Scale(*scale),
-		Parallelism:    *parallelism,
 		MemBudget:      *memBudget,
 		IndexBackend:   *indexBackend,
 		IndexMemBudget: *indexCache,
 	}
-	fmt.Printf("keyword-graph workers: %d\n", cfg.Workers())
 	ids := experiments.IDs()
 	if *exp != "all" {
 		ids = strings.Split(*exp, ",")
@@ -68,5 +65,5 @@ func main() {
 		}
 		fmt.Println(t.Render())
 	}
-	fmt.Printf("total: %s (scale %.2f, workers %d)\n", time.Since(start).Round(time.Millisecond), *scale, cfg.Workers())
+	fmt.Printf("total: %s (scale %.2f)\n", time.Since(start).Round(time.Millisecond), *scale)
 }

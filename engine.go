@@ -471,11 +471,10 @@ func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64
 			func() {
 				defer e.stage(ctx, "graph-extend")()
 				ng, err = clustergraph.ExtendCtx(ctx, g, newSets, clustergraph.FromClustersOptions{
-					Gap:         opts.Gap,
-					Theta:       opts.Theta,
-					Affinity:    aff,
-					UseSimJoin:  opts.UseSimJoin,
-					Parallelism: opts.Parallelism,
+					Gap:        opts.Gap,
+					Theta:      opts.Theta,
+					Affinity:   aff,
+					UseSimJoin: opts.UseSimJoin,
 				})
 			}()
 			if err != nil {
@@ -788,7 +787,6 @@ func (e *Engine) kwGraph(ctx context.Context, st *engineState, interval int) (*K
 		kg, err := cooccur.BuildCtx(ctx, st.col, interval, interval, cooccur.BuildOptions{
 			SortMemoryBudget: e.cfg.cluster.SortMemoryBudget,
 			MinPairCount:     e.cfg.cluster.MinPairCount,
-			Parallelism:      e.cfg.cluster.Parallelism,
 			MemBudget:        e.cfg.cluster.MemBudget,
 		})
 		if err != nil {
@@ -1250,46 +1248,21 @@ func (m *memo[T]) get(ctx context.Context, build func() (T, error)) (T, error) {
 // --- ctx-aware stage internals ---
 
 // allIntervalClustersCtx builds every interval's cluster set — the
-// Engine's cluster stage: whole interval builds fan out over a worker
-// pool, each with its share of the parallelism and memory budget.
+// Engine's cluster stage: whole interval builds run on a pool of
+// min(GOMAXPROCS, m) workers, each build sequential inside and granted
+// an equal share of the memory budget.
 func allIntervalClustersCtx(ctx context.Context, c *Collection, opts ClusterOptions) ([][]Cluster, error) {
 	m := len(c.Intervals)
-	width := opts.Parallelism
-	if width <= 0 {
-		width = runtime.GOMAXPROCS(0)
-	}
-	if width == 1 || m <= 1 {
-		sets := make([][]Cluster, m)
-		for i := range c.Intervals {
-			cs, err := intervalClustersCtx(ctx, c, i, opts)
-			if err != nil {
-				return nil, err
-			}
-			sets[i] = cs
-		}
-		return sets, nil
-	}
-	workers := width
-	if m < workers {
-		workers = m
-	}
-	inner := opts
-	inner.Parallelism = width / workers
-	if inner.Parallelism < 1 {
-		inner.Parallelism = 1
-	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), m))
 	budget := opts.MemBudget
 	if budget <= 0 {
 		budget = cooccur.DefaultMemBudget
 	}
-	inner.MemBudget = budget / workers
-	if inner.MemBudget < 1 {
-		inner.MemBudget = 1
-	}
+	opts.MemBudget = max(1, budget/workers)
 	sets := make([][]Cluster, m)
 	if err := par.ForEachCtx(ctx, m, workers, func(i int) error {
 		var err error
-		sets[i], err = intervalClustersCtx(ctx, c, i, inner)
+		sets[i], err = intervalClustersCtx(ctx, c, i, opts)
 		return err
 	}); err != nil {
 		return nil, err
@@ -1304,11 +1277,10 @@ func buildClusterGraphCtx(ctx context.Context, sets [][]Cluster, opts GraphOptio
 		return nil, err
 	}
 	return clustergraph.FromClustersCtx(ctx, sets, clustergraph.FromClustersOptions{
-		Gap:         opts.Gap,
-		Theta:       opts.Theta,
-		Affinity:    aff,
-		UseSimJoin:  opts.UseSimJoin,
-		Normalize:   normalize,
-		Parallelism: opts.Parallelism,
+		Gap:        opts.Gap,
+		Theta:      opts.Theta,
+		Affinity:   aff,
+		UseSimJoin: opts.UseSimJoin,
+		Normalize:  normalize,
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -41,7 +42,9 @@ func prefixCol(c *Collection, k int) *Collection {
 // engine grown by Push answers every query exactly like an engine
 // opened over the full corpus, and the stage build counters prove no
 // full-corpus artifact was rebuilt — each push runs only the
-// incremental stages (interval-clusters, graph-extend).
+// incremental stages (interval-clusters, graph-extend). par is the
+// GOMAXPROCS both engines build under, so the pooled stages run with
+// one worker and with eight.
 func TestEnginePushIncremental(t *testing.T) {
 	const m, base = 5, 3
 	col := pushCorpus(t, m)
@@ -49,7 +52,8 @@ func TestEnginePushIncremental(t *testing.T) {
 	for _, backend := range []string{"mem", "disk"} {
 		for _, par := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/par=%d", backend, par), func(t *testing.T) {
-				gopts := GraphOptions{Gap: 1, Theta: 0.1, Parallelism: par}
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
+				gopts := GraphOptions{Gap: 1, Theta: 0.1}
 				eng := openTestEngine(t, prefixCol(col, base),
 					WithGraphOptions(gopts),
 					WithIndexOptions(IndexOptions{Backend: backend, CompactAfter: -1}))

@@ -36,7 +36,7 @@ func TestEngineEquivalence(t *testing.T) {
 	col := testCorpus(t, 150)
 	ctx := context.Background()
 
-	copts := ClusterOptions{Parallelism: 2}
+	copts := ClusterOptions{}
 	gopts := GraphOptions{Gap: 1, Theta: 0.1}
 	eng, err := Open(ctx, FromCollection(col),
 		WithClusterOptions(copts), WithGraphOptions(gopts))
@@ -253,8 +253,7 @@ func TestEngineCancellation(t *testing.T) {
 	col := testCorpus(t, 1200)
 	before := runtime.NumGoroutine()
 
-	eng, err := Open(context.Background(), FromCollection(col),
-		WithClusterOptions(ClusterOptions{Parallelism: 4}))
+	eng, err := Open(context.Background(), FromCollection(col))
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}

@@ -1,7 +1,7 @@
 // Package cli holds the flag, corpus and lifecycle boilerplate shared
 // by the commands (cmd/blogscope, cmd/blogstable, cmd/blogserved,
-// cmd/experiments): corpus selection (-input/-demo), pipeline knobs
-// (-parallelism/-membudget) and index backend selection
+// cmd/experiments): corpus selection (-input/-demo), the pair-table
+// budget (-membudget) and index backend selection
 // (-index/-indexcache/-indexfile) mapped onto a blogclusters.Engine
 // source and option list, plus the SIGINT/SIGTERM graceful-shutdown
 // context (SignalContext) every command cancels on. Each command keeps
@@ -31,9 +31,8 @@ type EngineFlags struct {
 	// shard server loads just its partition of a shared corpus.
 	Intervals string
 
-	// Section 3/4 pipeline knobs.
-	Parallelism int
-	MemBudget   int
+	// Section 3 pair-table budget.
+	MemBudget int
 
 	// Keyword-index backend.
 	IndexBackend      string
@@ -48,7 +47,6 @@ func (f *EngineFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Input, "input", "", "JSONL corpus file (one document per line)")
 	fs.BoolVar(&f.Demo, "demo", false, "use the synthetic news-week corpus")
 	fs.StringVar(&f.Intervals, "intervals", "", "serve only global intervals FROM:TO of the corpus (half-open), e.g. 0:4 — the shard-server slice of a shared corpus")
-	fs.IntVar(&f.Parallelism, "parallelism", 0, "worker count for cluster and edge generation; 0 = GOMAXPROCS, 1 = sequential")
 	fs.IntVar(&f.MemBudget, "membudget", 0, "pair-table memory budget in bytes, split across concurrent interval builds; 0 = default")
 	fs.StringVar(&f.IndexBackend, "index", "mem", "keyword-index backend: mem (resident) or disk (segment file + LRU block cache)")
 	fs.IntVar(&f.IndexCache, "indexcache", 0, "disk backend: block-cache budget in bytes; 0 = default (8 MiB)")
@@ -121,18 +119,10 @@ func parseIntervalRange(s string) (from, to int, err error) {
 	return from, to, nil
 }
 
-// ClusterOptions maps the pipeline knobs onto ClusterOptions, starting
-// from base (a command's query-specific settings).
+// ClusterOptions maps -membudget onto ClusterOptions, starting from
+// base (a command's query-specific settings).
 func (f *EngineFlags) ClusterOptions(base blogclusters.ClusterOptions) blogclusters.ClusterOptions {
-	base.Parallelism = f.Parallelism
 	base.MemBudget = f.MemBudget
-	return base
-}
-
-// graphOptions maps the pipeline knobs onto GraphOptions, starting from
-// base (a command's own graph settings).
-func (f *EngineFlags) graphOptions(base blogclusters.GraphOptions) blogclusters.GraphOptions {
-	base.Parallelism = f.Parallelism
 	return base
 }
 
@@ -151,7 +141,7 @@ func (f *EngineFlags) IndexOptions() blogclusters.IndexOptions {
 func (f *EngineFlags) Options(clusterBase blogclusters.ClusterOptions, graph blogclusters.GraphOptions) []blogclusters.Option {
 	return []blogclusters.Option{
 		blogclusters.WithClusterOptions(f.ClusterOptions(clusterBase)),
-		blogclusters.WithGraphOptions(f.graphOptions(graph)),
+		blogclusters.WithGraphOptions(graph),
 		blogclusters.WithIndexOptions(f.IndexOptions()),
 	}
 }

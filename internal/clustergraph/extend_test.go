@@ -35,7 +35,7 @@ func randomSets(rng *rand.Rand, m int) [][]cluster.Cluster {
 
 // TestExtendMatchesOneShot grows a graph interval by interval and
 // requires the result to be deeply identical to the one-shot build at
-// every step, across gaps, both edge paths, and worker counts.
+// every step, across gaps and both edge paths.
 func TestExtendMatchesOneShot(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(8))
@@ -44,37 +44,35 @@ func TestExtendMatchesOneShot(t *testing.T) {
 		sets := randomSets(rng, m)
 		for _, gap := range []int{0, 1, 3} {
 			for _, simjoin := range []bool{false, true} {
-				for _, par := range []int{1, 8} {
-					opts := FromClustersOptions{Gap: gap, UseSimJoin: simjoin, Parallelism: par, Theta: 0.3}
-					name := fmt.Sprintf("trial=%d m=%d gap=%d simjoin=%v par=%d", trial, m, gap, simjoin, par)
-					g, err := FromClustersCtx(ctx, sets[:1], opts)
+				opts := FromClustersOptions{Gap: gap, UseSimJoin: simjoin, Theta: 0.3}
+				name := fmt.Sprintf("trial=%d m=%d gap=%d simjoin=%v", trial, m, gap, simjoin)
+				g, err := FromClustersCtx(ctx, sets[:1], opts)
+				if err != nil {
+					t.Fatalf("%s: seed build: %v", name, err)
+				}
+				for k := 2; k <= m; k++ {
+					prev := g
+					prevEdges := prev.NumEdges()
+					g, err = ExtendCtx(ctx, g, sets[:k], opts)
 					if err != nil {
-						t.Fatalf("%s: seed build: %v", name, err)
+						t.Fatalf("%s: extend to %d: %v", name, k, err)
 					}
-					for k := 2; k <= m; k++ {
-						prev := g
-						prevEdges := prev.NumEdges()
-						g, err = ExtendCtx(ctx, g, sets[:k], opts)
-						if err != nil {
-							t.Fatalf("%s: extend to %d: %v", name, k, err)
-						}
-						full, err := FromClustersCtx(ctx, sets[:k], opts)
-						if err != nil {
-							t.Fatalf("%s: full build %d: %v", name, k, err)
-						}
-						if !reflect.DeepEqual(g, full) {
-							t.Fatalf("%s: extended graph at %d intervals differs from one-shot build", name, k)
-						}
-						// The source graph must be untouched — a previous
-						// generation may still be serving from it.
-						if prev.NumIntervals() != k-1 || prev.NumEdges() != prevEdges {
-							t.Fatalf("%s: extend mutated its input graph", name)
-						}
-						for id := int64(0); id < int64(prev.NumNodes()); id++ {
-							for _, h := range prev.Children(id) {
-								if prev.Interval(h.Peer) >= k-1 {
-									t.Fatalf("%s: input graph gained an edge into interval %d", name, prev.Interval(h.Peer))
-								}
+					full, err := FromClustersCtx(ctx, sets[:k], opts)
+					if err != nil {
+						t.Fatalf("%s: full build %d: %v", name, k, err)
+					}
+					if !reflect.DeepEqual(g, full) {
+						t.Fatalf("%s: extended graph at %d intervals differs from one-shot build", name, k)
+					}
+					// The source graph must be untouched — a previous
+					// generation may still be serving from it.
+					if prev.NumIntervals() != k-1 || prev.NumEdges() != prevEdges {
+						t.Fatalf("%s: extend mutated its input graph", name)
+					}
+					for id := int64(0); id < int64(prev.NumNodes()); id++ {
+						for _, h := range prev.Children(id) {
+							if prev.Interval(h.Peer) >= k-1 {
+								t.Fatalf("%s: input graph gained an edge into interval %d", name, prev.Interval(h.Peer))
 							}
 						}
 					}

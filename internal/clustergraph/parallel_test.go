@@ -48,32 +48,60 @@ func fingerprint(g *Graph) string {
 	return b.String()
 }
 
-// TestFromClustersParallelEquivalence: the sharded edge generation
-// produces a graph identical to the sequential path's at worker counts
-// 2 and 8, on both the quadratic and simjoin paths, at gap 0 and
-// gap 2.
+// referenceGraph is the plain sequential construction edge generation
+// is held to: every node through NewBuilder in interval order, then one
+// nested loop over the cluster pairs of intervals at most gap+1 apart.
+func referenceGraph(t *testing.T, sets [][]cluster.Cluster, gap int, theta float64, aff cluster.AffinityFunc, normalize bool) *Graph {
+	t.Helper()
+	b, err := NewBuilder(len(sets), gap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([][]int64, len(sets))
+	for i, cs := range sets {
+		for _, c := range cs {
+			id, err := b.AddNode(i, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[i] = append(ids[i], id)
+		}
+	}
+	for i := range sets {
+		for j := i + 1; j <= i+gap+1 && j < len(sets); j++ {
+			for a, ca := range sets[i] {
+				for bj, cb := range sets[j] {
+					if w := aff(ca, cb); w >= theta && w > 0 {
+						if err := b.AddEdge(ids[i][a], ids[j][bj], w); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+		}
+	}
+	return b.Build(normalize)
+}
+
+// TestFromClustersParallelEquivalence: edge generation on the worker
+// pool builds the graph the sequential reference builds, on both the
+// quadratic and simjoin paths, at gap 0 and gap 2. `make cpu-matrix`
+// runs it at 1, 2 and 8 workers.
 func TestFromClustersParallelEquivalence(t *testing.T) {
 	sets := randClusterSets(11, 6, 50, 90, 8)
 	for _, gap := range []int{0, 2} {
+		ref := referenceGraph(t, sets, gap, 0.25, cluster.Jaccard, false)
+		if ref.NumEdges() == 0 {
+			t.Fatalf("gap %d: no edges; workload too sparse to be a real test", gap)
+		}
+		want := fingerprint(ref)
 		for _, simjoin := range []bool{false, true} {
-			opts := FromClustersOptions{Gap: gap, Theta: 0.25, UseSimJoin: simjoin, Parallelism: 1}
-			base, err := FromClusters(sets, opts)
+			g, err := FromClusters(sets, FromClustersOptions{Gap: gap, Theta: 0.25, UseSimJoin: simjoin})
 			if err != nil {
-				t.Fatalf("gap %d simjoin %v sequential: %v", gap, simjoin, err)
+				t.Fatalf("gap %d simjoin %v: %v", gap, simjoin, err)
 			}
-			if base.NumEdges() == 0 {
-				t.Fatalf("gap %d simjoin %v: no edges; workload too sparse to be a real test", gap, simjoin)
-			}
-			want := fingerprint(base)
-			for _, par := range []int{2, 8} {
-				opts.Parallelism = par
-				g, err := FromClusters(sets, opts)
-				if err != nil {
-					t.Fatalf("gap %d simjoin %v parallelism %d: %v", gap, simjoin, par, err)
-				}
-				if got := fingerprint(g); got != want {
-					t.Fatalf("gap %d simjoin %v parallelism %d: graph differs from sequential", gap, simjoin, par)
-				}
+			if got := fingerprint(g); got != want {
+				t.Fatalf("gap %d simjoin %v: graph differs from the sequential reference", gap, simjoin)
 			}
 		}
 	}
@@ -100,22 +128,18 @@ func TestFromClustersSimJoinMatchesQuadratic(t *testing.T) {
 }
 
 // TestFromClustersParallelIntersectionAffinity covers the non-Jaccard
-// (normalized) path under parallel edge generation.
+// (normalized) path of pooled edge generation against the sequential
+// reference.
 func TestFromClustersParallelIntersectionAffinity(t *testing.T) {
 	sets := randClusterSets(5, 4, 40, 80, 7)
-	mk := func(par int) string {
-		g, err := FromClusters(sets, FromClustersOptions{
-			Gap: 1, Theta: 1, Affinity: cluster.Intersection, Normalize: true, Parallelism: par,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fingerprint(g)
+	g, err := FromClusters(sets, FromClustersOptions{
+		Gap: 1, Theta: 1, Affinity: cluster.Intersection, Normalize: true,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := mk(1)
-	for _, par := range []int{2, 8} {
-		if got := mk(par); got != want {
-			t.Fatalf("parallelism %d: intersection-affinity graph differs from sequential", par)
-		}
+	want := fingerprint(referenceGraph(t, sets, 1, 1, cluster.Intersection, true))
+	if fingerprint(g) != want {
+		t.Fatal("intersection-affinity graph differs from the sequential reference")
 	}
 }

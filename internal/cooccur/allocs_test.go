@@ -13,7 +13,7 @@ import (
 // parsed into, fixed buffers, so what it allocates is set by the
 // vocabulary, the spill count and a few slice doublings — not by the
 // tens of thousands of records it spills. The ceiling is about twice
-// the count recorded with this test (164) and a small fraction of the
+// the count recorded with this test (147) and a small fraction of the
 // record count, so one allocation per record fails `go test`.
 func TestSpilledBuildAllocationCeiling(t *testing.T) {
 	if raceflag.Enabled {
@@ -21,7 +21,7 @@ func TestSpilledBuildAllocationCeiling(t *testing.T) {
 	}
 	const ceiling = 330
 	col := equivCorpus(t, 5, 2000)
-	opts := BuildOptions{Parallelism: 1, MemBudget: 64 << 10}
+	opts := BuildOptions{MemBudget: 64 << 10}
 	var g *Graph
 	build := func() {
 		var err error

@@ -7,35 +7,29 @@
 // pair stream so identical pairs become adjacent, and aggregates them
 // into triplets (u, v, A(u,v)).
 //
-// This implementation keeps that shape but shards it for parallel
-// hardware (see DESIGN.md, "Sharded keyword-graph construction"):
+// This implementation keeps that shape with one counting table per
+// build (see DESIGN.md, "Keyword-graph construction"):
 //
-//   - documents are partitioned across BuildOptions.Parallelism worker
-//     goroutines, each counting pairs into a private open-addressing
-//     hash table keyed by the packed id pair uint64(u)<<32|v;
-//   - a shard whose table exceeds its share of BuildOptions.MemBudget
-//     spills the table as one sorted run through internal/extsort;
-//     when nothing spills — the common case for per-interval graphs —
-//     the shard tables are merged entirely in memory with a parallel,
-//     range-partitioned fold, and the sort path is never touched;
-//   - if any shard spilled, all shards drain through the external
-//     sorter and a single pass over the globally sorted run stream
+//   - pairs are counted into one open-addressing hash table keyed by
+//     the packed id pair uint64(u)<<32|v;
+//   - a table that exceeds BuildOptions.MemBudget spills as sorted runs
+//     through internal/extsort; when nothing spills — the common case
+//     for per-interval graphs — the table's entries are radix-sorted
+//     and folded in memory, and the sort path is never touched;
+//   - once the table has spilled, the rest drains through the external
+//     sorter too and a single pass over the globally sorted run stream
 //     aggregates the counts, exactly the paper's merge.
 //
 // Either way the resulting Graph is canonical — keyword ids are ranks
-// in the sorted vocabulary and edges are sorted by (U, V) — so the
-// sequential (Parallelism: 1) and parallel paths are bit-for-bit
-// interchangeable. From A(u), A(u,v) and n, the χ² and ρ statistics
-// (internal/stats) annotate and prune edges in parallel over edge
-// ranges, yielding G'.
+// in the sorted vocabulary and edges are sorted by (U, V). From A(u),
+// A(u,v) and n, the χ² and ρ statistics (internal/stats) annotate and
+// prune edges, yielding G'.
 package cooccur
 
 import (
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/stats"
 )
@@ -63,7 +57,6 @@ type Graph struct {
 	Edges []Edge
 
 	index map[string]int32
-	par   int // worker count inherited from BuildOptions.Parallelism
 }
 
 // KeywordID returns the id of keyword w.
@@ -78,72 +71,25 @@ func (g *Graph) NumVertices() int { return len(g.Keywords) }
 // NumEdges returns the number of co-occurrence edges.
 func (g *Graph) NumEdges() int { return len(g.Edges) }
 
-// parallelism resolves the graph's worker count for the statistics and
-// pruning passes.
-func (g *Graph) parallelism() int {
-	if g.par > 0 {
-		return g.par
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// parallelEdgeThreshold is the edge count below which the statistics
-// and pruning passes stay single-threaded: goroutine fan-out costs more
-// than it saves on tiny graphs.
-const parallelEdgeThreshold = 1 << 12
-
-// forEachEdgeChunk runs fn over contiguous chunks of g.Edges, fanning
-// out to the graph's worker count when the edge list is large enough.
-func (g *Graph) forEachEdgeChunk(fn func(lo, hi int)) {
-	par := g.parallelism()
-	if par <= 1 || len(g.Edges) < parallelEdgeThreshold {
-		fn(0, len(g.Edges))
-		return
-	}
-	chunk := (len(g.Edges) + par - 1) / par
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(g.Edges); lo += chunk {
-		hi := min(lo+chunk, len(g.Edges))
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // AnnotateStats fills in the χ² and ρ fields of every edge in one pass,
 // as the paper prescribes ("this test can be computed with a single pass
-// of the edges of G"). The pass runs in parallel over edge ranges; each
-// edge's statistics depend only on that edge and the shared counts, so
-// the result is identical at any worker count.
+// of the edges of G").
 func (g *Graph) AnnotateStats() {
-	g.forEachEdgeChunk(func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := &g.Edges[i]
-			au := g.DocCount[e.U]
-			av := g.DocCount[e.V]
-			e.Chi2 = stats.ChiSquared(g.N, au, av, e.Count)
-			e.Rho = stats.Correlation(g.N, au, av, e.Count)
-		}
-	})
+	for i := range g.Edges {
+		e := &g.Edges[i]
+		au := g.DocCount[e.U]
+		av := g.DocCount[e.V]
+		e.Chi2 = stats.ChiSquared(g.N, au, av, e.Count)
+		e.Rho = stats.Correlation(g.N, au, av, e.Count)
+	}
 }
 
 // Prune returns G': the subgraph with only edges passing the χ² test at
 // the given critical value AND with ρ above rhoThreshold. Vertices with
 // no surviving edges are dropped and ids are re-packed. AnnotateStats
-// must have been called. The threshold tests run in parallel over edge
-// ranges; the deterministic id re-packing stays sequential.
+// must have been called.
 func (g *Graph) Prune(chi2Critical, rhoThreshold float64) *Graph {
-	keep := make([]bool, len(g.Edges))
-	g.forEachEdgeChunk(func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := &g.Edges[i]
-			keep[i] = e.Chi2 > chi2Critical && e.Rho > rhoThreshold
-		}
-	})
-	out := &Graph{N: g.N, index: make(map[string]int32), par: g.par}
+	out := &Graph{N: g.N, index: make(map[string]int32)}
 	remap := make(map[int32]int32)
 	renumber := func(old int32) int32 {
 		if id, ok := remap[old]; ok {
@@ -156,8 +102,8 @@ func (g *Graph) Prune(chi2Critical, rhoThreshold float64) *Graph {
 		out.index[g.Keywords[old]] = id
 		return id
 	}
-	for i, e := range g.Edges {
-		if !keep[i] {
+	for _, e := range g.Edges {
+		if keep := e.Chi2 > chi2Critical && e.Rho > rhoThreshold; !keep {
 			continue
 		}
 		ne := Edge{U: renumber(e.U), V: renumber(e.V), Count: e.Count, Chi2: e.Chi2, Rho: e.Rho}
@@ -176,16 +122,6 @@ func compareEdges(a, b Edge) int {
 		return int(a.U) - int(b.U)
 	}
 	return int(a.V) - int(b.V)
-}
-
-// Adjacency materializes adjacency lists (neighbor ids per vertex).
-func (g *Graph) Adjacency() [][]int32 {
-	adj := make([][]int32, len(g.Keywords))
-	for _, e := range g.Edges {
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
-	}
-	return adj
 }
 
 // Correlated is one keyword correlated with a query keyword, with the

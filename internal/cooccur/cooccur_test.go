@@ -128,8 +128,8 @@ func TestMinPairCount(t *testing.T) {
 }
 
 func TestBuildWithTinySortBudgetMatches(t *testing.T) {
-	// Forcing spills must not change the result. MemBudget pushes every
-	// shard through the spill path; SortMemoryBudget splits each spill
+	// Forcing spills must not change the result. MemBudget pushes the
+	// table through the spill path; SortMemoryBudget splits each spill
 	// into many one-record runs.
 	big, err := Build(tinyCollection(), 0, 0, BuildOptions{})
 	if err != nil {
@@ -210,33 +210,6 @@ func TestAnnotateAndPrune(t *testing.T) {
 	pe, _ := pruned.EdgeBetween("hot1", "hot2")
 	if pe.Chi2 != e.Chi2 || pe.Rho != e.Rho || pe.Count != e.Count {
 		t.Error("pruning corrupted edge annotations")
-	}
-}
-
-func TestAdjacencySymmetric(t *testing.T) {
-	g, err := Build(tinyCollection(), 0, 0, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	adj := g.Adjacency()
-	degSum := 0
-	for u, ns := range adj {
-		degSum += len(ns)
-		for _, v := range ns {
-			found := false
-			for _, back := range adj[v] {
-				if back == int32(u) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("adjacency not symmetric: %d->%d", u, v)
-			}
-		}
-	}
-	if degSum != 2*g.NumEdges() {
-		t.Errorf("degree sum = %d, want %d", degSum, 2*g.NumEdges())
 	}
 }
 

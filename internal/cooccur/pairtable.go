@@ -101,7 +101,7 @@ func (t *pairTable) grow() {
 	}
 }
 
-// entryBytes is the resident footprint charged against the shard's
+// entryBytes is the resident footprint charged against the build's
 // memory budget (occupied entries only — the spill trigger, unlike the
 // capacity, must track what a sorted spill would have to write).
 func (t *pairTable) entryBytes() int { return t.n * pairEntryBytes }
@@ -122,8 +122,8 @@ func (t *pairTable) appendEntries(dst []pairEntry) []pairEntry {
 }
 
 // reset empties the table in place. Capacity is kept: it is bounded by
-// the budget share whose overrun triggered the spill, and a shard that
-// spilled once will fill the table to that size again.
+// the budget whose overrun triggered the spill, and a table that
+// spilled once will fill to that size again.
 func (t *pairTable) reset() {
 	clear(t.slots)
 	clear(t.counts)
@@ -226,7 +226,7 @@ func insertionSortEntries(a []pairEntry) {
 // Spilled entries travel through internal/extsort as fixed 16-byte
 // records: the key then the count, both big-endian. Bytewise record
 // order is therefore numeric key order, so identical keys from
-// different shards are adjacent in the merged stream and can be
+// different spills are adjacent in the merged stream and can be
 // aggregated in one pass.
 
 const spillRecordLen = 16

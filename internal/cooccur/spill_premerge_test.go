@@ -7,14 +7,14 @@ import "testing"
 // the graph is identical to the pure in-memory build.
 func TestBuildSpillPreMergeEquivalence(t *testing.T) {
 	col := equivCorpus(t, 11, 400)
-	want, err := Build(col, 0, 0, BuildOptions{Parallelism: 1})
+	want, err := Build(col, 0, 0, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A tiny MemBudget forces a spill per handful of documents and a
 	// tiny SortMemoryBudget splits each spill into many runs, pushing
 	// the run count past the merge fan-in so the grouped pre-merge runs.
-	got, err := Build(col, 0, 0, BuildOptions{Parallelism: 4, MemBudget: 4 << 10, SortMemoryBudget: 256})
+	got, err := Build(col, 0, 0, BuildOptions{MemBudget: 4 << 10, SortMemoryBudget: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,9 +36,9 @@ func dayCorpus(scale Scale, seed int64) (*corpus.Collection, error) {
 }
 
 // buildOptions translates the experiment configuration into the
-// keyword-graph pipeline knobs.
+// keyword-graph build options.
 func buildOptions(cfg Config) cooccur.BuildOptions {
-	return cooccur.BuildOptions{Parallelism: cfg.Parallelism, MemBudget: cfg.MemBudget}
+	return cooccur.BuildOptions{MemBudget: cfg.MemBudget}
 }
 
 // Table1 reproduces Table 1: keyword-graph sizes for two consecutive

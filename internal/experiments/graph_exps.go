@@ -43,9 +43,8 @@ func weekSets(cfg Config, seed int64) ([][]cluster.Cluster, error) {
 
 // ClusterGraph measures Section 4.1 cluster-graph construction over the
 // news week: the quadratic pair loop against the prefix-filter
-// similarity join, each sequential and sharded across cfg workers. All
-// four variants build the identical graph (the equivalence tests assert
-// it); this table records what that interchangeability costs.
+// similarity join. Both variants build the identical graph (the
+// equivalence tests assert it); this table records what each costs.
 func ClusterGraph(cfg Config) (*Table, error) {
 	sets, err := weekSets(cfg, 2007)
 	if err != nil {
@@ -53,24 +52,18 @@ func ClusterGraph(cfg Config) (*Table, error) {
 	}
 	t := &Table{
 		ID:     "clustergraph",
-		Title:  "cluster-graph construction: quadratic vs prefix-filter simjoin, sequential vs sharded (Section 4.1)",
-		Header: []string{"variant", "workers", "nodes", "edges", "seconds"},
+		Title:  "cluster-graph construction: quadratic vs prefix-filter simjoin (Section 4.1)",
+		Header: []string{"variant", "nodes", "edges", "seconds"},
 		Notes:  "identical graphs by construction; simjoin interns the token vocabulary once per run",
 	}
 	variants := []struct {
 		name string
 		opts clustergraph.FromClustersOptions
 	}{
-		{"quadratic", clustergraph.FromClustersOptions{Gap: 1, Theta: 0.1, Parallelism: 1}},
-		{"quadratic", clustergraph.FromClustersOptions{Gap: 1, Theta: 0.1, Parallelism: cfg.Parallelism}},
-		{"simjoin", clustergraph.FromClustersOptions{Gap: 1, Theta: 0.1, UseSimJoin: true, Parallelism: 1}},
-		{"simjoin", clustergraph.FromClustersOptions{Gap: 1, Theta: 0.1, UseSimJoin: true, Parallelism: cfg.Parallelism}},
+		{"quadratic", clustergraph.FromClustersOptions{Gap: 1, Theta: 0.1}},
+		{"simjoin", clustergraph.FromClustersOptions{Gap: 1, Theta: 0.1, UseSimJoin: true}},
 	}
 	for _, v := range variants {
-		workers := v.opts.Parallelism
-		if workers <= 0 {
-			workers = cfg.Workers()
-		}
 		start := time.Now()
 		g, err := clustergraph.FromClusters(sets, v.opts)
 		if err != nil {
@@ -78,7 +71,6 @@ func ClusterGraph(cfg Config) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			v.name,
-			itoa(workers),
 			itoa(g.NumNodes()),
 			itoa(g.NumEdges()),
 			fmtDur(time.Since(start)),

@@ -3,19 +3,14 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 )
 
-// Config carries the workload scale plus the keyword-graph pipeline
-// knobs threaded down from cmd/experiments, so full-scale sweeps
-// exercise the sharded parallel build.
+// Config carries the workload scale plus the keyword-graph and index
+// settings threaded down from cmd/experiments.
 type Config struct {
 	// Scale shrinks workloads; 1.0 is the paper's parameters.
 	Scale Scale
-	// Parallelism is the keyword-graph worker count; 0 = GOMAXPROCS,
-	// 1 = the sequential ablation path.
-	Parallelism int
 	// MemBudget bounds the pair-counting tables in bytes; 0 = default.
 	MemBudget int
 	// IndexBackend restricts the diskindex experiment to one keyword
@@ -35,14 +30,6 @@ func (c Config) Context() context.Context {
 		return context.Background()
 	}
 	return c.ctx
-}
-
-// Workers reports the effective keyword-graph worker count.
-func (c Config) Workers() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Runner regenerates one paper artifact for the given configuration.

@@ -18,17 +18,16 @@
 // valid until the following Next. Record order is plain bytewise
 // comparison.
 //
-// Two extensions serve the sharded keyword-graph pipeline
-// (internal/cooccur, see DESIGN.md):
+// Two extensions serve the keyword-graph pipeline (internal/cooccur,
+// see DESIGN.md):
 //
 //   - NewRun streams an already-sorted sequence of records straight
 //     into a run file, bypassing the Add arena. It is safe for
-//     concurrent use, so parallel shards can spill into one Sorter.
-//   - When the number of runs exceeds the merge fan-in, groups of runs
-//     are pre-merged concurrently (one goroutine per group, capped by
-//     Options.Parallelism) into longer runs before the final streaming
-//     heap merge, keeping the final merge cheap even after thousands of
-//     tiny spills.
+//     concurrent use, so several producers can spill into one Sorter.
+//   - When the number of runs exceeds the merge fan-in, consecutive
+//     groups of runs are pre-merged into longer runs before the final
+//     streaming heap merge, keeping the final merge cheap even after
+//     thousands of tiny spills.
 //
 // Long-running merges honor Options.Ctx: the pre-merge and streaming
 // merge loops poll for cancellation every few thousand records, so an
@@ -46,7 +45,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -70,12 +68,9 @@ type Options struct {
 	// MemoryBudget is the in-memory record-payload budget before Add
 	// spills a sorted run. Non-positive means DefaultMemoryBudget.
 	MemoryBudget int
-	// Parallelism caps the goroutines used to pre-merge runs when their
-	// count exceeds FanIn. Non-positive means GOMAXPROCS.
-	Parallelism int
 	// FanIn is the maximum number of runs the final streaming merge
 	// reads at once; more runs than this are first pre-merged in
-	// parallel groups of FanIn. Non-positive means DefaultFanIn.
+	// groups of FanIn. Non-positive means DefaultFanIn.
 	FanIn int
 	// Binary is accepted and ignored: run files are always
 	// length-prefixed. The field stays only because bench/build.go
@@ -160,9 +155,6 @@ func NewWithOptions(opts Options) *Sorter {
 		opts.MemoryBudget = DefaultMemoryBudget
 	}
 	opts.MemoryBudget = min(opts.MemoryBudget, maxArena)
-	if opts.Parallelism <= 0 {
-		opts.Parallelism = runtime.GOMAXPROCS(0)
-	}
 	if opts.FanIn <= 1 {
 		opts.FanIn = DefaultFanIn
 	}
@@ -331,7 +323,7 @@ func (s *Sorter) Sort() (*Iterator, error) {
 		return &Iterator{arena: s.arena, spans: s.spans}, nil
 	}
 	s.arena, s.spans = nil, nil
-	// Pre-merge in parallel until the final merge's fan-in is modest.
+	// Pre-merge until the final merge's fan-in is modest.
 	for len(runs) > s.opts.FanIn && err == nil {
 		if err = s.opts.ctxErr(); err == nil {
 			runs, err = s.preMerge(runs)
@@ -370,32 +362,19 @@ func (s *Sorter) Discard() {
 	}
 }
 
-// preMerge merges groups of up to FanIn runs concurrently, each group
+// preMerge merges consecutive groups of up to FanIn runs, each group
 // into one longer run, and removes the source files. Group g holds
-// runs[g*FanIn : (g+1)*FanIn], so the relative order of records across
-// the returned files is preserved for the final merge.
+// runs[g*FanIn : (g+1)*FanIn].
 func (s *Sorter) preMerge(runs []string) ([]string, error) {
 	fanIn := s.opts.FanIn
-	groups := (len(runs) + fanIn - 1) / fanIn
-	out := make([]string, groups)
-	errs := make([]error, groups)
-	sem := make(chan struct{}, s.opts.Parallelism)
-	var wg sync.WaitGroup
-	for g := 0; g < groups; g++ {
-		lo, hi := g*fanIn, min((g+1)*fanIn, len(runs))
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(g int, group []string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[g], errs[g] = mergeRuns(s.dir, fmt.Sprintf("merge-%06d-%06d", len(runs), g), group, s.opts)
-		}(g, runs[lo:hi])
-	}
-	wg.Wait()
-	for _, err := range errs {
+	out := make([]string, 0, (len(runs)+fanIn-1)/fanIn)
+	for lo := 0; lo < len(runs); lo += fanIn {
+		name := fmt.Sprintf("merge-%06d-%06d", len(runs), len(out))
+		merged, err := mergeRuns(s.dir, name, runs[lo:min(lo+fanIn, len(runs))], s.opts)
 		if err != nil {
 			return nil, err
 		}
+		out = append(out, merged)
 	}
 	return out, nil
 }

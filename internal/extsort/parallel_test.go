@@ -105,22 +105,49 @@ func TestAddSortedRunRejectsUnsorted(t *testing.T) {
 	}
 }
 
-// TestParallelPreMerge forces far more runs than the final fan-in so the
-// grouped parallel pre-merge path runs, possibly over multiple passes.
+// TestParallelPreMerge has four goroutines stream small runs into one
+// sorter at once, beside an Add producer that spills, so far more runs
+// than the final fan-in reach the grouped pre-merge, which then runs
+// over several passes.
 func TestParallelPreMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	s := NewWithOptions(Options{MemoryBudget: 64, FanIn: 3, Parallelism: 4})
+	s := NewWithOptions(Options{MemoryBudget: 64, FanIn: 3})
 	var want []string
-	for i := 0; i < 3000; i++ {
+	batches := make([][][]string, 4)
+	for w := range batches {
+		for r := 0; r < 40; r++ {
+			run := make([]string, 10)
+			for i := range run {
+				run[i] = fmt.Sprintf("key-%05d", rng.Intn(1500))
+			}
+			slices.Sort(run)
+			want = append(want, run...)
+			batches[w] = append(batches[w], run)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, runs := range batches {
+		wg.Add(1)
+		go func(runs [][]string) {
+			defer wg.Done()
+			for _, run := range runs {
+				if err := addRun(s, run); err != nil {
+					t.Errorf("run: %v", err)
+					return
+				}
+			}
+		}(runs)
+	}
+	for i := 0; i < 1000; i++ {
 		rec := fmt.Sprintf("key-%05d", rng.Intn(1500))
 		want = append(want, rec)
 		if err := s.Add(rec); err != nil {
 			t.Fatalf("Add: %v", err)
 		}
 	}
-	runs := s.Stats().Runs
-	if runs <= 3 {
-		t.Fatalf("expected many runs, got %d", runs)
+	wg.Wait()
+	if runs := s.Stats().Runs; runs <= 9 {
+		t.Fatalf("expected more runs than two pre-merge passes reduce to the fan-in, got %d", runs)
 	}
 	it, err := s.Sort()
 	if err != nil {

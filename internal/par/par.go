@@ -1,8 +1,7 @@
 // Package par provides the bounded worker-pool primitive shared by the
-// parallel pipeline stages (interval-cluster builds, cluster-graph edge
-// tasks, similarity-join probe chunks). Callers slot results into
-// index-addressed slices, which keeps outputs canonical at any worker
-// count.
+// parallel stages (interval-cluster builds, cluster-graph edge tasks,
+// shard scatter-gather). Callers slot results into index-addressed
+// slices, which keeps outputs canonical at any worker count.
 package par
 
 import (
@@ -16,7 +15,7 @@ import (
 // fails no new task is started (in-flight tasks finish), so a failure
 // on a long run does not burn through the remaining work. workers <= 1
 // (or n <= 1) runs sequentially on the calling goroutine, stopping at
-// the first error — the no-goroutine ablation path.
+// the first error, with no goroutine.
 func ForEach(n, workers int, fn func(i int) error) error {
 	return ForEachCtx(context.Background(), n, workers, fn)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -54,7 +55,7 @@ func TestVocabReuseMatchesJoin(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					reused, err := v.JoinRecords(recs[i], recs[j], theta, 1)
+					reused, err := v.JoinRecords(recs[i], recs[j], theta)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -72,8 +73,9 @@ func TestVocabReuseMatchesJoin(t *testing.T) {
 	}
 }
 
-// TestJoinRecordsParallelEquivalence: partitioned probing returns the
-// identical pair list at worker counts 1, 2 and 8.
+// TestJoinRecordsParallelEquivalence: concurrent JoinRecords calls
+// sharing one Vocab, as the cluster-graph edge tasks make them, each
+// return exactly the quadratic reference's pair list.
 func TestJoinRecordsParallelEquivalence(t *testing.T) {
 	sets := randSets(3, 2, 300, 200, 10)
 	v := NewVocab(sets...)
@@ -86,23 +88,29 @@ func TestJoinRecordsParallelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, theta := range []float64{0.2, 0.4, 0.7} {
-		base, err := v.JoinRecords(lrec, rrec, theta, 1)
+		want, err := JoinBrute(sets[0], sets[1], theta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if theta <= 0.3 && len(base) == 0 {
+		if theta <= 0.3 && len(want) == 0 {
 			t.Fatalf("theta %g: no matches; workload too sparse to be a real test", theta)
 		}
-		for _, par := range []int{2, 8} {
-			got, err := v.JoinRecords(lrec, rrec, theta, par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !pairsEqual(got, base) {
-				t.Fatalf("theta %g parallelism %d: %d pairs, want %d (or order differs)",
-					theta, par, len(got), len(base))
-			}
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := v.JoinRecords(lrec, rrec, theta)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !pairsEqual(got, want) {
+					t.Errorf("theta %g: %d pairs, want %d (or order differs)", theta, len(got), len(want))
+				}
+			}()
 		}
+		wg.Wait()
 	}
 }
 
@@ -117,7 +125,7 @@ func TestRecordsUnknownKeyword(t *testing.T) {
 func TestJoinRecordsThetaValidation(t *testing.T) {
 	v := NewVocab([]cluster.Cluster{cluster.New(0, 0, []string{"a"})})
 	for _, theta := range []float64{0, -1, 1.5} {
-		if _, err := v.JoinRecords(nil, nil, theta, 1); err == nil {
+		if _, err := v.JoinRecords(nil, nil, theta); err == nil {
 			t.Errorf("JoinRecords accepted theta=%g", theta)
 		}
 	}

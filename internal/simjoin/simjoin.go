@@ -25,12 +25,10 @@ package simjoin
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/par"
 )
 
 // Pair is one join result: indices into the left and right inputs and
@@ -136,21 +134,16 @@ func Join(left, right []cluster.Cluster, theta float64) ([]Pair, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.JoinRecords(lrec, rrec, theta, 1)
+	return v.JoinRecords(lrec, rrec, theta)
 }
 
 // JoinRecords joins pre-interned records: all pairs (l, r) with
 // Jaccard(lrec[l], rrec[r]) >= theta, sorted by (Left, Right). Both
-// record slices must come from this Vocab's Records. parallelism is
-// the probe worker count (0 = GOMAXPROCS, 1 = sequential); the output
-// is identical at any worker count.
-func (v *Vocab) JoinRecords(lrec, rrec []Record, theta float64, parallelism int) ([]Pair, error) {
+// record slices must come from this Vocab's Records. The Vocab is only
+// read, so concurrent calls may share it.
+func (v *Vocab) JoinRecords(lrec, rrec []Record, theta float64) ([]Pair, error) {
 	if theta <= 0 || theta > 1 {
 		return nil, fmt.Errorf("simjoin: theta must be in (0,1], got %g", theta)
-	}
-	width := parallelism
-	if width <= 0 {
-		width = runtime.GOMAXPROCS(0)
 	}
 
 	// CSR inverted index over the prefixes of the right side: token →
@@ -188,65 +181,41 @@ func (v *Vocab) JoinRecords(lrec, rrec []Record, theta float64, parallelism int)
 		}
 	}
 
-	// Probe: each worker owns a contiguous left chunk plus private
-	// de-dup stamps and output buffer. Matches of one left record are
-	// sorted by Right, and chunks concatenate in left order, so the
-	// result is globally (Left, Right)-sorted with no final sort.
-	probe := func(lo, hi int) []Pair {
-		var out []Pair
-		seen := make([]int32, len(rrec))
-		for i := range seen {
-			seen[i] = -1
-		}
-		for i := lo; i < hi; i++ {
-			l := lrec[i]
-			from := len(out)
-			for _, tok := range l.Tokens[:prefixLen(len(l.Tokens), theta)] {
-				if int(tok) >= n {
-					// Tokens are rank-sorted ascending; nothing past
-					// the index's range can have postings.
-					break
+	// Probe: de-dup stamps mark the right records already scored for
+	// the current left record. Matches of one left record are sorted by
+	// Right, and left records are visited in order, so the result is
+	// (Left, Right)-sorted with no final sort.
+	var out []Pair
+	seen := make([]int32, len(rrec))
+	for i := range seen {
+		seen[i] = -1
+	}
+	for i, l := range lrec {
+		from := len(out)
+		for _, tok := range l.Tokens[:prefixLen(len(l.Tokens), theta)] {
+			if int(tok) >= n {
+				// Tokens are rank-sorted ascending; nothing past the
+				// index's range can have postings.
+				break
+			}
+			for _, rj := range posts[starts[tok]:starts[tok+1]] {
+				if seen[rj] == int32(i) {
+					continue
 				}
-				for _, rj := range posts[starts[tok]:starts[tok+1]] {
-					if seen[rj] == int32(i) {
-						continue
-					}
-					seen[rj] = int32(i)
-					r := rrec[rj]
-					// Size filter: Jaccard >= theta requires
-					// theta*|l| <= |r| <= |l|/theta.
-					ls, rs := float64(len(l.Tokens)), float64(len(r.Tokens))
-					if rs < theta*ls || rs > ls/theta {
-						continue
-					}
-					if sim := jaccardSorted(l.Tokens, r.Tokens); sim >= theta {
-						out = append(out, Pair{Left: i, Right: int(rj), Sim: sim})
-					}
+				seen[rj] = int32(i)
+				r := rrec[rj]
+				// Size filter: Jaccard >= theta requires
+				// theta*|l| <= |r| <= |l|/theta.
+				ls, rs := float64(len(l.Tokens)), float64(len(r.Tokens))
+				if rs < theta*ls || rs > ls/theta {
+					continue
+				}
+				if sim := jaccardSorted(l.Tokens, r.Tokens); sim >= theta {
+					out = append(out, Pair{Left: i, Right: int(rj), Sim: sim})
 				}
 			}
-			slices.SortFunc(out[from:], func(a, b Pair) int { return a.Right - b.Right })
 		}
-		return out
-	}
-
-	if width == 1 || len(lrec) < 2*width {
-		return probe(0, len(lrec)), nil
-	}
-	chunk := (len(lrec) + width - 1) / width
-	nChunks := (len(lrec) + chunk - 1) / chunk
-	parts := make([][]Pair, nChunks)
-	par.ForEach(nChunks, width, func(slot int) error {
-		lo := slot * chunk
-		parts[slot] = probe(lo, min(lo+chunk, len(lrec)))
-		return nil
-	})
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]Pair, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
+		slices.SortFunc(out[from:], func(a, b Pair) int { return a.Right - b.Right })
 	}
 	return out, nil
 }

@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/clustergraph"
 )
 
 // setsFingerprint serializes per-interval cluster sets for exact
-// comparison across worker counts.
+// comparison.
 func setsFingerprint(sets [][]Cluster) string {
 	var b strings.Builder
 	for i, cs := range sets {
@@ -37,18 +40,65 @@ func graphFingerprint(g *ClusterGraph) string {
 	return b.String()
 }
 
-// TestSection4ParallelEquivalence runs the whole Section 4 pipeline —
-// AllIntervalClusters then BuildClusterGraph on both the quadratic and
-// simjoin paths, with a gap — at Parallelism 1, 2 and 8, and asserts
-// each stage's output is identical to the sequential baseline's.
+// sequentialClusterSets is the reference the interval pool is held to:
+// a plain loop of intervalClustersCtx with the whole budget.
+func sequentialClusterSets(t *testing.T, c *Collection) [][]Cluster {
+	t.Helper()
+	sets := make([][]Cluster, len(c.Intervals))
+	for i := range c.Intervals {
+		var err error
+		if sets[i], err = intervalClustersCtx(context.Background(), c, i, ClusterOptions{}); err != nil {
+			t.Fatalf("interval %d: %v", i, err)
+		}
+	}
+	return sets
+}
+
+// sequentialClusterGraph is the reference the edge tasks are held to:
+// every node through clustergraph.NewBuilder in interval order, then
+// one nested loop over the cluster pairs of intervals at most gap+1
+// apart, scored by Jaccard.
+func sequentialClusterGraph(t *testing.T, sets [][]Cluster, opts GraphOptions) *ClusterGraph {
+	t.Helper()
+	b, err := clustergraph.NewBuilder(len(sets), opts.Gap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([][]int64, len(sets))
+	for i, cs := range sets {
+		for _, c := range cs {
+			id, err := b.AddNode(i, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[i] = append(ids[i], id)
+		}
+	}
+	for i := range sets {
+		for j := i + 1; j <= i+opts.Gap+1 && j < len(sets); j++ {
+			for a, ca := range sets[i] {
+				for bj, cb := range sets[j] {
+					if w := cluster.Jaccard(ca, cb); w >= opts.Theta && w > 0 {
+						if err := b.AddEdge(ids[i][a], ids[j][bj], w); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+		}
+	}
+	return b.Build(false)
+}
+
+// TestSection4ParallelEquivalence runs the Section 4 pipeline's two
+// pooled stages — the interval pool, then the cluster-graph edge tasks
+// on the quadratic and simjoin paths, with a gap — and asserts each
+// stage's output is identical to a plain sequential loop's. `make
+// cpu-matrix` runs it at 1, 2 and 8 workers.
 func TestSection4ParallelEquivalence(t *testing.T) {
 	c := endToEndCorpus(t)
 
-	baseSets, err := allIntervalClustersCtx(context.Background(), c, ClusterOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatalf("AllIntervalClusters sequential: %v", err)
-	}
-	wantSets := setsFingerprint(baseSets)
+	baseSets := sequentialClusterSets(t, c)
 	total := 0
 	for _, cs := range baseSets {
 		total += len(cs)
@@ -56,65 +106,46 @@ func TestSection4ParallelEquivalence(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no clusters; corpus too sparse to be a real test")
 	}
+	sets, err := allIntervalClustersCtx(context.Background(), c, ClusterOptions{})
+	if err != nil {
+		t.Fatalf("interval pool: %v", err)
+	}
+	if setsFingerprint(sets) != setsFingerprint(baseSets) {
+		t.Fatal("interval pool: cluster sets differ from the sequential loop")
+	}
 
-	graphVariants := []struct {
+	for _, v := range []struct {
 		name string
 		opts GraphOptions
 	}{
 		{"quadratic_gap0", GraphOptions{Gap: 0, Theta: 0.1}},
 		{"quadratic_gap2", GraphOptions{Gap: 2, Theta: 0.1}},
 		{"simjoin_gap2", GraphOptions{Gap: 2, Theta: 0.1, UseSimJoin: true}},
-	}
-	wantGraphs := make([]string, len(graphVariants))
-	for vi, v := range graphVariants {
-		opts := v.opts
-		opts.Parallelism = 1
-		g, err := buildClusterGraphCtx(context.Background(), baseSets, opts)
+	} {
+		want := sequentialClusterGraph(t, baseSets, v.opts)
+		if want.NumEdges() == 0 {
+			t.Fatalf("%s: no edges; workload too sparse to be a real test", v.name)
+		}
+		g, err := buildClusterGraphCtx(context.Background(), sets, v.opts)
 		if err != nil {
-			t.Fatalf("BuildClusterGraph %s sequential: %v", v.name, err)
+			t.Fatalf("%s: %v", v.name, err)
 		}
-		if g.NumEdges() == 0 {
-			t.Fatalf("BuildClusterGraph %s: no edges; workload too sparse to be a real test", v.name)
-		}
-		wantGraphs[vi] = graphFingerprint(g)
-	}
-
-	for _, par := range []int{2, 8} {
-		sets, err := allIntervalClustersCtx(context.Background(), c, ClusterOptions{Parallelism: par})
-		if err != nil {
-			t.Fatalf("AllIntervalClusters parallelism %d: %v", par, err)
-		}
-		if got := setsFingerprint(sets); got != wantSets {
-			t.Fatalf("AllIntervalClusters parallelism %d: cluster sets differ from sequential", par)
-		}
-		for vi, v := range graphVariants {
-			opts := v.opts
-			opts.Parallelism = par
-			g, err := buildClusterGraphCtx(context.Background(), sets, opts)
-			if err != nil {
-				t.Fatalf("BuildClusterGraph %s parallelism %d: %v", v.name, par, err)
-			}
-			if got := graphFingerprint(g); got != wantGraphs[vi] {
-				t.Fatalf("BuildClusterGraph %s parallelism %d: graph differs from sequential", v.name, par)
-			}
+		if graphFingerprint(g) != graphFingerprint(want) {
+			t.Fatalf("%s: graph differs from the sequential loop", v.name)
 		}
 	}
 }
 
 // TestAllIntervalClustersBudgetSplit: a tiny memory budget split across
 // interval workers forces the spill path inside concurrent interval
-// builds and must still reproduce the sequential output.
+// builds and must still reproduce the sequential loop's output.
 func TestAllIntervalClustersBudgetSplit(t *testing.T) {
 	c := endToEndCorpus(t)
-	base, err := allIntervalClustersCtx(context.Background(), c, ClusterOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := allIntervalClustersCtx(context.Background(), c, ClusterOptions{Parallelism: 4, MemBudget: 64 << 10})
+	got, err := allIntervalClustersCtx(context.Background(), c, ClusterOptions{MemBudget: 64 << 10})
 	if err != nil {
 		t.Fatalf("AllIntervalClusters with split budget: %v", err)
 	}
-	if setsFingerprint(got) != setsFingerprint(base) {
-		t.Fatal("split-budget parallel cluster sets differ from sequential")
+	if setsFingerprint(got) != setsFingerprint(sequentialClusterSets(t, c)) {
+		t.Fatal("split-budget cluster sets differ from the sequential loop")
 	}
 }

@@ -31,7 +31,7 @@ func benchShardCollection(b *testing.B) *blogclusters.Collection {
 // each iteration pays gather + solve + merge. cold is first-query-
 // after-open: shard engines, partition map and scatter caches all
 // build inside the iteration — the price of a fresh deployment or a
-// post-push generation. Kept for ROADMAP item 3a: bench/ has no sharded
+// post-push generation. Kept for ROADMAP item 7(a): bench/ has no sharded
 // workload yet; goes when `serve_sharded` lands there.
 func BenchmarkShardScatterGather(b *testing.B) {
 	ctx := context.Background()

@@ -40,7 +40,7 @@ func benchClusterSets(m, perInterval, kw int) [][]cluster.Cluster {
 
 // BenchmarkClusterGraph measures cluster-graph construction (Section
 // 4.1): the quadratic pair loop vs the prefix-filter simjoin. Both
-// variants build the identical graph. Kept for ROADMAP item 5b
+// variants build the identical graph. Kept for ROADMAP item 7(d)
 // (UseSimJoin's off-switch): bench/ names `UseSimJoin: true`, so only
 // this shows the other side of the switch.
 func BenchmarkClusterGraph(b *testing.B) {

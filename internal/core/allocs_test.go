@@ -35,7 +35,7 @@ func TestSolverAllocationCeilings(t *testing.T) {
 		{"bfs-sub", Request{Algorithm: "bfs", K: 5, L: 3}, 80},
 		{"bfs-full", Request{Algorithm: "bfs", K: 5, L: FullPaths}, 80},
 		{"dfs", Request{Algorithm: "dfs", K: 5, L: FullPaths}, 100},
-		{"ta", Request{Algorithm: "ta", K: 5, L: FullPaths}, 370},
+		{"ta", Request{Algorithm: "ta", K: 5, L: FullPaths}, 110},
 		{"normalized", Request{Algorithm: "normalized", K: 5, LMin: 3}, 120},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,7 +6,7 @@ import (
 	"repro/internal/clustergraph"
 )
 
-// suffixBound is the exact suffix bound BFS and DFS prune with. A
+// suffixBound is the exact suffix bound BFS, DFS and TA prune with. A
 // backward sweep, last interval first, sets U_r(v), the weight of the
 // heaviest path of temporal length exactly r that starts at v (−Inf when
 // there is none, U_0 = 0), for every r ≤ l: O(E·l) work and N·(l+1)
@@ -28,6 +28,7 @@ type suffixBound struct {
 	l    int
 	full bool
 	u    []float64 // U_r(v) at v*(l+1)+r; for full paths U(v) at v
+	p    []float64 // P(v), full paths only, once sweepPrefixes has run
 	f    float64   // the seeded floor F
 	on   bool      // false: the unbounded reference (disableSuffixBound)
 }
@@ -100,6 +101,52 @@ func (b *suffixBound) rest(v int64, r int) float64 {
 		return b.u[v]
 	}
 	return b.u[int(v)*(b.l+1)+r]
+}
+
+// sweepPrefixes is the forward twin of the full-path sweep, for TA: first
+// interval first, it sets P(v), the weight of the heaviest path from
+// interval 0 to v (−Inf when there is none, 0 on interval 0), in O(E),
+// counting the edges it reads in st. A full path through the edge
+// (u, v) of weight w then weighs at most P(u) + w + U(v).
+func (b *suffixBound) sweepPrefixes(st *Stats) {
+	if !b.on {
+		return
+	}
+	g := b.g
+	b.p = make([]float64, g.NumNodes())
+	for i := 0; i < g.NumIntervals(); i++ {
+		for _, v := range g.NodesAt(i) {
+			parents := g.Parents(v)
+			st.EdgeReads += int64(len(parents))
+			p := math.Inf(-1)
+			if i == 0 {
+				p = 0
+			}
+			for _, h := range parents {
+				if w := b.p[h.Peer] + h.Weight; w > p {
+					p = w
+				}
+			}
+			b.p[v] = p
+		}
+	}
+}
+
+// toEnd returns U(v) of a full-path bound: +Inf for the reference, so
+// that no bound built from it falls below a floor.
+func (b *suffixBound) toEnd(v int64) float64 {
+	if !b.on {
+		return math.Inf(1)
+	}
+	return b.u[v]
+}
+
+// fromStart returns P(v), +Inf for the reference as toEnd does.
+func (b *suffixBound) fromStart(v int64) float64 {
+	if !b.on {
+		return math.Inf(1)
+	}
+	return b.p[v]
 }
 
 // floor returns what a path's bound must reach, given the k-th weight

@@ -13,15 +13,17 @@
 //     maxweight-based pruning, visited-flag unmarking and bestpaths
 //     back-propagation (dfs.go).
 //   - "ta" (Section 4.4): an adaptation of the threshold algorithm over
-//     per-interval-pair edge lists sorted by weight; full paths only
+//     per-interval-pair edge lists read in weight order; full paths only
 //     (ta.go).
 //   - "normalized" (Problem 2, Section 4.5): Dinkelbach's parametric
 //     reduction to BFS's k-best DP, one pass per ratio tried, over the
 //     state (node, min(length, lmin)) (normalized.go).
 //   - "brute", "brute-normalized": exhaustive oracles (brute.go).
 //
-// BFS and DFS both prune on one exact suffix bound, the heaviest path
-// of each length from each node, swept last interval first (bound.go).
+// BFS, DFS and TA prune on one exact suffix bound, the heaviest path of
+// each length from each node, swept last interval first (bound.go); TA
+// also takes its forward twin, the heaviest path from interval 0 to
+// each node.
 //
 // Every solver is sequential; results are deterministic because the
 // top-k order (topk.Better) is a strict total order and heap contents
@@ -54,8 +56,9 @@ type Stats struct {
 	EdgeReads int64 `json:"edge_reads"`
 	// HeapConsiders counts offers to any top-k heap.
 	HeapConsiders int64 `json:"heap_considers"`
-	// Pruned counts pruning events (DFS CanPrune firings, TA upper-bound
-	// skips, BFS and normalized offers dropped on their suffix bound).
+	// Pruned counts pruning events (DFS CanPrune firings, TA edges and
+	// prefix or suffix branches, BFS and normalized offers dropped on
+	// their suffix bound).
 	Pruned int64 `json:"pruned"`
 	// Repushes counts re-explorations of nodes whose visited flag was
 	// unmarked (DFS only).

@@ -83,7 +83,7 @@ func TestBFSDFSBruteEquivalence(t *testing.T) {
 				if !weightsAlmostEqual(ta.Weights(), want.Weights()) {
 					t.Errorf("TA weights %v != brute %v", ta.Weights(), want.Weights())
 				}
-				taNoBound, err := solve(g, Request{Algorithm: "ta", K: c.k, L: c.l, disableBoundHashTables: true})
+				taNoBound, err := solve(g, Request{Algorithm: "ta", K: c.k, L: c.l, disableSuffixBound: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -153,9 +153,10 @@ func TestStatsPopulated(t *testing.T) {
 }
 
 // TestSuffixBoundMatchesReference holds BFS and DFS with the suffix
-// bound to the paper's unbounded Algorithms 2 and 3: the same Paths, bit
+// bound to the paper's unbounded Algorithms 2 and 3, and TA with its
+// prefix and suffix bounds to TA with no pruning: the same Paths, bit
 // for bit and ties included, over synthetic and tie graphs, k 1–40,
-// subpaths and full paths.
+// subpaths and full paths (TA: full paths only).
 func TestSuffixBoundMatchesReference(t *testing.T) {
 	type graph struct {
 		name string
@@ -175,8 +176,12 @@ func TestSuffixBoundMatchesReference(t *testing.T) {
 	for _, gg := range graphs {
 		m := gg.g.NumIntervals()
 		for _, l := range []int{1, 2, m - 1} {
+			algos := []string{"bfs", "dfs"}
+			if l == m-1 {
+				algos = append(algos, "ta")
+			}
 			for _, k := range []int{1, 2, 3, 5, 8, 13, 40} {
-				for _, algo := range []string{"bfs", "dfs"} {
+				for _, algo := range algos {
 					req := Request{Algorithm: algo, K: k, L: l}
 					got, err := solve(gg.g, req)
 					if err != nil {

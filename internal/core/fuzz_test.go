@@ -8,7 +8,8 @@ import (
 )
 
 // checkAgainstBrute generates the graph for cfg and requires DFS (with
-// pruning) and BFS to return the exhaustive oracle's top-k weights.
+// pruning) and BFS — and TA, when l = m−1 — to return the exhaustive
+// oracle's top-k weights.
 func checkAgainstBrute(t *testing.T, cfg synth.Config, l, k int) {
 	t.Helper()
 	g, err := synth.Generate(cfg)
@@ -33,20 +34,32 @@ func checkAgainstBrute(t *testing.T, cfg synth.Config, l, k int) {
 	if !weightsAlmostEqual(bfs.Weights(), want.Weights()) {
 		t.Fatalf("cfg %+v l %d k %d: BFS %v != brute %v", cfg, l, k, bfs.Weights(), want.Weights())
 	}
+	if l != cfg.M-1 {
+		return
+	}
+	ta, err := solve(g, Request{Algorithm: "ta", K: k, L: l})
+	if err != nil {
+		t.Fatalf("cfg %+v l %d k %d: %v", cfg, l, k, err)
+	}
+	if !weightsAlmostEqual(ta.Weights(), want.Weights()) {
+		t.Fatalf("cfg %+v l %d k %d: TA %v != brute %v", cfg, l, k, ta.Weights(), want.Weights())
+	}
 }
 
 // FuzzSolverEquivalence is the native-fuzzing form of
 // TestFuzzEquivalence, driven through the unified Solve dispatch: the
 // engine mutates the generator parameters, and the solvers must keep
-// agreeing with the exhaustive oracles — BFS and DFS with brute on
-// weights, normalized with brute-normalized on Paths, at the same k and
-// with the length as lmin. The nightly fuzz-smoke CI job
-// runs it for ~60s; `go test` runs the seed corpus as a regression test.
+// agreeing with the exhaustive oracles — BFS and DFS (and TA on full
+// paths) with brute on weights, normalized with brute-normalized on
+// Paths, at the same k and with the length as lmin. The nightly
+// fuzz-smoke CI job runs it for ~60s; `go test` runs the seed corpus as
+// a regression test.
 func FuzzSolverEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(5), uint8(2), uint8(1), uint8(2), uint8(3))
 	f.Add(int64(7), uint8(2), uint8(2), uint8(1), uint8(0), uint8(1), uint8(1))
 	f.Add(int64(42), uint8(7), uint8(8), uint8(3), uint8(2), uint8(6), uint8(5))
 	f.Add(int64(11), uint8(5), uint8(6), uint8(2), uint8(1), uint8(3), uint8(29)) // k = 30
+	f.Add(int64(5), uint8(4), uint8(6), uint8(2), uint8(1), uint8(4), uint8(34))  // m 6, full paths, k = 35
 	f.Fuzz(func(t *testing.T, seed int64, m8, n8, d8, g8, l8, k8 uint8) {
 		m := 2 + int(m8)%6
 		cfg := synth.Config{
@@ -68,7 +81,7 @@ func FuzzSolverEquivalence(f *testing.F) {
 	})
 }
 
-// TestFuzzEquivalence hammers BFS and DFS (with pruning) against the
+// TestFuzzEquivalence hammers BFS, DFS (with pruning) and TA against the
 // exhaustive oracle on randomized graph shapes. Skipped under -short.
 func TestFuzzEquivalence(t *testing.T) {
 	if testing.Short() {

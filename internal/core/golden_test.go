@@ -57,7 +57,7 @@ var golden = map[string]goldenRow{
 	},
 	"gap0/ta": {
 		paths: []topk.Path{{Nodes: []int64{3, 10, 16, 18, 24}, Length: 4, Weight: 3.276619336639582}, {Nodes: []int64{3, 10, 16, 19, 26}, Length: 4, Weight: 3.202462973694655}, {Nodes: []int64{3, 10, 16, 23, 24}, Length: 4, Weight: 3.031397760786878}},
-		stats: Stats{NodeReads: 0, NodeWrites: 0, EdgeReads: 0, HeapConsiders: 56, Pruned: 0, Repushes: 0, RandomSeeks: 32, PeakStatePaths: 0},
+		stats: Stats{NodeReads: 0, NodeWrites: 0, EdgeReads: 100, HeapConsiders: 5, Pruned: 11, Repushes: 0, RandomSeeks: 5, PeakStatePaths: 0},
 	},
 	"gap0/normalized": {
 		paths: []topk.Path{{Nodes: []int64{3, 10, 16}, Length: 2, Weight: 0.9366664287096136}, {Nodes: []int64{1, 8, 17}, Length: 2, Weight: 0.9141137717050942}, {Nodes: []int64{3, 10, 16, 18}, Length: 3, Weight: 0.8250811420644864}},
@@ -77,7 +77,7 @@ var golden = map[string]goldenRow{
 	},
 	"gap2/ta": {
 		paths: []topk.Path{{Nodes: []int64{0, 8, 10, 18, 21, 25}, Length: 5, Weight: 4.179336812056002}, {Nodes: []int64{1, 7, 11, 19, 21, 25}, Length: 5, Weight: 4.1195327930728425}, {Nodes: []int64{1, 5, 14, 18, 21, 25}, Length: 5, Weight: 4.110134679322221}},
-		stats: Stats{NodeReads: 0, NodeWrites: 0, EdgeReads: 0, HeapConsiders: 4545, Pruned: 33, Repushes: 0, RandomSeeks: 1468, PeakStatePaths: 0},
+		stats: Stats{NodeReads: 0, NodeWrites: 0, EdgeReads: 330, HeapConsiders: 16, Pruned: 325, Repushes: 0, RandomSeeks: 55, PeakStatePaths: 0},
 	},
 	"gap2/normalized": {
 		paths: []topk.Path{{Nodes: []int64{15, 24, 25}, Length: 2, Weight: 0.9834458057272459}, {Nodes: []int64{15, 24, 26}, Length: 2, Weight: 0.945393708288828}, {Nodes: []int64{1, 7, 11}, Length: 2, Weight: 0.9344172731739653}},
@@ -97,7 +97,7 @@ var golden = map[string]goldenRow{
 	},
 	"gap1/ta": {
 		paths: []topk.Path{{Nodes: []int64{3, 11, 15, 21, 28}, Length: 4, Weight: 3.4034032490521255}, {Nodes: []int64{4, 7, 14, 21, 28}, Length: 4, Weight: 3.2757316800240472}, {Nodes: []int64{1, 11, 15, 21, 28}, Length: 4, Weight: 3.1580301646119198}},
-		stats: Stats{NodeReads: 0, NodeWrites: 0, EdgeReads: 0, HeapConsiders: 508, Pruned: 7, Repushes: 0, RandomSeeks: 256, PeakStatePaths: 0},
+		stats: Stats{NodeReads: 0, NodeWrites: 0, EdgeReads: 186, HeapConsiders: 11, Pruned: 79, Repushes: 0, RandomSeeks: 23, PeakStatePaths: 0},
 	},
 	"gap1/normalized": {
 		paths: []topk.Path{{Nodes: []int64{3, 11, 15}, Length: 2, Weight: 0.9350624279501657}, {Nodes: []int64{4, 6, 16}, Length: 2, Weight: 0.8733859238905983}, {Nodes: []int64{5, 8, 16}, Length: 2, Weight: 0.8711985177025822}},

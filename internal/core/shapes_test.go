@@ -36,7 +36,7 @@ var pinnedShapes = []struct {
 	{"dfs", synth.Config{M: 6, N: 40, D: 5, G: 1}, Request{Algorithm: "dfs", K: 5, L: FullPaths},
 		"64b24b96718c3ecd", "{588 547 2496 200 494 369 0 20 0}"},
 	{"ta", synth.Config{M: 6, N: 30, D: 5, G: 0}, Request{Algorithm: "ta", K: 5, L: FullPaths},
-		"055b1b54ccfa3ca3", "{0 0 0 66264 1 0 5913 0 0}"},
+		"055b1b54ccfa3ca3", "{0 0 1626 19 300 0 50 0 0}"},
 	{"bfs_full", synth.Config{M: 10, N: 100, D: 5, G: 1}, Request{Algorithm: "bfs", K: 5, L: FullPaths},
 		"2d5d240235a9794c", "{1700 1000 19152 67 1599 0 0 16 0}"},
 	{"bfs_sub", synth.Config{M: 10, N: 100, D: 5, G: 1}, Request{Algorithm: "bfs", K: 5, L: 3},

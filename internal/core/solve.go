@@ -51,19 +51,16 @@ type Request struct {
 	MaxSeeks int64
 
 	// Test seams, settable only inside this package: these optimizations
-	// pay (or cost nothing) on every measurement, so callers always get
-	// them; the generic paths stay as the reference the equivalence
-	// tests compare against.
+	// pay on every measurement, so callers always get them; the generic
+	// paths stay as the reference the equivalence tests compare against.
 	//
 	// disableFullPathFastPath turns off BFS's single-heap optimization
 	// for l = m−1.
 	disableFullPathFastPath bool
-	// disableBoundHashTables turns off TA's startwts/endwts upper-bound
-	// optimization.
-	disableBoundHashTables bool
 	// disableSuffixBound runs BFS and DFS as the paper's Algorithms 2
-	// and 3, without the exact suffix bound (bound.go). DFS then prunes
-	// as the paper does, exact only for weights in (0,1].
+	// and 3, without the exact suffix bound (bound.go), and TA with no
+	// pruning at all. DFS then prunes as the paper does, exact only for
+	// weights in (0,1].
 	disableSuffixBound bool
 }
 
@@ -173,8 +170,8 @@ func Lookup(name string) (Info, bool) {
 // Solve answers one stable-clusters request by dispatching to the
 // registered solver. It is the single entry point for every algorithm;
 // ctx cancels the solve at each algorithm's natural loop boundary
-// (BFS per interval and per seek batch, DFS on its first stack step and
-// every few thousand after, TA per round and per seek batch).
+// (BFS per interval, DFS on its first stack step and every few thousand
+// after, TA per round and per seek batch).
 func Solve(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, error) {
 	name := req.Algorithm
 	if name == "" {

@@ -148,6 +148,55 @@ func TestDFSWorkOnRecurringCorpus(t *testing.T) {
 	}
 }
 
+// TestTAWorkOnRecurringCorpus pins TA's counted work on full paths over
+// the corpus graphs. Before TA pruned on the suffix bound and its forward
+// twin it enumerated prefixes × suffixes unpruned: 269, 1 362 and 473
+// random seeks at k 5 on the three corpora below, 13 728, 2 447 and
+// 16 939 at k 40. TA must return BFS's Paths up to ties (checkUpToTies,
+// against BFS's top k+1), two solves must count exactly the same work,
+// and random seeks stay under ceilings about twice those recorded with
+// this test.
+func TestTAWorkOnRecurringCorpus(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		intervals, posts int
+		seeks            map[int]int64 // k → ceiling
+	}{
+		// Recorded: 93 random seeks at k 5, 1 997 at k 40.
+		{6, 800, map[int]int64{5: 190, 40: 4_000}},
+		// 298 and 628.
+		{8, 800, map[int]int64{5: 600, 40: 1_260}},
+		// 228 and 423.
+		{10, 1500, map[int]int64{5: 460, 40: 850}},
+	} {
+		t.Run(fmt.Sprintf("%dx%d", tc.intervals, tc.posts), func(t *testing.T) {
+			eng := openTestEngine(t, recurringCorpus(t, tc.intervals, tc.posts), WithGraphOptions(GraphOptions{Gap: 1, Theta: 0.1}))
+			g, err := eng.Graph(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			solve := func(algorithm string, k int) *core.Result {
+				res, err := core.Solve(ctx, g, core.Request{Algorithm: algorithm, K: k, L: core.FullPaths})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			for _, k := range []int{5, 40} {
+				bfs, ta, again := solve("bfs", k+1), solve("ta", k), solve("ta", k)
+				t.Logf("%d nodes, k %d; ta %+v", g.NumNodes(), k, ta.Stats)
+				checkUpToTies(t, fmt.Sprintf("ta against bfs at k %d", k), ta.Paths, bfs.Paths, k)
+				if again.Stats != ta.Stats {
+					t.Errorf("k %d: two solves of one request count %+v then %+v", k, ta.Stats, again.Stats)
+				}
+				if ta.Stats.RandomSeeks > tc.seeks[k] {
+					t.Errorf("k %d: %d random seeks, ceiling %d", k, ta.Stats.RandomSeeks, tc.seeks[k])
+				}
+			}
+		})
+	}
+}
+
 // TestNormalizedStateBoundedOnWideCorpus solves normalized at k = 40,
 // lmin = 3 on two wide recurring corpora, where Section 4.5's per-node
 // candidate lists grow without bound (1.3 M paths and 167 MB at

@@ -83,6 +83,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSolverEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzDiskIndexRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cooccur -run '^$$' -fuzz FuzzSortEntries -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cooccur -run '^$$' -fuzz FuzzBuildSpill -fuzztime $(FUZZTIME)
 
 # Chaos gate: the whole fault-injection suite under the race detector.
 # Everything prefixed TestFault* runs against internal/faultfs-injected
@@ -92,7 +93,7 @@ fuzz-smoke:
 # first thing to run when touching the retry/corruption/cleanup paths.
 chaos:
 	$(GO) test -race ./internal/faultfs
-	$(GO) test -race -run 'Fault|Panic|Breaker|Stale|Retry|Corrupt|ReadyzOpenFailure' ./internal/diskstore ./internal/extsort ./internal/index ./internal/server .
+	$(GO) test -race -run 'Fault|Panic|Breaker|Stale|Retry|Corrupt|ReadyzOpenFailure' ./internal/diskstore ./internal/extsort ./internal/cooccur ./internal/index ./internal/server .
 
 # Example drift gate: the examples are the Engine API's showcase, so
 # they build, vet, and quickstart and streaming (the Engine.Push

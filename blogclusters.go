@@ -102,8 +102,9 @@ type ClusterOptions struct {
 	RhoThreshold float64
 	// MinClusterSize drops clusters with fewer keywords; default 2.
 	MinClusterSize int
-	// SortMemoryBudget bounds the byte size of each sorted run spilled
-	// to the external sorter; 0 spills runs whole.
+	// SortMemoryBudget is accepted and ignored: a spill is one sorted
+	// run of the pair table, and the merge reads every run through one
+	// fixed buffer. The field stays only because bench/build.go names it.
 	SortMemoryBudget int
 	// MinPairCount drops keyword pairs seen in fewer documents before
 	// statistics run; 0 keeps everything.
@@ -136,9 +137,8 @@ func (o ClusterOptions) withDefaults() ClusterOptions {
 func intervalClustersCtx(ctx context.Context, c *Collection, interval int, opts ClusterOptions) ([]Cluster, error) {
 	opts = opts.withDefaults()
 	kg, err := cooccur.BuildCtx(ctx, c, interval, interval, cooccur.BuildOptions{
-		SortMemoryBudget: opts.SortMemoryBudget,
-		MinPairCount:     opts.MinPairCount,
-		MemBudget:        opts.MemBudget,
+		MinPairCount: opts.MinPairCount,
+		MemBudget:    opts.MemBudget,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("blogclusters: interval %d keyword graph: %w", interval, err)

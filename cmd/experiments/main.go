@@ -53,7 +53,7 @@ func main() {
 		ids = strings.Split(*exp, ",")
 	}
 	// Ctrl-C cancels the pipeline stages that poll the context
-	// (keyword-graph builds, disk segment builds, extsort merges).
+	// (keyword-graph builds and their spill merges, disk segment builds).
 	ctx, stop := cli.SignalContext(context.Background())
 	defer stop()
 	start := time.Now()

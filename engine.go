@@ -785,9 +785,8 @@ func (e *Engine) kwGraph(ctx context.Context, st *engineState, interval int) (*K
 	return m.get(ctx, func() (*KeywordGraph, error) {
 		defer e.stage(ctx, "kwgraph")()
 		kg, err := cooccur.BuildCtx(ctx, st.col, interval, interval, cooccur.BuildOptions{
-			SortMemoryBudget: e.cfg.cluster.SortMemoryBudget,
-			MinPairCount:     e.cfg.cluster.MinPairCount,
-			MemBudget:        e.cfg.cluster.MemBudget,
+			MinPairCount: e.cfg.cluster.MinPairCount,
+			MemBudget:    e.cfg.cluster.MemBudget,
 		})
 		if err != nil {
 			return nil, err

@@ -6,15 +6,14 @@ import (
 	"slices"
 
 	"repro/internal/corpus"
-	"repro/internal/extsort"
+	"repro/internal/faultfs"
 )
 
 // BuildOptions configures graph construction.
 type BuildOptions struct {
-	// SortMemoryBudget bounds the byte size of each sorted run a spill
-	// writes to the external sorter (and the sorter's own buffering),
-	// so the sort layer's transient memory stays bounded independently
-	// of MemBudget. Zero means runs are spilled whole.
+	// SortMemoryBudget is accepted and ignored: a spill is one sorted
+	// run of the table, and the merge reads every run through one fixed
+	// buffer. The field stays only because bench/build.go names it.
 	SortMemoryBudget int
 	// MinPairCount drops triplets with A(u,v) below this value before
 	// statistics are computed. The paper's graphs keep everything
@@ -22,8 +21,8 @@ type BuildOptions struct {
 	// noise pairs early. Zero means 1.
 	MinPairCount int64
 	// MemBudget bounds the resident bytes of the pair-counting hash
-	// table. A table over budget spills as sorted runs through
-	// internal/extsort; small and medium intervals never spill and are
+	// table. A table over budget spills as a sorted run to the build's
+	// one temp file; small and medium intervals never spill and are
 	// aggregated entirely in memory. Zero means DefaultMemBudget.
 	MemBudget int
 }
@@ -44,13 +43,20 @@ func Build(c *corpus.Collection, from, to int, opts BuildOptions) (*Graph, error
 }
 
 // BuildCtx is Build with cancellation: the counting pass polls ctx
-// every few thousand documents, the spill path hands ctx to the
-// external sorter's merge loops, and the aggregation pass polls it per
-// record batch, so a canceled build returns promptly instead of
-// finishing the interval.
+// every few thousand documents and the spill merge every 4 096
+// records, so a canceled build returns promptly instead of finishing
+// the interval. A build that spills keeps its runs in one temp file,
+// removed before BuildCtx returns on every path.
 func BuildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts BuildOptions) (*Graph, error) {
+	g, _, err := buildCtx(ctx, c, from, to, opts, faultfs.OS())
+	return g, err
+}
+
+// buildCtx is BuildCtx over the filesystem fs, reporting what the spill
+// route did.
+func buildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts BuildOptions, fs faultfs.FS) (*Graph, spillStats, error) {
 	if from < 0 || to >= len(c.Intervals) || from > to {
-		return nil, fmt.Errorf("cooccur: interval range [%d,%d] outside collection of %d intervals", from, to, len(c.Intervals))
+		return nil, spillStats{}, fmt.Errorf("cooccur: interval range [%d,%d] outside collection of %d intervals", from, to, len(c.Intervals))
 	}
 	minCount := opts.MinPairCount
 	if minCount <= 0 {
@@ -64,12 +70,15 @@ func BuildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts Buil
 
 	// Pass 1: the keyword dictionary. Ids are ranks in the sorted
 	// vocabulary, so they (and everything derived from them) do not
-	// depend on document order.
+	// depend on document order. The pass also sums the pair occurrences
+	// pass 2 will count, an upper bound on the table's entries.
 	index := make(map[string]int32, 1024)
-	var n int64
+	var n, pairs int64
 	for _, iv := range ivs {
 		n += int64(len(iv.Docs))
 		for _, d := range iv.Docs {
+			k := int64(len(d.Keywords))
+			pairs += k * (k + 1) / 2
 			for _, w := range d.Keywords {
 				index[w] = 0
 			}
@@ -90,47 +99,48 @@ func BuildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts Buil
 		index:    index,
 	}
 
-	// Pass 2: pair counting into one table, spilling sorted runs into
-	// the external sorter whenever the table outgrows the budget.
-	sorter := extsort.NewWithOptions(extsort.Options{
-		MemoryBudget: opts.SortMemoryBudget,
-		Ctx:          ctx,
-	})
-	// Error paths below may abandon the sorter after spills; Discard
-	// removes its temp files then (and is a no-op once aggregateSpilled's
-	// iterator has taken ownership).
-	defer sorter.Discard()
-	cn := &counter{
-		table:      newPairTable(),
-		budget:     memBudget,
-		sorter:     sorter,
-		sortBudget: opts.SortMemoryBudget,
-		index:      index,
+	// Pass 2: pair counting into one table, spilling a sorted run to the
+	// build's spill file whenever the table outgrows the budget. A table
+	// that may reach the budget starts at the size it would spill at.
+	var tableEntries int
+	if pairs*pairEntryBytes >= int64(memBudget) {
+		tableEntries = (memBudget + pairEntryBytes - 1) / pairEntryBytes
 	}
+	cn := &counter{
+		table:  newPairTable(tableEntries),
+		budget: memBudget,
+		index:  index,
+		file:   spillFile{fs: fs},
+	}
+	defer cn.file.close()
 	const pollEvery = 1024
 	seen := 0
 	for _, iv := range ivs {
 		for _, d := range iv.Docs {
 			if seen++; seen%pollEvery == 0 {
 				if err := ctx.Err(); err != nil {
-					return nil, err
+					return nil, cn.file.stats, err
 				}
 			}
 			if err := cn.countDoc(d.Keywords); err != nil {
-				return nil, err
+				return nil, cn.file.stats, err
 			}
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, cn.file.stats, err
 	}
 
 	// Pass 3: fold the counts into the canonical triplet list.
-	if cn.spilled {
-		if err := aggregateSpilled(ctx, g, cn, minCount); err != nil {
-			return nil, err
+	if cn.file.f != nil {
+		// The leftover entries join the spilled runs as the last run.
+		if err := cn.spill(); err != nil {
+			return nil, cn.file.stats, err
 		}
-		return g, nil
+		if err := cn.file.aggregate(ctx, g, minCount); err != nil {
+			return nil, cn.file.stats, err
+		}
+		return g, cn.file.stats, nil
 	}
 	entries := cn.table.appendEntries(nil)
 	sortEntries(entries)
@@ -140,7 +150,7 @@ func BuildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts Buil
 	for _, e := range entries {
 		g.addTriplet(e.key, e.count, minCount)
 	}
-	return g, nil
+	return g, cn.file.stats, nil
 }
 
 // addTriplet records one aggregated count: a diagonal key is A(u), any
@@ -157,16 +167,13 @@ func (g *Graph) addTriplet(key uint64, count, minCount int64) {
 
 // counter is the counting state of one build.
 type counter struct {
-	table      *pairTable
-	budget     int
-	sorter     *extsort.Sorter
-	sortBudget int // max bytes per spilled run; 0 = whole table
-	index      map[string]int32
-	spilled    bool
+	table  *pairTable
+	budget int
+	index  map[string]int32
+	file   spillFile
 
 	ids     []int32     // per-document keyword-id scratch
 	scratch []pairEntry // spill extraction scratch
-	recBuf  [spillRecordLen]byte
 }
 
 // countDoc counts every pair of one document's keywords (including the
@@ -190,7 +197,8 @@ func (cn *counter) countDoc(keywords []string) error {
 	return nil
 }
 
-// spill writes the table's entries as sorted runs and resets it.
+// spill appends the table's entries to the spill file as one sorted
+// run and resets the table.
 func (cn *counter) spill() error {
 	if cn.table.n == 0 {
 		return nil
@@ -198,89 +206,9 @@ func (cn *counter) spill() error {
 	entries := cn.table.appendEntries(cn.scratch[:0])
 	cn.scratch = entries[:0]
 	sortEntries(entries)
-	// Honor the sort-layer budget by splitting the sorted batch into
-	// runs of bounded byte size; each slice is itself sorted, so every
-	// piece is a valid run.
-	perRun := len(entries)
-	if cn.sortBudget > 0 {
-		perRun = max(1, cn.sortBudget/spillRecordLen)
-	}
-	for len(entries) > 0 {
-		n := min(perRun, len(entries))
-		if err := cn.writeRun(entries[:n]); err != nil {
-			return err
-		}
-		entries = entries[n:]
+	if err := cn.file.appendRun(entries); err != nil {
+		return err
 	}
 	cn.table.reset()
-	cn.spilled = true
-	return nil
-}
-
-// writeRun streams sorted entries into the sorter as one run.
-func (cn *counter) writeRun(entries []pairEntry) error {
-	run, err := cn.sorter.NewRun()
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		putSpillRecord(&cn.recBuf, e.key, e.count)
-		if err := run.Append(cn.recBuf[:]); err != nil {
-			run.Close()
-			return err
-		}
-	}
-	return run.Close()
-}
-
-// aggregateSpilled drains the counts through the external sorter and
-// folds the globally sorted record stream into the graph. Used whenever
-// the table spilled: the leftover in-memory entries join the spilled
-// runs as final runs, and the merged stream interleaves them all.
-func aggregateSpilled(ctx context.Context, g *Graph, cn *counter, minCount int64) error {
-	if err := cn.spill(); err != nil {
-		return err
-	}
-	it, err := cn.sorter.Sort()
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	var (
-		curKey   uint64
-		curCount int64
-		started  bool
-		seen     int
-	)
-	const pollEvery = 4096
-	for {
-		if seen++; seen%pollEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		rec, ok := it.Next()
-		if !ok {
-			break
-		}
-		key, count, err := parseSpillRecord(rec)
-		if err != nil {
-			return err
-		}
-		if started && key == curKey {
-			curCount += count
-			continue
-		}
-		if started {
-			g.addTriplet(curKey, curCount, minCount)
-		}
-		curKey, curCount, started = key, count, true
-	}
-	if err := it.Err(); err != nil {
-		return err
-	}
-	if started {
-		g.addTriplet(curKey, curCount, minCount)
-	}
 	return nil
 }

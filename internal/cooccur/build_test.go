@@ -2,12 +2,14 @@ package cooccur
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/faultfs"
 )
 
 func equivCorpus(t testing.TB, seed int64, posts int) *corpus.Collection {
@@ -98,30 +100,58 @@ func naiveGraph(col *corpus.Collection, from, to int, minCount int64) *Graph {
 	return g
 }
 
-// TestBuildMatchesNaiveCount holds the one counting path to the
-// map-based oracle on the in-memory route, the spill route, and the
-// spill route with runs small enough that extsort pre-merges them, with
-// and without the early MinPairCount filter.
-func TestBuildMatchesNaiveCount(t *testing.T) {
-	budgets := []BuildOptions{
-		{},
-		{MemBudget: 4 << 10},
-		{MemBudget: 4 << 10, SortMemoryBudget: 256},
+// spillRow is one merge shape of the spill route: the options that
+// produce it and a check of the build's spillStats.
+type spillRow struct {
+	name  string
+	opts  BuildOptions
+	shape func(spillStats) bool
+}
+
+// spillRows returns the spill route's three merge shapes for a build of
+// entries distinct keys (edges plus keywords): one table spill while
+// counting (plus the leftover run), several runs merged at once, and a
+// spill per document, so many runs that the fan-in pass runs twice.
+func spillRows(entries int) []spillRow {
+	return []spillRow{
+		{"one spill", BuildOptions{MemBudget: entries * pairEntryBytes * 3 / 4}, func(s spillStats) bool {
+			return s.spills == 2 && s.fanInPasses == 0
+		}},
+		{"many runs", BuildOptions{MemBudget: entries * pairEntryBytes / 5}, func(s spillStats) bool {
+			return s.spills > 2 && s.spills <= maxFanIn && s.fanInPasses == 0
+		}},
+		{"fan-in", BuildOptions{MemBudget: 512}, func(s spillStats) bool {
+			return s.fanInPasses == 2
+		}},
 	}
+}
+
+// TestBuildMatchesNaiveCount holds the one counting path to the
+// map-based oracle on the in-memory route and on each merge shape of
+// the spill route, with and without the early MinPairCount filter.
+func TestBuildMatchesNaiveCount(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		col := equivCorpus(t, seed, 300)
+		full := naiveGraph(col, 0, 1, 1)
+		rows := append([]spillRow{{"in memory", BuildOptions{}, func(s spillStats) bool { return s == spillStats{} }}},
+			spillRows(len(full.Edges)+len(full.Keywords))...)
 		for _, minCount := range []int64{1, 2} {
 			want := naiveGraph(col, 0, 1, minCount)
 			if len(want.Edges) == 0 {
 				t.Fatalf("seed %d: oracle graph has no edges", seed)
 			}
-			for _, opts := range budgets {
+			for _, row := range rows {
+				opts := row.opts
 				opts.MinPairCount = minCount
-				g, err := Build(col, 0, 1, opts)
+				label := fmt.Sprintf("seed=%d %s %+v", seed, row.name, opts)
+				g, st, err := buildCtx(context.Background(), col, 0, 1, opts, faultfs.OS())
 				if err != nil {
-					t.Fatalf("seed %d %+v: %v", seed, opts, err)
+					t.Fatalf("%s: %v", label, err)
 				}
-				requireIdenticalGraphs(t, want, g, fmt.Sprintf("seed=%d %+v", seed, opts))
+				if !row.shape(st) {
+					t.Fatalf("%s: spill shape %+v", label, st)
+				}
+				requireIdenticalGraphs(t, want, g, label)
 			}
 		}
 	}
@@ -151,15 +181,16 @@ func buildConcurrently(t *testing.T, col *corpus.Collection, all []BuildOptions)
 }
 
 // TestParallelMatchesSequential checks that builds running side by
-// side, on the in-memory and both spill routes, each produce the graph
-// the map-based oracle counts for the same documents.
+// side, on the in-memory route and each merge shape of the spill route,
+// each produce the graph the map-based oracle counts for the same
+// documents.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		col := equivCorpus(t, seed, 300)
 		want := naiveGraph(col, 0, 1, 1)
-		all := []BuildOptions{
-			{}, {}, {MemBudget: 4 << 10}, {MemBudget: 4 << 10},
-			{MemBudget: 4 << 10, SortMemoryBudget: 256}, {MemBudget: 4 << 10, SortMemoryBudget: 256},
+		all := []BuildOptions{{}, {}}
+		for _, row := range spillRows(len(want.Edges) + len(want.Keywords)) {
+			all = append(all, row.opts, row.opts)
 		}
 		for i, g := range buildConcurrently(t, col, all) {
 			requireIdenticalGraphs(t, want, g, fmt.Sprintf("seed=%d build %d %+v", seed, i, all[i]))
@@ -196,19 +227,21 @@ func TestMinPairCountParallel(t *testing.T) {
 	}
 }
 
-// TestSequentialSpillMatches forces the build through the
-// spill-and-merge route and checks it against the in-memory fold.
+// TestSequentialSpillMatches forces the build through each merge shape
+// of the spill route and checks it against the in-memory fold.
 func TestSequentialSpillMatches(t *testing.T) {
 	col := equivCorpus(t, 5, 200)
 	ref, err := Build(col, 0, 1, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spilled, err := Build(col, 0, 1, BuildOptions{MemBudget: 1 << 10, SortMemoryBudget: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
+	for _, row := range spillRows(len(ref.Edges) + len(ref.Keywords)) {
+		spilled, err := Build(col, 0, 1, row.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		requireIdenticalGraphs(t, ref, spilled, "sequential spill, "+row.name)
 	}
-	requireIdenticalGraphs(t, ref, spilled, "sequential spill")
 }
 
 // TestBuildCanonicalOrder pins the canonical representation: sorted
@@ -237,20 +270,15 @@ func TestBuildCanonicalOrder(t *testing.T) {
 }
 
 // TestSpillRecordRoundTrip pins the 16-byte spill codec: every
-// (key, count) survives, bytewise record order is key order, and a
-// record of any other length is rejected.
+// (key, count) survives, and bytewise record order is key order.
 func TestSpillRecordRoundTrip(t *testing.T) {
 	keys := []uint64{0, 1, pairKey(0, 2), pairKey(123456, 654321), pairKey(1<<31-1, 1<<31-1)}
 	counts := []int64{1, 7, 1 << 40}
 	var buf, prev [spillRecordLen]byte
 	for i, k := range keys {
 		for _, c := range counts {
-			putSpillRecord(&buf, k, c)
-			gk, gc, err := parseSpillRecord(buf[:])
-			if err != nil {
-				t.Fatalf("parse(%x): %v", buf, err)
-			}
-			if gk != k || gc != c {
+			putSpillRecord(buf[:], k, c)
+			if gk, gc := spillRecord(buf[:]); gk != k || gc != c {
 				t.Fatalf("round trip (%d,%d) → (%d,%d)", k, c, gk, gc)
 			}
 		}
@@ -259,17 +287,12 @@ func TestSpillRecordRoundTrip(t *testing.T) {
 		}
 		prev = buf
 	}
-	for _, n := range []int{0, 8, spillRecordLen - 1, spillRecordLen + 1} {
-		if _, _, err := parseSpillRecord(make([]byte, n)); err == nil {
-			t.Errorf("parseSpillRecord accepted a %d-byte record", n)
-		}
-	}
 }
 
 // TestPairTable exercises the open-addressing table directly: growth,
-// duplicate accumulation, extraction and reset.
+// sizing up front, duplicate accumulation, extraction and reset.
 func TestPairTable(t *testing.T) {
-	pt := newPairTable()
+	pt := newPairTable(0)
 	const n = 5000
 	for i := 0; i < n; i++ {
 		k := pairKey(int32(i%100), int32(i%700))
@@ -294,6 +317,15 @@ func TestPairTable(t *testing.T) {
 		}
 	}
 	grown := len(pt.slots)
+	// A table sized for these entries starts at the size growth
+	// reached and holds them without growing.
+	sized := newPairTable(len(entries))
+	for _, e := range entries {
+		sized.add(e.key, e.count)
+	}
+	if len(sized.slots) != grown {
+		t.Fatalf("table sized for %d entries has %d slots, grown table %d", len(entries), len(sized.slots), grown)
+	}
 	pt.reset()
 	if pt.n != 0 || len(pt.slots) != grown || len(pt.appendEntries(nil)) != 0 {
 		t.Fatalf("reset left n=%d cap=%d (was %d)", pt.n, len(pt.slots), grown)

@@ -12,13 +12,15 @@
 //
 //   - pairs are counted into one open-addressing hash table keyed by
 //     the packed id pair uint64(u)<<32|v;
-//   - a table that exceeds BuildOptions.MemBudget spills as sorted runs
-//     through internal/extsort; when nothing spills — the common case
-//     for per-interval graphs — the table's entries are radix-sorted
-//     and folded in memory, and the sort path is never touched;
-//   - once the table has spilled, the rest drains through the external
-//     sorter too and a single pass over the globally sorted run stream
-//     aggregates the counts, exactly the paper's merge.
+//   - when nothing spills — the common case for per-interval graphs —
+//     the table's entries are radix-sorted and folded in memory;
+//   - a table that exceeds BuildOptions.MemBudget appends its entries,
+//     radix-sorted, as one run of fixed 16-byte records to the build's
+//     one temp file, and remembers the run's offset;
+//   - once the table has spilled, the leftover entries become the last
+//     run, and a heap merge over the runs folds equal keys straight
+//     into the graph, exactly the paper's merge. Too many runs for one
+//     merge are first merged in groups back into the same file.
 //
 // Either way the resulting Graph is canonical — keyword ids are ranks
 // in the sorted vocabulary and edges are sorted by (U, V). From A(u),

@@ -128,9 +128,9 @@ func TestMinPairCount(t *testing.T) {
 }
 
 func TestBuildWithTinySortBudgetMatches(t *testing.T) {
-	// Forcing spills must not change the result. MemBudget pushes the
-	// table through the spill path; SortMemoryBudget splits each spill
-	// into many one-record runs.
+	// Forcing spills must not change the result. A 64-byte MemBudget
+	// spills the table every four entries; the ignored SortMemoryBudget
+	// changes nothing.
 	big, err := Build(tinyCollection(), 0, 0, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)

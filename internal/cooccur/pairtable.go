@@ -1,10 +1,6 @@
 package cooccur
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // pairKey packs an ordered keyword-id pair (u ≤ v) into one uint64 so
 // the counting tables and spill records never materialize strings on
@@ -43,10 +39,16 @@ type pairTable struct {
 	n      int
 }
 
-func newPairTable() *pairTable {
+// newPairTable returns a table that holds entries keys without growing
+// (and at least minTableSlots slots).
+func newPairTable(entries int) *pairTable {
+	slots := minTableSlots
+	for 4*entries > 3*slots {
+		slots *= 2
+	}
 	return &pairTable{
-		slots:  make([]uint64, minTableSlots),
-		counts: make([]int64, minTableSlots),
+		slots:  make([]uint64, slots),
+		counts: make([]int64, slots),
 	}
 }
 
@@ -219,26 +221,4 @@ func insertionSortEntries(a []pairEntry) {
 		}
 		a[j] = e
 	}
-}
-
-// --- spill record codec ---
-//
-// Spilled entries travel through internal/extsort as fixed 16-byte
-// records: the key then the count, both big-endian. Bytewise record
-// order is therefore numeric key order, so identical keys from
-// different spills are adjacent in the merged stream and can be
-// aggregated in one pass.
-
-const spillRecordLen = 16
-
-func putSpillRecord(b *[spillRecordLen]byte, key uint64, count int64) {
-	binary.BigEndian.PutUint64(b[:8], key)
-	binary.BigEndian.PutUint64(b[8:], uint64(count))
-}
-
-func parseSpillRecord(rec []byte) (key uint64, count int64, err error) {
-	if len(rec) != spillRecordLen {
-		return 0, 0, fmt.Errorf("cooccur: malformed spill record %q", rec)
-	}
-	return binary.BigEndian.Uint64(rec[:8]), int64(binary.BigEndian.Uint64(rec[8:])), nil
 }

@@ -1,5 +1,6 @@
 // Package faultfs is the filesystem seam beneath the storage layers
-// (internal/diskstore, internal/extsort, internal/index): a minimal
+// (internal/diskstore, internal/extsort, internal/index) and the
+// keyword-graph build's spill file (internal/cooccur): a minimal
 // FS/File abstraction whose production implementation is a zero-cost
 // passthrough to package os, and whose test implementation — Injector —
 // injects programmable faults deterministically.

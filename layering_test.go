@@ -21,7 +21,7 @@ func TestImportLayering(t *testing.T) {
 		"internal/diskstore": nil,
 		"internal/bicc":      nil,
 		"internal/par":       nil,
-		"internal/cooccur":   {"repro/internal/corpus", "repro/internal/extsort", "repro/internal/stats"},
+		"internal/cooccur":   {"repro/internal/corpus", "repro/internal/faultfs", "repro/internal/stats"},
 		"internal/simjoin":   {"repro/internal/cluster"},
 		"internal/extsort":   {"repro/internal/faultfs"},
 	} {

@@ -381,6 +381,37 @@ func TestEngineClustersAt(t *testing.T) {
 	}
 }
 
+// TestEngineIntervalQueriesRejectOutOfRange holds the interval-scoped
+// queries to one rule: an interval outside [0, m) is ErrInvalidQuery,
+// never an empty answer.
+func TestEngineIntervalQueriesRejectOutOfRange(t *testing.T) {
+	col := testCorpus(t, 80)
+	ctx := context.Background()
+	eng, err := Open(ctx, FromCollection(col))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer eng.Close()
+	m := len(col.Intervals)
+	for _, q := range []struct {
+		name string
+		run  func(interval int) error
+	}{
+		{"search", func(iv int) error { _, err := eng.Search(ctx, []string{"somalia"}, iv); return err }},
+		{"refine", func(iv int) error { _, err := eng.Refine(ctx, "somalia", iv); return err }},
+		{"correlations", func(iv int) error { _, err := eng.Correlations(ctx, "somalia", iv, 3); return err }},
+	} {
+		for _, iv := range []int{-1, m} {
+			if err := q.run(iv); !errors.Is(err, ErrInvalidQuery) {
+				t.Errorf("%s at interval %d: got %v, want ErrInvalidQuery", q.name, iv, err)
+			}
+		}
+		if err := q.run(m - 1); err != nil {
+			t.Errorf("%s at interval %d: %v", q.name, m-1, err)
+		}
+	}
+}
+
 // TestEngineClusterSetsSource covers the Section 4 entry point: graph
 // and path queries work, corpus-backed ones return ErrNoCorpus.
 func TestEngineClusterSetsSource(t *testing.T) {

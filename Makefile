@@ -114,11 +114,13 @@ serve-smoke:
 
 # Sharded-serving smoke: boot two blogserved shard servers on interval
 # slices of the demo corpus plus a scatter-gather coordinator fanning
-# out to them, assert the cross-boundary answers match an unsharded
-# reference byte for byte, push an interval through the coordinator
-# (composite generation bump + exact cache eviction), and drain all
-# four processes cleanly (scripts/shard-smoke.sh). CI's examples job
-# runs this after serve-smoke.
+# out to them, and a `-shard-count 2` coordinator over in-process shard
+# servers; assert both coordinators' cross-boundary answers match an
+# unsharded reference byte for byte, push an interval through the
+# remote coordinator (composite generation bump + exact cache
+# eviction), and drain all five processes cleanly
+# (scripts/shard-smoke.sh). CI's examples job runs this after
+# serve-smoke.
 shard-smoke:
 	sh scripts/shard-smoke.sh
 

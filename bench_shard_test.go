@@ -2,14 +2,17 @@ package blogclusters_test
 
 // The one go-test benchmark of the shard-by-interval scatter-gather
 // coordinator (internal/shard). External test package because
-// internal/shard imports the root package.
+// internal/shard and internal/server import the root package.
 
 import (
 	"context"
 	"fmt"
+	"io"
+	"log/slog"
 	"testing"
 
 	blogclusters "repro"
+	"repro/internal/server"
 	"repro/internal/shard"
 )
 
@@ -26,9 +29,11 @@ func benchShardCollection(b *testing.B) *blogclusters.Collection {
 
 // BenchmarkShardScatterGather measures the decomposed bounded top-k
 // (shard-local solves + boundary windows + deterministic merge) at 1,
-// 2 and 4 in-process shards. hot is the steady state: the coordinator's
-// per-generation caches (node-id offsets, window engines) are warm and
-// each iteration pays gather + solve + merge. cold is first-query-
+// 2 and 4 in-process shard servers (server.OpenInProcess: each hop
+// encodes and decodes the JSON API over an in-memory transport). hot is
+// the steady state: the coordinator's per-generation caches (node-id
+// offsets, window engines) and the shard servers' response caches are
+// warm, and each iteration pays gather + solve + merge. cold is first-query-
 // after-open: shard engines, partition map and scatter caches all
 // build inside the iteration — the price of a fresh deployment or a
 // post-push generation. Kept for ROADMAP item 7(a): bench/ has no sharded
@@ -37,10 +42,11 @@ func BenchmarkShardScatterGather(b *testing.B) {
 	ctx := context.Background()
 	col := benchShardCollection(b)
 	spec := blogclusters.QuerySpec{Variant: "topk", K: 5, L: 2}
+	cfg := server.Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
 
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d/hot", shards), func(b *testing.B) {
-			c, err := shard.OpenInProcess(ctx, col, shards, shard.Options{})
+			c, err := server.OpenInProcess(ctx, col, shards, cfg, shard.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -59,7 +65,7 @@ func BenchmarkShardScatterGather(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d/cold", shards), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c, err := shard.OpenInProcess(ctx, col, shards, shard.Options{})
+				c, err := server.OpenInProcess(ctx, col, shards, cfg, shard.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -16,8 +16,8 @@
 // Sharded serving (internal/shard): the same binary runs all three
 // roles. A shard server is an ordinary blogserved holding a contiguous
 // interval slice of the corpus; a coordinator fans queries out over
-// shard servers (or over in-process shard engines) and serves the
-// merged answers on the identical HTTP surface:
+// shard servers (remote ones, or in-process ones reached without a
+// socket) and serves the merged answers on the identical HTTP surface:
 //
 //	blogserved -demo -intervals 0:4 -addr :8081     # shard server 0
 //	blogserved -demo -intervals 4:7 -addr :8082     # shard server 1
@@ -72,7 +72,7 @@ func main() {
 		theta        = flag.Float64("theta", 0.1, "minimum affinity for a cluster-graph edge")
 		simjoin      = flag.Bool("simjoin", false, "build cluster-graph edges with the prefix-filter similarity join")
 		shardList    = flag.String("shards", "", "comma-separated shard server addresses in interval order (host:port,...); serve as their scatter-gather coordinator instead of loading a corpus")
-		shardCount   = flag.Int("shard-count", 0, "split the corpus into N in-process shard engines behind a coordinator (single-binary sharded serving)")
+		shardCount   = flag.Int("shard-count", 0, "split the corpus into N in-process shard servers behind a coordinator (single-binary sharded serving)")
 		shardWait    = flag.Duration("shards-wait", time.Minute, "how long the coordinator waits for every shard server's /readyz at startup")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this extra listener (e.g. localhost:6060); empty disables profiling")
 	)
@@ -113,14 +113,15 @@ func main() {
 		}
 		defer stopPprof()
 	}
-	srv := server.New(server.Config{
+	cfg := server.Config{
 		MaxInflight:     *maxInflight,
 		CacheBytes:      *cacheBytes,
 		RequestTimeout:  *reqTimeout,
 		CacheTTL:        *cacheTTL,
 		BreakerCooldown: *breakerCool,
 		Logger:          logger,
-	})
+	}
+	srv := server.New(cfg)
 
 	ctx, stop := cli.SignalContext(context.Background())
 
@@ -144,7 +145,9 @@ func main() {
 		case *shardCount > 0:
 			var col *blogclusters.Collection
 			if col, err = shared.Collection(); err == nil {
-				sess, err = shard.OpenInProcess(ctx, col, *shardCount, copts,
+				// Every in-process shard server takes this server's
+				// config; its access log carries a shard attribute.
+				sess, err = server.OpenInProcess(ctx, col, *shardCount, cfg, copts,
 					shared.Options(blogclusters.ClusterOptions{}, graph)...)
 			}
 		default:
@@ -237,11 +240,11 @@ func openRemoteCoordinator(ctx context.Context, spec string, wait time.Duration,
 	defer cancel()
 	backends := make([]shard.Backend, len(addrs))
 	for i, addr := range addrs {
-		if err := shard.WaitReady(waitCtx, addr, nil); err != nil {
+		b, err := server.NewClient(addr, nil)
+		if err != nil {
 			return nil, err
 		}
-		b, err := shard.NewHTTPBackend(addr, nil)
-		if err != nil {
+		if err := b.WaitReady(waitCtx); err != nil {
 			return nil, err
 		}
 		backends[i] = b

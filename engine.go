@@ -956,8 +956,12 @@ func (e *Engine) Bursts(ctx context.Context, keyword string) ([]KeywordBurst, er
 
 // Search returns the sorted ids of interval-i documents containing
 // every given term (terms are analyzed like corpus text; terms with no
-// analyzable keyword are rejected).
+// analyzable keyword are rejected). An interval outside the corpus is
+// ErrInvalidQuery, as for Refine and Correlations.
 func (e *Engine) Search(ctx context.Context, terms []string, interval int) ([]int64, error) {
+	if n := e.NumIntervals(); interval < 0 || interval >= n {
+		return nil, fmt.Errorf("blogclusters: interval %d outside [0,%d): %w", interval, n, ErrInvalidQuery)
+	}
 	kws := make([]string, len(terms))
 	for i, t := range terms {
 		kw, err := analyzed(t)

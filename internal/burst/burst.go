@@ -28,10 +28,11 @@ import (
 // Burst is one maximal bursty stretch of intervals, inclusive on both
 // ends.
 type Burst struct {
-	Start, End int
+	Start int `json:"start"`
+	End   int `json:"end"`
 	// Score quantifies the burst: peak z-score for ZScore, cost saving
 	// over the quiescent state for Kleinberg.
-	Score float64
+	Score float64 `json:"score"`
 }
 
 // Length returns the number of intervals the burst spans.

@@ -129,9 +129,9 @@ func compareEdges(a, b Edge) int {
 // Correlated is one keyword correlated with a query keyword, with the
 // strength of the association.
 type Correlated struct {
-	Keyword string
-	Rho     float64
-	Count   int64 // documents containing both
+	Keyword string  `json:"keyword"`
+	Rho     float64 `json:"rho"`
+	Count   int64   `json:"count"` // documents containing both
 }
 
 // StrongestCorrelations returns up to n keywords most strongly

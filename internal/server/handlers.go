@@ -61,33 +61,38 @@ func writeEntry(w http.ResponseWriter, e *cacheEntry, state cacheState) {
 	w.Write(e.body)
 }
 
+// statusSentinels is the API's one status↔sentinel table, in match
+// order: errStatus maps an error to the status of the first sentinel it
+// wraps, and Client maps a status back to every sentinel listed with it.
+// Validation failures (ErrInvalidQuery) are the client's fault,
+// session-state errors are availability; an error no row matches is a
+// server bug (500).
+var statusSentinels = []struct {
+	status   int
+	sentinel error
+}{
+	{http.StatusBadRequest, blogclusters.ErrInvalidQuery},
+	// The pushed interval is not the next one: a sequencing conflict with
+	// the session's current state, not a malformed request.
+	{http.StatusConflict, blogclusters.ErrOutOfOrderInterval},
+	{http.StatusUnprocessableEntity, blogclusters.ErrMalformedInterval},
+	{http.StatusUnprocessableEntity, blogclusters.ErrNoCorpus},
+	// A shard behind the coordinator failed or was unreachable; the
+	// merge fails closed rather than serving a truncated answer.
+	{http.StatusServiceUnavailable, shard.ErrUnavailable},
+	{http.StatusServiceUnavailable, blogclusters.ErrEngineClosed},
+	{http.StatusGatewayTimeout, context.DeadlineExceeded},
+	// The client went away; the status is for the access log only.
+	{statusClientClosedRequest, context.Canceled},
+}
+
 // errStatus maps an Engine/query error onto an HTTP status via its
-// sentinel: validation failures (ErrInvalidQuery) are the client's
-// fault, session-state errors are availability, everything else is a
-// server bug.
+// sentinel (statusSentinels).
 func errStatus(err error) int {
-	switch {
-	case errors.Is(err, blogclusters.ErrInvalidQuery):
-		return http.StatusBadRequest
-	case errors.Is(err, blogclusters.ErrOutOfOrderInterval):
-		// The pushed interval is not the next one: a sequencing conflict
-		// with the session's current state, not a malformed request.
-		return http.StatusConflict
-	case errors.Is(err, blogclusters.ErrMalformedInterval):
-		return http.StatusUnprocessableEntity
-	case errors.Is(err, blogclusters.ErrNoCorpus):
-		return http.StatusUnprocessableEntity
-	case errors.Is(err, blogclusters.ErrEngineClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, shard.ErrUnavailable):
-		// A shard behind the coordinator failed or was unreachable; the
-		// merge fails closed rather than serving a truncated answer.
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		// The client went away; the status is for the access log only.
-		return statusClientClosedRequest
+	for _, row := range statusSentinels {
+		if errors.Is(err, row.sentinel) {
+			return row.status
+		}
 	}
 	return http.StatusInternalServerError
 }
@@ -348,14 +353,21 @@ func analyzedKeyword(p *params, name string, raw string) string {
 }
 
 // --- response shapes ---
+//
+// Each route encodes one named type and Client decodes the same one, so
+// the wire format is stated once. Slices that may be nil go through
+// orEmpty: an empty answer renders [], never null.
 
-type pathJSON struct {
-	Nodes  []int64 `json:"nodes"`
-	Length int     `json:"length"`
-	Weight float64 `json:"weight"`
+// orEmpty returns s, or an empty slice when s is nil.
+func orEmpty[T any](s []T) []T {
+	if s == nil {
+		return []T{}
+	}
+	return s
 }
 
-type solverStatsJSON struct {
+// solverStats is the slice of a solve's work counters the API serves.
+type solverStats struct {
 	NodeReads     int64 `json:"node_reads"`
 	NodeWrites    int64 `json:"node_writes"`
 	EdgeReads     int64 `json:"edge_reads"`
@@ -363,19 +375,82 @@ type solverStatsJSON struct {
 	Pruned        int64 `json:"pruned"`
 }
 
-func toPathsJSON(res *blogclusters.Result) ([]pathJSON, solverStatsJSON) {
-	paths := make([]pathJSON, len(res.Paths))
-	for i, p := range res.Paths {
-		paths[i] = pathJSON{Nodes: p.Nodes, Length: p.Length, Weight: p.Weight}
-	}
-	st := res.Stats
-	return paths, solverStatsJSON{
-		NodeReads:     st.NodeReads,
-		NodeWrites:    st.NodeWrites,
-		EdgeReads:     st.EdgeReads,
-		HeapConsiders: st.HeapConsiders,
-		Pruned:        st.Pruned,
-	}
+type stableClustersResponse struct {
+	Generation int64               `json:"generation"`
+	Variant    string              `json:"variant"`
+	K          int                 `json:"k"`
+	Paths      []blogclusters.Path `json:"paths"`
+	Stats      solverStats         `json:"stats"`
+}
+
+type timeSeriesResponse struct {
+	Generation int64   `json:"generation"`
+	Keyword    string  `json:"keyword"`
+	Counts     []int64 `json:"counts"`
+	Totals     []int64 `json:"totals"`
+}
+
+type burstsResponse struct {
+	Generation int64                       `json:"generation"`
+	Keyword    string                      `json:"keyword"`
+	Bursts     []blogclusters.KeywordBurst `json:"bursts"`
+}
+
+type searchResponse struct {
+	Generation int64    `json:"generation"`
+	Terms      []string `json:"terms"`
+	Interval   int      `json:"interval"`
+	Count      int      `json:"count"`
+	IDs        []int64  `json:"ids"`
+}
+
+type refineResponse struct {
+	Generation int64    `json:"generation"`
+	Query      string   `json:"query"`
+	Interval   int      `json:"interval"`
+	Clustered  bool     `json:"clustered"`
+	Keywords   []string `json:"keywords"`
+}
+
+type correlationsResponse struct {
+	Generation   int64                      `json:"generation"`
+	Keyword      string                     `json:"keyword"`
+	Interval     int                        `json:"interval"`
+	Correlations []blogclusters.Correlation `json:"correlations"`
+}
+
+type describeResponse struct {
+	Generation  int64             `json:"generation"`
+	Path        blogclusters.Path `json:"path"`
+	Description string            `json:"description"`
+}
+
+type metaResponse struct {
+	Generation int64   `json:"generation"`
+	Intervals  int     `json:"intervals"`
+	Totals     []int64 `json:"totals"`
+}
+
+type clusterSetsResponse struct {
+	Generation int64                    `json:"generation"`
+	From       int                      `json:"from"`
+	To         int                      `json:"to"`
+	Sets       [][]blogclusters.Cluster `json:"sets"`
+}
+
+type clusterCountsResponse struct {
+	Generation int64 `json:"generation"`
+	From       int   `json:"from"`
+	To         int   `json:"to"`
+	Counts     []int `json:"counts"`
+}
+
+type statsResponse struct {
+	Generation int64                     `json:"generation"`
+	Engine     *blogclusters.EngineStats `json:"engine"`
+	Shards     []shard.ShardStat         `json:"shards,omitempty"`
+	Server     Stats                     `json:"server"`
+	Process    processStats              `json:"process"`
 }
 
 // --- /v1 handlers ---
@@ -415,14 +490,14 @@ func (s *Server) handleStableClusters(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		paths, stats := toPathsJSON(res)
-		return struct {
-			Generation int64           `json:"generation"`
-			Variant    string          `json:"variant"`
-			K          int             `json:"k"`
-			Paths      []pathJSON      `json:"paths"`
-			Stats      solverStatsJSON `json:"stats"`
-		}{gen, spec.Variant, spec.K, paths, stats}, nil
+		st := res.Stats
+		return stableClustersResponse{gen, spec.Variant, spec.K, orEmpty(res.Paths), solverStats{
+			NodeReads:     st.NodeReads,
+			NodeWrites:    st.NodeWrites,
+			EdgeReads:     st.EdgeReads,
+			HeapConsiders: st.HeapConsiders,
+			Pruned:        st.Pruned,
+		}}, nil
 	})
 }
 
@@ -451,12 +526,7 @@ func (s *Server) handleTimeSeries(w http.ResponseWriter, r *http.Request) {
 		} else {
 			totals = totals[:len(counts)]
 		}
-		return struct {
-			Generation int64   `json:"generation"`
-			Keyword    string  `json:"keyword"`
-			Counts     []int64 `json:"counts"`
-			Totals     []int64 `json:"totals"`
-		}{gen, kw, counts, totals}, nil
+		return timeSeriesResponse{gen, kw, counts, totals}, nil
 	})
 }
 
@@ -469,25 +539,12 @@ func (s *Server) handleBursts(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, p.err.Error())
 		return
 	}
-	type burstJSON struct {
-		Start int     `json:"start"`
-		End   int     `json:"end"`
-		Score float64 `json:"score"`
-	}
 	s.serve(w, r, p.key("bursts"), true, func(ctx context.Context, sess Session, gen int64) (any, error) {
 		bursts, err := sess.Bursts(ctx, raw)
 		if err != nil {
 			return nil, err
 		}
-		out := make([]burstJSON, len(bursts))
-		for i, b := range bursts {
-			out[i] = burstJSON{Start: b.Start, End: b.End, Score: b.Score}
-		}
-		return struct {
-			Generation int64       `json:"generation"`
-			Keyword    string      `json:"keyword"`
-			Bursts     []burstJSON `json:"bursts"`
-		}{gen, kw, out}, nil
+		return burstsResponse{gen, kw, orEmpty(bursts)}, nil
 	})
 }
 
@@ -524,26 +581,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serve(w, r, p.key("search"), false, func(ctx context.Context, sess Session, gen int64) (any, error) {
-		// The index treats out-of-range intervals as empty; surface a
-		// 400 instead so a typo'd interval is not a silent zero-result
-		// (matching Refine/Correlations, which validate in the session).
-		if m := sess.NumIntervals(); interval < 0 || interval >= m {
-			return nil, fmt.Errorf("interval %d outside [0,%d): %w", interval, m, blogclusters.ErrInvalidQuery)
-		}
 		ids, err := sess.Search(ctx, terms, interval)
 		if err != nil {
 			return nil, err
 		}
-		if ids == nil {
-			ids = []int64{}
-		}
-		return struct {
-			Generation int64    `json:"generation"`
-			Terms      []string `json:"terms"`
-			Interval   int      `json:"interval"`
-			Count      int      `json:"count"`
-			IDs        []int64  `json:"ids"`
-		}{gen, analyzed, interval, len(ids), ids}, nil
+		return searchResponse{gen, analyzed, interval, len(ids), orEmpty(ids)}, nil
 	})
 }
 
@@ -562,16 +604,7 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		if kws == nil {
-			kws = []string{}
-		}
-		return struct {
-			Generation int64    `json:"generation"`
-			Query      string   `json:"query"`
-			Interval   int      `json:"interval"`
-			Clustered  bool     `json:"clustered"`
-			Keywords   []string `json:"keywords"`
-		}{gen, kw, interval, len(kws) > 0, kws}, nil
+		return refineResponse{gen, kw, interval, len(kws) > 0, orEmpty(kws)}, nil
 	})
 }
 
@@ -590,26 +623,12 @@ func (s *Server) handleCorrelations(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, p.err.Error())
 		return
 	}
-	type correlationJSON struct {
-		Keyword string  `json:"keyword"`
-		Rho     float64 `json:"rho"`
-		Count   int64   `json:"count"`
-	}
 	s.serve(w, r, p.key("correlations"), false, func(ctx context.Context, sess Session, gen int64) (any, error) {
 		cs, err := sess.Correlations(ctx, raw, interval, n)
 		if err != nil {
 			return nil, err
 		}
-		out := make([]correlationJSON, len(cs))
-		for i, c := range cs {
-			out[i] = correlationJSON{Keyword: c.Keyword, Rho: c.Rho, Count: c.Count}
-		}
-		return struct {
-			Generation   int64             `json:"generation"`
-			Keyword      string            `json:"keyword"`
-			Interval     int               `json:"interval"`
-			Correlations []correlationJSON `json:"correlations"`
-		}{gen, kw, interval, out}, nil
+		return correlationsResponse{gen, kw, interval, orEmpty(cs)}, nil
 	})
 }
 
@@ -659,11 +678,7 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return struct {
-			Generation  int64    `json:"generation"`
-			Path        pathJSON `json:"path"`
-			Description string   `json:"description"`
-		}{gen, pathJSON{Nodes: nodes, Length: length, Weight: weight}, desc}, nil
+		return describeResponse{gen, path, desc}, nil
 	})
 }
 
@@ -746,13 +761,7 @@ func (s *Server) handleDebugStats(w http.ResponseWriter, r *http.Request) {
 			shards = sc.ShardStats()
 		}
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Generation int64                     `json:"generation"`
-		Engine     *blogclusters.EngineStats `json:"engine"`
-		Shards     []shard.ShardStat         `json:"shards,omitempty"`
-		Server     Stats                     `json:"server"`
-		Process    processStats              `json:"process"`
-	}{gen, eng, shards, s.Stats(), s.processInfo()})
+	writeJSON(w, http.StatusOK, statsResponse{gen, eng, shards, s.Stats(), s.processInfo()})
 }
 
 // handleMeta serves the session's shape in one cheap read —
@@ -766,14 +775,7 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		if totals == nil {
-			totals = []int64{}
-		}
-		return struct {
-			Generation int64   `json:"generation"`
-			Intervals  int     `json:"intervals"`
-			Totals     []int64 `json:"totals"`
-		}{gen, len(totals), totals}, nil
+		return metaResponse{gen, len(totals), orEmpty(totals)}, nil
 	})
 }
 
@@ -801,23 +803,14 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 			for i, set := range sets {
 				counts[i] = len(set)
 			}
-			return struct {
-				Generation int64 `json:"generation"`
-				From       int   `json:"from"`
-				To         int   `json:"to"`
-				Counts     []int `json:"counts"`
-			}{gen, from, to, counts}, nil
+			return clusterCountsResponse{gen, from, to, counts}, nil
 		}
+		// sets may share the session's memo: render from a fresh outer
+		// slice instead of writing the [] placeholders into it.
+		out := make([][]blogclusters.Cluster, len(sets))
 		for i, set := range sets {
-			if set == nil {
-				sets[i] = []blogclusters.Cluster{}
-			}
+			out[i] = orEmpty(set)
 		}
-		return struct {
-			Generation int64                    `json:"generation"`
-			From       int                      `json:"from"`
-			To         int                      `json:"to"`
-			Sets       [][]blogclusters.Cluster `json:"sets"`
-		}{gen, from, to, sets}, nil
+		return clusterSetsResponse{gen, from, to, out}, nil
 	})
 }

@@ -425,7 +425,7 @@ func TestRequestIDPropagatesToShards(t *testing.T) {
 
 	backends := make([]shard.Backend, 2)
 	for i, sts := range shardTS {
-		b, err := shard.NewHTTPBackend(sts.URL, sts.Client())
+		b, err := NewClient(sts.URL, sts.Client())
 		if err != nil {
 			t.Fatal(err)
 		}

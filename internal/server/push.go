@@ -29,9 +29,17 @@ type pushRequest struct {
 	Docs []pushDoc `json:"docs"`
 }
 
+// pushResponse acknowledges a push with the session's new generation.
+type pushResponse struct {
+	Generation int64  `json:"generation"`
+	Interval   int    `json:"interval"`
+	Label      string `json:"label"`
+	Docs       int    `json:"docs"`
+}
+
 // maxPushBody caps a push body: one interval of pre-analyzed posts. It
-// is the cap internal/shard applies to shard replies, so anything a
-// coordinator can relay a shard server accepts.
+// is also the cap Client applies to replies, so anything a coordinator
+// can relay a shard server accepts.
 const maxPushBody = 64 << 20
 
 // handlePush ingests one interval via Engine.Push. Unlike the /v1
@@ -75,10 +83,5 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.pushes.Add(1)
-	writeJSON(w, http.StatusOK, struct {
-		Generation int64  `json:"generation"`
-		Interval   int    `json:"interval"`
-		Label      string `json:"label"`
-		Docs       int    `json:"docs"`
-	}{gen, req.Interval, req.Label, len(req.Docs)})
+	writeJSON(w, http.StatusOK, pushResponse{gen, req.Interval, req.Label, len(req.Docs)})
 }

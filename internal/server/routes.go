@@ -38,19 +38,37 @@ import "net/http"
 // histogram sees every served byte.
 func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/stable-clusters", s.instrument("stable-clusters", s.query("stable-clusters", s.handleStableClusters)))
-	mux.HandleFunc("GET /v1/bursts", s.instrument("bursts", s.query("bursts", s.handleBursts)))
-	mux.HandleFunc("GET /v1/timeseries", s.instrument("timeseries", s.query("timeseries", s.handleTimeSeries)))
-	mux.HandleFunc("GET /v1/search", s.instrument("search", s.query("search", s.handleSearch)))
-	mux.HandleFunc("GET /v1/refine", s.instrument("refine", s.query("refine", s.handleRefine)))
-	mux.HandleFunc("GET /v1/correlations", s.instrument("correlations", s.query("correlations", s.handleCorrelations)))
-	mux.HandleFunc("GET /v1/describe", s.instrument("describe", s.query("describe", s.handleDescribe)))
-	mux.HandleFunc("GET /v1/meta", s.instrument("meta", s.query("meta", s.handleMeta)))
-	mux.HandleFunc("GET /v1/clusters", s.instrument("clusters", s.query("clusters", s.handleClusters)))
-	mux.HandleFunc("POST /v1/push", s.instrument("push", s.withTimeout(s.handlePush)))
-	mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
-	mux.HandleFunc("GET /readyz", s.instrument("readyz", s.handleReadyz))
-	mux.HandleFunc("GET /debug/stats", s.instrument("debug-stats", s.handleDebugStats))
-	mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
+	mux.HandleFunc("GET "+routeStableClusters, s.instrument("stable-clusters", s.query("stable-clusters", s.handleStableClusters)))
+	mux.HandleFunc("GET "+routeBursts, s.instrument("bursts", s.query("bursts", s.handleBursts)))
+	mux.HandleFunc("GET "+routeTimeSeries, s.instrument("timeseries", s.query("timeseries", s.handleTimeSeries)))
+	mux.HandleFunc("GET "+routeSearch, s.instrument("search", s.query("search", s.handleSearch)))
+	mux.HandleFunc("GET "+routeRefine, s.instrument("refine", s.query("refine", s.handleRefine)))
+	mux.HandleFunc("GET "+routeCorrelations, s.instrument("correlations", s.query("correlations", s.handleCorrelations)))
+	mux.HandleFunc("GET "+routeDescribe, s.instrument("describe", s.query("describe", s.handleDescribe)))
+	mux.HandleFunc("GET "+routeMeta, s.instrument("meta", s.query("meta", s.handleMeta)))
+	mux.HandleFunc("GET "+routeClusters, s.instrument("clusters", s.query("clusters", s.handleClusters)))
+	mux.HandleFunc("POST "+routePush, s.instrument("push", s.withTimeout(s.handlePush)))
+	mux.HandleFunc("GET "+routeHealthz, s.instrument("healthz", s.handleHealthz))
+	mux.HandleFunc("GET "+routeReadyz, s.instrument("readyz", s.handleReadyz))
+	mux.HandleFunc("GET "+routeDebugStats, s.instrument("debug-stats", s.handleDebugStats))
+	mux.HandleFunc("GET "+routeMetrics, s.instrument("metrics", s.handleMetrics))
 	return mux
 }
+
+// The route paths, shared by routes and Client.
+const (
+	routeStableClusters = "/v1/stable-clusters"
+	routeBursts         = "/v1/bursts"
+	routeTimeSeries     = "/v1/timeseries"
+	routeSearch         = "/v1/search"
+	routeRefine         = "/v1/refine"
+	routeCorrelations   = "/v1/correlations"
+	routeDescribe       = "/v1/describe"
+	routeMeta           = "/v1/meta"
+	routeClusters       = "/v1/clusters"
+	routePush           = "/v1/push"
+	routeHealthz        = "/healthz"
+	routeReadyz         = "/readyz"
+	routeDebugStats     = "/debug/stats"
+	routeMetrics        = "/metrics"
+)

@@ -20,8 +20,6 @@ type Session interface {
 	// Generation increments on every successful Push; the response
 	// cache keys sequence-dependent answers by it.
 	Generation() int64
-	// NumIntervals is the width of the interval sequence.
-	NumIntervals() int
 	Solve(ctx context.Context, spec blogclusters.QuerySpec) (*blogclusters.Result, error)
 	Describe(ctx context.Context, p blogclusters.Path) (string, error)
 	TimeSeries(ctx context.Context, keyword string) ([]int64, error)

@@ -21,7 +21,7 @@ func newShardedServer(t *testing.T, cfg Config) (*Server, *shard.Coordinator, *h
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := shard.OpenInProcess(t.Context(), col, 2, shard.Options{})
+	coord, err := OpenInProcess(t.Context(), col, 2, quietConfig(nil), shard.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func newShardedServer(t *testing.T, cfg Config) (*Server, *shard.Coordinator, *h
 // session and checks the coordinator-specific envelope pieces.
 func TestShardedEndpoints(t *testing.T) {
 	_, coord, ts := newShardedServer(t, quietConfig(nil))
-	m := coord.NumIntervals()
+	m := coord.Stats().Intervals
 
 	resp, body := get(t, ts, "/v1/stable-clusters?k=3&l=2")
 	wantStatus(t, resp, body, 200)
@@ -97,7 +97,7 @@ func TestShardedEndpoints(t *testing.T) {
 // namespace while interval-scoped entries keep hitting.
 func TestShardedPushInvalidatesCache(t *testing.T) {
 	_, coord, ts := newShardedServer(t, quietConfig(nil))
-	m := coord.NumIntervals()
+	m := coord.Stats().Intervals
 
 	xcache := func(path string) string {
 		t.Helper()
@@ -186,11 +186,11 @@ func TestShardedUnavailable(t *testing.T) {
 	dead.SetEngine(deadEng)
 	deadTS := httptest.NewServer(dead.Handler())
 
-	b0, err := shard.NewHTTPBackend(liveTS.URL, liveTS.Client())
+	b0, err := NewClient(liveTS.URL, liveTS.Client())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := shard.NewHTTPBackend(deadTS.URL, deadTS.Client())
+	b1, err := NewClient(deadTS.URL, deadTS.Client())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,13 +18,10 @@ type Options struct {
 	// -simjoin on every shard server) or merged answers would be built
 	// on a different graph than scattered ones.
 	Graph blogclusters.GraphOptions
-	// Workers caps concurrent fan-out to shards; 0 means one worker per
-	// shard (fan-out is I/O bound, not CPU bound).
-	Workers int
-	// StatsTimeout bounds the shard fan-out behind the synchronous
-	// Stats() call; 0 means 2s.
-	StatsTimeout time.Duration
 }
+
+// statsTimeout bounds the best-effort shard fan-out behind ShardStats.
+const statsTimeout = 2 * time.Second
 
 // Coordinator fronts N shard Backends as one Engine-shaped session: it
 // implements the same query surface (internal/server's Session), so the
@@ -71,23 +68,16 @@ func NewCoordinator(ctx context.Context, backends []Backend, opts Options) (*Coo
 		return nil, fmt.Errorf("shard: need at least one backend")
 	}
 	c := &Coordinator{
-		backends:  make([]Backend, len(backends)),
+		backends:  backends,
 		opts:      opts,
 		metrics:   newCoordMetrics(),
 		counts:    make([]int, len(backends)),
 		shardGens: make([]int64, len(backends)),
 	}
-	// Wrap every backend in its metering decorator so all fan-out hops
-	// — the Meta handshake below included — feed the per-shard latency
-	// histograms, error counters and ?trace=1 spans.
-	for s, b := range backends {
-		c.backends[s] = c.meter(s, b)
-	}
 	c.root, c.stop = context.WithCancel(context.Background())
 	metas := make([]Meta, len(backends))
-	err := c.gather(ctx, len(backends), func(ctx context.Context, s int) error {
-		m, err := c.backends[s].Meta(ctx)
-		metas[s] = m
+	err := c.gather(ctx, len(backends), func(ctx context.Context, s int) (err error) {
+		metas[s], err = hop(ctx, c, s, "meta", func(b Backend) (Meta, error) { return b.Meta(ctx) })
 		return err
 	})
 	if err != nil {
@@ -142,22 +132,11 @@ func (c *Coordinator) Close() error {
 // (bypassing the coordinator) are not observed.
 func (c *Coordinator) Generation() int64 { return c.gen.Load() }
 
-// NumIntervals returns the total corpus width across all shards.
-func (c *Coordinator) NumIntervals() int {
-	_, m := c.partition()
-	return m
-}
-
-// partition snapshots the partition map: starts[s] is the first global
-// interval of shard s, starts[N] == m (the total width).
-func (c *Coordinator) partition() (starts []int, m int) {
-	_, starts, m = c.snap()
-	return starts, m
-}
-
 // snap reads the composite generation and the partition map under one
 // lock, so a caller never pairs a post-push partition with a pre-push
 // generation (Push stores the new generation while still holding mu).
+// starts[s] is the first global interval of shard s, starts[N] == m
+// (the total width).
 func (c *Coordinator) snap() (gen int64, starts []int, m int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -189,15 +168,12 @@ func (c *Coordinator) queryCtx(ctx context.Context) (context.Context, context.Ca
 	return jctx, func() { unlink(); cancel() }, nil
 }
 
-// gather fans fn out over n items with the configured concurrency and
-// returns the lowest-index error — the fail-closed policy: any failed
-// shard fails the whole merge, never a silently truncated one.
+// gather fans fn out over n items, one worker each (fan-out is I/O
+// bound, not CPU bound), and returns the lowest-index error — the
+// fail-closed policy: any failed shard fails the whole merge, never a
+// silently truncated one.
 func (c *Coordinator) gather(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	workers := c.opts.Workers
-	if workers <= 0 {
-		workers = n
-	}
-	return par.ForEachCtx(ctx, n, workers, func(i int) error { return fn(ctx, i) })
+	return par.ForEachCtx(ctx, n, n, func(i int) error { return fn(ctx, i) })
 }
 
 // Push appends the next global interval: it must be interval m (else
@@ -214,7 +190,7 @@ func (c *Coordinator) Push(ctx context.Context, iv blogclusters.Interval) (int64
 	c.pushMu.Lock()
 	defer c.pushMu.Unlock()
 
-	starts, m := c.partition()
+	_, starts, m := c.snap()
 	if iv.Index != m {
 		return 0, fmt.Errorf("shard: pushed interval %d, coordinator expects %d: %w", iv.Index, m, blogclusters.ErrOutOfOrderInterval)
 	}
@@ -232,7 +208,7 @@ func (c *Coordinator) Push(ctx context.Context, iv blogclusters.Interval) (int64
 		d.Interval = local
 		liv.Docs[i] = d
 	}
-	gen, err := c.backends[last].Push(ctx, liv)
+	gen, err := hop(ctx, c, last, "push", func(b Backend) (int64, error) { return b.Push(ctx, liv) })
 	if err != nil {
 		return 0, err
 	}
@@ -270,13 +246,14 @@ type ShardStat struct {
 // contributes its partition-map row with Error set instead of failing
 // the whole dashboard.
 func (c *Coordinator) ShardStats() []ShardStat {
-	starts, _ := c.partition()
-	ctx, cancel := c.statsCtx()
+	_, starts, _ := c.snap()
+	// A closed coordinator's root is canceled, so the fan-out fails fast.
+	ctx, cancel := context.WithTimeout(c.root, statsTimeout)
 	defer cancel()
 	out := make([]ShardStat, len(c.backends))
 	_ = c.gather(ctx, len(c.backends), func(ctx context.Context, s int) error {
 		out[s] = ShardStat{Shard: s, Start: starts[s], Intervals: starts[s+1] - starts[s]}
-		st, err := c.backends[s].Stats(ctx)
+		st, err := hop(ctx, c, s, "stats", func(b Backend) (blogclusters.EngineStats, error) { return b.Stats(ctx) })
 		if err != nil {
 			out[s].Error = err.Error()
 			return nil // best-effort: report, don't fail the gather
@@ -288,26 +265,15 @@ func (c *Coordinator) ShardStats() []ShardStat {
 	return out
 }
 
-func (c *Coordinator) statsCtx() (context.Context, context.CancelFunc) {
-	timeout := c.opts.StatsTimeout
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	if c.root.Err() != nil {
-		return context.WithTimeout(context.Background(), time.Nanosecond)
-	}
-	return context.WithTimeout(c.root, timeout)
-}
-
 // Stats aggregates the shards' EngineStats into one Engine-shaped
 // snapshot: counters sum, stage timings merge, the generation is the
 // composite and Intervals the total width. Per-shard detail is on
 // ShardStats. Unreachable shards contribute nothing (best-effort, like
 // ShardStats).
 func (c *Coordinator) Stats() blogclusters.EngineStats {
-	_, m := c.partition()
+	gen, _, m := c.snap()
 	out := blogclusters.EngineStats{
-		Generation: c.Generation(),
+		Generation: gen,
 		Intervals:  m,
 		Stages:     map[string]blogclusters.StageTiming{},
 	}

@@ -1,12 +1,17 @@
 package shard_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http/httptest"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 
 	blogclusters "repro"
@@ -16,7 +21,8 @@ import (
 )
 
 // The shard subsystem's contract is exact equivalence: a Coordinator
-// over any shard count, on either transport, answers every query with
+// over any shard count, on either carrier of server.Client (in-memory
+// or a loopback socket), answers every query with
 // byte-for-byte the same result as one unsharded Engine over the full
 // corpus — before and after a push. These tests check that contract on
 // a corpus with events deliberately spanning shard boundaries (the
@@ -62,18 +68,20 @@ func coordOpts() shard.Options {
 	return shard.Options{Graph: equivGraph}
 }
 
-// newQuietServer is a shard HTTP server with access logs discarded.
-func newQuietServer() *server.Server {
-	return server.New(server.Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+// quietConfig is a shard server config with access logs discarded.
+func quietConfig() server.Config {
+	return server.Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
 }
 
-// openCoordinator builds a coordinator over n shards of col on the
-// given transport ("inproc" or "http").
+// openCoordinator builds a coordinator over n shards of col, reached
+// through server.Client on the given carrier: "inproc" (in-memory
+// transport, server.OpenInProcess) or "http" (loopback httptest
+// servers).
 func openCoordinator(t testing.TB, col *blogclusters.Collection, n int, transport string) *shard.Coordinator {
 	t.Helper()
 	ctx := context.Background()
 	if transport == "inproc" {
-		c, err := shard.OpenInProcess(ctx, col, n, coordOpts(), engineOpts()...)
+		c, err := server.OpenInProcess(ctx, col, n, quietConfig(), coordOpts(), engineOpts()...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,11 +99,11 @@ func openCoordinator(t testing.TB, col *blogclusters.Collection, n int, transpor
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { eng.Close() })
-		srv := newQuietServer()
+		srv := server.New(quietConfig())
 		srv.SetEngine(eng)
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
-		b, err := shard.NewHTTPBackend(ts.URL, ts.Client())
+		b, err := server.NewClient(ts.URL, ts.Client())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +163,7 @@ func checkEquivalence(t *testing.T, c *shard.Coordinator, ref *blogclusters.Engi
 	if got, want := c.Generation(), ref.Generation(); got != want {
 		t.Errorf("generation: coordinator %d, engine %d", got, want)
 	}
-	if got := c.NumIntervals(); got != m {
+	if got := c.Stats().Intervals; got != m {
 		t.Errorf("intervals: coordinator %d, engine %d", got, m)
 	}
 
@@ -444,5 +452,48 @@ func TestCoordinatorStats(t *testing.T) {
 	}
 	if agg.Queries == 0 {
 		t.Error("aggregate queries is 0 after a scatter solve")
+	}
+}
+
+// TestHopLabels checks every backend call is metered: after the
+// equivalence suite's operations, a push and a metrics scrape (whose
+// per-shard gauges fetch stats), the per-hop latency histogram carries
+// exactly the ten method labels, on both carriers.
+func TestHopLabels(t *testing.T) {
+	const m = 6
+	col := equivCollection(t, m)
+	ctx := context.Background()
+	ref, err := blogclusters.Open(ctx, blogclusters.FromCollection(col), engineOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ref.Close() })
+	if _, err := ref.Push(ctx, pushInterval(m)); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"cluster-counts", "cluster-sets", "correlations", "meta", "push", "refine", "search", "solve", "stats", "timeseries"}
+	label := regexp.MustCompile(`^coordinator_shard_gather_duration_seconds_count\{.*method="([a-z-]+)"`)
+	for _, transport := range []string{"inproc", "http"} {
+		t.Run(transport, func(t *testing.T) {
+			c := openCoordinator(t, col, 2, transport)
+			if _, err := c.Push(ctx, pushInterval(m)); err != nil {
+				t.Fatal(err)
+			}
+			checkEquivalence(t, c, ref)
+			var buf bytes.Buffer
+			if _, err := c.WriteMetrics(&buf); err != nil {
+				t.Fatal(err)
+			}
+			seen := map[string]bool{}
+			for _, line := range strings.Split(buf.String(), "\n") {
+				if sm := label.FindStringSubmatch(line); sm != nil {
+					seen[sm[1]] = true
+				}
+			}
+			got := slices.Sorted(maps.Keys(seen))
+			if !slices.Equal(got, want) {
+				t.Errorf("hop method labels %v, want %v", got, want)
+			}
+		})
 	}
 }

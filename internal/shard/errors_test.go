@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	blogclusters "repro"
+	"repro/internal/server"
 	"repro/internal/shard"
 )
 
@@ -91,11 +92,11 @@ func TestFailClosed(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { eng.Close() })
-		srv := newQuietServer()
+		srv := server.New(quietConfig())
 		srv.SetEngine(eng)
 		servers[s] = httptest.NewServer(srv.Handler())
 		t.Cleanup(servers[s].Close)
-		if backends[s], err = shard.NewHTTPBackend(servers[s].URL, servers[s].Client()); err != nil {
+		if backends[s], err = server.NewClient(servers[s].URL, servers[s].Client()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,8 +124,10 @@ func TestFailClosed(t *testing.T) {
 	}
 }
 
-// TestHTTPStatusMapping checks the remote transport folds shard
-// response statuses back into the typed error taxonomy.
+// TestHTTPStatusMapping checks the backend the coordinator reaches
+// shards through folds shard response statuses back into the typed
+// error taxonomy (internal/server's TestStatusSentinelsRoundTrip holds
+// the table itself).
 func TestHTTPStatusMapping(t *testing.T) {
 	cases := []struct {
 		status int
@@ -146,7 +149,7 @@ func TestHTTPStatusMapping(t *testing.T) {
 				fmt.Fprintf(w, `{"error":"synthetic %d"}`, tc.status)
 			}))
 			defer ts.Close()
-			b, err := shard.NewHTTPBackend(ts.URL, ts.Client())
+			b, err := server.NewClient(ts.URL, ts.Client())
 			if err != nil {
 				t.Fatal(err)
 			}

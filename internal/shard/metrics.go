@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	blogclusters "repro"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 )
@@ -15,8 +14,8 @@ import (
 // appends it to the server exposition (see internal/server's
 // metricsAppender), so every family here is prefixed coordinator_ or
 // shard_ to keep the merged output collision-free. Per-hop series are
-// live (recorded by the instrumented backend wrappers); per-shard
-// state gauges are mirrored from ShardStats at scrape time.
+// live (recorded by hop); per-shard state gauges are mirrored from
+// ShardStats at scrape time.
 type coordMetrics struct {
 	reg *metrics.Registry
 
@@ -90,123 +89,22 @@ func (c *Coordinator) WriteMetrics(w io.Writer) (int64, error) {
 	return c.metrics.reg.WriteTo(w)
 }
 
-// metered decorates a Backend with per-hop accounting: every call
-// observes the per-shard latency histogram, failed calls bump the
-// error counter, and — when the request context carries a ?trace=1
-// span recorder — the hop is recorded as a "shard<N>.<method>" span.
-// The wrapper is applied inside NewCoordinator, so even the initial
-// Meta handshake is measured.
-type metered struct {
-	b     Backend
-	m     *coordMetrics
-	shard string // label value, the shard index
-	span  string // "shard<N>.", the span-name prefix
-}
-
-func (c *Coordinator) meter(s int, b Backend) Backend {
-	label := strconv.Itoa(s)
-	return &metered{b: b, m: c.metrics, shard: label, span: "shard" + label + "."}
-}
-
-// hop wraps one backend call with the full accounting.
-func (mb *metered) hop(ctx context.Context, method string, call func() error) error {
+// hop runs one backend call with the per-hop accounting: it observes
+// the {shard,method} latency histogram, counts a failed call in the
+// error counter and, when the request context carries a ?trace=1 span
+// recorder, records the hop as a "shard<N>.<method>" span. Every
+// backend call goes through it, NewCoordinator's Meta handshake
+// included.
+func hop[T any](ctx context.Context, c *Coordinator, s int, method string, call func(Backend) (T, error)) (T, error) {
 	start := time.Now()
-	err := call()
-	mb.m.hopDur.With(mb.shard, method).Observe(time.Since(start).Seconds())
+	out, err := call(c.backends[s])
+	label := strconv.Itoa(s)
+	c.metrics.hopDur.With(label, method).Observe(time.Since(start).Seconds())
 	if err != nil {
-		mb.m.hopErrs.With(mb.shard, method).Inc()
+		c.metrics.hopErrs.With(label, method).Inc()
 	}
-	obs.RecorderFrom(ctx).Record(mb.span+method, start, err)
-	return err
-}
-
-func (mb *metered) Meta(ctx context.Context) (Meta, error) {
-	var out Meta
-	err := mb.hop(ctx, "meta", func() (err error) {
-		out, err = mb.b.Meta(ctx)
-		return err
-	})
+	if rec := obs.RecorderFrom(ctx); rec != nil {
+		rec.Record("shard"+label+"."+method, start, err)
+	}
 	return out, err
 }
-
-func (mb *metered) ClusterSets(ctx context.Context, from, to int) ([][]blogclusters.Cluster, error) {
-	var out [][]blogclusters.Cluster
-	err := mb.hop(ctx, "cluster-sets", func() (err error) {
-		out, err = mb.b.ClusterSets(ctx, from, to)
-		return err
-	})
-	return out, err
-}
-
-func (mb *metered) ClusterCounts(ctx context.Context, from, to int) ([]int, error) {
-	var out []int
-	err := mb.hop(ctx, "cluster-counts", func() (err error) {
-		out, err = mb.b.ClusterCounts(ctx, from, to)
-		return err
-	})
-	return out, err
-}
-
-func (mb *metered) Solve(ctx context.Context, spec blogclusters.QuerySpec) (*blogclusters.Result, error) {
-	var out *blogclusters.Result
-	err := mb.hop(ctx, "solve", func() (err error) {
-		out, err = mb.b.Solve(ctx, spec)
-		return err
-	})
-	return out, err
-}
-
-func (mb *metered) TimeSeries(ctx context.Context, keyword string) (counts, totals []int64, err error) {
-	err = mb.hop(ctx, "timeseries", func() (err error) {
-		counts, totals, err = mb.b.TimeSeries(ctx, keyword)
-		return err
-	})
-	return counts, totals, err
-}
-
-func (mb *metered) Search(ctx context.Context, terms []string, interval int) ([]int64, error) {
-	var out []int64
-	err := mb.hop(ctx, "search", func() (err error) {
-		out, err = mb.b.Search(ctx, terms, interval)
-		return err
-	})
-	return out, err
-}
-
-func (mb *metered) Refine(ctx context.Context, query string, interval int) ([]string, error) {
-	var out []string
-	err := mb.hop(ctx, "refine", func() (err error) {
-		out, err = mb.b.Refine(ctx, query, interval)
-		return err
-	})
-	return out, err
-}
-
-func (mb *metered) Correlations(ctx context.Context, keyword string, interval, n int) ([]blogclusters.Correlation, error) {
-	var out []blogclusters.Correlation
-	err := mb.hop(ctx, "correlations", func() (err error) {
-		out, err = mb.b.Correlations(ctx, keyword, interval, n)
-		return err
-	})
-	return out, err
-}
-
-func (mb *metered) Push(ctx context.Context, iv blogclusters.Interval) (int64, error) {
-	var out int64
-	err := mb.hop(ctx, "push", func() (err error) {
-		out, err = mb.b.Push(ctx, iv)
-		return err
-	})
-	return out, err
-}
-
-func (mb *metered) Stats(ctx context.Context) (blogclusters.EngineStats, error) {
-	var out blogclusters.EngineStats
-	err := mb.hop(ctx, "stats", func() (err error) {
-		out, err = mb.b.Stats(ctx)
-		return err
-	})
-	return out, err
-}
-
-func (mb *metered) Close() error { return mb.b.Close() }

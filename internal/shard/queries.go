@@ -16,7 +16,12 @@ func (c *Coordinator) gatherSeries(ctx context.Context, st *coordState, keyword 
 	perC := make([][]int64, len(c.backends))
 	perT := make([][]int64, len(c.backends))
 	err = c.gather(ctx, len(c.backends), func(ctx context.Context, s int) error {
-		cs, ts, err := c.backends[s].TimeSeries(ctx, keyword)
+		var ts []int64
+		cs, err := hop(ctx, c, s, "timeseries", func(b Backend) ([]int64, error) {
+			cs, t, err := b.TimeSeries(ctx, keyword)
+			ts = t
+			return cs, err
+		})
 		if err != nil {
 			return err
 		}
@@ -70,7 +75,7 @@ func (c *Coordinator) DocTotals(ctx context.Context) ([]int64, error) {
 	st := c.curState()
 	perT := make([][]int64, len(c.backends))
 	err = c.gather(ctx, len(c.backends), func(ctx context.Context, s int) error {
-		m, err := c.backends[s].Meta(ctx)
+		m, err := hop(ctx, c, s, "meta", func(b Backend) (Meta, error) { return b.Meta(ctx) })
 		if err != nil {
 			return err
 		}
@@ -129,7 +134,7 @@ func (c *Coordinator) Search(ctx context.Context, terms []string, interval int) 
 	if err != nil {
 		return nil, err
 	}
-	return c.backends[s].Search(ctx, terms, local)
+	return hop(ctx, c, s, "search", func(b Backend) ([]int64, error) { return b.Search(ctx, terms, local) })
 }
 
 // Refine returns the other keywords of the interval cluster containing
@@ -144,7 +149,7 @@ func (c *Coordinator) Refine(ctx context.Context, query string, interval int) ([
 	if err != nil {
 		return nil, err
 	}
-	return c.backends[s].Refine(ctx, query, local)
+	return hop(ctx, c, s, "refine", func(b Backend) ([]string, error) { return b.Refine(ctx, query, local) })
 }
 
 // Correlations returns the keyword's strongest in-interval
@@ -159,5 +164,7 @@ func (c *Coordinator) Correlations(ctx context.Context, keyword string, interval
 	if err != nil {
 		return nil, err
 	}
-	return c.backends[s].Correlations(ctx, keyword, local, n)
+	return hop(ctx, c, s, "correlations", func(b Backend) ([]blogclusters.Correlation, error) {
+		return b.Correlations(ctx, keyword, local, n)
+	})
 }

@@ -50,17 +50,16 @@
 // ErrUnavailable so the serving layer maps them to 503 (retryable),
 // while shard-side validation sentinels pass through unchanged.
 //
-// Two transports implement Backend: EngineBackend wraps an in-process
-// Engine (N shards in one binary), and HTTPBackend speaks the JSON API
-// of internal/server (a coordinator blogserved fanning out to ordinary
-// shard blogserveds), propagating deadlines via the request context and
-// mapping HTTP statuses back onto the typed error taxonomy.
+// One transport implements Backend: internal/server's Client, which
+// speaks the serving layer's JSON API to shard servers, remote ones or
+// in-process ones reached without a socket. This package holds no wire
+// format; the interface keeps server → shard the only import direction.
+// Every backend call goes through Coordinator.hop, which meters it.
 package shard
 
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	blogclusters "repro"
 )
@@ -113,107 +112,7 @@ type Backend interface {
 	Push(ctx context.Context, iv blogclusters.Interval) (int64, error)
 	// Stats snapshots the shard's EngineStats.
 	Stats(ctx context.Context) (blogclusters.EngineStats, error)
-	// Close releases whatever the backend owns (the wrapped Engine for
-	// in-process shards; nothing for remote ones).
+	// Close releases whatever the backend owns (the Engine of an
+	// in-process shard; nothing for a remote one).
 	Close() error
 }
-
-// EngineBackend adapts an in-process Engine to the Backend interface.
-// The wrapped Engine must have been opened over the shard's
-// sub-collection (see SplitCollection) with the same options as every
-// other shard. Close closes the Engine.
-type EngineBackend struct {
-	eng *blogclusters.Engine
-}
-
-// NewEngineBackend wraps eng; the backend owns it from here on.
-func NewEngineBackend(eng *blogclusters.Engine) *EngineBackend {
-	return &EngineBackend{eng: eng}
-}
-
-// Engine returns the wrapped Engine (tests reach through for direct
-// comparisons).
-func (b *EngineBackend) Engine() *blogclusters.Engine { return b.eng }
-
-func (b *EngineBackend) Meta(ctx context.Context) (Meta, error) {
-	totals, err := b.eng.DocTotals(ctx)
-	if err != nil {
-		return Meta{}, err
-	}
-	return Meta{
-		Intervals:  b.eng.NumIntervals(),
-		Generation: b.eng.Generation(),
-		Totals:     totals,
-	}, nil
-}
-
-func (b *EngineBackend) ClusterSets(ctx context.Context, from, to int) ([][]blogclusters.Cluster, error) {
-	return b.eng.ClusterSets(ctx, from, to)
-}
-
-func (b *EngineBackend) ClusterCounts(ctx context.Context, from, to int) ([]int, error) {
-	sets, err := b.eng.ClusterSets(ctx, from, to)
-	if err != nil {
-		return nil, err
-	}
-	counts := make([]int, len(sets))
-	for i, cs := range sets {
-		counts[i] = len(cs)
-	}
-	return counts, nil
-}
-
-func (b *EngineBackend) Solve(ctx context.Context, spec blogclusters.QuerySpec) (*blogclusters.Result, error) {
-	return b.eng.Solve(ctx, spec)
-}
-
-func (b *EngineBackend) TimeSeries(ctx context.Context, keyword string) (counts, totals []int64, err error) {
-	counts, err = b.eng.TimeSeries(ctx, keyword)
-	if err != nil {
-		return nil, nil, err
-	}
-	totals, err = b.eng.DocTotals(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The index store outlives the snapshot the totals came from; a
-	// concurrent push can make counts one longer. Trim so they line up.
-	if len(counts) > len(totals) {
-		counts = counts[:len(totals)]
-	}
-	return counts, totals, nil
-}
-
-func (b *EngineBackend) Search(ctx context.Context, terms []string, interval int) ([]int64, error) {
-	if err := b.checkInterval(interval); err != nil {
-		return nil, err
-	}
-	return b.eng.Search(ctx, terms, interval)
-}
-
-// checkInterval rejects out-of-range intervals the way the serving
-// layer does for Search (the index itself treats them as empty).
-func (b *EngineBackend) checkInterval(interval int) error {
-	if n := b.eng.NumIntervals(); interval < 0 || interval >= n {
-		return fmt.Errorf("shard: interval %d outside [0,%d): %w", interval, n, blogclusters.ErrInvalidQuery)
-	}
-	return nil
-}
-
-func (b *EngineBackend) Refine(ctx context.Context, query string, interval int) ([]string, error) {
-	return b.eng.Refine(ctx, query, interval)
-}
-
-func (b *EngineBackend) Correlations(ctx context.Context, keyword string, interval, n int) ([]blogclusters.Correlation, error) {
-	return b.eng.Correlations(ctx, keyword, interval, n)
-}
-
-func (b *EngineBackend) Push(ctx context.Context, iv blogclusters.Interval) (int64, error) {
-	return b.eng.Push(ctx, iv)
-}
-
-func (b *EngineBackend) Stats(ctx context.Context) (blogclusters.EngineStats, error) {
-	return b.eng.Stats(), nil
-}
-
-func (b *EngineBackend) Close() error { return b.eng.Close() }

@@ -74,7 +74,7 @@ func (c *Coordinator) nodeBases(ctx context.Context, st *coordState) ([]int, err
 		perShard := make([][]int, len(c.backends))
 		err := c.gather(ctx, len(c.backends), func(ctx context.Context, s int) error {
 			width := st.starts[s+1] - st.starts[s]
-			counts, err := c.backends[s].ClusterCounts(ctx, 0, width)
+			counts, err := hop(ctx, c, s, "cluster-counts", func(b Backend) ([]int, error) { return b.ClusterCounts(ctx, 0, width) })
 			if err != nil {
 				return err
 			}
@@ -116,7 +116,9 @@ func (c *Coordinator) gatherSets(ctx context.Context, st *coordState, lo, hi, st
 	out := make([][]blogclusters.Cluster, hi-lo)
 	err := c.gather(ctx, len(spans), func(ctx context.Context, i int) error {
 		sp := spans[i]
-		sets, err := c.backends[sp.shard].ClusterSets(ctx, sp.from, sp.to)
+		sets, err := hop(ctx, c, sp.shard, "cluster-sets", func(b Backend) ([][]blogclusters.Cluster, error) {
+			return b.ClusterSets(ctx, sp.from, sp.to)
+		})
 		if err != nil {
 			return err
 		}
@@ -246,7 +248,7 @@ func (c *Coordinator) Solve(ctx context.Context, spec blogclusters.QuerySpec) (*
 	defer cancel()
 	if len(c.backends) == 1 {
 		c.metrics.solves.With("forward").Inc()
-		return c.backends[0].Solve(ctx, spec)
+		return c.solveOn(ctx, 0, spec)
 	}
 	st := c.curState()
 	if scatterable(spec, st.m) {
@@ -259,6 +261,11 @@ func (c *Coordinator) Solve(ctx context.Context, spec blogclusters.QuerySpec) (*
 		return nil, err
 	}
 	return eng.Solve(ctx, spec)
+}
+
+// solveOn forwards spec to shard s.
+func (c *Coordinator) solveOn(ctx context.Context, s int, spec blogclusters.QuerySpec) (*blogclusters.Result, error) {
+	return hop(ctx, c, s, "solve", func(b Backend) (*blogclusters.Result, error) { return b.Solve(ctx, spec) })
 }
 
 // scatterSolve runs the decomposed top-k: every shard wide enough to
@@ -294,7 +301,7 @@ func (c *Coordinator) scatterSolve(ctx context.Context, st *coordState, spec blo
 		var err error
 		if i < len(locals) {
 			s := locals[i]
-			res, err = c.backends[s].Solve(ctx, spec)
+			res, err = c.solveOn(ctx, s, spec)
 			offsets[i] = int64(bases[st.starts[s]])
 		} else {
 			w := wins[i-len(locals)]

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"context"
 	"fmt"
 
 	blogclusters "repro"
@@ -52,35 +51,4 @@ func SliceCollection(col *blogclusters.Collection, from, to int) (*blogclusters.
 		return nil, err
 	}
 	return sub[0], nil
-}
-
-// OpenInProcess splits col into shards in-process Engines and fronts
-// them with a Coordinator — the single-binary deployment
-// (blogserved -shard-count=N). engOpts apply to every shard engine;
-// copts.Graph should mirror them so merged answers are built on the
-// same graph.
-func OpenInProcess(ctx context.Context, col *blogclusters.Collection, shards int, copts Options, engOpts ...blogclusters.Option) (*Coordinator, error) {
-	subs, err := SplitCollection(col, shards)
-	if err != nil {
-		return nil, err
-	}
-	backends := make([]Backend, 0, len(subs))
-	fail := func(err error) (*Coordinator, error) {
-		for _, b := range backends {
-			b.Close()
-		}
-		return nil, err
-	}
-	for s, sub := range subs {
-		eng, err := blogclusters.Open(ctx, blogclusters.FromCollection(sub), engOpts...)
-		if err != nil {
-			return fail(fmt.Errorf("shard: open shard %d: %w", s, err))
-		}
-		backends = append(backends, NewEngineBackend(eng))
-	}
-	c, err := NewCoordinator(ctx, backends, copts)
-	if err != nil {
-		return fail(err)
-	}
-	return c, nil
 }

@@ -21,9 +21,9 @@ import (
 // where an edge spanning a gap counts its full interval distance);
 // Weight is the aggregated affinity along the path.
 type Path struct {
-	Nodes  []int64
-	Length int
-	Weight float64
+	Nodes  []int64 `json:"nodes"`
+	Length int     `json:"length"`
+	Weight float64 `json:"weight"`
 }
 
 // Append returns a new path extending p by one edge to node, with edge

@@ -1,11 +1,12 @@
 #!/bin/sh
 # shard-smoke: boot two blogserved shard servers on interval slices of
 # the demo corpus plus a scatter-gather coordinator fanning out to
-# them, assert a cross-boundary stable-cluster answer that matches an
-# unsharded server's, push an interval through the coordinator
-# (asserting the composite generation bump and exact generation-keyed
-# cache eviction), check the per-shard /debug/stats rows, and drain all
-# three cleanly. `make shard-smoke` runs this; CI's examples job runs
+# them, and a single-binary `-shard-count 2` coordinator over
+# in-process shard servers; assert both coordinators' cross-boundary
+# answers match an unsharded server's, push an interval through the
+# remote coordinator (asserting the composite generation bump and exact
+# generation-keyed cache eviction), check the per-shard /debug/stats
+# rows, and drain all five processes cleanly. `make shard-smoke` runs this; CI's examples job runs
 # that target, so the sharded deployment shape cannot drift.
 set -eu
 
@@ -13,17 +14,19 @@ P0="${SHARD_SMOKE_PORT:-18180}"
 P1=$((P0 + 1))
 P2=$((P0 + 2))
 P3=$((P0 + 3))
+P4=$((P0 + 4))
 S0="http://127.0.0.1:$P0"   # shard server 0: intervals 0:4
 S1="http://127.0.0.1:$P1"   # shard server 1: intervals 4:7
 CO="http://127.0.0.1:$P2"   # coordinator over S0,S1
 UN="http://127.0.0.1:$P3"   # unsharded reference server
-LOG0="$(mktemp)"; LOG1="$(mktemp)"; LOG2="$(mktemp)"; LOG3="$(mktemp)"
+IP="http://127.0.0.1:$P4"   # coordinator over 2 in-process shard servers
+LOG0="$(mktemp)"; LOG1="$(mktemp)"; LOG2="$(mktemp)"; LOG3="$(mktemp)"; LOG4="$(mktemp)"
 BINDIR="$(mktemp -d)"
 BIN="$BINDIR/blogserved"
 
 fail() {
 	echo "shard-smoke: FAIL: $1" >&2
-	for f in "$LOG0" "$LOG1" "$LOG2" "$LOG3"; do
+	for f in "$LOG0" "$LOG1" "$LOG2" "$LOG3" "$LOG4"; do
 		echo "--- $f ---" >&2
 		cat "$f" >&2
 	done
@@ -39,10 +42,12 @@ PID0=$!
 PID1=$!
 "$BIN" -demo -addr "127.0.0.1:$P3" 2>"$LOG3" &
 PID3=$!
+"$BIN" -demo -shard-count 2 -addr "127.0.0.1:$P4" 2>"$LOG4" &
+PID4=$!
 # The coordinator waits for both shards' /readyz itself (-shards-wait).
 "$BIN" -shards "127.0.0.1:$P0,127.0.0.1:$P1" -addr "127.0.0.1:$P2" 2>"$LOG2" &
 PID2=$!
-trap 'kill "$PID0" "$PID1" "$PID2" "$PID3" 2>/dev/null || true; rm -f "$LOG0" "$LOG1" "$LOG2" "$LOG3"; rm -rf "$BINDIR"' EXIT
+trap 'kill "$PID0" "$PID1" "$PID2" "$PID3" "$PID4" 2>/dev/null || true; rm -f "$LOG0" "$LOG1" "$LOG2" "$LOG3" "$LOG4"; rm -rf "$BINDIR"' EXIT
 
 ready() {
 	base="$1"; name="$2"
@@ -56,6 +61,7 @@ ready "$S0" "shard 0"
 ready "$S1" "shard 1"
 ready "$UN" "unsharded reference"
 ready "$CO" "coordinator"
+ready "$IP" "in-process coordinator"
 echo "shard-smoke: all ready"
 
 # The coordinator's partition map: 7 intervals across 2 shards.
@@ -65,21 +71,27 @@ case "$meta" in
 *) fail "coordinator meta: $meta" ;;
 esac
 
-# The scatter-gather answer must equal the unsharded server's, byte
-# for byte — bounded top-k paths cross the 0:4/4:7 boundary, so this
-# exercises shard-local solves, the boundary window and the merge.
-# Solver work counters legitimately differ (partials sum), so the
-# flat "stats" object is stripped before comparing.
+# The scatter-gather answers of both coordinators must equal the
+# unsharded server's, byte for byte — bounded top-k paths cross the
+# 0:4/4:7 (and, in process, 0:3/3:7) boundary, so this exercises
+# shard-local solves, the boundary window and the merge. Solver work
+# counters legitimately differ (partials sum), so the flat "stats"
+# object is stripped before comparing.
 for q in '/v1/stable-clusters?k=3&l=2' '/v1/stable-clusters?k=3' \
 	'/v1/timeseries?keyword=somalia' '/v1/bursts?keyword=somalia' \
 	'/v1/search?terms=somalia&interval=5' '/v1/correlations?keyword=somalia&interval=6&n=3'; do
-	a="$(curl -fsS "$CO$q" | sed 's/"stats":{[^}]*}//')" || fail "coordinator GET $q"
 	b="$(curl -fsS "$UN$q" | sed 's/"stats":{[^}]*}//')" || fail "unsharded GET $q"
-	[ "$a" = "$b" ] || fail "divergence on $q:
-  coordinator: $a
+	for co in "$CO" "$IP"; do
+		a="$(curl -fsS "$co$q" | sed 's/"stats":{[^}]*}//')" || fail "coordinator $co GET $q"
+		[ "$a" = "$b" ] || fail "divergence on $q:
+  coordinator $co: $a
   unsharded:   $b"
-	echo "shard-smoke: OK equivalence $q"
+	done
+	echo "shard-smoke: OK equivalence $q (remote and in-process shards)"
 done
+# In-process shard servers log through the process logger, tagged with
+# their shard.
+grep -q '"shard":1' "$LOG4" || fail "no shard-tagged access log line from an in-process shard"
 
 # Per-shard observability: /debug/stats carries one row per shard.
 stats="$(curl -fsS "$CO/debug/stats")" || fail "GET /debug/stats"
@@ -167,13 +179,14 @@ case "$meta" in
 *) fail "tail shard did not grow: $meta" ;;
 esac
 
-# All three drain cleanly on SIGTERM.
-for pid in "$PID2" "$PID0" "$PID1" "$PID3"; do
+# All five drain cleanly on SIGTERM.
+for pid in "$PID2" "$PID4" "$PID0" "$PID1" "$PID3"; do
 	kill -TERM "$pid"
 	EXIT=0
 	wait "$pid" || EXIT=$?
 	[ "$EXIT" = 0 ] || fail "pid $pid exited $EXIT after SIGTERM"
 done
 grep -q 'drained; exiting' "$LOG2" || fail "no drain message in coordinator log"
-trap 'rm -f "$LOG0" "$LOG1" "$LOG2" "$LOG3"; rm -rf "$BINDIR"' EXIT
+grep -q 'drained; exiting' "$LOG4" || fail "no drain message in in-process coordinator log"
+trap 'rm -f "$LOG0" "$LOG1" "$LOG2" "$LOG3" "$LOG4"; rm -rf "$BINDIR"' EXIT
 echo "shard-smoke: PASS (clean drain)"

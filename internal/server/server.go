@@ -26,6 +26,10 @@
 //     EngineStats (stage builds, timings, disk IOStats) plus server
 //     counters (inflight, rejected, cache hits/misses).
 //
+// Client (client.go) is the same API from the other side: the one
+// transport a shard Coordinator reaches its shard servers through,
+// remote or in-process (OpenInProcess).
+//
 // Lifecycle: New → SetEngine when the corpus is loaded (readiness
 // flips; /readyz turns 200) → http.Server.Shutdown drains in-flight
 // requests → Engine.Close. cmd/blogserved wires this to

@@ -54,7 +54,7 @@
 // speaks the serving layer's JSON API to shard servers, remote ones or
 // in-process ones reached without a socket. This package holds no wire
 // format; the interface keeps server → shard the only import direction.
-// Every backend call goes through Coordinator.hop, which meters it.
+// Every backend call goes through hop, which meters it.
 package shard
 
 import (

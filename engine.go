@@ -863,8 +863,15 @@ func (e *Engine) SolveOn(ctx context.Context, gopts GraphOptions, spec QuerySpec
 		res, err = core.Solve(ctx, g, req)
 	}
 	// Failed and cancelled solves get their span too: the solve that hit
-	// its deadline is the one an operator traces.
-	obs.RecorderFrom(ctx).Record("solve:"+req.Algorithm, start, err)
+	// its deadline is the one an operator traces. A finished one carries
+	// its work counters, boxed only when the request is traced.
+	if rec := obs.RecorderFrom(ctx); rec != nil {
+		var work any
+		if err == nil {
+			work = res.Stats
+		}
+		rec.RecordWork("solve:"+req.Algorithm, start, err, work)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -637,8 +637,8 @@ func TestEngineSolveSpanOnError(t *testing.T) {
 		t.Fatalf("cancelled solve returned %v, want context.Canceled", err)
 	}
 	spans := rec.Spans()
-	if len(spans) != 1 || spans[0].Name != "solve:bfs" || spans[0].Err != context.Canceled.Error() {
-		t.Fatalf("spans after a cancelled solve = %+v, want one solve:bfs span carrying %q", spans, context.Canceled)
+	if len(spans) != 1 || spans[0].Name != "solve:bfs" || spans[0].Err != context.Canceled.Error() || spans[0].Work != nil {
+		t.Fatalf("spans after a cancelled solve = %+v, want one solve:bfs span carrying %q and no work", spans, context.Canceled)
 	}
 	if n := eng.Stats().Planner.ByAlgorithm["bfs"]; n != 0 {
 		t.Fatalf("failed solve counted as completed: ByAlgorithm[bfs] = %d", n)

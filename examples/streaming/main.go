@@ -101,8 +101,8 @@ func main() {
 		fmt.Printf("#%d %s\n", i+1, desc)
 	}
 	st := res.Stats
-	fmt.Printf("\nlast solve: %d node reads, %d node writes, %d heap offers, peak %d paths in window\n",
-		st.NodeReads, st.NodeWrites, st.HeapConsiders, st.PeakStatePaths)
+	fmt.Printf("\nlast solve: %d node reads, %d node writes, %d edge reads, %d heap offers, peak %d paths held\n",
+		st.NodeReads, st.NodeWrites, st.EdgeReads, st.HeapConsiders, st.PeakStatePaths)
 	es := eng.Stats()
 	fmt.Printf("session: generation %d, %d pushes, %d index segments\n",
 		es.Generation, es.Pushes, es.IndexSegments)

@@ -2,20 +2,23 @@ package core
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/clustergraph"
 	"repro/internal/topk"
 )
 
-// solveBFS solves the kl-stable-clusters problem with Algorithm 2:
-// process intervals left to right, keeping the nodes of the previous
-// g+1 intervals (with their heaps) in memory, and annotate every node
-// cij with heaps h^x_ij of the top-k subpaths of each length x ≤ l
-// ending there. The global heap H accumulates the top-k paths of length
-// exactly l. An offer that the suffix bound (bound.go) shows cannot
-// reach the top k is dropped before any heap sees it: every prefix of a
-// final top-k path survives, and a heap offered a subset of its offers
-// still keeps each one it would have ranked in its top k.
+// solveBFS solves the kl-stable-clusters problem with Algorithm 2,
+// driven forward: process intervals left to right and annotate every
+// node cij with heaps h^x_ij of the top-k subpaths of each length x ≤ l
+// ending there. Every parent of a node sits in an earlier interval, so
+// a node's heaps are complete once the intervals before its own are
+// pushed; it then pushes them across its child edges and releases them.
+// The global heap H accumulates the top-k paths of length exactly l.
+// An offer that the suffix bound (bound.go) shows cannot reach the top
+// k is dropped before any heap sees it: every prefix of a final top-k
+// path survives, and a heap offered a subset of its offers still keeps
+// each one it would have ranked in its top k.
 func solveBFS(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, error) {
 	l, err := req.resolveL(g)
 	if err != nil {
@@ -26,7 +29,7 @@ func solveBFS(ctx context.Context, g *clustergraph.Graph, req Request) (*Result,
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		r.processInterval(i)
+		r.pushInterval(i)
 	}
 	return &Result{Paths: r.global.Items(), Stats: r.stats}, nil
 }
@@ -69,70 +72,92 @@ func newBFSRun(g *clustergraph.Graph, req Request, l int) *bfsRun {
 	return r
 }
 
-// processInterval computes heaps for every node of interval i, using
-// the heaps of the previous g+1 intervals, then evicts intervals that
-// fall out of the window (Algorithm 2 lines 2–18). The cluster graph
-// links a node only to nodes at most g+1 intervals before it, so every
-// parent is in the window.
-func (r *bfsRun) processInterval(i int) {
-	// "Read Gi' in memory": the window nodes were computed in earlier
-	// iterations and retained; the read cost the paper accounts is one
-	// node-state read per window node per interval processed.
+// pushInterval pushes every live node of interval i across its child
+// edges (Algorithm 2 lines 7–14, turned around) and releases its heaps.
+// Nodes are pushed in ascending id, so each heap still takes its offers
+// in ascending parent id; a node that is not live has nothing to push
+// and reads no edge.
+func (r *bfsRun) pushInterval(i int) {
+	// "Read Gi' in memory": the read cost the paper accounts is one
+	// node-state read per node of the g+1 intervals before i.
 	for j := max(i-r.g.Gap()-1, 0); j < i; j++ {
 		r.stats.NodeReads += int64(len(r.g.NodesAt(j)))
 	}
 	for _, id := range r.g.NodesAt(i) {
-		for _, ph := range r.g.Parents(id) {
-			r.stats.EdgeReads++
-			r.extend(id, ph)
+		if r.live(id) {
+			for _, ch := range r.g.Children(id) {
+				r.stats.EdgeReads++
+				r.extend(id, ch)
+			}
+			r.heaps.release(int(id)*r.perNode, (int(id)+1)*r.perNode)
 		}
 		// "save cij along with h^x_ij to disk" (line 17).
 		r.stats.NodeWrites++
 	}
-	r.evict(i)
 	r.stats.PeakStatePaths = max(r.stats.PeakStatePaths, int64(r.heaps.held))
 }
 
-// extend merges parent ph's heaps into node id's heaps across the edge
-// (Algorithm 2 lines 7–14). The parent's heaps are read in place; a
-// candidate is a weight, a length and a link until a heap admits it.
-// Each parent entry is held to the suffix bound's cut before anything
-// else is read; one that misses it counts as Pruned.
-func (r *bfsRun) extend(id int64, ph clustergraph.Half) {
-	peer := int(ph.Peer)
-	// The edge alone is a path of length ph.Length (the implicit h^0 =
+// live reports whether node id has anything to push: a heap holding a
+// path, or a path of length l that can start at it and reach the floor
+// (U_l(id) ≥ floor; for full paths U_l is −Inf off interval 0). A node
+// that fails both would see need() drop every bare edge it offers,
+// since the floor already carries the bound's slack. The reference
+// (disableSuffixBound) pushes every node.
+func (r *bfsRun) live(id int64) bool {
+	if !r.bound.on {
+		return true
+	}
+	if u := r.bound.rest(id, r.l); !math.IsInf(u, -1) && u >= r.floor {
+		return true
+	}
+	for hi := int(id) * r.perNode; hi < (int(id)+1)*r.perNode; hi++ {
+		if r.heaps.size(hi) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// extend offers node id's heaps to child ch.Peer across the edge. The
+// heaps are read in place; a candidate is a weight, a length and a link
+// until a heap admits it. Each entry is held to the suffix bound's cut
+// at the child before anything else is read; one that misses it counts
+// as Pruned.
+func (r *bfsRun) extend(id int64, ch clustergraph.Half) {
+	child := ch.Peer
+	// The edge alone is a path of length ch.Length (the implicit h^0 =
 	// {empty path} case). In full-path mode only prefixes that started
 	// at interval 0 can grow into full paths, so the edge counts only
 	// from there; everything a heap then holds started there too. This
 	// is the paper's "one heap per node suffices" optimization —
-	// temporal lengths make length(p) == interval(id) automatic.
-	if (!r.fullPath || r.g.Interval(ph.Peer) == 0) && ph.Length <= r.l {
-		if ph.Weight < r.bound.need(id, r.l-ph.Length, r.floor) {
+	// temporal lengths make length(p) == interval(child) automatic.
+	if (!r.fullPath || r.g.Interval(id) == 0) && ch.Length <= r.l {
+		if ch.Weight < r.bound.need(child, r.l-ch.Length, r.floor) {
 			r.stats.Pruned++
 		} else {
-			r.offer(id, bare(ph.Peer), bareFP(ph.Peer), ph.Weight, ph.Length)
+			r.offer(child, bare(id), bareFP(id), ch.Weight, ch.Length)
 		}
 	}
 	for x := 1; x <= r.perNode; x++ {
-		length := x + ph.Length
+		length := x + ch.Length
 		if r.fullPath {
-			length = r.g.Interval(id)
+			length = r.g.Interval(child)
 		}
 		if length > r.l {
 			break
 		}
-		hi := peer*r.perNode + x - 1
+		hi := int(id)*r.perNode + x - 1
 		if r.heaps.size(hi) == 0 {
 			continue
 		}
-		cut := r.bound.need(id, r.l-length, r.floor) - ph.Weight
+		cut := r.bound.need(child, r.l-length, r.floor) - ch.Weight
 		for j := 0; j < r.heaps.size(hi); j++ {
 			e := r.heaps.at(hi, j)
 			if e.weight < cut {
 				r.stats.Pruned++
 				continue
 			}
-			r.offer(id, e.ref, e.fp, e.weight+ph.Weight, length)
+			r.offer(child, e.ref, e.fp, e.weight+ch.Weight, length)
 		}
 	}
 }
@@ -154,17 +179,5 @@ func (r *bfsRun) offer(id int64, link ref, linkFP uint64, weight float64, length
 			offerGlobal(r.global, r.nodes, weight, length)
 			r.floor = r.bound.floor(r.global.Threshold())
 		}
-	}
-}
-
-// evict drops heaps of nodes that can no longer be parents ("Gi−g−1 is
-// discarded").
-func (r *bfsRun) evict(i int) {
-	old := i - r.g.Gap() - 1
-	if old < 0 {
-		return
-	}
-	for _, id := range r.g.NodesAt(old) {
-		r.heaps.release(int(id)*r.perNode, (int(id)+1)*r.perNode)
 	}
 }

@@ -6,9 +6,10 @@
 // Request, call Solve (solve.go). The registry dispatches on
 // Request.Algorithm, mirroring Section 4:
 //
-//   - "bfs" (Algorithm 2): a single pass over the intervals keeping the
-//     previous g+1 intervals in memory, with per-node top-k heaps of
-//     subpaths of each length (bfs.go).
+//   - "bfs" (Algorithm 2): a single forward pass over the intervals with
+//     per-node top-k heaps of subpaths of each length; a node that holds
+//     a path or can start one pushes its heaps to its children and
+//     releases them (bfs.go).
 //   - "dfs" (Algorithm 3): a stack-based depth-first traversal with
 //     maxweight-based pruning, visited-flag unmarking and bestpaths
 //     back-propagation (dfs.go).

@@ -56,39 +56,40 @@ func TestPaperSection42BFSExample(t *testing.T) {
 }
 
 // TestPaperSection42HeapContents verifies the per-node heaps the paper
-// lists for the Figure 5 graph (h^1 and h^2 of the interval-3 nodes) by
-// reading them off the BFS run once every interval is processed; the
-// window of g+1 = 2 intervals still holds intervals 2 and 3.
+// lists for the Figure 5 graph (h^1 of the interval-2 nodes, h^2 of the
+// interval-3 nodes) by reading them off the BFS run. A node's heaps are
+// complete once the intervals before its own are pushed, and released
+// once its own is, so each is read in between.
 func TestPaperSection42HeapContents(t *testing.T) {
 	g, ids := synth.Figure5()
 	// Use the generic (non-full-path) machinery so every h^x is
 	// maintained, as in the paper's walk-through.
 	// Without the suffix bound, which would leave most of them empty.
 	r := newBFSRun(g, Request{K: 2, disableFullPathFastPath: true, disableSuffixBound: true}, 2)
+	heaps := map[int64]map[int][][]int64{} // node → length → paths
 	for i := 0; i < g.NumIntervals(); i++ {
-		r.processInterval(i)
-	}
-	heaps := func(id int64) map[int][][]int64 {
-		out := map[int][][]int64{}
-		for _, p := range r.heaps.paths(int(id)*r.perNode, (int(id)+1)*r.perNode) {
-			out[p.Length] = append(out[p.Length], p.Nodes)
+		for _, id := range g.NodesAt(i) {
+			heaps[id] = map[int][][]int64{}
+			for _, p := range r.heaps.paths(int(id)*r.perNode, (int(id)+1)*r.perNode) {
+				heaps[id][p.Length] = append(heaps[id][p.Length], p.Nodes)
+			}
 		}
-		return out
+		r.pushInterval(i)
 	}
 	c := func(i, j int) int64 { return ids[i-1][j-1] } // paper 1-based names
 
 	// h^1_21 = {c11c21}
-	h21 := heaps(c(2, 1))
+	h21 := heaps[c(2, 1)]
 	if len(h21[1]) != 1 || !reflect.DeepEqual(h21[1][0], []int64{c(1, 1), c(2, 1)}) {
 		t.Errorf("h1_21 = %v, want {c11c21}", h21[1])
 	}
 	// h^1_22 = {c12c22, c13c22}
-	h22 := heaps(c(2, 2))
+	h22 := heaps[c(2, 2)]
 	if len(h22[1]) != 2 {
 		t.Errorf("h1_22 = %v, want two paths", h22[1])
 	}
 	// h^2_31 = {c11c21c31, c13c22c31}: c12c22c31 (0.8) is evicted.
-	h31 := heaps(c(3, 1))
+	h31 := heaps[c(3, 1)]
 	if len(h31[2]) != 2 {
 		t.Fatalf("h2_31 = %v, want two paths", h31[2])
 	}
@@ -105,7 +106,7 @@ func TestPaperSection42HeapContents(t *testing.T) {
 		}
 	}
 	// h^2_32 = {c11c21c32, c11c32} — includes the direct gap edge.
-	h32 := heaps(c(3, 2))
+	h32 := heaps[c(3, 2)]
 	if len(h32[2]) != 2 {
 		t.Fatalf("h2_32 = %v, want two paths", h32[2])
 	}
@@ -117,7 +118,7 @@ func TestPaperSection42HeapContents(t *testing.T) {
 		t.Errorf("h2_32 missing the direct gap path c11c32: %v", h32[2])
 	}
 	// h^2_33 = {c13c22c33, c12c22c33}.
-	h33 := heaps(c(3, 3))
+	h33 := heaps[c(3, 3)]
 	if len(h33[2]) != 2 {
 		t.Fatalf("h2_33 = %v, want two paths", h33[2])
 	}

@@ -45,11 +45,11 @@ type goldenRow struct {
 var golden = map[string]goldenRow{
 	"gap0/bfs-sub": {
 		paths: []topk.Path{{Nodes: []int64{3, 10, 16}, Length: 2, Weight: 1.8733328574192272}, {Nodes: []int64{1, 8, 17}, Length: 2, Weight: 1.8282275434101884}, {Nodes: []int64{10, 16, 18}, Length: 2, Weight: 1.6001354175264262}},
-		stats: Stats{NodeReads: 24, NodeWrites: 30, EdgeReads: 100, HeapConsiders: 9, Pruned: 52, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 3},
+		stats: Stats{NodeReads: 24, NodeWrites: 30, EdgeReads: 64, HeapConsiders: 9, Pruned: 16, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 3},
 	},
 	"gap0/bfs-full": {
 		paths: []topk.Path{{Nodes: []int64{3, 10, 16, 18, 24}, Length: 4, Weight: 3.276619336639582}, {Nodes: []int64{3, 10, 16, 19, 26}, Length: 4, Weight: 3.202462973694655}, {Nodes: []int64{3, 10, 16, 23, 24}, Length: 4, Weight: 3.031397760786878}},
-		stats: Stats{NodeReads: 24, NodeWrites: 30, EdgeReads: 100, HeapConsiders: 25, Pruned: 24, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 6},
+		stats: Stats{NodeReads: 24, NodeWrites: 30, EdgeReads: 81, HeapConsiders: 23, Pruned: 19, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 6},
 	},
 	"gap0/dfs": {
 		paths: []topk.Path{{Nodes: []int64{3, 10, 16}, Length: 2, Weight: 1.8733328574192272}, {Nodes: []int64{1, 8, 17}, Length: 2, Weight: 1.8282275434101884}, {Nodes: []int64{10, 16, 18}, Length: 2, Weight: 1.6001354175264262}},
@@ -65,11 +65,11 @@ var golden = map[string]goldenRow{
 	},
 	"gap2/bfs-sub": {
 		paths: []topk.Path{{Nodes: []int64{15, 24, 25}, Length: 2, Weight: 1.9668916114544919}, {Nodes: []int64{15, 24, 26}, Length: 2, Weight: 1.890787416577656}, {Nodes: []int64{1, 7, 11}, Length: 2, Weight: 1.8688345463479306}},
-		stats: Stats{NodeReads: 60, NodeWrites: 30, EdgeReads: 330, HeapConsiders: 11, Pruned: 121, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 4},
+		stats: Stats{NodeReads: 60, NodeWrites: 30, EdgeReads: 227, HeapConsiders: 11, Pruned: 44, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 2},
 	},
 	"gap2/bfs-full": {
 		paths: []topk.Path{{Nodes: []int64{0, 8, 10, 18, 21, 25}, Length: 5, Weight: 4.179336812056002}, {Nodes: []int64{1, 7, 11, 19, 21, 25}, Length: 5, Weight: 4.119532793072843}, {Nodes: []int64{1, 5, 14, 18, 21, 25}, Length: 5, Weight: 4.110134679322221}},
-		stats: Stats{NodeReads: 60, NodeWrites: 30, EdgeReads: 330, HeapConsiders: 22, Pruned: 118, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 12},
+		stats: Stats{NodeReads: 60, NodeWrites: 30, EdgeReads: 254, HeapConsiders: 22, Pruned: 102, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 4},
 	},
 	"gap2/dfs": {
 		paths: []topk.Path{{Nodes: []int64{15, 24, 25}, Length: 2, Weight: 1.9668916114544919}, {Nodes: []int64{15, 24, 26}, Length: 2, Weight: 1.890787416577656}, {Nodes: []int64{1, 7, 11}, Length: 2, Weight: 1.8688345463479306}},
@@ -85,11 +85,11 @@ var golden = map[string]goldenRow{
 	},
 	"gap1/bfs-sub": {
 		paths: []topk.Path{{Nodes: []int64{3, 11, 15}, Length: 2, Weight: 1.8701248559003314}, {Nodes: []int64{4, 6, 16}, Length: 2, Weight: 1.7467718477811967}, {Nodes: []int64{5, 8, 16}, Length: 2, Weight: 1.7423970354051643}},
-		stats: Stats{NodeReads: 42, NodeWrites: 30, EdgeReads: 186, HeapConsiders: 9, Pruned: 96, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 6},
+		stats: Stats{NodeReads: 42, NodeWrites: 30, EdgeReads: 133, HeapConsiders: 9, Pruned: 43, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 3},
 	},
 	"gap1/bfs-full": {
 		paths: []topk.Path{{Nodes: []int64{3, 11, 15, 21, 28}, Length: 4, Weight: 3.4034032490521255}, {Nodes: []int64{4, 7, 14, 21, 28}, Length: 4, Weight: 3.2757316800240472}, {Nodes: []int64{1, 11, 15, 21, 28}, Length: 4, Weight: 3.1580301646119198}},
-		stats: Stats{NodeReads: 42, NodeWrites: 30, EdgeReads: 186, HeapConsiders: 15, Pruned: 44, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 6},
+		stats: Stats{NodeReads: 42, NodeWrites: 30, EdgeReads: 131, HeapConsiders: 15, Pruned: 36, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 3},
 	},
 	"gap1/dfs": {
 		paths: []topk.Path{{Nodes: []int64{3, 11, 15}, Length: 2, Weight: 1.8701248559003314}, {Nodes: []int64{4, 6, 16}, Length: 2, Weight: 1.7467718477811967}, {Nodes: []int64{5, 8, 16}, Length: 2, Weight: 1.7423970354051643}},

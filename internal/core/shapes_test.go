@@ -38,9 +38,9 @@ var pinnedShapes = []struct {
 	{"ta", synth.Config{M: 6, N: 30, D: 5, G: 0}, Request{Algorithm: "ta", K: 5, L: FullPaths},
 		"055b1b54ccfa3ca3", "{0 0 1626 19 300 0 50 0 0}"},
 	{"bfs_full", synth.Config{M: 10, N: 100, D: 5, G: 1}, Request{Algorithm: "bfs", K: 5, L: FullPaths},
-		"2d5d240235a9794c", "{1700 1000 19152 67 1599 0 0 16 0}"},
+		"2d5d240235a9794c", "{1700 1000 9903 69 589 0 0 8 0}"},
 	{"bfs_sub", synth.Config{M: 10, N: 100, D: 5, G: 1}, Request{Algorithm: "bfs", K: 5, L: 3},
-		"b324484c0591585c", "{1700 1000 19152 20 9659 0 0 7 0}"},
+		"b324484c0591585c", "{1700 1000 9807 20 314 0 0 4 0}"},
 	{"normalized", synth.Config{M: 8, N: 8, D: 3, G: 0}, Request{Algorithm: "normalized", K: 5, LMin: 3},
 		"ca74e015954916c9", "{224 256 1840 2199 1614 0 0 114 4}"},
 }

@@ -154,9 +154,9 @@ type pathHeaps struct {
 	prepended bool
 	// reuse lets an admitted path overwrite the slot of the one it
 	// evicts. Sound when a heap takes all its offers before any path
-	// links to one of its own (BFS: a node's heaps fill during its
-	// interval and are extended only by later ones), not when heaps
-	// keep improving after they were read (DFS).
+	// links to one of its own (BFS: a node's heaps fill while earlier
+	// intervals are pushed, and only its own push links to them), not
+	// when heaps keep improving after they were read (DFS).
 	reuse bool
 	heaps []heapSpan
 	pages [][]heapEnt

@@ -325,15 +325,16 @@ func KSensitivity(scale Scale) (*Table, error) {
 // required less than 2MB RAM as compared to 35MB for BFS". The proxy
 // is the peak number of paths held in live per-node state, plus an
 // approximate byte figure. The claim is about the paper's Algorithms 2
-// and 3; both solvers here prune on an exact suffix bound, which leaves
-// BFS's window almost empty, so the measured gap runs the other way.
+// and 3; both solvers here prune on an exact suffix bound, and BFS
+// pushes only the few nodes that hold a path or can start one, so the
+// measured gap runs the other way.
 func Memory(scale Scale) (*Table, error) {
 	t := &Table{
 		ID:     "memory",
 		Title:  "peak in-memory state, BFS vs DFS (top-3, l=6, n=2000, m=9, g=0)",
 		Header: []string{"algorithm", "peak paths", "approx bytes", "seconds"},
 		Notes: "paper: DFS < 2MB vs BFS 35MB, for its unbounded Algorithms 2 and 3; with the suffix bound " +
-			"both hold a few dozen paths at most and BFS holds fewer than DFS (3 vs 15–16 at scales 0.05–0.25)",
+			"both hold a few dozen paths at most and BFS holds fewer than DFS (3–4 vs 15–26 at scales 0.05–1)",
 	}
 	n := scale.nodes(2000)
 	cg, err := synth.Generate(synth.Config{Seed: 61, M: 9, N: n, D: 5, G: 0})

@@ -73,6 +73,10 @@ type Span struct {
 	DurUs   int64 `json:"dur_us"`
 	// Err carries a hop's failure; successful spans omit it.
 	Err string `json:"err,omitempty"`
+	// Work is the counted work behind the span, encoded as its own JSON:
+	// a finished solve:<algorithm> span carries the solver's core.Stats.
+	// Spans with nothing counted omit it.
+	Work any `json:"work,omitempty"`
 }
 
 // Recorder accumulates spans for one traced request. Safe for
@@ -99,6 +103,13 @@ func RecorderFrom(ctx context.Context) *Recorder {
 // Record appends one finished span; start is its wall-clock begin.
 // Safe on a nil recorder (the untraced path).
 func (r *Recorder) Record(name string, start time.Time, err error) {
+	r.RecordWork(name, start, err, nil)
+}
+
+// RecordWork is Record for a span that carries its counted work. A
+// caller on a hot path checks for a recorder before it builds work, so
+// an untraced request pays nothing for it.
+func (r *Recorder) RecordWork(name string, start time.Time, err error, work any) {
 	if r == nil {
 		return
 	}
@@ -106,6 +117,7 @@ func (r *Recorder) Record(name string, start time.Time, err error) {
 		Name:    name,
 		StartUs: start.Sub(r.epoch).Microseconds(),
 		DurUs:   time.Since(start).Microseconds(),
+		Work:    work,
 	}
 	if err != nil {
 		sp.Err = err.Error()

@@ -47,7 +47,8 @@ func TestNilRecorder(t *testing.T) {
 }
 
 // TestRecorderSpans: spans come back in record order with sane timings,
-// the error text only where one was passed, and Spans is a snapshot.
+// the error text and work block only where one was passed, and Spans is
+// a snapshot.
 func TestRecorderSpans(t *testing.T) {
 	ctx, r := WithRecorder(context.Background())
 	if RecorderFrom(ctx) != r {
@@ -79,6 +80,16 @@ func TestRecorderSpans(t *testing.T) {
 	failed, _ := json.Marshal(spans[2])
 	if strings.Contains(string(ok), `"err"`) || !strings.Contains(string(failed), `"err":"boom"`) {
 		t.Errorf("span JSON: ok %s, failed %s", ok, failed)
+	}
+
+	// A span with counted work renders it as its own JSON; one without
+	// omits the block.
+	r.RecordWork("solve:bfs", start, nil, struct {
+		EdgeReads int64 `json:"edge_reads"`
+	}{42})
+	worked, _ := json.Marshal(r.Spans()[3])
+	if strings.Contains(string(ok), `"work"`) || !strings.Contains(string(worked), `"work":{"edge_reads":42}`) {
+		t.Errorf("span JSON: ok %s, worked %s", ok, worked)
 	}
 
 	spans[0].Name = "mutated"

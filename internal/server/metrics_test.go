@@ -287,6 +287,36 @@ func TestTraceBlock(t *testing.T) {
 	}
 }
 
+// TestTraceSolveSpanCarriesWork checks that a traced solve's
+// solve:<algorithm> span reports the same work counters as the body's
+// stats.
+func TestTraceSolveSpanCarriesWork(t *testing.T) {
+	_, _, ts := newTestServer(t, quietConfig(nil))
+	resp, m := get(t, ts, "/v1/stable-clusters?k=3&l=2&algorithm=bfs&trace=1")
+	wantStatus(t, resp, m, 200)
+	stats, ok := m["stats"].(map[string]any)
+	if !ok {
+		t.Fatalf("no stats block: %v", m)
+	}
+	var work map[string]any
+	for _, sp := range m["trace"].([]any) {
+		if span := sp.(map[string]any); span["name"] == "solve:bfs" {
+			work, _ = span["work"].(map[string]any)
+		}
+	}
+	if work == nil {
+		t.Fatalf("no solve:bfs span with a work block: %v", m["trace"])
+	}
+	for _, counter := range []string{"edge_reads", "heap_considers", "pruned"} {
+		if w, ok := work[counter].(float64); !ok || w != stats[counter] {
+			t.Errorf("solve:bfs span %s = %v, body stats say %v", counter, work[counter], stats[counter])
+		}
+	}
+	if work["edge_reads"] == 0.0 {
+		t.Error("solve:bfs span counts no edge reads")
+	}
+}
+
 // TestDebugStatsProcess pins the /debug/stats wire format including
 // the process block.
 func TestDebugStatsProcess(t *testing.T) {

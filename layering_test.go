@@ -14,7 +14,9 @@ import (
 // task, so none of them reaches for the worker pool: only the interval
 // pool and the cluster-graph edge tasks do. The shard coordinator holds
 // merge rules only: the wire format and its transport live in
-// internal/server, so shard imports no HTTP or JSON package. Imports
+// internal/server, so shard imports no HTTP or JSON package. obs is a
+// leaf too: a span's work block is whatever its caller hands it, so the
+// solvers' counters reach a trace without obs importing core. Imports
 // are read from the source with go/build, so the test runs no go
 // command and needs no network.
 func TestImportLayering(t *testing.T) {
@@ -23,6 +25,7 @@ func TestImportLayering(t *testing.T) {
 		"internal/diskstore": nil,
 		"internal/bicc":      nil,
 		"internal/par":       nil,
+		"internal/obs":       nil,
 		"internal/cooccur":   {"repro/internal/corpus", "repro/internal/faultfs", "repro/internal/stats"},
 		"internal/simjoin":   {"repro/internal/cluster"},
 		"internal/extsort":   {"repro/internal/faultfs"},

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/par"
@@ -41,6 +42,16 @@ type Graph struct {
 	clusters  []cluster.Cluster
 	edges     int
 	maxWeight float64
+
+	// The solve index (solveindex.go), each part built on first request
+	// under mu and never written again, except that a deeper suffix
+	// table replaces a shallower one.
+	mu          sync.Mutex
+	suffix      []float64
+	suffixDepth int
+	toEnd       []float64
+	fromStart   []float64
+	pairEdges   [][]Edge
 }
 
 // NumIntervals returns m.
@@ -363,6 +374,8 @@ func edgePairs(ctx context.Context, sets [][]cluster.Cluster, tasks []intervalPa
 // orders — children by (weight desc, peer asc), parents by peer asc —
 // are strict total orders (a peer appears at most once per list), so
 // sorting the extended lists reproduces the one-shot build exactly.
+// The new graph's solve index starts empty, and g's is left as it is:
+// a new interval changes U and P all the way back to interval 0.
 //
 // Normalized graphs cannot be extended: normalization already rescaled
 // the old weights by a maximum the new interval may change, so the

@@ -65,7 +65,7 @@ func newBFSRun(g *clustergraph.Graph, req Request, l int) *bfsRun {
 	if r.fullPath {
 		r.perNode = 1
 	}
-	r.bound = newSuffixBound(g, req, l, &r.stats)
+	r.bound = newSuffixBound(g, req, l)
 	r.floor = r.bound.floor(r.global.Threshold())
 	r.heaps = newPathHeaps(&r.slab, req.K, g.NumNodes()*r.perNode)
 	r.heaps.reuse = true

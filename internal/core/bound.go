@@ -6,16 +6,19 @@ import (
 	"repro/internal/clustergraph"
 )
 
-// suffixBound is the exact suffix bound BFS, DFS and TA prune with. A
-// backward sweep, last interval first, sets U_r(v), the weight of the
-// heaviest path of temporal length exactly r that starts at v (−Inf when
-// there is none, U_0 = 0), for every r ≤ l: O(E·l) work and N·(l+1)
-// float64s. For full paths (l = m−1) a prefix ending at v can only go on
-// to the last interval, so one value per node is kept: U_{m−1−i}(v), the
-// heaviest path from v to the last interval.
+// suffixBound is the exact suffix bound BFS, DFS and TA prune with. It
+// reads U_r(v), the weight of the heaviest path of temporal length
+// exactly r that starts at v (−Inf when there is none, U_0 = 0), from
+// the graph's solve index (clustergraph/solveindex.go), which sweeps it
+// once per graph and shares it with every solve. For full paths (l =
+// m−1) a prefix ending at v can only go on to the last interval, so one
+// value per node is read: U_{m−1−i}(v), the heaviest path from v to the
+// last interval. None of it depends on the request, so a solve's Stats
+// do not count the sweeps' edge reads, and a solve on a warm graph
+// counts exactly what one on a fresh graph does.
 //
-// From the sweep it seeds a floor F, the k-th largest U_l(s) over the
-// nodes s a sought path can start at. Those are the weights of k real
+// Per solve it seeds a floor F, the k-th largest U_l(s) over the nodes s
+// a sought path can start at, in O(N). Those are the weights of k real
 // paths with distinct first nodes, so the k-th answer weighs at least F,
 // as it weighs at least the k-th weight any solver has seen so far. A
 // path through a prefix of weight w ending at v, of length x, weighs at
@@ -24,59 +27,27 @@ import (
 // U sums a path last hop first, the solvers first hop first, and the two
 // may differ in the last bits.
 type suffixBound struct {
-	g    *clustergraph.Graph
-	l    int
-	full bool
-	u    []float64 // U_r(v) at v*(l+1)+r; for full paths U(v) at v
-	p    []float64 // P(v), full paths only, once sweepPrefixes has run
-	f    float64   // the seeded floor F
-	on   bool      // false: the unbounded reference (disableSuffixBound)
+	g      *clustergraph.Graph
+	full   bool
+	u      []float64 // U_r(v) at v*stride+r; for full paths U(v) at v
+	stride int
+	p      []float64 // P(v), full paths only, once withPrefixes has run
+	f      float64   // the seeded floor F
+	on     bool      // false: the unbounded reference (disableSuffixBound)
 }
 
-// newSuffixBound sweeps g for paths of length l and seeds the floor for
-// a top-k of size k, counting the edges it reads in st.
-func newSuffixBound(g *clustergraph.Graph, req Request, l int, st *Stats) suffixBound {
+// newSuffixBound reads g's suffix weights for paths of length l and
+// seeds the floor for a top-k of size k.
+func newSuffixBound(g *clustergraph.Graph, req Request, l int) suffixBound {
 	m := g.NumIntervals()
-	b := suffixBound{g: g, l: l, full: l == m-1, f: math.Inf(-1), on: !req.disableSuffixBound}
+	b := suffixBound{g: g, full: l == m-1, f: math.Inf(-1), on: !req.disableSuffixBound}
 	if !b.on {
 		return b
 	}
-	span := l + 1
 	if b.full {
-		span = 1
-	}
-	b.u = make([]float64, g.NumNodes()*span)
-	for i := m - 1; i >= 0; i-- {
-		for _, v := range g.NodesAt(i) {
-			children := g.Children(v)
-			st.EdgeReads += int64(len(children))
-			if b.full {
-				u := math.Inf(-1)
-				if i == m-1 {
-					u = 0
-				}
-				for _, h := range children {
-					if w := h.Weight + b.u[h.Peer]; w > u {
-						u = w
-					}
-				}
-				b.u[v] = u
-				continue
-			}
-			uv := b.u[int(v)*span : (int(v)+1)*span]
-			for r := 1; r <= l; r++ {
-				uv[r] = math.Inf(-1)
-			}
-			room := min(l, m-1-i)
-			for _, h := range children {
-				uc := b.u[int(h.Peer)*span:]
-				for r := h.Length; r <= room; r++ {
-					if w := h.Weight + uc[r-h.Length]; w > uv[r] {
-						uv[r] = w
-					}
-				}
-			}
-		}
+		b.u = g.ToEndWeights()
+	} else {
+		b.u, b.stride = g.SuffixWeights(l)
 	}
 	top := make([]float64, 0, min(req.K, g.NumNodes()))
 	for i := 0; i <= m-1-l; i++ {
@@ -100,35 +71,17 @@ func (b *suffixBound) rest(v int64, r int) float64 {
 		}
 		return b.u[v]
 	}
-	return b.u[int(v)*(b.l+1)+r]
+	return b.u[int(v)*b.stride+r]
 }
 
-// sweepPrefixes is the forward twin of the full-path sweep, for TA: first
-// interval first, it sets P(v), the weight of the heaviest path from
-// interval 0 to v (−Inf when there is none, 0 on interval 0), in O(E),
-// counting the edges it reads in st. A full path through the edge
-// (u, v) of weight w then weighs at most P(u) + w + U(v).
-func (b *suffixBound) sweepPrefixes(st *Stats) {
-	if !b.on {
-		return
-	}
-	g := b.g
-	b.p = make([]float64, g.NumNodes())
-	for i := 0; i < g.NumIntervals(); i++ {
-		for _, v := range g.NodesAt(i) {
-			parents := g.Parents(v)
-			st.EdgeReads += int64(len(parents))
-			p := math.Inf(-1)
-			if i == 0 {
-				p = 0
-			}
-			for _, h := range parents {
-				if w := b.p[h.Peer] + h.Weight; w > p {
-					p = w
-				}
-			}
-			b.p[v] = p
-		}
+// withPrefixes adds, for TA, the forward twin of the full-path weights:
+// P(v), the weight of the heaviest path from interval 0 to v (−Inf when
+// there is none, 0 on interval 0), from the same index. A full path
+// through the edge (u, v) of weight w then weighs at most
+// P(u) + w + U(v).
+func (b *suffixBound) withPrefixes() {
+	if b.on {
+		b.p = b.g.FromStartWeights()
 	}
 }
 

@@ -22,9 +22,10 @@
 //   - "brute", "brute-normalized": exhaustive oracles (brute.go).
 //
 // BFS, DFS and TA prune on one exact suffix bound, the heaviest path of
-// each length from each node, swept last interval first (bound.go); TA
-// also takes its forward twin, the heaviest path from interval 0 to
-// each node.
+// each length from each node (bound.go); TA also takes its forward
+// twin, the heaviest path from interval 0 to each node. Both, and TA's
+// sorted edge lists, are swept once per graph and shared by every solve
+// on it (the graph's solve index, clustergraph/solveindex.go).
 //
 // Every solver is sequential; results are deterministic because the
 // top-k order (topk.Better) is a strict total order and heap contents
@@ -53,7 +54,8 @@ type Stats struct {
 	NodeReads int64 `json:"node_reads"`
 	// NodeWrites counts node-state saves.
 	NodeWrites int64 `json:"node_writes"`
-	// EdgeReads counts edge/adjacency examinations.
+	// EdgeReads counts the solve's own edge/adjacency examinations, not
+	// the once-per-graph sweeps of the solve index.
 	EdgeReads int64 `json:"edge_reads"`
 	// HeapConsiders counts offers to any top-k heap.
 	HeapConsiders int64 `json:"heap_considers"`

@@ -90,7 +90,7 @@ func newDFSRun(ctx context.Context, g *clustergraph.Graph, req Request, l int) *
 		global:     topk.NewK(req.K),
 	}
 	if r.prune {
-		r.bound = newSuffixBound(g, req, l, &r.stats)
+		r.bound = newSuffixBound(g, req, l)
 	}
 	for i := 0; i < len(r.maxweight); i += l + 1 {
 		for x := 1; x <= l; x++ {

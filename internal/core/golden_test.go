@@ -45,19 +45,19 @@ type goldenRow struct {
 var golden = map[string]goldenRow{
 	"gap0/bfs-sub": {
 		paths: []topk.Path{{Nodes: []int64{3, 10, 16}, Length: 2, Weight: 1.8733328574192272}, {Nodes: []int64{1, 8, 17}, Length: 2, Weight: 1.8282275434101884}, {Nodes: []int64{10, 16, 18}, Length: 2, Weight: 1.6001354175264262}},
-		stats: Stats{NodeReads: 24, NodeWrites: 30, EdgeReads: 64, HeapConsiders: 9, Pruned: 16, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 3},
+		stats: Stats{NodeReads: 24, NodeWrites: 30, EdgeReads: 14, HeapConsiders: 9, Pruned: 16, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 3},
 	},
 	"gap0/bfs-full": {
 		paths: []topk.Path{{Nodes: []int64{3, 10, 16, 18, 24}, Length: 4, Weight: 3.276619336639582}, {Nodes: []int64{3, 10, 16, 19, 26}, Length: 4, Weight: 3.202462973694655}, {Nodes: []int64{3, 10, 16, 23, 24}, Length: 4, Weight: 3.031397760786878}},
-		stats: Stats{NodeReads: 24, NodeWrites: 30, EdgeReads: 81, HeapConsiders: 23, Pruned: 19, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 6},
+		stats: Stats{NodeReads: 24, NodeWrites: 30, EdgeReads: 31, HeapConsiders: 23, Pruned: 19, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 6},
 	},
 	"gap0/dfs": {
 		paths: []topk.Path{{Nodes: []int64{3, 10, 16}, Length: 2, Weight: 1.8733328574192272}, {Nodes: []int64{1, 8, 17}, Length: 2, Weight: 1.8282275434101884}, {Nodes: []int64{10, 16, 18}, Length: 2, Weight: 1.6001354175264262}},
-		stats: Stats{NodeReads: 65, NodeWrites: 65, EdgeReads: 115, HeapConsiders: 21, Pruned: 47, Repushes: 35, RandomSeeks: 0, PeakStatePaths: 4},
+		stats: Stats{NodeReads: 65, NodeWrites: 65, EdgeReads: 65, HeapConsiders: 21, Pruned: 47, Repushes: 35, RandomSeeks: 0, PeakStatePaths: 4},
 	},
 	"gap0/ta": {
 		paths: []topk.Path{{Nodes: []int64{3, 10, 16, 18, 24}, Length: 4, Weight: 3.276619336639582}, {Nodes: []int64{3, 10, 16, 19, 26}, Length: 4, Weight: 3.202462973694655}, {Nodes: []int64{3, 10, 16, 23, 24}, Length: 4, Weight: 3.031397760786878}},
-		stats: Stats{NodeReads: 0, NodeWrites: 0, EdgeReads: 100, HeapConsiders: 5, Pruned: 11, Repushes: 0, RandomSeeks: 5, PeakStatePaths: 0},
+		stats: Stats{NodeReads: 0, NodeWrites: 0, EdgeReads: 8, HeapConsiders: 5, Pruned: 11, Repushes: 0, RandomSeeks: 5, PeakStatePaths: 0},
 	},
 	"gap0/normalized": {
 		paths: []topk.Path{{Nodes: []int64{3, 10, 16}, Length: 2, Weight: 0.9366664287096136}, {Nodes: []int64{1, 8, 17}, Length: 2, Weight: 0.9141137717050942}, {Nodes: []int64{3, 10, 16, 18}, Length: 3, Weight: 0.8250811420644864}},
@@ -65,19 +65,19 @@ var golden = map[string]goldenRow{
 	},
 	"gap2/bfs-sub": {
 		paths: []topk.Path{{Nodes: []int64{15, 24, 25}, Length: 2, Weight: 1.9668916114544919}, {Nodes: []int64{15, 24, 26}, Length: 2, Weight: 1.890787416577656}, {Nodes: []int64{1, 7, 11}, Length: 2, Weight: 1.8688345463479306}},
-		stats: Stats{NodeReads: 60, NodeWrites: 30, EdgeReads: 227, HeapConsiders: 11, Pruned: 44, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 2},
+		stats: Stats{NodeReads: 60, NodeWrites: 30, EdgeReads: 62, HeapConsiders: 11, Pruned: 44, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 2},
 	},
 	"gap2/bfs-full": {
 		paths: []topk.Path{{Nodes: []int64{0, 8, 10, 18, 21, 25}, Length: 5, Weight: 4.179336812056002}, {Nodes: []int64{1, 7, 11, 19, 21, 25}, Length: 5, Weight: 4.119532793072843}, {Nodes: []int64{1, 5, 14, 18, 21, 25}, Length: 5, Weight: 4.110134679322221}},
-		stats: Stats{NodeReads: 60, NodeWrites: 30, EdgeReads: 254, HeapConsiders: 22, Pruned: 102, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 4},
+		stats: Stats{NodeReads: 60, NodeWrites: 30, EdgeReads: 89, HeapConsiders: 22, Pruned: 102, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 4},
 	},
 	"gap2/dfs": {
 		paths: []topk.Path{{Nodes: []int64{15, 24, 25}, Length: 2, Weight: 1.9668916114544919}, {Nodes: []int64{15, 24, 26}, Length: 2, Weight: 1.890787416577656}, {Nodes: []int64{1, 7, 11}, Length: 2, Weight: 1.8688345463479306}},
-		stats: Stats{NodeReads: 144, NodeWrites: 119, EdgeReads: 309, HeapConsiders: 60, Pruned: 99, Repushes: 89, RandomSeeks: 0, PeakStatePaths: 8},
+		stats: Stats{NodeReads: 144, NodeWrites: 119, EdgeReads: 144, HeapConsiders: 60, Pruned: 99, Repushes: 89, RandomSeeks: 0, PeakStatePaths: 8},
 	},
 	"gap2/ta": {
 		paths: []topk.Path{{Nodes: []int64{0, 8, 10, 18, 21, 25}, Length: 5, Weight: 4.179336812056002}, {Nodes: []int64{1, 7, 11, 19, 21, 25}, Length: 5, Weight: 4.1195327930728425}, {Nodes: []int64{1, 5, 14, 18, 21, 25}, Length: 5, Weight: 4.110134679322221}},
-		stats: Stats{NodeReads: 0, NodeWrites: 0, EdgeReads: 330, HeapConsiders: 16, Pruned: 325, Repushes: 0, RandomSeeks: 55, PeakStatePaths: 0},
+		stats: Stats{NodeReads: 0, NodeWrites: 0, EdgeReads: 108, HeapConsiders: 16, Pruned: 325, Repushes: 0, RandomSeeks: 55, PeakStatePaths: 0},
 	},
 	"gap2/normalized": {
 		paths: []topk.Path{{Nodes: []int64{15, 24, 25}, Length: 2, Weight: 0.9834458057272459}, {Nodes: []int64{15, 24, 26}, Length: 2, Weight: 0.945393708288828}, {Nodes: []int64{1, 7, 11}, Length: 2, Weight: 0.9344172731739653}},
@@ -85,19 +85,19 @@ var golden = map[string]goldenRow{
 	},
 	"gap1/bfs-sub": {
 		paths: []topk.Path{{Nodes: []int64{3, 11, 15}, Length: 2, Weight: 1.8701248559003314}, {Nodes: []int64{4, 6, 16}, Length: 2, Weight: 1.7467718477811967}, {Nodes: []int64{5, 8, 16}, Length: 2, Weight: 1.7423970354051643}},
-		stats: Stats{NodeReads: 42, NodeWrites: 30, EdgeReads: 133, HeapConsiders: 9, Pruned: 43, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 3},
+		stats: Stats{NodeReads: 42, NodeWrites: 30, EdgeReads: 40, HeapConsiders: 9, Pruned: 43, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 3},
 	},
 	"gap1/bfs-full": {
 		paths: []topk.Path{{Nodes: []int64{3, 11, 15, 21, 28}, Length: 4, Weight: 3.4034032490521255}, {Nodes: []int64{4, 7, 14, 21, 28}, Length: 4, Weight: 3.2757316800240472}, {Nodes: []int64{1, 11, 15, 21, 28}, Length: 4, Weight: 3.1580301646119198}},
-		stats: Stats{NodeReads: 42, NodeWrites: 30, EdgeReads: 131, HeapConsiders: 15, Pruned: 36, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 3},
+		stats: Stats{NodeReads: 42, NodeWrites: 30, EdgeReads: 38, HeapConsiders: 15, Pruned: 36, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 3},
 	},
 	"gap1/dfs": {
 		paths: []topk.Path{{Nodes: []int64{3, 11, 15}, Length: 2, Weight: 1.8701248559003314}, {Nodes: []int64{4, 6, 16}, Length: 2, Weight: 1.7467718477811967}, {Nodes: []int64{5, 8, 16}, Length: 2, Weight: 1.7423970354051643}},
-		stats: Stats{NodeReads: 122, NodeWrites: 122, EdgeReads: 215, HeapConsiders: 21, Pruned: 102, Repushes: 92, RandomSeeks: 0, PeakStatePaths: 2},
+		stats: Stats{NodeReads: 122, NodeWrites: 122, EdgeReads: 122, HeapConsiders: 21, Pruned: 102, Repushes: 92, RandomSeeks: 0, PeakStatePaths: 2},
 	},
 	"gap1/ta": {
 		paths: []topk.Path{{Nodes: []int64{3, 11, 15, 21, 28}, Length: 4, Weight: 3.4034032490521255}, {Nodes: []int64{4, 7, 14, 21, 28}, Length: 4, Weight: 3.2757316800240472}, {Nodes: []int64{1, 11, 15, 21, 28}, Length: 4, Weight: 3.1580301646119198}},
-		stats: Stats{NodeReads: 0, NodeWrites: 0, EdgeReads: 186, HeapConsiders: 11, Pruned: 79, Repushes: 0, RandomSeeks: 23, PeakStatePaths: 0},
+		stats: Stats{NodeReads: 0, NodeWrites: 0, EdgeReads: 49, HeapConsiders: 11, Pruned: 79, Repushes: 0, RandomSeeks: 23, PeakStatePaths: 0},
 	},
 	"gap1/normalized": {
 		paths: []topk.Path{{Nodes: []int64{3, 11, 15}, Length: 2, Weight: 0.9350624279501657}, {Nodes: []int64{4, 6, 16}, Length: 2, Weight: 0.8733859238905983}, {Nodes: []int64{5, 8, 16}, Length: 2, Weight: 0.8711985177025822}},

@@ -34,13 +34,13 @@ var pinnedShapes = []struct {
 	stats  string
 }{
 	{"dfs", synth.Config{M: 6, N: 40, D: 5, G: 1}, Request{Algorithm: "dfs", K: 5, L: FullPaths},
-		"64b24b96718c3ecd", "{588 547 2496 200 494 369 0 20 0}"},
+		"64b24b96718c3ecd", "{588 547 588 200 494 369 0 20 0}"},
 	{"ta", synth.Config{M: 6, N: 30, D: 5, G: 0}, Request{Algorithm: "ta", K: 5, L: FullPaths},
-		"055b1b54ccfa3ca3", "{0 0 1626 19 300 0 50 0 0}"},
+		"055b1b54ccfa3ca3", "{0 0 65 19 300 0 50 0 0}"},
 	{"bfs_full", synth.Config{M: 10, N: 100, D: 5, G: 1}, Request{Algorithm: "bfs", K: 5, L: FullPaths},
-		"2d5d240235a9794c", "{1700 1000 9903 69 589 0 0 8 0}"},
+		"2d5d240235a9794c", "{1700 1000 327 69 589 0 0 8 0}"},
 	{"bfs_sub", synth.Config{M: 10, N: 100, D: 5, G: 1}, Request{Algorithm: "bfs", K: 5, L: 3},
-		"b324484c0591585c", "{1700 1000 9807 20 314 0 0 4 0}"},
+		"b324484c0591585c", "{1700 1000 231 20 314 0 0 4 0}"},
 	{"normalized", synth.Config{M: 8, N: 8, D: 3, G: 0}, Request{Algorithm: "normalized", K: 5, LMin: 3},
 		"ca74e015954916c9", "{224 256 1840 2199 1614 0 0 114 4}"},
 }

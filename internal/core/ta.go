@@ -17,10 +17,12 @@ var ErrSeekBudget = fmt.Errorf("core: TA random-seek budget exhausted")
 // every seen edge is expanded — via random seeks — into all full paths
 // containing it; the run stops when the current k-th best weight
 // reaches the virtual-tuple bound (the sum of the top unseen weights of
-// all lists).
+// all lists). The edge lists (sorted ahead of time, as Section 4.4
+// assumes) and its startwts/endwts tables (the suffix bound's U(v) and
+// its forward twin P(v), bound.go) come from the graph's solve index:
+// a solve walks a cursor down each list, and counts the edges it
+// consumes as EdgeReads.
 //
-// Section 4.4's startwts/endwts tables are the suffix bound's U(v) and
-// its forward twin P(v) (bound.go), both swept before the first round.
 // An expansion drops every edge, and every prefix or suffix branch,
 // whose full paths cannot reach the bound's floor. Every prefix and
 // suffix of a final top-k path reaches it, and anything dropped ranks
@@ -42,61 +44,12 @@ func solveTA(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, 
 		ctx:      ctx,
 		global:   topk.NewK(req.K),
 	}
-	r.bound = newSuffixBound(g, req, l, &r.stats)
-	r.bound.sweepPrefixes(&r.stats)
+	r.bound = newSuffixBound(g, req, l)
+	r.bound.withPrefixes()
 	if err := r.run(); err != nil {
 		return nil, err
 	}
 	return &Result{Paths: r.global.Items(), Stats: r.stats}, nil
-}
-
-type taEdge struct {
-	from, to int64
-	weight   float64
-}
-
-// taBefore is the order an edge list is consumed in: weight descending,
-// then from, then to.
-func taBefore(a, b taEdge) bool {
-	if a.weight != b.weight {
-		return a.weight > b.weight
-	}
-	if a.from != b.from {
-		return a.from < b.from
-	}
-	return a.to < b.to
-}
-
-// edgeList is one interval pair's edges, a heap under taBefore: the
-// round-robin reads only a few heads of each list, so a list is
-// heapified in O(E) and popped on demand instead of sorted.
-type edgeList []taEdge
-
-func (h edgeList) down(j int) {
-	for {
-		c := 2*j + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && taBefore(h[c+1], h[c]) {
-			c++
-		}
-		if !taBefore(h[c], h[j]) {
-			return
-		}
-		h[j], h[c] = h[c], h[j]
-		j = c
-	}
-}
-
-// pop removes and returns the head.
-func (h *edgeList) pop() taEdge {
-	old := *h
-	e, n := old[0], len(old)-1
-	old[0] = old[n]
-	*h = old[:n]
-	h.down(0)
-	return e
 }
 
 type taRun struct {
@@ -123,48 +76,11 @@ type taRun struct {
 	nodes    []int64 // scratch for global offers
 }
 
-// buildLists collects one edge list per interval pair (i, j), j−i ≤ g+1,
-// each in one pre-sized slice of a shared backing array.
-func (r *taRun) buildLists() []edgeList {
-	g := r.g
-	// The list of pair (i, i+d) is lists[i*(gap+1)+d−1]; pairs that run
-	// past the last interval stay empty.
-	span := g.Gap() + 1
-	sizes := make([]int, g.NumIntervals()*span)
-	edges := 0
-	for i := 0; i < g.NumIntervals(); i++ {
-		for _, u := range g.NodesAt(i) {
-			for _, h := range g.Children(u) {
-				sizes[i*span+h.Length-1]++
-				edges++
-			}
-		}
-	}
-	all := make([]taEdge, edges)
-	lists := make([]edgeList, len(sizes))
-	at := 0
-	for li, n := range sizes {
-		lists[li] = all[at : at : at+n]
-		at += n
-	}
-	for i := 0; i < g.NumIntervals(); i++ {
-		for _, u := range g.NodesAt(i) {
-			for _, h := range g.Children(u) {
-				li := i*span + h.Length - 1
-				lists[li] = append(lists[li], taEdge{from: u, to: h.Peer, weight: h.Weight})
-			}
-		}
-	}
-	for _, list := range lists {
-		for j := len(list)/2 - 1; j >= 0; j-- {
-			list.down(j)
-		}
-	}
-	return lists
-}
-
 func (r *taRun) run() error {
-	lists := r.buildLists()
+	lists := r.g.PairEdges()
+	// The round-robin consumes each list in its sorted order; next[li]
+	// is the head of list li, the first edge not yet consumed.
+	next := make([]int, len(lists))
 	m := r.g.NumIntervals()
 
 	for {
@@ -177,9 +93,9 @@ func (r *taRun) run() error {
 		// is a safe upper bound.
 		virtual := 0.0
 		exhausted := true
-		for _, list := range lists {
-			if len(list) > 0 {
-				virtual += list[0].weight
+		for li, list := range lists {
+			if next[li] < len(list) {
+				virtual += list[next[li]].Weight
 				exhausted = false
 			}
 		}
@@ -190,11 +106,14 @@ func (r *taRun) run() error {
 			return nil // the stopping rule
 		}
 		// Round-robin: consume the head of each non-empty list.
-		for li := range lists {
-			if len(lists[li]) == 0 {
+		for li, list := range lists {
+			if next[li] == len(list) {
 				continue
 			}
-			if err := r.expand(lists[li].pop(), m); err != nil {
+			e := list[next[li]]
+			next[li]++
+			r.stats.EdgeReads++
+			if err := r.expand(e, m); err != nil {
 				return err
 			}
 		}
@@ -205,26 +124,26 @@ func (r *taRun) run() error {
 // containing edge e that can reach the bound's floor, and checks each
 // against the top-k heap. A path is a prefix ref, the edge and a suffix
 // ref until the heap's floor lets it in.
-func (r *taRun) expand(e taEdge, m int) error {
+func (r *taRun) expand(e clustergraph.Edge, m int) error {
 	r.floor = r.bound.floor(r.global.Threshold())
-	if r.bound.fromStart(e.from)+e.weight+r.bound.toEnd(e.to) < r.floor {
+	if r.bound.fromStart(e.From)+e.Weight+r.bound.toEnd(e.To) < r.floor {
 		r.stats.Pruned++
 		return nil
 	}
 	r.slab.reset()
-	r.beyond = e.weight + r.bound.toEnd(e.to)
-	if err := r.pathsEnding(e.from); err != nil {
+	r.beyond = e.Weight + r.bound.toEnd(e.To)
+	if err := r.pathsEnding(e.From); err != nil {
 		return err
 	}
 	if len(r.prefixes) == 0 {
 		return nil // no full prefix, or none that can reach the floor
 	}
-	r.beyond = r.bestWeight(r.prefixes) + e.weight
-	if err := r.pathsStarting(e.to); err != nil {
+	r.beyond = r.bestWeight(r.prefixes) + e.Weight
+	if err := r.pathsStarting(e.To); err != nil {
 		return err
 	}
 	for _, p := range r.prefixes {
-		upToEdge := r.weight(p) + e.weight
+		upToEdge := r.weight(p) + e.Weight
 		for _, s := range r.suffixes {
 			weight := upToEdge + r.weight(s)
 			r.stats.HeapConsiders++

@@ -5,29 +5,28 @@ import (
 	"errors"
 	"time"
 
-	"repro/internal/clustergraph"
 	"repro/internal/core"
 	"repro/internal/synth"
 )
 
-// timeBFS runs BFS and reports the duration.
-func timeBFS(g *clustergraph.Graph, k, l int) (time.Duration, *core.Result, error) {
+// timeSolve generates cfg's graph and times one solve of req on it.
+// Every timed solve gets a graph of its own (synth.Generate is
+// deterministic): the first solve on a graph builds the graph's solve
+// index, the suffix bound's sweeps and TA's sorted edge lists, so a
+// solver timed second on a shared graph would skip that cost.
+func timeSolve(cfg synth.Config, req core.Request) (time.Duration, *core.Result, error) {
+	g, err := synth.Generate(cfg)
+	if err != nil {
+		return 0, nil, err
+	}
 	start := time.Now()
-	res, err := core.Solve(context.Background(), g, core.Request{Algorithm: "bfs", K: k, L: l})
+	res, err := core.Solve(context.Background(), g, req)
 	return time.Since(start), res, err
 }
 
-func timeDFS(g *clustergraph.Graph, k, l int) (time.Duration, *core.Result, error) {
-	start := time.Now()
-	res, err := core.Solve(context.Background(), g, core.Request{Algorithm: "dfs", K: k, L: l})
-	return time.Since(start), res, err
-}
+func bfs(k, l int) core.Request { return core.Request{Algorithm: "bfs", K: k, L: l} }
 
-func timeTA(g *clustergraph.Graph, k int, maxSeeks int64) (time.Duration, *core.Result, error) {
-	start := time.Now()
-	res, err := core.Solve(context.Background(), g, core.Request{Algorithm: "ta", K: k, L: core.FullPaths, MaxSeeks: maxSeeks})
-	return time.Since(start), res, err
-}
+func dfs(k, l int) core.Request { return core.Request{Algorithm: "dfs", K: k, L: l} }
 
 // Table3 reproduces Table 3: BFS vs DFS vs TA wall-clock for top-5 full
 // paths, n=400, g=0, d=5, m ∈ {3,6,9,12,15}. TA is capped by a seek
@@ -37,25 +36,23 @@ func Table3(scale Scale) (*Table, error) {
 		ID:     "table3",
 		Title:  "BFS vs DFS vs TA, top-5 full paths (n=400, g=0, d=5)",
 		Header: []string{"m", "BFS s", "DFS s", "TA s"},
-		Notes:  "paper shape: BFS << DFS; TA competitive at m=3, explodes by m=9, infeasible at m=12+",
+		Notes: "paper shape: BFS << DFS; TA competitive at m=3, explodes by m=9, infeasible at m=12+; " +
+			"each solver is timed on its own copy of the graph, so each pays for the graph's solve index",
 	}
 	n := scale.nodes(400)
 	for _, m := range []int{3, 6, 9, 12, 15} {
-		g, err := synth.Generate(synth.Config{Seed: 10 + int64(m), M: m, N: n, D: 5, G: 0})
+		cfg := synth.Config{Seed: 10 + int64(m), M: m, N: n, D: 5, G: 0}
+		bfsT, _, err := timeSolve(cfg, bfs(5, core.FullPaths))
 		if err != nil {
 			return nil, err
 		}
-		bfsT, _, err := timeBFS(g, 5, core.FullPaths)
-		if err != nil {
-			return nil, err
-		}
-		dfsT, _, err := timeDFS(g, 5, core.FullPaths)
+		dfsT, _, err := timeSolve(cfg, dfs(5, core.FullPaths))
 		if err != nil {
 			return nil, err
 		}
 		taCell := "n/a"
 		if m <= 9 {
-			taT, _, err := timeTA(g, 5, 50_000_000)
+			taT, _, err := timeSolve(cfg, core.Request{Algorithm: "ta", K: 5, L: core.FullPaths, MaxSeeks: 50_000_000})
 			switch {
 			case errors.Is(err, core.ErrSeekBudget):
 				taCell = "> budget"
@@ -85,11 +82,7 @@ func Fig7(scale Scale) (*Table, error) {
 	for _, m := range []int{5, 10, 15, 20, 25} {
 		row := []string{itoa(m)}
 		for _, g := range []int{0, 1, 2} {
-			cg, err := synth.Generate(synth.Config{Seed: int64(100*m + g), M: m, N: n, D: 5, G: g})
-			if err != nil {
-				return nil, err
-			}
-			d, _, err := timeBFS(cg, 5, core.FullPaths)
+			d, _, err := timeSolve(synth.Config{Seed: int64(100*m + g), M: m, N: n, D: 5, G: g}, bfs(5, core.FullPaths))
 			if err != nil {
 				return nil, err
 			}
@@ -113,11 +106,7 @@ func Fig8(scale Scale) (*Table, error) {
 	for _, m := range []int{5, 10, 15, 20, 25} {
 		row := []string{itoa(m)}
 		for _, d := range []int{3, 5, 7} {
-			cg, err := synth.Generate(synth.Config{Seed: int64(200*m + d), M: m, N: n, D: d, G: 2})
-			if err != nil {
-				return nil, err
-			}
-			dur, _, err := timeBFS(cg, 5, core.FullPaths)
+			dur, _, err := timeSolve(synth.Config{Seed: int64(200*m + d), M: m, N: n, D: d, G: 2}, bfs(5, core.FullPaths))
 			if err != nil {
 				return nil, err
 			}
@@ -140,11 +129,7 @@ func Fig9(scale Scale) (*Table, error) {
 	for _, n := range []int{2000, 5000, 8000, 11000, 14000} {
 		row := []string{itoa(scale.nodes(n))}
 		for _, m := range []int{25, 50} {
-			cg, err := synth.Generate(synth.Config{Seed: int64(n + m), M: m, N: scale.nodes(n), D: 5, G: 1})
-			if err != nil {
-				return nil, err
-			}
-			dur, _, err := timeBFS(cg, 5, core.FullPaths)
+			dur, _, err := timeSolve(synth.Config{Seed: int64(n + m), M: m, N: scale.nodes(n), D: 5, G: 1}, bfs(5, core.FullPaths))
 			if err != nil {
 				return nil, err
 			}
@@ -167,11 +152,7 @@ func Fig10(scale Scale) (*Table, error) {
 	for _, n := range []int{500, 1000, 1500, 2000, 2500} {
 		row := []string{itoa(scale.nodes(n))}
 		for _, l := range []int{4, 8, 12} {
-			cg, err := synth.Generate(synth.Config{Seed: int64(10*n + l), M: 15, N: scale.nodes(n), D: 5, G: 2})
-			if err != nil {
-				return nil, err
-			}
-			dur, _, err := timeBFS(cg, 5, l)
+			dur, _, err := timeSolve(synth.Config{Seed: int64(10*n + l), M: 15, N: scale.nodes(n), D: 5, G: 2}, bfs(5, l))
 			if err != nil {
 				return nil, err
 			}
@@ -194,11 +175,7 @@ func Fig11(scale Scale) (*Table, error) {
 	for _, n := range []int{100, 200, 400} {
 		row := []string{itoa(scale.nodes(n))}
 		for _, m := range []int{3, 6, 9} {
-			cg, err := synth.Generate(synth.Config{Seed: int64(20*n + m), M: m, N: scale.nodes(n), D: 5, G: 1})
-			if err != nil {
-				return nil, err
-			}
-			dur, _, err := timeDFS(cg, 5, core.FullPaths)
+			dur, _, err := timeSolve(synth.Config{Seed: int64(20*n + m), M: m, N: scale.nodes(n), D: 5, G: 1}, dfs(5, core.FullPaths))
 			if err != nil {
 				return nil, err
 			}
@@ -222,11 +199,7 @@ func Fig12(scale Scale) (*Table, error) {
 	for _, d := range []int{2, 4, 6, 8} {
 		row := []string{itoa(d)}
 		for _, g := range []int{0, 1, 2} {
-			cg, err := synth.Generate(synth.Config{Seed: int64(30*d + g), M: 6, N: n, D: d, G: g})
-			if err != nil {
-				return nil, err
-			}
-			dur, _, err := timeDFS(cg, 5, core.FullPaths)
+			dur, _, err := timeSolve(synth.Config{Seed: int64(30*d + g), M: 6, N: n, D: d, G: g}, dfs(5, core.FullPaths))
 			if err != nil {
 				return nil, err
 			}
@@ -249,11 +222,7 @@ func Fig13(scale Scale) (*Table, error) {
 	for _, n := range []int{100, 200, 300} {
 		row := []string{itoa(scale.nodes(n))}
 		for _, l := range []int{2, 3, 4} {
-			cg, err := synth.Generate(synth.Config{Seed: int64(40*n + l), M: 6, N: scale.nodes(n), D: 5, G: 1})
-			if err != nil {
-				return nil, err
-			}
-			dur, _, err := timeDFS(cg, 5, l)
+			dur, _, err := timeSolve(synth.Config{Seed: int64(40*n + l), M: 6, N: scale.nodes(n), D: 5, G: 1}, dfs(5, l))
 			if err != nil {
 				return nil, err
 			}
@@ -277,15 +246,12 @@ func Fig14(scale Scale) (*Table, error) {
 	for _, m := range []int{6, 8, 10, 12, 14} {
 		row := []string{itoa(m)}
 		for _, lmin := range []int{2, 3, 4} {
-			cg, err := synth.Generate(synth.Config{Seed: int64(50*m + lmin), M: m, N: n, D: 3, G: 0})
+			dur, _, err := timeSolve(synth.Config{Seed: int64(50*m + lmin), M: m, N: n, D: 3, G: 0},
+				core.Request{Algorithm: "normalized", K: 5, LMin: lmin})
 			if err != nil {
 				return nil, err
 			}
-			start := time.Now()
-			if _, err := core.Solve(context.Background(), cg, core.Request{Algorithm: "normalized", K: 5, LMin: lmin}); err != nil {
-				return nil, err
-			}
-			row = append(row, fmtDur(time.Since(start)))
+			row = append(row, fmtDur(dur))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -299,19 +265,16 @@ func KSensitivity(scale Scale) (*Table, error) {
 		ID:     "ksens",
 		Title:  "impact of k on running time (m=9, n=400, d=5, g=1)",
 		Header: []string{"k", "BFS s", "DFS s"},
-		Notes:  "paper shape: minimal impact; times increase slowly with k",
+		Notes: "paper shape: minimal impact; times increase slowly with k; " +
+			"each solve runs on its own copy of the graph, so each pays for the graph's solve index",
 	}
-	n := scale.nodes(400)
-	cg, err := synth.Generate(synth.Config{Seed: 60, M: 9, N: n, D: 5, G: 1})
-	if err != nil {
-		return nil, err
-	}
+	cfg := synth.Config{Seed: 60, M: 9, N: scale.nodes(400), D: 5, G: 1}
 	for _, k := range []int{1, 5, 10, 25} {
-		bfsT, _, err := timeBFS(cg, k, core.FullPaths)
+		bfsT, _, err := timeSolve(cfg, bfs(k, core.FullPaths))
 		if err != nil {
 			return nil, err
 		}
-		dfsT, _, err := timeDFS(cg, k, core.FullPaths)
+		dfsT, _, err := timeSolve(cfg, dfs(k, core.FullPaths))
 		if err != nil {
 			return nil, err
 		}
@@ -334,19 +297,16 @@ func Memory(scale Scale) (*Table, error) {
 		Title:  "peak in-memory state, BFS vs DFS (top-3, l=6, n=2000, m=9, g=0)",
 		Header: []string{"algorithm", "peak paths", "approx bytes", "seconds"},
 		Notes: "paper: DFS < 2MB vs BFS 35MB, for its unbounded Algorithms 2 and 3; with the suffix bound " +
-			"both hold a few dozen paths at most and BFS holds fewer than DFS (3–4 vs 15–26 at scales 0.05–1)",
+			"both hold a few dozen paths at most and BFS holds fewer than DFS (3–4 vs 15–26 at scales 0.05–1); " +
+			"each solver is timed on its own copy of the graph, so each pays for the graph's solve index",
 	}
-	n := scale.nodes(2000)
-	cg, err := synth.Generate(synth.Config{Seed: 61, M: 9, N: n, D: 5, G: 0})
-	if err != nil {
-		return nil, err
-	}
+	cfg := synth.Config{Seed: 61, M: 9, N: scale.nodes(2000), D: 5, G: 0}
 	const pathBytes = 96 // nodes slice + header + weight/length, rough
-	bfsT, bfsRes, err := timeBFS(cg, 3, 6)
+	bfsT, bfsRes, err := timeSolve(cfg, bfs(3, 6))
 	if err != nil {
 		return nil, err
 	}
-	dfsT, dfsRes, err := timeDFS(cg, 3, 6)
+	dfsT, dfsRes, err := timeSolve(cfg, dfs(3, 6))
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,7 @@
 // primitive: records are buffered in memory up to a budget, spilled as
 // sorted runs to temporary files, and merged with a k-way heap merge.
 // The same code path is exercised whether or not a spill happens, so
-// tests can force tiny budgets while production callers use large ones.
+// tests can force tiny budgets while the benchmark probe uses large ones.
 //
 // No record is ever a heap object of its own. Add copies a record into
 // one byte arena and describes it by a span {prefix, off, n}; sorting
@@ -18,8 +18,11 @@
 // valid until the following Next. Record order is plain bytewise
 // comparison.
 //
-// Two extensions serve the keyword-graph pipeline (internal/cooccur,
-// see DESIGN.md):
+// No production package imports extsort: the keyword-graph pipeline's
+// spill is internal/cooccur's own single temp file (spill.go, see
+// DESIGN.md), and the only callers left are the benchmark harness's
+// extsort probe (bench/build.go) and this package's tests. Two
+// extensions remain from when cooccur spilled through here:
 //
 //   - NewRun streams an already-sorted sequence of records straight
 //     into a run file, bypassing the Add arena. It is safe for

@@ -27,19 +27,19 @@ import (
 func TestRouteBodiesPinned(t *testing.T) {
 	_, _, ts := newTestServer(t, quietConfig(nil))
 	cases := []struct{ method, path, body, sum, paths string }{
-		{"GET", "/v1/stable-clusters", "", "f767afb3200cc9ee5089773dd8eef3a3e810b220d302b3dc458e206b2ea3a733", "c0e23dd649109ea44e3f80bf85b4ee3266aa050fbe5c2da513b65c9fc234d179"},
-		{"GET", "/v1/stable-clusters?k=3&l=2", "", "731d88124380aed357e5f5d0a36d432f23e0c7704145d85a695f9b0184cd16b5", "b8a5fdc1a4c5b40e624876fa9a658701ef8be78f999cb55eb0223cb3cc58c190"},
-		{"GET", "/v1/stable-clusters?k=4&l=3&algorithm=bfs", "", "7ef1cd5f6c143b7654a4c936dbd207fdd3000a28a6703ebe2e2db9da87dcfba6", "82bcaaefa167a92c2aa3b66af7ccb8e744dcd979599525b51a832d7d2ab996bf"},
-		{"GET", "/v1/stable-clusters?k=4&l=3&algorithm=dfs", "", "33110c3933de9b8e43285812eda6dd5506db7cb6351da80c401d26d3f1f6e17e", "82bcaaefa167a92c2aa3b66af7ccb8e744dcd979599525b51a832d7d2ab996bf"},
+		{"GET", "/v1/stable-clusters", "", "e019c3fb110947d1e1b3b5b9c1851420d8d4eabaad2953ff21ba2455652476dc", "c0e23dd649109ea44e3f80bf85b4ee3266aa050fbe5c2da513b65c9fc234d179"},
+		{"GET", "/v1/stable-clusters?k=3&l=2", "", "541db706ac37e2a026ff504dde0335e92c4bfc99dc73d4e5c440fdba7d34d670", "b8a5fdc1a4c5b40e624876fa9a658701ef8be78f999cb55eb0223cb3cc58c190"},
+		{"GET", "/v1/stable-clusters?k=4&l=3&algorithm=bfs", "", "dc7567733fc17b78fc13fc8cc0a4c7e541f599d39b37301a516c572eccf86f9d", "82bcaaefa167a92c2aa3b66af7ccb8e744dcd979599525b51a832d7d2ab996bf"},
+		{"GET", "/v1/stable-clusters?k=4&l=3&algorithm=dfs", "", "0328d80f11d617d22737700c0fe8d035188b3400385db222ac08f85a3b12d632", "82bcaaefa167a92c2aa3b66af7ccb8e744dcd979599525b51a832d7d2ab996bf"},
 		{"GET", "/v1/stable-clusters?k=4&l=3&algorithm=brute", "", "a0e209e782139d11107c83fb74385b97b1c32d7f1233affaeab07018f629d6db", "82bcaaefa167a92c2aa3b66af7ccb8e744dcd979599525b51a832d7d2ab996bf"},
-		{"GET", "/v1/stable-clusters?k=4&algorithm=ta", "", "fcd77da23cd193c29888ade88eb8c18a26b502a0b602cde5e0cb8fc7a9398d31", "9c020148e4e6549e5708c30672aa69e02060eccf1697196f0a27f188b2caf857"},
+		{"GET", "/v1/stable-clusters?k=4&algorithm=ta", "", "d85dd8c5a3e294fad94b211be2f8e1cf80bbe3b881f14c573636171984c37d86", "9c020148e4e6549e5708c30672aa69e02060eccf1697196f0a27f188b2caf857"},
 		{"GET", "/v1/stable-clusters?variant=normalized&k=4&lmin=2", "", "e5b51ef1d46344d32e2d3a669b5c1f5a40ad5eec06cd35139427ee5bb4d87b28", "10bc91072d76b3aaaf5f8a5b6faa9e1b16917925ecd942aab7a65f1d25be1444"},
 		{"GET", "/v1/stable-clusters?variant=normalized&k=3&lmin=3&algorithm=brute-normalized", "", "dda3497268662ca86e0a6ace463f765773def6f1c54a9cda477a09797c096afa", "afa086844750da398e897dff8669e08616bda656856f10718cb6834b33ed866a"},
-		{"GET", "/v1/stable-clusters?variant=diverse&k=3&l=2&mode=endpoints", "", "7baa8e1afb0ec12fa17d4a78a6267f85f224c7ee2a623b646d11916d151b736b", "d1b94de5112d34d4295ed031024ef87f19e7947c7e02ab9ac2227f180527f922"},
-		{"GET", "/v1/stable-clusters?variant=diverse&k=3&l=2&mode=prefix", "", "998bd1ba713bb01541e97206e3f755885ec7d990b24d26351400b81dfbc2bb8a", "e38d422bb4c101f3aac541c1a6d4993e49cf029149cbaee3652a2fa72b509404"},
-		{"GET", "/v1/stable-clusters?variant=diverse&k=3&l=2&mode=suffix", "", "998bd1ba713bb01541e97206e3f755885ec7d990b24d26351400b81dfbc2bb8a", "e38d422bb4c101f3aac541c1a6d4993e49cf029149cbaee3652a2fa72b509404"},
-		{"GET", "/v1/stable-clusters?variant=diverse&k=3&l=2&mode=disjoint", "", "84dcc2cf81ff28e53895c09d731fa94c09c008979c570bc841c49aaf719a6655", "3fe81611933094cad9ec7ffbd1a2f8269bb11213058694befc015cb3d592b8ee"},
-		{"GET", "/v1/stable-clusters?k=2&l=6", "", "eef1b941b0ea15ea503a27b60ec29ae77d9d52b71cd13872f9569b6c0bd8beee", "a8b5ab2b35b6350c960c0a42cba96fd6d94cf7c934cdfd042f393d3b24591973"},
+		{"GET", "/v1/stable-clusters?variant=diverse&k=3&l=2&mode=endpoints", "", "e2daf5d4fb01b0ff4fbb06216046f5e2a5bd5bc752c20f5abaf83545325f97b9", "d1b94de5112d34d4295ed031024ef87f19e7947c7e02ab9ac2227f180527f922"},
+		{"GET", "/v1/stable-clusters?variant=diverse&k=3&l=2&mode=prefix", "", "7dff36337e4f0bf77b5bade64788c4a356d47c9ad72a0cafcd0614774c358463", "e38d422bb4c101f3aac541c1a6d4993e49cf029149cbaee3652a2fa72b509404"},
+		{"GET", "/v1/stable-clusters?variant=diverse&k=3&l=2&mode=suffix", "", "7dff36337e4f0bf77b5bade64788c4a356d47c9ad72a0cafcd0614774c358463", "e38d422bb4c101f3aac541c1a6d4993e49cf029149cbaee3652a2fa72b509404"},
+		{"GET", "/v1/stable-clusters?variant=diverse&k=3&l=2&mode=disjoint", "", "76a3e4b964a193dd36f5690de3b00689f4bba5d77981b2e7b9016da1912fe001", "3fe81611933094cad9ec7ffbd1a2f8269bb11213058694befc015cb3d592b8ee"},
+		{"GET", "/v1/stable-clusters?k=2&l=6", "", "b262e1ce8fb59cf317d9899c5762de341e7c0abea51cc7f7329f680540422ec2", "a8b5ab2b35b6350c960c0a42cba96fd6d94cf7c934cdfd042f393d3b24591973"},
 		{"GET", "/v1/timeseries?keyword=somalia", "", "930ec982ca3a74dd1fd4cd04155602aa27f71bfbe078c68e6afda7a6435d37ff", ""},
 		{"GET", "/v1/timeseries?keyword=zzzunseen", "", "ece325c0fb9573b9af4d7b7e1fda040a362d6461f19d3861e47bf2175fcae75a", ""},
 		{"GET", "/v1/bursts?keyword=somalia", "", "f843b9235e711ed53ff46e7259c1f3af491b2378809dfe27e64d37bfb18ebf76", ""},
@@ -56,7 +56,7 @@ func TestRouteBodiesPinned(t *testing.T) {
 		{"GET", "/v1/clusters?from=0&to=7", "", "71ef4c3e39aa20fa64b411fea195cbc53c71958d061e59cf1f4b78a965ece155", ""},
 		{"GET", "/v1/clusters?from=2&to=5&counts=1", "", "593e41f3b5cb8b49f619bee0799576e9759e768aef4ed6bf9ab9ef371e6a3cab", ""},
 		{"POST", "/v1/push", `{"interval":7,"label":"pushed","docs":[{"id":900001,"keywords":["somalia","mogadishu"]},{"id":900002,"keywords":["somalia"]}]}`, "af39aee33d04c817e1123cc29a9c9912f26dcf454d8953cb36cc9d7f0d68f1b2", ""},
-		{"GET", "/v1/stable-clusters?k=3&l=2", "", "ea13c49ff215d1982af0a8924a88e312b655db5231a47982493f4d5fa929696a", "779d76b6b3b8a30a15cf5ecb516e0fb044ecc70745f562af0756ed4ebc82f90b"},
+		{"GET", "/v1/stable-clusters?k=3&l=2", "", "623b95e54c9a33a8e1dff605e5df28520960fb191745c82e1bc5f803a7408499", "779d76b6b3b8a30a15cf5ecb516e0fb044ecc70745f562af0756ed4ebc82f90b"},
 		{"GET", "/v1/meta", "", "dc2aac4b54b7ef9c0aec2099fae762600efe65c9eeeb07865e674864ec0e57aa", ""},
 	}
 	for _, tc := range cases {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/raceflag"
@@ -53,7 +54,7 @@ func TestSpilledBuildAllocationCeiling(t *testing.T) {
 // fan-in pass folds them before Edges is sized from the merge's input.
 // Recorded with this test: 1.00 MB and 1.01 MB. The ceilings sit below
 // what the extsort route allocated on a warm repeat (2.04 MB and
-// 1.56 MB), and two builds must allocate the same.
+// 1.56 MB), and builds must allocate the same.
 func TestSpilledBuildBytes(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation sizes")
@@ -83,13 +84,31 @@ func TestSpilledBuildBytes(t *testing.T) {
 		// One build first: the process's first spill file sets up
 		// runtime state a few KiB in size, once.
 		build()
-		first, second := build(), build()
-		t.Logf("budget %d: %d bytes per build", tc.budget, first)
-		if first != second {
-			t.Errorf("budget %d: bytes differ between two builds: %d then %d", tc.budget, first, second)
+		// The reading is the least of five builds, and it must repeat.
+		// The runtime allocates into the same process-wide count on its
+		// own: a goroutine that resumes on another P after a spill's
+		// system call draws its tiny objects from that P's 16-byte
+		// block, and a blocked write can make the runtime start a thread
+		// (its m and g, about 5 KiB). Under a loaded machine a build
+		// read 16 B or 5 248 B more than the builds around it; with
+		// GOMAXPROCS 1, no other P to resume on, it never did.
+		reads := make([]uint64, 5)
+		for i := range reads {
+			reads[i] = build()
 		}
-		if first > tc.ceiling {
-			t.Errorf("budget %d: %d bytes per build, ceiling %d", tc.budget, first, tc.ceiling)
+		least := slices.Min(reads)
+		t.Logf("budget %d: %d bytes per build", tc.budget, least)
+		repeats := 0
+		for _, b := range reads {
+			if b == least {
+				repeats++
+			}
+		}
+		if repeats < 2 {
+			t.Errorf("budget %d: bytes differ between builds: %v", tc.budget, reads)
+		}
+		if least > tc.ceiling {
+			t.Errorf("budget %d: %d bytes per build, ceiling %d", tc.budget, least, tc.ceiling)
 		}
 	}
 }

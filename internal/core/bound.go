@@ -39,28 +39,38 @@ type suffixBound struct {
 // newSuffixBound reads g's suffix weights for paths of length l and
 // seeds the floor for a top-k of size k.
 func newSuffixBound(g *clustergraph.Graph, req Request, l int) suffixBound {
-	m := g.NumIntervals()
-	b := suffixBound{g: g, full: l == m-1, f: math.Inf(-1), on: !req.disableSuffixBound}
-	if !b.on {
-		return b
+	b := suffixBound{g: g, full: l == g.NumIntervals()-1, f: math.Inf(-1), on: !req.disableSuffixBound}
+	if b.on {
+		b.u, b.stride, b.f = seedFloor(g, req.K, l)
 	}
+	return b
+}
+
+// seedFloor reads g's suffix weights for paths of temporal length l, as
+// suffixBound keeps them, and returns them with the floor F: the k-th
+// largest U_l(s) over the nodes s that start such a path, −Inf when
+// fewer than k do. The scan is O(N).
+func seedFloor(g *clustergraph.Graph, k, l int) (u []float64, stride int, f float64) {
+	m := g.NumIntervals()
+	b := suffixBound{g: g, full: l == m-1}
 	if b.full {
 		b.u = g.ToEndWeights()
 	} else {
 		b.u, b.stride = g.SuffixWeights(l)
 	}
-	top := make([]float64, 0, min(req.K, g.NumNodes()))
+	top := make([]float64, 0, min(k, g.NumNodes()))
 	for i := 0; i <= m-1-l; i++ {
 		for _, s := range g.NodesAt(i) {
 			if u := b.rest(s, l); !math.IsInf(u, -1) {
-				top = keepLargest(top, req.K, u)
+				top = keepLargest(top, k, u)
 			}
 		}
 	}
-	if len(top) == req.K {
-		b.f = top[0]
+	f = math.Inf(-1)
+	if len(top) == k {
+		f = top[0]
 	}
-	return b
+	return b.u, b.stride, f
 }
 
 // rest returns U_r(v).

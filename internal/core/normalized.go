@@ -20,12 +20,15 @@ import (
 // where the node order decides as it does between equal stabilities:
 // the top-k by score at λ* are the top-k by stability.
 //
-// λ* is reached from below. The first λ is the least hop stability,
-// which every path clears: a path's stability is the span-weighted mean
-// of its hops'. Each pass leaves a top-k whose paths all clear λ, so the
-// least stability among them lies between λ and λ*; it becomes the next
-// λ, and the first pass that does not raise it was run at λ*. A pass
-// that finds fewer than k paths has found every qualifying one.
+// λ* is reached from below. The first λ is F/lmin, where F is the
+// suffix bound's floor: k real paths of length exactly lmin clear it,
+// so it is at most λ* (newRatioRun). Without such k paths it is the
+// least hop stability, which every path clears: a path's stability is
+// the span-weighted mean of its hops'. Each pass leaves a top-k whose
+// paths all clear λ, so the least stability among them lies between λ
+// and λ*; it becomes the next λ, and the first pass that does not raise
+// it was run at λ*. A pass that finds fewer than k paths has found
+// every qualifying one.
 //
 // The Weight field of returned paths holds the stability score.
 func solveNormalized(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, error) {
@@ -59,8 +62,8 @@ const (
 )
 
 // ratioRun carries one normalized solve. λ is kept as the pair w/l —
-// the forward-summed weight and the length of a real path — so a hop
-// scores w_hop·l − w·span, exact wherever the weights are.
+// the weight and the length of a real path — so a hop scores
+// w_hop·l − w·span, exact wherever the weights are.
 type ratioRun struct {
 	g    *clustergraph.Graph
 	lmin int
@@ -83,14 +86,27 @@ type ratioRun struct {
 	stats Stats
 }
 
-// newRatioRun sets up a solve at the least hop stability (0/0 on a graph
-// without edges, where one pass finds nothing).
+// newRatioRun sets up a solve at its first λ: F/lmin, where F is the
+// floor the suffix bound seeds (seedFloor), the k-th largest U_lmin(s)
+// over start nodes s. The F values are the weights of k real paths of
+// length exactly lmin with distinct first nodes, so F/lmin ≤ λ* and k
+// paths clear it. F is summed last hop first and a pass first hop
+// first; the few ulps between them fall far inside the key grid and
+// boundSlack, so F is used as it is. Where fewer than k nodes start
+// such a path (F = −Inf), λ starts at the least hop stability, which
+// every path clears (0/0 on a graph without edges, where one pass finds
+// nothing); F/lmin, a span-weighted mean of hop stabilities, is never
+// below it, so that scan is skipped when F is finite.
 func newRatioRun(g *clustergraph.Graph, k, lmin int) *ratioRun {
 	r := &ratioRun{g: g, lmin: lmin, bound: make([]float64, g.NumNodes())}
 	r.heaps = newPathHeaps(&r.slab, k, g.NumNodes()*lmin)
 	r.heaps.reuse = true
 	r.top = newPathHeaps(&r.slab, k, 1)
 	r.top.reuse = true
+	if _, _, f := seedFloor(g, k, lmin); !math.IsInf(f, -1) {
+		r.w, r.l = f, lmin
+		return r
+	}
 	for id := range g.NumNodes() {
 		for _, h := range g.Children(int64(id)) {
 			if r.l == 0 || h.Weight/float64(h.Length) < r.w/float64(r.l) {

@@ -42,7 +42,7 @@ var pinnedShapes = []struct {
 	{"bfs_sub", synth.Config{M: 10, N: 100, D: 5, G: 1}, Request{Algorithm: "bfs", K: 5, L: 3},
 		"b324484c0591585c", "{1700 1000 231 20 314 0 0 4 0}"},
 	{"normalized", synth.Config{M: 8, N: 8, D: 3, G: 0}, Request{Algorithm: "normalized", K: 5, LMin: 3},
-		"ca74e015954916c9", "{224 256 1840 2199 1614 0 0 114 4}"},
+		"ca74e015954916c9", "{168 192 1380 203 1008 0 0 25 3}"},
 }
 
 func TestSolvePaperShapesPinned(t *testing.T) {

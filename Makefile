@@ -96,13 +96,17 @@ chaos:
 	$(GO) test -race -run 'Fault|Panic|Breaker|Stale|Retry|Corrupt|ReadyzOpenFailure' ./internal/diskstore ./internal/extsort ./internal/cooccur ./internal/index ./internal/server .
 
 # Example drift gate: the examples are the Engine API's showcase, so
-# they build, vet, and quickstart and streaming (the Engine.Push
-# showcase) run end to end. CI's examples job runs this target.
+# they build, vet and all six run end to end (each takes well under a
+# second once built). CI's examples job runs this target.
 examples-smoke:
 	$(GO) build ./examples/...
 	$(GO) vet ./examples/...
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/streaming
+	$(GO) run ./examples/newsweek
+	$(GO) run ./examples/tags
+	$(GO) run ./examples/refine
+	$(GO) run ./examples/bursts
 
 # Serving-layer smoke: boot blogserved on the demo corpus, curl every
 # endpoint, assert a cache hit, the 400 mapping and a clean SIGTERM

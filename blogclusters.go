@@ -23,18 +23,15 @@
 // The entry point is the Engine (engine.go): a session object that
 // loads the corpus once and memoizes every stage artifact across
 // queries, with context cancellation end to end. Stable-cluster
-// queries go through Engine.Solve (or the StableClusters wrappers),
-// which normalizes and validates a QuerySpec once ("auto" resolves to
-// the variant's default solver there) and runs the solver it names. A
-// handful of stateless helpers (per-interval
-// clustering, cluster-set serialization, corpus generation) remain as
-// free functions.
+// queries go through Engine.Solve, which normalizes and validates a
+// QuerySpec once ("auto" resolves to the variant's default solver
+// there) and hands it to the solver core. Corpus generation remains a
+// free function.
 package blogclusters
 
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"repro/internal/bicc"
 	"repro/internal/burst"
@@ -46,7 +43,6 @@ import (
 	"repro/internal/diskstore"
 	"repro/internal/faultfs"
 	"repro/internal/index"
-	"repro/internal/plan"
 	"repro/internal/stats"
 	"repro/internal/text"
 	"repro/internal/topk"
@@ -71,23 +67,18 @@ type (
 	Result = core.Result
 	// Analyzer tokenizes, stems and stop-word-filters raw text.
 	Analyzer = text.Analyzer
-	// KeywordGraph is the per-interval keyword co-occurrence graph.
-	KeywordGraph = cooccur.Graph
-	// QuerySpec is the normalized description of a stable-cluster query
-	// (variant, algorithm, k, lengths, diversity mode) shared by
-	// Engine.Solve and the HTTP layer's parameter parsing and cache
-	// keys. The zero value plus K is a valid top-k query; Algorithm ""
-	// or "auto" means the variant's default solver.
-	QuerySpec = plan.QuerySpec
+	// QuerySpec is the one description of a stable-cluster query
+	// (variant, algorithm, k, lengths, diversity mode): the solver
+	// core's Request, shared by Engine.Solve and the HTTP layer's
+	// parameter parsing and cache keys. The zero value plus K is a
+	// valid top-k query; Algorithm "" or "auto" means the variant's
+	// default solver.
+	QuerySpec = core.Request
 )
 
 // NewAnalyzer returns the paper's text pipeline: stemming on, default
 // English stop words, bare numbers dropped.
 func NewAnalyzer() *Analyzer { return text.NewAnalyzer() }
-
-// ReadJSONL loads a collection from a JSONL stream of documents
-// ({"id","interval","keywords"} per line).
-func ReadJSONL(r io.Reader) (*Collection, error) { return corpus.ReadJSONL(r) }
 
 // FullPaths requests paths spanning all intervals (l = m−1).
 const FullPaths = core.FullPaths
@@ -162,17 +153,6 @@ func intervalClustersCtx(ctx context.Context, c *Collection, interval int, opts 
 	return out, nil
 }
 
-// WriteClusterSets persists per-interval cluster sets as JSONL so the
-// cluster-generation and stable-cluster stages can run separately.
-func WriteClusterSets(w io.Writer, sets [][]Cluster) error {
-	return cluster.WriteSetsJSONL(w, sets)
-}
-
-// ReadClusterSets loads cluster sets written by WriteClusterSets.
-func ReadClusterSets(r io.Reader) ([][]Cluster, error) {
-	return cluster.ReadSetsJSONL(r)
-}
-
 // GraphOptions configures cluster-graph construction (Section 4.1).
 type GraphOptions struct {
 	// Gap is g, the number of intervals a story may skip; default 0.
@@ -202,30 +182,10 @@ func resolveAffinity(opts GraphOptions) (cluster.AffinityFunc, bool, error) {
 	return f, true, nil
 }
 
-// DescribePath renders a stable-cluster path with its keyword clusters,
-// for reports and examples.
-func DescribePath(g *ClusterGraph, p Path) string {
-	s := fmt.Sprintf("weight %.3f, length %d:", p.Weight, p.Length)
-	for _, id := range p.Nodes {
-		c := g.Cluster(id)
-		s += fmt.Sprintf("\n  t%d %v", g.Interval(id), c.Keywords)
-	}
-	return s
-}
-
 // IndexReader is the backend-neutral keyword-index interface: the
 // in-memory index and the disk-backed segment layout answer the same
 // primitives through it.
 type IndexReader = index.Reader
-
-// IndexStore is the live multi-segment keyword index behind an Engine:
-// a base segment built at Open plus one small delta segment per pushed
-// interval, folded back into the base by background compaction. It
-// implements IndexReader (queries route to the segment covering the
-// interval) and replaces the former immutable-corpus helpers
-// (BuildIndex, OpenIndexReader) — a segment set that can grow is the
-// only index surface now.
-type IndexStore = index.Store
 
 // IndexOptions selects and configures the index backend.
 type IndexOptions struct {
@@ -271,19 +231,6 @@ func (o IndexOptions) config(lifetime context.Context) index.Config {
 	}
 }
 
-// OpenIndexStore indexes the collection with the selected backend and
-// returns the live multi-segment store. Close it when done; the mem
-// backend's Close is a no-op, the disk backend's closes every segment
-// (and removes them when Path was empty and the store owns a private
-// temporary directory).
-//
-// For repeated index queries — and for pushing new intervals — prefer
-// an Engine with WithIndexOptions: it opens the store once, shares it
-// across queries, grows it on Push and closes it with the session.
-func OpenIndexStore(ctx context.Context, c *Collection, opts IndexOptions) (*IndexStore, error) {
-	return openIndexStoreCtx(ctx, context.Background(), c, opts)
-}
-
 // openIndexStoreCtx builds and opens the selected backend. ctx bounds
 // the build; lifetime bounds the opened store's retry backoff sleeps
 // (the store usually outlives the query that built it).
@@ -293,22 +240,6 @@ func openIndexStoreCtx(ctx, lifetime context.Context, c *Collection, opts IndexO
 
 // KeywordBurst is one bursty stretch of intervals for a keyword.
 type KeywordBurst = burst.Burst
-
-// DetectBurstsIn finds the intervals in which keyword w bursts — the
-// "information bursts" BlogScope surfaces (paper Section 1) — over any
-// index backend: the keyword's
-// document-frequency trajectory comes straight from the reader's
-// resident term statistics (no posting I/O on the disk backend).
-//
-// Each call rebuilds the per-interval totals slice from the reader;
-// Engine.Bursts computes it once per session and shares it.
-func DetectBurstsIn(r IndexReader, w string) ([]KeywordBurst, error) {
-	counts, err := r.TimeSeries(w)
-	if err != nil {
-		return nil, err
-	}
-	return kleinbergBursts(counts, intervalTotals(r))
-}
 
 // intervalTotals reads the per-interval document totals the burst
 // detector divides by.
@@ -325,46 +256,6 @@ func intervalTotals(r IndexReader) []int64 {
 func kleinbergBursts(counts, totals []int64) ([]KeywordBurst, error) {
 	return burst.Kleinberg(counts, totals, burst.KleinbergOptions{})
 }
-
-// RefineQuery implements the introduction's query-refinement use case:
-// "If a search query for a specific interval falls in a cluster, the
-// rest of the keywords in that cluster are good candidates for query
-// refinement." Given the interval's clusters and a query keyword, it
-// returns the other keywords of the cluster containing the keyword
-// (empty when the keyword is unclustered). The query is analyzed with
-// the same stemmer as the corpus, so surface forms match.
-func RefineQuery(clusters []Cluster, query string) []string {
-	kws := NewAnalyzer().Keywords(query)
-	if len(kws) == 0 {
-		return nil
-	}
-	kw := kws[0]
-	for _, c := range clusters {
-		if !c.Contains(kw) {
-			continue
-		}
-		out := make([]string, 0, c.Size()-1)
-		for _, w := range c.Keywords {
-			if w != kw {
-				out = append(out, w)
-			}
-		}
-		return out
-	}
-	return nil
-}
-
-// DiversityMode re-exports the constrained kl-variant modes (paths with
-// shared prefixes/suffixes discarded; see Section 4 of the paper).
-type DiversityMode = core.DiversityMode
-
-// Diversity modes for Engine.DiverseStableClusters.
-const (
-	DistinctEndpoints = core.DistinctEndpoints
-	DistinctPrefix    = core.DistinctPrefix
-	DistinctSuffix    = core.DistinctSuffix
-	DisjointNodes     = core.DisjointNodes
-)
 
 // GenerateCorpus builds a synthetic blog corpus (the BlogScope-data
 // substitution; see DESIGN.md).

@@ -98,9 +98,12 @@ func TestEndToEndPipeline(t *testing.T) {
 			t.Errorf("stable path node %d is not the persistent event: %v", id, g.Cluster(id).Keywords)
 		}
 	}
-	desc := DescribePath(g, res.Paths[0])
+	desc, err := eng.Describe(ctx, res.Paths[0])
+	if err != nil {
+		t.Fatalf("Describe: %v", err)
+	}
 	if !strings.Contains(desc, "alpha") || !strings.Contains(desc, "t3") {
-		t.Errorf("DescribePath output incomplete:\n%s", desc)
+		t.Errorf("Describe output incomplete:\n%s", desc)
 	}
 }
 
@@ -134,9 +137,9 @@ func TestAlgorithmsAgreeEndToEnd(t *testing.T) {
 func TestNormalizedFacade(t *testing.T) {
 	c := endToEndCorpus(t)
 	eng := openTestEngine(t, c, WithGraphOptions(GraphOptions{Gap: 0, Theta: 0.1}))
-	res, err := eng.NormalizedStableClusters(context.Background(), 2, 2)
+	res, err := eng.Solve(context.Background(), QuerySpec{Variant: "normalized", K: 2, LMin: 2})
 	if err != nil {
-		t.Fatalf("NormalizedStableClusters: %v", err)
+		t.Fatalf("normalized solve: %v", err)
 	}
 	for _, p := range res.Paths {
 		if p.Length < 2 {
@@ -149,18 +152,31 @@ func TestNormalizedFacade(t *testing.T) {
 }
 
 func TestRefineQuery(t *testing.T) {
-	clusters := []Cluster{
+	ctx := context.Background()
+	eng, err := Open(ctx, FromClusterSets([][]Cluster{{
 		{ID: 0, Interval: 0, Keywords: []string{"cell", "fluid", "stem"}},
 		{ID: 1, Interval: 0, Keywords: []string{"beckham", "galaxi"}},
+	}}))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
 	}
-	got := RefineQuery(clusters, "Stems") // stems → stem after analysis
+	defer eng.Close()
+	refine := func(query string) []string {
+		t.Helper()
+		got, err := eng.Refine(ctx, query, 0)
+		if err != nil {
+			t.Fatalf("Refine(%q): %v", query, err)
+		}
+		return got
+	}
+	got := refine("Stems") // stems → stem after analysis
 	if len(got) != 2 || got[0] != "cell" || got[1] != "fluid" {
-		t.Errorf("RefineQuery = %v, want [cell fluid]", got)
+		t.Errorf("Refine = %v, want [cell fluid]", got)
 	}
-	if RefineQuery(clusters, "unrelated") != nil {
+	if refine("unrelated") != nil {
 		t.Error("unclustered keyword returned refinements")
 	}
-	if RefineQuery(clusters, "") != nil {
+	if refine("") != nil {
 		t.Error("empty query returned refinements")
 	}
 }
@@ -168,7 +184,7 @@ func TestRefineQuery(t *testing.T) {
 func TestDiverseStableClustersFacade(t *testing.T) {
 	c := endToEndCorpus(t)
 	eng := openTestEngine(t, c, WithGraphOptions(GraphOptions{Gap: 0, Theta: 0.1}))
-	res, err := eng.DiverseStableClusters(context.Background(), 3, 2, DistinctEndpoints)
+	res, err := eng.Solve(context.Background(), QuerySpec{Variant: "diverse", K: 3, L: 2, Mode: "endpoints"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +212,12 @@ func TestIndexAndBurstsFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := OpenIndexStore(context.Background(), c, IndexOptions{})
+	ctx := context.Background()
+	eng := openTestEngine(t, c)
+	idx, err := eng.Index(ctx)
 	if err != nil {
-		t.Fatalf("OpenIndexStore: %v", err)
+		t.Fatalf("Index: %v", err)
 	}
-	defer idx.Close()
 	series, err := idx.TimeSeries("comet")
 	if err != nil {
 		t.Fatal(err)
@@ -208,9 +225,9 @@ func TestIndexAndBurstsFacade(t *testing.T) {
 	if series[4] == 0 || series[5] == 0 || series[0] != 0 {
 		t.Fatalf("TimeSeries(comet) = %v, want activity only at 4-5", series)
 	}
-	bursts, err := DetectBurstsIn(idx, "comet")
+	bursts, err := eng.Bursts(ctx, "comet")
 	if err != nil {
-		t.Fatalf("DetectBurstsIn: %v", err)
+		t.Fatalf("Bursts: %v", err)
 	}
 	if len(bursts) != 1 || bursts[0].Start != 4 || bursts[0].End != 5 {
 		t.Errorf("bursts = %v, want one burst at [4,5]", bursts)
@@ -220,7 +237,7 @@ func TestIndexAndBurstsFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quiet, err := DetectBurstsIn(idx, vocab[0])
+	quiet, err := burstsIn(idx, vocab[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,15 +251,16 @@ func TestIndexAndBurstsFacade(t *testing.T) {
 func TestIntersectionAffinityFacade(t *testing.T) {
 	c := endToEndCorpus(t)
 	ctx := context.Background()
-	eng := openTestEngine(t, c)
-	g, err := eng.GraphWith(ctx, GraphOptions{Gap: 0, Theta: 1, Affinity: "intersection"})
+	eng := openTestEngine(t, c, WithGraphOptions(GraphOptions{Gap: 0, Theta: 1, Affinity: "intersection"}))
+	g, err := eng.Graph(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.MaxWeight() > 1 {
 		t.Errorf("intersection weights not normalized: max %g", g.MaxWeight())
 	}
-	if _, err := eng.GraphWith(ctx, GraphOptions{Affinity: "cosine"}); err == nil {
+	bad := openTestEngine(t, c, WithGraphOptions(GraphOptions{Affinity: "cosine"}))
+	if _, err := bad.Graph(ctx); err == nil {
 		t.Error("unknown affinity accepted")
 	}
 }

@@ -37,6 +37,7 @@ import (
 
 	blogclusters "repro"
 	"repro/internal/cli"
+	"repro/internal/cluster"
 )
 
 func main() {
@@ -81,7 +82,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sets, err := blogclusters.ReadClusterSets(f)
+		sets, err := cluster.ReadSetsJSONL(f)
 		f.Close()
 		if err != nil {
 			log.Fatalf("read clusters: %v", err)
@@ -138,7 +139,7 @@ func run(ctx context.Context, eng *blogclusters.Engine, burstsQ, saveSets, algor
 		if err != nil {
 			return err
 		}
-		err = blogclusters.WriteClusterSets(f, sets)
+		err = cluster.WriteSetsJSONL(f, sets)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -164,7 +165,7 @@ func run(ctx context.Context, eng *blogclusters.Engine, burstsQ, saveSets, algor
 
 	var res *blogclusters.Result
 	if normalized {
-		res, err = eng.NormalizedStableClusters(ctx, k, lmin)
+		res, err = eng.Solve(ctx, blogclusters.QuerySpec{Variant: "normalized", K: k, LMin: lmin})
 		if err != nil {
 			return fmt.Errorf("normalized stable clusters: %w", err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"sync"
@@ -21,7 +20,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/plan"
 	"repro/internal/stats"
 )
 
@@ -30,7 +28,7 @@ import (
 // corpus once and answers many analysis queries over it. Open loads
 // (or generates) the corpus; every stage artifact downstream of it —
 // the keyword index, the per-interval cluster sets, the cluster
-// graph(s), the per-interval keyword graphs and the burst totals — is
+// graph, the per-interval keyword graphs and the burst totals — is
 // materialized lazily on first use, memoized, and shared by all
 // subsequent queries. Builds are single-flight: concurrent first
 // queries wait for one build instead of duplicating it, and
@@ -38,7 +36,7 @@ import (
 //
 // The session is LIVE: Push appends one new interval, extending the
 // index with a delta segment and every memoized artifact incrementally
-// — the new interval's clusters are built, cached cluster graphs grow
+// — the new interval's clusters are built, a cached cluster graph grows
 // by one interval, burst totals gain one entry — never by rebuilding
 // from scratch. Each Push advances a monotonic generation
 // (Engine.Generation); artifacts belong to the generation they were
@@ -80,12 +78,12 @@ type Engine struct {
 	// kwGraphs memoizes per-interval keyword graphs — also
 	// generation-independent (each belongs to one immutable interval).
 	kwMu     sync.Mutex
-	kwGraphs map[int]*memo[*KeywordGraph]
+	kwGraphs map[int]*memo[*cooccur.Graph]
 
 	// solveMu guards solves, the per-algorithm accounting of completed
 	// solves.
 	solveMu sync.Mutex
-	solves  plan.Stats
+	solves  SolveStats
 
 	queries     atomic.Int64
 	pushes      atomic.Int64
@@ -106,10 +104,8 @@ type engineState struct {
 
 	index  *memo[*index.Store]
 	sets   *memo[[][]Cluster]
+	graph  *memo[*ClusterGraph]
 	totals *memo[[]int64]
-
-	graphsMu sync.Mutex
-	graphs   map[GraphOptions]*memo[*ClusterGraph]
 }
 
 func newEngineState(gen int64, col *corpus.Collection) *engineState {
@@ -118,8 +114,8 @@ func newEngineState(gen int64, col *corpus.Collection) *engineState {
 		col:    col,
 		index:  &memo[*index.Store]{},
 		sets:   &memo[[][]Cluster]{},
+		graph:  &memo[*ClusterGraph]{},
 		totals: &memo[[]int64]{},
-		graphs: map[GraphOptions]*memo[*ClusterGraph]{},
 	}
 }
 
@@ -140,9 +136,10 @@ func WithClusterOptions(o ClusterOptions) Option {
 	return func(c *engineConfig) { c.cluster = o }
 }
 
-// WithGraphOptions sets the default cluster-graph options. Queries use
-// the graph built with these options unless they ask for an explicit
-// variant via GraphWith/StableClustersOn.
+// WithGraphOptions sets the options of the one cluster graph the
+// session serves. To study several gaps or affinities over one Section
+// 3 build, open one FromClusterSets engine per option set over this
+// engine's Clusters (see examples/newsweek).
 func WithGraphOptions(o GraphOptions) Option {
 	return func(c *engineConfig) { c.graph = o }
 }
@@ -185,22 +182,17 @@ type StageEvent struct {
 }
 
 // Source names where an Engine's corpus comes from. Construct one with
-// FromCollection, FromJSONL, FromJSONLFile, FromGenerator or
-// FromClusterSets.
+// FromCollection, FromJSONLFile, FromGenerator or FromClusterSets.
 type Source struct {
-	col    *corpus.Collection
-	reader io.Reader
-	path   string
-	gen    *CorpusConfig
-	sets   [][]Cluster
+	col  *corpus.Collection
+	path string
+	gen  *CorpusConfig
+	sets [][]Cluster
 }
 
 // FromCollection serves an already-loaded collection. The Engine does
 // not copy it; the caller must not mutate it afterwards.
 func FromCollection(c *Collection) Source { return Source{col: c} }
-
-// FromJSONL reads a JSONL document stream at Open time.
-func FromJSONL(r io.Reader) Source { return Source{reader: r} }
 
 // FromJSONLFile opens and reads a JSONL corpus file at Open time.
 func FromJSONLFile(path string) Source { return Source{path: path} }
@@ -255,7 +247,7 @@ func Open(ctx context.Context, src Source, opts ...Option) (*Engine, error) {
 	e := &Engine{
 		cfg:          cfg,
 		intervalSets: map[int]*memo[[]Cluster]{},
-		kwGraphs:     map[int]*memo[*KeywordGraph]{},
+		kwGraphs:     map[int]*memo[*cooccur.Graph]{},
 	}
 	e.root, e.stop = context.WithCancel(context.Background())
 
@@ -285,8 +277,6 @@ func loadSource(ctx context.Context, src Source) (*corpus.Collection, error) {
 	switch {
 	case src.col != nil:
 		return src.col, nil
-	case src.reader != nil:
-		return corpus.ReadJSONL(src.reader)
 	case src.path != "":
 		f, err := os.Open(src.path)
 		if err != nil {
@@ -301,7 +291,7 @@ func loadSource(ctx context.Context, src Source) (*corpus.Collection, error) {
 	case src.gen != nil:
 		return corpus.Generate(*src.gen)
 	default:
-		return nil, errors.New("blogclusters: empty Source (use FromCollection, FromJSONL, FromJSONLFile, FromGenerator or FromClusterSets)")
+		return nil, errors.New("blogclusters: empty Source (use FromCollection, FromJSONLFile, FromGenerator or FromClusterSets)")
 	}
 }
 
@@ -377,15 +367,15 @@ func (e *Engine) queryCtx(ctx context.Context) (context.Context, context.CancelF
 // len(Collection().Intervals), else ErrOutOfOrderInterval) and
 // well-formed (ErrMalformedInterval otherwise). Materialized artifacts
 // are extended incrementally for the new interval only: the index
-// gains a delta segment, cached cluster graphs grow by one interval
+// gains a delta segment, a cached cluster graph grows by one interval
 // via clustergraph.ExtendCtx, burst totals gain one entry — a push
 // never rebuilds a full-corpus artifact (EngineStats.Stages build
 // counters prove it). Unbuilt artifacts simply stay unbuilt; their
 // first use after the push sees the grown corpus.
 //
-// Normalized-affinity cluster graphs are the one exception: their
-// weights were rescaled by a maximum the new interval may change, so
-// they are dropped from the new generation and lazily rebuilt.
+// A normalized-affinity cluster graph is the one exception: its
+// weights were rescaled by a maximum the new interval may change, so it
+// is dropped from the new generation and lazily rebuilt.
 //
 // Pushes are serialized; queries keep running against the previous
 // generation's snapshot until the swap and are never blocked.
@@ -450,23 +440,12 @@ func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64
 		st.sets.prime(newSets)
 	}
 
-	// Grow each cached cluster graph by the new interval. Normalized
-	// graphs cannot extend (their old weights were already rescaled);
-	// they are dropped and lazily rebuilt on next use.
-	if setsBuilt {
-		cur.graphsMu.Lock()
-		cached := make(map[GraphOptions]*ClusterGraph, len(cur.graphs))
-		for opts, m := range cur.graphs {
-			if g, ok := m.cached(); ok {
-				cached[opts] = g
-			}
-		}
-		cur.graphsMu.Unlock()
-		for opts, g := range cached {
-			aff, normalize, err := resolveAffinity(opts)
-			if err != nil || normalize {
-				continue
-			}
+	// Grow the cached cluster graph by the new interval. A normalized
+	// graph cannot extend (its old weights were already rescaled); it is
+	// dropped and lazily rebuilt on next use.
+	if g, ok := cur.graph.cached(); ok && setsBuilt {
+		opts := e.cfg.graph
+		if aff, normalize, err := resolveAffinity(opts); err == nil && !normalize {
 			var ng *ClusterGraph
 			func() {
 				defer e.stage(ctx, "graph-extend")()
@@ -480,9 +459,7 @@ func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64
 			if err != nil {
 				return 0, err
 			}
-			m := &memo[*ClusterGraph]{}
-			m.prime(ng)
-			st.graphs[opts] = m
+			st.graph.prime(ng)
 		}
 	}
 
@@ -726,49 +703,30 @@ func (e *Engine) DocTotals(ctx context.Context) ([]int64, error) {
 }
 
 // Graph materializes (once per generation) and returns the cluster
-// graph built with the session's default GraphOptions.
+// graph built with the session's GraphOptions. After a Push a
+// materialized graph is already extended in the new generation; an
+// unbuilt one follows the usual lazy path over the grown corpus.
 func (e *Engine) Graph(ctx context.Context) (*ClusterGraph, error) {
-	return e.GraphWith(ctx, e.cfg.graph)
-}
-
-// GraphWith returns the cluster graph for an explicit option set,
-// memoized per distinct options — sessions that study several gaps or
-// affinities (see examples/newsweek) share one cluster-set build
-// across all of them. After a Push, graphs that were materialized are
-// already extended in the new generation; ones that were not follow
-// the usual lazy path over the grown corpus.
-func (e *Engine) GraphWith(ctx context.Context, opts GraphOptions) (*ClusterGraph, error) {
 	ctx, cancel, err := e.queryCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer cancel()
 	st := e.state.Load()
-	return e.graphWith(ctx, st, opts)
-}
-
-func (e *Engine) graphWith(ctx context.Context, st *engineState, opts GraphOptions) (*ClusterGraph, error) {
-	st.graphsMu.Lock()
-	m, ok := st.graphs[opts]
-	if !ok {
-		m = &memo[*ClusterGraph]{}
-		st.graphs[opts] = m
-	}
-	st.graphsMu.Unlock()
-	return m.get(ctx, func() (*ClusterGraph, error) {
+	return st.graph.get(ctx, func() (*ClusterGraph, error) {
 		sets, err := e.clusters(ctx, st)
 		if err != nil {
 			return nil, err
 		}
 		defer e.stage(ctx, "graph")()
-		return buildClusterGraphCtx(ctx, sets, opts)
+		return buildClusterGraphCtx(ctx, sets, e.cfg.graph)
 	})
 }
 
 // kwGraph memoizes the χ²-annotated, significance-pruned keyword graph
 // of one interval (the substrate of Correlations). Intervals are
 // immutable, so the cache is shared across generations.
-func (e *Engine) kwGraph(ctx context.Context, st *engineState, interval int) (*KeywordGraph, error) {
+func (e *Engine) kwGraph(ctx context.Context, st *engineState, interval int) (*cooccur.Graph, error) {
 	if st.col == nil {
 		return nil, ErrNoCorpus
 	}
@@ -778,11 +736,11 @@ func (e *Engine) kwGraph(ctx context.Context, st *engineState, interval int) (*K
 	e.kwMu.Lock()
 	m, ok := e.kwGraphs[interval]
 	if !ok {
-		m = &memo[*KeywordGraph]{}
+		m = &memo[*cooccur.Graph]{}
 		e.kwGraphs[interval] = m
 	}
 	e.kwMu.Unlock()
-	return m.get(ctx, func() (*KeywordGraph, error) {
+	return m.get(ctx, func() (*cooccur.Graph, error) {
 		defer e.stage(ctx, "kwgraph")()
 		kg, err := cooccur.BuildCtx(ctx, st.col, interval, interval, cooccur.BuildOptions{
 			MinPairCount: e.cfg.cluster.MinPairCount,
@@ -825,23 +783,17 @@ func analyzed(raw string) (string, error) {
 }
 
 // Solve answers a stable-cluster query described by a QuerySpec over
-// the session's default cluster graph. It is the one dispatch path for
-// all three query variants (topk, normalized, diverse): the spec is
-// normalized and validated once — which also resolves "auto" to the
-// variant's default solver — and handed to the solver it names. The
-// StableClusters wrappers and the HTTP layer both route here.
+// the session's cluster graph. It is the one solve entry for all three
+// query variants (topk, normalized, diverse): the spec is normalized
+// and validated once — which also resolves "auto" to the variant's
+// default solver — and handed to core.Solve. The HTTP layer routes
+// here too.
 func (e *Engine) Solve(ctx context.Context, spec QuerySpec) (*Result, error) {
-	return e.SolveOn(ctx, e.cfg.graph, spec)
-}
-
-// SolveOn is Solve over the graph built with an explicit option set
-// (memoized like GraphWith).
-func (e *Engine) SolveOn(ctx context.Context, gopts GraphOptions, spec QuerySpec) (*Result, error) {
 	spec = spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	g, err := e.GraphWith(ctx, gopts)
+	g, err := e.Graph(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -851,17 +803,8 @@ func (e *Engine) SolveOn(ctx context.Context, gopts GraphOptions, spec QuerySpec
 	}
 	defer cancel()
 
-	req := spec.Request()
 	start := time.Now()
-	var res *Result
-	if spec.Variant == plan.VariantDiverse {
-		var mode DiversityMode
-		if mode, err = core.ParseDiversityMode(spec.Mode); err == nil {
-			res, err = core.DiverseKL(ctx, g, req, mode, 0)
-		}
-	} else {
-		res, err = core.Solve(ctx, g, req)
-	}
+	res, err := core.Solve(ctx, g, spec)
 	// Failed and cancelled solves get their span too: the solve that hit
 	// its deadline is the one an operator traces. A finished one carries
 	// its work counters, boxed only when the request is traced.
@@ -870,42 +813,23 @@ func (e *Engine) SolveOn(ctx context.Context, gopts GraphOptions, spec QuerySpec
 		if err == nil {
 			work = res.Stats
 		}
-		rec.RecordWork("solve:"+req.Algorithm, start, err, work)
+		rec.RecordWork("solve:"+spec.Algorithm, start, err, work)
 	}
 	if err != nil {
 		return nil, err
 	}
 	e.solveMu.Lock()
-	e.solves.RecordSolve(req.Algorithm, time.Since(start).Nanoseconds(), res.Stats)
+	e.solves.recordSolve(spec.Algorithm, time.Since(start).Nanoseconds(), res.Stats)
 	e.solveMu.Unlock()
 	return res, nil
 }
 
 // StableClusters answers Problem 1 (top-k highest-weight paths of
-// temporal length l) over the session's default cluster graph.
-// Algorithm is "auto" (or "") for the default solver, or one of
-// "bfs", "dfs", "ta", "brute" to name one.
+// temporal length l) over the session's cluster graph. Algorithm is
+// "auto" (or "") for the default solver, or one of "bfs", "dfs", "ta",
+// "brute" to name one.
 func (e *Engine) StableClusters(ctx context.Context, algorithm string, k, l int) (*Result, error) {
-	return e.StableClustersOn(ctx, e.cfg.graph, algorithm, k, l)
-}
-
-// StableClustersOn is StableClusters over the graph built with an
-// explicit option set (memoized like GraphWith).
-func (e *Engine) StableClustersOn(ctx context.Context, gopts GraphOptions, algorithm string, k, l int) (*Result, error) {
-	return e.SolveOn(ctx, gopts, QuerySpec{Algorithm: algorithm, K: k, L: l})
-}
-
-// NormalizedStableClusters answers Problem 2: the top-k paths of
-// length at least lmin by stability (weight/length), over the default
-// graph. The Weight field of returned paths holds the stability.
-func (e *Engine) NormalizedStableClusters(ctx context.Context, k, lmin int) (*Result, error) {
-	return e.Solve(ctx, QuerySpec{Variant: plan.VariantNormalized, K: k, LMin: lmin})
-}
-
-// DiverseStableClusters answers the constrained kl-variant: top-k
-// paths that do not share prefixes/suffixes/endpoints per mode.
-func (e *Engine) DiverseStableClusters(ctx context.Context, k, l int, mode DiversityMode) (*Result, error) {
-	return e.Solve(ctx, QuerySpec{Variant: plan.VariantDiverse, K: k, L: l, Mode: mode.String()})
+	return e.Solve(ctx, QuerySpec{Algorithm: algorithm, K: k, L: l})
 }
 
 // TimeSeries returns the keyword's per-interval document frequency
@@ -984,15 +908,36 @@ func (e *Engine) Search(ctx context.Context, terms []string, interval int) ([]in
 	return r.Search(kws, interval)
 }
 
-// Refine answers the introduction's query-refinement use case: the
-// other keywords of the interval cluster containing the (analyzed)
-// query keyword, or nil when the keyword is unclustered.
+// Refine answers the introduction's query-refinement use case: "If a
+// search query for a specific interval falls in a cluster, the rest of
+// the keywords in that cluster are good candidates for query
+// refinement." It returns the other keywords of the interval cluster
+// containing the query keyword, or nil when the keyword is unclustered
+// or the query has no analyzable keyword. The query is analyzed with
+// the same stemmer as the corpus, so surface forms match.
 func (e *Engine) Refine(ctx context.Context, query string, interval int) ([]string, error) {
 	cs, err := e.ClustersAt(ctx, interval)
 	if err != nil {
 		return nil, err
 	}
-	return RefineQuery(cs, query), nil
+	kws := NewAnalyzer().Keywords(query)
+	if len(kws) == 0 {
+		return nil, nil
+	}
+	kw := kws[0]
+	for _, c := range cs {
+		if !c.Contains(kw) {
+			continue
+		}
+		out := make([]string, 0, c.Size()-1)
+		for _, w := range c.Keywords {
+			if w != kw {
+				out = append(out, w)
+			}
+		}
+		return out, nil
+	}
+	return nil, nil
 }
 
 // Correlation re-exports the keyword-graph correlation record:
@@ -1022,9 +967,10 @@ func (e *Engine) Correlations(ctx context.Context, keyword string, interval, n i
 }
 
 // Describe renders a stable-cluster path with its keyword clusters,
-// resolving cluster contents through the session's default graph. Node
-// ids outside the graph fail with ErrInvalidQuery (they identify no
-// cluster), so remote callers get a client error instead of a panic.
+// for reports and examples, resolving cluster contents through the
+// session's graph. Node ids outside the graph fail with ErrInvalidQuery
+// (they identify no cluster), so remote callers get a client error
+// instead of a panic.
 func (e *Engine) Describe(ctx context.Context, p Path) (string, error) {
 	g, err := e.Graph(ctx)
 	if err != nil {
@@ -1035,7 +981,11 @@ func (e *Engine) Describe(ctx context.Context, p Path) (string, error) {
 			return "", fmt.Errorf("blogclusters: node %d outside graph [0,%d): %w", id, g.NumNodes(), ErrInvalidQuery)
 		}
 	}
-	return DescribePath(g, p), nil
+	s := fmt.Sprintf("weight %.3f, length %d:", p.Weight, p.Length)
+	for _, id := range p.Nodes {
+		s += fmt.Sprintf("\n  t%d %v", g.Interval(id), g.Cluster(id).Keywords)
+	}
+	return s, nil
 }
 
 // --- observability ---
@@ -1048,8 +998,8 @@ func (e *Engine) Describe(ctx context.Context, p Path) (string, error) {
 // "total_ns" to make the nanosecond unit explicit on the wire.
 type StageTiming struct {
 	// Builds counts completed builds of the stage ("clusters" and
-	// "index" build at most once per generation lineage; "graph" and
-	// "kwgraph" once per distinct option set / interval;
+	// "index" build at most once per generation lineage; "graph" once
+	// per generation lineage and "kwgraph" once per interval;
 	// "interval-clusters", "graph-extend", "push" and "compact" count
 	// ingest work).
 	Builds int64 `json:"builds"`
@@ -1082,7 +1032,11 @@ type EngineStats struct {
 	// IndexCache is the disk index's block-cache accounting (zero for
 	// the mem backend): residency in bytes plus hit/miss counters, the
 	// source of the index_cache_* series on /metrics.
-	IndexCache IndexCacheStats `json:"index_cache"`
+	IndexCache struct {
+		Hits   int64 `json:"hits"`
+		Misses int64 `json:"misses"`
+		Bytes  int64 `json:"bytes"`
+	} `json:"index_cache"`
 	// IndexSegments is the live segment count (base + deltas; 0 while
 	// the index is unbuilt).
 	IndexSegments int `json:"index_segments"`
@@ -1093,7 +1047,7 @@ type EngineStats struct {
 	// no planner: the field and JSON key keep the name only because
 	// bench/ reads Stats().Planner.ByAlgorithm and may not be edited;
 	// the next benchmark issue renames it.
-	Planner plan.Stats `json:"planner"`
+	Planner SolveStats `json:"planner"`
 }
 
 // Stats snapshots the session counters.
@@ -1115,18 +1069,110 @@ func (e *Engine) Stats() EngineStats {
 	if s, ok := st.index.cached(); ok {
 		out.IndexIO = s.Stats()
 		out.IndexSegments = s.NumSegments()
-		hits, misses, bytes := s.CacheStats()
-		out.IndexCache = IndexCacheStats{Hits: hits, Misses: misses, Bytes: bytes}
+		out.IndexCache.Hits, out.IndexCache.Misses, out.IndexCache.Bytes = s.CacheStats()
 	}
 	return out
 }
 
-// IndexCacheStats is the disk index's block-cache snapshot inside
-// EngineStats (field names pinned by TestEngineStatsJSON).
-type IndexCacheStats struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	Bytes  int64 `json:"bytes"`
+// SolveStats is the per-algorithm accounting of completed solves,
+// served on /debug/stats inside EngineStats and mirrored to /metrics as
+// the solve-duration and solve-work series. The zero value is ready to
+// use; it is not safe for concurrent use (the Engine guards its own).
+type SolveStats struct {
+	// ByAlgorithm counts completed solves per algorithm; it is always
+	// SolveNs[algorithm].Count.
+	ByAlgorithm map[string]int64 `json:"by_algorithm"`
+	// SolveNs holds per-algorithm wall-clock histograms of completed
+	// solves, bucketed by SolveNsBuckets.
+	SolveNs map[string]SolveHist `json:"solve_ns"`
+	// Work sums the work counters of each algorithm's completed solves;
+	// PeakStatePaths is the largest any one of them reached.
+	Work map[string]core.Stats `json:"work"`
+}
+
+// recordSolve adds one completed solve's wall-clock to its algorithm's
+// histogram and its work counters to the algorithm's totals.
+func (s *SolveStats) recordSolve(algorithm string, costNs int64, work core.Stats) {
+	h := s.SolveNs[algorithm]
+	h.observe(costNs)
+	s.set(algorithm, h, work)
+}
+
+// Merge accumulates other into s. Merging into a zero SolveStats is a
+// deep copy.
+func (s *SolveStats) Merge(other SolveStats) {
+	for algorithm, h := range other.SolveNs {
+		cur := s.SolveNs[algorithm]
+		cur.merge(h)
+		s.set(algorithm, cur, other.Work[algorithm])
+	}
+}
+
+// set stores algorithm's histogram and folds work into its totals.
+func (s *SolveStats) set(algorithm string, h SolveHist, work core.Stats) {
+	if s.SolveNs == nil {
+		s.SolveNs = map[string]SolveHist{}
+		s.ByAlgorithm = map[string]int64{}
+		s.Work = map[string]core.Stats{}
+	}
+	s.SolveNs[algorithm] = h
+	s.ByAlgorithm[algorithm] = h.Count
+	w := s.Work[algorithm]
+	w.NodeReads += work.NodeReads
+	w.NodeWrites += work.NodeWrites
+	w.EdgeReads += work.EdgeReads
+	w.HeapConsiders += work.HeapConsiders
+	w.Pruned += work.Pruned
+	w.Repushes += work.Repushes
+	w.RandomSeeks += work.RandomSeeks
+	w.PeakStatePaths = max(w.PeakStatePaths, work.PeakStatePaths)
+	w.Passes += work.Passes
+	s.Work[algorithm] = w
+}
+
+// SolveNsBuckets are the solve-duration histogram upper bounds in
+// nanoseconds: 10µs to 10s, one decade per bucket (solves span five
+// orders of magnitude between a hot small graph and a cold full-corpus
+// brute run; finer resolution adds series without adding signal).
+var SolveNsBuckets = []int64{1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
+
+// SolveHist is a fixed-bucket histogram of solve wall-clock. Counts
+// has len(SolveNsBuckets)+1 slots, per-bucket (non-cumulative), the
+// final slot counting solves beyond the largest bound.
+type SolveHist struct {
+	Counts []int64 `json:"counts"`
+	SumNs  int64   `json:"sum_ns"`
+	Count  int64   `json:"count"`
+}
+
+// merge accumulates other into h (both in SolveNsBuckets layout).
+func (h *SolveHist) merge(other SolveHist) {
+	if len(h.Counts) == 0 {
+		h.Counts = make([]int64, len(SolveNsBuckets)+1)
+	}
+	for i, c := range other.Counts {
+		if i < len(h.Counts) {
+			h.Counts[i] += c
+		}
+	}
+	h.SumNs += other.SumNs
+	h.Count += other.Count
+}
+
+func (h *SolveHist) observe(ns int64) {
+	if len(h.Counts) == 0 {
+		h.Counts = make([]int64, len(SolveNsBuckets)+1)
+	}
+	slot := len(SolveNsBuckets)
+	for i, ub := range SolveNsBuckets {
+		if ns <= ub {
+			slot = i
+			break
+		}
+	}
+	h.Counts[slot]++
+	h.SumNs += ns
+	h.Count++
 }
 
 // stage emits the started event and returns the closure recording the

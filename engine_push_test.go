@@ -245,7 +245,7 @@ func newTestCluster(id int64, interval int, kws ...string) Cluster {
 
 // TestEnginePushEvents pins the observability contract: a push emits
 // paired push events carrying the old and new generation, and extends
-// cached graphs under a visible graph-extend stage.
+// the cached graph under a visible graph-extend stage.
 func TestEnginePushEvents(t *testing.T) {
 	col := pushCorpus(t, 4)
 	ctx := context.Background()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/obs"
 )
 
@@ -89,18 +91,18 @@ func TestEngineEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference normalized: %v", err)
 	}
-	gotN, err := eng.NormalizedStableClusters(ctx, 4, 2)
+	gotN, err := eng.Solve(ctx, QuerySpec{Variant: "normalized", K: 4, LMin: 2})
 	if err != nil {
 		t.Fatalf("engine normalized: %v", err)
 	}
 	if !reflect.DeepEqual(wantN.Paths, gotN.Paths) {
 		t.Fatalf("normalized paths differ")
 	}
-	wantD, err := core.DiverseKL(ctx, wantG, core.Request{K: 3, L: 2}, DistinctEndpoints, 0)
+	wantD, err := core.Solve(ctx, wantG, core.Request{Variant: core.VariantDiverse, K: 3, L: 2, Mode: "endpoints"})
 	if err != nil {
 		t.Fatalf("reference diverse: %v", err)
 	}
-	gotD, err := eng.DiverseStableClusters(ctx, 3, 2, DistinctEndpoints)
+	gotD, err := eng.Solve(ctx, QuerySpec{Variant: "diverse", K: 3, L: 2, Mode: "endpoints"})
 	if err != nil {
 		t.Fatalf("engine diverse: %v", err)
 	}
@@ -108,7 +110,11 @@ func TestEngineEquivalence(t *testing.T) {
 		t.Fatalf("diverse paths differ")
 	}
 	if len(gotN.Paths) > 0 {
-		want := DescribePath(wantG, wantN.Paths[0])
+		p := wantN.Paths[0]
+		want := fmt.Sprintf("weight %.3f, length %d:", p.Weight, p.Length)
+		for _, id := range p.Nodes {
+			want += fmt.Sprintf("\n  t%d %v", wantG.Interval(id), wantG.Cluster(id).Keywords)
+		}
 		got, err := eng.Describe(ctx, gotN.Paths[0])
 		if err != nil {
 			t.Fatalf("describe: %v", err)
@@ -119,7 +125,7 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 
 	// Index-backed queries.
-	r, err := OpenIndexStore(ctx, col, IndexOptions{})
+	r, err := index.OpenStore(ctx, col, "", "", index.Config{})
 	if err != nil {
 		t.Fatalf("legacy index: %v", err)
 	}
@@ -138,7 +144,7 @@ func TestEngineEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(wantTS, gotTS) {
 			t.Fatalf("time series differ for %q", raw)
 		}
-		wantB, err := DetectBurstsIn(r, kw)
+		wantB, err := burstsIn(r, kw)
 		if err != nil {
 			t.Fatalf("legacy bursts(%s): %v", kw, err)
 		}
@@ -160,7 +166,18 @@ func TestEngineEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(wantS, gotS) {
 			t.Fatalf("search results differ for %q", raw)
 		}
-		wantR := RefineQuery(wantSets[2], raw)
+		var wantR []string
+		for _, c := range wantSets[2] {
+			if c.Contains(kw) {
+				wantR = make([]string, 0, c.Size()-1)
+				for _, w := range c.Keywords {
+					if w != kw {
+						wantR = append(wantR, w)
+					}
+				}
+				break
+			}
+		}
 		gotR, err := eng.Refine(ctx, raw, 2)
 		if err != nil {
 			t.Fatalf("engine refine(%s): %v", raw, err)
@@ -595,7 +612,7 @@ func TestEnginePlanner(t *testing.T) {
 	if err != nil {
 		t.Fatalf("normalized solve: %v", err)
 	}
-	gotNorm, err := eng.NormalizedStableClusters(ctx, 3, 2)
+	gotNorm, err := eng.Solve(ctx, QuerySpec{Variant: "normalized", Algorithm: "auto", K: 3, LMin: 2})
 	if err != nil {
 		t.Fatalf("normalized auto solve: %v", err)
 	}
@@ -642,5 +659,44 @@ func TestEngineSolveSpanOnError(t *testing.T) {
 	}
 	if n := eng.Stats().Planner.ByAlgorithm["bfs"]; n != 0 {
 		t.Fatalf("failed solve counted as completed: ByAlgorithm[bfs] = %d", n)
+	}
+}
+
+// TestStatsRecordAndMerge checks the solve accounting: ByAlgorithm
+// tracks the histogram counts, Work sums the counters and keeps the
+// largest peak, Merge sums, and merging into a zero SolveStats copies
+// deeply (the Engine snapshots that way).
+func TestStatsRecordAndMerge(t *testing.T) {
+	var a, b SolveStats
+	a.recordSolve("bfs", 5e3, core.Stats{NodeReads: 10, EdgeReads: 20, HeapConsiders: 30, PeakStatePaths: 7})
+	a.recordSolve("bfs", 5e6, core.Stats{NodeReads: 1, EdgeReads: 2, HeapConsiders: 3, PeakStatePaths: 9})
+	a.recordSolve("dfs", 2e10, core.Stats{Pruned: 4, Repushes: 5})
+	a.recordSolve("normalized", 5e5, core.Stats{Passes: 2})
+	b.recordSolve("bfs", 5e3, core.Stats{NodeReads: 100, RandomSeeks: 6, PeakStatePaths: 8})
+	b.recordSolve("normalized", 5e5, core.Stats{Passes: 3})
+
+	var sum SolveStats
+	sum.Merge(a)
+	sum.Merge(b)
+	if want := map[string]int64{"bfs": 3, "dfs": 1, "normalized": 2}; !reflect.DeepEqual(sum.ByAlgorithm, want) {
+		t.Errorf("ByAlgorithm = %v, want %v", sum.ByAlgorithm, want)
+	}
+	bfs := sum.SolveNs["bfs"]
+	if bfs.Count != 3 || bfs.SumNs != 5e3+5e6+5e3 || bfs.Counts[0] != 2 || bfs.Counts[3] != 1 {
+		t.Errorf("merged bfs histogram = %+v", bfs)
+	}
+	if over := sum.SolveNs["dfs"].Counts[len(SolveNsBuckets)]; over != 1 {
+		t.Errorf("overflow slot = %d, want 1", over)
+	}
+	if want := map[string]core.Stats{
+		"bfs":        {NodeReads: 111, EdgeReads: 22, HeapConsiders: 33, RandomSeeks: 6, PeakStatePaths: 9},
+		"dfs":        {Pruned: 4, Repushes: 5},
+		"normalized": {Passes: 5},
+	}; !reflect.DeepEqual(sum.Work, want) {
+		t.Errorf("Work = %+v, want %+v", sum.Work, want)
+	}
+	a.recordSolve("bfs", 1, core.Stats{NodeReads: 1})
+	if sum.SolveNs["bfs"].Count != 3 || sum.SolveNs["bfs"].Counts[0] != 2 || sum.Work["bfs"].NodeReads != 111 {
+		t.Error("Merge aliased its source's counts")
 	}
 }

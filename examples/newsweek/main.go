@@ -10,9 +10,9 @@
 //	Figure 16 — Somalia conflict persisting all seven days
 //
 // The study needs two cluster graphs (gap 2 for the FA-cup bridge,
-// gap 0 for the full-week stories); the Engine session builds the
-// cluster sets once and memoizes a graph per option set, so both
-// graphs share one Section 3 pass.
+// gap 0 for the full-week stories). An Engine serves one graph, so the
+// gap-2 study opens a second engine from the first one's cluster sets
+// (FromClusterSets): both graphs share one Section 3 pass.
 //
 // Run with: go run ./examples/newsweek
 package main
@@ -62,14 +62,20 @@ func main() {
 
 	// Figure 4: a story with a gap — the FA cup is discussed Jan 6,
 	// vanishes Jan 7–8, returns Jan 9–10. With g = 2 the stable-cluster
-	// machinery bridges the gap. GraphWith memoizes this second graph
-	// alongside the session's default gap-0 one.
+	// machinery bridges the gap. The gap-2 engine starts from the
+	// cluster sets built above, so only its graph is new work.
 	fmt.Println("\n=== stable cluster across a gap (cf. Figure 4, g=2) ===")
-	g2, err := eng.GraphWith(ctx, blogclusters.GraphOptions{Gap: 2, Theta: 0.1})
+	eng2, err := blogclusters.Open(ctx, blogclusters.FromClusterSets(sets),
+		blogclusters.WithGraphOptions(blogclusters.GraphOptions{Gap: 2, Theta: 0.1}))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := eng.StableClustersOn(ctx, blogclusters.GraphOptions{Gap: 2, Theta: 0.1}, "bfs", 50, 4)
+	defer eng2.Close()
+	g2, err := eng2.Graph(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := eng2.StableClusters(ctx, "bfs", 50, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,7 +92,7 @@ func main() {
 	}
 
 	// Figures 15 and 16: topic drift and a full-week story, gap 0 (the
-	// session default).
+	// first engine's graph).
 	fmt.Println("\n=== full-week stable clusters (cf. Figures 15 and 16) ===")
 	g0, err := eng.Graph(ctx)
 	if err != nil {

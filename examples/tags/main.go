@@ -46,7 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := eng.NormalizedStableClusters(ctx, 3, 2)
+	res, err := eng.Solve(ctx, blogclusters.QuerySpec{Variant: "normalized", K: 3, LMin: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,7 +7,19 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/index"
 )
+
+// burstsIn runs the Engine's burst detector over one index reader, so
+// backends can be compared below the Engine.
+func burstsIn(r IndexReader, w string) ([]KeywordBurst, error) {
+	counts, err := r.TimeSeries(w)
+	if err != nil {
+		return nil, err
+	}
+	return kleinbergBursts(counts, intervalTotals(r))
+}
 
 // TestIndexBackendsAgree drives the facade's backend switch end to
 // end: both backends must serve identical primitives and bursts on the
@@ -21,13 +33,13 @@ func TestIndexBackendsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := OpenIndexStore(context.Background(), col, IndexOptions{Backend: "mem"})
+	mem, err := index.OpenStore(context.Background(), col, "mem", "", index.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mem.Close()
 	path := filepath.Join(t.TempDir(), "news.seg")
-	disk, err := OpenIndexStore(context.Background(), col, IndexOptions{Backend: "disk", Path: path, MemBudget: 1 << 20})
+	disk, err := index.OpenStore(context.Background(), col, "disk", path, index.Config{MemBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +64,11 @@ func TestIndexBackendsAgree(t *testing.T) {
 		if !reflect.DeepEqual(ms, ds) {
 			t.Fatalf("TimeSeries(%q): mem %v disk %v", w, ms, ds)
 		}
-		mb, err := DetectBurstsIn(mem, w)
+		mb, err := burstsIn(mem, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err := DetectBurstsIn(disk, w)
+		db, err := burstsIn(disk, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,14 +88,14 @@ func TestIndexBackendsAgree(t *testing.T) {
 		t.Fatalf("Search: mem %v disk %v", ms, ds)
 	}
 
-	if _, err := OpenIndexStore(context.Background(), col, IndexOptions{Backend: "bogus"}); err == nil {
+	if _, err := index.OpenStore(context.Background(), col, "bogus", "", index.Config{}); err == nil {
 		t.Fatal("bogus backend accepted")
 	}
 
 	// Temp-file route: the private segment must be gone after Close,
 	// and Close must be idempotent (no spurious os.Remove error for the
 	// already-deleted file on the second call).
-	tmp, err := OpenIndexStore(context.Background(), col, IndexOptions{Backend: "disk"})
+	tmp, err := index.OpenStore(context.Background(), col, "disk", "", index.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +124,14 @@ func TestOpenIndexStoreErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := OpenIndexStore(context.Background(), col, IndexOptions{Backend: "lsm"}); err == nil {
+	if _, err := index.OpenStore(context.Background(), col, "lsm", "", index.Config{}); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
 
 	// Unwritable explicit path: creating <missing-dir>/x.seg.partial
 	// must fail and surface the create error.
 	bad := filepath.Join(t.TempDir(), "no-such-dir", "x.seg")
-	if _, err := OpenIndexStore(context.Background(), col, IndexOptions{Backend: "disk", Path: bad}); err == nil {
+	if _, err := index.OpenStore(context.Background(), col, "disk", bad, index.Config{}); err == nil {
 		t.Fatal("unwritable segment path accepted")
 	}
 
@@ -130,7 +142,7 @@ func TestOpenIndexStoreErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	broken.Intervals[0].Docs[0].ID = -7
-	if _, err := OpenIndexStore(context.Background(), broken, IndexOptions{Backend: "disk"}); err == nil {
+	if _, err := index.OpenStore(context.Background(), broken, "disk", "", index.Config{}); err == nil {
 		t.Fatal("negative doc id accepted by disk backend")
 	}
 	matches, err := filepath.Glob(filepath.Join(os.TempDir(), "blogclusters-idx-*"))

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	blogclusters "repro"
+	"repro/internal/corpus"
 	"repro/internal/shard"
 )
 
@@ -101,7 +102,7 @@ func (f *EngineFlags) Collection() (*blogclusters.Collection, error) {
 		return nil, err
 	}
 	defer r.Close()
-	return blogclusters.ReadJSONL(r)
+	return corpus.ReadJSONL(r)
 }
 
 // parseIntervalRange parses the -intervals "from:to" syntax.

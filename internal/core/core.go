@@ -3,8 +3,9 @@
 // stable-clusters problem (Problem 2) over a cluster graph.
 //
 // Every algorithm is reached through one unified surface: build a
-// Request, call Solve (solve.go). The registry dispatches on
-// Request.Algorithm, mirroring Section 4:
+// Request (request.go), call Solve (solve.go). Solve answers the
+// diverse variant itself (variants.go) and otherwise dispatches on
+// Request.Algorithm through the registry, mirroring Section 4:
 //
 //   - "bfs" (Algorithm 2): a single forward pass over the intervals with
 //     per-node top-k heaps of subpaths of each length; a node that holds

@@ -220,14 +220,3 @@ func TestOptionValidation(t *testing.T) {
 		t.Error("NormalizedBFS accepted lmin > m-1")
 	}
 }
-
-func TestTASeekBudget(t *testing.T) {
-	g, err := synth.Generate(synth.Config{Seed: 1, M: 6, N: 20, D: 4, G: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = solve(g, Request{Algorithm: "ta", K: 5, L: FullPaths, MaxSeeks: 10})
-	if err == nil {
-		t.Fatal("TA ignored the seek budget")
-	}
-}

@@ -82,7 +82,7 @@ func newDFSRun(ctx context.Context, g *clustergraph.Graph, req Request, l int) *
 		g:          g,
 		l:          l,
 		fullPath:   l == g.NumIntervals()-1,
-		prune:      !req.DisablePruning,
+		prune:      !req.disablePruning,
 		ctx:        ctx,
 		visited:    make([]bool, n),
 		everPushed: make([]bool, n),

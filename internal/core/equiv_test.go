@@ -68,7 +68,7 @@ func TestBFSDFSBruteEquivalence(t *testing.T) {
 			if !weightsAlmostEqual(dfs.Weights(), want.Weights()) {
 				t.Errorf("DFS weights %v != brute %v", dfs.Weights(), want.Weights())
 			}
-			dfsNoPrune, err := solve(g, Request{Algorithm: "dfs", K: c.k, L: c.l, DisablePruning: true})
+			dfsNoPrune, err := solve(g, Request{Algorithm: "dfs", K: c.k, L: c.l, disablePruning: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,9 +8,6 @@ import (
 	"repro/internal/topk"
 )
 
-// ErrSeekBudget is returned (wrapped) when a TA run exceeds MaxSeeks.
-var ErrSeekBudget = fmt.Errorf("core: TA random-seek budget exhausted")
-
 // solveTA solves the stable-clusters problem for full paths (l must be
 // m−1, per Section 4.4) by adapting the threshold algorithm: one
 // weight-descending edge list per interval pair, consumed round-robin;
@@ -38,11 +35,10 @@ func solveTA(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, 
 		return nil, fmt.Errorf("%w: TA finds full paths only (l = m-1 = %d), got l = %d", ErrInvalidRequest, g.NumIntervals()-1, l)
 	}
 	r := &taRun{
-		g:        g,
-		k:        req.K,
-		maxSeeks: req.MaxSeeks,
-		ctx:      ctx,
-		global:   topk.NewK(req.K),
+		g:      g,
+		k:      req.K,
+		ctx:    ctx,
+		global: topk.NewK(req.K),
 	}
 	r.bound = newSuffixBound(g, req, l)
 	r.bound.withPrefixes()
@@ -53,13 +49,12 @@ func solveTA(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, 
 }
 
 type taRun struct {
-	g        *clustergraph.Graph
-	k        int
-	maxSeeks int64
-	ctx      context.Context
-	global   *topk.K
-	bound    suffixBound
-	stats    Stats
+	g      *clustergraph.Graph
+	k      int
+	ctx    context.Context
+	global *topk.K
+	bound  suffixBound
+	stats  Stats
 
 	// For the edge being expanded: the floor its full paths must reach,
 	// and the most the far side of the branch being grown can add — the
@@ -244,14 +239,11 @@ func (r *taRun) bestWeight(paths []ref) float64 {
 	return best
 }
 
-// seek accounts one random seek and enforces the budget. Seeks also
-// carry the cancellation poll: a single round can expand into
-// exponentially many seeks, so the per-round check alone is not prompt.
+// seek accounts one random seek. Seeks also carry the cancellation
+// poll: a single round can expand into exponentially many seeks, so the
+// per-round check alone is not prompt.
 func (r *taRun) seek() error {
 	r.stats.RandomSeeks++
-	if r.maxSeeks > 0 && r.stats.RandomSeeks > r.maxSeeks {
-		return fmt.Errorf("%w (limit %d)", ErrSeekBudget, r.maxSeeks)
-	}
 	if r.stats.RandomSeeks%4096 == 0 {
 		if err := ctxErr(r.ctx); err != nil {
 			return err

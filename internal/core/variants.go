@@ -133,17 +133,22 @@ func Diversify(paths []topk.Path, k int, mode DiversityMode) ([]topk.Path, error
 	return out, nil
 }
 
-// DiverseKL answers the constrained variant end to end: it widens the
-// underlying query (fetching overshoot·k candidates through Solve, so
-// req.Algorithm is honored) and then filters. A
-// larger overshoot trades work for a better chance of filling all k
-// diverse slots.
-func DiverseKL(ctx context.Context, g *clustergraph.Graph, req Request, mode DiversityMode, overshoot int) (*Result, error) {
-	if overshoot < 1 {
-		overshoot = 4
+// diverseOvershoot is how many candidates per requested path the
+// diverse variant fetches before filtering: a larger overshoot trades
+// work for a better chance of filling all k diverse slots.
+const diverseOvershoot = 4
+
+// diverseKL answers the constrained variant: it widens the request to
+// diverseOvershoot·k paths of the same solver (req.Algorithm is
+// honored), then filters them with Diversify under req.Mode.
+func diverseKL(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, error) {
+	mode, err := ParseDiversityMode(req.Mode)
+	if err != nil {
+		return nil, err
 	}
 	wide := req
-	wide.K = req.K * overshoot
+	wide.Variant, wide.Mode = VariantTopK, ""
+	wide.K = req.K * diverseOvershoot
 	res, err := Solve(ctx, g, wide)
 	if err != nil {
 		return nil, err

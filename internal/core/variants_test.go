@@ -79,7 +79,7 @@ func TestDiverseKL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DiverseKL(context.Background(), g, Request{K: 3, L: FullPaths}, DistinctEndpoints, 0)
+	res, err := Solve(context.Background(), g, Request{Variant: VariantDiverse, K: 3, L: FullPaths})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	blogclusters "repro"
+	"repro/internal/core"
 )
 
 func fillWith(status int, body string) func(context.Context) (*cacheEntry, error) {
@@ -223,5 +226,59 @@ func TestCacheSingleFlightWaiters(t *testing.T) {
 	st := c.Stats()
 	if st.Misses != 1 || st.Hits != n-1 {
 		t.Fatalf("stats %+v, want 1 miss / %d hits", st, n-1)
+	}
+}
+
+func TestCacheKeyUnifiesSpellings(t *testing.T) {
+	// Equivalent spellings of the same query must share one key.
+	same := [][2]blogclusters.QuerySpec{
+		{
+			{K: 5, L: -3},
+			{Variant: core.VariantTopK, Algorithm: core.AlgorithmAuto, K: 5, L: -1},
+		},
+		{
+			{Variant: core.VariantDiverse, K: 3, L: 2, Mode: "distinct-prefix"},
+			{Variant: core.VariantDiverse, Algorithm: "auto", K: 3, L: 2, Mode: "prefix"},
+		},
+		{
+			{Variant: core.VariantNormalized, K: 2},
+			{Variant: core.VariantNormalized, K: 2, LMin: 2, L: 9, Mode: "suffix"},
+		},
+		// auto, empty and the resolved name are one query.
+		{
+			{K: 5, L: 3},
+			{Algorithm: "bfs", K: 5, L: 3},
+		},
+		{
+			{Variant: core.VariantNormalized, Algorithm: "auto", K: 2},
+			{Variant: core.VariantNormalized, Algorithm: "normalized", K: 2},
+		},
+		{
+			{Variant: core.VariantDiverse, K: 3, L: 2},
+			{Variant: core.VariantDiverse, Algorithm: "bfs", K: 3, L: 2},
+		},
+	}
+	for i, pair := range same {
+		if a, b := cacheKey(pair[0]), cacheKey(pair[1]); a != b {
+			t.Errorf("pair %d: keys differ: %q vs %q", i, a, b)
+		}
+	}
+	// Genuinely different queries must not collide.
+	distinct := []blogclusters.QuerySpec{
+		{K: 5, L: 3},
+		{K: 5, L: -1},
+		{Algorithm: "dfs", K: 5, L: 3},
+		{K: 6, L: 3},
+		{Variant: core.VariantNormalized, K: 5},
+		{Variant: core.VariantDiverse, K: 5, L: 3},
+		{Variant: core.VariantDiverse, K: 5, L: 3, Mode: "suffix"},
+	}
+	seen := map[string]int{}
+	for i, s := range distinct {
+		key := cacheKey(s)
+		if j, ok := seen[key]; ok {
+			t.Errorf("specs %d and %d collide on key %q", j, i, key)
+		}
+		seen[key] = i
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	blogclusters "repro"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/shard"
 )
@@ -456,16 +457,17 @@ type statsResponse struct {
 // --- /v1 handlers ---
 
 // handleStableClusters answers Problems 1 and 2 and the diversity
-// variant over the session's default graph: ?variant=topk (default,
+// variant over the session's graph: ?variant=topk (default,
 // with ?algorithm=auto|bfs|dfs|ta|brute, ?k, ?l), ?variant=normalized
 // (?k, ?lmin) or ?variant=diverse (?k, ?l, ?mode). Algorithm "auto"
 // (the default) is a spelling of the variant's default solver.
 //
 // The parameters fold into one blogclusters.QuerySpec: its
-// normalization provides the response-cache key — equivalent requests
-// (?l=-1 vs ?l=-7, ?mode=endpoints vs ?mode=distinct-endpoints) share
-// one entry — and its validation is the single source of client
-// errors, the same checks the Engine itself would apply.
+// normalization provides the response-cache key (cacheKey) — equivalent
+// requests (?l=-1 vs ?l=-7, ?mode=endpoints vs
+// ?mode=distinct-endpoints) share one entry — and its validation is the
+// single source of client errors, the same checks the Engine itself
+// would apply.
 func (s *Server) handleStableClusters(w http.ResponseWriter, r *http.Request) {
 	p := newParams(r)
 	spec := blogclusters.QuerySpec{
@@ -485,7 +487,7 @@ func (s *Server) handleStableClusters(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.serve(w, r, "stable-clusters?"+spec.CacheKey(), true, func(ctx context.Context, sess Session, gen int64) (any, error) {
+	s.serve(w, r, "stable-clusters?"+cacheKey(spec), true, func(ctx context.Context, sess Session, gen int64) (any, error) {
 		res, err := sess.Solve(ctx, spec)
 		if err != nil {
 			return nil, err
@@ -499,6 +501,34 @@ func (s *Server) handleStableClusters(w http.ResponseWriter, r *http.Request) {
 			Pruned:        st.Pruned,
 		}}, nil
 	})
+}
+
+// cacheKey renders the normalized spec as a canonical string: the
+// response-cache key of a stable-clusters request, naming only the
+// fields its variant reads.
+func cacheKey(spec blogclusters.QuerySpec) string {
+	spec = spec.Normalize()
+	var b strings.Builder
+	b.WriteString("variant=")
+	b.WriteString(spec.Variant)
+	b.WriteString("&algorithm=")
+	b.WriteString(spec.Algorithm)
+	b.WriteString("&k=")
+	b.WriteString(strconv.Itoa(spec.K))
+	switch spec.Variant {
+	case core.VariantNormalized:
+		b.WriteString("&lmin=")
+		b.WriteString(strconv.Itoa(spec.LMin))
+	case core.VariantDiverse:
+		b.WriteString("&l=")
+		b.WriteString(strconv.Itoa(spec.L))
+		b.WriteString("&mode=")
+		b.WriteString(spec.Mode)
+	default:
+		b.WriteString("&l=")
+		b.WriteString(strconv.Itoa(spec.L))
+	}
+	return b.String()
 }
 
 // handleTimeSeries serves A(w) per interval: ?keyword=.

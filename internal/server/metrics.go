@@ -6,8 +6,8 @@ import (
 	"strconv"
 	"time"
 
+	blogclusters "repro"
 	"repro/internal/metrics"
-	"repro/internal/plan"
 )
 
 // serverMetrics is the Server's Prometheus registry plus the resolved
@@ -66,13 +66,13 @@ type serverMetrics struct {
 	solvePeak *metrics.Vec // engine_solve_peak_state_paths{algorithm}
 }
 
-// solveDurBuckets converts plan.SolveNsBuckets (nanoseconds) into the
+// solveDurBuckets converts blogclusters.SolveNsBuckets (nanoseconds) into the
 // histogram's second-valued upper bounds, so the exposition layout
 // matches the Engine's internal accounting one-for-one and
 // SetHistogram can mirror SolveHist.Counts without resampling.
 func solveDurBuckets() []float64 {
-	out := make([]float64, len(plan.SolveNsBuckets))
-	for i, ns := range plan.SolveNsBuckets {
+	out := make([]float64, len(blogclusters.SolveNsBuckets))
+	for i, ns := range blogclusters.SolveNsBuckets {
 		out[i] = float64(ns) / 1e9
 	}
 	return out
@@ -229,7 +229,7 @@ func (s *Server) syncMetrics() {
 	m.idxCacheBytes.Set(float64(st.IndexCache.Bytes))
 
 	for algo, h := range st.Planner.SolveNs {
-		if len(h.Counts) != len(plan.SolveNsBuckets)+1 {
+		if len(h.Counts) != len(blogclusters.SolveNsBuckets)+1 {
 			continue
 		}
 		m.solveDur.With(algo).SetHistogram(h.Counts, float64(h.SumNs)/1e9)

@@ -9,14 +9,13 @@ import "net/http"
 // and dashboards keep working while the query surface is saturated or
 // shedding.
 //
-//	/v1/stable-clusters  → StableClusters / NormalizedStableClusters /
-//	                       DiverseStableClusters (?variant=)
+//	/v1/stable-clusters  → Solve (?variant=topk|normalized|diverse)
 //	/v1/bursts           → Bursts
 //	/v1/timeseries       → TimeSeries
 //	/v1/search           → Search
 //	/v1/refine           → Refine
 //	/v1/correlations     → Correlations
-//	/v1/describe         → Describe (over the default graph)
+//	/v1/describe         → Describe (over the session's graph)
 //	/v1/meta             → session shape: generation, width, doc totals
 //	/v1/clusters         → canonical per-interval cluster sets (the
 //	                       scatter-gather exchange a shard coordinator

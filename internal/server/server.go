@@ -5,7 +5,7 @@
 //
 // One Server owns one Engine. Routes map 1:1 onto Engine query
 // methods (see routes.go); everything the Engine memoizes (index,
-// cluster sets, graphs) is therefore shared by all HTTP clients, and
+// cluster sets, graph) is therefore shared by all HTTP clients, and
 // the Engine's single-flight stage builds mean a cold start under
 // concurrent load still builds each artifact exactly once.
 //

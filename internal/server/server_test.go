@@ -15,7 +15,7 @@ import (
 	"time"
 
 	blogclusters "repro"
-	"repro/internal/plan"
+	"repro/internal/core"
 )
 
 // quietConfig returns a Config that logs nowhere, with the given
@@ -215,7 +215,7 @@ func (c *countingSession) Solve(ctx context.Context, spec blogclusters.QuerySpec
 }
 
 // TestStableClustersKCeiling pins the k ceiling end to end: one past
-// plan.MaxK is a 400 that names the bound and never reaches the
+// core.MaxK is a 400 that names the bound and never reaches the
 // session (solvers size their heaps by k, so an unbounded k is an
 // allocation the client chooses); the bound itself is served.
 func TestStableClustersKCeiling(t *testing.T) {
@@ -223,10 +223,10 @@ func TestStableClustersKCeiling(t *testing.T) {
 	sess := &countingSession{Session: eng}
 	srv.SetEngine(sess)
 
-	resp, m := get(t, ts, fmt.Sprintf("/v1/stable-clusters?k=%d", plan.MaxK+1))
+	resp, m := get(t, ts, fmt.Sprintf("/v1/stable-clusters?k=%d", core.MaxK+1))
 	wantStatus(t, resp, m, http.StatusBadRequest)
-	if msg, _ := m["error"].(string); !strings.Contains(msg, fmt.Sprint(plan.MaxK)) {
-		t.Errorf("400 body does not name the bound %d: %v", plan.MaxK, m)
+	if msg, _ := m["error"].(string); !strings.Contains(msg, fmt.Sprint(core.MaxK)) {
+		t.Errorf("400 body does not name the bound %d: %v", core.MaxK, m)
 	}
 	if n := sess.solves.Load(); n != 0 {
 		t.Fatalf("k over the ceiling reached the session: %d solves", n)
@@ -235,7 +235,7 @@ func TestStableClustersKCeiling(t *testing.T) {
 		t.Error("rejected request left an engine_solve_duration_seconds sample")
 	}
 
-	resp, m = get(t, ts, fmt.Sprintf("/v1/stable-clusters?k=%d", plan.MaxK))
+	resp, m = get(t, ts, fmt.Sprintf("/v1/stable-clusters?k=%d", core.MaxK))
 	wantStatus(t, resp, m, 200)
 	if n := sess.solves.Load(); n != 1 {
 		t.Fatalf("k at the ceiling: %d solves, want 1", n)

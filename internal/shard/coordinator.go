@@ -13,8 +13,8 @@ import (
 
 // Options tunes a Coordinator.
 type Options struct {
-	// Graph is the default cluster-graph options of the session. It
-	// must match the shards' own default graph (the same -gap/-theta/
+	// Graph is the session's cluster-graph options. It
+	// must match the shards' own graph (the same -gap/-theta/
 	// -simjoin on every shard server) or merged answers would be built
 	// on a different graph than scattered ones.
 	Graph blogclusters.GraphOptions

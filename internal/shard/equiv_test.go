@@ -176,7 +176,7 @@ func checkEquivalence(t *testing.T, c *shard.Coordinator, ref *blogclusters.Engi
 		if err != nil {
 			t.Fatalf("engine solve %+v: %v", spec, err)
 		}
-		assertSame(t, "solve "+spec.CacheKey(), res.Paths, want.Paths)
+		assertSame(t, fmt.Sprintf("solve %+v", spec), res.Paths, want.Paths)
 	}
 
 	for _, kw := range []string{"alpha", "epsilon", "zeta"} {

@@ -7,7 +7,6 @@ import (
 
 	blogclusters "repro"
 	"repro/internal/core"
-	"repro/internal/plan"
 	"repro/internal/topk"
 )
 
@@ -186,7 +185,7 @@ func (c *Coordinator) windowEngine(ctx context.Context, st *coordState, lo, hi i
 // rank against global state; TA requires l = m-1 of whatever graph it
 // runs on, which no boundary window satisfies.
 func scatterable(spec blogclusters.QuerySpec, m int) bool {
-	if spec.Variant != plan.VariantTopK {
+	if spec.Variant != core.VariantTopK {
 		return false
 	}
 	if spec.L <= 0 || spec.L >= m-1 {

@@ -84,6 +84,7 @@ fuzz-smoke:
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzDiskIndexRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cooccur -run '^$$' -fuzz FuzzSortEntries -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cooccur -run '^$$' -fuzz FuzzBuildSpill -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cooccur -run '^$$' -fuzz FuzzBuildPruned -fuzztime $(FUZZTIME)
 
 # Chaos gate: the whole fault-injection suite under the race detector.
 # Everything prefixed TestFault* runs against internal/faultfs-injected

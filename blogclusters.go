@@ -127,15 +127,13 @@ func (o ClusterOptions) withDefaults() ClusterOptions {
 // cluster graph assigns graph-wide ids.
 func intervalClustersCtx(ctx context.Context, c *Collection, interval int, opts ClusterOptions) ([]Cluster, error) {
 	opts = opts.withDefaults()
-	kg, err := cooccur.BuildCtx(ctx, c, interval, interval, cooccur.BuildOptions{
+	pruned, err := cooccur.BuildPrunedCtx(ctx, c, interval, interval, cooccur.BuildOptions{
 		MinPairCount: opts.MinPairCount,
 		MemBudget:    opts.MemBudget,
-	})
+	}, opts.Chi2Critical, opts.RhoThreshold)
 	if err != nil {
 		return nil, fmt.Errorf("blogclusters: interval %d keyword graph: %w", interval, err)
 	}
-	kg.AnnotateStats()
-	pruned := kg.Prune(opts.Chi2Critical, opts.RhoThreshold)
 
 	bg := bicc.NewGraph(pruned.NumVertices())
 	for _, e := range pruned.Edges {

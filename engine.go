@@ -742,16 +742,11 @@ func (e *Engine) kwGraph(ctx context.Context, st *engineState, interval int) (*c
 	e.kwMu.Unlock()
 	return m.get(ctx, func() (*cooccur.Graph, error) {
 		defer e.stage(ctx, "kwgraph")()
-		kg, err := cooccur.BuildCtx(ctx, st.col, interval, interval, cooccur.BuildOptions{
+		// Keep every significant, positively correlated pair.
+		return cooccur.BuildPrunedCtx(ctx, st.col, interval, interval, cooccur.BuildOptions{
 			MinPairCount: e.cfg.cluster.MinPairCount,
 			MemBudget:    e.cfg.cluster.MemBudget,
-		})
-		if err != nil {
-			return nil, err
-		}
-		kg.AnnotateStats()
-		pruned := kg.Prune(stats.ChiSquared95, 0) // keep all significant pairs
-		return pruned, nil
+		}, stats.ChiSquared95, 0)
 	})
 }
 

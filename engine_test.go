@@ -13,9 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cooccur"
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // testCorpus returns a small seeded news week shared by the Engine
@@ -200,6 +202,49 @@ func TestEngineEquivalence(t *testing.T) {
 		if c.Keyword == kw {
 			t.Fatalf("correlations include the query keyword itself")
 		}
+	}
+}
+
+// TestCorrelationsMatchAnnotatedPrune: Correlations, served from the
+// pruned build, ranks every keyword's partners exactly as the unpruned
+// graph does after AnnotateStats and Prune at (χ²95, ρ 0), on each day
+// of the news week.
+func TestCorrelationsMatchAnnotatedPrune(t *testing.T) {
+	col := testCorpus(t, 600)
+	ctx := context.Background()
+	eng, err := Open(ctx, FromCollection(col))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer eng.Close()
+	found := 0
+	for interval := range col.Intervals {
+		kg, err := cooccur.BuildCtx(ctx, col, interval, interval, cooccur.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kg.AnnotateStats()
+		ref := kg.Prune(stats.ChiSquared95, 0)
+		for _, raw := range []string{"somalia", "mogadishu", "beckham", "liverpool", "iphone", "apple", "stem"} {
+			kw, err := analyzed(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ref.StrongestCorrelations(kw, 8)
+			got, err := eng.Correlations(ctx, raw, interval, 8)
+			if err != nil {
+				t.Fatalf("correlations(%s, %d): %v", raw, interval, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("correlations(%s, %d) = %v, want %v", raw, interval, got, want)
+			}
+			if len(want) > 0 {
+				found++
+			}
+		}
+	}
+	if found < 10 {
+		t.Fatalf("only %d (keyword, day) queries have correlations; the corpus does not exercise the comparison", found)
 	}
 }
 

@@ -8,20 +8,23 @@ import (
 	"testing"
 
 	"repro/internal/raceflag"
+	"repro/internal/stats"
 )
 
 // Allocation ceiling, in tier-1: a spilled build encodes every table
 // entry into, and merges it out of, one fixed buffer, so what it
 // allocates is set by the vocabulary and a few buffers — not by the
 // tens of thousands of records it spills. The ceiling is twice the
-// count recorded with this test (32; 147 when runs went through
-// internal/extsort) and a small fraction of the record count, so one
-// allocation per record or per run file fails `go test`.
+// count recorded with this test (28; 32 while A(u) was counted through
+// diagonal records and the document and run scratch grew by append;
+// 147 when runs went through internal/extsort) and a small fraction of
+// the record count, so one allocation per record or per run file fails
+// `go test`.
 func TestSpilledBuildAllocationCeiling(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const ceiling = 64
+	const ceiling = 56
 	col := equivCorpus(t, 5, 2000)
 	opts := BuildOptions{MemBudget: 64 << 10}
 	var g *Graph
@@ -35,9 +38,10 @@ func TestSpilledBuildAllocationCeiling(t *testing.T) {
 	// malloc count.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := testing.AllocsPerRun(1, build)
-	// The distinct entries (pairs and per-keyword diagonals) outgrow the
-	// table budget, so the build spilled, each of them at least once.
-	records := len(g.Edges) + len(g.Keywords)
+	// The distinct pairs, every one an edge at MinPairCount 1, outgrow
+	// the table budget, so the build spilled, each of them at least
+	// once. A(u) is counted in the dictionary pass and has no record.
+	records := len(g.Edges)
 	t.Logf("%v allocations for at least %d spilled records", allocs, records)
 	if records*pairEntryBytes <= opts.MemBudget || records < 20*ceiling {
 		t.Fatalf("%d records: too few to spill, or for a ceiling of %d to tell", records, ceiling)
@@ -52,9 +56,13 @@ func TestSpilledBuildAllocationCeiling(t *testing.T) {
 // a table grown from its smallest size. At a 64 KiB budget the build
 // spills a few runs; at 4 KiB every key recurs in several runs, and the
 // fan-in pass folds them before Edges is sized from the merge's input.
-// Recorded with this test: 1.00 MB and 1.01 MB. The ceilings sit below
-// what the extsort route allocated on a warm repeat (2.04 MB and
-// 1.56 MB), and builds must allocate the same.
+// Recorded with this test: 0.86 MB and 0.90 MB (1.00 and 1.01 MB with
+// diagonal records). The ceilings sit below what the extsort route
+// allocated on a warm repeat (2.04 MB and 1.56 MB), and builds must
+// allocate the same. The pruned build at the cluster stage's test
+// (χ²95, ρ 0.2) never counts most pairs and never holds the unpruned
+// edges: recorded 0.37 MB and 0.22 MB, ceilings well below the
+// unpruned route's readings.
 func TestSpilledBuildBytes(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation sizes")
@@ -67,15 +75,25 @@ func TestSpilledBuildBytes(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, tc := range []struct {
 		budget  int
+		pruned  bool
 		ceiling uint64
 	}{
-		{64 << 10, 1_300_000},
-		{4 << 10, 1_300_000},
+		{64 << 10, false, 1_300_000},
+		{4 << 10, false, 1_300_000},
+		{64 << 10, true, 480_000},
+		{4 << 10, true, 290_000},
 	} {
 		build := func() uint64 {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if _, err := BuildCtx(context.Background(), col, 0, 0, BuildOptions{MemBudget: tc.budget}); err != nil {
+			opts := BuildOptions{MemBudget: tc.budget}
+			var err error
+			if tc.pruned {
+				_, err = BuildPrunedCtx(context.Background(), col, 0, 0, opts, stats.ChiSquared95, stats.DefaultRhoThreshold)
+			} else {
+				_, err = BuildCtx(context.Background(), col, 0, 0, opts)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
@@ -97,7 +115,7 @@ func TestSpilledBuildBytes(t *testing.T) {
 			reads[i] = build()
 		}
 		least := slices.Min(reads)
-		t.Logf("budget %d: %d bytes per build", tc.budget, least)
+		t.Logf("budget %d, pruned %t: %d bytes per build", tc.budget, tc.pruned, least)
 		repeats := 0
 		for _, b := range reads {
 			if b == least {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/faultfs"
+	"repro/internal/stats"
 )
 
 // BuildOptions configures graph construction.
@@ -48,13 +49,27 @@ func Build(c *corpus.Collection, from, to int, opts BuildOptions) (*Graph, error
 // the interval. A build that spills keeps its runs in one temp file,
 // removed before BuildCtx returns on every path.
 func BuildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts BuildOptions) (*Graph, error) {
-	g, _, err := buildCtx(ctx, c, from, to, opts, faultfs.OS())
+	g, _, err := buildCtx(ctx, c, from, to, opts, nil, faultfs.OS())
 	return g, err
 }
 
-// buildCtx is BuildCtx over the filesystem fs, reporting what the spill
-// route did.
-func buildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts BuildOptions, fs faultfs.FS) (*Graph, spillStats, error) {
+// BuildPrunedCtx builds G′ directly: the graph that BuildCtx followed
+// by AnnotateStats and Prune(chi2Critical, rhoThreshold) returns, equal
+// to it field for field, without ever holding the unpruned edges. Pairs
+// that cannot pass the test at any count are never counted (see
+// pairBound), and every triplet is tested as it leaves the fold.
+func BuildPrunedCtx(ctx context.Context, c *corpus.Collection, from, to int, opts BuildOptions, chi2Critical, rhoThreshold float64) (*Graph, error) {
+	g, _, err := buildCtx(ctx, c, from, to, opts, &threshold{chi2: chi2Critical, rho: rhoThreshold}, faultfs.OS())
+	return g, err
+}
+
+// threshold is the χ²/ρ test of a pruned build: an edge is kept when
+// its χ² exceeds chi2 and its ρ exceeds rho.
+type threshold struct{ chi2, rho float64 }
+
+// buildCtx is BuildCtx over the filesystem fs, pruned at th unless th
+// is nil, reporting what the spill route did.
+func buildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts BuildOptions, th *threshold, fs faultfs.FS) (*Graph, spillStats, error) {
 	if from < 0 || to >= len(c.Intervals) || from > to {
 		return nil, spillStats{}, fmt.Errorf("cooccur: interval range [%d,%d] outside collection of %d intervals", from, to, len(c.Intervals))
 	}
@@ -68,19 +83,24 @@ func buildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts Buil
 	}
 	ivs := c.Intervals[from : to+1]
 
-	// Pass 1: the keyword dictionary. Ids are ranks in the sorted
-	// vocabulary, so they (and everything derived from them) do not
-	// depend on document order. The pass also sums the pair occurrences
-	// pass 2 will count, an upper bound on the table's entries.
+	// Pass 1: the keyword dictionary and A(u). A document's keywords
+	// are a set, so A(u) is the number of times the pass meets u; the
+	// map holds that count until it is overwritten with u's id. Ids are
+	// ranks in the sorted vocabulary, so they (and everything derived
+	// from them) do not depend on document order. The pass also sums the
+	// pair occurrences pass 2 may count, an upper bound on the table's
+	// entries.
 	index := make(map[string]int32, 1024)
 	var n, pairs int64
+	maxKeywords := 0
 	for _, iv := range ivs {
 		n += int64(len(iv.Docs))
 		for _, d := range iv.Docs {
 			k := int64(len(d.Keywords))
-			pairs += k * (k + 1) / 2
+			pairs += k * (k - 1) / 2
+			maxKeywords = max(maxKeywords, len(d.Keywords))
 			for _, w := range d.Keywords {
-				index[w] = 0
+				index[w]++
 			}
 		}
 	}
@@ -89,14 +109,20 @@ func buildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts Buil
 		vocab = append(vocab, w)
 	}
 	slices.Sort(vocab)
+	docCount := make([]int64, len(vocab))
 	for i, w := range vocab {
+		docCount[i] = int64(index[w])
 		index[w] = int32(i)
 	}
 	g := &Graph{
 		N:        n,
 		Keywords: vocab,
-		DocCount: make([]int64, len(vocab)),
+		DocCount: docCount,
 		index:    index,
+	}
+	f := &fold{g: g, minCount: minCount}
+	if th != nil {
+		f.prune = newPruner(g, *th)
 	}
 
 	// Pass 2: pair counting into one table, spilling a sorted run to the
@@ -110,7 +136,10 @@ func buildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts Buil
 		table:  newPairTable(tableEntries),
 		budget: memBudget,
 		index:  index,
+		bound:  newPairBound(g, th),
 		file:   spillFile{fs: fs},
+		ids:    make([]int32, 0, maxKeywords),
+		rs:     make([]float64, 0, maxKeywords),
 	}
 	defer cn.file.close()
 	const pollEvery = 1024
@@ -137,32 +166,111 @@ func buildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts Buil
 		if err := cn.spill(); err != nil {
 			return nil, cn.file.stats, err
 		}
-		if err := cn.file.aggregate(ctx, g, minCount); err != nil {
+		if err := cn.file.aggregate(ctx, f); err != nil {
 			return nil, cn.file.stats, err
 		}
-		return g, cn.file.stats, nil
+		return f.graph(), cn.file.stats, nil
 	}
 	entries := cn.table.appendEntries(nil)
 	sortEntries(entries)
-	if edges := len(entries) - len(vocab); edges > 0 {
-		g.Edges = make([]Edge, 0, edges)
-	}
+	f.reserve(len(entries))
 	for _, e := range entries {
-		g.addTriplet(e.key, e.count, minCount)
+		f.add(e.key, e.count)
 	}
-	return g, cn.file.stats, nil
+	return f.graph(), cn.file.stats, nil
 }
 
-// addTriplet records one aggregated count: a diagonal key is A(u), any
-// other key an edge, kept when its count reaches minCount. Keys must
-// arrive in ascending order so Edges stays sorted by (U, V).
-func (g *Graph) addTriplet(key uint64, count, minCount int64) {
-	u, v := splitPairKey(key)
-	if u == v {
-		g.DocCount[u] = count
-	} else if count >= minCount {
-		g.Edges = append(g.Edges, Edge{U: u, V: v, Count: count})
+// fold turns the aggregated pair counts, handed over in ascending key
+// order, into the graph's edges: every count of at least minCount
+// becomes an edge of g, or, in a pruned build, is annotated and offered
+// to prune.
+type fold struct {
+	g        *Graph
+	minCount int64
+	prune    *pruner // nil for the unpruned graph
+}
+
+// reserve sizes the unpruned graph's Edges for at most records
+// triplets. A pruned build keeps a small share of them, so its edges
+// grow by append instead.
+func (f *fold) reserve(records int) {
+	if f.prune == nil && records > 0 {
+		f.g.Edges = make([]Edge, 0, records)
 	}
+}
+
+// add folds one key's summed count. A document that lists a keyword
+// twice, against Document's set contract, yields a (u,u) key, which is
+// no edge.
+func (f *fold) add(key uint64, count int64) {
+	u, v := splitPairKey(key)
+	if count < f.minCount || u == v {
+		return
+	}
+	e := Edge{U: u, V: v, Count: count}
+	if f.prune == nil {
+		f.g.Edges = append(f.g.Edges, e)
+		return
+	}
+	g := f.g
+	au, av := g.DocCount[u], g.DocCount[v]
+	e.Chi2 = stats.ChiSquared(g.N, au, av, count)
+	e.Rho = stats.Correlation(g.N, au, av, count)
+	f.prune.keep(e)
+}
+
+// graph returns the folded graph: g itself, or the pruned graph.
+func (f *fold) graph() *Graph {
+	if f.prune == nil {
+		return f.g
+	}
+	return f.prune.graph()
+}
+
+// pairBound is the count-free half of the χ²/ρ test, used to skip pairs
+// that cannot pass before they are counted. A pair occurs in at most
+// a = min(A(u), A(v)) documents, and ρ grows with the count, so its ρ
+// is at most the ρ at count a: with b = max(A(u), A(v)) and
+// r(x) = x/(N−x), that is sqrt(r(a)/r(b)). For a 2×2 table χ² = N·ρ²,
+// so when ρ > τ ≥ 0 both statistics grow with the count, and the pair
+// can pass only if r(a)/r(b) > T = max(τ², χ²crit/N). A keyword in
+// every document has r = +Inf and never passes, as ChiSquared and
+// Correlation give 0 there. For τ < 0 a strongly negative ρ passes
+// too (χ² is U-shaped in the count), so the bound is off: r ≡ 1 and
+// t = 0 keep every pair, as in an unpruned build.
+type pairBound struct {
+	r []float64 // per keyword id
+	t float64   // T, less a relative slack so the bound errs toward keeping
+}
+
+// boundSlack is the bound's relative slack: the exact test at the fold
+// works in floating point, so the bound keeps pairs within 1e-9 of T.
+const boundSlack = 1e-9
+
+// newPairBound returns the bound of g's keywords under th; nil th, or
+// a negative ρ threshold, gives the bound that keeps every pair.
+func newPairBound(g *Graph, th *threshold) pairBound {
+	b := pairBound{r: make([]float64, len(g.DocCount))}
+	if th == nil || th.rho < 0 {
+		for i := range b.r {
+			b.r[i] = 1
+		}
+		return b
+	}
+	for i, a := range g.DocCount {
+		b.r[i] = float64(a) / float64(g.N-a)
+	}
+	b.t = max(th.rho*th.rho, th.chi2/float64(g.N)) * (1 - boundSlack)
+	return b
+}
+
+// mayPass reports whether a pair of keywords with ratios ru and rv can
+// pass the test at some count.
+func (b pairBound) mayPass(ru, rv float64) bool {
+	if ru > rv {
+		ru, rv = rv, ru
+	}
+	return ru > b.t*rv
 }
 
 // counter is the counting state of one build.
@@ -170,24 +278,37 @@ type counter struct {
 	table  *pairTable
 	budget int
 	index  map[string]int32
+	bound  pairBound
 	file   spillFile
 
-	ids     []int32     // per-document keyword-id scratch
+	ids     []int32     // per-document keyword-id scratch, sized once
+	rs      []float64   // the ids' bound ratios, sized once
 	scratch []pairEntry // spill extraction scratch
 }
 
-// countDoc counts every pair of one document's keywords (including the
-// diagonal (u,u) entries that become A(u)) into the table, spilling
-// when the table outgrows the budget.
+// countDoc counts every pair of one document's keywords that may pass
+// the bound into the table, spilling when the table outgrows the
+// budget. The keywords are ordered by ratio first, so a keyword's
+// partners that may pass are a prefix of the keywords after it: once
+// mayPass fails, it fails for every larger ratio.
 func (cn *counter) countDoc(keywords []string) error {
-	ids := cn.ids[:0]
+	ids, rs := cn.ids[:0], cn.rs[:0]
 	for _, w := range keywords {
-		ids = append(ids, cn.index[w])
+		id := cn.index[w]
+		ids = append(ids, id)
+		rs = append(rs, cn.bound.r[id])
 	}
-	cn.ids = ids
+	cn.ids, cn.rs = ids, rs
+	for i := 1; i < len(rs); i++ {
+		r, id := rs[i], ids[i]
+		j := i
+		for ; j > 0 && rs[j-1] > r; j-- {
+			rs[j], ids[j] = rs[j-1], ids[j-1]
+		}
+		rs[j], ids[j] = r, id
+	}
 	for a := 0; a < len(ids); a++ {
-		cn.table.add(pairKey(ids[a], ids[a]), 1)
-		for b := a + 1; b < len(ids); b++ {
+		for b := a + 1; b < len(ids) && cn.bound.mayPass(rs[a], rs[b]); b++ {
 			cn.table.add(pairKey(ids[a], ids[b]), 1)
 		}
 	}

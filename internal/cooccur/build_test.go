@@ -108,10 +108,11 @@ type spillRow struct {
 	shape func(spillStats) bool
 }
 
-// spillRows returns the spill route's three merge shapes for a build of
-// entries distinct keys (edges plus keywords): one table spill while
-// counting (plus the leftover run), several runs merged at once, and a
-// spill per document, so many runs that the fan-in pass runs twice.
+// spillRows returns the spill route's three merge shapes for a build
+// that counts entries distinct pairs: one table spill while counting
+// (plus the leftover run), several runs merged at once, and a spill per
+// document that counts a pair (a one-entry budget), so many runs that
+// the fan-in pass runs twice.
 func spillRows(entries int) []spillRow {
 	return []spillRow{
 		{"one spill", BuildOptions{MemBudget: entries * pairEntryBytes * 3 / 4}, func(s spillStats) bool {
@@ -120,7 +121,7 @@ func spillRows(entries int) []spillRow {
 		{"many runs", BuildOptions{MemBudget: entries * pairEntryBytes / 5}, func(s spillStats) bool {
 			return s.spills > 2 && s.spills <= maxFanIn && s.fanInPasses == 0
 		}},
-		{"fan-in", BuildOptions{MemBudget: 512}, func(s spillStats) bool {
+		{"fan-in", BuildOptions{MemBudget: pairEntryBytes}, func(s spillStats) bool {
 			return s.fanInPasses == 2
 		}},
 	}
@@ -134,7 +135,7 @@ func TestBuildMatchesNaiveCount(t *testing.T) {
 		col := equivCorpus(t, seed, 300)
 		full := naiveGraph(col, 0, 1, 1)
 		rows := append([]spillRow{{"in memory", BuildOptions{}, func(s spillStats) bool { return s == spillStats{} }}},
-			spillRows(len(full.Edges)+len(full.Keywords))...)
+			spillRows(len(full.Edges))...)
 		for _, minCount := range []int64{1, 2} {
 			want := naiveGraph(col, 0, 1, minCount)
 			if len(want.Edges) == 0 {
@@ -144,7 +145,7 @@ func TestBuildMatchesNaiveCount(t *testing.T) {
 				opts := row.opts
 				opts.MinPairCount = minCount
 				label := fmt.Sprintf("seed=%d %s %+v", seed, row.name, opts)
-				g, st, err := buildCtx(context.Background(), col, 0, 1, opts, faultfs.OS())
+				g, st, err := buildCtx(context.Background(), col, 0, 1, opts, nil, faultfs.OS())
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -189,7 +190,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		col := equivCorpus(t, seed, 300)
 		want := naiveGraph(col, 0, 1, 1)
 		all := []BuildOptions{{}, {}}
-		for _, row := range spillRows(len(want.Edges) + len(want.Keywords)) {
+		for _, row := range spillRows(len(want.Edges)) {
 			all = append(all, row.opts, row.opts)
 		}
 		for i, g := range buildConcurrently(t, col, all) {
@@ -235,7 +236,7 @@ func TestSequentialSpillMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range spillRows(len(ref.Edges) + len(ref.Keywords)) {
+	for _, row := range spillRows(len(ref.Edges)) {
 		spilled, err := Build(col, 0, 1, row.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", row.name, err)

@@ -10,6 +10,8 @@
 // This implementation keeps that shape with one counting table per
 // build (see DESIGN.md, "Keyword-graph construction"):
 //
+//   - the dictionary pass counts A(u) while it collects the vocabulary
+//     (a document's keywords are a set), so no (u,u) pair is emitted;
 //   - pairs are counted into one open-addressing hash table keyed by
 //     the packed id pair uint64(u)<<32|v;
 //   - when nothing spills — the common case for per-interval graphs —
@@ -25,7 +27,9 @@
 // Either way the resulting Graph is canonical — keyword ids are ranks
 // in the sorted vocabulary and edges are sorted by (U, V). From A(u),
 // A(u,v) and n, the χ² and ρ statistics (internal/stats) annotate and
-// prune edges, yielding G'.
+// prune edges, yielding G'. BuildPrunedCtx yields G' in the same pass:
+// it never counts a pair whose A(u) and A(v) rule out passing the test
+// at any count, and it tests each triplet as it leaves the fold.
 package cooccur
 
 import (
@@ -91,28 +95,66 @@ func (g *Graph) AnnotateStats() {
 // no surviving edges are dropped and ids are re-packed. AnnotateStats
 // must have been called.
 func (g *Graph) Prune(chi2Critical, rhoThreshold float64) *Graph {
-	out := &Graph{N: g.N, index: make(map[string]int32)}
-	remap := make(map[int32]int32)
-	renumber := func(old int32) int32 {
-		if id, ok := remap[old]; ok {
-			return id
-		}
-		id := int32(len(out.Keywords))
-		remap[old] = id
-		out.Keywords = append(out.Keywords, g.Keywords[old])
-		out.DocCount = append(out.DocCount, g.DocCount[old])
-		out.index[g.Keywords[old]] = id
-		return id
-	}
+	p := newPruner(g, threshold{chi2: chi2Critical, rho: rhoThreshold})
 	for _, e := range g.Edges {
-		if keep := e.Chi2 > chi2Critical && e.Rho > rhoThreshold; !keep {
-			continue
+		p.keep(e)
+	}
+	return p.graph()
+}
+
+// pruner keeps the annotated edges of src that pass the χ²/ρ test and
+// renumbers their endpoints densely, in the order the kept edges first
+// name them. Prune and the pruned build share it, so both give the
+// same G'.
+type pruner struct {
+	src   *Graph
+	th    threshold
+	edges []Edge
+	remap []int32 // src id → new id + 1; 0 while the keyword is not kept
+	kept  int32   // keywords kept so far
+}
+
+func newPruner(src *Graph, th threshold) *pruner {
+	return &pruner{src: src, th: th, remap: make([]int32, len(src.Keywords))}
+}
+
+// keep adds e to the pruned graph if it passes the test. Edges must
+// arrive in (U, V) order for the ids to follow Prune's.
+func (p *pruner) keep(e Edge) {
+	if !(e.Chi2 > p.th.chi2 && e.Rho > p.th.rho) {
+		return
+	}
+	e.U, e.V = p.renumber(e.U), p.renumber(e.V)
+	if e.U > e.V {
+		e.U, e.V = e.V, e.U
+	}
+	p.edges = append(p.edges, e)
+}
+
+func (p *pruner) renumber(old int32) int32 {
+	if id := p.remap[old]; id != 0 {
+		return id - 1
+	}
+	p.kept++
+	p.remap[old] = p.kept
+	return p.kept - 1
+}
+
+// graph returns the pruned graph: the kept keywords under their new
+// ids and the kept edges sorted by (U, V).
+func (p *pruner) graph() *Graph {
+	out := &Graph{N: p.src.N, Edges: p.edges, index: make(map[string]int32, p.kept)}
+	if p.kept > 0 {
+		out.Keywords = make([]string, p.kept)
+		out.DocCount = make([]int64, p.kept)
+		for old, id := range p.remap {
+			if id != 0 {
+				w := p.src.Keywords[old]
+				out.Keywords[id-1] = w
+				out.DocCount[id-1] = p.src.DocCount[old]
+				out.index[w] = id - 1
+			}
 		}
-		ne := Edge{U: renumber(e.U), V: renumber(e.V), Count: e.Count, Chi2: e.Chi2, Rho: e.Rho}
-		if ne.U > ne.V {
-			ne.U, ne.V = ne.V, ne.U
-		}
-		out.Edges = append(out.Edges, ne)
 	}
 	slices.SortFunc(out.Edges, compareEdges)
 	return out

@@ -1,6 +1,7 @@
 package cooccur
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/corpus"
@@ -124,6 +125,39 @@ func TestMinPairCount(t *testing.T) {
 	}
 	if _, ok := g.EdgeBetween("a", "b"); !ok {
 		t.Error("edge (a,b) missing")
+	}
+}
+
+// TestBuildRepeatedKeywordNoSelfLoop: a document that lists a keyword
+// twice breaks Document's set contract, but the build still makes no
+// self-loop edge, on either route, pruned or not.
+func TestBuildRepeatedKeywordNoSelfLoop(t *testing.T) {
+	c := &corpus.Collection{Intervals: []corpus.Interval{{Index: 0, Docs: []corpus.Document{
+		{ID: 0, Keywords: []string{"a", "a", "b"}},
+		{ID: 1, Keywords: []string{"a", "b"}},
+		{ID: 2, Keywords: []string{"c", "d"}},
+		{ID: 3, Keywords: []string{"c"}},
+	}}}}
+	for _, budget := range []int{0, 64} {
+		opts := BuildOptions{MemBudget: budget}
+		full, err := Build(c, 0, 0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pruned, err := BuildPrunedCtx(context.Background(), c, 0, 0, opts, 0, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range []*Graph{full, pruned} {
+			if len(g.Edges) == 0 {
+				t.Fatalf("budget %d: no edges", budget)
+			}
+			for _, e := range g.Edges {
+				if e.U >= e.V {
+					t.Fatalf("budget %d: edge %+v has U >= V", budget, e)
+				}
+			}
+		}
 	}
 }
 

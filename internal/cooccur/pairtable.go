@@ -2,10 +2,10 @@ package cooccur
 
 import "math/bits"
 
-// pairKey packs an ordered keyword-id pair (u ≤ v) into one uint64 so
-// the counting tables and spill records never materialize strings on
-// the hot path. Diagonal keys (u == u) carry the per-keyword document
-// counts A(u); off-diagonal keys carry A(u,v).
+// pairKey packs a keyword-id pair into one uint64, smaller id first,
+// so the counting tables and spill records never materialize strings
+// on the hot path. A key's count is A(u,v); A(u) is counted in the
+// dictionary pass and has no key.
 func pairKey(u, v int32) uint64 {
 	if u > v {
 		u, v = v, u

@@ -1,0 +1,150 @@
+package cooccur
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/faultfs"
+	"repro/internal/stats"
+)
+
+// boundedPairs returns how many distinct pairs of full, an unpruned
+// graph at MinPairCount 1, a build pruned at th counts into its table:
+// the pairs the bound lets through.
+func boundedPairs(full *Graph, th *threshold) int {
+	b := newPairBound(full, th)
+	n := 0
+	for _, e := range full.Edges {
+		if b.mayPass(b.r[e.U], b.r[e.V]) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestBuildPrunedMatchesPrune holds the pruned build to the two-step
+// route it replaces, BuildCtx then AnnotateStats then Prune, field for
+// field (ids, index map and nil slices included), on the in-memory
+// route and each merge shape of the spill route, at MinPairCount 1 and
+// 2 and at ρ thresholds below, at and above zero.
+func TestBuildPrunedMatchesPrune(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42} {
+		col := equivCorpus(t, seed, 300)
+		full, err := Build(col, 0, 1, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rho := range []float64{-0.1, 0, 0.2, 0.5} {
+			th := &threshold{chi2: stats.ChiSquared95, rho: rho}
+			counted := boundedPairs(full, th)
+			if rho < 0 && counted != len(full.Edges) || rho >= 0 && counted >= len(full.Edges) {
+				t.Fatalf("seed %d ρ %g: the bound lets %d of %d pairs through", seed, rho, counted, len(full.Edges))
+			}
+			rows := append([]spillRow{{"in memory", BuildOptions{}, func(s spillStats) bool { return s == spillStats{} }}},
+				spillRows(counted)...)
+			for _, minCount := range []int64{1, 2} {
+				ref, err := Build(col, 0, 1, BuildOptions{MinPairCount: minCount})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref.AnnotateStats()
+				want := ref.Prune(th.chi2, th.rho)
+				if len(want.Edges) == 0 {
+					t.Fatalf("seed %d ρ %g: the pruned graph has no edges", seed, rho)
+				}
+				for _, row := range rows {
+					opts := row.opts
+					opts.MinPairCount = minCount
+					label := fmt.Sprintf("seed=%d ρ=%g %s %+v", seed, rho, row.name, opts)
+					g, st, err := buildCtx(context.Background(), col, 0, 1, opts, th, faultfs.OS())
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if !row.shape(st) {
+						t.Fatalf("%s: spill shape %+v", label, st)
+					}
+					if !reflect.DeepEqual(want, g) {
+						requireIdenticalGraphs(t, want, g, label)
+						t.Fatalf("%s: graphs differ outside Keywords, DocCount and Edges", label)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPairBoundSound checks the bound against the exact test on every
+// small table: for N ≤ 64, every A(u), A(v) in 1..N (N itself and
+// A(u) = A(v) included) and every count up to min(A(u), A(v)), a pair
+// the exact χ²/ρ test passes at some count must be one the bound lets
+// through. It also checks that the bound rejects something, so the
+// test cannot pass with a bound that keeps everything.
+func TestPairBoundSound(t *testing.T) {
+	for _, rho := range []float64{0, 0.2, 0.5} {
+		th := &threshold{chi2: stats.ChiSquared95, rho: rho}
+		var passed, rejected int
+		for n := int64(1); n <= 64; n++ {
+			g := &Graph{N: n, DocCount: make([]int64, n)}
+			for i := range g.DocCount {
+				g.DocCount[i] = int64(i) + 1
+			}
+			b := newPairBound(g, th)
+			for au := int64(1); au <= n; au++ {
+				for av := int64(1); av <= n; av++ {
+					may := b.mayPass(b.r[au-1], b.r[av-1])
+					if !may {
+						rejected++
+					}
+					for c := int64(0); c <= min(au, av); c++ {
+						if stats.ChiSquared(n, au, av, c) > th.chi2 && stats.Correlation(n, au, av, c) > th.rho {
+							passed++
+							if !may {
+								t.Fatalf("ρ %g: N %d, A(u) %d, A(v) %d passes at count %d, but the bound drops the pair", rho, n, au, av, c)
+							}
+						}
+					}
+				}
+			}
+		}
+		if passed == 0 || rejected == 0 {
+			t.Fatalf("ρ %g: %d passing tables, %d rejected pairs: the test does not exercise the bound", rho, passed, rejected)
+		}
+	}
+}
+
+// FuzzBuildPruned holds the pruned build to BuildCtx, AnnotateStats
+// and Prune on a fuzz-chosen corpus (see fuzzCorpus) at a budget of
+// 64 B to 64 KiB, a ρ threshold in [−1.28, 1.27] and a χ² critical
+// value in [0, 25.5].
+func FuzzBuildPruned(f *testing.F) {
+	f.Add(uint16(0), uint8(1), int8(20), uint8(38), []byte{1, 2, 3, 0xff, 1, 2, 0xff, 2, 3, 4, 5})
+	f.Add(uint16(200), uint8(2), int8(0), uint8(38), []byte("the quick brown fox\xffjumps over the lazy dog\xffthe dog\xff"))
+	f.Add(uint16(1000), uint8(1), int8(-10), uint8(0), slices.Repeat([]byte{5, 9, 13, 17, 21, 25, 0xf0, 6, 9, 12, 17, 0xf1}, 40))
+	f.Add(uint16(64), uint8(1), int8(50), uint8(10), slices.Repeat([]byte{1, 2, 0xf0, 1, 2, 3, 0xf0, 4, 5, 0xf0, 1, 0xf0}, 30))
+	f.Fuzz(func(t *testing.T, budget uint16, minCount uint8, rho int8, chi2 uint8, docs []byte) {
+		col := fuzzCorpus(docs)
+		opts := BuildOptions{
+			MemBudget:    64 + int(budget)%(64<<10-63),
+			MinPairCount: int64(minCount%3) + 1,
+		}
+		th := threshold{chi2: float64(chi2) / 10, rho: float64(rho) / 100}
+		ref, err := Build(col, 0, 1, BuildOptions{MinPairCount: opts.MinPairCount})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.AnnotateStats()
+		want := ref.Prune(th.chi2, th.rho)
+		g, err := BuildPrunedCtx(context.Background(), col, 0, 1, opts, th.chi2, th.rho)
+		if err != nil {
+			t.Fatalf("%+v %+v: %v", opts, th, err)
+		}
+		if !reflect.DeepEqual(want, g) {
+			label := fmt.Sprintf("%+v %+v", opts, th)
+			requireIdenticalGraphs(t, want, g, label)
+			t.Fatalf("%s: graphs differ outside Keywords, DocCount and Edges", label)
+		}
+	})
+}

@@ -59,6 +59,7 @@ func (s *spillFile) appendRun(entries []pairEntry) error {
 		// Elsewhere close removes it.
 		s.unlinked = s.fs.Remove(f.Name()) == nil
 		s.buf = make([]byte, spillBufBytes)
+		s.runs = make([]int64, 0, maxFanIn)
 	}
 	s.runs = append(s.runs, s.size)
 	s.stats.spills++
@@ -85,20 +86,17 @@ func (s *spillFile) close() {
 	}
 }
 
-// aggregate folds every run into g: fan-in passes until the runs fit
-// the buffer, Edges sized once for the merge's input, then one merge
-// that hands each key's summed count to addTriplet.
-func (s *spillFile) aggregate(ctx context.Context, g *Graph, minCount int64) error {
+// aggregate folds every run into f: fan-in passes until the runs fit
+// the buffer, then one merge that hands each key's summed count to
+// f.add. The merge's input bounds the triplets, so an unpruned fold
+// sizes Edges from it once.
+func (s *spillFile) aggregate(ctx context.Context, f *fold) error {
 	if err := s.fanIn(ctx); err != nil {
 		return err
 	}
-	// Every keyword has a diagonal record, so this bounds the edges.
-	records := int((s.size - s.runs[0]) / spillRecordLen)
-	if edges := records - len(g.Keywords); edges > 0 {
-		g.Edges = make([]Edge, 0, edges)
-	}
+	f.reserve(int((s.size - s.runs[0]) / spillRecordLen))
 	return s.merge(ctx, s.runs, s.size, s.buf, func(key uint64, count int64) error {
-		g.addTriplet(key, count, minCount)
+		f.add(key, count)
 		return nil
 	})
 }

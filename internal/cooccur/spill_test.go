@@ -112,7 +112,7 @@ func TestBuildSpillFileOps(t *testing.T) {
 		{"spilled", 4 << 10, spillFileOps},
 	} {
 		cfs := &countingFS{FS: faultfs.OS()}
-		_, st, err := buildCtx(context.Background(), col, 0, 1, BuildOptions{MemBudget: tc.budget}, cfs)
+		_, st, err := buildCtx(context.Background(), col, 0, 1, BuildOptions{MemBudget: tc.budget}, nil, cfs)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -134,7 +134,7 @@ func faultBuild(t *testing.T, ctx context.Context, fs faultfs.FS, cause error) {
 	dir := privateTempDir(t)
 	col := equivCorpus(t, 5, 2000)
 	cfs := &countingFS{FS: fs}
-	_, _, err := buildCtx(ctx, col, 0, 0, BuildOptions{MemBudget: 64 << 10}, cfs)
+	_, _, err := buildCtx(ctx, col, 0, 0, BuildOptions{MemBudget: 64 << 10}, nil, cfs)
 	if !errors.Is(err, cause) {
 		t.Fatalf("build = %v, want an error that is %v", err, cause)
 	}
@@ -238,37 +238,43 @@ func TestSpillMergeRejectsOutOfOrderRun(t *testing.T) {
 	}
 }
 
+// fuzzCorpus turns fuzz bytes into a two-interval collection: every
+// byte below 0xf0 is one of 64 keywords, a byte from 0xf0 up ends a
+// document, and documents alternate between the intervals.
+func fuzzCorpus(docs []byte) *corpus.Collection {
+	col := &corpus.Collection{Intervals: []corpus.Interval{{Index: 0}, {Index: 1}}}
+	var (
+		kws  []string
+		ndoc int
+	)
+	endDoc := func() {
+		iv := &col.Intervals[ndoc%2]
+		iv.Docs = append(iv.Docs, corpus.Document{ID: int64(ndoc), Interval: iv.Index, Keywords: kws})
+		kws = nil
+		ndoc++
+	}
+	for _, b := range docs {
+		if b >= 0xf0 {
+			endDoc()
+			continue
+		}
+		if w := fmt.Sprintf("k%02d", b%64); !slices.Contains(kws, w) {
+			kws = append(kws, w)
+		}
+	}
+	endDoc()
+	return col
+}
+
 // FuzzBuildSpill checks builds at fuzz-chosen budgets of 64 B to 64 KiB
-// against naiveGraph on a fuzz-chosen corpus. Every byte of docs below
-// 0xf0 is one of 64 keywords; a byte from 0xf0 up ends a document, and
-// documents alternate between two intervals. Small budgets spill a run
-// per document and drive the fan-in pass.
+// against naiveGraph on a fuzz-chosen corpus (see fuzzCorpus). Small
+// budgets spill a run per document and drive the fan-in pass.
 func FuzzBuildSpill(f *testing.F) {
 	f.Add(uint16(0), uint8(1), []byte{1, 2, 3, 0xff, 1, 2, 0xff, 2, 3, 4, 5})
 	f.Add(uint16(200), uint8(2), []byte("the quick brown fox\xffjumps over the lazy dog\xffthe dog\xff"))
 	f.Add(uint16(1000), uint8(1), slices.Repeat([]byte{5, 9, 13, 17, 21, 25, 0xf0, 6, 9, 12, 17, 0xf1}, 40))
 	f.Fuzz(func(t *testing.T, budget uint16, minCount uint8, docs []byte) {
-		col := &corpus.Collection{Intervals: []corpus.Interval{{Index: 0}, {Index: 1}}}
-		var (
-			kws  []string
-			ndoc int
-		)
-		endDoc := func() {
-			iv := &col.Intervals[ndoc%2]
-			iv.Docs = append(iv.Docs, corpus.Document{ID: int64(ndoc), Interval: iv.Index, Keywords: kws})
-			kws = nil
-			ndoc++
-		}
-		for _, b := range docs {
-			if b >= 0xf0 {
-				endDoc()
-				continue
-			}
-			if w := fmt.Sprintf("k%02d", b%64); !slices.Contains(kws, w) {
-				kws = append(kws, w)
-			}
-		}
-		endDoc()
+		col := fuzzCorpus(docs)
 		opts := BuildOptions{
 			MemBudget:    64 + int(budget)%(64<<10-63),
 			MinPairCount: int64(minCount%3) + 1,

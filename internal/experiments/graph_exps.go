@@ -20,12 +20,10 @@ func weekSets(cfg Config, seed int64) ([][]cluster.Cluster, error) {
 	}
 	sets := make([][]cluster.Cluster, len(col.Intervals))
 	for day := range col.Intervals {
-		g, err := cooccur.Build(col, day, day, buildOptions(cfg))
+		pruned, err := cooccur.BuildPrunedCtx(cfg.Context(), col, day, day, buildOptions(cfg), stats.ChiSquared95, stats.DefaultRhoThreshold)
 		if err != nil {
 			return nil, err
 		}
-		g.AnnotateStats()
-		pruned := g.Prune(stats.ChiSquared95, stats.DefaultRhoThreshold)
 		bg := bicc.NewGraph(pruned.NumVertices())
 		for _, e := range pruned.Edges {
 			bg.AddEdge(e.U, e.V)

@@ -52,6 +52,7 @@ type Graph struct {
 	toEnd       []float64
 	fromStart   []float64
 	pairEdges   [][]Edge
+	starts      [][][]int64 // StartOrder(l) at starts[l]
 }
 
 // NumIntervals returns m.

@@ -1,6 +1,7 @@
 package clustergraph
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -18,6 +19,7 @@ type indexParts struct {
 	toEnd     []float64
 	fromStart []float64
 	lists     [][]Edge
+	starts    [][][]int64 // StartOrder(l) at l−1
 }
 
 func readIndex(g *Graph) indexParts {
@@ -26,6 +28,9 @@ func readIndex(g *Graph) indexParts {
 	p.toEnd = g.ToEndWeights()
 	p.fromStart = g.FromStartWeights()
 	p.lists = g.PairEdges()
+	for l := 1; l < g.NumIntervals(); l++ {
+		p.starts = append(p.starts, g.StartOrder(l))
+	}
 	return p
 }
 
@@ -40,12 +45,21 @@ func (p indexParts) clone() indexParts {
 	for i, l := range p.lists {
 		q.lists[i] = slices.Clone(l)
 	}
+	q.starts = nil
+	for _, lists := range p.starts {
+		c := make([][]int64, len(lists))
+		for i, list := range lists {
+			c[i] = slices.Clone(list)
+		}
+		q.starts = append(q.starts, c)
+	}
 	return q
 }
 
 // TestExtendIndexMatchesOneShot grows graphs whose solve index is built
 // before each extension: the extended graph's index must equal the
-// index of the one-shot build over the same sets, and the source
+// index of the one-shot build over the same sets, its intervals must
+// list their nodes in ascending id, and the source
 // graph's index must be left exactly as it was, since a previous
 // generation may still be serving solves from it.
 func TestExtendIndexMatchesOneShot(t *testing.T) {
@@ -67,6 +81,7 @@ func TestExtendIndexMatchesOneShot(t *testing.T) {
 				if g, err = ExtendCtx(ctx, g, sets[:k], opts); err != nil {
 					t.Fatalf("%s: extend to %d: %v", name, k, err)
 				}
+				checkNodesAscending(t, name, g)
 				full, err := FromClustersCtx(ctx, sets[:k], opts)
 				if err != nil {
 					t.Fatalf("%s: full build %d: %v", name, k, err)
@@ -87,7 +102,10 @@ func TestExtendIndexMatchesOneShot(t *testing.T) {
 // table is a slice of the deepest; U(v) is the deepest table's
 // U_{m−1−i}(v); P(v) of a node on interval 0 is 0 and otherwise the best
 // parent's P plus the edge; and the edge lists hold every edge once, in
-// their pair's list and in heaviestFirst order.
+// their pair's list and in heaviestFirst order. The start order of
+// length l lists, per interval i ≤ m−1−l, the nodes of i whose U_l is
+// finite, by U_l descending and then id; and NodesAt lists an interval
+// in ascending id.
 func TestSolveIndexParts(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(36))
@@ -143,6 +161,37 @@ func TestSolveIndexParts(t *testing.T) {
 		}
 		if seen != g.NumEdges() {
 			t.Fatalf("%s: lists hold %d edges, the graph has %d", name, seen, g.NumEdges())
+		}
+		checkNodesAscending(t, name, g)
+		for l := 1; l < m; l++ {
+			u := func(v int64) float64 { return deep[int(v)*m+l] }
+			starts := g.StartOrder(l)
+			if len(starts) != m-l {
+				t.Fatalf("%s: l %d: %d start lists, want %d", name, l, len(starts), m-l)
+			}
+			for i, list := range starts {
+				var want []int64
+				for _, v := range g.NodesAt(i) {
+					if !math.IsInf(u(v), -1) {
+						want = append(want, v)
+					}
+				}
+				slices.SortFunc(want, func(a, b int64) int { return cmp.Or(cmp.Compare(u(b), u(a)), cmp.Compare(a, b)) })
+				if !slices.Equal(list, want) {
+					t.Fatalf("%s: l %d interval %d: start order %v, want %v", name, l, i, list, want)
+				}
+			}
+		}
+	}
+}
+
+// checkNodesAscending fails t unless every NodesAt(i) of g is in
+// ascending id, the order the BFS solver pushes an interval's nodes in.
+func checkNodesAscending(t *testing.T, name string, g *Graph) {
+	t.Helper()
+	for i := range g.NumIntervals() {
+		if !slices.IsSorted(g.NodesAt(i)) {
+			t.Fatalf("%s: NodesAt(%d) is not in ascending id: %v", name, i, g.NodesAt(i))
 		}
 	}
 }

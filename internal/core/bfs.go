@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 
 	"repro/internal/clustergraph"
 	"repro/internal/topk"
@@ -40,11 +41,13 @@ type bfsRun struct {
 	l        int
 	fullPath bool
 
-	// Paths live in slab; heaps indexes the h^x of node id at
-	// id*perNode + x−1. In full-path mode perNode is 1: a node's one
-	// heap holds x = interval(node).
+	// Paths live in slab; heaps indexes the h^x of the node in slot s at
+	// s*perNode + x−1, where a node gets its slot on its first admission.
+	// In full-path mode perNode is 1: a node's one heap holds x =
+	// interval(node).
 	slab    slab
 	heaps   *pathHeaps
+	slots   nodeSlots
 	perNode int
 	global  *topk.K
 	bound   suffixBound
@@ -52,6 +55,7 @@ type bfsRun struct {
 	stats   Stats
 
 	nodes []int64 // scratch for global offers
+	cand  []int64 // scratch for an interval's candidates
 }
 
 func newBFSRun(g *clustergraph.Graph, req Request, l int) *bfsRun {
@@ -67,7 +71,15 @@ func newBFSRun(g *clustergraph.Graph, req Request, l int) *bfsRun {
 	}
 	r.bound = newSuffixBound(g, req, l)
 	r.floor = r.bound.floor(r.global.Threshold())
-	r.heaps = newPathHeaps(&r.slab, req.K, g.NumNodes()*r.perNode)
+	// Slots for 2k(l+1) nodes, doubled whenever a solve touches more. A
+	// solve touches at most 0.96·k(l+1) nodes on synthetic 10 × {100,
+	// 1 000, 4 000} graphs (k 1, 5 and 40; l 1, 3, 6 and 9), and up to
+	// 29·k(l+1) on the recurring corpora at k 40 and l 1.
+	slots := max(min(2*req.K*(l+1), g.NumNodes()), 1)
+	r.slots = newNodeSlots(slots)
+	r.cand = make([]int64, 0, slots)
+	r.heaps = newPathHeaps(&r.slab, req.K, 0)
+	r.heaps.reserve(slots * r.perNode)
 	r.heaps.reuse = true
 	return r
 }
@@ -83,18 +95,51 @@ func (r *bfsRun) pushInterval(i int) {
 	for j := max(i-r.g.Gap()-1, 0); j < i; j++ {
 		r.stats.NodeReads += int64(len(r.g.NodesAt(j)))
 	}
-	for _, id := range r.g.NodesAt(i) {
+	// "save cij along with h^x_ij to disk" (line 17), for every node.
+	r.stats.NodeWrites += int64(len(r.g.NodesAt(i)))
+	for _, id := range r.candidates(i) {
 		if r.live(id) {
 			for _, ch := range r.g.Children(id) {
 				r.stats.EdgeReads++
 				r.extend(id, ch)
 			}
-			r.heaps.release(int(id)*r.perNode, (int(id)+1)*r.perNode)
+			if lo, hi, ok := r.heapRange(id); ok {
+				r.heaps.release(lo, hi)
+			}
 		}
-		// "save cij along with h^x_ij to disk" (line 17).
-		r.stats.NodeWrites++
 	}
 	r.stats.PeakStatePaths = max(r.stats.PeakStatePaths, int64(r.heaps.held))
+}
+
+// candidates returns, in ascending id, the nodes of interval i that may
+// be live at their turn: those holding a heap, and the start nodes whose
+// U_l reaches the floor now, a prefix of the graph's start order. Any
+// other node fails live() when its turn comes: its heaps are final
+// before interval i is pushed, since every edge spans at least one
+// interval, and the floor only rises. So pushing the live candidates in
+// ascending id makes exactly the pushes a scan of every node would. The
+// reference (disableSuffixBound) pushes every node.
+func (r *bfsRun) candidates(i int) []int64 {
+	if !r.bound.on {
+		return r.g.NodesAt(i)
+	}
+	c := r.cand[:0]
+	for _, id := range r.slots.ids {
+		if r.g.Interval(id) == i {
+			c = append(c, id)
+		}
+	}
+	if i < len(r.bound.starts) {
+		for _, id := range r.bound.starts[i] {
+			if r.bound.rest(id, r.l) < r.floor {
+				break
+			}
+			c = append(c, id)
+		}
+	}
+	slices.Sort(c)
+	r.cand = slices.Compact(c)
+	return r.cand
 }
 
 // live reports whether node id has anything to push: a heap holding a
@@ -110,12 +155,21 @@ func (r *bfsRun) live(id int64) bool {
 	if u := r.bound.rest(id, r.l); !math.IsInf(u, -1) && u >= r.floor {
 		return true
 	}
-	for hi := int(id) * r.perNode; hi < (int(id)+1)*r.perNode; hi++ {
-		if r.heaps.size(hi) > 0 {
-			return true
+	if lo, hi, ok := r.heapRange(id); ok {
+		for h := lo; h < hi; h++ {
+			if r.heaps.size(h) > 0 {
+				return true
+			}
 		}
 	}
 	return false
+}
+
+// heapRange returns the heaps lo..hi−1 of node id, ok false while it has
+// none: no offer has reached it yet.
+func (r *bfsRun) heapRange(id int64) (lo, hi int, ok bool) {
+	s, ok := r.slots.find(id)
+	return s * r.perNode, (s + 1) * r.perNode, ok
 }
 
 // extend offers node id's heaps to child ch.Peer across the edge. The
@@ -138,7 +192,8 @@ func (r *bfsRun) extend(id int64, ch clustergraph.Half) {
 			r.offer(child, bare(id), bareFP(id), ch.Weight, ch.Length)
 		}
 	}
-	for x := 1; x <= r.perNode; x++ {
+	lo, _, ok := r.heapRange(id)
+	for x := 1; ok && x <= r.perNode; x++ {
 		length := x + ch.Length
 		if r.fullPath {
 			length = r.g.Interval(child)
@@ -146,7 +201,7 @@ func (r *bfsRun) extend(id int64, ch clustergraph.Half) {
 		if length > r.l {
 			break
 		}
-		hi := int(id)*r.perNode + x - 1
+		hi := lo + x - 1
 		if r.heaps.size(hi) == 0 {
 			continue
 		}
@@ -166,7 +221,8 @@ func (r *bfsRun) extend(id int64, ch clustergraph.Half) {
 // into the appropriate h^x heap and, when it has length exactly l, into
 // the global heap.
 func (r *bfsRun) offer(id int64, link ref, linkFP uint64, weight float64, length int) {
-	hi := int(id) * r.perNode
+	hi := r.slots.slot(id) * r.perNode
+	r.heaps.reserve(cap(r.slots.ids) * r.perNode)
 	if !r.fullPath {
 		hi += length - 1
 	}

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
+	"repro/internal/clustergraph"
+	"repro/internal/raceflag"
 	"repro/internal/synth"
 )
 
@@ -47,5 +52,74 @@ func TestBFSReadsOnlyLiveEdges(t *testing.T) {
 				t.Errorf("reference read %d edges, want every edge once (%d)", ref.Stats.EdgeReads, e)
 			}
 		})
+	}
+}
+
+// TestBFSStateTracksLiveNodes holds a warm BFS solve's memory to the
+// nodes it touches: a node gets heap state on its first admission, and
+// a pass pushes only the nodes that hold a heap or start a path that
+// reaches the floor, so a graph four times as wide must not cost a
+// solve half as many bytes more. Sizing heaps by N made it 4.0× (l 3)
+// and 3.7× (full paths) as many. Ceilings are about twice the bytes
+// recorded on 10 × 1 000 with this test. The passes take each interval
+// in ascending id, which is the order NodesAt lists them in.
+func TestBFSStateTracksLiveNodes(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector changes allocation sizes")
+	}
+	graphs := map[int]*clustergraph.Graph{}
+	for _, n := range []int{1000, 4000} {
+		g, err := synth.Generate(synth.Config{Seed: 2007, M: 10, N: n, D: 5, G: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkNodesAscending(t, g)
+		graphs[n] = g
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		name    string
+		l       int
+		ceiling uint64
+	}{
+		// Recorded: 9 312 bytes on 10 × 1 000, 9 312 on 10 × 4 000.
+		{"l3", 3, 18_000},
+		// 16 960 and 15 072.
+		{"full", FullPaths, 34_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req := Request{K: 5, L: tc.l}
+			warmBytes := func(g *clustergraph.Graph) uint64 {
+				if _, err := solve(g, req); err != nil {
+					t.Fatal(err)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if _, err := solve(g, req); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				return after.TotalAlloc - before.TotalAlloc
+			}
+			narrow, wide := warmBytes(graphs[1000]), warmBytes(graphs[4000])
+			t.Logf("%d bytes per warm solve on 10 × 1 000, %d on 10 × 4 000", narrow, wide)
+			if narrow > tc.ceiling {
+				t.Errorf("%d bytes per solve on 10 × 1 000, ceiling %d", narrow, tc.ceiling)
+			}
+			if 2*wide >= 3*narrow {
+				t.Errorf("%d bytes per solve on 10 × 4 000, not under 1.5 × the %d on 10 × 1 000", wide, narrow)
+			}
+		})
+	}
+}
+
+// checkNodesAscending fails t unless every NodesAt(i) of g is in
+// ascending id, the order BFS pushes an interval's nodes in.
+func checkNodesAscending(t *testing.T, g *clustergraph.Graph) {
+	t.Helper()
+	for i := range g.NumIntervals() {
+		if !slices.IsSorted(g.NodesAt(i)) {
+			t.Fatalf("NodesAt(%d) is not in ascending id: %v", i, g.NodesAt(i))
+		}
 	}
 }

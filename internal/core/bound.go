@@ -18,7 +18,9 @@ import (
 // counts exactly what one on a fresh graph does.
 //
 // Per solve it seeds a floor F, the k-th largest U_l(s) over the nodes s
-// a sought path can start at, in O(N). Those are the weights of k real
+// a sought path can start at, from the index's start order, which lists
+// each interval's start nodes heaviest U_l first: F is the k-th largest
+// of the first k of each list, O(m·k). Those are the weights of k real
 // paths with distinct first nodes, so the k-th answer weighs at least F,
 // as it weighs at least the k-th weight any solver has seen so far. A
 // path through a prefix of weight w ending at v, of length x, weighs at
@@ -31,6 +33,7 @@ type suffixBound struct {
 	full   bool
 	u      []float64 // U_r(v) at v*stride+r; for full paths U(v) at v
 	stride int
+	starts [][]int64 // the graph's start order for length l
 	p      []float64 // P(v), full paths only, once withPrefixes has run
 	f      float64   // the seeded floor F
 	on     bool      // false: the unbounded reference (disableSuffixBound)
@@ -41,36 +44,40 @@ type suffixBound struct {
 func newSuffixBound(g *clustergraph.Graph, req Request, l int) suffixBound {
 	b := suffixBound{g: g, full: l == g.NumIntervals()-1, f: math.Inf(-1), on: !req.disableSuffixBound}
 	if b.on {
-		b.u, b.stride, b.f = seedFloor(g, req.K, l)
+		b.seed(req.K, l)
 	}
 	return b
 }
 
 // seedFloor reads g's suffix weights for paths of temporal length l, as
-// suffixBound keeps them, and returns them with the floor F: the k-th
-// largest U_l(s) over the nodes s that start such a path, −Inf when
-// fewer than k do. The scan is O(N).
+// suffixBound keeps them, and returns them with the floor F.
 func seedFloor(g *clustergraph.Graph, k, l int) (u []float64, stride int, f float64) {
-	m := g.NumIntervals()
-	b := suffixBound{g: g, full: l == m-1}
+	b := suffixBound{g: g, full: l == g.NumIntervals()-1}
+	b.seed(k, l)
+	return b.u, b.stride, b.f
+}
+
+// seed reads the graph's suffix weights and start order for paths of
+// temporal length l and sets the floor F: the k-th largest U_l(s) over
+// the nodes s that start such a path, −Inf when fewer than k do. Only
+// the first k start nodes of each interval can be among the k largest.
+func (b *suffixBound) seed(k, l int) {
 	if b.full {
-		b.u = g.ToEndWeights()
+		b.u = b.g.ToEndWeights()
 	} else {
-		b.u, b.stride = g.SuffixWeights(l)
+		b.u, b.stride = b.g.SuffixWeights(l)
 	}
-	top := make([]float64, 0, min(k, g.NumNodes()))
-	for i := 0; i <= m-1-l; i++ {
-		for _, s := range g.NodesAt(i) {
-			if u := b.rest(s, l); !math.IsInf(u, -1) {
-				top = keepLargest(top, k, u)
-			}
+	b.starts = b.g.StartOrder(l)
+	top := make([]float64, 0, min(k, b.g.NumNodes()))
+	for _, list := range b.starts {
+		for _, s := range list[:min(k, len(list))] {
+			top = keepLargest(top, k, b.rest(s, l))
 		}
 	}
-	f = math.Inf(-1)
+	b.f = math.Inf(-1)
 	if len(top) == k {
-		f = top[0]
+		b.f = top[0]
 	}
-	return b.u, b.stride, f
 }
 
 // rest returns U_r(v).

@@ -70,7 +70,11 @@ func TestPaperSection42HeapContents(t *testing.T) {
 	for i := 0; i < g.NumIntervals(); i++ {
 		for _, id := range g.NodesAt(i) {
 			heaps[id] = map[int][][]int64{}
-			for _, p := range r.heaps.paths(int(id)*r.perNode, (int(id)+1)*r.perNode) {
+			lo, hi, ok := r.heapRange(id)
+			if !ok {
+				continue
+			}
+			for _, p := range r.heaps.paths(lo, hi) {
 				heaps[id][p.Length] = append(heaps[id][p.Length], p.Nodes)
 			}
 		}

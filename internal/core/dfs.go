@@ -64,11 +64,16 @@ type dfsRun struct {
 	// maxweight of (id, x) is at id*(l+1)+x; -Inf while no prefix of
 	// length x is known. x = 0 is always 0: the empty prefix exists,
 	// i.e. a path may start at the node, which seeds the conservative
-	// x=0 case of CanPrune.
+	// x=0 case of CanPrune. On full paths every prefix starts at
+	// interval 0, so only x = interval(id) is ever finite or read, and
+	// maxweight keeps that one entry at id.
 	maxweight []float64
-	// bestpaths of (id, y) is heap id*l+y−1.
-	slab slab
-	best *pathHeaps
+	// bestpaths of (id, y) is heap id*l+y−1 (bestHeap). On full paths
+	// only y = m−1−interval(id) is ever filled, and it is heap id.
+	// perNode is the number of heaps a node has: l, or 1 on full paths.
+	slab    slab
+	best    *pathHeaps
+	perNode int
 
 	global *topk.K
 	bound  suffixBound
@@ -86,18 +91,30 @@ func newDFSRun(ctx context.Context, g *clustergraph.Graph, req Request, l int) *
 		ctx:        ctx,
 		visited:    make([]bool, n),
 		everPushed: make([]bool, n),
-		maxweight:  make([]float64, n*(l+1)),
 		global:     topk.NewK(req.K),
+		perNode:    l,
 	}
 	if r.prune {
 		r.bound = newSuffixBound(g, req, l)
 	}
-	for i := 0; i < len(r.maxweight); i += l + 1 {
-		for x := 1; x <= l; x++ {
-			r.maxweight[i+x] = math.Inf(-1)
+	if r.fullPath {
+		r.perNode = 1
+		r.maxweight = make([]float64, n)
+		for i := range r.maxweight {
+			r.maxweight[i] = math.Inf(-1)
+		}
+		for _, id := range g.NodesAt(0) {
+			r.maxweight[id] = 0
+		}
+	} else {
+		r.maxweight = make([]float64, n*(l+1))
+		for i := 0; i < len(r.maxweight); i += l + 1 {
+			for x := 1; x <= l; x++ {
+				r.maxweight[i+x] = math.Inf(-1)
+			}
 		}
 	}
-	r.best = newPathHeaps(&r.slab, req.K, n*l)
+	r.best = newPathHeaps(&r.slab, req.K, n*r.perNode)
 	r.best.prepended = true
 	return r
 }
@@ -212,11 +229,21 @@ func (r *dfsRun) run() error {
 	return nil
 }
 
-func (r *dfsRun) maxweights(id int64) []float64 {
-	return r.maxweight[int(id)*(r.l+1) : (int(id)+1)*(r.l+1)]
+// prefix returns maxweight(id, x).
+func (r *dfsRun) prefix(id int64, x int) float64 {
+	if r.fullPath {
+		return r.maxweight[id]
+	}
+	return r.maxweight[int(id)*(r.l+1)+x]
 }
 
-func (r *dfsRun) bestHeap(id int64, y int) int { return int(id)*r.l + y - 1 }
+// bestHeap returns the heap of bestpaths(id, y).
+func (r *dfsRun) bestHeap(id int64, y int) int {
+	if r.fullPath {
+		return int(id)
+	}
+	return int(id)*r.l + y - 1
+}
 
 // updateMaxweight propagates the parent's prefix weights across the
 // edge (Algorithm 3 line 16): maxweight(c',x) =
@@ -225,7 +252,13 @@ func (r *dfsRun) updateMaxweight(parent int64, edge clustergraph.Half) {
 	if parent == sourceID {
 		return // the empty prefix is already seeded at x = 0
 	}
-	from, to := r.maxweights(parent), r.maxweights(edge.Peer)
+	if r.fullPath {
+		// The parent's one prefix length plus the edge's is the child's.
+		r.maxweight[edge.Peer] = max(r.maxweight[edge.Peer], r.maxweight[parent]+edge.Weight)
+		return
+	}
+	from := r.maxweight[int(parent)*(r.l+1):]
+	to := r.maxweight[int(edge.Peer)*(r.l+1):]
 	for x := 0; x+edge.Length <= r.l; x++ {
 		// An unknown prefix (-Inf) stays unknown across the edge.
 		to[x+edge.Length] = max(to[x+edge.Length], from[x]+edge.Weight)
@@ -257,10 +290,9 @@ func (r *dfsRun) canPrune(id int64) bool {
 	if math.IsInf(floor, -1) {
 		return false
 	}
-	mw := r.maxweights(id)
 	for x := xmin; x <= xmax; x++ {
 		// No prefix of this length known yet: -Inf, never >= floor.
-		if mw[x]+r.suffix(id, r.l-x) >= floor {
+		if r.prefix(id, x)+r.suffix(id, r.l-x) >= floor {
 			return false
 		}
 	}
@@ -288,7 +320,14 @@ func (r *dfsRun) combine(parent int64, edge clustergraph.Half) {
 	if !r.fullPath || r.g.Interval(edge.Peer) == r.g.NumIntervals()-1 {
 		r.addBest(parent, bare(edge.Peer), bareFP(edge.Peer), edge.Weight, edge.Length)
 	}
-	for y := 1; y+edge.Length <= r.l; y++ {
+	ylo, yhi := 1, r.l-edge.Length
+	if r.fullPath {
+		// The one length a suffix from the child to the last interval
+		// has; 0 on the last interval, whose heap is empty.
+		ylo = r.l - r.g.Interval(edge.Peer)
+		yhi = ylo
+	}
+	for y := max(ylo, 1); y <= yhi; y++ {
 		hi := r.bestHeap(edge.Peer, y)
 		for j := 0; j < r.best.size(hi); j++ {
 			e := r.best.at(hi, j)
@@ -323,8 +362,8 @@ func (r *dfsRun) trackPeak(stack []dfsFrame) {
 		if fr.node == sourceID {
 			continue
 		}
-		for y := 1; y <= r.l; y++ {
-			n += int64(r.best.size(r.bestHeap(fr.node, y)))
+		for hi := int(fr.node) * r.perNode; hi < int(fr.node+1)*r.perNode; hi++ {
+			n += int64(r.best.size(hi))
 		}
 	}
 	r.stats.PeakStatePaths = max(r.stats.PeakStatePaths, n)

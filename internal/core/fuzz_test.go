@@ -60,6 +60,12 @@ func FuzzSolverEquivalence(f *testing.F) {
 	f.Add(int64(42), uint8(7), uint8(8), uint8(3), uint8(2), uint8(6), uint8(5))
 	f.Add(int64(11), uint8(5), uint8(6), uint8(2), uint8(1), uint8(3), uint8(29)) // k = 30
 	f.Add(int64(5), uint8(4), uint8(6), uint8(2), uint8(1), uint8(4), uint8(34))  // m 6, full paths, k = 35
+	// m 6, gap 2, full paths, k = 25: DFS's one heap per node across gap
+	// edges, BFS's heaps over several blocks and slot tables.
+	f.Add(int64(3), uint8(4), uint8(6), uint8(2), uint8(2), uint8(4), uint8(24))
+	// m 7, n 8, l 1, k = 10: every interval but the last lists up to 8
+	// start nodes, most of which reach the floor.
+	f.Add(int64(9), uint8(5), uint8(6), uint8(1), uint8(1), uint8(0), uint8(9))
 	f.Fuzz(func(t *testing.T, seed int64, m8, n8, d8, g8, l8, k8 uint8) {
 		m := 2 + int(m8)%6
 		cfg := synth.Config{

@@ -11,7 +11,7 @@ import (
 // The golden table pins what each solver returns AND how much work it
 // does, as literals: Result.Paths and every Stats counter for three
 // fixed synthetic graphs (gaps 0, 1 and 2) × {bfs sub-path, bfs
-// full-path, dfs, ta, normalized}. The equivalence suites say the
+// full-path, dfs sub-path, dfs full-path, ta, normalized}. The equivalence suites say the
 // solvers agree with each other; this says a refactor did not change a
 // solver's answer, tie order or counted work. A deliberate change to an
 // algorithm's work re-records the affected rows (the failure message
@@ -33,6 +33,7 @@ var goldenRequests = []struct {
 	{"bfs-sub", Request{Algorithm: "bfs", K: 3, L: 2}},
 	{"bfs-full", Request{Algorithm: "bfs", K: 3, L: FullPaths}},
 	{"dfs", Request{Algorithm: "dfs", K: 3, L: 2}},
+	{"dfs-full", Request{Algorithm: "dfs", K: 3, L: FullPaths}},
 	{"ta", Request{Algorithm: "ta", K: 3, L: FullPaths}},
 	{"normalized", Request{Algorithm: "normalized", K: 3, LMin: 2}},
 }
@@ -55,6 +56,10 @@ var golden = map[string]goldenRow{
 		paths: []topk.Path{{Nodes: []int64{3, 10, 16}, Length: 2, Weight: 1.8733328574192272}, {Nodes: []int64{1, 8, 17}, Length: 2, Weight: 1.8282275434101884}, {Nodes: []int64{10, 16, 18}, Length: 2, Weight: 1.6001354175264262}},
 		stats: Stats{NodeReads: 65, NodeWrites: 65, EdgeReads: 65, HeapConsiders: 21, Pruned: 47, Repushes: 35, RandomSeeks: 0, PeakStatePaths: 4},
 	},
+	"gap0/dfs-full": {
+		paths: []topk.Path{{Nodes: []int64{3, 10, 16, 18, 24}, Length: 4, Weight: 3.276619336639582}, {Nodes: []int64{3, 10, 16, 19, 26}, Length: 4, Weight: 3.202462973694655}, {Nodes: []int64{3, 10, 16, 23, 24}, Length: 4, Weight: 3.031397760786878}},
+		stats: Stats{NodeReads: 34, NodeWrites: 27, EdgeReads: 34, HeapConsiders: 38, Pruned: 10, Repushes: 2, RandomSeeks: 0, PeakStatePaths: 6},
+	},
 	"gap0/ta": {
 		paths: []topk.Path{{Nodes: []int64{3, 10, 16, 18, 24}, Length: 4, Weight: 3.276619336639582}, {Nodes: []int64{3, 10, 16, 19, 26}, Length: 4, Weight: 3.202462973694655}, {Nodes: []int64{3, 10, 16, 23, 24}, Length: 4, Weight: 3.031397760786878}},
 		stats: Stats{NodeReads: 0, NodeWrites: 0, EdgeReads: 8, HeapConsiders: 5, Pruned: 11, Repushes: 0, RandomSeeks: 5, PeakStatePaths: 0},
@@ -75,6 +80,10 @@ var golden = map[string]goldenRow{
 		paths: []topk.Path{{Nodes: []int64{15, 24, 25}, Length: 2, Weight: 1.9668916114544919}, {Nodes: []int64{15, 24, 26}, Length: 2, Weight: 1.890787416577656}, {Nodes: []int64{1, 7, 11}, Length: 2, Weight: 1.8688345463479306}},
 		stats: Stats{NodeReads: 144, NodeWrites: 119, EdgeReads: 144, HeapConsiders: 60, Pruned: 99, Repushes: 89, RandomSeeks: 0, PeakStatePaths: 8},
 	},
+	"gap2/dfs-full": {
+		paths: []topk.Path{{Nodes: []int64{0, 8, 10, 18, 21, 25}, Length: 5, Weight: 4.179336812056002}, {Nodes: []int64{1, 7, 11, 19, 21, 25}, Length: 5, Weight: 4.1195327930728425}, {Nodes: []int64{1, 5, 14, 18, 21, 25}, Length: 5, Weight: 4.110134679322221}},
+		stats: Stats{NodeReads: 297, NodeWrites: 271, EdgeReads: 297, HeapConsiders: 125, Pruned: 211, Repushes: 243, RandomSeeks: 0, PeakStatePaths: 10},
+	},
 	"gap2/ta": {
 		paths: []topk.Path{{Nodes: []int64{0, 8, 10, 18, 21, 25}, Length: 5, Weight: 4.179336812056002}, {Nodes: []int64{1, 7, 11, 19, 21, 25}, Length: 5, Weight: 4.1195327930728425}, {Nodes: []int64{1, 5, 14, 18, 21, 25}, Length: 5, Weight: 4.110134679322221}},
 		stats: Stats{NodeReads: 0, NodeWrites: 0, EdgeReads: 108, HeapConsiders: 16, Pruned: 325, Repushes: 0, RandomSeeks: 55, PeakStatePaths: 0},
@@ -94,6 +103,10 @@ var golden = map[string]goldenRow{
 	"gap1/dfs": {
 		paths: []topk.Path{{Nodes: []int64{3, 11, 15}, Length: 2, Weight: 1.8701248559003314}, {Nodes: []int64{4, 6, 16}, Length: 2, Weight: 1.7467718477811967}, {Nodes: []int64{5, 8, 16}, Length: 2, Weight: 1.7423970354051643}},
 		stats: Stats{NodeReads: 122, NodeWrites: 122, EdgeReads: 122, HeapConsiders: 21, Pruned: 102, Repushes: 92, RandomSeeks: 0, PeakStatePaths: 2},
+	},
+	"gap1/dfs-full": {
+		paths: []topk.Path{{Nodes: []int64{3, 11, 15, 21, 28}, Length: 4, Weight: 3.4034032490521255}, {Nodes: []int64{4, 7, 14, 21, 28}, Length: 4, Weight: 3.2757316800240472}, {Nodes: []int64{1, 11, 15, 21, 28}, Length: 4, Weight: 3.1580301646119198}},
+		stats: Stats{NodeReads: 57, NodeWrites: 54, EdgeReads: 57, HeapConsiders: 16, Pruned: 42, Repushes: 28, RandomSeeks: 0, PeakStatePaths: 2},
 	},
 	"gap1/ta": {
 		paths: []topk.Path{{Nodes: []int64{3, 11, 15, 21, 28}, Length: 4, Weight: 3.4034032490521255}, {Nodes: []int64{4, 7, 14, 21, 28}, Length: 4, Weight: 3.2757316800240472}, {Nodes: []int64{1, 11, 15, 21, 28}, Length: 4, Weight: 3.1580301646119198}},

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/clustergraph"
 	"repro/internal/synth"
 )
@@ -93,4 +97,108 @@ func TestSolveIndexWarmEqualsCold(t *testing.T) {
 			wg.Wait()
 		})
 	}
+}
+
+// TestStartOrderConcurrentFirstSolves starts every solve of one fresh
+// graph at once — bfs, dfs, ta and normalized at l (lmin) 1, 2, 3 and
+// full paths, k 1, 5 and 40 — so that the first requests for each
+// length's start order race to build it; under -race this also checks
+// that it is published safely. Each must return what it returns alone
+// on a fresh graph. The second half pushes an interval onto that graph,
+// whose start orders are all built by then: a graph from ExtendCtx
+// starts with none, so solves on it, run while solves on the old
+// generation still read theirs, must equal solves on the one-shot build
+// over the same sets.
+func TestStartOrderConcurrentFirstSolves(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	vocab := strings.Fields("a b c d e f g h i j")
+	sets := make([][]cluster.Cluster, 7)
+	for i := range sets {
+		for range 5 + rng.Intn(4) {
+			var kws []string
+			for _, w := range vocab {
+				if rng.Intn(3) == 0 {
+					kws = append(kws, w)
+				}
+			}
+			sets[i] = append(sets[i], cluster.New(0, i, append(kws, vocab[rng.Intn(len(vocab))])))
+		}
+	}
+	opts := clustergraph.FromClustersOptions{Gap: 1, Theta: 0.2}
+	build := func(m int) *clustergraph.Graph {
+		g, err := clustergraph.FromClustersCtx(context.Background(), sets[:m], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	requests := func(m int) []Request {
+		var reqs []Request
+		for _, l := range []int{1, 2, 3, FullPaths} {
+			lmin := l
+			if l == FullPaths {
+				lmin = m - 1
+			}
+			for _, k := range []int{1, 5, 40} {
+				reqs = append(reqs,
+					Request{Algorithm: "bfs", K: k, L: l},
+					Request{Algorithm: "dfs", K: k, L: l},
+					Request{Algorithm: "normalized", K: k, LMin: lmin})
+				if l == FullPaths {
+					reqs = append(reqs, Request{Algorithm: "ta", K: k, L: l})
+				}
+			}
+		}
+		return reqs
+	}
+	alone := func(m int, reqs []Request) []*Result {
+		want := make([]*Result, len(reqs))
+		for i, req := range reqs {
+			res, err := solve(build(m), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = res
+		}
+		return want
+	}
+	// all solves reqs on g at once, each checked against want.
+	all := func(wg *sync.WaitGroup, how string, g *clustergraph.Graph, reqs []Request, want []*Result) {
+		start := make(chan struct{})
+		for i, req := range reqs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got, err := solve(g, req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("%s, %+v: %+v\nalone %+v", how, req, got, want[i])
+				}
+			}()
+		}
+		close(start)
+	}
+	const m = 6
+	if g := build(m); g.NumEdges() < 4*g.NumNodes() {
+		t.Fatalf("%d nodes, %d edges: too sparse to exercise the solvers", g.NumNodes(), g.NumEdges())
+	}
+	oldReqs, newReqs := requests(m), requests(m+1)
+	oldWant, newWant := alone(m, oldReqs), alone(m+1, newReqs)
+	var wg sync.WaitGroup
+	old := build(m)
+	all(&wg, "first solves", old, oldReqs, oldWant)
+	wg.Wait()
+
+	// Every start order of the old graph is built now.
+	all(&wg, "old generation", old, oldReqs, oldWant)
+	pushed, err := clustergraph.ExtendCtx(context.Background(), old, sets[:m+1], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all(&wg, "after a push", pushed, newReqs, newWant)
+	wg.Wait()
 }

@@ -67,3 +67,46 @@ func TestSolvePaperShapesPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestSolvePaperClassStats pins the same five classes at the scale the
+// solve_paper workload runs them (bench/solve.go, generator seed 2007,
+// k = 5): Paths by digest and every Stats counter as a literal. The
+// wide bfs graphs are where a solve touches a few dozen of 10 000 nodes,
+// so a change to how the solvers lay out their per-node state is held
+// here to the work it did before.
+func TestSolvePaperClassStats(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cfg    synth.Config
+		req    Request
+		digest string
+		stats  Stats
+	}{
+		{"dfs", synth.Config{M: 6, N: 400, D: 5, G: 1}, Request{Algorithm: "dfs", K: 5, L: FullPaths}, "7fd3ffb322c02c34",
+			Stats{NodeReads: 733, NodeWrites: 726, EdgeReads: 733, HeapConsiders: 62, Pruned: 691, Repushes: 129, PeakStatePaths: 9}},
+		{"ta", synth.Config{M: 6, N: 300, D: 5, G: 0}, Request{Algorithm: "ta", K: 5, L: FullPaths}, "9ecefddf83490737",
+			Stats{EdgeReads: 250, HeapConsiders: 13, Pruned: 380, RandomSeeks: 21}},
+		{"bfs_full", synth.Config{M: 10, N: 1000, D: 5, G: 1}, Request{Algorithm: "bfs", K: 5, L: FullPaths}, "24361eebf0e72fe2",
+			Stats{NodeReads: 17000, NodeWrites: 10000, EdgeReads: 505, HeapConsiders: 62, Pruned: 528, PeakStatePaths: 8}},
+		{"bfs_sub", synth.Config{M: 10, N: 1000, D: 5, G: 1}, Request{Algorithm: "bfs", K: 5, L: 3}, "91fb3f07923f891a",
+			Stats{NodeReads: 17000, NodeWrites: 10000, EdgeReads: 210, HeapConsiders: 20, Pruned: 291, PeakStatePaths: 4}},
+		{"normalized", synth.Config{M: 8, N: 80, D: 3, G: 0}, Request{Algorithm: "normalized", K: 5, LMin: 3}, "c3e3ab9689309c84",
+			Stats{NodeReads: 560, NodeWrites: 640, EdgeReads: 3956, HeapConsiders: 113, Pruned: 2179, PeakStatePaths: 19, Passes: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Seed = 2007
+			g, err := synth.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := solve(g, tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := pathsDigest(res.Paths); d != tc.digest || res.Stats != tc.stats {
+				t.Errorf("class drifted; solver now produces %q, %#v", d, res.Stats)
+			}
+		})
+	}
+}

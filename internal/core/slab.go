@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/topk"
@@ -215,6 +216,20 @@ func (hs *pathHeaps) at(i, j int) heapEnt {
 	return hs.pages[h.page][int(h.off)+j]
 }
 
+// reserve makes room for n heaps and, in the same allocation, for a
+// free list of n released blocks, the most it can hold: no more blocks
+// are handed out than heaps hold at once. A solve that releases what it
+// fills (BFS) then allocates for neither while it has at most n heaps.
+func (hs *pathHeaps) reserve(n int) {
+	if n <= len(hs.heaps) {
+		return
+	}
+	spans := make([]heapSpan, 2*n)
+	copy(spans, hs.heaps)
+	copy(spans[n:], hs.free)
+	hs.heaps, hs.free = spans[:n:n], spans[n:n+len(hs.free)]
+}
+
 // release empties heaps lo..hi−1 and recycles their blocks.
 func (hs *pathHeaps) release(lo, hi int) {
 	for i := lo; i < hi; i++ {
@@ -386,6 +401,63 @@ func (hs *pathHeaps) down(e []heapEnt, j int) bool {
 		j = c
 	}
 	return j > start
+}
+
+// nodeSlots gives each node a dense slot on its first request, so that a
+// solve's per-node state is sized by the nodes it touches, not by N. It
+// is an open-addressed table with linear probing whose cells hold slot+1
+// (0: empty), at most half of them in use; ids maps a slot back to its
+// node, in the order the slots were handed out. Cells and ids share one
+// allocation, made once for the slots a solve is expected to need and
+// again, twice as large, each time it runs out.
+type nodeSlots struct {
+	cells []int64
+	ids   []int64
+	shift uint // 64 − log2(len(cells))
+}
+
+func newNodeSlots(n int) nodeSlots {
+	b := uint(bits.Len(uint(2*n - 1)))
+	c := 1 << b
+	buf := make([]int64, c+n)
+	return nodeSlots{cells: buf[:c], ids: buf[c:c], shift: 64 - b}
+}
+
+// probe returns the cell that holds id, or the empty cell it would take.
+func (t *nodeSlots) probe(id int64) int {
+	mask := len(t.cells) - 1
+	c := int(uint64(id) * 0x9e3779b97f4a7c15 >> t.shift)
+	for t.cells[c] != 0 && t.ids[t.cells[c]-1] != id {
+		c = (c + 1) & mask
+	}
+	return c
+}
+
+// find returns id's slot, ok false when it has none.
+func (t *nodeSlots) find(id int64) (slot int, ok bool) {
+	c := t.cells[t.probe(id)]
+	return int(c) - 1, c != 0
+}
+
+// slot returns id's slot, handing out the next one on id's first
+// request.
+func (t *nodeSlots) slot(id int64) int {
+	c := t.probe(id)
+	if t.cells[c] != 0 {
+		return int(t.cells[c]) - 1
+	}
+	if len(t.ids) == cap(t.ids) {
+		old := t.ids
+		*t = newNodeSlots(2 * len(old))
+		for _, v := range old {
+			t.ids = append(t.ids, v)
+			t.cells[t.probe(v)] = int64(len(t.ids))
+		}
+		c = t.probe(id)
+	}
+	t.ids = append(t.ids, id)
+	t.cells[c] = int64(len(t.ids))
+	return len(t.ids) - 1
 }
 
 // offerGlobal offers the global top-k the path held in the scratch

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -256,4 +257,30 @@ func TestNormalizedStateBoundedOnWideCorpus(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCorpusGraphNodesAscending checks, on a corpus-derived graph and on
+// the graph a push extends it to, that NodesAt lists every interval in
+// ascending id: the BFS solver pushes an interval's live nodes in that
+// order, so that each heap takes its offers as a scan of NodesAt would.
+func TestCorpusGraphNodesAscending(t *testing.T) {
+	ctx := context.Background()
+	col := recurringCorpus(t, 8, 800)
+	eng := openTestEngine(t, prefixCol(col, 7), WithGraphOptions(GraphOptions{Gap: 1, Theta: 0.1}))
+	check := func(how string) {
+		g, err := eng.Graph(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range g.NumIntervals() {
+			if !slices.IsSorted(g.NodesAt(i)) {
+				t.Fatalf("%s: NodesAt(%d) is not in ascending id: %v", how, i, g.NodesAt(i))
+			}
+		}
+	}
+	check("corpus graph")
+	if _, err := eng.Push(ctx, col.Intervals[7]); err != nil {
+		t.Fatal(err)
+	}
+	check("after a push")
 }

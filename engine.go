@@ -1121,7 +1121,6 @@ func (s *SolveStats) set(algorithm string, h SolveHist, work core.Stats) {
 	w.Repushes += work.Repushes
 	w.RandomSeeks += work.RandomSeeks
 	w.PeakStatePaths = max(w.PeakStatePaths, work.PeakStatePaths)
-	w.Passes += work.Passes
 	s.Work[algorithm] = w
 }
 

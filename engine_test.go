@@ -716,9 +716,9 @@ func TestStatsRecordAndMerge(t *testing.T) {
 	a.recordSolve("bfs", 5e3, core.Stats{NodeReads: 10, EdgeReads: 20, HeapConsiders: 30, PeakStatePaths: 7})
 	a.recordSolve("bfs", 5e6, core.Stats{NodeReads: 1, EdgeReads: 2, HeapConsiders: 3, PeakStatePaths: 9})
 	a.recordSolve("dfs", 2e10, core.Stats{Pruned: 4, Repushes: 5})
-	a.recordSolve("normalized", 5e5, core.Stats{Passes: 2})
+	a.recordSolve("normalized", 5e5, core.Stats{EdgeReads: 2})
 	b.recordSolve("bfs", 5e3, core.Stats{NodeReads: 100, RandomSeeks: 6, PeakStatePaths: 8})
-	b.recordSolve("normalized", 5e5, core.Stats{Passes: 3})
+	b.recordSolve("normalized", 5e5, core.Stats{EdgeReads: 3})
 
 	var sum SolveStats
 	sum.Merge(a)
@@ -736,7 +736,7 @@ func TestStatsRecordAndMerge(t *testing.T) {
 	if want := map[string]core.Stats{
 		"bfs":        {NodeReads: 111, EdgeReads: 22, HeapConsiders: 33, RandomSeeks: 6, PeakStatePaths: 9},
 		"dfs":        {Pruned: 4, Repushes: 5},
-		"normalized": {Passes: 5},
+		"normalized": {EdgeReads: 5},
 	}; !reflect.DeepEqual(sum.Work, want) {
 		t.Errorf("Work = %+v, want %+v", sum.Work, want)
 	}

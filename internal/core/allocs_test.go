@@ -44,8 +44,8 @@ func TestSolverAllocationCeilings(t *testing.T) {
 		{"bfs-full", Request{Algorithm: "bfs", K: 5, L: FullPaths}, false, 80},
 		{"dfs", Request{Algorithm: "dfs", K: 5, L: FullPaths}, false, 100},
 		{"ta", Request{Algorithm: "ta", K: 5, L: FullPaths}, false, 110},
-		// Recorded 49, where starting at the least hop stability, two
-		// passes more, made 58.
+		// Recorded 43: BFS at lengths 3, 4 and 5, which builds a start
+		// order for each.
 		{"normalized", Request{Algorithm: "normalized", K: 5, LMin: 3}, false, 54},
 		// Recorded 50, where sweeping U and P and building the edge
 		// lists on every solve made 54.

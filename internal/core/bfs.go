@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/clustergraph"
-	"repro/internal/topk"
 )
 
 // solveBFS solves the kl-stable-clusters problem with Algorithm 2,
@@ -25,63 +24,98 @@ func solveBFS(ctx context.Context, g *clustergraph.Graph, req Request) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	r := newBFSRun(g, req, l)
-	for i := 0; i < g.NumIntervals(); i++ {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		r.pushInterval(i)
+	r := newBFSRun(g, req, l, l)
+	if err := r.run(ctx, l, 1); err != nil {
+		return nil, err
 	}
-	return &Result{Paths: r.global.Items(), Stats: r.stats}, nil
+	return &Result{Paths: r.top.items(0), Stats: r.stats}, nil
 }
 
-// bfsRun carries the state of one BFS execution.
+// bfsRun carries the state of BFS executions, one length at a time.
 type bfsRun struct {
 	g        *clustergraph.Graph
+	req      Request
 	l        int
+	per      float64 // the global heap ranks a path by weight/per
 	fullPath bool
 
 	// Paths live in slab; heaps indexes the h^x of the node in slot s at
 	// s*perNode + x−1, where a node gets its slot on its first admission.
 	// In full-path mode perNode is 1: a node's one heap holds x =
-	// interval(node).
+	// interval(node). top is the global heap H, ranked by weight/per.
 	slab    slab
 	heaps   *pathHeaps
+	top     *pathHeaps
 	slots   nodeSlots
 	perNode int
-	global  *topk.K
 	bound   suffixBound
-	floor   float64 // bound.floor of the global threshold
+	floor   float64 // bound.floor of per times the global threshold
 	stats   Stats
 
-	nodes []int64 // scratch for global offers
-	cand  []int64 // scratch for an interval's candidates
+	cand []int64 // scratch for an interval's candidates
 }
 
-func newBFSRun(g *clustergraph.Graph, req Request, l int) *bfsRun {
-	r := &bfsRun{
-		g:        g,
-		l:        l,
-		fullPath: l == g.NumIntervals()-1 && !req.disableFullPathFastPath,
-		perNode:  l,
-		global:   topk.NewK(req.K),
-	}
-	if r.fullPath {
-		r.perNode = 1
-	}
-	r.bound = newSuffixBound(g, req, l)
-	r.floor = r.bound.floor(r.global.Threshold())
+// newBFSRun sets up runs for the lengths lo..hi: the slot table and the
+// heap spans are sized once, for the longest.
+func newBFSRun(g *clustergraph.Graph, req Request, lo, hi int) *bfsRun {
+	r := &bfsRun{g: g, req: req}
 	// Slots for 2k(l+1) nodes, doubled whenever a solve touches more. A
 	// solve touches at most 0.96·k(l+1) nodes on synthetic 10 × {100,
 	// 1 000, 4 000} graphs (k 1, 5 and 40; l 1, 3, 6 and 9), and up to
 	// 29·k(l+1) on the recurring corpora at k 40 and l 1.
-	slots := max(min(2*req.K*(l+1), g.NumNodes()), 1)
+	slots := max(min(2*req.K*(hi+1), g.NumNodes()), 1)
 	r.slots = newNodeSlots(slots)
 	r.cand = make([]int64, 0, slots)
+	perNode := 1
+	for l := lo; l <= hi; l++ {
+		if l < g.NumIntervals()-1 || req.disableFullPathFastPath {
+			perNode = l
+		}
+	}
 	r.heaps = newPathHeaps(&r.slab, req.K, 0)
-	r.heaps.reserve(slots * r.perNode)
+	r.heaps.reserve(slots * perNode)
 	r.heaps.reuse = true
+	r.top = newPathHeaps(&r.slab, req.K, 1)
+	r.top.reuse = true
 	return r
+}
+
+// run pushes every interval for paths of length l, offering the global
+// heap each one ranked by its weight/per.
+func (r *bfsRun) run(ctx context.Context, l int, per float64) error {
+	r.start(l, per)
+	for i := range r.g.NumIntervals() {
+		if err := ctxErr(ctx); err != nil {
+			return err
+		}
+		r.pushInterval(i)
+	}
+	return nil
+}
+
+// start arms r for paths of length l. A run ends with every node heap
+// released, so only the slot table is cleared; the slab keeps the
+// global heap's paths, and Stats go on counting.
+func (r *bfsRun) start(l int, per float64) {
+	r.l, r.per = l, per
+	r.fullPath = l == r.g.NumIntervals()-1 && !r.req.disableFullPathFastPath
+	r.perNode = l
+	if r.fullPath {
+		r.perNode = 1
+	}
+	r.slots.reset()
+	r.bound = newSuffixBound(r.g, r.req, l)
+	r.setFloor()
+}
+
+// setFloor sets the floor from the global heap's k-th rank: a path of
+// length l must weigh that times per to enter it.
+func (r *bfsRun) setFloor() {
+	t := math.Inf(-1)
+	if r.top.size(0) == r.top.k {
+		t = r.top.at(0, 0).weight * r.per
+	}
+	r.floor = r.bound.floor(t)
 }
 
 // pushInterval pushes every live node of interval i across its child
@@ -230,10 +264,7 @@ func (r *bfsRun) offer(id int64, link ref, linkFP uint64, weight float64, length
 	r.heaps.consider(hi, id, link, linkFP, weight, length)
 	if length == r.l {
 		r.stats.HeapConsiders++
-		if weight >= r.global.Threshold() {
-			r.nodes = r.heaps.nodes(r.nodes[:0], id, link)
-			offerGlobal(r.global, r.nodes, weight, length)
-			r.floor = r.bound.floor(r.global.Threshold())
-		}
+		r.top.consider(0, id, link, linkFP, weight/r.per, length)
+		r.setFloor()
 	}
 }

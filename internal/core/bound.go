@@ -49,14 +49,6 @@ func newSuffixBound(g *clustergraph.Graph, req Request, l int) suffixBound {
 	return b
 }
 
-// seedFloor reads g's suffix weights for paths of temporal length l, as
-// suffixBound keeps them, and returns them with the floor F.
-func seedFloor(g *clustergraph.Graph, k, l int) (u []float64, stride int, f float64) {
-	b := suffixBound{g: g, full: l == g.NumIntervals()-1}
-	b.seed(k, l)
-	return b.u, b.stride, b.f
-}
-
 // seed reads the graph's suffix weights and start order for paths of
 // temporal length l and sets the floor F: the k-th largest U_l(s) over
 // the nodes s that start such a path, −Inf when fewer than k do. Only

@@ -17,14 +17,14 @@
 //   - "ta" (Section 4.4): an adaptation of the threshold algorithm over
 //     per-interval-pair edge lists read in weight order; full paths only
 //     (ta.go).
-//   - "normalized" (Problem 2, Section 4.5): Dinkelbach's parametric
-//     reduction to BFS's k-best DP, one pass per ratio tried, over the
-//     state (node, min(length, lmin)) (normalized.go).
+//   - "normalized" (Problem 2, Section 4.5): BFS at every length from
+//     lmin to m−1 into one global heap ranked by weight/length; among
+//     paths of one length that is the weight order (normalized.go).
 //   - "brute", "brute-normalized": exhaustive oracles (brute.go).
 //
-// BFS, DFS and TA prune on one exact suffix bound, the heaviest path of
-// each length from each node (bound.go); TA also takes its forward
-// twin, the heaviest path from interval 0 to each node. Both, and TA's
+// BFS (normalized too), DFS and TA prune on one exact suffix bound, the
+// heaviest path of each length from each node (bound.go); TA also takes
+// its forward twin, the heaviest path from interval 0 to each node. Both, and TA's
 // sorted edge lists, are swept once per graph and shared by every solve
 // on it (the graph's solve index, clustergraph/solveindex.go).
 //
@@ -61,8 +61,8 @@ type Stats struct {
 	// HeapConsiders counts offers to any top-k heap.
 	HeapConsiders int64 `json:"heap_considers"`
 	// Pruned counts pruning events (DFS CanPrune firings, TA edges and
-	// prefix or suffix branches, BFS and normalized offers dropped on
-	// their suffix bound).
+	// prefix or suffix branches, BFS offers dropped on the suffix
+	// bound).
 	Pruned int64 `json:"pruned"`
 	// Repushes counts re-explorations of nodes whose visited flag was
 	// unmarked (DFS only).
@@ -73,9 +73,6 @@ type Stats struct {
 	// in per-node state — the memory-footprint proxy behind the paper's
 	// "DFS needed 2MB vs BFS 35MB" claim.
 	PeakStatePaths int64 `json:"peak_state_paths"`
-	// Passes counts the parametric passes over the graph (normalized
-	// only).
-	Passes int64 `json:"passes"`
 }
 
 // Result is the answer to a stable-clusters query.

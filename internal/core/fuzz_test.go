@@ -66,6 +66,12 @@ func FuzzSolverEquivalence(f *testing.F) {
 	// m 7, n 8, l 1, k = 10: every interval but the last lists up to 8
 	// start nodes, most of which reach the floor.
 	f.Add(int64(9), uint8(5), uint8(6), uint8(1), uint8(1), uint8(0), uint8(9))
+	// m 5, gap 2, lmin = m−1, k = 8: normalized makes one full-path run,
+	// ranking by weight/4.
+	f.Add(int64(19), uint8(3), uint8(4), uint8(1), uint8(2), uint8(3), uint8(7))
+	// m 7, n 2, lmin 1, k = 40: normalized runs six lengths, and k is
+	// above the graph's 14 nodes and its 32 full paths.
+	f.Add(int64(17), uint8(5), uint8(0), uint8(0), uint8(0), uint8(0), uint8(39))
 	f.Fuzz(func(t *testing.T, seed int64, m8, n8, d8, g8, l8, k8 uint8) {
 		m := 2 + int(m8)%6
 		cfg := synth.Config{

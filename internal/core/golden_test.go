@@ -66,7 +66,7 @@ var golden = map[string]goldenRow{
 	},
 	"gap0/normalized": {
 		paths: []topk.Path{{Nodes: []int64{3, 10, 16}, Length: 2, Weight: 0.9366664287096136}, {Nodes: []int64{1, 8, 17}, Length: 2, Weight: 0.9141137717050942}, {Nodes: []int64{3, 10, 16, 18}, Length: 3, Weight: 0.8250811420644864}},
-		stats: Stats{NodeReads: 72, NodeWrites: 90, EdgeReads: 300, HeapConsiders: 42, Pruned: 180, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 4, Passes: 3},
+		stats: Stats{NodeReads: 72, NodeWrites: 90, EdgeReads: 25, HeapConsiders: 15, Pruned: 34, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 3},
 	},
 	"gap2/bfs-sub": {
 		paths: []topk.Path{{Nodes: []int64{15, 24, 25}, Length: 2, Weight: 1.9668916114544919}, {Nodes: []int64{15, 24, 26}, Length: 2, Weight: 1.890787416577656}, {Nodes: []int64{1, 7, 11}, Length: 2, Weight: 1.8688345463479306}},
@@ -90,7 +90,7 @@ var golden = map[string]goldenRow{
 	},
 	"gap2/normalized": {
 		paths: []topk.Path{{Nodes: []int64{15, 24, 25}, Length: 2, Weight: 0.9834458057272459}, {Nodes: []int64{15, 24, 26}, Length: 2, Weight: 0.945393708288828}, {Nodes: []int64{1, 7, 11}, Length: 2, Weight: 0.9344172731739653}},
-		stats: Stats{NodeReads: 120, NodeWrites: 60, EdgeReads: 660, HeapConsiders: 33, Pruned: 448, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 9, Passes: 2},
+		stats: Stats{NodeReads: 240, NodeWrites: 120, EdgeReads: 62, HeapConsiders: 11, Pruned: 44, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 2},
 	},
 	"gap1/bfs-sub": {
 		paths: []topk.Path{{Nodes: []int64{3, 11, 15}, Length: 2, Weight: 1.8701248559003314}, {Nodes: []int64{4, 6, 16}, Length: 2, Weight: 1.7467718477811967}, {Nodes: []int64{5, 8, 16}, Length: 2, Weight: 1.7423970354051643}},
@@ -114,7 +114,7 @@ var golden = map[string]goldenRow{
 	},
 	"gap1/normalized": {
 		paths: []topk.Path{{Nodes: []int64{3, 11, 15}, Length: 2, Weight: 0.9350624279501657}, {Nodes: []int64{4, 6, 16}, Length: 2, Weight: 0.8733859238905983}, {Nodes: []int64{5, 8, 16}, Length: 2, Weight: 0.8711985177025822}},
-		stats: Stats{NodeReads: 42, NodeWrites: 30, EdgeReads: 186, HeapConsiders: 15, Pruned: 125, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 11, Passes: 1},
+		stats: Stats{NodeReads: 126, NodeWrites: 90, EdgeReads: 40, HeapConsiders: 9, Pruned: 43, Repushes: 0, RandomSeeks: 0, PeakStatePaths: 3},
 	},
 }
 

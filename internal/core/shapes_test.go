@@ -34,15 +34,15 @@ var pinnedShapes = []struct {
 	stats  string
 }{
 	{"dfs", synth.Config{M: 6, N: 40, D: 5, G: 1}, Request{Algorithm: "dfs", K: 5, L: FullPaths},
-		"64b24b96718c3ecd", "{588 547 588 200 494 369 0 20 0}"},
+		"64b24b96718c3ecd", "{588 547 588 200 494 369 0 20}"},
 	{"ta", synth.Config{M: 6, N: 30, D: 5, G: 0}, Request{Algorithm: "ta", K: 5, L: FullPaths},
-		"055b1b54ccfa3ca3", "{0 0 65 19 300 0 50 0 0}"},
+		"055b1b54ccfa3ca3", "{0 0 65 19 300 0 50 0}"},
 	{"bfs_full", synth.Config{M: 10, N: 100, D: 5, G: 1}, Request{Algorithm: "bfs", K: 5, L: FullPaths},
-		"2d5d240235a9794c", "{1700 1000 327 69 589 0 0 8 0}"},
+		"2d5d240235a9794c", "{1700 1000 327 69 589 0 0 8}"},
 	{"bfs_sub", synth.Config{M: 10, N: 100, D: 5, G: 1}, Request{Algorithm: "bfs", K: 5, L: 3},
-		"b324484c0591585c", "{1700 1000 231 20 314 0 0 4 0}"},
+		"b324484c0591585c", "{1700 1000 231 20 314 0 0 4}"},
 	{"normalized", synth.Config{M: 8, N: 8, D: 3, G: 0}, Request{Algorithm: "normalized", K: 5, LMin: 3},
-		"ca74e015954916c9", "{168 192 1380 203 1008 0 0 25 3}"},
+		"ca74e015954916c9", "{280 320 73 40 118 0 0 9}"},
 }
 
 func TestSolvePaperShapesPinned(t *testing.T) {
@@ -91,7 +91,7 @@ func TestSolvePaperClassStats(t *testing.T) {
 		{"bfs_sub", synth.Config{M: 10, N: 1000, D: 5, G: 1}, Request{Algorithm: "bfs", K: 5, L: 3}, "91fb3f07923f891a",
 			Stats{NodeReads: 17000, NodeWrites: 10000, EdgeReads: 210, HeapConsiders: 20, Pruned: 291, PeakStatePaths: 4}},
 		{"normalized", synth.Config{M: 8, N: 80, D: 3, G: 0}, Request{Algorithm: "normalized", K: 5, LMin: 3}, "c3e3ab9689309c84",
-			Stats{NodeReads: 560, NodeWrites: 640, EdgeReads: 3956, HeapConsiders: 113, Pruned: 2179, PeakStatePaths: 19, Passes: 1}},
+			Stats{NodeReads: 2800, NodeWrites: 3200, EdgeReads: 62, HeapConsiders: 20, Pruned: 85, PeakStatePaths: 5}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg

@@ -22,9 +22,9 @@ type ref int
 func bare(node int64) ref { return ^ref(node) }
 
 // pathRec is one slab slot: the path that adds node to the path link.
-// BFS, normalized and TA suffixes grow paths at the end, so their
-// chains run last node → first; DFS and TA prefixes grow at the front
-// and their chains run first → last. hops counts the path's nodes.
+// BFS and TA suffixes grow paths at the end, so their chains run last
+// node → first; DFS and TA prefixes grow at the front and their chains
+// run first → last. hops counts the path's nodes.
 type pathRec struct {
 	node   int64
 	link   ref
@@ -145,8 +145,7 @@ func bareFP(node int64) uint64 { return mix(0, node) }
 // small, every later one is allocated whole, and a full page never
 // moves — a solve that needs more heaps copies none of the ones it has.
 // Heaps are min-heaps under topk.Better (the root is the worst retained
-// path) and behave as topk.K does, duplicates included, with each
-// path's rank key in place of its weight.
+// path) and behave as topk.K does, duplicates included.
 type pathHeaps struct {
 	s *slab
 	k int
@@ -156,8 +155,9 @@ type pathHeaps struct {
 	// reuse lets an admitted path overwrite the slot of the one it
 	// evicts. Sound when a heap takes all its offers before any path
 	// links to one of its own (BFS: a node's heaps fill while earlier
-	// intervals are pushed, and only its own push links to them), not
-	// when heaps keep improving after they were read (DFS).
+	// intervals are pushed, and only its own push links to them) or
+	// when no path ever links to its own (BFS's global heap), not when
+	// heaps keep improving after they were read (DFS).
 	reuse bool
 	heaps []heapSpan
 	pages [][]heapEnt
@@ -180,14 +180,13 @@ type heapSpan struct {
 	page, off, n int32
 }
 
-// heapEnt is one retained path. weight is the key it is ranked by: the
-// path's weight for BFS and DFS, its rounded score for normalized, whose
-// slab record keeps the weight. fp fingerprints its node sequence in
-// chain order — mix(fingerprint of the link, node) — so that looking
-// for a duplicate reads the block and nothing else. It lives here and
-// not in pathRec because only a path some heap retains is ever compared
-// for identity: TA, which keeps no pathHeaps, would carry eight dead
-// bytes per slab slot.
+// heapEnt is one retained path: its slab record's weight, and fp, a
+// fingerprint of its node sequence in chain order — mix(fingerprint of
+// the link, node) — so that ranking a path or looking for a duplicate
+// reads the block and nothing else. fp lives here and not in pathRec
+// because only a path some heap retains is ever compared for identity:
+// TA, which keeps no pathHeaps, would carry eight dead bytes per slab
+// slot.
 type heapEnt struct {
 	weight float64
 	ref    ref
@@ -250,15 +249,9 @@ func (hs *pathHeaps) release(lo, hi int) {
 // duplicate only if the fingerprints agree and then the chains do, so
 // two paths whose fingerprints collide cost one walk and are both kept.
 func (hs *pathHeaps) consider(i int, node int64, link ref, linkFP uint64, weight float64, length int) {
-	hs.rank(i, node, link, linkFP, weight, weight, length)
-}
-
-// rank is consider with the path ranked by key rather than by its
-// weight.
-func (hs *pathHeaps) rank(i int, node int64, link ref, linkFP uint64, key, weight float64, length int) {
 	h := &hs.heaps[i]
 	e := hs.entries(*h)
-	if len(e) == hs.k && key < e[0].weight {
+	if len(e) == hs.k && weight < e[0].weight {
 		return
 	}
 	s := hs.s
@@ -272,10 +265,9 @@ func (hs *pathHeaps) rank(i int, node int64, link ref, linkFP uint64, key, weigh
 			continue
 		}
 		// A rediscovery (DFS after visited flags are unmarked, or a
-		// parallel edge): the better-ranked copy survives. Same nodes,
-		// so only the key, then the weight, can rank them.
-		if key > e[j].weight || key == e[j].weight && weight > old.weight {
-			e[j] = heapEnt{key, hs.store(s.grow(node, link, weight, length), e[j].ref), fp}
+		// parallel edge): the heavier copy survives.
+		if weight > e[j].weight {
+			e[j] = heapEnt{weight, hs.store(s.grow(node, link, weight, length), e[j].ref), fp}
 			hs.fix(e, j)
 		}
 		return
@@ -288,18 +280,18 @@ func (hs *pathHeaps) rank(i int, node int64, link ref, linkFP uint64, key, weigh
 		h.n++
 		hs.held++
 		e = hs.entries(*h)
-		e[len(e)-1] = heapEnt{key, s.add(rec), fp}
+		e[len(e)-1] = heapEnt{weight, s.add(rec), fp}
 		hs.up(e, len(e)-1)
 		return
 	}
-	if key == e[0].weight {
+	if weight == e[0].weight {
 		hs.a = hs.nodes(hs.a[:0], node, link)
 		hs.b = hs.refNodes(hs.b[:0], e[0].ref)
 		if slices.Compare(hs.a, hs.b) >= 0 {
 			return
 		}
 	}
-	e[0] = heapEnt{key, hs.store(rec, e[0].ref), fp}
+	e[0] = heapEnt{weight, hs.store(rec, e[0].ref), fp}
 	hs.down(e, 0)
 }
 
@@ -353,6 +345,18 @@ func (hs *pathHeaps) nodes(dst []int64, node int64, link ref) []int64 {
 func (hs *pathHeaps) refNodes(dst []int64, r ref) []int64 {
 	rec := hs.s.at(r)
 	return hs.nodes(dst, rec.node, rec.link)
+}
+
+// items returns heap i's paths as topk.Path values, best first.
+func (hs *pathHeaps) items(i int) []topk.Path {
+	e := hs.entries(hs.heaps[i])
+	out := make([]topk.Path, len(e))
+	for j, x := range e {
+		rec := hs.s.at(x.ref)
+		out[j] = topk.Path{Nodes: hs.refNodes(make([]int64, 0, rec.hops), x.ref), Length: int(rec.length), Weight: rec.weight}
+	}
+	slices.SortFunc(out, topk.Compare)
+	return out
 }
 
 // worse reports whether entry x ranks below entry y under topk.Better.
@@ -431,6 +435,12 @@ func (t *nodeSlots) probe(id int64) int {
 		c = (c + 1) & mask
 	}
 	return c
+}
+
+// reset forgets every slot but keeps the table.
+func (t *nodeSlots) reset() {
+	clear(t.cells)
+	t.ids = t.ids[:0]
 }
 
 // find returns id's slot, ok false when it has none.

@@ -34,18 +34,6 @@ func (hs *pathHeaps) paths(lo, hi int) []topk.Path {
 	return out
 }
 
-// retained lists heap i's paths, best first.
-func retained(hs *pathHeaps, i int) []topk.Path {
-	out := hs.paths(i, i+1)
-	slices.SortFunc(out, func(a, b topk.Path) int {
-		if topk.Better(a, b) {
-			return -1
-		}
-		return 1
-	})
-	return out
-}
-
 // TestPathHeapsRediscovery: DFS reaches the same nodes again through a
 // different slab slot after a visited flag was unmarked. One entry, and
 // the heavier copy is the one kept.
@@ -65,7 +53,7 @@ func TestPathHeapsRediscovery(t *testing.T) {
 	}
 	hs.consider(0, 1, second, fp, 0.75, 2)
 	want := []topk.Path{{Nodes: []int64{1, 5, 9}, Length: 2, Weight: 0.75}}
-	if got := retained(hs, 0); !reflect.DeepEqual(got, want) || hs.held != 1 {
+	if got := hs.items(0); !reflect.DeepEqual(got, want) || hs.held != 1 {
 		t.Errorf("retained %v (held %d), want %v (held 1)", got, hs.held, want)
 	}
 }
@@ -97,7 +85,7 @@ func TestPathHeapsParallelEdge(t *testing.T) {
 		{Nodes: []int64{4, 1}, Length: 1, Weight: 0.75},
 		{Nodes: []int64{6, 1}, Length: 1, Weight: 0.6},
 	}
-	if got := retained(hs, 0); !reflect.DeepEqual(got, want) {
+	if got := hs.items(0); !reflect.DeepEqual(got, want) {
 		t.Errorf("retained %v, want %v", got, want)
 	}
 }
@@ -125,7 +113,7 @@ func TestPathHeapsFingerprintCollision(t *testing.T) {
 			t.Fatalf("prepended=%v: a true duplicate under the shared fingerprint was kept twice", prepended)
 		}
 		var weights []float64
-		for _, p := range retained(hs, 0) {
+		for _, p := range hs.items(0) {
 			weights = append(weights, p.Weight)
 		}
 		if want := []float64{1, 0.75, 0.25}; !slices.Equal(weights, want) {
@@ -150,7 +138,7 @@ func TestPathHeapsRecycleAcrossPages(t *testing.T) {
 			{Nodes: []int64{100, int64(i)}, Length: 1, Weight: 0.5},
 			{Nodes: []int64{101, int64(i)}, Length: 1, Weight: 0.25},
 		}
-		if got := retained(hs, i); !reflect.DeepEqual(got, want) {
+		if got := hs.items(i); !reflect.DeepEqual(got, want) {
 			t.Errorf("heap %d retains %v, want %v", i, got, want)
 		}
 	}
@@ -206,7 +194,7 @@ func TestPathHeapsBlockSizes(t *testing.T) {
 	for peer, w := range map[int64]float64{2: 0.25, 3: 0.75, 4: 0.5} {
 		one.consider(1, 1, bare(peer), bareFP(peer), w, 1)
 	}
-	if got, want := retained(one, 1), []topk.Path{{Nodes: []int64{3, 1}, Length: 1, Weight: 0.75}}; !reflect.DeepEqual(got, want) || one.held != 1 {
+	if got, want := one.items(1), []topk.Path{{Nodes: []int64{3, 1}, Length: 1, Weight: 0.75}}; !reflect.DeepEqual(got, want) || one.held != 1 {
 		t.Errorf("k=1 retains %v (held %d), want %v (held 1)", got, one.held, want)
 	}
 

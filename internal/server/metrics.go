@@ -148,7 +148,7 @@ func newServerMetrics() *serverMetrics {
 		"Completed stable-cluster solve wall-clock, by algorithm.",
 		solveDurBuckets(), "algorithm")
 	m.solveWork = reg.Counter("engine_solve_work_total",
-		"Work counters summed over completed solves, by algorithm and counter (node_reads, edge_reads, heap_considers, repushes, pruned, random_seeks, passes); edge_reads counts a solve's own reads, not the graph's once-per-graph bound sweeps.", "algorithm", "counter")
+		"Work counters summed over completed solves, by algorithm and counter (node_reads, edge_reads, heap_considers, repushes, pruned, random_seeks); edge_reads counts a solve's own reads, not the graph's once-per-graph bound sweeps.", "algorithm", "counter")
 	m.solvePeak = reg.Gauge("engine_solve_peak_state_paths",
 		"Most paths any one completed solve held in per-node state at a time, by algorithm.", "algorithm")
 
@@ -241,7 +241,6 @@ func (s *Server) syncMetrics() {
 		m.solveWork.With(algo, "repushes").Set(float64(w.Repushes))
 		m.solveWork.With(algo, "pruned").Set(float64(w.Pruned))
 		m.solveWork.With(algo, "random_seeks").Set(float64(w.RandomSeeks))
-		m.solveWork.With(algo, "passes").Set(float64(w.Passes))
 		m.solvePeak.With(algo).Set(float64(w.PeakStatePaths))
 	}
 }

@@ -181,12 +181,11 @@ func TestMetricsSolveHistogram(t *testing.T) {
 	if got := metricValue(t, text, "engine_solve_peak_state_paths", map[string]string{"algorithm": "bfs"}); got <= 0 {
 		t.Errorf("engine_solve_peak_state_paths{bfs} = %v, want > 0", got)
 	}
-	// The normalized solve's parametric passes, which the response's
-	// stats block does not carry.
+	// The normalized solve's heap offers, as /debug/stats reports them.
 	_, dbg = get(t, ts, "/debug/stats")
-	passes := dbg["engine"].(map[string]any)["planner"].(map[string]any)["work"].(map[string]any)["normalized"].(map[string]any)["passes"]
-	if got := metricValue(t, text, "engine_solve_work_total", map[string]string{"algorithm": "normalized", "counter": "passes"}); got != passes || got < 1 {
-		t.Errorf("engine_solve_work_total{normalized,passes} = %v, /debug/stats says %v (want equal and >= 1)", got, passes)
+	offers := dbg["engine"].(map[string]any)["planner"].(map[string]any)["work"].(map[string]any)["normalized"].(map[string]any)["heap_considers"]
+	if got := metricValue(t, text, "engine_solve_work_total", map[string]string{"algorithm": "normalized", "counter": "heap_considers"}); got != offers || got < 1 {
+		t.Errorf("engine_solve_work_total{normalized,heap_considers} = %v, /debug/stats says %v (want equal and >= 1)", got, offers)
 	}
 }
 

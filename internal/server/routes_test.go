@@ -33,7 +33,7 @@ func TestRouteBodiesPinned(t *testing.T) {
 		{"GET", "/v1/stable-clusters?k=4&l=3&algorithm=dfs", "", "0328d80f11d617d22737700c0fe8d035188b3400385db222ac08f85a3b12d632", "82bcaaefa167a92c2aa3b66af7ccb8e744dcd979599525b51a832d7d2ab996bf"},
 		{"GET", "/v1/stable-clusters?k=4&l=3&algorithm=brute", "", "a0e209e782139d11107c83fb74385b97b1c32d7f1233affaeab07018f629d6db", "82bcaaefa167a92c2aa3b66af7ccb8e744dcd979599525b51a832d7d2ab996bf"},
 		{"GET", "/v1/stable-clusters?k=4&algorithm=ta", "", "d85dd8c5a3e294fad94b211be2f8e1cf80bbe3b881f14c573636171984c37d86", "9c020148e4e6549e5708c30672aa69e02060eccf1697196f0a27f188b2caf857"},
-		{"GET", "/v1/stable-clusters?variant=normalized&k=4&lmin=2", "", "f7cd9e343f0b85bc75442d1a6812140ed0142553bdb046da6599e9d099c21dc0", "10bc91072d76b3aaaf5f8a5b6faa9e1b16917925ecd942aab7a65f1d25be1444"},
+		{"GET", "/v1/stable-clusters?variant=normalized&k=4&lmin=2", "", "57c2d52a748df56a3c9b05d85f01c61ff262a766845af54458d037233deaed76", "10bc91072d76b3aaaf5f8a5b6faa9e1b16917925ecd942aab7a65f1d25be1444"},
 		{"GET", "/v1/stable-clusters?variant=normalized&k=3&lmin=3&algorithm=brute-normalized", "", "dda3497268662ca86e0a6ace463f765773def6f1c54a9cda477a09797c096afa", "afa086844750da398e897dff8669e08616bda656856f10718cb6834b33ed866a"},
 		{"GET", "/v1/stable-clusters?variant=diverse&k=3&l=2&mode=endpoints", "", "e2daf5d4fb01b0ff4fbb06216046f5e2a5bd5bc752c20f5abaf83545325f97b9", "d1b94de5112d34d4295ed031024ef87f19e7947c7e02ab9ac2227f180527f922"},
 		{"GET", "/v1/stable-clusters?variant=diverse&k=3&l=2&mode=prefix", "", "7dff36337e4f0bf77b5bade64788c4a356d47c9ad72a0cafcd0614774c358463", "e38d422bb4c101f3aac541c1a6d4993e49cf029149cbaee3652a2fa72b509404"},

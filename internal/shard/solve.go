@@ -226,7 +226,6 @@ func addStats(dst *core.Stats, src core.Stats) {
 	dst.Repushes += src.Repushes
 	dst.RandomSeeks += src.RandomSeeks
 	dst.PeakStatePaths += src.PeakStatePaths
-	dst.Passes += src.Passes
 }
 
 // Solve answers a stable-cluster query over the sharded corpus,

@@ -184,12 +184,12 @@ func (t *K) Floor() (Path, bool) {
 func (t *K) Items() []Path {
 	out := make([]Path, len(t.items))
 	copy(out, t.items)
-	slices.SortFunc(out, comparePaths)
+	slices.SortFunc(out, Compare)
 	return out
 }
 
-// comparePaths orders paths best first under Better.
-func comparePaths(a, b Path) int {
+// Compare orders paths best first under Better, for slices.SortFunc.
+func Compare(a, b Path) int {
 	if Better(a, b) {
 		return -1
 	}

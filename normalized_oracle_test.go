@@ -2,8 +2,8 @@ package blogclusters
 
 import (
 	"context"
-	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -40,21 +40,20 @@ func checkUpToTies(t *testing.T, name string, got, ref []topk.Path, k int) {
 }
 
 // TestNormalizedMatchesBruteOnCorpusGraphs holds the normalized solver
-// to the exhaustive oracle on the graphs the server solves: recurring
-// corpora 4–6 intervals wide at 800 posts (gap 1, θ 0.1, the
-// serve_churn shape), k 1–40, lmin 2 and 3, under checkUpToTies' rule.
+// to the exhaustive oracle, exactly, on the graphs the server solves:
+// recurring corpora 4–7 intervals wide at 800 posts (gap 1, θ 0.1, the
+// serve_churn shape), lmin 1–3, k 1–40.
 func TestNormalizedMatchesBruteOnCorpusGraphs(t *testing.T) {
 	ctx := context.Background()
-	for _, width := range []int{4, 5, 6} {
+	for _, width := range []int{4, 5, 6, 7} {
 		eng := openTestEngine(t, recurringCorpus(t, width, 800), WithGraphOptions(GraphOptions{Gap: 1, Theta: 0.1}))
 		g, err := eng.Graph(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, lmin := range []int{2, 3} {
-			// The oracle's top-k is a prefix of its top-41: one past the
-			// largest k shows whether rank 40 ends a tie group.
-			all, err := core.Solve(ctx, g, core.Request{Algorithm: "brute-normalized", K: 41, LMin: lmin})
+		for lmin := 1; lmin <= 3; lmin++ {
+			// The oracle's top-k is a prefix of its top-40.
+			all, err := core.Solve(ctx, g, core.Request{Algorithm: "brute-normalized", K: 40, LMin: lmin})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +62,9 @@ func TestNormalizedMatchesBruteOnCorpusGraphs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkUpToTies(t, fmt.Sprintf("width %d lmin %d k %d", width, lmin, k), got.Paths, all.Paths, k)
+				if want := all.Paths[:min(k, len(all.Paths))]; !reflect.DeepEqual(got.Paths, want) {
+					t.Errorf("width %d lmin %d k %d: normalized returns\n%v\nbrute returns\n%v", width, lmin, k, got.Paths, want)
+				}
 			}
 		}
 	}

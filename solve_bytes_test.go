@@ -69,10 +69,9 @@ func TestSolveBytesOnCorpusGraph(t *testing.T) {
 		{"bfs", 1_700_000, 1_150_000},
 		// 414 712 and 349 176.
 		{"dfs", 850_000, 700_000},
-		// 958 192 and 892 656: a cold solve builds U_r for r ≤ lmin, which
-		// seeds the first λ. Starting at the least hop stability read no
-		// index and allocated 1 795 936 a solve.
-		{"normalized", 3_600_000, 1_790_000},
+		// 822 112 and 618 280: a cold solve builds U_r for r ≤ m−2 and a
+		// start order for every length from lmin.
+		{"normalized", 1_650_000, 1_240_000},
 	} {
 		t.Run(tc.algorithm, func(t *testing.T) {
 			eng := openTestEngine(t, col, WithGraphOptions(GraphOptions{Gap: 1, Theta: 0.1}))
@@ -214,9 +213,12 @@ func TestTAWorkOnRecurringCorpus(t *testing.T) {
 // TestNormalizedStateBoundedOnWideCorpus solves normalized at k = 40,
 // lmin = 3 on two wide recurring corpora, where Section 4.5's per-node
 // candidate lists grow without bound (1.3 M paths and 167 MB at
-// 10 × 1 500). Per-node state must stay within the k-best DP's bound —
-// k paths per (node, capped length) — and bytes under a ceiling about
-// twice those recorded with this test.
+// 10 × 1 500). Normalized runs BFS once per length l, and a run keeps
+// at most k paths per node and length x ≤ l, so per-node state must
+// stay within k·(m−2) paths a node, the longest run that keeps a heap
+// per length; recorded, the peak is 2 057 paths on both corpora, under
+// a ceiling of about twice that. Bytes stay under a ceiling about twice
+// those recorded with this test.
 func TestNormalizedStateBoundedOnWideCorpus(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -245,8 +247,11 @@ func TestNormalizedStateBoundedOnWideCorpus(t *testing.T) {
 			if len(res.Paths) != k {
 				t.Fatalf("%d paths, want %d", len(res.Paths), k)
 			}
-			if bound := int64(g.NumNodes() * lmin * k); res.Stats.PeakStatePaths > bound {
-				t.Errorf("peak state %d paths, above NumNodes·lmin·k = %d", res.Stats.PeakStatePaths, bound)
+			if bound := int64(g.NumNodes() * (g.NumIntervals() - 2) * k); res.Stats.PeakStatePaths > bound {
+				t.Errorf("peak state %d paths, above NumNodes·(m−2)·k = %d", res.Stats.PeakStatePaths, bound)
+			}
+			if res.Stats.PeakStatePaths > 4_100 {
+				t.Errorf("peak state %d paths, ceiling 4 100", res.Stats.PeakStatePaths)
 			}
 			t.Logf("%d nodes: %+v, %d bytes", g.NumNodes(), res.Stats, after.TotalAlloc-before.TotalAlloc)
 			if raceflag.Enabled {

@@ -31,11 +31,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Worker-count coverage without a knob: the interval pool and the
-# cluster-graph edge tasks size themselves from GOMAXPROCS, so the tests
-# that hold them to sequential references run at 1, 2 and 8 workers.
+# Worker-count coverage without a knob: the interval pool, the disk
+# index build's interval pool and the cluster-graph edge tasks size
+# themselves from GOMAXPROCS, so the tests that hold them to sequential
+# references — pinned segment bytes, the first bad interval's error,
+# disk equal to memory — run at 1, 2 and 8 workers.
 cpu-matrix:
 	$(GO) test -cpu 1,2,8 -run '^(TestSection4ParallelEquivalence|TestAllIntervalClustersBudgetSplit|TestEnginePushIncremental)$$' .
+	$(GO) test -cpu 1,2,8 -run '^(TestSegmentBytesPinned|TestBuildDiskRejectsBadInput|TestDiskEquivalenceRandom|TestDiskSmallBlockSizes|TestIndexAgreesWithCooccur|TestStoreDeltaEquivalence|TestStoreCompactionByteEquality)$$' ./internal/index
+	$(GO) test -cpu 1,2,8 -run '^TestBuildPrunedMatchesPrune$$' ./internal/cooccur
 	$(GO) test -cpu 1,2,8 ./internal/clustergraph ./internal/par
 
 # Fails when any file is not gofmt-formatted (prints the offenders).

@@ -122,12 +122,12 @@ func (o ClusterOptions) withDefaults() ClusterOptions {
 }
 
 // intervalClustersCtx runs the Section 3 pipeline for one interval of
-// the collection: keyword graph → χ²/ρ pruning → biconnected components
-// → keyword clusters. Cluster IDs are local to the call (0,1,2…); the
-// cluster graph assigns graph-wide ids.
-func intervalClustersCtx(ctx context.Context, c *Collection, interval int, opts ClusterOptions) ([]Cluster, error) {
+// the collection, from its tokens tk: keyword graph → χ²/ρ pruning →
+// biconnected components → keyword clusters. Cluster IDs are local to
+// the call (0,1,2…); the cluster graph assigns graph-wide ids.
+func intervalClustersCtx(ctx context.Context, tk *corpus.Tokens, interval int, opts ClusterOptions) ([]Cluster, error) {
 	opts = opts.withDefaults()
-	pruned, err := cooccur.BuildPrunedCtx(ctx, c, interval, interval, cooccur.BuildOptions{
+	pruned, err := cooccur.BuildPrunedTokens(ctx, tk, cooccur.BuildOptions{
 		MinPairCount: opts.MinPairCount,
 		MemBudget:    opts.MemBudget,
 	}, opts.Chi2Critical, opts.RhoThreshold)
@@ -229,11 +229,12 @@ func (o IndexOptions) config(lifetime context.Context) index.Config {
 	}
 }
 
-// openIndexStoreCtx builds and opens the selected backend. ctx bounds
-// the build; lifetime bounds the opened store's retry backoff sleeps
-// (the store usually outlives the query that built it).
-func openIndexStoreCtx(ctx, lifetime context.Context, c *Collection, opts IndexOptions) (*index.Store, error) {
-	return index.OpenStore(ctx, c, opts.Backend, opts.Path, opts.config(lifetime))
+// openIndexStoreCtx builds and opens the selected backend from the
+// tokens src gives. ctx bounds the build; lifetime bounds the opened
+// store's retry backoff sleeps (the store usually outlives the query
+// that built it).
+func openIndexStoreCtx(ctx, lifetime context.Context, c *Collection, src corpus.TokenSource, opts IndexOptions) (*index.Store, error) {
+	return index.OpenStoreTokens(ctx, c, src, opts.Backend, opts.Path, opts.config(lifetime))
 }
 
 // KeywordBurst is one bursty stretch of intervals for a keyword.

@@ -106,10 +106,18 @@ type engineState struct {
 	sets   *memo[[][]Cluster]
 	graph  *memo[*ClusterGraph]
 	totals *memo[[]int64]
+
+	// toks memoizes each interval's tokens for the two builds that read
+	// every interval, the index store and the cluster sets, so each
+	// interval is tokenized once for both. It is nil once both exist
+	// (releaseTokens) and for cluster-set sources: tokens are never
+	// kept for the session.
+	tokMu sync.Mutex
+	toks  []memo[*corpus.Tokens]
 }
 
 func newEngineState(gen int64, col *corpus.Collection) *engineState {
-	return &engineState{
+	st := &engineState{
 		gen:    gen,
 		col:    col,
 		index:  &memo[*index.Store]{},
@@ -117,6 +125,58 @@ func newEngineState(gen int64, col *corpus.Collection) *engineState {
 		graph:  &memo[*ClusterGraph]{},
 		totals: &memo[[]int64]{},
 	}
+	if col != nil {
+		st.toks = make([]memo[*corpus.Tokens], len(col.Intervals))
+	}
+	return st
+}
+
+// releaseTokens drops the token memo once the index store and the
+// cluster sets both exist. A later reader tokenizes its interval
+// afresh, a pure function of it.
+func (st *engineState) releaseTokens() {
+	if _, ok := st.index.cached(); !ok {
+		return
+	}
+	if _, ok := st.sets.cached(); !ok {
+		return
+	}
+	st.tokMu.Lock()
+	st.toks = nil
+	st.tokMu.Unlock()
+}
+
+// tokens returns interval i's tokens: from the snapshot's memo while it
+// is held, else tokenized afresh and kept by no one. tz is the calling
+// worker's tokenizer, or nil.
+func (e *Engine) tokens(ctx context.Context, st *engineState, i int, tz *corpus.Tokenizer) (*corpus.Tokens, error) {
+	st.tokMu.Lock()
+	toks := st.toks
+	st.tokMu.Unlock()
+	ivs := st.col.Intervals[i : i+1]
+	if toks == nil {
+		return e.tokenize(ctx, ivs, tz), nil
+	}
+	return toks[i].get(ctx, func() (*corpus.Tokens, error) {
+		return e.tokenize(ctx, ivs, tz), nil
+	})
+}
+
+// tokenSource is the snapshot's TokenSource for the pooled builds.
+func (e *Engine) tokenSource(st *engineState) corpus.TokenSource {
+	return func(ctx context.Context, i int, tz *corpus.Tokenizer) (*corpus.Tokens, error) {
+		return e.tokens(ctx, st, i, tz)
+	}
+}
+
+// tokenize is the "tokens" stage: one interval's tokens, counted in
+// EngineStats. tz may be nil.
+func (e *Engine) tokenize(ctx context.Context, ivs []Interval, tz *corpus.Tokenizer) *corpus.Tokens {
+	defer e.stage(ctx, "tokens")()
+	if tz == nil {
+		tz = new(corpus.Tokenizer)
+	}
+	return tz.Tokenize(ivs)
 }
 
 // engineConfig is the resolved option set of one Engine.
@@ -420,6 +480,15 @@ func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64
 	next := iv.Index
 	newCol := &corpus.Collection{Intervals: append(cur.col.Intervals[:next:next], iv)}
 	st := newEngineState(cur.gen+1, newCol)
+	// The new interval is tokenized once, for whichever of the cluster
+	// sets and the index store it extends.
+	var tk *corpus.Tokens
+	tokens := func() *corpus.Tokens {
+		if tk == nil {
+			tk = e.tokenize(ctx, newCol.Intervals[next:], nil)
+		}
+		return tk
+	}
 
 	// Extend the cluster sets (and everything downstream of them) only
 	// if they are materialized; an unbuilt artifact stays lazy.
@@ -431,7 +500,7 @@ func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64
 		var err error
 		func() {
 			defer e.stage(ctx, "interval-clusters")()
-			ivSet, err = intervalClustersCtx(ctx, newCol, next, e.cfg.cluster)
+			ivSet, err = intervalClustersCtx(ctx, tokens(), next, e.cfg.cluster)
 		}()
 		if err != nil {
 			return 0, err
@@ -471,12 +540,13 @@ func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64
 	// segment set itself), so pushing into it is the point of no
 	// return: do it last.
 	if store, ok := cur.index.cached(); ok {
-		if err := store.Push(ctx, iv); err != nil {
+		if err := store.Push(ctx, iv, tokens()); err != nil {
 			return 0, err
 		}
 		st.index.prime(store)
 		e.maybeCompact(store)
 	}
+	st.releaseTokens()
 
 	e.state.Store(st)
 
@@ -561,11 +631,11 @@ func (e *Engine) indexStore(ctx context.Context, st *engineState) (*index.Store,
 	if st.col == nil {
 		return nil, ErrNoCorpus
 	}
-	return st.index.get(ctx, func() (*index.Store, error) {
+	s, err := st.index.get(ctx, func() (*index.Store, error) {
 		defer e.stage(ctx, "index")()
 		// e.root (the session lifetime) bounds the disk backend's retry
 		// backoff sleeps: the store outlives this query's context.
-		s, err := openIndexStoreCtx(ctx, e.root, st.col, e.cfg.index)
+		s, err := openIndexStoreCtx(ctx, e.root, st.col, e.tokenSource(st), e.cfg.index)
 		if err != nil {
 			return nil, err
 		}
@@ -581,6 +651,10 @@ func (e *Engine) indexStore(ctx context.Context, st *engineState) (*index.Store,
 		e.ownedReaders = append(e.ownedReaders, s)
 		return s, nil
 	})
+	if err == nil {
+		st.releaseTokens()
+	}
+	return s, err
 }
 
 // Clusters materializes (once per generation) and returns the
@@ -598,13 +672,17 @@ func (e *Engine) Clusters(ctx context.Context) ([][]Cluster, error) {
 // clusters is Clusters pinned to one generation snapshot, for internal
 // reuse by callers that already hold a joined context.
 func (e *Engine) clusters(ctx context.Context, st *engineState) ([][]Cluster, error) {
-	return st.sets.get(ctx, func() ([][]Cluster, error) {
+	sets, err := st.sets.get(ctx, func() ([][]Cluster, error) {
 		if st.col == nil {
 			return nil, ErrNoCorpus
 		}
 		defer e.stage(ctx, "clusters")()
-		return allIntervalClustersCtx(ctx, st.col, e.cfg.cluster)
+		return allIntervalClustersCtx(ctx, st.col, e.tokenSource(st), e.cfg.cluster)
 	})
+	if err == nil {
+		st.releaseTokens()
+	}
+	return sets, err
 }
 
 // ClustersAt returns the cluster set of one interval. When the full
@@ -648,8 +726,12 @@ func (e *Engine) clustersAt(ctx context.Context, st *engineState, interval int) 
 	}
 	e.intervalMu.Unlock()
 	return m.get(ctx, func() ([]Cluster, error) {
+		tk, err := e.tokens(ctx, st, interval, nil)
+		if err != nil {
+			return nil, err
+		}
 		defer e.stage(ctx, "interval-clusters")()
-		return intervalClustersCtx(ctx, st.col, interval, e.cfg.cluster)
+		return intervalClustersCtx(ctx, tk, interval, e.cfg.cluster)
 	})
 }
 
@@ -741,9 +823,13 @@ func (e *Engine) kwGraph(ctx context.Context, st *engineState, interval int) (*c
 	}
 	e.kwMu.Unlock()
 	return m.get(ctx, func() (*cooccur.Graph, error) {
+		tk, err := e.tokens(ctx, st, interval, nil)
+		if err != nil {
+			return nil, err
+		}
 		defer e.stage(ctx, "kwgraph")()
 		// Keep every significant, positively correlated pair.
-		return cooccur.BuildPrunedCtx(ctx, st.col, interval, interval, cooccur.BuildOptions{
+		return cooccur.BuildPrunedTokens(ctx, tk, cooccur.BuildOptions{
 			MinPairCount: e.cfg.cluster.MinPairCount,
 			MemBudget:    e.cfg.cluster.MemBudget,
 		}, stats.ChiSquared95, 0)
@@ -1297,11 +1383,11 @@ func (m *memo[T]) get(ctx context.Context, build func() (T, error)) (T, error) {
 
 // --- ctx-aware stage internals ---
 
-// allIntervalClustersCtx builds every interval's cluster set — the
-// Engine's cluster stage: whole interval builds run on a pool of
-// min(GOMAXPROCS, m) workers, each build sequential inside and granted
-// an equal share of the memory budget.
-func allIntervalClustersCtx(ctx context.Context, c *Collection, opts ClusterOptions) ([][]Cluster, error) {
+// allIntervalClustersCtx builds every interval's cluster set from the
+// tokens src gives — the Engine's cluster stage: whole interval builds
+// run on a pool of min(GOMAXPROCS, m) workers, each build sequential
+// inside and granted an equal share of the memory budget.
+func allIntervalClustersCtx(ctx context.Context, c *Collection, src corpus.TokenSource, opts ClusterOptions) ([][]Cluster, error) {
 	m := len(c.Intervals)
 	workers := max(1, min(runtime.GOMAXPROCS(0), m))
 	budget := opts.MemBudget
@@ -1310,9 +1396,13 @@ func allIntervalClustersCtx(ctx context.Context, c *Collection, opts ClusterOpti
 	}
 	opts.MemBudget = max(1, budget/workers)
 	sets := make([][]Cluster, m)
-	if err := par.ForEachCtx(ctx, m, workers, func(i int) error {
-		var err error
-		sets[i], err = intervalClustersCtx(ctx, c, i, opts)
+	tzs := make([]corpus.Tokenizer, workers)
+	if err := par.ForEachWorkerCtx(ctx, m, workers, func(w, i int) error {
+		tk, err := src(ctx, i, &tzs[w])
+		if err != nil {
+			return err
+		}
+		sets[i], err = intervalClustersCtx(ctx, tk, i, opts)
 		return err
 	}); err != nil {
 		return nil, err

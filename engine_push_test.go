@@ -389,3 +389,107 @@ func TestEnginePushConcurrentQueries(t *testing.T) {
 		t.Fatalf("generation %d after %d pushes, want %d", gen, m-base, m-base+1)
 	}
 }
+
+// tokenBuilds reads how many intervals the Engine has tokenized.
+func tokenBuilds(eng *Engine) int64 { return eng.Stats().Stages["tokens"].Builds }
+
+// tokensHeld reports whether the current snapshot still holds its token
+// memo.
+func tokensHeld(eng *Engine) bool {
+	st := eng.state.Load()
+	st.tokMu.Lock()
+	defer st.tokMu.Unlock()
+	return st.toks != nil
+}
+
+// TestEngineTokenizesOnce pins the token memo's contract: the index
+// store and the cluster sets share one tokenization of each interval,
+// the memo is dropped once both exist, a push tokenizes only the new
+// interval, and a reader after the release tokenizes afresh without
+// keeping anything. The concurrent case runs both full builds at once,
+// so the memo's single flight is what keeps the count at m.
+func TestEngineTokenizesOnce(t *testing.T) {
+	const m = 4
+	col := pushCorpus(t, m+1)
+	ctx := context.Background()
+	for _, backend := range []string{"mem", "disk"} {
+		for _, par := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/par=%d", backend, par), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
+				eng := openTestEngine(t, prefixCol(col, m),
+					WithIndexOptions(IndexOptions{Backend: backend, CompactAfter: -1}))
+				if _, err := eng.Index(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if got := tokenBuilds(eng); got != m {
+					t.Fatalf("Index tokenized %d intervals, want %d", got, m)
+				}
+				if !tokensHeld(eng) {
+					t.Fatal("token memo released before the cluster sets exist")
+				}
+				if _, err := eng.Clusters(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng.ClustersAt(ctx, 1); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng.Graph(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if got := tokenBuilds(eng); got != m {
+					t.Fatalf("Index, Clusters, ClustersAt and Graph tokenized %d intervals, want %d", got, m)
+				}
+				if tokensHeld(eng) {
+					t.Fatal("token memo held after the index store and the cluster sets both exist")
+				}
+
+				if _, err := eng.Push(ctx, col.Intervals[m]); err != nil {
+					t.Fatal(err)
+				}
+				if got := tokenBuilds(eng); got != m+1 {
+					t.Fatalf("push tokenized %d intervals, want 1", got-m)
+				}
+				if tokensHeld(eng) {
+					t.Fatal("the pushed generation holds a token memo")
+				}
+
+				if _, err := eng.Correlations(ctx, "alpha", 0, 3); err != nil {
+					t.Fatal(err)
+				}
+				if got := tokenBuilds(eng); got != m+2 {
+					t.Fatalf("Correlations after the release tokenized %d intervals, want 1", got-m-1)
+				}
+				if tokensHeld(eng) {
+					t.Fatal("a reader after the release kept its tokens")
+				}
+			})
+		}
+	}
+
+	t.Run("concurrent", func(t *testing.T) {
+		eng := openTestEngine(t, prefixCol(col, m), WithIndexOptions(IndexOptions{Backend: "disk"}))
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			_, errs[0] = eng.Index(ctx)
+		}()
+		go func() {
+			defer wg.Done()
+			_, errs[1] = eng.Clusters(ctx)
+		}()
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := tokenBuilds(eng); got != m {
+			t.Fatalf("concurrent Index and Clusters tokenized %d intervals, want %d", got, m)
+		}
+		if tokensHeld(eng) {
+			t.Fatal("token memo held after the index store and the cluster sets both exist")
+		}
+	})
+}

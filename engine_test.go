@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/cooccur"
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -50,7 +51,7 @@ func TestEngineEquivalence(t *testing.T) {
 	defer eng.Close()
 
 	// Stage artifacts.
-	wantSets, err := allIntervalClustersCtx(ctx, col, copts)
+	wantSets, err := allIntervalClustersCtx(ctx, col, corpus.Tokenizing(col), copts)
 	if err != nil {
 		t.Fatalf("reference clusters: %v", err)
 	}
@@ -479,7 +480,7 @@ func TestEngineIntervalQueriesRejectOutOfRange(t *testing.T) {
 func TestEngineClusterSetsSource(t *testing.T) {
 	col := testCorpus(t, 80)
 	ctx := context.Background()
-	sets, err := allIntervalClustersCtx(ctx, col, ClusterOptions{})
+	sets, err := allIntervalClustersCtx(ctx, col, corpus.Tokenizing(col), ClusterOptions{})
 	if err != nil {
 		t.Fatalf("clusters: %v", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/index"
 )
 
@@ -156,7 +157,7 @@ func TestOpenIndexStoreErrors(t *testing.T) {
 	// A canceled context aborts the disk build and also cleans up.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := openIndexStoreCtx(ctx, context.Background(), col, IndexOptions{Backend: "disk"}); !errors.Is(err, context.Canceled) {
+	if _, err := openIndexStoreCtx(ctx, context.Background(), col, corpus.Tokenizing(col), IndexOptions{Backend: "disk"}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled disk build returned %v, want context.Canceled", err)
 	}
 	matches, err = filepath.Glob(filepath.Join(os.TempDir(), "blogclusters-idx-*"))

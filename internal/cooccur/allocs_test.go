@@ -15,8 +15,9 @@ import (
 // entry into, and merges it out of, one fixed buffer, so what it
 // allocates is set by the vocabulary and a few buffers — not by the
 // tens of thousands of records it spills. The ceiling is twice the
-// count recorded with this test (28; 32 while A(u) was counted through
-// diagonal records and the document and run scratch grew by append;
+// count recorded with this test when it was set (28; 30 since the
+// build reads tokens, which it makes first; 32 while A(u) was counted
+// through diagonal records and the document and run scratch grew by append;
 // 147 when runs went through internal/extsort) and a small fraction of
 // the record count, so one allocation per record or per run file fails
 // `go test`.
@@ -40,7 +41,7 @@ func TestSpilledBuildAllocationCeiling(t *testing.T) {
 	allocs := testing.AllocsPerRun(1, build)
 	// The distinct pairs, every one an edge at MinPairCount 1, outgrow
 	// the table budget, so the build spilled, each of them at least
-	// once. A(u) is counted in the dictionary pass and has no record.
+	// once. A(u) is counted from the tokens and has no record.
 	records := len(g.Edges)
 	t.Logf("%v allocations for at least %d spilled records", allocs, records)
 	if records*pairEntryBytes <= opts.MemBudget || records < 20*ceiling {
@@ -62,7 +63,10 @@ func TestSpilledBuildAllocationCeiling(t *testing.T) {
 // allocate the same. The pruned build at the cluster stage's test
 // (χ²95, ρ 0.2) never counts most pairs and never holds the unpruned
 // edges: recorded 0.37 MB and 0.22 MB, ceilings well below the
-// unpruned route's readings.
+// unpruned route's readings. Since BuildCtx and BuildPrunedCtx
+// tokenize their documents first (4 bytes per keyword occurrence and a
+// word map sized for one 1 024-slot table), the four read 0.92, 0.96,
+// 0.43 and 0.28 MB.
 func TestSpilledBuildBytes(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation sizes")

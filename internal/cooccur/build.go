@@ -3,7 +3,6 @@ package cooccur
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"repro/internal/corpus"
 	"repro/internal/faultfs"
@@ -63,6 +62,13 @@ func BuildPrunedCtx(ctx context.Context, c *corpus.Collection, from, to int, opt
 	return g, err
 }
 
+// BuildPrunedTokens is BuildPrunedCtx over documents already
+// tokenized: G′ of the documents tk was made from.
+func BuildPrunedTokens(ctx context.Context, tk *corpus.Tokens, opts BuildOptions, chi2Critical, rhoThreshold float64) (*Graph, error) {
+	g, _, err := build(ctx, tk, opts, &threshold{chi2: chi2Critical, rho: rhoThreshold}, faultfs.OS())
+	return g, err
+}
+
 // threshold is the χ²/ρ test of a pruned build: an edge is kept when
 // its χ² exceeds chi2 and its ρ exceeds rho.
 type threshold struct{ chi2, rho float64 }
@@ -73,6 +79,11 @@ func buildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts Buil
 	if from < 0 || to >= len(c.Intervals) || from > to {
 		return nil, spillStats{}, fmt.Errorf("cooccur: interval range [%d,%d] outside collection of %d intervals", from, to, len(c.Intervals))
 	}
+	return build(ctx, corpus.Tokenize(c.Intervals[from:to+1]), opts, th, fs)
+}
+
+// build is the one keyword-graph build, over tokenized documents.
+func build(ctx context.Context, tk *corpus.Tokens, opts BuildOptions, th *threshold, fs faultfs.FS) (*Graph, spillStats, error) {
 	minCount := opts.MinPairCount
 	if minCount <= 0 {
 		minCount = 1
@@ -81,44 +92,27 @@ func buildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts Buil
 	if memBudget <= 0 {
 		memBudget = DefaultMemBudget
 	}
-	ivs := c.Intervals[from : to+1]
 
-	// Pass 1: the keyword dictionary and A(u). A document's keywords
-	// are a set, so A(u) is the number of times the pass meets u; the
-	// map holds that count until it is overwritten with u's id. Ids are
-	// ranks in the sorted vocabulary, so they (and everything derived
-	// from them) do not depend on document order. The pass also sums the
-	// pair occurrences pass 2 may count, an upper bound on the table's
-	// entries.
-	index := make(map[string]int32, 1024)
-	var n, pairs int64
+	// Pass 1: A(u). The token ranks are the keyword ids, so A(u) is the
+	// number of times u's rank occurs (a document's keywords are a set).
+	// The pass also sums the pair occurrences pass 2 may count, an upper
+	// bound on the table's entries.
+	n := tk.NumDocs()
+	docCount := make([]int64, len(tk.Words))
+	for _, id := range tk.IDs {
+		docCount[id]++
+	}
+	var pairs int64
 	maxKeywords := 0
-	for _, iv := range ivs {
-		n += int64(len(iv.Docs))
-		for _, d := range iv.Docs {
-			k := int64(len(d.Keywords))
-			pairs += k * (k - 1) / 2
-			maxKeywords = max(maxKeywords, len(d.Keywords))
-			for _, w := range d.Keywords {
-				index[w]++
-			}
-		}
-	}
-	vocab := make([]string, 0, len(index))
-	for w := range index {
-		vocab = append(vocab, w)
-	}
-	slices.Sort(vocab)
-	docCount := make([]int64, len(vocab))
-	for i, w := range vocab {
-		docCount[i] = int64(index[w])
-		index[w] = int32(i)
+	for d := range n {
+		k := int(tk.Off[d+1] - tk.Off[d])
+		pairs += int64(k) * int64(k-1) / 2
+		maxKeywords = max(maxKeywords, k)
 	}
 	g := &Graph{
-		N:        n,
-		Keywords: vocab,
+		N:        int64(n),
+		Keywords: tk.Words,
 		DocCount: docCount,
-		index:    index,
 	}
 	f := &fold{g: g, minCount: minCount}
 	if th != nil {
@@ -135,7 +129,6 @@ func buildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts Buil
 	cn := &counter{
 		table:  newPairTable(tableEntries),
 		budget: memBudget,
-		index:  index,
 		bound:  newPairBound(g, th),
 		file:   spillFile{fs: fs},
 		ids:    make([]int32, 0, maxKeywords),
@@ -143,17 +136,14 @@ func buildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts Buil
 	}
 	defer cn.file.close()
 	const pollEvery = 1024
-	seen := 0
-	for _, iv := range ivs {
-		for _, d := range iv.Docs {
-			if seen++; seen%pollEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, cn.file.stats, err
-				}
-			}
-			if err := cn.countDoc(d.Keywords); err != nil {
+	for d := range n {
+		if (d+1)%pollEvery == 0 {
+			if err := ctx.Err(); err != nil {
 				return nil, cn.file.stats, err
 			}
+		}
+		if err := cn.countDoc(tk.Doc(d)); err != nil {
+			return nil, cn.file.stats, err
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -277,7 +267,6 @@ func (b pairBound) mayPass(ru, rv float64) bool {
 type counter struct {
 	table  *pairTable
 	budget int
-	index  map[string]int32
 	bound  pairBound
 	file   spillFile
 
@@ -291,10 +280,9 @@ type counter struct {
 // budget. The keywords are ordered by ratio first, so a keyword's
 // partners that may pass are a prefix of the keywords after it: once
 // mayPass fails, it fails for every larger ratio.
-func (cn *counter) countDoc(keywords []string) error {
+func (cn *counter) countDoc(keywords []int32) error {
 	ids, rs := cn.ids[:0], cn.rs[:0]
-	for _, w := range keywords {
-		id := cn.index[w]
+	for _, id := range keywords {
 		ids = append(ids, id)
 		rs = append(rs, cn.bound.r[id])
 	}

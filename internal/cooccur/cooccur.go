@@ -10,8 +10,10 @@
 // This implementation keeps that shape with one counting table per
 // build (see DESIGN.md, "Keyword-graph construction"):
 //
-//   - the dictionary pass counts A(u) while it collects the vocabulary
-//     (a document's keywords are a set), so no (u,u) pair is emitted;
+//   - the documents arrive tokenized (corpus.Tokens): every keyword as
+//     its rank in the sorted vocabulary, which is its id here, so A(u)
+//     is a flat count of ranks (a document's keywords are a set) and no
+//     (u,u) pair is emitted;
 //   - pairs are counted into one open-addressing hash table keyed by
 //     the packed id pair uint64(u)<<32|v;
 //   - when nothing spills — the common case for per-interval graphs —
@@ -54,7 +56,7 @@ type Graph struct {
 	// N is the number of documents the graph was built from.
 	N int64
 	// Keywords maps keyword id → keyword string, sorted
-	// lexicographically by Build.
+	// lexicographically by Build (it is the tokens' Words, shared).
 	Keywords []string
 	// DocCount maps keyword id → A(u), the number of documents
 	// containing the keyword.
@@ -62,11 +64,19 @@ type Graph struct {
 	// Edges holds the co-occurrence triplets, sorted by (U, V).
 	Edges []Edge
 
+	// index maps a pruned graph's keywords to their ids. It is nil on
+	// an unpruned graph, whose sorted Keywords need no map.
 	index map[string]int32
 }
 
 // KeywordID returns the id of keyword w.
 func (g *Graph) KeywordID(w string) (int32, bool) {
+	if g.index == nil {
+		if i, ok := slices.BinarySearch(g.Keywords, w); ok {
+			return int32(i), true
+		}
+		return 0, false
+	}
 	id, ok := g.index[w]
 	return id, ok
 }

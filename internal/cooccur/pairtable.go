@@ -4,8 +4,8 @@ import "math/bits"
 
 // pairKey packs a keyword-id pair into one uint64, smaller id first,
 // so the counting tables and spill records never materialize strings
-// on the hot path. A key's count is A(u,v); A(u) is counted in the
-// dictionary pass and has no key.
+// on the hot path. A key's count is A(u,v); A(u) is counted from the
+// tokens and has no key.
 func pairKey(u, v int32) uint64 {
 	if u > v {
 		u, v = v, u

@@ -1,9 +1,11 @@
 // Disk-backed posting layout (EMBANKS-style): an immutable segment
 // file holding every interval's posting lists. The build's input is a
-// resident collection, so it groups one interval's postings at a time
-// in memory (a counting sort by term, see postingGroups) and writes
-// them straight out; queries then keep only the dictionaries resident,
-// so a served index's posting data may be larger than RAM.
+// resident collection and its tokens (corpus.Tokens, one per interval):
+// a pool of min(GOMAXPROCS, m) workers groups each interval's postings
+// in memory (a counting sort by term rank, see postingGroups) and
+// encodes its blocks, and one ordered writer appends the intervals'
+// blocks in interval order; queries then keep only the dictionaries
+// resident, so a served index's posting data may be larger than RAM.
 //
 // Segment file layout (integers are uvarint unless noted):
 //
@@ -34,9 +36,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"math/bits"
+	"runtime"
+	"sync"
 
 	"repro/internal/corpus"
 	"repro/internal/faultfs"
+	"repro/internal/par"
 )
 
 const (
@@ -69,14 +76,17 @@ type dictEntry struct {
 // BuildDisk writes the collection's immutable segment file at path
 // (atomically, via a .partial file and a rename). Each interval's
 // postings are grouped by term in memory (postingGroups: a counting
-// sort by interval-local term id, then the interval's distinct terms
-// in bytewise order) and written straight out, so the build's extra
-// memory is one interval's postings — about 20 bytes each — plus the
+// sort by the term's rank in the interval's sorted vocabulary) and
+// encoded on a pool of min(GOMAXPROCS, m) workers, and the blocks are
+// appended in interval order, so the bytes do not depend on the worker
+// count. The build's extra memory is every interval's tokens, up to W
+// intervals' grouped postings and encoded blocks (W workers), and the
 // dictionaries it writes last, on top of the resident collection; no
 // budget bounds it, and it creates no file but the .partial segment.
 // Document keywords are deduplicated per document, matching New; doc
 // ids must be non-negative and keywords must not contain NUL or
-// newline bytes.
+// newline bytes. A corpus that breaks these rules in several intervals
+// fails with the lowest interval's error, as a sequential build would.
 func BuildDisk(c *corpus.Collection, path string, cfg Config) error {
 	return BuildDiskCtx(context.Background(), c, path, cfg)
 }
@@ -86,7 +96,13 @@ func BuildDisk(c *corpus.Collection, path string, cfg Config) error {
 // abandoned build stops promptly and leaves no partial segment behind
 // (the .partial file is removed on every error path, cancellation and
 // rejected input included).
-func BuildDiskCtx(ctx context.Context, c *corpus.Collection, path string, cfg Config) (err error) {
+func BuildDiskCtx(ctx context.Context, c *corpus.Collection, path string, cfg Config) error {
+	return buildSegment(ctx, c, corpus.Tokenizing(c), path, cfg)
+}
+
+// buildSegment is the one disk build: c's segment at path, from the
+// tokens src gives for each of c's intervals.
+func buildSegment(ctx context.Context, c *corpus.Collection, src corpus.TokenSource, path string, cfg Config) (err error) {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -107,35 +123,152 @@ func BuildDiskCtx(ctx context.Context, c *corpus.Collection, path string, cfg Co
 		return err
 	}
 
-	g := newPostingGroups()
-	dicts := make([][]dictEntry, len(c.Intervals))
-	var blockBuf []byte
-	for i := range c.Intervals {
-		if err = g.group(ctx, i, c.Intervals[i].Docs, true); err != nil {
+	m := len(c.Intervals)
+	workers := max(1, min(runtime.GOMAXPROCS(0), m))
+	toks := make([]*corpus.Tokens, m)
+	tzs := make([]corpus.Tokenizer, workers)
+	if err = par.ForEachWorkerCtx(ctx, m, workers, func(w, i int) (err error) {
+		toks[i], err = src(ctx, i, &tzs[w])
+		return err
+	}); err != nil {
+		return err
+	}
+
+	// Every worker's buffers are sized for the largest interval up
+	// front, so what a build allocates does not depend on which worker
+	// draws which interval.
+	words, postings := 0, 0
+	var maxID int64
+	for i, tk := range toks {
+		words, postings = max(words, len(tk.Words)), max(postings, len(tk.IDs))
+		for _, d := range c.Intervals[i].Docs {
+			maxID = max(maxID, d.ID)
+		}
+	}
+	encs := make([]intervalEncoder, workers)
+	for w := range encs {
+		encs[w] = intervalEncoder{
+			g:      newPostingGroups(words, postings),
+			blocks: make([]byte, 0, encodedBound(words, postings, blockSize, maxID)),
+		}
+	}
+	dicts := make([][]dictEntry, m)
+	ow := newOrderedWriter(sw)
+	if err = par.ForEachWorkerCtx(ctx, m, workers, func(w, i int) error {
+		enc := &encs[w]
+		if err := enc.g.group(ctx, i, c.Intervals[i].Docs, toks[i], true); err != nil {
+			ow.fail(i)
 			return err
 		}
-		order := g.termOrder()
-		// Every term's skip entries are a subslice of one array per
-		// interval, sized exactly.
-		nBlocks := 0
-		for _, t := range order {
-			nBlocks += (len(g.list(t)) + blockSize - 1) / blockSize
-		}
-		refs := make([]blockRef, 0, nBlocks)
-		entries := make([]dictEntry, 0, len(order))
-		for _, t := range order {
-			var e dictEntry
-			if e, refs, err = sw.writeTerm(g.terms[t], g.list(t), blockSize, refs, &blockBuf); err != nil {
-				return err
-			}
-			entries = append(entries, e)
-		}
-		dicts[i] = entries
+		var refs []blockRef
+		dicts[i], refs = enc.encode(toks[i].Words, blockSize)
+		return ow.write(i, enc.blocks, refs)
+	}); err != nil {
+		return err
 	}
 	if err = sw.finish(dicts, func(i int) int { return len(c.Intervals[i].Docs) }); err != nil {
 		return err
 	}
 	return fs.Rename(tmp, path)
+}
+
+// intervalEncoder is one worker's scratch: the grouped postings and
+// the encoded blocks of the interval it holds.
+type intervalEncoder struct {
+	g      *postingGroups
+	blocks []byte
+}
+
+// encode lays the grouped lists out as posting blocks of up to
+// blockSize ids in e.blocks, term by term in rank order (the
+// dictionary's), and returns the interval's dictionary entries and
+// their skip entries, one array sized exactly. Skip offsets count from
+// the start of e.blocks until the writer rebases them.
+func (e *intervalEncoder) encode(words []string, blockSize int) ([]dictEntry, []blockRef) {
+	nBlocks := 0
+	for t := range words {
+		nBlocks += (len(e.g.list(t)) + blockSize - 1) / blockSize
+	}
+	refs := make([]blockRef, 0, nBlocks)
+	entries := make([]dictEntry, len(words))
+	b := e.blocks[:0]
+	for t, w := range words {
+		ids := e.g.list(t)
+		lo := len(refs)
+		for k := 0; k < len(ids); k += blockSize {
+			var ref blockRef
+			b, ref = appendBlock(b, 0, ids[k:min(k+blockSize, len(ids))])
+			refs = append(refs, ref)
+		}
+		entries[t] = dictEntry{term: w, docFreq: int64(len(ids)), blocks: refs[lo:len(refs):len(refs)]}
+	}
+	e.blocks = b
+	return entries, refs
+}
+
+// encodedBound is the most bytes an interval of at most words terms
+// and postings postings, with no doc id above maxID, encodes to: each
+// posting is one uvarint no longer than maxID's (a block's first id,
+// or a delta), and each block adds its count and a CRC. A term's list
+// of n ids takes at most n/blockSize+1 blocks.
+func encodedBound(words, postings, blockSize int, maxID int64) int {
+	blocks := words + postings/blockSize
+	return postings*uvarintLen(uint64(maxID)) + blocks*(uvarintLen(uint64(blockSize))+4)
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// orderedWriter appends the pool's intervals to the segment in
+// interval order: a worker holding interval i waits until every
+// interval below it is written, then writes its own blocks, rebasing
+// their skip offsets to where they land. Once an interval fails, the
+// intervals above it stop waiting and write nothing; those below it
+// still run, so the pool's lowest-index error is the build's.
+type orderedWriter struct {
+	mu     sync.Mutex
+	turn   sync.Cond
+	sw     *segmentWriter
+	next   int // the interval whose blocks go next
+	failed int // the lowest interval that failed, math.MaxInt while none has
+}
+
+func newOrderedWriter(sw *segmentWriter) *orderedWriter {
+	o := &orderedWriter{sw: sw, failed: math.MaxInt}
+	o.turn.L = &o.mu
+	return o
+}
+
+// fail records that interval i failed.
+func (o *orderedWriter) fail(i int) {
+	o.mu.Lock()
+	o.failed = min(o.failed, i)
+	o.mu.Unlock()
+	o.turn.Broadcast()
+}
+
+// write appends interval i's encoded blocks, whose skip entries are
+// refs, once every interval below i is written. It returns nil without
+// writing when an interval below i failed.
+func (o *orderedWriter) write(i int, blocks []byte, refs []blockRef) error {
+	o.mu.Lock()
+	defer o.turn.Broadcast()
+	defer o.mu.Unlock()
+	for o.next != i && o.failed > i {
+		o.turn.Wait()
+	}
+	if o.failed < i {
+		return nil
+	}
+	for k := range refs {
+		refs[k].off += o.sw.off
+	}
+	if err := o.sw.write(blocks); err != nil {
+		o.failed = min(o.failed, i)
+		return err
+	}
+	o.next++
+	return nil
 }
 
 type segmentWriter struct {
@@ -161,40 +294,39 @@ func (s *segmentWriter) write(p []byte) error {
 	return nil
 }
 
-// writeBlock encodes one posting block (count, first id, deltas, CRC)
-// reusing *buf as scratch and returns its skip entry.
-func (s *segmentWriter) writeBlock(ids []int64, buf *[]byte) (blockRef, error) {
-	b := (*buf)[:0]
+// appendBlock encodes one posting block (count, first id, deltas,
+// CRC) at the end of b and returns its skip entry, whose offset is
+// base plus where the block starts in b.
+func appendBlock(b []byte, base int64, ids []int64) ([]byte, blockRef) {
+	lo := len(b)
 	b = binary.AppendUvarint(b, uint64(len(ids)))
 	b = binary.AppendUvarint(b, uint64(ids[0]))
 	for k := 1; k < len(ids); k++ {
 		b = binary.AppendUvarint(b, uint64(ids[k]-ids[k-1]))
 	}
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-	*buf = b
-	ref := blockRef{
-		off:    s.off,
-		length: int32(len(b)),
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[lo:]))
+	return b, blockRef{
+		off:    base + int64(lo),
+		length: int32(len(b) - lo),
 		count:  int32(len(ids)),
 		first:  ids[0],
 		last:   ids[len(ids)-1],
 	}
-	return ref, s.write(b)
 }
 
 // writeTerm writes one term's ascending doc ids as blocks of up to
-// blockSize, appending their skip entries to refs; the returned entry's
-// blocks are the appended tail of refs, capped.
+// blockSize, encoded in *buf, appending their skip entries to refs; the
+// returned entry's blocks are the appended tail of refs, capped.
 func (s *segmentWriter) writeTerm(term string, ids []int64, blockSize int, refs []blockRef, buf *[]byte) (dictEntry, []blockRef, error) {
 	lo := len(refs)
+	b := (*buf)[:0]
 	for k := 0; k < len(ids); k += blockSize {
-		ref, err := s.writeBlock(ids[k:min(k+blockSize, len(ids))], buf)
-		if err != nil {
-			return dictEntry{}, refs, err
-		}
+		var ref blockRef
+		b, ref = appendBlock(b, s.off, ids[k:min(k+blockSize, len(ids))])
 		refs = append(refs, ref)
 	}
-	return dictEntry{term: term, docFreq: int64(len(ids)), blocks: refs[lo:len(refs):len(refs)]}, refs, nil
+	*buf = b
+	return dictEntry{term: term, docFreq: int64(len(ids)), blocks: refs[lo:len(refs):len(refs)]}, refs, s.write(b)
 }
 
 func (s *segmentWriter) writeDict(entries []dictEntry) error {

@@ -180,32 +180,65 @@ func TestBuildDiskRejectsBadInput(t *testing.T) {
 	docs := func(ds ...corpus.Document) *corpus.Collection {
 		return &corpus.Collection{Intervals: []corpus.Interval{{Index: 0, Docs: ds}}}
 	}
+	doc := func(id int64, interval int, kws ...string) corpus.Document {
+		return corpus.Document{ID: id, Interval: interval, Keywords: kws}
+	}
 	cases := []struct {
 		name string
 		col  *corpus.Collection
 		// mem: New rejects it too (negative ids and NUL or newline
 		// bytes are the disk layout's rules only).
 		mem bool
+		// err is BuildDisk's error text, which must not depend on how
+		// many workers build the segment.
+		err string
 	}{
-		{"misfiled document", docs(corpus.Document{ID: 1, Interval: 2, Keywords: []string{"a"}}), true},
-		{"duplicate doc id", docs(
-			corpus.Document{ID: 1, Interval: 0, Keywords: []string{"a"}},
-			corpus.Document{ID: 1, Interval: 0, Keywords: []string{"a", "b"}},
-		), true},
+		{"misfiled document", docs(doc(1, 2, "a")), true,
+			"index: document 1 claims interval 2 but lives in 0"},
+		{"duplicate doc id", docs(doc(1, 0, "a"), doc(1, 0, "a", "b")), true,
+			"index: interval 0: duplicate document id 1"},
 		// The duplicate is not adjacent in arrival order: only the
 		// term's sorted list puts the two 5s side by side.
-		{"duplicate doc id out of order", docs(
-			corpus.Document{ID: 5, Interval: 0, Keywords: []string{"a", "b"}},
-			corpus.Document{ID: 3, Interval: 0, Keywords: []string{"a"}},
-			corpus.Document{ID: 5, Interval: 0, Keywords: []string{"c", "a"}},
-		), true},
-		{"negative doc id", docs(corpus.Document{ID: -4, Interval: 0, Keywords: []string{"a"}}), false},
-		{"keyword with newline", docs(corpus.Document{ID: 1, Interval: 0, Keywords: []string{"a\nb"}}), false},
-		{"keyword with NUL", docs(corpus.Document{ID: 1, Interval: 0, Keywords: []string{"a\x00b"}}), false},
+		{"duplicate doc id out of order", docs(doc(5, 0, "a", "b"), doc(3, 0, "a"), doc(5, 0, "c", "a")), true,
+			"index: interval 0: duplicate document id 5"},
+		// Two ids repeat under two terms: the term that arrived first
+		// names the error, not the term that sorts first.
+		{"two duplicate doc ids", docs(doc(1, 0, "b"), doc(2, 0, "a"), doc(1, 0, "b"), doc(2, 0, "a")), true,
+			"index: interval 0: duplicate document id 1"},
+		{"negative doc id", docs(doc(-4, 0, "a")), false,
+			"index: document id -4 is negative; the disk layout requires non-negative ids"},
+		{"keyword with newline", docs(doc(1, 0, "a\nb")), false,
+			`index: interval 0: keyword "a\nb" contains NUL or newline`},
+		{"keyword with NUL", docs(doc(1, 0, "a\x00b")), false,
+			`index: interval 0: keyword "a\x00b" contains NUL or newline`},
+		// One interval breaks two disk rules: the document met first
+		// decides, and within a document the id is checked first.
+		{"NUL keyword before negative id", docs(doc(1, 0, "ok", "a\x00b"), doc(-2, 0, "c")), false,
+			`index: interval 0: keyword "a\x00b" contains NUL or newline`},
+		{"negative id and NUL keyword in one document", docs(doc(3, 0, "ok"), doc(-2, 0, "a\x00b")), false,
+			"index: document id -2 is negative; the disk layout requires non-negative ids"},
+		// Two bad intervals: the lower one's error wins, as a
+		// sequential build would report it.
+		{"two bad intervals", &corpus.Collection{Intervals: []corpus.Interval{
+			{Index: 0, Docs: []corpus.Document{doc(1, 0, "a")}},
+			{Index: 1, Docs: []corpus.Document{doc(2, 1, "a"), doc(2, 1, "a")}},
+			{Index: 2, Docs: []corpus.Document{doc(3, 2, "b")}},
+			{Index: 3, Docs: []corpus.Document{doc(4, 0, "c")}},
+		}}, true,
+			"index: interval 1: duplicate document id 2"},
+		{"two bad intervals, disk rules", &corpus.Collection{Intervals: []corpus.Interval{
+			{Index: 0, Docs: []corpus.Document{doc(1, 0, "a")}},
+			{Index: 1, Docs: []corpus.Document{doc(2, 1, "a"), doc(3, 1, "b\nc")}},
+			{Index: 2, Docs: []corpus.Document{doc(-1, 2, "a")}},
+		}}, false,
+			`index: interval 1: keyword "b\nc" contains NUL or newline`},
 	}
 	for _, c := range cases {
-		if err := BuildDisk(c.col, path, Config{}); err == nil {
+		err := BuildDisk(c.col, path, Config{})
+		if err == nil {
 			t.Errorf("%s: BuildDisk accepted it", c.name)
+		} else if err.Error() != c.err {
+			t.Errorf("%s: BuildDisk error %q, want %q", c.name, err, c.err)
 		}
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Errorf("%s: segment left behind", c.name)
@@ -546,5 +579,51 @@ func TestBuildDiskAllocationCeiling(t *testing.T) {
 	}
 	if first > ceiling {
 		t.Errorf("%v allocations per build, ceiling %v", first, ceiling)
+	}
+}
+
+// TestOpenDiskAllocationCeiling: opening a segment allocates per
+// interval, not per term — each dictionary's terms are substrings of
+// one string and its skip entries subslices of one array — so a push,
+// which opens every delta segment it writes, does not pay an
+// allocation per term. Recorded with this test: 57 allocations for 7
+// intervals and 1 593 (interval, term) lists (3 229 when every term
+// allocated its string and its skip entries).
+func TestOpenDiskAllocationCeiling(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const perInterval, fixed = 12, 24
+	col, err := corpus.Generate(corpus.NewsWeek(2007, 60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, path := buildDisk(t, col, Config{})
+	lists := 0
+	open := func() {
+		d, err := OpenDisk(path, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lists = 0
+		for _, dict := range d.dicts {
+			lists += len(dict.terms)
+		}
+		d.Close()
+	}
+	// The collector off, as in the other ceilings.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	first, second := testing.AllocsPerRun(1, open), testing.AllocsPerRun(1, open)
+	m := len(col.Intervals)
+	ceiling := float64(perInterval*m + fixed)
+	t.Logf("%v allocations per open of %d intervals and %d (interval, term) lists", first, m, lists)
+	if lists < 4*int(ceiling) {
+		t.Fatalf("%d lists: too few for a ceiling of %v to tell", lists, ceiling)
+	}
+	if first != second {
+		t.Errorf("allocations differ between two opens of one segment: %v then %v", first, second)
+	}
+	if first > ceiling {
+		t.Errorf("%v allocations per open of %d intervals, ceiling %v", first, m, ceiling)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/diskstore"
@@ -131,26 +132,36 @@ func openDisk(f faultfs.File, cfg Config) (*DiskIndex, error) {
 }
 
 // parseDict decodes one interval dictionary and validates every skip
-// entry against the segment's block region.
+// entry against the segment's block region. Its terms are substrings of
+// one string and its skip entries subslices of one array, both sized by
+// a first pass over the entries (dictSize).
 func (d *DiskIndex) parseDict(i int, raw []byte, dictStart int64) error {
 	r := &byteReader{b: raw}
 	n := int(r.uvarint())
 	if r.err != nil || n < 0 || n > len(raw) {
 		return corruptf("index: interval %d: corrupt dictionary", i)
 	}
+	termBytes, nRefs := dictSize(raw[r.pos:], n)
+	var terms strings.Builder
+	terms.Grow(termBytes)
+	refs := make([]blockRef, 0, nRefs)
 	dict := diskDict{
 		terms:   make([]string, 0, n),
 		entries: make([]diskTerm, 0, n),
 	}
 	for t := 0; t < n; t++ {
 		tl := int(r.uvarint())
-		term := string(r.bytes(tl))
+		lo := terms.Len()
+		terms.Write(r.bytes(tl))
+		// The builder only appends, so a substring of what it holds
+		// stays valid as it grows.
+		term := terms.String()[lo:]
 		e := diskTerm{docFreq: int64(r.uvarint())}
 		nb := int(r.uvarint())
 		if r.err != nil || nb < 0 || nb > len(raw) {
 			return corruptf("index: interval %d: corrupt dictionary entry %d", i, t)
 		}
-		e.blocks = make([]blockRef, nb)
+		first := len(refs)
 		var total int64
 		for b := 0; b < nb; b++ {
 			ref := blockRef{
@@ -165,12 +176,13 @@ func (d *DiskIndex) parseDict(i int, raw []byte, dictStart int64) error {
 				ref.first > ref.last {
 				return corruptf("index: interval %d term %q: bad skip entry %d", i, term, b)
 			}
-			if b > 0 && ref.first <= e.blocks[b-1].last {
+			if b > 0 && ref.first <= refs[len(refs)-1].last {
 				return corruptf("index: interval %d term %q: skip entries out of order", i, term)
 			}
-			e.blocks[b] = ref
+			refs = append(refs, ref)
 			total += int64(ref.count)
 		}
+		e.blocks = refs[first:len(refs):len(refs)]
 		if total != e.docFreq {
 			return corruptf("index: interval %d term %q: docFreq %d != %d postings in blocks", i, term, e.docFreq, total)
 		}
@@ -185,6 +197,32 @@ func (d *DiskIndex) parseDict(i int, raw []byte, dictStart int64) error {
 	}
 	d.dicts[i] = dict
 	return nil
+}
+
+// dictSize returns how many term bytes and skip entries the n
+// dictionary entries encoded in b hold. It checks nothing: on a corrupt
+// dictionary it returns what it read before the damage, capped by b's
+// length, and parseDict's checks report the corruption.
+func dictSize(b []byte, n int) (termBytes, refs int) {
+	r := &byteReader{b: b}
+	for t := 0; t < n && r.err == nil; t++ {
+		tl := int(r.uvarint())
+		r.bytes(tl)
+		r.uvarint() // docFreq
+		nb := r.uvarint()
+		if r.err != nil || nb > uint64(len(b)) {
+			break
+		}
+		for k := uint64(0); k < 5*nb && r.err == nil; k++ {
+			r.uvarint()
+		}
+		if r.err == nil {
+			termBytes += tl
+			refs += int(nb)
+		}
+	}
+	// Every skip entry takes at least five bytes.
+	return min(termBytes, len(b)), min(refs, len(b)/5)
 }
 
 // readSection reads [off, off+n) counting one sequential read.

@@ -42,20 +42,33 @@ type intervalIndex struct {
 // interval's posting lists are exact-size subslices of one array,
 // grouped by postingGroups.
 func New(c *corpus.Collection) (*Index, error) {
+	return newIndex(context.Background(), c, corpus.Tokenizing(c))
+}
+
+// newIndex is the one in-memory build: c's index from the tokens src
+// gives for each of c's intervals, one interval at a time.
+func newIndex(ctx context.Context, c *corpus.Collection, src corpus.TokenSource) (*Index, error) {
 	idx := &Index{
 		intervals: make([]intervalIndex, len(c.Intervals)),
 		docs:      make([]int, len(c.Intervals)),
 	}
-	g := newPostingGroups()
+	var (
+		tz corpus.Tokenizer
+		g  postingGroups
+	)
 	for i, iv := range c.Intervals {
 		idx.docs[i] = len(iv.Docs)
-		g.ids = nil // the map below keeps this interval's array
-		if err := g.group(context.Background(), i, iv.Docs, false); err != nil {
+		tk, err := src(ctx, i, &tz)
+		if err != nil {
 			return nil, err
 		}
-		postings := make(map[string][]int64, len(g.terms))
-		for t, w := range g.terms {
-			postings[w] = g.list(int32(t))
+		g.ids = nil // the map below keeps this interval's array
+		if err := g.group(ctx, i, iv.Docs, tk, false); err != nil {
+			return nil, err
+		}
+		postings := make(map[string][]int64, len(tk.Words))
+		for t, w := range tk.Words {
+			postings[w] = g.list(t)
 		}
 		idx.intervals[i].postings = postings
 	}

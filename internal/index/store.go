@@ -75,6 +75,12 @@ var _ Reader = (*Store)(nil)
 // temporary directory removed on Close. ctx bounds the build; cfg.Ctx
 // bounds the opened segments' retry backoff for the store's lifetime.
 func OpenStore(ctx context.Context, c *corpus.Collection, backend, path string, cfg Config) (*Store, error) {
+	return OpenStoreTokens(ctx, c, corpus.Tokenizing(c), backend, path, cfg)
+}
+
+// OpenStoreTokens is OpenStore over the tokens src gives for each of
+// c's intervals, for a caller that shares them with other builds.
+func OpenStoreTokens(ctx context.Context, c *corpus.Collection, src corpus.TokenSource, backend, path string, cfg Config) (*Store, error) {
 	s := &Store{cfg: cfg, backend: backend, fs: cfg.fs()}
 	switch backend {
 	case "", BackendMem:
@@ -82,7 +88,7 @@ func OpenStore(ctx context.Context, c *corpus.Collection, backend, path string, 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		x, err := New(c)
+		x, err := newIndex(ctx, c, src)
 		if err != nil {
 			return nil, err
 		}
@@ -98,7 +104,7 @@ func OpenStore(ctx context.Context, c *corpus.Collection, backend, path string, 
 			path = filepath.Join(dir, "base.seg")
 		}
 		s.basePath = path
-		if err := BuildDiskCtx(ctx, c, path, cfg); err != nil {
+		if err := buildSegment(ctx, c, src, path, cfg); err != nil {
 			s.removeOwnedDir()
 			return nil, err
 		}
@@ -121,8 +127,8 @@ func (s *Store) removeOwnedDir() {
 }
 
 // localize returns one interval's corpus with the documents remapped to
-// local interval 0, so the existing single-segment builders (New,
-// BuildDiskCtx) produce a correct delta segment.
+// local interval 0, so the single-segment builders produce a correct
+// delta segment.
 func localize(iv corpus.Interval) *corpus.Collection {
 	docs := make([]corpus.Document, len(iv.Docs))
 	for i, d := range iv.Docs {
@@ -132,11 +138,12 @@ func localize(iv corpus.Interval) *corpus.Collection {
 	return &corpus.Collection{Intervals: []corpus.Interval{{Index: 0, Label: iv.Label, Docs: docs}}}
 }
 
-// Push appends one interval as a delta segment. iv.Index must be
-// exactly NumIntervals() — intervals are append-only and contiguous.
-// On error the store is unchanged (the disk build removes its .partial
-// file on every failure path).
-func (s *Store) Push(ctx context.Context, iv corpus.Interval) error {
+// Push appends one interval as a delta segment; tk is the interval's
+// tokens (corpus.Tokenize of it). iv.Index must be exactly
+// NumIntervals() — intervals are append-only and contiguous. On error
+// the store is unchanged (the disk build removes its .partial file on
+// every failure path).
+func (s *Store) Push(ctx context.Context, iv corpus.Interval, tk *corpus.Tokens) error {
 	s.mu.RLock()
 	next := s.numIntervalsLocked()
 	closed := s.closed
@@ -148,6 +155,7 @@ func (s *Store) Push(ctx context.Context, iv corpus.Interval) error {
 		return fmt.Errorf("index: pushed interval %d, store expects %d", iv.Index, next)
 	}
 	local := localize(iv)
+	src := func(context.Context, int, *corpus.Tokenizer) (*corpus.Tokens, error) { return tk, nil }
 	var (
 		r    Reader
 		path string
@@ -157,14 +165,14 @@ func (s *Store) Push(ctx context.Context, iv corpus.Interval) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		x, err := New(local)
+		x, err := newIndex(ctx, local, src)
 		if err != nil {
 			return err
 		}
 		r = x.Reader()
 	default:
 		path = fmt.Sprintf("%s.delta%04d", s.basePath, s.deltaSeq.Add(1))
-		if err := BuildDiskCtx(ctx, local, path, s.cfg); err != nil {
+		if err := buildSegment(ctx, local, src, path, s.cfg); err != nil {
 			return err
 		}
 		d, err := OpenDisk(path, s.cfg)

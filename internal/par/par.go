@@ -11,11 +11,13 @@ import (
 )
 
 // ForEach runs fn(i) for every i in [0, n) on at most workers
-// goroutines and returns the lowest-index error, or nil. After any task
-// fails no new task is started (in-flight tasks finish), so a failure
-// on a long run does not burn through the remaining work. workers <= 1
-// (or n <= 1) runs sequentially on the calling goroutine, stopping at
-// the first error, with no goroutine.
+// goroutines and returns the lowest-index error, or nil. After a task
+// fails no task above it is started (in-flight tasks finish), so a
+// failure on a long run does not burn through the remaining work, while
+// every task below it still runs: the error returned is the one a
+// sequential run would return. workers <= 1 (or n <= 1) runs
+// sequentially on the calling goroutine, stopping at the first error,
+// with no goroutine.
 func ForEach(n, workers int, fn func(i int) error) error {
 	return ForEachCtx(context.Background(), n, workers, fn)
 }
@@ -26,6 +28,14 @@ func ForEach(n, workers int, fn func(i int) error) error {
 // the pool's responsibility; cancellation *inside* a long fn is the
 // callee's (pass ctx down).
 func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
+	return ForEachWorkerCtx(ctx, n, workers, func(_, i int) error { return fn(i) })
+}
+
+// ForEachWorkerCtx is ForEachCtx that also hands fn the number w of the
+// worker running task i, in [0, workers), so each worker can keep its
+// own scratch state from task to task. Tasks are handed out in index
+// order.
+func ForEachWorkerCtx(ctx context.Context, n, workers int, fn func(w, i int) error) error {
 	done := ctx.Done()
 	if workers > n {
 		workers = n
@@ -39,14 +49,17 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error
 				default:
 				}
 			}
-			if err := fn(i); err != nil {
+			if err := fn(0, i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	errs := make([]error, n)
-	var failed atomic.Bool
+	// failed is the lowest index that has failed so far, n while none
+	// has.
+	var failed atomic.Int64
+	failed.Store(int64(n))
 	indexCh := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -54,12 +67,17 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error
 		go func() {
 			defer wg.Done()
 			for i := range indexCh {
-				if failed.Load() {
+				if int64(i) > failed.Load() {
 					continue
 				}
-				if err := fn(i); err != nil {
+				if err := fn(w, i); err != nil {
 					errs[i] = err
-					failed.Store(true)
+					for {
+						f := failed.Load()
+						if int64(i) >= f || failed.CompareAndSwap(f, int64(i)) {
+							break
+						}
+					}
 				}
 			}
 		}()

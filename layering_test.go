@@ -18,7 +18,8 @@ import (
 // nothing else; diskstore, bicc and par are leaves. The Section 3/4
 // build packages run sequentially inside one task, so none of them
 // reaches for the worker pool: only the interval pool (the root
-// package) and the cluster-graph edge tasks do. The shard coordinator
+// package), the disk index build's interval pool and the cluster-graph
+// edge tasks do. The shard coordinator
 // holds merge rules only: the wire format and its transport live in
 // internal/server, so shard imports no HTTP or JSON package. obs is a
 // leaf too: a span's work block is whatever its caller hands it, so the
@@ -49,7 +50,7 @@ func TestImportLayering(t *testing.T) {
 			"repro/internal/stats", "repro/internal/synth"},
 		"internal/extsort":  {"repro/internal/faultfs"},
 		"internal/faultfs":  nil,
-		"internal/index":    {"repro/internal/corpus", "repro/internal/diskstore", "repro/internal/faultfs"},
+		"internal/index":    {"repro/internal/corpus", "repro/internal/diskstore", "repro/internal/faultfs", "repro/internal/par"},
 		"internal/metrics":  nil,
 		"internal/obs":      nil,
 		"internal/par":      nil,

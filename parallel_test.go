@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/clustergraph"
+	"repro/internal/corpus"
 )
 
 // setsFingerprint serializes per-interval cluster sets for exact
@@ -47,7 +48,7 @@ func sequentialClusterSets(t *testing.T, c *Collection) [][]Cluster {
 	sets := make([][]Cluster, len(c.Intervals))
 	for i := range c.Intervals {
 		var err error
-		if sets[i], err = intervalClustersCtx(context.Background(), c, i, ClusterOptions{}); err != nil {
+		if sets[i], err = intervalClustersCtx(context.Background(), corpus.Tokenize(c.Intervals[i:i+1]), i, ClusterOptions{}); err != nil {
 			t.Fatalf("interval %d: %v", i, err)
 		}
 	}
@@ -106,7 +107,7 @@ func TestSection4ParallelEquivalence(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no clusters; corpus too sparse to be a real test")
 	}
-	sets, err := allIntervalClustersCtx(context.Background(), c, ClusterOptions{})
+	sets, err := allIntervalClustersCtx(context.Background(), c, corpus.Tokenizing(c), ClusterOptions{})
 	if err != nil {
 		t.Fatalf("interval pool: %v", err)
 	}
@@ -141,7 +142,7 @@ func TestSection4ParallelEquivalence(t *testing.T) {
 // builds and must still reproduce the sequential loop's output.
 func TestAllIntervalClustersBudgetSplit(t *testing.T) {
 	c := endToEndCorpus(t)
-	got, err := allIntervalClustersCtx(context.Background(), c, ClusterOptions{MemBudget: 64 << 10})
+	got, err := allIntervalClustersCtx(context.Background(), c, corpus.Tokenizing(c), ClusterOptions{MemBudget: 64 << 10})
 	if err != nil {
 		t.Fatalf("AllIntervalClusters with split budget: %v", err)
 	}

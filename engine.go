@@ -74,11 +74,11 @@ type Engine struct {
 	// immutable once pushed, so this cache is generation-independent and
 	// lives on the Engine, shared by every snapshot.
 	intervalMu   sync.Mutex
-	intervalSets map[int]*memo[[]Cluster]
+	intervalSets map[int]*par.Memo[[]Cluster]
 	// kwGraphs memoizes per-interval keyword graphs — also
 	// generation-independent (each belongs to one immutable interval).
 	kwMu     sync.Mutex
-	kwGraphs map[int]*memo[*cooccur.Graph]
+	kwGraphs map[int]*par.Memo[*cooccur.Graph]
 
 	// solveMu guards solves, the per-algorithm accounting of completed
 	// solves.
@@ -102,10 +102,10 @@ type engineState struct {
 	gen int64
 	col *corpus.Collection // nil for cluster-set sources
 
-	index  *memo[*index.Store]
-	sets   *memo[[][]Cluster]
-	graph  *memo[*ClusterGraph]
-	totals *memo[[]int64]
+	index  *par.Memo[*index.Store]
+	sets   *par.Memo[[][]Cluster]
+	graph  *par.Memo[*ClusterGraph]
+	totals *par.Memo[[]int64]
 
 	// toks memoizes each interval's tokens for the two builds that read
 	// every interval, the index store and the cluster sets, so each
@@ -113,20 +113,20 @@ type engineState struct {
 	// (releaseTokens) and for cluster-set sources: tokens are never
 	// kept for the session.
 	tokMu sync.Mutex
-	toks  []memo[*corpus.Tokens]
+	toks  []par.Memo[*corpus.Tokens]
 }
 
 func newEngineState(gen int64, col *corpus.Collection) *engineState {
 	st := &engineState{
 		gen:    gen,
 		col:    col,
-		index:  &memo[*index.Store]{},
-		sets:   &memo[[][]Cluster]{},
-		graph:  &memo[*ClusterGraph]{},
-		totals: &memo[[]int64]{},
+		index:  &par.Memo[*index.Store]{},
+		sets:   &par.Memo[[][]Cluster]{},
+		graph:  &par.Memo[*ClusterGraph]{},
+		totals: &par.Memo[[]int64]{},
 	}
 	if col != nil {
-		st.toks = make([]memo[*corpus.Tokens], len(col.Intervals))
+		st.toks = make([]par.Memo[*corpus.Tokens], len(col.Intervals))
 	}
 	return st
 }
@@ -135,10 +135,10 @@ func newEngineState(gen int64, col *corpus.Collection) *engineState {
 // cluster sets both exist. A later reader tokenizes its interval
 // afresh, a pure function of it.
 func (st *engineState) releaseTokens() {
-	if _, ok := st.index.cached(); !ok {
+	if _, ok := st.index.Cached(); !ok {
 		return
 	}
-	if _, ok := st.sets.cached(); !ok {
+	if _, ok := st.sets.Cached(); !ok {
 		return
 	}
 	st.tokMu.Lock()
@@ -157,7 +157,7 @@ func (e *Engine) tokens(ctx context.Context, st *engineState, i int, tz *corpus.
 	if toks == nil {
 		return e.tokenize(ctx, ivs, tz), nil
 	}
-	return toks[i].get(ctx, func() (*corpus.Tokens, error) {
+	return toks[i].Get(ctx, func() (*corpus.Tokens, error) {
 		return e.tokenize(ctx, ivs, tz), nil
 	})
 }
@@ -306,14 +306,14 @@ func Open(ctx context.Context, src Source, opts ...Option) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:          cfg,
-		intervalSets: map[int]*memo[[]Cluster]{},
-		kwGraphs:     map[int]*memo[*cooccur.Graph]{},
+		intervalSets: map[int]*par.Memo[[]Cluster]{},
+		kwGraphs:     map[int]*par.Memo[*cooccur.Graph]{},
 	}
 	e.root, e.stop = context.WithCancel(context.Background())
 
 	if src.sets != nil {
 		st := newEngineState(1, nil)
-		st.sets.prime(src.sets)
+		st.sets.Prime(src.sets)
 		e.state.Store(st)
 		return e, nil
 	}
@@ -402,7 +402,7 @@ func numIntervals(st *engineState) int {
 	if st.col != nil {
 		return len(st.col.Intervals)
 	}
-	if sets, ok := st.sets.cached(); ok {
+	if sets, ok := st.sets.Cached(); ok {
 		return len(sets)
 	}
 	return 0
@@ -494,7 +494,7 @@ func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64
 	// if they are materialized; an unbuilt artifact stays lazy.
 	var newSets [][]Cluster
 	setsBuilt := false
-	if sets, ok := cur.sets.cached(); ok {
+	if sets, ok := cur.sets.Cached(); ok {
 		setsBuilt = true
 		var ivSet []Cluster
 		var err error
@@ -506,13 +506,13 @@ func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64
 			return 0, err
 		}
 		newSets = append(sets[:len(sets):len(sets)], ivSet)
-		st.sets.prime(newSets)
+		st.sets.Prime(newSets)
 	}
 
 	// Grow the cached cluster graph by the new interval. A normalized
 	// graph cannot extend (its old weights were already rescaled); it is
 	// dropped and lazily rebuilt on next use.
-	if g, ok := cur.graph.cached(); ok && setsBuilt {
+	if g, ok := cur.graph.Cached(); ok && setsBuilt {
 		opts := e.cfg.graph
 		if aff, normalize, err := resolveAffinity(opts); err == nil && !normalize {
 			var ng *ClusterGraph
@@ -528,22 +528,22 @@ func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64
 			if err != nil {
 				return 0, err
 			}
-			st.graph.prime(ng)
+			st.graph.Prime(ng)
 		}
 	}
 
-	if totals, ok := cur.totals.cached(); ok {
-		st.totals.prime(append(totals[:len(totals):len(totals)], int64(len(iv.Docs))))
+	if totals, ok := cur.totals.Cached(); ok {
+		st.totals.Prime(append(totals[:len(totals):len(totals)], int64(len(iv.Docs))))
 	}
 
 	// The index store is shared across generations (it is the mutable
 	// segment set itself), so pushing into it is the point of no
 	// return: do it last.
-	if store, ok := cur.index.cached(); ok {
+	if store, ok := cur.index.Cached(); ok {
 		if err := store.Push(ctx, iv, tokens()); err != nil {
 			return 0, err
 		}
-		st.index.prime(store)
+		st.index.Prime(store)
 		e.maybeCompact(store)
 	}
 	st.releaseTokens()
@@ -556,8 +556,8 @@ func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64
 	if setsBuilt {
 		e.intervalMu.Lock()
 		if _, ok := e.intervalSets[next]; !ok {
-			m := &memo[[]Cluster]{}
-			m.prime(newSets[next])
+			m := &par.Memo[[]Cluster]{}
+			m.Prime(newSets[next])
 			e.intervalSets[next] = m
 		}
 		e.intervalMu.Unlock()
@@ -631,7 +631,7 @@ func (e *Engine) indexStore(ctx context.Context, st *engineState) (*index.Store,
 	if st.col == nil {
 		return nil, ErrNoCorpus
 	}
-	s, err := st.index.get(ctx, func() (*index.Store, error) {
+	s, err := st.index.Get(ctx, func() (*index.Store, error) {
 		defer e.stage(ctx, "index")()
 		// e.root (the session lifetime) bounds the disk backend's retry
 		// backoff sleeps: the store outlives this query's context.
@@ -672,7 +672,7 @@ func (e *Engine) Clusters(ctx context.Context) ([][]Cluster, error) {
 // clusters is Clusters pinned to one generation snapshot, for internal
 // reuse by callers that already hold a joined context.
 func (e *Engine) clusters(ctx context.Context, st *engineState) ([][]Cluster, error) {
-	sets, err := st.sets.get(ctx, func() ([][]Cluster, error) {
+	sets, err := st.sets.Get(ctx, func() ([][]Cluster, error) {
 		if st.col == nil {
 			return nil, ErrNoCorpus
 		}
@@ -706,7 +706,7 @@ func (e *Engine) ClustersAt(ctx context.Context, interval int) ([]Cluster, error
 // clustersAt is ClustersAt pinned to one generation snapshot, for
 // internal reuse by callers that already hold a joined context.
 func (e *Engine) clustersAt(ctx context.Context, st *engineState, interval int) ([]Cluster, error) {
-	if sets, ok := st.sets.cached(); ok {
+	if sets, ok := st.sets.Cached(); ok {
 		if interval < 0 || interval >= len(sets) {
 			return nil, fmt.Errorf("blogclusters: interval %d outside [0,%d): %w", interval, len(sets), ErrInvalidQuery)
 		}
@@ -721,11 +721,11 @@ func (e *Engine) clustersAt(ctx context.Context, st *engineState, interval int) 
 	e.intervalMu.Lock()
 	m, ok := e.intervalSets[interval]
 	if !ok {
-		m = &memo[[]Cluster]{}
+		m = &par.Memo[[]Cluster]{}
 		e.intervalSets[interval] = m
 	}
 	e.intervalMu.Unlock()
-	return m.get(ctx, func() ([]Cluster, error) {
+	return m.Get(ctx, func() ([]Cluster, error) {
 		tk, err := e.tokens(ctx, st, interval, nil)
 		if err != nil {
 			return nil, err
@@ -752,7 +752,7 @@ func (e *Engine) ClusterSets(ctx context.Context, from, to int) ([][]Cluster, er
 	if from < 0 || to < from || to > n {
 		return nil, fmt.Errorf("blogclusters: interval range [%d,%d) outside [0,%d]: %w", from, to, n, ErrInvalidQuery)
 	}
-	if sets, ok := st.sets.cached(); ok {
+	if sets, ok := st.sets.Cached(); ok {
 		return sets[from:to:to], nil
 	}
 	out := make([][]Cluster, to-from)
@@ -795,7 +795,7 @@ func (e *Engine) Graph(ctx context.Context) (*ClusterGraph, error) {
 	}
 	defer cancel()
 	st := e.state.Load()
-	return st.graph.get(ctx, func() (*ClusterGraph, error) {
+	return st.graph.Get(ctx, func() (*ClusterGraph, error) {
 		sets, err := e.clusters(ctx, st)
 		if err != nil {
 			return nil, err
@@ -818,11 +818,11 @@ func (e *Engine) kwGraph(ctx context.Context, st *engineState, interval int) (*c
 	e.kwMu.Lock()
 	m, ok := e.kwGraphs[interval]
 	if !ok {
-		m = &memo[*cooccur.Graph]{}
+		m = &par.Memo[*cooccur.Graph]{}
 		e.kwGraphs[interval] = m
 	}
 	e.kwMu.Unlock()
-	return m.get(ctx, func() (*cooccur.Graph, error) {
+	return m.Get(ctx, func() (*cooccur.Graph, error) {
 		tk, err := e.tokens(ctx, st, interval, nil)
 		if err != nil {
 			return nil, err
@@ -840,7 +840,7 @@ func (e *Engine) kwGraph(ctx context.Context, st *engineState, interval int) (*c
 // detector divides by, so repeated Bursts calls stop rebuilding the
 // slice from the reader.
 func (e *Engine) docTotals(ctx context.Context, st *engineState) ([]int64, error) {
-	return st.totals.get(ctx, func() ([]int64, error) {
+	return st.totals.Get(ctx, func() ([]int64, error) {
 		r, err := e.indexStore(ctx, st)
 		if err != nil {
 			return nil, err
@@ -1049,24 +1049,29 @@ func (e *Engine) Correlations(ctx context.Context, keyword string, interval, n i
 
 // Describe renders a stable-cluster path with its keyword clusters,
 // for reports and examples, resolving cluster contents through the
-// session's graph. Node ids outside the graph fail with ErrInvalidQuery
-// (they identify no cluster), so remote callers get a client error
-// instead of a panic.
+// session's graph. Node ids outside the graph, and more nodes than the
+// graph has intervals (a path holds at most one node per interval),
+// fail with ErrInvalidQuery, so remote callers get a client error
+// instead of a panic or a rendering that grows with their input.
 func (e *Engine) Describe(ctx context.Context, p Path) (string, error) {
 	g, err := e.Graph(ctx)
 	if err != nil {
 		return "", err
+	}
+	if len(p.Nodes) > g.NumIntervals() {
+		return "", fmt.Errorf("blogclusters: %d nodes, but a path over %d intervals holds at most %d: %w", len(p.Nodes), g.NumIntervals(), g.NumIntervals(), ErrInvalidQuery)
 	}
 	for _, id := range p.Nodes {
 		if id < 0 || id >= int64(g.NumNodes()) {
 			return "", fmt.Errorf("blogclusters: node %d outside graph [0,%d): %w", id, g.NumNodes(), ErrInvalidQuery)
 		}
 	}
-	s := fmt.Sprintf("weight %.3f, length %d:", p.Weight, p.Length)
+	var b strings.Builder
+	fmt.Fprintf(&b, "weight %.3f, length %d:", p.Weight, p.Length)
 	for _, id := range p.Nodes {
-		s += fmt.Sprintf("\n  t%d %v", g.Interval(id), g.Cluster(id).Keywords)
+		fmt.Fprintf(&b, "\n  t%d %v", g.Interval(id), g.Cluster(id).Keywords)
 	}
-	return s, nil
+	return b.String(), nil
 }
 
 // --- observability ---
@@ -1147,7 +1152,7 @@ func (e *Engine) Stats() EngineStats {
 	if st.col != nil {
 		out.Intervals = len(st.col.Intervals)
 	}
-	if s, ok := st.index.cached(); ok {
+	if s, ok := st.index.Cached(); ok {
 		out.IndexIO = s.Stats()
 		out.IndexSegments = s.NumSegments()
 		out.IndexCache.Hits, out.IndexCache.Misses, out.IndexCache.Bytes = s.CacheStats()
@@ -1304,81 +1309,6 @@ func (t *stageTimings) snapshot() map[string]StageTiming {
 		out[k] = v
 	}
 	return out
-}
-
-// --- single-flight memoization ---
-
-// memo is a concurrency-safe, context-aware, single-flight lazy cell.
-// The first caller runs the build on its own goroutine; concurrent
-// callers block until it finishes and share the result. Only successful
-// results are cached: a build that fails — cancellation, a transient
-// I/O fault that outlived its retries, a full disk — leaves the cell
-// empty, so the next query rebuilds instead of replaying a stale error
-// forever. Failure must never poison memoization: one unlucky build
-// turning every later query into its echo is exactly the availability
-// bug the degradation layer exists to prevent.
-type memo[T any] struct {
-	mu       sync.Mutex
-	done     bool
-	val      T
-	inflight chan struct{}
-	builds   atomic.Int64 // builds started; the exactly-once assertions read this
-}
-
-// prime seeds the cell with a ready value (no build).
-func (m *memo[T]) prime(v T) {
-	m.mu.Lock()
-	m.done, m.val = true, v
-	m.mu.Unlock()
-}
-
-// cached returns the value if one is resident, without building.
-func (m *memo[T]) cached() (T, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.done {
-		return m.val, true
-	}
-	var zero T
-	return zero, false
-}
-
-// Builds reports how many builds were started.
-func (m *memo[T]) Builds() int64 { return m.builds.Load() }
-
-func (m *memo[T]) get(ctx context.Context, build func() (T, error)) (T, error) {
-	var zero T
-	for {
-		m.mu.Lock()
-		if m.done {
-			v := m.val
-			m.mu.Unlock()
-			return v, nil
-		}
-		if ch := m.inflight; ch != nil {
-			m.mu.Unlock()
-			select {
-			case <-ch:
-				continue // re-check: done, or canceled build → retry
-			case <-ctx.Done():
-				return zero, ctx.Err()
-			}
-		}
-		ch := make(chan struct{})
-		m.inflight = ch
-		m.builds.Add(1)
-		m.mu.Unlock()
-
-		v, err := build()
-		m.mu.Lock()
-		m.inflight = nil
-		if err == nil {
-			m.done, m.val = true, v
-		}
-		m.mu.Unlock()
-		close(ch)
-		return v, err
-	}
 }
 
 // --- ctx-aware stage internals ---

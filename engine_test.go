@@ -316,21 +316,26 @@ func TestEngineCancellation(t *testing.T) {
 	col := testCorpus(t, 1200)
 	before := runtime.NumGoroutine()
 
-	eng, err := Open(context.Background(), FromCollection(col))
+	// Cancel from inside the build: the hook runs on the building
+	// goroutine as the cluster stage starts, so the cancel lands
+	// mid-flight however fast the build is.
+	ctx, cancel := context.WithCancel(context.Background())
+	eng, err := Open(context.Background(), FromCollection(col),
+		WithProgress(func(ev StageEvent) {
+			if ev.Stage == "clusters" && !ev.Done {
+				cancel()
+			}
+		}))
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	defer eng.Close()
 
-	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
 		_, err := eng.Clusters(ctx)
 		done <- err
 	}()
-	// Let the build get going, then cancel mid-flight.
-	time.Sleep(10 * time.Millisecond)
-	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {

@@ -53,16 +53,6 @@ func (c *Collection) NumDocs() int {
 	return n
 }
 
-// IntervalByLabel returns the interval with the given label.
-func (c *Collection) IntervalByLabel(label string) (*Interval, bool) {
-	for i := range c.Intervals {
-		if c.Intervals[i].Label == label {
-			return &c.Intervals[i], true
-		}
-	}
-	return nil, false
-}
-
 // DayLabels produces m consecutive day labels starting at start,
 // formatted like the paper ("Jan 6 2007").
 func DayLabels(start time.Time, m int) []string {

@@ -61,10 +61,8 @@ type Store struct {
 	baseIO diskstore.IOStats
 
 	// compactMu serializes compaction (and orders Close after it).
-	compactMu   sync.Mutex
-	deltaSeq    atomic.Int64
-	pushes      atomic.Int64
-	compactions atomic.Int64
+	compactMu sync.Mutex
+	deltaSeq  atomic.Int64
 }
 
 var _ Reader = (*Store)(nil)
@@ -192,7 +190,6 @@ func (s *Store) Push(ctx context.Context, iv corpus.Interval, tk *corpus.Tokens)
 		return fmt.Errorf("index: store changed under push of interval %d", iv.Index)
 	}
 	s.segs = append(s.segs, storeSeg{r: r, start: next, n: 1, path: path})
-	s.pushes.Add(1)
 	return nil
 }
 
@@ -283,7 +280,6 @@ func (s *Store) Compact(ctx context.Context) error {
 		}
 	}
 	s.segs = newSegs
-	s.compactions.Add(1)
 	s.mu.Unlock()
 	return nil
 }
@@ -634,10 +630,3 @@ func (s *Store) NumSegments() int {
 	defer s.mu.RUnlock()
 	return len(s.segs)
 }
-
-// Pushes returns how many delta segments were appended over the
-// store's lifetime.
-func (s *Store) Pushes() int64 { return s.pushes.Load() }
-
-// Compactions returns how many folds completed.
-func (s *Store) Compactions() int64 { return s.compactions.Load() }

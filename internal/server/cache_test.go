@@ -259,7 +259,7 @@ func TestCacheKeyUnifiesSpellings(t *testing.T) {
 		},
 	}
 	for i, pair := range same {
-		if a, b := cacheKey(pair[0]), cacheKey(pair[1]); a != b {
+		if a, b := opStableClusters.key(0, pair[0].Normalize()), opStableClusters.key(0, pair[1].Normalize()); a != b {
 			t.Errorf("pair %d: keys differ: %q vs %q", i, a, b)
 		}
 	}
@@ -275,7 +275,7 @@ func TestCacheKeyUnifiesSpellings(t *testing.T) {
 	}
 	seen := map[string]int{}
 	for i, s := range distinct {
-		key := cacheKey(s)
+		key := opStableClusters.key(0, s.Normalize())
 		if j, ok := seen[key]; ok {
 			t.Errorf("specs %d and %d collide on key %q", j, i, key)
 		}

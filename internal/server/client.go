@@ -144,10 +144,10 @@ func errorFor(status int, path string, raw []byte) error {
 }
 
 // do issues one request and decodes a 200 reply into out.
-func (c *Client) do(ctx context.Context, method, path string, query url.Values, body, out any) error {
+func (c *Client) do(ctx context.Context, method, path, query string, body, out any) error {
 	u := *c.base
 	u.Path = strings.TrimSuffix(u.Path, "/") + path
-	u.RawQuery = query.Encode()
+	u.RawQuery = query
 	var rd io.Reader
 	if body != nil {
 		buf, err := json.Marshal(body)
@@ -198,11 +198,11 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 	return nil
 }
 
-// fetch GETs path and decodes its 200 reply as R, the route's
-// response type.
-func fetch[R any](ctx context.Context, c *Client, path string, query url.Values) (R, error) {
+// fetch sends o's GET for q and decodes the reply as R, the response type
+// o's answer renders.
+func fetch[R, Q any](ctx context.Context, c *Client, o *op[Q], q Q) (R, error) {
 	var resp R
-	err := c.do(ctx, http.MethodGet, path, query, nil, &resp)
+	err := c.do(ctx, http.MethodGet, "/v1/"+o.name, o.query(q), nil, &resp)
 	return resp, err
 }
 
@@ -216,32 +216,22 @@ func nilIfEmpty[T any](s []T) []T {
 }
 
 func (c *Client) Meta(ctx context.Context) (shard.Meta, error) {
-	resp, err := fetch[metaResponse](ctx, c, routeMeta, nil)
+	resp, err := fetch[metaResponse](ctx, c, opMeta, struct{}{})
 	return shard.Meta{Intervals: resp.Intervals, Generation: resp.Generation, Totals: resp.Totals}, err
 }
 
 func (c *Client) ClusterSets(ctx context.Context, from, to int) ([][]blogclusters.Cluster, error) {
-	resp, err := fetch[clusterSetsResponse](ctx, c, routeClusters, url.Values{"from": {strconv.Itoa(from)}, "to": {strconv.Itoa(to)}})
+	resp, err := fetch[clusterSetsResponse](ctx, c, opClusters, clustersReq{from: from, to: to})
 	return resp.Sets, err
 }
 
 func (c *Client) ClusterCounts(ctx context.Context, from, to int) ([]int, error) {
-	resp, err := fetch[clusterCountsResponse](ctx, c, routeClusters, url.Values{"from": {strconv.Itoa(from)}, "to": {strconv.Itoa(to)}, "counts": {"1"}})
+	resp, err := fetch[clusterCountsResponse](ctx, c, opClusters, clustersReq{from: from, to: to, counts: true})
 	return resp.Counts, err
 }
 
 func (c *Client) Solve(ctx context.Context, spec blogclusters.QuerySpec) (*blogclusters.Result, error) {
-	// The handler normalizes the spec again, so the fields a variant
-	// ignores (zeroed here) travel harmlessly.
-	spec = spec.Normalize()
-	resp, err := fetch[stableClustersResponse](ctx, c, routeStableClusters, url.Values{
-		"variant":   {spec.Variant},
-		"algorithm": {spec.Algorithm},
-		"k":         {strconv.Itoa(spec.K)},
-		"l":         {strconv.Itoa(spec.L)},
-		"lmin":      {strconv.Itoa(spec.LMin)},
-		"mode":      {spec.Mode},
-	})
+	resp, err := fetch[stableClustersResponse](ctx, c, opStableClusters, spec.Normalize())
 	if err != nil {
 		return nil, err
 	}
@@ -255,22 +245,22 @@ func (c *Client) Solve(ctx context.Context, spec blogclusters.QuerySpec) (*blogc
 }
 
 func (c *Client) TimeSeries(ctx context.Context, keyword string) (counts, totals []int64, err error) {
-	resp, err := fetch[timeSeriesResponse](ctx, c, routeTimeSeries, url.Values{"keyword": {keyword}})
+	resp, err := fetch[timeSeriesResponse](ctx, c, opTimeSeries, term{raw: keyword})
 	return resp.Counts, resp.Totals, err
 }
 
 func (c *Client) Search(ctx context.Context, terms []string, interval int) ([]int64, error) {
-	resp, err := fetch[searchResponse](ctx, c, routeSearch, url.Values{"terms": {strings.Join(terms, ",")}, "interval": {strconv.Itoa(interval)}})
+	resp, err := fetch[searchResponse](ctx, c, opSearch, searchReq{terms: terms, interval: interval})
 	return nilIfEmpty(resp.IDs), err
 }
 
 func (c *Client) Refine(ctx context.Context, query string, interval int) ([]string, error) {
-	resp, err := fetch[refineResponse](ctx, c, routeRefine, url.Values{"query": {query}, "interval": {strconv.Itoa(interval)}})
+	resp, err := fetch[refineResponse](ctx, c, opRefine, keywordAt{term: term{raw: query}, interval: interval})
 	return nilIfEmpty(resp.Keywords), err
 }
 
 func (c *Client) Correlations(ctx context.Context, keyword string, interval, n int) ([]blogclusters.Correlation, error) {
-	resp, err := fetch[correlationsResponse](ctx, c, routeCorrelations, url.Values{"keyword": {keyword}, "interval": {strconv.Itoa(interval)}, "n": {strconv.Itoa(n)}})
+	resp, err := fetch[correlationsResponse](ctx, c, opCorrelations, keywordAt{term: term{raw: keyword}, interval: interval, n: n})
 	return nilIfEmpty(resp.Correlations), err
 }
 
@@ -280,12 +270,13 @@ func (c *Client) Push(ctx context.Context, iv blogclusters.Interval) (int64, err
 		body.Docs[i] = pushDoc{ID: d.ID, Keywords: d.Keywords}
 	}
 	var resp pushResponse
-	err := c.do(ctx, http.MethodPost, routePush, nil, body, &resp)
+	err := c.do(ctx, http.MethodPost, routePush, "", body, &resp)
 	return resp.Generation, err
 }
 
 func (c *Client) Stats(ctx context.Context) (blogclusters.EngineStats, error) {
-	resp, err := fetch[statsResponse](ctx, c, routeDebugStats, nil)
+	var resp statsResponse
+	err := c.do(ctx, http.MethodGet, routeDebugStats, "", nil, &resp)
 	if err == nil && resp.Engine == nil {
 		err = fmt.Errorf("server: %s has no session attached: %w", c.base.Host, shard.ErrUnavailable)
 	}
@@ -309,7 +300,7 @@ func (c *Client) Close() error {
 // servers that are still loading their sub-corpora.
 func (c *Client) WaitReady(ctx context.Context) error {
 	for {
-		err := c.do(ctx, http.MethodGet, routeReadyz, nil, nil, nil)
+		err := c.do(ctx, http.MethodGet, routeReadyz, "", nil, nil)
 		if err == nil {
 			return nil
 		}

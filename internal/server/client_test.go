@@ -18,7 +18,7 @@ func TestStatusSentinelsRoundTrip(t *testing.T) {
 			t.Errorf("errStatus(%v) = %d, table says %d", row.sentinel, status, row.status)
 		}
 		body := fmt.Sprintf(`{"error":%q}`, wrapped.Error())
-		if err := errorFor(status, routeMeta, []byte(body)); !errors.Is(err, row.sentinel) {
+		if err := errorFor(status, "/v1/meta", []byte(body)); !errors.Is(err, row.sentinel) {
 			t.Errorf("status %d reads back as %v, which does not wrap %v", status, err, row.sentinel)
 		}
 	}

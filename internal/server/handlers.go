@@ -5,19 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"math"
 	"net/http"
-	"net/url"
 	"runtime"
 	"runtime/debug"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	blogclusters "repro"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/shard"
 )
@@ -102,62 +95,6 @@ func errStatus(err error) int {
 // client-canceled requests; net/http has no name for it.
 const statusClientClosedRequest = 499
 
-// serve runs one cacheable query: resolve the session, consult the
-// response cache under the normalized key, fill via the Engine on a
-// miss, replay the rendered bytes. result builds the response body
-// (receiving the generation the request is keyed against, for the
-// response envelope); it runs at most once across concurrent identical
-// requests.
-//
-// genKeyed marks queries whose answers depend on the whole interval
-// sequence (stable clusters, timeseries, bursts): their cache keys are
-// prefixed with the Engine generation, so a Push invalidates exactly
-// those entries — post-push requests key a fresh namespace while
-// stale-generation entries age out of the LRU. Interval-scoped queries
-// (search, refine, correlations, describe) answer from intervals that
-// are immutable once pushed, so their entries survive a Push and the
-// hit ratio for untouched queries is preserved.
-//
-// Either way a fill that straddles a Push is marked noStore: the
-// Engine snapshot it read is ambiguous, so the result is served to the
-// waiting clients but never cached.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, key string, genKeyed bool, result func(ctx context.Context, sess Session, gen int64) (any, error)) {
-	sess := s.Session()
-	if sess == nil {
-		w.Header().Set("Retry-After", s.retryHint)
-		if p := s.openErr.Load(); p != nil {
-			writeError(w, http.StatusServiceUnavailable, "corpus failed to load: "+p.err.Error())
-			return
-		}
-		writeError(w, http.StatusServiceUnavailable, "corpus is still loading; retry shortly")
-		return
-	}
-	gen := sess.Generation()
-	if r.URL.Query().Get("trace") == "1" {
-		s.serveTraced(w, r, sess, gen, result)
-		return
-	}
-	if genKeyed {
-		key = "g" + strconv.FormatInt(gen, 10) + "|" + key
-	}
-	entry, state, err := s.cache.Do(r.Context(), key, func(ctx context.Context) (*cacheEntry, error) {
-		v, err := result(ctx, sess, gen)
-		if err != nil {
-			return nil, err
-		}
-		e, err := renderEntry(v)
-		if err == nil && sess.Generation() != gen {
-			e.noStore = true
-		}
-		return e, err
-	})
-	if err != nil {
-		writeError(w, errStatus(err), err.Error())
-		return
-	}
-	writeEntry(w, entry, state)
-}
-
 // serveTraced handles ?trace=1: the request bypasses the response
 // cache (a replayed body cannot carry this request's spans — the point
 // is to watch the work happen), runs the query with a span recorder in
@@ -166,19 +103,14 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, key string, genKe
 // shard fan-out hops all record into the same recorder; a memo-hot
 // request honestly shows few or no engine spans, because the work was
 // already done by an earlier request.
-func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request, sess Session, gen int64, result func(ctx context.Context, sess Session, gen int64) (any, error)) {
+func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request, fill func(ctx context.Context) (*cacheEntry, error)) {
 	ctx, rec := obs.WithRecorder(r.Context())
 	start := time.Now()
-	v, err := result(ctx, sess, gen)
+	e, err := fill(ctx)
 	rec.Record("request", start, err)
 	s.cache.noteBypass()
 	if err != nil {
 		writeError(w, errStatus(err), err.Error())
-		return
-	}
-	e, rerr := renderEntry(v)
-	if rerr != nil {
-		writeError(w, http.StatusInternalServerError, "encode response")
 		return
 	}
 	e.body = spliceTrace(e.body, rec.Spans())
@@ -206,151 +138,6 @@ func spliceTrace(body []byte, spans []obs.Span) []byte {
 	out = append(out, tr...)
 	out = append(out, body[i:]...)
 	return out
-}
-
-// --- param parsing ---
-
-// params wraps url.Values with typed accessors that accumulate the
-// first error, and records every (name, value) pair it resolved —
-// including defaults — so the cache key is the normalized parameter
-// set, not the raw query string: ?k=5 and ?? (absent, default 5) and
-// ?k=05 all share one cache entry.
-type params struct {
-	q        url.Values
-	resolved [][2]string
-	err      error
-}
-
-func newParams(r *http.Request) *params { return &params{q: r.URL.Query()} }
-
-func (p *params) fail(name, val, want string) {
-	if p.err == nil {
-		p.err = fmt.Errorf("parameter %q: %q is not %s", name, val, want)
-	}
-}
-
-func (p *params) record(name, val string) {
-	p.resolved = append(p.resolved, [2]string{name, val})
-}
-
-// str returns the raw parameter or def when absent.
-func (p *params) str(name, def string) string {
-	v := p.q.Get(name)
-	if v == "" {
-		v = def
-	}
-	p.record(name, v)
-	return v
-}
-
-// requiredRaw fails when the parameter is missing or empty, without
-// recording it in the cache key: keyword- and list-shaped parameters
-// key the cache on a normalized form the handler records afterwards
-// (the analyzed keyword, the re-rendered node list), so surface
-// variants share one entry.
-func (p *params) requiredRaw(name string) string {
-	v := p.q.Get(name)
-	if v == "" && p.err == nil {
-		p.err = fmt.Errorf("parameter %q is required", name)
-	}
-	return v
-}
-
-func (p *params) intDef(name string, def int) int {
-	raw := p.q.Get(name)
-	if raw == "" {
-		p.record(name, strconv.Itoa(def))
-		return def
-	}
-	n, err := strconv.Atoi(raw)
-	if err != nil {
-		p.fail(name, raw, "an integer")
-		return def
-	}
-	p.record(name, strconv.Itoa(n))
-	return n
-}
-
-// intFloor is intDef with a floor: parsed values below floor clamp to
-// it before being recorded, so requests that mean the same thing (any
-// negative l = full paths) share one cache key.
-func (p *params) intFloor(name string, def, floor int) int {
-	raw := p.q.Get(name)
-	n := def
-	if raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil {
-			p.fail(name, raw, "an integer")
-		} else {
-			n = v
-		}
-	}
-	if n < floor {
-		n = floor
-	}
-	p.record(name, strconv.Itoa(n))
-	return n
-}
-
-func (p *params) requiredInt(name string) int {
-	raw := p.q.Get(name)
-	if raw == "" {
-		if p.err == nil {
-			p.err = fmt.Errorf("parameter %q is required", name)
-		}
-		return 0
-	}
-	n, err := strconv.Atoi(raw)
-	if err != nil {
-		p.fail(name, raw, "an integer")
-		return 0
-	}
-	p.record(name, strconv.Itoa(n))
-	return n
-}
-
-// enum returns the parameter (or def) and fails unless it is one of
-// allowed.
-func (p *params) enum(name, def string, allowed ...string) string {
-	v := p.str(name, def)
-	for _, a := range allowed {
-		if v == a {
-			return v
-		}
-	}
-	p.fail(name, v, "one of "+strings.Join(allowed, "|"))
-	return def
-}
-
-// key builds the canonical cache key: route name plus the resolved
-// (name, value) pairs in sorted order.
-func (p *params) key(route string) string {
-	pairs := make([]string, len(p.resolved))
-	for i, kv := range p.resolved {
-		pairs[i] = kv[0] + "=" + kv[1]
-	}
-	sort.Strings(pairs)
-	return route + "?" + strings.Join(pairs, "&")
-}
-
-// analyzedKeyword normalizes a raw query term exactly like the Engine
-// (and the corpus analyzer) does and records the analyzed form as the
-// parameter's cache-key value, so surface variants — "Somalia",
-// "somalia", "somalias" — share one cache entry, mirroring the
-// paper's rule that queries are analyzed exactly like documents.
-// Response bodies echo the analyzed form for the same reason: it is
-// the term the Engine actually answered for.
-func analyzedKeyword(p *params, name string, raw string) string {
-	if raw == "" {
-		return ""
-	}
-	kws := blogclusters.NewAnalyzer().Keywords(raw)
-	if len(kws) == 0 {
-		p.fail(name, raw, "an analyzable keyword")
-		return ""
-	}
-	p.record(name, kws[0])
-	return kws[0]
 }
 
 // --- response shapes ---
@@ -454,264 +241,6 @@ type statsResponse struct {
 	Process    processStats              `json:"process"`
 }
 
-// --- /v1 handlers ---
-
-// handleStableClusters answers Problems 1 and 2 and the diversity
-// variant over the session's graph: ?variant=topk (default,
-// with ?algorithm=auto|bfs|dfs|ta|brute, ?k, ?l), ?variant=normalized
-// (?k, ?lmin) or ?variant=diverse (?k, ?l, ?mode). Algorithm "auto"
-// (the default) is a spelling of the variant's default solver.
-//
-// The parameters fold into one blogclusters.QuerySpec: its
-// normalization provides the response-cache key (cacheKey) — equivalent
-// requests (?l=-1 vs ?l=-7, ?mode=endpoints vs
-// ?mode=distinct-endpoints) share one entry — and its validation is the
-// single source of client errors, the same checks the Engine itself
-// would apply.
-func (s *Server) handleStableClusters(w http.ResponseWriter, r *http.Request) {
-	p := newParams(r)
-	spec := blogclusters.QuerySpec{
-		Variant:   p.str("variant", "topk"),
-		Algorithm: p.str("algorithm", "auto"),
-		K:         p.intDef("k", 5),
-		L:         p.intFloor("l", -1, -1),
-		LMin:      p.intDef("lmin", 2),
-		Mode:      p.str("mode", "endpoints"),
-	}
-	if p.err != nil {
-		writeError(w, http.StatusBadRequest, p.err.Error())
-		return
-	}
-	spec = spec.Normalize()
-	if err := spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.serve(w, r, "stable-clusters?"+cacheKey(spec), true, func(ctx context.Context, sess Session, gen int64) (any, error) {
-		res, err := sess.Solve(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		st := res.Stats
-		return stableClustersResponse{gen, spec.Variant, spec.K, orEmpty(res.Paths), solverStats{
-			NodeReads:     st.NodeReads,
-			NodeWrites:    st.NodeWrites,
-			EdgeReads:     st.EdgeReads,
-			HeapConsiders: st.HeapConsiders,
-			Pruned:        st.Pruned,
-		}}, nil
-	})
-}
-
-// cacheKey renders the normalized spec as a canonical string: the
-// response-cache key of a stable-clusters request, naming only the
-// fields its variant reads.
-func cacheKey(spec blogclusters.QuerySpec) string {
-	spec = spec.Normalize()
-	var b strings.Builder
-	b.WriteString("variant=")
-	b.WriteString(spec.Variant)
-	b.WriteString("&algorithm=")
-	b.WriteString(spec.Algorithm)
-	b.WriteString("&k=")
-	b.WriteString(strconv.Itoa(spec.K))
-	switch spec.Variant {
-	case core.VariantNormalized:
-		b.WriteString("&lmin=")
-		b.WriteString(strconv.Itoa(spec.LMin))
-	case core.VariantDiverse:
-		b.WriteString("&l=")
-		b.WriteString(strconv.Itoa(spec.L))
-		b.WriteString("&mode=")
-		b.WriteString(spec.Mode)
-	default:
-		b.WriteString("&l=")
-		b.WriteString(strconv.Itoa(spec.L))
-	}
-	return b.String()
-}
-
-// handleTimeSeries serves A(w) per interval: ?keyword=.
-func (s *Server) handleTimeSeries(w http.ResponseWriter, r *http.Request) {
-	p := newParams(r)
-	raw := p.requiredRaw("keyword")
-	kw := analyzedKeyword(p, "keyword", raw)
-	if p.err != nil {
-		writeError(w, http.StatusBadRequest, p.err.Error())
-		return
-	}
-	s.serve(w, r, p.key("timeseries"), true, func(ctx context.Context, sess Session, gen int64) (any, error) {
-		counts, err := sess.TimeSeries(ctx, raw)
-		if err != nil {
-			return nil, err
-		}
-		totals, err := sess.DocTotals(ctx)
-		if err != nil {
-			return nil, err
-		}
-		// The two reads are not atomic against a push; trim both to the
-		// shorter so the pairing stays positionally aligned.
-		if len(totals) < len(counts) {
-			counts = counts[:len(totals)]
-		} else {
-			totals = totals[:len(counts)]
-		}
-		return timeSeriesResponse{gen, kw, counts, totals}, nil
-	})
-}
-
-// handleBursts serves the keyword's information bursts: ?keyword=.
-func (s *Server) handleBursts(w http.ResponseWriter, r *http.Request) {
-	p := newParams(r)
-	raw := p.requiredRaw("keyword")
-	kw := analyzedKeyword(p, "keyword", raw)
-	if p.err != nil {
-		writeError(w, http.StatusBadRequest, p.err.Error())
-		return
-	}
-	s.serve(w, r, p.key("bursts"), true, func(ctx context.Context, sess Session, gen int64) (any, error) {
-		bursts, err := sess.Bursts(ctx, raw)
-		if err != nil {
-			return nil, err
-		}
-		return burstsResponse{gen, kw, orEmpty(bursts)}, nil
-	})
-}
-
-// handleSearch serves boolean search: ?terms=a,b,c&interval=i.
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	p := newParams(r)
-	rawTerms := p.requiredRaw("terms")
-	interval := p.requiredInt("interval")
-	var terms []string
-	for _, t := range strings.Split(rawTerms, ",") {
-		if t = strings.TrimSpace(t); t != "" {
-			terms = append(terms, t)
-		}
-	}
-	if len(terms) == 0 && p.err == nil {
-		p.err = fmt.Errorf("parameter %q needs at least one term", "terms")
-	}
-	// Normalize the key on the sorted analyzed terms: boolean AND is
-	// order-insensitive, so "a,b" and "b,a" share one entry.
-	analyzer := blogclusters.NewAnalyzer()
-	analyzed := make([]string, 0, len(terms))
-	for _, t := range terms {
-		kws := analyzer.Keywords(t)
-		if len(kws) == 0 {
-			p.fail("terms", t, "an analyzable keyword")
-			break
-		}
-		analyzed = append(analyzed, kws[0])
-	}
-	sort.Strings(analyzed)
-	p.record("terms", strings.Join(analyzed, ","))
-	if p.err != nil {
-		writeError(w, http.StatusBadRequest, p.err.Error())
-		return
-	}
-	s.serve(w, r, p.key("search"), false, func(ctx context.Context, sess Session, gen int64) (any, error) {
-		ids, err := sess.Search(ctx, terms, interval)
-		if err != nil {
-			return nil, err
-		}
-		return searchResponse{gen, analyzed, interval, len(ids), orEmpty(ids)}, nil
-	})
-}
-
-// handleRefine serves query refinement: ?query=&interval=i.
-func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
-	p := newParams(r)
-	raw := p.requiredRaw("query")
-	interval := p.requiredInt("interval")
-	kw := analyzedKeyword(p, "query", raw)
-	if p.err != nil {
-		writeError(w, http.StatusBadRequest, p.err.Error())
-		return
-	}
-	s.serve(w, r, p.key("refine"), false, func(ctx context.Context, sess Session, gen int64) (any, error) {
-		kws, err := sess.Refine(ctx, raw, interval)
-		if err != nil {
-			return nil, err
-		}
-		return refineResponse{gen, kw, interval, len(kws) > 0, orEmpty(kws)}, nil
-	})
-}
-
-// handleCorrelations serves the strongest ρ neighbors:
-// ?keyword=&interval=i&n=5.
-func (s *Server) handleCorrelations(w http.ResponseWriter, r *http.Request) {
-	p := newParams(r)
-	raw := p.requiredRaw("keyword")
-	interval := p.requiredInt("interval")
-	n := p.intDef("n", 5)
-	kw := analyzedKeyword(p, "keyword", raw)
-	if n <= 0 {
-		p.fail("n", strconv.Itoa(n), "positive")
-	}
-	if p.err != nil {
-		writeError(w, http.StatusBadRequest, p.err.Error())
-		return
-	}
-	s.serve(w, r, p.key("correlations"), false, func(ctx context.Context, sess Session, gen int64) (any, error) {
-		cs, err := sess.Correlations(ctx, raw, interval, n)
-		if err != nil {
-			return nil, err
-		}
-		return correlationsResponse{gen, kw, interval, orEmpty(cs)}, nil
-	})
-}
-
-// handleDescribe renders a stable-cluster path with its keyword
-// clusters: ?nodes=1,5,9&weight=&length= (weight/length default 0 and
-// only affect the rendered header).
-func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
-	p := newParams(r)
-	rawNodes := p.requiredRaw("nodes")
-	length := p.intDef("length", 0)
-	weightStr := p.q.Get("weight")
-	if weightStr == "" {
-		weightStr = "0"
-	}
-	weight, werr := strconv.ParseFloat(weightStr, 64)
-	if werr != nil || math.IsNaN(weight) || math.IsInf(weight, 0) {
-		// NaN/Inf parse fine but cannot be JSON-encoded; reject here so
-		// the client gets a 400, not an encode-time 500.
-		p.fail("weight", weightStr, "a finite number")
-	}
-	var nodes []int64
-	canonical := make([]string, 0, 4)
-	if rawNodes != "" {
-		for _, f := range strings.Split(rawNodes, ",") {
-			id, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
-			if err != nil {
-				p.fail("nodes", rawNodes, "a comma-separated list of node ids")
-				break
-			}
-			nodes = append(nodes, id)
-			canonical = append(canonical, strconv.FormatInt(id, 10))
-		}
-	}
-	// Key on the re-rendered parsed values, not the raw strings, so
-	// "1, 5" vs "1,5" and "0.0" vs "0" share one cache entry.
-	p.record("nodes", strings.Join(canonical, ","))
-	p.record("weight", strconv.FormatFloat(weight, 'g', -1, 64))
-	if p.err != nil {
-		writeError(w, http.StatusBadRequest, p.err.Error())
-		return
-	}
-	s.serve(w, r, p.key("describe"), false, func(ctx context.Context, sess Session, gen int64) (any, error) {
-		// Node-bounds validation lives in the session's Describe now
-		// (out-of-range ids come back as ErrInvalidQuery → 400).
-		path := blogclusters.Path{Nodes: nodes, Length: length, Weight: weight}
-		desc, err := sess.Describe(ctx, path)
-		if err != nil {
-			return nil, err
-		}
-		return describeResponse{gen, path, desc}, nil
-	})
-}
-
 // --- health and observability ---
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -792,55 +321,4 @@ func (s *Server) handleDebugStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, statsResponse{gen, eng, shards, s.Stats(), s.processInfo()})
-}
-
-// handleMeta serves the session's shape in one cheap read —
-// {generation, intervals, totals} — the handshake a shard coordinator
-// (or any client wanting the corpus width before querying) starts
-// with.
-func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
-	p := newParams(r)
-	s.serve(w, r, p.key("meta"), true, func(ctx context.Context, sess Session, gen int64) (any, error) {
-		totals, err := sess.DocTotals(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return metaResponse{gen, len(totals), orEmpty(totals)}, nil
-	})
-}
-
-// handleClusters serves the canonical per-interval cluster sets for
-// global intervals [from, to): ?from=&to=[&counts=1]. With counts=1
-// only the per-interval cluster counts are returned — the cheap lens a
-// coordinator uses to build its node-id offset table without shipping
-// every keyword set across the wire.
-func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
-	p := newParams(r)
-	from := p.requiredInt("from")
-	to := p.requiredInt("to")
-	countsOnly := p.str("counts", "") == "1"
-	if p.err != nil {
-		writeError(w, http.StatusBadRequest, p.err.Error())
-		return
-	}
-	s.serve(w, r, p.key("clusters"), true, func(ctx context.Context, sess Session, gen int64) (any, error) {
-		sets, err := sess.ClusterSets(ctx, from, to)
-		if err != nil {
-			return nil, err
-		}
-		if countsOnly {
-			counts := make([]int, len(sets))
-			for i, set := range sets {
-				counts[i] = len(set)
-			}
-			return clusterCountsResponse{gen, from, to, counts}, nil
-		}
-		// sets may share the session's memo: render from a fresh outer
-		// slice instead of writing the [] placeholders into it.
-		out := make([][]blogclusters.Cluster, len(sets))
-		for i, set := range sets {
-			out[i] = orEmpty(set)
-		}
-		return clusterSetsResponse{gen, from, to, out}, nil
-	})
 }

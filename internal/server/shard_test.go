@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 
 	blogclusters "repro"
@@ -223,5 +225,81 @@ func TestShardedUnavailable(t *testing.T) {
 	deadRow := rows[1].(map[string]any)
 	if deadRow["error"] == nil || deadRow["error"] == "" {
 		t.Errorf("dead shard row has no error: %v", deadRow)
+	}
+}
+
+// TestDescribeNodeCeiling checks a describe with more node ids than the
+// graph has intervals is a 400 on an unsharded server and through a
+// coordinator: a path holds at most one node per interval, and the
+// rendering grew with the list.
+func TestDescribeNodeCeiling(t *testing.T) {
+	srv, _, single := newTestServer(t, quietConfig(nil))
+	_, _, sharded := newShardedServer(t, quietConfig(nil))
+	m := srv.Session().Stats().Intervals
+	nodes := strings.TrimSuffix(strings.Repeat("0,", m), ",")
+	for _, ts := range []*httptest.Server{single, sharded} {
+		resp, body := get(t, ts, "/v1/describe?nodes="+nodes)
+		wantStatus(t, resp, body, http.StatusOK)
+		resp, body = get(t, ts, "/v1/describe?nodes=0,"+nodes)
+		wantStatus(t, resp, body, http.StatusBadRequest)
+	}
+}
+
+// TestShardedKeywordsTravelRaw checks a coordinator forwards a keyword
+// as the client sent it. The analyzer is not idempotent (agreed → agre
+// → agr), so a shard asked about the analyzed form would answer for a
+// different word; here every document carries "agre", the analyzed
+// form of "agreed".
+func TestShardedKeywordsTravelRaw(t *testing.T) {
+	col := &blogclusters.Collection{}
+	id := int64(0)
+	for i := range 4 {
+		iv := blogclusters.Interval{Index: i, Label: fmt.Sprint("day ", i)}
+		for d := range 40 {
+			kws := []string{"agre", "treati"}
+			if d%2 == 1 {
+				kws = []string{"weather", "rain"}
+			}
+			iv.Docs = append(iv.Docs, blogclusters.Document{ID: id, Interval: i, Keywords: kws})
+			id++
+		}
+		col.Intervals = append(col.Intervals, iv)
+	}
+	ref, err := blogclusters.Open(t.Context(), blogclusters.FromCollection(col))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ref.Close() })
+	coord, err := OpenInProcess(t.Context(), col, 2, quietConfig(nil), shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	serve := func(sess Session) *httptest.Server {
+		srv := New(quietConfig(nil))
+		srv.SetEngine(sess)
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	single, sharded := serve(ref), serve(coord)
+
+	for _, tc := range []struct{ path, field string }{
+		{"/v1/timeseries?keyword=agreed", "counts"},
+		{"/v1/correlations?keyword=agreed&interval=1", "correlations"},
+		{"/v1/refine?query=agreed&interval=2", "keywords"},
+	} {
+		resp, want := get(t, single, tc.path)
+		wantStatus(t, resp, want, http.StatusOK)
+		resp, got := get(t, sharded, tc.path)
+		wantStatus(t, resp, got, http.StatusOK)
+		delete(want, "generation")
+		delete(got, "generation")
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: coordinator answered %v, unsharded %v", tc.path, got, want)
+		}
+		if list, _ := want[tc.field].([]any); len(list) == 0 || reflect.DeepEqual(list, []any{0.0, 0.0, 0.0, 0.0}) {
+			t.Errorf("%s: empty %s in %v", tc.path, tc.field, want)
+		}
 	}
 }

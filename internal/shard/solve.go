@@ -7,6 +7,7 @@ import (
 
 	blogclusters "repro"
 	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/topk"
 )
 
@@ -23,25 +24,25 @@ type coordState struct {
 	// of cluster nodes in global intervals [0, i), so a node that is
 	// local to a sub-graph starting at interval i maps to the global id
 	// by adding bases[i]. len(bases) == m+1.
-	bases cell[[]int]
+	bases par.Memo[[]int]
 	// merged caches the whole-corpus engine assembled from the gathered
 	// cluster sets — the fallback route for every query shape that is
 	// not decomposable.
-	merged cell[*blogclusters.Engine]
+	merged par.Memo[*blogclusters.Engine]
 	// windows caches per-boundary-window engines, keyed [lo, hi).
 	winMu   sync.Mutex
-	windows map[[2]int]*cell[*blogclusters.Engine]
+	windows map[[2]int]*par.Memo[*blogclusters.Engine]
 }
 
 // engines returns every engine this state has materialized, for Close.
 func (st *coordState) engines() []*blogclusters.Engine {
 	var out []*blogclusters.Engine
-	if eng, ok := st.merged.cached(); ok {
+	if eng, ok := st.merged.Cached(); ok {
 		out = append(out, eng)
 	}
 	st.winMu.Lock()
 	for _, ce := range st.windows {
-		if eng, ok := ce.cached(); ok {
+		if eng, ok := ce.Cached(); ok {
 			out = append(out, eng)
 		}
 	}
@@ -58,7 +59,7 @@ func (c *Coordinator) curState() *coordState {
 	if c.state != nil && c.state.gen == gen {
 		return c.state
 	}
-	st := &coordState{gen: gen, starts: starts, m: m, windows: map[[2]int]*cell[*blogclusters.Engine]{}}
+	st := &coordState{gen: gen, starts: starts, m: m, windows: map[[2]int]*par.Memo[*blogclusters.Engine]{}}
 	if c.state != nil {
 		c.retired = append(c.retired, c.state)
 	}
@@ -69,7 +70,7 @@ func (c *Coordinator) curState() *coordState {
 // nodeBases fills (once per generation) the prefix cluster counts that
 // translate sub-graph node ids to global ones.
 func (c *Coordinator) nodeBases(ctx context.Context, st *coordState) ([]int, error) {
-	return st.bases.get(ctx, func() ([]int, error) {
+	return st.bases.Get(ctx, func() ([]int, error) {
 		perShard := make([][]int, len(c.backends))
 		err := c.gather(ctx, len(c.backends), func(ctx context.Context, s int) error {
 			width := st.starts[s+1] - st.starts[s]
@@ -151,7 +152,7 @@ func (c *Coordinator) openSetsEngine(sets [][]blogclusters.Cluster) (*blogcluste
 
 // mergedEngine fills (once per generation) the whole-corpus engine.
 func (c *Coordinator) mergedEngine(ctx context.Context, st *coordState) (*blogclusters.Engine, error) {
-	return st.merged.get(ctx, func() (*blogclusters.Engine, error) {
+	return st.merged.Get(ctx, func() (*blogclusters.Engine, error) {
 		sets, err := c.gatherSets(ctx, st, 0, st.m, 0)
 		if err != nil {
 			return nil, err
@@ -166,11 +167,11 @@ func (c *Coordinator) windowEngine(ctx context.Context, st *coordState, lo, hi i
 	st.winMu.Lock()
 	ce, ok := st.windows[[2]int{lo, hi}]
 	if !ok {
-		ce = &cell[*blogclusters.Engine]{}
+		ce = &par.Memo[*blogclusters.Engine]{}
 		st.windows[[2]int{lo, hi}] = ce
 	}
 	st.winMu.Unlock()
-	return ce.get(ctx, func() (*blogclusters.Engine, error) {
+	return ce.Get(ctx, func() (*blogclusters.Engine, error) {
 		sets, err := c.gatherSets(ctx, st, lo, hi, 0)
 		if err != nil {
 			return nil, err

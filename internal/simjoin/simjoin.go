@@ -86,9 +86,6 @@ func NewVocab(sets ...[]cluster.Cluster) *Vocab {
 	return &Vocab{dict: d, rank: rank}
 }
 
-// NumTokens returns the number of distinct interned keywords.
-func (v *Vocab) NumTokens() int { return len(v.rank) }
-
 // Record is one cluster's keyword set as rank-sorted token ids
 // (rarest token first).
 type Record struct {

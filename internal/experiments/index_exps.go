@@ -64,7 +64,7 @@ func runIndexBackend(ctx context.Context, col *corpus.Collection, backend string
 		if err != nil {
 			return nil, err
 		}
-		r = x.Reader()
+		r = x
 	case "disk":
 		dir, err := os.MkdirTemp("", "diskindex-exp-")
 		if err != nil {

@@ -15,14 +15,14 @@ import (
 type Config struct {
 	// BlockSize is the number of postings per on-disk block; smaller
 	// blocks mean finer-grained skips at the cost of more per-block
-	// overhead. Non-positive means DefaultBlockSize.
+	// overhead. Non-positive means the default, 128.
 	BlockSize int
 	// SortMemoryBudget is accepted and ignored: a segment build groups
 	// one interval's postings in memory and uses no external sorter.
 	// The field stays only because bench/build.go names it.
 	SortMemoryBudget int
 	// MemBudget bounds the resident bytes of each opened segment's
-	// decoded-block LRU cache. Non-positive means DefaultDiskMemBudget.
+	// decoded-block LRU cache. Non-positive means the default, 8 MiB.
 	MemBudget int
 	// FS is the filesystem segments are built on and read through. Nil
 	// means the OS passthrough; tests substitute a faultfs.Injector to
@@ -58,7 +58,7 @@ func (c Config) blockSize() int {
 	if c.BlockSize > 0 {
 		return c.BlockSize
 	}
-	return DefaultBlockSize
+	return defaultBlockSize
 }
 
 // compactAfter returns the configured delta threshold, 0 meaning the

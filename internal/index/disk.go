@@ -51,10 +51,10 @@ const (
 	footMagic  = "BSIXFTR\n"
 	segTailLen = 8 + 8 + len(footMagic) // footerOff + footerLen + magic
 
-	// DefaultBlockSize is the posting count per on-disk block.
-	DefaultBlockSize = 128
-	// DefaultDiskMemBudget bounds the decoded-block LRU cache (8 MiB).
-	DefaultDiskMemBudget = 8 << 20
+	// defaultBlockSize is the posting count per on-disk block.
+	defaultBlockSize = 128
+	// defaultDiskMemBudget bounds the decoded-block LRU cache (8 MiB).
+	defaultDiskMemBudget = 8 << 20
 )
 
 // blockRef is one skip-index entry: where a posting block lives and

@@ -72,7 +72,7 @@ func openDisk(f faultfs.File, cfg Config) (*DiskIndex, error) {
 	}
 	budget := cfg.MemBudget
 	if budget <= 0 {
-		budget = DefaultDiskMemBudget
+		budget = defaultDiskMemBudget
 	}
 	d := &DiskIndex{f: f, size: size, cache: newBlockCache(int64(budget)), retry: cfg.Retry, rctx: cfg.Ctx}
 
@@ -368,25 +368,6 @@ func (d *DiskIndex) NumDocs(i int) int {
 		return 0
 	}
 	return d.docs[i]
-}
-
-// DocFreq returns A(u) for interval i from the resident dictionary —
-// no I/O.
-func (d *DiskIndex) DocFreq(w string, i int) (int64, error) {
-	if e := d.lookup(w, i); e != nil {
-		return e.docFreq, nil
-	}
-	return 0, nil
-}
-
-// CoDocFreq returns A(u,v) for interval i via skip-driven posting
-// intersection.
-func (d *DiskIndex) CoDocFreq(u, v string, i int) (int64, error) {
-	ids, err := d.Search([]string{u, v}, i)
-	if err != nil {
-		return 0, err
-	}
-	return int64(len(ids)), nil
 }
 
 // Search returns the sorted ids of interval-i documents containing all

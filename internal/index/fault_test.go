@@ -56,13 +56,13 @@ func TestFaultDiskIndexRetriesTransientReads(t *testing.T) {
 	}
 	defer d.Close()
 	for i := 0; i < x.NumIntervals(); i++ {
-		vocab := x.Vocabulary(i)
+		vocab, _ := x.Vocabulary(i)
 		for _, w := range vocab {
 			got, err := d.Postings(w, i)
 			if err != nil {
 				t.Fatalf("Postings(%q, %d) under faults: %v", w, i, err)
 			}
-			if want := x.Postings(w, i); !reflect.DeepEqual(got, want) {
+			if want, _ := x.Postings(w, i); !reflect.DeepEqual(got, want) {
 				t.Fatalf("Postings(%q, %d) corrupted under faults: got %v want %v", w, i, got, want)
 			}
 		}
@@ -71,7 +71,7 @@ func TestFaultDiskIndexRetriesTransientReads(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Search under faults: %v", err)
 			}
-			if want := x.Search(vocab[:2], i); !reflect.DeepEqual(got, want) {
+			if want, _ := x.Search(vocab[:2], i); !reflect.DeepEqual(got, want) {
 				t.Fatalf("Search corrupted under faults: got %v want %v", got, want)
 			}
 		}

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"hash/fnv"
 	"math/rand"
 	"path/filepath"
@@ -75,7 +76,11 @@ func fuzzCorpus(data []byte) (*corpus.Collection, int) {
 // FuzzDiskIndexRoundTrip builds both backends from fuzz-derived
 // corpora and asserts every primitive agrees — the round-trip
 // invariant of the segment format, run for ~60s each night by the
-// fuzz-smoke CI job.
+// fuzz-smoke CI job. It also grows a disk Store through the segment
+// router: opened on a prefix the last byte picks (its high nibble mod
+// m+1), pushed the remaining intervals, and compacted when the last
+// byte's low bit is set; the store must agree with the one-shot index,
+// out-of-range intervals included.
 func FuzzDiskIndexRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x13, 0x21, 0x05, 0x30, 0x07, 0x09, 0xff, 0x00, 0x41})
@@ -83,6 +88,9 @@ func FuzzDiskIndexRoundTrip(f *testing.F) {
 	// One interval, block size 2, shuffled ids: each term's ids arrive
 	// out of order.
 	f.Add([]byte{0x1c, 0x10, 0x00, 0x01, 0x10, 0x00, 0x02, 0x10, 0x00, 0x01, 0x10, 0x01, 0x02, 0x10, 0x00, 0x02, 0x20, 0x00, 0x01, 0x02})
+	// Four intervals; the Store opens on one, takes three pushes and
+	// compacts.
+	f.Add([]byte{0x13, 0x21, 0x05, 0x30, 0x07, 0x09, 0xff, 0x00, 0x13, 0x22, 0x01, 0x11})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		col, blockSize := fuzzCorpus(data)
 		x, err := New(col)
@@ -98,10 +106,35 @@ func FuzzDiskIndexRoundTrip(f *testing.F) {
 			t.Fatalf("OpenDisk: %v", err)
 		}
 		defer d.Close()
+		var last byte
+		if len(data) > 0 {
+			last = data[len(data)-1]
+		}
 		seed := int64(len(data))
 		if len(data) > 0 {
-			seed = int64(data[0])<<8 | int64(data[len(data)-1])
+			seed = int64(data[0])<<8 | int64(last)
 		}
-		assertReadersAgree(t, x.Reader(), d, rand.New(rand.NewSource(seed)))
+		assertReadersAgree(t, x, d, rand.New(rand.NewSource(seed)))
+
+		ctx := context.Background()
+		m := len(col.Intervals)
+		base := int(last>>4) % (m + 1)
+		s, err := OpenStore(ctx, prefix(col, base), BackendDisk, filepath.Join(t.TempDir(), "store.seg"),
+			Config{BlockSize: blockSize, MemBudget: 4 << 10, CompactAfter: -1})
+		if err != nil {
+			t.Fatalf("OpenStore on %d of %d intervals: %v", base, m, err)
+		}
+		defer s.Close()
+		for k := base; k < m; k++ {
+			if err := s.Push(ctx, col.Intervals[k], corpus.Tokenize(col.Intervals[k:k+1])); err != nil {
+				t.Fatalf("Push(%d): %v", k, err)
+			}
+		}
+		if last&1 != 0 {
+			if err := s.Compact(ctx); err != nil {
+				t.Fatalf("Compact: %v", err)
+			}
+		}
+		assertReadersAgree(t, x, s, rand.New(rand.NewSource(seed)))
 	})
 }

@@ -3,11 +3,12 @@
 // posting lists over a temporally ordered document stream.
 //
 // The index answers the primitives the rest of the pipeline and the
-// search features need:
+// search features need (Reader):
 //
-//   - A(u): how many documents of an interval contain keyword u;
-//   - A(u,v): how many contain both u and v (posting intersection);
-//   - boolean keyword search within an interval or range;
+//   - posting lists: A(u), how many documents of an interval contain
+//     keyword u, is the length of u's list;
+//   - boolean keyword search within an interval (A(u,v) is the length
+//     of the search for u and v);
 //   - per-keyword time series across intervals (the input to burst
 //     detection, internal/burst).
 //
@@ -31,6 +32,8 @@ type Index struct {
 	// docs counts documents per interval.
 	docs []int
 }
+
+var _ Reader = (*Index)(nil)
 
 type intervalIndex struct {
 	postings map[string][]int64 // keyword → sorted doc ids
@@ -88,79 +91,72 @@ func (x *Index) NumDocs(i int) int {
 
 // Postings returns the sorted document ids containing keyword w in
 // interval i. The returned slice is shared; callers must not modify it.
-func (x *Index) Postings(w string, i int) []int64 {
+func (x *Index) Postings(w string, i int) ([]int64, error) {
 	if i < 0 || i >= len(x.intervals) {
-		return nil
+		return nil, nil
 	}
-	return x.intervals[i].postings[w]
-}
-
-// DocFreq returns A(u) for interval i.
-func (x *Index) DocFreq(w string, i int) int64 {
-	return int64(len(x.Postings(w, i)))
-}
-
-// CoDocFreq returns A(u,v) for interval i via posting intersection.
-func (x *Index) CoDocFreq(u, v string, i int) int64 {
-	return int64(len(Intersect(x.Postings(u, i), x.Postings(v, i))))
+	return x.intervals[i].postings[w], nil
 }
 
 // Search returns the sorted ids of interval-i documents containing ALL
 // the given keywords (boolean AND). An empty keyword list matches
 // nothing.
-func (x *Index) Search(keywords []string, i int) []int64 {
-	if len(keywords) == 0 {
-		return nil
+func (x *Index) Search(keywords []string, i int) ([]int64, error) {
+	if len(keywords) == 0 || i < 0 || i >= len(x.intervals) {
+		return nil, nil
 	}
 	// Intersect rarest-first so intermediate results shrink fastest.
 	lists := make([][]int64, len(keywords))
 	for j, w := range keywords {
-		lists[j] = x.Postings(w, i)
+		lists[j] = x.intervals[i].postings[w]
 		if len(lists[j]) == 0 {
-			return nil
+			return nil, nil
 		}
 	}
 	sort.Slice(lists, func(a, b int) bool { return len(lists[a]) < len(lists[b]) })
 	acc := lists[0]
 	for _, l := range lists[1:] {
-		acc = Intersect(acc, l)
+		acc = intersect(acc, l)
 		if len(acc) == 0 {
-			return nil
+			return nil, nil
 		}
 	}
 	// acc may alias a posting list; copy before returning.
 	out := make([]int64, len(acc))
 	copy(out, acc)
-	return out
+	return out, nil
 }
 
 // TimeSeries returns A(w) for every interval — the document-frequency
 // trajectory burst detection consumes.
-func (x *Index) TimeSeries(w string) []int64 {
+func (x *Index) TimeSeries(w string) ([]int64, error) {
 	out := make([]int64, len(x.intervals))
 	for i := range x.intervals {
-		out[i] = x.DocFreq(w, i)
+		out[i] = int64(len(x.intervals[i].postings[w]))
 	}
-	return out
+	return out, nil
 }
 
 // Vocabulary returns the sorted distinct keywords of interval i.
-func (x *Index) Vocabulary(i int) []string {
+func (x *Index) Vocabulary(i int) ([]string, error) {
 	if i < 0 || i >= len(x.intervals) {
-		return nil
+		return nil, nil
 	}
 	words := make([]string, 0, len(x.intervals[i].postings))
 	for w := range x.intervals[i].postings {
 		words = append(words, w)
 	}
 	sort.Strings(words)
-	return words
+	return words, nil
 }
 
-// Intersect returns the sorted intersection of two sorted id slices.
+// Close is a no-op: an *Index holds no backend resources.
+func (x *Index) Close() error { return nil }
+
+// intersect returns the sorted intersection of two sorted id slices.
 // When one list is much shorter, it gallops (doubling binary search)
 // through the longer one.
-func Intersect(a, b []int64) []int64 {
+func intersect(a, b []int64) []int64 {
 	if len(a) > len(b) {
 		a, b = b, a
 	}

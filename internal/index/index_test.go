@@ -31,19 +31,28 @@ func TestDocFreqAndCoDocFreq(t *testing.T) {
 	if x.NumIntervals() != 2 || x.NumDocs(0) != 3 || x.NumDocs(1) != 2 {
 		t.Errorf("shape wrong: %d intervals, %d/%d docs", x.NumIntervals(), x.NumDocs(0), x.NumDocs(1))
 	}
-	if got := x.DocFreq("a", 0); got != 3 {
+	// A(u) is len(Postings), A(u,v) is len(Search([u v])).
+	a := func(w string, i int) int {
+		p, _ := x.Postings(w, i)
+		return len(p)
+	}
+	aa := func(u, v string, i int) int {
+		ids, _ := x.Search([]string{u, v}, i)
+		return len(ids)
+	}
+	if got := a("a", 0); got != 3 {
 		t.Errorf("A(a)@0 = %d, want 3", got)
 	}
-	if got := x.DocFreq("c", 1); got != 1 {
+	if got := a("c", 1); got != 1 {
 		t.Errorf("A(c)@1 = %d, want 1 (duplicate keyword must count once)", got)
 	}
-	if got := x.DocFreq("zzz", 0); got != 0 {
+	if got := a("zzz", 0); got != 0 {
 		t.Errorf("A(zzz) = %d, want 0", got)
 	}
-	if got := x.CoDocFreq("a", "b", 0); got != 2 {
+	if got := aa("a", "b", 0); got != 2 {
 		t.Errorf("A(a,b)@0 = %d, want 2", got)
 	}
-	if got := x.CoDocFreq("a", "c", 1); got != 0 {
+	if got := aa("a", "c", 1); got != 0 {
 		t.Errorf("A(a,c)@1 = %d, want 0", got)
 	}
 	if got := x.NumDocs(9); got != 0 {
@@ -56,19 +65,19 @@ func TestSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := x.Search([]string{"a", "b"}, 0); !reflect.DeepEqual(got, []int64{1, 3}) {
+	if got, _ := x.Search([]string{"a", "b"}, 0); !reflect.DeepEqual(got, []int64{1, 3}) {
 		t.Errorf("Search(a AND b) = %v, want [1 3]", got)
 	}
-	if got := x.Search([]string{"a", "b", "c"}, 0); !reflect.DeepEqual(got, []int64{3}) {
+	if got, _ := x.Search([]string{"a", "b", "c"}, 0); !reflect.DeepEqual(got, []int64{3}) {
 		t.Errorf("Search(a AND b AND c) = %v, want [3]", got)
 	}
-	if got := x.Search([]string{"a", "zzz"}, 0); got != nil {
+	if got, _ := x.Search([]string{"a", "zzz"}, 0); got != nil {
 		t.Errorf("Search with unknown term = %v, want nil", got)
 	}
-	if got := x.Search(nil, 0); got != nil {
+	if got, _ := x.Search(nil, 0); got != nil {
 		t.Errorf("empty Search = %v, want nil", got)
 	}
-	if got := x.Search([]string{"a"}, 5); got != nil {
+	if got, _ := x.Search([]string{"a"}, 5); got != nil {
 		t.Errorf("out-of-range Search = %v, want nil", got)
 	}
 }
@@ -78,16 +87,16 @@ func TestTimeSeriesAndVocabulary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := x.TimeSeries("a"); !reflect.DeepEqual(got, []int64{3, 1}) {
+	if got, _ := x.TimeSeries("a"); !reflect.DeepEqual(got, []int64{3, 1}) {
 		t.Errorf("TimeSeries(a) = %v, want [3 1]", got)
 	}
-	if got := x.TimeSeries("b"); !reflect.DeepEqual(got, []int64{2, 0}) {
+	if got, _ := x.TimeSeries("b"); !reflect.DeepEqual(got, []int64{2, 0}) {
 		t.Errorf("TimeSeries(b) = %v, want [2 0]", got)
 	}
-	if got := x.Vocabulary(1); !reflect.DeepEqual(got, []string{"a", "c"}) {
+	if got, _ := x.Vocabulary(1); !reflect.DeepEqual(got, []string{"a", "c"}) {
 		t.Errorf("Vocabulary(1) = %v, want [a c]", got)
 	}
-	if x.Vocabulary(7) != nil {
+	if got, _ := x.Vocabulary(7); got != nil {
 		t.Error("out-of-range Vocabulary not nil")
 	}
 }
@@ -119,17 +128,17 @@ func TestIntersect(t *testing.T) {
 		{[]int64{2}, []int64{2}, []int64{2}},
 	}
 	for _, c := range cases {
-		got := Intersect(c.a, c.b)
+		got := intersect(c.a, c.b)
 		if len(got) == 0 {
 			got = nil
 		}
 		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("Intersect(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+			t.Errorf("intersect(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
 
-// Property: Intersect agrees with a map-based oracle regardless of
+// Property: intersect agrees with a map-based oracle regardless of
 // skew, covering both the merge and galloping paths.
 func TestIntersectProperty(t *testing.T) {
 	f := func(seedA, seedB int64, skew uint8) bool {
@@ -153,7 +162,7 @@ func TestIntersectProperty(t *testing.T) {
 			return out
 		}
 		a, b := mk(rngA, na), mk(rngB, nb)
-		got := Intersect(a, b)
+		got := intersect(a, b)
 		inB := map[int64]struct{}{}
 		for _, v := range b {
 			inB[v] = struct{}{}
@@ -210,8 +219,8 @@ func TestIndexAgreesWithCooccur(t *testing.T) {
 			}
 		}
 		for w, want := range freq {
-			if got := x.DocFreq(w, i); got != want {
-				t.Fatalf("interval %d: A(%s) = %d, want %d", i, w, got, want)
+			if got, _ := x.Postings(w, i); int64(len(got)) != want {
+				t.Fatalf("interval %d: A(%s) = %d, want %d", i, w, len(got), want)
 			}
 		}
 	}
@@ -248,7 +257,7 @@ func BenchmarkSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	vocab := x.Vocabulary(0)
+	vocab, _ := x.Vocabulary(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,24 +1,21 @@
 package index
 
 // Reader is the backend-neutral view of the keyword index: the
-// primitives BlogScope's features consume (A(u), A(u,v), boolean
-// search, per-keyword time series), answerable by the in-memory index
-// or by the on-disk segment layout. Implementations are safe for
-// concurrent readers.
+// primitives BlogScope's features consume (boolean search, posting
+// lists, per-keyword time series), answered by the in-memory *Index,
+// the on-disk *DiskIndex or the multi-segment Store. A(u) is
+// len(Postings(u, i)) and A(u,v) is len(Search([u v], i)).
+// Implementations are safe for concurrent readers.
 //
-// Methods that can touch storage return errors; the in-memory adapter
-// never fails. Semantics match *Index exactly: unknown keywords have
-// frequency zero, Search returns nil for empty keyword lists or empty
+// Methods that can touch storage return errors; *Index never fails.
+// Semantics match across implementations: unknown keywords have no
+// postings, Search returns nil for empty keyword lists or empty
 // results, and out-of-range intervals behave like empty ones.
 type Reader interface {
 	// NumIntervals returns the number of indexed intervals.
 	NumIntervals() int
 	// NumDocs returns the number of documents in interval i.
 	NumDocs(i int) int
-	// DocFreq returns A(u) for interval i.
-	DocFreq(w string, i int) (int64, error)
-	// CoDocFreq returns A(u,v) for interval i.
-	CoDocFreq(u, v string, i int) (int64, error)
 	// Search returns the sorted ids of interval-i documents containing
 	// all keywords.
 	Search(keywords []string, i int) ([]int64, error)
@@ -29,38 +26,6 @@ type Reader interface {
 	// Postings returns the sorted document ids containing keyword w in
 	// interval i. The slice must not be modified by the caller.
 	Postings(w string, i int) ([]int64, error)
-	// Close releases backend resources. The in-memory adapter's Close
-	// is a no-op.
+	// Close releases backend resources; *Index's Close is a no-op.
 	Close() error
 }
-
-// Reader adapts the in-memory index to the backend-neutral interface,
-// so callers can switch between New and OpenDisk without changing
-// query code.
-func (x *Index) Reader() Reader { return memReader{x} }
-
-type memReader struct{ x *Index }
-
-var _ Reader = memReader{}
-
-func (r memReader) NumIntervals() int { return r.x.NumIntervals() }
-func (r memReader) NumDocs(i int) int { return r.x.NumDocs(i) }
-func (r memReader) DocFreq(w string, i int) (int64, error) {
-	return r.x.DocFreq(w, i), nil
-}
-func (r memReader) CoDocFreq(u, v string, i int) (int64, error) {
-	return r.x.CoDocFreq(u, v, i), nil
-}
-func (r memReader) Search(keywords []string, i int) ([]int64, error) {
-	return r.x.Search(keywords, i), nil
-}
-func (r memReader) TimeSeries(w string) ([]int64, error) {
-	return r.x.TimeSeries(w), nil
-}
-func (r memReader) Vocabulary(i int) ([]string, error) {
-	return r.x.Vocabulary(i), nil
-}
-func (r memReader) Postings(w string, i int) ([]int64, error) {
-	return r.x.Postings(w, i), nil
-}
-func (r memReader) Close() error { return nil }

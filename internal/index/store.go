@@ -2,8 +2,8 @@
 // immutable segment formats. A Store starts as one base segment built
 // from the opening corpus; each pushed interval becomes a small delta
 // segment (the same delta+varint block format, local interval indices
-// starting at 0), and a multi-segment Reader routes every query to the
-// segment covering its interval — segments cover contiguous,
+// starting at 0), and one multi-segment Reader (segView) routes every
+// query to the segment covering its interval — segments cover contiguous,
 // non-overlapping global interval ranges, so "merging at read time" is
 // routing plus concatenation, never a k-way merge. Compaction folds
 // every segment into one new base (written to a .partial file and
@@ -54,7 +54,7 @@ type Store struct {
 	fs       faultfs.FS
 
 	mu     sync.RWMutex
-	segs   []storeSeg
+	segs   segView
 	closed bool
 	// baseIO accumulates the I/O counters of segments retired by
 	// compaction, so Stats never goes backwards.
@@ -82,16 +82,7 @@ func OpenStoreTokens(ctx context.Context, c *corpus.Collection, src corpus.Token
 	s := &Store{cfg: cfg, backend: backend, fs: cfg.fs()}
 	switch backend {
 	case "", BackendMem:
-		s.backend = BackendMem
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		x, err := newIndex(ctx, c, src)
-		if err != nil {
-			return nil, err
-		}
-		s.segs = []storeSeg{{r: x.Reader(), start: 0, n: len(c.Intervals)}}
-		return s, nil
+		s.backend, path = BackendMem, ""
 	case BackendDisk:
 		if path == "" {
 			dir, err := s.fs.MkdirTemp("", "blogclusters-idx-")
@@ -102,26 +93,43 @@ func OpenStoreTokens(ctx context.Context, c *corpus.Collection, src corpus.Token
 			path = filepath.Join(dir, "base.seg")
 		}
 		s.basePath = path
-		if err := buildSegment(ctx, c, src, path, cfg); err != nil {
-			s.removeOwnedDir()
-			return nil, err
-		}
-		d, err := OpenDisk(path, cfg)
-		if err != nil {
-			s.removeOwnedDir()
-			return nil, err
-		}
-		s.segs = []storeSeg{{r: d, start: 0, n: len(c.Intervals), path: path}}
-		return s, nil
 	default:
 		return nil, fmt.Errorf("index: unknown store backend %q (want mem or disk)", backend)
 	}
+	r, err := s.segment(ctx, c, src, path)
+	if err != nil {
+		if s.dir != "" {
+			s.fs.RemoveAll(s.dir)
+		}
+		return nil, err
+	}
+	s.segs = segView{{r: r, start: 0, n: len(c.Intervals), path: path}}
+	return s, nil
 }
 
-func (s *Store) removeOwnedDir() {
-	if s.dir != "" {
-		s.fs.RemoveAll(s.dir)
+// segment builds c's segment on the store's backend: an in-memory
+// *Index, or a segment file at path opened for reading. On error no
+// file is left at path.
+func (s *Store) segment(ctx context.Context, c *corpus.Collection, src corpus.TokenSource, path string) (Reader, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	if s.backend == BackendMem {
+		x, err := newIndex(ctx, c, src)
+		if err != nil {
+			return nil, err
+		}
+		return x, nil
+	}
+	if err := buildSegment(ctx, c, src, path, s.cfg); err != nil {
+		return nil, err
+	}
+	d, err := OpenDisk(path, s.cfg)
+	if err != nil {
+		s.fs.Remove(path)
+		return nil, err
+	}
+	return d, nil
 }
 
 // localize returns one interval's corpus with the documents remapped to
@@ -143,7 +151,7 @@ func localize(iv corpus.Interval) *corpus.Collection {
 // every failure path).
 func (s *Store) Push(ctx context.Context, iv corpus.Interval, tk *corpus.Tokens) error {
 	s.mu.RLock()
-	next := s.numIntervalsLocked()
+	next := s.segs.NumIntervals()
 	closed := s.closed
 	s.mu.RUnlock()
 	if closed {
@@ -152,37 +160,18 @@ func (s *Store) Push(ctx context.Context, iv corpus.Interval, tk *corpus.Tokens)
 	if iv.Index != next {
 		return fmt.Errorf("index: pushed interval %d, store expects %d", iv.Index, next)
 	}
-	local := localize(iv)
 	src := func(context.Context, int, *corpus.Tokenizer) (*corpus.Tokens, error) { return tk, nil }
-	var (
-		r    Reader
-		path string
-	)
-	switch s.backend {
-	case BackendMem:
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		x, err := newIndex(ctx, local, src)
-		if err != nil {
-			return err
-		}
-		r = x.Reader()
-	default:
+	path := ""
+	if s.backend == BackendDisk {
 		path = fmt.Sprintf("%s.delta%04d", s.basePath, s.deltaSeq.Add(1))
-		if err := buildSegment(ctx, local, src, path, s.cfg); err != nil {
-			return err
-		}
-		d, err := OpenDisk(path, s.cfg)
-		if err != nil {
-			s.fs.Remove(path)
-			return err
-		}
-		r = d
+	}
+	r, err := s.segment(ctx, localize(iv), src, path)
+	if err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.numIntervalsLocked() != next {
+	if s.closed || s.segs.NumIntervals() != next {
 		r.Close()
 		if path != "" {
 			s.fs.Remove(path)
@@ -220,43 +209,45 @@ func (s *Store) Compact(ctx context.Context) error {
 		s.mu.RUnlock()
 		return fmt.Errorf("index: compact on closed store")
 	}
-	snap := make([]storeSeg, len(s.segs))
+	snap := make(segView, len(s.segs))
 	copy(snap, s.segs)
 	s.mu.RUnlock()
 	if len(snap) <= 1 {
 		return nil
 	}
-	covered := snap[len(snap)-1].start + snap[len(snap)-1].n
-	view := &segView{segs: snap, total: covered}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	covered := snap.NumIntervals()
 
-	var (
-		merged storeSeg
-		err    error
-	)
+	merged := storeSeg{start: 0, n: covered}
 	if s.backend == BackendMem {
-		var x *Index
-		x, err = memIndexFromReader(ctx, view)
-		if err != nil {
-			return err
+		// Mem segments are immutable and cover contiguous ranges, so the
+		// fold shares their posting tables instead of copying them.
+		x := &Index{intervals: make([]intervalIndex, 0, covered), docs: make([]int, 0, covered)}
+		for _, seg := range snap {
+			sx := seg.r.(*Index)
+			x.intervals = append(x.intervals, sx.intervals...)
+			x.docs = append(x.docs, sx.docs...)
 		}
-		merged = storeSeg{r: x.Reader(), start: 0, n: covered}
+		merged.r = x
 	} else {
 		tmp := s.basePath + ".compact.partial"
-		if err = writeSegmentFromReader(ctx, s.fs, tmp, view, s.cfg.blockSize()); err != nil {
+		if err := writeSegmentFromReader(ctx, s.fs, tmp, snap, s.cfg.blockSize()); err != nil {
 			s.fs.Remove(tmp)
 			return err
 		}
 		// POSIX rename over the old base: segments already open keep
 		// serving from their file handles until the swap closes them.
-		if err = s.fs.Rename(tmp, s.basePath); err != nil {
+		if err := s.fs.Rename(tmp, s.basePath); err != nil {
 			s.fs.Remove(tmp)
 			return fmt.Errorf("index: swap compacted segment: %w", err)
 		}
-		var d *DiskIndex
-		if d, err = OpenDisk(s.basePath, s.cfg); err != nil {
+		d, err := OpenDisk(s.basePath, s.cfg)
+		if err != nil {
 			return err
 		}
-		merged = storeSeg{r: d, start: 0, n: covered, path: s.basePath}
+		merged.r, merged.path = d, s.basePath
 	}
 
 	s.mu.Lock()
@@ -265,7 +256,7 @@ func (s *Store) Compact(ctx context.Context) error {
 		merged.r.Close()
 		return fmt.Errorf("index: compact on closed store")
 	}
-	newSegs := []storeSeg{merged}
+	newSegs := segView{merged}
 	for _, seg := range s.segs {
 		if seg.start >= covered {
 			newSegs = append(newSegs, seg) // pushed mid-compaction
@@ -284,54 +275,52 @@ func (s *Store) Compact(ctx context.Context) error {
 	return nil
 }
 
-// segView is a read-only multi-segment Reader over a snapshot of
-// segments — the compactor's input. It does no locking: the snapshot's
-// readers stay open for the duration of the compaction that holds it.
-type segView struct {
-	segs  []storeSeg
-	total int
-}
+// segView is the one multi-segment Reader: segments in interval order,
+// covering contiguous global ranges from interval 0. It does no
+// locking: a Store read holds mu.RLock across the call so compaction
+// cannot close a reader mid-query, and the compactor's snapshot keeps
+// its readers open for the fold.
+type segView []storeSeg
 
-func (v *segView) find(i int) (Reader, int, bool) {
-	if i < 0 || i >= v.total {
-		return nil, 0, false
-	}
-	for _, seg := range v.segs {
-		if i < seg.start+seg.n {
-			return seg.r, i - seg.start, true
+// find returns the segment covering global interval i and i's local
+// index there.
+func (v segView) find(i int) (Reader, int, bool) {
+	if i >= 0 {
+		for _, seg := range v {
+			if i < seg.start+seg.n {
+				return seg.r, i - seg.start, true
+			}
 		}
 	}
 	return nil, 0, false
 }
 
-func (v *segView) NumIntervals() int { return v.total }
-func (v *segView) NumDocs(i int) int {
+func (v segView) NumIntervals() int {
+	if len(v) == 0 {
+		return 0
+	}
+	last := v[len(v)-1]
+	return last.start + last.n
+}
+
+func (v segView) NumDocs(i int) int {
 	if r, li, ok := v.find(i); ok {
 		return r.NumDocs(li)
 	}
 	return 0
 }
-func (v *segView) DocFreq(w string, i int) (int64, error) {
-	if r, li, ok := v.find(i); ok {
-		return r.DocFreq(w, li)
-	}
-	return 0, nil
-}
-func (v *segView) CoDocFreq(u, w string, i int) (int64, error) {
-	if r, li, ok := v.find(i); ok {
-		return r.CoDocFreq(u, w, li)
-	}
-	return 0, nil
-}
-func (v *segView) Search(keywords []string, i int) ([]int64, error) {
+
+func (v segView) Search(keywords []string, i int) ([]int64, error) {
 	if r, li, ok := v.find(i); ok {
 		return r.Search(keywords, li)
 	}
 	return nil, nil
 }
-func (v *segView) TimeSeries(w string) ([]int64, error) {
-	out := make([]int64, v.total)
-	for _, seg := range v.segs {
+
+// TimeSeries concatenates each segment's series in interval order.
+func (v segView) TimeSeries(w string) ([]int64, error) {
+	out := make([]int64, v.NumIntervals())
+	for _, seg := range v {
 		ts, err := seg.r.TimeSeries(w)
 		if err != nil {
 			return nil, err
@@ -340,51 +329,22 @@ func (v *segView) TimeSeries(w string) ([]int64, error) {
 	}
 	return out, nil
 }
-func (v *segView) Vocabulary(i int) ([]string, error) {
+
+func (v segView) Vocabulary(i int) ([]string, error) {
 	if r, li, ok := v.find(i); ok {
 		return r.Vocabulary(li)
 	}
 	return nil, nil
 }
-func (v *segView) Postings(w string, i int) ([]int64, error) {
+
+func (v segView) Postings(w string, i int) ([]int64, error) {
 	if r, li, ok := v.find(i); ok {
 		return r.Postings(w, li)
 	}
 	return nil, nil
 }
-func (v *segView) Close() error { return nil }
 
-// memIndexFromReader materializes an in-memory Index equal to the
-// reader's merged contents (the mem backend's compaction).
-func memIndexFromReader(ctx context.Context, r Reader) (*Index, error) {
-	m := r.NumIntervals()
-	x := &Index{
-		intervals: make([]intervalIndex, m),
-		docs:      make([]int, m),
-	}
-	for i := 0; i < m; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		x.docs[i] = r.NumDocs(i)
-		vocab, err := r.Vocabulary(i)
-		if err != nil {
-			return nil, err
-		}
-		postings := make(map[string][]int64, len(vocab))
-		for _, w := range vocab {
-			ids, err := r.Postings(w, i)
-			if err != nil {
-				return nil, err
-			}
-			cp := make([]int64, len(ids))
-			copy(cp, ids)
-			postings[w] = cp
-		}
-		x.intervals[i].postings = postings
-	}
-	return x, nil
-}
+func (v segView) Close() error { return nil }
 
 // writeSegmentFromReader writes a segment file whose bytes are
 // identical to BuildDisk over the equivalent one-shot corpus: the
@@ -437,69 +397,20 @@ func writeSegmentFromReader(ctx context.Context, fs faultfs.FS, path string, r R
 	return sw.finish(dicts, r.NumDocs)
 }
 
-// --- the merged Reader ---
-
-func (s *Store) numIntervalsLocked() int {
-	if len(s.segs) == 0 {
-		return 0
-	}
-	last := s.segs[len(s.segs)-1]
-	return last.start + last.n
-}
-
-// route returns the segment covering global interval i. The caller
-// must hold mu.RLock (reads hold it across the segment call so
-// compaction cannot close a reader mid-query).
-func (s *Store) routeLocked(i int) (Reader, int, bool) {
-	if i < 0 {
-		return nil, 0, false
-	}
-	for _, seg := range s.segs {
-		if i < seg.start+seg.n {
-			if i < seg.start {
-				return nil, 0, false
-			}
-			return seg.r, i - seg.start, true
-		}
-	}
-	return nil, 0, false
-}
+// --- the merged Reader: each read is segView's, under mu.RLock ---
 
 // NumIntervals returns the number of intervals across all segments.
 func (s *Store) NumIntervals() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.numIntervalsLocked()
+	return s.segs.NumIntervals()
 }
 
 // NumDocs returns the number of documents in interval i.
 func (s *Store) NumDocs(i int) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if r, li, ok := s.routeLocked(i); ok {
-		return r.NumDocs(li)
-	}
-	return 0
-}
-
-// DocFreq returns A(u) for interval i.
-func (s *Store) DocFreq(w string, i int) (int64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if r, li, ok := s.routeLocked(i); ok {
-		return r.DocFreq(w, li)
-	}
-	return 0, nil
-}
-
-// CoDocFreq returns A(u,v) for interval i.
-func (s *Store) CoDocFreq(u, v string, i int) (int64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if r, li, ok := s.routeLocked(i); ok {
-		return r.CoDocFreq(u, v, li)
-	}
-	return 0, nil
+	return s.segs.NumDocs(i)
 }
 
 // Search returns the sorted ids of interval-i documents containing all
@@ -507,36 +418,21 @@ func (s *Store) CoDocFreq(u, v string, i int) (int64, error) {
 func (s *Store) Search(keywords []string, i int) ([]int64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if r, li, ok := s.routeLocked(i); ok {
-		return r.Search(keywords, li)
-	}
-	return nil, nil
+	return s.segs.Search(keywords, i)
 }
 
-// TimeSeries returns A(w) for every interval — each segment's series
-// concatenated in interval order.
+// TimeSeries returns A(w) for every interval.
 func (s *Store) TimeSeries(w string) ([]int64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]int64, s.numIntervalsLocked())
-	for _, seg := range s.segs {
-		ts, err := seg.r.TimeSeries(w)
-		if err != nil {
-			return nil, err
-		}
-		copy(out[seg.start:seg.start+seg.n], ts)
-	}
-	return out, nil
+	return s.segs.TimeSeries(w)
 }
 
 // Vocabulary returns the sorted distinct keywords of interval i.
 func (s *Store) Vocabulary(i int) ([]string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if r, li, ok := s.routeLocked(i); ok {
-		return r.Vocabulary(li)
-	}
-	return nil, nil
+	return s.segs.Vocabulary(i)
 }
 
 // Postings returns the sorted document ids containing keyword w in
@@ -544,10 +440,7 @@ func (s *Store) Vocabulary(i int) ([]string, error) {
 func (s *Store) Postings(w string, i int) ([]int64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if r, li, ok := s.routeLocked(i); ok {
-		return r.Postings(w, li)
-	}
-	return nil, nil
+	return s.segs.Postings(w, i)
 }
 
 // Close closes every segment and removes delta files (and the owned
@@ -614,7 +507,7 @@ func (s *Store) CacheStats() (hits, misses, bytes int64) {
 func (s *Store) ResetStats() {
 	s.mu.Lock()
 	s.baseIO = diskstore.IOStats{}
-	segs := make([]storeSeg, len(s.segs))
+	segs := make(segView, len(s.segs))
 	copy(segs, s.segs)
 	s.mu.Unlock()
 	for _, seg := range segs {

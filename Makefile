@@ -15,7 +15,7 @@ GO ?= go
 # fetched through the module cache, never added to go.mod.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build check vet test race cpu-matrix bench-check fmt-check staticcheck bench bench-pair fuzz-smoke chaos examples-smoke serve-smoke shard-smoke clean
+.PHONY: all build check vet test race cpu-matrix bench-check fmt-check staticcheck bench bench-pair fuzz-smoke chaos examples-smoke cli-smoke serve-smoke shard-smoke clean
 
 all: check
 
@@ -115,6 +115,15 @@ examples-smoke:
 	$(GO) run ./examples/tags
 	$(GO) run ./examples/refine
 	$(GO) run ./examples/bursts
+
+# Command smoke: the three one-shot commands have no tests of their
+# own, so run each end to end on the demo corpus — blogscope on both
+# index backends, blogstable's bursts and a saved-clusters round trip,
+# experiments -list — asserting exit 0 and each headline line
+# (scripts/cli-smoke.sh, about a second once built). CI's examples job
+# runs this after examples-smoke.
+cli-smoke:
+	sh scripts/cli-smoke.sh
 
 # Serving-layer smoke: boot blogserved on the demo corpus, curl every
 # endpoint, assert a cache hit, the 400 mapping and a clean SIGTERM

@@ -17,8 +17,8 @@
 //
 // The package is a facade over the internal packages; everything needed
 // for end-to-end use is re-exported here. See DESIGN.md for the paper →
-// module map and EXPERIMENTS.md for the reproduction of the paper's
-// evaluation.
+// module map; cmd/experiments regenerates the paper's evaluation
+// (Section 5) on synthetic data.
 //
 // The entry point is the Engine (engine.go): a session object that
 // loads the corpus once and memoizes every stage artifact across
@@ -239,16 +239,6 @@ func openIndexStoreCtx(ctx, lifetime context.Context, c *Collection, src corpus.
 
 // KeywordBurst is one bursty stretch of intervals for a keyword.
 type KeywordBurst = burst.Burst
-
-// intervalTotals reads the per-interval document totals the burst
-// detector divides by.
-func intervalTotals(r IndexReader) []int64 {
-	totals := make([]int64, r.NumIntervals())
-	for i := range totals {
-		totals[i] = int64(r.NumDocs(i))
-	}
-	return totals
-}
 
 // kleinbergBursts runs the default burst automaton over one keyword's
 // trajectory.

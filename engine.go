@@ -28,20 +28,20 @@ import (
 // corpus once and answers many analysis queries over it. Open loads
 // (or generates) the corpus; every stage artifact downstream of it —
 // the keyword index, the per-interval cluster sets, the cluster
-// graph, the per-interval keyword graphs and the burst totals — is
-// materialized lazily on first use, memoized, and shared by all
-// subsequent queries. Builds are single-flight: concurrent first
-// queries wait for one build instead of duplicating it, and
-// EngineStats counts exactly how many times each stage ran.
+// graph and the per-interval keyword graphs — is materialized lazily
+// on first use, memoized, and shared by all subsequent queries. Builds
+// are single-flight: concurrent first queries wait for one build
+// instead of duplicating it, and EngineStats counts exactly how many
+// times each stage ran.
 //
 // The session is LIVE: Push appends one new interval, extending the
 // index with a delta segment and every memoized artifact incrementally
-// — the new interval's clusters are built, a cached cluster graph grows
-// by one interval, burst totals gain one entry — never by rebuilding
-// from scratch. Each Push advances a monotonic generation
-// (Engine.Generation); artifacts belong to the generation they were
-// built under, and queries always see a consistent generation snapshot
-// because the whole snapshot is swapped atomically.
+// — the new interval's clusters are built and a cached cluster graph
+// grows by one interval — never by rebuilding from scratch. Each Push
+// advances a monotonic generation (Engine.Generation); artifacts belong
+// to the generation they were built under, and queries always see a
+// consistent generation snapshot because the whole snapshot is swapped
+// atomically.
 //
 // All methods are safe for concurrent use. Every query takes a
 // context; cancellation propagates into the long-running internals
@@ -70,16 +70,6 @@ type Engine struct {
 	closed       bool
 	ownedReaders []IndexReader
 
-	// intervalSets memoizes single-interval cluster sets. Intervals are
-	// immutable once pushed, so this cache is generation-independent and
-	// lives on the Engine, shared by every snapshot.
-	intervalMu   sync.Mutex
-	intervalSets map[int]*par.Memo[[]Cluster]
-	// kwGraphs memoizes per-interval keyword graphs — also
-	// generation-independent (each belongs to one immutable interval).
-	kwMu     sync.Mutex
-	kwGraphs map[int]*par.Memo[*cooccur.Graph]
-
 	// solveMu guards solves, the per-algorithm accounting of completed
 	// solves.
 	solveMu sync.Mutex
@@ -102,10 +92,14 @@ type engineState struct {
 	gen int64
 	col *corpus.Collection // nil for cluster-set sources
 
-	index  *par.Memo[*index.Store]
-	sets   *par.Memo[[][]Cluster]
-	graph  *par.Memo[*ClusterGraph]
-	totals *par.Memo[[]int64]
+	index *par.Memo[*index.Store]
+	sets  *par.Memo[[][]Cluster]
+	graph *par.Memo[*ClusterGraph]
+
+	// ivs holds one record per interval. Intervals are immutable once
+	// pushed, so every snapshot that contains an interval shares its
+	// record; len(ivs) is the session's width.
+	ivs []*ivMemo
 
 	// toks memoizes each interval's tokens for the two builds that read
 	// every interval, the index store and the cluster sets, so each
@@ -116,19 +110,42 @@ type engineState struct {
 	toks  []par.Memo[*corpus.Tokens]
 }
 
-func newEngineState(gen int64, col *corpus.Collection) *engineState {
+// ivMemo is one interval's record: the artifacts built from that
+// interval alone.
+type ivMemo struct {
+	clusters par.Memo[[]Cluster]
+	kwGraph  par.Memo[*cooccur.Graph]
+}
+
+func newEngineState(gen int64, col *corpus.Collection, ivs []*ivMemo) *engineState {
 	st := &engineState{
-		gen:    gen,
-		col:    col,
-		index:  &par.Memo[*index.Store]{},
-		sets:   &par.Memo[[][]Cluster]{},
-		graph:  &par.Memo[*ClusterGraph]{},
-		totals: &par.Memo[[]int64]{},
+		gen:   gen,
+		col:   col,
+		index: &par.Memo[*index.Store]{},
+		sets:  &par.Memo[[][]Cluster]{},
+		graph: &par.Memo[*ClusterGraph]{},
+		ivs:   ivs,
 	}
 	if col != nil {
 		st.toks = make([]par.Memo[*corpus.Tokens], len(col.Intervals))
 	}
 	return st
+}
+
+// newRecords returns n empty interval records.
+func newRecords(n int) []*ivMemo {
+	ivs := make([]*ivMemo, n)
+	for i := range ivs {
+		ivs[i] = new(ivMemo)
+	}
+	return ivs
+}
+
+// primeRecords seeds each interval's record with its cluster set.
+func (st *engineState) primeRecords(sets [][]Cluster) {
+	for i, cs := range sets {
+		st.ivs[i].clusters.Prime(cs)
+	}
 }
 
 // releaseTokens drops the token memo once the index store and the
@@ -226,7 +243,7 @@ func WithProgress(fn func(StageEvent)) Option {
 // StageEvent describes one stage-build transition for progress hooks.
 type StageEvent struct {
 	// Stage names the artifact: "corpus", "index", "clusters", "graph",
-	// "kwgraph", "totals", "interval-clusters" — or the ingest
+	// "kwgraph", "interval-clusters" — or the ingest
 	// transitions "push", "graph-extend" and "compact".
 	Stage string
 	// Done is false for the build-started event, true for the finished
@@ -304,16 +321,13 @@ func Open(ctx context.Context, src Source, opts ...Option) (*Engine, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	e := &Engine{
-		cfg:          cfg,
-		intervalSets: map[int]*par.Memo[[]Cluster]{},
-		kwGraphs:     map[int]*par.Memo[*cooccur.Graph]{},
-	}
+	e := &Engine{cfg: cfg}
 	e.root, e.stop = context.WithCancel(context.Background())
 
 	if src.sets != nil {
-		st := newEngineState(1, nil)
+		st := newEngineState(1, nil, newRecords(len(src.sets)))
 		st.sets.Prime(src.sets)
+		st.primeRecords(src.sets)
 		e.state.Store(st)
 		return e, nil
 	}
@@ -325,7 +339,7 @@ func Open(ctx context.Context, src Source, opts ...Option) (*Engine, error) {
 		e.stop()
 		return nil, err
 	}
-	e.state.Store(newEngineState(1, col))
+	e.state.Store(newEngineState(1, col, newRecords(len(col.Intervals))))
 	e.timings.record("corpus", time.Since(start))
 	return e, nil
 }
@@ -396,25 +410,24 @@ func (e *Engine) Generation() int64 { return e.state.Load().gen }
 // NumIntervals returns the current corpus width (the number of
 // intervals in this generation). For cluster-set sessions it is the
 // number of cluster sets.
-func (e *Engine) NumIntervals() int { return numIntervals(e.state.Load()) }
+func (e *Engine) NumIntervals() int { return len(e.state.Load().ivs) }
 
-func numIntervals(st *engineState) int {
-	if st.col != nil {
-		return len(st.col.Intervals)
-	}
-	if sets, ok := st.sets.Cached(); ok {
-		return len(sets)
-	}
-	return 0
-}
-
-// queryCtx joins the caller's context with the Engine's lifetime, so
-// either cancels the work. The returned cancel must always be called.
-func (e *Engine) queryCtx(ctx context.Context) (context.Context, context.CancelFunc, error) {
-	if err := e.root.Err(); err != nil {
-		return nil, nil, ErrEngineClosed
+// admit counts one query, or fails with ErrEngineClosed after Close.
+func (e *Engine) admit() error {
+	if e.root.Err() != nil {
+		return ErrEngineClosed
 	}
 	e.queries.Add(1)
+	return nil
+}
+
+// queryCtx admits a query and joins the caller's context with the
+// Engine's lifetime, so either cancels the work. The returned cancel
+// must always be called.
+func (e *Engine) queryCtx(ctx context.Context) (context.Context, context.CancelFunc, error) {
+	if err := e.admit(); err != nil {
+		return nil, nil, err
+	}
 	jctx, cancel := context.WithCancel(ctx)
 	unlink := context.AfterFunc(e.root, cancel)
 	return jctx, func() { unlink(); cancel() }, nil
@@ -428,10 +441,10 @@ func (e *Engine) queryCtx(ctx context.Context) (context.Context, context.CancelF
 // well-formed (ErrMalformedInterval otherwise). Materialized artifacts
 // are extended incrementally for the new interval only: the index
 // gains a delta segment, a cached cluster graph grows by one interval
-// via clustergraph.ExtendCtx, burst totals gain one entry — a push
-// never rebuilds a full-corpus artifact (EngineStats.Stages build
-// counters prove it). Unbuilt artifacts simply stay unbuilt; their
-// first use after the push sees the grown corpus.
+// via clustergraph.ExtendCtx — a push never rebuilds a full-corpus
+// artifact (EngineStats.Stages build counters prove it). Unbuilt
+// artifacts simply stay unbuilt; their first use after the push sees
+// the grown corpus.
 //
 // A normalized-affinity cluster graph is the one exception: its
 // weights were rescaled by a maximum the new interval may change, so it
@@ -479,7 +492,8 @@ func (e *Engine) Push(ctx context.Context, iv Interval) (int64, error) {
 func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64, error) {
 	next := iv.Index
 	newCol := &corpus.Collection{Intervals: append(cur.col.Intervals[:next:next], iv)}
-	st := newEngineState(cur.gen+1, newCol)
+	rec := new(ivMemo)
+	st := newEngineState(cur.gen+1, newCol, append(cur.ivs[:next:next], rec))
 	// The new interval is tokenized once, for whichever of the cluster
 	// sets and the index store it extends.
 	var tk *corpus.Tokens
@@ -507,6 +521,7 @@ func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64
 		}
 		newSets = append(sets[:len(sets):len(sets)], ivSet)
 		st.sets.Prime(newSets)
+		rec.clusters.Prime(ivSet)
 	}
 
 	// Grow the cached cluster graph by the new interval. A normalized
@@ -532,10 +547,6 @@ func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64
 		}
 	}
 
-	if totals, ok := cur.totals.Cached(); ok {
-		st.totals.Prime(append(totals[:len(totals):len(totals)], int64(len(iv.Docs))))
-	}
-
 	// The index store is shared across generations (it is the mutable
 	// segment set itself), so pushing into it is the point of no
 	// return: do it last.
@@ -549,19 +560,6 @@ func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64
 	st.releaseTokens()
 
 	e.state.Store(st)
-
-	// The new interval's single-interval cluster set is now immutable;
-	// seed the shared cache so ClustersAt(next) is free. (Only after
-	// the swap — a failed push must leave no trace of its docs.)
-	if setsBuilt {
-		e.intervalMu.Lock()
-		if _, ok := e.intervalSets[next]; !ok {
-			m := &par.Memo[[]Cluster]{}
-			m.Prime(newSets[next])
-			e.intervalSets[next] = m
-		}
-		e.intervalMu.Unlock()
-	}
 	return st.gen, nil
 }
 
@@ -677,7 +675,11 @@ func (e *Engine) clusters(ctx context.Context, st *engineState) ([][]Cluster, er
 			return nil, ErrNoCorpus
 		}
 		defer e.stage(ctx, "clusters")()
-		return allIntervalClustersCtx(ctx, st.col, e.tokenSource(st), e.cfg.cluster)
+		sets, err := allIntervalClustersCtx(ctx, st.col, e.tokenSource(st), e.cfg.cluster)
+		if err == nil {
+			st.primeRecords(sets)
+		}
+		return sets, err
 	})
 	if err == nil {
 		st.releaseTokens()
@@ -685,15 +687,15 @@ func (e *Engine) clusters(ctx context.Context, st *engineState) ([][]Cluster, er
 	return sets, err
 }
 
-// ClustersAt returns the cluster set of one interval. When the full
-// sets are already materialized (Clusters ran, or the session was
-// opened from cluster sets) it answers from them; otherwise it builds
-// and memoizes just that interval — a single-day query (Refine,
-// blogscope's report, streaming's day-by-day pushes) never pays for
-// the whole corpus. The per-interval build is canonical, so mixing
-// ClustersAt with a later Clusters yields identical slices; intervals
-// are immutable once pushed, so the per-interval cache survives
-// generations.
+// ClustersAt returns the cluster set of one interval from the
+// interval's record: primed when the full sets are materialized
+// (Clusters ran, a push extended them, or the session was opened from
+// cluster sets), else built for just that interval — a single-day
+// query (Refine, blogscope's report, streaming's day-by-day pushes)
+// never pays for the whole corpus. The per-interval build is
+// canonical, so mixing ClustersAt with a later Clusters yields
+// identical slices; intervals are immutable once pushed, so the record
+// survives generations.
 func (e *Engine) ClustersAt(ctx context.Context, interval int) ([]Cluster, error) {
 	ctx, cancel, err := e.queryCtx(ctx)
 	if err != nil {
@@ -706,26 +708,10 @@ func (e *Engine) ClustersAt(ctx context.Context, interval int) ([]Cluster, error
 // clustersAt is ClustersAt pinned to one generation snapshot, for
 // internal reuse by callers that already hold a joined context.
 func (e *Engine) clustersAt(ctx context.Context, st *engineState, interval int) ([]Cluster, error) {
-	if sets, ok := st.sets.Cached(); ok {
-		if interval < 0 || interval >= len(sets) {
-			return nil, fmt.Errorf("blogclusters: interval %d outside [0,%d): %w", interval, len(sets), ErrInvalidQuery)
-		}
-		return sets[interval], nil
+	if interval < 0 || interval >= len(st.ivs) {
+		return nil, fmt.Errorf("blogclusters: interval %d outside [0,%d): %w", interval, len(st.ivs), ErrInvalidQuery)
 	}
-	if st.col == nil {
-		return nil, ErrNoCorpus
-	}
-	if interval < 0 || interval >= len(st.col.Intervals) {
-		return nil, fmt.Errorf("blogclusters: interval %d outside [0,%d): %w", interval, len(st.col.Intervals), ErrInvalidQuery)
-	}
-	e.intervalMu.Lock()
-	m, ok := e.intervalSets[interval]
-	if !ok {
-		m = &par.Memo[[]Cluster]{}
-		e.intervalSets[interval] = m
-	}
-	e.intervalMu.Unlock()
-	return m.Get(ctx, func() ([]Cluster, error) {
+	return st.ivs[interval].clusters.Get(ctx, func() ([]Cluster, error) {
 		tk, err := e.tokens(ctx, st, interval, nil)
 		if err != nil {
 			return nil, err
@@ -736,11 +722,10 @@ func (e *Engine) clustersAt(ctx context.Context, st *engineState, interval int) 
 }
 
 // ClusterSets returns the cluster sets of the intervals in [from, to),
-// one slice per interval in order. Like ClustersAt it answers from the
-// materialized full sets when available and builds (and memoizes) only
-// the requested intervals otherwise, so a shard coordinator gathering a
-// boundary window never pays for the whole corpus. The returned slices
-// are shared with the session's memos; callers must not mutate them.
+// one slice per interval in order, each answered by ClustersAt, so a
+// shard coordinator gathering a boundary window never pays for the
+// whole corpus. The returned slices are shared with the session's
+// memos; callers must not mutate them.
 func (e *Engine) ClusterSets(ctx context.Context, from, to int) ([][]Cluster, error) {
 	ctx, cancel, err := e.queryCtx(ctx)
 	if err != nil {
@@ -748,12 +733,8 @@ func (e *Engine) ClusterSets(ctx context.Context, from, to int) ([][]Cluster, er
 	}
 	defer cancel()
 	st := e.state.Load()
-	n := numIntervals(st)
-	if from < 0 || to < from || to > n {
+	if n := len(st.ivs); from < 0 || to < from || to > n {
 		return nil, fmt.Errorf("blogclusters: interval range [%d,%d) outside [0,%d]: %w", from, to, n, ErrInvalidQuery)
-	}
-	if sets, ok := st.sets.Cached(); ok {
-		return sets[from:to:to], nil
 	}
 	out := make([][]Cluster, to-from)
 	for i := range out {
@@ -769,19 +750,26 @@ func (e *Engine) ClusterSets(ctx context.Context, from, to int) ([][]Cluster, er
 // DocTotals returns the per-interval document totals of the current
 // generation — the denominators the burst detector divides by, and the
 // series a shard coordinator concatenates to run burst detection
-// globally. Computed from the keyword index (and memoized per
-// generation) so it agrees exactly with Bursts.
+// globally. Read from the snapshot's corpus, as Bursts reads them.
 func (e *Engine) DocTotals(ctx context.Context) ([]int64, error) {
 	st := e.state.Load()
 	if st.col == nil {
 		return nil, ErrNoCorpus
 	}
-	ctx, cancel, err := e.queryCtx(ctx)
-	if err != nil {
+	if err := e.admit(); err != nil {
 		return nil, err
 	}
-	defer cancel()
-	return e.docTotals(ctx, st)
+	return st.docCounts(), nil
+}
+
+// docCounts returns each interval's document count: the denominators
+// the burst detector divides by.
+func (st *engineState) docCounts() []int64 {
+	totals := make([]int64, len(st.col.Intervals))
+	for i, iv := range st.col.Intervals {
+		totals[i] = int64(len(iv.Docs))
+	}
+	return totals
 }
 
 // Graph materializes (once per generation) and returns the cluster
@@ -806,23 +794,16 @@ func (e *Engine) Graph(ctx context.Context) (*ClusterGraph, error) {
 }
 
 // kwGraph memoizes the χ²-annotated, significance-pruned keyword graph
-// of one interval (the substrate of Correlations). Intervals are
-// immutable, so the cache is shared across generations.
+// of one interval (the substrate of Correlations) in the interval's
+// record.
 func (e *Engine) kwGraph(ctx context.Context, st *engineState, interval int) (*cooccur.Graph, error) {
 	if st.col == nil {
 		return nil, ErrNoCorpus
 	}
-	if interval < 0 || interval >= len(st.col.Intervals) {
-		return nil, fmt.Errorf("blogclusters: interval %d outside corpus (%d intervals): %w", interval, len(st.col.Intervals), ErrInvalidQuery)
+	if interval < 0 || interval >= len(st.ivs) {
+		return nil, fmt.Errorf("blogclusters: interval %d outside corpus (%d intervals): %w", interval, len(st.ivs), ErrInvalidQuery)
 	}
-	e.kwMu.Lock()
-	m, ok := e.kwGraphs[interval]
-	if !ok {
-		m = &par.Memo[*cooccur.Graph]{}
-		e.kwGraphs[interval] = m
-	}
-	e.kwMu.Unlock()
-	return m.Get(ctx, func() (*cooccur.Graph, error) {
+	return st.ivs[interval].kwGraph.Get(ctx, func() (*cooccur.Graph, error) {
 		tk, err := e.tokens(ctx, st, interval, nil)
 		if err != nil {
 			return nil, err
@@ -833,20 +814,6 @@ func (e *Engine) kwGraph(ctx context.Context, st *engineState, interval int) (*c
 			MinPairCount: e.cfg.cluster.MinPairCount,
 			MemBudget:    e.cfg.cluster.MemBudget,
 		}, stats.ChiSquared95, 0)
-	})
-}
-
-// docTotals memoizes the per-interval document totals the burst
-// detector divides by, so repeated Bursts calls stop rebuilding the
-// slice from the reader.
-func (e *Engine) docTotals(ctx context.Context, st *engineState) ([]int64, error) {
-	return st.totals.Get(ctx, func() ([]int64, error) {
-		r, err := e.indexStore(ctx, st)
-		if err != nil {
-			return nil, err
-		}
-		defer e.stage(ctx, "totals")()
-		return intervalTotals(r), nil
 	})
 }
 
@@ -928,35 +895,15 @@ func (e *Engine) TimeSeries(ctx context.Context, keyword string) ([]int64, error
 }
 
 // Bursts returns the keyword's information bursts (Kleinberg
-// two-state automaton over its document-frequency trajectory). The
-// per-interval totals are computed once per generation and shared by
-// every call.
+// two-state automaton over its document-frequency trajectory, against
+// the snapshot's per-interval document totals).
 func (e *Engine) Bursts(ctx context.Context, keyword string) ([]KeywordBurst, error) {
-	kw, err := analyzed(keyword)
-	if err != nil {
-		return nil, err
-	}
 	st := e.state.Load()
-	if st.col == nil {
-		return nil, ErrNoCorpus
-	}
-	ctx, cancel, err := e.queryCtx(ctx)
+	counts, err := e.TimeSeries(ctx, keyword)
 	if err != nil {
 		return nil, err
 	}
-	defer cancel()
-	r, err := e.indexStore(ctx, st)
-	if err != nil {
-		return nil, err
-	}
-	totals, err := e.docTotals(ctx, st)
-	if err != nil {
-		return nil, err
-	}
-	counts, err := r.TimeSeries(kw)
-	if err != nil {
-		return nil, err
-	}
+	totals := st.docCounts()
 	// The store is shared across generations, so a concurrent push may
 	// have grown it past this snapshot; trim to the snapshot's width so
 	// counts and totals always line up.
@@ -1219,35 +1166,27 @@ func (s *SolveStats) set(algorithm string, h SolveHist, work core.Stats) {
 // nanoseconds: 10µs to 10s, one decade per bucket (solves span five
 // orders of magnitude between a hot small graph and a cold full-corpus
 // brute run; finer resolution adds series without adding signal).
-var SolveNsBuckets = []int64{1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
+var SolveNsBuckets = [7]int64{1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
 
 // SolveHist is a fixed-bucket histogram of solve wall-clock. Counts
-// has len(SolveNsBuckets)+1 slots, per-bucket (non-cumulative), the
-// final slot counting solves beyond the largest bound.
+// holds one slot per bucket (non-cumulative), the final slot counting
+// solves beyond the largest bound.
 type SolveHist struct {
-	Counts []int64 `json:"counts"`
-	SumNs  int64   `json:"sum_ns"`
-	Count  int64   `json:"count"`
+	Counts [len(SolveNsBuckets) + 1]int64 `json:"counts"`
+	SumNs  int64                          `json:"sum_ns"`
+	Count  int64                          `json:"count"`
 }
 
-// merge accumulates other into h (both in SolveNsBuckets layout).
+// merge accumulates other into h.
 func (h *SolveHist) merge(other SolveHist) {
-	if len(h.Counts) == 0 {
-		h.Counts = make([]int64, len(SolveNsBuckets)+1)
-	}
 	for i, c := range other.Counts {
-		if i < len(h.Counts) {
-			h.Counts[i] += c
-		}
+		h.Counts[i] += c
 	}
 	h.SumNs += other.SumNs
 	h.Count += other.Count
 }
 
 func (h *SolveHist) observe(ns int64) {
-	if len(h.Counts) == 0 {
-		h.Counts = make([]int64, len(SolveNsBuckets)+1)
-	}
 	slot := len(SolveNsBuckets)
 	for i, ub := range SolveNsBuckets {
 		if ns <= ub {

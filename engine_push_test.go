@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"repro/internal/corpus"
 )
 
 // pushCorpus builds an m-interval corpus with one persistent event so
@@ -89,7 +91,7 @@ func TestEnginePushIncremental(t *testing.T) {
 				// stage still shows exactly the one warmup build, and the
 				// incremental stages ran once per push.
 				st := eng.Stats()
-				for _, stage := range []string{"index", "clusters", "graph", "totals"} {
+				for _, stage := range []string{"index", "clusters", "graph"} {
 					if b := st.Stages[stage].Builds; b != 1 {
 						t.Errorf("stage %q built %d times across %d pushes, want 1 (no full rebuild)", stage, b, m-base)
 					}
@@ -492,4 +494,147 @@ func TestEngineTokenizesOnce(t *testing.T) {
 			t.Fatal("token memo held after the index store and the cluster sets both exist")
 		}
 	})
+}
+
+// stageBuilds reads how many times the Engine has built one stage.
+func stageBuilds(eng *Engine, stage string) int64 { return eng.Stats().Stages[stage].Builds }
+
+// TestEngineIntervalRecordsSurvivePush pins the per-interval records:
+// an interval's clusters and keyword graph are built once and shared
+// by every later generation, the full cluster build and a push prime
+// the records they cover, and a FromClusterSets session answers every
+// interval query from its primed records without a build.
+func TestEngineIntervalRecordsSurvivePush(t *testing.T) {
+	const m = 3
+	col := pushCorpus(t, m+2)
+	ctx := context.Background()
+	eng := openTestEngine(t, prefixCol(col, m))
+
+	cs1, err := eng.ClustersAt(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corr1, err := eng.Correlations(ctx, "alpha", 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ic, kw := stageBuilds(eng, "interval-clusters"), stageBuilds(eng, "kwgraph"); ic != 1 || kw != 1 {
+		t.Fatalf("generation 1 built interval-clusters %d and kwgraph %d times, want 1 and 1", ic, kw)
+	}
+	if gen, err := eng.Push(ctx, col.Intervals[m]); err != nil || gen != 2 {
+		t.Fatalf("Push = %d, %v; want generation 2", gen, err)
+	}
+	cs2, err := eng.ClustersAt(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corr2, err := eng.Correlations(ctx, "alpha", 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ic, kw := stageBuilds(eng, "interval-clusters"), stageBuilds(eng, "kwgraph"); ic != 1 || kw != 1 {
+		t.Errorf("generation 2 rebuilt interval 1: interval-clusters %d, kwgraph %d builds, want 1 and 1", ic, kw)
+	}
+	if !reflect.DeepEqual(cs1, cs2) || !reflect.DeepEqual(corr1, corr2) {
+		t.Error("interval 1 answers differ across the push")
+	}
+
+	// The full build primes every record, and a push with the sets
+	// built primes the new interval's.
+	sets, err := eng.Clusters(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Push(ctx, col.Intervals[m+1]); err != nil {
+		t.Fatal(err)
+	}
+	pushed := stageBuilds(eng, "interval-clusters")
+	if pushed != 2 {
+		t.Fatalf("interval-clusters built %d times after a push over built sets, want 2", pushed)
+	}
+	for i := 0; i <= m+1; i++ {
+		cs, err := eng.ClustersAt(ctx, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i < len(sets) && !reflect.DeepEqual(cs, sets[i]) {
+			t.Errorf("ClustersAt(%d) differs from Clusters()[%d]", i, i)
+		}
+	}
+	if got := stageBuilds(eng, "interval-clusters"); got != pushed {
+		t.Errorf("ClustersAt over primed records built interval-clusters %d more times", got-pushed)
+	}
+
+	want, err := allIntervalClustersCtx(ctx, col, corpus.Tokenizing(col), ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromSets, err := Open(ctx, FromClusterSets(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fromSets.Close()
+	if n := fromSets.NumIntervals(); n != len(want) {
+		t.Errorf("FromClusterSets NumIntervals = %d, want %d", n, len(want))
+	}
+	got, err := fromSets.ClusterSets(ctx, 0, len(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("FromClusterSets ClusterSets differ from the sets it was opened on")
+	}
+	for i := range want {
+		cs, err := fromSets.ClustersAt(ctx, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cs, want[i]) {
+			t.Errorf("FromClusterSets ClustersAt(%d) differs from its set", i)
+		}
+	}
+	if b := stageBuilds(fromSets, "interval-clusters"); b != 0 {
+		t.Errorf("FromClusterSets built interval-clusters %d times, want 0", b)
+	}
+}
+
+// TestEngineDocTotalsWithoutIndex pins DocTotals to the corpus: each
+// total is the interval's document count, reading them builds no index,
+// every call counts one query, and a push grows them by one entry.
+func TestEngineDocTotalsWithoutIndex(t *testing.T) {
+	const m = 3
+	col := pushCorpus(t, m+1)
+	ctx := context.Background()
+	eng := openTestEngine(t, prefixCol(col, m))
+	check := func(n int) {
+		t.Helper()
+		before := eng.Stats().Queries
+		totals, err := eng.DocTotals(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(totals) != n {
+			t.Fatalf("DocTotals has %d entries, want %d", len(totals), n)
+		}
+		for i, got := range totals {
+			if want := int64(len(col.Intervals[i].Docs)); got != want {
+				t.Errorf("DocTotals[%d] = %d, want %d", i, got, want)
+			}
+		}
+		if q := eng.Stats().Queries - before; q != 1 {
+			t.Errorf("DocTotals counted %d queries, want 1", q)
+		}
+		if b := stageBuilds(eng, "index"); b != 0 {
+			t.Errorf("DocTotals built the index %d times, want 0", b)
+		}
+	}
+	check(m)
+	if _, err := eng.Push(ctx, col.Intervals[m]); err != nil {
+		t.Fatal(err)
+	}
+	check(m + 1)
+	eng.Close()
+	if _, err := eng.DocTotals(ctx); !errors.Is(err, ErrEngineClosed) {
+		t.Errorf("DocTotals after Close: %v, want ErrEngineClosed", err)
+	}
 }

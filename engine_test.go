@@ -302,7 +302,7 @@ func TestEngineSingleFlight(t *testing.T) {
 		}
 	}
 	st := eng.Stats()
-	for _, stage := range []string{"clusters", "index", "graph", "totals"} {
+	for _, stage := range []string{"clusters", "index", "graph"} {
 		if got := st.Stages[stage].Builds; got != 1 {
 			t.Errorf("stage %q built %d times, want exactly 1", stage, got)
 		}

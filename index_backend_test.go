@@ -22,6 +22,16 @@ func burstsIn(r IndexReader, w string) ([]KeywordBurst, error) {
 	return kleinbergBursts(counts, intervalTotals(r))
 }
 
+// intervalTotals reads the per-interval document totals the burst
+// detector divides by.
+func intervalTotals(r IndexReader) []int64 {
+	totals := make([]int64, r.NumIntervals())
+	for i := range totals {
+		totals[i] = int64(r.NumDocs(i))
+	}
+	return totals
+}
+
 // TestIndexBackendsAgree drives the facade's backend switch end to
 // end: both backends must serve identical primitives and bursts on the
 // synthetic news week, and the disk backend's private temp segment

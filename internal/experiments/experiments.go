@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (Section 5) on the synthetic substrates described
-// in DESIGN.md. Each experiment returns a Table whose rows mirror what
-// the paper reports; cmd/experiments prints them and EXPERIMENTS.md
-// records paper-vs-measured.
+// in DESIGN.md ("Substitutions"). Each experiment returns a Table whose
+// rows mirror what the paper reports; cmd/experiments prints them
+// (-list names every experiment).
 package experiments
 
 import (

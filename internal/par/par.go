@@ -10,23 +10,18 @@ import (
 	"sync/atomic"
 )
 
-// ForEach runs fn(i) for every i in [0, n) on at most workers
+// ForEachCtx runs fn(i) for every i in [0, n) on at most workers
 // goroutines and returns the lowest-index error, or nil. After a task
 // fails no task above it is started (in-flight tasks finish), so a
 // failure on a long run does not burn through the remaining work, while
 // every task below it still runs: the error returned is the one a
 // sequential run would return. workers <= 1 (or n <= 1) runs
 // sequentially on the calling goroutine, stopping at the first error,
-// with no goroutine.
-func ForEach(n, workers int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), n, workers, fn)
-}
-
-// ForEachCtx is ForEach with cancellation: once ctx is done no new task
-// is started (in-flight tasks finish) and ctx.Err() is returned unless
-// an earlier task error takes precedence. Cancellation between tasks is
-// the pool's responsibility; cancellation *inside* a long fn is the
-// callee's (pass ctx down).
+// with no goroutine. Once ctx is done no new task is started (in-flight
+// tasks finish) and ctx.Err() is returned unless an earlier task error
+// takes precedence. Cancellation between tasks is the pool's
+// responsibility; cancellation *inside* a long fn is the callee's (pass
+// ctx down).
 func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
 	return ForEachWorkerCtx(ctx, n, workers, func(_, i int) error { return fn(i) })
 }

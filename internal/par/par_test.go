@@ -13,7 +13,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 8, 100} {
 		const n = 37
 		var hits [n]atomic.Int32
-		if err := ForEach(n, workers, func(i int) error {
+		if err := ForEachCtx(context.Background(), n, workers, func(i int) error {
 			hits[i].Add(1)
 			return nil
 		}); err != nil {
@@ -29,7 +29,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 
 func TestForEachReturnsLowestIndexError(t *testing.T) {
 	errA, errB := errors.New("a"), errors.New("b")
-	err := ForEach(10, 1, func(i int) error {
+	err := ForEachCtx(context.Background(), 10, 1, func(i int) error {
 		switch i {
 		case 3:
 			return errA
@@ -46,7 +46,7 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 func TestForEachStopsIssuingAfterFailure(t *testing.T) {
 	var ran atomic.Int32
 	boom := errors.New("boom")
-	err := ForEach(1000, 2, func(i int) error {
+	err := ForEachCtx(context.Background(), 1000, 2, func(i int) error {
 		ran.Add(1)
 		if i == 0 {
 			return boom
@@ -67,7 +67,7 @@ func TestForEachStopsIssuingAfterFailure(t *testing.T) {
 }
 
 func TestForEachZeroTasks(t *testing.T) {
-	if err := ForEach(0, 4, func(int) error { return errors.New("never") }); err != nil {
+	if err := ForEachCtx(context.Background(), 0, 4, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -81,7 +81,7 @@ func TestForEachRunsEveryTaskBelowAFailure(t *testing.T) {
 			const n, bad = 64, 40
 			var ran [n]atomic.Bool
 			errLow, errHigh := errors.New("low"), errors.New("high")
-			err := ForEach(n, workers, func(i int) error {
+			err := ForEachCtx(context.Background(), n, workers, func(i int) error {
 				ran[i].Store(true)
 				switch i {
 				case 3: // fails late, after the high failure is up

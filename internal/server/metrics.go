@@ -229,10 +229,7 @@ func (s *Server) syncMetrics() {
 	m.idxCacheBytes.Set(float64(st.IndexCache.Bytes))
 
 	for algo, h := range st.Planner.SolveNs {
-		if len(h.Counts) != len(blogclusters.SolveNsBuckets)+1 {
-			continue
-		}
-		m.solveDur.With(algo).SetHistogram(h.Counts, float64(h.SumNs)/1e9)
+		m.solveDur.With(algo).SetHistogram(h.Counts[:], float64(h.SumNs)/1e9)
 	}
 	for algo, w := range st.Planner.Work {
 		m.solveWork.With(algo, "node_reads").Set(float64(w.NodeReads))

@@ -61,7 +61,8 @@ type Config struct {
 	// refill fails, the expired entry is served anyway with
 	// "X-Cache: stale" (stale-on-error). 0 means entries never expire
 	// (and the stale path never engages); the TTL only matters for
-	// sessions whose answers can change or fail, so blogserved sets it.
+	// sessions whose answers can change or fail. blogserved leaves it
+	// 0 unless -cache-ttl is given.
 	CacheTTL time.Duration
 	// BreakerCooldown is how long an open per-route circuit breaker
 	// sheds load before letting a probe through. Non-positive means

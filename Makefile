@@ -92,6 +92,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cooccur -run '^$$' -fuzz FuzzBuildSpill -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cooccur -run '^$$' -fuzz FuzzBuildPruned -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzQueryRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/bicc -run '^$$' -fuzz FuzzDecompose -fuzztime $(FUZZTIME)
 
 # Chaos gate: the whole fault-injection suite under the race detector.
 # Everything prefixed TestFault* runs against internal/faultfs-injected

@@ -32,6 +32,7 @@ package blogclusters
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/bicc"
 	"repro/internal/burst"
@@ -139,14 +140,28 @@ func intervalClustersCtx(ctx context.Context, tk *corpus.Tokens, interval int, o
 	for _, e := range pruned.Edges {
 		bg.AddEdge(e.U, e.V)
 	}
-	dec := bicc.Decompose(bg)
-	var out []Cluster
-	for _, comp := range dec.Clusters(opts.MinClusterSize) {
-		kws := make([]string, len(comp))
-		for i, v := range comp {
-			kws[i] = pruned.Keywords[v]
+	comps := bicc.Decompose(bg).Clusters(opts.MinClusterSize)
+	if len(comps) == 0 {
+		return nil, nil
+	}
+	// One keyword array for the interval, each cluster a capped span of
+	// it sorted in place: a component's vertices are distinct and so are
+	// their keywords, so the span is what cluster.New would return (the
+	// vertex order is not the keywords' lexicographic order).
+	n := 0
+	for _, comp := range comps {
+		n += len(comp)
+	}
+	kws := make([]string, 0, n)
+	out := make([]Cluster, len(comps))
+	for i, comp := range comps {
+		start := len(kws)
+		for _, v := range comp {
+			kws = append(kws, pruned.Keywords[v])
 		}
-		out = append(out, cluster.New(int64(len(out)), interval, kws))
+		span := kws[start:len(kws):len(kws)]
+		slices.Sort(span)
+		out[i] = Cluster{ID: int64(i), Interval: interval, Keywords: span}
 	}
 	return out, nil
 }

@@ -8,8 +8,12 @@
 // satisfies low[w] >= un[u]. Graphs at blogosphere scale have millions
 // of edges, so the implementation here is iterative (explicit frame
 // stack, no recursion). The paper sketches a secondary-storage
-// realization via refs [4, 5]; here the pruned graph is in memory, and
-// the traversal reads each vertex's adjacency list once.
+// realization via refs [4, 5]; here the pruned graph is in memory.
+// A Graph is its edge list; Decompose lays it out as CSR adjacency
+// (degree counts, offsets, one neighbour array, each vertex's
+// neighbours in insertion order) and reads each vertex's span once.
+// The popped components share one edge array, and Clusters writes
+// every vertex set into one buffer.
 package bicc
 
 import (
@@ -17,17 +21,18 @@ import (
 	"sort"
 )
 
-// Graph is a simple undirected graph over vertices 0..n-1. Parallel
-// edges and self-loops are not supported (AddEdge ignores self-loops;
-// duplicate edges must not be added).
+// Graph is a simple undirected graph over vertices 0..n-1, held as the
+// list of its edges in insertion order. Parallel edges and self-loops
+// are not supported (AddEdge ignores self-loops; duplicate edges must
+// not be added).
 type Graph struct {
-	adj   [][]int32
-	edges int
+	n     int
+	edges [][2]int32
 }
 
 // NewGraph returns an empty graph with n vertices.
 func NewGraph(n int) *Graph {
-	return &Graph{adj: make([][]int32, n)}
+	return &Graph{n: n}
 }
 
 // AddEdge inserts the undirected edge (u,v). Self-loops are ignored:
@@ -36,16 +41,39 @@ func (g *Graph) AddEdge(u, v int32) {
 	if u == v {
 		return
 	}
-	g.adj[u] = append(g.adj[u], v)
-	g.adj[v] = append(g.adj[v], u)
-	g.edges++
+	g.edges = append(g.edges, [2]int32{u, v})
 }
 
 // NumVertices returns the vertex count.
-func (g *Graph) NumVertices() int { return len(g.adj) }
+func (g *Graph) NumVertices() int { return g.n }
 
 // NumEdges returns the edge count.
-func (g *Graph) NumEdges() int { return g.edges }
+func (g *Graph) NumEdges() int { return len(g.edges) }
+
+// adjacency returns g in CSR form: the neighbours of v are
+// adj[off[v]:off[v+1]], in the order AddEdge inserted them.
+func (g *Graph) adjacency() (off, adj []int32) {
+	off = make([]int32, g.n+1)
+	for _, e := range g.edges {
+		off[e[0]+1]++
+		off[e[1]+1]++
+	}
+	for v := 0; v < g.n; v++ {
+		off[v+1] += off[v]
+	}
+	adj = make([]int32, 2*len(g.edges))
+	for _, e := range g.edges {
+		adj[off[e[0]]] = e[1]
+		off[e[0]]++
+		adj[off[e[1]]] = e[0]
+		off[e[1]]++
+	}
+	// Each cursor now sits at the end of its vertex's span, which is
+	// where the next vertex's span starts.
+	copy(off[1:], off[:g.n])
+	off[0] = 0
+	return off, adj
+}
 
 // Component is one biconnected component, given by its edge set. A
 // bridge forms a two-vertex component of a single edge.
@@ -55,17 +83,18 @@ type Component struct {
 
 // Vertices returns the sorted distinct vertices of the component.
 func (c Component) Vertices() []int32 {
-	set := map[int32]struct{}{}
-	for _, e := range c.Edges {
-		set[e[0]] = struct{}{}
-		set[e[1]] = struct{}{}
+	return appendVertices(make([]int32, 0, 2*len(c.Edges)), c.Edges)
+}
+
+// appendVertices appends the sorted distinct endpoints of edges to dst.
+func appendVertices(dst []int32, edges [][2]int32) []int32 {
+	start := len(dst)
+	for _, e := range edges {
+		dst = append(dst, e[0], e[1])
 	}
-	vs := make([]int32, 0, len(set))
-	for v := range set {
-		vs = append(vs, v)
-	}
+	vs := dst[start:]
 	slices.Sort(vs)
-	return vs
+	return dst[:start+len(slices.Compact(vs))]
 }
 
 // Result is the decomposition of a graph.
@@ -95,10 +124,14 @@ type frame struct {
 // Decompose runs the biconnected-components algorithm over g.
 func Decompose(g *Graph) *Result {
 	n := g.NumVertices()
+	off, adj := g.adjacency()
 	un := make([]int32, n)  // discovery order, 0 = unvisited (time starts at 1)
 	low := make([]int32, n) // low-link
 	isArt := make([]bool, n)
-	var edgeStack [][2]int32
+	// Every edge is pushed once and popped into exactly one component,
+	// so both the stack and the components' shared array hold E edges.
+	edgeStack := make([][2]int32, 0, g.NumEdges())
+	popped := make([][2]int32, 0, g.NumEdges())
 	res := &Result{}
 	var time int32
 
@@ -106,16 +139,16 @@ func Decompose(g *Graph) *Result {
 		// Pop all edges on top of the stack until (inclusively) (u,w),
 		// and report them as one biconnected component (Algorithm 1,
 		// line 14).
-		var comp Component
+		start := len(popped)
 		for len(edgeStack) > 0 {
 			e := edgeStack[len(edgeStack)-1]
 			edgeStack = edgeStack[:len(edgeStack)-1]
-			comp.Edges = append(comp.Edges, e)
+			popped = append(popped, e)
 			if e[0] == u && e[1] == w {
 				break
 			}
 		}
-		res.Components = append(res.Components, comp)
+		res.Components = append(res.Components, Component{Edges: popped[start:len(popped):len(popped)]})
 	}
 
 	var stack []frame
@@ -125,7 +158,7 @@ func Decompose(g *Graph) *Result {
 		}
 		time++
 		un[root], low[root] = time, time
-		stack = append(stack[:0], frame{u: root, parent: -1, neighbors: g.adj[root]})
+		stack = append(stack[:0], frame{u: root, parent: -1, neighbors: adj[off[root]:off[root+1]]})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			if f.next < len(f.neighbors) {
@@ -138,7 +171,7 @@ func Decompose(g *Graph) *Result {
 					f.children++
 					time++
 					un[w], low[w] = time, time
-					stack = append(stack, frame{u: w, parent: f.u, neighbors: g.adj[w]})
+					stack = append(stack, frame{u: w, parent: f.u, neighbors: adj[off[w]:off[w+1]]})
 				case w != f.parent && un[w] < un[f.u]:
 					// Back edge to a proper ancestor.
 					edgeStack = append(edgeStack, [2]int32{f.u, w})
@@ -167,9 +200,18 @@ func Decompose(g *Graph) *Result {
 			}
 		}
 	}
-	for v := int32(0); int(v) < n; v++ {
-		if isArt[v] {
-			res.Articulation = append(res.Articulation, v)
+	arts := 0
+	for _, a := range isArt {
+		if a {
+			arts++
+		}
+	}
+	if arts > 0 {
+		res.Articulation = make([]int32, 0, arts)
+		for v := int32(0); int(v) < n; v++ {
+			if isArt[v] {
+				res.Articulation = append(res.Articulation, v)
+			}
 		}
 	}
 	return res
@@ -178,17 +220,26 @@ func Decompose(g *Graph) *Result {
 // Clusters converts the decomposition into keyword clusters per the
 // paper: every biconnected component with at least minVertices vertices
 // becomes one cluster (vertex set, sorted). minVertices < 2 is treated
-// as 2 (a component always has ≥ 2 vertices).
+// as 2 (a component always has ≥ 2 vertices). The clusters are capped
+// spans of one shared buffer.
 func (r *Result) Clusters(minVertices int) [][]int32 {
 	if minVertices < 2 {
 		minVertices = 2
 	}
-	var out [][]int32
+	edges := 0
 	for _, c := range r.Components {
-		vs := c.Vertices()
-		if len(vs) >= minVertices {
-			out = append(out, vs)
+		edges += len(c.Edges)
+	}
+	buf := make([]int32, 0, 2*edges)
+	out := make([][]int32, 0, len(r.Components))
+	for _, c := range r.Components {
+		start := len(buf)
+		buf = appendVertices(buf, c.Edges)
+		if len(buf)-start < minVertices {
+			buf = buf[:start]
+			continue
 		}
+		out = append(out, buf[start:len(buf):len(buf)])
 	}
 	return out
 }

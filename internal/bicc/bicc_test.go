@@ -1,11 +1,16 @@
 package bicc
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/raceflag"
 )
 
 func sortedClusters(r *Result) [][]int32 {
@@ -167,16 +172,25 @@ func TestClustersMinSize(t *testing.T) {
 	}
 }
 
-// randomGraph builds a random simple graph with n vertices and ~p edge
-// probability.
-func randomGraph(rng *rand.Rand, n int, p float64) *Graph {
-	g := NewGraph(n)
+// randomEdges draws a random simple graph with n vertices and ~p edge
+// probability, as its edge list.
+func randomEdges(rng *rand.Rand, n int, p float64) [][2]int32 {
+	var edges [][2]int32
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if rng.Float64() < p {
-				g.AddEdge(int32(u), int32(v))
+				edges = append(edges, [2]int32{int32(u), int32(v)})
 			}
 		}
+	}
+	return edges
+}
+
+// graphOf builds a Graph over n vertices from an edge list.
+func graphOf(n int, edges [][2]int32) *Graph {
+	g := NewGraph(n)
+	for _, e := range edges {
+		g.AddEdge(e[0], e[1])
 	}
 	return g
 }
@@ -184,9 +198,16 @@ func randomGraph(rng *rand.Rand, n int, p float64) *Graph {
 // bruteArticulation finds articulation points by deletion: v is an
 // articulation point iff removing it increases the number of connected
 // components among the remaining vertices (counting only components
-// that contained v's neighbors).
-func bruteArticulation(g *Graph) []int32 {
-	n := g.NumVertices()
+// that contained v's neighbors). Its adjacency comes from the edge list,
+// not from the Graph under test.
+func bruteArticulation(n int, edges [][2]int32) []int32 {
+	adj := make([][]int32, n)
+	for _, e := range edges {
+		if e[0] != e[1] {
+			adj[e[0]] = append(adj[e[0]], e[1])
+			adj[e[1]] = append(adj[e[1]], e[0])
+		}
+	}
 	countComponents := func(skip int32) int {
 		seen := make([]bool, n)
 		comps := 0
@@ -201,7 +222,7 @@ func bruteArticulation(g *Graph) []int32 {
 			for len(queue) > 0 {
 				u := queue[0]
 				queue = queue[1:]
-				for _, w := range g.adj[u] {
+				for _, w := range adj[u] {
 					if w == skip || seen[w] {
 						continue
 					}
@@ -215,7 +236,7 @@ func bruteArticulation(g *Graph) []int32 {
 	base := countComponents(-1)
 	var arts []int32
 	for v := 0; v < n; v++ {
-		if len(g.adj[v]) == 0 {
+		if len(adj[v]) == 0 {
 			continue
 		}
 		// Removing v also removes the singleton component it would form.
@@ -226,74 +247,80 @@ func bruteArticulation(g *Graph) []int32 {
 	return arts
 }
 
-// Properties on random graphs:
+// checkDecomposition holds Decompose over the simple graph (n, edges) to
+// three properties:
 //  1. every edge appears in exactly one component;
 //  2. articulation points match the deletion-based brute force;
 //  3. two distinct components share at most one vertex.
+func checkDecomposition(n int, edges [][2]int32) error {
+	r := Decompose(graphOf(n, edges))
+
+	// 1. Edge partition.
+	norm := func(e [2]int32) [2]int32 {
+		if e[0] > e[1] {
+			e[0], e[1] = e[1], e[0]
+		}
+		return e
+	}
+	seen := map[[2]int32]int{}
+	for _, e := range edges {
+		seen[norm(e)] = 0
+	}
+	total := 0
+	for _, c := range r.Components {
+		for _, e := range c.Edges {
+			cnt, ok := seen[norm(e)]
+			if !ok {
+				return fmt.Errorf("component edge %v is not a graph edge", e)
+			}
+			seen[norm(e)] = cnt + 1
+			total++
+		}
+	}
+	if total != len(edges) {
+		return fmt.Errorf("components hold %d edges, graph has %d", total, len(edges))
+	}
+	for e, cnt := range seen {
+		if cnt != 1 {
+			return fmt.Errorf("edge %v in %d components", e, cnt)
+		}
+	}
+
+	// 2. Articulation points.
+	if want := bruteArticulation(n, edges); !slices.Equal(want, r.Articulation) {
+		return fmt.Errorf("articulation points %v, brute force %v", r.Articulation, want)
+	}
+
+	// 3. Pairwise component overlap ≤ 1 vertex.
+	vsets := make([][]int32, len(r.Components))
+	for i, c := range r.Components {
+		vsets[i] = c.Vertices()
+	}
+	for i := range vsets {
+		for j := i + 1; j < len(vsets); j++ {
+			overlap := 0
+			for _, v := range vsets[i] {
+				if _, ok := slices.BinarySearch(vsets[j], v); ok {
+					overlap++
+				}
+			}
+			if overlap > 1 {
+				return fmt.Errorf("components %d and %d share %d vertices", i, j, overlap)
+			}
+		}
+	}
+	return nil
+}
+
+// TestDecomposeProperties checks the three properties on random graphs.
 func TestDecomposeProperties(t *testing.T) {
 	f := func(seed int64, nSeed, pSeed uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nSeed)%14 + 2
 		p := 0.05 + float64(pSeed%200)/250.0
-		g := randomGraph(rng, n, p)
-		r := Decompose(g)
-
-		// 1. Edge partition.
-		type ekey [2]int32
-		norm := func(u, v int32) ekey {
-			if u > v {
-				u, v = v, u
-			}
-			return ekey{u, v}
-		}
-		seen := map[ekey]int{}
-		total := 0
-		for _, c := range r.Components {
-			for _, e := range c.Edges {
-				seen[norm(e[0], e[1])]++
-				total++
-			}
-		}
-		if total != g.NumEdges() || len(seen) != g.NumEdges() {
+		if err := checkDecomposition(n, randomEdges(rng, n, p)); err != nil {
+			t.Log(err)
 			return false
-		}
-		for _, cnt := range seen {
-			if cnt != 1 {
-				return false
-			}
-		}
-
-		// 2. Articulation points.
-		want := bruteArticulation(g)
-		if len(want) != len(r.Articulation) {
-			return false
-		}
-		for i := range want {
-			if want[i] != r.Articulation[i] {
-				return false
-			}
-		}
-
-		// 3. Pairwise component overlap ≤ 1 vertex.
-		vsets := make([]map[int32]struct{}, len(r.Components))
-		for i, c := range r.Components {
-			vsets[i] = map[int32]struct{}{}
-			for _, v := range c.Vertices() {
-				vsets[i][v] = struct{}{}
-			}
-		}
-		for i := 0; i < len(vsets); i++ {
-			for j := i + 1; j < len(vsets); j++ {
-				overlap := 0
-				for v := range vsets[i] {
-					if _, ok := vsets[j][v]; ok {
-						overlap++
-					}
-				}
-				if overlap > 1 {
-					return false
-				}
-			}
 		}
 		return true
 	}
@@ -302,9 +329,70 @@ func TestDecomposeProperties(t *testing.T) {
 	}
 }
 
+// FuzzDecompose checks the three properties of TestDecomposeProperties
+// on graphs read from the fuzz bytes: the first byte picks n in 2..17,
+// each following byte pair one edge; self-loops and repeated edges are
+// dropped, since a Graph takes neither.
+func FuzzDecompose(f *testing.F) {
+	f.Add([]byte{6, 0, 1, 1, 2, 2, 0, 1, 3, 3, 4, 4, 5, 5, 3})
+	f.Add([]byte{5, 0, 1, 1, 2, 2, 3, 3, 4})
+	f.Add([]byte{7, 0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0])%16 + 2
+		seen := map[[2]int32]bool{}
+		var edges [][2]int32
+		for i := 1; i+1 < len(data); i += 2 {
+			u, v := int32(int(data[i])%n), int32(int(data[i+1])%n)
+			if u == v || seen[[2]int32{u, v}] || seen[[2]int32{v, u}] {
+				continue
+			}
+			seen[[2]int32{u, v}] = true
+			edges = append(edges, [2]int32{u, v})
+		}
+		if err := checkDecomposition(n, edges); err != nil {
+			t.Fatalf("n=%d edges=%v: %v", n, edges, err)
+		}
+	})
+}
+
+// Allocation ceiling, in tier-1: Decompose lays the graph out as CSR
+// and pops every component into one shared edge array, and Clusters
+// writes every vertex set into one buffer, so what they allocate is a
+// handful of arrays plus the logarithmic growth of the component and
+// DFS-frame lists — not one allocation per edge, vertex or component.
+// The ceiling is about twice the count recorded with this test (31),
+// under a twentieth of the edge count and half the component count.
+func TestDecomposeAllocationCeiling(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const ceiling = 60
+	rng := rand.New(rand.NewSource(5))
+	g := graphOf(2000, randomEdges(rng, 2000, 0.002))
+	var r *Result
+	run := func() {
+		r = Decompose(g)
+		r.Clusters(2)
+	}
+	// The collector off, so no GC bookkeeping lands in the process-wide
+	// malloc count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := testing.AllocsPerRun(1, run)
+	t.Logf("%v allocations for %d edges in %d components", allocs, g.NumEdges(), len(r.Components))
+	if g.NumEdges() < 20*ceiling || len(r.Components) < 2*ceiling {
+		t.Fatalf("%d edges in %d components: too few for a ceiling of %d to tell", g.NumEdges(), len(r.Components), ceiling)
+	}
+	if allocs > ceiling {
+		t.Errorf("%v allocations per Decompose + Clusters of %d edges, ceiling %d", allocs, g.NumEdges(), ceiling)
+	}
+}
+
 func BenchmarkDecompose(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	g := randomGraph(rng, 2000, 0.004)
+	g := graphOf(2000, randomEdges(rng, 2000, 0.004))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -14,6 +14,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -31,13 +32,18 @@ type Half struct {
 	Length int
 }
 
-// Graph is the (immutable after Build) cluster graph.
+// Graph is the (immutable after Build) cluster graph. Its half-edges
+// live in flat arrays: Build writes one children and one parents array,
+// and ExtendCtx one of each for the lists it changes. children[v] and
+// parents[v] are capped sub-slices of them (nil for an empty list), so
+// a node's list is one header load and an append to it can never write
+// into a neighbour's span.
 type Graph struct {
 	m         int
 	gap       int
 	interval  []int     // node id → interval index
 	intervals [][]int64 // interval index → node ids
-	parents   [][]Half  // node id → incoming half-edges (peer in earlier interval)
+	parents   [][]Half  // node id → incoming half-edges (peer in earlier interval), peer-ascending
 	children  [][]Half  // node id → outgoing half-edges, weight-descending
 	clusters  []cluster.Cluster
 	edges     int
@@ -88,13 +94,23 @@ func (g *Graph) Children(id int64) []Half { return g.children[id] }
 // carry empty clusters.
 func (g *Graph) Cluster(id int64) cluster.Cluster { return g.clusters[id] }
 
-// Builder accumulates nodes and edges and then freezes them into a
-// Graph.
+// Builder accumulates nodes and an edge list and then freezes them
+// into a Graph: Build counts each node's degree, lays the half-edges
+// out in one children array and one parents array, and sorts each
+// node's span. Nothing reads adjacency before Build, so no per-node
+// list is ever grown.
 type Builder struct {
 	m     int
 	gap   int
 	g     *Graph
+	edges []edge // in AddEdge order
 	built bool
+}
+
+// edge is one accepted AddEdge call, u in the earlier interval.
+type edge struct {
+	u, v   int64
+	weight float64
 }
 
 // NewBuilder starts a graph over m temporal intervals with gap g.
@@ -128,8 +144,6 @@ func (b *Builder) AddNode(interval int, c cluster.Cluster) (int64, error) {
 	id := int64(len(b.g.interval))
 	b.g.interval = append(b.g.interval, interval)
 	b.g.intervals[interval] = append(b.g.intervals[interval], id)
-	b.g.parents = append(b.g.parents, nil)
-	b.g.children = append(b.g.children, nil)
 	c.ID = id
 	c.Interval = interval
 	b.g.clusters = append(b.g.clusters, c)
@@ -138,7 +152,7 @@ func (b *Builder) AddNode(interval int, c cluster.Cluster) (int64, error) {
 
 // AddEdge joins two nodes of different intervals with the given affinity
 // weight. The temporal distance must be within gap+1 and the weight
-// positive.
+// positive and finite.
 func (b *Builder) AddEdge(u, v int64, weight float64) error {
 	if b.built {
 		return fmt.Errorf("clustergraph: AddEdge after Build")
@@ -158,11 +172,13 @@ func (b *Builder) AddEdge(u, v int64, weight float64) error {
 	if length > b.gap+1 {
 		return fmt.Errorf("clustergraph: edge (%d,%d) spans %d intervals, max is gap+1 = %d", u, v, length, b.gap+1)
 	}
+	if math.IsNaN(weight) || math.IsInf(weight, 0) {
+		return fmt.Errorf("clustergraph: edge (%d,%d) has non-finite weight %g", u, v, weight)
+	}
 	if weight <= 0 {
 		return fmt.Errorf("clustergraph: edge (%d,%d) has non-positive weight %g", u, v, weight)
 	}
-	b.g.children[u] = append(b.g.children[u], Half{Peer: v, Weight: weight, Length: length})
-	b.g.parents[v] = append(b.g.parents[v], Half{Peer: u, Weight: weight, Length: length})
+	b.edges = append(b.edges, edge{u: u, v: v, weight: weight})
 	b.g.edges++
 	if weight > b.g.maxWeight {
 		b.g.maxWeight = weight
@@ -176,23 +192,38 @@ func (b *Builder) AddEdge(u, v int64, weight float64) error {
 // all weights are scaled by the maximum weight so they lie in (0,1] —
 // the normalization footnote of Section 4.1, needed by affinities such
 // as raw intersection counts.
+//
+// The half-edges go into one children array and one parents array,
+// each node's span sized by its degree and filled in AddEdge order
+// before the per-span sort.
 func (b *Builder) Build(normalize bool) *Graph {
 	if b.built {
 		return b.g
 	}
 	b.built = true
 	g := b.g
+	scale := 1.0 // leaves every weight exact
 	if normalize && g.maxWeight > 1 {
-		scale := 1 / g.maxWeight
-		for _, lists := range [][][]Half{g.children, g.parents} {
-			for _, hs := range lists {
-				for i := range hs {
-					hs[i].Weight *= scale
-				}
-			}
-		}
+		scale = 1 / g.maxWeight
 		g.maxWeight = 1
 	}
+	n := len(g.interval)
+	g.children = make([][]Half, n)
+	g.parents = make([][]Half, n)
+	deg := make([]int, 2*n)
+	kids, pars := deg[:n], deg[n:]
+	for _, e := range b.edges {
+		kids[e.u]++
+		pars[e.v]++
+	}
+	carve(g.children, kids, make([]Half, len(b.edges)))
+	carve(g.parents, pars, make([]Half, len(b.edges)))
+	for _, e := range b.edges {
+		w, length := e.weight*scale, g.interval[e.v]-g.interval[e.u]
+		g.children[e.u] = append(g.children[e.u], Half{Peer: e.v, Weight: w, Length: length})
+		g.parents[e.v] = append(g.parents[e.v], Half{Peer: e.u, Weight: w, Length: length})
+	}
+	b.edges = nil
 	for _, hs := range g.children {
 		slices.SortStableFunc(hs, byWeightDescThenPeer)
 	}
@@ -200,6 +231,42 @@ func (b *Builder) Build(normalize bool) *Graph {
 		slices.SortStableFunc(hs, byPeer)
 	}
 	return g
+}
+
+// carve points lists[v] at an empty span of flat with room for
+// counts[v] half-edges, capped there, so appending them fills the span
+// in place and a full list has len == cap. A node with no count keeps
+// a nil list.
+func carve(lists [][]Half, counts []int, flat []Half) {
+	off := 0
+	for v, c := range counts {
+		if c > 0 {
+			lists[v] = flat[off : off : off+c]
+			off += c
+		}
+	}
+}
+
+// reserve sizes a fresh builder for the nodes of sets and for edges
+// edges: the node arrays, one backing array for the per-interval id
+// lists (an empty interval keeps a nil list, as AddNode leaves it) and
+// the edge list, so none of them grows by append.
+func (b *Builder) reserve(sets [][]cluster.Cluster, edges int) {
+	n := 0
+	for _, cs := range sets {
+		n += len(cs)
+	}
+	b.g.interval = make([]int, 0, n)
+	b.g.clusters = make([]cluster.Cluster, 0, n)
+	ids := make([]int64, n)
+	off := 0
+	for i, cs := range sets {
+		if k := len(cs); k > 0 {
+			b.g.intervals[i] = ids[off : off : off+k]
+			off += k
+		}
+	}
+	b.edges = make([]edge, 0, edges)
 }
 
 // byWeightDescThenPeer is the children order: heaviest edge first, ties
@@ -263,17 +330,19 @@ func FromClustersCtx(ctx context.Context, sets [][]cluster.Cluster, opts FromClu
 		return nil, err
 	}
 
-	ids := make([][]int64, m)
+	edges := 0
+	for _, ps := range results {
+		edges += len(ps)
+	}
+	b.reserve(sets, edges)
 	for i, cs := range sets {
-		ids[i] = make([]int64, len(cs))
-		for j, c := range cs {
-			id, err := b.AddNode(i, c)
-			if err != nil {
+		for _, c := range cs {
+			if _, err := b.AddNode(i, c); err != nil {
 				return nil, err
 			}
-			ids[i][j] = id
 		}
 	}
+	ids := b.g.intervals // interval → node ids, in set order
 	for ti, t := range tasks {
 		for _, p := range results[ti] {
 			if err := b.AddEdge(ids[t.i][p.Left], ids[t.j][p.Right], p.Sim); err != nil {
@@ -416,8 +485,8 @@ func ExtendCtx(ctx context.Context, g *Graph, sets [][]cluster.Cluster, opts Fro
 		gap:       g.gap,
 		interval:  make([]int, nOld, nNew),
 		intervals: make([][]int64, m+1),
-		parents:   make([][]Half, nOld, nNew),
-		children:  make([][]Half, nOld, nNew),
+		parents:   make([][]Half, nNew),
+		children:  make([][]Half, nNew),
 		clusters:  make([]cluster.Cluster, nOld, nNew),
 		edges:     g.edges,
 		maxWeight: g.maxWeight,
@@ -429,44 +498,74 @@ func ExtendCtx(ctx context.Context, g *Graph, sets [][]cluster.Cluster, opts Fro
 	copy(ng.clusters, g.clusters)
 	newIDs := make([]int64, len(sets[m]))
 	for j, c := range sets[m] {
-		id := int64(len(ng.interval))
+		id := int64(nOld + j)
 		ng.interval = append(ng.interval, m)
-		ng.intervals[m] = append(ng.intervals[m], id)
-		ng.parents = append(ng.parents, nil)
-		ng.children = append(ng.children, nil)
 		c.ID = id
 		c.Interval = m
 		ng.clusters = append(ng.clusters, c)
 		newIDs[j] = id
 	}
+	if len(newIDs) > 0 {
+		ng.intervals[m] = newIDs
+	}
 
-	// Splice the new edges in. An old node's children list is shared
-	// with g, so it is deep-copied before the first append — mutating it
-	// in place (or re-sorting it) would corrupt the graph a previous
-	// generation is still serving.
-	touched := make(map[int64]bool)
+	// Count the new edges per old node of the task intervals (gained,
+	// at slot base[ti]+Left) and per new node (incoming). An old node's
+	// children list is shared with g, which a previous generation may
+	// still be serving, so a node that gains children gets a fresh span
+	// of one new array, its old children copied in first; kids sizes
+	// that array. The new nodes' parents fill a second one.
+	base := make([]int, len(tasks)+1)
+	for ti, t := range tasks {
+		base[ti+1] = base[ti] + len(g.intervals[t.i])
+	}
+	gained := make([]int, base[len(tasks)])
+	incoming := make([]int, len(newIDs))
+	added, kids := 0, 0
+	for ti, t := range tasks {
+		for _, p := range results[ti] {
+			if gained[base[ti]+p.Left] == 0 {
+				kids += len(g.children[g.intervals[t.i][p.Left]])
+			}
+			gained[base[ti]+p.Left]++
+			incoming[p.Right]++
+			added++
+		}
+	}
+	flat := make([]Half, kids+added)
+	off := 0
+	for ti, t := range tasks {
+		for k, u := range g.intervals[t.i] {
+			if c := gained[base[ti]+k]; c > 0 {
+				old := g.children[u]
+				end := off + len(old) + c
+				ng.children[u] = append(flat[off:off:end], old...)
+				off = end
+			}
+		}
+	}
+	carve(ng.parents[nOld:], incoming, make([]Half, added))
+
 	for ti, t := range tasks {
 		for _, p := range results[ti] {
 			u, v := g.intervals[t.i][p.Left], newIDs[p.Right]
-			if !touched[u] {
-				ng.children[u] = append([]Half(nil), ng.children[u]...)
-				touched[u] = true
-			}
 			ng.children[u] = append(ng.children[u], Half{Peer: v, Weight: p.Sim, Length: m - t.i})
 			ng.parents[v] = append(ng.parents[v], Half{Peer: u, Weight: p.Sim, Length: m - t.i})
-			ng.edges++
 			if p.Sim > ng.maxWeight {
 				ng.maxWeight = p.Sim
 			}
 		}
 	}
-	for u := range touched {
-		hs := ng.children[u]
-		slices.SortStableFunc(hs, byWeightDescThenPeer)
+	ng.edges += added
+	for ti, t := range tasks {
+		for k, u := range g.intervals[t.i] {
+			if gained[base[ti]+k] > 0 {
+				slices.SortStableFunc(ng.children[u], byWeightDescThenPeer)
+			}
+		}
 	}
 	for _, v := range newIDs {
-		hs := ng.parents[v]
-		slices.SortStableFunc(hs, byPeer)
+		slices.SortStableFunc(ng.parents[v], byPeer)
 	}
 	return ng, nil
 }

@@ -82,6 +82,31 @@ func TestBuilderValidation(t *testing.T) {
 	}
 }
 
+// TestAddEdgeRejectsNonFinite: NaN fails `weight <= 0` and so used to
+// be stored, and one +Inf weight under Normalize turned every weight
+// into NaN (x · 1/Inf = 0, Inf · 0 = NaN).
+func TestAddEdgeRejectsNonFinite(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		b, _ := NewBuilder(2, 0)
+		u, _ := b.AddNode(0, cluster.Cluster{})
+		v, _ := b.AddNode(1, cluster.Cluster{})
+		x, _ := b.AddNode(1, cluster.Cluster{})
+		if err := b.AddEdge(u, v, w); err == nil {
+			t.Errorf("weight %g accepted", w)
+		}
+		if err := b.AddEdge(u, x, 2); err != nil {
+			t.Fatal(err)
+		}
+		g := b.Build(true)
+		if g.NumEdges() != 1 || g.MaxWeight() != 1 || len(g.Children(v)) != 0 || len(g.Parents(v)) != 0 {
+			t.Errorf("weight %g: rejected edge left a trace: %d edges, max %g", w, g.NumEdges(), g.MaxWeight())
+		}
+		if ch := g.Children(u); len(ch) != 1 || ch[0].Weight != 1 {
+			t.Errorf("weight %g: children of u = %v, want one edge of weight 1", w, ch)
+		}
+	}
+}
+
 func TestEdgeDirectionNormalized(t *testing.T) {
 	// Adding an edge "backwards" (later interval first) must still
 	// produce a child from the earlier node.

@@ -53,6 +53,7 @@ func TestExtendMatchesOneShot(t *testing.T) {
 				for k := 2; k <= m; k++ {
 					prev := g
 					prevEdges := prev.NumEdges()
+					prevLists := halfLists(prev)
 					g, err = ExtendCtx(ctx, g, sets[:k], opts)
 					if err != nil {
 						t.Fatalf("%s: extend to %d: %v", name, k, err)
@@ -64,10 +65,17 @@ func TestExtendMatchesOneShot(t *testing.T) {
 					if !reflect.DeepEqual(g, full) {
 						t.Fatalf("%s: extended graph at %d intervals differs from one-shot build", name, k)
 					}
+					checkCapped(t, name, g)
+					checkCapped(t, name, full)
 					// The source graph must be untouched — a previous
-					// generation may still be serving from it.
+					// generation may still be serving from it — down to
+					// every half-edge of every list, which the new graph
+					// may share.
 					if prev.NumIntervals() != k-1 || prev.NumEdges() != prevEdges {
 						t.Fatalf("%s: extend mutated its input graph", name)
+					}
+					if !reflect.DeepEqual(halfLists(prev), prevLists) {
+						t.Fatalf("%s: extend to %d rewrote a half-edge list of its input graph", name, k)
 					}
 					for id := int64(0); id < int64(prev.NumNodes()); id++ {
 						for _, h := range prev.Children(id) {
@@ -78,6 +86,28 @@ func TestExtendMatchesOneShot(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// halfLists deep-copies every children and parents list of g, in node
+// order.
+func halfLists(g *Graph) [][]Half {
+	var out [][]Half
+	for id := int64(0); id < int64(g.NumNodes()); id++ {
+		out = append(out, append([]Half(nil), g.Children(id)...), append([]Half(nil), g.Parents(id)...))
+	}
+	return out
+}
+
+// checkCapped requires every half-edge list of g to have len == cap: the
+// lists are spans of shared arrays, and an append to one must copy
+// instead of writing into the next node's span.
+func checkCapped(t *testing.T, name string, g *Graph) {
+	t.Helper()
+	for id := int64(0); id < int64(g.NumNodes()); id++ {
+		if ch, ps := g.Children(id), g.Parents(id); len(ch) != cap(ch) || len(ps) != cap(ps) {
+			t.Fatalf("%s: node %d lists have len/cap %d/%d and %d/%d", name, id, len(ch), cap(ch), len(ps), cap(ps))
 		}
 	}
 }

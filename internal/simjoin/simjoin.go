@@ -94,11 +94,18 @@ type Record struct {
 
 // Records interns the clusters' keyword sets against the vocabulary.
 // Every keyword must have been seen by NewVocab; an unknown keyword is
-// an error (it would silently corrupt the rarity ranking).
+// an error (it would silently corrupt the rarity ranking). The records'
+// tokens are capped spans of one array.
 func (v *Vocab) Records(cs []cluster.Cluster) ([]Record, error) {
+	n := 0
+	for _, c := range cs {
+		n += len(c.Keywords)
+	}
+	flat := make([]int32, n)
 	recs := make([]Record, len(cs))
 	for i, c := range cs {
-		toks := make([]int32, len(c.Keywords))
+		toks := flat[:len(c.Keywords):len(c.Keywords)]
+		flat = flat[len(c.Keywords):]
 		for j, w := range c.Keywords {
 			id, ok := v.dict.ID(w)
 			if !ok {
@@ -158,25 +165,26 @@ func (v *Vocab) JoinRecords(lrec, rrec []Record, theta float64) ([]Pair, error) 
 		}
 	}
 	n := int(maxTok) + 1
-	counts := make([]int32, n)
+	starts := make([]int32, n+1)
 	for _, r := range rrec {
 		for _, tok := range r.Tokens[:prefixLen(len(r.Tokens), theta)] {
-			counts[tok]++
+			starts[tok+1]++
 		}
 	}
-	starts := make([]int32, n+1)
-	for i, c := range counts {
-		starts[i+1] = starts[i] + c
+	for i := 0; i < n; i++ {
+		starts[i+1] += starts[i]
 	}
 	posts := make([]int32, starts[n])
-	fill := make([]int32, n)
-	copy(fill, starts[:n])
 	for j, r := range rrec {
 		for _, tok := range r.Tokens[:prefixLen(len(r.Tokens), theta)] {
-			posts[fill[tok]] = int32(j)
-			fill[tok]++
+			posts[starts[tok]] = int32(j)
+			starts[tok]++
 		}
 	}
+	// Each cursor now sits at the end of its token's postings, which is
+	// where the next token's postings start.
+	copy(starts[1:], starts[:n])
+	starts[0] = 0
 
 	// Probe: de-dup stamps mark the right records already scored for
 	// the current left record. Matches of one left record are sorted by

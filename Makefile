@@ -35,11 +35,14 @@ race:
 # index build's interval pool and the cluster-graph edge tasks size
 # themselves from GOMAXPROCS, so the tests that hold them to sequential
 # references — pinned segment bytes, the first bad interval's error,
-# disk equal to memory — run at 1, 2 and 8 workers, as do the Store's
-# reads racing its pushes and compactions
+# disk equal to memory, a worker's reused interval builder against fresh
+# builds (TestIntervalBuilderReuseMatchesFresh), each edge task's span
+# of its worker's join buffer (TestFromClustersParallelEquivalence, in
+# the clustergraph package run) — run at 1, 2 and 8 workers, as do the
+# Store's reads racing its pushes and compactions
 # (TestStoreReadsDuringPushAndCompact), for more interleavings.
 cpu-matrix:
-	$(GO) test -cpu 1,2,8 -run '^(TestSection4ParallelEquivalence|TestAllIntervalClustersBudgetSplit|TestEnginePushIncremental)$$' .
+	$(GO) test -cpu 1,2,8 -run '^(TestSection4ParallelEquivalence|TestAllIntervalClustersBudgetSplit|TestEnginePushIncremental|TestIntervalBuilderReuseMatchesFresh)$$' .
 	$(GO) test -cpu 1,2,8 -run '^(TestSegmentBytesPinned|TestBuildDiskRejectsBadInput|TestDiskEquivalenceRandom|TestDiskSmallBlockSizes|TestIndexAgreesWithCooccur|TestStoreDeltaEquivalence|TestStoreCompactionByteEquality|TestStoreReadsDuringPushAndCompact)$$' ./internal/index
 	$(GO) test -cpu 1,2,8 -run '^TestBuildPrunedMatchesPrune$$' ./internal/cooccur
 	$(GO) test -cpu 1,2,8 ./internal/clustergraph ./internal/par

@@ -123,12 +123,29 @@ func (o ClusterOptions) withDefaults() ClusterOptions {
 }
 
 // intervalClustersCtx runs the Section 3 pipeline for one interval of
-// the collection, from its tokens tk: keyword graph → χ²/ρ pruning →
-// biconnected components → keyword clusters. Cluster IDs are local to
-// the call (0,1,2…); the cluster graph assigns graph-wide ids.
+// the collection, from its tokens tk, on a fresh intervalBuilder.
 func intervalClustersCtx(ctx context.Context, tk *corpus.Tokens, interval int, opts ClusterOptions) ([]Cluster, error) {
+	return new(intervalBuilder).clusters(ctx, tk, interval, opts)
+}
+
+// intervalBuilder is one worker's Section 3 build, kept from interval
+// to interval: the keyword-graph builder (pair table, spill buffer,
+// A(u), G′'s arrays), the bicc graph it fills from G′ and the
+// decomposer with its working arrays. Each interval's G′ and
+// decomposition live only until the builder's next interval; the
+// clusters it returns share none of that.
+type intervalBuilder struct {
+	kw  cooccur.Builder
+	bg  bicc.Graph
+	dec bicc.Decomposer
+}
+
+// clusters runs keyword graph → χ²/ρ pruning → biconnected components
+// → keyword clusters for one interval. Cluster IDs are local to the
+// call (0,1,2…); the cluster graph assigns graph-wide ids.
+func (b *intervalBuilder) clusters(ctx context.Context, tk *corpus.Tokens, interval int, opts ClusterOptions) ([]Cluster, error) {
 	opts = opts.withDefaults()
-	pruned, err := cooccur.BuildPrunedTokens(ctx, tk, cooccur.BuildOptions{
+	pruned, err := b.kw.BuildPruned(ctx, tk, cooccur.BuildOptions{
 		MinPairCount: opts.MinPairCount,
 		MemBudget:    opts.MemBudget,
 	}, opts.Chi2Critical, opts.RhoThreshold)
@@ -136,11 +153,12 @@ func intervalClustersCtx(ctx context.Context, tk *corpus.Tokens, interval int, o
 		return nil, fmt.Errorf("blogclusters: interval %d keyword graph: %w", interval, err)
 	}
 
-	bg := bicc.NewGraph(pruned.NumVertices())
+	b.bg.Reset(pruned.NumVertices(), len(pruned.Edges))
 	for _, e := range pruned.Edges {
-		bg.AddEdge(e.U, e.V)
+		b.bg.AddEdge(e.U, e.V)
 	}
-	comps := bicc.Decompose(bg).Clusters(opts.MinClusterSize)
+	b.dec.Decompose(&b.bg)
+	comps := b.dec.Clusters(opts.MinClusterSize)
 	if len(comps) == 0 {
 		return nil, nil
 	}

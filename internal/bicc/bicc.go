@@ -13,7 +13,10 @@
 // (degree counts, offsets, one neighbour array, each vertex's
 // neighbours in insertion order) and reads each vertex's span once.
 // The popped components share one edge array, and Clusters writes
-// every vertex set into one buffer.
+// every vertex set into one buffer. A Decomposer keeps all of these
+// arrays from one graph to the next, and a Graph can be Reset to hold
+// the next one, so a worker decomposing graph after graph allocates
+// them once; Decompose is a fresh Decomposer's run.
 package bicc
 
 import (
@@ -44,16 +47,25 @@ func (g *Graph) AddEdge(u, v int32) {
 	g.edges = append(g.edges, [2]int32{u, v})
 }
 
+// Reset empties g to n vertices, with room for edges edges: it keeps
+// its edge array when that is large enough.
+func (g *Graph) Reset(n, edges int) {
+	g.n = n
+	g.edges = resize(g.edges, edges)[:0]
+}
+
 // NumVertices returns the vertex count.
 func (g *Graph) NumVertices() int { return g.n }
 
 // NumEdges returns the edge count.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
-// adjacency returns g in CSR form: the neighbours of v are
-// adj[off[v]:off[v+1]], in the order AddEdge inserted them.
-func (g *Graph) adjacency() (off, adj []int32) {
-	off = make([]int32, g.n+1)
+// adjacency returns g in CSR form, on the arrays off and adj when they
+// are large enough: the neighbours of v are adj[off[v]:off[v+1]], in
+// the order AddEdge inserted them.
+func (g *Graph) adjacency(off, adj []int32) ([]int32, []int32) {
+	off = resize(off, g.n+1)
+	clear(off)
 	for _, e := range g.edges {
 		off[e[0]+1]++
 		off[e[1]+1]++
@@ -61,7 +73,7 @@ func (g *Graph) adjacency() (off, adj []int32) {
 	for v := 0; v < g.n; v++ {
 		off[v+1] += off[v]
 	}
-	adj = make([]int32, 2*len(g.edges))
+	adj = resize(adj, 2*len(g.edges))
 	for _, e := range g.edges {
 		adj[off[e[0]]] = e[1]
 		off[e[0]]++
@@ -121,18 +133,49 @@ type frame struct {
 	children  int // DFS-tree children discovered so far (root rule)
 }
 
+// Decomposer runs Decompose on graph after graph and keeps its working
+// arrays for the next: the CSR adjacency, discovery order and low-link,
+// the articulation flags, the edge stack, the popped component edges,
+// the DFS frames, the Result and Clusters' buffer. What it returns
+// shares them, so it is valid until the Decomposer's next call. The
+// zero value is ready to use; a Decomposer is not safe for concurrent
+// use.
+type Decomposer struct {
+	off, adj  []int32
+	un, low   []int32
+	isArt     []bool
+	edgeStack [][2]int32
+	popped    [][2]int32
+	stack     []frame
+	res       *Result
+	buf       []int32   // Clusters' vertex sets
+	clusters  [][]int32 // Clusters' spans of buf
+}
+
 // Decompose runs the biconnected-components algorithm over g.
-func Decompose(g *Graph) *Result {
+func Decompose(g *Graph) *Result { return new(Decomposer).Decompose(g) }
+
+// Decompose runs the biconnected-components algorithm over g on d's
+// arrays. The Result is valid until d's next Decompose.
+func (d *Decomposer) Decompose(g *Graph) *Result {
 	n := g.NumVertices()
-	off, adj := g.adjacency()
-	un := make([]int32, n)  // discovery order, 0 = unvisited (time starts at 1)
-	low := make([]int32, n) // low-link
-	isArt := make([]bool, n)
+	off, adj := g.adjacency(d.off, d.adj)
+	un := resize(d.un, n)   // discovery order, 0 = unvisited (time starts at 1)
+	low := resize(d.low, n) // low-link
+	isArt := resize(d.isArt, n)
+	clear(un)
+	clear(isArt)
+	d.off, d.adj, d.un, d.low, d.isArt = off, adj, un, low, isArt
 	// Every edge is pushed once and popped into exactly one component,
 	// so both the stack and the components' shared array hold E edges.
-	edgeStack := make([][2]int32, 0, g.NumEdges())
-	popped := make([][2]int32, 0, g.NumEdges())
-	res := &Result{}
+	edgeStack := resize(d.edgeStack, g.NumEdges())[:0]
+	popped := resize(d.popped, g.NumEdges())[:0]
+	d.edgeStack, d.popped = edgeStack, popped
+	if d.res == nil {
+		d.res = new(Result)
+	}
+	res := d.res
+	res.Components, res.Articulation = res.Components[:0], res.Articulation[:0]
 	var time int32
 
 	popComponent := func(u, w int32) {
@@ -151,7 +194,7 @@ func Decompose(g *Graph) *Result {
 		res.Components = append(res.Components, Component{Edges: popped[start:len(popped):len(popped)]})
 	}
 
-	var stack []frame
+	stack := d.stack
 	for root := int32(0); int(root) < n; root++ {
 		if un[root] != 0 {
 			continue
@@ -200,6 +243,7 @@ func Decompose(g *Graph) *Result {
 			}
 		}
 	}
+	d.stack = stack[:0]
 	arts := 0
 	for _, a := range isArt {
 		if a {
@@ -207,7 +251,7 @@ func Decompose(g *Graph) *Result {
 		}
 	}
 	if arts > 0 {
-		res.Articulation = make([]int32, 0, arts)
+		res.Articulation = resize(res.Articulation, arts)[:0]
 		for v := int32(0); int(v) < n; v++ {
 			if isArt[v] {
 				res.Articulation = append(res.Articulation, v)
@@ -223,6 +267,21 @@ func Decompose(g *Graph) *Result {
 // as 2 (a component always has ≥ 2 vertices). The clusters are capped
 // spans of one shared buffer.
 func (r *Result) Clusters(minVertices int) [][]int32 {
+	_, out := r.appendClusters(nil, nil, minVertices)
+	return out
+}
+
+// Clusters is Clusters of d's last Decompose result, written into d's
+// buffer: valid until d's next Clusters call.
+func (d *Decomposer) Clusters(minVertices int) [][]int32 {
+	d.buf, d.clusters = d.res.appendClusters(d.buf[:0], d.clusters[:0], minVertices)
+	return d.clusters
+}
+
+// appendClusters appends r's clusters to out, their vertex sets to
+// buf, and returns both. buf is grown once up front, so every span
+// stays on the array it is returned with.
+func (r *Result) appendClusters(buf []int32, out [][]int32, minVertices int) ([]int32, [][]int32) {
 	if minVertices < 2 {
 		minVertices = 2
 	}
@@ -230,8 +289,8 @@ func (r *Result) Clusters(minVertices int) [][]int32 {
 	for _, c := range r.Components {
 		edges += len(c.Edges)
 	}
-	buf := make([]int32, 0, 2*edges)
-	out := make([][]int32, 0, len(r.Components))
+	buf = slices.Grow(buf, 2*edges)
+	out = slices.Grow(out, len(r.Components))
 	for _, c := range r.Components {
 		start := len(buf)
 		buf = appendVertices(buf, c.Edges)
@@ -241,5 +300,15 @@ func (r *Result) Clusters(minVertices int) [][]int32 {
 		}
 		out = append(out, buf[start:len(buf):len(buf)])
 	}
-	return out
+	return buf, out
+}
+
+// resize returns s at length n, on its own array when that holds n
+// elements and on a new zeroed one otherwise; reused elements keep
+// their old values.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

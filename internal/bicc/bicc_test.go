@@ -358,6 +358,46 @@ func FuzzDecompose(f *testing.F) {
 	})
 }
 
+// TestDecomposerReuseMatchesFresh runs one Graph, Reset for each
+// input, and one Decomposer over random graphs that shrink and grow in
+// turn, so each run finds arrays left longer and holding another
+// graph's values. Every Result and cluster list must equal a fresh
+// Decompose's.
+func TestDecomposerReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var g Graph
+	var d Decomposer
+	for round, n := range []int{40, 6, 300, 2, 120, 0, 75, 300, 9} {
+		edges := randomEdges(rng, n, 0.02+rng.Float64()*0.2)
+		g.Reset(n, len(edges))
+		for _, e := range edges {
+			g.AddEdge(e[0], e[1])
+		}
+		want := Decompose(graphOf(n, edges))
+		got := d.Decompose(&g)
+		if len(got.Components) != len(want.Components) || !slices.Equal(got.Articulation, want.Articulation) {
+			t.Fatalf("round %d (n=%d): %d components, articulation %v; want %d, %v",
+				round, n, len(got.Components), got.Articulation, len(want.Components), want.Articulation)
+		}
+		for i, c := range want.Components {
+			if !slices.Equal(got.Components[i].Edges, c.Edges) {
+				t.Fatalf("round %d (n=%d): component %d = %v, want %v", round, n, i, got.Components[i].Edges, c.Edges)
+			}
+		}
+		for _, minVertices := range []int{2, 3} {
+			wantCl, gotCl := want.Clusters(minVertices), d.Clusters(minVertices)
+			if len(gotCl) != len(wantCl) {
+				t.Fatalf("round %d (n=%d): %d clusters of %d+ vertices, want %d", round, n, len(gotCl), minVertices, len(wantCl))
+			}
+			for i := range wantCl {
+				if !slices.Equal(gotCl[i], wantCl[i]) {
+					t.Fatalf("round %d (n=%d): cluster %d = %v, want %v", round, n, i, gotCl[i], wantCl[i])
+				}
+			}
+		}
+	}
+}
+
 // Allocation ceiling, in tier-1: Decompose lays the graph out as CSR
 // and pops every component into one shared edge array, and Clusters
 // writes every vertex set into one buffer, so what they allocate is a

@@ -363,10 +363,12 @@ type intervalPair struct{ i, j int }
 // join per opts.UseSimJoin.
 //
 // Each interval pair is one task, and the tasks run on a pool of
-// GOMAXPROCS workers; a task runs sequentially inside. Each task fills
-// its own slot of the result, so the buffers come back in task order
-// and a caller that splices them in that order produces the same edge
-// sequence — and therefore the same graph — at any worker count.
+// GOMAXPROCS workers; a task runs sequentially inside. A worker appends
+// the pairs of every task it runs to its one buffer, through its one
+// simjoin.Joiner, and records the task's span of it; result ti is that
+// span, so the pairs come back in task order and a caller that splices
+// them in that order produces the same edge sequence — and therefore
+// the same graph — at any worker count.
 func edgePairs(ctx context.Context, sets [][]cluster.Cluster, tasks []intervalPair, opts FromClustersOptions) ([][]simjoin.Pair, error) {
 	theta := opts.Theta
 	if theta == 0 {
@@ -409,11 +411,10 @@ func edgePairs(ctx context.Context, sets [][]cluster.Cluster, tasks []intervalPa
 		}
 	}
 
-	run := func(t intervalPair) ([]simjoin.Pair, error) {
+	run := func(j *simjoin.Joiner, out []simjoin.Pair, t intervalPair) ([]simjoin.Pair, error) {
 		if opts.UseSimJoin {
-			return vocab.JoinRecords(recs[t.i], recs[t.j], theta)
+			return j.AppendJoin(out, recs[t.i], recs[t.j], theta)
 		}
-		var out []simjoin.Pair
 		for a, ca := range sets[t.i] {
 			for bj, cb := range sets[t.j] {
 				if w := aff(ca, cb); w >= theta && w > 0 {
@@ -423,13 +424,27 @@ func edgePairs(ctx context.Context, sets [][]cluster.Cluster, tasks []intervalPa
 		}
 		return out, nil
 	}
-	results := make([][]simjoin.Pair, len(tasks))
-	if err := par.ForEachCtx(ctx, len(tasks), runtime.GOMAXPROCS(0), func(ti int) error {
-		var err error
-		results[ti], err = run(tasks[ti])
-		return err
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(tasks)))
+	bufs := make([][]simjoin.Pair, workers)
+	joiners := make([]simjoin.Joiner, workers)
+	type span struct{ w, lo, hi int }
+	spans := make([]span, len(tasks))
+	if err := par.ForEachWorkerCtx(ctx, len(tasks), workers, func(w, ti int) error {
+		lo := len(bufs[w])
+		out, err := run(&joiners[w], bufs[w], tasks[ti])
+		if err != nil {
+			return err
+		}
+		bufs[w], spans[ti] = out, span{w, lo, len(out)}
+		return nil
 	}); err != nil {
 		return nil, err
+	}
+	// Spans are read off the final buffers: a buffer that grew after a
+	// task was recorded copied that task's pairs along.
+	results := make([][]simjoin.Pair, len(tasks))
+	for ti, sp := range spans {
+		results[ti] = bufs[sp.w][sp.lo:sp.hi:sp.hi]
 	}
 	return results, nil
 }

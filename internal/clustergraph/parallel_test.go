@@ -1,12 +1,15 @@
 package clustergraph
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/simjoin"
 )
 
 // randClusterSets builds deterministic per-interval cluster sets with
@@ -85,9 +88,48 @@ func referenceGraph(t *testing.T, sets [][]cluster.Cluster, gap int, theta float
 
 // TestFromClustersParallelEquivalence: edge generation on the worker
 // pool builds the graph the sequential reference builds, on both the
-// quadratic and simjoin paths, at gap 0 and gap 2. `make cpu-matrix`
-// runs it at 1, 2 and 8 workers.
+// quadratic and simjoin paths, at gap 0 and gap 2. Each worker appends
+// the pairs of all its tasks to one buffer, so every task's span of it
+// is also held to that task's pairs computed alone, on twelve intervals
+// at gap 2 (30 tasks, so a worker's buffer grows past the spans it
+// already recorded). `make cpu-matrix` runs it at 1, 2 and 8 workers.
 func TestFromClustersParallelEquivalence(t *testing.T) {
+	wide := randClusterSets(5, 12, 40, 90, 8)
+	var tasks []intervalPair
+	for i := range wide {
+		for j := i + 1; j <= i+3 && j < len(wide); j++ {
+			tasks = append(tasks, intervalPair{i, j})
+		}
+	}
+	vocab := simjoin.NewVocab(wide...)
+	recs := make([][]simjoin.Record, len(wide))
+	for i, cs := range wide {
+		var err error
+		if recs[i], err = vocab.Records(cs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, useSimJoin := range []bool{false, true} {
+		got, err := edgePairs(context.Background(), wide, tasks, FromClustersOptions{Gap: 2, Theta: 0.25, UseSimJoin: useSimJoin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := 0
+		for ti, tk := range tasks {
+			want, err := vocab.JoinRecords(recs[tk.i], recs[tk.j], 0.25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got[ti]) != len(want) || len(want) > 0 && !slices.Equal(got[ti], want) {
+				t.Fatalf("simjoin %v: task %d (%d,%d) has %d pairs, alone %d", useSimJoin, ti, tk.i, tk.j, len(got[ti]), len(want))
+			}
+			pairs += len(want)
+		}
+		if pairs == 0 {
+			t.Fatal("no pairs; workload too sparse to be a real test")
+		}
+	}
+
 	sets := randClusterSets(11, 6, 50, 90, 8)
 	for _, gap := range []int{0, 2} {
 		ref := referenceGraph(t, sets, gap, 0.25, cluster.Jaccard, false)

@@ -48,7 +48,7 @@ func Build(c *corpus.Collection, from, to int, opts BuildOptions) (*Graph, error
 // the interval. A build that spills keeps its runs in one temp file,
 // removed before BuildCtx returns on every path.
 func BuildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts BuildOptions) (*Graph, error) {
-	g, _, err := buildCtx(ctx, c, from, to, opts, nil, faultfs.OS())
+	g, _, err := new(Builder).buildCtx(ctx, c, from, to, opts, nil, faultfs.OS())
 	return g, err
 }
 
@@ -58,14 +58,38 @@ func BuildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts Buil
 // that cannot pass the test at any count are never counted (see
 // pairBound), and every triplet is tested as it leaves the fold.
 func BuildPrunedCtx(ctx context.Context, c *corpus.Collection, from, to int, opts BuildOptions, chi2Critical, rhoThreshold float64) (*Graph, error) {
-	g, _, err := buildCtx(ctx, c, from, to, opts, &threshold{chi2: chi2Critical, rho: rhoThreshold}, faultfs.OS())
+	g, _, err := new(Builder).buildCtx(ctx, c, from, to, opts, &threshold{chi2: chi2Critical, rho: rhoThreshold}, faultfs.OS())
 	return g, err
 }
 
 // BuildPrunedTokens is BuildPrunedCtx over documents already
 // tokenized: G′ of the documents tk was made from.
 func BuildPrunedTokens(ctx context.Context, tk *corpus.Tokens, opts BuildOptions, chi2Critical, rhoThreshold float64) (*Graph, error) {
-	g, _, err := build(ctx, tk, opts, &threshold{chi2: chi2Critical, rho: rhoThreshold}, faultfs.OS())
+	return new(Builder).BuildPruned(ctx, tk, opts, chi2Critical, rhoThreshold)
+}
+
+// Builder is the one keyword-graph build, kept from build to build: it
+// owns what a build throws away — the pair table, which also holds its
+// entries while they are sorted and folded or spilled, the spill buffer
+// and the merge's arrays, A(u), the bound ratios and the per-document
+// scratch — and the pruner's remap and G′'s arrays. A worker that
+// builds interval after interval holds one and allocates them once.
+// The graph a build returns shares the Builder's arrays, so it is
+// valid until the Builder's next build; the package's Build functions
+// each run a fresh Builder, so what they return is the caller's alone.
+// A spill file is still per build, removed before the build returns.
+// The zero value is ready to use; a Builder is not safe for concurrent
+// use.
+type Builder struct {
+	cn       counter
+	docCount []int64 // A(u) by keyword id
+	prune    pruner
+}
+
+// BuildPruned is BuildPrunedTokens on b's arrays: the returned G′ is
+// valid until b's next build.
+func (b *Builder) BuildPruned(ctx context.Context, tk *corpus.Tokens, opts BuildOptions, chi2Critical, rhoThreshold float64) (*Graph, error) {
+	g, _, err := b.build(ctx, tk, opts, &threshold{chi2: chi2Critical, rho: rhoThreshold}, faultfs.OS())
 	return g, err
 }
 
@@ -75,15 +99,15 @@ type threshold struct{ chi2, rho float64 }
 
 // buildCtx is BuildCtx over the filesystem fs, pruned at th unless th
 // is nil, reporting what the spill route did.
-func buildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts BuildOptions, th *threshold, fs faultfs.FS) (*Graph, spillStats, error) {
+func (b *Builder) buildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts BuildOptions, th *threshold, fs faultfs.FS) (*Graph, spillStats, error) {
 	if from < 0 || to >= len(c.Intervals) || from > to {
 		return nil, spillStats{}, fmt.Errorf("cooccur: interval range [%d,%d] outside collection of %d intervals", from, to, len(c.Intervals))
 	}
-	return build(ctx, corpus.Tokenize(c.Intervals[from:to+1]), opts, th, fs)
+	return b.build(ctx, corpus.Tokenize(c.Intervals[from:to+1]), opts, th, fs)
 }
 
 // build is the one keyword-graph build, over tokenized documents.
-func build(ctx context.Context, tk *corpus.Tokens, opts BuildOptions, th *threshold, fs faultfs.FS) (*Graph, spillStats, error) {
+func (b *Builder) build(ctx context.Context, tk *corpus.Tokens, opts BuildOptions, th *threshold, fs faultfs.FS) (*Graph, spillStats, error) {
 	minCount := opts.MinPairCount
 	if minCount <= 0 {
 		minCount = 1
@@ -98,7 +122,9 @@ func build(ctx context.Context, tk *corpus.Tokens, opts BuildOptions, th *thresh
 	// The pass also sums the pair occurrences pass 2 may count, an upper
 	// bound on the table's entries.
 	n := tk.NumDocs()
-	docCount := make([]int64, len(tk.Words))
+	docCount := resize(b.docCount, len(tk.Words))
+	b.docCount = docCount
+	clear(docCount)
 	for _, id := range tk.IDs {
 		docCount[id]++
 	}
@@ -116,7 +142,8 @@ func build(ctx context.Context, tk *corpus.Tokens, opts BuildOptions, th *thresh
 	}
 	f := &fold{g: g, minCount: minCount}
 	if th != nil {
-		f.prune = newPruner(g, *th)
+		b.prune.reset(g, *th)
+		f.prune = &b.prune
 	}
 
 	// Pass 2: pair counting into one table, spilling a sorted run to the
@@ -126,14 +153,13 @@ func build(ctx context.Context, tk *corpus.Tokens, opts BuildOptions, th *thresh
 	if pairs*pairEntryBytes >= int64(memBudget) {
 		tableEntries = (memBudget + pairEntryBytes - 1) / pairEntryBytes
 	}
-	cn := &counter{
-		table:  newPairTable(tableEntries),
-		budget: memBudget,
-		bound:  newPairBound(g, th),
-		file:   spillFile{fs: fs},
-		ids:    make([]int32, 0, maxKeywords),
-		rs:     make([]float64, 0, maxKeywords),
-	}
+	cn := &b.cn
+	cn.table.prepare(tableEntries)
+	cn.budget = memBudget
+	cn.bound.reset(g, th)
+	cn.file.reset(fs)
+	cn.ids = resize(cn.ids, maxKeywords)
+	cn.rs = resize(cn.rs, maxKeywords)
 	defer cn.file.close()
 	const pollEvery = 1024
 	for d := range n {
@@ -161,7 +187,7 @@ func build(ctx context.Context, tk *corpus.Tokens, opts BuildOptions, th *thresh
 		}
 		return f.graph(), cn.file.stats, nil
 	}
-	entries := cn.table.appendEntries(nil)
+	entries := cn.table.drain()
 	sortEntries(entries)
 	f.reserve(len(entries))
 	for _, e := range entries {
@@ -237,21 +263,21 @@ type pairBound struct {
 // works in floating point, so the bound keeps pairs within 1e-9 of T.
 const boundSlack = 1e-9
 
-// newPairBound returns the bound of g's keywords under th; nil th, or
-// a negative ρ threshold, gives the bound that keeps every pair.
-func newPairBound(g *Graph, th *threshold) pairBound {
-	b := pairBound{r: make([]float64, len(g.DocCount))}
+// reset makes b the bound of g's keywords under th, keeping b's ratio
+// array; nil th, or a negative ρ threshold, gives the bound that keeps
+// every pair.
+func (b *pairBound) reset(g *Graph, th *threshold) {
+	b.r, b.t = resize(b.r, len(g.DocCount)), 0
 	if th == nil || th.rho < 0 {
 		for i := range b.r {
 			b.r[i] = 1
 		}
-		return b
+		return
 	}
 	for i, a := range g.DocCount {
 		b.r[i] = float64(a) / float64(g.N-a)
 	}
 	b.t = max(th.rho*th.rho, th.chi2/float64(g.N)) * (1 - boundSlack)
-	return b
 }
 
 // mayPass reports whether a pair of keywords with ratios ru and rv can
@@ -263,16 +289,16 @@ func (b pairBound) mayPass(ru, rv float64) bool {
 	return ru > b.t*rv
 }
 
-// counter is the counting state of one build.
+// counter is the counting state of a build; a Builder keeps its
+// arrays for the next.
 type counter struct {
-	table  *pairTable
+	table  pairTable
 	budget int
 	bound  pairBound
 	file   spillFile
 
-	ids     []int32     // per-document keyword-id scratch, sized once
-	rs      []float64   // the ids' bound ratios, sized once
-	scratch []pairEntry // spill extraction scratch
+	ids []int32   // per-document keyword-id scratch, sized per build
+	rs  []float64 // the ids' bound ratios, sized per build
 }
 
 // countDoc counts every pair of one document's keywords that may pass
@@ -312,8 +338,7 @@ func (cn *counter) spill() error {
 	if cn.table.n == 0 {
 		return nil
 	}
-	entries := cn.table.appendEntries(cn.scratch[:0])
-	cn.scratch = entries[:0]
+	entries := cn.table.drain()
 	sortEntries(entries)
 	if err := cn.file.appendRun(entries); err != nil {
 		return err

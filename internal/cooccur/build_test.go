@@ -145,7 +145,7 @@ func TestBuildMatchesNaiveCount(t *testing.T) {
 				opts := row.opts
 				opts.MinPairCount = minCount
 				label := fmt.Sprintf("seed=%d %s %+v", seed, row.name, opts)
-				g, st, err := buildCtx(context.Background(), col, 0, 1, opts, nil, faultfs.OS())
+				g, st, err := new(Builder).buildCtx(context.Background(), col, 0, 1, opts, nil, faultfs.OS())
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -291,18 +291,22 @@ func TestSpillRecordRoundTrip(t *testing.T) {
 }
 
 // TestPairTable exercises the open-addressing table directly: growth,
-// sizing up front, duplicate accumulation, extraction and reset.
+// sizing up front, duplicate accumulation, draining in place and
+// reset.
 func TestPairTable(t *testing.T) {
-	pt := newPairTable(0)
+	var pt pairTable
+	pt.prepare(0)
 	const n = 5000
 	for i := 0; i < n; i++ {
 		k := pairKey(int32(i%100), int32(i%700))
 		pt.add(k, 1)
 		pt.add(k, 2)
 	}
-	entries := pt.appendEntries(nil)
-	if len(entries) != pt.n {
-		t.Fatalf("extracted %d entries, table says %d", len(entries), pt.n)
+	held := pt.n
+	grown := len(pt.slots)
+	entries := pt.drain()
+	if len(entries) != held {
+		t.Fatalf("drained %d entries, table says %d", len(entries), held)
 	}
 	var total int64
 	for _, e := range entries {
@@ -317,10 +321,10 @@ func TestPairTable(t *testing.T) {
 			t.Fatalf("entries not strictly ascending at %d", i)
 		}
 	}
-	grown := len(pt.slots)
 	// A table sized for these entries starts at the size growth
 	// reached and holds them without growing.
-	sized := newPairTable(len(entries))
+	var sized pairTable
+	sized.prepare(len(entries))
 	for _, e := range entries {
 		sized.add(e.key, e.count)
 	}
@@ -328,11 +332,11 @@ func TestPairTable(t *testing.T) {
 		t.Fatalf("table sized for %d entries has %d slots, grown table %d", len(entries), len(sized.slots), grown)
 	}
 	pt.reset()
-	if pt.n != 0 || len(pt.slots) != grown || len(pt.appendEntries(nil)) != 0 {
+	if pt.n != 0 || len(pt.slots) != grown || len(pt.drain()) != 0 {
 		t.Fatalf("reset left n=%d cap=%d (was %d)", pt.n, len(pt.slots), grown)
 	}
 	pt.add(pairKey(1, 2), 5)
-	if got := pt.appendEntries(nil); len(got) != 1 || got[0] != (pairEntry{key: pairKey(1, 2), count: 5}) {
+	if got := pt.drain(); len(got) != 1 || got[0] != (pairEntry{key: pairKey(1, 2), count: 5}) {
 		t.Fatalf("table after reset holds %v", got)
 	}
 }

@@ -17,7 +17,8 @@
 //   - pairs are counted into one open-addressing hash table keyed by
 //     the packed id pair uint64(u)<<32|v;
 //   - when nothing spills — the common case for per-interval graphs —
-//     the table's entries are radix-sorted and folded in memory;
+//     the table's entries are gathered at the front of its own
+//     array, radix-sorted there and folded in memory;
 //   - a table that exceeds BuildOptions.MemBudget appends its entries,
 //     radix-sorted, as one run of fixed 16-byte records to the build's
 //     one temp file, and remembers the run's offset;
@@ -32,6 +33,13 @@
 // prune edges, yielding G'. BuildPrunedCtx yields G' in the same pass:
 // it never counts a pair whose A(u) and A(v) rule out passing the test
 // at any count, and it tests each triplet as it leaves the fold.
+//
+// A Builder is that build with its arrays kept for the next one — the
+// table, which also holds the entries while they are sorted, the spill
+// buffer, A(u), the bound ratios and G′'s own arrays — so a worker
+// building interval after interval allocates them once; the G′ it
+// returns is valid until its next build. The package's Build functions
+// each run a fresh Builder.
 package cooccur
 
 import (
@@ -64,21 +72,27 @@ type Graph struct {
 	// Edges holds the co-occurrence triplets, sorted by (U, V).
 	Edges []Edge
 
-	// index maps a pruned graph's keywords to their ids. It is nil on
-	// an unpruned graph, whose sorted Keywords need no map.
-	index map[string]int32
+	// byWord lists a pruned graph's keyword ids in lexicographic order
+	// of their keywords, for KeywordID's binary search. It is nil on an
+	// unpruned graph, whose Keywords are sorted themselves.
+	byWord []int32
 }
 
 // KeywordID returns the id of keyword w.
 func (g *Graph) KeywordID(w string) (int32, bool) {
-	if g.index == nil {
+	if g.byWord == nil {
 		if i, ok := slices.BinarySearch(g.Keywords, w); ok {
 			return int32(i), true
 		}
 		return 0, false
 	}
-	id, ok := g.index[w]
-	return id, ok
+	i, ok := slices.BinarySearchFunc(g.byWord, w, func(id int32, w string) int {
+		return strings.Compare(g.Keywords[id], w)
+	})
+	if !ok {
+		return 0, false
+	}
+	return g.byWord[i], true
 }
 
 // NumVertices returns the number of distinct keywords.
@@ -105,7 +119,8 @@ func (g *Graph) AnnotateStats() {
 // no surviving edges are dropped and ids are re-packed. AnnotateStats
 // must have been called.
 func (g *Graph) Prune(chi2Critical, rhoThreshold float64) *Graph {
-	p := newPruner(g, threshold{chi2: chi2Critical, rho: rhoThreshold})
+	var p pruner
+	p.reset(g, threshold{chi2: chi2Critical, rho: rhoThreshold})
 	for _, e := range g.Edges {
 		p.keep(e)
 	}
@@ -115,17 +130,26 @@ func (g *Graph) Prune(chi2Critical, rhoThreshold float64) *Graph {
 // pruner keeps the annotated edges of src that pass the χ²/ρ test and
 // renumbers their endpoints densely, in the order the kept edges first
 // name them. Prune and the pruned build share it, so both give the
-// same G'.
+// same G'. Its arrays are G′'s: a Builder's pruner keeps them from
+// build to build, so the G′ it returns lives until the next reset.
 type pruner struct {
 	src   *Graph
 	th    threshold
-	edges []Edge
 	remap []int32 // src id → new id + 1; 0 while the keyword is not kept
 	kept  int32   // keywords kept so far
+
+	edges    []Edge
+	keywords []string
+	docCount []int64
+	byWord   []int32
 }
 
-func newPruner(src *Graph, th threshold) *pruner {
-	return &pruner{src: src, th: th, remap: make([]int32, len(src.Keywords))}
+// reset starts pruning src at th, keeping p's arrays.
+func (p *pruner) reset(src *Graph, th threshold) {
+	p.src, p.th, p.kept = src, th, 0
+	p.remap = resize(p.remap, len(src.Keywords))
+	clear(p.remap)
+	p.edges = p.edges[:0]
 }
 
 // keep adds e to the pruned graph if it passes the test. Edges must
@@ -151,23 +175,45 @@ func (p *pruner) renumber(old int32) int32 {
 }
 
 // graph returns the pruned graph: the kept keywords under their new
-// ids and the kept edges sorted by (U, V).
+// ids and the kept edges sorted by (U, V). The source's ids are walked
+// in its keywords' lexicographic order — on a built graph old ids are
+// ranks, so that is id order — which lists the kept ids in byWord's
+// order with no sort.
 func (p *pruner) graph() *Graph {
-	out := &Graph{N: p.src.N, Edges: p.edges, index: make(map[string]int32, p.kept)}
+	src := p.src
+	out := &Graph{N: src.N, Edges: p.edges}
 	if p.kept > 0 {
-		out.Keywords = make([]string, p.kept)
-		out.DocCount = make([]int64, p.kept)
-		for old, id := range p.remap {
-			if id != 0 {
-				w := p.src.Keywords[old]
-				out.Keywords[id-1] = w
-				out.DocCount[id-1] = p.src.DocCount[old]
-				out.index[w] = id - 1
+		k := int(p.kept)
+		p.keywords = resize(p.keywords, k)
+		p.docCount = resize(p.docCount, k)
+		p.byWord = resize(p.byWord, k)
+		next := 0
+		for rank := range src.Keywords {
+			old := rank
+			if src.byWord != nil {
+				old = int(src.byWord[rank])
+			}
+			if id := p.remap[old]; id != 0 {
+				p.keywords[id-1] = src.Keywords[old]
+				p.docCount[id-1] = src.DocCount[old]
+				p.byWord[next] = id - 1
+				next++
 			}
 		}
+		out.Keywords, out.DocCount, out.byWord = p.keywords, p.docCount, p.byWord
 	}
 	slices.SortFunc(out.Edges, compareEdges)
 	return out
+}
+
+// resize returns s at length n, on its own array when that holds n
+// elements and on a new zeroed one otherwise; reused elements keep
+// their old values.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // compareEdges orders edges by (U, V).

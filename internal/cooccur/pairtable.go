@@ -17,7 +17,8 @@ func splitPairKey(key uint64) (u, v int32) {
 	return int32(key >> 32), int32(uint32(key))
 }
 
-// pairEntry is one (key, count) pair extracted from a table.
+// pairEntry is one (key, count) pair: a table slot, holding key+1, or
+// an entry drained from the table.
 type pairEntry struct {
 	key   uint64
 	count int64
@@ -32,24 +33,29 @@ const minTableSlots = 1 << 10 // power of two
 // pairTable is an open-addressing (linear probing) hash table from
 // packed pair key to count. Slots store key+1 so zero marks an empty
 // slot; the maximum packed key is below 1<<63, so the increment cannot
-// wrap. Capacity is always a power of two and grows at 3/4 load.
+// wrap. Capacity is always a power of two and grows at 3/4 load. A slot
+// is a pairEntry, so drain can gather the entries in place.
 type pairTable struct {
-	slots  []uint64
-	counts []int64
-	n      int
+	slots []pairEntry
+	n     int
 }
 
-// newPairTable returns a table that holds entries keys without growing
-// (and at least minTableSlots slots).
-func newPairTable(entries int) *pairTable {
+// prepare empties t for a build that may reach entries keys. A table
+// already large enough to hold them without growing keeps its array;
+// otherwise it gets a new one that does, of at least minTableSlots
+// slots. Either way the spill trigger reads the entries, not the
+// slots, so a larger reused table changes nothing but where its keys
+// sit.
+func (t *pairTable) prepare(entries int) {
 	slots := minTableSlots
 	for 4*entries > 3*slots {
 		slots *= 2
 	}
-	return &pairTable{
-		slots:  make([]uint64, slots),
-		counts: make([]int64, slots),
+	if slots > len(t.slots) {
+		*t = pairTable{slots: make([]pairEntry, slots)}
+		return
 	}
+	t.reset()
 }
 
 // mix is the 64-bit finalizer of MurmurHash3: packed keys are highly
@@ -72,13 +78,13 @@ func (t *pairTable) add(key uint64, delta int64) {
 	mask := uint64(len(t.slots) - 1)
 	k := key + 1
 	for i := mix(key) & mask; ; i = (i + 1) & mask {
-		switch t.slots[i] {
+		s := &t.slots[i]
+		switch s.key {
 		case k:
-			t.counts[i] += delta
+			s.count += delta
 			return
 		case 0:
-			t.slots[i] = k
-			t.counts[i] = delta
+			s.key, s.count = k, delta
 			t.n++
 			return
 		}
@@ -86,20 +92,18 @@ func (t *pairTable) add(key uint64, delta int64) {
 }
 
 func (t *pairTable) grow() {
-	oldSlots, oldCounts := t.slots, t.counts
-	t.slots = make([]uint64, 2*len(oldSlots))
-	t.counts = make([]int64, 2*len(oldCounts))
+	old := t.slots
+	t.slots = make([]pairEntry, 2*len(old))
 	mask := uint64(len(t.slots) - 1)
-	for i, k := range oldSlots {
-		if k == 0 {
+	for _, s := range old {
+		if s.key == 0 {
 			continue
 		}
-		j := mix(k-1) & mask
-		for t.slots[j] != 0 {
+		j := mix(s.key-1) & mask
+		for t.slots[j].key != 0 {
 			j = (j + 1) & mask
 		}
-		t.slots[j] = k
-		t.counts[j] = oldCounts[i]
+		t.slots[j] = s
 	}
 }
 
@@ -108,19 +112,19 @@ func (t *pairTable) grow() {
 // capacity, must track what a sorted spill would have to write).
 func (t *pairTable) entryBytes() int { return t.n * pairEntryBytes }
 
-// appendEntries appends all occupied entries to dst and returns it.
-func (t *pairTable) appendEntries(dst []pairEntry) []pairEntry {
-	if cap(dst)-len(dst) < t.n {
-		grown := make([]pairEntry, len(dst), len(dst)+t.n)
-		copy(grown, dst)
-		dst = grown
-	}
-	for i, k := range t.slots {
-		if k != 0 {
-			dst = append(dst, pairEntry{key: k - 1, count: t.counts[i]})
+// drain gathers the table's entries, keys restored, at the front of
+// its own array and returns them there, in no particular order: no
+// second array is needed to sort and fold them. The table must be
+// reset before its next add.
+func (t *pairTable) drain() []pairEntry {
+	out := t.slots[:0]
+	for _, s := range t.slots {
+		if s.key != 0 {
+			// The write lands at or before the slot being read.
+			out = append(out, pairEntry{key: s.key - 1, count: s.count})
 		}
 	}
-	return dst
+	return out
 }
 
 // reset empties the table in place. Capacity is kept: it is bounded by
@@ -128,7 +132,6 @@ func (t *pairTable) appendEntries(dst []pairEntry) []pairEntry {
 // spilled once will fill to that size again.
 func (t *pairTable) reset() {
 	clear(t.slots)
-	clear(t.counts)
 	t.n = 0
 }
 

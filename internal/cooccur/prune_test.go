@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/faultfs"
 	"repro/internal/stats"
 )
@@ -15,7 +16,8 @@ import (
 // graph at MinPairCount 1, a build pruned at th counts into its table:
 // the pairs the bound lets through.
 func boundedPairs(full *Graph, th *threshold) int {
-	b := newPairBound(full, th)
+	var b pairBound
+	b.reset(full, th)
 	n := 0
 	for _, e := range full.Edges {
 		if b.mayPass(b.r[e.U], b.r[e.V]) {
@@ -27,10 +29,13 @@ func boundedPairs(full *Graph, th *threshold) int {
 
 // TestBuildPrunedMatchesPrune holds the pruned build to the two-step
 // route it replaces, BuildCtx then AnnotateStats then Prune, field for
-// field (ids, index map and nil slices included), on the in-memory
+// field (ids, keyword order and nil slices included), on the in-memory
 // route and each merge shape of the spill route, at MinPairCount 1 and
-// 2 and at ρ thresholds below, at and above zero.
+// 2 and at ρ thresholds below, at and above zero. Every build runs
+// twice: on a fresh Builder and on one Builder shared by all of them,
+// whose arrays the earlier builds have left at other sizes and values.
 func TestBuildPrunedMatchesPrune(t *testing.T) {
+	shared := new(Builder)
 	for _, seed := range []int64{1, 7, 42} {
 		col := equivCorpus(t, seed, 300)
 		full, err := Build(col, 0, 1, BuildOptions{})
@@ -59,16 +64,18 @@ func TestBuildPrunedMatchesPrune(t *testing.T) {
 					opts := row.opts
 					opts.MinPairCount = minCount
 					label := fmt.Sprintf("seed=%d ρ=%g %s %+v", seed, rho, row.name, opts)
-					g, st, err := buildCtx(context.Background(), col, 0, 1, opts, th, faultfs.OS())
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if !row.shape(st) {
-						t.Fatalf("%s: spill shape %+v", label, st)
-					}
-					if !reflect.DeepEqual(want, g) {
-						requireIdenticalGraphs(t, want, g, label)
-						t.Fatalf("%s: graphs differ outside Keywords, DocCount and Edges", label)
+					for _, b := range []*Builder{new(Builder), shared} {
+						g, st, err := b.buildCtx(context.Background(), col, 0, 1, opts, th, faultfs.OS())
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if !row.shape(st) {
+							t.Fatalf("%s: spill shape %+v", label, st)
+						}
+						if !reflect.DeepEqual(want, g) {
+							requireIdenticalGraphs(t, want, g, label)
+							t.Fatalf("%s: graphs differ outside Keywords, DocCount and Edges", label)
+						}
 					}
 				}
 			}
@@ -91,7 +98,8 @@ func TestPairBoundSound(t *testing.T) {
 			for i := range g.DocCount {
 				g.DocCount[i] = int64(i) + 1
 			}
-			b := newPairBound(g, th)
+			var b pairBound
+			b.reset(g, th)
 			for au := int64(1); au <= n; au++ {
 				for av := int64(1); av <= n; av++ {
 					may := b.mayPass(b.r[au-1], b.r[av-1])
@@ -147,4 +155,65 @@ func FuzzBuildPruned(f *testing.F) {
 			t.Fatalf("%s: graphs differ outside Keywords, DocCount and Edges", label)
 		}
 	})
+}
+
+// TestPrunedKeywordID: a pruned graph, whose ids follow the kept edges
+// and not the keywords' order, finds every kept keyword at its id by
+// binary search over byWord, and finds no keyword the prune dropped or
+// the corpus never had. It covers Prune, BuildPrunedCtx, a Builder
+// reused after a build of other documents, and Prune of a pruned graph,
+// whose source ids are no longer ranks.
+func TestPrunedKeywordID(t *testing.T) {
+	ctx := context.Background()
+	col := equivCorpus(t, 7, 300)
+	full, err := Build(col, 0, 1, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.AnnotateStats()
+	built, err := BuildPrunedCtx(ctx, col, 0, 1, BuildOptions{}, stats.ChiSquared95, stats.DefaultRhoThreshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b Builder
+	if _, err := b.BuildPruned(ctx, corpus.Tokenize(col.Intervals[1:2]), BuildOptions{}, stats.ChiSquared95, 0); err != nil {
+		t.Fatal(err)
+	}
+	reused, err := b.BuildPruned(ctx, corpus.Tokenize(col.Intervals[0:2]), BuildOptions{}, stats.ChiSquared95, stats.DefaultRhoThreshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned := full.Prune(stats.ChiSquared95, stats.DefaultRhoThreshold)
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"Prune", pruned},
+		{"BuildPrunedCtx", built},
+		{"reused Builder", reused},
+		{"Prune of Prune", pruned.Prune(stats.ChiSquared95, 0.4)},
+	} {
+		g := tc.g
+		if len(g.Keywords) == 0 || len(g.Keywords) == len(full.Keywords) {
+			t.Fatalf("%s: keeps %d of %d keywords; the prune does not exercise the lookup", tc.name, len(g.Keywords), len(full.Keywords))
+		}
+		if slices.IsSorted(g.Keywords) {
+			t.Fatalf("%s: kept keywords are in lexicographic order; ids do not exercise byWord", tc.name)
+		}
+		kept := make(map[string]bool, len(g.Keywords))
+		for id, w := range g.Keywords {
+			kept[w] = true
+			if got, ok := g.KeywordID(w); !ok || got != int32(id) {
+				t.Fatalf("%s: KeywordID(%q) = %d, %t; want %d", tc.name, w, got, ok, id)
+			}
+		}
+		for _, w := range append(slices.Clone(full.Keywords), "", "~absent", "alpha0") {
+			if kept[w] {
+				continue
+			}
+			if id, ok := g.KeywordID(w); ok {
+				t.Fatalf("%s: KeywordID(%q) = %d for a keyword the graph does not keep", tc.name, w, id)
+			}
+		}
+	}
 }

@@ -28,15 +28,28 @@ const (
 )
 
 // spillFile is the one temp file of a spilled build; the zero value
-// has no file yet.
+// has no file yet. The file and its state are per build (reset); the
+// buffer and the run and merge arrays outlive it, for a Builder's next
+// build to reuse.
 type spillFile struct {
 	fs       faultfs.FS
 	f        faultfs.File
 	unlinked bool    // the name is already removed
 	size     int64   // bytes written, i.e. the file's end
 	runs     []int64 // start offset of each live run, in file order
-	buf      []byte  // spillBufBytes, allocated with the file
 	stats    spillStats
+
+	buf     []byte       // spillBufBytes, allocated with the first file
+	next    []int64      // a fan-in pass's new runs
+	cursors []runCursor  // a merge's runs
+	heap    []*runCursor // a merge's heap over cursors
+}
+
+// reset readies s for a new build on fs, with no file yet.
+func (s *spillFile) reset(fs faultfs.FS) {
+	s.fs, s.f, s.unlinked, s.size = fs, nil, false, 0
+	s.runs = s.runs[:0]
+	s.stats = spillStats{}
 }
 
 // spillStats reports what a build's spill route did.
@@ -58,8 +71,10 @@ func (s *spillFile) appendRun(entries []pairEntry) error {
 		// usable, and a process killed mid-build leaves nothing behind.
 		// Elsewhere close removes it.
 		s.unlinked = s.fs.Remove(f.Name()) == nil
-		s.buf = make([]byte, spillBufBytes)
-		s.runs = make([]int64, 0, maxFanIn)
+		if s.buf == nil {
+			s.buf = make([]byte, spillBufBytes)
+			s.runs = make([]int64, 0, maxFanIn)
+		}
 	}
 	s.runs = append(s.runs, s.size)
 	s.stats.spills++
@@ -110,7 +125,7 @@ func (s *spillFile) fanIn(ctx context.Context) error {
 	for len(s.runs) > maxFanIn {
 		runs, end := s.runs, s.size
 		groups := (len(runs) + maxFanIn - 2) / (maxFanIn - 1)
-		next := make([]int64, 0, groups)
+		next := s.next[:0]
 		out := runWriter{s: s, buf: s.buf[:minShareBytes]}
 		for i := range groups {
 			lo, hi := i*len(runs)/groups, (i+1)*len(runs)/groups
@@ -126,7 +141,8 @@ func (s *spillFile) fanIn(ctx context.Context) error {
 				return err
 			}
 		}
-		s.runs = next
+		// The old run list becomes the next pass's output array.
+		s.runs, s.next = next, runs
 		s.stats.fanInPasses++
 	}
 	return nil
@@ -138,8 +154,9 @@ func (s *spillFile) fanIn(ctx context.Context) error {
 // ctx every 4 096 records.
 func (s *spillFile) merge(ctx context.Context, runs []int64, end int64, buf []byte, emit func(key uint64, count int64) error) error {
 	share := len(buf) / len(runs) / spillRecordLen * spillRecordLen
-	cursors := make([]runCursor, len(runs))
-	h := make([]*runCursor, 0, len(runs))
+	cursors := resize(s.cursors, len(runs))
+	s.cursors = cursors
+	h := resize(s.heap, len(runs))[:0]
 	for i, off := range runs {
 		c := &cursors[i]
 		*c = runCursor{off: off, end: end, buf: buf[i*share : (i+1)*share]}
@@ -154,6 +171,7 @@ func (s *spillFile) merge(ctx context.Context, runs []int64, end int64, buf []by
 			h = append(h, c)
 		}
 	}
+	s.heap = h[:0] // h only shrinks from here
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDown(h, i)
 	}

@@ -19,7 +19,7 @@ func TestBuildSpillPreMergeEquivalence(t *testing.T) {
 	}
 	// A 4 KiB table spills every handful of documents: far more runs
 	// than one merge reads at once.
-	got, st, err := buildCtx(context.Background(), col, 0, 0, BuildOptions{MemBudget: 4 << 10}, nil, faultfs.OS())
+	got, st, err := new(Builder).buildCtx(context.Background(), col, 0, 0, BuildOptions{MemBudget: 4 << 10}, nil, faultfs.OS())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,7 @@ func TestBuildSpillFileOps(t *testing.T) {
 		{"spilled", 4 << 10, spillFileOps},
 	} {
 		cfs := &countingFS{FS: faultfs.OS()}
-		_, st, err := buildCtx(context.Background(), col, 0, 1, BuildOptions{MemBudget: tc.budget}, nil, cfs)
+		_, st, err := new(Builder).buildCtx(context.Background(), col, 0, 1, BuildOptions{MemBudget: tc.budget}, nil, cfs)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -134,7 +134,7 @@ func faultBuild(t *testing.T, ctx context.Context, fs faultfs.FS, cause error) {
 	dir := privateTempDir(t)
 	col := equivCorpus(t, 5, 2000)
 	cfs := &countingFS{FS: fs}
-	_, _, err := buildCtx(ctx, col, 0, 0, BuildOptions{MemBudget: 64 << 10}, nil, cfs)
+	_, _, err := new(Builder).buildCtx(ctx, col, 0, 0, BuildOptions{MemBudget: 64 << 10}, nil, cfs)
 	if !errors.Is(err, cause) {
 		t.Fatalf("build = %v, want an error that is %v", err, cause)
 	}

@@ -275,6 +275,7 @@ type segmentWriter struct {
 	f   faultfs.File
 	w   *bufio.Writer
 	off int64
+	buf []byte // encodes each dictionary, then the footer and the tail
 }
 
 func newSegmentWriter(fs faultfs.FS, path string) (*segmentWriter, error) {
@@ -329,8 +330,9 @@ func (s *segmentWriter) writeTerm(term string, ids []int64, blockSize int, refs 
 	return dictEntry{term: term, docFreq: int64(len(ids)), blocks: refs[lo:len(refs):len(refs)]}, refs, s.write(b)
 }
 
+// writeDict writes one interval's dictionary, encoded in s.buf.
 func (s *segmentWriter) writeDict(entries []dictEntry) error {
-	b := binary.AppendUvarint(nil, uint64(len(entries)))
+	b := binary.AppendUvarint(s.buf[:0], uint64(len(entries)))
 	for _, e := range entries {
 		b = binary.AppendUvarint(b, uint64(len(e.term)))
 		b = append(b, e.term...)
@@ -345,31 +347,40 @@ func (s *segmentWriter) writeDict(entries []dictEntry) error {
 		}
 	}
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	s.buf = b
 	return s.write(b)
 }
 
 // finish writes everything that follows the posting blocks — one
 // dictionary per interval, the footer (numDocs reports each interval's
 // document count), the fixed tail — then flushes, syncs and closes.
+// All of them are encoded in turn in the one buffer s.buf.
 func (s *segmentWriter) finish(dicts [][]dictEntry, numDocs func(i int) int) error {
-	foot := binary.AppendUvarint(nil, uint64(len(dicts)))
+	// The dictionaries are written back to back: dictionary i spans
+	// offs[i] to offs[i+1].
+	offs := make([]int64, len(dicts)+1)
 	for i, entries := range dicts {
-		dictOff := s.off
+		offs[i] = s.off
 		if err := s.writeDict(entries); err != nil {
 			return err
 		}
+	}
+	offs[len(dicts)] = s.off
+	foot := binary.AppendUvarint(s.buf[:0], uint64(len(dicts)))
+	for i := range dicts {
 		foot = binary.AppendUvarint(foot, uint64(numDocs(i)))
-		foot = binary.AppendUvarint(foot, uint64(dictOff))
-		foot = binary.AppendUvarint(foot, uint64(s.off-dictOff))
+		foot = binary.AppendUvarint(foot, uint64(offs[i]))
+		foot = binary.AppendUvarint(foot, uint64(offs[i+1]-offs[i]))
 	}
 	footOff := s.off
 	foot = binary.LittleEndian.AppendUint32(foot, crc32.ChecksumIEEE(foot))
 	if err := s.write(foot); err != nil {
 		return err
 	}
-	tail := binary.LittleEndian.AppendUint64(nil, uint64(footOff))
+	tail := binary.LittleEndian.AppendUint64(foot[:0], uint64(footOff))
 	tail = binary.LittleEndian.AppendUint64(tail, uint64(len(foot)))
 	tail = append(tail, footMagic...)
+	s.buf = tail
 	if err := s.write(tail); err != nil {
 		return err
 	}

@@ -32,9 +32,17 @@ func randSets(seed int64, nSets, perSet, vocab, kw int) [][]cluster.Cluster {
 
 // TestVocabReuseMatchesJoin: a vocabulary interned once over all sets
 // and reused across JoinRecords calls returns exactly what the
-// throwaway per-call Join and the quadratic reference return.
+// throwaway per-call Join and the quadratic reference return, and so
+// does one Joiner appending every join to one buffer, each join's span
+// of it left as it was written.
 func TestVocabReuseMatchesJoin(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
+		var (
+			joiner Joiner
+			buf    []Pair
+			spans  [][2]int
+			wants  [][]Pair
+		)
 		sets := randSets(seed, 4, 60, 120, 8)
 		v := NewVocab(sets...)
 		recs := make([][]Record, len(sets))
@@ -67,7 +75,18 @@ func TestVocabReuseMatchesJoin(t *testing.T) {
 						t.Fatalf("seed %d theta %g (%d,%d): reused vocab disagrees with brute\n got %v\nwant %v",
 							seed, theta, i, j, reused, want)
 					}
+					lo := len(buf)
+					if buf, err = joiner.AppendJoin(buf, recs[i], recs[j], theta); err != nil {
+						t.Fatal(err)
+					}
+					spans, wants = append(spans, [2]int{lo, len(buf)}), append(wants, want)
 				}
+			}
+		}
+		for k, sp := range spans {
+			if got := buf[sp[0]:sp[1]]; !pairsEqual(got, wants[k]) {
+				t.Fatalf("seed %d: join %d appended by the shared Joiner disagrees with brute\n got %v\nwant %v",
+					seed, k, got, wants[k])
 			}
 		}
 	}

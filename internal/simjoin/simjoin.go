@@ -19,7 +19,9 @@
 // Callers joining many set pairs (the cluster-graph construction joins
 // each interval against the next gap+1 intervals) build one Vocab for
 // all sets and reuse it across JoinRecords calls; Join remains the
-// one-shot two-set convenience wrapper.
+// one-shot two-set convenience wrapper. A Joiner keeps a join's index
+// and probe arrays for the next join and appends the pairs to the
+// caller's buffer; JoinRecords is a fresh Joiner's join.
 package simjoin
 
 import (
@@ -146,6 +148,21 @@ func Join(left, right []cluster.Cluster, theta float64) ([]Pair, error) {
 // record slices must come from this Vocab's Records. The Vocab is only
 // read, so concurrent calls may share it.
 func (v *Vocab) JoinRecords(lrec, rrec []Record, theta float64) ([]Pair, error) {
+	return new(Joiner).AppendJoin(nil, lrec, rrec, theta)
+}
+
+// Joiner runs joins one after another and keeps their scratch — the
+// CSR inverted index over the right side's prefixes and the probe's
+// de-dup stamps — for the next, so a worker joining interval pair
+// after interval pair allocates it once. The zero value is ready to
+// use; a Joiner is not safe for concurrent use.
+type Joiner struct {
+	starts, posts, seen []int32
+}
+
+// AppendJoin appends JoinRecords(lrec, rrec, theta)'s pairs, in the
+// same order, to dst and returns the extended slice.
+func (j *Joiner) AppendJoin(dst []Pair, lrec, rrec []Record, theta float64) ([]Pair, error) {
 	if theta <= 0 || theta > 1 {
 		return nil, fmt.Errorf("simjoin: theta must be in (0,1], got %g", theta)
 	}
@@ -165,7 +182,8 @@ func (v *Vocab) JoinRecords(lrec, rrec []Record, theta float64) ([]Pair, error) 
 		}
 	}
 	n := int(maxTok) + 1
-	starts := make([]int32, n+1)
+	starts := resize(j.starts, n+1)
+	clear(starts)
 	for _, r := range rrec {
 		for _, tok := range r.Tokens[:prefixLen(len(r.Tokens), theta)] {
 			starts[tok+1]++
@@ -174,10 +192,10 @@ func (v *Vocab) JoinRecords(lrec, rrec []Record, theta float64) ([]Pair, error) 
 	for i := 0; i < n; i++ {
 		starts[i+1] += starts[i]
 	}
-	posts := make([]int32, starts[n])
-	for j, r := range rrec {
+	posts := resize(j.posts, int(starts[n]))
+	for ri, r := range rrec {
 		for _, tok := range r.Tokens[:prefixLen(len(r.Tokens), theta)] {
-			posts[starts[tok]] = int32(j)
+			posts[starts[tok]] = int32(ri)
 			starts[tok]++
 		}
 	}
@@ -190,8 +208,10 @@ func (v *Vocab) JoinRecords(lrec, rrec []Record, theta float64) ([]Pair, error) 
 	// the current left record. Matches of one left record are sorted by
 	// Right, and left records are visited in order, so the result is
 	// (Left, Right)-sorted with no final sort.
-	var out []Pair
-	seen := make([]int32, len(rrec))
+	j.starts, j.posts = starts, posts
+	out := dst
+	seen := resize(j.seen, len(rrec))
+	j.seen = seen
 	for i := range seen {
 		seen[i] = -1
 	}
@@ -216,6 +236,12 @@ func (v *Vocab) JoinRecords(lrec, rrec []Record, theta float64) ([]Pair, error) 
 					continue
 				}
 				if sim := jaccardSorted(l.Tokens, r.Tokens); sim >= theta {
+					if len(out) == cap(out) {
+						// Double: append grows a long slice by a
+						// quarter, which re-copies a worker's buffer of
+						// many joins several times over.
+						out = slices.Grow(out, max(len(out), 16))
+					}
 					out = append(out, Pair{Left: i, Right: int(rj), Sim: sim})
 				}
 			}
@@ -223,6 +249,16 @@ func (v *Vocab) JoinRecords(lrec, rrec []Record, theta float64) ([]Pair, error) 
 		slices.SortFunc(out[from:], func(a, b Pair) int { return a.Right - b.Right })
 	}
 	return out, nil
+}
+
+// resize returns s at length n, on its own array when that holds n
+// elements and on a new zeroed one otherwise; reused elements keep
+// their old values.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // JoinBrute is the quadratic reference join, used for verification and

@@ -272,7 +272,10 @@ func (e *Engine) emit(ev StageEvent) {
 // allIntervalClustersCtx builds every interval's cluster set from the
 // tokens src gives — the Engine's cluster stage: whole interval builds
 // run on a pool of min(GOMAXPROCS, m) workers, each build sequential
-// inside and granted an equal share of the memory budget.
+// inside and granted an equal share of the memory budget. Each worker
+// keeps one tokenizer and one intervalBuilder from interval to
+// interval, so its scratch is allocated once per stage, not per
+// interval.
 func allIntervalClustersCtx(ctx context.Context, c *Collection, src corpus.TokenSource, opts ClusterOptions) ([][]Cluster, error) {
 	m := len(c.Intervals)
 	workers := max(1, min(runtime.GOMAXPROCS(0), m))
@@ -283,12 +286,13 @@ func allIntervalClustersCtx(ctx context.Context, c *Collection, src corpus.Token
 	opts.MemBudget = max(1, budget/workers)
 	sets := make([][]Cluster, m)
 	tzs := make([]corpus.Tokenizer, workers)
+	bs := make([]intervalBuilder, workers)
 	if err := par.ForEachWorkerCtx(ctx, m, workers, func(w, i int) error {
 		tk, err := src(ctx, i, &tzs[w])
 		if err != nil {
 			return err
 		}
-		sets[i], err = intervalClustersCtx(ctx, tk, i, opts)
+		sets[i], err = bs[w].clusters(ctx, tk, i, opts)
 		return err
 	}); err != nil {
 		return nil, err

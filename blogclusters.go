@@ -94,18 +94,18 @@ type ClusterOptions struct {
 	RhoThreshold float64
 	// MinClusterSize drops clusters with fewer keywords; default 2.
 	MinClusterSize int
-	// SortMemoryBudget is accepted and ignored: a spill is one sorted
-	// run of the pair table, and the merge reads every run through one
-	// fixed buffer. The field stays only because bench/build.go names it.
+	// SortMemoryBudget is accepted and ignored: the keyword-graph build
+	// sorts no pair stream. The field stays only because bench/build.go
+	// names it.
 	SortMemoryBudget int
 	// MinPairCount drops keyword pairs seen in fewer documents before
 	// statistics run; 0 keeps everything.
 	MinPairCount int64
-	// MemBudget bounds the resident bytes of the pair-counting hash
-	// tables; a table over its share spills sorted runs to disk. The
-	// cluster stage splits the budget across its concurrent interval
-	// builds so total residency stays bounded regardless of how many
-	// intervals are in flight. 0 means the 256 MiB default.
+	// MemBudget is accepted and ignored: the keyword-graph build holds
+	// no pair table and writes no file; what it holds grows with the
+	// interval's keyword occurrences (DESIGN.md "Keyword-graph
+	// construction"). The field stays only because bench/build.go
+	// names it.
 	MemBudget int
 }
 
@@ -129,8 +129,8 @@ func intervalClustersCtx(ctx context.Context, tk *corpus.Tokens, interval int, o
 }
 
 // intervalBuilder is one worker's Section 3 build, kept from interval
-// to interval: the keyword-graph builder (pair table, spill buffer,
-// A(u), G′'s arrays), the bicc graph it fills from G′ and the
+// to interval: the keyword-graph builder (A(u), the row pass's arrays,
+// G′'s arrays), the bicc graph it fills from G′ and the
 // decomposer with its working arrays. Each interval's G′ and
 // decomposition live only until the builder's next interval; the
 // clusters it returns share none of that.
@@ -147,7 +147,6 @@ func (b *intervalBuilder) clusters(ctx context.Context, tk *corpus.Tokens, inter
 	opts = opts.withDefaults()
 	pruned, err := b.kw.BuildPruned(ctx, tk, cooccur.BuildOptions{
 		MinPairCount: opts.MinPairCount,
-		MemBudget:    opts.MemBudget,
 	}, opts.Chi2Critical, opts.RhoThreshold)
 	if err != nil {
 		return nil, fmt.Errorf("blogclusters: interval %d keyword graph: %w", interval, err)
@@ -227,8 +226,8 @@ type IndexOptions struct {
 	// Path is where the disk backend's segment file lives. Empty means
 	// a private temporary file, removed when the reader is closed.
 	Path string
-	// MemBudget bounds the disk backend's block-cache bytes (same
-	// convention as ClusterOptions.MemBudget); 0 means the default.
+	// MemBudget bounds the disk backend's block-cache bytes; 0 means
+	// the default (8 MiB).
 	MemBudget int
 	// SortMemoryBudget is accepted and ignored: the disk segment is
 	// built one interval at a time in memory, with no external sorter.

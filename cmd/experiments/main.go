@@ -8,13 +8,11 @@
 //
 //	experiments -exp table3            # one experiment at default scale
 //	experiments -exp all -scale 1.0    # the full suite at paper scale
-//	experiments -exp table1 -membudget 4096  # force the spill path
 //	experiments -exp clustergraph      # Section 4.1 quadratic vs simjoin
 //	experiments -list                  # list experiment ids
 //
-// -membudget governs the keyword-graph build only; the stable-cluster
-// solver experiments (table3, fig7–14) run the paper's sequential
-// algorithms.
+// The stable-cluster solver experiments (table3, fig7–14) run the
+// paper's sequential algorithms.
 package main
 
 import (
@@ -32,7 +30,6 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment id, or 'all'")
 	scale := flag.Float64("scale", 0.25, "workload scale in (0,1]; 1.0 = the paper's parameters")
-	memBudget := flag.Int("membudget", 0, "pair-table memory budget in bytes before the table spills; 0 = default (256 MiB)")
 	indexBackend := flag.String("index", "", "diskindex experiment: restrict to one backend (mem or disk); empty runs both")
 	indexCache := flag.Int("indexcache", 0, "diskindex experiment: disk block-cache budget in bytes; 0 = default")
 	list := flag.Bool("list", false, "list experiment ids and exit")
@@ -44,7 +41,6 @@ func main() {
 	}
 	cfg := experiments.Config{
 		Scale:          experiments.Scale(*scale),
-		MemBudget:      *memBudget,
 		IndexBackend:   *indexBackend,
 		IndexMemBudget: *indexCache,
 	}
@@ -53,7 +49,7 @@ func main() {
 		ids = strings.Split(*exp, ",")
 	}
 	// Ctrl-C cancels the pipeline stages that poll the context
-	// (keyword-graph builds and their spill merges, disk segment builds).
+	// (keyword-graph builds, disk segment builds).
 	ctx, stop := cli.SignalContext(context.Background())
 	defer stop()
 	start := time.Now()

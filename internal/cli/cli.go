@@ -1,10 +1,9 @@
 // Package cli holds the flag, corpus and lifecycle boilerplate shared
 // by the commands (cmd/blogscope, cmd/blogstable, cmd/blogserved,
-// cmd/experiments): corpus selection (-input/-demo), the pair-table
-// budget (-membudget) and index backend selection
-// (-index/-indexcache/-indexfile) mapped onto a blogclusters.Engine
-// source and option list, plus the SIGINT/SIGTERM graceful-shutdown
-// context (SignalContext) every command cancels on. Each command keeps
+// cmd/experiments): corpus selection (-input/-demo) and index backend
+// selection (-index/-indexcache/-indexfile) mapped onto a
+// blogclusters.Engine source and option list, plus the SIGINT/SIGTERM
+// graceful-shutdown context (SignalContext) every command cancels on. Each command keeps
 // only the flags specific to its own query surface.
 package cli
 
@@ -32,9 +31,6 @@ type EngineFlags struct {
 	// shard server loads just its partition of a shared corpus.
 	Intervals string
 
-	// Section 3 pair-table budget.
-	MemBudget int
-
 	// Keyword-index backend.
 	IndexBackend      string
 	IndexCache        int
@@ -48,7 +44,6 @@ func (f *EngineFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Input, "input", "", "JSONL corpus file (one document per line)")
 	fs.BoolVar(&f.Demo, "demo", false, "use the synthetic news-week corpus")
 	fs.StringVar(&f.Intervals, "intervals", "", "serve only global intervals FROM:TO of the corpus (half-open), e.g. 0:4 — the shard-server slice of a shared corpus")
-	fs.IntVar(&f.MemBudget, "membudget", 0, "pair-table memory budget in bytes, split across concurrent interval builds; 0 = default")
 	fs.StringVar(&f.IndexBackend, "index", "mem", "keyword-index backend: mem (resident) or disk (segment file + LRU block cache)")
 	fs.IntVar(&f.IndexCache, "indexcache", 0, "disk backend: block-cache budget in bytes; 0 = default (8 MiB)")
 	fs.StringVar(&f.IndexFile, "indexfile", "", "disk backend: segment file path; empty = private temp file")
@@ -120,13 +115,6 @@ func parseIntervalRange(s string) (from, to int, err error) {
 	return from, to, nil
 }
 
-// ClusterOptions maps -membudget onto ClusterOptions, starting from
-// base (a command's query-specific settings).
-func (f *EngineFlags) ClusterOptions(base blogclusters.ClusterOptions) blogclusters.ClusterOptions {
-	base.MemBudget = f.MemBudget
-	return base
-}
-
 // IndexOptions maps the index flags onto IndexOptions.
 func (f *EngineFlags) IndexOptions() blogclusters.IndexOptions {
 	return blogclusters.IndexOptions{
@@ -139,9 +127,9 @@ func (f *EngineFlags) IndexOptions() blogclusters.IndexOptions {
 
 // Options assembles the Engine option list from the shared flags plus
 // a command's own cluster/graph settings.
-func (f *EngineFlags) Options(clusterBase blogclusters.ClusterOptions, graph blogclusters.GraphOptions) []blogclusters.Option {
+func (f *EngineFlags) Options(cluster blogclusters.ClusterOptions, graph blogclusters.GraphOptions) []blogclusters.Option {
 	return []blogclusters.Option{
-		blogclusters.WithClusterOptions(f.ClusterOptions(clusterBase)),
+		blogclusters.WithClusterOptions(cluster),
 		blogclusters.WithGraphOptions(graph),
 		blogclusters.WithIndexOptions(f.IndexOptions()),
 	}

@@ -29,10 +29,6 @@ func TestFlagTable(t *testing.T) {
 		{"input", "posts.jsonl", func(f *EngineFlags) bool { return f.Input == "posts.jsonl" }},
 		{"demo", "true", func(f *EngineFlags) bool { return f.Demo }},
 		{"intervals", "2:5", func(f *EngineFlags) bool { return f.Intervals == "2:5" }},
-		{"membudget", "4096", func(f *EngineFlags) bool {
-			c := f.ClusterOptions(clusterBase)
-			return c.MemBudget == 4096 && c.RhoThreshold == 0.3
-		}},
 		{"index", "disk", func(f *EngineFlags) bool { return f.IndexOptions().Backend == "disk" }},
 		{"indexcache", "1024", func(f *EngineFlags) bool { return f.IndexOptions().MemBudget == 1024 }},
 		{"indexfile", "seg.idx", func(f *EngineFlags) bool { return f.IndexOptions().Path == "seg.idx" }},

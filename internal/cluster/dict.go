@@ -12,8 +12,11 @@ type Dict struct {
 	words []string
 }
 
-// NewDict returns an empty dictionary.
-func NewDict() *Dict { return &Dict{ids: make(map[string]int32)} }
+// NewDict returns an empty dictionary with room for n keywords, so
+// interning the first n grows neither its map nor its word list.
+func NewDict(n int) *Dict {
+	return &Dict{ids: make(map[string]int32, n), words: make([]string, 0, n)}
+}
 
 // Intern returns the id of w, assigning the next free id on first
 // sight.

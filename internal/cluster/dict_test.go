@@ -3,7 +3,7 @@ package cluster
 import "testing"
 
 func TestDict(t *testing.T) {
-	d := NewDict()
+	d := NewDict(0)
 	a := d.Intern("alpha")
 	b := d.Intern("beta")
 	if a == b {

@@ -157,12 +157,24 @@ func (b *Builder) AddEdge(u, v int64, weight float64) error {
 	if b.built {
 		return fmt.Errorf("clustergraph: AddEdge after Build")
 	}
+	u, v, err := b.accept(u, v, weight)
+	if err != nil {
+		return err
+	}
+	b.edges = append(b.edges, edge{u: u, v: v, weight: weight})
+	return nil
+}
+
+// accept applies AddEdge's checks to one edge, counts it into the
+// graph's edge count and maximum weight, and returns its endpoints,
+// the one in the earlier interval first.
+func (b *Builder) accept(u, v int64, weight float64) (int64, int64, error) {
 	if u < 0 || v < 0 || int(u) >= len(b.g.interval) || int(v) >= len(b.g.interval) {
-		return fmt.Errorf("clustergraph: edge (%d,%d) references unknown node", u, v)
+		return 0, 0, fmt.Errorf("clustergraph: edge (%d,%d) references unknown node", u, v)
 	}
 	iu, iv := b.g.interval[u], b.g.interval[v]
 	if iu == iv {
-		return fmt.Errorf("clustergraph: edge (%d,%d) joins nodes of the same interval %d", u, v, iu)
+		return 0, 0, fmt.Errorf("clustergraph: edge (%d,%d) joins nodes of the same interval %d", u, v, iu)
 	}
 	if iu > iv {
 		u, v = v, u
@@ -170,20 +182,19 @@ func (b *Builder) AddEdge(u, v int64, weight float64) error {
 	}
 	length := iv - iu
 	if length > b.gap+1 {
-		return fmt.Errorf("clustergraph: edge (%d,%d) spans %d intervals, max is gap+1 = %d", u, v, length, b.gap+1)
+		return 0, 0, fmt.Errorf("clustergraph: edge (%d,%d) spans %d intervals, max is gap+1 = %d", u, v, length, b.gap+1)
 	}
 	if math.IsNaN(weight) || math.IsInf(weight, 0) {
-		return fmt.Errorf("clustergraph: edge (%d,%d) has non-finite weight %g", u, v, weight)
+		return 0, 0, fmt.Errorf("clustergraph: edge (%d,%d) has non-finite weight %g", u, v, weight)
 	}
 	if weight <= 0 {
-		return fmt.Errorf("clustergraph: edge (%d,%d) has non-positive weight %g", u, v, weight)
+		return 0, 0, fmt.Errorf("clustergraph: edge (%d,%d) has non-positive weight %g", u, v, weight)
 	}
-	b.edges = append(b.edges, edge{u: u, v: v, weight: weight})
 	b.g.edges++
 	if weight > b.g.maxWeight {
 		b.g.maxWeight = weight
 	}
-	return nil
+	return u, v, nil
 }
 
 // Build freezes the graph. Children lists are sorted by descending
@@ -200,7 +211,31 @@ func (b *Builder) Build(normalize bool) *Graph {
 	if b.built {
 		return b.g
 	}
-	b.built = true
+	kids, pars := b.degrees()
+	for _, e := range b.edges {
+		kids[e.u]++
+		pars[e.v]++
+	}
+	scale := b.layout(normalize, kids, pars)
+	for _, e := range b.edges {
+		b.place(e.u, e.v, e.weight*scale)
+	}
+	b.edges = nil
+	return b.finish()
+}
+
+// degrees returns zeroed per-node counts of children and of parents,
+// for a freeze to fill.
+func (b *Builder) degrees() (kids, pars []int) {
+	n := len(b.g.interval)
+	deg := make([]int, 2*n)
+	return deg[:n], deg[n:]
+}
+
+// layout carves the children and parents arrays into spans of the
+// counted degrees, one span per node, for place to fill, and returns
+// the factor that place's weights take (1 unless normalize rescales).
+func (b *Builder) layout(normalize bool, kids, pars []int) float64 {
 	g := b.g
 	scale := 1.0 // leaves every weight exact
 	if normalize && g.maxWeight > 1 {
@@ -210,20 +245,24 @@ func (b *Builder) Build(normalize bool) *Graph {
 	n := len(g.interval)
 	g.children = make([][]Half, n)
 	g.parents = make([][]Half, n)
-	deg := make([]int, 2*n)
-	kids, pars := deg[:n], deg[n:]
-	for _, e := range b.edges {
-		kids[e.u]++
-		pars[e.v]++
-	}
-	carve(g.children, kids, make([]Half, len(b.edges)))
-	carve(g.parents, pars, make([]Half, len(b.edges)))
-	for _, e := range b.edges {
-		w, length := e.weight*scale, g.interval[e.v]-g.interval[e.u]
-		g.children[e.u] = append(g.children[e.u], Half{Peer: e.v, Weight: w, Length: length})
-		g.parents[e.v] = append(g.parents[e.v], Half{Peer: e.u, Weight: w, Length: length})
-	}
-	b.edges = nil
+	carve(g.children, kids, make([]Half, g.edges))
+	carve(g.parents, pars, make([]Half, g.edges))
+	return scale
+}
+
+// place lays out one accepted edge, u in the earlier interval, in both
+// of its spans.
+func (b *Builder) place(u, v int64, w float64) {
+	g := b.g
+	length := g.interval[v] - g.interval[u]
+	g.children[u] = append(g.children[u], Half{Peer: v, Weight: w, Length: length})
+	g.parents[v] = append(g.parents[v], Half{Peer: u, Weight: w, Length: length})
+}
+
+// finish sorts every span into its order and freezes the graph.
+func (b *Builder) finish() *Graph {
+	b.built = true
+	g := b.g
 	for _, hs := range g.children {
 		slices.SortStableFunc(hs, byWeightDescThenPeer)
 	}
@@ -247,11 +286,11 @@ func carve(lists [][]Half, counts []int, flat []Half) {
 	}
 }
 
-// reserve sizes a fresh builder for the nodes of sets and for edges
-// edges: the node arrays, one backing array for the per-interval id
-// lists (an empty interval keeps a nil list, as AddNode leaves it) and
-// the edge list, so none of them grows by append.
-func (b *Builder) reserve(sets [][]cluster.Cluster, edges int) {
+// reserve sizes a fresh builder for the nodes of sets: the node arrays
+// and one backing array for the per-interval id lists (an empty
+// interval keeps a nil list, as AddNode leaves it), so none of them
+// grows by append.
+func (b *Builder) reserve(sets [][]cluster.Cluster) {
 	n := 0
 	for _, cs := range sets {
 		n += len(cs)
@@ -266,7 +305,6 @@ func (b *Builder) reserve(sets [][]cluster.Cluster, edges int) {
 			off += k
 		}
 	}
-	b.edges = make([]edge, 0, edges)
 }
 
 // byWeightDescThenPeer is the children order: heaviest edge first, ties
@@ -330,11 +368,7 @@ func FromClustersCtx(ctx context.Context, sets [][]cluster.Cluster, opts FromClu
 		return nil, err
 	}
 
-	edges := 0
-	for _, ps := range results {
-		edges += len(ps)
-	}
-	b.reserve(sets, edges)
+	b.reserve(sets)
 	for i, cs := range sets {
 		for _, c := range cs {
 			if _, err := b.AddNode(i, c); err != nil {
@@ -342,15 +376,30 @@ func FromClustersCtx(ctx context.Context, sets [][]cluster.Cluster, opts FromClu
 			}
 		}
 	}
+	// The edges go from the tasks' spans straight into the layout, in
+	// task order, as AddEdge and Build would lay them out: one pass
+	// checks and counts them, a second places them. A task's first
+	// interval is its earlier one, so each pair is already (earlier,
+	// later).
 	ids := b.g.intervals // interval → node ids, in set order
+	kids, pars := b.degrees()
 	for ti, t := range tasks {
 		for _, p := range results[ti] {
-			if err := b.AddEdge(ids[t.i][p.Left], ids[t.j][p.Right], p.Sim); err != nil {
+			u, v, err := b.accept(ids[t.i][p.Left], ids[t.j][p.Right], p.Sim)
+			if err != nil {
 				return nil, err
 			}
+			kids[u]++
+			pars[v]++
 		}
 	}
-	return b.Build(opts.Normalize), nil
+	scale := b.layout(opts.Normalize, kids, pars)
+	for ti, t := range tasks {
+		for _, p := range results[ti] {
+			b.place(ids[t.i][p.Left], ids[t.j][p.Right], p.Sim*scale)
+		}
+	}
+	return b.finish(), nil
 }
 
 // intervalPair names two linked intervals, i before j.

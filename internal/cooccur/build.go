@@ -3,53 +3,45 @@ package cooccur
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/corpus"
-	"repro/internal/faultfs"
 	"repro/internal/stats"
 )
 
 // BuildOptions configures graph construction.
 type BuildOptions struct {
-	// SortMemoryBudget is accepted and ignored: a spill is one sorted
-	// run of the table, and the merge reads every run through one fixed
-	// buffer. The field stays only because bench/build.go names it.
+	// SortMemoryBudget is accepted and ignored: the build sorts no pair
+	// stream. The field stays only because bench/build.go names it.
 	SortMemoryBudget int
 	// MinPairCount drops triplets with A(u,v) below this value before
 	// statistics are computed. The paper's graphs keep everything
 	// (threshold 1); larger corpora benefit from dropping singleton
 	// noise pairs early. Zero means 1.
 	MinPairCount int64
-	// MemBudget bounds the resident bytes of the pair-counting hash
-	// table. A table over budget spills as a sorted run to the build's
-	// one temp file; small and medium intervals never spill and are
-	// aggregated entirely in memory. Zero means DefaultMemBudget.
+	// MemBudget is accepted and ignored: the build holds no pair table
+	// and writes no file, and what it holds grows with the keyword
+	// occurrences, not with the pairs (see Builder). The field stays
+	// only because bench/build.go names it.
 	MemBudget int
 }
-
-// DefaultMemBudget is the default pair-table budget (256 MiB).
-const DefaultMemBudget = 256 << 20
 
 // Build constructs the keyword graph for the documents of intervals
 // [from, to] of c (inclusive; pass the same value twice for a single
 // day, as in Table 1).
 //
-// The output is canonical regardless of MemBudget: keywords are sorted
-// lexicographically (ids are ranks in that order), DocCount is aligned
-// with Keywords, and Edges is sorted by (U, V) with U < V. The
-// in-memory and spill routes therefore produce identical graphs.
+// The output is canonical: keywords are sorted lexicographically (ids
+// are ranks in that order), DocCount is aligned with Keywords, and
+// Edges is sorted by (U, V) with U < V.
 func Build(c *corpus.Collection, from, to int, opts BuildOptions) (*Graph, error) {
 	return BuildCtx(context.Background(), c, from, to, opts)
 }
 
-// BuildCtx is Build with cancellation: the counting pass polls ctx
-// every few thousand documents and the spill merge every 4 096
-// records, so a canceled build returns promptly instead of finishing
-// the interval. A build that spills keeps its runs in one temp file,
-// removed before BuildCtx returns on every path.
+// BuildCtx is Build with cancellation: the row pass polls ctx every
+// few hundred keywords, so a canceled build returns ctx's error
+// instead of finishing the interval.
 func BuildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts BuildOptions) (*Graph, error) {
-	g, _, err := new(Builder).buildCtx(ctx, c, from, to, opts, nil, faultfs.OS())
-	return g, err
+	return new(Builder).buildCtx(ctx, c, from, to, opts, nil)
 }
 
 // BuildPrunedCtx builds G′ directly: the graph that BuildCtx followed
@@ -58,8 +50,7 @@ func BuildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts Buil
 // that cannot pass the test at any count are never counted (see
 // pairBound), and every triplet is tested as it leaves the fold.
 func BuildPrunedCtx(ctx context.Context, c *corpus.Collection, from, to int, opts BuildOptions, chi2Critical, rhoThreshold float64) (*Graph, error) {
-	g, _, err := new(Builder).buildCtx(ctx, c, from, to, opts, &threshold{chi2: chi2Critical, rho: rhoThreshold}, faultfs.OS())
-	return g, err
+	return new(Builder).buildCtx(ctx, c, from, to, opts, &threshold{chi2: chi2Critical, rho: rhoThreshold})
 }
 
 // BuildPrunedTokens is BuildPrunedCtx over documents already
@@ -69,74 +60,60 @@ func BuildPrunedTokens(ctx context.Context, tk *corpus.Tokens, opts BuildOptions
 }
 
 // Builder is the one keyword-graph build, kept from build to build: it
-// owns what a build throws away — the pair table, which also holds its
-// entries while they are sorted and folded or spilled, the spill buffer
-// and the merge's arrays, A(u), the bound ratios and the per-document
-// scratch — and the pruner's remap and G′'s arrays. A worker that
-// builds interval after interval holds one and allocates them once.
-// The graph a build returns shares the Builder's arrays, so it is
-// valid until the Builder's next build; the package's Build functions
-// each run a fresh Builder, so what they return is the caller's alone.
-// A spill file is still per build, removed before the build returns.
-// The zero value is ready to use; a Builder is not safe for concurrent
-// use.
+// owns what a build throws away — A(u), the bound ratios, the row
+// pass's arrays (one int32 array, see layout) — and the pruner's
+// arrays, which are G′'s. A worker that builds interval after interval
+// holds one and allocates them once. The graph a build returns shares
+// the Builder's arrays, so it is valid until the Builder's next build;
+// the package's Build functions each run a fresh Builder, so what they
+// return is the caller's alone. The zero value is ready to use; a
+// Builder is not safe for concurrent use.
 type Builder struct {
-	cn       counter
 	docCount []int64 // A(u) by keyword id
+	bound    pairBound
+	scratch  []int32 // the layout's arrays
 	prune    pruner
 }
 
 // BuildPruned is BuildPrunedTokens on b's arrays: the returned G′ is
 // valid until b's next build.
 func (b *Builder) BuildPruned(ctx context.Context, tk *corpus.Tokens, opts BuildOptions, chi2Critical, rhoThreshold float64) (*Graph, error) {
-	g, _, err := b.build(ctx, tk, opts, &threshold{chi2: chi2Critical, rho: rhoThreshold}, faultfs.OS())
-	return g, err
+	return b.build(ctx, tk, opts, &threshold{chi2: chi2Critical, rho: rhoThreshold})
 }
 
 // threshold is the χ²/ρ test of a pruned build: an edge is kept when
 // its χ² exceeds chi2 and its ρ exceeds rho.
 type threshold struct{ chi2, rho float64 }
 
-// buildCtx is BuildCtx over the filesystem fs, pruned at th unless th
-// is nil, reporting what the spill route did.
-func (b *Builder) buildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts BuildOptions, th *threshold, fs faultfs.FS) (*Graph, spillStats, error) {
+// buildCtx is BuildCtx pruned at th, unless th is nil.
+func (b *Builder) buildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts BuildOptions, th *threshold) (*Graph, error) {
 	if from < 0 || to >= len(c.Intervals) || from > to {
-		return nil, spillStats{}, fmt.Errorf("cooccur: interval range [%d,%d] outside collection of %d intervals", from, to, len(c.Intervals))
+		return nil, fmt.Errorf("cooccur: interval range [%d,%d] outside collection of %d intervals", from, to, len(c.Intervals))
 	}
-	return b.build(ctx, corpus.Tokenize(c.Intervals[from:to+1]), opts, th, fs)
+	return b.build(ctx, corpus.Tokenize(c.Intervals[from:to+1]), opts, th)
 }
 
-// build is the one keyword-graph build, over tokenized documents.
-func (b *Builder) build(ctx context.Context, tk *corpus.Tokens, opts BuildOptions, th *threshold, fs faultfs.FS) (*Graph, spillStats, error) {
-	minCount := opts.MinPairCount
-	if minCount <= 0 {
-		minCount = 1
-	}
-	memBudget := opts.MemBudget
-	if memBudget <= 0 {
-		memBudget = DefaultMemBudget
-	}
+// pollRows is how many rows the row pass counts between polls of ctx.
+const pollRows = 256
+
+// build is the one keyword-graph build, over tokenized documents. Pass
+// 1 counts A(u), pass 2 lays the documents out by rank (see layout),
+// and pass 3 counts the pairs row by row: for each keyword, in rank
+// order, the partners that follow it in its documents, into one dense
+// accumulator, handing each touched pair to the fold.
+func (b *Builder) build(ctx context.Context, tk *corpus.Tokens, opts BuildOptions, th *threshold) (*Graph, error) {
+	minCount := max(opts.MinPairCount, 1)
 
 	// Pass 1: A(u). The token ranks are the keyword ids, so A(u) is the
 	// number of times u's rank occurs (a document's keywords are a set).
-	// The pass also sums the pair occurrences pass 2 may count, an upper
-	// bound on the table's entries.
-	n := tk.NumDocs()
 	docCount := resize(b.docCount, len(tk.Words))
 	b.docCount = docCount
 	clear(docCount)
 	for _, id := range tk.IDs {
 		docCount[id]++
 	}
-	var pairs int64
-	maxKeywords := 0
-	for d := range n {
-		k := int(tk.Off[d+1] - tk.Off[d])
-		pairs += int64(k) * int64(k-1) / 2
-		maxKeywords = max(maxKeywords, k)
-	}
 	g := &Graph{
-		N:        int64(n),
+		N:        int64(tk.NumDocs()),
 		Keywords: tk.Words,
 		DocCount: docCount,
 	}
@@ -145,83 +122,221 @@ func (b *Builder) build(ctx context.Context, tk *corpus.Tokens, opts BuildOption
 		b.prune.reset(g, *th)
 		f.prune = &b.prune
 	}
+	bd := &b.bound
+	bd.reset(g, th)
 
-	// Pass 2: pair counting into one table, spilling a sorted run to the
-	// build's spill file whenever the table outgrows the budget. A table
-	// that may reach the budget starts at the size it would spill at.
-	var tableEntries int
-	if pairs*pairEntryBytes >= int64(memBudget) {
-		tableEntries = (memBudget + pairEntryBytes - 1) / pairEntryBytes
+	// Pass 2: the layout.
+	l := b.lay(tk)
+
+	// Pass 3: the rows. An unpruned build keeps every distinct pair, so
+	// a first sweep counts them and Edges is sized once.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	cn := &b.cn
-	cn.table.prepare(tableEntries)
-	cn.budget = memBudget
-	cn.bound.reset(g, th)
-	cn.file.reset(fs)
-	cn.ids = resize(cn.ids, maxKeywords)
-	cn.rs = resize(cn.rs, maxKeywords)
-	defer cn.file.close()
-	const pollEvery = 1024
-	for d := range n {
-		if (d+1)%pollEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, cn.file.stats, err
+	if f.prune == nil {
+		pairs := 0
+		for q := range l.v {
+			if q%pollRows == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
+			touched := l.countRow(q, l.v)
+			pairs += len(touched)
+			for _, p := range touched {
+				l.acc[p] = 0
 			}
 		}
-		if err := cn.countDoc(tk.Doc(d)); err != nil {
-			return nil, cn.file.stats, err
+		f.reserve(pairs)
+	}
+	// lim is the first rank that row q's bound rules out. Ratios grow
+	// with rank, so it never moves back from one row to the next.
+	var lim int32
+	for q := range l.v {
+		if q%pollRows == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		if bd.all {
+			lim = l.v
+		} else {
+			lim = max(lim, q)
+			rq := bd.r[l.id[q]]
+			for lim < l.v && bd.mayPass(rq, bd.r[l.id[lim]]) {
+				lim++
+			}
+		}
+		touched := l.countRow(q, lim)
+		if f.prune == nil {
+			// Ranks are ids here: the row's triplets in (U, V) order.
+			slices.Sort(touched)
+		}
+		u := l.id[q]
+		for _, p := range touched {
+			f.add(u, l.id[p], int64(l.acc[p]))
+			l.acc[p] = 0
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, cn.file.stats, err
-	}
-
-	// Pass 3: fold the counts into the canonical triplet list.
-	if cn.file.f != nil {
-		// The leftover entries join the spilled runs as the last run.
-		if err := cn.spill(); err != nil {
-			return nil, cn.file.stats, err
-		}
-		if err := cn.file.aggregate(ctx, f); err != nil {
-			return nil, cn.file.stats, err
-		}
-		return f.graph(), cn.file.stats, nil
-	}
-	entries := cn.table.drain()
-	sortEntries(entries)
-	f.reserve(len(entries))
-	for _, e := range entries {
-		f.add(e.key, e.count)
-	}
-	return f.graph(), cn.file.stats, nil
+	return f.graph(), nil
 }
 
-// fold turns the aggregated pair counts, handed over in ascending key
-// order, into the graph's edges: every count of at least minCount
-// becomes an edge of g, or, in a pruned build, is annotated and offered
-// to prune.
+// layout is the row pass's view of a build's documents, every array
+// carved from the Builder's one int32 array. Keywords are ranked by
+// (bound ratio, id), so each document's ranks, ascending, list its
+// keywords by growing ratio, and the partners of a keyword that may
+// pass the bound are a prefix of those that follow it there. Rank v is
+// a sentinel that ends every document and that no bound lets through.
+// What it holds is 8 bytes per keyword occurrence (seq and pos), 8 per
+// document (the sentinels and a fill cursor; up to 4 more for the rank
+// sort's counts, which run to the largest A(u)) and 20 per keyword.
+type layout struct {
+	v       int32   // vocabulary size, the sentinel's rank
+	id      []int32 // rank → keyword id
+	start   []int32 // rank q → its occurrences are pos[start[q]:start[q+1]]
+	acc     []int32 // rank → its count in the current row; zero between rows
+	touched []int32 // the current row's partners, first touch first
+	seq     []int32 // each document's ranks, ascending, then the sentinel
+	pos     []int32 // per occurrence, by rank: where its suffix starts in seq
+}
+
+// lay ranks tk's keywords and lays its documents out for the row pass
+// on b's scratch array.
+func (b *Builder) lay(tk *corpus.Tokens) layout {
+	docCount, bd := b.docCount, &b.bound
+	v, n, occ := len(docCount), tk.NumDocs(), len(tk.IDs)
+	var buckets int
+	if !bd.all && v > 0 {
+		buckets = int(slices.Max(docCount)) + 2
+	}
+	need := 5*v + 1 + buckets + occ + n + occ + n
+	if cap(b.scratch) < need {
+		// A quarter more, so that a worker's next, slightly larger
+		// interval fits too.
+		b.scratch = make([]int32, need+need/4)
+	}
+	s := b.scratch[:need]
+	carve := func(k int) []int32 {
+		a := s[:k:k]
+		s = s[k:]
+		return a
+	}
+	l := layout{v: int32(v), id: carve(v)}
+	rank := carve(v)
+	l.start, l.acc, l.touched = carve(v+1), carve(v), carve(v)
+	count := carve(buckets)
+	l.seq, l.pos = carve(occ+n), carve(occ)
+	next := carve(n)
+
+	// The ranks. With the bound on, r = A(u)/(N−A(u)) grows with A(u),
+	// so (A(u), id) order is (r, id) order: a counting sort by A(u),
+	// stable in id. With it off, r ≡ 1 and ranks are ids.
+	if bd.all {
+		for u := range l.id {
+			l.id[u], rank[u] = int32(u), int32(u)
+		}
+	} else {
+		clear(count)
+		for _, a := range docCount {
+			count[a+1]++
+		}
+		for i := 1; i < len(count); i++ {
+			count[i] += count[i-1]
+		}
+		for u, a := range docCount {
+			q := count[a]
+			count[a]++
+			l.id[q], rank[u] = int32(u), q
+		}
+	}
+
+	// Two counting sorts, no comparison: the occurrences by rank, into
+	// pos as the documents that hold each rank (rank q has A(u) of
+	// them, acc is the cursor and is left zero), then back into the
+	// documents, rank by rank, so every document's ranks come out
+	// ascending. Document d starts at Off[d]+d in seq, one sentinel
+	// per earlier document, and next is its fill cursor. As a rank's
+	// occurrence lands in seq, pos takes where its suffix starts.
+	l.start[0] = 0
+	for q, u := range l.id {
+		l.start[q+1] = l.start[q] + int32(docCount[u])
+	}
+	copy(l.acc, l.start[:v])
+	for d := range n {
+		for _, id := range tk.Doc(d) {
+			q := rank[id]
+			l.pos[l.acc[q]] = int32(d)
+			l.acc[q]++
+		}
+	}
+	clear(l.acc)
+	for d := range n {
+		next[d] = tk.Off[d] + int32(d)
+		l.seq[tk.Off[d+1]+int32(d)] = l.v
+	}
+	for q := range l.v {
+		for k := l.start[q]; k < l.start[q+1]; k++ {
+			d := l.pos[k]
+			i := next[d]
+			next[d]++
+			l.seq[i] = q
+			l.pos[k] = i + 1
+		}
+	}
+	return l
+}
+
+// countRow counts, for every occurrence of rank q, the ranks that
+// follow it in its document up to the first at or above lim, into
+// acc, and returns the ranks it touched, first touch first. A rank
+// listed twice in one document, against Document's set contract, is
+// no partner of itself. A count is at most the number of documents
+// under that contract, so it fits an int32.
+func (l *layout) countRow(q, lim int32) []int32 {
+	touched, acc := l.touched[:0], l.acc
+	for _, s := range l.pos[l.start[q]:l.start[q+1]] {
+		for _, p := range l.seq[s:] {
+			if p >= lim {
+				break
+			}
+			if p == q {
+				continue
+			}
+			if acc[p] == 0 {
+				touched = append(touched, p)
+			}
+			acc[p]++
+		}
+	}
+	return touched
+}
+
+// fold turns the pair counts into the graph's edges: every count of at
+// least minCount becomes an edge of g, or, in a pruned build, is
+// annotated and offered to prune. The unpruned graph's pairs must
+// arrive in (U, V) order; the pruner takes them in any order.
 type fold struct {
 	g        *Graph
 	minCount int64
 	prune    *pruner // nil for the unpruned graph
 }
 
-// reserve sizes the unpruned graph's Edges for at most records
-// triplets. A pruned build keeps a small share of them, so its edges
-// grow by append instead.
-func (f *fold) reserve(records int) {
-	if f.prune == nil && records > 0 {
-		f.g.Edges = make([]Edge, 0, records)
+// reserve sizes the unpruned graph's Edges for at most pairs triplets.
+// A pruned build keeps a small share of them, so its edges grow by
+// append instead.
+func (f *fold) reserve(pairs int) {
+	if f.prune == nil && pairs > 0 {
+		f.g.Edges = make([]Edge, 0, pairs)
 	}
 }
 
-// add folds one key's summed count. A document that lists a keyword
-// twice, against Document's set contract, yields a (u,u) key, which is
-// no edge.
-func (f *fold) add(key uint64, count int64) {
-	u, v := splitPairKey(key)
-	if count < f.minCount || u == v {
+// add folds the count of the pair of keywords u and v.
+func (f *fold) add(u, v int32, count int64) {
+	if count < f.minCount {
 		return
+	}
+	if u > v {
+		u, v = v, u
 	}
 	e := Edge{U: u, V: v, Count: count}
 	if f.prune == nil {
@@ -255,8 +370,9 @@ func (f *fold) graph() *Graph {
 // too (χ² is U-shaped in the count), so the bound is off: r ≡ 1 and
 // t = 0 keep every pair, as in an unpruned build.
 type pairBound struct {
-	r []float64 // per keyword id
-	t float64   // T, less a relative slack so the bound errs toward keeping
+	r   []float64 // per keyword id
+	t   float64   // T, less a relative slack so the bound errs toward keeping
+	all bool      // the bound is off and keeps every pair
 }
 
 // boundSlack is the bound's relative slack: the exact test at the fold
@@ -268,7 +384,8 @@ const boundSlack = 1e-9
 // every pair.
 func (b *pairBound) reset(g *Graph, th *threshold) {
 	b.r, b.t = resize(b.r, len(g.DocCount)), 0
-	if th == nil || th.rho < 0 {
+	b.all = th == nil || th.rho < 0
+	if b.all {
 		for i := range b.r {
 			b.r[i] = 1
 		}
@@ -281,68 +398,11 @@ func (b *pairBound) reset(g *Graph, th *threshold) {
 }
 
 // mayPass reports whether a pair of keywords with ratios ru and rv can
-// pass the test at some count.
+// pass the test at some count. For ru ≤ rv, once it fails it fails for
+// every larger rv.
 func (b pairBound) mayPass(ru, rv float64) bool {
 	if ru > rv {
 		ru, rv = rv, ru
 	}
 	return ru > b.t*rv
-}
-
-// counter is the counting state of a build; a Builder keeps its
-// arrays for the next.
-type counter struct {
-	table  pairTable
-	budget int
-	bound  pairBound
-	file   spillFile
-
-	ids []int32   // per-document keyword-id scratch, sized per build
-	rs  []float64 // the ids' bound ratios, sized per build
-}
-
-// countDoc counts every pair of one document's keywords that may pass
-// the bound into the table, spilling when the table outgrows the
-// budget. The keywords are ordered by ratio first, so a keyword's
-// partners that may pass are a prefix of the keywords after it: once
-// mayPass fails, it fails for every larger ratio.
-func (cn *counter) countDoc(keywords []int32) error {
-	ids, rs := cn.ids[:0], cn.rs[:0]
-	for _, id := range keywords {
-		ids = append(ids, id)
-		rs = append(rs, cn.bound.r[id])
-	}
-	cn.ids, cn.rs = ids, rs
-	for i := 1; i < len(rs); i++ {
-		r, id := rs[i], ids[i]
-		j := i
-		for ; j > 0 && rs[j-1] > r; j-- {
-			rs[j], ids[j] = rs[j-1], ids[j-1]
-		}
-		rs[j], ids[j] = r, id
-	}
-	for a := 0; a < len(ids); a++ {
-		for b := a + 1; b < len(ids) && cn.bound.mayPass(rs[a], rs[b]); b++ {
-			cn.table.add(pairKey(ids[a], ids[b]), 1)
-		}
-	}
-	if cn.table.entryBytes() >= cn.budget {
-		return cn.spill()
-	}
-	return nil
-}
-
-// spill appends the table's entries to the spill file as one sorted
-// run and resets the table.
-func (cn *counter) spill() error {
-	if cn.table.n == 0 {
-		return nil
-	}
-	entries := cn.table.drain()
-	sortEntries(entries)
-	if err := cn.file.appendRun(entries); err != nil {
-		return err
-	}
-	cn.table.reset()
-	return nil
 }

@@ -1,15 +1,15 @@
 package cooccur
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/corpus"
-	"repro/internal/faultfs"
+	"repro/internal/stats"
 )
 
 func equivCorpus(t testing.TB, seed int64, posts int) *corpus.Collection {
@@ -100,60 +100,22 @@ func naiveGraph(col *corpus.Collection, from, to int, minCount int64) *Graph {
 	return g
 }
 
-// spillRow is one merge shape of the spill route: the options that
-// produce it and a check of the build's spillStats.
-type spillRow struct {
-	name  string
-	opts  BuildOptions
-	shape func(spillStats) bool
-}
-
-// spillRows returns the spill route's three merge shapes for a build
-// that counts entries distinct pairs: one table spill while counting
-// (plus the leftover run), several runs merged at once, and a spill per
-// document that counts a pair (a one-entry budget), so many runs that
-// the fan-in pass runs twice.
-func spillRows(entries int) []spillRow {
-	return []spillRow{
-		{"one spill", BuildOptions{MemBudget: entries * pairEntryBytes * 3 / 4}, func(s spillStats) bool {
-			return s.spills == 2 && s.fanInPasses == 0
-		}},
-		{"many runs", BuildOptions{MemBudget: entries * pairEntryBytes / 5}, func(s spillStats) bool {
-			return s.spills > 2 && s.spills <= maxFanIn && s.fanInPasses == 0
-		}},
-		{"fan-in", BuildOptions{MemBudget: pairEntryBytes}, func(s spillStats) bool {
-			return s.fanInPasses == 2
-		}},
-	}
-}
-
-// TestBuildMatchesNaiveCount holds the one counting path to the
-// map-based oracle on the in-memory route and on each merge shape of
-// the spill route, with and without the early MinPairCount filter.
+// TestBuildMatchesNaiveCount holds the row pass to the map-based
+// oracle, with and without the early MinPairCount filter.
 func TestBuildMatchesNaiveCount(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		col := equivCorpus(t, seed, 300)
-		full := naiveGraph(col, 0, 1, 1)
-		rows := append([]spillRow{{"in memory", BuildOptions{}, func(s spillStats) bool { return s == spillStats{} }}},
-			spillRows(len(full.Edges))...)
 		for _, minCount := range []int64{1, 2} {
 			want := naiveGraph(col, 0, 1, minCount)
 			if len(want.Edges) == 0 {
 				t.Fatalf("seed %d: oracle graph has no edges", seed)
 			}
-			for _, row := range rows {
-				opts := row.opts
-				opts.MinPairCount = minCount
-				label := fmt.Sprintf("seed=%d %s %+v", seed, row.name, opts)
-				g, st, err := new(Builder).buildCtx(context.Background(), col, 0, 1, opts, nil, faultfs.OS())
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if !row.shape(st) {
-					t.Fatalf("%s: spill shape %+v", label, st)
-				}
-				requireIdenticalGraphs(t, want, g, label)
+			label := fmt.Sprintf("seed=%d minCount=%d", seed, minCount)
+			g, err := Build(col, 0, 1, BuildOptions{MinPairCount: minCount})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
+			requireIdenticalGraphs(t, want, g, label)
 		}
 	}
 }
@@ -182,35 +144,29 @@ func buildConcurrently(t *testing.T, col *corpus.Collection, all []BuildOptions)
 }
 
 // TestParallelMatchesSequential checks that builds running side by
-// side, on the in-memory route and each merge shape of the spill route,
-// each produce the graph the map-based oracle counts for the same
+// side each produce the graph the map-based oracle counts for the same
 // documents.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		col := equivCorpus(t, seed, 300)
 		want := naiveGraph(col, 0, 1, 1)
-		all := []BuildOptions{{}, {}}
-		for _, row := range spillRows(len(want.Edges)) {
-			all = append(all, row.opts, row.opts)
-		}
+		all := make([]BuildOptions, 4)
 		for i, g := range buildConcurrently(t, col, all) {
-			requireIdenticalGraphs(t, want, g, fmt.Sprintf("seed=%d build %d %+v", seed, i, all[i]))
+			requireIdenticalGraphs(t, want, g, fmt.Sprintf("seed=%d build %d", seed, i))
 		}
 	}
 }
 
-// TestMinPairCountParallel checks the early triplet filter on both
-// aggregation routes, with the builds running side by side: a filtered
-// graph keeps every keyword and document count of the unfiltered one,
-// and exactly its edges of count at least the threshold.
+// TestMinPairCountParallel checks the early triplet filter with the
+// builds running side by side: a filtered graph keeps every keyword and
+// document count of the unfiltered one, and exactly its edges of count
+// at least the threshold.
 func TestMinPairCountParallel(t *testing.T) {
 	col := equivCorpus(t, 13, 250)
 	full := naiveGraph(col, 0, 1, 1)
 	var all []BuildOptions
 	for _, minCount := range []int64{2, 3, 5} {
-		for _, budget := range []int{0, 1 << 12} {
-			all = append(all, BuildOptions{MinPairCount: minCount, MemBudget: budget})
-		}
+		all = append(all, BuildOptions{MinPairCount: minCount}, BuildOptions{MinPairCount: minCount})
 	}
 	for i, g := range buildConcurrently(t, col, all) {
 		opts := all[i]
@@ -224,24 +180,7 @@ func TestMinPairCountParallel(t *testing.T) {
 			t.Fatalf("MinPairCount %d keeps %d of %d edges; the corpus does not exercise the filter",
 				opts.MinPairCount, len(want.Edges), len(full.Edges))
 		}
-		requireIdenticalGraphs(t, want, g, fmt.Sprintf("minpair=%d budget=%d", opts.MinPairCount, opts.MemBudget))
-	}
-}
-
-// TestSequentialSpillMatches forces the build through each merge shape
-// of the spill route and checks it against the in-memory fold.
-func TestSequentialSpillMatches(t *testing.T) {
-	col := equivCorpus(t, 5, 200)
-	ref, err := Build(col, 0, 1, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range spillRows(len(ref.Edges)) {
-		spilled, err := Build(col, 0, 1, row.opts)
-		if err != nil {
-			t.Fatalf("%s: %v", row.name, err)
-		}
-		requireIdenticalGraphs(t, ref, spilled, "sequential spill, "+row.name)
+		requireIdenticalGraphs(t, want, g, fmt.Sprintf("build %d minpair=%d", i, opts.MinPairCount))
 	}
 }
 
@@ -270,73 +209,65 @@ func TestBuildCanonicalOrder(t *testing.T) {
 	}
 }
 
-// TestSpillRecordRoundTrip pins the 16-byte spill codec: every
-// (key, count) survives, and bytewise record order is key order.
-func TestSpillRecordRoundTrip(t *testing.T) {
-	keys := []uint64{0, 1, pairKey(0, 2), pairKey(123456, 654321), pairKey(1<<31-1, 1<<31-1)}
-	counts := []int64{1, 7, 1 << 40}
-	var buf, prev [spillRecordLen]byte
-	for i, k := range keys {
-		for _, c := range counts {
-			putSpillRecord(buf[:], k, c)
-			if gk, gc := spillRecord(buf[:]); gk != k || gc != c {
-				t.Fatalf("round trip (%d,%d) → (%d,%d)", k, c, gk, gc)
-			}
-		}
-		if i > 0 && bytes.Compare(prev[:], buf[:]) >= 0 {
-			t.Fatalf("record of key %d does not sort after key %d", k, keys[i-1])
-		}
-		prev = buf
+// TestBuildCanceled: a canceled context stops a build, which returns
+// ctx's error and no graph, unpruned and pruned.
+func TestBuildCanceled(t *testing.T) {
+	col := equivCorpus(t, 3, 300)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g, err := BuildCtx(ctx, col, 0, 1, BuildOptions{})
+	if !errors.Is(err, context.Canceled) || g != nil {
+		t.Errorf("BuildCtx on a canceled context = %v, %v; want nil, %v", g, err, context.Canceled)
+	}
+	tk := corpus.Tokenize(col.Intervals)
+	g, err = BuildPrunedTokens(ctx, tk, BuildOptions{}, stats.ChiSquared95, stats.DefaultRhoThreshold)
+	if !errors.Is(err, context.Canceled) || g != nil {
+		t.Errorf("BuildPrunedTokens on a canceled context = %v, %v; want nil, %v", g, err, context.Canceled)
 	}
 }
 
-// TestPairTable exercises the open-addressing table directly: growth,
-// sizing up front, duplicate accumulation, draining in place and
-// reset.
-func TestPairTable(t *testing.T) {
-	var pt pairTable
-	pt.prepare(0)
-	const n = 5000
-	for i := 0; i < n; i++ {
-		k := pairKey(int32(i%100), int32(i%700))
-		pt.add(k, 1)
-		pt.add(k, 2)
+// fuzzCorpus turns fuzz bytes into a two-interval collection: every
+// byte below 0xf0 is one of 64 keywords, a byte from 0xf0 up ends a
+// document, and documents alternate between the intervals. A keyword
+// byte repeated within a document lists its keyword once.
+func fuzzCorpus(docs []byte) *corpus.Collection {
+	col := &corpus.Collection{Intervals: []corpus.Interval{{Index: 0}, {Index: 1}}}
+	var (
+		kws  []string
+		ndoc int
+	)
+	endDoc := func() {
+		iv := &col.Intervals[ndoc%2]
+		iv.Docs = append(iv.Docs, corpus.Document{ID: int64(ndoc), Interval: iv.Index, Keywords: kws})
+		kws = nil
+		ndoc++
 	}
-	held := pt.n
-	grown := len(pt.slots)
-	entries := pt.drain()
-	if len(entries) != held {
-		t.Fatalf("drained %d entries, table says %d", len(entries), held)
-	}
-	var total int64
-	for _, e := range entries {
-		total += e.count
-	}
-	if total != 3*n {
-		t.Fatalf("total count %d, want %d", total, 3*n)
-	}
-	sortEntries(entries)
-	for i := 1; i < len(entries); i++ {
-		if entries[i-1].key >= entries[i].key {
-			t.Fatalf("entries not strictly ascending at %d", i)
+	for _, b := range docs {
+		if b >= 0xf0 {
+			endDoc()
+			continue
+		}
+		if w := fmt.Sprintf("k%02d", b%64); !slices.Contains(kws, w) {
+			kws = append(kws, w)
 		}
 	}
-	// A table sized for these entries starts at the size growth
-	// reached and holds them without growing.
-	var sized pairTable
-	sized.prepare(len(entries))
-	for _, e := range entries {
-		sized.add(e.key, e.count)
-	}
-	if len(sized.slots) != grown {
-		t.Fatalf("table sized for %d entries has %d slots, grown table %d", len(entries), len(sized.slots), grown)
-	}
-	pt.reset()
-	if pt.n != 0 || len(pt.slots) != grown || len(pt.drain()) != 0 {
-		t.Fatalf("reset left n=%d cap=%d (was %d)", pt.n, len(pt.slots), grown)
-	}
-	pt.add(pairKey(1, 2), 5)
-	if got := pt.drain(); len(got) != 1 || got[0] != (pairEntry{key: pairKey(1, 2), count: 5}) {
-		t.Fatalf("table after reset holds %v", got)
-	}
+	endDoc()
+	return col
+}
+
+// FuzzBuildMatchesNaive checks builds against naiveGraph on a
+// fuzz-chosen corpus (see fuzzCorpus) at a fuzz-chosen MinPairCount.
+func FuzzBuildMatchesNaive(f *testing.F) {
+	f.Add(uint8(1), []byte{1, 2, 3, 0xff, 1, 2, 0xff, 2, 3, 4, 5})
+	f.Add(uint8(2), []byte("the quick brown fox\xffjumps over the lazy dog\xffthe dog\xff"))
+	f.Add(uint8(1), slices.Repeat([]byte{5, 9, 13, 17, 21, 25, 0xf0, 6, 9, 12, 17, 0xf1}, 40))
+	f.Fuzz(func(t *testing.T, minCount uint8, docs []byte) {
+		col := fuzzCorpus(docs)
+		opts := BuildOptions{MinPairCount: int64(minCount%3) + 1}
+		g, err := Build(col, 0, 1, opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		requireIdenticalGraphs(t, naiveGraph(col, 0, 1, opts.MinPairCount), g, fmt.Sprintf("%+v", opts))
+	})
 }

@@ -7,39 +7,36 @@
 // pair stream so identical pairs become adjacent, and aggregates them
 // into triplets (u, v, A(u,v)).
 //
-// This implementation keeps that shape with one counting table per
-// build (see DESIGN.md, "Keyword-graph construction"):
+// This implementation produces the same triplets without the pair
+// stream (see DESIGN.md, "Keyword-graph construction"):
 //
 //   - the documents arrive tokenized (corpus.Tokens): every keyword as
 //     its rank in the sorted vocabulary, which is its id here, so A(u)
 //     is a flat count of ranks (a document's keywords are a set) and no
-//     (u,u) pair is emitted;
-//   - pairs are counted into one open-addressing hash table keyed by
-//     the packed id pair uint64(u)<<32|v;
-//   - when nothing spills — the common case for per-interval graphs —
-//     the table's entries are gathered at the front of its own
-//     array, radix-sorted there and folded in memory;
-//   - a table that exceeds BuildOptions.MemBudget appends its entries,
-//     radix-sorted, as one run of fixed 16-byte records to the build's
-//     one temp file, and remembers the run's offset;
-//   - once the table has spilled, the leftover entries become the last
-//     run, and a heap merge over the runs folds equal keys straight
-//     into the graph, exactly the paper's merge. Too many runs for one
-//     merge are first merged in groups back into the same file.
+//     (u,u) pair is needed;
+//   - the keywords are ranked by (bound ratio, id), and each document's
+//     ranks are laid out in ascending order, with a sentinel at its
+//     end, in one array; for every rank, a list records where each of
+//     its occurrences starts the rest of its document;
+//   - row by row, each keyword's partners are counted by walking those
+//     suffixes into one dense accumulator the size of the vocabulary,
+//     stopping at the first partner the pruning bound rules out, and
+//     every touched pair is folded into the graph.
 //
-// Either way the resulting Graph is canonical — keyword ids are ranks
-// in the sorted vocabulary and edges are sorted by (U, V). From A(u),
+// The counts are exact, and what a build holds grows with the keyword
+// occurrences, not with the pairs, so nothing is spilled and no file is
+// opened. The resulting Graph is canonical — keyword ids are ranks in
+// the sorted vocabulary and edges are sorted by (U, V). From A(u),
 // A(u,v) and n, the χ² and ρ statistics (internal/stats) annotate and
 // prune edges, yielding G'. BuildPrunedCtx yields G' in the same pass:
 // it never counts a pair whose A(u) and A(v) rule out passing the test
 // at any count, and it tests each triplet as it leaves the fold.
 //
-// A Builder is that build with its arrays kept for the next one — the
-// table, which also holds the entries while they are sorted, the spill
-// buffer, A(u), the bound ratios and G′'s own arrays — so a worker
-// building interval after interval allocates them once; the G′ it
-// returns is valid until its next build. The package's Build functions
-// each run a fresh Builder.
+// A Builder is that build with its arrays kept for the next one — A(u),
+// the bound ratios, the row pass's one int32 array and G′'s own arrays
+// — so a worker building interval after interval allocates them once;
+// the G′ it returns is valid until its next build. The package's Build
+// functions each run a fresh Builder.
 package cooccur
 
 import (
@@ -128,17 +125,21 @@ func (g *Graph) Prune(chi2Critical, rhoThreshold float64) *Graph {
 }
 
 // pruner keeps the annotated edges of src that pass the χ²/ρ test and
-// renumbers their endpoints densely, in the order the kept edges first
-// name them. Prune and the pruned build share it, so both give the
-// same G'. Its arrays are G′'s: a Builder's pruner keeps them from
+// renumbers their endpoints densely, as Prune does: in the order the
+// kept edges, sorted by (U, V), first name them. Prune and the pruned
+// build share it, so both give the same G'. Edges may arrive in any
+// order: the pruner notes, for each kept keyword w, low(w), the
+// smallest of w and its kept partners, and derives the ids from it
+// (see graph). Its arrays are G′'s: a Builder's pruner keeps them from
 // build to build, so the G′ it returns lives until the next reset.
 type pruner struct {
-	src   *Graph
-	th    threshold
-	remap []int32 // src id → new id + 1; 0 while the keyword is not kept
-	kept  int32   // keywords kept so far
+	src  *Graph
+	th   threshold
+	low  []int32 // src id → low + 1, then new id + 1; 0 while the keyword is not kept
+	kept int32   // keywords kept so far
 
-	edges    []Edge
+	edges    []Edge   // kept edges, under src ids until graph renumbers them
+	order    []uint64 // the kept keywords as packed (low, id), for graph's sort
 	keywords []string
 	docCount []int64
 	byWord   []int32
@@ -147,43 +148,64 @@ type pruner struct {
 // reset starts pruning src at th, keeping p's arrays.
 func (p *pruner) reset(src *Graph, th threshold) {
 	p.src, p.th, p.kept = src, th, 0
-	p.remap = resize(p.remap, len(src.Keywords))
-	clear(p.remap)
+	p.low = resize(p.low, len(src.Keywords))
+	clear(p.low)
 	p.edges = p.edges[:0]
 }
 
-// keep adds e to the pruned graph if it passes the test. Edges must
-// arrive in (U, V) order for the ids to follow Prune's.
+// keep adds e, U < V, to the pruned graph if it passes the test.
 func (p *pruner) keep(e Edge) {
 	if !(e.Chi2 > p.th.chi2 && e.Rho > p.th.rho) {
 		return
 	}
-	e.U, e.V = p.renumber(e.U), p.renumber(e.V)
-	if e.U > e.V {
-		e.U, e.V = e.V, e.U
-	}
+	p.lower(e.U, e.U)
+	p.lower(e.V, e.U)
 	p.edges = append(p.edges, e)
 }
 
-func (p *pruner) renumber(old int32) int32 {
-	if id := p.remap[old]; id != 0 {
-		return id - 1
+// lower keeps keyword w and lowers its low to x if x is smaller.
+func (p *pruner) lower(w, x int32) {
+	switch l := p.low[w]; {
+	case l == 0:
+		p.kept++
+		p.low[w] = x + 1
+	case x+1 < l:
+		p.low[w] = x + 1
 	}
-	p.kept++
-	p.remap[old] = p.kept
-	return p.kept - 1
 }
 
 // graph returns the pruned graph: the kept keywords under their new
-// ids and the kept edges sorted by (U, V). The source's ids are walked
-// in its keywords' lexicographic order — on a built graph old ids are
-// ranks, so that is id order — which lists the kept ids in byWord's
-// order with no sort.
+// ids and the kept edges sorted by (U, V). The first kept edge, in
+// (U, V) order, that names w is (low, ·) if low(w) = w and (low, w)
+// otherwise, so the keywords are first named in (low, w) order: w = low
+// before the others of its low, those by their own id. Sorting the
+// packed (low, w) therefore gives Prune's ids. The source's ids are
+// then walked in its keywords' lexicographic order — on a built graph
+// old ids are ranks, so that is id order — which lists the kept ids in
+// byWord's order with no sort.
 func (p *pruner) graph() *Graph {
 	src := p.src
 	out := &Graph{N: src.N, Edges: p.edges}
 	if p.kept > 0 {
 		k := int(p.kept)
+		order := resize(p.order, k)[:0]
+		for w, l := range p.low {
+			if l != 0 {
+				order = append(order, uint64(l-1)<<32|uint64(w))
+			}
+		}
+		p.order = order
+		slices.Sort(order)
+		for id, key := range order {
+			p.low[uint32(key)] = int32(id) + 1
+		}
+		for i := range out.Edges {
+			e := &out.Edges[i]
+			e.U, e.V = p.low[e.U]-1, p.low[e.V]-1
+			if e.U > e.V {
+				e.U, e.V = e.V, e.U
+			}
+		}
 		p.keywords = resize(p.keywords, k)
 		p.docCount = resize(p.docCount, k)
 		p.byWord = resize(p.byWord, k)
@@ -193,7 +215,7 @@ func (p *pruner) graph() *Graph {
 			if src.byWord != nil {
 				old = int(src.byWord[rank])
 			}
-			if id := p.remap[old]; id != 0 {
+			if id := p.low[old]; id != 0 {
 				p.keywords[id-1] = src.Keywords[old]
 				p.docCount[id-1] = src.DocCount[old]
 				p.byWord[next] = id - 1

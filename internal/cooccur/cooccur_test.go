@@ -130,7 +130,8 @@ func TestMinPairCount(t *testing.T) {
 
 // TestBuildRepeatedKeywordNoSelfLoop: a document that lists a keyword
 // twice breaks Document's set contract, but the build still makes no
-// self-loop edge, on either route, pruned or not.
+// self-loop edge, pruned or not, and counts the pair once per listing,
+// as A(u) counts the keyword.
 func TestBuildRepeatedKeywordNoSelfLoop(t *testing.T) {
 	c := &corpus.Collection{Intervals: []corpus.Interval{{Index: 0, Docs: []corpus.Document{
 		{ID: 0, Keywords: []string{"a", "a", "b"}},
@@ -138,33 +139,31 @@ func TestBuildRepeatedKeywordNoSelfLoop(t *testing.T) {
 		{ID: 2, Keywords: []string{"c", "d"}},
 		{ID: 3, Keywords: []string{"c"}},
 	}}}}
-	for _, budget := range []int{0, 64} {
-		opts := BuildOptions{MemBudget: budget}
-		full, err := Build(c, 0, 0, opts)
-		if err != nil {
-			t.Fatal(err)
+	full, err := Build(c, 0, 0, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned, err := BuildPrunedCtx(context.Background(), c, 0, 0, BuildOptions{}, 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Graph{full, pruned} {
+		if len(g.Edges) == 0 {
+			t.Fatal("no edges")
 		}
-		pruned, err := BuildPrunedCtx(context.Background(), c, 0, 0, opts, 0, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, g := range []*Graph{full, pruned} {
-			if len(g.Edges) == 0 {
-				t.Fatalf("budget %d: no edges", budget)
-			}
-			for _, e := range g.Edges {
-				if e.U >= e.V {
-					t.Fatalf("budget %d: edge %+v has U >= V", budget, e)
-				}
+		for _, e := range g.Edges {
+			if e.U >= e.V {
+				t.Fatalf("edge %+v has U >= V", e)
 			}
 		}
+	}
+	if e, ok := full.EdgeBetween("a", "b"); !ok || e.Count != 3 || full.DocCount[0] != 3 {
+		t.Fatalf("edge (a,b) = %+v, %t, A(a) = %d; want count 3 and A(a) 3", e, ok, full.DocCount[0])
 	}
 }
 
 func TestBuildWithTinySortBudgetMatches(t *testing.T) {
-	// Forcing spills must not change the result. A 64-byte MemBudget
-	// spills the table every four entries; the ignored SortMemoryBudget
-	// changes nothing.
+	// The ignored budgets change nothing.
 	big, err := Build(tinyCollection(), 0, 0, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -174,14 +173,14 @@ func TestBuildWithTinySortBudgetMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	if big.NumEdges() != small.NumEdges() || big.NumVertices() != small.NumVertices() {
-		t.Fatalf("spilled build differs: %d/%d edges, %d/%d vertices",
+		t.Fatalf("budgeted build differs: %d/%d edges, %d/%d vertices",
 			big.NumEdges(), small.NumEdges(), big.NumVertices(), small.NumVertices())
 	}
 	for _, e := range big.Edges {
 		u, v := big.Keywords[e.U], big.Keywords[e.V]
 		se, ok := small.EdgeBetween(u, v)
 		if !ok || se.Count != e.Count {
-			t.Errorf("edge (%s,%s): spilled count %d, want %d", u, v, se.Count, e.Count)
+			t.Errorf("edge (%s,%s): budgeted count %d, want %d", u, v, se.Count, e.Count)
 		}
 	}
 }

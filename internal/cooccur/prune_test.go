@@ -8,13 +8,12 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
-	"repro/internal/faultfs"
 	"repro/internal/stats"
 )
 
 // boundedPairs returns how many distinct pairs of full, an unpruned
-// graph at MinPairCount 1, a build pruned at th counts into its table:
-// the pairs the bound lets through.
+// graph at MinPairCount 1, a build pruned at th counts: the pairs the
+// bound lets through.
 func boundedPairs(full *Graph, th *threshold) int {
 	var b pairBound
 	b.reset(full, th)
@@ -29,9 +28,8 @@ func boundedPairs(full *Graph, th *threshold) int {
 
 // TestBuildPrunedMatchesPrune holds the pruned build to the two-step
 // route it replaces, BuildCtx then AnnotateStats then Prune, field for
-// field (ids, keyword order and nil slices included), on the in-memory
-// route and each merge shape of the spill route, at MinPairCount 1 and
-// 2 and at ρ thresholds below, at and above zero. Every build runs
+// field (ids, keyword order and nil slices included), at MinPairCount 1
+// and 2 and at ρ thresholds below, at and above zero. Every build runs
 // twice: on a fresh Builder and on one Builder shared by all of them,
 // whose arrays the earlier builds have left at other sizes and values.
 func TestBuildPrunedMatchesPrune(t *testing.T) {
@@ -48,8 +46,6 @@ func TestBuildPrunedMatchesPrune(t *testing.T) {
 			if rho < 0 && counted != len(full.Edges) || rho >= 0 && counted >= len(full.Edges) {
 				t.Fatalf("seed %d ρ %g: the bound lets %d of %d pairs through", seed, rho, counted, len(full.Edges))
 			}
-			rows := append([]spillRow{{"in memory", BuildOptions{}, func(s spillStats) bool { return s == spillStats{} }}},
-				spillRows(counted)...)
 			for _, minCount := range []int64{1, 2} {
 				ref, err := Build(col, 0, 1, BuildOptions{MinPairCount: minCount})
 				if err != nil {
@@ -60,22 +56,16 @@ func TestBuildPrunedMatchesPrune(t *testing.T) {
 				if len(want.Edges) == 0 {
 					t.Fatalf("seed %d ρ %g: the pruned graph has no edges", seed, rho)
 				}
-				for _, row := range rows {
-					opts := row.opts
-					opts.MinPairCount = minCount
-					label := fmt.Sprintf("seed=%d ρ=%g %s %+v", seed, rho, row.name, opts)
-					for _, b := range []*Builder{new(Builder), shared} {
-						g, st, err := b.buildCtx(context.Background(), col, 0, 1, opts, th, faultfs.OS())
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if !row.shape(st) {
-							t.Fatalf("%s: spill shape %+v", label, st)
-						}
-						if !reflect.DeepEqual(want, g) {
-							requireIdenticalGraphs(t, want, g, label)
-							t.Fatalf("%s: graphs differ outside Keywords, DocCount and Edges", label)
-						}
+				opts := BuildOptions{MinPairCount: minCount}
+				label := fmt.Sprintf("seed=%d ρ=%g %+v", seed, rho, opts)
+				for _, b := range []*Builder{new(Builder), shared} {
+					g, err := b.buildCtx(context.Background(), col, 0, 1, opts, th)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if !reflect.DeepEqual(want, g) {
+						requireIdenticalGraphs(t, want, g, label)
+						t.Fatalf("%s: graphs differ outside Keywords, DocCount and Edges", label)
 					}
 				}
 			}
@@ -124,20 +114,16 @@ func TestPairBoundSound(t *testing.T) {
 }
 
 // FuzzBuildPruned holds the pruned build to BuildCtx, AnnotateStats
-// and Prune on a fuzz-chosen corpus (see fuzzCorpus) at a budget of
-// 64 B to 64 KiB, a ρ threshold in [−1.28, 1.27] and a χ² critical
-// value in [0, 25.5].
+// and Prune on a fuzz-chosen corpus (see fuzzCorpus) at a ρ threshold
+// in [−1.28, 1.27] and a χ² critical value in [0, 25.5].
 func FuzzBuildPruned(f *testing.F) {
-	f.Add(uint16(0), uint8(1), int8(20), uint8(38), []byte{1, 2, 3, 0xff, 1, 2, 0xff, 2, 3, 4, 5})
-	f.Add(uint16(200), uint8(2), int8(0), uint8(38), []byte("the quick brown fox\xffjumps over the lazy dog\xffthe dog\xff"))
-	f.Add(uint16(1000), uint8(1), int8(-10), uint8(0), slices.Repeat([]byte{5, 9, 13, 17, 21, 25, 0xf0, 6, 9, 12, 17, 0xf1}, 40))
-	f.Add(uint16(64), uint8(1), int8(50), uint8(10), slices.Repeat([]byte{1, 2, 0xf0, 1, 2, 3, 0xf0, 4, 5, 0xf0, 1, 0xf0}, 30))
-	f.Fuzz(func(t *testing.T, budget uint16, minCount uint8, rho int8, chi2 uint8, docs []byte) {
+	f.Add(uint8(1), int8(20), uint8(38), []byte{1, 2, 3, 0xff, 1, 2, 0xff, 2, 3, 4, 5})
+	f.Add(uint8(2), int8(0), uint8(38), []byte("the quick brown fox\xffjumps over the lazy dog\xffthe dog\xff"))
+	f.Add(uint8(1), int8(-10), uint8(0), slices.Repeat([]byte{5, 9, 13, 17, 21, 25, 0xf0, 6, 9, 12, 17, 0xf1}, 40))
+	f.Add(uint8(1), int8(50), uint8(10), slices.Repeat([]byte{1, 2, 0xf0, 1, 2, 3, 0xf0, 4, 5, 0xf0, 1, 0xf0}, 30))
+	f.Fuzz(func(t *testing.T, minCount uint8, rho int8, chi2 uint8, docs []byte) {
 		col := fuzzCorpus(docs)
-		opts := BuildOptions{
-			MemBudget:    64 + int(budget)%(64<<10-63),
-			MinPairCount: int64(minCount%3) + 1,
-		}
+		opts := BuildOptions{MinPairCount: int64(minCount%3) + 1}
 		th := threshold{chi2: float64(chi2) / 10, rho: float64(rho) / 100}
 		ref, err := Build(col, 0, 1, BuildOptions{MinPairCount: opts.MinPairCount})
 		if err != nil {

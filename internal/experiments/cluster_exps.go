@@ -35,12 +35,6 @@ func dayCorpus(scale Scale, seed int64) (*corpus.Collection, error) {
 	})
 }
 
-// buildOptions translates the experiment configuration into the
-// keyword-graph build options.
-func buildOptions(cfg Config) cooccur.BuildOptions {
-	return cooccur.BuildOptions{MemBudget: cfg.MemBudget}
-}
-
 // Table1 reproduces Table 1: keyword-graph sizes for two consecutive
 // days (keywords, edges, plus the bytes the triplet file would occupy).
 func Table1(cfg Config) (*Table, error) {
@@ -55,7 +49,7 @@ func Table1(cfg Config) (*Table, error) {
 		Notes:  "synthetic corpus at laptop scale; expect edges >> keywords, stable across days",
 	}
 	for day := 0; day < 2; day++ {
-		g, err := cooccur.BuildCtx(cfg.Context(), col, day, day, buildOptions(cfg))
+		g, err := cooccur.BuildCtx(cfg.Context(), col, day, day, cooccur.BuildOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -91,7 +85,7 @@ func Fig6(cfg Config) (*Table, error) {
 	// The raw keyword graph is built and annotated once; the paper's
 	// ρ-dependent cost is the pruning plus the Art run over what
 	// survives.
-	g, err := cooccur.BuildCtx(cfg.Context(), col, 0, 0, buildOptions(cfg))
+	g, err := cooccur.BuildCtx(cfg.Context(), col, 0, 0, cooccur.BuildOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ func weekSets(cfg Config, seed int64) ([][]cluster.Cluster, error) {
 	}
 	sets := make([][]cluster.Cluster, len(col.Intervals))
 	for day := range col.Intervals {
-		pruned, err := cooccur.BuildPrunedCtx(cfg.Context(), col, day, day, buildOptions(cfg), stats.ChiSquared95, stats.DefaultRhoThreshold)
+		pruned, err := cooccur.BuildPrunedCtx(cfg.Context(), col, day, day, cooccur.BuildOptions{}, stats.ChiSquared95, stats.DefaultRhoThreshold)
 		if err != nil {
 			return nil, err
 		}

@@ -6,13 +6,11 @@ import (
 	"sort"
 )
 
-// Config carries the workload scale plus the keyword-graph and index
-// settings threaded down from cmd/experiments.
+// Config carries the workload scale plus the index settings threaded
+// down from cmd/experiments.
 type Config struct {
 	// Scale shrinks workloads; 1.0 is the paper's parameters.
 	Scale Scale
-	// MemBudget bounds the pair-counting tables in bytes; 0 = default.
-	MemBudget int
 	// IndexBackend restricts the diskindex experiment to one keyword
 	// index backend ("mem" or "disk"); empty runs both.
 	IndexBackend string

@@ -18,11 +18,11 @@
 // valid until the following Next. Record order is plain bytewise
 // comparison.
 //
-// No production package imports extsort: the keyword-graph pipeline's
-// spill is internal/cooccur's own single temp file (spill.go, see
-// DESIGN.md), and the only callers left are the benchmark harness's
-// extsort probe (bench/build.go) and this package's tests. Two
-// extensions remain from when cooccur spilled through here:
+// No production package imports extsort: the keyword-graph build
+// counts pairs row by row and spills nothing (see DESIGN.md), and the
+// only callers left are the benchmark harness's extsort probe
+// (bench/build.go) and this package's tests. Two extensions remain
+// from when cooccur spilled through here:
 //
 //   - NewRun streams an already-sorted sequence of records straight
 //     into a run file, bypassing the Add arena. It is safe for

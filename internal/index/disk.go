@@ -31,7 +31,6 @@
 package index
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -271,9 +270,11 @@ func (o *orderedWriter) write(i int, blocks []byte, refs []blockRef) error {
 	return nil
 }
 
+// segmentWriter writes a segment file straight to the file, with no
+// buffer of its own: every write is already a whole unit — the magic,
+// one interval's posting blocks, one dictionary, the footer, the tail.
 type segmentWriter struct {
 	f   faultfs.File
-	w   *bufio.Writer
 	off int64
 	buf []byte // encodes each dictionary, then the footer and the tail
 }
@@ -283,11 +284,11 @@ func newSegmentWriter(fs faultfs.FS, path string) (*segmentWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("index: create segment: %w", err)
 	}
-	return &segmentWriter{f: f, w: bufio.NewWriterSize(f, 256<<10)}, nil
+	return &segmentWriter{f: f}, nil
 }
 
 func (s *segmentWriter) write(p []byte) error {
-	n, err := s.w.Write(p)
+	n, err := s.f.Write(p)
 	s.off += int64(n)
 	if err != nil {
 		return fmt.Errorf("index: write segment: %w", err)
@@ -315,19 +316,21 @@ func appendBlock(b []byte, base int64, ids []int64) ([]byte, blockRef) {
 	}
 }
 
-// writeTerm writes one term's ascending doc ids as blocks of up to
-// blockSize, encoded in *buf, appending their skip entries to refs; the
-// returned entry's blocks are the appended tail of refs, capped.
-func (s *segmentWriter) writeTerm(term string, ids []int64, blockSize int, refs []blockRef, buf *[]byte) (dictEntry, []blockRef, error) {
+// appendTerm encodes one term's ascending doc ids as blocks of up to
+// blockSize at the end of *buf, whose first byte is written at the
+// file's current end, appending their skip entries to refs; the
+// returned entry's blocks are the appended tail of refs, capped. The
+// caller writes *buf.
+func (s *segmentWriter) appendTerm(term string, ids []int64, blockSize int, refs []blockRef, buf *[]byte) (dictEntry, []blockRef) {
 	lo := len(refs)
-	b := (*buf)[:0]
+	b := *buf
 	for k := 0; k < len(ids); k += blockSize {
 		var ref blockRef
 		b, ref = appendBlock(b, s.off, ids[k:min(k+blockSize, len(ids))])
 		refs = append(refs, ref)
 	}
 	*buf = b
-	return dictEntry{term: term, docFreq: int64(len(ids)), blocks: refs[lo:len(refs):len(refs)]}, refs, s.write(b)
+	return dictEntry{term: term, docFreq: int64(len(ids)), blocks: refs[lo:len(refs):len(refs)]}, refs
 }
 
 // writeDict writes one interval's dictionary, encoded in s.buf.
@@ -353,7 +356,7 @@ func (s *segmentWriter) writeDict(entries []dictEntry) error {
 
 // finish writes everything that follows the posting blocks — one
 // dictionary per interval, the footer (numDocs reports each interval's
-// document count), the fixed tail — then flushes, syncs and closes.
+// document count), the fixed tail — then syncs and closes.
 // All of them are encoded in turn in the one buffer s.buf.
 func (s *segmentWriter) finish(dicts [][]dictEntry, numDocs func(i int) int) error {
 	// The dictionaries are written back to back: dictionary i spans
@@ -383,10 +386,6 @@ func (s *segmentWriter) finish(dicts [][]dictEntry, numDocs func(i int) int) err
 	s.buf = tail
 	if err := s.write(tail); err != nil {
 		return err
-	}
-	if err := s.w.Flush(); err != nil {
-		s.f.Close()
-		return fmt.Errorf("index: flush segment: %w", err)
 	}
 	if err := s.f.Sync(); err != nil {
 		s.f.Close()

@@ -376,6 +376,8 @@ func writeSegmentFromReader(ctx context.Context, fs faultfs.FS, path string, r R
 		if verr != nil {
 			return verr
 		}
+		// One write per interval: its terms' blocks, back to back.
+		blockBuf = blockBuf[:0]
 		for _, term := range vocab {
 			if err = ctx.Err(); err != nil {
 				return err
@@ -388,10 +390,11 @@ func writeSegmentFromReader(ctx context.Context, fs faultfs.FS, path string, r R
 				continue
 			}
 			var e dictEntry
-			if e, refs, err = sw.writeTerm(term, ids, blockSize, refs, &blockBuf); err != nil {
-				return err
-			}
+			e, refs = sw.appendTerm(term, ids, blockSize, refs, &blockBuf)
 			dicts[i] = append(dicts[i], e)
+		}
+		if err = sw.write(blockBuf); err != nil {
+			return err
 		}
 	}
 	return sw.finish(dicts, r.NumDocs)

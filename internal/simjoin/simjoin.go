@@ -52,10 +52,22 @@ type Vocab struct {
 
 // NewVocab interns the keywords of every given cluster set and ranks
 // them by global rarity. The frequency is the number of clusters
-// containing the keyword, summed over all sets.
+// containing the keyword, summed over all sets. The dictionary and the
+// frequencies start at the largest set's keyword count, about the
+// least the vocabulary can hold; sizing them for the summed count
+// instead would over-allocate several times over when the sets share
+// their keywords, as the intervals of a stable topic do.
 func NewVocab(sets ...[]cluster.Cluster) *Vocab {
-	d := cluster.NewDict()
-	var freq []int64
+	most := 0
+	for _, cs := range sets {
+		n := 0
+		for _, c := range cs {
+			n += len(c.Keywords)
+		}
+		most = max(most, n)
+	}
+	d := cluster.NewDict(most)
+	freq := make([]int64, 0, most)
 	for _, cs := range sets {
 		for _, c := range cs {
 			for _, w := range c.Keywords {

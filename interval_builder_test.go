@@ -14,12 +14,10 @@ import (
 
 // TestIntervalBuilderReuseMatchesFresh holds one intervalBuilder, the
 // scratch a worker of the interval pool keeps, to a fresh build at every
-// step of three orders: intervals ascending, descending, and all of them
-// at a 1 KiB pair budget (64 pairs: every interval spills) followed by
-// all of them at the default budget (none does). Each order leaves the
-// builder's arrays at other sizes and values than the next interval
-// needs, so any state that leaks from one build into the next shows as
-// a difference.
+// step of three orders: intervals ascending, descending, and descending
+// then ascending. Each order leaves the builder's arrays at other sizes
+// and values than the next interval needs, so any state that leaks from
+// one build into the next shows as a difference.
 func TestIntervalBuilderReuseMatchesFresh(t *testing.T) {
 	ctx := context.Background()
 	c := endToEndCorpus(t)
@@ -28,36 +26,32 @@ func TestIntervalBuilderReuseMatchesFresh(t *testing.T) {
 	for i := range toks {
 		toks[i] = corpus.Tokenize(c.Intervals[i : i+1])
 	}
-	type step struct{ interval, budget int }
-	var ascending, descending, spillThenMemory []step
+	var ascending, descending []int
 	for i := range m {
-		ascending = append(ascending, step{i, 0})
-		descending = append(descending, step{m - 1 - i, 0})
-		spillThenMemory = append(spillThenMemory, step{i, 1 << 10})
+		ascending = append(ascending, i)
+		descending = append(descending, m-1-i)
 	}
-	spillThenMemory = append(spillThenMemory, ascending...)
 	for _, order := range []struct {
-		name  string
-		steps []step
+		name      string
+		intervals []int
 	}{
 		{"ascending", ascending},
 		{"descending", descending},
-		{"spilling then in memory", spillThenMemory},
+		{"descending then ascending", append(slices.Clone(descending), ascending...)},
 	} {
 		var b intervalBuilder
 		clusters := 0
-		for _, s := range order.steps {
-			opts := ClusterOptions{MemBudget: s.budget}
-			want, err := intervalClustersCtx(ctx, toks[s.interval], s.interval, opts)
+		for _, i := range order.intervals {
+			want, err := intervalClustersCtx(ctx, toks[i], i, ClusterOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := b.clusters(ctx, toks[s.interval], s.interval, opts)
+			got, err := b.clusters(ctx, toks[i], i, ClusterOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: interval %d at budget %d: reused builder gives %v, fresh %v", order.name, s.interval, s.budget, got, want)
+				t.Fatalf("%s: interval %d: reused builder gives %v, fresh %v", order.name, i, got, want)
 			}
 			clusters += len(got)
 		}
@@ -69,13 +63,14 @@ func TestIntervalBuilderReuseMatchesFresh(t *testing.T) {
 
 // TestIntervalBuildBytesWarm is the bytes ceiling of the interval pool's
 // worker scratch: once an intervalBuilder has built an interval, a
-// second build of it reuses every array the first one allocated (pair
-// table, A(u), bound ratios, G′'s arrays, the bicc graph and the
-// decomposer's arrays) and allocates what it returns — the clusters and
-// their keyword array — and a few small headers. The ceiling is twice
-// the bytes recorded with this test (9 184 warm, against 131 664 for
-// the cold first build): the pair table alone, or G′'s edges, allocated
-// per build again would cross it.
+// second build of it reuses every array the first one allocated (A(u),
+// bound ratios, the row pass's arrays, G′'s arrays, the bicc graph and
+// the decomposer's arrays) and allocates what it returns — the clusters
+// and their keyword array — and a few small headers. The ceiling is
+// twice the bytes recorded with this test (9 184 warm, against 131 664
+// for the cold first build, when a pair table did the counting): the
+// row pass's arrays alone, or G′'s edges, allocated per build again
+// would cross it.
 func TestIntervalBuildBytesWarm(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation sizes")

@@ -41,7 +41,7 @@ func TestImportLayering(t *testing.T) {
 		"internal/cli":          {"repro", "repro/internal/corpus", "repro/internal/shard"},
 		"internal/cluster":      nil,
 		"internal/clustergraph": {"repro/internal/cluster", "repro/internal/par", "repro/internal/simjoin"},
-		"internal/cooccur":      {"repro/internal/corpus", "repro/internal/faultfs", "repro/internal/stats"},
+		"internal/cooccur":      {"repro/internal/corpus", "repro/internal/stats"},
 		"internal/core":         {"repro/internal/clustergraph", "repro/internal/topk"},
 		"internal/corpus":       nil,
 		"internal/diskstore":    nil,

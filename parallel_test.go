@@ -136,17 +136,3 @@ func TestSection4ParallelEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestAllIntervalClustersBudgetSplit: a tiny memory budget split across
-// interval workers forces the spill path inside concurrent interval
-// builds and must still reproduce the sequential loop's output.
-func TestAllIntervalClustersBudgetSplit(t *testing.T) {
-	c := endToEndCorpus(t)
-	got, err := allIntervalClustersCtx(context.Background(), c, corpus.Tokenizing(c), ClusterOptions{MemBudget: 64 << 10})
-	if err != nil {
-		t.Fatalf("AllIntervalClusters with split budget: %v", err)
-	}
-	if setsFingerprint(got) != setsFingerprint(sequentialClusterSets(t, c)) {
-		t.Fatal("split-budget cluster sets differ from the sequential loop")
-	}
-}

@@ -241,7 +241,6 @@ func (e *Engine) kwGraph(ctx context.Context, st *engineState, interval int) (*c
 		// Keep every significant, positively correlated pair.
 		return cooccur.BuildPrunedTokens(ctx, tk, cooccur.BuildOptions{
 			MinPairCount: e.cfg.cluster.MinPairCount,
-			MemBudget:    e.cfg.cluster.MemBudget,
 		}, stats.ChiSquared95, 0)
 	})
 }
@@ -272,18 +271,13 @@ func (e *Engine) emit(ev StageEvent) {
 // allIntervalClustersCtx builds every interval's cluster set from the
 // tokens src gives — the Engine's cluster stage: whole interval builds
 // run on a pool of min(GOMAXPROCS, m) workers, each build sequential
-// inside and granted an equal share of the memory budget. Each worker
+// inside. Each worker
 // keeps one tokenizer and one intervalBuilder from interval to
 // interval, so its scratch is allocated once per stage, not per
 // interval.
 func allIntervalClustersCtx(ctx context.Context, c *Collection, src corpus.TokenSource, opts ClusterOptions) ([][]Cluster, error) {
 	m := len(c.Intervals)
 	workers := max(1, min(runtime.GOMAXPROCS(0), m))
-	budget := opts.MemBudget
-	if budget <= 0 {
-		budget = cooccur.DefaultMemBudget
-	}
-	opts.MemBudget = max(1, budget/workers)
 	sets := make([][]Cluster, m)
 	tzs := make([]corpus.Tokenizer, workers)
 	bs := make([]intervalBuilder, workers)

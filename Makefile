@@ -42,7 +42,7 @@ race:
 # Store's reads racing its pushes and compactions
 # (TestStoreReadsDuringPushAndCompact), for more interleavings.
 cpu-matrix:
-	$(GO) test -cpu 1,2,8 -run '^(TestSection4ParallelEquivalence|TestEnginePushIncremental|TestIntervalBuilderReuseMatchesFresh)$$' .
+	$(GO) test -cpu 1,2,8 -run '^(TestSection4ParallelEquivalence|TestAllIntervalClustersBudgetSplit|TestEnginePushIncremental|TestIntervalBuilderReuseMatchesFresh)$$' .
 	$(GO) test -cpu 1,2,8 -run '^(TestSegmentBytesPinned|TestBuildDiskRejectsBadInput|TestDiskEquivalenceRandom|TestDiskSmallBlockSizes|TestIndexAgreesWithCooccur|TestStoreDeltaEquivalence|TestStoreCompactionByteEquality|TestStoreReadsDuringPushAndCompact)$$' ./internal/index
 	$(GO) test -cpu 1,2,8 -run '^TestBuildPrunedMatchesPrune$$' ./internal/cooccur
 	$(GO) test -cpu 1,2,8 ./internal/clustergraph ./internal/par

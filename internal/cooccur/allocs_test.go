@@ -20,8 +20,9 @@ import (
 // 32 while A(u) was counted through diagonal records and the document
 // and run scratch grew by append; 147 when runs went through
 // internal/extsort) and a small fraction of the triplet count, so one
-// allocation per pair or per row fails `go test`.
-func TestBuildAllocationCeiling(t *testing.T) {
+// allocation per pair or per row fails `go test`. The test keeps the
+// name it had on the spill route; the ceiling is the same.
+func TestSpilledBuildAllocationCeiling(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation counts")
 	}
@@ -49,7 +50,7 @@ func TestBuildAllocationCeiling(t *testing.T) {
 	}
 }
 
-// TestBuildBytes is the bytes ceiling beside the object ceiling: an
+// TestSpilledBuildBytes is the bytes ceiling beside the object ceiling: an
 // object count cannot see Edges re-copied as it grows by append, or an
 // array grown from its smallest size. The ceilings were set on the
 // spill route this build replaced, at a 64 KiB pair budget: recorded
@@ -59,8 +60,9 @@ func TestBuildAllocationCeiling(t *testing.T) {
 // pairs and never holds the unpruned edges, 0.37 MB. Since BuildCtx
 // and BuildPrunedCtx tokenize their documents first (4 bytes per
 // keyword occurrence and a word map sized for one 1 024-slot table),
-// the two read 0.92 and 0.43 MB. Builds must allocate the same.
-func TestBuildBytes(t *testing.T) {
+// the two read 0.92 and 0.43 MB. Builds must allocate the same. The
+// name is the spill route's; the two ceilings are unchanged.
+func TestSpilledBuildBytes(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation sizes")
 	}

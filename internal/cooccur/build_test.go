@@ -120,6 +120,25 @@ func TestBuildMatchesNaiveCount(t *testing.T) {
 	}
 }
 
+// TestSequentialSpillMatches: MemBudget is accepted and ignored, so
+// the budgets that once forced each merge shape of the spill route (no
+// spill, a few runs, more runs than one merge reads) must leave the
+// graph identical to the build without one.
+func TestSequentialSpillMatches(t *testing.T) {
+	col := equivCorpus(t, 5, 200)
+	ref, err := Build(col, 0, 1, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int{1 << 30, 128 << 10, 4 << 10} {
+		got, err := Build(col, 0, 1, BuildOptions{MemBudget: budget})
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		requireIdenticalGraphs(t, ref, got, fmt.Sprintf("budget=%d", budget))
+	}
+}
+
 // buildConcurrently runs one Build per options value, all at once, the
 // way the Engine's interval pool runs builds side by side.
 func buildConcurrently(t *testing.T, col *corpus.Collection, all []BuildOptions) []*Graph {

@@ -136,3 +136,18 @@ func TestSection4ParallelEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestAllIntervalClustersBudgetSplit: ClusterOptions.MemBudget is
+// accepted and ignored since the pair budget it split across interval
+// workers went with the spill route; a tiny budget must still leave the
+// interval pool's cluster sets identical to the sequential loop's.
+func TestAllIntervalClustersBudgetSplit(t *testing.T) {
+	c := endToEndCorpus(t)
+	got, err := allIntervalClustersCtx(context.Background(), c, corpus.Tokenizing(c), ClusterOptions{MemBudget: 64 << 10})
+	if err != nil {
+		t.Fatalf("AllIntervalClusters with a budget: %v", err)
+	}
+	if setsFingerprint(got) != setsFingerprint(sequentialClusterSets(t, c)) {
+		t.Fatal("cluster sets with a budget differ from the sequential loop")
+	}
+}

@@ -1,8 +1,8 @@
 # Build, verification and benchmark entry points. `make check` is the
 # tier-1 gate. Performance is measured by one system, bench/ +
 # BENCHMARK.json (`bash bench/run.sh`, `make bench-pair`); `make bench`
-# only prints the two go-test benchmarks that open ROADMAP decisions
-# still need (DESIGN.md "Benchmarks").
+# only prints the one go-test benchmark an open ROADMAP decision still
+# needs (DESIGN.md "Benchmarks").
 #
 # CI (.github/workflows/ci.yml) runs these same targets — build/vet/test,
 # cpu-matrix and bench-check on a Go version matrix, `race` and `fmt-check` as
@@ -67,7 +67,7 @@ bench-check:
 
 check: build vet test race cpu-matrix bench-check
 
-# The two go-test benchmarks left in the root package, on standard
+# The one go-test benchmark left in the root package, on standard
 # output; nothing is written or tracked.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
@@ -95,6 +95,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cooccur -run '^$$' -fuzz FuzzBuildPruned -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzQueryRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bicc -run '^$$' -fuzz FuzzDecompose -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/clustergraph -run '^$$' -fuzz FuzzJoinMatchesPairLoop -fuzztime $(FUZZTIME)
 
 # Chaos gate: the whole fault-injection suite under the race detector.
 # Everything prefixed TestFault* runs against internal/faultfs-injected

@@ -86,9 +86,6 @@ const FullPaths = core.FullPaths
 
 // ClusterOptions configures per-interval cluster generation (Section 3).
 type ClusterOptions struct {
-	// Chi2Critical is the χ² pruning threshold; default 3.84 (95%
-	// confidence, the paper's setting).
-	Chi2Critical float64
 	// RhoThreshold prunes edges with correlation coefficient ρ at or
 	// below it; default 0.2 (the paper's setting).
 	RhoThreshold float64
@@ -98,9 +95,6 @@ type ClusterOptions struct {
 	// sorts no pair stream. The field stays only because bench/build.go
 	// names it.
 	SortMemoryBudget int
-	// MinPairCount drops keyword pairs seen in fewer documents before
-	// statistics run; 0 keeps everything.
-	MinPairCount int64
 	// MemBudget is accepted and ignored: the keyword-graph build holds
 	// no pair table and writes no file; what it holds grows with the
 	// interval's keyword occurrences (DESIGN.md "Keyword-graph
@@ -110,9 +104,6 @@ type ClusterOptions struct {
 }
 
 func (o ClusterOptions) withDefaults() ClusterOptions {
-	if o.Chi2Critical == 0 {
-		o.Chi2Critical = stats.ChiSquared95
-	}
 	if o.RhoThreshold == 0 {
 		o.RhoThreshold = stats.DefaultRhoThreshold
 	}
@@ -145,9 +136,7 @@ type intervalBuilder struct {
 // call (0,1,2…); the cluster graph assigns graph-wide ids.
 func (b *intervalBuilder) clusters(ctx context.Context, tk *corpus.Tokens, interval int, opts ClusterOptions) ([]Cluster, error) {
 	opts = opts.withDefaults()
-	pruned, err := b.kw.BuildPruned(ctx, tk, cooccur.BuildOptions{
-		MinPairCount: opts.MinPairCount,
-	}, opts.Chi2Critical, opts.RhoThreshold)
+	pruned, err := b.kw.BuildPruned(ctx, tk, cooccur.BuildOptions{}, stats.ChiSquared95, opts.RhoThreshold)
 	if err != nil {
 		return nil, fmt.Errorf("blogclusters: interval %d keyword graph: %w", interval, err)
 	}
@@ -191,12 +180,23 @@ type GraphOptions struct {
 	// paper's θ).
 	Theta float64
 	// Affinity names the overlap measure: "jaccard" (default),
-	// "intersection" or "overlap".
+	// "intersection" or "overlap". Jaccard edges come from the
+	// prefix-filter similarity join, which needs Theta in (0, 1].
 	Affinity string
-	// UseSimJoin computes Jaccard edges with the prefix-filter
-	// similarity join instead of the quadratic pair loop. The join's
-	// token vocabulary is interned once for the whole run.
+	// UseSimJoin is accepted and ignored: Jaccard edges always come
+	// from the prefix-filter join. The field stays only because
+	// bench/build.go names it.
 	UseSimJoin bool
+}
+
+// validate rejects a Jaccard Theta outside (0, 1] once 0 is read as
+// the default 0.1: below it every overlapping pair would be an edge,
+// above it none.
+func (o GraphOptions) validate() error {
+	if (o.Affinity == "" || o.Affinity == "jaccard") && !(o.Theta >= 0 && o.Theta <= 1) {
+		return fmt.Errorf("blogclusters: jaccard theta %g outside (0, 1]: %w", o.Theta, ErrInvalidQuery)
+	}
+	return nil
 }
 
 // resolveAffinity maps GraphOptions.Affinity to the affinity function

@@ -70,7 +70,6 @@ func main() {
 		idleTimeout  = flag.Duration("idle-timeout", 2*time.Minute, "http.Server IdleTimeout: close keep-alive connections idle this long")
 		gap          = flag.Int("gap", 1, "gap g for the session's default cluster graph")
 		theta        = flag.Float64("theta", 0.1, "minimum affinity for a cluster-graph edge")
-		simjoin      = flag.Bool("simjoin", false, "build cluster-graph edges with the prefix-filter similarity join")
 		shardList    = flag.String("shards", "", "comma-separated shard server addresses in interval order (host:port,...); serve as their scatter-gather coordinator instead of loading a corpus")
 		shardCount   = flag.Int("shard-count", 0, "split the corpus into N in-process shard servers behind a coordinator (single-binary sharded serving)")
 		shardWait    = flag.Duration("shards-wait", time.Minute, "how long the coordinator waits for every shard server's /readyz at startup")
@@ -135,7 +134,7 @@ func main() {
 	loadDone := make(chan struct{})
 	go func() {
 		defer close(loadDone)
-		graph := blogclusters.GraphOptions{Gap: *gap, Theta: *theta, UseSimJoin: *simjoin}
+		graph := blogclusters.GraphOptions{Gap: *gap, Theta: *theta}
 		copts := shard.Options{Graph: graph}
 		var sess server.Session
 		var err error

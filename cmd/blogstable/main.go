@@ -10,10 +10,13 @@
 //	blogstable -input posts.jsonl -k 5 -l 3   # your own corpus
 //	blogstable -input posts.jsonl -normalized -lmin 2
 //	blogstable -input posts.jsonl -raw        # analyze raw text first
-//	blogstable -demo -simjoin                 # prefix-filter edge join
 //
 // With -raw, each JSONL document's keywords are treated as raw text
 // fragments and run through the tokenizer/stemmer/stop-word filter.
+//
+// Jaccard cluster-graph edges (the default -affinity) come from the
+// prefix-filter similarity join, which takes -theta in (0, 1]; the
+// other affinities are scored pair by pair.
 //
 // The solver defaults to -algorithm=auto, a spelling of the default
 // solver (bfs; normalized under -normalized); name one (bfs, dfs, ta,
@@ -58,7 +61,6 @@ func main() {
 		minSize    = flag.Int("mincluster", 2, "minimum keywords per cluster")
 		normalized = flag.Bool("normalized", false, "solve the normalized problem instead (stability = weight/length)")
 		lmin       = flag.Int("lmin", 2, "minimum length for -normalized")
-		simjoin    = flag.Bool("simjoin", false, "build cluster-graph edges with the prefix-filter similarity join (jaccard affinity only)")
 		burstsQ    = flag.String("bursts", "", "comma-separated keywords: report their information bursts before clustering")
 		quiet      = flag.Bool("quiet", false, "suppress per-interval cluster listings")
 		saveSets   = flag.String("saveclusters", "", "write per-interval clusters to this JSONL file")
@@ -71,7 +73,7 @@ func main() {
 
 	opts := shared.Options(
 		blogclusters.ClusterOptions{RhoThreshold: *rho, MinClusterSize: *minSize},
-		blogclusters.GraphOptions{Gap: *gap, Theta: *theta, Affinity: *affinity, UseSimJoin: *simjoin},
+		blogclusters.GraphOptions{Gap: *gap, Theta: *theta, Affinity: *affinity},
 	)
 	var eng *blogclusters.Engine
 	if *loadSets != "" {

@@ -8,7 +8,7 @@
 //
 //	experiments -exp table3            # one experiment at default scale
 //	experiments -exp all -scale 1.0    # the full suite at paper scale
-//	experiments -exp clustergraph      # Section 4.1 quadratic vs simjoin
+//	experiments -exp clustergraph      # Section 4.1 pair loop vs prefix-filter join
 //	experiments -list                  # list experiment ids
 //
 // The stable-cluster solver experiments (table3, fig7–14) run the

@@ -260,11 +260,15 @@ var ErrInvalidQuery = core.ErrInvalidRequest
 
 // Open starts a session: the corpus is loaded (or generated)
 // immediately; everything downstream is built lazily by the first
-// query that needs it. Close the Engine when done.
+// query that needs it. Close the Engine when done. A Jaccard Theta
+// outside (0, 1] fails Open with an error wrapping ErrInvalidQuery.
 func Open(ctx context.Context, src Source, opts ...Option) (*Engine, error) {
 	var cfg engineConfig
 	for _, o := range opts {
 		o(&cfg)
+	}
+	if err := cfg.graph.validate(); err != nil {
+		return nil, err
 	}
 	e := &Engine{cfg: cfg}
 	e.root, e.stop = context.WithCancel(context.Background())

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/clustergraph"
 	"repro/internal/corpus"
 )
 
@@ -636,5 +638,70 @@ func TestEngineDocTotalsWithoutIndex(t *testing.T) {
 	eng.Close()
 	if _, err := eng.DocTotals(ctx); !errors.Is(err, ErrEngineClosed) {
 		t.Errorf("DocTotals after Close: %v, want ErrEngineClosed", err)
+	}
+}
+
+// TestEngineGraphMatchesPairLoop: the session graph, whose Jaccard
+// edges come from the prefix-filter join, deep-equals the pair loop's
+// graph (cluster.Jaccard passed explicitly) over the same cluster sets,
+// right after Open and after each of two pushes (the ExtendCtx path),
+// on the recurring corpus at gap 1 and the default θ.
+func TestEngineGraphMatchesPairLoop(t *testing.T) {
+	const m, base = 8, 6
+	col := recurringCorpus(t, m, 300)
+	ctx := context.Background()
+	eng := openTestEngine(t, prefixCol(col, base), WithGraphOptions(GraphOptions{Gap: 1}))
+	for k := base; ; k++ {
+		g, err := eng.Graph(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets, err := eng.Clusters(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := clustergraph.FromClustersCtx(ctx, sets, clustergraph.FromClustersOptions{Gap: 1, Affinity: cluster.Jaccard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.NumEdges() == 0 {
+			t.Fatalf("%d intervals: no edges; corpus too sparse to be a real test", k)
+		}
+		if !reflect.DeepEqual(g, want) {
+			t.Fatalf("%d intervals: session graph (%d edges) differs from the pair loop's (%d edges)", k, g.NumEdges(), want.NumEdges())
+		}
+		if k == m {
+			break
+		}
+		if _, err := eng.Push(ctx, col.Intervals[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := eng.Stats().Stages["graph-extend"].Builds; got != m-base {
+		t.Fatalf("graph-extend builds = %d, want %d: the pushes did not extend the graph", got, m-base)
+	}
+}
+
+// TestOpenRejectsJaccardThetaOutOfRange: the join takes θ in (0, 1], so
+// a Jaccard θ outside it (0 is the default 0.1) fails Open with
+// ErrInvalidQuery instead of keeping every overlapping pair (θ < 0) or
+// none (θ > 1); another affinity takes any θ.
+func TestOpenRejectsJaccardThetaOutOfRange(t *testing.T) {
+	col := pushCorpus(t, 2)
+	for _, o := range []GraphOptions{{Theta: -0.5}, {Theta: 1.5}, {Theta: 1.5, Affinity: "jaccard"}} {
+		if eng, err := Open(context.Background(), FromCollection(col), WithGraphOptions(o)); !errors.Is(err, ErrInvalidQuery) {
+			if err == nil {
+				eng.Close()
+			}
+			t.Errorf("%+v: Open = %v, want ErrInvalidQuery", o, err)
+		}
+	}
+	for _, o := range []GraphOptions{{}, {Theta: 1}, {Theta: 1.5, Affinity: "intersection"}} {
+		eng, err := Open(context.Background(), FromCollection(col), WithGraphOptions(o))
+		if err != nil {
+			t.Errorf("%+v: %v", o, err)
+			continue
+		}
+		eng.Close()
 	}
 }

@@ -14,16 +14,16 @@ import (
 // which once cost two appends each into per-node lists (3 523 and
 // 3 902 allocations here). What is left grows with the log of each
 // edge task's buffer. The ceiling is about twice the count recorded
-// with this test (quadratic path 129, simjoin path 196) and a
-// twentieth of the edge count.
+// with this test (pair loop 129, join 196) and a twentieth of the edge
+// count.
 func TestFromClustersAllocationCeiling(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation counts")
 	}
 	const ceiling = 400
 	sets := randClusterSets(3, 6, 50, 30, 6)
-	for _, simjoin := range []bool{false, true} {
-		opts := FromClustersOptions{Gap: 1, Theta: 0.1, UseSimJoin: simjoin}
+	for _, r := range jaccardRoutes {
+		opts := FromClustersOptions{Gap: 1, Theta: 0.1, Affinity: r.aff}
 		var g *Graph
 		build := func() {
 			var err error
@@ -36,12 +36,12 @@ func TestFromClustersAllocationCeiling(t *testing.T) {
 		old := debug.SetGCPercent(-1)
 		allocs := testing.AllocsPerRun(1, build)
 		debug.SetGCPercent(old)
-		t.Logf("simjoin=%v: %v allocations for %d edges", simjoin, allocs, g.NumEdges())
+		t.Logf("%s: %v allocations for %d edges", r.name, allocs, g.NumEdges())
 		if g.NumEdges() < 20*ceiling {
-			t.Fatalf("simjoin=%v: %d edges, too few for a ceiling of %d to tell", simjoin, g.NumEdges(), ceiling)
+			t.Fatalf("%s: %d edges, too few for a ceiling of %d to tell", r.name, g.NumEdges(), ceiling)
 		}
 		if allocs > ceiling {
-			t.Errorf("simjoin=%v: %v allocations per build of %d edges, ceiling %d", simjoin, allocs, g.NumEdges(), ceiling)
+			t.Errorf("%s: %v allocations per build of %d edges, ceiling %d", r.name, allocs, g.NumEdges(), ceiling)
 		}
 	}
 }

@@ -329,11 +329,14 @@ type FromClustersOptions struct {
 	// Theta is the minimum affinity for an edge (default
 	// cluster.DefaultAffinityThreshold).
 	Theta float64
-	// Affinity scores cluster overlap (default cluster.Jaccard).
+	// Affinity scores cluster overlap. Nil is Jaccard, computed by the
+	// prefix-filter join (internal/simjoin), which needs Theta in
+	// (0, 1]; a non-nil function is evaluated on every cluster pair, so
+	// cluster.Jaccard passed explicitly is the join's reference.
 	Affinity cluster.AffinityFunc
-	// UseSimJoin computes Jaccard edges with the prefix-filter join
-	// instead of the quadratic loop. Only valid when Affinity is nil
-	// (Jaccard), since the join is Jaccard-specific.
+	// UseSimJoin is accepted and ignored: Jaccard edges always come
+	// from the prefix-filter join. The field stays only because
+	// bench/build.go names it.
 	UseSimJoin bool
 	// Normalize rescales weights into (0,1] when an affinity (e.g.
 	// intersection) produces weights above 1.
@@ -408,8 +411,8 @@ type intervalPair struct{ i, j int }
 // edgePairs is the one edge generator behind FromClustersCtx and
 // ExtendCtx: for each listed pair of intervals it evaluates the
 // affinity between their cluster sets and keeps the (Left, Right)
-// index pairs with affinity >= Theta, quadratic loop or prefix-filter
-// join per opts.UseSimJoin.
+// index pairs with affinity >= Theta. A nil affinity (Jaccard) runs the
+// prefix-filter join; any other affinity is evaluated pair by pair.
 //
 // Each interval pair is one task, and the tasks run on a pool of
 // GOMAXPROCS workers; a task runs sequentially inside. A worker appends
@@ -423,55 +426,26 @@ func edgePairs(ctx context.Context, sets [][]cluster.Cluster, tasks []intervalPa
 	if theta == 0 {
 		theta = cluster.DefaultAffinityThreshold
 	}
-	aff := opts.Affinity
-	if aff == nil {
-		aff = cluster.Jaccard
-	} else if opts.UseSimJoin {
-		return nil, fmt.Errorf("clustergraph: UseSimJoin requires the default Jaccard affinity")
-	}
-
-	// On the simjoin path the vocabulary is interned once per call over
-	// the intervals the tasks name (every interval joins against up to
-	// gap+1 partners; a per-join frequency pass used to dominate).
-	var (
-		vocab *simjoin.Vocab
-		recs  [][]simjoin.Record
-	)
-	if opts.UseSimJoin {
-		named := make([]bool, len(sets))
-		for _, t := range tasks {
-			named[t.i], named[t.j] = true, true
-		}
-		involved := make([][]cluster.Cluster, 0, len(sets))
-		for i, ok := range named {
-			if ok {
-				involved = append(involved, sets[i])
-			}
-		}
-		vocab = simjoin.NewVocab(involved...)
-		recs = make([][]simjoin.Record, len(sets))
-		for i, ok := range named {
-			if ok {
-				var err error
-				if recs[i], err = vocab.Records(sets[i]); err != nil {
-					return nil, err
+	var run func(j *simjoin.Joiner, out []simjoin.Pair, t intervalPair) ([]simjoin.Pair, error)
+	if aff := opts.Affinity; aff != nil {
+		run = func(_ *simjoin.Joiner, out []simjoin.Pair, t intervalPair) ([]simjoin.Pair, error) {
+			for a, ca := range sets[t.i] {
+				for bj, cb := range sets[t.j] {
+					if w := aff(ca, cb); w >= theta && w > 0 {
+						out = append(out, simjoin.Pair{Left: a, Right: bj, Sim: w})
+					}
 				}
 			}
+			return out, nil
 		}
-	}
-
-	run := func(j *simjoin.Joiner, out []simjoin.Pair, t intervalPair) ([]simjoin.Pair, error) {
-		if opts.UseSimJoin {
+	} else {
+		recs, err := joinRecords(sets, tasks)
+		if err != nil {
+			return nil, err
+		}
+		run = func(j *simjoin.Joiner, out []simjoin.Pair, t intervalPair) ([]simjoin.Pair, error) {
 			return j.AppendJoin(out, recs[t.i], recs[t.j], theta)
 		}
-		for a, ca := range sets[t.i] {
-			for bj, cb := range sets[t.j] {
-				if w := aff(ca, cb); w >= theta && w > 0 {
-					out = append(out, simjoin.Pair{Left: a, Right: bj, Sim: w})
-				}
-			}
-		}
-		return out, nil
 	}
 	workers := max(1, min(runtime.GOMAXPROCS(0), len(tasks)))
 	bufs := make([][]simjoin.Pair, workers)
@@ -496,6 +470,34 @@ func edgePairs(ctx context.Context, sets [][]cluster.Cluster, tasks []intervalPa
 		results[ti] = bufs[sp.w][sp.lo:sp.hi:sp.hi]
 	}
 	return results, nil
+}
+
+// joinRecords interns the vocabulary once per call over the intervals
+// the tasks name (every interval joins against up to gap+1 partners; a
+// per-join frequency pass used to dominate) and returns each named
+// interval's join records, nil for the others.
+func joinRecords(sets [][]cluster.Cluster, tasks []intervalPair) ([][]simjoin.Record, error) {
+	named := make([]bool, len(sets))
+	for _, t := range tasks {
+		named[t.i], named[t.j] = true, true
+	}
+	involved := make([][]cluster.Cluster, 0, len(sets))
+	for i, ok := range named {
+		if ok {
+			involved = append(involved, sets[i])
+		}
+	}
+	vocab := simjoin.NewVocab(involved...)
+	recs := make([][]simjoin.Record, len(sets))
+	for i, ok := range named {
+		if ok {
+			var err error
+			if recs[i], err = vocab.Records(sets[i]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return recs, nil
 }
 
 // ExtendCtx grows an already-built graph by one interval and returns

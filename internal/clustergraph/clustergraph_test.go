@@ -200,11 +200,11 @@ func TestFromClusters(t *testing.T) {
 
 func TestFromClustersSimJoinMatchesBrute(t *testing.T) {
 	sets := weekSets()
-	plain, err := FromClusters(sets, FromClustersOptions{Gap: 1, Theta: 0.3})
+	plain, err := FromClusters(sets, FromClustersOptions{Gap: 1, Theta: 0.3, Affinity: cluster.Jaccard})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sj, err := FromClusters(sets, FromClustersOptions{Gap: 1, Theta: 0.3, UseSimJoin: true})
+	sj, err := FromClusters(sets, FromClustersOptions{Gap: 1, Theta: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,12 +235,17 @@ func TestFromClustersGapZeroOmitsLongEdges(t *testing.T) {
 	}
 }
 
-func TestFromClustersSimJoinRequiresJaccard(t *testing.T) {
-	_, err := FromClusters(weekSets(), FromClustersOptions{
-		Gap: 0, Theta: 0.3, Affinity: cluster.Intersection, UseSimJoin: true,
-	})
-	if err == nil {
-		t.Error("UseSimJoin with custom affinity accepted")
+// TestFromClustersJaccardThetaRange: the join takes θ in (0, 1] only,
+// so a Jaccard build outside it fails; an explicit affinity is scored
+// pair by pair and takes any θ (intersection weights exceed 1).
+func TestFromClustersJaccardThetaRange(t *testing.T) {
+	for _, theta := range []float64{-0.5, 1.5, math.NaN()} {
+		if _, err := FromClusters(weekSets(), FromClustersOptions{Gap: 1, Theta: theta}); err == nil {
+			t.Errorf("Jaccard θ %g accepted", theta)
+		}
+	}
+	if _, err := FromClusters(weekSets(), FromClustersOptions{Gap: 1, Theta: 1.5, Affinity: cluster.Intersection}); err != nil {
+		t.Errorf("intersection θ 1.5: %v", err)
 	}
 }
 

@@ -35,7 +35,7 @@ func randomSets(rng *rand.Rand, m int) [][]cluster.Cluster {
 
 // TestExtendMatchesOneShot grows a graph interval by interval and
 // requires the result to be deeply identical to the one-shot build at
-// every step, across gaps and both edge paths.
+// every step, across gaps and both Jaccard routes (jaccardRoutes).
 func TestExtendMatchesOneShot(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(8))
@@ -43,9 +43,9 @@ func TestExtendMatchesOneShot(t *testing.T) {
 		m := 2 + rng.Intn(5)
 		sets := randomSets(rng, m)
 		for _, gap := range []int{0, 1, 3} {
-			for _, simjoin := range []bool{false, true} {
-				opts := FromClustersOptions{Gap: gap, UseSimJoin: simjoin, Theta: 0.3}
-				name := fmt.Sprintf("trial=%d m=%d gap=%d simjoin=%v", trial, m, gap, simjoin)
+			for _, r := range jaccardRoutes {
+				opts := FromClustersOptions{Gap: gap, Affinity: r.aff, Theta: 0.3}
+				name := fmt.Sprintf("trial=%d m=%d gap=%d %s", trial, m, gap, r.name)
 				g, err := FromClustersCtx(ctx, sets[:1], opts)
 				if err != nil {
 					t.Fatalf("%s: seed build: %v", name, err)

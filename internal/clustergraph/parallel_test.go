@@ -3,6 +3,7 @@ package clustergraph
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -86,9 +87,18 @@ func referenceGraph(t *testing.T, sets [][]cluster.Cluster, gap int, theta float
 	return b.Build(normalize)
 }
 
+// jaccardRoutes are the two ways edgePairs computes Jaccard edges: the
+// prefix-filter join (nil affinity, what every caller gets) and the
+// pair loop over cluster.Jaccard passed explicitly, the join's
+// reference.
+var jaccardRoutes = []struct {
+	name string
+	aff  cluster.AffinityFunc
+}{{"join", nil}, {"pair-loop", cluster.Jaccard}}
+
 // TestFromClustersParallelEquivalence: edge generation on the worker
-// pool builds the graph the sequential reference builds, on both the
-// quadratic and simjoin paths, at gap 0 and gap 2. Each worker appends
+// pool builds the graph the sequential reference builds, on both
+// Jaccard routes, at gap 0 and gap 2. Each worker appends
 // the pairs of all its tasks to one buffer, so every task's span of it
 // is also held to that task's pairs computed alone, on twelve intervals
 // at gap 2 (30 tasks, so a worker's buffer grows past the spans it
@@ -109,8 +119,8 @@ func TestFromClustersParallelEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, useSimJoin := range []bool{false, true} {
-		got, err := edgePairs(context.Background(), wide, tasks, FromClustersOptions{Gap: 2, Theta: 0.25, UseSimJoin: useSimJoin})
+	for _, r := range jaccardRoutes {
+		got, err := edgePairs(context.Background(), wide, tasks, FromClustersOptions{Gap: 2, Theta: 0.25, Affinity: r.aff})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +131,7 @@ func TestFromClustersParallelEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(got[ti]) != len(want) || len(want) > 0 && !slices.Equal(got[ti], want) {
-				t.Fatalf("simjoin %v: task %d (%d,%d) has %d pairs, alone %d", useSimJoin, ti, tk.i, tk.j, len(got[ti]), len(want))
+				t.Fatalf("%s: task %d (%d,%d) has %d pairs, alone %d", r.name, ti, tk.i, tk.j, len(got[ti]), len(want))
 			}
 			pairs += len(want)
 		}
@@ -137,28 +147,28 @@ func TestFromClustersParallelEquivalence(t *testing.T) {
 			t.Fatalf("gap %d: no edges; workload too sparse to be a real test", gap)
 		}
 		want := fingerprint(ref)
-		for _, simjoin := range []bool{false, true} {
-			g, err := FromClusters(sets, FromClustersOptions{Gap: gap, Theta: 0.25, UseSimJoin: simjoin})
+		for _, r := range jaccardRoutes {
+			g, err := FromClusters(sets, FromClustersOptions{Gap: gap, Theta: 0.25, Affinity: r.aff})
 			if err != nil {
-				t.Fatalf("gap %d simjoin %v: %v", gap, simjoin, err)
+				t.Fatalf("gap %d %s: %v", gap, r.name, err)
 			}
 			if got := fingerprint(g); got != want {
-				t.Fatalf("gap %d simjoin %v: graph differs from the sequential reference", gap, simjoin)
+				t.Fatalf("gap %d %s: graph differs from the sequential reference", gap, r.name)
 			}
 		}
 	}
 }
 
-// TestFromClustersSimJoinMatchesQuadratic: the prefix-filter path and
-// the quadratic pair loop build the same graph (both default Jaccard).
+// TestFromClustersSimJoinMatchesQuadratic: the prefix-filter join (the
+// default) and the pair loop over cluster.Jaccard build the same graph.
 func TestFromClustersSimJoinMatchesQuadratic(t *testing.T) {
 	sets := randClusterSets(23, 5, 60, 100, 9)
 	for _, gap := range []int{0, 1} {
-		quad, err := FromClusters(sets, FromClustersOptions{Gap: gap, Theta: 0.2})
+		quad, err := FromClusters(sets, FromClustersOptions{Gap: gap, Theta: 0.2, Affinity: cluster.Jaccard})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sj, err := FromClusters(sets, FromClustersOptions{Gap: gap, Theta: 0.2, UseSimJoin: true})
+		sj, err := FromClusters(sets, FromClustersOptions{Gap: gap, Theta: 0.2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,4 +194,69 @@ func TestFromClustersParallelIntersectionAffinity(t *testing.T) {
 	if fingerprint(g) != want {
 		t.Fatal("intersection-affinity graph differs from the sequential reference")
 	}
+}
+
+// fuzzClusterSets decodes data into 1–6 intervals of clusters over a
+// 24-word vocabulary, so overlaps, subsets and equal sets are common:
+// a byte of 0xff ends an interval, one of 0xf0–0xfe ends a cluster,
+// and any other byte adds the word it names to the current cluster.
+func fuzzClusterSets(m uint8, data []byte) [][]cluster.Cluster {
+	sets := make([][]cluster.Cluster, int(m)%6+1)
+	i := 0
+	var words []string
+	flush := func() {
+		if words != nil {
+			sets[i] = append(sets[i], cluster.New(int64(len(sets[i])), i, words))
+			words = nil
+		}
+	}
+	for _, b := range data {
+		switch {
+		case b == 0xff:
+			flush()
+			i = (i + 1) % len(sets)
+		case b >= 0xf0:
+			flush()
+		default:
+			words = append(words, fmt.Sprintf("w%02d", b%24))
+		}
+	}
+	flush()
+	return sets
+}
+
+// FuzzJoinMatchesPairLoop holds the prefix-filter join to the pair loop
+// over cluster.Jaccard on fuzz-chosen cluster sets (see
+// fuzzClusterSets), gap 0–2 and θ in (0, 1]: every task's pairs must
+// match, weights bit for bit.
+func FuzzJoinMatchesPairLoop(f *testing.F) {
+	f.Add(uint8(3), uint8(1), uint16(99), []byte{1, 2, 3, 0xf0, 4, 5, 0xff, 1, 2, 0xf0, 4, 5, 6, 0xff, 2, 3, 4})
+	f.Add(uint8(2), uint8(0), uint16(299), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0xff, 0, 1, 2, 0xf0, 0, 1, 2, 3, 4})
+	f.Add(uint8(5), uint8(2), uint16(999), slices.Repeat([]byte{1, 2, 0xf0, 1, 2, 3, 0xff, 3, 0xf0}, 8))
+	f.Fuzz(func(t *testing.T, m, gap uint8, theta uint16, data []byte) {
+		sets := fuzzClusterSets(m, data)
+		opts := FromClustersOptions{Gap: int(gap % 3), Theta: float64(theta%1000+1) / 1000}
+		var tasks []intervalPair
+		for i := range sets {
+			for j := i + 1; j <= i+opts.Gap+1 && j < len(sets); j++ {
+				tasks = append(tasks, intervalPair{i, j})
+			}
+		}
+		join, err := edgePairs(context.Background(), sets, tasks, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Affinity = cluster.Jaccard
+		loop, err := edgePairs(context.Background(), sets, tasks, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ti, tk := range tasks {
+			if !slices.EqualFunc(join[ti], loop[ti], func(a, b simjoin.Pair) bool {
+				return a.Left == b.Left && a.Right == b.Right && math.Float64bits(a.Sim) == math.Float64bits(b.Sim)
+			}) {
+				t.Fatalf("θ %g: intervals (%d,%d): join %v, pair loop %v", opts.Theta, tk.i, tk.j, join[ti], loop[ti])
+			}
+		}
+	})
 }

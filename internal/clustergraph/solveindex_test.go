@@ -69,7 +69,7 @@ func TestExtendIndexMatchesOneShot(t *testing.T) {
 		m := 2 + rng.Intn(5)
 		sets := randomSets(rng, m)
 		for _, gap := range []int{0, 1, 3} {
-			opts := FromClustersOptions{Gap: gap, UseSimJoin: true, Theta: 0.3}
+			opts := FromClustersOptions{Gap: gap, Theta: 0.3}
 			name := fmt.Sprintf("trial=%d m=%d gap=%d", trial, m, gap)
 			g, err := FromClustersCtx(ctx, sets[:1], opts)
 			if err != nil {
@@ -112,7 +112,7 @@ func TestSolveIndexParts(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		m := 2 + rng.Intn(5)
 		gap := rng.Intn(3)
-		g, err := FromClustersCtx(ctx, randomSets(rng, m), FromClustersOptions{Gap: gap, UseSimJoin: true, Theta: 0.3})
+		g, err := FromClustersCtx(ctx, randomSets(rng, m), FromClustersOptions{Gap: gap, Theta: 0.3})
 		if err != nil {
 			t.Fatal(err)
 		}

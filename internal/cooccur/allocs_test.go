@@ -39,7 +39,7 @@ func TestSpilledBuildAllocationCeiling(t *testing.T) {
 	// malloc count.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := testing.AllocsPerRun(1, build)
-	// Every distinct pair is an edge at MinPairCount 1.
+	// Every distinct pair is an edge of an unpruned build.
 	triplets := len(g.Edges)
 	t.Logf("%v allocations for %d triplets", allocs, triplets)
 	if triplets < 20*ceiling {

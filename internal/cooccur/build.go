@@ -9,16 +9,12 @@ import (
 	"repro/internal/stats"
 )
 
-// BuildOptions configures graph construction.
+// BuildOptions configures nothing: every build keeps every
+// co-occurring pair, and both fields are accepted and ignored.
 type BuildOptions struct {
 	// SortMemoryBudget is accepted and ignored: the build sorts no pair
 	// stream. The field stays only because bench/build.go names it.
 	SortMemoryBudget int
-	// MinPairCount drops triplets with A(u,v) below this value before
-	// statistics are computed. The paper's graphs keep everything
-	// (threshold 1); larger corpora benefit from dropping singleton
-	// noise pairs early. Zero means 1.
-	MinPairCount int64
 	// MemBudget is accepted and ignored: the build holds no pair table
 	// and writes no file, and what it holds grows with the keyword
 	// occurrences, not with the pairs (see Builder). The field stays
@@ -41,7 +37,7 @@ func Build(c *corpus.Collection, from, to int, opts BuildOptions) (*Graph, error
 // few hundred keywords, so a canceled build returns ctx's error
 // instead of finishing the interval.
 func BuildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts BuildOptions) (*Graph, error) {
-	return new(Builder).buildCtx(ctx, c, from, to, opts, nil)
+	return new(Builder).buildCtx(ctx, c, from, to, nil)
 }
 
 // BuildPrunedCtx builds G′ directly: the graph that BuildCtx followed
@@ -50,7 +46,7 @@ func BuildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts Buil
 // that cannot pass the test at any count are never counted (see
 // pairBound), and every triplet is tested as it leaves the fold.
 func BuildPrunedCtx(ctx context.Context, c *corpus.Collection, from, to int, opts BuildOptions, chi2Critical, rhoThreshold float64) (*Graph, error) {
-	return new(Builder).buildCtx(ctx, c, from, to, opts, &threshold{chi2: chi2Critical, rho: rhoThreshold})
+	return new(Builder).buildCtx(ctx, c, from, to, &threshold{chi2: chi2Critical, rho: rhoThreshold})
 }
 
 // BuildPrunedTokens is BuildPrunedCtx over documents already
@@ -78,7 +74,7 @@ type Builder struct {
 // BuildPruned is BuildPrunedTokens on b's arrays: the returned G′ is
 // valid until b's next build.
 func (b *Builder) BuildPruned(ctx context.Context, tk *corpus.Tokens, opts BuildOptions, chi2Critical, rhoThreshold float64) (*Graph, error) {
-	return b.build(ctx, tk, opts, &threshold{chi2: chi2Critical, rho: rhoThreshold})
+	return b.build(ctx, tk, &threshold{chi2: chi2Critical, rho: rhoThreshold})
 }
 
 // threshold is the χ²/ρ test of a pruned build: an edge is kept when
@@ -86,11 +82,11 @@ func (b *Builder) BuildPruned(ctx context.Context, tk *corpus.Tokens, opts Build
 type threshold struct{ chi2, rho float64 }
 
 // buildCtx is BuildCtx pruned at th, unless th is nil.
-func (b *Builder) buildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts BuildOptions, th *threshold) (*Graph, error) {
+func (b *Builder) buildCtx(ctx context.Context, c *corpus.Collection, from, to int, th *threshold) (*Graph, error) {
 	if from < 0 || to >= len(c.Intervals) || from > to {
 		return nil, fmt.Errorf("cooccur: interval range [%d,%d] outside collection of %d intervals", from, to, len(c.Intervals))
 	}
-	return b.build(ctx, corpus.Tokenize(c.Intervals[from:to+1]), opts, th)
+	return b.build(ctx, corpus.Tokenize(c.Intervals[from:to+1]), th)
 }
 
 // pollRows is how many rows the row pass counts between polls of ctx.
@@ -101,9 +97,7 @@ const pollRows = 256
 // and pass 3 counts the pairs row by row: for each keyword, in rank
 // order, the partners that follow it in its documents, into one dense
 // accumulator, handing each touched pair to the fold.
-func (b *Builder) build(ctx context.Context, tk *corpus.Tokens, opts BuildOptions, th *threshold) (*Graph, error) {
-	minCount := max(opts.MinPairCount, 1)
-
+func (b *Builder) build(ctx context.Context, tk *corpus.Tokens, th *threshold) (*Graph, error) {
 	// Pass 1: A(u). The token ranks are the keyword ids, so A(u) is the
 	// number of times u's rank occurs (a document's keywords are a set).
 	docCount := resize(b.docCount, len(tk.Words))
@@ -117,7 +111,7 @@ func (b *Builder) build(ctx context.Context, tk *corpus.Tokens, opts BuildOption
 		Keywords: tk.Words,
 		DocCount: docCount,
 	}
-	f := &fold{g: g, minCount: minCount}
+	f := &fold{g: g}
 	if th != nil {
 		b.prune.reset(g, *th)
 		f.prune = &b.prune
@@ -311,14 +305,13 @@ func (l *layout) countRow(q, lim int32) []int32 {
 	return touched
 }
 
-// fold turns the pair counts into the graph's edges: every count of at
-// least minCount becomes an edge of g, or, in a pruned build, is
-// annotated and offered to prune. The unpruned graph's pairs must
+// fold turns the pair counts into the graph's edges: every counted
+// pair becomes an edge of g, or, in a pruned build, is annotated and
+// offered to prune. The unpruned graph's pairs must
 // arrive in (U, V) order; the pruner takes them in any order.
 type fold struct {
-	g        *Graph
-	minCount int64
-	prune    *pruner // nil for the unpruned graph
+	g     *Graph
+	prune *pruner // nil for the unpruned graph
 }
 
 // reserve sizes the unpruned graph's Edges for at most pairs triplets.
@@ -332,9 +325,6 @@ func (f *fold) reserve(pairs int) {
 
 // add folds the count of the pair of keywords u and v.
 func (f *fold) add(u, v int32, count int64) {
-	if count < f.minCount {
-		return
-	}
 	if u > v {
 		u, v = v, u
 	}
@@ -345,8 +335,7 @@ func (f *fold) add(u, v int32, count int64) {
 	}
 	g := f.g
 	au, av := g.DocCount[u], g.DocCount[v]
-	e.Chi2 = stats.ChiSquared(g.N, au, av, count)
-	e.Rho = stats.Correlation(g.N, au, av, count)
+	e.Chi2, e.Rho = stats.PairStats(g.N, au, av, count)
 	f.prune.keep(e)
 }
 

@@ -62,7 +62,7 @@ func requireIdenticalGraphs(t *testing.T, want, got *Graph, label string) {
 // map keyed by the keyword strings, straight from the documents of
 // intervals [from, to], and lays the counts out in Build's canonical
 // form.
-func naiveGraph(col *corpus.Collection, from, to int, minCount int64) *Graph {
+func naiveGraph(col *corpus.Collection, from, to int) *Graph {
 	counts := map[[2]string]int64{}
 	var n int64
 	for _, iv := range col.Intervals[from : to+1] {
@@ -92,7 +92,7 @@ func naiveGraph(col *corpus.Collection, from, to int, minCount int64) *Graph {
 		g.DocCount = append(g.DocCount, counts[[2]string{w, w}])
 	}
 	for k, c := range counts {
-		if k[0] != k[1] && c >= minCount {
+		if k[0] != k[1] {
 			g.Edges = append(g.Edges, Edge{U: id[k[0]], V: id[k[1]], Count: c})
 		}
 	}
@@ -101,22 +101,20 @@ func naiveGraph(col *corpus.Collection, from, to int, minCount int64) *Graph {
 }
 
 // TestBuildMatchesNaiveCount holds the row pass to the map-based
-// oracle, with and without the early MinPairCount filter.
+// oracle.
 func TestBuildMatchesNaiveCount(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		col := equivCorpus(t, seed, 300)
-		for _, minCount := range []int64{1, 2} {
-			want := naiveGraph(col, 0, 1, minCount)
-			if len(want.Edges) == 0 {
-				t.Fatalf("seed %d: oracle graph has no edges", seed)
-			}
-			label := fmt.Sprintf("seed=%d minCount=%d", seed, minCount)
-			g, err := Build(col, 0, 1, BuildOptions{MinPairCount: minCount})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			requireIdenticalGraphs(t, want, g, label)
+		want := naiveGraph(col, 0, 1)
+		if len(want.Edges) == 0 {
+			t.Fatalf("seed %d: oracle graph has no edges", seed)
 		}
+		label := fmt.Sprintf("seed=%d", seed)
+		g, err := Build(col, 0, 1, BuildOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		requireIdenticalGraphs(t, want, g, label)
 	}
 }
 
@@ -168,38 +166,11 @@ func buildConcurrently(t *testing.T, col *corpus.Collection, all []BuildOptions)
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		col := equivCorpus(t, seed, 300)
-		want := naiveGraph(col, 0, 1, 1)
+		want := naiveGraph(col, 0, 1)
 		all := make([]BuildOptions, 4)
 		for i, g := range buildConcurrently(t, col, all) {
 			requireIdenticalGraphs(t, want, g, fmt.Sprintf("seed=%d build %d", seed, i))
 		}
-	}
-}
-
-// TestMinPairCountParallel checks the early triplet filter with the
-// builds running side by side: a filtered graph keeps every keyword and
-// document count of the unfiltered one, and exactly its edges of count
-// at least the threshold.
-func TestMinPairCountParallel(t *testing.T) {
-	col := equivCorpus(t, 13, 250)
-	full := naiveGraph(col, 0, 1, 1)
-	var all []BuildOptions
-	for _, minCount := range []int64{2, 3, 5} {
-		all = append(all, BuildOptions{MinPairCount: minCount}, BuildOptions{MinPairCount: minCount})
-	}
-	for i, g := range buildConcurrently(t, col, all) {
-		opts := all[i]
-		want := &Graph{N: full.N, Keywords: full.Keywords, DocCount: full.DocCount}
-		for _, e := range full.Edges {
-			if e.Count >= opts.MinPairCount {
-				want.Edges = append(want.Edges, e)
-			}
-		}
-		if len(want.Edges) == 0 || len(want.Edges) == len(full.Edges) {
-			t.Fatalf("MinPairCount %d keeps %d of %d edges; the corpus does not exercise the filter",
-				opts.MinPairCount, len(want.Edges), len(full.Edges))
-		}
-		requireIdenticalGraphs(t, want, g, fmt.Sprintf("build %d minpair=%d", i, opts.MinPairCount))
 	}
 }
 
@@ -275,18 +246,17 @@ func fuzzCorpus(docs []byte) *corpus.Collection {
 }
 
 // FuzzBuildMatchesNaive checks builds against naiveGraph on a
-// fuzz-chosen corpus (see fuzzCorpus) at a fuzz-chosen MinPairCount.
+// fuzz-chosen corpus (see fuzzCorpus).
 func FuzzBuildMatchesNaive(f *testing.F) {
-	f.Add(uint8(1), []byte{1, 2, 3, 0xff, 1, 2, 0xff, 2, 3, 4, 5})
-	f.Add(uint8(2), []byte("the quick brown fox\xffjumps over the lazy dog\xffthe dog\xff"))
-	f.Add(uint8(1), slices.Repeat([]byte{5, 9, 13, 17, 21, 25, 0xf0, 6, 9, 12, 17, 0xf1}, 40))
-	f.Fuzz(func(t *testing.T, minCount uint8, docs []byte) {
+	f.Add([]byte{1, 2, 3, 0xff, 1, 2, 0xff, 2, 3, 4, 5})
+	f.Add([]byte("the quick brown fox\xffjumps over the lazy dog\xffthe dog\xff"))
+	f.Add(slices.Repeat([]byte{5, 9, 13, 17, 21, 25, 0xf0, 6, 9, 12, 17, 0xf1}, 40))
+	f.Fuzz(func(t *testing.T, docs []byte) {
 		col := fuzzCorpus(docs)
-		opts := BuildOptions{MinPairCount: int64(minCount%3) + 1}
-		g, err := Build(col, 0, 1, opts)
+		g, err := Build(col, 0, 1, BuildOptions{})
 		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
+			t.Fatal(err)
 		}
-		requireIdenticalGraphs(t, naiveGraph(col, 0, 1, opts.MinPairCount), g, fmt.Sprintf("%+v", opts))
+		requireIdenticalGraphs(t, naiveGraph(col, 0, 1), g, "fuzz corpus")
 	})
 }

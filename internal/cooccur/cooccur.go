@@ -106,8 +106,7 @@ func (g *Graph) AnnotateStats() {
 		e := &g.Edges[i]
 		au := g.DocCount[e.U]
 		av := g.DocCount[e.V]
-		e.Chi2 = stats.ChiSquared(g.N, au, av, e.Count)
-		e.Rho = stats.Correlation(g.N, au, av, e.Count)
+		e.Chi2, e.Rho = stats.PairStats(g.N, au, av, e.Count)
 	}
 }
 

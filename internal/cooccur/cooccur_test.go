@@ -115,19 +115,6 @@ func TestBuildRejectsBadRange(t *testing.T) {
 	}
 }
 
-func TestMinPairCount(t *testing.T) {
-	g, err := Build(tinyCollection(), 0, 0, BuildOptions{MinPairCount: 2})
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	if g.NumEdges() != 1 {
-		t.Fatalf("edges = %d, want 1 (a,c dropped)", g.NumEdges())
-	}
-	if _, ok := g.EdgeBetween("a", "b"); !ok {
-		t.Error("edge (a,b) missing")
-	}
-}
-
 // TestBuildRepeatedKeywordNoSelfLoop: a document that lists a keyword
 // twice breaks Document's set contract, but the build still makes no
 // self-loop edge, pruned or not, and counts the pair once per listing,

@@ -12,8 +12,7 @@ import (
 )
 
 // boundedPairs returns how many distinct pairs of full, an unpruned
-// graph at MinPairCount 1, a build pruned at th counts: the pairs the
-// bound lets through.
+// graph, a build pruned at th counts: the pairs the bound lets through.
 func boundedPairs(full *Graph, th *threshold) int {
 	var b pairBound
 	b.reset(full, th)
@@ -28,8 +27,8 @@ func boundedPairs(full *Graph, th *threshold) int {
 
 // TestBuildPrunedMatchesPrune holds the pruned build to the two-step
 // route it replaces, BuildCtx then AnnotateStats then Prune, field for
-// field (ids, keyword order and nil slices included), at MinPairCount 1
-// and 2 and at ρ thresholds below, at and above zero. Every build runs
+// field (ids, keyword order and nil slices included), at ρ thresholds
+// below, at and above zero. Every build runs
 // twice: on a fresh Builder and on one Builder shared by all of them,
 // whose arrays the earlier builds have left at other sizes and values.
 func TestBuildPrunedMatchesPrune(t *testing.T) {
@@ -40,33 +39,26 @@ func TestBuildPrunedMatchesPrune(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		full.AnnotateStats()
 		for _, rho := range []float64{-0.1, 0, 0.2, 0.5} {
 			th := &threshold{chi2: stats.ChiSquared95, rho: rho}
 			counted := boundedPairs(full, th)
 			if rho < 0 && counted != len(full.Edges) || rho >= 0 && counted >= len(full.Edges) {
 				t.Fatalf("seed %d ρ %g: the bound lets %d of %d pairs through", seed, rho, counted, len(full.Edges))
 			}
-			for _, minCount := range []int64{1, 2} {
-				ref, err := Build(col, 0, 1, BuildOptions{MinPairCount: minCount})
+			want := full.Prune(th.chi2, th.rho)
+			if len(want.Edges) == 0 {
+				t.Fatalf("seed %d ρ %g: the pruned graph has no edges", seed, rho)
+			}
+			label := fmt.Sprintf("seed=%d ρ=%g", seed, rho)
+			for _, b := range []*Builder{new(Builder), shared} {
+				g, err := b.buildCtx(context.Background(), col, 0, 1, th)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s: %v", label, err)
 				}
-				ref.AnnotateStats()
-				want := ref.Prune(th.chi2, th.rho)
-				if len(want.Edges) == 0 {
-					t.Fatalf("seed %d ρ %g: the pruned graph has no edges", seed, rho)
-				}
-				opts := BuildOptions{MinPairCount: minCount}
-				label := fmt.Sprintf("seed=%d ρ=%g %+v", seed, rho, opts)
-				for _, b := range []*Builder{new(Builder), shared} {
-					g, err := b.buildCtx(context.Background(), col, 0, 1, opts, th)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if !reflect.DeepEqual(want, g) {
-						requireIdenticalGraphs(t, want, g, label)
-						t.Fatalf("%s: graphs differ outside Keywords, DocCount and Edges", label)
-					}
+				if !reflect.DeepEqual(want, g) {
+					requireIdenticalGraphs(t, want, g, label)
+					t.Fatalf("%s: graphs differ outside Keywords, DocCount and Edges", label)
 				}
 			}
 		}
@@ -97,7 +89,7 @@ func TestPairBoundSound(t *testing.T) {
 						rejected++
 					}
 					for c := int64(0); c <= min(au, av); c++ {
-						if stats.ChiSquared(n, au, av, c) > th.chi2 && stats.Correlation(n, au, av, c) > th.rho {
+						if chi2, rho := stats.PairStats(n, au, av, c); chi2 > th.chi2 && rho > th.rho {
 							passed++
 							if !may {
 								t.Fatalf("ρ %g: N %d, A(u) %d, A(v) %d passes at count %d, but the bound drops the pair", rho, n, au, av, c)
@@ -117,26 +109,25 @@ func TestPairBoundSound(t *testing.T) {
 // and Prune on a fuzz-chosen corpus (see fuzzCorpus) at a ρ threshold
 // in [−1.28, 1.27] and a χ² critical value in [0, 25.5].
 func FuzzBuildPruned(f *testing.F) {
-	f.Add(uint8(1), int8(20), uint8(38), []byte{1, 2, 3, 0xff, 1, 2, 0xff, 2, 3, 4, 5})
-	f.Add(uint8(2), int8(0), uint8(38), []byte("the quick brown fox\xffjumps over the lazy dog\xffthe dog\xff"))
-	f.Add(uint8(1), int8(-10), uint8(0), slices.Repeat([]byte{5, 9, 13, 17, 21, 25, 0xf0, 6, 9, 12, 17, 0xf1}, 40))
-	f.Add(uint8(1), int8(50), uint8(10), slices.Repeat([]byte{1, 2, 0xf0, 1, 2, 3, 0xf0, 4, 5, 0xf0, 1, 0xf0}, 30))
-	f.Fuzz(func(t *testing.T, minCount uint8, rho int8, chi2 uint8, docs []byte) {
+	f.Add(int8(20), uint8(38), []byte{1, 2, 3, 0xff, 1, 2, 0xff, 2, 3, 4, 5})
+	f.Add(int8(0), uint8(38), []byte("the quick brown fox\xffjumps over the lazy dog\xffthe dog\xff"))
+	f.Add(int8(-10), uint8(0), slices.Repeat([]byte{5, 9, 13, 17, 21, 25, 0xf0, 6, 9, 12, 17, 0xf1}, 40))
+	f.Add(int8(50), uint8(10), slices.Repeat([]byte{1, 2, 0xf0, 1, 2, 3, 0xf0, 4, 5, 0xf0, 1, 0xf0}, 30))
+	f.Fuzz(func(t *testing.T, rho int8, chi2 uint8, docs []byte) {
 		col := fuzzCorpus(docs)
-		opts := BuildOptions{MinPairCount: int64(minCount%3) + 1}
 		th := threshold{chi2: float64(chi2) / 10, rho: float64(rho) / 100}
-		ref, err := Build(col, 0, 1, BuildOptions{MinPairCount: opts.MinPairCount})
+		ref, err := Build(col, 0, 1, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref.AnnotateStats()
 		want := ref.Prune(th.chi2, th.rho)
-		g, err := BuildPrunedCtx(context.Background(), col, 0, 1, opts, th.chi2, th.rho)
+		g, err := BuildPrunedCtx(context.Background(), col, 0, 1, BuildOptions{}, th.chi2, th.rho)
 		if err != nil {
-			t.Fatalf("%+v %+v: %v", opts, th, err)
+			t.Fatalf("%+v: %v", th, err)
 		}
 		if !reflect.DeepEqual(want, g) {
-			label := fmt.Sprintf("%+v %+v", opts, th)
+			label := fmt.Sprintf("%+v", th)
 			requireIdenticalGraphs(t, want, g, label)
 			t.Fatalf("%s: graphs differ outside Keywords, DocCount and Edges", label)
 		}

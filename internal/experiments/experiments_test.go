@@ -105,12 +105,12 @@ func TestFig12Runs(t *testing.T) {
 func TestClusterGraphShape(t *testing.T) {
 	tbl := runExp(t, "clustergraph", 0.05)
 	if len(tbl.Rows) != 2 {
-		t.Fatalf("clustergraph rows = %d, want 2 (quadratic, simjoin)", len(tbl.Rows))
+		t.Fatalf("clustergraph rows = %d, want 2 (pair-loop, join)", len(tbl.Rows))
 	}
 	// Both variants must report the identical graph.
 	nodes, edges := cellInt(t, tbl, 0, 1), cellInt(t, tbl, 0, 2)
 	if cellInt(t, tbl, 1, 1) != nodes || cellInt(t, tbl, 1, 2) != edges {
-		t.Errorf("simjoin graph (%s/%s nodes/edges) differs from quadratic (%d/%d)",
+		t.Errorf("join graph (%s/%s nodes/edges) differs from the pair loop's (%d/%d)",
 			tbl.Rows[1][1], tbl.Rows[1][2], nodes, edges)
 	}
 }

@@ -13,10 +13,10 @@ import (
 
 // Options tunes a Coordinator.
 type Options struct {
-	// Graph is the session's cluster-graph options. It
-	// must match the shards' own graph (the same -gap/-theta/
-	// -simjoin on every shard server) or merged answers would be built
-	// on a different graph than scattered ones.
+	// Graph is the session's cluster-graph options. It must match the
+	// shards' own graph (the same -gap/-theta on every shard server) or
+	// merged answers would be built on a different graph than
+	// scattered ones.
 	Graph blogclusters.GraphOptions
 }
 

@@ -140,7 +140,7 @@ func (v *Vocab) Records(cs []cluster.Cluster) ([]Record, error) {
 // joining the same sets against successive partners should build one
 // Vocab + Records up front and call JoinRecords instead.
 func Join(left, right []cluster.Cluster, theta float64) ([]Pair, error) {
-	if theta <= 0 || theta > 1 {
+	if !(theta > 0 && theta <= 1) {
 		return nil, fmt.Errorf("simjoin: theta must be in (0,1], got %g", theta)
 	}
 	v := NewVocab(left, right)
@@ -175,7 +175,7 @@ type Joiner struct {
 // AppendJoin appends JoinRecords(lrec, rrec, theta)'s pairs, in the
 // same order, to dst and returns the extended slice.
 func (j *Joiner) AppendJoin(dst []Pair, lrec, rrec []Record, theta float64) ([]Pair, error) {
-	if theta <= 0 || theta > 1 {
+	if !(theta > 0 && theta <= 1) {
 		return nil, fmt.Errorf("simjoin: theta must be in (0,1], got %g", theta)
 	}
 
@@ -276,7 +276,7 @@ func resize[T any](s []T, n int) []T {
 // JoinBrute is the quadratic reference join, used for verification and
 // as the faster choice for small inputs.
 func JoinBrute(left, right []cluster.Cluster, theta float64) ([]Pair, error) {
-	if theta <= 0 || theta > 1 {
+	if !(theta > 0 && theta <= 1) {
 		return nil, fmt.Errorf("simjoin: theta must be in (0,1], got %g", theta)
 	}
 	var out []Pair

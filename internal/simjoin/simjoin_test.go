@@ -2,6 +2,7 @@ package simjoin
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -47,7 +48,7 @@ func TestJoinSmall(t *testing.T) {
 
 func TestJoinThetaValidation(t *testing.T) {
 	cs := mkClusters([][]string{{"a"}})
-	for _, theta := range []float64{0, -1, 1.5} {
+	for _, theta := range []float64{0, -1, 1.5, math.NaN()} {
 		if _, err := Join(cs, cs, theta); err == nil {
 			t.Errorf("Join accepted theta=%g", theta)
 		}

@@ -4,37 +4,12 @@
 // single-pass form (Equation 3).
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // ChiSquared95 is the critical value of the χ² distribution with one
 // degree of freedom at the 95% confidence level. The paper prunes edges
 // whose χ² statistic does not exceed it.
 const ChiSquared95 = 3.84
-
-// chi2Quantiles maps confidence level → critical value for 1 degree of
-// freedom, from standard tables, so callers can pick significance levels
-// other than the paper's 95%.
-var chi2Quantiles = map[float64]float64{
-	0.90:  2.71,
-	0.95:  3.84,
-	0.975: 5.02,
-	0.99:  6.63,
-	0.995: 7.88,
-	0.999: 10.83,
-}
-
-// ChiSquaredCritical returns the critical χ² value (1 dof) for the given
-// confidence level. Supported levels are 0.90, 0.95, 0.975, 0.99, 0.995
-// and 0.999.
-func ChiSquaredCritical(confidence float64) (float64, error) {
-	if v, ok := chi2Quantiles[confidence]; ok {
-		return v, nil
-	}
-	return 0, fmt.Errorf("stats: unsupported confidence level %g", confidence)
-}
 
 // ChiSquared computes the χ² statistic of Equation 1 for a keyword pair:
 // au = A(u) documents contain u, av = A(v) contain v, auv = A(u,v)
@@ -46,20 +21,49 @@ func ChiSquaredCritical(confidence float64) (float64, error) {
 // untestable there and the statistic is defined as 0 (the edge fails the
 // test), matching the filter semantics of the pipeline.
 func ChiSquared(n, au, av, auv int64) float64 {
+	chi2, _ := PairStats(n, au, av, auv)
+	return chi2
+}
+
+// Correlation computes ρ(u,v) using the paper's single-pass rewrite
+// (Equation 3):
+//
+//	ρ(u,v) = (n·A(u,v) − A(u)·A(v)) / (sqrt((n−A(u))·A(u)) · sqrt((n−A(v))·A(v)))
+//
+// valid because the per-document indicators are 0/1 (ΣA_i² = ΣA_i). The
+// result is in [−1, 1]; pairs involving a keyword that appears in no or
+// every document have undefined correlation and return 0.
+func Correlation(n, au, av, auv int64) float64 {
+	_, rho := PairStats(n, au, av, auv)
+	return rho
+}
+
+// PairStats returns ChiSquared and Correlation of one keyword pair
+// from one guard and one set of conversions. Each value is computed
+// by its own formula, so both are bit-identical to the separate
+// statistics (χ² is not derived as n·ρ², which moves the last bits).
+func PairStats(n, au, av, auv int64) (chi2, rho float64) {
 	if n <= 0 || au <= 0 || av <= 0 || au >= n || av >= n {
-		return 0
-	}
-	if auv > au || auv > av || auv < 0 {
-		// Inconsistent counts: treat as failing rather than panicking;
-		// upstream validation reports these separately.
-		return 0
+		return 0, 0
 	}
 	fn := float64(n)
 	fau := float64(au)
 	fav := float64(av)
-
-	// Observed cells.
 	oUV := float64(auv)
+
+	num := fn*oUV - fau*fav
+	den := math.Sqrt(float64(n-au)*fau) * math.Sqrt(float64(n-av)*fav)
+	if den != 0 {
+		// Clamp tiny floating-point excursions outside [-1, 1].
+		rho = max(-1, min(1, num/den))
+	}
+
+	if auv > au || auv > av || auv < 0 {
+		// Inconsistent counts fail the χ² test rather than panicking;
+		// upstream validation reports these separately.
+		return 0, rho
+	}
+	// Observed cells.
 	oUnV := fav - oUV        // ū v: v without u
 	oUVn := fau - oUV        // u v̄: u without v
 	oUnVn := fn - fau - oUnV // ū v̄
@@ -74,40 +78,7 @@ func ChiSquared(n, au, av, auv int64) float64 {
 		d := o - e
 		return d * d / e
 	}
-	return cell(oUV, eUV) + cell(oUnV, eUnV) + cell(oUVn, eUVn) + cell(oUnVn, eUnVn)
-}
-
-// IsCorrelated reports whether the pair passes the χ² test at the 95%
-// confidence level, i.e. χ² > 3.84 (Section 3).
-func IsCorrelated(n, au, av, auv int64) bool {
-	return ChiSquared(n, au, av, auv) > ChiSquared95
-}
-
-// Correlation computes ρ(u,v) using the paper's single-pass rewrite
-// (Equation 3):
-//
-//	ρ(u,v) = (n·A(u,v) − A(u)·A(v)) / (sqrt((n−A(u))·A(u)) · sqrt((n−A(v))·A(v)))
-//
-// valid because the per-document indicators are 0/1 (ΣA_i² = ΣA_i). The
-// result is in [−1, 1]; pairs involving a keyword that appears in no or
-// every document have undefined correlation and return 0.
-func Correlation(n, au, av, auv int64) float64 {
-	if n <= 0 || au <= 0 || av <= 0 || au >= n || av >= n {
-		return 0
-	}
-	num := float64(n)*float64(auv) - float64(au)*float64(av)
-	den := math.Sqrt(float64(n-au)*float64(au)) * math.Sqrt(float64(n-av)*float64(av))
-	if den == 0 {
-		return 0
-	}
-	rho := num / den
-	// Clamp tiny floating-point excursions outside [-1, 1].
-	if rho > 1 {
-		rho = 1
-	} else if rho < -1 {
-		rho = -1
-	}
-	return rho
+	return cell(oUV, eUV) + cell(oUnV, eUnV) + cell(oUVn, eUVn) + cell(oUnVn, eUnVn), rho
 }
 
 // DefaultRhoThreshold is the correlation-coefficient pruning threshold

@@ -89,11 +89,14 @@ func TestChiSquaredDegenerateInputs(t *testing.T) {
 	}
 }
 
+// TestIsCorrelated: the paper's χ² test at 95% confidence
+// (χ² > ChiSquared95) flags a perfectly co-occurring pair and passes
+// over an independent one.
 func TestIsCorrelated(t *testing.T) {
-	if !IsCorrelated(1000, 100, 100, 100) {
+	if ChiSquared(1000, 100, 100, 100) <= ChiSquared95 {
 		t.Error("perfectly co-occurring pair not flagged correlated")
 	}
-	if IsCorrelated(1000, 500, 500, 250) {
+	if ChiSquared(1000, 500, 500, 250) > ChiSquared95 {
 		t.Error("independent pair flagged correlated")
 	}
 }
@@ -149,7 +152,7 @@ func TestWeakCorrelationScenario(t *testing.T) {
 	// corpus: n=200000, A(u)=2000, A(v)=2000, expected co-occurrence 20,
 	// observed 60.
 	n, au, av, auv := int64(200000), int64(2000), int64(2000), int64(60)
-	if !IsCorrelated(n, au, av, auv) {
+	if ChiSquared(n, au, av, auv) <= ChiSquared95 {
 		t.Error("χ² failed to detect the weak-but-real correlation")
 	}
 	rho := Correlation(n, au, av, auv)
@@ -158,24 +161,75 @@ func TestWeakCorrelationScenario(t *testing.T) {
 	}
 }
 
-func TestChiSquaredCritical(t *testing.T) {
-	v, err := ChiSquaredCritical(0.95)
-	if err != nil || v != 3.84 {
-		t.Errorf("ChiSquaredCritical(0.95) = %g, %v; want 3.84, nil", v, err)
+// chi2Reference and rhoReference are Equations 1 and 3 as ChiSquared
+// and Correlation computed them before PairStats shared their guard
+// and conversions; PairStats must match them bit for bit.
+func chi2Reference(n, au, av, auv int64) float64 {
+	if n <= 0 || au <= 0 || av <= 0 || au >= n || av >= n || auv > au || auv > av || auv < 0 {
+		return 0
 	}
-	if _, err := ChiSquaredCritical(0.42); err == nil {
-		t.Error("ChiSquaredCritical accepted unsupported level")
+	fn, fau, fav, oUV := float64(n), float64(au), float64(av), float64(auv)
+	oUnV := fav - oUV
+	oUVn := fau - oUV
+	oUnVn := fn - fau - oUnV
+	eUV := fau * fav / fn
+	eUnV := (fn - fau) * fav / fn
+	eUVn := fau * (fn - fav) / fn
+	eUnVn := (fn - fau) * (fn - fav) / fn
+	cell := func(o, e float64) float64 {
+		d := o - e
+		return d * d / e
 	}
-	if v, _ := ChiSquaredCritical(0.999); v != 10.83 {
-		t.Errorf("ChiSquaredCritical(0.999) = %g, want 10.83", v)
+	return cell(oUV, eUV) + cell(oUnV, eUnV) + cell(oUVn, eUVn) + cell(oUnVn, eUnVn)
+}
+
+func rhoReference(n, au, av, auv int64) float64 {
+	if n <= 0 || au <= 0 || av <= 0 || au >= n || av >= n {
+		return 0
+	}
+	num := float64(n)*float64(auv) - float64(au)*float64(av)
+	den := math.Sqrt(float64(n-au)*float64(au)) * math.Sqrt(float64(n-av)*float64(av))
+	if den == 0 {
+		return 0
+	}
+	rho := num / den
+	if rho > 1 {
+		rho = 1
+	} else if rho < -1 {
+		rho = -1
+	}
+	return rho
+}
+
+// TestPairStatsBitIdentical holds the fused statistics to the separate
+// formulas at the last bit, over consistent tables, inconsistent
+// counts (ρ is still defined there, χ² is 0) and degenerate margins.
+func TestPairStatsBitIdentical(t *testing.T) {
+	check := func(n, au, av, auv int64) bool {
+		chi2, rho := PairStats(n, au, av, auv)
+		return math.Float64bits(chi2) == math.Float64bits(chi2Reference(n, au, av, auv)) &&
+			math.Float64bits(rho) == math.Float64bits(rhoReference(n, au, av, auv))
+	}
+	f := func(nSeed, auSeed, avSeed, auvSeed uint32) bool {
+		n := int64(nSeed%200000) + 1
+		au := int64(auSeed) % (n + 1)
+		av := int64(avSeed) % (n + 1)
+		return check(n, au, av, int64(auvSeed)%(n+2)-1)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+	for _, c := range [][4]int64{{0, 0, 0, 0}, {10, 10, 5, 5}, {10, 3, 4, 5}, {10, 3, 4, -1}, {200000, 2000, 2000, 60}} {
+		if !check(c[0], c[1], c[2], c[3]) {
+			t.Errorf("PairStats%v differs from the separate statistics", c)
+		}
 	}
 }
 
-func BenchmarkChiSquaredAndCorrelation(b *testing.B) {
+func BenchmarkPairStats(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		n := int64(100000 + i%100)
-		ChiSquared(n, 500, 700, 90)
-		Correlation(n, 500, 700, 90)
+		PairStats(n, 500, 700, 90)
 	}
 }

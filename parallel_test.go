@@ -119,9 +119,8 @@ func TestSection4ParallelEquivalence(t *testing.T) {
 		name string
 		opts GraphOptions
 	}{
-		{"quadratic_gap0", GraphOptions{Gap: 0, Theta: 0.1}},
-		{"quadratic_gap2", GraphOptions{Gap: 2, Theta: 0.1}},
-		{"simjoin_gap2", GraphOptions{Gap: 2, Theta: 0.1, UseSimJoin: true}},
+		{"gap0", GraphOptions{Gap: 0, Theta: 0.1}},
+		{"gap2", GraphOptions{Gap: 2, Theta: 0.1}},
 	} {
 		want := sequentialClusterGraph(t, baseSets, v.opts)
 		if want.NumEdges() == 0 {

@@ -111,10 +111,9 @@ func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64
 			func() {
 				defer e.stage(ctx, "graph-extend")()
 				ng, err = clustergraph.ExtendCtx(ctx, g, newSets, clustergraph.FromClustersOptions{
-					Gap:        opts.Gap,
-					Theta:      opts.Theta,
-					Affinity:   aff,
-					UseSimJoin: opts.UseSimJoin,
+					Gap:      opts.Gap,
+					Theta:    opts.Theta,
+					Affinity: aff,
 				})
 			}()
 			if err != nil {

@@ -239,9 +239,7 @@ func (e *Engine) kwGraph(ctx context.Context, st *engineState, interval int) (*c
 		}
 		defer e.stage(ctx, "kwgraph")()
 		// Keep every significant, positively correlated pair.
-		return cooccur.BuildPrunedTokens(ctx, tk, cooccur.BuildOptions{
-			MinPairCount: e.cfg.cluster.MinPairCount,
-		}, stats.ChiSquared95, 0)
+		return cooccur.BuildPrunedTokens(ctx, tk, cooccur.BuildOptions{}, stats.ChiSquared95, 0)
 	})
 }
 
@@ -301,10 +299,9 @@ func buildClusterGraphCtx(ctx context.Context, sets [][]Cluster, opts GraphOptio
 		return nil, err
 	}
 	return clustergraph.FromClustersCtx(ctx, sets, clustergraph.FromClustersOptions{
-		Gap:        opts.Gap,
-		Theta:      opts.Theta,
-		Affinity:   aff,
-		UseSimJoin: opts.UseSimJoin,
-		Normalize:  normalize,
+		Gap:       opts.Gap,
+		Theta:     opts.Theta,
+		Affinity:  aff,
+		Normalize: normalize,
 	})
 }

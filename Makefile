@@ -90,6 +90,7 @@ bench-pair:
 FUZZTIME ?= 60s
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSolverEquivalence -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzPathHeapsMatchTopK -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index -run '^$$' -fuzz FuzzDiskIndexRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cooccur -run '^$$' -fuzz FuzzBuildMatchesNaive -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cooccur -run '^$$' -fuzz FuzzBuildPruned -fuzztime $(FUZZTIME)

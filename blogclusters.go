@@ -136,7 +136,7 @@ type intervalBuilder struct {
 // call (0,1,2…); the cluster graph assigns graph-wide ids.
 func (b *intervalBuilder) clusters(ctx context.Context, tk *corpus.Tokens, interval int, opts ClusterOptions) ([]Cluster, error) {
 	opts = opts.withDefaults()
-	pruned, err := b.kw.BuildPruned(ctx, tk, cooccur.BuildOptions{}, stats.ChiSquared95, opts.RhoThreshold)
+	pruned, err := b.kw.BuildPruned(ctx, tk, stats.ChiSquared95, opts.RhoThreshold)
 	if err != nil {
 		return nil, fmt.Errorf("blogclusters: interval %d keyword graph: %w", interval, err)
 	}
@@ -189,10 +189,13 @@ type GraphOptions struct {
 	UseSimJoin bool
 }
 
-// validate rejects a Jaccard Theta outside (0, 1] once 0 is read as
-// the default 0.1: below it every overlapping pair would be an edge,
-// above it none.
+// validate rejects an affinity name resolveAffinity does not know, and
+// a Jaccard Theta outside (0, 1] once 0 is read as the default 0.1:
+// below it every overlapping pair would be an edge, above it none.
 func (o GraphOptions) validate() error {
+	if _, _, err := resolveAffinity(o); err != nil {
+		return fmt.Errorf("blogclusters: %v: %w", err, ErrInvalidQuery)
+	}
 	if (o.Affinity == "" || o.Affinity == "jaccard") && !(o.Theta >= 0 && o.Theta <= 1) {
 		return fmt.Errorf("blogclusters: jaccard theta %g outside (0, 1]: %w", o.Theta, ErrInvalidQuery)
 	}

@@ -2,6 +2,7 @@ package blogclusters
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -259,8 +260,10 @@ func TestIntersectionAffinityFacade(t *testing.T) {
 	if g.MaxWeight() > 1 {
 		t.Errorf("intersection weights not normalized: max %g", g.MaxWeight())
 	}
-	bad := openTestEngine(t, c, WithGraphOptions(GraphOptions{Affinity: "cosine"}))
-	if _, err := bad.Graph(ctx); err == nil {
-		t.Error("unknown affinity accepted")
+	if bad, err := Open(ctx, FromCollection(c), WithGraphOptions(GraphOptions{Affinity: "cosine"})); !errors.Is(err, ErrInvalidQuery) {
+		if err == nil {
+			bad.Close()
+		}
+		t.Errorf("Open with an unknown affinity = %v, want ErrInvalidQuery", err)
 	}
 }

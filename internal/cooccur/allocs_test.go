@@ -84,7 +84,7 @@ func TestSpilledBuildBytes(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			var err error
 			if tc.pruned {
-				_, err = BuildPrunedCtx(context.Background(), col, 0, 0, BuildOptions{}, stats.ChiSquared95, stats.DefaultRhoThreshold)
+				_, err = BuildPrunedCtx(context.Background(), col, 0, 0, stats.ChiSquared95, stats.DefaultRhoThreshold)
 			} else {
 				_, err = BuildCtx(context.Background(), col, 0, 0, BuildOptions{})
 			}

@@ -45,14 +45,14 @@ func BuildCtx(ctx context.Context, c *corpus.Collection, from, to int, opts Buil
 // to it field for field, without ever holding the unpruned edges. Pairs
 // that cannot pass the test at any count are never counted (see
 // pairBound), and every triplet is tested as it leaves the fold.
-func BuildPrunedCtx(ctx context.Context, c *corpus.Collection, from, to int, opts BuildOptions, chi2Critical, rhoThreshold float64) (*Graph, error) {
+func BuildPrunedCtx(ctx context.Context, c *corpus.Collection, from, to int, chi2Critical, rhoThreshold float64) (*Graph, error) {
 	return new(Builder).buildCtx(ctx, c, from, to, &threshold{chi2: chi2Critical, rho: rhoThreshold})
 }
 
 // BuildPrunedTokens is BuildPrunedCtx over documents already
 // tokenized: G′ of the documents tk was made from.
-func BuildPrunedTokens(ctx context.Context, tk *corpus.Tokens, opts BuildOptions, chi2Critical, rhoThreshold float64) (*Graph, error) {
-	return new(Builder).BuildPruned(ctx, tk, opts, chi2Critical, rhoThreshold)
+func BuildPrunedTokens(ctx context.Context, tk *corpus.Tokens, chi2Critical, rhoThreshold float64) (*Graph, error) {
+	return new(Builder).BuildPruned(ctx, tk, chi2Critical, rhoThreshold)
 }
 
 // Builder is the one keyword-graph build, kept from build to build: it
@@ -73,7 +73,7 @@ type Builder struct {
 
 // BuildPruned is BuildPrunedTokens on b's arrays: the returned G′ is
 // valid until b's next build.
-func (b *Builder) BuildPruned(ctx context.Context, tk *corpus.Tokens, opts BuildOptions, chi2Critical, rhoThreshold float64) (*Graph, error) {
+func (b *Builder) BuildPruned(ctx context.Context, tk *corpus.Tokens, chi2Critical, rhoThreshold float64) (*Graph, error) {
 	return b.build(ctx, tk, &threshold{chi2: chi2Critical, rho: rhoThreshold})
 }
 

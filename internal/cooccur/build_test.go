@@ -210,7 +210,7 @@ func TestBuildCanceled(t *testing.T) {
 		t.Errorf("BuildCtx on a canceled context = %v, %v; want nil, %v", g, err, context.Canceled)
 	}
 	tk := corpus.Tokenize(col.Intervals)
-	g, err = BuildPrunedTokens(ctx, tk, BuildOptions{}, stats.ChiSquared95, stats.DefaultRhoThreshold)
+	g, err = BuildPrunedTokens(ctx, tk, stats.ChiSquared95, stats.DefaultRhoThreshold)
 	if !errors.Is(err, context.Canceled) || g != nil {
 		t.Errorf("BuildPrunedTokens on a canceled context = %v, %v; want nil, %v", g, err, context.Canceled)
 	}

@@ -130,7 +130,7 @@ func TestBuildRepeatedKeywordNoSelfLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := BuildPrunedCtx(context.Background(), c, 0, 0, BuildOptions{}, 0, -1)
+	pruned, err := BuildPrunedCtx(context.Background(), c, 0, 0, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,7 @@ func FuzzBuildPruned(f *testing.F) {
 		}
 		ref.AnnotateStats()
 		want := ref.Prune(th.chi2, th.rho)
-		g, err := BuildPrunedCtx(context.Background(), col, 0, 1, BuildOptions{}, th.chi2, th.rho)
+		g, err := BuildPrunedCtx(context.Background(), col, 0, 1, th.chi2, th.rho)
 		if err != nil {
 			t.Fatalf("%+v: %v", th, err)
 		}
@@ -148,15 +148,15 @@ func TestPrunedKeywordID(t *testing.T) {
 		t.Fatal(err)
 	}
 	full.AnnotateStats()
-	built, err := BuildPrunedCtx(ctx, col, 0, 1, BuildOptions{}, stats.ChiSquared95, stats.DefaultRhoThreshold)
+	built, err := BuildPrunedCtx(ctx, col, 0, 1, stats.ChiSquared95, stats.DefaultRhoThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b Builder
-	if _, err := b.BuildPruned(ctx, corpus.Tokenize(col.Intervals[1:2]), BuildOptions{}, stats.ChiSquared95, 0); err != nil {
+	if _, err := b.BuildPruned(ctx, corpus.Tokenize(col.Intervals[1:2]), stats.ChiSquared95, 0); err != nil {
 		t.Fatal(err)
 	}
-	reused, err := b.BuildPruned(ctx, corpus.Tokenize(col.Intervals[0:2]), BuildOptions{}, stats.ChiSquared95, stats.DefaultRhoThreshold)
+	reused, err := b.BuildPruned(ctx, corpus.Tokenize(col.Intervals[0:2]), stats.ChiSquared95, stats.DefaultRhoThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}

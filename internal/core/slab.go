@@ -33,17 +33,22 @@ type pathRec struct {
 	hops   int32
 }
 
-// slab stores pathRecs in pages so that growing never copies a record:
-// the first page grows like any slice (small solves stay small), later
-// ones are allocated whole.
+// slab stores pathRecs in pages so that growing never copies a record
+// past the first page: the first grows like any slice from
+// slabFirstRecs records (small solves stay small), later ones are
+// allocated whole. A later page holds slabPageSize records (16 KiB), so
+// a solve that spills past the first page wastes at most that much; the
+// size was measured at k 40 on a corpus graph against larger pages,
+// which cost bytes, and smaller ones, which cost objects.
 type slab struct {
 	pages [][]pathRec
 	n     int
 }
 
 const (
-	slabPageBits = 12
-	slabPageSize = 1 << slabPageBits
+	slabPageBits  = 9
+	slabPageSize  = 1 << slabPageBits
+	slabFirstRecs = 32
 )
 
 // at returns slot r.
@@ -69,11 +74,11 @@ func (s *slab) head(r ref) int64 {
 func (s *slab) add(rec pathRec) ref {
 	p := s.n >> slabPageBits
 	if p == len(s.pages) {
-		var page []pathRec
-		if p > 0 {
-			page = make([]pathRec, 0, slabPageSize)
+		size := slabPageSize
+		if p == 0 {
+			size = slabFirstRecs
 		}
-		s.pages = append(s.pages, page)
+		s.pages = append(s.pages, make([]pathRec, 0, size))
 	}
 	s.pages[p] = append(s.pages[p], rec)
 	s.n++
@@ -138,14 +143,20 @@ func mix(h uint64, node int64) uint64 {
 func bareFP(node int64) uint64 { return mix(0, node) }
 
 // pathHeaps holds every per-node top-k heap of one solve — the h^x_ij
-// of Algorithm 2, the bestpaths of Algorithm 3. Heap i is a block of k
+// of Algorithm 2, the bestpaths of Algorithm 3. Heap i is a block of
 // contiguous entries inside a page, handed out on its first offer and
-// recycled on release. Pages follow the slab's policy: the first grows
-// (by doubling, up to pageLen entries) so that a small solve stays
-// small, every later one is allocated whole, and a full page never
-// moves — a solve that needs more heaps copies none of the ones it has.
-// Heaps are min-heaps under topk.Better (the root is the worst retained
-// path) and behave as topk.K does, duplicates included.
+// recycled on release. A block grows with its heap: the first holds
+// heapFirstCap entries (k when k is smaller), and a heap that fills its
+// block moves, in heap order, to one twice as large, up to k, so a
+// solve's heap bytes follow the paths it retains and not k times the
+// heaps it opens. Each capacity is a size class with its own free list
+// of released blocks, linked through each block's first entry. Pages
+// follow the slab's policy: the first grows (by doubling, up to
+// pageLen entries) so that a small solve stays small, every later one
+// is allocated whole, and a full page never moves — a solve that needs
+// more heaps copies none of the ones it has. Heaps are min-heaps under
+// topk.Better (the root is the worst retained path) and behave as
+// topk.K does, duplicates included.
 type pathHeaps struct {
 	s *slab
 	k int
@@ -161,23 +172,53 @@ type pathHeaps struct {
 	reuse bool
 	heaps []heapSpan
 	pages [][]heapEnt
-	free  []heapSpan // released blocks, n == 0
-	held  int        // paths retained across all heaps
-	a, b  []int64    // scratch for breaking weight ties on node order
+	// free heads each size class's list of released blocks: blockLoc of
+	// the first, 0 when the list is empty. A released block's first
+	// entry holds the next block's blockLoc in fp.
+	free [maxHeapClasses]uint64
+	held int     // paths retained across all heaps
+	a, b []int64 // scratch for breaking weight ties on node order
 }
 
-// heapPageEnts is the size a page of heap entries aims for (96 KiB).
-const heapPageEnts = 4096
+const (
+	// heapPageEnts is the size a page of heap entries aims for (96 KiB).
+	heapPageEnts = 4096
+	// heapFirstCap is the capacity of a heap's first block, a power of
+	// two; class c holds min(k, heapFirstCap<<c) entries.
+	heapFirstCapBits = 2
+	heapFirstCap     = 1 << heapFirstCapBits
+	// maxHeapClasses covers every k a heapSpan can count.
+	maxHeapClasses = 32
+)
 
-// pageLen is the entries in a page: the whole blocks that fit in
-// heapPageEnts, and one block when k is larger than that.
-func (hs *pathHeaps) pageLen() int { return hs.k * max(heapPageEnts/hs.k, 1) }
+// pageLen is the entries in a page: heapPageEnts, or one block of k
+// when k is larger than that.
+func (hs *pathHeaps) pageLen() int { return max(heapPageEnts, hs.k) }
+
+// class returns the size class of the block a heap of n ≥ 1 entries
+// lives in: the smallest that holds n.
+func class(n int) int { return max(bits.Len(uint(n-1))-heapFirstCapBits, 0) }
+
+// classCap returns the entries a block of class c holds.
+func (hs *pathHeaps) classCap(c int) int { return min(hs.k, heapFirstCap<<c) }
 
 // heapSpan locates a heap: its block starts at offset off of page page
 // and its first n entries are in use. page and off mean nothing while
-// n == 0 — the heap has no block yet, or gave it back.
+// n == 0 — the heap has no block yet, or gave it back. The block's
+// capacity is not stored: it is classCap(class(n)), since a heap only
+// grows until it is released. DFS keeps a span for every node and
+// length, so every byte here is paid per node.
 type heapSpan struct {
 	page, off, n int32
+}
+
+// blockLoc names block h in a free list: its page and offset, plus one
+// so that 0 ends a list.
+func blockLoc(h heapSpan) uint64 { return uint64(h.page)<<32 | uint64(h.off) + 1 }
+
+// blockAt returns the block blockLoc named, with n 0.
+func blockAt(loc uint64) heapSpan {
+	return heapSpan{page: int32((loc - 1) >> 32), off: int32(uint32(loc - 1))}
 }
 
 // heapEnt is one retained path: its slab record's weight, and fp, a
@@ -215,18 +256,14 @@ func (hs *pathHeaps) at(i, j int) heapEnt {
 	return hs.pages[h.page][int(h.off)+j]
 }
 
-// reserve makes room for n heaps and, in the same allocation, for a
-// free list of n released blocks, the most it can hold: no more blocks
-// are handed out than heaps hold at once. A solve that releases what it
-// fills (BFS) then allocates for neither while it has at most n heaps.
+// reserve makes room for n heaps.
 func (hs *pathHeaps) reserve(n int) {
 	if n <= len(hs.heaps) {
 		return
 	}
-	spans := make([]heapSpan, 2*n)
+	spans := make([]heapSpan, n)
 	copy(spans, hs.heaps)
-	copy(spans[n:], hs.free)
-	hs.heaps, hs.free = spans[:n:n], spans[n:n+len(hs.free)]
+	hs.heaps = spans
 }
 
 // release empties heaps lo..hi−1 and recycles their blocks.
@@ -234,10 +271,18 @@ func (hs *pathHeaps) release(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		if h := &hs.heaps[i]; h.n > 0 {
 			hs.held -= int(h.n)
+			hs.recycle(*h)
 			h.n = 0
-			hs.free = append(hs.free, *h)
 		}
 	}
+}
+
+// recycle puts the block of heap h, which holds h.n > 0 entries, at the
+// head of its class's free list.
+func (hs *pathHeaps) recycle(h heapSpan) {
+	c := class(int(h.n))
+	hs.pages[h.page][h.off].fp = hs.free[c]
+	hs.free[c] = blockLoc(h)
 }
 
 // consider offers heap i the path growing link — whose nodes have the
@@ -273,15 +318,15 @@ func (hs *pathHeaps) consider(i int, node int64, link ref, linkFP uint64, weight
 		return
 	}
 	rec := s.grow(node, link, weight, length)
-	if len(e) < hs.k {
-		if len(e) == 0 {
-			*h = hs.block()
+	if n := len(e); n < hs.k {
+		if n == 0 || n == hs.classCap(class(n)) {
+			hs.grow(h)
 		}
 		h.n++
 		hs.held++
 		e = hs.entries(*h)
-		e[len(e)-1] = heapEnt{weight, s.add(rec), fp}
-		hs.up(e, len(e)-1)
+		e[n] = heapEnt{weight, s.add(rec), fp}
+		hs.up(e, n)
 		return
 	}
 	if weight == e[0].weight {
@@ -305,16 +350,29 @@ func (hs *pathHeaps) store(rec pathRec, evicted ref) ref {
 	return hs.s.add(rec)
 }
 
-// block returns an unused block of k entries: a released one while
-// there is any, else the next k entries of the last page.
-func (hs *pathHeaps) block() heapSpan {
-	if n := len(hs.free); n > 0 {
-		h := hs.free[n-1]
-		hs.free = hs.free[:n-1]
+// grow moves heap *h, whose block is full or which has none, to a block
+// of the next class, keeping its entries in heap order, and recycles
+// the block it leaves.
+func (hs *pathHeaps) grow(h *heapSpan) {
+	to := hs.block(class(int(h.n) + 1))
+	if h.n > 0 {
+		copy(hs.pages[to.page][to.off:], hs.entries(*h))
+		hs.recycle(*h)
+	}
+	to.n = h.n
+	*h = to
+}
+
+// block returns an unused block of class c: a released one while the
+// class has any, else the next entries of the last page.
+func (hs *pathHeaps) block(c int) heapSpan {
+	if loc := hs.free[c]; loc != 0 {
+		h := blockAt(loc)
+		hs.free[c] = hs.pages[h.page][h.off].fp
 		return h
 	}
-	last, pageLen := len(hs.pages)-1, hs.pageLen()
-	if last < 0 || len(hs.pages[last]) == pageLen {
+	size, last, pageLen := hs.classCap(c), len(hs.pages)-1, hs.pageLen()
+	if last < 0 || len(hs.pages[last])+size > pageLen {
 		var page []heapEnt
 		if last >= 0 {
 			page = make([]heapEnt, 0, pageLen)
@@ -324,11 +382,11 @@ func (hs *pathHeaps) block() heapSpan {
 	}
 	page := hs.pages[last]
 	off := len(page)
-	if off+hs.k > cap(page) {
+	if off+size > cap(page) {
 		// Only the first page gets here.
-		page = append(make([]heapEnt, 0, min(max(2*cap(page), hs.k), pageLen)), page...)
+		page = append(make([]heapEnt, 0, min(max(2*cap(page), off+size, hs.k), pageLen)), page...)
 	}
-	hs.pages[last] = page[:off+hs.k]
+	hs.pages[last] = page[:off+size]
 	return heapSpan{page: int32(last), off: int32(off)}
 }
 

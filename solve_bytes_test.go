@@ -50,11 +50,12 @@ func recurringCorpus(t *testing.T, intervals, posts int) *Collection {
 // bytes went wrong: k = 40 on a corpus-derived graph, what a server
 // miss solves. An object count cannot see a slice being re-copied as it
 // grows — one object each time, ever larger — and k = 5 on a synthetic
-// graph hardly grows one. Ceilings are about twice the bytes recorded
-// with this test. The first solve on a fresh graph is cold: it also
-// builds the parts of the graph's solve index it reads. The second and
-// third are warm and must allocate the same. L is the length bfs and
-// dfs solve for, LMin normalized's minimum.
+// graph hardly grows one; nor can it see a heap's block sized by k
+// where the heap holds a few paths. Ceilings are about twice the bytes
+// recorded with this test. The first solve on a fresh graph is cold: it
+// also builds the parts of the graph's solve index it reads. The second
+// and third are warm and must allocate the same. L is the length bfs,
+// dfs and diverse solve for, LMin normalized's minimum.
 func TestSolveBytesOnCorpusGraph(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation sizes")
@@ -62,18 +63,24 @@ func TestSolveBytesOnCorpusGraph(t *testing.T) {
 	ctx := context.Background()
 	col := recurringCorpus(t, 8, 800)
 	for _, tc := range []struct {
-		algorithm  string
+		name       string
+		req        core.Request
 		cold, warm uint64
 	}{
-		// Recorded: 641 864 cold, 576 328 warm.
-		{"bfs", 1_700_000, 1_150_000},
-		// 414 712 and 349 176.
-		{"dfs", 850_000, 700_000},
-		// 822 112 and 618 280: a cold solve builds U_r for r ≤ m−2 and a
-		// start order for every length from lmin.
-		{"normalized", 1_650_000, 1_240_000},
+		// Recorded: 258 904 cold, 167 064 warm (620 440 and 528 600
+		// while every heap's block held k entries).
+		{"bfs", core.Request{Algorithm: "bfs"}, 520_000, 340_000},
+		// 325 592 and 233 752 (441 048 and 349 208).
+		{"dfs", core.Request{Algorithm: "dfs"}, 650_000, 470_000},
+		// 440 096 and 236 264 (822 112 and 618 280): a cold solve builds
+		// U_r for r ≤ m−2 and a start order for every length from lmin.
+		{"normalized", core.Request{Algorithm: "normalized"}, 880_000, 480_000},
+		// 489 112 and 397 272 (1 449 080 warm): bfs at 4·k, then the
+		// endpoints filter.
+		{"diverse", core.Request{Variant: core.VariantDiverse, Algorithm: "bfs", Mode: "endpoints"}, 980_000, 800_000},
 	} {
-		t.Run(tc.algorithm, func(t *testing.T) {
+		tc.req.K, tc.req.L, tc.req.LMin = 40, 3, 3
+		t.Run(tc.name, func(t *testing.T) {
 			eng := openTestEngine(t, col, WithGraphOptions(GraphOptions{Gap: 1, Theta: 0.1}))
 			g, err := eng.Graph(ctx)
 			if err != nil {
@@ -85,7 +92,7 @@ func TestSolveBytesOnCorpusGraph(t *testing.T) {
 			solve := func() uint64 {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				if _, err := core.Solve(ctx, g, core.Request{Algorithm: tc.algorithm, K: 40, L: 3, LMin: 3}); err != nil {
+				if _, err := core.Solve(ctx, g, tc.req); err != nil {
 					t.Fatal(err)
 				}
 				runtime.ReadMemStats(&after)
@@ -225,8 +232,11 @@ func TestNormalizedStateBoundedOnWideCorpus(t *testing.T) {
 		intervals int
 		ceiling   uint64
 	}{
-		{10, 9_200_000},
-		{12, 10_400_000},
+		// Recorded: 1 855 664 bytes (3 244 256 while every heap's block
+		// held k entries).
+		{10, 3_700_000},
+		// 2 638 096 (4 485 440).
+		{12, 5_300_000},
 	} {
 		t.Run(fmt.Sprintf("%dx1500", tc.intervals), func(t *testing.T) {
 			eng := openTestEngine(t, recurringCorpus(t, tc.intervals, 1500), WithGraphOptions(GraphOptions{Gap: 1, Theta: 0.1}))

@@ -239,7 +239,7 @@ func (e *Engine) kwGraph(ctx context.Context, st *engineState, interval int) (*c
 		}
 		defer e.stage(ctx, "kwgraph")()
 		// Keep every significant, positively correlated pair.
-		return cooccur.BuildPrunedTokens(ctx, tk, cooccur.BuildOptions{}, stats.ChiSquared95, 0)
+		return cooccur.BuildPrunedTokens(ctx, tk, stats.ChiSquared95, 0)
 	})
 }
 

@@ -33,6 +33,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/bicc"
 	"repro/internal/burst"
@@ -193,19 +194,22 @@ type GraphOptions struct {
 // a Jaccard Theta outside (0, 1] once 0 is read as the default 0.1:
 // below it every overlapping pair would be an edge, above it none.
 func (o GraphOptions) validate() error {
-	if _, _, err := resolveAffinity(o); err != nil {
+	aff, _, err := resolveAffinity(o)
+	if err != nil {
 		return fmt.Errorf("blogclusters: %v: %w", err, ErrInvalidQuery)
 	}
-	if (o.Affinity == "" || o.Affinity == "jaccard") && !(o.Theta >= 0 && o.Theta <= 1) {
+	if aff == nil && !(o.Theta >= 0 && o.Theta <= 1) {
 		return fmt.Errorf("blogclusters: jaccard theta %g outside (0, 1]: %w", o.Theta, ErrInvalidQuery)
 	}
 	return nil
 }
 
-// resolveAffinity maps GraphOptions.Affinity to the affinity function
-// plus the normalization flag (intersection weights exceed 1).
+// resolveAffinity maps GraphOptions.Affinity, in any letter case as
+// cluster.ParseAffinity reads it, to the affinity function plus the
+// normalization flag (intersection weights exceed 1). Jaccard is the
+// nil function: the prefix-filter join.
 func resolveAffinity(opts GraphOptions) (cluster.AffinityFunc, bool, error) {
-	if opts.Affinity == "" || opts.Affinity == "jaccard" {
+	if opts.Affinity == "" || strings.EqualFold(opts.Affinity, "jaccard") {
 		return nil, false, nil
 	}
 	f, err := cluster.ParseAffinity(opts.Affinity)

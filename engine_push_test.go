@@ -683,12 +683,13 @@ func TestEngineGraphMatchesPairLoop(t *testing.T) {
 }
 
 // TestOpenRejectsJaccardThetaOutOfRange: the join takes θ in (0, 1], so
-// a Jaccard θ outside it (0 is the default 0.1) fails Open with
-// ErrInvalidQuery instead of keeping every overlapping pair (θ < 0) or
-// none (θ > 1); another affinity takes any θ.
+// a Jaccard θ outside it (0 is the default 0.1), under any spelling of
+// the name, fails Open with ErrInvalidQuery instead of keeping every
+// overlapping pair (θ < 0) or none (θ > 1); another affinity takes any
+// θ.
 func TestOpenRejectsJaccardThetaOutOfRange(t *testing.T) {
 	col := pushCorpus(t, 2)
-	for _, o := range []GraphOptions{{Theta: -0.5}, {Theta: 1.5}, {Theta: 1.5, Affinity: "jaccard"}} {
+	for _, o := range []GraphOptions{{Theta: -0.5}, {Theta: 1.5}, {Theta: 1.5, Affinity: "jaccard"}, {Theta: 1.5, Affinity: "Jaccard"}} {
 		if eng, err := Open(context.Background(), FromCollection(col), WithGraphOptions(o)); !errors.Is(err, ErrInvalidQuery) {
 			if err == nil {
 				eng.Close()
@@ -703,5 +704,45 @@ func TestOpenRejectsJaccardThetaOutOfRange(t *testing.T) {
 			continue
 		}
 		eng.Close()
+	}
+}
+
+// TestAffinityNameIgnoresCase: "Jaccard" is the Jaccard affinity, as
+// cluster.ParseAffinity reads it. Its session builds the join's graph,
+// equal to the "jaccard" session's, and a push extends that graph in
+// place instead of dropping it for a rebuild.
+func TestAffinityNameIgnoresCase(t *testing.T) {
+	const base = 6
+	col := recurringCorpus(t, base+1, 300)
+	ctx := context.Background()
+	graph := func(eng *Engine) *ClusterGraph {
+		t.Helper()
+		g, err := eng.Graph(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	lower := openTestEngine(t, prefixCol(col, base), WithGraphOptions(GraphOptions{Gap: 1, Affinity: "jaccard"}))
+	upper := openTestEngine(t, prefixCol(col, base), WithGraphOptions(GraphOptions{Gap: 1, Affinity: "Jaccard"}))
+	want, got := graph(lower), graph(upper)
+	if want.NumEdges() == 0 {
+		t.Fatal("no edges; corpus too sparse to be a real test")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf(`"Jaccard" graph (%d edges) differs from "jaccard"'s (%d edges)`, got.NumEdges(), want.NumEdges())
+	}
+
+	before := upper.Stats().Stages
+	if _, err := upper.Push(ctx, col.Intervals[base]); err != nil {
+		t.Fatal(err)
+	}
+	graph(upper)
+	after := upper.Stats().Stages
+	if d := after["graph-extend"].Builds - before["graph-extend"].Builds; d != 1 {
+		t.Errorf("graph-extend builds moved by %d across the push, want 1", d)
+	}
+	if d := after["graph"].Builds - before["graph"].Builds; d != 0 {
+		t.Errorf("graph builds moved by %d across the push, want 0: the push dropped the graph", d)
 	}
 }

@@ -101,12 +101,13 @@ fuzz-smoke:
 # Chaos gate: the whole fault-injection suite under the race detector.
 # Everything prefixed TestFault* runs against internal/faultfs-injected
 # EIO/ENOSPC/cancellation, and the server degradation tests (panic
-# recovery, breaker trips, stale-on-error) exercise the failure model
-# one layer up. CI's examples job runs this target; it is also the
+# recovery, breaker trips, the request-outcome contract, cached answers
+# outliving an Engine outage, a replaced session's cache) exercise the
+# failure model one layer up. CI's examples job runs this target; it is also the
 # first thing to run when touching the retry/corruption/cleanup paths.
 chaos:
 	$(GO) test -race ./internal/faultfs
-	$(GO) test -race -run 'Fault|Panic|Breaker|Stale|Retry|Corrupt|ReadyzOpenFailure' ./internal/diskstore ./internal/extsort ./internal/index ./internal/server .
+	$(GO) test -race -run 'Fault|Panic|Breaker|Retry|Corrupt|ReadyzOpenFailure|RequestOutcomeContract|CachedAnswerOutlivesEngineFailure|SetEngineEmptiesCache' ./internal/diskstore ./internal/extsort ./internal/index ./internal/server .
 
 # Example drift gate: the examples are the Engine API's showcase, so
 # they build, vet and all six run end to end (each takes well under a

@@ -10,7 +10,7 @@
 //	blogserved -demo                                # synthetic news week
 //	blogserved -input posts.jsonl -addr :8080
 //	blogserved -demo -index disk -max-inflight 128 -cache-bytes 33554432
-//	blogserved -demo -cache-ttl 30s -breaker-cooldown 5s
+//	blogserved -demo -breaker-cooldown 5s
 //	blogserved -demo -pprof localhost:6060          # profiling sidecar
 //
 // Sharded serving (internal/shard): the same binary runs all three
@@ -63,7 +63,6 @@ func main() {
 		maxInflight  = flag.Int("max-inflight", server.DefaultMaxInflight, "max concurrently admitted /v1 queries; overflow gets 429 + Retry-After")
 		cacheBytes   = flag.Int("cache-bytes", server.DefaultCacheBytes, "response-cache budget in bytes; negative disables caching")
 		reqTimeout   = flag.Duration("request-timeout", server.DefaultRequestTimeout, "per-request query deadline")
-		cacheTTL     = flag.Duration("cache-ttl", 0, "response-cache freshness window; expired entries serve stale on refill failure (0 = never expire)")
 		breakerCool  = flag.Duration("breaker-cooldown", server.DefaultBreakerCooldown, "how long a tripped per-route circuit breaker sheds before probing")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 		readHeaderTO = flag.Duration("read-header-timeout", 10*time.Second, "http.Server ReadHeaderTimeout: drop clients that stall mid-header (slowloris)")
@@ -116,7 +115,6 @@ func main() {
 		MaxInflight:     *maxInflight,
 		CacheBytes:      *cacheBytes,
 		RequestTimeout:  *reqTimeout,
-		CacheTTL:        *cacheTTL,
 		BreakerCooldown: *breakerCool,
 		Logger:          logger,
 	}

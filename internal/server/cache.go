@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"sync"
-	"time"
 )
 
 // cacheEntry is one cached response: everything needed to replay it to
@@ -14,20 +13,11 @@ type cacheEntry struct {
 	status      int
 	contentType string
 	body        []byte
-	// expires is when the entry stops being fresh (zero = never). An
-	// expired entry is not deleted: it stays resident as the stale
-	// fallback until a successful refill replaces it or the LRU evicts
-	// it, which is what makes stale-on-error possible at all.
-	expires time.Time
 	// noStore marks a fill whose result must be returned to its waiters
-	// but never inserted: the Engine's generation moved while the fill
-	// ran, so the rendered body may reflect either snapshot and cannot
-	// be replayed under its (generation-tagged) key.
+	// but never inserted: the session was replaced or its generation
+	// moved while the fill ran, so the rendered body may reflect either
+	// snapshot and cannot be replayed under its key.
 	noStore bool
-}
-
-func (e *cacheEntry) fresh(now time.Time) bool {
-	return e.expires.IsZero() || now.Before(e.expires)
 }
 
 func (e *cacheEntry) size(key string) int {
@@ -38,13 +28,9 @@ func (e *cacheEntry) size(key string) int {
 // CacheStats is a point-in-time snapshot of the response cache,
 // served by /debug/stats.
 type CacheStats struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	Bypass int64 `json:"bypass"`
-	// Stale counts responses served from an expired entry because the
-	// refill failed (stale-on-error). Nonzero means clients got old but
-	// valid answers during an Engine outage.
-	Stale     int64 `json:"stale"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Bypass    int64 `json:"bypass"`
 	Evictions int64 `json:"evictions"`
 	Entries   int   `json:"entries"`
 	Bytes     int   `json:"bytes"`
@@ -58,6 +44,12 @@ type CacheStats struct {
 // Engine's stage memos, one level up — a repeated aggregate query
 // costs one build and N-1 replays (the Szépkúti response-cache
 // motivation in PAPERS.md).
+//
+// An entry never expires: its key names the query and, for answers
+// that read the whole interval sequence, the generation, and intervals
+// only ever arrive at the end of the sequence, so the key fixes the
+// answer. A cached answer therefore outlives an Engine outage. Only a
+// replaced session empties the cache (reset).
 type responseCache struct {
 	mu       sync.Mutex
 	maxBytes int
@@ -65,9 +57,8 @@ type responseCache struct {
 	entries  map[string]*list.Element // value: *lruItem
 	order    *list.List               // front = most recently used
 	inflight map[string]*inflightFill
-	ttl      time.Duration // 0 = entries never expire
 
-	hits, misses, bypass, stale, evictions int64
+	hits, misses, bypass, evictions int64
 }
 
 type lruItem struct {
@@ -88,15 +79,10 @@ type inflightFill struct {
 
 // newResponseCache returns a cache bounded to maxBytes. Non-positive
 // maxBytes disables caching entirely: Do degrades to calling fill,
-// with no single-flight (the bypass path). Non-positive ttl means
-// entries never go stale (the pre-TTL behavior).
-func newResponseCache(maxBytes int, ttl time.Duration) *responseCache {
-	if ttl < 0 {
-		ttl = 0
-	}
+// with no single-flight (the bypass path).
+func newResponseCache(maxBytes int) *responseCache {
 	return &responseCache{
 		maxBytes: maxBytes,
-		ttl:      ttl,
 		entries:  map[string]*list.Element{},
 		order:    list.New(),
 		inflight: map[string]*inflightFill{},
@@ -111,9 +97,6 @@ const (
 	cacheHit    cacheState = "hit"
 	cacheMiss   cacheState = "miss"
 	cacheBypass cacheState = "bypass"
-	// cacheStale marks a response replayed from an expired entry
-	// because its refill failed — correct data, old snapshot.
-	cacheStale cacheState = "stale"
 )
 
 // Do returns the entry for key, filling it at most once across
@@ -135,18 +118,11 @@ func (c *responseCache) Do(ctx context.Context, key string, fill func(context.Co
 	}
 	for {
 		c.mu.Lock()
-		var stale *cacheEntry
 		if el, ok := c.entries[key]; ok {
-			e := el.Value.(*lruItem).entry
-			if e.fresh(time.Now()) {
-				c.order.MoveToFront(el)
-				c.hits++
-				c.mu.Unlock()
-				return e, cacheHit, nil
-			}
-			// Expired: refill below, but keep the old bytes at hand as
-			// the stale-on-error fallback.
-			stale = e
+			c.order.MoveToFront(el)
+			c.hits++
+			c.mu.Unlock()
+			return el.Value.(*lruItem).entry, cacheHit, nil
 		}
 		if f, ok := c.inflight[key]; ok {
 			c.mu.Unlock()
@@ -172,25 +148,15 @@ func (c *responseCache) Do(ctx context.Context, key string, fill func(context.Co
 		c.mu.Unlock()
 
 		e, err := fill(ctx)
-		if err != nil && stale != nil && ctx.Err() == nil {
-			// The refill failed but the client is still here and we hold
-			// yesterday's answer: serve it, marked stale, instead of the
-			// error. The stale entry is also handed to waiters so a burst
-			// against a down Engine costs one failed fill, not N.
-			e, err = stale, nil
-			c.mu.Lock()
-			c.stale++
-			f.e, f.err = e, nil
-			delete(c.inflight, key)
-			c.mu.Unlock()
-			close(f.ch)
-			return e, cacheStale, nil
-		}
 		c.mu.Lock()
 		f.e, f.err = e, err
-		delete(c.inflight, key)
-		if err == nil && e.status == 200 && !e.noStore {
-			c.insertLocked(key, e)
+		// A fill that reset detached is still shared with its waiters,
+		// but the key's slot is no longer its own and it stores nothing.
+		if c.inflight[key] == f {
+			delete(c.inflight, key)
+			if err == nil && e.status == 200 && !e.noStore {
+				c.insertLocked(key, e)
+			}
 		}
 		c.mu.Unlock()
 		close(f.ch)
@@ -201,25 +167,16 @@ func (c *responseCache) Do(ctx context.Context, key string, fill func(context.Co
 // insertLocked adds the entry and evicts from the LRU tail until the
 // byte budget holds. An entry larger than the whole budget is not
 // cached at all (it would evict everything for one query).
+//
+// Only the filler that holds the key's in-flight slot inserts, and it
+// took the slot when the key had no entry, so the key has none now.
 func (c *responseCache) insertLocked(key string, e *cacheEntry) {
-	if c.ttl > 0 {
-		e.expires = time.Now().Add(c.ttl)
-	}
 	sz := e.size(key)
 	if sz > c.maxBytes {
 		return
 	}
-	if el, ok := c.entries[key]; ok {
-		// A concurrent filler for the same key can land twice only if a
-		// waiter re-filled after an error; replace the old entry.
-		c.bytes -= el.Value.(*lruItem).entry.size(key)
-		el.Value.(*lruItem).entry = e
-		c.order.MoveToFront(el)
-		c.bytes += sz
-	} else {
-		c.entries[key] = c.order.PushFront(&lruItem{key: key, entry: e})
-		c.bytes += sz
-	}
+	c.entries[key] = c.order.PushFront(&lruItem{key: key, entry: e})
+	c.bytes += sz
 	for c.bytes > c.maxBytes {
 		tail := c.order.Back()
 		if tail == nil {
@@ -231,6 +188,19 @@ func (c *responseCache) insertLocked(key string, e *cacheEntry) {
 		c.bytes -= it.entry.size(it.key)
 		c.evictions++
 	}
+}
+
+// reset empties the cache and detaches the fills in flight: a request
+// that arrives after it starts a fill of its own instead of waiting for
+// one begun before it, and a detached fill stores nothing. The
+// counters are kept.
+func (c *responseCache) reset() {
+	c.mu.Lock()
+	clear(c.entries)
+	c.order.Init()
+	c.bytes = 0
+	c.inflight = map[string]*inflightFill{}
+	c.mu.Unlock()
 }
 
 // noteBypass counts a response served around the cache (the ?trace=1
@@ -249,7 +219,6 @@ func (c *responseCache) Stats() CacheStats {
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Bypass:    c.bypass,
-		Stale:     c.stale,
 		Evictions: c.evictions,
 		Entries:   len(c.entries),
 		Bytes:     c.bytes,

@@ -27,7 +27,7 @@ func fillWith(status int, body string) func(context.Context) (*cacheEntry, error
 func TestCacheLRUEviction(t *testing.T) {
 	body := strings.Repeat("x", 256)
 	perEntry := (&cacheEntry{body: []byte(body)}).size("k0")
-	c := newResponseCache(3*perEntry, 0)
+	c := newResponseCache(3 * perEntry)
 	ctx := context.Background()
 
 	for i := 0; i < 3; i++ {
@@ -61,7 +61,7 @@ func TestCacheLRUEviction(t *testing.T) {
 // error fills, non-200 entries, and entries bigger than the whole
 // budget.
 func TestCacheRefusesNon200AndErrors(t *testing.T) {
-	c := newResponseCache(1<<10, 0)
+	c := newResponseCache(1 << 10)
 	ctx := context.Background()
 
 	// Probes refill with a 502 (itself uncacheable), so a miss proves
@@ -94,7 +94,7 @@ func TestCacheRefusesNon200AndErrors(t *testing.T) {
 // TestCacheBypass pins the disabled mode: no residency, no
 // single-flight, every call runs its own fill.
 func TestCacheBypass(t *testing.T) {
-	c := newResponseCache(0, 0)
+	c := newResponseCache(0)
 	ctx := context.Background()
 	calls := 0
 	for i := 0; i < 3; i++ {
@@ -119,7 +119,7 @@ func TestCacheBypass(t *testing.T) {
 // concurrent waiters through the in-flight rendezvous — one fill, not
 // one per waiter — even though nothing lands in the LRU.
 func TestCacheSingleFlightUncacheable(t *testing.T) {
-	c := newResponseCache(64, 0) // far below the body size
+	c := newResponseCache(64) // far below the body size
 	ctx := context.Background()
 	huge := strings.Repeat("x", 1<<10)
 	var mu sync.Mutex
@@ -175,7 +175,7 @@ func TestCacheSingleFlightUncacheable(t *testing.T) {
 // TestCacheSingleFlightWaiters hammers one cold key from many
 // goroutines: exactly one fill runs, everyone gets its bytes.
 func TestCacheSingleFlightWaiters(t *testing.T) {
-	c := newResponseCache(1<<20, 0)
+	c := newResponseCache(1 << 20)
 	ctx := context.Background()
 	var mu sync.Mutex
 	fills := 0
@@ -226,6 +226,60 @@ func TestCacheSingleFlightWaiters(t *testing.T) {
 	st := c.Stats()
 	if st.Misses != 1 || st.Hits != n-1 {
 		t.Fatalf("stats %+v, want 1 miss / %d hits", st, n-1)
+	}
+}
+
+// TestCacheResetDetachesFills: a fill in flight across reset is
+// returned to its caller but stores nothing and leaves the key's
+// in-flight slot to the fill that began after the reset, which stores
+// its entry once.
+func TestCacheResetDetachesFills(t *testing.T) {
+	c := newResponseCache(1 << 20)
+	ctx := context.Background()
+	started := make(chan struct{})
+	gate := func(body string, release chan struct{}) func(context.Context) (*cacheEntry, error) {
+		return func(context.Context) (*cacheEntry, error) {
+			started <- struct{}{}
+			<-release
+			return &cacheEntry{status: 200, body: []byte(body)}, nil
+		}
+	}
+	do := func(fill func(context.Context) (*cacheEntry, error)) <-chan string {
+		out := make(chan string, 1)
+		go func() {
+			e, _, err := c.Do(ctx, "k", fill)
+			if err != nil {
+				t.Error(err)
+			}
+			out <- string(e.body)
+		}()
+		select {
+		case <-started:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the fill never started: the call joined another fill")
+		}
+		return out
+	}
+
+	releaseOld, releaseNew := make(chan struct{}), make(chan struct{})
+	old := do(gate("old", releaseOld))
+	c.reset()
+	cur := do(gate("new", releaseNew))
+	close(releaseOld)
+	if got := <-old; got != "old" {
+		t.Fatalf("detached fill returned %q, want old", got)
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Misses != 2 {
+		t.Fatalf("after the detached fill: %+v, want no entry and 2 misses", st)
+	}
+	close(releaseNew)
+	if got := <-cur; got != "new" {
+		t.Fatalf("fill after reset returned %q, want new", got)
+	}
+	e, state, _ := c.Do(ctx, "k", fillWith(200, "refill"))
+	want := (&cacheEntry{body: []byte("new")}).size("k")
+	if st := c.Stats(); state != cacheHit || string(e.body) != "new" || st.Entries != 1 || st.Bytes != want {
+		t.Fatalf("Do after both fills: %s %q, stats %+v; want a hit on new, one entry of %d bytes", state, e.body, st, want)
 	}
 }
 

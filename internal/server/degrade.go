@@ -2,9 +2,9 @@
 // things around it fail. A panic in a handler becomes a 500 and a log
 // record, not a dead process (middleware.go); an Engine that errors
 // repeatedly on one route trips that route's circuit breaker so the
-// failing path sheds fast instead of burning admission slots; expired
-// cache entries are served stale when a refill fails (cache.go); and
-// the whole picture is summarized as a three-state health model —
+// failing path sheds fast instead of burning admission slots; cached
+// answers keep serving through an Engine outage (cache.go); and the
+// whole picture is summarized as a three-state health model —
 // ok / degraded / failing — on /readyz and /debug/stats.
 package server
 

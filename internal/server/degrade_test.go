@@ -1,11 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -45,7 +50,7 @@ func TestPanicRecovery(t *testing.T) {
 	mux.HandleFunc("GET /fine", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, struct{}{})
 	})
-	ts := httptest.NewServer(srv.withAccessLog(srv.withRecovery(mux)))
+	ts := httptest.NewServer(srv.withOutcome(mux))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/boom")
@@ -189,58 +194,129 @@ func TestBreakerHalfOpenReopens(t *testing.T) {
 	}
 }
 
-// TestStaleOnError is the stale-serving gate: a cached answer past its
-// TTL is replayed — marked "X-Cache: stale" — when the refill fails,
-// and a recovered Engine resumes serving fresh responses.
-func TestStaleOnError(t *testing.T) {
-	cfg := quietConfig(func(c *Config) {
-		c.CacheTTL = 5 * time.Millisecond
-	})
-	srv, eng, ts := newTestServer(t, cfg)
+// TestCachedAnswerOutlivesEngineFailure: a cached answer is fixed by
+// its key, so it is replayed as a hit, byte for byte, after the Engine
+// behind it has closed, while an uncached query surfaces the failure.
+func TestCachedAnswerOutlivesEngineFailure(t *testing.T) {
+	_, eng, ts := newTestServer(t, quietConfig(nil))
 	path := "/v1/timeseries?keyword=somalia"
 
-	// Prime the cache while the Engine is healthy.
-	resp, m := get(t, ts, path)
-	wantStatus(t, resp, m, http.StatusOK)
-	if got := resp.Header.Get("X-Cache"); got != "miss" {
-		t.Fatalf("priming request X-Cache = %q, want miss", got)
+	state, primed := getRaw(t, ts, path, http.StatusOK)
+	if state != "miss" {
+		t.Fatalf("priming request X-Cache = %q, want miss", state)
 	}
-	fresh := m["counts"]
-
-	// Let the entry expire, then take the Engine away: the refill fails,
-	// and yesterday's bytes come back marked stale instead of a 503.
-	time.Sleep(10 * time.Millisecond)
 	eng.Close()
-	resp, m = get(t, ts, path)
-	wantStatus(t, resp, m, http.StatusOK)
-	if got := resp.Header.Get("X-Cache"); got != "stale" {
-		t.Fatalf("X-Cache after failed refill = %q, want stale", got)
+	state, body := getRaw(t, ts, path, http.StatusOK)
+	if state != "hit" {
+		t.Fatalf("X-Cache with the Engine closed = %q, want hit", state)
 	}
-	if len(m["counts"].([]any)) != len(fresh.([]any)) {
-		t.Fatalf("stale body %v does not match the cached answer %v", m["counts"], fresh)
+	if !bytes.Equal(body, primed) {
+		t.Fatalf("cached body changed:\n%s\nwant\n%s", body, primed)
 	}
-	if st := srv.Stats().Cache.Stale; st != 1 {
-		t.Fatalf("CacheStats.Stale = %d, want 1", st)
+	getRaw(t, ts, "/v1/timeseries?keyword=election", http.StatusServiceUnavailable)
+}
+
+// TestSetEngineEmptiesCache: a session that replaces another starts
+// from an empty response cache (both sessions count generations from
+// the same start, so their keys collide), and a fill on the replaced
+// session is served to its own request but not stored.
+func TestSetEngineEmptiesCache(t *testing.T) {
+	srv, eng, ts := newTestServer(t, quietConfig(nil))
+	path := "/v1/timeseries?keyword=somalia"
+	open := func(seed int64, posts int) *blogclusters.Engine {
+		t.Helper()
+		e, err := blogclusters.Open(t.Context(), blogclusters.FromGenerator(blogclusters.NewsWeekCorpus(seed, posts)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		return e
+	}
+	counts := func(sess Session) string {
+		t.Helper()
+		c, err := sess.TimeSeries(t.Context(), "somalia")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(c)
+	}
+	served := func(body []byte) string {
+		t.Helper()
+		var r timeSeriesResponse
+		if err := json.Unmarshal(body, &r); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(r.Counts)
 	}
 
-	// An uncached query has no stale fallback: it surfaces the failure.
-	resp, m = get(t, ts, "/v1/timeseries?keyword=election")
-	wantStatus(t, resp, m, http.StatusServiceUnavailable)
+	getRaw(t, ts, path, http.StatusOK)
+	next := open(99, 300)
+	if counts(next) == counts(eng) {
+		t.Fatal("the two sessions agree on the series; the test cannot tell them apart")
+	}
+	srv.SetEngine(next)
+	state, body := getRaw(t, ts, path, http.StatusOK)
+	if state != "miss" || served(body) != counts(next) {
+		t.Fatalf("after SetEngine: X-Cache %s, counts %s; want miss, %s (the replaced session's are %s)",
+			state, served(body), counts(next), counts(eng))
+	}
 
-	// Recovery: a new session serves a fresh miss again.
-	eng2, err := blogclusters.Open(context.Background(),
-		blogclusters.FromGenerator(blogclusters.NewsWeekCorpus(2007, 60)))
+	// A request that resolved the replaced session before the
+	// replacement and fills after it.
+	blocked := &blockingSession{Session: next, entered: make(chan struct{}), release: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(blocked.release) })
+	t.Cleanup(release)
+	srv.SetEngine(blocked)
+	done := make(chan string)
+	go func() {
+		_, b := getRaw(t, ts, path, http.StatusOK)
+		done <- served(b)
+	}()
+	<-blocked.entered
+	last := open(7, 200)
+	srv.SetEngine(last)
+	release()
+	if got := <-done; got != counts(next) {
+		t.Fatalf("the old session's request got %s, want %s", got, counts(next))
+	}
+	state, body = getRaw(t, ts, path, http.StatusOK)
+	if state != "miss" || served(body) != counts(last) {
+		t.Fatalf("after the old fill: X-Cache %s, counts %s; want miss, %s", state, served(body), counts(last))
+	}
+}
+
+// blockingSession holds its first Generation call until release closes.
+type blockingSession struct {
+	Session
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (b *blockingSession) Generation() int64 {
+	b.once.Do(func() {
+		close(b.entered)
+		<-b.release
+	})
+	return b.Session.Generation()
+}
+
+// getRaw fetches path, requires status want, and returns the X-Cache
+// header and the body bytes.
+func getRaw(t *testing.T, ts *httptest.Server, path string, want int) (string, []byte) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + path)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("GET %s: %v", path, err)
 	}
-	defer eng2.Close()
-	srv.SetEngine(eng2)
-	time.Sleep(10 * time.Millisecond) // expire the stale entry's window again
-	resp, m = get(t, ts, path)
-	wantStatus(t, resp, m, http.StatusOK)
-	if got := resp.Header.Get("X-Cache"); got != "miss" {
-		t.Fatalf("X-Cache after recovery = %q, want miss (a fresh fill)", got)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: read body: %v", path, err)
 	}
+	if resp.StatusCode != want {
+		t.Fatalf("GET %s: status %d, want %d (body %s)", path, resp.StatusCode, want, body)
+	}
+	return resp.Header.Get("X-Cache"), body
 }
 
 // TestReadyzOpenFailure covers the background-open failure surface: the

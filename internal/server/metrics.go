@@ -3,8 +3,6 @@ package server
 import (
 	"io"
 	"net/http"
-	"strconv"
-	"time"
 
 	blogclusters "repro"
 	"repro/internal/metrics"
@@ -21,7 +19,7 @@ import (
 type serverMetrics struct {
 	reg *metrics.Registry
 
-	// Live, driven by instrument/withAdmission/withBreaker.
+	// Live, driven by withOutcome and the shed gates.
 	requests *metrics.Vec // http_requests_total{route,status}
 	duration *metrics.Vec // http_request_duration_seconds{route}
 	shed     *metrics.Vec // http_requests_shed_total{reason}
@@ -93,7 +91,7 @@ func newServerMetrics() *serverMetrics {
 	m.maxInflight = reg.Gauge("http_requests_max_inflight",
 		"The admission semaphore capacity (Config.MaxInflight).").With()
 	m.panics = reg.Counter("http_panics_total",
-		"Handler panics swallowed by the recovery middleware.").With()
+		"Handler panics recovered by the serving layer.").With()
 
 	m.cacheReq = reg.Counter("cache_requests_total",
 		"Response-cache outcomes, by state; states match the X-Cache response header.", "state")
@@ -155,30 +153,6 @@ func newServerMetrics() *serverMetrics {
 	return m
 }
 
-// instrument is the outermost per-route middleware: it counts the
-// request under its final status and observes the route latency —
-// including 429/503 shed responses (they are served work too) and
-// panics (counted as 500 on their way up to the recovery middleware).
-func (s *Server) instrument(route string, next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
-		defer func() {
-			if v := recover(); v != nil {
-				s.m.requests.With(route, "500").Inc()
-				s.m.duration.With(route).Observe(time.Since(start).Seconds())
-				panic(v)
-			}
-		}()
-		next(sw, r)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		s.m.requests.With(route, strconv.Itoa(sw.status)).Inc()
-		s.m.duration.With(route).Observe(time.Since(start).Seconds())
-	}
-}
-
 // syncMetrics copies every mirrored counter into the registry: the
 // server gauges, the response-cache counters, and — when a session is
 // attached — its EngineStats (for a shard Coordinator this is already
@@ -195,7 +169,6 @@ func (s *Server) syncMetrics() {
 	m.cacheReq.With(string(cacheHit)).Set(float64(cs.Hits))
 	m.cacheReq.With(string(cacheMiss)).Set(float64(cs.Misses))
 	m.cacheReq.With(string(cacheBypass)).Set(float64(cs.Bypass))
-	m.cacheReq.With(string(cacheStale)).Set(float64(cs.Stale))
 	m.cacheEvictions.Set(float64(cs.Evictions))
 	m.cacheEntries.Set(float64(cs.Entries))
 	m.cacheBytes.Set(float64(cs.Bytes))

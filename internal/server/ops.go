@@ -80,9 +80,9 @@ func (o *op[Q]) query(q Q) string {
 // string once, resolve the session, consult the response cache under
 // the rendered key, fill through answer on a miss and replay the
 // rendered bytes. A fill runs at most once across concurrent identical
-// requests. A fill that straddles a Push is marked noStore: the session
-// snapshot it read is ambiguous, so the result is served to the waiting
-// clients but never cached.
+// requests. A fill that straddles a Push or a SetEngine is marked
+// noStore: the session snapshot it read is ambiguous, so the result is
+// served to the waiting clients but never cached.
 func (o *op[Q]) serve(s *Server, w http.ResponseWriter, r *http.Request) {
 	v := r.URL.Query()
 	q, err := o.parse(v)
@@ -90,8 +90,8 @@ func (o *op[Q]) serve(s *Server, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	sess := s.Session()
-	if sess == nil {
+	box := s.sess.Load()
+	if box == nil {
 		w.Header().Set("Retry-After", s.retryHint)
 		if p := s.openErr.Load(); p != nil {
 			writeError(w, http.StatusServiceUnavailable, "corpus failed to load: "+p.err.Error())
@@ -100,6 +100,7 @@ func (o *op[Q]) serve(s *Server, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "corpus is still loading; retry shortly")
 		return
 	}
+	sess := box.s
 	gen := sess.Generation()
 	fill := func(ctx context.Context) (*cacheEntry, error) {
 		body, err := o.answer(ctx, sess, gen, q)
@@ -107,7 +108,7 @@ func (o *op[Q]) serve(s *Server, w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		e, err := renderEntry(body)
-		if err == nil && sess.Generation() != gen {
+		if err == nil && (s.sess.Load() != box || sess.Generation() != gen) {
 			e.noStore = true
 		}
 		return e, err

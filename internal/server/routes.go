@@ -22,23 +22,22 @@ import "net/http"
 // admission semaphore exists to shed expensive fan-out queries, which
 // a single append-one-interval push is not.
 //
-// Every route — operational ones included — is wrapped in instrument,
-// outermost, so http_requests_total{route,status} counts shed 429/503
-// responses under the route that shed them and the per-route latency
-// histogram sees every served byte.
+// Every route — operational ones included — names itself (route), so
+// withOutcome counts it under http_requests_total{route,status} and
+// the per-route latency histogram, shed 429/503 responses included.
 func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
 	for _, q := range queries {
 		name := q.label()
-		mux.HandleFunc("GET /v1/"+name, s.instrument(name, s.query(name, func(w http.ResponseWriter, r *http.Request) {
+		mux.HandleFunc("GET /v1/"+name, s.query(name, func(w http.ResponseWriter, r *http.Request) {
 			q.serve(s, w, r)
-		})))
+		}))
 	}
-	mux.HandleFunc("POST "+routePush, s.instrument("push", s.withTimeout(s.handlePush)))
-	mux.HandleFunc("GET "+routeHealthz, s.instrument("healthz", s.handleHealthz))
-	mux.HandleFunc("GET "+routeReadyz, s.instrument("readyz", s.handleReadyz))
-	mux.HandleFunc("GET "+routeDebugStats, s.instrument("debug-stats", s.handleDebugStats))
-	mux.HandleFunc("GET "+routeMetrics, s.instrument("metrics", s.handleMetrics))
+	mux.HandleFunc("POST "+routePush, s.route("push", s.withTimeout(s.handlePush)))
+	mux.HandleFunc("GET "+routeHealthz, s.route("healthz", s.handleHealthz))
+	mux.HandleFunc("GET "+routeReadyz, s.route("readyz", s.handleReadyz))
+	mux.HandleFunc("GET "+routeDebugStats, s.route("debug-stats", s.handleDebugStats))
+	mux.HandleFunc("GET "+routeMetrics, s.route("metrics", s.handleMetrics))
 	return mux
 }
 

@@ -11,6 +11,12 @@
 //
 // Production plumbing, in request order:
 //
+//   - one wrapper per request (middleware.go): it mints or echoes the
+//     request id, records the status once, recovers a panic once and
+//     reports the outcome to the access log, the route metrics and the
+//     route's circuit breaker.
+//   - circuit breaker: a /v1 route failing with 5xx sheds with 503 +
+//     Retry-After until a probe succeeds (Config.BreakerCooldown).
 //   - admission control: a bounded semaphore caps in-flight /v1
 //     queries; overflow is rejected immediately with 429 + Retry-After
 //     instead of queueing without bound (Config.MaxInflight).
@@ -20,7 +26,9 @@
 //     shutdown all cancel the same way.
 //   - response cache: rendered 200 responses live in a bytes-bounded
 //     LRU keyed by normalized query params, with single-flight fills —
-//     N identical hot queries cost one Engine call (cache.go).
+//     N identical hot queries cost one Engine call (cache.go). The key
+//     fixes the answer, so entries never expire and outlive an Engine
+//     outage; only a replaced session empties the cache.
 //   - observability: structured access logs (one slog record per
 //     request), X-Cache headers, and /debug/stats exposing
 //     EngineStats (stage builds, timings, disk IOStats) plus server
@@ -56,14 +64,6 @@ type Config struct {
 	// RequestTimeout is the per-request context deadline for /v1
 	// queries. Non-positive means DefaultRequestTimeout.
 	RequestTimeout time.Duration
-	// CacheTTL is how long a cached response stays fresh. After it
-	// expires the next request refills through the Engine — and if that
-	// refill fails, the expired entry is served anyway with
-	// "X-Cache: stale" (stale-on-error). 0 means entries never expire
-	// (and the stale path never engages); the TTL only matters for
-	// sessions whose answers can change or fail. blogserved leaves it
-	// 0 unless -cache-ttl is given.
-	CacheTTL time.Duration
 	// BreakerCooldown is how long an open per-route circuit breaker
 	// sheds load before letting a probe through. Non-positive means
 	// DefaultBreakerCooldown.
@@ -129,7 +129,7 @@ func New(cfg Config) *Server {
 	return &Server{
 		cfg:       cfg,
 		log:       cfg.Logger,
-		cache:     newResponseCache(cfg.CacheBytes, cfg.CacheTTL),
+		cache:     newResponseCache(cfg.CacheBytes),
 		sem:       make(chan struct{}, cfg.MaxInflight),
 		start:     time.Now(),
 		retryHint: retryAfterSeconds(cfg.RequestTimeout),
@@ -140,11 +140,15 @@ func New(cfg Config) *Server {
 
 // SetEngine attaches the session and flips readiness (clearing any
 // recorded open failure). Any Session works — a single Engine or a
-// shard Coordinator. The Server does not own it: the caller closes it
+// shard Coordinator. A session that replaces another empties the
+// response cache: every session counts its generations from the same
+// start, so the old session's answers would sit under the new one's
+// keys. The Server does not own the session: the caller closes it
 // after draining HTTP (the reverse order would cancel in-flight
 // queries mid-drain).
 func (s *Server) SetEngine(sess Session) {
 	s.sess.Store(&sessionBox{s: sess})
+	s.cache.reset()
 	s.openErr.Store(nil)
 }
 
@@ -180,8 +184,8 @@ type Stats struct {
 	Inflight     int    `json:"inflight"`
 	MaxInflight  int    `json:"max_inflight"`
 	Rejected     int64  `json:"rejected"`
-	// Panics counts handler panics swallowed by the recovery
-	// middleware; nonzero means a bug, but the process survived it.
+	// Panics counts handler panics recovered by withOutcome; nonzero
+	// means a bug, but the process survived it.
 	Panics int64 `json:"panics"`
 	// Pushes counts successful /v1/push ingests (the Engine's own
 	// counter in EngineStats also counts library-level pushes).
@@ -211,8 +215,8 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// Handler returns the full route tree wrapped in the access-log and
-// panic-recovery middleware. Pass it to http.Server.
+// Handler returns the full route tree wrapped in withOutcome. Pass it
+// to http.Server.
 func (s *Server) Handler() http.Handler {
-	return s.withAccessLog(s.withRecovery(s.routes()))
+	return s.withOutcome(s.routes())
 }

@@ -250,6 +250,8 @@ func TestCacheResetDetachesFills(t *testing.T) {
 			e, _, err := c.Do(ctx, "k", fill)
 			if err != nil {
 				t.Error(err)
+				out <- ""
+				return
 			}
 			out <- string(e.body)
 		}()

@@ -40,11 +40,14 @@ race:
 # of its worker's join buffer (TestFromClustersParallelEquivalence, in
 # the clustergraph package run) — run at 1, 2 and 8 workers, as do the
 # Store's reads racing its pushes and compactions
-# (TestStoreReadsDuringPushAndCompact), for more interleavings.
+# (TestStoreReadsDuringPushAndCompact) and solves sharing the spare
+# solver workspace (TestSolveStateReuseMatchesFresh), for more
+# interleavings.
 cpu-matrix:
 	$(GO) test -cpu 1,2,8 -run '^(TestSection4ParallelEquivalence|TestAllIntervalClustersBudgetSplit|TestEnginePushIncremental|TestIntervalBuilderReuseMatchesFresh)$$' .
 	$(GO) test -cpu 1,2,8 -run '^(TestSegmentBytesPinned|TestBuildDiskRejectsBadInput|TestDiskEquivalenceRandom|TestDiskSmallBlockSizes|TestIndexAgreesWithCooccur|TestStoreDeltaEquivalence|TestStoreCompactionByteEquality|TestStoreReadsDuringPushAndCompact)$$' ./internal/index
 	$(GO) test -cpu 1,2,8 -run '^TestBuildPrunedMatchesPrune$$' ./internal/cooccur
+	$(GO) test -cpu 1,2,8 -run '^TestSolveStateReuseMatchesFresh$$' ./internal/core
 	$(GO) test -cpu 1,2,8 ./internal/clustergraph ./internal/par
 
 # Fails when any file is not gofmt-formatted (prints the offenders).

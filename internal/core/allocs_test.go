@@ -10,14 +10,17 @@ import (
 )
 
 // Allocation ceilings, in tier-1: the solvers keep their paths in a
-// per-solve slab, so a solve allocates a few hundred objects however
-// many candidates it weighs. A ceiling of about twice the count
-// recorded with this test fails `go test` on a regression that the
-// benchmark would take 25 s to show, and the repeat check fails on an
-// allocator whose count is not a pure function of (graph, request) — a
-// pool, a cache, a map with a random seed. A cold row solves on a fresh
-// graph each time, so it also pays for the parts of the graph's solve
-// index it needs; a warm row solves on a graph whose index is built.
+// slab, so a solve allocates a few hundred objects however many
+// candidates it weighs. A ceiling of about twice the count recorded
+// with this test fails `go test` on a regression that the benchmark
+// would take 25 s to show. With the collector off, the spare workspace
+// (workspace.go) lives from one solve to the next, so AllocsPerRun's
+// warm-up solve leaves it sized for the measured one. The repeat check
+// fails on an allocator that does not settle after one solve of a
+// request — a workspace part that still grows on the second, a cache, a
+// map with a random seed. A cold row solves on a fresh graph each time,
+// so it also pays for the parts of the graph's solve index it needs; a
+// warm row solves on a graph whose index is built.
 func TestSolverAllocationCeilings(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -50,6 +53,13 @@ func TestSolverAllocationCeilings(t *testing.T) {
 		// Recorded 50, where sweeping U and P and building the edge
 		// lists on every solve made 54.
 		{"ta-warm", Request{Algorithm: "ta", K: 5, L: FullPaths}, true, 52},
+		// Recorded 8, 21 and 8: the answer, the run and DFS's global
+		// heap; solving in the spare workspace leaves the slab, the
+		// heaps and the per-node state to the warm-up (24, 45 and 26
+		// while each solve allocated its own).
+		{"bfs-warm", Request{Algorithm: "bfs", K: 5, L: 3}, true, 16},
+		{"dfs-warm", Request{Algorithm: "dfs", K: 5, L: FullPaths}, true, 42},
+		{"normalized-warm", Request{Algorithm: "normalized", K: 5, LMin: 3}, true, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// AllocsPerRun(1, run) calls run twice, a warm-up and the

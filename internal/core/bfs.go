@@ -24,7 +24,9 @@ func solveBFS(ctx context.Context, g *clustergraph.Graph, req Request) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	r := newBFSRun(g, req, l, l)
+	w := takeWorkspace()
+	defer w.release()
+	r := newBFSRun(w, g, req, l, l)
 	if err := r.run(ctx, l, 1); err != nil {
 		return nil, err
 	}
@@ -33,49 +35,50 @@ func solveBFS(ctx context.Context, g *clustergraph.Graph, req Request) (*Result,
 
 // bfsRun carries the state of BFS executions, one length at a time.
 type bfsRun struct {
+	// The workspace's slab holds the paths; its heaps index the h^x of
+	// the node in slot s at s*perNode + x−1, where a node gets its slot
+	// on its first admission. In full-path mode perNode is 1: a node's
+	// one heap holds x = interval(node). top is the global heap H,
+	// ranked by weight/per. cand is the scratch for an interval's
+	// candidates.
+	*workspace
+
 	g        *clustergraph.Graph
 	req      Request
 	l        int
 	per      float64 // the global heap ranks a path by weight/per
 	fullPath bool
 
-	// Paths live in slab; heaps indexes the h^x of the node in slot s at
-	// s*perNode + x−1, where a node gets its slot on its first admission.
-	// In full-path mode perNode is 1: a node's one heap holds x =
-	// interval(node). top is the global heap H, ranked by weight/per.
-	slab    slab
-	heaps   *pathHeaps
-	top     *pathHeaps
-	slots   nodeSlots
 	perNode int
 	bound   suffixBound
 	floor   float64 // bound.floor of per times the global threshold
 	stats   Stats
-
-	cand []int64 // scratch for an interval's candidates
 }
 
-// newBFSRun sets up runs for the lengths lo..hi: the slot table and the
-// heap spans are sized once, for the longest.
-func newBFSRun(g *clustergraph.Graph, req Request, lo, hi int) *bfsRun {
-	r := &bfsRun{g: g, req: req}
+// newBFSRun sets up runs in w for the lengths lo..hi: the slot table
+// and the heap spans are sized once, for the longest.
+func newBFSRun(w *workspace, g *clustergraph.Graph, req Request, lo, hi int) *bfsRun {
+	r := &bfsRun{workspace: w, g: g, req: req}
 	// Slots for 2k(l+1) nodes, doubled whenever a solve touches more. A
 	// solve touches at most 0.96·k(l+1) nodes on synthetic 10 × {100,
 	// 1 000, 4 000} graphs (k 1, 5 and 40; l 1, 3, 6 and 9), and up to
 	// 29·k(l+1) on the recurring corpora at k 40 and l 1.
 	slots := max(min(2*req.K*(hi+1), g.NumNodes()), 1)
-	r.slots = newNodeSlots(slots)
-	r.cand = make([]int64, 0, slots)
+	r.slots.resize(slots)
+	if cap(r.cand) < slots {
+		r.cand = make([]int64, 0, slots)
+	}
 	perNode := 1
 	for l := lo; l <= hi; l++ {
 		if l < g.NumIntervals()-1 || req.disableFullPathFastPath {
 			perNode = l
 		}
 	}
-	r.heaps = newPathHeaps(&r.slab, req.K, 0)
+	r.slab.reset()
+	r.heaps.reset(&r.slab, req.K, 0)
 	r.heaps.reserve(slots * perNode)
 	r.heaps.reuse = true
-	r.top = newPathHeaps(&r.slab, req.K, 1)
+	r.top.reset(&r.slab, req.K, 1)
 	r.top.reuse = true
 	return r
 }
@@ -104,7 +107,7 @@ func (r *bfsRun) start(l int, per float64) {
 		r.perNode = 1
 	}
 	r.slots.reset()
-	r.bound = newSuffixBound(r.g, r.req, l)
+	r.bound = newSuffixBound(r.g, r.req, l, r.seeds(r.req.K))
 	r.setFloor()
 }
 

@@ -40,11 +40,12 @@ type suffixBound struct {
 }
 
 // newSuffixBound reads g's suffix weights for paths of length l and
-// seeds the floor for a top-k of size k.
-func newSuffixBound(g *clustergraph.Graph, req Request, l int) suffixBound {
+// seeds the floor for a top-k of size k, in scratch when its capacity
+// holds min(k, N) weights.
+func newSuffixBound(g *clustergraph.Graph, req Request, l int, scratch []float64) suffixBound {
 	b := suffixBound{g: g, full: l == g.NumIntervals()-1, f: math.Inf(-1), on: !req.disableSuffixBound}
 	if b.on {
-		b.seed(req.K, l)
+		b.seed(req.K, l, scratch)
 	}
 	return b
 }
@@ -53,14 +54,17 @@ func newSuffixBound(g *clustergraph.Graph, req Request, l int) suffixBound {
 // temporal length l and sets the floor F: the k-th largest U_l(s) over
 // the nodes s that start such a path, −Inf when fewer than k do. Only
 // the first k start nodes of each interval can be among the k largest.
-func (b *suffixBound) seed(k, l int) {
+func (b *suffixBound) seed(k, l int, scratch []float64) {
 	if b.full {
 		b.u = b.g.ToEndWeights()
 	} else {
 		b.u, b.stride = b.g.SuffixWeights(l)
 	}
 	b.starts = b.g.StartOrder(l)
-	top := make([]float64, 0, min(k, b.g.NumNodes()))
+	top := scratch[:0]
+	if n := min(k, b.g.NumNodes()); cap(top) < n {
+		top = make([]float64, 0, n)
+	}
 	for _, list := range b.starts {
 		for _, s := range list[:min(k, len(list))] {
 			top = keepLargest(top, k, b.rest(s, l))

@@ -31,9 +31,13 @@
 // Every solver is sequential; results are deterministic because the
 // top-k order (topk.Better) is a strict total order and heap contents
 // are offer-order independent. Inside a solve a path is a parent-pointer
-// chain in a per-solve slab and per-node state is a slice indexed by
-// node id (slab.go); topk.Path values are built for the answer. All
-// solver state lives in memory. The online regime of Section 4.6 is the
+// chain in a slab and per-node state is a slice indexed by node id
+// (slab.go); topk.Path values are built for the answer. All solver
+// state lives in memory. BFS and DFS keep theirs in a workspace
+// (workspace.go) that a solve hands on to the next one: the package
+// holds one spare through a weak pointer, so a garbage collection
+// reclaims it, and each solve resets every part it uses, so that a
+// solve in the spare returns exactly what one in fresh memory would. The online regime of Section 4.6 is the
 // root package's Engine.Push, which grows the cluster graph that these
 // solvers then run on.
 package core

@@ -65,7 +65,7 @@ func TestPaperSection42HeapContents(t *testing.T) {
 	// Use the generic (non-full-path) machinery so every h^x is
 	// maintained, as in the paper's walk-through.
 	// Without the suffix bound, which would leave most of them empty.
-	r := newBFSRun(g, Request{K: 2, disableFullPathFastPath: true, disableSuffixBound: true}, 2, 2)
+	r := newBFSRun(new(workspace), g, Request{K: 2, disableFullPathFastPath: true, disableSuffixBound: true}, 2, 2)
 	r.start(2, 1)
 	heaps := map[int64]map[int][][]int64{} // node → length → paths
 	for i := 0; i < g.NumIntervals(); i++ {

@@ -38,7 +38,9 @@ func solveDFS(ctx context.Context, g *clustergraph.Graph, req Request) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	r := newDFSRun(ctx, g, req, l)
+	w := takeWorkspace()
+	defer w.release()
+	r := newDFSRun(ctx, w, g, req, l)
 	if err := r.run(); err != nil {
 		return nil, err
 	}
@@ -46,60 +48,59 @@ func solveDFS(ctx context.Context, g *clustergraph.Graph, req Request) (*Result,
 }
 
 // dfsRun carries the state of one DFS execution. Per-node state — what
-// Algorithm 3 keeps on disk — lives in slices indexed by node id: the
-// visited flag, the maxweight annotations (best known prefix weight per
-// prefix length) and the bestpaths heaps (top-k paths of each length
-// *starting* at the node, as slab chains that run first node → last).
+// Algorithm 3 keeps on disk — lives in the workspace's slices indexed
+// by node id:
+//
+//   - visited, and everPushed, which distinguishes first explorations
+//     from re-explorations after visited-flag unmarking
+//     (Stats.Repushes);
+//   - maxweight of (id, x) at id*(l+1)+x; -Inf while no prefix of
+//     length x is known. x = 0 is always 0: the empty prefix exists,
+//     i.e. a path may start at the node, which seeds the conservative
+//     x=0 case of CanPrune. On full paths every prefix starts at
+//     interval 0, so only x = interval(id) is ever finite or read, and
+//     maxweight keeps that one entry at id;
+//   - bestpaths of (id, y) in heap id*l+y−1 of heaps (bestHeap), as slab
+//     chains that run first node → last. On full paths only y =
+//     m−1−interval(id) is ever filled, and it is heap id. perNode is
+//     the number of heaps a node has: l, or 1 on full paths.
+//
+// nodes is the scratch for global offers.
 type dfsRun struct {
+	*workspace
+
 	g        *clustergraph.Graph
 	l        int
 	fullPath bool
 	prune    bool
 	ctx      context.Context
 
-	visited []bool
-	// everPushed distinguishes first explorations from re-explorations
-	// after visited-flag unmarking (Stats.Repushes).
-	everPushed []bool
-	// maxweight of (id, x) is at id*(l+1)+x; -Inf while no prefix of
-	// length x is known. x = 0 is always 0: the empty prefix exists,
-	// i.e. a path may start at the node, which seeds the conservative
-	// x=0 case of CanPrune. On full paths every prefix starts at
-	// interval 0, so only x = interval(id) is ever finite or read, and
-	// maxweight keeps that one entry at id.
-	maxweight []float64
-	// bestpaths of (id, y) is heap id*l+y−1 (bestHeap). On full paths
-	// only y = m−1−interval(id) is ever filled, and it is heap id.
-	// perNode is the number of heaps a node has: l, or 1 on full paths.
-	slab    slab
-	best    *pathHeaps
 	perNode int
-
-	global *topk.K
-	bound  suffixBound
-	stats  Stats
-	nodes  []int64 // scratch for global offers
+	global  *topk.K
+	bound   suffixBound
+	stats   Stats
 }
 
-func newDFSRun(ctx context.Context, g *clustergraph.Graph, req Request, l int) *dfsRun {
+func newDFSRun(ctx context.Context, w *workspace, g *clustergraph.Graph, req Request, l int) *dfsRun {
 	n := g.NumNodes()
 	r := &dfsRun{
-		g:          g,
-		l:          l,
-		fullPath:   l == g.NumIntervals()-1,
-		prune:      !req.disablePruning,
-		ctx:        ctx,
-		visited:    make([]bool, n),
-		everPushed: make([]bool, n),
-		global:     topk.NewK(req.K),
-		perNode:    l,
+		workspace: w,
+		g:         g,
+		l:         l,
+		fullPath:  l == g.NumIntervals()-1,
+		prune:     !req.disablePruning,
+		ctx:       ctx,
+		global:    topk.NewK(req.K),
+		perNode:   l,
 	}
+	r.visited = zeroed(r.visited, n)
+	r.everPushed = zeroed(r.everPushed, n)
 	if r.prune {
-		r.bound = newSuffixBound(g, req, l)
+		r.bound = newSuffixBound(g, req, l, r.seeds(req.K))
 	}
 	if r.fullPath {
 		r.perNode = 1
-		r.maxweight = make([]float64, n)
+		r.maxweight = zeroed(r.maxweight, n)
 		for i := range r.maxweight {
 			r.maxweight[i] = math.Inf(-1)
 		}
@@ -107,15 +108,16 @@ func newDFSRun(ctx context.Context, g *clustergraph.Graph, req Request, l int) *
 			r.maxweight[id] = 0
 		}
 	} else {
-		r.maxweight = make([]float64, n*(l+1))
+		r.maxweight = zeroed(r.maxweight, n*(l+1))
 		for i := 0; i < len(r.maxweight); i += l + 1 {
 			for x := 1; x <= l; x++ {
 				r.maxweight[i+x] = math.Inf(-1)
 			}
 		}
 	}
-	r.best = newPathHeaps(&r.slab, req.K, n*r.perNode)
-	r.best.prepended = true
+	r.slab.reset()
+	r.heaps.reset(&r.slab, req.K, n*r.perNode)
+	r.heaps.prepended = true
 	return r
 }
 
@@ -138,12 +140,16 @@ func (r *dfsRun) sourceChildren() []clustergraph.Half {
 	for i := 0; i <= last; i++ {
 		n += len(r.g.NodesAt(i))
 	}
-	hs := make([]clustergraph.Half, 0, n)
+	hs := r.source[:0]
+	if cap(hs) < n {
+		hs = make([]clustergraph.Half, 0, n)
+	}
 	for i := 0; i <= last; i++ {
 		for _, id := range r.g.NodesAt(i) {
 			hs = append(hs, clustergraph.Half{Peer: id})
 		}
 	}
+	r.source = hs
 	return hs
 }
 
@@ -156,7 +162,8 @@ func (r *dfsRun) maxSteps() int64 {
 }
 
 func (r *dfsRun) run() error {
-	stack := []dfsFrame{{node: sourceID, children: r.sourceChildren()}}
+	stack := append(r.stack[:0], dfsFrame{node: sourceID, children: r.sourceChildren()})
+	defer func() { r.stack = stack[:0] }()
 	var steps int64
 	limit := r.maxSteps()
 	const pollEvery = 4096
@@ -329,8 +336,8 @@ func (r *dfsRun) combine(parent int64, edge clustergraph.Half) {
 	}
 	for y := max(ylo, 1); y <= yhi; y++ {
 		hi := r.bestHeap(edge.Peer, y)
-		for j := 0; j < r.best.size(hi); j++ {
-			e := r.best.at(hi, j)
+		for j := 0; j < r.heaps.size(hi); j++ {
+			e := r.heaps.at(hi, j)
 			r.addBest(parent, e.ref, e.fp, e.weight+edge.Weight, y+edge.Length)
 		}
 	}
@@ -344,11 +351,11 @@ func (r *dfsRun) addBest(node int64, link ref, linkFP uint64, weight float64, le
 		return
 	}
 	r.stats.HeapConsiders++
-	r.best.consider(r.bestHeap(node, length), node, link, linkFP, weight, length)
+	r.heaps.consider(r.bestHeap(node, length), node, link, linkFP, weight, length)
 	if length == r.l && (!r.fullPath || r.g.Interval(node) == 0) {
 		r.stats.HeapConsiders++
 		if weight >= r.global.Threshold() {
-			r.nodes = r.best.nodes(r.nodes[:0], node, link)
+			r.nodes = r.heaps.nodes(r.nodes[:0], node, link)
 			offerGlobal(r.global, r.nodes, weight, length)
 		}
 	}
@@ -363,7 +370,7 @@ func (r *dfsRun) trackPeak(stack []dfsFrame) {
 			continue
 		}
 		for hi := int(fr.node) * r.perNode; hi < int(fr.node+1)*r.perNode; hi++ {
-			n += int64(r.best.size(hi))
+			n += int64(r.heaps.size(hi))
 		}
 	}
 	r.stats.PeakStatePaths = max(r.stats.PeakStatePaths, n)

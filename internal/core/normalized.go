@@ -26,7 +26,9 @@ func solveNormalized(ctx context.Context, g *clustergraph.Graph, req Request) (*
 		// One sweep to the deepest table the runs read, not one per run.
 		g.SuffixWeights(m - 2)
 	}
-	r := newBFSRun(g, req, lmin, m-1)
+	w := takeWorkspace()
+	defer w.release()
+	r := newBFSRun(w, g, req, lmin, m-1)
 	for l := lmin; l < m; l++ {
 		if err := r.run(ctx, l, float64(l)); err != nil {
 			return nil, err

@@ -8,11 +8,13 @@ import (
 )
 
 // The solvers do not carry paths as node slices. A path is a chain of
-// parent pointers through a slab that lives and dies with one solve, so
+// parent pointers through a slab, which BFS and DFS take from the
+// workspace (workspace.go) and each solve empties and refills, so
 // extending a path costs one slot — written only once the target heap
 // has admitted the extension — and a candidate that loses on weight
-// costs nothing at all. topk.Path values are materialised for the final
-// top-k and where a tie has to be broken on node order.
+// costs nothing at all. topk.Path
+// values are materialised for the final top-k and where a tie has to be
+// broken on node order.
 
 // ref names a path in a slab: a slot index when >= 0, otherwise the
 // single-node path {^ref}, which needs no slot.
@@ -154,9 +156,11 @@ func bareFP(node int64) uint64 { return mix(0, node) }
 // follow the slab's policy: the first grows (by doubling, up to
 // pageLen entries) so that a small solve stays small, every later one
 // is allocated whole, and a full page never moves — a solve that needs
-// more heaps copies none of the ones it has. Heaps are min-heaps under
-// topk.Better (the root is the worst retained path) and behave as
-// topk.K does, duplicates included.
+// more heaps copies none of the ones it has. A reset empties the pages
+// in place, and the next solve fills them again in order before it
+// allocates another. Heaps are min-heaps under topk.Better (the root is
+// the worst retained path) and behave as topk.K does, duplicates
+// included.
 type pathHeaps struct {
 	s *slab
 	k int
@@ -171,7 +175,10 @@ type pathHeaps struct {
 	// heaps keep improving after they were read (DFS).
 	reuse bool
 	heaps []heapSpan
+	// pages[:used] hold blocks; the rest are empty pages an earlier
+	// solve left, taken in order before any new one is allocated.
 	pages [][]heapEnt
+	used  int
 	// free heads each size class's list of released blocks: blockLoc of
 	// the first, 0 when the list is empty. A released block's first
 	// entry holds the next block's blockLoc in fp.
@@ -235,7 +242,18 @@ type heapEnt struct {
 }
 
 func newPathHeaps(s *slab, k, count int) *pathHeaps {
-	return &pathHeaps{s: s, k: k, heaps: make([]heapSpan, count)}
+	hs := new(pathHeaps)
+	hs.reset(s, k, count)
+	return hs
+}
+
+// reset makes hs what newPathHeaps(s, k, count) returns, keeping the
+// arrays it holds: the spans, the pages, emptied, and the scratch.
+func (hs *pathHeaps) reset(s *slab, k, count int) {
+	for i := range hs.pages {
+		hs.pages[i] = hs.pages[i][:0]
+	}
+	*hs = pathHeaps{s: s, k: k, heaps: zeroed(hs.heaps, count), pages: hs.pages, a: hs.a[:0], b: hs.b[:0]}
 }
 
 // entries returns the retained paths of heap h, in heap order. The
@@ -261,9 +279,14 @@ func (hs *pathHeaps) reserve(n int) {
 	if n <= len(hs.heaps) {
 		return
 	}
-	spans := make([]heapSpan, n)
-	copy(spans, hs.heaps)
-	hs.heaps = spans
+	if n > cap(hs.heaps) {
+		spans := make([]heapSpan, n)
+		copy(spans, hs.heaps)
+		hs.heaps = spans
+		return
+	}
+	clear(hs.heaps[len(hs.heaps):n])
+	hs.heaps = hs.heaps[:n]
 }
 
 // release empties heaps lo..hi−1 and recycles their blocks.
@@ -364,26 +387,30 @@ func (hs *pathHeaps) grow(h *heapSpan) {
 }
 
 // block returns an unused block of class c: a released one while the
-// class has any, else the next entries of the last page.
+// class has any, else the next entries of the last page in use.
 func (hs *pathHeaps) block(c int) heapSpan {
 	if loc := hs.free[c]; loc != 0 {
 		h := blockAt(loc)
 		hs.free[c] = hs.pages[h.page][h.off].fp
 		return h
 	}
-	size, last, pageLen := hs.classCap(c), len(hs.pages)-1, hs.pageLen()
+	size, last, pageLen := hs.classCap(c), hs.used-1, hs.pageLen()
 	if last < 0 || len(hs.pages[last])+size > pageLen {
-		var page []heapEnt
-		if last >= 0 {
-			page = make([]heapEnt, 0, pageLen)
+		if hs.used == len(hs.pages) {
+			var page []heapEnt
+			if last >= 0 {
+				page = make([]heapEnt, 0, pageLen)
+			}
+			hs.pages = append(hs.pages, page)
 		}
-		hs.pages = append(hs.pages, page)
+		hs.used++
 		last++
 	}
 	page := hs.pages[last]
 	off := len(page)
 	if off+size > cap(page) {
-		// Only the first page gets here.
+		// The first page grows, and so does a page that an earlier solve
+		// with a smaller k left.
 		page = append(make([]heapEnt, 0, min(max(2*cap(page), off+size, hs.k), pageLen)), page...)
 	}
 	hs.pages[last] = page[:off+size]
@@ -499,6 +526,16 @@ func (t *nodeSlots) probe(id int64) int {
 func (t *nodeSlots) reset() {
 	clear(t.cells)
 	t.ids = t.ids[:0]
+}
+
+// resize empties t and makes room for n slots: t's own table when it
+// has that many, else newNodeSlots(n).
+func (t *nodeSlots) resize(n int) {
+	if cap(t.ids) < n {
+		*t = newNodeSlots(n)
+		return
+	}
+	t.reset()
 }
 
 // find returns id's slot, ok false when it has none.

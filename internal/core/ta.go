@@ -40,7 +40,7 @@ func solveTA(ctx context.Context, g *clustergraph.Graph, req Request) (*Result, 
 		ctx:    ctx,
 		global: topk.NewK(req.K),
 	}
-	r.bound = newSuffixBound(g, req, l)
+	r.bound = newSuffixBound(g, req, l, nil)
 	r.bound.withPrefixes()
 	if err := r.run(); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package server
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -105,9 +106,10 @@ const (
 // in-flight rendezvous, so an uncacheable (non-200 or over-budget)
 // response still costs one Engine call per burst. Errors are returned
 // to the caller that produced them; waiters retry (the next becomes
-// the filler). A fill aborted by cancellation likewise caches nothing,
-// so a later live request rebuilds — mirroring the Engine memo's
-// contract.
+// the filler), except after a panic, which they answer with
+// errFillPanicked. A fill aborted by cancellation likewise caches
+// nothing, so a later live request rebuilds — mirroring the Engine
+// memo's contract.
 func (c *responseCache) Do(ctx context.Context, key string, fill func(context.Context) (*cacheEntry, error)) (*cacheEntry, cacheState, error) {
 	if c.maxBytes <= 0 {
 		c.mu.Lock()
@@ -130,12 +132,16 @@ func (c *responseCache) Do(ctx context.Context, key string, fill func(context.Co
 			case <-f.ch:
 				// The close happens after the outcome fields are set, so
 				// reading them here is ordered. Share a successful fill
-				// (resident or not); on failure loop and retry.
+				// (resident or not) and a panic; on any other failure
+				// loop and retry.
 				if f.err == nil && f.e != nil {
 					c.mu.Lock()
 					c.hits++
 					c.mu.Unlock()
 					return f.e, cacheHit, nil
+				}
+				if f.err == errFillPanicked {
+					return nil, cacheMiss, f.err
 				}
 				continue
 			case <-ctx.Done():
@@ -146,8 +152,22 @@ func (c *responseCache) Do(ctx context.Context, key string, fill func(context.Co
 		c.inflight[key] = f
 		c.misses++
 		c.mu.Unlock()
+		e, err := c.runFill(ctx, key, f, fill)
+		return e, cacheMiss, err
+	}
+}
 
-		e, err := fill(ctx)
+// errFillPanicked is what the waiters of a fill that panicked get.
+var errFillPanicked = errors.New("server: the response fill panicked")
+
+// runFill runs fill in key's in-flight slot f and hands its outcome to
+// the waiters. A fill that panics still frees the slot and wakes its
+// waiters, with errFillPanicked, before the panic goes on up to
+// withOutcome: otherwise every later request for the key would wait on
+// the slot until its deadline.
+func (c *responseCache) runFill(ctx context.Context, key string, f *inflightFill, fill func(context.Context) (*cacheEntry, error)) (e *cacheEntry, err error) {
+	err = errFillPanicked
+	defer func() {
 		c.mu.Lock()
 		f.e, f.err = e, err
 		// A fill that reset detached is still shared with its waiters,
@@ -160,8 +180,8 @@ func (c *responseCache) Do(ctx context.Context, key string, fill func(context.Co
 		}
 		c.mu.Unlock()
 		close(f.ch)
-		return e, cacheMiss, err
-	}
+	}()
+	return fill(ctx)
 }
 
 // insertLocked adds the entry and evicts from the LRU tail until the

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -209,4 +210,119 @@ func TestRequestOutcomeContract(t *testing.T) {
 			}
 		})
 	}
+}
+
+// gatedOutcomeSession is an outcomeSession whose TimeSeries, for the
+// keyword gated, first counts itself in entered and waits for gate.
+type gatedOutcomeSession struct {
+	outcomeSession
+	gated   string
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g gatedOutcomeSession) TimeSeries(ctx context.Context, keyword string) ([]int64, error) {
+	if keyword == g.gated {
+		g.entered <- struct{}{}
+		<-g.gate
+	}
+	return g.outcomeSession.TimeSeries(ctx, keyword)
+}
+
+// TestCacheFillPanicFreesKey holds the response cache to a fill that
+// panics: the panic must free the key's in-flight slot, or every later
+// GET of the URL waits on it until its deadline and answers 504. Two
+// GETs of one URL must each answer 500 (or, for http.ErrAbortHandler,
+// raise it), and so must a waiter that joined a fill that then panics,
+// all well inside the 300 ms deadline.
+func TestCacheFillPanicFreesKey(t *testing.T) {
+	eng, err := blogclusters.Open(t.Context(), blogclusters.FromGenerator(blogclusters.NewsWeekCorpus(2007, 60)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	const timeout = 300 * time.Millisecond
+	for _, v := range []any{"kaboom", http.ErrAbortHandler} {
+		t.Run(fmt.Sprint(v), func(t *testing.T) {
+			sess := gatedOutcomeSession{
+				outcomeSession: outcomeSession{Session: eng, v: v},
+				gated:          "slow",
+				entered:        make(chan struct{}, 2),
+				gate:           make(chan struct{}),
+			}
+			srv := New(Config{RequestTimeout: timeout, Logger: slog.New(slog.DiscardHandler)})
+			srv.SetEngine(sess)
+			h := srv.Handler()
+			// get serves one GET and reports its status, 500 for a
+			// raised http.ErrAbortHandler, and how long it took.
+			get := func(keyword string) (int, time.Duration) {
+				start := time.Now()
+				rec := httptest.NewRecorder()
+				func() {
+					defer func() {
+						if raised := recover(); raised != nil {
+							if raised != http.ErrAbortHandler {
+								panic(raised)
+							}
+							rec.Code = http.StatusInternalServerError
+						}
+					}()
+					h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/timeseries?keyword="+keyword, nil))
+				}()
+				return rec.Code, time.Since(start)
+			}
+			check := func(who string, status int, took time.Duration) {
+				t.Helper()
+				if status != http.StatusInternalServerError || took > timeout/2 {
+					t.Errorf("%s: status %d after %v, want 500 well inside the %v deadline", who, status, took, timeout)
+				}
+			}
+			for i := range 2 {
+				status, took := get("somalia")
+				check(fmt.Sprintf("GET %d", i+1), status, took)
+			}
+
+			type reply struct {
+				status int
+				took   time.Duration
+			}
+			filler, waiter := make(chan reply, 1), make(chan reply, 1)
+			go func() { s, d := get("slow"); filler <- reply{s, d} }()
+			<-sess.entered
+			go func() { s, d := get("slow"); waiter <- reply{s, d} }()
+			for !waitingOnFill() {
+				time.Sleep(time.Millisecond)
+			}
+			close(sess.gate)
+			f, w := <-filler, <-waiter
+			check("the panicking filler", f.status, f.took)
+			check("its waiter", w.status, w.took)
+			if n := len(sess.entered); n != 0 {
+				t.Errorf("the waiter ran the fill again (%d more entries); want it to share the panic", n)
+			}
+		})
+	}
+}
+
+// waitingOnFill reports whether a goroutine waits in the response
+// cache's rendezvous: blocked in a select whose first frame outside the
+// runtime is responseCache.Do.
+func waitingOnFill() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		lines := strings.Split(g, "\n")
+		if !strings.Contains(lines[0], "[select") {
+			continue
+		}
+		for _, l := range lines[1:] {
+			if !strings.HasPrefix(l, "\t") && !strings.HasPrefix(l, "runtime.") {
+				if strings.HasPrefix(l, "repro/internal/server.(*responseCache).Do(") {
+					return true
+				}
+				break
+			}
+		}
+	}
+	return false
 }

@@ -54,7 +54,9 @@ func recurringCorpus(t *testing.T, intervals, posts int) *Collection {
 // where the heap holds a few paths. Ceilings are about twice the bytes
 // recorded with this test. The first solve on a fresh graph is cold: it
 // also builds the parts of the graph's solve index it reads. The second
-// and third are warm and must allocate the same. L is the length bfs,
+// and third are warm and must allocate the same: with the collector off
+// the spare solver workspace survives from each solve to the next, so a
+// warm solve pays for little more than its answer. L is the length bfs,
 // dfs and diverse solve for, LMin normalized's minimum.
 func TestSolveBytesOnCorpusGraph(t *testing.T) {
 	if raceflag.Enabled {
@@ -67,17 +69,18 @@ func TestSolveBytesOnCorpusGraph(t *testing.T) {
 		req        core.Request
 		cold, warm uint64
 	}{
-		// Recorded: 258 904 cold, 167 064 warm (620 440 and 528 600
-		// while every heap's block held k entries).
-		{"bfs", core.Request{Algorithm: "bfs"}, 520_000, 340_000},
-		// 325 592 and 233 752 (441 048 and 349 208).
-		{"dfs", core.Request{Algorithm: "dfs"}, 650_000, 470_000},
-		// 440 096 and 236 264 (822 112 and 618 280): a cold solve builds
-		// U_r for r ≤ m−2 and a start order for every length from lmin.
-		{"normalized", core.Request{Algorithm: "normalized"}, 880_000, 480_000},
-		// 489 112 and 397 272 (1 449 080 warm): bfs at 4·k, then the
+		// Recorded: 259 176 cold, 3 344 warm (167 064 warm while each
+		// solve allocated its own state, 528 600 while every heap's
+		// block held k entries).
+		{"bfs", core.Request{Algorithm: "bfs"}, 520_000, 6_800},
+		// 326 264 and 8 184 (233 752, 349 208).
+		{"dfs", core.Request{Algorithm: "dfs"}, 650_000, 16_500},
+		// 439 088 and 4 192 (236 264, 618 280): a cold solve builds U_r
+		// for r ≤ m−2 and a start order for every length from lmin.
+		{"normalized", core.Request{Algorithm: "normalized"}, 880_000, 8_500},
+		// 489 384 and 16 592 (397 272, 1 449 080): bfs at 4·k, then the
 		// endpoints filter.
-		{"diverse", core.Request{Variant: core.VariantDiverse, Algorithm: "bfs", Mode: "endpoints"}, 980_000, 800_000},
+		{"diverse", core.Request{Variant: core.VariantDiverse, Algorithm: "bfs", Mode: "endpoints"}, 980_000, 33_000},
 	} {
 		tc.req.K, tc.req.L, tc.req.LMin = 40, 3, 3
 		t.Run(tc.name, func(t *testing.T) {

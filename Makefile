@@ -127,9 +127,11 @@ examples-smoke:
 
 # Command smoke: the three one-shot commands have no tests of their
 # own, so run each end to end on the demo corpus — blogscope on both
-# index backends, blogstable's bursts and a saved-clusters round trip,
+# index backends, blogstable's bursts, a saved-clusters round trip and
+# its query and cluster flags (-normalized, -lmin, -k, -l, -algorithm,
+# -rho, -mincluster, -raw; -normalized -algorithm dfs must fail),
 # experiments -list — asserting exit 0 and each headline line
-# (scripts/cli-smoke.sh, about a second once built). CI's examples job
+# (scripts/cli-smoke.sh, a few seconds once built). CI's examples job
 # runs this after examples-smoke.
 cli-smoke:
 	sh scripts/cli-smoke.sh

@@ -33,7 +33,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 
 	"repro/internal/bicc"
 	"repro/internal/burst"
@@ -177,46 +176,24 @@ func (b *intervalBuilder) clusters(ctx context.Context, tk *corpus.Tokens, inter
 type GraphOptions struct {
 	// Gap is g, the number of intervals a story may skip; default 0.
 	Gap int
-	// Theta is the minimum affinity for an edge; default 0.1 (the
-	// paper's θ).
+	// Theta is the minimum Jaccard affinity for an edge, in (0, 1];
+	// default 0.1 (the paper's θ). Edges come from the prefix-filter
+	// similarity join.
 	Theta float64
-	// Affinity names the overlap measure: "jaccard" (default),
-	// "intersection" or "overlap". Jaccard edges come from the
-	// prefix-filter similarity join, which needs Theta in (0, 1].
-	Affinity string
 	// UseSimJoin is accepted and ignored: Jaccard edges always come
 	// from the prefix-filter join. The field stays only because
 	// bench/build.go names it.
 	UseSimJoin bool
 }
 
-// validate rejects an affinity name resolveAffinity does not know, and
-// a Jaccard Theta outside (0, 1] once 0 is read as the default 0.1:
-// below it every overlapping pair would be an edge, above it none.
+// validate rejects a Theta outside (0, 1] once 0 is read as the
+// default 0.1: below it every overlapping pair would be an edge, above
+// it none.
 func (o GraphOptions) validate() error {
-	aff, _, err := resolveAffinity(o)
-	if err != nil {
-		return fmt.Errorf("blogclusters: %v: %w", err, ErrInvalidQuery)
-	}
-	if aff == nil && !(o.Theta >= 0 && o.Theta <= 1) {
+	if !(o.Theta >= 0 && o.Theta <= 1) {
 		return fmt.Errorf("blogclusters: jaccard theta %g outside (0, 1]: %w", o.Theta, ErrInvalidQuery)
 	}
 	return nil
-}
-
-// resolveAffinity maps GraphOptions.Affinity, in any letter case as
-// cluster.ParseAffinity reads it, to the affinity function plus the
-// normalization flag (intersection weights exceed 1). Jaccard is the
-// nil function: the prefix-filter join.
-func resolveAffinity(opts GraphOptions) (cluster.AffinityFunc, bool, error) {
-	if opts.Affinity == "" || strings.EqualFold(opts.Affinity, "jaccard") {
-		return nil, false, nil
-	}
-	f, err := cluster.ParseAffinity(opts.Affinity)
-	if err != nil {
-		return nil, false, err
-	}
-	return f, true, nil
 }
 
 // IndexReader is the backend-neutral keyword-index interface: the

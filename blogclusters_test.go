@@ -2,7 +2,6 @@ package blogclusters
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"testing"
 )
@@ -246,24 +245,5 @@ func TestIndexAndBurstsFacade(t *testing.T) {
 		if b.Length() > 2 {
 			t.Errorf("background keyword %q bursts broadly: %v", vocab[0], quiet)
 		}
-	}
-}
-
-func TestIntersectionAffinityFacade(t *testing.T) {
-	c := endToEndCorpus(t)
-	ctx := context.Background()
-	eng := openTestEngine(t, c, WithGraphOptions(GraphOptions{Gap: 0, Theta: 1, Affinity: "intersection"}))
-	g, err := eng.Graph(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.MaxWeight() > 1 {
-		t.Errorf("intersection weights not normalized: max %g", g.MaxWeight())
-	}
-	if bad, err := Open(ctx, FromCollection(c), WithGraphOptions(GraphOptions{Affinity: "cosine"})); !errors.Is(err, ErrInvalidQuery) {
-		if err == nil {
-			bad.Close()
-		}
-		t.Errorf("Open with an unknown affinity = %v, want ErrInvalidQuery", err)
 	}
 }

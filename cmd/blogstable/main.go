@@ -12,17 +12,20 @@
 //	blogstable -input posts.jsonl -raw        # analyze raw text first
 //
 // With -raw, each JSONL document's keywords are treated as raw text
-// fragments and run through the tokenizer/stemmer/stop-word filter.
+// fragments and run through the tokenizer/stemmer/stop-word filter
+// before the session opens (after any -intervals slice is cut).
 //
-// Jaccard cluster-graph edges (the default -affinity) come from the
-// prefix-filter similarity join, which takes -theta in (0, 1]; the
-// other affinities are scored pair by pair.
+// Cluster-graph edges are weighted by Jaccard affinity and come from
+// the prefix-filter similarity join, which takes -theta in (0, 1].
 //
-// The solver defaults to -algorithm=auto, a spelling of the default
-// solver (bfs; normalized under -normalized); name one (bfs, dfs, ta,
-// brute) to run it instead. The solvers are the paper's sequential
-// algorithms; cluster and edge generation run one task per interval
-// (pair) on a GOMAXPROCS-sized pool.
+// The flags -k, -l, -lmin, -normalized and -algorithm make one
+// stable-cluster query (a QuerySpec; -normalized selects the normalized
+// variant), validated before the session opens. -algorithm=auto is a
+// spelling of the variant's default solver (bfs; normalized under
+// -normalized); name one (bfs, dfs, ta, brute; normalized or
+// brute-normalized under -normalized) to run it instead. The solvers
+// are the paper's sequential algorithms; cluster and edge generation
+// run one task per interval (pair) on a GOMAXPROCS-sized pool.
 //
 // The run is one Engine session: cluster sets, cluster graph and (for
 // -bursts) the keyword index are built once and shared; -clusters
@@ -51,12 +54,11 @@ func main() {
 	shared.Register(flag.CommandLine)
 	var (
 		raw        = flag.Bool("raw", false, "analyze document keywords as raw text (tokenize/stem/stop words)")
-		algorithm  = flag.String("algorithm", "auto", "stable-cluster algorithm: auto = bfs/normalized, bfs, dfs, ta, brute")
+		algorithm  = flag.String("algorithm", "auto", "stable-cluster algorithm: auto = bfs/normalized, bfs, dfs, ta, brute; normalized, brute-normalized under -normalized")
 		k          = flag.Int("k", 5, "number of top stable clusters")
 		l          = flag.Int("l", -1, "temporal path length (-1 = full paths)")
 		gap        = flag.Int("gap", 1, "gap g: intervals a story may skip")
-		theta      = flag.Float64("theta", 0.1, "minimum affinity for a cluster-graph edge")
-		affinity   = flag.String("affinity", "jaccard", "affinity: jaccard, intersection, overlap")
+		theta      = flag.Float64("theta", 0.1, "minimum Jaccard affinity for a cluster-graph edge, in (0, 1]")
 		rho        = flag.Float64("rho", 0.2, "correlation-coefficient pruning threshold")
 		minSize    = flag.Int("mincluster", 2, "minimum keywords per cluster")
 		normalized = flag.Bool("normalized", false, "solve the normalized problem instead (stability = weight/length)")
@@ -68,12 +70,21 @@ func main() {
 	)
 	flag.Parse()
 
+	spec := blogclusters.QuerySpec{Algorithm: *algorithm, K: *k, L: *l, LMin: *lmin}
+	if *normalized {
+		spec.Variant = "normalized"
+	}
+	spec = spec.Normalize()
+	if err := spec.Validate(); err != nil {
+		log.Fatal(err)
+	}
+
 	ctx, stop := cli.SignalContext(context.Background())
 	defer stop()
 
 	opts := shared.Options(
 		blogclusters.ClusterOptions{RhoThreshold: *rho, MinClusterSize: *minSize},
-		blogclusters.GraphOptions{Gap: *gap, Theta: *theta, Affinity: *affinity},
+		blogclusters.GraphOptions{Gap: *gap, Theta: *theta},
 	)
 	var eng *blogclusters.Engine
 	if *loadSets != "" {
@@ -94,7 +105,17 @@ func main() {
 			log.Fatal(err)
 		}
 	} else {
-		src, err := shared.Source()
+		var src blogclusters.Source
+		var err error
+		if *raw {
+			var col *blogclusters.Collection
+			if col, err = shared.Corpus(); err == nil {
+				reanalyze(col)
+				src = blogclusters.FromCollection(col)
+			}
+		} else {
+			src, err = shared.Source()
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -102,14 +123,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if *raw {
-			reanalyze(eng.Collection())
-		}
 		fmt.Printf("corpus: %d documents across %d intervals\n", eng.Collection().NumDocs(), len(eng.Collection().Intervals))
 	}
 	// Close the session (removing a temp disk segment) before any fatal
 	// exit: log.Fatal would skip a defer.
-	err := run(ctx, eng, *burstsQ, *saveSets, *algorithm, *k, *l, *lmin, *gap, *theta, *normalized, *quiet)
+	err := run(ctx, eng, spec, *burstsQ, *saveSets, *gap, *theta, *quiet)
 	if cerr := eng.Close(); err == nil {
 		err = cerr
 	}
@@ -118,7 +136,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, eng *blogclusters.Engine, burstsQ, saveSets, algorithm string, k, l, lmin, gap int, theta float64, normalized, quiet bool) error {
+func run(ctx context.Context, eng *blogclusters.Engine, spec blogclusters.QuerySpec, burstsQ, saveSets string, gap int, theta float64, quiet bool) error {
 	if burstsQ != "" {
 		if err := reportBursts(ctx, eng, burstsQ); err != nil {
 			return err
@@ -165,22 +183,14 @@ func run(ctx context.Context, eng *blogclusters.Engine, burstsQ, saveSets, algor
 	}
 	fmt.Printf("cluster graph: %d nodes, %d edges (gap %d, theta %g)\n\n", g.NumNodes(), g.NumEdges(), gap, theta)
 
-	var res *blogclusters.Result
-	if normalized {
-		res, err = eng.Solve(ctx, blogclusters.QuerySpec{Variant: "normalized", K: k, LMin: lmin})
-		if err != nil {
-			return fmt.Errorf("normalized stable clusters: %w", err)
-		}
-		fmt.Printf("top %d normalized stable clusters (lmin=%d):\n", k, lmin)
+	res, err := eng.Solve(ctx, spec)
+	if err != nil {
+		return fmt.Errorf("stable clusters: %w", err)
+	}
+	if spec.Variant == "normalized" {
+		fmt.Printf("top %d normalized stable clusters (lmin=%d):\n", spec.K, spec.LMin)
 	} else {
-		if l < 0 {
-			l = blogclusters.FullPaths
-		}
-		res, err = eng.StableClusters(ctx, algorithm, k, l)
-		if err != nil {
-			return fmt.Errorf("stable clusters: %w", err)
-		}
-		fmt.Printf("top %d stable clusters (%s):\n", k, algorithm)
+		fmt.Printf("top %d stable clusters (%s):\n", spec.K, spec.Algorithm)
 	}
 	if len(res.Paths) == 0 {
 		fmt.Println("  none found — lower -theta, raise -gap, or shorten -l")
@@ -232,8 +242,8 @@ func reportBursts(ctx context.Context, eng *blogclusters.Engine, query string) e
 
 // reanalyze pushes every document's keyword list through the text
 // analyzer, so corpora exported with raw text fragments behave like
-// the paper's stemmed, stop-word-free input. It must run before the
-// first Engine query materializes an artifact.
+// the paper's stemmed, stop-word-free input. It runs on the collection
+// before the session opens over it.
 func reanalyze(col *blogclusters.Collection) {
 	a := blogclusters.NewAnalyzer()
 	for i := range col.Intervals {

@@ -260,9 +260,8 @@ var ErrInvalidQuery = core.ErrInvalidRequest
 
 // Open starts a session: the corpus is loaded (or generated)
 // immediately; everything downstream is built lazily by the first
-// query that needs it. Close the Engine when done. An unknown
-// GraphOptions.Affinity, or a Jaccard Theta outside (0, 1], fails Open
-// with an error wrapping ErrInvalidQuery.
+// query that needs it. Close the Engine when done. A GraphOptions.Theta
+// outside (0, 1] fails Open with an error wrapping ErrInvalidQuery.
 func Open(ctx context.Context, src Source, opts ...Option) (*Engine, error) {
 	var cfg engineConfig
 	for _, o := range opts {

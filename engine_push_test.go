@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/clustergraph"
 	"repro/internal/corpus"
 )
 
@@ -642,10 +641,12 @@ func TestEngineDocTotalsWithoutIndex(t *testing.T) {
 }
 
 // TestEngineGraphMatchesPairLoop: the session graph, whose Jaccard
-// edges come from the prefix-filter join, deep-equals the pair loop's
-// graph (cluster.Jaccard passed explicitly) over the same cluster sets,
-// right after Open and after each of two pushes (the ExtendCtx path),
-// on the recurring corpus at gap 1 and the default θ.
+// edges come from the prefix-filter join, deep-equals the graph of a
+// nested loop over cluster.Jaccard (sequentialClusterGraph) over the
+// same cluster sets, right after Open and after each of two pushes (the
+// ExtendCtx path), on the recurring corpus at gap 1 and the default θ.
+// Each push extends the graph: it records one graph-extend and no
+// graph build.
 func TestEngineGraphMatchesPairLoop(t *testing.T) {
 	const m, base = 8, 6
 	col := recurringCorpus(t, m, 300)
@@ -660,10 +661,7 @@ func TestEngineGraphMatchesPairLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := clustergraph.FromClustersCtx(ctx, sets, clustergraph.FromClustersOptions{Gap: 1, Affinity: cluster.Jaccard})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := sequentialClusterGraph(t, sets, GraphOptions{Gap: 1, Theta: cluster.DefaultAffinityThreshold})
 		if want.NumEdges() == 0 {
 			t.Fatalf("%d intervals: no edges; corpus too sparse to be a real test", k)
 		}
@@ -677,19 +675,21 @@ func TestEngineGraphMatchesPairLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := eng.Stats().Stages["graph-extend"].Builds; got != m-base {
+	stages := eng.Stats().Stages
+	if got := stages["graph-extend"].Builds; got != m-base {
 		t.Fatalf("graph-extend builds = %d, want %d: the pushes did not extend the graph", got, m-base)
+	}
+	if got := stages["graph"].Builds; got != 1 {
+		t.Fatalf("graph builds = %d, want 1: a push dropped the graph for a rebuild", got)
 	}
 }
 
 // TestOpenRejectsJaccardThetaOutOfRange: the join takes θ in (0, 1], so
-// a Jaccard θ outside it (0 is the default 0.1), under any spelling of
-// the name, fails Open with ErrInvalidQuery instead of keeping every
-// overlapping pair (θ < 0) or none (θ > 1); another affinity takes any
-// θ.
+// a θ outside it (0 is the default 0.1) fails Open with ErrInvalidQuery
+// instead of keeping every overlapping pair (θ < 0) or none (θ > 1).
 func TestOpenRejectsJaccardThetaOutOfRange(t *testing.T) {
 	col := pushCorpus(t, 2)
-	for _, o := range []GraphOptions{{Theta: -0.5}, {Theta: 1.5}, {Theta: 1.5, Affinity: "jaccard"}, {Theta: 1.5, Affinity: "Jaccard"}} {
+	for _, o := range []GraphOptions{{Theta: -0.5}, {Theta: 1.5}} {
 		if eng, err := Open(context.Background(), FromCollection(col), WithGraphOptions(o)); !errors.Is(err, ErrInvalidQuery) {
 			if err == nil {
 				eng.Close()
@@ -697,52 +697,12 @@ func TestOpenRejectsJaccardThetaOutOfRange(t *testing.T) {
 			t.Errorf("%+v: Open = %v, want ErrInvalidQuery", o, err)
 		}
 	}
-	for _, o := range []GraphOptions{{}, {Theta: 1}, {Theta: 1.5, Affinity: "intersection"}} {
+	for _, o := range []GraphOptions{{}, {Theta: 1}} {
 		eng, err := Open(context.Background(), FromCollection(col), WithGraphOptions(o))
 		if err != nil {
 			t.Errorf("%+v: %v", o, err)
 			continue
 		}
 		eng.Close()
-	}
-}
-
-// TestAffinityNameIgnoresCase: "Jaccard" is the Jaccard affinity, as
-// cluster.ParseAffinity reads it. Its session builds the join's graph,
-// equal to the "jaccard" session's, and a push extends that graph in
-// place instead of dropping it for a rebuild.
-func TestAffinityNameIgnoresCase(t *testing.T) {
-	const base = 6
-	col := recurringCorpus(t, base+1, 300)
-	ctx := context.Background()
-	graph := func(eng *Engine) *ClusterGraph {
-		t.Helper()
-		g, err := eng.Graph(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	lower := openTestEngine(t, prefixCol(col, base), WithGraphOptions(GraphOptions{Gap: 1, Affinity: "jaccard"}))
-	upper := openTestEngine(t, prefixCol(col, base), WithGraphOptions(GraphOptions{Gap: 1, Affinity: "Jaccard"}))
-	want, got := graph(lower), graph(upper)
-	if want.NumEdges() == 0 {
-		t.Fatal("no edges; corpus too sparse to be a real test")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf(`"Jaccard" graph (%d edges) differs from "jaccard"'s (%d edges)`, got.NumEdges(), want.NumEdges())
-	}
-
-	before := upper.Stats().Stages
-	if _, err := upper.Push(ctx, col.Intervals[base]); err != nil {
-		t.Fatal(err)
-	}
-	graph(upper)
-	after := upper.Stats().Stages
-	if d := after["graph-extend"].Builds - before["graph-extend"].Builds; d != 1 {
-		t.Errorf("graph-extend builds moved by %d across the push, want 1", d)
-	}
-	if d := after["graph"].Builds - before["graph"].Builds; d != 0 {
-		t.Errorf("graph builds moved by %d across the push, want 0: the push dropped the graph", d)
 	}
 }

@@ -516,6 +516,32 @@ func TestEngineClusterSetsSource(t *testing.T) {
 	}
 }
 
+// TestEngineStatsIntervalsForClusterSets: a cluster-set session has
+// no corpus, and its Stats report its width, NumIntervals, both before
+// and after its graph is built.
+func TestEngineStatsIntervalsForClusterSets(t *testing.T) {
+	ctx := context.Background()
+	sets := [][]Cluster{
+		{newTestCluster(0, 0, "a", "b")},
+		{newTestCluster(1, 1, "a", "b"), newTestCluster(2, 1, "c", "d")},
+		{newTestCluster(3, 2, "c", "d")},
+	}
+	eng, err := Open(ctx, FromClusterSets(sets))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if got := eng.Stats().Intervals; got != len(sets) {
+		t.Errorf("Stats().Intervals after Open = %d, want %d", got, len(sets))
+	}
+	if _, err := eng.Graph(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Stats().Intervals; got != len(sets) || got != eng.NumIntervals() {
+		t.Errorf("Stats().Intervals after Graph = %d, want %d (NumIntervals %d)", got, len(sets), eng.NumIntervals())
+	}
+}
+
 // TestEngineProgress asserts the progress hook sees start/finish
 // events for every built stage, with non-negative durations.
 func TestEngineProgress(t *testing.T) {

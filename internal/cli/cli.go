@@ -55,12 +55,8 @@ func (f *EngineFlags) Register(fs *flag.FlagSet) {
 // materialized eagerly so the slice can be cut and re-stamped before
 // the Engine sees it.
 func (f *EngineFlags) Source() (blogclusters.Source, error) {
-	switch {
-	case f.Demo && f.Input != "":
-		return blogclusters.Source{}, fmt.Errorf("pass either -demo or -input, not both")
-	case f.Demo, f.Input != "":
-	default:
-		return blogclusters.Source{}, fmt.Errorf("need -input FILE or -demo (see -help)")
+	if err := f.selection(); err != nil {
+		return blogclusters.Source{}, err
 	}
 	if f.Intervals == "" {
 		if f.Demo {
@@ -68,19 +64,45 @@ func (f *EngineFlags) Source() (blogclusters.Source, error) {
 		}
 		return blogclusters.FromJSONLFile(f.Input), nil
 	}
-	from, to, err := parseIntervalRange(f.Intervals)
+	col, err := f.Corpus()
 	if err != nil {
 		return blogclusters.Source{}, err
+	}
+	return blogclusters.FromCollection(col), nil
+}
+
+// Corpus materializes the corpus Source selects: the -input/-demo
+// corpus, cut to the -intervals slice (re-stamped to local indices)
+// when one is set.
+func (f *EngineFlags) Corpus() (*blogclusters.Collection, error) {
+	if err := f.selection(); err != nil {
+		return nil, err
+	}
+	if f.Intervals == "" {
+		return f.Collection()
+	}
+	from, to, err := parseIntervalRange(f.Intervals)
+	if err != nil {
+		return nil, err
 	}
 	col, err := f.Collection()
 	if err != nil {
-		return blogclusters.Source{}, err
+		return nil, err
 	}
-	sub, err := shard.SliceCollection(col, from, to)
-	if err != nil {
-		return blogclusters.Source{}, err
+	return shard.SliceCollection(col, from, to)
+}
+
+// selection rejects a corpus choice that names neither or both of
+// -input and -demo.
+func (f *EngineFlags) selection() error {
+	switch {
+	case f.Demo && f.Input != "":
+		return fmt.Errorf("pass either -demo or -input, not both")
+	case f.Demo, f.Input != "":
+		return nil
+	default:
+		return fmt.Errorf("need -input FILE or -demo (see -help)")
 	}
-	return blogclusters.FromCollection(sub), nil
 }
 
 // Collection materializes the -input/-demo corpus (without any

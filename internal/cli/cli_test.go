@@ -110,3 +110,31 @@ func TestSourceSelection(t *testing.T) {
 		}
 	}
 }
+
+// TestCorpusHonoursIntervals: Corpus returns what Source would open —
+// the whole demo corpus, or its -intervals slice re-stamped to local
+// indices — and rejects the corpus choices Source rejects.
+func TestCorpusHonoursIntervals(t *testing.T) {
+	whole, err := (&EngineFlags{Demo: true}).Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := (&EngineFlags{Demo: true, Intervals: "1:3"}).Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sub.Intervals) != 2 {
+		t.Fatalf("slice 1:3 has %d intervals, want 2", len(sub.Intervals))
+	}
+	for i, iv := range sub.Intervals {
+		src := whole.Intervals[i+1]
+		if iv.Index != i || len(iv.Docs) != len(src.Docs) || iv.Docs[0].ID != src.Docs[0].ID || iv.Docs[0].Interval != i {
+			t.Errorf("slice interval %d = index %d, %d docs; want local index %d and global interval %d's %d docs", i, iv.Index, len(iv.Docs), i, i+1, len(src.Docs))
+		}
+	}
+	for _, f := range []EngineFlags{{Demo: true, Input: "posts.jsonl"}, {}, {Demo: true, Intervals: "4:2"}} {
+		if _, err := f.Corpus(); err == nil {
+			t.Errorf("%+v: Corpus accepted it", f)
+		}
+	}
+}

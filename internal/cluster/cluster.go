@@ -1,7 +1,7 @@
 // Package cluster defines keyword clusters — the per-interval output of
 // the cluster-generation stage (Section 3) and the nodes of the cluster
-// graph (Section 4) — together with the affinity functions used to
-// weigh edges between clusters of nearby intervals.
+// graph (Section 4) — together with Jaccard, the affinity that weighs
+// edges between clusters of nearby intervals.
 package cluster
 
 import (
@@ -76,14 +76,12 @@ func IntersectionSize(a, b Cluster) int {
 	return n
 }
 
-// AffinityFunc quantifies the overlap of two clusters (Section 4: "we
-// can quantify the affinity of the clusters by functions measuring
-// their overlap"). Larger is more affine; 0 means unrelated.
-type AffinityFunc func(a, b Cluster) float64
-
 // Jaccard is |a∩b| / |a∪b|, the affinity the paper uses for its
-// qualitative study. Its range is [0,1], which the path-pruning rules
-// of Section 4.3 require.
+// qualitative study (Section 4: "we can quantify the affinity of the
+// clusters by functions measuring their overlap") and the cluster
+// graph's one affinity. The graph computes it in the prefix-filter join
+// (internal/simjoin), and this function is the join's reference. Its
+// range is [0,1], which the path-pruning rules of Section 4.3 require.
 func Jaccard(a, b Cluster) float64 {
 	inter := IntersectionSize(a, b)
 	union := len(a.Keywords) + len(b.Keywords) - inter
@@ -91,28 +89,6 @@ func Jaccard(a, b Cluster) float64 {
 		return 0
 	}
 	return float64(inter) / float64(union)
-}
-
-// Intersection is the raw overlap count |a∩b|. Weights from this
-// affinity are not bounded by 1; the cluster-graph construction
-// normalizes them (Section 4.1, footnote 1).
-func Intersection(a, b Cluster) float64 {
-	return float64(IntersectionSize(a, b))
-}
-
-// OverlapCoefficient is |a∩b| / min(|a|,|b|): forgiving when a small
-// cluster is absorbed into a larger one across intervals, which suits
-// growing stories (the paper's Figure 16 shows cluster sizes swelling).
-func OverlapCoefficient(a, b Cluster) float64 {
-	inter := IntersectionSize(a, b)
-	m := len(a.Keywords)
-	if len(b.Keywords) < m {
-		m = len(b.Keywords)
-	}
-	if m == 0 {
-		return 0
-	}
-	return float64(inter) / float64(m)
 }
 
 // DefaultAffinityThreshold is θ, the minimum affinity for a cluster-graph
@@ -173,19 +149,4 @@ func ReadSetsJSONL(r io.Reader) ([][]Cluster, error) {
 		sets[i] = byInterval[i]
 	}
 	return sets, nil
-}
-
-// ParseAffinity maps a name to an affinity function. Names: "jaccard",
-// "intersection", "overlap".
-func ParseAffinity(name string) (AffinityFunc, error) {
-	switch strings.ToLower(name) {
-	case "jaccard":
-		return Jaccard, nil
-	case "intersection":
-		return Intersection, nil
-	case "overlap":
-		return OverlapCoefficient, nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown affinity %q (want jaccard, intersection or overlap)", name)
-	}
 }

@@ -1,7 +1,8 @@
 // Package clustergraph builds and represents the cluster graph G of
 // Section 4.1: nodes are per-interval keyword clusters, and an edge
-// joins clusters of different intervals whose affinity exceeds θ, as
-// long as the intervals are at most g+1 apart (g is the gap).
+// joins clusters of different intervals whose Jaccard affinity is at
+// least θ, as long as the intervals are at most g+1 apart (g is the
+// gap).
 //
 // Edge length is the temporal distance between the incident intervals
 // (an edge across a single gap of size g has length g+1, per the
@@ -199,15 +200,12 @@ func (b *Builder) accept(u, v int64, weight float64) (int64, int64, error) {
 
 // Build freezes the graph. Children lists are sorted by descending
 // weight (the DFS heuristic of Section 4.3); parents by ascending peer
-// id for determinism. If normalize is true and any weight exceeds 1,
-// all weights are scaled by the maximum weight so they lie in (0,1] —
-// the normalization footnote of Section 4.1, needed by affinities such
-// as raw intersection counts.
+// id for determinism. Weights are kept as given.
 //
 // The half-edges go into one children array and one parents array,
 // each node's span sized by its degree and filled in AddEdge order
 // before the per-span sort.
-func (b *Builder) Build(normalize bool) *Graph {
+func (b *Builder) Build() *Graph {
 	if b.built {
 		return b.g
 	}
@@ -216,9 +214,9 @@ func (b *Builder) Build(normalize bool) *Graph {
 		kids[e.u]++
 		pars[e.v]++
 	}
-	scale := b.layout(normalize, kids, pars)
+	b.layout(kids, pars)
 	for _, e := range b.edges {
-		b.place(e.u, e.v, e.weight*scale)
+		b.place(e.u, e.v, e.weight)
 	}
 	b.edges = nil
 	return b.finish()
@@ -233,21 +231,14 @@ func (b *Builder) degrees() (kids, pars []int) {
 }
 
 // layout carves the children and parents arrays into spans of the
-// counted degrees, one span per node, for place to fill, and returns
-// the factor that place's weights take (1 unless normalize rescales).
-func (b *Builder) layout(normalize bool, kids, pars []int) float64 {
+// counted degrees, one span per node, for place to fill.
+func (b *Builder) layout(kids, pars []int) {
 	g := b.g
-	scale := 1.0 // leaves every weight exact
-	if normalize && g.maxWeight > 1 {
-		scale = 1 / g.maxWeight
-		g.maxWeight = 1
-	}
 	n := len(g.interval)
 	g.children = make([][]Half, n)
 	g.parents = make([][]Half, n)
 	carve(g.children, kids, make([]Half, g.edges))
 	carve(g.parents, pars, make([]Half, g.edges))
-	return scale
 }
 
 // place lays out one accepted edge, u in the earlier interval, in both
@@ -326,26 +317,18 @@ func byPeer(a, b Half) int { return cmp.Compare(a.Peer, b.Peer) }
 type FromClustersOptions struct {
 	// Gap is g, the maximum number of skipped intervals.
 	Gap int
-	// Theta is the minimum affinity for an edge (default
-	// cluster.DefaultAffinityThreshold).
+	// Theta is the minimum Jaccard affinity for an edge, in (0, 1]
+	// (default cluster.DefaultAffinityThreshold).
 	Theta float64
-	// Affinity scores cluster overlap. Nil is Jaccard, computed by the
-	// prefix-filter join (internal/simjoin), which needs Theta in
-	// (0, 1]; a non-nil function is evaluated on every cluster pair, so
-	// cluster.Jaccard passed explicitly is the join's reference.
-	Affinity cluster.AffinityFunc
 	// UseSimJoin is accepted and ignored: Jaccard edges always come
 	// from the prefix-filter join. The field stays only because
 	// bench/build.go names it.
 	UseSimJoin bool
-	// Normalize rescales weights into (0,1] when an affinity (e.g.
-	// intersection) produces weights above 1.
-	Normalize bool
 }
 
 // FromClusters builds the cluster graph from per-interval cluster sets
-// by evaluating the affinity between clusters of intervals at most
-// Gap+1 apart and keeping pairs with affinity >= Theta.
+// by joining the clusters of intervals at most Gap+1 apart and keeping
+// the pairs with Jaccard affinity >= Theta.
 func FromClusters(sets [][]cluster.Cluster, opts FromClustersOptions) (*Graph, error) {
 	return FromClustersCtx(context.Background(), sets, opts)
 }
@@ -396,10 +379,10 @@ func FromClustersCtx(ctx context.Context, sets [][]cluster.Cluster, opts FromClu
 			pars[v]++
 		}
 	}
-	scale := b.layout(opts.Normalize, kids, pars)
+	b.layout(kids, pars)
 	for ti, t := range tasks {
 		for _, p := range results[ti] {
-			b.place(ids[t.i][p.Left], ids[t.j][p.Right], p.Sim*scale)
+			b.place(ids[t.i][p.Left], ids[t.j][p.Right], p.Sim)
 		}
 	}
 	return b.finish(), nil
@@ -409,10 +392,9 @@ func FromClustersCtx(ctx context.Context, sets [][]cluster.Cluster, opts FromClu
 type intervalPair struct{ i, j int }
 
 // edgePairs is the one edge generator behind FromClustersCtx and
-// ExtendCtx: for each listed pair of intervals it evaluates the
-// affinity between their cluster sets and keeps the (Left, Right)
-// index pairs with affinity >= Theta. A nil affinity (Jaccard) runs the
-// prefix-filter join; any other affinity is evaluated pair by pair.
+// ExtendCtx: for each listed pair of intervals it runs the
+// prefix-filter join (internal/simjoin) of their cluster sets and keeps
+// the (Left, Right) index pairs with Jaccard affinity >= Theta.
 //
 // Each interval pair is one task, and the tasks run on a pool of
 // GOMAXPROCS workers; a task runs sequentially inside. A worker appends
@@ -426,26 +408,9 @@ func edgePairs(ctx context.Context, sets [][]cluster.Cluster, tasks []intervalPa
 	if theta == 0 {
 		theta = cluster.DefaultAffinityThreshold
 	}
-	var run func(j *simjoin.Joiner, out []simjoin.Pair, t intervalPair) ([]simjoin.Pair, error)
-	if aff := opts.Affinity; aff != nil {
-		run = func(_ *simjoin.Joiner, out []simjoin.Pair, t intervalPair) ([]simjoin.Pair, error) {
-			for a, ca := range sets[t.i] {
-				for bj, cb := range sets[t.j] {
-					if w := aff(ca, cb); w >= theta && w > 0 {
-						out = append(out, simjoin.Pair{Left: a, Right: bj, Sim: w})
-					}
-				}
-			}
-			return out, nil
-		}
-	} else {
-		recs, err := joinRecords(sets, tasks)
-		if err != nil {
-			return nil, err
-		}
-		run = func(j *simjoin.Joiner, out []simjoin.Pair, t intervalPair) ([]simjoin.Pair, error) {
-			return j.AppendJoin(out, recs[t.i], recs[t.j], theta)
-		}
+	recs, err := joinRecords(sets, tasks)
+	if err != nil {
+		return nil, err
 	}
 	workers := max(1, min(runtime.GOMAXPROCS(0), len(tasks)))
 	bufs := make([][]simjoin.Pair, workers)
@@ -453,8 +418,8 @@ func edgePairs(ctx context.Context, sets [][]cluster.Cluster, tasks []intervalPa
 	type span struct{ w, lo, hi int }
 	spans := make([]span, len(tasks))
 	if err := par.ForEachWorkerCtx(ctx, len(tasks), workers, func(w, ti int) error {
-		lo := len(bufs[w])
-		out, err := run(&joiners[w], bufs[w], tasks[ti])
+		lo, t := len(bufs[w]), tasks[ti]
+		out, err := joiners[w].AppendJoin(bufs[w], recs[t.i], recs[t.j], theta)
 		if err != nil {
 			return err
 		}
@@ -512,14 +477,7 @@ func joinRecords(sets [][]cluster.Cluster, tasks []intervalPair) ([][]simjoin.Re
 // sorting the extended lists reproduces the one-shot build exactly.
 // The new graph's solve index starts empty, and g's is left as it is:
 // a new interval changes U and P all the way back to interval 0.
-//
-// Normalized graphs cannot be extended: normalization already rescaled
-// the old weights by a maximum the new interval may change, so the
-// caller must rebuild those from scratch.
 func ExtendCtx(ctx context.Context, g *Graph, sets [][]cluster.Cluster, opts FromClustersOptions) (*Graph, error) {
-	if opts.Normalize {
-		return nil, fmt.Errorf("clustergraph: cannot extend a normalized graph; rebuild instead")
-	}
 	if opts.Gap != g.gap {
 		return nil, fmt.Errorf("clustergraph: extend with gap %d, graph was built with %d", opts.Gap, g.gap)
 	}

@@ -21,7 +21,7 @@ func TestBuilderBasics(t *testing.T) {
 	if err := b.AddEdge(a, d, 0.25); err != nil { // length 2, within gap+1
 		t.Fatalf("AddEdge gap: %v", err)
 	}
-	g := b.Build(false)
+	g := b.Build()
 	if g.NumNodes() != 3 || g.NumEdges() != 2 || g.NumIntervals() != 3 || g.Gap() != 1 {
 		t.Errorf("graph shape wrong: %d nodes %d edges", g.NumNodes(), g.NumEdges())
 	}
@@ -73,7 +73,7 @@ func TestBuilderValidation(t *testing.T) {
 	if err := b.AddEdge(u, x, 0); err == nil {
 		t.Error("zero-weight edge accepted")
 	}
-	b.Build(false)
+	b.Build()
 	if _, err := b.AddNode(0, cluster.Cluster{}); err == nil {
 		t.Error("AddNode after Build accepted")
 	}
@@ -83,8 +83,9 @@ func TestBuilderValidation(t *testing.T) {
 }
 
 // TestAddEdgeRejectsNonFinite: NaN fails `weight <= 0` and so used to
-// be stored, and one +Inf weight under Normalize turned every weight
-// into NaN (x · 1/Inf = 0, Inf · 0 = NaN).
+// be stored, and an infinite weight would poison MaxWeight and every
+// path sum through it. A rejected edge leaves no trace; the kept edge
+// keeps its weight 2 (weights above 1 are legal).
 func TestAddEdgeRejectsNonFinite(t *testing.T) {
 	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		b, _ := NewBuilder(2, 0)
@@ -97,12 +98,12 @@ func TestAddEdgeRejectsNonFinite(t *testing.T) {
 		if err := b.AddEdge(u, x, 2); err != nil {
 			t.Fatal(err)
 		}
-		g := b.Build(true)
-		if g.NumEdges() != 1 || g.MaxWeight() != 1 || len(g.Children(v)) != 0 || len(g.Parents(v)) != 0 {
+		g := b.Build()
+		if g.NumEdges() != 1 || g.MaxWeight() != 2 || len(g.Children(v)) != 0 || len(g.Parents(v)) != 0 {
 			t.Errorf("weight %g: rejected edge left a trace: %d edges, max %g", w, g.NumEdges(), g.MaxWeight())
 		}
-		if ch := g.Children(u); len(ch) != 1 || ch[0].Weight != 1 {
-			t.Errorf("weight %g: children of u = %v, want one edge of weight 1", w, ch)
+		if ch := g.Children(u); len(ch) != 1 || ch[0].Weight != 2 {
+			t.Errorf("weight %g: children of u = %v, want one edge of weight 2", w, ch)
 		}
 	}
 }
@@ -116,44 +117,12 @@ func TestEdgeDirectionNormalized(t *testing.T) {
 	if err := b.AddEdge(v, u, 0.9); err != nil {
 		t.Fatal(err)
 	}
-	g := b.Build(false)
+	g := b.Build()
 	if ch := g.Children(u); len(ch) != 1 || ch[0].Peer != v {
 		t.Errorf("children of u = %v", ch)
 	}
 	if ch := g.Children(v); len(ch) != 0 {
 		t.Errorf("children of v = %v, want none", ch)
-	}
-}
-
-func TestNormalization(t *testing.T) {
-	b, _ := NewBuilder(2, 0)
-	u, _ := b.AddNode(0, cluster.Cluster{})
-	v, _ := b.AddNode(1, cluster.Cluster{})
-	w, _ := b.AddNode(1, cluster.Cluster{})
-	b.AddEdge(u, v, 4.0) // intersection-style weight > 1
-	b.AddEdge(u, w, 2.0)
-	g := b.Build(true)
-	if g.MaxWeight() != 1 {
-		t.Errorf("MaxWeight = %g, want 1", g.MaxWeight())
-	}
-	ch := g.Children(u)
-	if ch[0].Weight != 1.0 || math.Abs(ch[1].Weight-0.5) > 1e-12 {
-		t.Errorf("normalized weights = %v", ch)
-	}
-	// Parents must be rescaled consistently.
-	if ps := g.Parents(w); math.Abs(ps[0].Weight-0.5) > 1e-12 {
-		t.Errorf("parent weight = %g, want 0.5", ps[0].Weight)
-	}
-}
-
-func TestNoNormalizationWhenWithinRange(t *testing.T) {
-	b, _ := NewBuilder(2, 0)
-	u, _ := b.AddNode(0, cluster.Cluster{})
-	v, _ := b.AddNode(1, cluster.Cluster{})
-	b.AddEdge(u, v, 0.5)
-	g := b.Build(true)
-	if g.Children(u)[0].Weight != 0.5 {
-		t.Error("normalize rescaled weights that were already in (0,1]")
 	}
 }
 
@@ -198,12 +167,11 @@ func TestFromClusters(t *testing.T) {
 	}
 }
 
+// TestFromClustersSimJoinMatchesBrute: on the hand-made week, the
+// join's graph has the pair loop's children lists (referenceGraph).
 func TestFromClustersSimJoinMatchesBrute(t *testing.T) {
 	sets := weekSets()
-	plain, err := FromClusters(sets, FromClustersOptions{Gap: 1, Theta: 0.3, Affinity: cluster.Jaccard})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := referenceGraph(t, sets, 1, 0.3)
 	sj, err := FromClusters(sets, FromClustersOptions{Gap: 1, Theta: 0.3})
 	if err != nil {
 		t.Fatal(err)
@@ -236,30 +204,11 @@ func TestFromClustersGapZeroOmitsLongEdges(t *testing.T) {
 }
 
 // TestFromClustersJaccardThetaRange: the join takes θ in (0, 1] only,
-// so a Jaccard build outside it fails; an explicit affinity is scored
-// pair by pair and takes any θ (intersection weights exceed 1).
+// so a build outside it fails.
 func TestFromClustersJaccardThetaRange(t *testing.T) {
 	for _, theta := range []float64{-0.5, 1.5, math.NaN()} {
 		if _, err := FromClusters(weekSets(), FromClustersOptions{Gap: 1, Theta: theta}); err == nil {
 			t.Errorf("Jaccard θ %g accepted", theta)
 		}
-	}
-	if _, err := FromClusters(weekSets(), FromClustersOptions{Gap: 1, Theta: 1.5, Affinity: cluster.Intersection}); err != nil {
-		t.Errorf("intersection θ 1.5: %v", err)
-	}
-}
-
-func TestFromClustersIntersectionNormalized(t *testing.T) {
-	g, err := FromClusters(weekSets(), FromClustersOptions{
-		Gap: 1, Theta: 1, Affinity: cluster.Intersection, Normalize: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.MaxWeight() > 1 {
-		t.Errorf("MaxWeight = %g after normalization", g.MaxWeight())
-	}
-	if g.NumEdges() == 0 {
-		t.Error("no edges survived intersection threshold 1")
 	}
 }

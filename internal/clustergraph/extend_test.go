@@ -35,7 +35,7 @@ func randomSets(rng *rand.Rand, m int) [][]cluster.Cluster {
 
 // TestExtendMatchesOneShot grows a graph interval by interval and
 // requires the result to be deeply identical to the one-shot build at
-// every step, across gaps and both Jaccard routes (jaccardRoutes).
+// every step, across gaps.
 func TestExtendMatchesOneShot(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(8))
@@ -43,45 +43,43 @@ func TestExtendMatchesOneShot(t *testing.T) {
 		m := 2 + rng.Intn(5)
 		sets := randomSets(rng, m)
 		for _, gap := range []int{0, 1, 3} {
-			for _, r := range jaccardRoutes {
-				opts := FromClustersOptions{Gap: gap, Affinity: r.aff, Theta: 0.3}
-				name := fmt.Sprintf("trial=%d m=%d gap=%d %s", trial, m, gap, r.name)
-				g, err := FromClustersCtx(ctx, sets[:1], opts)
+			opts := FromClustersOptions{Gap: gap, Theta: 0.3}
+			name := fmt.Sprintf("trial=%d m=%d gap=%d", trial, m, gap)
+			g, err := FromClustersCtx(ctx, sets[:1], opts)
+			if err != nil {
+				t.Fatalf("%s: seed build: %v", name, err)
+			}
+			for k := 2; k <= m; k++ {
+				prev := g
+				prevEdges := prev.NumEdges()
+				prevLists := halfLists(prev)
+				g, err = ExtendCtx(ctx, g, sets[:k], opts)
 				if err != nil {
-					t.Fatalf("%s: seed build: %v", name, err)
+					t.Fatalf("%s: extend to %d: %v", name, k, err)
 				}
-				for k := 2; k <= m; k++ {
-					prev := g
-					prevEdges := prev.NumEdges()
-					prevLists := halfLists(prev)
-					g, err = ExtendCtx(ctx, g, sets[:k], opts)
-					if err != nil {
-						t.Fatalf("%s: extend to %d: %v", name, k, err)
-					}
-					full, err := FromClustersCtx(ctx, sets[:k], opts)
-					if err != nil {
-						t.Fatalf("%s: full build %d: %v", name, k, err)
-					}
-					if !reflect.DeepEqual(g, full) {
-						t.Fatalf("%s: extended graph at %d intervals differs from one-shot build", name, k)
-					}
-					checkCapped(t, name, g)
-					checkCapped(t, name, full)
-					// The source graph must be untouched — a previous
-					// generation may still be serving from it — down to
-					// every half-edge of every list, which the new graph
-					// may share.
-					if prev.NumIntervals() != k-1 || prev.NumEdges() != prevEdges {
-						t.Fatalf("%s: extend mutated its input graph", name)
-					}
-					if !reflect.DeepEqual(halfLists(prev), prevLists) {
-						t.Fatalf("%s: extend to %d rewrote a half-edge list of its input graph", name, k)
-					}
-					for id := int64(0); id < int64(prev.NumNodes()); id++ {
-						for _, h := range prev.Children(id) {
-							if prev.Interval(h.Peer) >= k-1 {
-								t.Fatalf("%s: input graph gained an edge into interval %d", name, prev.Interval(h.Peer))
-							}
+				full, err := FromClustersCtx(ctx, sets[:k], opts)
+				if err != nil {
+					t.Fatalf("%s: full build %d: %v", name, k, err)
+				}
+				if !reflect.DeepEqual(g, full) {
+					t.Fatalf("%s: extended graph at %d intervals differs from one-shot build", name, k)
+				}
+				checkCapped(t, name, g)
+				checkCapped(t, name, full)
+				// The source graph must be untouched — a previous
+				// generation may still be serving from it — down to
+				// every half-edge of every list, which the new graph
+				// may share.
+				if prev.NumIntervals() != k-1 || prev.NumEdges() != prevEdges {
+					t.Fatalf("%s: extend mutated its input graph", name)
+				}
+				if !reflect.DeepEqual(halfLists(prev), prevLists) {
+					t.Fatalf("%s: extend to %d rewrote a half-edge list of its input graph", name, k)
+				}
+				for id := int64(0); id < int64(prev.NumNodes()); id++ {
+					for _, h := range prev.Children(id) {
+						if prev.Interval(h.Peer) >= k-1 {
+							t.Fatalf("%s: input graph gained an edge into interval %d", name, prev.Interval(h.Peer))
 						}
 					}
 				}
@@ -112,17 +110,13 @@ func checkCapped(t *testing.T, name string, g *Graph) {
 	}
 }
 
-// TestExtendRejectsNormalize pins the contract that normalized graphs
-// rebuild instead of extending.
+// TestExtendRejectsNormalize: ExtendCtx refuses a gap other than the
+// graph's and cluster sets that are not one interval longer than it.
 func TestExtendRejectsNormalize(t *testing.T) {
 	sets := randomSets(rand.New(rand.NewSource(1)), 2)
-	opts := FromClustersOptions{Gap: 1, Normalize: true, Affinity: cluster.Intersection}
-	g, err := FromClusters(sets[:1], opts)
+	g, err := FromClusters(sets[:1], FromClustersOptions{Gap: 1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := ExtendCtx(context.Background(), g, sets, opts); err == nil {
-		t.Fatal("ExtendCtx accepted a normalized graph")
 	}
 	if _, err := ExtendCtx(context.Background(), g, sets, FromClustersOptions{Gap: 2}); err == nil {
 		t.Fatal("ExtendCtx accepted a gap mismatch")

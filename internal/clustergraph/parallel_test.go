@@ -52,10 +52,26 @@ func fingerprint(g *Graph) string {
 	return b.String()
 }
 
+// pairLoop is the reference the prefix-filter join is held to: a
+// nested loop over the cluster pairs of intervals t.i and t.j, scored
+// by cluster.Jaccard, keeping those at or above theta in (Left, Right)
+// order.
+func pairLoop(sets [][]cluster.Cluster, t intervalPair, theta float64) []simjoin.Pair {
+	var out []simjoin.Pair
+	for a, ca := range sets[t.i] {
+		for bj, cb := range sets[t.j] {
+			if w := cluster.Jaccard(ca, cb); w >= theta && w > 0 {
+				out = append(out, simjoin.Pair{Left: a, Right: bj, Sim: w})
+			}
+		}
+	}
+	return out
+}
+
 // referenceGraph is the plain sequential construction edge generation
-// is held to: every node through NewBuilder in interval order, then one
-// nested loop over the cluster pairs of intervals at most gap+1 apart.
-func referenceGraph(t *testing.T, sets [][]cluster.Cluster, gap int, theta float64, aff cluster.AffinityFunc, normalize bool) *Graph {
+// is held to: every node through NewBuilder in interval order, then
+// pairLoop over every pair of intervals at most gap+1 apart.
+func referenceGraph(t *testing.T, sets [][]cluster.Cluster, gap int, theta float64) *Graph {
 	t.Helper()
 	b, err := NewBuilder(len(sets), gap)
 	if err != nil {
@@ -73,36 +89,23 @@ func referenceGraph(t *testing.T, sets [][]cluster.Cluster, gap int, theta float
 	}
 	for i := range sets {
 		for j := i + 1; j <= i+gap+1 && j < len(sets); j++ {
-			for a, ca := range sets[i] {
-				for bj, cb := range sets[j] {
-					if w := aff(ca, cb); w >= theta && w > 0 {
-						if err := b.AddEdge(ids[i][a], ids[j][bj], w); err != nil {
-							t.Fatal(err)
-						}
-					}
+			for _, p := range pairLoop(sets, intervalPair{i, j}, theta) {
+				if err := b.AddEdge(ids[i][p.Left], ids[j][p.Right], p.Sim); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
 	}
-	return b.Build(normalize)
+	return b.Build()
 }
 
-// jaccardRoutes are the two ways edgePairs computes Jaccard edges: the
-// prefix-filter join (nil affinity, what every caller gets) and the
-// pair loop over cluster.Jaccard passed explicitly, the join's
-// reference.
-var jaccardRoutes = []struct {
-	name string
-	aff  cluster.AffinityFunc
-}{{"join", nil}, {"pair-loop", cluster.Jaccard}}
-
 // TestFromClustersParallelEquivalence: edge generation on the worker
-// pool builds the graph the sequential reference builds, on both
-// Jaccard routes, at gap 0 and gap 2. Each worker appends
-// the pairs of all its tasks to one buffer, so every task's span of it
-// is also held to that task's pairs computed alone, on twelve intervals
-// at gap 2 (30 tasks, so a worker's buffer grows past the spans it
-// already recorded). `make cpu-matrix` runs it at 1, 2 and 8 workers.
+// pool builds the graph the sequential reference builds, at gap 0 and
+// gap 2. Each worker appends the pairs of all its tasks to one buffer,
+// so every task's span of it is also held to that task's pairs
+// computed alone, on twelve intervals at gap 2 (30 tasks, so a
+// worker's buffer grows past the spans it already recorded). `make
+// cpu-matrix` runs it at 1, 2 and 8 workers.
 func TestFromClustersParallelEquivalence(t *testing.T) {
 	wide := randClusterSets(5, 12, 40, 90, 8)
 	var tasks []intervalPair
@@ -119,55 +122,47 @@ func TestFromClustersParallelEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, r := range jaccardRoutes {
-		got, err := edgePairs(context.Background(), wide, tasks, FromClustersOptions{Gap: 2, Theta: 0.25, Affinity: r.aff})
+	got, err := edgePairs(context.Background(), wide, tasks, FromClustersOptions{Gap: 2, Theta: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := 0
+	for ti, tk := range tasks {
+		want, err := vocab.JoinRecords(recs[tk.i], recs[tk.j], 0.25)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pairs := 0
-		for ti, tk := range tasks {
-			want, err := vocab.JoinRecords(recs[tk.i], recs[tk.j], 0.25)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got[ti]) != len(want) || len(want) > 0 && !slices.Equal(got[ti], want) {
-				t.Fatalf("%s: task %d (%d,%d) has %d pairs, alone %d", r.name, ti, tk.i, tk.j, len(got[ti]), len(want))
-			}
-			pairs += len(want)
+		if len(got[ti]) != len(want) || len(want) > 0 && !slices.Equal(got[ti], want) {
+			t.Fatalf("task %d (%d,%d) has %d pairs, alone %d", ti, tk.i, tk.j, len(got[ti]), len(want))
 		}
-		if pairs == 0 {
-			t.Fatal("no pairs; workload too sparse to be a real test")
-		}
+		pairs += len(want)
+	}
+	if pairs == 0 {
+		t.Fatal("no pairs; workload too sparse to be a real test")
 	}
 
 	sets := randClusterSets(11, 6, 50, 90, 8)
 	for _, gap := range []int{0, 2} {
-		ref := referenceGraph(t, sets, gap, 0.25, cluster.Jaccard, false)
+		ref := referenceGraph(t, sets, gap, 0.25)
 		if ref.NumEdges() == 0 {
 			t.Fatalf("gap %d: no edges; workload too sparse to be a real test", gap)
 		}
-		want := fingerprint(ref)
-		for _, r := range jaccardRoutes {
-			g, err := FromClusters(sets, FromClustersOptions{Gap: gap, Theta: 0.25, Affinity: r.aff})
-			if err != nil {
-				t.Fatalf("gap %d %s: %v", gap, r.name, err)
-			}
-			if got := fingerprint(g); got != want {
-				t.Fatalf("gap %d %s: graph differs from the sequential reference", gap, r.name)
-			}
+		g, err := FromClusters(sets, FromClustersOptions{Gap: gap, Theta: 0.25})
+		if err != nil {
+			t.Fatalf("gap %d: %v", gap, err)
+		}
+		if fingerprint(g) != fingerprint(ref) {
+			t.Fatalf("gap %d: graph differs from the sequential reference", gap)
 		}
 	}
 }
 
-// TestFromClustersSimJoinMatchesQuadratic: the prefix-filter join (the
-// default) and the pair loop over cluster.Jaccard build the same graph.
+// TestFromClustersSimJoinMatchesQuadratic: the prefix-filter join
+// builds the graph the pair loop over cluster.Jaccard builds.
 func TestFromClustersSimJoinMatchesQuadratic(t *testing.T) {
 	sets := randClusterSets(23, 5, 60, 100, 9)
 	for _, gap := range []int{0, 1} {
-		quad, err := FromClusters(sets, FromClustersOptions{Gap: gap, Theta: 0.2, Affinity: cluster.Jaccard})
-		if err != nil {
-			t.Fatal(err)
-		}
+		quad := referenceGraph(t, sets, gap, 0.2)
 		sj, err := FromClusters(sets, FromClustersOptions{Gap: gap, Theta: 0.2})
 		if err != nil {
 			t.Fatal(err)
@@ -176,23 +171,6 @@ func TestFromClustersSimJoinMatchesQuadratic(t *testing.T) {
 			t.Fatalf("gap %d: simjoin graph (%d edges) differs from quadratic (%d edges)",
 				gap, sj.NumEdges(), quad.NumEdges())
 		}
-	}
-}
-
-// TestFromClustersParallelIntersectionAffinity covers the non-Jaccard
-// (normalized) path of pooled edge generation against the sequential
-// reference.
-func TestFromClustersParallelIntersectionAffinity(t *testing.T) {
-	sets := randClusterSets(5, 4, 40, 80, 7)
-	g, err := FromClusters(sets, FromClustersOptions{
-		Gap: 1, Theta: 1, Affinity: cluster.Intersection, Normalize: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fingerprint(referenceGraph(t, sets, 1, 1, cluster.Intersection, true))
-	if fingerprint(g) != want {
-		t.Fatal("intersection-affinity graph differs from the sequential reference")
 	}
 }
 
@@ -225,10 +203,10 @@ func fuzzClusterSets(m uint8, data []byte) [][]cluster.Cluster {
 	return sets
 }
 
-// FuzzJoinMatchesPairLoop holds the prefix-filter join to the pair loop
-// over cluster.Jaccard on fuzz-chosen cluster sets (see
-// fuzzClusterSets), gap 0–2 and θ in (0, 1]: every task's pairs must
-// match, weights bit for bit.
+// FuzzJoinMatchesPairLoop holds the prefix-filter join to pairLoop,
+// the nested loop over cluster.Jaccard, on fuzz-chosen cluster sets
+// (see fuzzClusterSets), gap 0–2 and θ in (0, 1]: every task's pairs
+// must match, weights bit for bit.
 func FuzzJoinMatchesPairLoop(f *testing.F) {
 	f.Add(uint8(3), uint8(1), uint16(99), []byte{1, 2, 3, 0xf0, 4, 5, 0xff, 1, 2, 0xf0, 4, 5, 6, 0xff, 2, 3, 4})
 	f.Add(uint8(2), uint8(0), uint16(299), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0xff, 0, 1, 2, 0xf0, 0, 1, 2, 3, 4})
@@ -246,16 +224,12 @@ func FuzzJoinMatchesPairLoop(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.Affinity = cluster.Jaccard
-		loop, err := edgePairs(context.Background(), sets, tasks, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for ti, tk := range tasks {
-			if !slices.EqualFunc(join[ti], loop[ti], func(a, b simjoin.Pair) bool {
+			loop := pairLoop(sets, tk, opts.Theta)
+			if !slices.EqualFunc(join[ti], loop, func(a, b simjoin.Pair) bool {
 				return a.Left == b.Left && a.Right == b.Right && math.Float64bits(a.Sim) == math.Float64bits(b.Sim)
 			}) {
-				t.Fatalf("θ %g: intervals (%d,%d): join %v, pair loop %v", opts.Theta, tk.i, tk.j, join[ti], loop[ti])
+				t.Fatalf("θ %g: intervals (%d,%d): join %v, pair loop %v", opts.Theta, tk.i, tk.j, join[ti], loop)
 			}
 		}
 	})

@@ -45,7 +45,7 @@ func TestSolveCancellation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tiny := b.Build(false)
+	tiny := b.Build()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range []struct {

@@ -57,7 +57,7 @@ func scaledTieGraph(t *testing.T, seed int64, m, n, gap int, scale float64) *clu
 			}
 		}
 	}
-	return b.Build(false)
+	return b.Build()
 }
 
 func TestTieHeavyMatchesBruteExactly(t *testing.T) {

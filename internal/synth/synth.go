@@ -98,7 +98,7 @@ func Generate(c Config) (*clustergraph.Graph, error) {
 			}
 		}
 	}
-	return b.Build(false), nil
+	return b.Build(), nil
 }
 
 // Figure5IDs names the nodes of the Figure 5 fixture: ID[i][j] is the
@@ -153,5 +153,5 @@ func Figure5() (*clustergraph.Graph, Figure5IDs) {
 			panic(err)
 		}
 	}
-	return b.Build(false), ids
+	return b.Build(), ids
 }

@@ -47,7 +47,7 @@ func TestImportLayering(t *testing.T) {
 		"internal/diskstore":    nil,
 		"internal/experiments": {"repro/internal/bicc", "repro/internal/cluster", "repro/internal/clustergraph",
 			"repro/internal/cooccur", "repro/internal/core", "repro/internal/corpus", "repro/internal/index",
-			"repro/internal/stats", "repro/internal/synth"},
+			"repro/internal/simjoin", "repro/internal/stats", "repro/internal/synth"},
 		"internal/extsort":  {"repro/internal/faultfs"},
 		"internal/faultfs":  nil,
 		"internal/index":    {"repro/internal/corpus", "repro/internal/diskstore", "repro/internal/faultfs", "repro/internal/par"},

@@ -88,7 +88,7 @@ func sequentialClusterGraph(t *testing.T, sets [][]Cluster, opts GraphOptions) *
 			}
 		}
 	}
-	return b.Build(false)
+	return b.Build()
 }
 
 // TestSection4ParallelEquivalence runs the Section 4 pipeline's two

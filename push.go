@@ -23,10 +23,6 @@ import (
 // artifacts simply stay unbuilt; their first use after the push sees
 // the grown corpus.
 //
-// A normalized-affinity cluster graph is the one exception: its
-// weights were rescaled by a maximum the new interval may change, so it
-// is dropped from the new generation and lazily rebuilt.
-//
 // Pushes are serialized; queries keep running against the previous
 // generation's snapshot until the swap and are never blocked.
 func (e *Engine) Push(ctx context.Context, iv Interval) (int64, error) {
@@ -101,26 +97,19 @@ func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64
 		rec.clusters.Prime(ivSet)
 	}
 
-	// Grow the cached cluster graph by the new interval. A normalized
-	// graph cannot extend (its old weights were already rescaled); it is
-	// dropped and lazily rebuilt on next use.
+	// Grow the cached cluster graph by the new interval.
 	if g, ok := cur.graph.Cached(); ok && setsBuilt {
 		opts := e.cfg.graph
-		if aff, normalize, err := resolveAffinity(opts); err == nil && !normalize {
-			var ng *ClusterGraph
-			func() {
-				defer e.stage(ctx, "graph-extend")()
-				ng, err = clustergraph.ExtendCtx(ctx, g, newSets, clustergraph.FromClustersOptions{
-					Gap:      opts.Gap,
-					Theta:    opts.Theta,
-					Affinity: aff,
-				})
-			}()
-			if err != nil {
-				return 0, err
-			}
-			st.graph.Prime(ng)
+		var ng *ClusterGraph
+		var err error
+		func() {
+			defer e.stage(ctx, "graph-extend")()
+			ng, err = clustergraph.ExtendCtx(ctx, g, newSets, clustergraph.FromClustersOptions{Gap: opts.Gap, Theta: opts.Theta})
+		}()
+		if err != nil {
+			return 0, err
 		}
+		st.graph.Prime(ng)
 	}
 
 	// The index store is shared across generations (it is the mutable

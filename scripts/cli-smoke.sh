@@ -4,8 +4,11 @@
 # reports must match), blogstable reports bursts and saves its cluster
 # sets, a second blogstable run loads those sets back (the
 # FromClusterSets path) and must print the same graph and stable
-# clusters, and experiments lists its ids. Every run must exit 0 and
-# print its headline line. `make cli-smoke` runs this; CI's examples
+# clusters, further blogstable runs drive its query and cluster flags
+# (-normalized, -lmin, -k, -l, -algorithm, -rho, -mincluster, -raw),
+# and experiments lists its ids. Every run must exit 0 and print its
+# headline line, except -normalized -algorithm dfs, a query no solver
+# answers, which must fail. `make cli-smoke` runs this; CI's examples
 # job runs that target.
 set -eu
 
@@ -49,6 +52,21 @@ sed -n '/^cluster graph:/,$p' "$TMP/loaded.txt" >"$TMP/loaded-tail.txt"
 cmp -s "$TMP/stable-tail.txt" "$TMP/loaded-tail.txt" ||
 	fail "blogstable over saved clusters differs from the run that saved them"
 echo "cli-smoke: blogstable ok (demo, saved-clusters round trip)"
+
+"$TMP/blogstable" -demo -quiet -normalized -lmin 2 -k 3 >"$TMP/normalized.txt" ||
+	fail "blogstable -normalized exited $?"
+expect "$TMP/normalized.txt" 'top 3 normalized stable clusters (lmin=2)'
+"$TMP/blogstable" -demo -quiet -algorithm dfs -k 3 -l 2 -rho 0.25 -mincluster 3 >"$TMP/dfs.txt" ||
+	fail "blogstable -algorithm dfs exited $?"
+expect "$TMP/dfs.txt" 'top 3 stable clusters (dfs)'
+if "$TMP/blogstable" -demo -quiet -normalized -algorithm dfs >"$TMP/mismatch.txt" 2>&1; then
+	fail "blogstable -normalized -algorithm dfs exited 0; dfs does not answer normalized queries"
+fi
+grep -q 'does not answer normalized queries' "$TMP/mismatch.txt" ||
+	{ cat "$TMP/mismatch.txt" >&2; fail "blogstable -normalized -algorithm dfs failed for another reason"; }
+"$TMP/blogstable" -demo -quiet -raw >"$TMP/raw.txt" || fail "blogstable -raw exited $?"
+expect "$TMP/raw.txt" 'top 5 stable clusters'
+echo "cli-smoke: blogstable ok (-normalized, -algorithm dfs, a rejected mismatch, -raw)"
 
 "$TMP/experiments" -list >"$TMP/list.txt" || fail "experiments -list exited $?"
 expect "$TMP/list.txt" 'table1'

@@ -294,14 +294,5 @@ func allIntervalClustersCtx(ctx context.Context, c *Collection, src corpus.Token
 
 // buildClusterGraphCtx is the Engine's graph stage.
 func buildClusterGraphCtx(ctx context.Context, sets [][]Cluster, opts GraphOptions) (*ClusterGraph, error) {
-	aff, normalize, err := resolveAffinity(opts)
-	if err != nil {
-		return nil, err
-	}
-	return clustergraph.FromClustersCtx(ctx, sets, clustergraph.FromClustersOptions{
-		Gap:       opts.Gap,
-		Theta:     opts.Theta,
-		Affinity:  aff,
-		Normalize: normalize,
-	})
+	return clustergraph.FromClustersCtx(ctx, sets, clustergraph.FromClustersOptions{Gap: opts.Gap, Theta: opts.Theta})
 }

@@ -32,8 +32,8 @@ type StageTiming struct {
 type EngineStats struct {
 	// Generation is the ingest generation (0 at Open, +1 per Push).
 	Generation int64 `json:"generation"`
-	// Intervals is the current corpus width (0 for cluster-set
-	// sessions before any artifacts are queried).
+	// Intervals is the current corpus width, NumIntervals: the number
+	// of cluster sets for a cluster-set session.
 	Intervals int `json:"intervals"`
 	// Queries counts Engine query/artifact calls issued.
 	Queries int64 `json:"queries"`
@@ -73,6 +73,7 @@ func (e *Engine) Stats() EngineStats {
 	st := e.state.Load()
 	out := EngineStats{
 		Generation:       st.gen,
+		Intervals:        len(st.ivs),
 		Queries:          e.queries.Load(),
 		Pushes:           e.pushes.Load(),
 		Stages:           e.timings.snapshot(),
@@ -81,9 +82,6 @@ func (e *Engine) Stats() EngineStats {
 	e.solveMu.Lock()
 	out.Planner.Merge(e.solves)
 	e.solveMu.Unlock()
-	if st.col != nil {
-		out.Intervals = len(st.col.Intervals)
-	}
 	if s, ok := st.index.Cached(); ok {
 		out.IndexIO = s.Stats()
 		out.IndexSegments = s.NumSegments()

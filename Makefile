@@ -129,7 +129,8 @@ examples-smoke:
 # own, so run each end to end on the demo corpus — blogscope on both
 # index backends, blogstable's bursts, a saved-clusters round trip and
 # its query and cluster flags (-normalized, -lmin, -k, -l, -algorithm,
-# -rho, -mincluster, -raw; -normalized -algorithm dfs must fail),
+# -rho, -mincluster, -raw; -normalized -algorithm dfs and -clusters
+# with the corpus flag -intervals must fail),
 # experiments -list — asserting exit 0 and each headline line
 # (scripts/cli-smoke.sh, a few seconds once built). CI's examples job
 # runs this after examples-smoke.

@@ -6,9 +6,10 @@
 // bucketed into intervals) into:
 //
 //  1. per-interval keyword clusters — keyword co-occurrence graphs are
-//     built with a single pass plus external-memory sort, pruned with a
-//     χ² independence test and the correlation coefficient ρ, and
-//     decomposed into biconnected components (Section 3 of the paper);
+//     counted row by row (each keyword's partners gathered through the
+//     documents that hold it), pruned with a χ² independence test and
+//     the correlation coefficient ρ, and decomposed into biconnected
+//     components (Section 3 of the paper);
 //  2. stable clusters — top-k highest-weight paths of a chosen temporal
 //     length through the cluster graph, via BFS, DFS or threshold-
 //     algorithm solvers, plus the normalized (stability-ranked) variant

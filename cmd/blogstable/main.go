@@ -30,7 +30,10 @@
 // The run is one Engine session: cluster sets, cluster graph and (for
 // -bursts) the keyword index are built once and shared; -clusters
 // starts the session at the Section 4 boundary from a saved cluster
-// file. Ctrl-C cancels mid-build.
+// file. Such a session has no corpus, so -clusters rejects the flags
+// that select, slice, analyze, cluster or index one (-demo, -input,
+// -intervals, -raw, -rho, -mincluster, -bursts and the -index flags);
+// the graph and query flags still apply. Ctrl-C cancels mid-build.
 package main
 
 import (
@@ -69,6 +72,17 @@ func main() {
 		loadSets   = flag.String("clusters", "", "skip cluster generation and load clusters from this JSONL file")
 	)
 	flag.Parse()
+	if *loadSets != "" {
+		var set []string
+		flag.Visit(func(f *flag.Flag) {
+			if corpusFlags[f.Name] {
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			log.Fatalf("-clusters starts from saved cluster sets, with no corpus: drop %s", strings.Join(set, ", "))
+		}
+	}
 
 	spec := blogclusters.QuerySpec{Algorithm: *algorithm, K: *k, L: *l, LMin: *lmin}
 	if *normalized {
@@ -88,9 +102,6 @@ func main() {
 	)
 	var eng *blogclusters.Engine
 	if *loadSets != "" {
-		if *burstsQ != "" {
-			log.Fatal("-bursts needs a corpus (-input or -demo), not -clusters")
-		}
 		f, err := os.Open(*loadSets)
 		if err != nil {
 			log.Fatal(err)
@@ -207,6 +218,13 @@ func run(ctx context.Context, eng *blogclusters.Engine, spec blogclusters.QueryS
 	fmt.Printf("\nwork: %d node reads, %d node writes, %d edge reads, %d heap offers, %d prunes\n",
 		st.NodeReads, st.NodeWrites, st.EdgeReads, st.HeapConsiders, st.Pruned)
 	return nil
+}
+
+// corpusFlags are the flags that select, slice, analyze, cluster or
+// index a corpus. A -clusters session has none, so it rejects them.
+var corpusFlags = map[string]bool{
+	"demo": true, "input": true, "intervals": true, "raw": true, "rho": true, "mincluster": true, "bursts": true,
+	"index": true, "indexcache": true, "indexfile": true, "index-compact-after": true,
 }
 
 // reportBursts prints each keyword's information bursts, serving the

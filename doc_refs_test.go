@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -38,6 +39,10 @@ var docRefFiles = []string{
 //
 // In the prose, every "ROADMAP item N" names a numbered item of
 // ROADMAP.md, open or retired.
+//
+// Every citation of a DESIGN.md title resolves (designCitations), and
+// no DESIGN.md paragraph opens as one change's benchmark reading: those
+// are recorded once, in CHANGES.md.
 func TestDocReferencesResolve(t *testing.T) {
 	mod := loadModuleDecls(t)
 	targets := makeTargets(t)
@@ -64,6 +69,125 @@ func TestDocReferencesResolve(t *testing.T) {
 			}
 		}
 	}
+
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	design := stripFences(string(raw))
+	for _, m := range readingLead.FindAllString(design, -1) {
+		t.Errorf("DESIGN.md: a paragraph opens with %q: a change's reading belongs in its CHANGES.md entry", m)
+	}
+	titles := designTitles(design)
+	for _, c := range designCitations(t, mod.goFiles, design) {
+		if !titles.resolve(c.title) {
+			t.Errorf("%s: DESIGN.md %q names no heading or paragraph lead of DESIGN.md", c.file, c.title)
+		}
+	}
+}
+
+var (
+	// designCite is a citation of a DESIGN.md title from another file:
+	// DESIGN.md "Solve path", DESIGN.md ("Substitutions" or
+	// DESIGN.md, "Keyword-graph construction".
+	designCite = regexp.MustCompile(`DESIGN\.md(?:\s*[,(]\s*|\s+)"([^"]+)"`)
+	quoted     = regexp.MustCompile(`"([^"]*)"`)
+	titleArrow = regexp.MustCompile(`\s*(?:→|->)\s*`)
+	// wrap is a line break with the indentation and comment marker of
+	// the next line, so a title wrapped over two lines reads as one.
+	wrap          = regexp.MustCompile(`[ \t]*\n[ \t]*(?:(?://+|#+)[ \t]*)?`)
+	readingLead   = regexp.MustCompile(`(?m)^\*\*ISSUE \d+'s reading`)
+	designHeading = regexp.MustCompile(`(?m)^(##|###) (.+?)[ \t]*$`)
+	designLead    = regexp.MustCompile(`(?m)^(?:[ \t]*(?:\d+\.|[-*])[ \t]+)?\*\*(.+?)\.\*\*`)
+)
+
+// designCitation is one cited DESIGN.md title and the file citing it.
+type designCitation struct{ file, title string }
+
+// designCitations collects the citations of DESIGN.md titles: in the
+// module's Go files (goFiles), the docRefFiles, ROADMAP.md, the
+// scripts, the Makefile, the CI workflows and the verify notes, each
+// DESIGN.md followed by a double-quoted title; in DESIGN.md itself
+// (design, fences stripped), each quoted "A → B". CHANGES.md is history
+// and is not read.
+func designCitations(t *testing.T, goFiles []string, design string) []designCitation {
+	t.Helper()
+	files := append([]string{"ROADMAP.md", "Makefile", ".claude/skills/verify/SKILL.md"}, docRefFiles...)
+	for _, pattern := range []string{"scripts/*.sh", ".github/workflows/*.yml"} {
+		m, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, m...)
+	}
+	var out []designCitation
+	for _, f := range append(files, goFiles...) {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range designCite.FindAllStringSubmatch(wrap.ReplaceAllString(string(raw), " "), -1) {
+			out = append(out, designCitation{f, m[1]})
+		}
+	}
+	// Code spans are blanked first so that a quote inside one cannot
+	// pair with a quote of the prose.
+	prose := wrap.ReplaceAllString(codeSpan.ReplaceAllString(design, ""), " ")
+	for _, m := range quoted.FindAllStringSubmatch(prose, -1) {
+		if titleArrow.MatchString(m[1]) {
+			out = append(out, designCitation{"DESIGN.md", m[1]})
+		}
+	}
+	return out
+}
+
+// designTitle is a ## or ### heading (level 2 or 3) or a bold paragraph
+// lead, **Title.** (level 4), at byte offset at; its section runs to
+// the next title of its level or above.
+type designTitle struct {
+	name      string
+	level, at int
+}
+
+type designOutline []designTitle
+
+func designTitles(design string) designOutline {
+	var out designOutline
+	for _, m := range designHeading.FindAllStringSubmatchIndex(design, -1) {
+		out = append(out, designTitle{design[m[4]:m[5]], m[3] - m[2], m[0]})
+	}
+	for _, m := range designLead.FindAllStringSubmatchIndex(design, -1) {
+		out = append(out, designTitle{design[m[2]:m[3]], 4, m[0]})
+	}
+	slices.SortFunc(out, func(a, b designTitle) int { return a.at - b.at })
+	return out
+}
+
+// resolve reports whether title, split on → or ->, names a heading or
+// lead whose every later part is a heading or lead inside the previous
+// part's section.
+func (o designOutline) resolve(title string) bool {
+	parts := titleArrow.Split(strings.TrimSpace(title), -1)
+	var in func(lo, hi, part int) bool
+	in = func(lo, hi, part int) bool {
+		if part == len(parts) {
+			return true
+		}
+		for i := lo; i < hi; i++ {
+			if o[i].name != parts[part] {
+				continue
+			}
+			end := i + 1
+			for end < len(o) && o[end].level > o[i].level {
+				end++
+			}
+			if in(i+1, end, part+1) {
+				return true
+			}
+		}
+		return false
+	}
+	return in(0, len(o), 0)
 }
 
 var (
@@ -215,12 +339,13 @@ type pkgDecls struct {
 type typeRef struct{ pkg, name string }
 
 // moduleDecls indexes the module's non-main packages by package name,
-// every exported type name by the packages declaring it, and every
-// file base name.
+// every exported type name by the packages declaring it, every file
+// base name, and the path of every Go file.
 type moduleDecls struct {
 	pkgs      map[string]*pkgDecls
 	typeHomes map[string][]string
 	files     map[string]bool
+	goFiles   []string
 }
 
 // loadModuleDecls parses every Go file of the module outside bench/
@@ -243,6 +368,7 @@ func loadModuleDecls(t *testing.T) *moduleDecls {
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
+		mod.goFiles = append(mod.goFiles, path)
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err

@@ -38,7 +38,7 @@ import (
 //
 // All methods are safe for concurrent use. Every query takes a
 // context; cancellation propagates into the long-running internals
-// (worker pools, external sort merges, the solvers, disk segment
+// (worker pools, the keyword-graph row pass, the solvers, disk segment
 // builds), which poll it at their loop boundaries. Closing the Engine
 // cancels in-flight builds and releases the index backend.
 type Engine struct {

@@ -1,9 +1,9 @@
-// Package faultfs is the filesystem seam beneath the storage layers
-// (internal/diskstore, internal/extsort, internal/index) and the
-// keyword-graph build's spill file (internal/cooccur): a minimal
-// FS/File abstraction whose production implementation is a zero-cost
-// passthrough to package os, and whose test implementation — Injector —
-// injects programmable faults deterministically.
+// Package faultfs is the filesystem seam beneath the disk keyword index
+// (internal/index; internal/extsort, which no production package
+// imports, uses it too): a minimal FS/File abstraction whose production
+// implementation is a zero-cost passthrough to package os, and whose
+// test implementation — Injector — injects programmable faults
+// deterministically.
 //
 // The point is the failure model, not the abstraction: before the
 // snapshot/replication and shard fan-out work multiplies the ways disk

@@ -7,9 +7,11 @@
 # clusters, further blogstable runs drive its query and cluster flags
 # (-normalized, -lmin, -k, -l, -algorithm, -rho, -mincluster, -raw),
 # and experiments lists its ids. Every run must exit 0 and print its
-# headline line, except -normalized -algorithm dfs, a query no solver
-# answers, which must fail. `make cli-smoke` runs this; CI's examples
-# job runs that target.
+# headline line, except two that must fail: -normalized -algorithm dfs,
+# a query no solver answers, and -clusters with -intervals, a corpus
+# flag a saved-clusters session has no corpus for (the message must
+# name -intervals). `make cli-smoke` runs this; CI's examples job runs
+# that target.
 set -eu
 
 TMP="$(mktemp -d)"
@@ -51,7 +53,12 @@ sed -n '/^cluster graph:/,$p' "$TMP/stable.txt" >"$TMP/stable-tail.txt"
 sed -n '/^cluster graph:/,$p' "$TMP/loaded.txt" >"$TMP/loaded-tail.txt"
 cmp -s "$TMP/stable-tail.txt" "$TMP/loaded-tail.txt" ||
 	fail "blogstable over saved clusters differs from the run that saved them"
-echo "cli-smoke: blogstable ok (demo, saved-clusters round trip)"
+if "$TMP/blogstable" -quiet -clusters "$TMP/sets.jsonl" -intervals 1:3 >"$TMP/ignored.txt" 2>&1; then
+	fail "blogstable -clusters -intervals exited 0; a saved-clusters session has no corpus to slice"
+fi
+grep -q -- '-intervals' "$TMP/ignored.txt" ||
+	{ cat "$TMP/ignored.txt" >&2; fail "blogstable -clusters -intervals failed without naming -intervals"; }
+echo "cli-smoke: blogstable ok (demo, saved-clusters round trip, a rejected corpus flag)"
 
 "$TMP/blogstable" -demo -quiet -normalized -lmin 2 -k 3 >"$TMP/normalized.txt" ||
 	fail "blogstable -normalized exited $?"

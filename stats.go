@@ -30,7 +30,7 @@ type StageTiming struct {
 // Marshals to stable JSON (field names pinned by TestEngineStatsJSON):
 // this is the payload /debug/stats serves.
 type EngineStats struct {
-	// Generation is the ingest generation (0 at Open, +1 per Push).
+	// Generation is the ingest generation (1 at Open, +1 per Push).
 	Generation int64 `json:"generation"`
 	// Intervals is the current corpus width, NumIntervals: the number
 	// of cluster sets for a cluster-set session.

@@ -35,10 +35,11 @@ race:
 # index build's interval pool and the cluster-graph edge tasks size
 # themselves from GOMAXPROCS, so the tests that hold them to sequential
 # references — pinned segment bytes, the first bad interval's error,
-# disk equal to memory, a worker's reused interval builder against fresh
-# builds (TestIntervalBuilderReuseMatchesFresh), each edge task's span
-# of its worker's join buffer (TestFromClustersParallelEquivalence, in
-# the clustergraph package run) — run at 1, 2 and 8 workers, as do the
+# segments equal to the reference index, a worker's reused interval
+# builder against fresh builds (TestIntervalBuilderReuseMatchesFresh),
+# each edge task's span of its worker's join buffer
+# (TestFromClustersParallelEquivalence, in the clustergraph package
+# run) — run at 1, 2 and 8 workers, as do the
 # Store's reads racing its pushes and compactions
 # (TestStoreReadsDuringPushAndCompact) and solves sharing the spare
 # solver workspace (TestSolveStateReuseMatchesFresh), for more

@@ -197,29 +197,31 @@ func (o GraphOptions) validate() error {
 	return nil
 }
 
-// IndexReader is the backend-neutral keyword-index interface: the
-// in-memory index and the disk-backed segment layout answer the same
-// primitives through it.
+// IndexReader is the keyword-index interface: a segment, in memory or
+// in a file, and the multi-segment store answer the same primitives
+// through it.
 type IndexReader = index.Reader
 
-// IndexOptions selects and configures the index backend.
+// IndexOptions selects and configures the index backend. Both backends
+// hold the one EMBANKS-style segment layout: resident term
+// dictionaries, and posting blocks read through an LRU block cache.
 type IndexOptions struct {
-	// Backend is "mem" (default: everything resident) or "disk" (the
-	// EMBANKS-style segment file: resident dictionaries, postings on
-	// disk behind an LRU block cache).
+	// Backend picks where the segment bytes live: "mem" (default) in
+	// memory, "disk" in a file.
 	Backend string
 	// Path is where the disk backend's segment file lives. Empty means
 	// a private temporary file, removed when the reader is closed.
 	Path string
-	// MemBudget bounds the disk backend's block-cache bytes; 0 means
+	// MemBudget bounds the block-cache bytes of each segment; 0 means
 	// the default (8 MiB).
 	MemBudget int
-	// SortMemoryBudget is accepted and ignored: the disk segment is
-	// built one interval at a time in memory, with no external sorter.
+	// SortMemoryBudget is accepted and ignored: a segment is built one
+	// interval at a time in memory, with no external sorter.
 	// The field stays only because bench/build.go names it.
 	SortMemoryBudget int
 	// FS is the filesystem beneath the disk backend's segment build and
-	// reads. Nil means the real OS; tests substitute a faultfs.Injector
+	// reads; the mem backend ignores it and keeps its own in-memory
+	// one. Nil means the real OS; tests substitute a faultfs.Injector
 	// to exercise the retry and cleanup paths end to end.
 	FS faultfs.FS
 	// Retry bounds how the disk backend retries transient read faults

@@ -58,6 +58,9 @@ func main() {
 
 	var shared cli.EngineFlags
 	shared.Register(flag.CommandLine)
+	// A served session is the only one that takes pushes, so the
+	// compaction threshold is blogserved's flag alone.
+	flag.IntVar(&shared.IndexCompactAfter, "index-compact-after", 0, "fold pushed delta segments into the base once more than this many accumulate; 0 = default, negative = never compact")
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		maxInflight  = flag.Int("max-inflight", server.DefaultMaxInflight, "max concurrently admitted /v1 queries; overflow gets 429 + Retry-After")

@@ -224,7 +224,7 @@ func run(ctx context.Context, eng *blogclusters.Engine, spec blogclusters.QueryS
 // index a corpus. A -clusters session has none, so it rejects them.
 var corpusFlags = map[string]bool{
 	"demo": true, "input": true, "intervals": true, "raw": true, "rho": true, "mincluster": true, "bursts": true,
-	"index": true, "indexcache": true, "indexfile": true, "index-compact-after": true,
+	"index": true, "indexcache": true, "indexfile": true,
 }
 
 // reportBursts prints each keyword's information bursts, serving the

@@ -146,15 +146,18 @@ func TestOpenIndexStoreErrors(t *testing.T) {
 		t.Fatal("unwritable segment path accepted")
 	}
 
-	// A failing BuildDisk (negative doc id is rejected mid-stream) on
-	// the temp-segment route must remove the private temp file.
+	// A failing build (negative doc id is rejected mid-stream) fails on
+	// both backends, and on the disk backend's temp-segment route it
+	// must remove the private temp file.
 	broken, err := GenerateCorpus(NewsWeekCorpus(2007, 30))
 	if err != nil {
 		t.Fatal(err)
 	}
 	broken.Intervals[0].Docs[0].ID = -7
-	if _, err := index.OpenStore(context.Background(), broken, "disk", "", index.Config{}); err == nil {
-		t.Fatal("negative doc id accepted by disk backend")
+	for _, backend := range []string{"mem", "disk"} {
+		if _, err := index.OpenStore(context.Background(), broken, backend, "", index.Config{}); err == nil {
+			t.Fatalf("negative doc id accepted by %s backend", backend)
+		}
 	}
 	matches, err := filepath.Glob(filepath.Join(os.TempDir(), "blogclusters-idx-*"))
 	if err != nil {

@@ -31,7 +31,8 @@ type EngineFlags struct {
 	// shard server loads just its partition of a shared corpus.
 	Intervals string
 
-	// Keyword-index backend.
+	// Keyword-index backend. Only blogserved takes pushes, so only it
+	// registers -index-compact-after for IndexCompactAfter.
 	IndexBackend      string
 	IndexCache        int
 	IndexFile         string
@@ -39,15 +40,15 @@ type EngineFlags struct {
 }
 
 // Register installs the shared flags on fs (use flag.CommandLine in
-// main).
+// main). It installs none for IndexCompactAfter, which blogserved
+// registers itself.
 func (f *EngineFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Input, "input", "", "JSONL corpus file (one document per line)")
 	fs.BoolVar(&f.Demo, "demo", false, "use the synthetic news-week corpus")
 	fs.StringVar(&f.Intervals, "intervals", "", "serve only global intervals FROM:TO of the corpus (half-open), e.g. 0:4 — the shard-server slice of a shared corpus")
-	fs.StringVar(&f.IndexBackend, "index", "mem", "keyword-index backend: mem (resident) or disk (segment file + LRU block cache)")
-	fs.IntVar(&f.IndexCache, "indexcache", 0, "disk backend: block-cache budget in bytes; 0 = default (8 MiB)")
+	fs.StringVar(&f.IndexBackend, "index", "mem", "keyword-index backend: where the posting segment lives, mem (in memory) or disk (a file); both read blocks through an LRU cache")
+	fs.IntVar(&f.IndexCache, "indexcache", 0, "block-cache budget in bytes per index segment, either backend; 0 = default (8 MiB)")
 	fs.StringVar(&f.IndexFile, "indexfile", "", "disk backend: segment file path; empty = private temp file")
-	fs.IntVar(&f.IndexCompactAfter, "index-compact-after", 0, "fold pushed delta segments into the base once more than this many accumulate; 0 = default, negative = never compact")
 }
 
 // Source maps -input/-demo (and -intervals, when set) onto an Engine

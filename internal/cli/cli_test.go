@@ -32,7 +32,6 @@ func TestFlagTable(t *testing.T) {
 		{"index", "disk", func(f *EngineFlags) bool { return f.IndexOptions().Backend == "disk" }},
 		{"indexcache", "1024", func(f *EngineFlags) bool { return f.IndexOptions().MemBudget == 1024 }},
 		{"indexfile", "seg.idx", func(f *EngineFlags) bool { return f.IndexOptions().Path == "seg.idx" }},
-		{"index-compact-after", "-1", func(f *EngineFlags) bool { return f.IndexOptions().CompactAfter == -1 }},
 	}
 	rows := map[string]bool{}
 	for _, row := range table {

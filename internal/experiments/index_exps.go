@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/corpus"
@@ -14,12 +12,12 @@ import (
 
 // DiskIndexExp measures the BlogScope serving layer's two index
 // backends on the same corpus and workload, the way Section 5 measures
-// the solvers: wall-clock plus observable I/O. The mem backend holds
-// every posting list resident; the disk backend keeps only term
-// dictionaries resident and reads CRC-checked posting blocks through
-// an LRU cache, so the random-read column is the EMBANKS-style access
-// cost. Config.IndexBackend restricts the run to one backend;
-// Config.IndexMemBudget sets the disk block-cache bytes.
+// the solvers: wall-clock plus observable I/O. Both hold the one
+// segment layout — resident term dictionaries, CRC-checked posting
+// blocks read through an LRU cache — the mem backend in memory, the
+// disk backend in a file, so the random-read column is the EMBANKS-style
+// access cost of either. Config.IndexBackend restricts the run to one
+// backend; Config.IndexMemBudget sets the block-cache bytes.
 func DiskIndexExp(cfg Config) (*Table, error) {
 	col, err := corpus.Generate(corpus.GeneratorConfig{
 		Seed:            77,
@@ -39,7 +37,7 @@ func DiskIndexExp(cfg Config) (*Table, error) {
 		ID:     "diskindex",
 		Title:  "keyword index backends: build + query cost (BlogScope serving layer)",
 		Header: []string{"backend", "build_s", "queries", "query_s", "rand_reads", "seq_reads", "read_MB", "cache_hit%"},
-		Notes: fmt.Sprintf("corpus: %d docs, %d intervals; identical results asserted by internal/index equivalence tests",
+		Notes: fmt.Sprintf("corpus: %d docs, %d intervals; one segment layout on both backends (in memory or in a file), held to a reference index by internal/index's tests",
 			col.NumDocs(), len(col.Intervals)),
 	}
 	for _, backend := range backends {
@@ -53,35 +51,10 @@ func DiskIndexExp(cfg Config) (*Table, error) {
 }
 
 func runIndexBackend(ctx context.Context, col *corpus.Collection, backend string, cacheBytes int) ([]string, error) {
-	var (
-		r     index.Reader
-		disk  *index.DiskIndex
-		start = time.Now()
-	)
-	switch backend {
-	case "mem":
-		x, err := index.New(col)
-		if err != nil {
-			return nil, err
-		}
-		r = x
-	case "disk":
-		dir, err := os.MkdirTemp("", "diskindex-exp-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		path := filepath.Join(dir, "seg")
-		if err := index.BuildDiskCtx(ctx, col, path, index.Config{}); err != nil {
-			return nil, err
-		}
-		disk, err = index.OpenDisk(path, index.Config{MemBudget: cacheBytes})
-		if err != nil {
-			return nil, err
-		}
-		r = disk
-	default:
-		return nil, fmt.Errorf("experiments: unknown index backend %q (want mem or disk)", backend)
+	start := time.Now()
+	r, err := index.OpenStore(ctx, col, backend, "", index.Config{MemBudget: cacheBytes})
+	if err != nil {
+		return nil, err
 	}
 	defer r.Close()
 	buildTime := time.Since(start)
@@ -93,9 +66,7 @@ func runIndexBackend(ctx context.Context, col *corpus.Collection, backend string
 	if len(vocab) == 0 {
 		return nil, fmt.Errorf("experiments: empty interval-0 vocabulary")
 	}
-	if disk != nil {
-		disk.ResetStats()
-	}
+	r.ResetStats()
 	rng := rand.New(rand.NewSource(7))
 	const queries = 2000
 	start = time.Now()
@@ -112,25 +83,19 @@ func runIndexBackend(ctx context.Context, col *corpus.Collection, backend string
 	}
 	queryTime := time.Since(start)
 
-	randReads, seqReads, readMB, hitRate := "-", "-", "-", "-"
-	if disk != nil {
-		st := disk.Stats()
-		hits, misses, _ := disk.CacheStats()
-		randReads = i64toa(st.RandomReads)
-		seqReads = i64toa(st.SequentialReads)
-		readMB = fmt.Sprintf("%.1f", float64(st.BytesRead)/(1<<20))
-		if hits+misses > 0 {
-			hitRate = fmt.Sprintf("%.1f", 100*float64(hits)/float64(hits+misses))
-		}
+	st := r.Stats()
+	hitRate := "-"
+	if hits, misses, _ := r.CacheStats(); hits+misses > 0 {
+		hitRate = fmt.Sprintf("%.1f", 100*float64(hits)/float64(hits+misses))
 	}
 	return []string{
 		backend,
 		fmtDur(buildTime),
 		itoa(queries),
 		fmtDur(queryTime),
-		randReads,
-		seqReads,
-		readMB,
+		i64toa(st.RandomReads),
+		i64toa(st.SequentialReads),
+		fmt.Sprintf("%.1f", float64(st.BytesRead)/(1<<20)),
 		hitRate,
 	}, nil
 }

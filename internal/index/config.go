@@ -7,7 +7,7 @@ import (
 	"repro/internal/faultfs"
 )
 
-// Config is the one coherent option set of the index backends: segment
+// Config is the one coherent option set of the index: segment
 // building (BuildDisk, Store.Push), segment opening (OpenDisk) and the
 // multi-segment Store's compaction policy all consume it. It replaces
 // the former DiskOptions/OpenOptions split — a live Store both writes
@@ -25,8 +25,9 @@ type Config struct {
 	// decoded-block LRU cache. Non-positive means the default, 8 MiB.
 	MemBudget int
 	// FS is the filesystem segments are built on and read through. Nil
-	// means the OS passthrough; tests substitute a faultfs.Injector to
-	// exercise the retry and cleanup paths end to end.
+	// means the OS passthrough, and a mem Store puts its own faultfs.Mem
+	// here; tests substitute a faultfs.Injector to exercise the retry
+	// and cleanup paths end to end.
 	FS faultfs.FS
 	// Retry bounds how block and section reads retry transient faults
 	// (EIO, short reads). The zero value uses the diskstore defaults;

@@ -1,11 +1,13 @@
-// Disk-backed posting layout (EMBANKS-style): an immutable segment
-// file holding every interval's posting lists. The build's input is a
+// The posting layout (EMBANKS-style): an immutable segment holding
+// every interval's posting lists, as a file on disk or as the bytes of
+// a faultfs.Mem file for the mem backend. The build's input is a
 // resident collection and its tokens (corpus.Tokens, one per interval):
 // a pool of min(GOMAXPROCS, m) workers groups each interval's postings
 // in memory (a counting sort by term rank, see postingGroups) and
 // encodes its blocks, and one ordered writer appends the intervals'
 // blocks in interval order; queries then keep only the dictionaries
-// resident, so a served index's posting data may be larger than RAM.
+// resident besides the segment's own bytes, so a disk segment's posting
+// data may be larger than RAM.
 //
 // Segment file layout (integers are uvarint unless noted):
 //
@@ -25,8 +27,8 @@
 //	          the magic "BSIXFTR\n"
 //
 // The dictionaries and footer are small and resident after OpenDisk
-// (the skip index); posting blocks stay on disk and are fetched on
-// demand through an LRU cache, so query-time I/O is O(blocks touched),
+// (the skip index); posting blocks stay in the segment and are fetched
+// on demand through an LRU cache, so query-time I/O is O(blocks touched),
 // measurable via diskstore.IOStats like the Section 4 solvers.
 package index
 
@@ -82,9 +84,9 @@ type dictEntry struct {
 // intervals' grouped postings and encoded blocks (W workers), and the
 // dictionaries it writes last, on top of the resident collection; no
 // budget bounds it, and it creates no file but the .partial segment.
-// Document keywords are deduplicated per document, matching New; doc
-// ids must be non-negative and keywords must not contain NUL or
-// newline bytes. A corpus that breaks these rules in several intervals
+// Document keywords are deduplicated per document; doc ids must be
+// non-negative and keywords must not contain NUL or newline bytes. A
+// corpus that breaks these rules in several intervals
 // fails with the lowest interval's error, as a sequential build would.
 func BuildDisk(c *corpus.Collection, path string, cfg Config) error {
 	return BuildDiskCtx(context.Background(), c, path, cfg)
@@ -99,7 +101,7 @@ func BuildDiskCtx(ctx context.Context, c *corpus.Collection, path string, cfg Co
 	return buildSegment(ctx, c, corpus.Tokenizing(c), path, cfg)
 }
 
-// buildSegment is the one disk build: c's segment at path, from the
+// buildSegment is the one segment build: c's segment at path, from the
 // tokens src gives for each of c's intervals.
 func buildSegment(ctx context.Context, c *corpus.Collection, src corpus.TokenSource, path string, cfg Config) (err error) {
 	if err := ctx.Err(); err != nil {
@@ -155,7 +157,7 @@ func buildSegment(ctx context.Context, c *corpus.Collection, src corpus.TokenSou
 	ow := newOrderedWriter(sw)
 	if err = par.ForEachWorkerCtx(ctx, m, workers, func(w, i int) error {
 		enc := &encs[w]
-		if err := enc.g.group(ctx, i, c.Intervals[i].Docs, toks[i], true); err != nil {
+		if err := enc.g.group(ctx, i, c.Intervals[i].Docs, toks[i]); err != nil {
 			ow.fail(i)
 			return err
 		}

@@ -29,9 +29,9 @@ func buildDisk(t *testing.T, col *corpus.Collection, cfg Config) (*DiskIndex, st
 	return d, path
 }
 
-// assertReadersAgree runs the full primitive surface of both backends
-// over every term (and sampled pairs/triples) and fails on the first
-// divergence.
+// assertReadersAgree runs the full primitive surface of the reference
+// (mem) and a segment reader (disk) over every term (and sampled
+// pairs/triples) and fails on the first divergence.
 func assertReadersAgree(t *testing.T, mem Reader, disk Reader, rng *rand.Rand) {
 	t.Helper()
 	if mem.NumIntervals() != disk.NumIntervals() {
@@ -114,9 +114,9 @@ func assertReadersAgree(t *testing.T, mem Reader, disk Reader, rng *rand.Rand) {
 	}
 }
 
-// TestDiskEquivalenceRandom: disk and in-memory backends must return
-// identical results for every primitive on randomized corpora — the
-// acceptance criterion of the disk layout.
+// TestDiskEquivalenceRandom: a segment must return the reference
+// index's results for every primitive on randomized corpora — the
+// acceptance criterion of the segment layout.
 func TestDiskEquivalenceRandom(t *testing.T) {
 	configs := []corpus.GeneratorConfig{
 		{Seed: 11, NumIntervals: 1, BackgroundPosts: 60, BackgroundVocab: 40, WordsPerPost: 5},
@@ -131,10 +131,7 @@ func TestDiskEquivalenceRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x, err := New(col)
-		if err != nil {
-			t.Fatal(err)
-		}
+		x := refIndexOf(col)
 		d, _ := buildDisk(t, col, Config{})
 		assertReadersAgree(t, x, d, rand.New(rand.NewSource(cfg.Seed)))
 	}
@@ -149,10 +146,7 @@ func TestDiskSmallBlockSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := New(col)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := refIndexOf(col)
 	for _, bs := range []int{1, 2, 3, 7, 64} {
 		d, _ := buildDisk(t, col, Config{BlockSize: bs})
 		assertReadersAgree(t, x, d, rand.New(rand.NewSource(int64(bs))))
@@ -170,37 +164,34 @@ func TestBuildDiskRejectsBadInput(t *testing.T) {
 	cases := []struct {
 		name string
 		col  *corpus.Collection
-		// mem: New rejects it too (negative ids and NUL or newline
-		// bytes are the disk layout's rules only).
-		mem bool
 		// err is BuildDisk's error text, which must not depend on how
 		// many workers build the segment.
 		err string
 	}{
-		{"misfiled document", docs(doc(1, 2, "a")), true,
+		{"misfiled document", docs(doc(1, 2, "a")),
 			"index: document 1 claims interval 2 but lives in 0"},
-		{"duplicate doc id", docs(doc(1, 0, "a"), doc(1, 0, "a", "b")), true,
+		{"duplicate doc id", docs(doc(1, 0, "a"), doc(1, 0, "a", "b")),
 			"index: interval 0: duplicate document id 1"},
 		// The duplicate is not adjacent in arrival order: only the
 		// term's sorted list puts the two 5s side by side.
-		{"duplicate doc id out of order", docs(doc(5, 0, "a", "b"), doc(3, 0, "a"), doc(5, 0, "c", "a")), true,
+		{"duplicate doc id out of order", docs(doc(5, 0, "a", "b"), doc(3, 0, "a"), doc(5, 0, "c", "a")),
 			"index: interval 0: duplicate document id 5"},
 		// Two ids repeat under two terms: the term that arrived first
 		// names the error, not the term that sorts first.
-		{"two duplicate doc ids", docs(doc(1, 0, "b"), doc(2, 0, "a"), doc(1, 0, "b"), doc(2, 0, "a")), true,
+		{"two duplicate doc ids", docs(doc(1, 0, "b"), doc(2, 0, "a"), doc(1, 0, "b"), doc(2, 0, "a")),
 			"index: interval 0: duplicate document id 1"},
-		{"negative doc id", docs(doc(-4, 0, "a")), false,
-			"index: document id -4 is negative; the disk layout requires non-negative ids"},
-		{"keyword with newline", docs(doc(1, 0, "a\nb")), false,
+		{"negative doc id", docs(doc(-4, 0, "a")),
+			"index: document id -4 is negative; the segment layout requires non-negative ids"},
+		{"keyword with newline", docs(doc(1, 0, "a\nb")),
 			`index: interval 0: keyword "a\nb" contains NUL or newline`},
-		{"keyword with NUL", docs(doc(1, 0, "a\x00b")), false,
+		{"keyword with NUL", docs(doc(1, 0, "a\x00b")),
 			`index: interval 0: keyword "a\x00b" contains NUL or newline`},
-		// One interval breaks two disk rules: the document met first
+		// One interval breaks two of the rules: the document met first
 		// decides, and within a document the id is checked first.
-		{"NUL keyword before negative id", docs(doc(1, 0, "ok", "a\x00b"), doc(-2, 0, "c")), false,
+		{"NUL keyword before negative id", docs(doc(1, 0, "ok", "a\x00b"), doc(-2, 0, "c")),
 			`index: interval 0: keyword "a\x00b" contains NUL or newline`},
-		{"negative id and NUL keyword in one document", docs(doc(3, 0, "ok"), doc(-2, 0, "a\x00b")), false,
-			"index: document id -2 is negative; the disk layout requires non-negative ids"},
+		{"negative id and NUL keyword in one document", docs(doc(3, 0, "ok"), doc(-2, 0, "a\x00b")),
+			"index: document id -2 is negative; the segment layout requires non-negative ids"},
 		// Two bad intervals: the lower one's error wins, as a
 		// sequential build would report it.
 		{"two bad intervals", &corpus.Collection{Intervals: []corpus.Interval{
@@ -208,13 +199,13 @@ func TestBuildDiskRejectsBadInput(t *testing.T) {
 			{Index: 1, Docs: []corpus.Document{doc(2, 1, "a"), doc(2, 1, "a")}},
 			{Index: 2, Docs: []corpus.Document{doc(3, 2, "b")}},
 			{Index: 3, Docs: []corpus.Document{doc(4, 0, "c")}},
-		}}, true,
+		}},
 			"index: interval 1: duplicate document id 2"},
-		{"two bad intervals, disk rules", &corpus.Collection{Intervals: []corpus.Interval{
+		{"two bad intervals, id and keyword rules", &corpus.Collection{Intervals: []corpus.Interval{
 			{Index: 0, Docs: []corpus.Document{doc(1, 0, "a")}},
 			{Index: 1, Docs: []corpus.Document{doc(2, 1, "a"), doc(3, 1, "b\nc")}},
 			{Index: 2, Docs: []corpus.Document{doc(-1, 2, "a")}},
-		}}, false,
+		}},
 			`index: interval 1: keyword "b\nc" contains NUL or newline`},
 	}
 	for _, c := range cases {
@@ -229,9 +220,6 @@ func TestBuildDiskRejectsBadInput(t *testing.T) {
 		}
 		if _, err := os.Stat(path + ".partial"); !os.IsNotExist(err) {
 			t.Errorf("%s: partial segment left behind", c.name)
-		}
-		if _, err := New(c.col); (err != nil) != c.mem {
-			t.Errorf("%s: New error %v, want rejected=%v", c.name, err, c.mem)
 		}
 	}
 }
@@ -260,10 +248,7 @@ func TestDiskCorruptionSingleByteFlips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := New(col)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := refIndexOf(col)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "seg")
 	if err := BuildDisk(col, path, Config{BlockSize: 4}); err != nil {
@@ -537,10 +522,7 @@ func TestBuildDiskAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := New(col)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := refIndexOf(col)
 	lists := 0
 	for i := range x.NumIntervals() {
 		vocab, _ := x.Vocabulary(i)

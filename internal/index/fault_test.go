@@ -35,10 +35,7 @@ func faultCorpus(t *testing.T, seed int64, posts int) *corpus.Collection {
 // retry/corrupt split makes them structurally impossible.
 func TestFaultDiskIndexRetriesTransientReads(t *testing.T) {
 	col := faultCorpus(t, 41, 60)
-	x, err := New(col)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := refIndexOf(col)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "seg")
 	if err := BuildDisk(col, path, Config{BlockSize: 4}); err != nil {

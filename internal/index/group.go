@@ -10,17 +10,16 @@ import (
 )
 
 // postingGroups groups one interval's postings by term without a
-// comparison sort over postings — the one build routine behind both
-// New and the disk build. It reads the interval's tokens, so a term is
-// its rank in the interval's sorted vocabulary and no string is
-// hashed: one pass over the documents checks them and counts each
-// term's postings, a second places every doc id with a counting sort
-// by rank. The sort is stable, so a term's ids keep their arrival
+// comparison sort over postings — the build routine behind every
+// segment. It reads the interval's tokens, so a term is its rank in
+// the interval's sorted vocabulary and no string is hashed: one pass
+// over the documents checks them and counts each term's postings, a
+// second places every doc id with a counting sort by rank. The sort is stable, so a term's ids keep their arrival
 // order — document order in every corpus the generator and the Engine
 // produce — and a list is sorted only if that order was not already
 // ascending. Ranks follow bytewise term order, the segment
-// dictionary's, so the grouped lists come out in the order the disk
-// layout writes them.
+// dictionary's, so the grouped lists come out in the order the segment
+// writes them.
 //
 // Extra memory is one interval's grouped doc ids, 8 bytes each, plus
 // three ints per vocabulary word; every buffer is reused from one
@@ -48,16 +47,13 @@ func newPostingGroups(words, postings int) *postingGroups {
 
 // group groups interval i's postings: docs are its documents and tk
 // their tokens. Document keywords are sets: a keyword repeated within
-// one document posts once. strict applies the disk layout's rules on
-// top of the checks both backends share (every document filed under
-// interval i, no doc id twice under one term): doc ids must be
-// non-negative and terms free of NUL and newline bytes. The checks run
-// document by document, as the documents are read, so the first bad
+// one document posts once. It checks the segment's input rules: every
+// document filed under interval i, no doc id twice under one term, doc
+// ids non-negative and terms free of NUL and newline bytes. The checks
+// run document by document, as the documents are read, so the first bad
 // document names the error. ctx is polled once per interval and every
-// pollEvery postings. g.ids is reused when its capacity suffices; New
-// sets it to nil first so each interval's lists land in a fresh
-// exact-size array that its map keeps.
-func (g *postingGroups) group(ctx context.Context, i int, docs []corpus.Document, tk *corpus.Tokens, strict bool) error {
+// pollEvery postings. g.ids is reused when its capacity suffices.
+func (g *postingGroups) group(ctx context.Context, i int, docs []corpus.Document, tk *corpus.Tokens) error {
 	const pollEvery = 4096
 	if err := ctx.Err(); err != nil {
 		return err
@@ -66,10 +62,8 @@ func (g *postingGroups) group(ctx context.Context, i int, docs []corpus.Document
 	g.seen = resize(g.seen, nt)
 	g.start = resize(g.start, nt+1)
 	badWords := false
-	if strict {
-		for _, w := range tk.Words {
-			badWords = badWords || strings.ContainsAny(w, "\x00\n")
-		}
+	for _, w := range tk.Words {
+		badWords = badWords || strings.ContainsAny(w, "\x00\n")
 	}
 
 	// Count each term's postings, checking every document on the way.
@@ -79,8 +73,8 @@ func (g *postingGroups) group(ctx context.Context, i int, docs []corpus.Document
 		if d.Interval != i {
 			return fmt.Errorf("index: document %d claims interval %d but lives in %d", d.ID, d.Interval, i)
 		}
-		if strict && d.ID < 0 {
-			return fmt.Errorf("index: document id %d is negative; the disk layout requires non-negative ids", d.ID)
+		if d.ID < 0 {
+			return fmt.Errorf("index: document id %d is negative; the segment layout requires non-negative ids", d.ID)
 		}
 		mark := int32(di + 1)
 		for _, t := range tk.Doc(di) {

@@ -1,10 +1,8 @@
 package index
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/corpus"
 )
@@ -117,82 +115,12 @@ func TestNewRejectsBadCollections(t *testing.T) {
 	if _, err := New(dupID); err == nil {
 		t.Error("duplicate document id accepted")
 	}
-}
-
-func TestIntersect(t *testing.T) {
-	cases := []struct{ a, b, want []int64 }{
-		{nil, nil, nil},
-		{[]int64{1}, nil, nil},
-		{[]int64{1, 3, 5}, []int64{3, 5, 7}, []int64{3, 5}},
-		{[]int64{1, 2}, []int64{3, 4}, nil},
-		{[]int64{2}, []int64{2}, []int64{2}},
-	}
-	for _, c := range cases {
-		got := intersect(c.a, c.b)
-		if len(got) == 0 {
-			got = nil
-		}
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("intersect(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-// Property: intersect agrees with a map-based oracle regardless of
-// skew, covering both the merge and galloping paths.
-func TestIntersectProperty(t *testing.T) {
-	f := func(seedA, seedB int64, skew uint8) bool {
-		rngA := rand.New(rand.NewSource(seedA))
-		rngB := rand.New(rand.NewSource(seedB))
-		na := rngA.Intn(8) + 1
-		nb := rngB.Intn(200) + 1 // often >16x na, exercising galloping
-		if skew%2 == 0 {
-			na, nb = nb, na
-		}
-		mk := func(rng *rand.Rand, n int) []int64 {
-			set := map[int64]struct{}{}
-			for len(set) < n {
-				set[int64(rng.Intn(500))] = struct{}{}
-			}
-			out := make([]int64, 0, n)
-			for v := range set {
-				out = append(out, v)
-			}
-			sortInt64s(out)
-			return out
-		}
-		a, b := mk(rngA, na), mk(rngB, nb)
-		got := intersect(a, b)
-		inB := map[int64]struct{}{}
-		for _, v := range b {
-			inB[v] = struct{}{}
-		}
-		var want []int64
-		for _, v := range a {
-			if _, ok := inB[v]; ok {
-				want = append(want, v)
-			}
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func sortInt64s(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+	// The segment's own rules hold for the mem backend too.
+	negative := &corpus.Collection{Intervals: []corpus.Interval{
+		{Index: 0, Docs: []corpus.Document{{ID: -1, Interval: 0, Keywords: []string{"a"}}}},
+	}}
+	if _, err := New(negative); err == nil {
+		t.Error("negative document id accepted")
 	}
 }
 

@@ -1,16 +1,15 @@
 package index
 
-// Reader is the backend-neutral view of the keyword index: the
-// primitives BlogScope's features consume (boolean search, posting
-// lists, per-keyword time series), answered by the in-memory *Index,
-// the on-disk *DiskIndex or the multi-segment Store. A(u) is
-// len(Postings(u, i)) and A(u,v) is len(Search([u v], i)).
+// Reader is the view of the keyword index that BlogScope's features
+// consume (boolean search, posting lists, per-keyword time series),
+// answered by one segment (*DiskIndex) or the multi-segment Store.
+// A(u) is len(Postings(u, i)) and A(u,v) is len(Search([u v], i)).
 // Implementations are safe for concurrent readers.
 //
-// Methods that can touch storage return errors; *Index never fails.
-// Semantics match across implementations: unknown keywords have no
-// postings, Search returns nil for empty keyword lists or empty
-// results, and out-of-range intervals behave like empty ones.
+// Methods that read posting blocks return errors: a segment file can
+// fail a read, and every segment checks its blocks' CRCs. Unknown
+// keywords have no postings, Search returns nil for empty keyword lists
+// or empty results, and out-of-range intervals behave like empty ones.
 type Reader interface {
 	// NumIntervals returns the number of indexed intervals.
 	NumIntervals() int
@@ -26,6 +25,6 @@ type Reader interface {
 	// Postings returns the sorted document ids containing keyword w in
 	// interval i. The slice must not be modified by the caller.
 	Postings(w string, i int) ([]int64, error)
-	// Close releases backend resources; *Index's Close is a no-op.
+	// Close releases the reader's files.
 	Close() error
 }

@@ -1,5 +1,5 @@
 // Multi-segment index store: the mutable, LSM-style layer over the
-// immutable segment formats. A Store starts as one base segment built
+// immutable segment format. A Store starts as one base segment built
 // from the opening corpus; each pushed interval becomes a small delta
 // segment (the same delta+varint block format, local interval indices
 // starting at 0), and one multi-segment Reader (segView) routes every
@@ -8,7 +8,9 @@
 // routing plus concatenation, never a k-way merge. Compaction folds
 // every segment into one new base (written to a .partial file and
 // renamed over the old base, so a crash leaves only .partial residue)
-// once more than CompactAfter deltas accumulate.
+// once more than CompactAfter deltas accumulate. The backend only picks
+// the filesystem the segments live on: a private faultfs.Mem for mem,
+// the configured one (the OS by default) for disk.
 package index
 
 import (
@@ -27,7 +29,7 @@ import (
 // asks for compaction.
 const DefaultCompactAfter = 4
 
-// Backend names for OpenStore.
+// Backend names for OpenStore: the filesystem the segments live on.
 const (
 	BackendMem  = "mem"
 	BackendDisk = "disk"
@@ -36,10 +38,10 @@ const (
 // storeSeg is one live segment: a reader over local intervals
 // [0, n) standing for global intervals [start, start+n).
 type storeSeg struct {
-	r     Reader
+	r     *DiskIndex
 	start int
 	n     int
-	path  string // "" for mem segments and unlinked files
+	path  string
 }
 
 // Store is the mutable multi-segment index. It implements Reader (the
@@ -48,8 +50,7 @@ type storeSeg struct {
 // serialized by the caller (the Engine holds its push lock).
 type Store struct {
 	cfg      Config
-	backend  string
-	basePath string // disk backend: the base segment file
+	basePath string // the base segment file
 	dir      string // owned temp directory, removed on Close ("" if none)
 	fs       faultfs.FS
 
@@ -68,10 +69,12 @@ type Store struct {
 var _ Reader = (*Store)(nil)
 
 // OpenStore builds the base segment from the collection and returns
-// the live store. backend is BackendMem or BackendDisk; path is where
-// the disk backend's base segment lives — empty means a private
-// temporary directory removed on Close. ctx bounds the build; cfg.Ctx
-// bounds the opened segments' retry backoff for the store's lifetime.
+// the live store. backend is mem (the default, also chosen by ""),
+// whose segments live on a fresh faultfs.Mem (path and cfg.FS are
+// ignored), or disk, whose segments live on cfg.FS; path is where the
+// disk backend's base segment lives — empty means a private temporary
+// directory removed on Close. ctx bounds the build; cfg.Ctx bounds the
+// opened segments' retry backoff for the store's lifetime.
 func OpenStore(ctx context.Context, c *corpus.Collection, backend, path string, cfg Config) (*Store, error) {
 	return OpenStoreTokens(ctx, c, corpus.Tokenizing(c), backend, path, cfg)
 }
@@ -79,23 +82,23 @@ func OpenStore(ctx context.Context, c *corpus.Collection, backend, path string, 
 // OpenStoreTokens is OpenStore over the tokens src gives for each of
 // c's intervals, for a caller that shares them with other builds.
 func OpenStoreTokens(ctx context.Context, c *corpus.Collection, src corpus.TokenSource, backend, path string, cfg Config) (*Store, error) {
-	s := &Store{cfg: cfg, backend: backend, fs: cfg.fs()}
 	switch backend {
 	case "", BackendMem:
-		s.backend, path = BackendMem, ""
+		cfg.FS, path = faultfs.Mem(), ""
 	case BackendDisk:
-		if path == "" {
-			dir, err := s.fs.MkdirTemp("", "blogclusters-idx-")
-			if err != nil {
-				return nil, fmt.Errorf("index: temp segment dir: %w", err)
-			}
-			s.dir = dir
-			path = filepath.Join(dir, "base.seg")
-		}
-		s.basePath = path
 	default:
 		return nil, fmt.Errorf("index: unknown store backend %q (want mem or disk)", backend)
 	}
+	s := &Store{cfg: cfg, fs: cfg.fs()}
+	if path == "" {
+		dir, err := s.fs.MkdirTemp("", "blogclusters-idx-")
+		if err != nil {
+			return nil, fmt.Errorf("index: temp segment dir: %w", err)
+		}
+		s.dir = dir
+		path = filepath.Join(dir, "base.seg")
+	}
+	s.basePath = path
 	r, err := s.segment(ctx, c, src, path)
 	if err != nil {
 		if s.dir != "" {
@@ -107,20 +110,9 @@ func OpenStoreTokens(ctx context.Context, c *corpus.Collection, src corpus.Token
 	return s, nil
 }
 
-// segment builds c's segment on the store's backend: an in-memory
-// *Index, or a segment file at path opened for reading. On error no
-// file is left at path.
-func (s *Store) segment(ctx context.Context, c *corpus.Collection, src corpus.TokenSource, path string) (Reader, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.backend == BackendMem {
-		x, err := newIndex(ctx, c, src)
-		if err != nil {
-			return nil, err
-		}
-		return x, nil
-	}
+// segment builds c's segment at path on the store's filesystem and
+// opens it for reading. On error no file is left at path.
+func (s *Store) segment(ctx context.Context, c *corpus.Collection, src corpus.TokenSource, path string) (*DiskIndex, error) {
 	if err := buildSegment(ctx, c, src, path, s.cfg); err != nil {
 		return nil, err
 	}
@@ -161,10 +153,7 @@ func (s *Store) Push(ctx context.Context, iv corpus.Interval, tk *corpus.Tokens)
 		return fmt.Errorf("index: pushed interval %d, store expects %d", iv.Index, next)
 	}
 	src := func(context.Context, int, *corpus.Tokenizer) (*corpus.Tokens, error) { return tk, nil }
-	path := ""
-	if s.backend == BackendDisk {
-		path = fmt.Sprintf("%s.delta%04d", s.basePath, s.deltaSeq.Add(1))
-	}
+	path := fmt.Sprintf("%s.delta%04d", s.basePath, s.deltaSeq.Add(1))
 	r, err := s.segment(ctx, localize(iv), src, path)
 	if err != nil {
 		return err
@@ -173,9 +162,7 @@ func (s *Store) Push(ctx context.Context, iv corpus.Interval, tk *corpus.Tokens)
 	defer s.mu.Unlock()
 	if s.closed || s.segs.NumIntervals() != next {
 		r.Close()
-		if path != "" {
-			s.fs.Remove(path)
-		}
+		s.fs.Remove(path)
 		return fmt.Errorf("index: store changed under push of interval %d", iv.Index)
 	}
 	s.segs = append(s.segs, storeSeg{r: r, start: next, n: 1, path: path})
@@ -220,35 +207,22 @@ func (s *Store) Compact(ctx context.Context) error {
 	}
 	covered := snap.NumIntervals()
 
-	merged := storeSeg{start: 0, n: covered}
-	if s.backend == BackendMem {
-		// Mem segments are immutable and cover contiguous ranges, so the
-		// fold shares their posting tables instead of copying them.
-		x := &Index{intervals: make([]intervalIndex, 0, covered), docs: make([]int, 0, covered)}
-		for _, seg := range snap {
-			sx := seg.r.(*Index)
-			x.intervals = append(x.intervals, sx.intervals...)
-			x.docs = append(x.docs, sx.docs...)
-		}
-		merged.r = x
-	} else {
-		tmp := s.basePath + ".compact.partial"
-		if err := writeSegmentFromReader(ctx, s.fs, tmp, snap, s.cfg.blockSize()); err != nil {
-			s.fs.Remove(tmp)
-			return err
-		}
-		// POSIX rename over the old base: segments already open keep
-		// serving from their file handles until the swap closes them.
-		if err := s.fs.Rename(tmp, s.basePath); err != nil {
-			s.fs.Remove(tmp)
-			return fmt.Errorf("index: swap compacted segment: %w", err)
-		}
-		d, err := OpenDisk(s.basePath, s.cfg)
-		if err != nil {
-			return err
-		}
-		merged.r, merged.path = d, s.basePath
+	tmp := s.basePath + ".compact.partial"
+	if err := writeSegmentFromReader(ctx, s.fs, tmp, snap, s.cfg.blockSize()); err != nil {
+		s.fs.Remove(tmp)
+		return err
 	}
+	// POSIX rename over the old base: segments already open keep
+	// serving from their file handles until the swap closes them.
+	if err := s.fs.Rename(tmp, s.basePath); err != nil {
+		s.fs.Remove(tmp)
+		return fmt.Errorf("index: swap compacted segment: %w", err)
+	}
+	d, err := OpenDisk(s.basePath, s.cfg)
+	if err != nil {
+		return err
+	}
+	merged := storeSeg{r: d, start: 0, n: covered, path: s.basePath}
 
 	s.mu.Lock()
 	if s.closed {
@@ -262,11 +236,9 @@ func (s *Store) Compact(ctx context.Context) error {
 			newSegs = append(newSegs, seg) // pushed mid-compaction
 			continue
 		}
-		if io, ok := seg.r.(interface{ Stats() diskstore.IOStats }); ok {
-			s.baseIO.Add(io.Stats())
-		}
+		s.baseIO.Add(seg.r.Stats())
 		seg.r.Close()
-		if seg.path != "" && seg.path != s.basePath {
+		if seg.path != s.basePath {
 			s.fs.Remove(seg.path)
 		}
 	}
@@ -284,7 +256,7 @@ type segView []storeSeg
 
 // find returns the segment covering global interval i and i's local
 // index there.
-func (v segView) find(i int) (Reader, int, bool) {
+func (v segView) find(i int) (*DiskIndex, int, bool) {
 	if i >= 0 {
 		for _, seg := range v {
 			if i < seg.start+seg.n {
@@ -462,7 +434,7 @@ func (s *Store) Close() error {
 		if err := seg.r.Close(); err != nil && first == nil {
 			first = err
 		}
-		if seg.path != "" && seg.path != s.basePath && s.dir == "" {
+		if seg.path != s.basePath && s.dir == "" {
 			s.fs.Remove(seg.path)
 		}
 	}
@@ -477,30 +449,27 @@ func (s *Store) Close() error {
 
 // --- observability ---
 
-// Stats aggregates the disk segments' I/O counters (zero for the mem
-// backend), including segments already retired by compaction.
+// Stats aggregates the segments' I/O counters, including segments
+// already retired by compaction. A mem store counts its block reads
+// from memory the same way.
 func (s *Store) Stats() diskstore.IOStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	io := s.baseIO
 	for _, seg := range s.segs {
-		if st, ok := seg.r.(interface{ Stats() diskstore.IOStats }); ok {
-			io.Add(st.Stats())
-		}
+		io.Add(seg.r.Stats())
 	}
 	return io
 }
 
-// CacheStats aggregates the disk segments' block-cache counters:
-// hits, misses and resident bytes (all zero for the mem backend).
+// CacheStats aggregates the segments' block-cache counters: hits,
+// misses and resident bytes.
 func (s *Store) CacheStats() (hits, misses, bytes int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, seg := range s.segs {
-		if d, ok := seg.r.(*DiskIndex); ok {
-			h, m, b := d.CacheStats()
-			hits, misses, bytes = hits+h, misses+m, bytes+b
-		}
+		h, m, b := seg.r.CacheStats()
+		hits, misses, bytes = hits+h, misses+m, bytes+b
 	}
 	return hits, misses, bytes
 }
@@ -514,9 +483,7 @@ func (s *Store) ResetStats() {
 	copy(segs, s.segs)
 	s.mu.Unlock()
 	for _, seg := range segs {
-		if d, ok := seg.r.(*DiskIndex); ok {
-			d.ResetStats()
-		}
+		seg.r.ResetStats()
 	}
 }
 

@@ -108,8 +108,8 @@ func assertReadersEqual(t *testing.T, name string, got, want Reader) {
 // TestStoreDeltaEquivalence is the randomized acceptance test for the
 // LSM layer: a store opened over a prefix and grown by pushing the
 // remaining intervals — with compactions forced at random points —
-// must answer every read exactly like the one-shot index over the full
-// corpus, on both backends.
+// must answer every read exactly like the reference index over the
+// full corpus, on both backends.
 func TestStoreDeltaEquivalence(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
@@ -117,10 +117,7 @@ func TestStoreDeltaEquivalence(t *testing.T) {
 		m := 3 + rng.Intn(4)
 		col := storeCorpus(t, int64(100+trial), m, 25+rng.Intn(40))
 		base := 1 + rng.Intn(m-1)
-		oneShot, err := New(col)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := refIndexOf(col)
 		for _, backend := range []string{BackendMem, BackendDisk} {
 			name := fmt.Sprintf("trial=%d backend=%s base=%d/%d", trial, backend, base, m)
 			// CompactAfter -1 disables the policy so the test controls
@@ -143,16 +140,12 @@ func TestStoreDeltaEquivalence(t *testing.T) {
 					}
 				}
 			}
-			full, err := New(col)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertReadersEqual(t, name, s, full)
+			assertReadersEqual(t, name, s, ref)
 			// One final fold must change nothing observable.
 			if err := s.Compact(ctx); err != nil {
 				t.Fatalf("%s: final Compact: %v", name, err)
 			}
-			assertReadersEqual(t, name+" compacted", s, oneShot)
+			assertReadersEqual(t, name+" compacted", s, ref)
 			if err := s.Close(); err != nil {
 				t.Fatalf("%s: Close: %v", name, err)
 			}
@@ -162,23 +155,21 @@ func TestStoreDeltaEquivalence(t *testing.T) {
 
 // TestStoreReadsDuringPushAndCompact reads a Store from four
 // goroutines while intervals are pushed and compactions fold them, on
-// both backends. Every read must be a prefix of the one-shot index's
-// answer: a TimeSeries is the one-shot series cut at the intervals the
-// store held, and a Search of a held interval is the one-shot result
-// (nil only for an interval not pushed yet). At the end the store must
-// equal the one-shot index.
+// both backends: segments in a faultfs.Mem and segment files on the
+// OS. Every read must be a prefix of the reference index's answer: a
+// TimeSeries is the reference series cut at the intervals the store
+// held, and a Search of a held interval is the reference result (nil
+// only for an interval not pushed yet). At the end the store must
+// equal the reference.
 func TestStoreReadsDuringPushAndCompact(t *testing.T) {
 	ctx := context.Background()
 	const m, base = 8, 2
 	col := storeCorpus(t, 16, m, 30)
-	oneShot, err := New(col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vocab, _ := oneShot.Vocabulary(0)
+	ref := refIndexOf(col)
+	vocab, _ := ref.Vocabulary(0)
 	for _, backend := range []string{BackendMem, BackendDisk} {
-		// A one-byte block cache sends every disk Search to the file, so
-		// a read that outlives its segment's Close fails.
+		// A one-byte block cache sends every Search to the segment's
+		// file, so a read that outlives its segment's Close fails.
 		s, err := OpenStore(ctx, prefix(col, base), backend, "", Config{BlockSize: 4, MemBudget: 1, CompactAfter: -1})
 		if err != nil {
 			t.Fatalf("%s: OpenStore: %v", backend, err)
@@ -207,7 +198,7 @@ func TestStoreReadsDuringPushAndCompact(t *testing.T) {
 						t.Errorf("%s: TimeSeries(%q): %v", backend, w, err)
 						return
 					}
-					want, _ := oneShot.TimeSeries(w)
+					want, _ := ref.TimeSeries(w)
 					if len(ts) < held || !reflect.DeepEqual(ts, want[:len(ts)]) {
 						t.Errorf("%s: TimeSeries(%q) = %v, want a prefix of %v at least %d long", backend, w, ts, want, held)
 						return
@@ -220,7 +211,7 @@ func TestStoreReadsDuringPushAndCompact(t *testing.T) {
 						t.Errorf("%s: Search(%v, %d): %v", backend, kws, i, err)
 						return
 					}
-					wantIDs, _ := oneShot.Search(kws, i)
+					wantIDs, _ := ref.Search(kws, i)
 					if !reflect.DeepEqual(got, wantIDs) && (got != nil || i < held) {
 						t.Errorf("%s: Search(%v, %d) = %v with %d intervals held, want %v", backend, kws, i, got, held, wantIDs)
 						return
@@ -255,7 +246,7 @@ func TestStoreReadsDuringPushAndCompact(t *testing.T) {
 			t.Fatalf("%s: final Compact: %v", backend, err)
 		}
 		stopReaders()
-		assertReadersEqual(t, backend, s, oneShot)
+		assertReadersEqual(t, backend, s, ref)
 		if err := s.Close(); err != nil {
 			t.Fatalf("%s: Close: %v", backend, err)
 		}
@@ -418,10 +409,7 @@ func TestFaultStorePushENOSPC(t *testing.T) {
 	if err := s.Push(ctx, col.Intervals[2], corpus.Tokenize([]corpus.Interval{col.Intervals[2]})); err != nil {
 		t.Fatalf("push after ENOSPC cleared: %v", err)
 	}
-	full, err := New(col)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := refIndexOf(col)
 	assertReadersEqual(t, "post-recovery", s, full)
 }
 
@@ -465,10 +453,7 @@ func TestFaultStoreCompactionFailure(t *testing.T) {
 	if _, err := os.Stat(stray); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf(".compact.partial survives a failed fold (stat err: %v)", err)
 	}
-	full, err := New(col)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := refIndexOf(col)
 	assertReadersEqual(t, "after failed compaction", s, full)
 
 	// The retry folds cleanly.

@@ -46,8 +46,11 @@ func (w *outcome) Write(p []byte) (int, error) {
 //
 // When the handler returns, the status is reported once: to the route's
 // http_requests_total and latency histogram, shed 429s and 503s
-// included; to the route's breaker if it admitted the request (only a
-// 5xx is a failure); and as one access-log record.
+// included; to the route's breaker if it admitted the request (a 5xx is
+// a failure, except a 504: a query that ran out its own deadline says
+// nothing of the route's health, so it is recorded as a success — still
+// recorded, so a half-open probe that times out ends the probe); and as
+// one access-log record.
 //
 // A panic counts as a 500 and becomes a 500 reply and a stack-trace log
 // record instead of a dead process; net/http would recover it itself,
@@ -78,7 +81,7 @@ func (s *Server) withOutcome(next http.Handler) http.Handler {
 				s.m.duration.With(o.route).Observe(time.Since(start).Seconds())
 			}
 			if o.b != nil {
-				o.b.record(status >= 500)
+				o.b.record(status >= 500 && status != http.StatusGatewayTimeout)
 			}
 			if v == http.ErrAbortHandler {
 				panic(v)

@@ -17,15 +17,20 @@ import (
 )
 
 // outcomeSession is a session whose TimeSeries panics with v when v is
-// set; every other call goes to the wrapped Engine.
+// set and fails with err when err is; every other call goes to the
+// wrapped Engine.
 type outcomeSession struct {
 	Session
-	v any
+	v   any
+	err error
 }
 
 func (o outcomeSession) TimeSeries(ctx context.Context, keyword string) ([]int64, error) {
 	if o.v != nil {
 		panic(o.v)
+	}
+	if o.err != nil {
+		return nil, o.err
 	}
 	return o.Session.TimeSeries(ctx, keyword)
 }
@@ -57,7 +62,8 @@ func viewBreaker(s *Server, route string) breakerView {
 // failure; http.ErrAbortHandler counts against its route and the
 // breaker, then goes up to net/http with no log record; a breaker shed
 // is not fed back to the breaker, while an admission 429 counts as a
-// success; an unmatched path is only logged.
+// success, and so does a 504 from a query that ran out its deadline;
+// an unmatched path is only logged.
 func TestRequestOutcomeContract(t *testing.T) {
 	eng, err := blogclusters.Open(t.Context(), blogclusters.FromGenerator(blogclusters.NewsWeekCorpus(2007, 60)))
 	if err != nil {
@@ -71,6 +77,7 @@ func TestRequestOutcomeContract(t *testing.T) {
 		name   string
 		path   func(i int) string
 		panic  any
+		err    error // TimeSeries's error, when it does not panic
 		setup  func(s *Server)
 		status int // written and logged; 0 when the handler aborts
 		metric string
@@ -98,6 +105,8 @@ func TestRequestOutcomeContract(t *testing.T) {
 			breaker: breakerView{"open", 0, 0, 1}},
 		{name: "abort", path: query, panic: http.ErrAbortHandler, metric: "500",
 			breaker: breakerView{"open", 0, 0, 1}},
+		{name: "deadline", path: query, err: context.DeadlineExceeded, status: 504, metric: "504", requests: n,
+			breaker: breakerView{"closed", n, 0, 0}},
 		{name: "unmatched", path: func(int) string { return "/v1/no-such-route" }, status: 404, requests: n},
 	}
 	for _, tc := range cases {
@@ -108,7 +117,7 @@ func TestRequestOutcomeContract(t *testing.T) {
 				BreakerCooldown: time.Hour,
 				Logger:          slog.New(slog.NewJSONHandler(&logs, nil)),
 			})
-			srv.SetEngine(outcomeSession{Session: eng, v: tc.panic})
+			srv.SetEngine(outcomeSession{Session: eng, v: tc.panic, err: tc.err})
 			if tc.setup != nil {
 				tc.setup(srv)
 			}

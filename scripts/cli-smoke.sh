@@ -7,10 +7,11 @@
 # clusters, further blogstable runs drive its query and cluster flags
 # (-normalized, -lmin, -k, -l, -algorithm, -rho, -mincluster, -raw),
 # and experiments lists its ids. Every run must exit 0 and print its
-# headline line, except two that must fail: -normalized -algorithm dfs,
-# a query no solver answers, and -clusters with -intervals, a corpus
+# headline line, except three that must fail: -normalized -algorithm
+# dfs, a query no solver answers; -clusters with -intervals, a corpus
 # flag a saved-clusters session has no corpus for (the message must
-# name -intervals). `make cli-smoke` runs this; CI's examples job runs
+# name -intervals); and -index-compact-after, a flag only blogserved,
+# the one command that takes pushes, installs. `make cli-smoke` runs this; CI's examples job runs
 # that target.
 set -eu
 
@@ -73,7 +74,10 @@ grep -q 'does not answer normalized queries' "$TMP/mismatch.txt" ||
 	{ cat "$TMP/mismatch.txt" >&2; fail "blogstable -normalized -algorithm dfs failed for another reason"; }
 "$TMP/blogstable" -demo -quiet -raw >"$TMP/raw.txt" || fail "blogstable -raw exited $?"
 expect "$TMP/raw.txt" 'top 5 stable clusters'
-echo "cli-smoke: blogstable ok (-normalized, -algorithm dfs, a rejected mismatch, -raw)"
+if "$TMP/blogstable" -demo -quiet -index-compact-after 1 >"$TMP/compact.txt" 2>&1; then
+	fail "blogstable -index-compact-after exited 0; only blogserved takes pushes to compact"
+fi
+echo "cli-smoke: blogstable ok (-normalized, -algorithm dfs, a rejected mismatch, -raw, no -index-compact-after)"
 
 "$TMP/experiments" -list >"$TMP/list.txt" || fail "experiments -list exited $?"
 expect "$TMP/list.txt" 'table1'

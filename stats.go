@@ -44,12 +44,14 @@ type EngineStats struct {
 	// raced to first use — and stays 1 across pushes, which extend
 	// instead of rebuilding.
 	Stages map[string]StageTiming `json:"stages"`
-	// IndexIO is the disk index backend's I/O counters (zero for the
-	// mem backend or while the index is unbuilt).
+	// IndexIO is the index segments' I/O counters, on either backend:
+	// a mem session counts its block reads from memory the way a disk
+	// session counts them from the file (zero while the index is
+	// unbuilt).
 	IndexIO diskstore.IOStats `json:"index_io"`
-	// IndexCache is the disk index's block-cache accounting (zero for
-	// the mem backend): residency in bytes plus hit/miss counters, the
-	// source of the index_cache_* series on /metrics.
+	// IndexCache is the segments' block-cache accounting, on either
+	// backend: residency in bytes plus hit/miss counters, the source of
+	// the index_cache_* series on /metrics.
 	IndexCache struct {
 		Hits   int64 `json:"hits"`
 		Misses int64 `json:"misses"`

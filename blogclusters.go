@@ -210,7 +210,9 @@ type IndexOptions struct {
 	// memory, "disk" in a file.
 	Backend string
 	// Path is where the disk backend's segment file lives. Empty means
-	// a private temporary file, removed when the reader is closed.
+	// a private temporary file, removed when the reader is closed. The
+	// file is rebuilt at every session's first index use and replaces
+	// whatever is at Path; it is never reopened.
 	Path string
 	// MemBudget bounds the block-cache bytes of each segment; 0 means
 	// the default (8 MiB).
@@ -246,14 +248,6 @@ func (o IndexOptions) config(lifetime context.Context) index.Config {
 		Ctx:          lifetime,
 		CompactAfter: o.CompactAfter,
 	}
-}
-
-// openIndexStoreCtx builds and opens the selected backend from the
-// tokens src gives. ctx bounds the build; lifetime bounds the opened
-// store's retry backoff sleeps (the store usually outlives the query
-// that built it).
-func openIndexStoreCtx(ctx, lifetime context.Context, c *Collection, src corpus.TokenSource, opts IndexOptions) (*index.Store, error) {
-	return index.OpenStoreTokens(ctx, c, src, opts.Backend, opts.Path, opts.config(lifetime))
 }
 
 // KeywordBurst is one bursty stretch of intervals for a keyword.

@@ -99,6 +99,9 @@ func main() {
 		if shared.Intervals != "" {
 			log.Fatal("-shard-count splits the whole corpus; drop -intervals")
 		}
+		if shared.IndexFile != "" {
+			log.Fatal("-shard-count builds one segment per shard, so one -indexfile path would be shared; drop -indexfile")
+		}
 	default:
 		src, err = shared.Source()
 		if err != nil {

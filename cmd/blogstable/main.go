@@ -134,7 +134,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("corpus: %d documents across %d intervals\n", eng.Collection().NumDocs(), len(eng.Collection().Intervals))
+		totals, err := eng.DocTotals(ctx)
+		if err != nil {
+			log.Fatal(err)
+		}
+		docs := int64(0)
+		for _, n := range totals {
+			docs += n
+		}
+		fmt.Printf("corpus: %d documents across %d intervals\n", docs, eng.NumIntervals())
 	}
 	// Close the session (removing a temp disk segment) before any fatal
 	// exit: log.Fatal would skip a defer.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,13 +20,14 @@ import (
 // Engine is the stateful, session-oriented entry point to the whole
 // pipeline — the shape of the paper's BlogScope system, which loads a
 // corpus once and answers many analysis queries over it. Open loads
-// (or generates) the corpus; every stage artifact downstream of it —
-// the keyword index, the per-interval cluster sets, the cluster
-// graph and the per-interval keyword graphs — is materialized lazily
-// on first use, memoized, and shared by all subsequent queries. Builds
-// are single-flight: concurrent first queries wait for one build
-// instead of duplicating it, and EngineStats counts exactly how many
-// times each stage ran.
+// (or generates) the corpus and tokenizes each interval once; the
+// tokens are all the session keeps of the documents. Every stage
+// artifact downstream of them — the keyword index, the per-interval
+// cluster sets, the cluster graph and the per-interval keyword graphs —
+// is materialized lazily on first use, memoized, and shared by all
+// subsequent queries. Builds are single-flight: concurrent first
+// queries wait for one build instead of duplicating it, and EngineStats
+// counts exactly how many times each stage ran.
 //
 // The session is LIVE: Push appends one new interval, extending the
 // index with a delta segment and every memoized artifact incrementally
@@ -43,11 +45,14 @@ import (
 // cancels in-flight builds and releases the index backend.
 type Engine struct {
 	cfg engineConfig
+	// noCorpus marks a session opened from cluster sets: it holds no
+	// tokens, so corpus-backed queries and Push return ErrNoCorpus.
+	noCorpus bool
 
-	// state is the current generation's snapshot: the corpus and every
-	// generation-scoped artifact memo. Push builds a successor snapshot
-	// and swaps the pointer; in-flight queries keep the snapshot they
-	// loaded, so they observe one generation end to end.
+	// state is the current generation's snapshot: the interval records
+	// and every generation-scoped artifact memo. Push builds a successor
+	// snapshot and swaps the pointer; in-flight queries keep the
+	// snapshot they loaded, so they observe one generation end to end.
 	state atomic.Pointer[engineState]
 	// pushMu serializes Push (generations are a total order).
 	pushMu sync.Mutex
@@ -83,7 +88,6 @@ type Engine struct {
 // snapshot — it builds the next one and swaps the Engine's pointer.
 type engineState struct {
 	gen int64
-	col *corpus.Collection // nil for cluster-set sources
 
 	index *par.Memo[*index.Store]
 	sets  *par.Memo[[][]Cluster]
@@ -93,36 +97,26 @@ type engineState struct {
 	// pushed, so every snapshot that contains an interval shares its
 	// record; len(ivs) is the session's width.
 	ivs []*ivMemo
-
-	// toks memoizes each interval's tokens for the two builds that read
-	// every interval, the index store and the cluster sets, so each
-	// interval is tokenized once for both. It is nil once both exist
-	// (releaseTokens) and for cluster-set sources: tokens are never
-	// kept for the session.
-	tokMu sync.Mutex
-	toks  []par.Memo[*corpus.Tokens]
 }
 
-// ivMemo is one interval's record: the artifacts built from that
-// interval alone.
+// ivMemo is one interval's record: its tokens and the artifacts built
+// from that interval alone.
 type ivMemo struct {
+	// toks is the interval's documents as tokens, set before the record
+	// is published and never changed; nil in a cluster-set session.
+	toks     *corpus.Tokens
 	clusters par.Memo[[]Cluster]
 	kwGraph  par.Memo[*cooccur.Graph]
 }
 
-func newEngineState(gen int64, col *corpus.Collection, ivs []*ivMemo) *engineState {
-	st := &engineState{
+func newEngineState(gen int64, ivs []*ivMemo) *engineState {
+	return &engineState{
 		gen:   gen,
-		col:   col,
 		index: &par.Memo[*index.Store]{},
 		sets:  &par.Memo[[][]Cluster]{},
 		graph: &par.Memo[*ClusterGraph]{},
 		ivs:   ivs,
 	}
-	if col != nil {
-		st.toks = make([]par.Memo[*corpus.Tokens], len(col.Intervals))
-	}
-	return st
 }
 
 // newRecords returns n empty interval records.
@@ -132,6 +126,15 @@ func newRecords(n int) []*ivMemo {
 		ivs[i] = new(ivMemo)
 	}
 	return ivs
+}
+
+// tokens returns every interval's tokens, in interval order.
+func (st *engineState) tokens() []*corpus.Tokens {
+	toks := make([]*corpus.Tokens, len(st.ivs))
+	for i, rec := range st.ivs {
+		toks[i] = rec.toks
+	}
+	return toks
 }
 
 // primeRecords seeds each interval's record with its cluster set.
@@ -212,8 +215,9 @@ type Source struct {
 	sets [][]Cluster
 }
 
-// FromCollection serves an already-loaded collection. The Engine does
-// not copy it; the caller must not mutate it afterwards.
+// FromCollection serves an already-loaded collection. Open tokenizes it
+// and keeps only the tokens: the Engine does not hold the collection,
+// so the caller may drop or reuse it once Open returns.
 func FromCollection(c *Collection) Source { return Source{col: c} }
 
 // FromJSONLFile opens and reads a JSONL corpus file at Open time.
@@ -246,7 +250,9 @@ var ErrOutOfOrderInterval = errors.New("blogclusters: pushed interval is not the
 // ErrMalformedInterval is returned by Push for intervals that fail
 // validation: a document claiming a different interval, a negative or
 // duplicate document id, or a keyword with NUL/newline bytes (which
-// the disk segment encoding forbids).
+// the disk segment encoding forbids). Open returns it for a corpus
+// with a misfiled document, one filed under an interval it does not
+// claim.
 var ErrMalformedInterval = errors.New("blogclusters: malformed interval")
 
 // ErrInvalidQuery marks query-validation failures — an interval
@@ -258,10 +264,13 @@ var ErrMalformedInterval = errors.New("blogclusters: malformed interval")
 // map it to a client error (400) instead of sniffing message text.
 var ErrInvalidQuery = core.ErrInvalidRequest
 
-// Open starts a session: the corpus is loaded (or generated)
-// immediately; everything downstream is built lazily by the first
-// query that needs it. Close the Engine when done. A GraphOptions.Theta
-// outside (0, 1] fails Open with an error wrapping ErrInvalidQuery.
+// Open starts a session: the corpus is loaded (or generated) and
+// tokenized immediately, each interval once (a "tokens" build) on a
+// pool of min(GOMAXPROCS, m) workers; everything downstream is built
+// lazily by the first query that needs it. Close the Engine when done.
+// A GraphOptions.Theta outside (0, 1] fails Open with an error wrapping
+// ErrInvalidQuery, a misfiled document with one wrapping
+// ErrMalformedInterval.
 func Open(ctx context.Context, src Source, opts ...Option) (*Engine, error) {
 	var cfg engineConfig
 	for _, o := range opts {
@@ -274,7 +283,8 @@ func Open(ctx context.Context, src Source, opts ...Option) (*Engine, error) {
 	e.root, e.stop = context.WithCancel(context.Background())
 
 	if src.sets != nil {
-		st := newEngineState(1, nil, newRecords(len(src.sets)))
+		e.noCorpus = true
+		st := newEngineState(1, newRecords(len(src.sets)))
 		st.sets.Prime(src.sets)
 		st.primeRecords(src.sets)
 		e.state.Store(st)
@@ -288,9 +298,33 @@ func Open(ctx context.Context, src Source, opts ...Option) (*Engine, error) {
 		e.stop()
 		return nil, err
 	}
-	e.state.Store(newEngineState(1, col, newRecords(len(col.Intervals))))
 	e.timings.record("corpus", time.Since(start))
+	// The snapshot is stored before its records are filled only so the
+	// "tokens" stage can read the generation: no caller sees e before
+	// Open returns, after the pool has finished.
+	st := newEngineState(1, newRecords(len(col.Intervals)))
+	e.state.Store(st)
+	if err := e.tokenizeAll(ctx, col, st.ivs); err != nil {
+		e.stop()
+		return nil, err
+	}
 	return e, nil
+}
+
+// tokenizeAll fills each interval record's tokens from c: a "tokens"
+// build per interval, on a pool of min(GOMAXPROCS, m) workers with one
+// Tokenizer each. A misfiled document fails it.
+func (e *Engine) tokenizeAll(ctx context.Context, c *Collection, ivs []*ivMemo) error {
+	m := len(c.Intervals)
+	workers := max(1, min(runtime.GOMAXPROCS(0), m))
+	tzs := make([]corpus.Tokenizer, workers)
+	return par.ForEachWorkerCtx(ctx, m, workers, func(w, i int) (err error) {
+		defer e.stage(ctx, "tokens")()
+		if ivs[i].toks, err = tzs[w].Interval(c, i); err != nil {
+			return fmt.Errorf("blogclusters: %w: %w", err, ErrMalformedInterval)
+		}
+		return nil
+	})
 }
 
 func loadSource(ctx context.Context, src Source) (*corpus.Collection, error) {
@@ -345,11 +379,6 @@ func (e *Engine) Close() error {
 	}
 	return first
 }
-
-// Collection returns the corpus of the current generation (nil for
-// cluster-set sources). Callers must treat it as read-only; Push
-// publishes a grown snapshot rather than mutating this one.
-func (e *Engine) Collection() *Collection { return e.state.Load().col }
 
 // Generation returns the monotonic ingest generation: 1 at Open
 // (leaving 0 to mean "no session" for monitors), incremented by every

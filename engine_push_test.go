@@ -8,9 +8,9 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/cluster"
-	"repro/internal/corpus"
 )
 
 // pushCorpus builds an m-interval corpus with one persistent event so
@@ -174,7 +174,8 @@ func TestEnginePushIncremental(t *testing.T) {
 
 // TestEnginePushLazyStaysLazy pins the other half of the incremental
 // contract: pushing into a session that has built nothing builds
-// nothing — the first query after the push sees the grown corpus.
+// nothing but the new interval's tokens — the first query after the
+// push sees the grown corpus.
 func TestEnginePushLazyStaysLazy(t *testing.T) {
 	col := pushCorpus(t, 4)
 	ctx := context.Background()
@@ -184,9 +185,12 @@ func TestEnginePushLazyStaysLazy(t *testing.T) {
 	}
 	st := eng.Stats()
 	for stage, s := range st.Stages {
-		if stage != "corpus" && stage != "push" && s.Builds != 0 {
+		if stage != "corpus" && stage != "tokens" && stage != "push" && s.Builds != 0 {
 			t.Errorf("push on a cold session built stage %q %d times", stage, s.Builds)
 		}
+	}
+	if got := st.Stages["tokens"].Builds; got != 4 {
+		t.Errorf("Open and a push tokenized %d intervals, want 4", got)
 	}
 	ts, err := eng.TimeSeries(ctx, "alpha")
 	if err != nil {
@@ -228,7 +232,7 @@ func TestEnginePushValidation(t *testing.T) {
 	if gen := eng.Generation(); gen != 1 {
 		t.Fatalf("failed pushes moved the generation to %d", gen)
 	}
-	if n := len(eng.Collection().Intervals); n != 3 {
+	if n := eng.NumIntervals(); n != 3 {
 		t.Fatalf("failed pushes changed the corpus to %d intervals", n)
 	}
 
@@ -396,21 +400,11 @@ func TestEnginePushConcurrentQueries(t *testing.T) {
 // tokenBuilds reads how many intervals the Engine has tokenized.
 func tokenBuilds(eng *Engine) int64 { return eng.Stats().Stages["tokens"].Builds }
 
-// tokensHeld reports whether the current snapshot still holds its token
-// memo.
-func tokensHeld(eng *Engine) bool {
-	st := eng.state.Load()
-	st.tokMu.Lock()
-	defer st.tokMu.Unlock()
-	return st.toks != nil
-}
-
-// TestEngineTokenizesOnce pins the token memo's contract: the index
-// store and the cluster sets share one tokenization of each interval,
-// the memo is dropped once both exist, a push tokenizes only the new
-// interval, and a reader after the release tokenizes afresh without
-// keeping anything. The concurrent case runs both full builds at once,
-// so the memo's single flight is what keeps the count at m.
+// TestEngineTokenizesOnce pins where tokens are made: Open tokenizes
+// each interval once, on its pool at one worker and at eight; Index,
+// Clusters, ClustersAt, Graph and Correlations read the session's
+// tokens and make none; a push tokenizes only the new interval. The
+// concurrent case runs both full builds at once.
 func TestEngineTokenizesOnce(t *testing.T) {
 	const m = 4
 	col := pushCorpus(t, m+1)
@@ -421,14 +415,11 @@ func TestEngineTokenizesOnce(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 				eng := openTestEngine(t, prefixCol(col, m),
 					WithIndexOptions(IndexOptions{Backend: backend, CompactAfter: -1}))
+				if got := tokenBuilds(eng); got != m {
+					t.Fatalf("Open tokenized %d intervals, want %d", got, m)
+				}
 				if _, err := eng.Index(ctx); err != nil {
 					t.Fatal(err)
-				}
-				if got := tokenBuilds(eng); got != m {
-					t.Fatalf("Index tokenized %d intervals, want %d", got, m)
-				}
-				if !tokensHeld(eng) {
-					t.Fatal("token memo released before the cluster sets exist")
 				}
 				if _, err := eng.Clusters(ctx); err != nil {
 					t.Fatal(err)
@@ -439,31 +430,17 @@ func TestEngineTokenizesOnce(t *testing.T) {
 				if _, err := eng.Graph(ctx); err != nil {
 					t.Fatal(err)
 				}
+				if _, err := eng.Correlations(ctx, "alpha", 0, 3); err != nil {
+					t.Fatal(err)
+				}
 				if got := tokenBuilds(eng); got != m {
-					t.Fatalf("Index, Clusters, ClustersAt and Graph tokenized %d intervals, want %d", got, m)
+					t.Fatalf("Index, Clusters, ClustersAt, Graph and Correlations tokenized %d intervals", got-m)
 				}
-				if tokensHeld(eng) {
-					t.Fatal("token memo held after the index store and the cluster sets both exist")
-				}
-
 				if _, err := eng.Push(ctx, col.Intervals[m]); err != nil {
 					t.Fatal(err)
 				}
 				if got := tokenBuilds(eng); got != m+1 {
 					t.Fatalf("push tokenized %d intervals, want 1", got-m)
-				}
-				if tokensHeld(eng) {
-					t.Fatal("the pushed generation holds a token memo")
-				}
-
-				if _, err := eng.Correlations(ctx, "alpha", 0, 3); err != nil {
-					t.Fatal(err)
-				}
-				if got := tokenBuilds(eng); got != m+2 {
-					t.Fatalf("Correlations after the release tokenized %d intervals, want 1", got-m-1)
-				}
-				if tokensHeld(eng) {
-					t.Fatal("a reader after the release kept its tokens")
 				}
 			})
 		}
@@ -489,12 +466,42 @@ func TestEngineTokenizesOnce(t *testing.T) {
 			}
 		}
 		if got := tokenBuilds(eng); got != m {
-			t.Fatalf("concurrent Index and Clusters tokenized %d intervals, want %d", got, m)
-		}
-		if tokensHeld(eng) {
-			t.Fatal("token memo held after the index store and the cluster sets both exist")
+			t.Fatalf("concurrent Index and Clusters left %d tokens builds, want Open's %d", got, m)
 		}
 	})
+}
+
+// TestEngineHoldsNoDocuments: an open session keeps no Document of the
+// collection it was opened on, nor of a pushed interval. Once the
+// caller drops the collection, a weak pointer into its first interval's
+// documents goes nil, while the Engine, with its index, clusters and
+// graph built and one interval pushed, still serves.
+func TestEngineHoldsNoDocuments(t *testing.T) {
+	const m = 3
+	col := pushCorpus(t, m+1)
+	ctx := context.Background()
+	doc := weak.Make(&col.Intervals[0].Docs[0])
+	eng := openTestEngine(t, &Collection{Intervals: col.Intervals[:m:m]})
+	if _, err := eng.Index(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Clusters(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Graph(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Push(ctx, col.Intervals[m]); err != nil {
+		t.Fatal(err)
+	}
+	col = nil
+	runtime.GC()
+	if doc.Value() != nil {
+		t.Fatal("the open Engine still holds the collection's documents")
+	}
+	if ts, err := eng.TimeSeries(ctx, "alpha"); err != nil || len(ts) != m+1 {
+		t.Fatalf("TimeSeries after the collection was dropped: %v, %v", ts, err)
+	}
 }
 
 // stageBuilds reads how many times the Engine has built one stage.
@@ -566,7 +573,7 @@ func TestEngineIntervalRecordsSurvivePush(t *testing.T) {
 		t.Errorf("ClustersAt over primed records built interval-clusters %d more times", got-pushed)
 	}
 
-	want, err := allIntervalClustersCtx(ctx, col, corpus.Tokenizing(col), ClusterOptions{})
+	want, err := allIntervalClustersCtx(ctx, tokensOf(col), ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,6 +32,15 @@ func testCorpus(t *testing.T, posts int) *Collection {
 	return col
 }
 
+// tokensOf tokenizes each interval of c, the form the Engine keeps.
+func tokensOf(c *Collection) []*corpus.Tokens {
+	toks := make([]*corpus.Tokens, len(c.Intervals))
+	for i := range toks {
+		toks[i] = corpus.Tokenize(c.Intervals[i : i+1])
+	}
+	return toks
+}
+
 // TestEngineEquivalence proves the Engine's query methods return
 // byte-identical results to the underlying stateless stages on a seeded
 // corpus (the acceptance criterion of the API redesign): same cluster
@@ -51,7 +60,7 @@ func TestEngineEquivalence(t *testing.T) {
 	defer eng.Close()
 
 	// Stage artifacts.
-	wantSets, err := allIntervalClustersCtx(ctx, col, corpus.Tokenizing(col), copts)
+	wantSets, err := allIntervalClustersCtx(ctx, tokensOf(col), copts)
 	if err != nil {
 		t.Fatalf("reference clusters: %v", err)
 	}
@@ -485,7 +494,7 @@ func TestEngineIntervalQueriesRejectOutOfRange(t *testing.T) {
 func TestEngineClusterSetsSource(t *testing.T) {
 	col := testCorpus(t, 80)
 	ctx := context.Background()
-	sets, err := allIntervalClustersCtx(ctx, col, corpus.Tokenizing(col), ClusterOptions{})
+	sets, err := allIntervalClustersCtx(ctx, tokensOf(col), ClusterOptions{})
 	if err != nil {
 		t.Fatalf("clusters: %v", err)
 	}
@@ -495,8 +504,8 @@ func TestEngineClusterSetsSource(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	defer eng.Close()
-	if eng.Collection() != nil {
-		t.Fatal("cluster-set engine should have no collection")
+	if _, err := eng.DocTotals(ctx); !errors.Is(err, ErrNoCorpus) {
+		t.Fatalf("DocTotals returned %v, want ErrNoCorpus", err)
 	}
 	res, err := eng.StableClusters(ctx, "bfs", 3, FullPaths)
 	if err != nil {

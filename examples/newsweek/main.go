@@ -37,9 +37,16 @@ func main() {
 		log.Fatalf("open engine: %v", err)
 	}
 	defer eng.Close()
-	col := eng.Collection()
+	totals, err := eng.DocTotals(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	posts := int64(0)
+	for _, n := range totals {
+		posts += n
+	}
 	labels := corpus.DayLabels(time.Date(2007, 1, 6, 0, 0, 0, 0, time.UTC), 7)
-	fmt.Printf("synthetic blogosphere week: %d posts over %d days\n\n", col.NumDocs(), len(col.Intervals))
+	fmt.Printf("synthetic blogosphere week: %d posts over %d days\n\n", posts, eng.NumIntervals())
 
 	sets, err := eng.Clusters(ctx)
 	if err != nil {

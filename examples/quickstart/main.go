@@ -42,8 +42,15 @@ func main() {
 		log.Fatalf("open engine: %v", err)
 	}
 	defer eng.Close()
-	corpus := eng.Collection()
-	fmt.Printf("corpus: %d posts over %d days\n", corpus.NumDocs(), len(corpus.Intervals))
+	totals, err := eng.DocTotals(ctx)
+	if err != nil {
+		log.Fatalf("document totals: %v", err)
+	}
+	posts := int64(0)
+	for _, n := range totals {
+		posts += n
+	}
+	fmt.Printf("corpus: %d posts over %d days\n", posts, eng.NumIntervals())
 
 	// Section 3: keyword graph → χ²/ρ pruning → biconnected components.
 	sets, err := eng.Clusters(ctx)
@@ -66,7 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("stable clusters: %v", err)
 	}
-	fmt.Printf("\ntop stable clusters spanning all %d days:\n", len(corpus.Intervals))
+	fmt.Printf("\ntop stable clusters spanning all %d days:\n", eng.NumIntervals())
 	for i, p := range res.Paths {
 		desc, err := eng.Describe(ctx, p)
 		if err != nil {

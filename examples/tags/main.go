@@ -28,8 +28,15 @@ func main() {
 		log.Fatalf("open engine: %v", err)
 	}
 	defer eng.Close()
-	col := eng.Collection()
-	fmt.Printf("tag stream: %d tagged items over %d weeks\n", col.NumDocs(), len(col.Intervals))
+	totals, err := eng.DocTotals(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	items := int64(0)
+	for _, n := range totals {
+		items += n
+	}
+	fmt.Printf("tag stream: %d tagged items over %d weeks\n", items, eng.NumIntervals())
 
 	sets, err := eng.Clusters(ctx)
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/corpus"
 	"repro/internal/index"
 )
 
@@ -159,6 +158,22 @@ func TestOpenIndexStoreErrors(t *testing.T) {
 			t.Fatalf("negative doc id accepted by %s backend", backend)
 		}
 	}
+	// A misfiled document fails index.OpenStore as its intervals are
+	// tokenized, and Open itself: the session tokenizes at Open.
+	misfiled, err := GenerateCorpus(NewsWeekCorpus(2007, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	misfiled.Intervals[2].Docs[1].Interval = 5
+	if _, err := index.OpenStore(context.Background(), misfiled, "disk", "", index.Config{}); err == nil {
+		t.Fatal("misfiled document accepted by index.OpenStore")
+	}
+	if eng, err := Open(context.Background(), FromCollection(misfiled)); !errors.Is(err, ErrMalformedInterval) {
+		if err == nil {
+			eng.Close()
+		}
+		t.Fatalf("Open on a misfiled corpus = %v, want ErrMalformedInterval", err)
+	}
 	matches, err := filepath.Glob(filepath.Join(os.TempDir(), "blogclusters-idx-*"))
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +185,7 @@ func TestOpenIndexStoreErrors(t *testing.T) {
 	// A canceled context aborts the disk build and also cleans up.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := openIndexStoreCtx(ctx, context.Background(), col, corpus.Tokenizing(col), IndexOptions{Backend: "disk"}); !errors.Is(err, context.Canceled) {
+	if _, err := index.OpenStoreTokens(ctx, tokensOf(col), "disk", "", index.Config{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled disk build returned %v, want context.Canceled", err)
 	}
 	matches, err = filepath.Glob(filepath.Join(os.TempDir(), "blogclusters-idx-*"))

@@ -48,7 +48,7 @@ func (f *EngineFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Intervals, "intervals", "", "serve only global intervals FROM:TO of the corpus (half-open), e.g. 0:4 — the shard-server slice of a shared corpus")
 	fs.StringVar(&f.IndexBackend, "index", "mem", "keyword-index backend: where the posting segment lives, mem (in memory) or disk (a file); both read blocks through an LRU cache")
 	fs.IntVar(&f.IndexCache, "indexcache", 0, "block-cache budget in bytes per index segment, either backend; 0 = default (8 MiB)")
-	fs.StringVar(&f.IndexFile, "indexfile", "", "disk backend: segment file path; empty = private temp file")
+	fs.StringVar(&f.IndexFile, "indexfile", "", "with -index disk only: the segment file's path, rebuilt at every start and replacing whatever is at PATH; it is never reopened. Empty = a private temp file")
 }
 
 // Source maps -input/-demo (and -intervals, when set) onto an Engine
@@ -56,7 +56,7 @@ func (f *EngineFlags) Register(fs *flag.FlagSet) {
 // materialized eagerly so the slice can be cut and re-stamped before
 // the Engine sees it.
 func (f *EngineFlags) Source() (blogclusters.Source, error) {
-	if err := f.selection(); err != nil {
+	if err := f.validate(); err != nil {
 		return blogclusters.Source{}, err
 	}
 	if f.Intervals == "" {
@@ -76,7 +76,7 @@ func (f *EngineFlags) Source() (blogclusters.Source, error) {
 // corpus, cut to the -intervals slice (re-stamped to local indices)
 // when one is set.
 func (f *EngineFlags) Corpus() (*blogclusters.Collection, error) {
-	if err := f.selection(); err != nil {
+	if err := f.validate(); err != nil {
 		return nil, err
 	}
 	if f.Intervals == "" {
@@ -93,10 +93,13 @@ func (f *EngineFlags) Corpus() (*blogclusters.Collection, error) {
 	return shard.SliceCollection(col, from, to)
 }
 
-// selection rejects a corpus choice that names neither or both of
-// -input and -demo.
-func (f *EngineFlags) selection() error {
+// validate rejects a corpus choice that names neither or both of
+// -input and -demo, and an -indexfile for a backend other than disk,
+// which would ignore it.
+func (f *EngineFlags) validate() error {
 	switch {
+	case f.IndexFile != "" && f.IndexBackend != "disk":
+		return fmt.Errorf("-indexfile names the disk backend's segment file; pass -index disk or drop it")
 	case f.Demo && f.Input != "":
 		return fmt.Errorf("pass either -demo or -input, not both")
 	case f.Demo, f.Input != "":

@@ -98,6 +98,9 @@ func TestSourceSelection(t *testing.T) {
 		{"demo", EngineFlags{Demo: true}, ""},
 		{"input", EngineFlags{Input: "posts.jsonl"}, ""},
 		{"demo slice", EngineFlags{Demo: true, Intervals: "1:3"}, ""},
+		{"indexfile on mem", EngineFlags{Demo: true, IndexBackend: "mem", IndexFile: "x.seg"}, "-indexfile"},
+		{"indexfile on the default backend", EngineFlags{Demo: true, IndexFile: "x.seg"}, "-indexfile"},
+		{"indexfile on disk", EngineFlags{Demo: true, IndexBackend: "disk", IndexFile: "x.seg"}, ""},
 	}
 	for _, tc := range cases {
 		_, err := tc.f.Source()

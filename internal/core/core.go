@@ -35,9 +35,9 @@
 // (slab.go); topk.Path values are built for the answer. All solver
 // state lives in memory. BFS and DFS keep theirs in a workspace
 // (workspace.go) that a solve hands on to the next one: the package
-// holds one spare through a weak pointer, so a garbage collection
-// reclaims it, and each solve resets every part it uses, so that a
-// solve in the spare returns exactly what one in fresh memory would. The online regime of Section 4.6 is the
+// holds one spare, and each solve resets every part it uses, so that a
+// solve in the spare returns exactly what one in fresh memory would.
+// The online regime of Section 4.6 is the
 // root package's Engine.Push, which grows the cluster graph that these
 // solvers then run on.
 package core

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"weak"
 
 	"repro/internal/clustergraph"
 )
@@ -13,10 +12,10 @@ import (
 // part it uses to exactly the state a fresh one would have, so that
 // only capacities carry over from the solves before it, and gives it
 // back (release) once its answer is built, a failed or cancelled solve
-// too. The spare is held through a weak pointer: it lives from one
-// solve to the next and every collection reclaims it, so an idle
-// process holds none of it. A solve that finds no spare, because
-// another solve holds it or a collection took it, makes its own.
+// too. The spare lives from one solve to the next, so a process holds
+// at most one workspace, sized by the largest solve it has run, between
+// solves. A solve that finds no spare, because another solve holds it,
+// makes its own.
 //
 // Nothing in a workspace points outside it once it is released: it
 // holds no graph, context or answer. TA keeps its own state.
@@ -44,19 +43,19 @@ type workspace struct {
 	nodes               []int64
 }
 
-// spare is the workspace the last solve gave back, if no collection has
-// reclaimed it since.
+// spare is the workspace the last solve gave back, if no solve has
+// taken it since.
 var spare struct {
 	mu sync.Mutex
-	p  weak.Pointer[workspace]
+	w  *workspace
 }
 
 // takeWorkspace returns the spare workspace, or a new one when there is
 // none, and leaves no spare behind.
 func takeWorkspace() *workspace {
 	spare.mu.Lock()
-	w := spare.p.Value()
-	spare.p = weak.Pointer[workspace]{}
+	w := spare.w
+	spare.w = nil
 	spare.mu.Unlock()
 	if w == nil {
 		w = new(workspace)
@@ -69,7 +68,7 @@ func (w *workspace) release() {
 	clear(w.stack[:cap(w.stack)])
 	w.stack = w.stack[:0]
 	spare.mu.Lock()
-	spare.p = weak.Make(w)
+	spare.w = w
 	spare.mu.Unlock()
 }
 

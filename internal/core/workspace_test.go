@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -106,8 +105,8 @@ func reuseSequence(t *testing.T) []reuseCase {
 // which the solves before it left at other sizes and values, to the same
 // solve in a fresh workspace, at every step of a shuffled sequence of
 // solves and then with four goroutines running the sequence at once.
-// The fresh answers are solved right after runtime.GC(), which must
-// have reclaimed the spare. A cancelled solve gives its half-used
+// The fresh answers are solved right after the spare is taken and
+// dropped. A cancelled solve gives its half-used
 // workspace back, so it must not leak into the next one either.
 func TestSolveStateReuseMatchesFresh(t *testing.T) {
 	cases := reuseSequence(t)
@@ -117,10 +116,7 @@ func TestSolveStateReuseMatchesFresh(t *testing.T) {
 	}
 	fresh := make([]answer, len(cases))
 	for i, c := range cases {
-		runtime.GC()
-		if spare.p.Value() != nil {
-			t.Fatal("a collection left the spare workspace in place")
-		}
+		takeWorkspace() // drop the spare: this solve makes a fresh one
 		res, err := c.solve()
 		if c.cancelAt > 0 {
 			if !errors.Is(err, context.Canceled) {

@@ -1,15 +1,17 @@
 package corpus
 
 import (
-	"context"
+	"fmt"
 	"slices"
 )
 
 // Tokens is the interned form of a run of documents — one interval's,
 // or a range of intervals' in order: every keyword occurrence as its
-// rank in the run's sorted vocabulary. It holds no pointer but the
-// vocabulary's strings, so the builds that read it (the keyword graph,
-// the posting index) scan flat int32 arrays instead of hashing strings.
+// rank in the run's sorted vocabulary, and every document's id. It
+// holds no pointer but the vocabulary's strings, so the builds that
+// read it (the keyword graph, the posting index) scan flat arrays
+// instead of hashing strings, and it is all an Engine keeps of an
+// interval's documents.
 //
 // Ranks are dense, start at 0 and follow bytewise string order, so
 // they are exactly the keyword ids of the Section 3 graph and the term
@@ -24,6 +26,8 @@ type Tokens struct {
 	// Off has one entry per document plus one: document d's ranks are
 	// IDs[Off[d]:Off[d+1]].
 	Off []int32
+	// DocIDs is every document's id, in document order.
+	DocIDs []int64
 }
 
 // NumDocs returns the number of documents tokenized.
@@ -59,7 +63,7 @@ func (tz *Tokenizer) Tokenize(ivs []Interval) *Tokens {
 	}
 	rank := tz.rank
 	clear(rank)
-	t := &Tokens{IDs: make([]int32, 0, postings), Off: make([]int32, 1, docs+1)}
+	t := &Tokens{IDs: make([]int32, 0, postings), Off: make([]int32, 1, docs+1), DocIDs: make([]int64, 0, docs)}
 	// One map pass numbers the words by first arrival; one sort of the
 	// vocabulary then maps those numbers to ranks.
 	for _, iv := range ivs {
@@ -73,6 +77,7 @@ func (tz *Tokenizer) Tokenize(ivs []Interval) *Tokens {
 				t.IDs = append(t.IDs, id)
 			}
 			t.Off = append(t.Off, int32(len(t.IDs)))
+			t.DocIDs = append(t.DocIDs, d.ID)
 		}
 	}
 	t.Words = make([]string, 0, len(rank))
@@ -95,15 +100,15 @@ func (tz *Tokenizer) Tokenize(ivs []Interval) *Tokens {
 // Tokenizer.
 func Tokenize(ivs []Interval) *Tokens { return new(Tokenizer).Tokenize(ivs) }
 
-// TokenSource returns the tokens of one interval, i, of a collection. A
-// source that must tokenize may use tz, the calling worker's
-// Tokenizer.
-type TokenSource func(ctx context.Context, i int, tz *Tokenizer) (*Tokens, error)
-
-// Tokenizing is the TokenSource that tokenizes c's intervals afresh,
-// one per call.
-func Tokenizing(c *Collection) TokenSource {
-	return func(_ context.Context, i int, tz *Tokenizer) (*Tokens, error) {
-		return tz.Tokenize(c.Intervals[i : i+1]), nil
+// Interval tokenizes interval i of c alone, after checking that each
+// of its documents claims interval i: a misfiled document would be
+// counted in the wrong interval. The error names the first document
+// that does not, with no package prefix, for the caller to word.
+func (tz *Tokenizer) Interval(c *Collection, i int) (*Tokens, error) {
+	for _, d := range c.Intervals[i].Docs {
+		if d.Interval != i {
+			return nil, fmt.Errorf("document %d claims interval %d but lives in %d", d.ID, d.Interval, i)
+		}
 	}
+	return tz.Tokenize(c.Intervals[i : i+1]), nil
 }

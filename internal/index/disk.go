@@ -1,7 +1,7 @@
 // The posting layout (EMBANKS-style): an immutable segment holding
 // every interval's posting lists, as a file on disk or as the bytes of
-// a faultfs.Mem file for the mem backend. The build's input is a
-// resident collection and its tokens (corpus.Tokens, one per interval):
+// a faultfs.Mem file for the mem backend. The build's input is one
+// interval's tokens (corpus.Tokens) per interval, doc ids included:
 // a pool of min(GOMAXPROCS, m) workers groups each interval's postings
 // in memory (a counting sort by term rank, see postingGroups) and
 // encodes its blocks, and one ordered writer appends the intervals'
@@ -74,36 +74,55 @@ type dictEntry struct {
 	blocks  []blockRef
 }
 
-// BuildDisk writes the collection's immutable segment file at path
-// (atomically, via a .partial file and a rename). Each interval's
-// postings are grouped by term in memory (postingGroups: a counting
-// sort by the term's rank in the interval's sorted vocabulary) and
-// encoded on a pool of min(GOMAXPROCS, m) workers, and the blocks are
-// appended in interval order, so the bytes do not depend on the worker
-// count. The build's extra memory is every interval's tokens, up to W
-// intervals' grouped postings and encoded blocks (W workers), and the
-// dictionaries it writes last, on top of the resident collection; no
-// budget bounds it, and it creates no file but the .partial segment.
-// Document keywords are deduplicated per document; doc ids must be
-// non-negative and keywords must not contain NUL or newline bytes. A
-// corpus that breaks these rules in several intervals
-// fails with the lowest interval's error, as a sequential build would.
+// BuildDisk tokenizes the collection (corpus.Tokenizer.Interval: each
+// document must claim the interval it is filed under) and writes its
+// immutable segment file at path (atomically, via a .partial file and a
+// rename). Each interval's postings are grouped by term in memory
+// (postingGroups: a counting sort by the term's rank in the interval's
+// sorted vocabulary) and encoded on a pool of min(GOMAXPROCS, m)
+// workers, and the blocks are appended in interval order, so the bytes
+// do not depend on the worker count. The build's extra memory is every
+// interval's tokens, up to W intervals' grouped postings and encoded
+// blocks (W workers), and the dictionaries it writes last; no budget
+// bounds it, and it creates no file but the .partial segment. Document
+// keywords are deduplicated per document; doc ids must be non-negative
+// and keywords must not contain NUL or newline bytes. A misfiled
+// document fails the build while the intervals are tokenized, before
+// any other rule is checked; a corpus that breaks the other rules in
+// several intervals fails with the lowest interval's error, as a
+// sequential build would. The .partial file is removed on every error
+// path.
 func BuildDisk(c *corpus.Collection, path string, cfg Config) error {
-	return BuildDiskCtx(context.Background(), c, path, cfg)
+	toks, err := tokenize(context.Background(), c)
+	if err != nil {
+		return err
+	}
+	return buildSegment(context.Background(), toks, path, cfg)
 }
 
-// BuildDiskCtx is BuildDisk with cancellation: the grouping pass polls
-// ctx once per interval and every few thousand postings, so an
-// abandoned build stops promptly and leaves no partial segment behind
-// (the .partial file is removed on every error path, cancellation and
-// rejected input included).
-func BuildDiskCtx(ctx context.Context, c *corpus.Collection, path string, cfg Config) error {
-	return buildSegment(ctx, c, corpus.Tokenizing(c), path, cfg)
+// tokenize tokenizes every interval of c on a pool of min(GOMAXPROCS,
+// m) workers, one Tokenizer each.
+func tokenize(ctx context.Context, c *corpus.Collection) ([]*corpus.Tokens, error) {
+	m := len(c.Intervals)
+	workers := max(1, min(runtime.GOMAXPROCS(0), m))
+	toks := make([]*corpus.Tokens, m)
+	tzs := make([]corpus.Tokenizer, workers)
+	if err := par.ForEachWorkerCtx(ctx, m, workers, func(w, i int) (err error) {
+		if toks[i], err = tzs[w].Interval(c, i); err != nil {
+			return fmt.Errorf("index: %w", err)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return toks, nil
 }
 
-// buildSegment is the one segment build: c's segment at path, from the
-// tokens src gives for each of c's intervals.
-func buildSegment(ctx context.Context, c *corpus.Collection, src corpus.TokenSource, path string, cfg Config) (err error) {
+// buildSegment is the one segment build: the segment of one interval
+// per entry of toks, at path. The grouping pass polls ctx once per
+// interval and every few thousand postings, so an abandoned build
+// stops promptly and leaves no partial segment behind.
+func buildSegment(ctx context.Context, toks []*corpus.Tokens, path string, cfg Config) (err error) {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -124,26 +143,17 @@ func buildSegment(ctx context.Context, c *corpus.Collection, src corpus.TokenSou
 		return err
 	}
 
-	m := len(c.Intervals)
+	m := len(toks)
 	workers := max(1, min(runtime.GOMAXPROCS(0), m))
-	toks := make([]*corpus.Tokens, m)
-	tzs := make([]corpus.Tokenizer, workers)
-	if err = par.ForEachWorkerCtx(ctx, m, workers, func(w, i int) (err error) {
-		toks[i], err = src(ctx, i, &tzs[w])
-		return err
-	}); err != nil {
-		return err
-	}
-
 	// Every worker's buffers are sized for the largest interval up
 	// front, so what a build allocates does not depend on which worker
 	// draws which interval.
 	words, postings := 0, 0
 	var maxID int64
-	for i, tk := range toks {
+	for _, tk := range toks {
 		words, postings = max(words, len(tk.Words)), max(postings, len(tk.IDs))
-		for _, d := range c.Intervals[i].Docs {
-			maxID = max(maxID, d.ID)
+		for _, id := range tk.DocIDs {
+			maxID = max(maxID, id)
 		}
 	}
 	encs := make([]intervalEncoder, workers)
@@ -157,7 +167,7 @@ func buildSegment(ctx context.Context, c *corpus.Collection, src corpus.TokenSou
 	ow := newOrderedWriter(sw)
 	if err = par.ForEachWorkerCtx(ctx, m, workers, func(w, i int) error {
 		enc := &encs[w]
-		if err := enc.g.group(ctx, i, c.Intervals[i].Docs, toks[i]); err != nil {
+		if err := enc.g.group(ctx, i, toks[i]); err != nil {
 			ow.fail(i)
 			return err
 		}
@@ -167,7 +177,7 @@ func buildSegment(ctx context.Context, c *corpus.Collection, src corpus.TokenSou
 	}); err != nil {
 		return err
 	}
-	if err = sw.finish(dicts, func(i int) int { return len(c.Intervals[i].Docs) }); err != nil {
+	if err = sw.finish(dicts, func(i int) int { return toks[i].NumDocs() }); err != nil {
 		return err
 	}
 	return fs.Rename(tmp, path)

@@ -192,15 +192,16 @@ func TestBuildDiskRejectsBadInput(t *testing.T) {
 			`index: interval 0: keyword "a\x00b" contains NUL or newline`},
 		{"negative id and NUL keyword in one document", docs(doc(3, 0, "ok"), doc(-2, 0, "a\x00b")),
 			"index: document id -2 is negative; the segment layout requires non-negative ids"},
-		// Two bad intervals: the lower one's error wins, as a
-		// sequential build would report it.
+		// Two bad intervals: the misfiled document in the higher one is
+		// found while the intervals are tokenized, before the lower
+		// one's duplicate is grouped.
 		{"two bad intervals", &corpus.Collection{Intervals: []corpus.Interval{
 			{Index: 0, Docs: []corpus.Document{doc(1, 0, "a")}},
 			{Index: 1, Docs: []corpus.Document{doc(2, 1, "a"), doc(2, 1, "a")}},
 			{Index: 2, Docs: []corpus.Document{doc(3, 2, "b")}},
 			{Index: 3, Docs: []corpus.Document{doc(4, 0, "c")}},
 		}},
-			"index: interval 1: duplicate document id 2"},
+			"index: document 4 claims interval 0 but lives in 3"},
 		{"two bad intervals, id and keyword rules", &corpus.Collection{Intervals: []corpus.Interval{
 			{Index: 0, Docs: []corpus.Document{doc(1, 0, "a")}},
 			{Index: 1, Docs: []corpus.Document{doc(2, 1, "a"), doc(3, 1, "b\nc")}},

@@ -175,7 +175,11 @@ func TestFaultBuildDiskCancellationRemovesPartial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfs := &cancelOnCreateFS{FS: faultfs.OS(), cancel: cancel, match: ".partial"}
-	err := BuildDiskCtx(ctx, col, path, Config{BlockSize: 4, FS: cfs})
+	toks, err := tokenize(ctx, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = buildSegment(ctx, toks, path, Config{BlockSize: 4, FS: cfs})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled build = %v, want context.Canceled", err)
 	}

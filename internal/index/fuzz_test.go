@@ -123,7 +123,7 @@ func FuzzDiskIndexRoundTrip(f *testing.F) {
 		}
 		defer s.Close()
 		for k := base; k < m; k++ {
-			if err := s.Push(ctx, col.Intervals[k], corpus.Tokenize(col.Intervals[k:k+1])); err != nil {
+			if err := s.Push(ctx, k, corpus.Tokenize(col.Intervals[k:k+1])); err != nil {
 				t.Fatalf("Push(%d): %v", k, err)
 			}
 		}

@@ -14,7 +14,8 @@ import (
 // segment. It reads the interval's tokens, so a term is its rank in
 // the interval's sorted vocabulary and no string is hashed: one pass
 // over the documents checks them and counts each term's postings, a
-// second places every doc id with a counting sort by rank. The sort is stable, so a term's ids keep their arrival
+// second places every doc id (the tokens carry them) with a counting
+// sort by rank. The sort is stable, so a term's ids keep their arrival
 // order — document order in every corpus the generator and the Engine
 // produce — and a list is sorted only if that order was not already
 // ascending. Ranks follow bytewise term order, the segment
@@ -22,15 +23,16 @@ import (
 // writes them.
 //
 // Extra memory is one interval's grouped doc ids, 8 bytes each, plus
-// three ints per vocabulary word; every buffer is reused from one
-// interval to the next.
+// three int32s per vocabulary word (offsets fit: an interval's tokens
+// hold fewer than 2^31 keyword occurrences); every buffer is reused
+// from one interval to the next.
 type postingGroups struct {
 	// seen[t] marks the last document that posted term t, the
 	// per-document keyword dedup: ordinal+1 in the counting pass, its
 	// negation in the placing pass.
 	seen  []int32
-	start []int   // term t's ids are ids[start[t]:start[t+1]]
-	next  []int   // the placing pass's write cursor per term
+	start []int32 // term t's ids are ids[start[t]:start[t+1]]
+	next  []int32 // the placing pass's write cursor per term
 	ids   []int64 // doc ids grouped by term, ascending within a term
 }
 
@@ -39,21 +41,21 @@ type postingGroups struct {
 func newPostingGroups(words, postings int) *postingGroups {
 	return &postingGroups{
 		seen:  make([]int32, 0, words),
-		start: make([]int, 0, words+1),
-		next:  make([]int, 0, words),
+		start: make([]int32, 0, words+1),
+		next:  make([]int32, 0, words),
 		ids:   make([]int64, 0, postings),
 	}
 }
 
-// group groups interval i's postings: docs are its documents and tk
-// their tokens. Document keywords are sets: a keyword repeated within
-// one document posts once. It checks the segment's input rules: every
-// document filed under interval i, no doc id twice under one term, doc
-// ids non-negative and terms free of NUL and newline bytes. The checks
-// run document by document, as the documents are read, so the first bad
-// document names the error. ctx is polled once per interval and every
-// pollEvery postings. g.ids is reused when its capacity suffices.
-func (g *postingGroups) group(ctx context.Context, i int, docs []corpus.Document, tk *corpus.Tokens) error {
+// group groups interval i's postings from its tokens tk. Document
+// keywords are sets: a keyword repeated within one document posts once.
+// It checks the segment's input rules: no doc id twice under one term,
+// doc ids non-negative and terms free of NUL and newline bytes. The
+// checks run document by document, as the documents are read, so the
+// first bad document names the error. ctx is polled once per interval
+// and every pollEvery postings. g.ids is reused when its capacity
+// suffices.
+func (g *postingGroups) group(ctx context.Context, i int, tk *corpus.Tokens) error {
 	const pollEvery = 4096
 	if err := ctx.Err(); err != nil {
 		return err
@@ -68,13 +70,9 @@ func (g *postingGroups) group(ctx context.Context, i int, docs []corpus.Document
 
 	// Count each term's postings, checking every document on the way.
 	n := 0
-	for di := range docs {
-		d := &docs[di]
-		if d.Interval != i {
-			return fmt.Errorf("index: document %d claims interval %d but lives in %d", d.ID, d.Interval, i)
-		}
-		if d.ID < 0 {
-			return fmt.Errorf("index: document id %d is negative; the segment layout requires non-negative ids", d.ID)
+	for di, id := range tk.DocIDs {
+		if id < 0 {
+			return fmt.Errorf("index: document id %d is negative; the segment layout requires non-negative ids", id)
 		}
 		mark := int32(di + 1)
 		for _, t := range tk.Doc(di) {
@@ -104,8 +102,8 @@ func (g *postingGroups) group(ctx context.Context, i int, docs []corpus.Document
 		g.ids = make([]int64, n)
 	}
 	g.ids = g.ids[:n]
-	for di := range docs {
-		mark, id := -int32(di+1), docs[di].ID
+	for di, id := range tk.DocIDs {
+		mark := -int32(di + 1)
 		for _, t := range tk.Doc(di) {
 			if g.seen[t] == mark {
 				continue
@@ -165,9 +163,9 @@ func (g *postingGroups) list(t int) []int64 {
 
 // resize returns s with length n and every element zero, reusing its
 // array when it is large enough.
-func resize[T int | int32](s []T, n int) []T {
+func resize(s []int32, n int) []int32 {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]int32, n)
 	}
 	s = s[:n]
 	clear(s)

@@ -68,20 +68,25 @@ type Store struct {
 
 var _ Reader = (*Store)(nil)
 
-// OpenStore builds the base segment from the collection and returns
-// the live store. backend is mem (the default, also chosen by ""),
-// whose segments live on a fresh faultfs.Mem (path and cfg.FS are
-// ignored), or disk, whose segments live on cfg.FS; path is where the
-// disk backend's base segment lives — empty means a private temporary
-// directory removed on Close. ctx bounds the build; cfg.Ctx bounds the
-// opened segments' retry backoff for the store's lifetime.
+// OpenStore tokenizes the collection (a misfiled document fails it)
+// and opens the store over its tokens: OpenStoreTokens.
 func OpenStore(ctx context.Context, c *corpus.Collection, backend, path string, cfg Config) (*Store, error) {
-	return OpenStoreTokens(ctx, c, corpus.Tokenizing(c), backend, path, cfg)
+	toks, err := tokenize(ctx, c)
+	if err != nil {
+		return nil, err
+	}
+	return OpenStoreTokens(ctx, toks, backend, path, cfg)
 }
 
-// OpenStoreTokens is OpenStore over the tokens src gives for each of
-// c's intervals, for a caller that shares them with other builds.
-func OpenStoreTokens(ctx context.Context, c *corpus.Collection, src corpus.TokenSource, backend, path string, cfg Config) (*Store, error) {
+// OpenStoreTokens builds the base segment from one interval's tokens
+// per entry of toks and returns the live store. backend is mem (the
+// default, also chosen by ""), whose segments live on a fresh
+// faultfs.Mem (path and cfg.FS are ignored), or disk, whose segments
+// live on cfg.FS; path is where the disk backend's base segment lives —
+// empty means a private temporary directory removed on Close. A file
+// already at path is replaced. ctx bounds the build; cfg.Ctx bounds the
+// opened segments' retry backoff for the store's lifetime.
+func OpenStoreTokens(ctx context.Context, toks []*corpus.Tokens, backend, path string, cfg Config) (*Store, error) {
 	switch backend {
 	case "", BackendMem:
 		cfg.FS, path = faultfs.Mem(), ""
@@ -99,21 +104,21 @@ func OpenStoreTokens(ctx context.Context, c *corpus.Collection, src corpus.Token
 		path = filepath.Join(dir, "base.seg")
 	}
 	s.basePath = path
-	r, err := s.segment(ctx, c, src, path)
+	r, err := s.segment(ctx, toks, path)
 	if err != nil {
 		if s.dir != "" {
 			s.fs.RemoveAll(s.dir)
 		}
 		return nil, err
 	}
-	s.segs = segView{{r: r, start: 0, n: len(c.Intervals), path: path}}
+	s.segs = segView{{r: r, start: 0, n: len(toks), path: path}}
 	return s, nil
 }
 
-// segment builds c's segment at path on the store's filesystem and
-// opens it for reading. On error no file is left at path.
-func (s *Store) segment(ctx context.Context, c *corpus.Collection, src corpus.TokenSource, path string) (*DiskIndex, error) {
-	if err := buildSegment(ctx, c, src, path, s.cfg); err != nil {
+// segment builds the segment of toks at path on the store's filesystem
+// and opens it for reading. On error no file is left at path.
+func (s *Store) segment(ctx context.Context, toks []*corpus.Tokens, path string) (*DiskIndex, error) {
+	if err := buildSegment(ctx, toks, path, s.cfg); err != nil {
 		return nil, err
 	}
 	d, err := OpenDisk(path, s.cfg)
@@ -124,24 +129,11 @@ func (s *Store) segment(ctx context.Context, c *corpus.Collection, src corpus.To
 	return d, nil
 }
 
-// localize returns one interval's corpus with the documents remapped to
-// local interval 0, so the single-segment builders produce a correct
-// delta segment.
-func localize(iv corpus.Interval) *corpus.Collection {
-	docs := make([]corpus.Document, len(iv.Docs))
-	for i, d := range iv.Docs {
-		d.Interval = 0
-		docs[i] = d
-	}
-	return &corpus.Collection{Intervals: []corpus.Interval{{Index: 0, Label: iv.Label, Docs: docs}}}
-}
-
-// Push appends one interval as a delta segment; tk is the interval's
-// tokens (corpus.Tokenize of it). iv.Index must be exactly
-// NumIntervals() — intervals are append-only and contiguous. On error
-// the store is unchanged (the disk build removes its .partial file on
-// every failure path).
-func (s *Store) Push(ctx context.Context, iv corpus.Interval, tk *corpus.Tokens) error {
+// Push appends interval as a delta segment built from its tokens tk.
+// interval must be exactly NumIntervals() — intervals are append-only
+// and contiguous. On error the store is unchanged (the disk build
+// removes its .partial file on every failure path).
+func (s *Store) Push(ctx context.Context, interval int, tk *corpus.Tokens) error {
 	s.mu.RLock()
 	next := s.segs.NumIntervals()
 	closed := s.closed
@@ -149,12 +141,11 @@ func (s *Store) Push(ctx context.Context, iv corpus.Interval, tk *corpus.Tokens)
 	if closed {
 		return fmt.Errorf("index: push on closed store")
 	}
-	if iv.Index != next {
-		return fmt.Errorf("index: pushed interval %d, store expects %d", iv.Index, next)
+	if interval != next {
+		return fmt.Errorf("index: pushed interval %d, store expects %d", interval, next)
 	}
-	src := func(context.Context, int, *corpus.Tokenizer) (*corpus.Tokens, error) { return tk, nil }
 	path := fmt.Sprintf("%s.delta%04d", s.basePath, s.deltaSeq.Add(1))
-	r, err := s.segment(ctx, localize(iv), src, path)
+	r, err := s.segment(ctx, []*corpus.Tokens{tk}, path)
 	if err != nil {
 		return err
 	}
@@ -163,7 +154,7 @@ func (s *Store) Push(ctx context.Context, iv corpus.Interval, tk *corpus.Tokens)
 	if s.closed || s.segs.NumIntervals() != next {
 		r.Close()
 		s.fs.Remove(path)
-		return fmt.Errorf("index: store changed under push of interval %d", iv.Index)
+		return fmt.Errorf("index: store changed under push of interval %d", interval)
 	}
 	s.segs = append(s.segs, storeSeg{r: r, start: next, n: 1, path: path})
 	return nil

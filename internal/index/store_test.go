@@ -128,7 +128,7 @@ func TestStoreDeltaEquivalence(t *testing.T) {
 				t.Fatalf("%s: OpenStore: %v", name, err)
 			}
 			for k := base; k < m; k++ {
-				if err := s.Push(ctx, col.Intervals[k], corpus.Tokenize([]corpus.Interval{col.Intervals[k]})); err != nil {
+				if err := s.Push(ctx, k, corpus.Tokenize(col.Intervals[k:k+1])); err != nil {
 					t.Fatalf("%s: Push(%d): %v", name, k, err)
 				}
 				if rng.Intn(3) == 0 {
@@ -233,7 +233,7 @@ func TestStoreReadsDuringPushAndCompact(t *testing.T) {
 			compacted <- first
 		}()
 		for k := base; k < m; k++ {
-			if err := s.Push(ctx, col.Intervals[k], corpus.Tokenize([]corpus.Interval{col.Intervals[k]})); err != nil {
+			if err := s.Push(ctx, k, corpus.Tokenize(col.Intervals[k:k+1])); err != nil {
 				t.Fatalf("%s: Push(%d): %v", backend, k, err)
 			}
 			pushed <- struct{}{}
@@ -280,7 +280,7 @@ func TestStoreCompactionByteEquality(t *testing.T) {
 	}
 	defer s.Close()
 	for k := 2; k < 5; k++ {
-		if err := s.Push(ctx, col.Intervals[k], corpus.Tokenize([]corpus.Interval{col.Intervals[k]})); err != nil {
+		if err := s.Push(ctx, k, corpus.Tokenize(col.Intervals[k:k+1])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -317,14 +317,14 @@ func TestStoreCompactionPolicy(t *testing.T) {
 	}
 	defer s.Close()
 	for k := 1; k < 3; k++ {
-		if err := s.Push(ctx, col.Intervals[k], corpus.Tokenize([]corpus.Interval{col.Intervals[k]})); err != nil {
+		if err := s.Push(ctx, k, corpus.Tokenize(col.Intervals[k:k+1])); err != nil {
 			t.Fatal(err)
 		}
 		if s.NeedsCompaction() {
 			t.Fatalf("NeedsCompaction true at %d deltas, threshold 2", k)
 		}
 	}
-	if err := s.Push(ctx, col.Intervals[3], corpus.Tokenize([]corpus.Interval{col.Intervals[3]})); err != nil {
+	if err := s.Push(ctx, 3, corpus.Tokenize(col.Intervals[3:4])); err != nil {
 		t.Fatal(err)
 	}
 	if !s.NeedsCompaction() {
@@ -336,7 +336,7 @@ func TestStoreCompactionPolicy(t *testing.T) {
 	}
 	defer off.Close()
 	for k := 1; k < 4; k++ {
-		if err := off.Push(ctx, col.Intervals[k], corpus.Tokenize([]corpus.Interval{col.Intervals[k]})); err != nil {
+		if err := off.Push(ctx, k, corpus.Tokenize(col.Intervals[k:k+1])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -355,11 +355,11 @@ func TestStorePushOutOfOrder(t *testing.T) {
 	}
 	defer s.Close()
 	for _, iv := range []corpus.Interval{col.Intervals[0], col.Intervals[1]} {
-		if err := s.Push(ctx, iv, corpus.Tokenize([]corpus.Interval{iv})); err == nil {
+		if err := s.Push(ctx, iv.Index, corpus.Tokenize([]corpus.Interval{iv})); err == nil {
 			t.Fatalf("replaying interval %d succeeded", iv.Index)
 		}
 	}
-	if err := s.Push(ctx, corpus.Interval{Index: 5}, corpus.Tokenize([]corpus.Interval{corpus.Interval{Index: 5}})); err == nil {
+	if err := s.Push(ctx, 5, corpus.Tokenize([]corpus.Interval{{Index: 5}})); err == nil {
 		t.Fatal("skipping ahead succeeded")
 	}
 	if got := s.NumIntervals(); got != 2 {
@@ -386,7 +386,7 @@ func TestFaultStorePushENOSPC(t *testing.T) {
 
 	// Tear the delta build partway through its writes.
 	in.AddRule(faultfs.Rule{Op: faultfs.OpWrite, Path: ".delta", Err: syscall.ENOSPC})
-	err = s.Push(ctx, col.Intervals[2], corpus.Tokenize([]corpus.Interval{col.Intervals[2]}))
+	err = s.Push(ctx, 2, corpus.Tokenize(col.Intervals[2:3]))
 	if !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("push under ENOSPC = %v, want ENOSPC", err)
 	}
@@ -406,7 +406,7 @@ func TestFaultStorePushENOSPC(t *testing.T) {
 
 	// Space returns: the identical push must now land and serve.
 	in.SetEnabled(false)
-	if err := s.Push(ctx, col.Intervals[2], corpus.Tokenize([]corpus.Interval{col.Intervals[2]})); err != nil {
+	if err := s.Push(ctx, 2, corpus.Tokenize(col.Intervals[2:3])); err != nil {
 		t.Fatalf("push after ENOSPC cleared: %v", err)
 	}
 	full := refIndexOf(col)
@@ -431,7 +431,7 @@ func TestFaultStoreCompactionFailure(t *testing.T) {
 	}
 	defer s.Close()
 	for k := 2; k < 4; k++ {
-		if err := s.Push(ctx, col.Intervals[k], corpus.Tokenize([]corpus.Interval{col.Intervals[k]})); err != nil {
+		if err := s.Push(ctx, k, corpus.Tokenize(col.Intervals[k:k+1])); err != nil {
 			t.Fatal(err)
 		}
 	}

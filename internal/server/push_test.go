@@ -104,7 +104,7 @@ func TestCacheFillStaleGeneration(t *testing.T) {
 	}
 
 	// Push interval 7 mid-fill: the Engine is now at generation 2.
-	n := len(eng.Collection().Intervals)
+	n := eng.NumIntervals()
 	if _, err := eng.Push(t.Context(), blogclusters.Interval{
 		Index: n, Label: "pushed",
 		Docs: []blogclusters.Document{{ID: 9_000_001, Interval: n, Keywords: []string{"somalia"}}},
@@ -140,7 +140,7 @@ func TestCacheFillStaleGeneration(t *testing.T) {
 // not decode or fail interval validation are 422.
 func TestPushEndpoint(t *testing.T) {
 	srv, eng, ts := newTestServer(t, quietConfig(nil))
-	n := len(eng.Collection().Intervals)
+	n := eng.NumIntervals()
 
 	resp, m := get(t, ts, "/debug/stats")
 	wantStatus(t, resp, m, 200)
@@ -210,7 +210,7 @@ func TestPushBodyLimit(t *testing.T) {
 		t.Skip("buffers two 64 MiB bodies, which the race detector's shadow memory multiplies")
 	}
 	srv, eng, _ := newTestServer(t, quietConfig(nil))
-	body, err := io.ReadAll(pushBody(t, len(eng.Collection().Intervals), "somalia", 3))
+	body, err := io.ReadAll(pushBody(t, eng.NumIntervals(), "somalia", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestPushBodyLimit(t *testing.T) {
 // interval-scoped queries (search) keep hitting their old entries.
 func TestPushEvictsExactlyDependentEntries(t *testing.T) {
 	_, eng, ts := newTestServer(t, quietConfig(nil))
-	n := len(eng.Collection().Intervals)
+	n := eng.NumIntervals()
 
 	xcache := func(path string, wantGen float64) string {
 		t.Helper()

@@ -22,10 +22,7 @@ func TestIntervalBuilderReuseMatchesFresh(t *testing.T) {
 	ctx := context.Background()
 	c := endToEndCorpus(t)
 	m := len(c.Intervals)
-	toks := make([]*corpus.Tokens, m)
-	for i := range toks {
-		toks[i] = corpus.Tokenize(c.Intervals[i : i+1])
-	}
+	toks := tokensOf(c)
 	var ascending, descending []int
 	for i := range m {
 		ascending = append(ascending, i)

@@ -107,7 +107,7 @@ func TestSection4ParallelEquivalence(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no clusters; corpus too sparse to be a real test")
 	}
-	sets, err := allIntervalClustersCtx(context.Background(), c, corpus.Tokenizing(c), ClusterOptions{})
+	sets, err := allIntervalClustersCtx(context.Background(), tokensOf(c), ClusterOptions{})
 	if err != nil {
 		t.Fatalf("interval pool: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestSection4ParallelEquivalence(t *testing.T) {
 // interval pool's cluster sets identical to the sequential loop's.
 func TestAllIntervalClustersBudgetSplit(t *testing.T) {
 	c := endToEndCorpus(t)
-	got, err := allIntervalClustersCtx(context.Background(), c, corpus.Tokenizing(c), ClusterOptions{MemBudget: 64 << 10})
+	got, err := allIntervalClustersCtx(context.Background(), tokensOf(c), ClusterOptions{MemBudget: 64 << 10})
 	if err != nil {
 		t.Fatalf("AllIntervalClusters with a budget: %v", err)
 	}

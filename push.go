@@ -14,8 +14,9 @@ import (
 
 // Push appends one interval to the session and returns the new
 // generation. The interval must be the next one (iv.Index ==
-// len(Collection().Intervals), else ErrOutOfOrderInterval) and
-// well-formed (ErrMalformedInterval otherwise). Materialized artifacts
+// NumIntervals(), else ErrOutOfOrderInterval) and well-formed
+// (ErrMalformedInterval otherwise). It is tokenized once, and the
+// session keeps its tokens, not iv's documents. Materialized artifacts
 // are extended incrementally for the new interval only: the index
 // gains a delta segment, a cached cluster graph grows by one interval
 // via clustergraph.ExtendCtx — a push never rebuilds a full-corpus
@@ -34,11 +35,11 @@ func (e *Engine) Push(ctx context.Context, iv Interval) (int64, error) {
 	e.pushMu.Lock()
 	defer e.pushMu.Unlock()
 
-	cur := e.state.Load()
-	if cur.col == nil {
+	if e.noCorpus {
 		return 0, ErrNoCorpus
 	}
-	next := len(cur.col.Intervals)
+	cur := e.state.Load()
+	next := len(cur.ivs)
 	if iv.Index != next {
 		return 0, fmt.Errorf("blogclusters: pushed interval %d, engine expects %d: %w", iv.Index, next, ErrOutOfOrderInterval)
 	}
@@ -64,18 +65,12 @@ func (e *Engine) Push(ctx context.Context, iv Interval) (int64, error) {
 // so a failed push leaves the session exactly as it was), then swap.
 func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64, error) {
 	next := iv.Index
-	newCol := &corpus.Collection{Intervals: append(cur.col.Intervals[:next:next], iv)}
 	rec := new(ivMemo)
-	st := newEngineState(cur.gen+1, newCol, append(cur.ivs[:next:next], rec))
-	// The new interval is tokenized once, for whichever of the cluster
-	// sets and the index store it extends.
-	var tk *corpus.Tokens
-	tokens := func() *corpus.Tokens {
-		if tk == nil {
-			tk = e.tokenize(ctx, newCol.Intervals[next:], nil)
-		}
-		return tk
-	}
+	func() {
+		defer e.stage(ctx, "tokens")()
+		rec.toks = corpus.Tokenize([]Interval{iv})
+	}()
+	st := newEngineState(cur.gen+1, append(cur.ivs[:next:next], rec))
 
 	// Extend the cluster sets (and everything downstream of them) only
 	// if they are materialized; an unbuilt artifact stays lazy.
@@ -87,7 +82,7 @@ func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64
 		var err error
 		func() {
 			defer e.stage(ctx, "interval-clusters")()
-			ivSet, err = intervalClustersCtx(ctx, tokens(), next, e.cfg.cluster)
+			ivSet, err = intervalClustersCtx(ctx, rec.toks, next, e.cfg.cluster)
 		}()
 		if err != nil {
 			return 0, err
@@ -116,13 +111,12 @@ func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64
 	// segment set itself), so pushing into it is the point of no
 	// return: do it last.
 	if store, ok := cur.index.Cached(); ok {
-		if err := store.Push(ctx, iv, tokens()); err != nil {
+		if err := store.Push(ctx, next, rec.toks); err != nil {
 			return 0, err
 		}
 		st.index.Prime(store)
 		e.maybeCompact(store)
 	}
-	st.releaseTokens()
 
 	e.state.Store(st)
 	return st.gen, nil

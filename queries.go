@@ -14,12 +14,12 @@ import (
 // DocTotals returns the per-interval document totals of the current
 // generation — the denominators the burst detector divides by, and the
 // series a shard coordinator concatenates to run burst detection
-// globally. Read from the snapshot's corpus, as Bursts reads them.
+// globally. Read from the snapshot's tokens, as Bursts reads them.
 func (e *Engine) DocTotals(ctx context.Context) ([]int64, error) {
-	st := e.state.Load()
-	if st.col == nil {
+	if e.noCorpus {
 		return nil, ErrNoCorpus
 	}
+	st := e.state.Load()
 	if err := e.admit(); err != nil {
 		return nil, err
 	}
@@ -29,9 +29,9 @@ func (e *Engine) DocTotals(ctx context.Context) ([]int64, error) {
 // docCounts returns each interval's document count: the denominators
 // the burst detector divides by.
 func (st *engineState) docCounts() []int64 {
-	totals := make([]int64, len(st.col.Intervals))
-	for i, iv := range st.col.Intervals {
-		totals[i] = int64(len(iv.Docs))
+	totals := make([]int64, len(st.ivs))
+	for i, rec := range st.ivs {
+		totals[i] = int64(rec.toks.NumDocs())
 	}
 	return totals
 }

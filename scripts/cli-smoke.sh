@@ -7,12 +7,15 @@
 # clusters, further blogstable runs drive its query and cluster flags
 # (-normalized, -lmin, -k, -l, -algorithm, -rho, -mincluster, -raw),
 # and experiments lists its ids. Every run must exit 0 and print its
-# headline line, except three that must fail: -normalized -algorithm
+# headline line, except five that must fail: -normalized -algorithm
 # dfs, a query no solver answers; -clusters with -intervals, a corpus
 # flag a saved-clusters session has no corpus for (the message must
-# name -intervals); and -index-compact-after, a flag only blogserved,
-# the one command that takes pushes, installs. `make cli-smoke` runs this; CI's examples job runs
-# that target.
+# name -intervals); -index-compact-after, a flag only blogserved, the
+# one command that takes pushes, installs; and -indexfile twice, where
+# its path would be ignored (blogscope on -index mem) or shared by
+# every shard's segment (blogserved -shard-count), each message naming
+# -indexfile. `make cli-smoke` runs this; CI's examples job runs that
+# target.
 set -eu
 
 TMP="$(mktemp -d)"
@@ -29,7 +32,7 @@ expect() {
 }
 
 echo "cli-smoke: building commands"
-for cmd in blogscope blogstable experiments; do
+for cmd in blogscope blogstable blogserved experiments; do
 	go build -o "$TMP/$cmd" "./cmd/$cmd"
 done
 
@@ -40,6 +43,21 @@ for backend in mem disk; do
 	expect "$TMP/scope-$backend.txt" 'keyword cluster at t'
 done
 cmp -s "$TMP/scope-mem.txt" "$TMP/scope-disk.txt" || fail "blogscope reports differ between -index mem and -index disk"
+# expect_indexfile_rejected NAME CMD...: CMD exits non-zero naming
+# -indexfile. The timeout bounds a blogserved that would start serving.
+expect_indexfile_rejected() {
+	name="$1"
+	shift
+	if timeout 60 "$@" >"$TMP/indexfile.txt" 2>&1; then
+		fail "$name -indexfile exited 0"
+	fi
+	grep -q -- '-indexfile' "$TMP/indexfile.txt" ||
+		{ cat "$TMP/indexfile.txt" >&2; fail "$name -indexfile failed without naming -indexfile"; }
+}
+expect_indexfile_rejected "blogscope -index mem" \
+	"$TMP/blogscope" -demo -index mem -indexfile "$TMP/x.seg" -query somalia
+expect_indexfile_rejected "blogserved -shard-count" \
+	"$TMP/blogserved" -demo -index disk -indexfile "$TMP/sh.seg" -shard-count 2 -addr 127.0.0.1:0
 echo "cli-smoke: blogscope ok (mem, disk)"
 
 "$TMP/blogstable" -demo -quiet -bursts somalia -saveclusters "$TMP/sets.jsonl" >"$TMP/stable.txt" ||

@@ -15,54 +15,6 @@ import (
 	"repro/internal/stats"
 )
 
-// releaseTokens drops the token memo once the index store and the
-// cluster sets both exist. A later reader tokenizes its interval
-// afresh, a pure function of it.
-func (st *engineState) releaseTokens() {
-	if _, ok := st.index.Cached(); !ok {
-		return
-	}
-	if _, ok := st.sets.Cached(); !ok {
-		return
-	}
-	st.tokMu.Lock()
-	st.toks = nil
-	st.tokMu.Unlock()
-}
-
-// tokens returns interval i's tokens: from the snapshot's memo while it
-// is held, else tokenized afresh and kept by no one. tz is the calling
-// worker's tokenizer, or nil.
-func (e *Engine) tokens(ctx context.Context, st *engineState, i int, tz *corpus.Tokenizer) (*corpus.Tokens, error) {
-	st.tokMu.Lock()
-	toks := st.toks
-	st.tokMu.Unlock()
-	ivs := st.col.Intervals[i : i+1]
-	if toks == nil {
-		return e.tokenize(ctx, ivs, tz), nil
-	}
-	return toks[i].Get(ctx, func() (*corpus.Tokens, error) {
-		return e.tokenize(ctx, ivs, tz), nil
-	})
-}
-
-// tokenSource is the snapshot's TokenSource for the pooled builds.
-func (e *Engine) tokenSource(st *engineState) corpus.TokenSource {
-	return func(ctx context.Context, i int, tz *corpus.Tokenizer) (*corpus.Tokens, error) {
-		return e.tokens(ctx, st, i, tz)
-	}
-}
-
-// tokenize is the "tokens" stage: one interval's tokens, counted in
-// EngineStats. tz may be nil.
-func (e *Engine) tokenize(ctx context.Context, ivs []Interval, tz *corpus.Tokenizer) *corpus.Tokens {
-	defer e.stage(ctx, "tokens")()
-	if tz == nil {
-		tz = new(corpus.Tokenizer)
-	}
-	return tz.Tokenize(ivs)
-}
-
 // Index materializes (once per generation lineage) and returns the
 // keyword-index store. The store is owned by the Engine: do not Close
 // it; Engine.Close releases it.
@@ -80,14 +32,15 @@ func (e *Engine) Index(ctx context.Context) (IndexReader, error) {
 // Push reuses it by appending a delta segment; the memo only rebuilds
 // when the index had never been materialized at push time.
 func (e *Engine) indexStore(ctx context.Context, st *engineState) (*index.Store, error) {
-	if st.col == nil {
+	if e.noCorpus {
 		return nil, ErrNoCorpus
 	}
-	s, err := st.index.Get(ctx, func() (*index.Store, error) {
+	return st.index.Get(ctx, func() (*index.Store, error) {
 		defer e.stage(ctx, "index")()
 		// e.root (the session lifetime) bounds the disk backend's retry
 		// backoff sleeps: the store outlives this query's context.
-		s, err := openIndexStoreCtx(ctx, e.root, st.col, e.tokenSource(st), e.cfg.index)
+		o := e.cfg.index
+		s, err := index.OpenStoreTokens(ctx, st.tokens(), o.Backend, o.Path, o.config(e.root))
 		if err != nil {
 			return nil, err
 		}
@@ -103,10 +56,6 @@ func (e *Engine) indexStore(ctx context.Context, st *engineState) (*index.Store,
 		e.ownedReaders = append(e.ownedReaders, s)
 		return s, nil
 	})
-	if err == nil {
-		st.releaseTokens()
-	}
-	return s, err
 }
 
 // Clusters materializes (once per generation) and returns the
@@ -124,21 +73,16 @@ func (e *Engine) Clusters(ctx context.Context) ([][]Cluster, error) {
 // clusters is Clusters pinned to one generation snapshot, for internal
 // reuse by callers that already hold a joined context.
 func (e *Engine) clusters(ctx context.Context, st *engineState) ([][]Cluster, error) {
-	sets, err := st.sets.Get(ctx, func() ([][]Cluster, error) {
-		if st.col == nil {
-			return nil, ErrNoCorpus
-		}
+	// A cluster-set session's sets are primed at Open, so only a corpus
+	// session builds them here.
+	return st.sets.Get(ctx, func() ([][]Cluster, error) {
 		defer e.stage(ctx, "clusters")()
-		sets, err := allIntervalClustersCtx(ctx, st.col, e.tokenSource(st), e.cfg.cluster)
+		sets, err := allIntervalClustersCtx(ctx, st.tokens(), e.cfg.cluster)
 		if err == nil {
 			st.primeRecords(sets)
 		}
 		return sets, err
 	})
-	if err == nil {
-		st.releaseTokens()
-	}
-	return sets, err
 }
 
 // ClustersAt returns the cluster set of one interval from the
@@ -165,13 +109,10 @@ func (e *Engine) clustersAt(ctx context.Context, st *engineState, interval int) 
 	if interval < 0 || interval >= len(st.ivs) {
 		return nil, fmt.Errorf("blogclusters: interval %d outside [0,%d): %w", interval, len(st.ivs), ErrInvalidQuery)
 	}
-	return st.ivs[interval].clusters.Get(ctx, func() ([]Cluster, error) {
-		tk, err := e.tokens(ctx, st, interval, nil)
-		if err != nil {
-			return nil, err
-		}
+	rec := st.ivs[interval]
+	return rec.clusters.Get(ctx, func() ([]Cluster, error) {
 		defer e.stage(ctx, "interval-clusters")()
-		return intervalClustersCtx(ctx, tk, interval, e.cfg.cluster)
+		return intervalClustersCtx(ctx, rec.toks, interval, e.cfg.cluster)
 	})
 }
 
@@ -226,20 +167,17 @@ func (e *Engine) Graph(ctx context.Context) (*ClusterGraph, error) {
 // of one interval (the substrate of Correlations) in the interval's
 // record.
 func (e *Engine) kwGraph(ctx context.Context, st *engineState, interval int) (*cooccur.Graph, error) {
-	if st.col == nil {
+	if e.noCorpus {
 		return nil, ErrNoCorpus
 	}
 	if interval < 0 || interval >= len(st.ivs) {
 		return nil, fmt.Errorf("blogclusters: interval %d outside corpus (%d intervals): %w", interval, len(st.ivs), ErrInvalidQuery)
 	}
-	return st.ivs[interval].kwGraph.Get(ctx, func() (*cooccur.Graph, error) {
-		tk, err := e.tokens(ctx, st, interval, nil)
-		if err != nil {
-			return nil, err
-		}
+	rec := st.ivs[interval]
+	return rec.kwGraph.Get(ctx, func() (*cooccur.Graph, error) {
 		defer e.stage(ctx, "kwgraph")()
 		// Keep every significant, positively correlated pair.
-		return cooccur.BuildPrunedTokens(ctx, tk, stats.ChiSquared95, 0)
+		return cooccur.BuildPrunedTokens(ctx, rec.toks, stats.ChiSquared95, 0)
 	})
 }
 
@@ -266,25 +204,19 @@ func (e *Engine) emit(ev StageEvent) {
 	}
 }
 
-// allIntervalClustersCtx builds every interval's cluster set from the
-// tokens src gives — the Engine's cluster stage: whole interval builds
+// allIntervalClustersCtx builds the cluster set of every interval, one
+// per entry of toks — the Engine's cluster stage: whole interval builds
 // run on a pool of min(GOMAXPROCS, m) workers, each build sequential
-// inside. Each worker
-// keeps one tokenizer and one intervalBuilder from interval to
+// inside. Each worker keeps one intervalBuilder from interval to
 // interval, so its scratch is allocated once per stage, not per
 // interval.
-func allIntervalClustersCtx(ctx context.Context, c *Collection, src corpus.TokenSource, opts ClusterOptions) ([][]Cluster, error) {
-	m := len(c.Intervals)
+func allIntervalClustersCtx(ctx context.Context, toks []*corpus.Tokens, opts ClusterOptions) ([][]Cluster, error) {
+	m := len(toks)
 	workers := max(1, min(runtime.GOMAXPROCS(0), m))
 	sets := make([][]Cluster, m)
-	tzs := make([]corpus.Tokenizer, workers)
 	bs := make([]intervalBuilder, workers)
-	if err := par.ForEachWorkerCtx(ctx, m, workers, func(w, i int) error {
-		tk, err := src(ctx, i, &tzs[w])
-		if err != nil {
-			return err
-		}
-		sets[i], err = bs[w].clusters(ctx, tk, i, opts)
+	if err := par.ForEachWorkerCtx(ctx, m, workers, func(w, i int) (err error) {
+		sets[i], err = bs[w].clusters(ctx, toks[i], i, opts)
 		return err
 	}); err != nil {
 		return nil, err

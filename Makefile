@@ -99,6 +99,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cooccur -run '^$$' -fuzz FuzzBuildMatchesNaive -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cooccur -run '^$$' -fuzz FuzzBuildPruned -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzQueryRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/text -run '^$$' -fuzz FuzzFirstKeyword -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bicc -run '^$$' -fuzz FuzzDecompose -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/clustergraph -run '^$$' -fuzz FuzzJoinMatchesPairLoop -fuzztime $(FUZZTIME)
 

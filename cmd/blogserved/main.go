@@ -87,8 +87,14 @@ func main() {
 	case *shardList != "":
 		// The corpus lives on the shard servers; a coordinator loads
 		// nothing locally.
-		if shared.Input != "" || shared.Demo {
-			log.Fatal("-shards is a coordinator: the corpus is loaded by the shard servers, drop -input/-demo")
+		var set []string
+		flag.Visit(func(f *flag.Flag) {
+			if shardServerFlags[f.Name] {
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			log.Fatalf("-shards is a coordinator: the corpus is loaded and indexed by the shard servers, drop %s", strings.Join(set, ", "))
 		}
 	case *shardCount > 0:
 		// In-process sharding materializes the collection to split it;
@@ -223,6 +229,13 @@ func main() {
 	<-loadDone
 	closeEngine(srv, logger)
 	logger.Info("drained; exiting")
+}
+
+// shardServerFlags select, slice or index a corpus: on a -shards
+// coordinator they would configure nothing, so it rejects them.
+var shardServerFlags = map[string]bool{
+	"demo": true, "input": true, "intervals": true,
+	"index": true, "indexcache": true, "indexfile": true, "index-compact-after": true,
 }
 
 // openRemoteCoordinator assembles a shard.Coordinator over the shard

@@ -148,16 +148,25 @@ func (v *Vec) With(labelValues ...string) *Series {
 	if len(labelValues) != len(f.labels) {
 		panic(fmt.Sprintf("metrics: %q wants %d label values, got %d", f.name, len(f.labels), len(labelValues)))
 	}
-	key := strings.Join(labelValues, "\xff")
+	// The key is built on the stack and probed as a []byte conversion,
+	// which does not allocate: only a new series makes it a string.
+	var buf [128]byte
+	key := buf[:0]
+	for i, lv := range labelValues {
+		if i > 0 {
+			key = append(key, '\xff')
+		}
+		key = append(key, lv...)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s, ok := f.series[key]
+	s, ok := f.series[string(key)]
 	if !ok {
 		s = &Series{f: f, labelVals: append([]string(nil), labelValues...)}
 		if f.kind == KindHistogram {
 			s.buckets = make([]atomic.Int64, len(f.buckets)+1)
 		}
-		f.series[key] = s
+		f.series[string(key)] = s
 	}
 	return s
 }

@@ -13,7 +13,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,9 +42,19 @@ var idPrefix = func() string {
 
 var idCounter atomic.Int64
 
-// NewRequestID mints a process-unique request id.
+// NewRequestID mints a process-unique request id: the prefix, a dash
+// and the counter in hex, zero-padded to six digits. The one
+// allocation is the id itself.
 func NewRequestID() string {
-	return fmt.Sprintf("%s-%06x", idPrefix, idCounter.Add(1))
+	var buf [40]byte
+	b := append(buf[:0], idPrefix...)
+	b = append(b, '-')
+	var hexBuf [16]byte
+	n := strconv.AppendUint(hexBuf[:0], uint64(idCounter.Add(1)), 16)
+	for i := len(n); i < 6; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, n...))
 }
 
 // WithRequestID returns ctx carrying the id.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -11,12 +12,19 @@ import (
 )
 
 // TestRequestIDs: ids are unique within the process, share its prefix,
-// and round-trip through a context; a bare context carries none.
+// print the counter as zero-padded hex, and round-trip through a
+// context; a bare context carries none.
 func TestRequestIDs(t *testing.T) {
 	const n = 1000
 	seen := make(map[string]bool, n)
 	for i := 0; i < n; i++ {
+		if i == n/2 {
+			idCounter.Store(0xfffffe) // the next ids outgrow six digits
+		}
 		id := NewRequestID()
+		if want := fmt.Sprintf("%s-%06x", idPrefix, idCounter.Load()); id != want {
+			t.Fatalf("request id %q, want %q", id, want)
+		}
 		if seen[id] {
 			t.Fatalf("request id %q minted twice", id)
 		}

@@ -11,9 +11,8 @@ import (
 // another client. Entries are immutable once inserted; concurrent
 // readers share the body slice.
 type cacheEntry struct {
-	status      int
-	contentType string
-	body        []byte
+	status int
+	body   []byte // JSON
 	// noStore marks a fill whose result must be returned to its waiters
 	// but never inserted: the session was replaced or its generation
 	// moved while the fill ran, so the rendered body may reflect either
@@ -100,17 +99,63 @@ const (
 	cacheBypass cacheState = "bypass"
 )
 
+// The X-Cache header values every response shares. Each slice has len
+// == cap, so a Header.Add appends to a copy and cannot write into it.
+var (
+	xCacheHit    = []string{string(cacheHit)}
+	xCacheMiss   = []string{string(cacheMiss)}
+	xCacheBypass = []string{string(cacheBypass)}
+)
+
+// header returns the state's shared X-Cache value slice.
+func (s cacheState) header() []string {
+	switch s {
+	case cacheHit:
+		return xCacheHit
+	case cacheMiss:
+		return xCacheMiss
+	}
+	return xCacheBypass
+}
+
+// Get returns key's resident entry and counts a hit, or reports none.
+// It is the whole of a hit: one lock and one map probe, with no
+// context, so serve asks it first and pays for a workContext only on
+// its way into Do.
+func (c *responseCache) Get(key []byte) (*cacheEntry, bool) {
+	if c.maxBytes <= 0 {
+		return nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hitLocked(key)
+}
+
+// hitLocked is the one probe of the resident entries. Indexing the map
+// with string(key) does not allocate.
+func (c *responseCache) hitLocked(key []byte) (*cacheEntry, bool) {
+	el, ok := c.entries[string(key)]
+	if !ok {
+		return nil, false
+	}
+	c.order.MoveToFront(el)
+	c.hits++
+	return el.Value.(*lruItem).entry, true
+}
+
 // Do returns the entry for key, filling it at most once across
-// concurrent callers. Only 200-status entries are cached, but every
-// successful fill is shared with its concurrent waiters through the
-// in-flight rendezvous, so an uncacheable (non-200 or over-budget)
-// response still costs one Engine call per burst. Errors are returned
+// concurrent callers. ctx bounds both the fill and the wait for
+// another caller's fill. The key becomes a string only when this call
+// takes the key's in-flight slot. Only 200-status entries are cached,
+// but every successful fill is shared with its concurrent waiters
+// through the in-flight rendezvous, so an uncacheable (non-200 or
+// over-budget) response still costs one Engine call per burst. Errors are returned
 // to the caller that produced them; waiters retry (the next becomes
 // the filler), except after a panic, which they answer with
 // errFillPanicked. A fill aborted by cancellation likewise caches
 // nothing, so a later live request rebuilds — mirroring the Engine
 // memo's contract.
-func (c *responseCache) Do(ctx context.Context, key string, fill func(context.Context) (*cacheEntry, error)) (*cacheEntry, cacheState, error) {
+func (c *responseCache) Do(ctx context.Context, key []byte, fill func(context.Context) (*cacheEntry, error)) (*cacheEntry, cacheState, error) {
 	if c.maxBytes <= 0 {
 		c.mu.Lock()
 		c.bypass++
@@ -120,13 +165,11 @@ func (c *responseCache) Do(ctx context.Context, key string, fill func(context.Co
 	}
 	for {
 		c.mu.Lock()
-		if el, ok := c.entries[key]; ok {
-			c.order.MoveToFront(el)
-			c.hits++
+		if e, ok := c.hitLocked(key); ok {
 			c.mu.Unlock()
-			return el.Value.(*lruItem).entry, cacheHit, nil
+			return e, cacheHit, nil
 		}
-		if f, ok := c.inflight[key]; ok {
+		if f, ok := c.inflight[string(key)]; ok {
 			c.mu.Unlock()
 			select {
 			case <-f.ch:
@@ -148,11 +191,12 @@ func (c *responseCache) Do(ctx context.Context, key string, fill func(context.Co
 				return nil, cacheMiss, ctx.Err()
 			}
 		}
+		k := string(key)
 		f := &inflightFill{ch: make(chan struct{})}
-		c.inflight[key] = f
+		c.inflight[k] = f
 		c.misses++
 		c.mu.Unlock()
-		e, err := c.runFill(ctx, key, f, fill)
+		e, err := c.runFill(ctx, k, f, fill)
 		return e, cacheMiss, err
 	}
 }

@@ -17,7 +17,7 @@ import (
 
 func fillWith(status int, body string) func(context.Context) (*cacheEntry, error) {
 	return func(context.Context) (*cacheEntry, error) {
-		return &cacheEntry{status: status, contentType: "application/json", body: []byte(body)}, nil
+		return &cacheEntry{status: status, body: []byte(body)}, nil
 	}
 }
 
@@ -31,21 +31,21 @@ func TestCacheLRUEviction(t *testing.T) {
 	ctx := context.Background()
 
 	for i := 0; i < 3; i++ {
-		if _, st, _ := c.Do(ctx, fmt.Sprintf("k%d", i), fillWith(200, body)); st != cacheMiss {
+		if _, st, _ := c.Do(ctx, []byte(fmt.Sprintf("k%d", i)), fillWith(200, body)); st != cacheMiss {
 			t.Fatalf("insert %d: state %v, want miss", i, st)
 		}
 	}
 	// Touch k0 so k1 is the LRU tail when k3 arrives.
-	if _, st, _ := c.Do(ctx, "k0", fillWith(200, "fresh")); st != cacheHit {
+	if _, st, _ := c.Do(ctx, []byte("k0"), fillWith(200, "fresh")); st != cacheHit {
 		t.Fatalf("k0 should be resident, got %v", st)
 	}
-	if _, st, _ := c.Do(ctx, "k3", fillWith(200, body)); st != cacheMiss {
+	if _, st, _ := c.Do(ctx, []byte("k3"), fillWith(200, body)); st != cacheMiss {
 		t.Fatalf("k3 insert: state %v, want miss", st)
 	}
-	if _, st, _ := c.Do(ctx, "k1", fillWith(200, body)); st != cacheMiss {
+	if _, st, _ := c.Do(ctx, []byte("k1"), fillWith(200, body)); st != cacheMiss {
 		t.Fatal("k1 survived eviction; LRU order broken")
 	}
-	if _, st, _ := c.Do(ctx, "k0", fillWith(200, "fresh")); st != cacheHit {
+	if _, st, _ := c.Do(ctx, []byte("k0"), fillWith(200, "fresh")); st != cacheHit {
 		t.Fatal("recently-used k0 was evicted")
 	}
 	st := c.Stats()
@@ -69,21 +69,21 @@ func TestCacheRefusesNon200AndErrors(t *testing.T) {
 	probe := fillWith(502, "probe")
 
 	boom := errors.New("boom")
-	if _, _, err := c.Do(ctx, "err", func(context.Context) (*cacheEntry, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.Do(ctx, []byte("err"), func(context.Context) (*cacheEntry, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("fill error not surfaced: %v", err)
 	}
-	if _, st, _ := c.Do(ctx, "err", probe); st != cacheMiss {
+	if _, st, _ := c.Do(ctx, []byte("err"), probe); st != cacheMiss {
 		t.Fatal("error fill was cached")
 	}
 
-	c.Do(ctx, "400", fillWith(400, "bad"))
-	if _, st, _ := c.Do(ctx, "400", probe); st != cacheMiss {
+	c.Do(ctx, []byte("400"), fillWith(400, "bad"))
+	if _, st, _ := c.Do(ctx, []byte("400"), probe); st != cacheMiss {
 		t.Fatal("non-200 entry was cached")
 	}
 
 	huge := strings.Repeat("x", 2<<10)
-	c.Do(ctx, "huge", fillWith(200, huge))
-	if _, st, _ := c.Do(ctx, "huge", fillWith(200, huge)); st != cacheMiss {
+	c.Do(ctx, []byte("huge"), fillWith(200, huge))
+	if _, st, _ := c.Do(ctx, []byte("huge"), fillWith(200, huge)); st != cacheMiss {
 		t.Fatal("over-budget entry was cached")
 	}
 	if got := c.Stats().Entries; got != 0 {
@@ -98,7 +98,7 @@ func TestCacheBypass(t *testing.T) {
 	ctx := context.Background()
 	calls := 0
 	for i := 0; i < 3; i++ {
-		_, st, err := c.Do(ctx, "k", func(context.Context) (*cacheEntry, error) {
+		_, st, err := c.Do(ctx, []byte("k"), func(context.Context) (*cacheEntry, error) {
 			calls++
 			return &cacheEntry{status: 200, body: []byte("b")}, nil
 		})
@@ -135,7 +135,7 @@ func TestCacheSingleFlightUncacheable(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			arrived.Add(1)
-			e, _, err := c.Do(ctx, "big", func(context.Context) (*cacheEntry, error) {
+			e, _, err := c.Do(ctx, []byte("big"), func(context.Context) (*cacheEntry, error) {
 				mu.Lock()
 				fills++
 				mu.Unlock()
@@ -195,7 +195,7 @@ func TestCacheSingleFlightWaiters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e, _, err := c.Do(ctx, "hot", fill)
+			e, _, err := c.Do(ctx, []byte("hot"), fill)
 			if err != nil {
 				t.Errorf("Do: %v", err)
 				return
@@ -247,7 +247,7 @@ func TestCacheResetDetachesFills(t *testing.T) {
 	do := func(fill func(context.Context) (*cacheEntry, error)) <-chan string {
 		out := make(chan string, 1)
 		go func() {
-			e, _, err := c.Do(ctx, "k", fill)
+			e, _, err := c.Do(ctx, []byte("k"), fill)
 			if err != nil {
 				t.Error(err)
 				out <- ""
@@ -278,7 +278,7 @@ func TestCacheResetDetachesFills(t *testing.T) {
 	if got := <-cur; got != "new" {
 		t.Fatalf("fill after reset returned %q, want new", got)
 	}
-	e, state, _ := c.Do(ctx, "k", fillWith(200, "refill"))
+	e, state, _ := c.Do(ctx, []byte("k"), fillWith(200, "refill"))
 	want := (&cacheEntry{body: []byte("new")}).size("k")
 	if st := c.Stats(); state != cacheHit || string(e.body) != "new" || st.Entries != 1 || st.Bytes != want {
 		t.Fatalf("Do after both fills: %s %q, stats %+v; want a hit on new, one entry of %d bytes", state, e.body, st, want)
@@ -315,7 +315,7 @@ func TestCacheKeyUnifiesSpellings(t *testing.T) {
 		},
 	}
 	for i, pair := range same {
-		if a, b := opStableClusters.key(0, pair[0].Normalize()), opStableClusters.key(0, pair[1].Normalize()); a != b {
+		if a, b := keyOf(opStableClusters, 0, pair[0].Normalize()), keyOf(opStableClusters, 0, pair[1].Normalize()); a != b {
 			t.Errorf("pair %d: keys differ: %q vs %q", i, a, b)
 		}
 	}
@@ -331,7 +331,7 @@ func TestCacheKeyUnifiesSpellings(t *testing.T) {
 	}
 	seen := map[string]int{}
 	for i, s := range distinct {
-		key := opStableClusters.key(0, s.Normalize())
+		key := keyOf(opStableClusters, 0, s.Normalize())
 		if j, ok := seen[key]; ok {
 			t.Errorf("specs %d and %d collide on key %q", j, i, key)
 		}

@@ -24,10 +24,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, `{"error":"encode response"}`, http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()[hdrContentType] = jsonContentType
 	w.WriteHeader(status)
 	w.Write(append(body, '\n'))
 }
+
+// jsonContentType is the Content-Type value every JSON response shares
+// (len == cap: a Header.Add cannot write into it).
+var jsonContentType = []string{"application/json"}
 
 type errorBody struct {
 	Error string `json:"error"`
@@ -43,14 +47,15 @@ func renderEntry(v any) (*cacheEntry, error) {
 	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, err
 	}
-	return &cacheEntry{status: http.StatusOK, contentType: "application/json", body: buf.Bytes()}, nil
+	return &cacheEntry{status: http.StatusOK, body: buf.Bytes()}, nil
 }
 
 // writeEntry replays a (possibly cached) entry, tagging how the cache
 // treated it.
 func writeEntry(w http.ResponseWriter, e *cacheEntry, state cacheState) {
-	w.Header().Set("Content-Type", e.contentType)
-	w.Header().Set("X-Cache", string(state))
+	h := w.Header()
+	h[hdrContentType] = jsonContentType
+	h[hdrCache] = state.header()
 	w.WriteHeader(e.status)
 	w.Write(e.body)
 }
@@ -103,8 +108,8 @@ const statusClientClosedRequest = 499
 // shard fan-out hops all record into the same recorder; a memo-hot
 // request honestly shows few or no engine spans, because the work was
 // already done by an earlier request.
-func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request, fill func(ctx context.Context) (*cacheEntry, error)) {
-	ctx, rec := obs.WithRecorder(r.Context())
+func (s *Server) serveTraced(ctx context.Context, w http.ResponseWriter, fill func(ctx context.Context) (*cacheEntry, error)) {
+	ctx, rec := obs.WithRecorder(ctx)
 	start := time.Now()
 	e, err := fill(ctx)
 	rec.Record("request", start, err)

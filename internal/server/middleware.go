@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"log/slog"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -11,15 +12,18 @@ import (
 )
 
 // outcome is the one wrapper around a request's ResponseWriter: it
-// records the status and byte count, and the route handler fills in its
-// route name and, once the route's breaker has admitted the request,
-// that breaker.
+// carries the request id, records the status and byte count, and the
+// route handler fills in its route name and, once the route's breaker
+// has admitted the request, that breaker.
 type outcome struct {
 	http.ResponseWriter
 	status int
 	bytes  int
 	route  string   // empty for a path no route matched
 	b      *breaker // nil unless the route's breaker let the request in
+	// id holds the request id; it is also the X-Request-Id header's
+	// value slice, so echoing the id allocates nothing.
+	id [1]string
 }
 
 func (w *outcome) WriteHeader(code int) {
@@ -38,11 +42,37 @@ func (w *outcome) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// The headers the serving layer sets, by their canonical keys: a map
+// write under a canonical key skips Header.Set's canonicalization and
+// its fresh value slice.
+const (
+	hdrRequestID   = "X-Request-Id"
+	hdrContentType = "Content-Type"
+	hdrCache       = "X-Cache"
+)
+
+// statusLabels is the decimal text of every status code below 600, so
+// a request's metric label is a table read, not a strconv call.
+var statusLabels = func() (t [600]string) {
+	for code := range t {
+		t[code] = strconv.Itoa(code)
+	}
+	return t
+}()
+
+func statusLabel(code int) string {
+	if uint(code) < uint(len(statusLabels)) {
+		return statusLabels[code]
+	}
+	return strconv.Itoa(code)
+}
+
 // withOutcome wraps the route tree. It mints the request id when the
 // client sent none and propagates it verbatim when it did (a
 // coordinator forwards its own id on shard hops, so one query's log
 // lines correlate across processes); either way it is echoed in the
-// X-Request-ID response header and carried in the request context.
+// X-Request-ID response header and kept on the outcome, from which
+// workContext carries it into the work the request runs.
 //
 // When the handler returns, the status is reported once: to the route's
 // http_requests_total and latency histogram, shed 429s and 503s
@@ -60,13 +90,13 @@ func (w *outcome) Write(p []byte) (int, error) {
 func (s *Server) withOutcome(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		id := r.Header.Get("X-Request-ID")
-		if id == "" {
-			id = obs.NewRequestID()
-		}
-		w.Header().Set("X-Request-ID", id)
-		r = r.WithContext(obs.WithRequestID(r.Context(), id))
 		o := &outcome{ResponseWriter: w}
+		if ids := r.Header[hdrRequestID]; len(ids) > 0 && ids[0] != "" {
+			o.id[0] = ids[0]
+		} else {
+			o.id[0] = obs.NewRequestID()
+		}
+		w.Header()[hdrRequestID] = o.id[:]
 		defer func() {
 			v := recover()
 			status := o.status
@@ -77,7 +107,7 @@ func (s *Server) withOutcome(next http.Handler) http.Handler {
 				status = http.StatusOK
 			}
 			if o.route != "" {
-				s.m.requests.With(o.route, strconv.Itoa(status)).Inc()
+				s.m.requests.With(o.route, statusLabel(status)).Inc()
 				s.m.duration.With(o.route).Observe(time.Since(start).Seconds())
 			}
 			if o.b != nil {
@@ -97,16 +127,19 @@ func (s *Server) withOutcome(next http.Handler) http.Handler {
 				writeError(o, http.StatusInternalServerError, "internal error")
 			}
 			s.requests.Add(1)
-			s.log.Info("request",
-				"method", r.Method,
-				"path", r.URL.Path,
-				"query", r.URL.RawQuery,
-				"status", status,
-				"bytes", o.bytes,
-				"dur_ms", float64(time.Since(start).Microseconds())/1000,
-				"cache", o.Header().Get("X-Cache"),
-				"request_id", id,
-				"remote", r.RemoteAddr,
+			// Typed attributes: slog boxes none of them, and dur_us is
+			// an integer because the JSON handler formats every float
+			// through encoding/json.
+			s.log.LogAttrs(context.Background(), slog.LevelInfo, "request",
+				slog.String("method", r.Method),
+				slog.String("path", r.URL.Path),
+				slog.String("query", r.URL.RawQuery),
+				slog.Int("status", status),
+				slog.Int("bytes", o.bytes),
+				slog.Int64("dur_us", time.Since(start).Microseconds()),
+				slog.String("cache", o.Header().Get(hdrCache)),
+				slog.String("request_id", o.id[0]),
+				slog.String("remote", r.RemoteAddr),
 			)
 		}()
 		next.ServeHTTP(o, r)
@@ -139,9 +172,10 @@ func (s *Server) route(name string, next http.HandlerFunc) http.HandlerFunc {
 // Health, readiness and stats stay outside the semaphore so operators
 // can always observe an overloaded server.
 //
-// The deadline comes last.
+// The deadline comes last, and only where the query can wait: serve
+// takes a workContext on its way into a fill or an in-flight wait, not
+// for a cache hit.
 func (s *Server) query(route string, next http.HandlerFunc) http.HandlerFunc {
-	next = s.withTimeout(next)
 	return s.route(route, func(w http.ResponseWriter, r *http.Request) {
 		b := s.breakerFor(route)
 		if !b.allow() {
@@ -169,13 +203,21 @@ func (s *Server) shed(w http.ResponseWriter, reason string, status int, msg stri
 	writeError(w, status, msg)
 }
 
-// withTimeout attaches the per-request deadline. The Engine joins this
-// context with the session lifetime, so the three ways a query dies —
-// client disconnect, deadline, session Close — all cancel the same
-// builds the same way.
+// workContext returns the context a request's work runs under: the
+// request's own, carrying its request id (a Client forwards it on
+// every shard hop) and the per-request deadline. The Engine joins it
+// with the session lifetime, so the three ways a query dies — client
+// disconnect, deadline, session Close — all cancel the same builds the
+// same way. w must be the request's outcome.
+func (s *Server) workContext(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc) {
+	ctx := obs.WithRequestID(r.Context(), w.(*outcome).id[0])
+	return context.WithTimeout(ctx, s.cfg.RequestTimeout)
+}
+
+// withTimeout runs next under the request's workContext.
 func (s *Server) withTimeout(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		ctx, cancel := s.workContext(w, r)
 		defer cancel()
 		next(w, r.WithContext(ctx))
 	}

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	blogclusters "repro"
 	"repro/internal/core"
@@ -31,7 +32,7 @@ type op[Q any] struct {
 	genKeyed bool
 	// parse validates and normalizes the query string. Its error is the
 	// route's 400, and the only one the serving layer makes itself.
-	parse func(url.Values) (Q, error)
+	parse func(params) (Q, error)
 	// render writes q's parameters in one fixed order (see enc): the
 	// query string a Client sends and, with the keywords analyzed, the
 	// response-cache key.
@@ -53,11 +54,12 @@ func (o *op[Q]) label() string { return o.name }
 // queries is every GET /v1 route.
 var queries = []endpoint{opStableClusters, opTimeSeries, opBursts, opSearch, opRefine, opCorrelations, opDescribe, opMeta, opClusters}
 
-// key renders q as its response-cache key: the route name and the
-// normalized parameters, so ?k=5, ?k=05 and no k at all (default 5)
-// share one entry, behind the generation for genKeyed routes.
-func (o *op[Q]) key(gen int64, q Q) string {
-	e := enc{key: true}
+// renderKey renders q's response-cache key into e, over whatever e
+// held: the route name and the normalized parameters, so ?k=5, ?k=05
+// and no k at all (default 5) share one entry, behind the generation
+// for genKeyed routes.
+func (o *op[Q]) renderKey(e *enc, gen int64, q Q) {
+	*e = enc{b: e.b[:0], key: true}
 	if o.genKeyed {
 		e.b = append(e.b, 'g')
 		e.b = strconv.AppendInt(e.b, gen, 10)
@@ -65,8 +67,7 @@ func (o *op[Q]) key(gen int64, q Q) string {
 	}
 	e.b = append(e.b, o.name...)
 	e.b = append(e.b, '?')
-	o.render(&e, q)
-	return string(e.b)
+	o.render(e, q)
 }
 
 // query renders q as the query string a Client sends.
@@ -76,16 +77,18 @@ func (o *op[Q]) query(q Q) string {
 	return string(e.b)
 }
 
+// keyEncs holds the encoders serve renders cache keys into, so a key
+// costs no allocation until a miss stores it.
+var keyEncs = sync.Pool{New: func() any { return &enc{b: make([]byte, 0, 128)} }}
+
 // serve is the one GET path of every table entry: parse the query
-// string once, resolve the session, consult the response cache under
-// the rendered key, fill through answer on a miss and replay the
-// rendered bytes. A fill runs at most once across concurrent identical
-// requests. A fill that straddles a Push or a SetEngine is marked
-// noStore: the session snapshot it read is ambiguous, so the result is
-// served to the waiting clients but never cached.
+// string once, in place, resolve the session, probe the response cache
+// with the rendered key and replay a hit's bytes. Only a miss pays for
+// the request's workContext and a fill through answer, which runs at
+// most once across concurrent identical requests.
 func (o *op[Q]) serve(s *Server, w http.ResponseWriter, r *http.Request) {
-	v := r.URL.Query()
-	q, err := o.parse(v)
+	p := params(r.URL.RawQuery)
+	q, err := o.parse(p)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -100,29 +103,46 @@ func (o *op[Q]) serve(s *Server, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "corpus is still loading; retry shortly")
 		return
 	}
-	sess := box.s
-	gen := sess.Generation()
-	fill := func(ctx context.Context) (*cacheEntry, error) {
-		body, err := o.answer(ctx, sess, gen, q)
-		if err != nil {
-			return nil, err
-		}
-		e, err := renderEntry(body)
-		if err == nil && (s.sess.Load() != box || sess.Generation() != gen) {
-			e.noStore = true
-		}
-		return e, err
-	}
-	if v.Get("trace") == "1" {
-		s.serveTraced(w, r, fill)
+	gen := box.s.Generation()
+	if p.Get("trace") == "1" {
+		ctx, cancel := s.workContext(w, r)
+		defer cancel()
+		s.serveTraced(ctx, w, o.fill(s, box, gen, q))
 		return
 	}
-	entry, state, err := s.cache.Do(r.Context(), o.key(gen, q), fill)
+	key := keyEncs.Get().(*enc)
+	defer keyEncs.Put(key)
+	o.renderKey(key, gen, q)
+	if entry, ok := s.cache.Get(key.b); ok {
+		writeEntry(w, entry, cacheHit)
+		return
+	}
+	ctx, cancel := s.workContext(w, r)
+	defer cancel()
+	entry, state, err := s.cache.Do(ctx, key.b, o.fill(s, box, gen, q))
 	if err != nil {
 		writeError(w, errStatus(err), err.Error())
 		return
 	}
 	writeEntry(w, entry, state)
+}
+
+// fill answers q against box's session at generation gen and renders
+// the entry. A fill that straddles a Push or a SetEngine is marked
+// noStore: the session snapshot it read is ambiguous, so the result is
+// served to the waiting clients but never cached.
+func (o *op[Q]) fill(s *Server, box *sessionBox, gen int64, q Q) func(context.Context) (*cacheEntry, error) {
+	return func(ctx context.Context) (*cacheEntry, error) {
+		body, err := o.answer(ctx, box.s, gen, q)
+		if err != nil {
+			return nil, err
+		}
+		e, err := renderEntry(body)
+		if err == nil && (s.sess.Load() != box || box.s.Generation() != gen) {
+			e.noStore = true
+		}
+		return e, err
+	}
 }
 
 // enc renders a request's parameters as escaped name=value pairs joined
@@ -200,10 +220,35 @@ type clustersReq struct {
 	counts   bool
 }
 
+// params is a raw query string, read in place: Get returns what
+// url.ParseQuery(string(p)).Get returns, without building the map.
+type params string
+
+// Get returns the first value of name. Like url.ParseQuery it skips a
+// pair that holds a ';' or whose key or value has a bad escape, and it
+// unescapes keys and values; one without escapes is a substring of p.
+func (p params) Get(name string) string {
+	for rest := string(p); rest != ""; {
+		var pair string
+		pair, rest, _ = strings.Cut(rest, "&")
+		if strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != name {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
 // args reads one query string for a parse and keeps its first failure;
 // reads after a failure return zero values the parse then discards.
 type args struct {
-	v   url.Values
+	v   params
 	err error
 }
 
@@ -247,14 +292,17 @@ func (a *args) term(name string) term {
 	return term{raw, a.analyze(name, raw)}
 }
 
+// analyzer is the corpus analyzer every parse shares; an Analyzer is
+// read-only once made.
+var analyzer = blogclusters.NewAnalyzer()
+
 // analyze returns the first keyword the corpus analyzer finds in raw.
 func (a *args) analyze(name, raw string) string {
-	kws := blogclusters.NewAnalyzer().Keywords(raw)
-	if len(kws) == 0 {
+	kw, ok := analyzer.First(raw)
+	if !ok {
 		a.fail("parameter %q: %q is not an analyzable keyword", name, raw)
-		return ""
 	}
-	return kws[0]
+	return kw
 }
 
 // opStableClusters answers Problems 1 and 2 and the diversity variant
@@ -268,7 +316,7 @@ func (a *args) analyze(name, raw string) string {
 var opStableClusters = &op[blogclusters.QuerySpec]{
 	name:     "stable-clusters",
 	genKeyed: true,
-	parse: func(v url.Values) (blogclusters.QuerySpec, error) {
+	parse: func(v params) (blogclusters.QuerySpec, error) {
 		a := args{v: v}
 		spec := blogclusters.QuerySpec{
 			Variant:   v.Get("variant"),
@@ -314,7 +362,7 @@ var opStableClusters = &op[blogclusters.QuerySpec]{
 var opTimeSeries = &op[term]{
 	name:     "timeseries",
 	genKeyed: true,
-	parse: func(v url.Values) (term, error) {
+	parse: func(v params) (term, error) {
 		a := args{v: v}
 		t := a.term("keyword")
 		return t, a.err
@@ -358,11 +406,14 @@ var opBursts = &op[term]{
 // opSearch serves boolean search: ?terms=a,b,c&interval=i.
 var opSearch = &op[searchReq]{
 	name: "search",
-	parse: func(v url.Values) (searchReq, error) {
+	parse: func(v params) (searchReq, error) {
 		a := args{v: v}
 		raw := a.str("terms")
-		q := searchReq{interval: a.num("interval")}
-		for _, t := range strings.Split(raw, ",") {
+		// A plain loop, not strings.SplitSeq: a range-over-func body
+		// would move a and q to the heap.
+		parts := strings.Split(raw, ",")
+		q := searchReq{terms: make([]string, 0, len(parts)), analyzed: make([]string, 0, len(parts)), interval: a.num("interval")}
+		for _, t := range parts {
 			if t = strings.TrimSpace(t); t != "" {
 				q.terms = append(q.terms, t)
 				q.analyzed = append(q.analyzed, a.analyze("terms", t))
@@ -394,7 +445,7 @@ var opSearch = &op[searchReq]{
 // opRefine serves query refinement: ?query=&interval=i.
 var opRefine = &op[keywordAt]{
 	name: "refine",
-	parse: func(v url.Values) (keywordAt, error) {
+	parse: func(v params) (keywordAt, error) {
 		a := args{v: v}
 		q := keywordAt{term: a.term("query"), interval: a.num("interval")}
 		return q, a.err
@@ -416,7 +467,7 @@ var opRefine = &op[keywordAt]{
 // ?keyword=&interval=i&n=5.
 var opCorrelations = &op[keywordAt]{
 	name: "correlations",
-	parse: func(v url.Values) (keywordAt, error) {
+	parse: func(v params) (keywordAt, error) {
 		a := args{v: v}
 		q := keywordAt{term: a.term("keyword"), interval: a.num("interval"), n: a.numOr("n", 5)}
 		if q.n <= 0 {
@@ -445,7 +496,7 @@ var opCorrelations = &op[keywordAt]{
 // the session's to check (ErrInvalidQuery → 400).
 var opDescribe = &op[blogclusters.Path]{
 	name: "describe",
-	parse: func(v url.Values) (blogclusters.Path, error) {
+	parse: func(v params) (blogclusters.Path, error) {
 		a := args{v: v}
 		raw := a.str("nodes")
 		p := blogclusters.Path{Length: a.numOr("length", 0)}
@@ -495,7 +546,7 @@ var opDescribe = &op[blogclusters.Path]{
 var opMeta = &op[struct{}]{
 	name:     "meta",
 	genKeyed: true,
-	parse:    func(url.Values) (struct{}, error) { return struct{}{}, nil },
+	parse:    func(params) (struct{}, error) { return struct{}{}, nil },
 	render:   func(*enc, struct{}) {},
 	answer: func(ctx context.Context, sess Session, gen int64, _ struct{}) (any, error) {
 		totals, err := sess.DocTotals(ctx)
@@ -514,7 +565,7 @@ var opMeta = &op[struct{}]{
 var opClusters = &op[clustersReq]{
 	name:     "clusters",
 	genKeyed: true,
-	parse: func(v url.Values) (clustersReq, error) {
+	parse: func(v params) (clustersReq, error) {
 		a := args{v: v}
 		q := clustersReq{from: a.num("from"), to: a.num("to"), counts: v.Get("counts") == "1"}
 		return q, a.err

@@ -205,6 +205,9 @@ func TestRequestOutcomeContract(t *testing.T) {
 					if id, _ := rec["request_id"].(string); !strings.HasPrefix(id, tc.name+"-") {
 						t.Errorf("access log request_id %q, want the echoed id", id)
 					}
+					if us, ok := rec["dur_us"].(float64); !ok || us < 0 || us != float64(int64(us)) {
+						t.Errorf("access log dur_us %v, want whole microseconds", rec["dur_us"])
+					}
 					records++
 				case "panic in handler":
 					if s, _ := rec["stack"].(string); s == "" {

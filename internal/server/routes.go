@@ -5,10 +5,10 @@ import "net/http"
 // routes maps the HTTP surface onto Engine queries. Every /v1 query is
 // a GET (queries are reads; the session is the only state) declared in
 // the queries table (ops.go) and registered here, wrapped in its
-// circuit breaker, the admission semaphore and the per-request
-// deadline. The operational endpoints stay outside all three so probes
-// and dashboards keep working while the query surface is saturated or
-// shedding.
+// circuit breaker and the admission semaphore; its work (a fill, a
+// wait on one, a trace) runs under the per-request deadline. The
+// operational endpoints stay outside all three so probes and dashboards
+// keep working while the query surface is saturated or shedding.
 //
 //	/v1/<name>           → the queries table (ops.go)
 //	/v1/push (POST)      → Engine.Push — live ingest of the next interval

@@ -20,10 +20,11 @@
 //   - admission control: a bounded semaphore caps in-flight /v1
 //     queries; overflow is rejected immediately with 429 + Retry-After
 //     instead of queueing without bound (Config.MaxInflight).
-//   - per-request deadlines: every query context carries
-//     Config.RequestTimeout and is joined with the session lifetime
-//     inside the Engine, so client disconnects, timeouts and server
-//     shutdown all cancel the same way.
+//   - per-request deadlines: every fill, wait on a fill, traced query
+//     and push runs under Config.RequestTimeout, joined with the
+//     session lifetime inside the Engine, so client disconnects,
+//     timeouts and server shutdown all cancel the same way. A cache
+//     hit waits on nothing and takes no deadline.
 //   - response cache: rendered 200 responses live in a bytes-bounded
 //     LRU keyed by normalized query params, with single-flight fills —
 //     N identical hot queries cost one Engine call (cache.go). The key

@@ -31,6 +31,9 @@ func Stem(word string) string {
 	b = step4(b)
 	b = step5a(b)
 	b = step5b(b)
+	if string(b) == word {
+		return word // a word that is its own stem costs no copy
+	}
 	return string(b)
 }
 

@@ -8,6 +8,7 @@
 package text
 
 import (
+	"iter"
 	"strings"
 	"unicode"
 )
@@ -28,23 +29,50 @@ const MaxTokenLen = 40
 // leftovers) separates tokens too.
 func Tokenize(s string) []string {
 	tokens := make([]string, 0, len(s)/6)
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			tokens = append(tokens, b.String())
-			b.Reset()
-		}
+	for tok := range eachToken(s) {
+		tokens = append(tokens, tok)
 	}
-	for _, r := range s {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			b.WriteRune(unicode.ToLower(r))
-		default:
-			flush()
-		}
-	}
-	flush()
 	return tokens
+}
+
+// eachToken yields the tokens of s in order, as Tokenize splits them. A
+// run that lower-casing leaves as it is is yielded as a substring of s;
+// only a run with an upper-case letter is copied.
+func eachToken(s string) iter.Seq[string] {
+	return func(yield func(string) bool) {
+		start, lower := -1, true
+		for i, r := range s {
+			if unicode.IsLetter(r) || unicode.IsDigit(r) {
+				if start < 0 {
+					start, lower = i, true
+				}
+				if unicode.ToLower(r) != r {
+					lower = false
+				}
+				continue
+			}
+			if start >= 0 && !yield(lowered(s[start:i], lower)) {
+				return
+			}
+			start = -1
+		}
+		if start >= 0 {
+			yield(lowered(s[start:], lower))
+		}
+	}
+}
+
+// lowered returns the run lower-cased; lower says it already is.
+func lowered(run string, lower bool) string {
+	if lower {
+		return run
+	}
+	var b strings.Builder
+	b.Grow(len(run))
+	for _, r := range run {
+		b.WriteRune(unicode.ToLower(r))
+	}
+	return b.String()
 }
 
 // Analyzer converts raw post text into the bag of keywords used by the
@@ -65,7 +93,8 @@ type Analyzer struct {
 
 // NewAnalyzer returns an Analyzer configured the way the paper's
 // pipeline is described: stemming on, default stop words, numbers
-// dropped.
+// dropped. An Analyzer is only read once configured, so one value may
+// serve any number of goroutines.
 func NewAnalyzer() *Analyzer {
 	return &Analyzer{Stem: true}
 }
@@ -74,40 +103,62 @@ func NewAnalyzer() *Analyzer {
 // keywords in s. Each keyword appears once regardless of its frequency
 // inside the document.
 func (a *Analyzer) Keywords(s string) []string {
+	seen := make(map[string]struct{})
+	var out []string
+	for tok := range eachToken(s) {
+		kw, ok := a.keyword(tok)
+		if !ok {
+			continue
+		}
+		if _, dup := seen[kw]; dup {
+			continue
+		}
+		seen[kw] = struct{}{}
+		out = append(out, kw)
+	}
+	return out
+}
+
+// First returns Keywords(s)[0], or false when Keywords(s) is empty. It
+// stops at the first token the filter keeps, and builds neither the
+// token list nor the set.
+func (a *Analyzer) First(s string) (string, bool) {
+	for tok := range eachToken(s) {
+		if kw, ok := a.keyword(tok); ok {
+			return kw, true
+		}
+	}
+	return "", false
+}
+
+// keyword is the filter Keywords and First run each token through: it
+// returns the token's keyword, or false when the token is dropped.
+func (a *Analyzer) keyword(tok string) (string, bool) {
 	stop := a.StopWords
 	if stop == nil {
 		stop = DefaultStopWords
 	}
-	seen := make(map[string]struct{})
-	var out []string
-	for _, tok := range Tokenize(s) {
-		if len(tok) < MinTokenLen || len(tok) > MaxTokenLen {
-			continue
-		}
-		if !a.KeepNumbers && isAllDigits(tok) {
-			continue
-		}
-		if _, ok := stop[tok]; ok {
-			continue
-		}
-		if a.Stem {
-			tok = Stem(tok)
-		}
-		if len(tok) < MinTokenLen {
-			continue
-		}
-		// Stemming can map a non-stop word onto a stop word
-		// ("being" -> "be" would, if "be" were produced); re-check.
-		if _, ok := stop[tok]; ok {
-			continue
-		}
-		if _, dup := seen[tok]; dup {
-			continue
-		}
-		seen[tok] = struct{}{}
-		out = append(out, tok)
+	if len(tok) < MinTokenLen || len(tok) > MaxTokenLen {
+		return "", false
 	}
-	return out
+	if !a.KeepNumbers && isAllDigits(tok) {
+		return "", false
+	}
+	if _, ok := stop[tok]; ok {
+		return "", false
+	}
+	if a.Stem {
+		tok = Stem(tok)
+	}
+	if len(tok) < MinTokenLen {
+		return "", false
+	}
+	// Stemming can map a non-stop word onto a stop word
+	// ("being" -> "be" would, if "be" were produced); re-check.
+	if _, ok := stop[tok]; ok {
+		return "", false
+	}
+	return tok, true
 }
 
 func isAllDigits(s string) bool {

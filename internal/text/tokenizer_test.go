@@ -2,9 +2,11 @@ package text
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestTokenize(t *testing.T) {
@@ -146,5 +148,67 @@ func BenchmarkAnalyzerKeywords(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a.Keywords(post)
+	}
+}
+
+// referenceTokenize lower-cases every run of letters and digits into
+// a fresh string, rune by rune: the tokens Tokenize must return.
+func referenceTokenize(s string) []string {
+	var tokens []string
+	var b strings.Builder
+	for _, r := range s {
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			b.WriteRune(unicode.ToLower(r))
+			continue
+		}
+		if b.Len() > 0 {
+			tokens = append(tokens, b.String())
+			b.Reset()
+		}
+	}
+	if b.Len() > 0 {
+		tokens = append(tokens, b.String())
+	}
+	return tokens
+}
+
+// FuzzFirstKeyword holds First to Keywords: on any string it returns
+// Keywords(s)[0], or reports none when Keywords(s) is empty, with and
+// without stemming. It also holds Tokenize, whose tokens First reads
+// in place, to referenceTokenize.
+func FuzzFirstKeyword(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"Somalia",
+		"the and of",
+		"ÜBER Café naïve",
+		"2007 42 mls2007",
+		"times somalia", // "times" stems to the stop word "time"
+		"don't stop the Galaxy's run",
+		"ab ÉTÉ x\xffy ΣΊΣΥΦΟΣ",
+	} {
+		f.Add(seed)
+	}
+	analyzers := []*Analyzer{NewAnalyzer(), {Stem: false}, {Stem: true, KeepNumbers: true}}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := Tokenize(s), referenceTokenize(s); !slices.Equal(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, want %q", s, got, want)
+		}
+		for _, a := range analyzers {
+			kw, ok := a.First(s)
+			kws := a.Keywords(s)
+			if ok != (len(kws) > 0) || ok && kw != kws[0] {
+				t.Fatalf("%+v: First(%q) = %q, %v; Keywords = %q", *a, s, kw, ok, kws)
+			}
+		}
+	})
+}
+
+func TestFirstKeywordStopsOnStemmedStopWord(t *testing.T) {
+	if IsStopWord("times") || !IsStopWord(Stem("times")) {
+		t.Fatalf("seed premise: %q is not a stop word and stems to one", "times")
+	}
+	if kw, ok := NewAnalyzer().First("times somalia"); !ok || kw != "somalia" {
+		t.Fatalf("First = %q, %v, want somalia", kw, ok)
 	}
 }

@@ -36,15 +36,19 @@ func (st *engineState) docCounts() []int64 {
 	return totals
 }
 
+// queryAnalyzer is the corpus analyzer every query term goes through;
+// an Analyzer is read-only once made, so the queries share one.
+var queryAnalyzer = NewAnalyzer()
+
 // analyzed pushes a raw query term through the corpus analyzer and
 // returns its first keyword (the paper analyzes queries exactly like
 // documents, so surface forms match stemmed index terms).
 func analyzed(raw string) (string, error) {
-	kws := NewAnalyzer().Keywords(raw)
-	if len(kws) == 0 {
+	kw, ok := queryAnalyzer.First(raw)
+	if !ok {
 		return "", fmt.Errorf("blogclusters: query %q has no analyzable keyword: %w", raw, ErrInvalidQuery)
 	}
-	return kws[0], nil
+	return kw, nil
 }
 
 // Solve answers a stable-cluster query described by a QuerySpec over
@@ -165,11 +169,10 @@ func (e *Engine) Refine(ctx context.Context, query string, interval int) ([]stri
 	if err != nil {
 		return nil, err
 	}
-	kws := NewAnalyzer().Keywords(query)
-	if len(kws) == 0 {
+	kw, ok := queryAnalyzer.First(query)
+	if !ok {
 		return nil, nil
 	}
-	kw := kws[0]
 	for _, c := range cs {
 		if !c.Contains(kw) {
 			continue

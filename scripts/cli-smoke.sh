@@ -7,14 +7,15 @@
 # clusters, further blogstable runs drive its query and cluster flags
 # (-normalized, -lmin, -k, -l, -algorithm, -rho, -mincluster, -raw),
 # and experiments lists its ids. Every run must exit 0 and print its
-# headline line, except five that must fail: -normalized -algorithm
+# headline line, except six that must fail: -normalized -algorithm
 # dfs, a query no solver answers; -clusters with -intervals, a corpus
 # flag a saved-clusters session has no corpus for (the message must
 # name -intervals); -index-compact-after, a flag only blogserved, the
-# one command that takes pushes, installs; and -indexfile twice, where
+# one command that takes pushes, installs; -indexfile twice, where
 # its path would be ignored (blogscope on -index mem) or shared by
 # every shard's segment (blogserved -shard-count), each message naming
-# -indexfile. `make cli-smoke` runs this; CI's examples job runs that
+# -indexfile; and a blogserved -shards coordinator given -index and
+# -indexfile, which it has no corpus for (the message must name both). `make cli-smoke` runs this; CI's examples job runs that
 # target.
 set -eu
 
@@ -58,6 +59,15 @@ expect_indexfile_rejected "blogscope -index mem" \
 	"$TMP/blogscope" -demo -index mem -indexfile "$TMP/x.seg" -query somalia
 expect_indexfile_rejected "blogserved -shard-count" \
 	"$TMP/blogserved" -demo -index disk -indexfile "$TMP/sh.seg" -shard-count 2 -addr 127.0.0.1:0
+# A -shards coordinator loads no corpus, so its index flags configure
+# nothing: it must refuse them, naming each, before it starts serving.
+if timeout 60 "$TMP/blogserved" -shards 127.0.0.1:9 -index disk -indexfile "$TMP/y.seg" -addr 127.0.0.1:0 >"$TMP/coord.txt" 2>&1; then
+	fail "blogserved -shards -index exited 0"
+fi
+for f in -index -indexfile; do
+	grep -qE -- "${f}(,|\$)" "$TMP/coord.txt" ||
+		{ cat "$TMP/coord.txt" >&2; fail "blogserved -shards failed without naming $f"; }
+done
 echo "cli-smoke: blogscope ok (mem, disk)"
 
 "$TMP/blogstable" -demo -quiet -bursts somalia -saveclusters "$TMP/sets.jsonl" >"$TMP/stable.txt" ||

@@ -132,7 +132,8 @@ examples-smoke:
 # index backends, blogstable's bursts, a saved-clusters round trip and
 # its query and cluster flags (-normalized, -lmin, -k, -l, -algorithm,
 # -rho, -mincluster, -raw; -normalized -algorithm dfs and -clusters
-# with the corpus flag -intervals must fail),
+# with the corpus flag -intervals must fail, as must the disk-only
+# -indexfile, -indexcache and -index-compact-after without -index disk),
 # experiments -list — asserting exit 0 and each headline line
 # (scripts/cli-smoke.sh, a few seconds once built). CI's examples job
 # runs this after examples-smoke.

@@ -197,42 +197,44 @@ func (o GraphOptions) validate() error {
 	return nil
 }
 
-// IndexReader is the keyword-index interface: a segment, in memory or
-// in a file, and the multi-segment store answer the same primitives
-// through it.
+// IndexReader is the keyword-index interface: the mem backend's
+// grouped postings and the disk backend's segment store answer the same
+// primitives through it.
 type IndexReader = index.Reader
 
-// IndexOptions selects and configures the index backend. Both backends
-// hold the one EMBANKS-style segment layout: resident term
-// dictionaries, and posting blocks read through an LRU block cache.
+// IndexOptions selects and configures the index backend. The mem
+// backend keeps each interval's postings grouped by term in memory and
+// reads none of the other fields; the disk backend holds the
+// EMBANKS-style segment layout in files: resident term dictionaries,
+// and posting blocks read through an LRU block cache.
 type IndexOptions struct {
-	// Backend picks where the segment bytes live: "mem" (default) in
-	// memory, "disk" in a file.
+	// Backend picks where the postings live: "mem" (default) in
+	// memory, "disk" in segment files.
 	Backend string
 	// Path is where the disk backend's segment file lives. Empty means
 	// a private temporary file, removed when the reader is closed. The
 	// file is rebuilt at every session's first index use and replaces
 	// whatever is at Path; it is never reopened.
 	Path string
-	// MemBudget bounds the block-cache bytes of each segment; 0 means
-	// the default (8 MiB).
+	// MemBudget bounds the block-cache bytes of each disk segment; 0
+	// means the default (8 MiB).
 	MemBudget int
 	// SortMemoryBudget is accepted and ignored: a segment is built one
 	// interval at a time in memory, with no external sorter.
 	// The field stays only because bench/build.go names it.
 	SortMemoryBudget int
 	// FS is the filesystem beneath the disk backend's segment build and
-	// reads; the mem backend ignores it and keeps its own in-memory
-	// one. Nil means the real OS; tests substitute a faultfs.Injector
+	// reads. Nil means the real OS; tests substitute a faultfs.Injector
 	// to exercise the retry and cleanup paths end to end.
 	FS faultfs.FS
 	// Retry bounds how the disk backend retries transient read faults
 	// (EIO, short reads). The zero value uses the diskstore defaults.
 	Retry diskstore.RetryPolicy
-	// CompactAfter is the store's compaction threshold: once more than
-	// CompactAfter delta segments accumulate from pushes, the Engine
-	// folds them into the base in the background. 0 means the default
-	// (index.DefaultCompactAfter); negative disables compaction.
+	// CompactAfter is the disk store's compaction threshold: once more
+	// than CompactAfter delta segments accumulate from pushes, the
+	// Engine folds them into the base in the background. 0 means the
+	// default (index.DefaultCompactAfter); negative disables
+	// compaction.
 	CompactAfter int
 }
 

@@ -12,8 +12,8 @@
 //	blogscope -demo -query somalia -index disk -indexcache 4194304
 //
 // With -index=disk the keyword primitives are served from an on-disk
-// posting segment (see README.md) instead of resident maps, so corpora
-// larger than RAM stay queryable.
+// posting segment (see README.md) instead of the mem backend's resident
+// grouped postings, so corpora larger than RAM stay queryable.
 //
 // The command is one Engine session: the index, the interval keyword
 // graph and the interval clusters are each built once and shared by

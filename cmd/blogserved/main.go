@@ -60,7 +60,7 @@ func main() {
 	shared.Register(flag.CommandLine)
 	// A served session is the only one that takes pushes, so the
 	// compaction threshold is blogserved's flag alone.
-	flag.IntVar(&shared.IndexCompactAfter, "index-compact-after", 0, "fold pushed delta segments into the base once more than this many accumulate; 0 = default, negative = never compact")
+	flag.IntVar(&shared.IndexCompactAfter, "index-compact-after", 0, "with -index disk only: fold pushed delta segments into the base once more than this many accumulate; 0 = default, negative = never compact")
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		maxInflight  = flag.Int("max-inflight", server.DefaultMaxInflight, "max concurrently admitted /v1 queries; overflow gets 429 + Retry-After")
@@ -99,8 +99,8 @@ func main() {
 	case *shardCount > 0:
 		// In-process sharding materializes the collection to split it;
 		// the loader goroutine does the work, validate the flags here.
-		if !shared.Demo && shared.Input == "" {
-			log.Fatal("need -input FILE or -demo (see -help)")
+		if err := shared.Validate(); err != nil {
+			log.Fatal(err)
 		}
 		if shared.Intervals != "" {
 			log.Fatal("-shard-count splits the whole corpus; drop -intervals")

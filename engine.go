@@ -30,7 +30,7 @@ import (
 // counts exactly how many times each stage ran.
 //
 // The session is LIVE: Push appends one new interval, extending the
-// index with a delta segment and every memoized artifact incrementally
+// index by that interval and every memoized artifact incrementally
 // — the new interval's clusters are built and a cached cluster graph
 // grows by one interval — never by rebuilding from scratch. Each Push
 // advances a monotonic generation (Engine.Generation); artifacts belong
@@ -89,7 +89,7 @@ type Engine struct {
 type engineState struct {
 	gen int64
 
-	index *par.Memo[*index.Store]
+	index *par.Memo[index.Live]
 	sets  *par.Memo[[][]Cluster]
 	graph *par.Memo[*ClusterGraph]
 
@@ -112,7 +112,7 @@ type ivMemo struct {
 func newEngineState(gen int64, ivs []*ivMemo) *engineState {
 	return &engineState{
 		gen:   gen,
-		index: &par.Memo[*index.Store]{},
+		index: &par.Memo[index.Live]{},
 		sets:  &par.Memo[[][]Cluster]{},
 		graph: &par.Memo[*ClusterGraph]{},
 		ivs:   ivs,

@@ -1,6 +1,6 @@
 // Streaming demonstrates live ingest end to end: the session opens
 // over day 0 only, and every later blog day arrives through
-// Engine.Push — the keyword index gains a delta segment, the memoized
+// Engine.Push — the keyword index gains the day's postings, the memoized
 // cluster sets and graph grow by exactly one interval (Section 4.6's
 // incremental regime), and the generation counter ticks. After each
 // push a BFS solve over the grown graph reports the best length-3
@@ -55,7 +55,7 @@ func main() {
 	defer eng.Close()
 
 	// The index is built on first use; open it now so that every push
-	// below adds a delta segment to it.
+	// below appends the day's postings to it.
 	if _, err := eng.TimeSeries(ctx, "election"); err != nil {
 		log.Fatalf("index: %v", err)
 	}
@@ -64,7 +64,7 @@ func main() {
 	var res *blogclusters.Result
 	for day := 0; day < len(full.Intervals); day++ {
 		if day > 0 {
-			// The day's posts arrive: one Push appends a delta segment
+			// The day's posts arrive: one Push appends them to the index
 			// and extends every cached artifact in place of a rebuild.
 			gen, err := eng.Push(ctx, full.Intervals[day])
 			if err != nil {
@@ -104,6 +104,6 @@ func main() {
 	fmt.Printf("\nlast solve: %d node reads, %d node writes, %d edge reads, %d heap offers, peak %d paths held\n",
 		st.NodeReads, st.NodeWrites, st.EdgeReads, st.HeapConsiders, st.PeakStatePaths)
 	es := eng.Stats()
-	fmt.Printf("session: generation %d, %d pushes, %d index segments\n",
+	fmt.Printf("session: generation %d, %d pushes, %d index segments (disk backend only)\n",
 		es.Generation, es.Pushes, es.IndexSegments)
 }

@@ -46,8 +46,8 @@ func (f *EngineFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Input, "input", "", "JSONL corpus file (one document per line)")
 	fs.BoolVar(&f.Demo, "demo", false, "use the synthetic news-week corpus")
 	fs.StringVar(&f.Intervals, "intervals", "", "serve only global intervals FROM:TO of the corpus (half-open), e.g. 0:4 — the shard-server slice of a shared corpus")
-	fs.StringVar(&f.IndexBackend, "index", "mem", "keyword-index backend: where the posting segment lives, mem (in memory) or disk (a file); both read blocks through an LRU cache")
-	fs.IntVar(&f.IndexCache, "indexcache", 0, "block-cache budget in bytes per index segment, either backend; 0 = default (8 MiB)")
+	fs.StringVar(&f.IndexBackend, "index", "mem", "keyword-index backend: mem keeps each interval's postings grouped in memory; disk writes posting segments to files and reads their blocks through an LRU cache")
+	fs.IntVar(&f.IndexCache, "indexcache", 0, "with -index disk only: block-cache budget in bytes per index segment; 0 = default (8 MiB)")
 	fs.StringVar(&f.IndexFile, "indexfile", "", "with -index disk only: the segment file's path, rebuilt at every start and replacing whatever is at PATH; it is never reopened. Empty = a private temp file")
 }
 
@@ -56,7 +56,7 @@ func (f *EngineFlags) Register(fs *flag.FlagSet) {
 // materialized eagerly so the slice can be cut and re-stamped before
 // the Engine sees it.
 func (f *EngineFlags) Source() (blogclusters.Source, error) {
-	if err := f.validate(); err != nil {
+	if err := f.Validate(); err != nil {
 		return blogclusters.Source{}, err
 	}
 	if f.Intervals == "" {
@@ -76,7 +76,7 @@ func (f *EngineFlags) Source() (blogclusters.Source, error) {
 // corpus, cut to the -intervals slice (re-stamped to local indices)
 // when one is set.
 func (f *EngineFlags) Corpus() (*blogclusters.Collection, error) {
-	if err := f.validate(); err != nil {
+	if err := f.Validate(); err != nil {
 		return nil, err
 	}
 	if f.Intervals == "" {
@@ -93,13 +93,19 @@ func (f *EngineFlags) Corpus() (*blogclusters.Collection, error) {
 	return shard.SliceCollection(col, from, to)
 }
 
-// validate rejects a corpus choice that names neither or both of
-// -input and -demo, and an -indexfile for a backend other than disk,
-// which would ignore it.
-func (f *EngineFlags) validate() error {
+// Validate rejects a corpus choice that names neither or both of
+// -input and -demo, and the disk backend's -indexfile, -indexcache and
+// -index-compact-after on the mem backend, which has no segment file,
+// block cache or compaction for them to configure.
+func (f *EngineFlags) Validate() error {
+	disk := f.IndexBackend == "disk"
 	switch {
-	case f.IndexFile != "" && f.IndexBackend != "disk":
+	case f.IndexFile != "" && !disk:
 		return fmt.Errorf("-indexfile names the disk backend's segment file; pass -index disk or drop it")
+	case f.IndexCache != 0 && !disk:
+		return fmt.Errorf("-indexcache sizes the disk backend's block cache; pass -index disk or drop it")
+	case f.IndexCompactAfter != 0 && !disk:
+		return fmt.Errorf("-index-compact-after folds the disk backend's segments; pass -index disk or drop it")
 	case f.Demo && f.Input != "":
 		return fmt.Errorf("pass either -demo or -input, not both")
 	case f.Demo, f.Input != "":

@@ -101,6 +101,12 @@ func TestSourceSelection(t *testing.T) {
 		{"indexfile on mem", EngineFlags{Demo: true, IndexBackend: "mem", IndexFile: "x.seg"}, "-indexfile"},
 		{"indexfile on the default backend", EngineFlags{Demo: true, IndexFile: "x.seg"}, "-indexfile"},
 		{"indexfile on disk", EngineFlags{Demo: true, IndexBackend: "disk", IndexFile: "x.seg"}, ""},
+		{"indexcache on mem", EngineFlags{Demo: true, IndexBackend: "mem", IndexCache: 1024}, "-indexcache"},
+		{"indexcache on the default backend", EngineFlags{Demo: true, IndexCache: 1024}, "-indexcache"},
+		{"indexcache on disk", EngineFlags{Demo: true, IndexBackend: "disk", IndexCache: 1024}, ""},
+		{"index-compact-after on mem", EngineFlags{Demo: true, IndexBackend: "mem", IndexCompactAfter: 2}, "-index-compact-after"},
+		{"negative index-compact-after on the default backend", EngineFlags{Demo: true, IndexCompactAfter: -1}, "-index-compact-after"},
+		{"index-compact-after on disk", EngineFlags{Demo: true, IndexBackend: "disk", IndexCompactAfter: 2}, ""},
 	}
 	for _, tc := range cases {
 		_, err := tc.f.Source()

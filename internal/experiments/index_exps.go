@@ -12,12 +12,13 @@ import (
 
 // DiskIndexExp measures the BlogScope serving layer's two index
 // backends on the same corpus and workload, the way Section 5 measures
-// the solvers: wall-clock plus observable I/O. Both hold the one
-// segment layout — resident term dictionaries, CRC-checked posting
-// blocks read through an LRU cache — the mem backend in memory, the
-// disk backend in a file, so the random-read column is the EMBANKS-style
-// access cost of either. Config.IndexBackend restricts the run to one
-// backend; Config.IndexMemBudget sets the block-cache bytes.
+// the solvers: wall-clock plus observable I/O. The mem backend keeps
+// each interval's grouped postings and reads no block, so its I/O
+// columns read zero; the disk backend reads the EMBANKS-style segment
+// file — resident term dictionaries, CRC-checked posting blocks read
+// through an LRU cache — and the random-read column is its access cost.
+// Config.IndexBackend restricts the run to one backend;
+// Config.IndexMemBudget sets the disk block-cache bytes.
 func DiskIndexExp(cfg Config) (*Table, error) {
 	col, err := corpus.Generate(corpus.GeneratorConfig{
 		Seed:            77,
@@ -37,7 +38,7 @@ func DiskIndexExp(cfg Config) (*Table, error) {
 		ID:     "diskindex",
 		Title:  "keyword index backends: build + query cost (BlogScope serving layer)",
 		Header: []string{"backend", "build_s", "queries", "query_s", "rand_reads", "seq_reads", "read_MB", "cache_hit%"},
-		Notes: fmt.Sprintf("corpus: %d docs, %d intervals; one segment layout on both backends (in memory or in a file), held to a reference index by internal/index's tests",
+		Notes: fmt.Sprintf("corpus: %d docs, %d intervals; mem keeps the grouped postings and reads no block, disk reads a segment file through its block cache; both held to a reference index by internal/index's tests",
 			col.NumDocs(), len(col.Intervals)),
 	}
 	for _, backend := range backends {
@@ -66,7 +67,10 @@ func runIndexBackend(ctx context.Context, col *corpus.Collection, backend string
 	if len(vocab) == 0 {
 		return nil, fmt.Errorf("experiments: empty interval-0 vocabulary")
 	}
-	r.ResetStats()
+	store, disk := r.(*index.Store)
+	if disk {
+		store.ResetStats()
+	}
 	rng := rand.New(rand.NewSource(7))
 	const queries = 2000
 	start = time.Now()
@@ -83,19 +87,14 @@ func runIndexBackend(ctx context.Context, col *corpus.Collection, backend string
 	}
 	queryTime := time.Since(start)
 
-	st := r.Stats()
-	hitRate := "-"
-	if hits, misses, _ := r.CacheStats(); hits+misses > 0 {
-		hitRate = fmt.Sprintf("%.1f", 100*float64(hits)/float64(hits+misses))
+	row := []string{backend, fmtDur(buildTime), itoa(queries), fmtDur(queryTime), "0", "0", "0.0", "-"}
+	if disk {
+		st := store.Stats()
+		row[4], row[5] = i64toa(st.RandomReads), i64toa(st.SequentialReads)
+		row[6] = fmt.Sprintf("%.1f", float64(st.BytesRead)/(1<<20))
+		if hits, misses, _ := store.CacheStats(); hits+misses > 0 {
+			row[7] = fmt.Sprintf("%.1f", 100*float64(hits)/float64(hits+misses))
+		}
 	}
-	return []string{
-		backend,
-		fmtDur(buildTime),
-		itoa(queries),
-		fmtDur(queryTime),
-		i64toa(st.RandomReads),
-		i64toa(st.SequentialReads),
-		fmt.Sprintf("%.1f", float64(st.BytesRead)/(1<<20)),
-		hitRate,
-	}, nil
+	return row, nil
 }

@@ -1,10 +1,9 @@
-// Package faultfs is the filesystem seam beneath the keyword index's
-// segments (internal/index; internal/extsort, which no production
-// package imports, uses it too): a minimal FS/File abstraction with two
-// production implementations — OS, a zero-cost passthrough to package
-// os, and Mem, files held as byte slices for the index's mem backend —
-// and a test implementation, Injector, that injects programmable faults
-// deterministically.
+// Package faultfs is the filesystem seam beneath the disk keyword
+// index's segments (internal/index; internal/extsort, which no
+// production package imports, uses it too): a minimal FS/File
+// abstraction whose production implementation, OS, is a zero-cost
+// passthrough to package os, and whose test implementation, Injector,
+// injects programmable faults deterministically.
 //
 // The point is the failure model, not the abstraction: before the
 // snapshot/replication and shard fan-out work multiplies the ways disk

@@ -1,13 +1,10 @@
 package faultfs
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"syscall"
 	"testing"
 )
@@ -270,145 +267,5 @@ func TestPathPredicateAndSetEnabled(t *testing.T) {
 	in.SetEnabled(true)
 	if _, err := in.Open(filepath.Join(dir, "segment.seg")); err == nil {
 		t.Fatal("open succeeded after re-enable")
-	}
-}
-
-// readAll reads all of f through one ReadAt of its Stat size.
-func readAll(t *testing.T, f File) string {
-	t.Helper()
-	st, err := f.Stat()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, st.Size())
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	return string(buf)
-}
-
-// TestMemConcurrentReadAt reads one Mem file from eight goroutines at
-// once, each through its own handle and through a shared one; every
-// read must return the bytes written, and a read past the end io.EOF.
-func TestMemConcurrentReadAt(t *testing.T) {
-	fs := Mem()
-	data := make([]byte, 1<<16)
-	for i := range data {
-		data[i] = byte(i * 7)
-	}
-	writeFile(t, fs, "seg", data)
-	shared, err := fs.Open("seg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shared.Close()
-	errs := make(chan error, 8)
-	for g := range 8 {
-		go func() {
-			own, err := fs.Open("seg")
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer own.Close()
-			buf := make([]byte, 97)
-			for k := range 200 {
-				f := own
-				if k%2 == 0 {
-					f = shared
-				}
-				off := int64((g*4099 + k*131) % (len(data) - len(buf)))
-				if n, err := f.ReadAt(buf, off); err != nil || n != len(buf) {
-					errs <- fmt.Errorf("ReadAt(%d) = %d, %v", off, n, err)
-					return
-				}
-				if !bytes.Equal(buf, data[off:off+int64(len(buf))]) {
-					errs <- fmt.Errorf("ReadAt(%d) returned other bytes", off)
-					return
-				}
-			}
-			if n, err := own.ReadAt(buf, int64(len(data)-10)); n != 10 || err != io.EOF {
-				errs <- fmt.Errorf("ReadAt across the end = %d, %v; want 10, io.EOF", n, err)
-				return
-			}
-			errs <- nil
-		}()
-	}
-	for range 8 {
-		if err := <-errs; err != nil {
-			t.Error(err)
-		}
-	}
-}
-
-// TestMemRenameOverExisting: a Rename over an existing name serves the
-// new bytes under it, while a handle opened on the old file keeps
-// reading the old bytes, as on POSIX.
-func TestMemRenameOverExisting(t *testing.T) {
-	fs := Mem()
-	writeFile(t, fs, "dir/base.seg", []byte("old base"))
-	old, err := fs.Open("dir/base.seg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-	writeFile(t, fs, "dir/base.seg.partial", []byte("compacted base"))
-	if err := fs.Rename("dir/base.seg.partial", "dir/base.seg"); err != nil {
-		t.Fatal(err)
-	}
-	cur, err := fs.Open("dir/base.seg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	if got := readAll(t, cur); got != "compacted base" {
-		t.Fatalf("renamed-over name reads %q", got)
-	}
-	if got := readAll(t, old); got != "old base" {
-		t.Fatalf("handle on the replaced file reads %q", got)
-	}
-	if _, err := fs.Open("dir/base.seg.partial"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("Open of the renamed-away name = %v, want ErrNotExist", err)
-	}
-	if err := fs.Rename("missing", "x"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("Rename of a missing name = %v, want ErrNotExist", err)
-	}
-}
-
-// TestMemRemoveAllDropsBytes: RemoveAll drops every file under the
-// directory MkdirTemp minted, bytes and all, and nothing beside it.
-func TestMemRemoveAllDropsBytes(t *testing.T) {
-	fs := Mem()
-	dir, err := fs.MkdirTemp("", "idx-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := fs.MkdirTemp("", "idx-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dir == other {
-		t.Fatalf("MkdirTemp minted %q twice", dir)
-	}
-	writeFile(t, fs, dir+"/base.seg", []byte("base"))
-	writeFile(t, fs, dir+"/base.seg.delta0001", []byte("delta"))
-	writeFile(t, fs, dir+"x/kept", []byte("a sibling that shares the prefix"))
-	writeFile(t, fs, other+"/kept", []byte("kept"))
-	if err := fs.RemoveAll(dir); err != nil {
-		t.Fatal(err)
-	}
-	var left []string
-	for name := range fs.(*memFS).files {
-		left = append(left, name)
-	}
-	slices.Sort(left)
-	if want := []string{dir + "x/kept", other + "/kept"}; !slices.Equal(left, want) {
-		t.Fatalf("files after RemoveAll(%q): %v, want %v", dir, left, want)
-	}
-	if _, err := fs.Open(dir + "/base.seg"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("Open after RemoveAll = %v, want ErrNotExist", err)
-	}
-	if err := fs.Remove(dir + "/base.seg"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("Remove after RemoveAll = %v, want ErrNotExist", err)
 	}
 }

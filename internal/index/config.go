@@ -7,11 +7,11 @@ import (
 	"repro/internal/faultfs"
 )
 
-// Config is the one coherent option set of the index: segment
+// Config is the one coherent option set of the disk backend: segment
 // building (BuildDisk, Store.Push), segment opening (OpenDisk) and the
-// multi-segment Store's compaction policy all consume it. It replaces
-// the former DiskOptions/OpenOptions split — a live Store both writes
-// and reads segments, so the knobs have to travel together.
+// multi-segment Store's compaction policy all consume it — a live Store
+// both writes and reads segments, so the knobs have to travel together.
+// The mem backend (MemIndex) has no segments and reads none of it.
 type Config struct {
 	// BlockSize is the number of postings per on-disk block; smaller
 	// blocks mean finer-grained skips at the cost of more per-block
@@ -25,9 +25,8 @@ type Config struct {
 	// decoded-block LRU cache. Non-positive means the default, 8 MiB.
 	MemBudget int
 	// FS is the filesystem segments are built on and read through. Nil
-	// means the OS passthrough, and a mem Store puts its own faultfs.Mem
-	// here; tests substitute a faultfs.Injector to exercise the retry
-	// and cleanup paths end to end.
+	// means the OS passthrough; tests substitute a faultfs.Injector to
+	// exercise the retry and cleanup paths end to end.
 	FS faultfs.FS
 	// Retry bounds how block and section reads retry transient faults
 	// (EIO, short reads). The zero value uses the diskstore defaults;
@@ -39,9 +38,9 @@ type Config struct {
 	// that opened them, so pass a session-lifetime context. Nil means no
 	// cancellation.
 	Ctx context.Context
-	// CompactAfter is the Store's compaction threshold: once more than
-	// CompactAfter delta segments accumulate, the next push schedules a
-	// fold of every segment into one new base. 0 means
+	// CompactAfter is the disk Store's compaction threshold: once more
+	// than CompactAfter delta segments accumulate, the next push
+	// schedules a fold of every segment into one new base. 0 means
 	// DefaultCompactAfter; negative disables compaction.
 	CompactAfter int
 }

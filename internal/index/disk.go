@@ -1,9 +1,8 @@
-// The posting layout (EMBANKS-style): an immutable segment holding
-// every interval's posting lists, as a file on disk or as the bytes of
-// a faultfs.Mem file for the mem backend. The build's input is one
-// interval's tokens (corpus.Tokens) per interval, doc ids included:
-// a pool of min(GOMAXPROCS, m) workers groups each interval's postings
-// in memory (a counting sort by term rank, see postingGroups) and
+// The disk backend's posting layout (EMBANKS-style): an immutable
+// segment file holding every interval's posting lists. The build's
+// input is one interval's tokens (corpus.Tokens) per interval, doc ids
+// included: a pool of min(GOMAXPROCS, m) workers groups each interval's
+// postings in memory (a counting sort by term rank, see postingGroups) and
 // encodes its blocks, and one ordered writer appends the intervals'
 // blocks in interval order; queries then keep only the dictionaries
 // resident besides the segment's own bytes, so a disk segment's posting

@@ -14,8 +14,7 @@ import (
 )
 
 // DiskIndex serves the keyword primitives from an immutable segment
-// file written by BuildDisk, on disk or, for the mem backend, in a
-// faultfs.Mem. The per-interval term dictionaries and
+// file written by BuildDisk. The per-interval term dictionaries and
 // skip indexes are resident; posting blocks are read on demand through
 // a bytes-bounded LRU cache. Safe for concurrent readers.
 type DiskIndex struct {

@@ -76,11 +76,12 @@ func fuzzCorpus(data []byte) (*corpus.Collection, int) {
 // FuzzDiskIndexRoundTrip builds a segment from fuzz-derived corpora
 // and asserts every primitive agrees with the reference index
 // (refIndex) — the round-trip invariant of the segment format, run for
-// ~60s each night by the fuzz-smoke CI job. It also grows a disk Store
-// through the segment router: opened on a prefix the last byte picks
-// (its high nibble mod m+1), pushed the remaining intervals, and
-// compacted when the last byte's low bit is set; the store must agree
-// with the reference too, out-of-range intervals included.
+// ~60s each night by the fuzz-smoke CI job. It also grows both
+// backends' indexes from a prefix the last byte picks (its high nibble
+// mod m+1) by pushing the remaining intervals: the mem backend's
+// MemIndex, and a disk Store through the segment router, compacted
+// when the last byte's low bit is set. Each must agree with the
+// reference too, out-of-range intervals included.
 func FuzzDiskIndexRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x13, 0x21, 0x05, 0x30, 0x07, 0x09, 0xff, 0x00, 0x41})
@@ -116,22 +117,24 @@ func FuzzDiskIndexRoundTrip(f *testing.F) {
 		ctx := context.Background()
 		m := len(col.Intervals)
 		base := int(last>>4) % (m + 1)
-		s, err := OpenStore(ctx, prefix(col, base), BackendDisk, filepath.Join(t.TempDir(), "store.seg"),
-			Config{BlockSize: blockSize, MemBudget: 4 << 10, CompactAfter: -1})
-		if err != nil {
-			t.Fatalf("OpenStore on %d of %d intervals: %v", base, m, err)
-		}
-		defer s.Close()
-		for k := base; k < m; k++ {
-			if err := s.Push(ctx, k, corpus.Tokenize(col.Intervals[k:k+1])); err != nil {
-				t.Fatalf("Push(%d): %v", k, err)
+		for _, backend := range []string{BackendMem, BackendDisk} {
+			s, err := OpenStore(ctx, prefix(col, base), backend, filepath.Join(t.TempDir(), "store.seg"),
+				Config{BlockSize: blockSize, MemBudget: 4 << 10, CompactAfter: -1})
+			if err != nil {
+				t.Fatalf("%s: OpenStore on %d of %d intervals: %v", backend, base, m, err)
 			}
-		}
-		if last&1 != 0 {
-			if err := s.Compact(ctx); err != nil {
-				t.Fatalf("Compact: %v", err)
+			defer s.Close()
+			for k := base; k < m; k++ {
+				if err := s.Push(ctx, k, corpus.Tokenize(col.Intervals[k:k+1])); err != nil {
+					t.Fatalf("%s: Push(%d): %v", backend, k, err)
+				}
 			}
+			if store, ok := s.(*Store); ok && last&1 != 0 {
+				if err := store.Compact(ctx); err != nil {
+					t.Fatalf("Compact: %v", err)
+				}
+			}
+			assertReadersAgree(t, x, s, rand.New(rand.NewSource(seed)))
 		}
-		assertReadersAgree(t, x, s, rand.New(rand.NewSource(seed)))
 	})
 }

@@ -2,7 +2,8 @@ package index
 
 // Reader is the view of the keyword index that BlogScope's features
 // consume (boolean search, posting lists, per-keyword time series),
-// answered by one segment (*DiskIndex) or the multi-segment Store.
+// answered by the mem backend's MemIndex, one segment (*DiskIndex) or
+// the disk backend's multi-segment Store.
 // A(u) is len(Postings(u, i)) and A(u,v) is len(Search([u v], i)).
 // Implementations are safe for concurrent readers.
 //
@@ -21,6 +22,7 @@ type Reader interface {
 	// TimeSeries returns A(w) for every interval.
 	TimeSeries(w string) ([]int64, error)
 	// Vocabulary returns the sorted distinct keywords of interval i.
+	// The slice must not be modified by the caller.
 	Vocabulary(i int) ([]string, error)
 	// Postings returns the sorted document ids containing keyword w in
 	// interval i. The slice must not be modified by the caller.

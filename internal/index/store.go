@@ -1,16 +1,14 @@
-// Multi-segment index store: the mutable, LSM-style layer over the
-// immutable segment format. A Store starts as one base segment built
-// from the opening corpus; each pushed interval becomes a small delta
-// segment (the same delta+varint block format, local interval indices
-// starting at 0), and one multi-segment Reader (segView) routes every
-// query to the segment covering its interval — segments cover contiguous,
-// non-overlapping global interval ranges, so "merging at read time" is
-// routing plus concatenation, never a k-way merge. Compaction folds
-// every segment into one new base (written to a .partial file and
-// renamed over the old base, so a crash leaves only .partial residue)
-// once more than CompactAfter deltas accumulate. The backend only picks
-// the filesystem the segments live on: a private faultfs.Mem for mem,
-// the configured one (the OS by default) for disk.
+// Multi-segment index store: the disk backend's mutable, LSM-style
+// layer over the immutable segment format. A Store starts as one base
+// segment file built from the opening corpus; each pushed interval
+// becomes a small delta segment (the same delta+varint block format,
+// local interval indices starting at 0), and one multi-segment Reader
+// (segView) routes every query to the segment covering its interval —
+// segments cover contiguous, non-overlapping global interval ranges, so
+// "merging at read time" is routing plus concatenation, never a k-way
+// merge. Compaction folds every segment into one new base (written to a
+// .partial file and renamed over the old base, so a crash leaves only
+// .partial residue) once more than CompactAfter deltas accumulate.
 package index
 
 import (
@@ -29,12 +27,6 @@ import (
 // asks for compaction.
 const DefaultCompactAfter = 4
 
-// Backend names for OpenStore: the filesystem the segments live on.
-const (
-	BackendMem  = "mem"
-	BackendDisk = "disk"
-)
-
 // storeSeg is one live segment: a reader over local intervals
 // [0, n) standing for global intervals [start, start+n).
 type storeSeg struct {
@@ -44,10 +36,11 @@ type storeSeg struct {
 	path  string
 }
 
-// Store is the mutable multi-segment index. It implements Reader (the
-// merged view over every segment) plus Push and Compact. Reads are
-// safe concurrently with pushes and compaction; Push calls must be
-// serialized by the caller (the Engine holds its push lock).
+// Store is the disk backend's mutable multi-segment index. It
+// implements Live (the merged view over every segment, plus Push) and
+// Compact. Reads are safe concurrently with pushes and compaction;
+// Push calls must be serialized by the caller (the Engine holds its
+// push lock).
 type Store struct {
 	cfg      Config
 	basePath string // the base segment file
@@ -66,34 +59,14 @@ type Store struct {
 	deltaSeq  atomic.Int64
 }
 
-var _ Reader = (*Store)(nil)
+var _ Live = (*Store)(nil)
 
-// OpenStore tokenizes the collection (a misfiled document fails it)
-// and opens the store over its tokens: OpenStoreTokens.
-func OpenStore(ctx context.Context, c *corpus.Collection, backend, path string, cfg Config) (*Store, error) {
-	toks, err := tokenize(ctx, c)
-	if err != nil {
-		return nil, err
-	}
-	return OpenStoreTokens(ctx, toks, backend, path, cfg)
-}
-
-// OpenStoreTokens builds the base segment from one interval's tokens
-// per entry of toks and returns the live store. backend is mem (the
-// default, also chosen by ""), whose segments live on a fresh
-// faultfs.Mem (path and cfg.FS are ignored), or disk, whose segments
-// live on cfg.FS; path is where the disk backend's base segment lives —
-// empty means a private temporary directory removed on Close. A file
-// already at path is replaced. ctx bounds the build; cfg.Ctx bounds the
-// opened segments' retry backoff for the store's lifetime.
-func OpenStoreTokens(ctx context.Context, toks []*corpus.Tokens, backend, path string, cfg Config) (*Store, error) {
-	switch backend {
-	case "", BackendMem:
-		cfg.FS, path = faultfs.Mem(), ""
-	case BackendDisk:
-	default:
-		return nil, fmt.Errorf("index: unknown store backend %q (want mem or disk)", backend)
-	}
+// openStore builds the base segment from one interval's tokens per
+// entry of toks, on cfg.FS at path, and returns the live store. An
+// empty path means a private temporary directory removed on Close; a
+// file already at path is replaced. ctx bounds the build; cfg.Ctx
+// bounds the opened segments' retry backoff for the store's lifetime.
+func openStore(ctx context.Context, toks []*corpus.Tokens, path string, cfg Config) (Live, error) {
 	s := &Store{cfg: cfg, fs: cfg.fs()}
 	if path == "" {
 		dir, err := s.fs.MkdirTemp("", "blogclusters-idx-")
@@ -441,8 +414,7 @@ func (s *Store) Close() error {
 // --- observability ---
 
 // Stats aggregates the segments' I/O counters, including segments
-// already retired by compaction. A mem store counts its block reads
-// from memory the same way.
+// already retired by compaction.
 func (s *Store) Stats() diskstore.IOStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -34,6 +34,17 @@ func prefix(col *corpus.Collection, k int) *corpus.Collection {
 	return &corpus.Collection{Intervals: col.Intervals[:k:k]}
 }
 
+// diskStore opens a disk Store over col at path ("" for a private
+// temporary directory).
+func diskStore(t *testing.T, col *corpus.Collection, path string, cfg Config) *Store {
+	t.Helper()
+	s, err := OpenStore(context.Background(), col, BackendDisk, path, cfg)
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	return s.(*Store)
+}
+
 // assertReadersEqual compares every read the Reader interface offers:
 // per-interval vocabularies, postings and doc counts, plus
 // whole-timeline series and conjunctive search.
@@ -106,10 +117,10 @@ func assertReadersEqual(t *testing.T, name string, got, want Reader) {
 }
 
 // TestStoreDeltaEquivalence is the randomized acceptance test for the
-// LSM layer: a store opened over a prefix and grown by pushing the
-// remaining intervals — with compactions forced at random points —
-// must answer every read exactly like the reference index over the
-// full corpus, on both backends.
+// append path: an index opened over a prefix and grown by pushing the
+// remaining intervals must answer every read exactly like the
+// reference index over the full corpus, on both backends; the disk
+// Store also compacts at random points.
 func TestStoreDeltaEquivalence(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
@@ -127,25 +138,29 @@ func TestStoreDeltaEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: OpenStore: %v", name, err)
 			}
+			// A mem index has no segments to fold: store is nil.
+			store, _ := s.(*Store)
 			for k := base; k < m; k++ {
 				if err := s.Push(ctx, k, corpus.Tokenize(col.Intervals[k:k+1])); err != nil {
 					t.Fatalf("%s: Push(%d): %v", name, k, err)
 				}
-				if rng.Intn(3) == 0 {
-					if err := s.Compact(ctx); err != nil {
+				if rng.Intn(3) == 0 && store != nil {
+					if err := store.Compact(ctx); err != nil {
 						t.Fatalf("%s: Compact after %d: %v", name, k, err)
 					}
-					if got := s.NumSegments(); got != 1 {
+					if got := store.NumSegments(); got != 1 {
 						t.Fatalf("%s: %d segments after compaction, want 1", name, got)
 					}
 				}
 			}
 			assertReadersEqual(t, name, s, ref)
-			// One final fold must change nothing observable.
-			if err := s.Compact(ctx); err != nil {
-				t.Fatalf("%s: final Compact: %v", name, err)
+			if store != nil {
+				// One final fold must change nothing observable.
+				if err := store.Compact(ctx); err != nil {
+					t.Fatalf("%s: final Compact: %v", name, err)
+				}
+				assertReadersEqual(t, name+" compacted", s, ref)
 			}
-			assertReadersEqual(t, name+" compacted", s, ref)
 			if err := s.Close(); err != nil {
 				t.Fatalf("%s: Close: %v", name, err)
 			}
@@ -153,14 +168,14 @@ func TestStoreDeltaEquivalence(t *testing.T) {
 	}
 }
 
-// TestStoreReadsDuringPushAndCompact reads a Store from four
-// goroutines while intervals are pushed and compactions fold them, on
-// both backends: segments in a faultfs.Mem and segment files on the
-// OS. Every read must be a prefix of the reference index's answer: a
-// TimeSeries is the reference series cut at the intervals the store
-// held, and a Search of a held interval is the reference result (nil
-// only for an interval not pushed yet). At the end the store must
-// equal the reference.
+// TestStoreReadsDuringPushAndCompact reads an index from four
+// goroutines while intervals are pushed, on both backends: a MemIndex
+// taking pushes, and a disk Store whose compactions also fold the
+// pushed segments. Every read must be a prefix of the reference
+// index's answer: a TimeSeries is the reference series cut at the
+// intervals the index held, and a Search of a held interval is the
+// reference result (nil only for an interval not pushed yet). At the
+// end the index must equal the reference.
 func TestStoreReadsDuringPushAndCompact(t *testing.T) {
 	ctx := context.Background()
 	const m, base = 8, 2
@@ -168,11 +183,17 @@ func TestStoreReadsDuringPushAndCompact(t *testing.T) {
 	ref := refIndexOf(col)
 	vocab, _ := ref.Vocabulary(0)
 	for _, backend := range []string{BackendMem, BackendDisk} {
-		// A one-byte block cache sends every Search to the segment's
-		// file, so a read that outlives its segment's Close fails.
+		// A one-byte block cache sends every disk Search to the
+		// segment's file, so a read that outlives its segment's Close
+		// fails.
 		s, err := OpenStore(ctx, prefix(col, base), backend, "", Config{BlockSize: 4, MemBudget: 1, CompactAfter: -1})
 		if err != nil {
 			t.Fatalf("%s: OpenStore: %v", backend, err)
+		}
+		// Only the disk Store compacts; a mem index just takes pushes.
+		compact := func() error { return nil }
+		if store, ok := s.(*Store); ok {
+			compact = func() error { return store.Compact(ctx) }
 		}
 		var (
 			readers sync.WaitGroup
@@ -226,7 +247,7 @@ func TestStoreReadsDuringPushAndCompact(t *testing.T) {
 		go func() {
 			var first error
 			for range pushed {
-				if err := s.Compact(ctx); err != nil && first == nil {
+				if err := compact(); err != nil && first == nil {
 					first = err
 				}
 			}
@@ -242,7 +263,7 @@ func TestStoreReadsDuringPushAndCompact(t *testing.T) {
 		if err := <-compacted; err != nil {
 			t.Fatalf("%s: Compact: %v", backend, err)
 		}
-		if err := s.Compact(ctx); err != nil {
+		if err := compact(); err != nil {
 			t.Fatalf("%s: final Compact: %v", backend, err)
 		}
 		stopReaders()
@@ -274,10 +295,7 @@ func TestStoreCompactionByteEquality(t *testing.T) {
 	}
 
 	base := filepath.Join(dir, "grown.seg")
-	s, err := OpenStore(ctx, prefix(col, 2), BackendDisk, base, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := diskStore(t, prefix(col, 2), base, cfg)
 	defer s.Close()
 	for k := 2; k < 5; k++ {
 		if err := s.Push(ctx, k, corpus.Tokenize(col.Intervals[k:k+1])); err != nil {
@@ -305,16 +323,13 @@ func TestStoreCompactionByteEquality(t *testing.T) {
 	}
 }
 
-// TestStoreCompactionPolicy pins the count-based policy: pushes beyond
-// CompactAfter deltas report NeedsCompaction, and a negative threshold
-// disables it.
+// TestStoreCompactionPolicy pins the disk Store's count-based policy:
+// pushes beyond CompactAfter deltas report NeedsCompaction, and a
+// negative threshold disables it.
 func TestStoreCompactionPolicy(t *testing.T) {
 	ctx := context.Background()
 	col := storeCorpus(t, 12, 4, 15)
-	s, err := OpenStore(ctx, prefix(col, 1), BackendMem, "", Config{CompactAfter: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := diskStore(t, prefix(col, 1), "", Config{CompactAfter: 2})
 	defer s.Close()
 	for k := 1; k < 3; k++ {
 		if err := s.Push(ctx, k, corpus.Tokenize(col.Intervals[k:k+1])); err != nil {
@@ -330,10 +345,7 @@ func TestStoreCompactionPolicy(t *testing.T) {
 	if !s.NeedsCompaction() {
 		t.Fatal("NeedsCompaction false at 3 deltas, threshold 2")
 	}
-	off, err := OpenStore(ctx, prefix(col, 1), BackendMem, "", Config{CompactAfter: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	off := diskStore(t, prefix(col, 1), "", Config{CompactAfter: -1})
 	defer off.Close()
 	for k := 1; k < 4; k++ {
 		if err := off.Push(ctx, k, corpus.Tokenize(col.Intervals[k:k+1])); err != nil {
@@ -345,25 +357,28 @@ func TestStoreCompactionPolicy(t *testing.T) {
 	}
 }
 
-// TestStorePushOutOfOrder pins the append-only contract.
+// TestStorePushOutOfOrder pins the append-only contract on both
+// backends.
 func TestStorePushOutOfOrder(t *testing.T) {
 	ctx := context.Background()
 	col := storeCorpus(t, 13, 3, 15)
-	s, err := OpenStore(ctx, prefix(col, 2), BackendMem, "", Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for _, iv := range []corpus.Interval{col.Intervals[0], col.Intervals[1]} {
-		if err := s.Push(ctx, iv.Index, corpus.Tokenize([]corpus.Interval{iv})); err == nil {
-			t.Fatalf("replaying interval %d succeeded", iv.Index)
+	for _, backend := range []string{BackendMem, BackendDisk} {
+		s, err := OpenStore(ctx, prefix(col, 2), backend, "", Config{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := s.Push(ctx, 5, corpus.Tokenize([]corpus.Interval{{Index: 5}})); err == nil {
-		t.Fatal("skipping ahead succeeded")
-	}
-	if got := s.NumIntervals(); got != 2 {
-		t.Fatalf("failed pushes changed the store: %d intervals, want 2", got)
+		defer s.Close()
+		for _, iv := range []corpus.Interval{col.Intervals[0], col.Intervals[1]} {
+			if err := s.Push(ctx, iv.Index, corpus.Tokenize([]corpus.Interval{iv})); err == nil {
+				t.Fatalf("%s: replaying interval %d succeeded", backend, iv.Index)
+			}
+		}
+		if err := s.Push(ctx, 5, corpus.Tokenize([]corpus.Interval{{Index: 5}})); err == nil {
+			t.Fatalf("%s: skipping ahead succeeded", backend)
+		}
+		if got := s.NumIntervals(); got != 2 {
+			t.Fatalf("%s: failed pushes changed the store: %d intervals, want 2", backend, got)
+		}
 	}
 }
 
@@ -378,16 +393,12 @@ func TestFaultStorePushENOSPC(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.seg")
 	in := faultfs.NewInjector(nil, 1)
-	s, err := OpenStore(ctx, prefix(col, 2), BackendDisk, base, Config{BlockSize: 4, FS: in})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := diskStore(t, prefix(col, 2), base, Config{BlockSize: 4, FS: in})
 	defer s.Close()
 
 	// Tear the delta build partway through its writes.
 	in.AddRule(faultfs.Rule{Op: faultfs.OpWrite, Path: ".delta", Err: syscall.ENOSPC})
-	err = s.Push(ctx, 2, corpus.Tokenize(col.Intervals[2:3]))
-	if !errors.Is(err, syscall.ENOSPC) {
+	if err := s.Push(ctx, 2, corpus.Tokenize(col.Intervals[2:3])); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("push under ENOSPC = %v, want ENOSPC", err)
 	}
 	if got := s.NumIntervals(); got != 2 {
@@ -425,10 +436,7 @@ func TestFaultStoreCompactionFailure(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.seg")
 	in := faultfs.NewInjector(nil, 1)
-	s, err := OpenStore(ctx, prefix(col, 2), BackendDisk, base, Config{BlockSize: 4, FS: in, CompactAfter: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := diskStore(t, prefix(col, 2), base, Config{BlockSize: 4, FS: in, CompactAfter: -1})
 	defer s.Close()
 	for k := 2; k < 4; k++ {
 		if err := s.Push(ctx, k, corpus.Tokenize(col.Intervals[k:k+1])); err != nil {

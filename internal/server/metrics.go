@@ -117,9 +117,9 @@ func newServerMetrics() *serverMetrics {
 	m.stageSeconds = reg.Counter("engine_stage_seconds_total",
 		"Cumulative stage build wall-clock seconds, by stage.", "stage")
 	m.engSegments = reg.Gauge("engine_index_segments",
-		"Live index segments (base + deltas).").With()
+		"Live disk index segments (base + deltas); 0 on the mem backend.").With()
 	m.engCompactions = reg.Counter("engine_index_compactions_total",
-		"Completed background index compactions.").With()
+		"Completed background disk index compactions; 0 on the mem backend.").With()
 
 	m.ioRandom = reg.Counter("index_io_random_reads_total",
 		"Disk index random block reads.").With()

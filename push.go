@@ -107,25 +107,26 @@ func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64
 		st.graph.Prime(ng)
 	}
 
-	// The index store is shared across generations (it is the mutable
-	// segment set itself), so pushing into it is the point of no
-	// return: do it last.
-	if store, ok := cur.index.Cached(); ok {
-		if err := store.Push(ctx, next, rec.toks); err != nil {
+	// The index is shared across generations (it is mutable itself),
+	// so pushing into it is the point of no return: do it last.
+	if idx, ok := cur.index.Cached(); ok {
+		if err := idx.Push(ctx, next, rec.toks); err != nil {
 			return 0, err
 		}
-		st.index.Prime(store)
-		e.maybeCompact(store)
+		st.index.Prime(idx)
+		e.maybeCompact(idx)
 	}
 
 	e.state.Store(st)
 	return st.gen, nil
 }
 
-// maybeCompact starts the background fold when the delta count crosses
-// the policy threshold and no fold is already running.
-func (e *Engine) maybeCompact(store *index.Store) {
-	if !store.NeedsCompaction() || !e.compacting.CompareAndSwap(false, true) {
+// maybeCompact starts the background fold of a disk store when the
+// delta count crosses the policy threshold and no fold is already
+// running; a mem index has nothing to fold.
+func (e *Engine) maybeCompact(idx index.Live) {
+	store, ok := idx.(*index.Store)
+	if !ok || !store.NeedsCompaction() || !e.compacting.CompareAndSwap(false, true) {
 		return
 	}
 	e.compactWG.Add(1)

@@ -7,16 +7,19 @@
 # clusters, further blogstable runs drive its query and cluster flags
 # (-normalized, -lmin, -k, -l, -algorithm, -rho, -mincluster, -raw),
 # and experiments lists its ids. Every run must exit 0 and print its
-# headline line, except six that must fail: -normalized -algorithm
+# headline line, except ten that must fail: -normalized -algorithm
 # dfs, a query no solver answers; -clusters with -intervals, a corpus
 # flag a saved-clusters session has no corpus for (the message must
-# name -intervals); -index-compact-after, a flag only blogserved, the
-# one command that takes pushes, installs; -indexfile twice, where
-# its path would be ignored (blogscope on -index mem) or shared by
-# every shard's segment (blogserved -shard-count), each message naming
-# -indexfile; and a blogserved -shards coordinator given -index and
-# -indexfile, which it has no corpus for (the message must name both). `make cli-smoke` runs this; CI's examples job runs that
-# target.
+# name -intervals); -index-compact-after on blogstable, a flag only
+# blogserved, the one command that takes pushes, installs; -indexfile
+# twice, where its path would be ignored (blogscope on -index mem) or
+# shared by every shard's segment (blogserved -shard-count);
+# -indexcache (blogscope, blogserved -shard-count) and
+# -index-compact-after (blogserved) without -index disk, which only
+# the disk backend's block cache and segments use, each message naming
+# its flag; and a blogserved -shards coordinator given -index and
+# -indexfile, which it has no corpus for (the message must name both).
+# `make cli-smoke` runs this; CI's examples job runs that target.
 set -eu
 
 TMP="$(mktemp -d)"
@@ -44,21 +47,29 @@ for backend in mem disk; do
 	expect "$TMP/scope-$backend.txt" 'keyword cluster at t'
 done
 cmp -s "$TMP/scope-mem.txt" "$TMP/scope-disk.txt" || fail "blogscope reports differ between -index mem and -index disk"
-# expect_indexfile_rejected NAME CMD...: CMD exits non-zero naming
-# -indexfile. The timeout bounds a blogserved that would start serving.
-expect_indexfile_rejected() {
-	name="$1"
-	shift
-	if timeout 60 "$@" >"$TMP/indexfile.txt" 2>&1; then
-		fail "$name -indexfile exited 0"
+# expect_rejected FLAG NAME CMD...: CMD exits non-zero naming FLAG.
+# The timeout bounds a blogserved that would start serving.
+expect_rejected() {
+	flag="$1"
+	name="$2"
+	shift 2
+	if timeout 60 "$@" >"$TMP/rejected.txt" 2>&1; then
+		fail "$name $flag exited 0"
 	fi
-	grep -q -- '-indexfile' "$TMP/indexfile.txt" ||
-		{ cat "$TMP/indexfile.txt" >&2; fail "$name -indexfile failed without naming -indexfile"; }
+	grep -q -- "$flag" "$TMP/rejected.txt" ||
+		{ cat "$TMP/rejected.txt" >&2; fail "$name $flag failed without naming $flag"; }
 }
-expect_indexfile_rejected "blogscope -index mem" \
+expect_rejected -indexfile "blogscope -index mem" \
 	"$TMP/blogscope" -demo -index mem -indexfile "$TMP/x.seg" -query somalia
-expect_indexfile_rejected "blogserved -shard-count" \
+expect_rejected -indexfile "blogserved -shard-count" \
 	"$TMP/blogserved" -demo -index disk -indexfile "$TMP/sh.seg" -shard-count 2 -addr 127.0.0.1:0
+# The mem backend has no block cache and no segments to fold.
+expect_rejected -indexcache "blogscope -index mem" \
+	"$TMP/blogscope" -demo -index mem -indexcache 4096 -query somalia
+expect_rejected -indexcache "blogserved -shard-count" \
+	"$TMP/blogserved" -demo -indexcache 4096 -shard-count 2 -addr 127.0.0.1:0
+expect_rejected -index-compact-after "blogserved" \
+	"$TMP/blogserved" -demo -index-compact-after 2 -addr 127.0.0.1:0
 # A -shards coordinator loads no corpus, so its index flags configure
 # nothing: it must refuse them, naming each, before it starts serving.
 if timeout 60 "$TMP/blogserved" -shards 127.0.0.1:9 -index disk -indexfile "$TMP/y.seg" -addr 127.0.0.1:0 >"$TMP/coord.txt" 2>&1; then
@@ -68,7 +79,7 @@ for f in -index -indexfile; do
 	grep -qE -- "${f}(,|\$)" "$TMP/coord.txt" ||
 		{ cat "$TMP/coord.txt" >&2; fail "blogserved -shards failed without naming $f"; }
 done
-echo "cli-smoke: blogscope ok (mem, disk)"
+echo "cli-smoke: blogscope ok (mem, disk, disk-only flags refused on mem)"
 
 "$TMP/blogstable" -demo -quiet -bursts somalia -saveclusters "$TMP/sets.jsonl" >"$TMP/stable.txt" ||
 	fail "blogstable -demo exited $?"

@@ -16,8 +16,8 @@ import (
 )
 
 // Index materializes (once per generation lineage) and returns the
-// keyword-index store. The store is owned by the Engine: do not Close
-// it; Engine.Close releases it.
+// keyword index. The index is owned by the Engine: do not Close it;
+// Engine.Close releases it.
 func (e *Engine) Index(ctx context.Context) (IndexReader, error) {
 	ctx, cancel, err := e.queryCtx(ctx)
 	if err != nil {
@@ -27,15 +27,16 @@ func (e *Engine) Index(ctx context.Context) (IndexReader, error) {
 	return e.indexStore(ctx, e.state.Load())
 }
 
-// indexStore materializes the snapshot's index store. The store is the
-// mutable segment set shared by successive generations: once built, a
-// Push reuses it by appending a delta segment; the memo only rebuilds
-// when the index had never been materialized at push time.
-func (e *Engine) indexStore(ctx context.Context, st *engineState) (*index.Store, error) {
+// indexStore materializes the snapshot's index, on the backend the
+// options name (index.OpenStoreTokens chooses). The index is shared by
+// successive generations: once built, a Push appends its interval to
+// it; the memo only rebuilds when the index had never been
+// materialized at push time.
+func (e *Engine) indexStore(ctx context.Context, st *engineState) (index.Live, error) {
 	if e.noCorpus {
 		return nil, ErrNoCorpus
 	}
-	return st.index.Get(ctx, func() (*index.Store, error) {
+	return st.index.Get(ctx, func() (index.Live, error) {
 		defer e.stage(ctx, "index")()
 		// e.root (the session lifetime) bounds the disk backend's retry
 		// backoff sleeps: the store outlives this query's context.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diskstore"
+	"repro/internal/index"
 )
 
 // StageTiming is one stage's build accounting.
@@ -44,23 +45,24 @@ type EngineStats struct {
 	// raced to first use — and stays 1 across pushes, which extend
 	// instead of rebuilding.
 	Stages map[string]StageTiming `json:"stages"`
-	// IndexIO is the index segments' I/O counters, on either backend:
-	// a mem session counts its block reads from memory the way a disk
-	// session counts them from the file (zero while the index is
+	// IndexIO is the disk backend's segment I/O counters (zero on the
+	// mem backend, which reads no segment, and while the index is
 	// unbuilt).
 	IndexIO diskstore.IOStats `json:"index_io"`
-	// IndexCache is the segments' block-cache accounting, on either
-	// backend: residency in bytes plus hit/miss counters, the source of
-	// the index_cache_* series on /metrics.
+	// IndexCache is the disk backend's block-cache accounting:
+	// residency in bytes plus hit/miss counters, the source of the
+	// index_cache_* series on /metrics (zero on the mem backend, which
+	// has no block cache).
 	IndexCache struct {
 		Hits   int64 `json:"hits"`
 		Misses int64 `json:"misses"`
 		Bytes  int64 `json:"bytes"`
 	} `json:"index_cache"`
-	// IndexSegments is the live segment count (base + deltas; 0 while
-	// the index is unbuilt).
+	// IndexSegments is the disk backend's live segment count (base +
+	// deltas; 0 on the mem backend and while the index is unbuilt).
 	IndexSegments int `json:"index_segments"`
-	// IndexCompactions counts completed background folds.
+	// IndexCompactions counts completed background folds of the disk
+	// backend's segments.
 	IndexCompactions int64 `json:"index_compactions"`
 	// Planner is the per-algorithm accounting of completed solves
 	// (counts, wall-clock histograms and summed work counters). There is
@@ -84,7 +86,8 @@ func (e *Engine) Stats() EngineStats {
 	e.solveMu.Lock()
 	out.Planner.Merge(e.solves)
 	e.solveMu.Unlock()
-	if s, ok := st.index.Cached(); ok {
+	idx, _ := st.index.Cached()
+	if s, ok := idx.(*index.Store); ok {
 		out.IndexIO = s.Stats()
 		out.IndexSegments = s.NumSegments()
 		out.IndexCache.Hits, out.IndexCache.Misses, out.IndexCache.Bytes = s.CacheStats()

@@ -102,6 +102,7 @@ fuzz-smoke:
 	$(GO) test ./internal/text -run '^$$' -fuzz FuzzFirstKeyword -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bicc -run '^$$' -fuzz FuzzDecompose -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/clustergraph -run '^$$' -fuzz FuzzJoinMatchesPairLoop -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/clustergraph -run '^$$' -fuzz FuzzExtendMatchesOneShot -fuzztime $(FUZZTIME)
 
 # Chaos gate: the whole fault-injection suite under the race detector.
 # Everything prefixed TestFault* runs against internal/faultfs-injected

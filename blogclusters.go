@@ -114,12 +114,6 @@ func (o ClusterOptions) withDefaults() ClusterOptions {
 	return o
 }
 
-// intervalClustersCtx runs the Section 3 pipeline for one interval of
-// the collection, from its tokens tk, on a fresh intervalBuilder.
-func intervalClustersCtx(ctx context.Context, tk *corpus.Tokens, interval int, opts ClusterOptions) ([]Cluster, error) {
-	return new(intervalBuilder).clusters(ctx, tk, interval, opts)
-}
-
 // intervalBuilder is one worker's Section 3 build, kept from interval
 // to interval: the keyword-graph builder (A(u), the row pass's arrays,
 // G′'s arrays), the bicc graph it fills from G′ and the

@@ -137,13 +137,6 @@ func (st *engineState) tokens() []*corpus.Tokens {
 	return toks
 }
 
-// primeRecords seeds each interval's record with its cluster set.
-func (st *engineState) primeRecords(sets [][]Cluster) {
-	for i, cs := range sets {
-		st.ivs[i].clusters.Prime(cs)
-	}
-}
-
 // engineConfig is the resolved option set of one Engine.
 type engineConfig struct {
 	cluster  ClusterOptions
@@ -286,7 +279,9 @@ func Open(ctx context.Context, src Source, opts ...Option) (*Engine, error) {
 		e.noCorpus = true
 		st := newEngineState(1, newRecords(len(src.sets)))
 		st.sets.Prime(src.sets)
-		st.primeRecords(src.sets)
+		for i, cs := range src.sets {
+			st.ivs[i].clusters.Prime(cs)
+		}
 		e.state.Store(st)
 		return e, nil
 	}

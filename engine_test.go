@@ -60,10 +60,7 @@ func TestEngineEquivalence(t *testing.T) {
 	defer eng.Close()
 
 	// Stage artifacts.
-	wantSets, err := allIntervalClustersCtx(ctx, tokensOf(col), copts)
-	if err != nil {
-		t.Fatalf("reference clusters: %v", err)
-	}
+	wantSets := sequentialClusterSets(t, col)
 	gotSets, err := eng.Clusters(ctx)
 	if err != nil {
 		t.Fatalf("engine clusters: %v", err)
@@ -494,10 +491,7 @@ func TestEngineIntervalQueriesRejectOutOfRange(t *testing.T) {
 func TestEngineClusterSetsSource(t *testing.T) {
 	col := testCorpus(t, 80)
 	ctx := context.Background()
-	sets, err := allIntervalClustersCtx(ctx, tokensOf(col), ClusterOptions{})
-	if err != nil {
-		t.Fatalf("clusters: %v", err)
-	}
+	sets := sequentialClusterSets(t, col)
 	eng, err := Open(ctx, FromClusterSets(sets),
 		WithGraphOptions(GraphOptions{Gap: 0, Theta: 0.1}))
 	if err != nil {

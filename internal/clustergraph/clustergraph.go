@@ -35,7 +35,7 @@ type Half struct {
 
 // Graph is the (immutable after Build) cluster graph. Its half-edges
 // live in flat arrays: Build writes one children and one parents array,
-// and ExtendCtx one of each for the lists it changes. children[v] and
+// and grow one of each for the lists it changes. children[v] and
 // parents[v] are capped sub-slices of them (nil for an empty list), so
 // a node's list is one header load and an append to it can never write
 // into a neighbour's span.
@@ -116,11 +116,8 @@ type edge struct {
 
 // NewBuilder starts a graph over m temporal intervals with gap g.
 func NewBuilder(m, gap int) (*Builder, error) {
-	if m <= 0 {
-		return nil, fmt.Errorf("clustergraph: m must be positive, got %d", m)
-	}
-	if gap < 0 {
-		return nil, fmt.Errorf("clustergraph: gap must be >= 0, got %d", gap)
+	if err := checkShape(m, gap); err != nil {
+		return nil, err
 	}
 	return &Builder{
 		m:   m,
@@ -131,6 +128,17 @@ func NewBuilder(m, gap int) (*Builder, error) {
 			intervals: make([][]int64, m),
 		},
 	}, nil
+}
+
+// checkShape rejects a graph over no intervals or with a negative gap.
+func checkShape(m, gap int) error {
+	if m <= 0 {
+		return fmt.Errorf("clustergraph: m must be positive, got %d", m)
+	}
+	if gap < 0 {
+		return fmt.Errorf("clustergraph: gap must be >= 0, got %d", gap)
+	}
+	return nil
 }
 
 // AddNode adds a cluster node in the given interval and returns its id.
@@ -181,21 +189,41 @@ func (b *Builder) accept(u, v int64, weight float64) (int64, int64, error) {
 		u, v = v, u
 		iu, iv = iv, iu
 	}
-	length := iv - iu
-	if length > b.gap+1 {
-		return 0, 0, fmt.Errorf("clustergraph: edge (%d,%d) spans %d intervals, max is gap+1 = %d", u, v, length, b.gap+1)
+	if err := checkEdge(u, v, iv-iu, b.gap, weight); err != nil {
+		return 0, 0, err
+	}
+	b.g.count(weight)
+	return u, v, nil
+}
+
+// checkEdge is the edge check AddEdge and grow share: edge (u,v), u in
+// the earlier interval, spans at most gap+1 intervals and has a finite,
+// positive weight.
+func checkEdge(u, v int64, length, gap int, weight float64) error {
+	if length > gap+1 {
+		return fmt.Errorf("clustergraph: edge (%d,%d) spans %d intervals, max is gap+1 = %d", u, v, length, gap+1)
 	}
 	if math.IsNaN(weight) || math.IsInf(weight, 0) {
-		return 0, 0, fmt.Errorf("clustergraph: edge (%d,%d) has non-finite weight %g", u, v, weight)
+		return fmt.Errorf("clustergraph: edge (%d,%d) has non-finite weight %g", u, v, weight)
 	}
 	if weight <= 0 {
-		return 0, 0, fmt.Errorf("clustergraph: edge (%d,%d) has non-positive weight %g", u, v, weight)
+		return fmt.Errorf("clustergraph: edge (%d,%d) has non-positive weight %g", u, v, weight)
 	}
-	b.g.edges++
-	if weight > b.g.maxWeight {
-		b.g.maxWeight = weight
-	}
-	return u, v, nil
+	return nil
+}
+
+// count adds one checked edge to the edge count and maximum weight.
+func (g *Graph) count(weight float64) {
+	g.edges++
+	g.maxWeight = max(g.maxWeight, weight)
+}
+
+// place lays out one counted edge, u in the earlier interval, in both
+// of its spans.
+func (g *Graph) place(u, v int64, w float64) {
+	length := g.interval[v] - g.interval[u]
+	g.children[u] = append(g.children[u], Half{Peer: v, Weight: w, Length: length})
+	g.parents[v] = append(g.parents[v], Half{Peer: u, Weight: w, Length: length})
 }
 
 // Build freezes the graph. Children lists are sorted by descending
@@ -206,54 +234,26 @@ func (b *Builder) accept(u, v int64, weight float64) (int64, int64, error) {
 // each node's span sized by its degree and filled in AddEdge order
 // before the per-span sort.
 func (b *Builder) Build() *Graph {
+	g := b.g
 	if b.built {
-		return b.g
+		return g
 	}
-	kids, pars := b.degrees()
+	b.built = true
+	n := len(g.interval)
+	deg := make([]int, 2*n)
+	kids, pars := deg[:n], deg[n:]
 	for _, e := range b.edges {
 		kids[e.u]++
 		pars[e.v]++
 	}
-	b.layout(kids, pars)
-	for _, e := range b.edges {
-		b.place(e.u, e.v, e.weight)
-	}
-	b.edges = nil
-	return b.finish()
-}
-
-// degrees returns zeroed per-node counts of children and of parents,
-// for a freeze to fill.
-func (b *Builder) degrees() (kids, pars []int) {
-	n := len(b.g.interval)
-	deg := make([]int, 2*n)
-	return deg[:n], deg[n:]
-}
-
-// layout carves the children and parents arrays into spans of the
-// counted degrees, one span per node, for place to fill.
-func (b *Builder) layout(kids, pars []int) {
-	g := b.g
-	n := len(g.interval)
 	g.children = make([][]Half, n)
 	g.parents = make([][]Half, n)
 	carve(g.children, kids, make([]Half, g.edges))
 	carve(g.parents, pars, make([]Half, g.edges))
-}
-
-// place lays out one accepted edge, u in the earlier interval, in both
-// of its spans.
-func (b *Builder) place(u, v int64, w float64) {
-	g := b.g
-	length := g.interval[v] - g.interval[u]
-	g.children[u] = append(g.children[u], Half{Peer: v, Weight: w, Length: length})
-	g.parents[v] = append(g.parents[v], Half{Peer: u, Weight: w, Length: length})
-}
-
-// finish sorts every span into its order and freezes the graph.
-func (b *Builder) finish() *Graph {
-	b.built = true
-	g := b.g
+	for _, e := range b.edges {
+		g.place(e.u, e.v, e.weight)
+	}
+	b.edges = nil
 	for _, hs := range g.children {
 		slices.SortStableFunc(hs, byWeightDescThenPeer)
 	}
@@ -273,27 +273,6 @@ func carve(lists [][]Half, counts []int, flat []Half) {
 		if c > 0 {
 			lists[v] = flat[off : off : off+c]
 			off += c
-		}
-	}
-}
-
-// reserve sizes a fresh builder for the nodes of sets: the node arrays
-// and one backing array for the per-interval id lists (an empty
-// interval keeps a nil list, as AddNode leaves it), so none of them
-// grows by append.
-func (b *Builder) reserve(sets [][]cluster.Cluster) {
-	n := 0
-	for _, cs := range sets {
-		n += len(cs)
-	}
-	b.g.interval = make([]int, 0, n)
-	b.g.clusters = make([]cluster.Cluster, 0, n)
-	ids := make([]int64, n)
-	off := 0
-	for i, cs := range sets {
-		if k := len(cs); k > 0 {
-			b.g.intervals[i] = ids[off : off : off+k]
-			off += k
 		}
 	}
 }
@@ -336,16 +315,57 @@ func FromClusters(sets [][]cluster.Cluster, opts FromClustersOptions) (*Graph, e
 // FromClustersCtx is FromClusters with cancellation: edge-generation
 // tasks are dispatched through the context-aware worker pool, so a
 // canceled build stops scheduling interval pairs and returns ctx's
-// error.
+// error. It grows the empty graph by every interval of sets.
 func FromClustersCtx(ctx context.Context, sets [][]cluster.Cluster, opts FromClustersOptions) (*Graph, error) {
-	m := len(sets)
-	b, err := NewBuilder(m, opts.Gap)
-	if err != nil {
+	if err := checkShape(len(sets), opts.Gap); err != nil {
 		return nil, err
 	}
-	var tasks []intervalPair
-	for i := 0; i < m; i++ {
-		for j := i + 1; j <= i+opts.Gap+1 && j < m; j++ {
+	return grow(ctx, &Graph{gap: opts.Gap}, sets, opts)
+}
+
+// ExtendCtx grows an already-built graph by one interval and returns
+// the extension as a NEW graph — g itself is never mutated, because
+// queries against the previous generation may still be walking it.
+// sets must be the full per-interval cluster sets, len(g.m)+1 long,
+// whose first g.m entries produced g (same opts). The result is
+// identical to FromClustersCtx over all of sets, which runs the same
+// routine from the empty graph. The new graph's solve index starts
+// empty, and g's is left as it is: a new interval changes U and P all
+// the way back to interval 0.
+func ExtendCtx(ctx context.Context, g *Graph, sets [][]cluster.Cluster, opts FromClustersOptions) (*Graph, error) {
+	if opts.Gap != g.gap {
+		return nil, fmt.Errorf("clustergraph: extend with gap %d, graph was built with %d", opts.Gap, g.gap)
+	}
+	if len(sets) != g.m+1 {
+		return nil, fmt.Errorf("clustergraph: extend wants %d cluster sets, got %d", g.m+1, len(sets))
+	}
+	for i, ids := range g.intervals {
+		if len(sets[i]) != len(ids) {
+			return nil, fmt.Errorf("clustergraph: interval %d has %d clusters, graph has %d nodes there", i, len(sets[i]), len(ids))
+		}
+	}
+	return grow(ctx, g, sets, opts)
+}
+
+// grow is the one layout behind FromClustersCtx and ExtendCtx: it
+// returns the graph over all of sets, grown from g, the graph over
+// sets[:g.m] (the empty graph for a fresh build), and never writes g,
+// whose lists the result may share. It joins only the interval pairs
+// that end past g.m, copies g's node arrays and appends the new nodes
+// interval-major. A node that gains children gets a fresh span of one
+// children array, its old children first; every other old list is
+// shared. Every new edge ends in a new node, so only new nodes have
+// parents to lay out, in spans of one parents array. The edges go in
+// task order, and only the spans they changed are sorted: the orders —
+// children by (weight desc, peer asc), parents by peer asc — are strict
+// total orders (a peer appears at most once per list), so growing by
+// one interval at a time reproduces the one-shot build exactly.
+func grow(ctx context.Context, g *Graph, sets [][]cluster.Cluster, opts FromClustersOptions) (*Graph, error) {
+	m0, m, gap := g.m, len(sets), g.gap
+	lo := max(0, m0-gap-1) // the first interval a new edge can start in
+	tasks := make([]intervalPair, 0, (m-lo)*(min(gap, m)+1))
+	for i := lo; i < m; i++ {
+		for j := max(i+1, m0); j <= i+gap+1 && j < m; j++ {
 			tasks = append(tasks, intervalPair{i, j})
 		}
 	}
@@ -354,47 +374,103 @@ func FromClustersCtx(ctx context.Context, sets [][]cluster.Cluster, opts FromClu
 		return nil, err
 	}
 
-	b.reserve(sets)
-	for i, cs := range sets {
-		for _, c := range cs {
-			if _, err := b.AddNode(i, c); err != nil {
-				return nil, err
-			}
+	n0, n := len(g.interval), len(g.interval)
+	for _, cs := range sets[m0:] {
+		n += len(cs)
+	}
+	ng := &Graph{
+		m:         m,
+		gap:       gap,
+		interval:  make([]int, n),
+		intervals: make([][]int64, m),
+		parents:   make([][]Half, n),
+		children:  make([][]Half, n),
+		clusters:  make([]cluster.Cluster, n),
+		edges:     g.edges,
+		maxWeight: g.maxWeight,
+	}
+	copy(ng.interval, g.interval)
+	copy(ng.intervals, g.intervals)
+	copy(ng.parents, g.parents)
+	copy(ng.children, g.children)
+	copy(ng.clusters, g.clusters)
+	// The new intervals' id lists are capped spans of one array; an
+	// empty interval keeps a nil list.
+	ids := make([]int64, 0, n-n0)
+	for i := m0; i < m; i++ {
+		start := len(ids)
+		for _, c := range sets[i] {
+			id := n0 + len(ids)
+			ids = append(ids, int64(id))
+			ng.interval[id] = i
+			c.ID, c.Interval = int64(id), i
+			ng.clusters[id] = c
+		}
+		if len(ids) > start {
+			ng.intervals[i] = ids[start:len(ids):len(ids)]
 		}
 	}
-	// The edges go from the tasks' spans straight into the layout, in
-	// task order, as AddEdge and Build would lay them out: one pass
-	// checks and counts them, a second places them. A task's first
-	// interval is its earlier one, so each pair is already (earlier,
-	// later).
-	ids := b.g.intervals // interval → node ids, in set order
-	kids, pars := b.degrees()
+
+	// Count each new edge into its parent's children (nodes from first,
+	// the first node of interval lo, on) and its child's parents (new
+	// nodes only); kept sizes the gaining nodes' old children.
+	first := n0
+	for _, iv := range g.intervals[lo:] {
+		first -= len(iv)
+	}
+	deg := make([]int, (n-first)+(n-n0))
+	kids, pars := deg[:n-first], deg[n-first:]
+	kept := 0
 	for ti, t := range tasks {
 		for _, p := range results[ti] {
-			u, v, err := b.accept(ids[t.i][p.Left], ids[t.j][p.Right], p.Sim)
-			if err != nil {
+			u, v := ng.intervals[t.i][p.Left], ng.intervals[t.j][p.Right]
+			if err := checkEdge(u, v, t.j-t.i, gap, p.Sim); err != nil {
 				return nil, err
 			}
-			kids[u]++
-			pars[v]++
+			ng.count(p.Sim)
+			if kids[u-int64(first)] == 0 {
+				kept += len(ng.children[u])
+			}
+			kids[u-int64(first)]++
+			pars[v-int64(n0)]++
 		}
 	}
-	b.layout(kids, pars)
+	added := ng.edges - g.edges
+	flat := make([]Half, kept+added)
+	off := 0
+	for k, c := range kids {
+		if c > 0 {
+			old := ng.children[first+k]
+			end := off + len(old) + c
+			ng.children[first+k] = append(flat[off:off:end], old...)
+			off = end
+		}
+	}
+	carve(ng.parents[n0:], pars, make([]Half, added))
 	for ti, t := range tasks {
 		for _, p := range results[ti] {
-			b.place(ids[t.i][p.Left], ids[t.j][p.Right], p.Sim)
+			ng.place(ng.intervals[t.i][p.Left], ng.intervals[t.j][p.Right], p.Sim)
 		}
 	}
-	return b.finish(), nil
+	for k, c := range kids {
+		if c > 0 {
+			slices.SortStableFunc(ng.children[first+k], byWeightDescThenPeer)
+		}
+	}
+	for _, hs := range ng.parents[n0:] {
+		slices.SortStableFunc(hs, byPeer)
+	}
+	return ng, nil
 }
 
 // intervalPair names two linked intervals, i before j.
 type intervalPair struct{ i, j int }
 
-// edgePairs is the one edge generator behind FromClustersCtx and
-// ExtendCtx: for each listed pair of intervals it runs the
-// prefix-filter join (internal/simjoin) of their cluster sets and keeps
-// the (Left, Right) index pairs with Jaccard affinity >= Theta.
+// edgePairs is the edge generator of grow, the one layout behind
+// FromClustersCtx and ExtendCtx: for each listed pair of intervals it
+// runs the prefix-filter join (internal/simjoin) of their cluster sets
+// and keeps the (Left, Right) index pairs with Jaccard affinity >=
+// Theta.
 //
 // Each interval pair is one task, and the tasks run on a pool of
 // GOMAXPROCS workers; a task runs sequentially inside. A worker appends
@@ -463,133 +539,4 @@ func joinRecords(sets [][]cluster.Cluster, tasks []intervalPair) ([][]simjoin.Re
 		}
 	}
 	return recs, nil
-}
-
-// ExtendCtx grows an already-built graph by one interval and returns
-// the extension as a NEW graph — g itself is never mutated, because
-// queries against the previous generation may still be walking it.
-// sets must be the full per-interval cluster sets, len(g.m)+1 long,
-// whose first g.m entries produced g (same opts). The result is
-// identical to FromClustersCtx over all of sets: node ids stay
-// interval-major (new nodes come last), and the per-node half-edge
-// orders — children by (weight desc, peer asc), parents by peer asc —
-// are strict total orders (a peer appears at most once per list), so
-// sorting the extended lists reproduces the one-shot build exactly.
-// The new graph's solve index starts empty, and g's is left as it is:
-// a new interval changes U and P all the way back to interval 0.
-func ExtendCtx(ctx context.Context, g *Graph, sets [][]cluster.Cluster, opts FromClustersOptions) (*Graph, error) {
-	if opts.Gap != g.gap {
-		return nil, fmt.Errorf("clustergraph: extend with gap %d, graph was built with %d", opts.Gap, g.gap)
-	}
-	m := g.m // the new interval's index
-	if len(sets) != m+1 {
-		return nil, fmt.Errorf("clustergraph: extend wants %d cluster sets, got %d", m+1, len(sets))
-	}
-	for i := 0; i < m; i++ {
-		if len(sets[i]) != len(g.intervals[i]) {
-			return nil, fmt.Errorf("clustergraph: interval %d has %d clusters, graph has %d nodes there", i, len(sets[i]), len(g.intervals[i]))
-		}
-	}
-	// Only intervals within gap+1 of the new one can gain edges.
-	tasks := make([]intervalPair, 0, g.gap+1)
-	for i := max(0, m-g.gap-1); i < m; i++ {
-		tasks = append(tasks, intervalPair{i, m})
-	}
-	results, err := edgePairs(ctx, sets, tasks, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	// Copy-on-write: fresh outer slices, shared inner lists except where
-	// the new interval's edges land.
-	nOld := len(g.interval)
-	nNew := nOld + len(sets[m])
-	ng := &Graph{
-		m:         m + 1,
-		gap:       g.gap,
-		interval:  make([]int, nOld, nNew),
-		intervals: make([][]int64, m+1),
-		parents:   make([][]Half, nNew),
-		children:  make([][]Half, nNew),
-		clusters:  make([]cluster.Cluster, nOld, nNew),
-		edges:     g.edges,
-		maxWeight: g.maxWeight,
-	}
-	copy(ng.interval, g.interval)
-	copy(ng.intervals, g.intervals)
-	copy(ng.parents, g.parents)
-	copy(ng.children, g.children)
-	copy(ng.clusters, g.clusters)
-	newIDs := make([]int64, len(sets[m]))
-	for j, c := range sets[m] {
-		id := int64(nOld + j)
-		ng.interval = append(ng.interval, m)
-		c.ID = id
-		c.Interval = m
-		ng.clusters = append(ng.clusters, c)
-		newIDs[j] = id
-	}
-	if len(newIDs) > 0 {
-		ng.intervals[m] = newIDs
-	}
-
-	// Count the new edges per old node of the task intervals (gained,
-	// at slot base[ti]+Left) and per new node (incoming). An old node's
-	// children list is shared with g, which a previous generation may
-	// still be serving, so a node that gains children gets a fresh span
-	// of one new array, its old children copied in first; kids sizes
-	// that array. The new nodes' parents fill a second one.
-	base := make([]int, len(tasks)+1)
-	for ti, t := range tasks {
-		base[ti+1] = base[ti] + len(g.intervals[t.i])
-	}
-	gained := make([]int, base[len(tasks)])
-	incoming := make([]int, len(newIDs))
-	added, kids := 0, 0
-	for ti, t := range tasks {
-		for _, p := range results[ti] {
-			if gained[base[ti]+p.Left] == 0 {
-				kids += len(g.children[g.intervals[t.i][p.Left]])
-			}
-			gained[base[ti]+p.Left]++
-			incoming[p.Right]++
-			added++
-		}
-	}
-	flat := make([]Half, kids+added)
-	off := 0
-	for ti, t := range tasks {
-		for k, u := range g.intervals[t.i] {
-			if c := gained[base[ti]+k]; c > 0 {
-				old := g.children[u]
-				end := off + len(old) + c
-				ng.children[u] = append(flat[off:off:end], old...)
-				off = end
-			}
-		}
-	}
-	carve(ng.parents[nOld:], incoming, make([]Half, added))
-
-	for ti, t := range tasks {
-		for _, p := range results[ti] {
-			u, v := g.intervals[t.i][p.Left], newIDs[p.Right]
-			ng.children[u] = append(ng.children[u], Half{Peer: v, Weight: p.Sim, Length: m - t.i})
-			ng.parents[v] = append(ng.parents[v], Half{Peer: u, Weight: p.Sim, Length: m - t.i})
-			if p.Sim > ng.maxWeight {
-				ng.maxWeight = p.Sim
-			}
-		}
-	}
-	ng.edges += added
-	for ti, t := range tasks {
-		for k, u := range g.intervals[t.i] {
-			if gained[base[ti]+k] > 0 {
-				slices.SortStableFunc(ng.children[u], byWeightDescThenPeer)
-			}
-		}
-	}
-	for _, v := range newIDs {
-		slices.SortStableFunc(ng.parents[v], byPeer)
-	}
-	return ng, nil
 }

@@ -125,3 +125,72 @@ func TestExtendRejectsNormalize(t *testing.T) {
 		t.Fatal("ExtendCtx accepted a length mismatch")
 	}
 }
+
+// fuzzSets decodes m%8+1 cluster sets in randomSets' shape from data:
+// for each interval one byte picks 0–4 clusters, and each cluster is
+// the next byte read as a mask over an 8-word vocabulary (an empty mask
+// names the first word). Once data runs out the intervals are empty.
+func fuzzSets(m uint8, data []byte) [][]cluster.Cluster {
+	vocab := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	sets := make([][]cluster.Cluster, int(m)%8+1)
+	for i := range sets {
+		for range int(next()) % 5 {
+			mask := next()
+			kws := vocab[:1]
+			if mask != 0 {
+				kws = nil
+				for w, word := range vocab {
+					if mask&(1<<w) != 0 {
+						kws = append(kws, word)
+					}
+				}
+			}
+			sets[i] = append(sets[i], cluster.New(0, i, kws))
+		}
+	}
+	return sets
+}
+
+// FuzzExtendMatchesOneShot grows a one-interval graph one interval at a
+// time over fuzz-chosen cluster sets (see fuzzSets), gap 0–3 and θ in
+// (0, 1]. Every step must equal the one-shot build deeply, keep every
+// list capped, and leave its input graph's half-edge lists as they were.
+func FuzzExtendMatchesOneShot(f *testing.F) {
+	f.Add(uint8(3), uint8(0), uint16(299), []byte{2, 0x0f, 0x3c, 1, 0x07, 3, 0x0e, 0xf0, 0x01})
+	f.Add(uint8(7), uint8(1), uint16(99), []byte{4, 0xff, 0x81, 0x18, 0x3c, 0, 2, 0x1f, 0xf8, 1, 0x66, 4, 0x0f, 0xf0, 0x33, 0xcc, 3, 0x55, 0xaa, 0x0f})
+	f.Add(uint8(5), uint8(3), uint16(999), []byte{1, 0x03, 0, 0, 2, 0x03, 0x06, 1, 0x02, 4, 0x01, 0x02, 0x04, 0x08})
+	f.Fuzz(func(t *testing.T, m, gap uint8, theta uint16, data []byte) {
+		ctx := context.Background()
+		sets := fuzzSets(m, data)
+		opts := FromClustersOptions{Gap: int(gap % 4), Theta: float64(theta%1000+1) / 1000}
+		g, err := FromClustersCtx(ctx, sets[:1], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 2; k <= len(sets); k++ {
+			prev, prevLists := g, halfLists(g)
+			if g, err = ExtendCtx(ctx, prev, sets[:k], opts); err != nil {
+				t.Fatalf("extend to %d: %v", k, err)
+			}
+			full, err := FromClustersCtx(ctx, sets[:k], opts)
+			if err != nil {
+				t.Fatalf("full build %d: %v", k, err)
+			}
+			if !reflect.DeepEqual(g, full) {
+				t.Fatalf("gap %d θ %g: extended graph at %d intervals differs from one-shot build", opts.Gap, opts.Theta, k)
+			}
+			checkCapped(t, fmt.Sprintf("extend to %d", k), g)
+			if !reflect.DeepEqual(halfLists(prev), prevLists) {
+				t.Fatalf("extend to %d rewrote a half-edge list of its input graph", k)
+			}
+		}
+	})
+}

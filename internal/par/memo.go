@@ -15,10 +15,14 @@ import (
 // fill cannot pin an unrelated request past its deadline. The zero
 // Memo is empty and ready to use.
 type Memo[T any] struct {
-	mu       sync.Mutex
-	done     bool
-	val      T
-	inflight chan struct{} // non-nil while a fill is in flight
+	mu      sync.Mutex
+	done    bool
+	val     T
+	filling bool // a fill is in flight
+	// wake is made by the first caller to wait on the fill in flight
+	// and closed when that fill ends, so an uncontended fill allocates
+	// no channel.
+	wake chan struct{}
 }
 
 // Prime seeds the cell with a ready value, without a fill.
@@ -45,7 +49,11 @@ func (m *Memo[T]) Get(ctx context.Context, fill func() (T, error)) (T, error) {
 			m.mu.Unlock()
 			return v, nil
 		}
-		if ch := m.inflight; ch != nil {
+		if m.filling {
+			if m.wake == nil {
+				m.wake = make(chan struct{})
+			}
+			ch := m.wake
 			m.mu.Unlock()
 			select {
 			case <-ch:
@@ -55,18 +63,21 @@ func (m *Memo[T]) Get(ctx context.Context, fill func() (T, error)) (T, error) {
 				return zero, ctx.Err()
 			}
 		}
-		ch := make(chan struct{})
-		m.inflight = ch
+		m.filling = true
 		m.mu.Unlock()
 
 		v, err := fill()
 		m.mu.Lock()
-		m.inflight = nil
+		m.filling = false
 		if err == nil {
 			m.done, m.val = true, v
 		}
+		ch := m.wake
+		m.wake = nil
 		m.mu.Unlock()
-		close(ch)
+		if ch != nil {
+			close(ch)
+		}
 		return v, err
 	}
 }

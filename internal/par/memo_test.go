@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"repro/internal/raceflag"
 )
 
 // TestMemoFillsOnceAndNeverCachesAnError pins Memo's contract: a failed
@@ -70,4 +72,23 @@ func TestMemoWaiterHonorsItsContext(t *testing.T) {
 		t.Fatalf("waiter returned %v, want context.Canceled", err)
 	}
 	close(release)
+}
+
+// TestMemoUncontendedFillAllocatesNothing: a fill no other caller
+// waits on makes no channel, so a build that fills one memo per
+// interval costs no allocation per interval for the single flight.
+func TestMemoUncontendedFillAllocatesNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	ctx := context.Background()
+	cells := make([]Memo[int], 101)
+	i := 0
+	n := testing.AllocsPerRun(100, func() {
+		cells[i].Get(ctx, func() (int, error) { return i, nil })
+		i++
+	})
+	if n != 0 {
+		t.Fatalf("an uncontended fill allocates %v times, want 0", n)
+	}
 }

@@ -39,7 +39,7 @@ func TestIntervalBuilderReuseMatchesFresh(t *testing.T) {
 		var b intervalBuilder
 		clusters := 0
 		for _, i := range order.intervals {
-			want, err := intervalClustersCtx(ctx, toks[i], i, ClusterOptions{})
+			want, err := new(intervalBuilder).clusters(ctx, toks[i], i, ClusterOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

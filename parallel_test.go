@@ -42,15 +42,32 @@ func graphFingerprint(g *ClusterGraph) string {
 }
 
 // sequentialClusterSets is the reference the interval pool is held to:
-// a plain loop of intervalClustersCtx with the whole budget.
+// a plain loop of one fresh intervalBuilder per interval, with the
+// default options.
 func sequentialClusterSets(t *testing.T, c *Collection) [][]Cluster {
 	t.Helper()
 	sets := make([][]Cluster, len(c.Intervals))
 	for i := range c.Intervals {
 		var err error
-		if sets[i], err = intervalClustersCtx(context.Background(), corpus.Tokenize(c.Intervals[i:i+1]), i, ClusterOptions{}); err != nil {
+		if sets[i], err = new(intervalBuilder).clusters(context.Background(), corpus.Tokenize(c.Intervals[i:i+1]), i, ClusterOptions{}); err != nil {
 			t.Fatalf("interval %d: %v", i, err)
 		}
+	}
+	return sets
+}
+
+// poolClusterSets runs the interval pool: a fresh session's Clusters,
+// which fills every interval's record.
+func poolClusterSets(t *testing.T, c *Collection, opts ClusterOptions) [][]Cluster {
+	t.Helper()
+	eng, err := Open(context.Background(), FromCollection(c), WithClusterOptions(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	sets, err := eng.Clusters(context.Background())
+	if err != nil {
+		t.Fatalf("interval pool: %v", err)
 	}
 	return sets
 }
@@ -107,10 +124,7 @@ func TestSection4ParallelEquivalence(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no clusters; corpus too sparse to be a real test")
 	}
-	sets, err := allIntervalClustersCtx(context.Background(), tokensOf(c), ClusterOptions{})
-	if err != nil {
-		t.Fatalf("interval pool: %v", err)
-	}
+	sets := poolClusterSets(t, c, ClusterOptions{})
 	if setsFingerprint(sets) != setsFingerprint(baseSets) {
 		t.Fatal("interval pool: cluster sets differ from the sequential loop")
 	}
@@ -142,10 +156,7 @@ func TestSection4ParallelEquivalence(t *testing.T) {
 // interval pool's cluster sets identical to the sequential loop's.
 func TestAllIntervalClustersBudgetSplit(t *testing.T) {
 	c := endToEndCorpus(t)
-	got, err := allIntervalClustersCtx(context.Background(), tokensOf(c), ClusterOptions{MemBudget: 64 << 10})
-	if err != nil {
-		t.Fatalf("AllIntervalClusters with a budget: %v", err)
-	}
+	got := poolClusterSets(t, c, ClusterOptions{MemBudget: 64 << 10})
 	if setsFingerprint(got) != setsFingerprint(sequentialClusterSets(t, c)) {
 		t.Fatal("cluster sets with a budget differ from the sequential loop")
 	}

@@ -17,12 +17,14 @@ import (
 // NumIntervals(), else ErrOutOfOrderInterval) and well-formed
 // (ErrMalformedInterval otherwise). It is tokenized once, and the
 // session keeps its tokens, not iv's documents. Materialized artifacts
-// are extended incrementally for the new interval only: the index
-// gains a delta segment, a cached cluster graph grows by one interval
-// via clustergraph.ExtendCtx — a push never rebuilds a full-corpus
-// artifact (EngineStats.Stages build counters prove it). Unbuilt
-// artifacts simply stay unbuilt; their first use after the push sees
-// the grown corpus.
+// are extended incrementally for the new interval only: built cluster
+// sets gain the new interval's clusters, built in its record as
+// ClustersAt builds them, and a cached cluster graph grows by that
+// interval via clustergraph.ExtendCtx; the index gains a delta
+// segment. A push never rebuilds a full-corpus artifact
+// (EngineStats.Stages build counters prove it). Unbuilt artifacts
+// simply stay unbuilt; their first use after the push sees the grown
+// corpus.
 //
 // Pushes are serialized; queries keep running against the previous
 // generation's snapshot until the swap and are never blocked.
@@ -72,39 +74,27 @@ func (e *Engine) push(ctx context.Context, cur *engineState, iv Interval) (int64
 	}()
 	st := newEngineState(cur.gen+1, append(cur.ivs[:next:next], rec))
 
-	// Extend the cluster sets (and everything downstream of them) only
-	// if they are materialized; an unbuilt artifact stays lazy.
-	var newSets [][]Cluster
-	setsBuilt := false
+	// Extend the cluster sets, and a cached graph downstream of them,
+	// only if they are materialized; an unbuilt artifact stays lazy.
 	if sets, ok := cur.sets.Cached(); ok {
-		setsBuilt = true
-		var ivSet []Cluster
-		var err error
-		func() {
-			defer e.stage(ctx, "interval-clusters")()
-			ivSet, err = intervalClustersCtx(ctx, rec.toks, next, e.cfg.cluster)
-		}()
+		ivSet, err := e.clustersAt(ctx, st, next)
 		if err != nil {
 			return 0, err
 		}
-		newSets = append(sets[:len(sets):len(sets)], ivSet)
+		newSets := append(sets[:len(sets):len(sets)], ivSet)
 		st.sets.Prime(newSets)
-		rec.clusters.Prime(ivSet)
-	}
-
-	// Grow the cached cluster graph by the new interval.
-	if g, ok := cur.graph.Cached(); ok && setsBuilt {
-		opts := e.cfg.graph
-		var ng *ClusterGraph
-		var err error
-		func() {
-			defer e.stage(ctx, "graph-extend")()
-			ng, err = clustergraph.ExtendCtx(ctx, g, newSets, clustergraph.FromClustersOptions{Gap: opts.Gap, Theta: opts.Theta})
-		}()
-		if err != nil {
-			return 0, err
+		if g, ok := cur.graph.Cached(); ok {
+			var ng *ClusterGraph
+			func() {
+				defer e.stage(ctx, "graph-extend")()
+				opts := e.cfg.graph
+				ng, err = clustergraph.ExtendCtx(ctx, g, newSets, clustergraph.FromClustersOptions{Gap: opts.Gap, Theta: opts.Theta})
+			}()
+			if err != nil {
+				return 0, err
+			}
+			st.graph.Prime(ng)
 		}
-		st.graph.Prime(ng)
 	}
 
 	// The index is shared across generations (it is mutable itself),

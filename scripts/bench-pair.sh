@@ -90,6 +90,10 @@ load = lambda path: [json.loads(line) for line in open(path)]
 parent, change = load(parent_file), load(change_file)
 
 def quartiles(vals):
+    # statistics.quantiles needs two values; one pair's quartiles are
+    # its one value.
+    if len(vals) < 2:
+        return vals[0], vals[0], vals[0]
     q1, med, q3 = statistics.quantiles(vals, n=4, method="inclusive")
     return q1, med, q3
 

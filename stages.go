@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/clustergraph"
 	"repro/internal/cooccur"
-	"repro/internal/corpus"
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -72,28 +71,41 @@ func (e *Engine) Clusters(ctx context.Context) ([][]Cluster, error) {
 }
 
 // clusters is Clusters pinned to one generation snapshot, for internal
-// reuse by callers that already hold a joined context.
+// reuse by callers that already hold a joined context. The sets are
+// the interval records' cluster sets: the build fills every record on
+// a pool of min(GOMAXPROCS, m) workers, each build sequential inside,
+// and keeps a record that ClustersAt or a push already built. Each
+// worker keeps one intervalBuilder from interval to interval, so its
+// scratch is allocated once per stage, not per interval. A cluster-set
+// session's sets are primed at Open, so only a corpus session builds
+// them here.
 func (e *Engine) clusters(ctx context.Context, st *engineState) ([][]Cluster, error) {
-	// A cluster-set session's sets are primed at Open, so only a corpus
-	// session builds them here.
 	return st.sets.Get(ctx, func() ([][]Cluster, error) {
 		defer e.stage(ctx, "clusters")()
-		sets, err := allIntervalClustersCtx(ctx, st.tokens(), e.cfg.cluster)
-		if err == nil {
-			st.primeRecords(sets)
+		m := len(st.ivs)
+		workers := max(1, min(runtime.GOMAXPROCS(0), m))
+		sets := make([][]Cluster, m)
+		bs := make([]intervalBuilder, workers)
+		if err := par.ForEachWorkerCtx(ctx, m, workers, func(w, i int) (err error) {
+			rec := st.ivs[i]
+			sets[i], err = rec.clusters.Get(ctx, func() ([]Cluster, error) {
+				return bs[w].clusters(ctx, rec.toks, i, e.cfg.cluster)
+			})
+			return err
+		}); err != nil {
+			return nil, err
 		}
-		return sets, err
+		return sets, nil
 	})
 }
 
 // ClustersAt returns the cluster set of one interval from the
-// interval's record: primed when the full sets are materialized
-// (Clusters ran, a push extended them, or the session was opened from
-// cluster sets), else built for just that interval — a single-day
-// query (Refine, blogscope's report, streaming's day-by-day pushes)
-// never pays for the whole corpus. The per-interval build is
-// canonical, so mixing ClustersAt with a later Clusters yields
-// identical slices; intervals are immutable once pushed, so the record
+// interval's record, built for just that interval on first use — a
+// single-day query (Refine, blogscope's report, streaming's day-by-day
+// pushes) never pays for the whole corpus. The record is the only
+// place an interval's clusters are built: Clusters fills the records
+// ClustersAt left unbuilt and returns the ones it built, so both see
+// the same slices; intervals are immutable once pushed, so the record
 // survives generations.
 func (e *Engine) ClustersAt(ctx context.Context, interval int) ([]Cluster, error) {
 	ctx, cancel, err := e.queryCtx(ctx)
@@ -105,7 +117,8 @@ func (e *Engine) ClustersAt(ctx context.Context, interval int) ([]Cluster, error
 }
 
 // clustersAt is ClustersAt pinned to one generation snapshot, for
-// internal reuse by callers that already hold a joined context.
+// internal reuse by callers that already hold a joined context: it
+// fills one record on a fresh intervalBuilder.
 func (e *Engine) clustersAt(ctx context.Context, st *engineState, interval int) ([]Cluster, error) {
 	if interval < 0 || interval >= len(st.ivs) {
 		return nil, fmt.Errorf("blogclusters: interval %d outside [0,%d): %w", interval, len(st.ivs), ErrInvalidQuery)
@@ -113,7 +126,7 @@ func (e *Engine) clustersAt(ctx context.Context, st *engineState, interval int) 
 	rec := st.ivs[interval]
 	return rec.clusters.Get(ctx, func() ([]Cluster, error) {
 		defer e.stage(ctx, "interval-clusters")()
-		return intervalClustersCtx(ctx, rec.toks, interval, e.cfg.cluster)
+		return new(intervalBuilder).clusters(ctx, rec.toks, interval, e.cfg.cluster)
 	})
 }
 
@@ -203,26 +216,6 @@ func (e *Engine) emit(ev StageEvent) {
 	if e.cfg.progress != nil {
 		e.cfg.progress(ev)
 	}
-}
-
-// allIntervalClustersCtx builds the cluster set of every interval, one
-// per entry of toks — the Engine's cluster stage: whole interval builds
-// run on a pool of min(GOMAXPROCS, m) workers, each build sequential
-// inside. Each worker keeps one intervalBuilder from interval to
-// interval, so its scratch is allocated once per stage, not per
-// interval.
-func allIntervalClustersCtx(ctx context.Context, toks []*corpus.Tokens, opts ClusterOptions) ([][]Cluster, error) {
-	m := len(toks)
-	workers := max(1, min(runtime.GOMAXPROCS(0), m))
-	sets := make([][]Cluster, m)
-	bs := make([]intervalBuilder, workers)
-	if err := par.ForEachWorkerCtx(ctx, m, workers, func(w, i int) (err error) {
-		sets[i], err = bs[w].clusters(ctx, toks[i], i, opts)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	return sets, nil
 }
 
 // buildClusterGraphCtx is the Engine's graph stage.

@@ -16,11 +16,12 @@ import (
 // parse them, so renames are breaking changes. Total marshals as
 // "total_ns" to make the nanosecond unit explicit on the wire.
 type StageTiming struct {
-	// Builds counts completed builds of the stage ("clusters" and
-	// "index" build at most once per generation lineage; "graph" once
-	// per generation lineage and "kwgraph" once per interval;
-	// "interval-clusters", "graph-extend", "push" and "compact" count
-	// ingest work).
+	// Builds counts completed builds of the stage ("clusters",
+	// "index" and "graph" build at most once per generation lineage,
+	// "kwgraph" once per interval; "interval-clusters" counts the
+	// single-interval cluster builds of ClustersAt and Push, at most
+	// one per interval, and none of the full "clusters" build's;
+	// "graph-extend", "push" and "compact" count ingest work).
 	Builds int64 `json:"builds"`
 	// Total is the cumulative wall-clock build time.
 	Total time.Duration `json:"total_ns"`
